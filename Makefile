@@ -7,7 +7,7 @@ GO ?= go
 # machines where cgo/race is unavailable or slow; CI always runs them.
 RACE ?= 1
 
-.PHONY: build test vet lint race race-core bench bench-obs bench-wire bench-trace bench-all chaos shift restart check
+.PHONY: build test vet lint race race-core bench bench-check bench-wire bench-trace bench-all chaos shift restart check
 
 build:
 	$(GO) build ./...
@@ -61,16 +61,6 @@ bench:
 	$(GO) test -run='^$$' -bench=. -benchmem ./internal/tensor ./internal/nn \
 		| $(GO) run ./cmd/benchjson > BENCH_tensor.json
 
-# Observability overhead gate: the paper-geometry exchange round with
-# instrumentation on vs off, plus the isolated per-request hook cost.
-# Comparing the two ObsExchange entries in BENCH_obs.json is the
-# <2%-overhead acceptance check; ObsHooksPerRequest must stay at
-# 0 allocs/op (the AllocsPerRun test and the allocbound analyzer pin the
-# same contract statically).
-bench-obs:
-	$(GO) test -run='^$$' -bench='ObsExchange|ObsHooks' -benchmem ./internal/broker \
-		| $(GO) run ./cmd/benchjson > BENCH_obs.json
-
 # Distributed-tracing overhead gate: the instrumented-vs-uninstrumented
 # exchange pair (now including the worker-side recv/queue/reply hooks),
 # the isolated per-request hook costs on both sides, and one
@@ -82,11 +72,11 @@ bench-trace:
 		| $(GO) run ./cmd/benchjson > BENCH_trace.json
 
 # Wire codec gate: encode/decode throughput per encoding (fp64, fp16,
-# int8) plus the bytes-per-step comparison of coalesced vs per-expert
-# dispatch on the paper geometry. The EncodeFrame/FrameEncoder/DecodeFrame
-# entries in BENCH_wire.json must show 0 allocs/op (steady-state pooled
-# codec), and the StepBytes bytes/step metrics back the fp16 ≤ 30% /
-# int8 ≤ 18% of fp64 wire-volume claims.
+# int8) plus the bytes and frames one layer's dispatch puts on the wire
+# at the paper geometry. The EncodeFrame/FrameEncoder/DecodeFrame entries
+# in BENCH_wire.json must show 0 allocs/op (steady-state pooled codec),
+# and the StepBytes bytes/step metrics back the fp16 ≤ 30% / int8 ≤ 18%
+# of fp64 wire-volume claims.
 bench-wire:
 	$(GO) test -run='^$$' -bench='EncodeFrame|FrameEncoder|DecodeFrame|StepBytes' -benchmem ./internal/wire \
 		| $(GO) run ./cmd/benchjson > BENCH_wire.json
@@ -95,6 +85,12 @@ bench-wire:
 # reproductions in the root package.
 bench-all:
 	$(GO) test -bench=. -benchmem ./...
+
+# stepbench lives in its own module (bench/go.mod, replace repro => ../)
+# that the root `go build ./... && go test ./...` never compiles; this
+# leg catches a root-API change that breaks it (~2 s).
+bench-check:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # Fault-tolerance gate: the chaos/failover acceptance suite — fault
 # matrix, supervisor failover, transport fault injection, dead-worker
@@ -122,9 +118,9 @@ shift:
 restart:
 	$(GO) run ./examples/restart
 
-# Pre-merge gate: vet + velavet + full race-enabled test suite (the
-# race target covers internal/obs, so the tracer's striped ring and the
-# lock-free histograms are exercised under the detector on every check),
-# then the focused uncached race-core pass over broker/replace/transport.
-# RACE=0 skips both race jobs locally.
-check: vet lint race race-core
+# Pre-merge gate: vet + velavet + the bench module's vet/test + full
+# race-enabled test suite (the race target covers internal/obs, so the
+# tracer's striped ring and the lock-free histograms are exercised under
+# the detector on every check), then the focused uncached race-core pass
+# over broker/replace/transport. RACE=0 skips both race jobs locally.
+check: vet lint bench-check race race-core

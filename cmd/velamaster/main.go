@@ -51,7 +51,6 @@ type runOptions struct {
 	replaceDrift    float64
 	replaceCooldown int
 	wireEncoding    wire.Encoding
-	coalesce        bool
 	ckptDir         string
 	ckptEvery       int
 	ckptKeep        int
@@ -81,7 +80,6 @@ func main() {
 	replaceDrift := flag.Float64("replace-drift", 0, "drift threshold arming the online re-placement controller (0 disables; e.g. 0.1)")
 	replaceCooldown := flag.Int("replace-cooldown", 0, "step boundaries the controller stays quiet after acting (0 = controller default)")
 	wireEncoding := flag.String("wire-encoding", "fp16", "activation/gradient wire encoding: fp64|fp16|int8")
-	coalesce := flag.Bool("coalesce", true, "coalesce each worker's per-expert batches into one frame per direction per layer")
 	checkpointDir := flag.String("checkpoint-dir", "", "run-level checkpoint directory (empty disables durable checkpointing)")
 	checkpointEvery := flag.Int("checkpoint-every", 5, "checkpoint after every N completed steps")
 	checkpointKeep := flag.Int("checkpoint-keep", checkpoint.DefaultRunKeep, "checkpoint generations to retain")
@@ -103,8 +101,7 @@ func main() {
 	opts := runOptions{
 		snapshotPath: *snapshotPath, heartbeat: *heartbeat, requestTimeout: *requestTimeout,
 		metricsAddr: *metricsAddr, replaceDrift: *replaceDrift, replaceCooldown: *replaceCooldown,
-		wireEncoding: enc, coalesce: *coalesce,
-		ckptDir: *checkpointDir, ckptEvery: *checkpointEvery, ckptKeep: *checkpointKeep, resume: *resume,
+		wireEncoding: enc, ckptDir: *checkpointDir, ckptEvery: *checkpointEvery, ckptKeep: *checkpointKeep, resume: *resume,
 		traceExport: *traceExport, traceCapacity: *traceCapacity,
 	}
 	if err := run(strings.Split(*workers, ","), *devicesPerNode, *dataset, *strategy, *steps, *pretrainSteps, *ckptPath, opts); err != nil {
@@ -196,7 +193,6 @@ func run(addrs []string, devicesPerNode int, dataset, strategyName string, steps
 	}
 	exec := broker.NewExecutor(conns, assign)
 	exec.WireEncoding = opts.wireEncoding
-	exec.Coalesce = opts.coalesce
 	exec.BytesPerValue = float64(opts.wireEncoding.BitsPerValue()) / 8
 	exec.RequestTimeout = opts.requestTimeout
 	exec.Recovery = &metrics.Recovery{}

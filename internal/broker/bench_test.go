@@ -2,16 +2,12 @@ package broker
 
 import (
 	"math/rand"
-	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/moe"
 	"repro/internal/nn"
 	"repro/internal/placement"
 	"repro/internal/tensor"
-	"repro/internal/transport"
-	"repro/internal/wire"
 )
 
 // BenchmarkBrokeredExchange measures one forward scatter/gather round
@@ -41,8 +37,8 @@ func BenchmarkBrokeredExchange(b *testing.B) {
 }
 
 // benchManyExpertsPerWorker drives a scatter/gather round with many
-// experts stacked on few workers — the scenario where the pipelined
-// exchange and the worker executor pool matter. parallelism is the
+// experts stacked on few workers — the scenario where handleMulti's
+// fan-out across the worker executor pool matters. parallelism is the
 // worker-side pool width (1 = serial, 0 = GOMAXPROCS).
 func benchManyExpertsPerWorker(b *testing.B, parallelism int) {
 	const (
@@ -85,91 +81,14 @@ func benchManyExpertsPerWorker(b *testing.B, parallelism int) {
 }
 
 // BenchmarkManyExpertsPerWorkerSerial pins the worker pool to one
-// executor: the pipelined master with the old fully-serial worker
-// behavior (and the throughput baseline for the overlap win).
+// executor: each frame's experts compute one after another (the
+// throughput baseline for the fan-out win).
 func BenchmarkManyExpertsPerWorkerSerial(b *testing.B) { benchManyExpertsPerWorker(b, 1) }
 
-// BenchmarkManyExpertsPerWorkerPooled lets distinct experts on one
-// worker compute concurrently; the tokens/s ratio over the Serial
-// variant is the communication/compute overlap win.
+// BenchmarkManyExpertsPerWorkerPooled lets the experts of one frame
+// compute concurrently; the tokens/s ratio over the Serial variant is
+// the fan-out win.
 func BenchmarkManyExpertsPerWorkerPooled(b *testing.B) { benchManyExpertsPerWorker(b, 0) }
-
-// serveLatencyShim mimics an Expert Manager whose per-request compute is
-// latency-bound (accelerator offload rather than host CPU): a pool of
-// goroutines each sleeps lat per request and echoes the payload back.
-// With pool=1 it behaves like the old fully-serialized worker.
-func serveLatencyShim(conn transport.Conn, pool int, lat time.Duration) {
-	slots := make(chan struct{}, pool)
-	var sendMu sync.Mutex
-	var wg sync.WaitGroup
-	for {
-		m, err := conn.Recv()
-		if err != nil {
-			wg.Wait()
-			return
-		}
-		if m.Type == wire.MsgShutdown {
-			wg.Wait()
-			//lint:ignore errdispatch bench-harness shutdown ack; a lost ack surfaces as the bench deadline expiring
-			_ = conn.Send(&wire.Message{Type: wire.MsgAck, Seq: m.Seq})
-			return
-		}
-		slots <- struct{}{}
-		wg.Add(1)
-		go func(m *wire.Message) {
-			defer wg.Done()
-			defer func() { <-slots }()
-			time.Sleep(lat)
-			reply := &wire.Message{Type: wire.MsgForwardResult, Layer: m.Layer,
-				Expert: m.Expert, Seq: m.Seq, Tensors: m.Tensors}
-			sendMu.Lock()
-			//lint:ignore locklint,errdispatch sendMu only serializes harness reply writers (Recv never takes it), and a lost reply stalls the bench visibly
-			_ = conn.Send(reply)
-			sendMu.Unlock()
-		}(m)
-	}
-}
-
-// benchLatencyBoundWorker measures a 32-expert scatter/gather against a
-// latency-bound worker. Because requests pipeline (bounded window,
-// Seq-correlated replies), per-expert latency is hidden up to the
-// worker's pool width; a lockstep or serial path pays it 32× per round.
-func benchLatencyBoundWorker(b *testing.B, pool int) {
-	const experts = 32
-	const lat = 500 * time.Microsecond
-	master, workerEnd := transport.Pipe()
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		serveLatencyShim(workerEnd, pool, lat)
-	}()
-	exec := NewExecutor([]transport.Conn{master}, placement.NewAssignment(1, experts))
-	batches := make(map[int]*tensor.Tensor, experts)
-	for e := 0; e < experts; e++ {
-		batches[e] = tensor.Full(0.1, 1, 4)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := exec.ForwardExperts(0, batches); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(b.N*experts)/b.Elapsed().Seconds(), "req/s")
-	_ = exec.Shutdown()
-	<-done
-	//lint:ignore errdispatch end-of-bench teardown after the measured exchange completed
-	_ = master.Close()
-}
-
-// BenchmarkOverlapLatencyBoundSerial is the old worker behavior: one
-// request in compute at a time (the single global mutex).
-func BenchmarkOverlapLatencyBoundSerial(b *testing.B) { benchLatencyBoundWorker(b, 1) }
-
-// BenchmarkOverlapLatencyBoundPooled overlaps expert compute across the
-// worker's executor pool; req/s versus the Serial variant is the overlap
-// win, independent of host core count.
-func BenchmarkOverlapLatencyBoundPooled(b *testing.B) { benchLatencyBoundWorker(b, 16) }
 
 // BenchmarkBrokeredFinetuneStep measures a full fine-tuning step through
 // the broker (forward, backward, both optimizers).

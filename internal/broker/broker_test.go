@@ -54,6 +54,21 @@ func roundRobinAssignment(cfg moe.Config, workers int) *placement.Assignment {
 	return a
 }
 
+// multiFrame builds the dispatch frame the master sends a worker: an
+// expert-id row followed by one batch per named expert.
+func multiFrame(backward bool, layer int, experts []int, batches ...wire.Matrix) *wire.Message {
+	typ := wire.MsgForwardMulti
+	if backward {
+		typ = wire.MsgBackwardMulti
+	}
+	ids := wire.Matrix{Rows: 1, Cols: len(experts), Data: make([]float64, len(experts))}
+	for i, e := range experts {
+		ids.Data[i] = float64(e)
+	}
+	return &wire.Message{Type: typ, Layer: int32(layer), Expert: wire.ExpertCoalesced,
+		Tensors: append([]wire.Matrix{ids}, batches...)}
+}
+
 func TestExpertCodecRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	e := moe.NewExpert(moe.ExpertID{Layer: 2, Expert: 1}, rng, 6, 10, true)
@@ -65,7 +80,7 @@ func TestExpertCodecRoundTrip(t *testing.T) {
 	}
 	spec := ExpertSpec{D: 6, Hidden: 10, LoRARank: 2, LoRAAlpha: 8}
 	msg := encodeExpert(e, spec)
-	got, gotSpec, err := decodeExpert(msg)
+	got, gotSpec, _, err := decodeExpertState(msg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,15 +102,31 @@ func TestExpertCodecRoundTrip(t *testing.T) {
 }
 
 func TestDecodeExpertRejectsGarbage(t *testing.T) {
-	if _, _, err := decodeExpert(&wire.Message{Type: wire.MsgForward}); err == nil {
-		t.Fatal("wrong type must fail")
+	rng := rand.New(rand.NewSource(1))
+	spec := ExpertSpec{D: 4, Hidden: 6}
+	good := func() *wire.Message {
+		return encodeExpert(moe.NewExpert(moe.ExpertID{}, rng, spec.D, spec.Hidden, true), spec)
 	}
-	if _, _, err := decodeExpert(&wire.Message{Type: wire.MsgAssign}); err == nil {
-		t.Fatal("missing metadata must fail")
+	if _, _, _, err := decodeExpertState(good()); err != nil {
+		t.Fatalf("well-formed assign rejected: %v", err)
 	}
-	bad := &wire.Message{Type: wire.MsgAssign, Tensors: []wire.Matrix{{Rows: 1, Cols: 4, Data: []float64{4, 8, 0, 0}}}}
-	if _, _, err := decodeExpert(bad); err == nil {
-		t.Fatal("missing params must fail")
+	// The retired pre-moments layout: a 4-column meta row over otherwise
+	// well-formed parameters.
+	legacy := good()
+	legacy.Tensors[0] = wire.Matrix{Rows: 1, Cols: 4, Data: legacy.Tensors[0].Data[:4]}
+	emptyMeta := good()
+	emptyMeta.Tensors[0] = wire.Matrix{Rows: 0, Cols: 6}
+	for name, m := range map[string]*wire.Message{
+		"wrong type":       {Type: wire.MsgForwardMulti},
+		"missing metadata": {Type: wire.MsgAssign},
+		"legacy 4-col row": legacy,
+		"0x6 meta row":     emptyMeta,
+		"missing params": {Type: wire.MsgAssign,
+			Tensors: []wire.Matrix{{Rows: 1, Cols: 6, Data: []float64{4, 8, 0, 0, 0, 0}}}},
+	} {
+		if _, _, _, err := decodeExpertState(m); err == nil {
+			t.Errorf("%s: must fail", name)
+		}
 	}
 }
 
@@ -114,15 +145,15 @@ func TestWorkerForwardMatchesLocalExpert(t *testing.T) {
 	}
 
 	x := tensor.Randn(rng, 1, 4, 6)
-	fwd := &wire.Message{Type: wire.MsgForward, Layer: 0, Expert: 0, Seq: 5,
-		Tensors: []wire.Matrix{{Rows: 4, Cols: 6, Data: append([]float64(nil), x.Data...)}}}
+	fwd := multiFrame(false, 0, []int{0}, wire.Matrix{Rows: 4, Cols: 6, Data: append([]float64(nil), x.Data...)})
+	fwd.Seq = 5
 	reply, _ = w.handle(fwd)
-	if reply.Type != wire.MsgForwardResult {
-		t.Fatalf("forward reply %v: %s", reply.Type, reply.Text)
+	if reply.Type != wire.MsgForwardMultiResult || len(reply.Tensors) != 2 {
+		t.Fatalf("forward reply %v (%d tensors): %s", reply.Type, len(reply.Tensors), reply.Text)
 	}
 	want := ref.Forward(x)
 	for i, v := range want.Data {
-		if !testutil.BitEqual(reply.Tensors[0].Data[i], v) {
+		if !testutil.BitEqual(reply.Tensors[1].Data[i], v) {
 			t.Fatal("worker forward diverges from local expert")
 		}
 	}
@@ -131,20 +162,17 @@ func TestWorkerForwardMatchesLocalExpert(t *testing.T) {
 	}
 }
 
-func TestWorkerErrorsOnUnknownExpert(t *testing.T) {
-	w := NewWorker(3, DefaultWorkerConfig())
-	reply, _ := w.handle(&wire.Message{Type: wire.MsgForward, Layer: 9, Expert: 9,
-		Tensors: []wire.Matrix{{Rows: 1, Cols: 1, Data: []float64{0}}}})
-	if reply.Type != wire.MsgError || !strings.Contains(reply.Text, "does not host") {
-		t.Fatalf("reply = %v %q", reply.Type, reply.Text)
-	}
-}
-
+// TestWorkerErrorsOnUnexpectedMessage: reply types and the retired
+// single-expert request types are not served — each gets one MsgError.
 func TestWorkerErrorsOnUnexpectedMessage(t *testing.T) {
 	w := NewWorker(0, DefaultWorkerConfig())
-	reply, done := w.handle(&wire.Message{Type: wire.MsgForwardResult})
-	if done || reply.Type != wire.MsgError {
-		t.Fatal("unexpected message must produce an error reply")
+	for _, typ := range []wire.MsgType{wire.MsgForwardMultiResult, wire.MsgForwardResult,
+		wire.MsgForward, wire.MsgBackward} {
+		reply, done := w.handle(&wire.Message{Type: typ,
+			Tensors: []wire.Matrix{{Rows: 1, Cols: 1, Data: []float64{0}}}})
+		if done || reply.Type != wire.MsgError || !strings.Contains(reply.Text, "unexpected message") {
+			t.Fatalf("%v: reply = %v %q, want unexpected-message error", typ, reply.Type, reply.Text)
+		}
 	}
 }
 

@@ -46,11 +46,10 @@ func (s ExpertSpec) PayloadBytes() float64 {
 }
 
 // expertOptState is the worker-local optimizer slice that rides with an
-// expert on the wire since the VELAEXS2 metadata row: the AdamW
-// bias-correction clock and one (m, v) moment pair per trainable
-// parameter, in nn.CollectTrainable order. A nil state (or one with no
-// pairs) means "no optimizer state shipped" — the receiver starts the
-// expert with fresh moments, the pre-VELAEXS2 semantics.
+// expert on the wire: the AdamW bias-correction clock and one (m, v)
+// moment pair per trainable parameter, in nn.CollectTrainable order. A
+// nil state (or one with no pairs) means "no optimizer state shipped" —
+// the receiver starts the expert with fresh moments.
 type expertOptState struct {
 	Step int
 	M, V []wire.Matrix
@@ -104,23 +103,15 @@ func encodeExpertCopy(e *moe.Expert, spec ExpertSpec, opt *expertOptState) *wire
 	return m
 }
 
-// decodeExpert rebuilds an expert from a MsgAssign message, discarding
-// any optimizer state it carries.
-func decodeExpert(m *wire.Message) (*moe.Expert, ExpertSpec, error) {
-	ex, spec, _, err := decodeExpertState(m)
-	return ex, spec, err
-}
-
 // decodeExpertState rebuilds an expert from a MsgAssign message, plus the
 // optimizer slice when the message carries one (nil otherwise). The
 // rebuild uses a throwaway RNG — every weight is immediately overwritten
-// by the shipped values, so the architecture is all that matters. Both
-// the legacy 4-column and the VELAEXS2 6-column metadata row decode.
+// by the shipped values, so the architecture is all that matters.
 func decodeExpertState(m *wire.Message) (*moe.Expert, ExpertSpec, *expertOptState, error) {
 	if m.Type != wire.MsgAssign {
 		return nil, ExpertSpec{}, nil, fmt.Errorf("broker: decodeExpert on %v message", m.Type)
 	}
-	if len(m.Tensors) < 1 || (m.Tensors[0].Cols != 4 && m.Tensors[0].Cols != 6) {
+	if len(m.Tensors) < 1 || m.Tensors[0].Rows != 1 || m.Tensors[0].Cols != 6 {
 		return nil, ExpertSpec{}, nil, fmt.Errorf("broker: assign message missing metadata")
 	}
 	meta := m.Tensors[0].Data
@@ -133,13 +124,10 @@ func decodeExpertState(m *wire.Message) (*moe.Expert, ExpertSpec, *expertOptStat
 	if spec.D <= 0 || spec.Hidden <= 0 {
 		return nil, ExpertSpec{}, nil, fmt.Errorf("broker: invalid expert spec %+v", spec)
 	}
-	pairs, optStep := 0, 0
-	if m.Tensors[0].Cols == 6 {
-		pairs, optStep = int(meta[4]), int(meta[5])
-		if pairs < 0 || pairs > maxMomentPairs || optStep < 0 {
-			return nil, ExpertSpec{}, nil, fmt.Errorf("broker: implausible optimizer state (%d pairs, step %d)",
-				pairs, optStep)
-		}
+	pairs, optStep := int(meta[4]), int(meta[5])
+	if pairs < 0 || pairs > maxMomentPairs || optStep < 0 {
+		return nil, ExpertSpec{}, nil, fmt.Errorf("broker: implausible optimizer state (%d pairs, step %d)",
+			pairs, optStep)
 	}
 	id := moe.ExpertID{Layer: int(m.Layer), Expert: int(m.Expert)}
 	rng := rand.New(rand.NewSource(1))

@@ -1,6 +1,7 @@
 package broker
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -55,14 +56,107 @@ func TestWorkerServeStopsOnClosedConn(t *testing.T) {
 	}
 }
 
-// TestWorkerRejectsMalformedBatch: a forward message with the wrong
-// tensor count is answered with a protocol error, not a crash.
-func TestWorkerRejectsMalformedBatch(t *testing.T) {
-	w := NewWorker(0, DefaultWorkerConfig())
-	reply, done := w.handle(&wire.Message{Type: wire.MsgForward, Layer: 0, Expert: 0})
-	if done || reply.Type != wire.MsgError || !strings.Contains(reply.Text, "tensors") {
-		t.Fatalf("reply = %v %q", reply.Type, reply.Text)
+// malformedMultiFrames are dispatch frames a hostile or corrupted peer
+// could put on the wire (every matrix is internally consistent, so they
+// encode) against a worker hosting experts 0 and 1 of layer 0 with D=4.
+func malformedMultiFrames() map[string]*wire.Message {
+	batch := func(cols int) wire.Matrix {
+		return wire.Matrix{Rows: 2, Cols: cols, Data: make([]float64, 2*cols)}
 	}
+	withIDs := func(ids wire.Matrix, batches ...wire.Matrix) *wire.Message {
+		return &wire.Message{Type: wire.MsgForwardMulti, Expert: wire.ExpertCoalesced,
+			Tensors: append([]wire.Matrix{ids}, batches...)}
+	}
+	return map[string]*wire.Message{
+		"no-tensors":        {Type: wire.MsgBackwardMulti, Expert: wire.ExpertCoalesced},
+		"K=0":               multiFrame(false, 0, nil),
+		"id-row-2xK":        withIDs(wire.Matrix{Rows: 2, Cols: 1, Data: []float64{0, 1}}, batch(4), batch(4)),
+		"K-exceeds-batches": multiFrame(false, 0, []int{0, 1, 0}, batch(4), batch(4)),
+		"K-below-batches":   multiFrame(true, 0, []int{0}, batch(4), batch(4)),
+		"unknown-id":        multiFrame(false, 0, []int{0, 99}, batch(4), batch(4)),
+		"unknown-layer":     multiFrame(false, 7, []int{0}, batch(4)),
+		"negative-id":       withIDs(wire.Matrix{Rows: 1, Cols: 2, Data: []float64{0, -1}}, batch(4), batch(4)),
+		"NaN-id":            withIDs(wire.Matrix{Rows: 1, Cols: 2, Data: []float64{math.NaN(), 1}}, batch(4), batch(4)),
+		"fractional-id":     withIDs(wire.Matrix{Rows: 1, Cols: 1, Data: []float64{0.5}}, batch(4)),
+		"huge-id":           withIDs(wire.Matrix{Rows: 1, Cols: 1, Data: []float64{1e300}}, batch(4)),
+		"width-mismatch":    multiFrame(false, 0, []int{0, 1}, batch(4), batch(5)),
+		"backward-first":    multiFrame(true, 0, []int{0, 1}, batch(4), batch(4)),
+	}
+}
+
+// handleWireFrame decodes body with the wire decoder — the path a frame
+// takes off a socket — stamps it as a dispatch frame and hands it to a
+// fresh worker hosting experts 0 and 1. Whatever the frame holds, the
+// worker must answer with one MsgError or one well-formed result, never
+// panic, and serve the next frame. It returns the reply type (0 when the
+// decoder refused the body).
+func handleWireFrame(t testing.TB, body []byte, backward bool) wire.MsgType {
+	t.Helper()
+	m, err := wire.DecodePooled(body)
+	if err != nil {
+		return 0
+	}
+	m.Type = wire.MsgForwardMulti
+	wantReply := wire.MsgForwardMultiResult
+	if backward {
+		m.Type, wantReply = wire.MsgBackwardMulti, wire.MsgBackwardMultiResult
+	}
+	w := NewWorker(0, DefaultWorkerConfig())
+	handle := func(m *wire.Message) *wire.Message {
+		reply, done := w.handle(m)
+		if done || reply == nil {
+			t.Fatalf("%v: reply %v, done %v", m.Type, reply, done)
+		}
+		return reply
+	}
+	grid, _, spec := singleWorkerGrid(2)
+	for _, ex := range grid[0] {
+		if reply := handle(encodeExpert(ex, spec)); reply.Type != wire.MsgAck {
+			t.Fatalf("assign %v: %v %s", ex.ID, reply.Type, reply.Text)
+		}
+	}
+	reply := handle(m)
+	switch {
+	case reply.Type == wire.MsgError:
+	case reply.Type == wantReply && len(reply.Tensors) == len(m.Tensors):
+	default:
+		t.Fatalf("reply %v (%d tensors) to a %d-tensor %v frame", reply.Type, len(reply.Tensors), len(m.Tensors), m.Type)
+	}
+	good := multiFrame(false, 0, []int{1}, wire.Matrix{Rows: 1, Cols: 4, Data: make([]float64, 4)})
+	if next := handle(good); next.Type != wire.MsgForwardMultiResult {
+		t.Fatalf("next frame after %v reply: %v %q", reply.Type, next.Type, next.Text)
+	}
+	return reply.Type
+}
+
+// TestWorkerRejectsMalformedMultiFrames: every malformed dispatch frame
+// is answered with exactly one MsgError — no panic, no partial result —
+// and the worker serves the next frame.
+func TestWorkerRejectsMalformedMultiFrames(t *testing.T) {
+	for name, frame := range malformedMultiFrames() {
+		buf, err := wire.AppendFrame(nil, frame)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got := handleWireFrame(t, buf[4:], frame.Type == wire.MsgBackwardMulti); got != wire.MsgError {
+			t.Errorf("%s: reply = %v, want MsgError", name, got)
+		}
+	}
+}
+
+// FuzzWorkerMultiFrame throws arbitrary decodable bodies at the worker
+// as dispatch frames, seeded with the malformed table.
+func FuzzWorkerMultiFrame(f *testing.F) {
+	for _, frame := range malformedMultiFrames() {
+		buf, err := wire.AppendFrame(nil, frame)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf[4:], frame.Type == wire.MsgBackwardMulti)
+	}
+	f.Fuzz(func(t *testing.T, body []byte, backward bool) {
+		handleWireFrame(t, body, backward)
+	})
 }
 
 // TestBrokenAssignDoesNotPoisonWorker: after a rejected assignment the

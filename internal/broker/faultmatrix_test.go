@@ -2,6 +2,7 @@ package broker
 
 import (
 	"errors"
+	"math"
 	"testing"
 	"time"
 
@@ -16,7 +17,11 @@ import (
 // fatal faults (drop, abrupt close, one-way partitions) surface the
 // matching transport sentinel without hanging and without disturbing
 // the healthy worker. Deterministic: every fault fires with
-// probability 1 or at an armed send count.
+// probability 1 or at an armed send count. Forward and backward are
+// K-expert dispatch frames, so a duplicated delivery is a duplicated
+// frame: the duplicate/backward cell additionally checks the workers'
+// parameter/gradient checksums against a duplicate-free run — no
+// gradient may be accumulated twice.
 func TestFaultMatrix(t *testing.T) {
 	defer testutil.VerifyNoLeaks(t, "repro/internal/broker", "repro/internal/transport")
 
@@ -28,7 +33,7 @@ func TestFaultMatrix(t *testing.T) {
 	forwardBatches := func() map[int]*tensor.Tensor {
 		b := map[int]*tensor.Tensor{}
 		for e := 0; e < cfg.Experts; e++ {
-			b[e] = tensor.Zeros(2, cfg.D)
+			b[e] = tensor.Full(0.25, 2, cfg.D)
 		}
 		return b
 	}
@@ -63,29 +68,37 @@ func TestFaultMatrix(t *testing.T) {
 		{"partition-recv", transport.FaultPlan{PartitionRecv: true}, false, transport.ErrTimeout},
 	}
 
+	// deploy distributes the grid over clean connections and runs the
+	// forward that leaves cached activations on the workers (backward
+	// needs them); the workers are torn down when the subtest ends.
+	deploy := func(t *testing.T) (*LocalDeployment, *Executor) {
+		_, grid := buildFinetuneSetup(cfg, 23)
+		dep := StartLocalWorkers(2, WorkerConfig{Optimizer: OptSGD, LR: 0.1})
+		t.Cleanup(func() {
+			dep.Close()
+			_ = dep.WaitAll()
+		})
+		setup := NewExecutor(dep.Conns, roundRobinAssignment(cfg, 2))
+		if err := setup.Distribute(grid, ExpertSpec{D: cfg.D, Hidden: cfg.Hidden, LoRARank: 2, LoRAAlpha: 4}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := setup.ForwardExperts(0, forwardBatches()); err != nil {
+			t.Fatal(err)
+		}
+		return dep, setup
+	}
+
 	for _, fc := range faults {
 		for _, oc := range ops {
 			t.Run(fc.name+"/"+oc.name, func(t *testing.T) {
-				_, grid := buildFinetuneSetup(cfg, 23)
-				dep := StartLocalWorkers(2, WorkerConfig{Optimizer: OptSGD, LR: 0.1})
-				assign := roundRobinAssignment(cfg, 2)
+				dep, setup := deploy(t)
 
-				// Distribute over the clean connections, then interpose the
-				// fault on worker 1 for the operation under test.
-				setup := NewExecutor(dep.Conns, assign)
-				if err := setup.Distribute(grid, ExpertSpec{D: cfg.D, Hidden: cfg.Hidden, LoRARank: 2, LoRAAlpha: 4}); err != nil {
-					t.Fatal(err)
-				}
-				// Backward needs cached activations on the worker.
-				if _, err := setup.ForwardExperts(0, forwardBatches()); err != nil {
-					t.Fatal(err)
-				}
-
+				// Interpose the fault on worker 1 for the operation under test.
 				faulty := transport.NewFaulty(dep.Conns[1], 5, fc.plan)
 				if fc.armClose {
 					faulty.ArmClose(0)
 				}
-				exec := NewExecutor([]transport.Conn{dep.Conns[0], faulty}, assign)
+				exec := NewExecutor([]transport.Conn{dep.Conns[0], faulty}, setup.Assignment())
 				exec.RequestTimeout = 15 * time.Millisecond
 				exec.MaxRecvRetries = 1
 
@@ -98,12 +111,39 @@ func TestFaultMatrix(t *testing.T) {
 					t.Fatalf("%s under %s = %v, want %v", oc.name, fc.name, err, fc.wantErr)
 				}
 
+				if fc.name == "duplicate" && oc.name == "backward" {
+					_, ref := deploy(t)
+					if err := oc.run(t, ref); err != nil {
+						t.Fatal(err)
+					}
+					want, err := ref.Checksums()
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, err := exec.Checksums()
+					if err != nil {
+						t.Fatal(err)
+					}
+					for n := range want {
+						if testutil.Close(want[n][1], 0) {
+							t.Fatalf("worker %d: reference gradient checksum is zero — the check would be vacuous", n)
+						}
+						// Summation order follows map iteration on the worker,
+						// so compare within rounding; a double accumulation
+						// would double the gradient sum.
+						for i := range want[n] {
+							if !testutil.AlmostEqual(got[n][i], want[n][i], 1e-9*(1+math.Abs(want[n][i]))) {
+								t.Fatalf("worker %d checksum[%d] = %v after a duplicated backward frame, want %v (gradient accumulated twice?)",
+									n, i, got[n][i], want[n][i])
+							}
+						}
+					}
+				}
+
 				// The healthy worker keeps serving regardless.
 				if out, err := exec.ForwardExperts(0, map[int]*tensor.Tensor{0: tensor.Zeros(1, cfg.D)}); err != nil || out[0] == nil {
 					t.Fatalf("healthy worker stopped serving after %s/%s: %v", fc.name, oc.name, err)
 				}
-				dep.Close()
-				_ = dep.WaitAll()
 			})
 		}
 	}

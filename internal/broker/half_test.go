@@ -26,12 +26,11 @@ func TestHalfPrecisionFineTuning(t *testing.T) {
 		targets[i] = (i*7 + 1) % cfg.Vocab
 	}
 
-	run := func(enc wire.Encoding, coalesce bool) []float64 {
+	run := func(enc wire.Encoding) []float64 {
 		m, grid := buildFinetuneSetup(cfg, 7)
 		dep := StartLocalWorkers(workers, DefaultWorkerConfig())
 		exec := NewExecutor(dep.Conns, roundRobinAssignment(cfg, workers))
 		exec.WireEncoding = enc
-		exec.Coalesce = coalesce
 		spec := ExpertSpec{D: cfg.D, Hidden: cfg.Hidden, LoRARank: 2, LoRAAlpha: 4}
 		if err := exec.Distribute(grid, spec); err != nil {
 			t.Fatal(err)
@@ -68,8 +67,8 @@ func TestHalfPrecisionFineTuning(t *testing.T) {
 		return losses
 	}
 
-	full := run(wire.EncFP64, false)
-	half := run(wire.EncFP16, false)
+	full := run(wire.EncFP64)
+	half := run(wire.EncFP16)
 	diverged := false
 	for s := range full {
 		rel := math.Abs(full[s]-half[s]) / (math.Abs(full[s]) + 1e-12)
@@ -86,9 +85,8 @@ func TestHalfPrecisionFineTuning(t *testing.T) {
 
 	// int8 end-to-end: the loss trajectory must stay equivalent to the
 	// exact run within a looser tolerance (8-bit activations), and must
-	// not be bit-identical (the quantization actually happened). The
-	// coalesced dispatch path is exercised at the same time.
-	int8Run := run(wire.EncInt8, true)
+	// not be bit-identical (the quantization actually happened).
+	int8Run := run(wire.EncInt8)
 	diverged = false
 	for s := range full {
 		rel := math.Abs(full[s]-int8Run[s]) / (math.Abs(full[s]) + 1e-12)
@@ -102,34 +100,15 @@ func TestHalfPrecisionFineTuning(t *testing.T) {
 	if !diverged {
 		t.Fatal("int8 encoding had no effect — encoding not applied?")
 	}
-
-	// Coalescing alone is a pure transport change: with the exact fp64
-	// encoding it must reproduce the per-expert run bit for bit.
-	coal := run(wire.EncFP64, true)
-	for s := range full {
-		if !testutil.BitEqual(full[s], coal[s]) {
-			t.Fatalf("step %d: coalesced fp64 run differs from per-expert: %v vs %v", s, coal[s], full[s])
-		}
-	}
 }
 
 // TestHalfFrameSizeShrinks: the physical frame for a half payload is ~4×
 // smaller than the full-precision frame.
 func TestHalfFrameSizeShrinks(t *testing.T) {
 	data := make([]float64, 1024)
-	fullMsg := &wire.Message{Type: wire.MsgForward,
-		Tensors: []wire.Matrix{{Rows: 32, Cols: 32, Data: data}}}
-	halfMsg := &wire.Message{Type: wire.MsgForward,
-		Tensors: []wire.Matrix{{Rows: 32, Cols: 32, Data: data, Enc: wire.EncFP16}}}
-	fullBuf, err := wire.Encode(fullMsg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	halfBuf, err := wire.Encode(halfMsg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fullLen, halfLen := len(fullBuf), len(halfBuf)
+	fullMsg := multiFrame(false, 0, []int{0}, wire.Matrix{Rows: 32, Cols: 32, Data: data})
+	halfMsg := multiFrame(false, 0, []int{0}, wire.Matrix{Rows: 32, Cols: 32, Data: data, Enc: wire.EncFP16})
+	fullLen, halfLen := wire.EncodedSize(fullMsg), wire.EncodedSize(halfMsg)
 	if halfLen >= fullLen/3 {
 		t.Fatalf("half frame %dB not ≪ full frame %dB", halfLen, fullLen)
 	}
@@ -144,13 +123,12 @@ func TestWorkerMirrorsHalfEncoding(t *testing.T) {
 	if reply, _ := w.handle(encodeExpert(grid[0][0], ExpertSpec{D: cfg.D, Hidden: cfg.Hidden, LoRARank: 2, LoRAAlpha: 4})); reply.Type != wire.MsgAck {
 		t.Fatal("assign failed")
 	}
-	req := &wire.Message{Type: wire.MsgForward, Layer: 0, Expert: 0,
-		Tensors: []wire.Matrix{{Rows: 2, Cols: 4, Data: make([]float64, 8), Enc: wire.EncFP16}}}
+	req := multiFrame(false, 0, []int{0}, wire.Matrix{Rows: 2, Cols: 4, Data: make([]float64, 8), Enc: wire.EncFP16})
 	reply, _ := w.handle(req)
-	if reply.Type != wire.MsgForwardResult {
+	if reply.Type != wire.MsgForwardMultiResult {
 		t.Fatalf("forward failed: %s", reply.Text)
 	}
-	if reply.Tensors[0].Enc != wire.EncFP16 {
+	if reply.Tensors[1].Enc != wire.EncFP16 {
 		t.Fatal("worker must mirror the request's half encoding")
 	}
 }

@@ -34,13 +34,13 @@ var ErrWorkerDead = errors.New("broker: worker marked dead")
 // results. It also broadcasts optimizer control messages at step
 // boundaries.
 //
-// Requests to each worker are pipelined: a writer goroutine streams
-// requests under a bounded in-flight window while a reader goroutine
-// concurrently collects replies, correlating them by Seq. This keeps the
-// exchange deadlock-free regardless of how many requests target one
-// worker (a send-everything-then-receive scheme wedges once in-flight
-// requests exceed the transport's buffering) and lets worker-side expert
-// compute overlap with the master's sends.
+// An exchange round is one multi-tensor frame per worker per direction.
+// Multi-message rounds (Distribute, snapshots, restores) are pipelined: a
+// writer goroutine streams requests under a bounded in-flight window
+// while a reader goroutine concurrently collects replies, correlating
+// them by Seq. This keeps a round deadlock-free regardless of how many
+// requests target one worker (a send-everything-then-receive scheme
+// wedges once in-flight requests exceed the transport's buffering).
 //
 // An Executor is not safe for concurrent use: callers drive one exchange
 // or control round at a time, exactly as the training loop does.
@@ -70,10 +70,8 @@ type Executor struct {
 	// value plus 8 bytes per row). Expert weights (Assign/Fetch) always
 	// travel at full precision.
 	WireEncoding wire.Encoding
-	// Coalesce packs all of a worker's per-expert batches for a layer
-	// into one multi-tensor frame per direction (one Send/Recv per worker
-	// instead of one per expert) — the fused all-to-all dispatch. The
-	// per-expert path remains the fallback when unset.
+	// Deprecated: ignored — dispatch is always coalesced; kept only so the
+	// frozen stepbench module compiles; remove with the next benchmark PR.
 	Coalesce bool
 	// MaxInFlight bounds how many requests may be outstanding per worker
 	// connection at once. <= 0 selects DefaultMaxInFlight.
@@ -129,20 +127,20 @@ func (x *Executor) conn(n int) transport.Conn { return x.conns[n].Load().c }
 
 // resultKey identifies one persistent exchange-result buffer.
 type resultKey struct {
-	typ           wire.MsgType
+	backward      bool
 	layer, expert int
 }
 
 // stashResult copies one reply tensor into the executor's persistent
 // result buffer for (direction, layer, expert), so the pooled reply can
 // be released while the training loop keeps reading the result.
-func (x *Executor) stashResult(typ wire.MsgType, layer, expert int, m *wire.Matrix) *tensor.Tensor {
+func (x *Executor) stashResult(backward bool, layer, expert int, m *wire.Matrix) *tensor.Tensor {
 	x.resMu.Lock()
 	defer x.resMu.Unlock()
 	if x.resBufs == nil {
 		x.resBufs = make(map[resultKey]*tensor.Tensor)
 	}
-	k := resultKey{typ, layer, expert}
+	k := resultKey{backward, layer, expert}
 	t := x.resBufs[k]
 	t = tensor.Ensure(&t, m.Rows, m.Cols)
 	copy(t.Data, m.Data)
@@ -297,8 +295,8 @@ func (x *Executor) release(n int) { <-x.connSem[n] }
 //
 // When RequestTimeout is set, each reply wait carries a deadline. An
 // expired wait is retried in place — the request is never re-sent (a
-// re-sent MsgBackward would double-accumulate gradients); the deadline is
-// extended with exponential backoff (timeout, 2·timeout, 4·timeout, …)
+// re-sent backward frame would double-accumulate gradients); the deadline
+// is extended with exponential backoff (timeout, 2·timeout, 4·timeout, …)
 // up to recvRetries extra waits, after which the round fails with an
 // error wrapping transport.ErrTimeout. Replies from an abandoned earlier
 // round (Seq below this round's range) and duplicate deliveries of an
@@ -518,20 +516,20 @@ func (x *Executor) Distribute(grid [][]*moe.Expert, spec ExpertSpec) error {
 // ForwardExperts implements moe.Executor: dispatch token batches to the
 // owning workers (the token dispatcher of Fig. 4), gather outputs.
 func (x *Executor) ForwardExperts(layer int, batches map[int]*tensor.Tensor) (map[int]*tensor.Tensor, error) {
-	return x.exchange(layer, batches, wire.MsgForward, wire.MsgForwardResult)
+	return x.exchange(layer, batches, false)
 }
 
 // BackwardExperts implements moe.Executor: dispatch output gradients,
 // gather input gradients (the gradient dispatcher/receiver of Fig. 4).
 func (x *Executor) BackwardExperts(layer int, grads map[int]*tensor.Tensor) (map[int]*tensor.Tensor, error) {
-	return x.exchange(layer, grads, wire.MsgBackward, wire.MsgBackwardResult)
+	return x.exchange(layer, grads, true)
 }
 
-// exchange performs one one-to-all scatter/gather round for a layer.
-// Per-worker request streams are pipelined (see pipelined), so worker
-// compute overlaps master communication and arbitrarily many experts per
-// worker cannot deadlock the transport.
-func (x *Executor) exchange(layer int, batches map[int]*tensor.Tensor, reqType, respType wire.MsgType) (map[int]*tensor.Tensor, error) {
+// exchange performs one one-to-all scatter/gather round for a layer:
+// every batch a worker owes travels in ONE multi-tensor frame per
+// direction (see exchangeWorker), workers are driven in parallel, and
+// each worker fans its frame out across its own executor pool.
+func (x *Executor) exchange(layer int, batches map[int]*tensor.Tensor, backward bool) (map[int]*tensor.Tensor, error) {
 	sp := x.Obs.Begin(obs.PhaseExchange)
 	defer sp.End()
 	roundStart := x.Obs.RoundStart()
@@ -567,12 +565,7 @@ func (x *Executor) exchange(layer int, batches map[int]*tensor.Tensor, reqType, 
 		wg.Add(1)
 		go func(n int, experts []int) {
 			defer wg.Done()
-			var err error
-			if x.Coalesce {
-				err = x.exchangeCoalesced(n, layer, experts, batches, reqType, respType, results, &mu)
-			} else {
-				err = x.exchangePerExpert(n, layer, experts, batches, reqType, respType, results, &mu)
-			}
+			err := x.exchangeWorker(n, layer, experts, batches, backward, results, &mu)
 			x.Obs.WorkerRoundDone(n, roundStart)
 			if err != nil {
 				setErr(err)
@@ -595,72 +588,14 @@ func (x *Executor) logicalBytes(rows, vals int) int64 {
 	return int64(float64(vals)*x.BytesPerValue) + int64(rows*x.WireEncoding.ScaleBytesPerRow())
 }
 
-// exchangePerExpert is the fallback dispatch path: one frame per expert
-// per direction, pipelined per worker.
-func (x *Executor) exchangePerExpert(n, layer int, experts []int, batches map[int]*tensor.Tensor, reqType, respType wire.MsgType, results map[int]*tensor.Tensor, mu *sync.Mutex) error {
-	msgs := make([]*wire.Message, len(experts))
-	for i, e := range experts {
-		payload := matrixOf(batches[e])
-		payload.Enc = x.WireEncoding
-		msgs[i] = &wire.Message{
-			Type: reqType, Layer: int32(layer), Expert: int32(e),
-			Tensors: []wire.Matrix{payload},
-		}
-	}
-	var onSent func(int)
-	if x.Traffic != nil {
-		onSent = func(i int) {
-			b := batches[experts[i]]
-			x.Traffic.AddToWorker(n, int64(b.Rows()), x.logicalBytes(b.Rows(), b.Len()))
-		}
-	}
-	canRelease := transport.Copies(x.conn(n))
-	return x.pipelined(n, msgs, onSent, func(i int, reply *wire.Message) error {
-		if reply.Type != respType {
-			return fmt.Errorf("broker: worker %d sent unexpected %v", n, reply.Type)
-		}
-		if len(reply.Tensors) != 1 {
-			return fmt.Errorf("broker: worker %d %v reply carries %d tensors, want 1", n, reply.Type, len(reply.Tensors))
-		}
-		seq := reply.Seq
-		var decT0 int64
-		if x.Obs != nil {
-			decT0 = x.Obs.Trace.Clock()
-		}
-		var out *tensor.Tensor
-		if canRelease {
-			// The reply is a pooled decode: copy the result into the
-			// executor's persistent buffer and recycle it.
-			out = x.stashResult(respType, layer, experts[i], &reply.Tensors[0])
-			wire.Release(reply)
-		} else {
-			// In-process pipe: the reply tensor is the worker's copy, owned
-			// by the master outright.
-			out = tensorOf(reply.Tensors[0])
-		}
-		if x.Obs != nil {
-			x.Obs.OnDecode(n, layer, experts[i], seq,
-				time.Duration(x.Obs.Trace.Clock()-decT0))
-		}
-		mu.Lock()
-		results[experts[i]] = out
-		mu.Unlock()
-		if x.Traffic != nil {
-			x.Traffic.AddFromWorker(n, int64(out.Rows()), x.logicalBytes(out.Rows(), out.Len()))
-		}
-		return nil
-	})
-}
-
-// exchangeCoalesced is the fused dispatch path: every batch worker n owes
-// for this layer travels in ONE multi-tensor frame per direction
-// (Tensors[0] = expert-id row, Tensors[1..K] = batches), and the reply
-// mirrors the layout. Per-expert traffic accounting is preserved; any
-// expert failure on the worker fails the whole frame.
-func (x *Executor) exchangeCoalesced(n, layer int, experts []int, batches map[int]*tensor.Tensor, reqType, respType wire.MsgType, results map[int]*tensor.Tensor, mu *sync.Mutex) error {
-	multiReq, multiResp := wire.MsgForwardMulti, wire.MsgForwardMultiResult
-	if reqType == wire.MsgBackward {
-		multiReq, multiResp = wire.MsgBackwardMulti, wire.MsgBackwardMultiResult
+// exchangeWorker is worker n's share of an exchange round: one
+// multi-tensor frame (Tensors[0] = expert-id row, Tensors[1..K] =
+// batches) and one reply mirroring the layout. Traffic is accounted per
+// expert; any expert failure on the worker fails the whole frame.
+func (x *Executor) exchangeWorker(n, layer int, experts []int, batches map[int]*tensor.Tensor, backward bool, results map[int]*tensor.Tensor, mu *sync.Mutex) error {
+	reqType, respType := wire.MsgForwardMulti, wire.MsgForwardMultiResult
+	if backward {
+		reqType, respType = wire.MsgBackwardMulti, wire.MsgBackwardMultiResult
 	}
 	ids := make([]float64, len(experts))
 	tensors := make([]wire.Matrix, 1+len(experts))
@@ -671,7 +606,7 @@ func (x *Executor) exchangeCoalesced(n, layer int, experts []int, batches map[in
 		payload.Enc = x.WireEncoding
 		tensors[1+i] = payload
 	}
-	msg := &wire.Message{Type: multiReq, Layer: int32(layer), Expert: wire.ExpertCoalesced, Tensors: tensors}
+	msg := &wire.Message{Type: reqType, Layer: int32(layer), Expert: wire.ExpertCoalesced, Tensors: tensors}
 	var onSent func(int)
 	if x.Traffic != nil {
 		onSent = func(int) {
@@ -683,7 +618,7 @@ func (x *Executor) exchangeCoalesced(n, layer int, experts []int, batches map[in
 	}
 	canRelease := transport.Copies(x.conn(n))
 	return x.pipelined(n, []*wire.Message{msg}, onSent, func(_ int, reply *wire.Message) error {
-		if reply.Type != multiResp {
+		if reply.Type != respType {
 			return fmt.Errorf("broker: worker %d sent unexpected %v", n, reply.Type)
 		}
 		if len(reply.Tensors) != 1+len(experts) {
@@ -707,8 +642,12 @@ func (x *Executor) exchangeCoalesced(n, layer int, experts []int, batches map[in
 			}
 			var out *tensor.Tensor
 			if canRelease {
-				out = x.stashResult(respType, layer, e, &reply.Tensors[1+i])
+				// The reply is a pooled decode: copy the result into the
+				// executor's persistent buffer; the frame is recycled below.
+				out = x.stashResult(backward, layer, e, &reply.Tensors[1+i])
 			} else {
+				// In-process pipe: the reply tensor is the worker's copy, owned
+				// by the master outright.
 				out = tensorOf(reply.Tensors[1+i])
 			}
 			mu.Lock()

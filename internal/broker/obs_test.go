@@ -84,6 +84,25 @@ func TestInstrumentedExchangeLifecycle(t *testing.T) {
 		}
 	}
 
+	// One request per worker per round: every decode belongs to a
+	// multi-expert frame, and a (step, layer, worker) sees exactly the
+	// forward and the backward frame.
+	decodes := map[[3]int32]int{}
+	for _, ev := range handle.Trace.Snapshot() {
+		if ev.Kind != obs.EvDecode {
+			continue
+		}
+		if ev.Expert != wire.ExpertCoalesced {
+			t.Errorf("decode event for single expert %d, want a frame-level event", ev.Expert)
+		}
+		decodes[[3]int32{int32(ev.Step), ev.Layer, ev.Worker}]++
+	}
+	for k, c := range decodes {
+		if c != 2 {
+			t.Errorf("step %d layer %d worker %d: %d exchange requests, want 2 (forward + backward)", k[0], k[1], k[2], c)
+		}
+	}
+
 	// Forward + backward exchanges per layer per step.
 	wantRounds := uint64(2 * cfg.Layers * steps)
 	var spans uint64
@@ -200,8 +219,8 @@ func BenchmarkObsExchangeUninstrumented(b *testing.B) {
 
 // BenchmarkObsExchangeInstrumented runs the full scatter/gather round
 // with tracing, histograms, and straggler accounting live. Comparing
-// ns/op against the uninstrumented twin (make bench-obs writes both to
-// BENCH_obs.json) is the <2%-overhead acceptance check.
+// ns/op against the uninstrumented twin (make bench-trace writes both to
+// BENCH_trace.json) is the <2%-overhead acceptance check.
 func BenchmarkObsExchangeInstrumented(b *testing.B) {
 	handle := obs.NewHandle(obs.Config{Workers: 3, Layers: 3, Experts: 6})
 	benchExchange(b, handle)

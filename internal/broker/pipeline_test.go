@@ -33,9 +33,9 @@ func singleWorkerGrid(nExperts int) ([][]*moe.Expert, *placement.Assignment, Exp
 // the send-then-recv deadlock: once a worker receives more in-flight
 // requests than the transport buffers (~128 messages on the in-process
 // pipe), a master that performs all Sends before any Recv wedges against
-// the worker's full reply queue. The pipelined exchange must complete a
-// 300-expert scatter/gather to one worker — both directions — well within
-// the timeout.
+// the worker's full reply queue. The pipelined 300-MsgAssign Distribute
+// is that round; the forward and backward exchanges that follow are one
+// 300-tensor frame each. All three must complete well within the timeout.
 func TestManyInFlightSingleWorkerDoesNotDeadlock(t *testing.T) {
 	const experts = 300 // > 2×64 pipe buffering, and ≥ 256 in-flight
 	grid, assign, spec := singleWorkerGrid(experts)
@@ -90,9 +90,10 @@ func TestManyInFlightSingleWorkerDoesNotDeadlock(t *testing.T) {
 }
 
 // reverseShim serves one pipe endpoint like a worker, but buffers every
-// forward/backward request of a round and answers in REVERSE Seq order,
-// scaling each input by (expert index + 1) so results are attributable.
-// rounds counts exchanges of n requests each; a shutdown is acked last.
+// request of an n-message round and answers in REVERSE Seq order: a
+// MsgAssign is acked, a MsgSnapshot is answered with a 1×1 tensor holding
+// (expert index + 1) so results are attributable. A shutdown is acked
+// last.
 func reverseShim(t *testing.T, conn transport.Conn, n, rounds int) {
 	t.Helper()
 	for r := 0; r < rounds; r++ {
@@ -107,17 +108,11 @@ func reverseShim(t *testing.T, conn transport.Conn, n, rounds int) {
 		}
 		for i := len(reqs) - 1; i >= 0; i-- {
 			req := reqs[i]
-			respType := wire.MsgForwardResult
-			if req.Type == wire.MsgBackward {
-				respType = wire.MsgBackwardResult
+			reply := &wire.Message{Type: wire.MsgAck, Layer: req.Layer, Expert: req.Expert, Seq: req.Seq}
+			if req.Type == wire.MsgSnapshot {
+				reply.Type = wire.MsgSnapshotResult
+				reply.Tensors = []wire.Matrix{{Rows: 1, Cols: 1, Data: []float64{float64(req.Expert + 1)}}}
 			}
-			in := req.Tensors[0]
-			out := wire.Matrix{Rows: in.Rows, Cols: in.Cols, Data: make([]float64, len(in.Data))}
-			for j, v := range in.Data {
-				out.Data[j] = v * float64(req.Expert+1)
-			}
-			reply := &wire.Message{Type: respType, Layer: req.Layer, Expert: req.Expert,
-				Seq: req.Seq, Tensors: []wire.Matrix{out}}
 			if err := conn.Send(reply); err != nil {
 				t.Errorf("shim send: %v", err)
 				return
@@ -133,10 +128,11 @@ func reverseShim(t *testing.T, conn transport.Conn, n, rounds int) {
 	_ = conn.Send(&wire.Message{Type: wire.MsgAck, Seq: m.Seq})
 }
 
-// TestOutOfOrderRepliesAreCorrelatedBySeq: a worker that answers requests
-// in reverse Seq order must still produce correct per-expert
-// ForwardExperts/BackwardExperts results — replies are matched by Seq,
-// not arrival order.
+// TestOutOfOrderRepliesAreCorrelatedBySeq: a worker that answers a
+// multi-message round in reverse Seq order must still complete it —
+// Distribute's MsgAssign acks arrive last-first — and per-request payloads
+// (SnapshotExperts) must land on the expert that asked: replies are
+// matched by Seq, not arrival order.
 func TestOutOfOrderRepliesAreCorrelatedBySeq(t *testing.T) {
 	const experts = 8
 	master, workerEnd := transport.Pipe()
@@ -146,34 +142,26 @@ func TestOutOfOrderRepliesAreCorrelatedBySeq(t *testing.T) {
 		reverseShim(t, workerEnd, experts, 2)
 	}()
 
-	exec := NewExecutor([]transport.Conn{master}, placement.NewAssignment(1, experts))
+	grid, assign, spec := singleWorkerGrid(experts)
+	exec := NewExecutor([]transport.Conn{master}, assign)
 	// The shim replies only once the whole round is buffered, so every
 	// request must be allowed in flight at once.
 	exec.MaxInFlight = experts
 
-	batches := make(map[int]*tensor.Tensor, experts)
-	for e := 0; e < experts; e++ {
-		batches[e] = tensor.Full(float64(e+1), 1, 2)
+	if err := exec.Distribute(grid, spec); err != nil {
+		t.Fatalf("distribute with reversed acks: %v", err)
 	}
-	out, err := exec.ForwardExperts(0, batches)
+	snap, err := exec.SnapshotExperts(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for e := 0; e < experts; e++ {
-		want := float64(e+1) * float64(e+1)
-		if out[e] == nil || !testutil.Close(out[e].Data[0], want) {
-			t.Fatalf("forward expert %d: got %v, want %v", e, out[e], want)
-		}
+	if len(snap.Entries) != experts {
+		t.Fatalf("snapshot has %d entries, want %d", len(snap.Entries), experts)
 	}
-
-	back, err := exec.BackwardExperts(0, batches)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for e := 0; e < experts; e++ {
-		want := float64(e+1) * float64(e+1)
-		if back[e] == nil || !testutil.Close(back[e].Data[0], want) {
-			t.Fatalf("backward expert %d: got %v, want %v", e, back[e], want)
+	for _, entry := range snap.Entries {
+		want := float64(entry.Expert + 1)
+		if len(entry.Tensors) != 1 || !testutil.BitEqual(entry.Tensors[0].Data[0], want) {
+			t.Fatalf("expert %d got another request's reply: %+v, want %v", entry.Expert, entry.Tensors, want)
 		}
 	}
 	if err := exec.Shutdown(); err != nil {
@@ -186,14 +174,10 @@ func TestOutOfOrderRepliesAreCorrelatedBySeq(t *testing.T) {
 // e0 directly through the worker's message handler.
 func applyTrainingRound(t *testing.T, w *Worker, x, dy *wire.Matrix) {
 	t.Helper()
-	fwd := &wire.Message{Type: wire.MsgForward, Layer: 0, Expert: 0,
-		Tensors: []wire.Matrix{*x}}
-	if reply, _ := w.handle(fwd); reply.Type != wire.MsgForwardResult {
+	if reply, _ := w.handle(multiFrame(false, 0, []int{0}, *x)); reply.Type != wire.MsgForwardMultiResult {
 		t.Fatalf("forward failed: %v %s", reply.Type, reply.Text)
 	}
-	bwd := &wire.Message{Type: wire.MsgBackward, Layer: 0, Expert: 0,
-		Tensors: []wire.Matrix{*dy}}
-	if reply, _ := w.handle(bwd); reply.Type != wire.MsgBackwardResult {
+	if reply, _ := w.handle(multiFrame(true, 0, []int{0}, *dy)); reply.Type != wire.MsgBackwardMultiResult {
 		t.Fatalf("backward failed: %v %s", reply.Type, reply.Text)
 	}
 	if reply, _ := w.handle(&wire.Message{Type: wire.MsgStep}); reply.Type != wire.MsgAck {
@@ -350,14 +334,15 @@ func TestChecksumsSurfaceWorkerError(t *testing.T) {
 	_ = master.Close()
 }
 
-// TestExchangeDrainsAfterWorkerError: when one expert of a multi-request
-// round fails, the executor must drain the remaining replies so the SAME
-// connection still serves the next round correctly.
+// TestExchangeDrainsAfterWorkerError: one failing expert in a K-expert
+// frame fails the whole frame with exactly one MsgError, the round drains,
+// and the SAME connection serves the next round correctly.
 func TestExchangeDrainsAfterWorkerError(t *testing.T) {
 	const experts = 6
 	grid, assign, spec := singleWorkerGrid(experts)
 	dep := StartLocalWorkers(1, DefaultWorkerConfig())
-	exec := NewExecutor(dep.Conns, assign)
+	conn := newCountingConn(dep.Conns[0])
+	exec := NewExecutor([]transport.Conn{conn}, assign)
 	if err := exec.Distribute(grid, spec); err != nil {
 		t.Fatal(err)
 	}
@@ -370,6 +355,9 @@ func TestExchangeDrainsAfterWorkerError(t *testing.T) {
 	}
 	if _, err := exec.ForwardExperts(0, batches); err == nil || !strings.Contains(err.Error(), "does not host") {
 		t.Fatalf("err = %v, want does-not-host", err)
+	}
+	if got := conn.recv[wire.MsgError]; got != 1 {
+		t.Fatalf("failed frame produced %d MsgError replies, want 1", got)
 	}
 
 	// The connection must be clean: a follow-up round over only hosted
@@ -397,9 +385,10 @@ func TestExchangeDrainsAfterWorkerError(t *testing.T) {
 	}
 }
 
-// TestConcurrentExpertsProduceSerialResults: with the worker executor
-// pool enabled, a many-expert exchange must produce bit-identical outputs
-// to a serial (Parallelism=1) worker — concurrency must not change math.
+// TestConcurrentExpertsProduceSerialResults: a many-expert frame fanned
+// out across the worker's pool (Parallelism=N) must produce bit-identical
+// outputs to a serial (Parallelism=1) worker — concurrency must not
+// change math.
 func TestConcurrentExpertsProduceSerialResults(t *testing.T) {
 	const experts = 24
 	run := func(parallelism int) map[int]*tensor.Tensor {

@@ -309,26 +309,3 @@ func TestExpertStateCodecMomentsRoundTrip(t *testing.T) {
 		}
 	}
 }
-
-// TestDecodeExpertStateAcceptsLegacyMeta: a pre-VELAEXS2 assign frame
-// (4-column meta row, no moment tensors) still decodes — with no
-// optimizer state.
-func TestDecodeExpertStateAcceptsLegacyMeta(t *testing.T) {
-	cfg := moe.Config{Vocab: 10, D: 4, Heads: 1, Hidden: 6, Layers: 1, Experts: 1, TopK: 1}
-	_, grid := buildFinetuneSetup(cfg, 29)
-	spec := ExpertSpec{D: cfg.D, Hidden: cfg.Hidden, LoRARank: 2, LoRAAlpha: 4}
-	msg := encodeExpert(grid[0][0], spec)
-	// Rewrite the meta row to the legacy 4-column layout.
-	legacy := msg.Tensors[0]
-	msg.Tensors[0] = wire.Matrix{Rows: 1, Cols: 4, Data: legacy.Data[:4]}
-	ex, gotSpec, st, err := decodeExpertState(msg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st != nil {
-		t.Fatalf("legacy frame decoded optimizer state: %+v", st)
-	}
-	if ex == nil || gotSpec != spec {
-		t.Fatalf("legacy decode: spec = %+v, want %+v", gotSpec, spec)
-	}
-}

@@ -109,8 +109,8 @@ func startTCPWorkers(t *testing.T, n int) ([]transport.Conn, func()) {
 	return conns, cleanup
 }
 
-// TestChanTCPParity: for every wire encoding and both dispatch modes, the
-// in-process chan transport and the TCP transport must deliver
+// TestChanTCPParity: for every wire encoding, the in-process chan
+// transport and the TCP transport must deliver
 // bit-identical expert outputs from the same inputs — the chan transport
 // quantizes in place exactly as the wire codec does, so tests on chan
 // conns exercise the same numerics as real deployments.
@@ -118,12 +118,11 @@ func TestChanTCPParity(t *testing.T) {
 	cfg := wireModeConfig()
 	const workers, rows = 2, 3
 
-	run := func(t *testing.T, conns []transport.Conn, enc wire.Encoding, coalesce bool) map[int]*tensor.Tensor {
+	run := func(t *testing.T, conns []transport.Conn, enc wire.Encoding) map[int]*tensor.Tensor {
 		t.Helper()
 		_, grid := buildFinetuneSetup(cfg, 13)
 		exec := NewExecutor(conns, roundRobinAssignment(cfg, workers))
 		exec.WireEncoding = enc
-		exec.Coalesce = coalesce
 		if err := exec.Distribute(grid, ExpertSpec{D: cfg.D, Hidden: cfg.Hidden, LoRARank: 2, LoRAAlpha: 4}); err != nil {
 			t.Fatal(err)
 		}
@@ -145,112 +144,85 @@ func TestChanTCPParity(t *testing.T) {
 	}
 
 	for _, enc := range []wire.Encoding{wire.EncFP64, wire.EncFP16, wire.EncInt8} {
-		for _, coalesce := range []bool{false, true} {
-			name := enc.String()
-			if coalesce {
-				name += "/coalesced"
-			} else {
-				name += "/per-expert"
+		t.Run(enc.String(), func(t *testing.T) {
+			dep := StartLocalWorkers(workers, DefaultWorkerConfig())
+			chanOuts := run(t, dep.Conns, enc)
+			if err := dep.Wait(); err != nil {
+				t.Fatal(err)
 			}
-			t.Run(name, func(t *testing.T) {
-				dep := StartLocalWorkers(workers, DefaultWorkerConfig())
-				chanOuts := run(t, dep.Conns, enc, coalesce)
-				if err := dep.Wait(); err != nil {
-					t.Fatal(err)
-				}
 
-				tcpConns, cleanup := startTCPWorkers(t, workers)
-				tcpOuts := run(t, tcpConns, enc, coalesce)
-				cleanup()
+			tcpConns, cleanup := startTCPWorkers(t, workers)
+			tcpOuts := run(t, tcpConns, enc)
+			cleanup()
 
-				if len(chanOuts) != cfg.Experts || len(tcpOuts) != cfg.Experts {
-					t.Fatalf("outputs missing: chan %d, tcp %d", len(chanOuts), len(tcpOuts))
-				}
-				for e := 0; e < cfg.Experts; e++ {
-					a, b := chanOuts[e], tcpOuts[e]
-					for i := range a.Data {
-						if !testutil.BitEqual(a.Data[i], b.Data[i]) {
-							t.Fatalf("%s expert %d value %d: chan %v != tcp %v", name, e, i, a.Data[i], b.Data[i])
-						}
+			if len(chanOuts) != cfg.Experts || len(tcpOuts) != cfg.Experts {
+				t.Fatalf("outputs missing: chan %d, tcp %d", len(chanOuts), len(tcpOuts))
+			}
+			for e := 0; e < cfg.Experts; e++ {
+				a, b := chanOuts[e], tcpOuts[e]
+				for i := range a.Data {
+					if !testutil.BitEqual(a.Data[i], b.Data[i]) {
+						t.Fatalf("%v expert %d value %d: chan %v != tcp %v", enc, e, i, a.Data[i], b.Data[i])
 					}
 				}
-			})
-		}
+			}
+		})
 	}
 }
 
-// TestCoalescedFrameCounts: with coalescing on, one exchange sends exactly
-// one frame per worker per direction per layer, regardless of how many
-// experts each worker hosts; with it off, one frame per expert.
+// TestCoalescedFrameCounts: one exchange sends exactly one frame per
+// worker per direction per layer, regardless of how many experts each
+// worker hosts.
 func TestCoalescedFrameCounts(t *testing.T) {
 	cfg := wireModeConfig()
 	const workers, rows = 2, 3
-	perWorker := cfg.Experts / workers
 
-	for _, coalesce := range []bool{true, false} {
-		dep := StartLocalWorkers(workers, DefaultWorkerConfig())
-		counts := make([]*countingConn, workers)
-		conns := make([]transport.Conn, workers)
-		for i, c := range dep.Conns {
-			counts[i] = newCountingConn(c)
-			conns[i] = counts[i]
+	dep := StartLocalWorkers(workers, DefaultWorkerConfig())
+	counts := make([]*countingConn, workers)
+	conns := make([]transport.Conn, workers)
+	for i, c := range dep.Conns {
+		counts[i] = newCountingConn(c)
+		conns[i] = counts[i]
+	}
+	_, grid := buildFinetuneSetup(cfg, 13)
+	exec := NewExecutor(conns, roundRobinAssignment(cfg, workers))
+	if err := exec.Distribute(grid, ExpertSpec{D: cfg.D, Hidden: cfg.Hidden, LoRARank: 2, LoRAAlpha: 4}); err != nil {
+		t.Fatal(err)
+	}
+	outs, err := exec.ForwardExperts(0, forwardBatches(cfg, rows))
+	if err != nil {
+		t.Fatal(err)
+	}
+	grads := make(map[int]*tensor.Tensor, len(outs))
+	for e, o := range outs {
+		g := tensor.Zeros(o.Shape()...)
+		for i := range g.Data {
+			g.Data[i] = 0.1
 		}
-		_, grid := buildFinetuneSetup(cfg, 13)
-		exec := NewExecutor(conns, roundRobinAssignment(cfg, workers))
-		exec.Coalesce = coalesce
-		if err := exec.Distribute(grid, ExpertSpec{D: cfg.D, Hidden: cfg.Hidden, LoRARank: 2, LoRAAlpha: 4}); err != nil {
-			t.Fatal(err)
+		grads[e] = g
+	}
+	if _, err := exec.BackwardExperts(0, grads); err != nil {
+		t.Fatal(err)
+	}
+	for n, c := range counts {
+		c.mu.Lock()
+		fwd, bwd := c.sent[wire.MsgForwardMulti], c.sent[wire.MsgBackwardMulti]
+		fwdRes, bwdRes := c.recv[wire.MsgForwardMultiResult], c.recv[wire.MsgBackwardMultiResult]
+		c.mu.Unlock()
+		if fwd != 1 || bwd != 1 || fwdRes != 1 || bwdRes != 1 {
+			t.Errorf("worker %d: fwd=%d bwd=%d fwdRes=%d bwdRes=%d frames, want 1 each",
+				n, fwd, bwd, fwdRes, bwdRes)
 		}
-		outs, err := exec.ForwardExperts(0, forwardBatches(cfg, rows))
-		if err != nil {
-			t.Fatal(err)
-		}
-		grads := make(map[int]*tensor.Tensor, len(outs))
-		for e, o := range outs {
-			g := tensor.Zeros(o.Shape()...)
-			for i := range g.Data {
-				g.Data[i] = 0.1
-			}
-			grads[e] = g
-		}
-		if _, err := exec.BackwardExperts(0, grads); err != nil {
-			t.Fatal(err)
-		}
-		for n, c := range counts {
-			c.mu.Lock()
-			fwd, fwdMulti := c.sent[wire.MsgForward], c.sent[wire.MsgForwardMulti]
-			bwd, bwdMulti := c.sent[wire.MsgBackward], c.sent[wire.MsgBackwardMulti]
-			fwdRes, fwdMultiRes := c.recv[wire.MsgForwardResult], c.recv[wire.MsgForwardMultiResult]
-			c.mu.Unlock()
-			if coalesce {
-				if fwdMulti != 1 || bwdMulti != 1 || fwdMultiRes != 1 {
-					t.Errorf("worker %d coalesced: fwdMulti=%d bwdMulti=%d fwdMultiRes=%d, want 1 each",
-						n, fwdMulti, bwdMulti, fwdMultiRes)
-				}
-				if fwd != 0 || bwd != 0 {
-					t.Errorf("worker %d coalesced: stray per-expert frames fwd=%d bwd=%d", n, fwd, bwd)
-				}
-			} else {
-				if fwd != perWorker || bwd != perWorker || fwdRes != perWorker {
-					t.Errorf("worker %d per-expert: fwd=%d bwd=%d fwdRes=%d, want %d each",
-						n, fwd, bwd, fwdRes, perWorker)
-				}
-				if fwdMulti != 0 || bwdMulti != 0 {
-					t.Errorf("worker %d per-expert: stray multi frames %d/%d", n, fwdMulti, bwdMulti)
-				}
-			}
-		}
-		if err := exec.Shutdown(); err != nil {
-			t.Fatal(err)
-		}
-		if err := dep.Wait(); err != nil {
-			t.Fatal(err)
-		}
+	}
+	if err := exec.Shutdown(); err != nil {
+		t.Fatal(err)
+	}
+	if err := dep.Wait(); err != nil {
+		t.Fatal(err)
 	}
 }
 
-// TestByteAccountingInt8Coalesced: under int8 coalesced dispatch,
-// Executor.Traffic's logical accounting must include the per-row scale
+// TestByteAccountingInt8Coalesced: under int8 dispatch, Executor.Traffic's logical accounting must include the per-row scale
 // overhead (D + 8 bytes per token copy each way), and the transport
 // meter's EncodedSize-based accounting must agree between the send and
 // receive sides of every frame.
@@ -267,7 +239,6 @@ func TestByteAccountingInt8Coalesced(t *testing.T) {
 	}
 	exec := NewExecutor(conns, roundRobinAssignment(cfg, workers))
 	exec.WireEncoding = wire.EncInt8
-	exec.Coalesce = true
 	exec.BytesPerValue = 1
 	exec.Traffic = metrics.NewTraffic(workers, []bool{false, true})
 	if err := exec.Distribute(grid, ExpertSpec{D: cfg.D, Hidden: cfg.Hidden, LoRARank: 2, LoRAAlpha: 4}); err != nil {
@@ -307,13 +278,13 @@ func TestByteAccountingInt8Coalesced(t *testing.T) {
 }
 
 // TestMeterMatchesWireBytes: the transport meter must account exactly the
-// bytes a TCP socket carries — len(Encode(frame)) per frame — for fp64,
-// fp16, int8 and coalesced multi-tensor frames, on both ends.
+// bytes a TCP socket carries — the AppendFrame length of every frame —
+// for fp64, fp16, int8 and multi-tensor frames, on both ends.
 func TestMeterMatchesWireBytes(t *testing.T) {
 	frames := []*wire.Message{
-		{Type: wire.MsgForward, Layer: 0, Expert: 1, Seq: 1,
+		{Type: wire.MsgAssign, Layer: 0, Expert: 1, Seq: 1,
 			Tensors: []wire.Matrix{{Rows: 2, Cols: 3, Data: []float64{1, 2, 3, 4, 5, 6}}}},
-		{Type: wire.MsgForward, Layer: 0, Expert: 1, Seq: 2,
+		{Type: wire.MsgSnapshotResult, Layer: 0, Expert: 1, Seq: 2,
 			Tensors: []wire.Matrix{{Rows: 2, Cols: 3, Data: []float64{1, 2, 3, 4, 5, 6}, Enc: wire.EncFP16}}},
 		{Type: wire.MsgForwardMulti, Layer: 0, Expert: wire.ExpertCoalesced, Seq: 3,
 			Tensors: []wire.Matrix{
@@ -324,7 +295,7 @@ func TestMeterMatchesWireBytes(t *testing.T) {
 	}
 	var want int64
 	for _, f := range frames {
-		buf, err := wire.Encode(f)
+		buf, err := wire.AppendFrame(nil, f)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -2,6 +2,7 @@ package broker
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 	"time"
@@ -29,11 +30,9 @@ type WorkerConfig struct {
 	LR float64
 	// AdamW is used when Optimizer is OptAdamW.
 	AdamW nn.AdamWConfig
-	// Parallelism bounds how many forward/backward requests the worker
-	// executes concurrently (the worker-side executor pool). Distinct
-	// experts hosted on the same worker can then compute in parallel;
-	// requests for the same expert always serialize. 0 selects
-	// runtime.GOMAXPROCS(0); 1 restores fully serial execution.
+	// Parallelism bounds how many of a dispatch frame's experts compute
+	// concurrently (the worker-side executor pool). 0 selects
+	// runtime.GOMAXPROCS(0); 1 is fully serial execution.
 	Parallelism int
 	// Obs, when non-nil, receives per-expert compute timing from
 	// runExpert. In a local deployment this is usually the master's
@@ -54,11 +53,11 @@ func DefaultWorkerConfig() WorkerConfig {
 }
 
 // Worker is one Expert Manager process: it hosts a shard of experts,
-// serves forward/backward requests from the master, and applies local
-// optimizer steps to the trainable (LoRA) parameters of its experts.
+// serves forward/backward dispatch frames from the master, and applies
+// local optimizer steps to the trainable (LoRA) parameters of its experts.
 //
 // Concurrency model: forward/backward compute holds mu for reading, so
-// requests for distinct experts overlap; a per-expert lock serializes
+// the distinct experts of a frame overlap; a per-expert lock serializes
 // compute on one expert (its layers cache activations between Forward and
 // Backward). Structural operations — Assign, Fetch, ZeroGrad, Step,
 // Stats — take mu for writing and therefore act as a full barrier,
@@ -141,97 +140,55 @@ func (w *Worker) poolSize() int {
 }
 
 // Serve runs the worker's request loop on conn until a shutdown message
-// arrives or the connection fails. Forward/backward requests are handed
-// to a bounded executor pool so distinct experts compute concurrently;
-// control messages are handled inline (their locking barriers against
-// in-flight compute). Replies are serialized onto conn and correlated by
-// Seq on the master, so reply order need not match request order. It
+// arrives or the connection fails, handling every message in arrival
+// order on the calling goroutine. The master serializes rounds per
+// connection (one dispatch frame or one control round in flight at a
+// time), so nothing legitimate ever waits behind a computing frame; the
+// one message that can is a duplicated delivery, which then runs — and,
+// for a backward frame, fails as a whole on its consumed activations —
+// strictly after the original has replied, where the master discards it
+// by Seq. A frame's parallelism is inside it (see handleMulti). It
 // returns nil on clean shutdown.
 func (w *Worker) Serve(conn interface {
 	Send(*wire.Message) error
 	Recv() (*wire.Message, error)
 }) error {
-	slots := make(chan struct{}, w.poolSize())
-	var wg sync.WaitGroup
-
-	var sendMu sync.Mutex
-	var sendErr error
-	send := func(m *wire.Message) error {
-		sendMu.Lock()
-		defer sendMu.Unlock()
-		//lint:ignore locklint sendMu only serializes reply writers on conn; Recv never takes it, so no send/recv cycle can wedge
-		if err := conn.Send(m); err != nil {
-			if sendErr == nil {
-				sendErr = err
-			}
-			return err
-		}
-		return nil
-	}
-	asyncErr := func() error {
-		sendMu.Lock()
-		defer sendMu.Unlock()
-		return sendErr
-	}
-
 	for {
 		msg, err := conn.Recv()
 		if err != nil {
-			wg.Wait()
 			return fmt.Errorf("broker: worker %d recv: %w", w.ID, err)
 		}
-		// Frame arrival on the worker tracer's clock: the queue-wait
-		// anchor for compute requests and the t1 echo for clock pings.
+		// Arrival on the worker tracer's clock: the queue-wait anchor for
+		// dispatch frames and the t1 echo for clock pings.
 		var arrivedAt int64
 		if w.cfg.Obs != nil {
 			arrivedAt = w.cfg.Obs.Trace.Clock()
 		}
-		if msg.Type == wire.MsgForward || msg.Type == wire.MsgBackward ||
-			msg.Type == wire.MsgForwardMulti || msg.Type == wire.MsgBackwardMulti {
-			if w.cfg.Obs != nil {
-				w.cfg.Obs.OnWorkerRecv(w.ID, int(msg.Layer), int(msg.Expert), msg.Seq,
-					arrivedAt, wire.EncodedSize(msg))
-			}
-			slots <- struct{}{}
-			wg.Add(1)
-			go func(msg *wire.Message, arrivedAt int64) {
-				defer wg.Done()
-				defer func() { <-slots }()
-				reply, _ := w.handleAt(msg, arrivedAt)
-				if reply == nil {
-					return
-				}
-				// Size and correlate before Send: over the in-process pipe
-				// the receiver owns the reply as soon as Send returns.
-				seq, layer, expert := msg.Seq, int(msg.Layer), int(msg.Expert)
-				var bytes int
-				var sendT0 int64
-				if w.cfg.Obs != nil {
-					bytes = wire.EncodedSize(reply)
-					sendT0 = w.cfg.Obs.Trace.Clock()
-				}
-				if err := send(reply); err != nil {
-					return
-				}
-				if w.cfg.Obs != nil {
-					w.cfg.Obs.OnWorkerReply(w.ID, layer, expert, seq,
-						time.Duration(w.cfg.Obs.Trace.Clock()-sendT0), bytes)
-				}
-			}(msg, arrivedAt)
-			continue
+		// Only dispatch frames are traced as requests.
+		traced := w.cfg.Obs != nil && (msg.Type == wire.MsgForwardMulti || msg.Type == wire.MsgBackwardMulti)
+		if traced {
+			w.cfg.Obs.OnWorkerRecv(w.ID, int(msg.Layer), int(msg.Expert), msg.Seq,
+				arrivedAt, wire.EncodedSize(msg))
 		}
 		reply, done := w.handleAt(msg, arrivedAt)
 		if reply != nil {
-			if err := send(reply); err != nil {
-				wg.Wait()
+			// Size before Send: over the in-process pipe the receiver owns
+			// the reply as soon as Send returns.
+			var bytes int
+			var sendT0 int64
+			if traced {
+				bytes = wire.EncodedSize(reply)
+				sendT0 = w.cfg.Obs.Trace.Clock()
+			}
+			if err := conn.Send(reply); err != nil {
 				return fmt.Errorf("broker: worker %d send: %w", w.ID, err)
+			}
+			if traced {
+				w.cfg.Obs.OnWorkerReply(w.ID, int(msg.Layer), int(msg.Expert), msg.Seq,
+					time.Duration(w.cfg.Obs.Trace.Clock()-sendT0), bytes)
 			}
 		}
 		if done {
-			wg.Wait()
-			if err := asyncErr(); err != nil {
-				return fmt.Errorf("broker: worker %d send: %w", w.ID, err)
-			}
 			return nil
 		}
 	}
@@ -247,8 +204,8 @@ func (w *Worker) handle(msg *wire.Message) (reply *wire.Message, done bool) {
 // and whether the serve loop should terminate. arrivedAt is the frame's
 // arrival on the worker tracer's clock (0 when uninstrumented): the
 // queue-wait anchor for compute requests and the t1 echo for clock
-// pings. It is safe for concurrent use on forward/backward messages;
-// see the Worker concurrency model.
+// pings. It is safe for concurrent use on dispatch frames; see the
+// Worker concurrency model.
 func (w *Worker) handleAt(msg *wire.Message, arrivedAt int64) (reply *wire.Message, done bool) {
 	switch msg.Type {
 	case wire.MsgAssign:
@@ -295,22 +252,6 @@ func (w *Worker) handleAt(msg *wire.Message, arrivedAt int64) (reply *wire.Messa
 		out.Type = wire.MsgFetchResult
 		out.Seq = msg.Seq
 		return out, false
-
-	case wire.MsgForward:
-		out, err := w.computeReply(msg, arrivedAt)
-		if err != nil {
-			return errMsg(msg, err), false
-		}
-		return &wire.Message{Type: wire.MsgForwardResult, Layer: msg.Layer, Expert: msg.Expert,
-			Seq: msg.Seq, Tensors: []wire.Matrix{*out}}, false
-
-	case wire.MsgBackward:
-		out, err := w.computeReply(msg, arrivedAt)
-		if err != nil {
-			return errMsg(msg, err), false
-		}
-		return &wire.Message{Type: wire.MsgBackwardResult, Layer: msg.Layer, Expert: msg.Expert,
-			Seq: msg.Seq, Tensors: []wire.Matrix{*out}}, false
 
 	case wire.MsgForwardMulti, wire.MsgBackwardMulti:
 		return w.handleMulti(msg, arrivedAt), false
@@ -434,44 +375,31 @@ func (w *Worker) replyEnc(req wire.Encoding) wire.Encoding {
 	return req
 }
 
-// computeReply runs the expert compute for one MsgForward/MsgBackward
-// request and returns the reply matrix with its wire encoding stamped.
-// It is the shared compute body of the per-expert and coalesced paths.
-func (w *Worker) computeReply(msg *wire.Message, arrivedAt int64) (*wire.Matrix, error) {
-	backward := msg.Type == wire.MsgBackward
-	return w.runExpert(msg, arrivedAt, func(e *moe.Expert) (*wire.Matrix, error) {
-		// The copy is load-bearing: the expert's output is a reused
-		// buffer, and the master may still be reading this reply when the
-		// expert's next request overwrites it.
-		var y *tensor.Tensor
-		if backward {
-			y = e.Backward(tensorOf(msg.Tensors[0]))
-		} else {
-			y = e.Forward(tensorOf(msg.Tensors[0]))
-		}
-		m := matrixCopyOf(y)
-		m.Enc = w.replyEnc(msg.Tensors[0].Enc)
-		return &m, nil
-	})
-}
-
-// handleMulti serves one coalesced dispatch frame: Tensors[0] names K
-// experts, Tensors[1..K] carry their batches. The per-expert computes fan
-// out onto bounded goroutines (the same pool width as Serve's executor
-// pool) and the reply mirrors the frame layout, echoing the id row. Any
-// expert failure fails the whole frame with one MsgError — the master
-// treats a coalesced frame as one request.
+// handleMulti serves one dispatch frame: Tensors[0] names K experts,
+// Tensors[1..K] carry their batches (a single-expert request is K=1). The
+// per-expert computes fan out onto bounded goroutines (the executor pool,
+// WorkerConfig.Parallelism wide) and the reply mirrors the frame layout,
+// echoing the id row. Any expert failure fails the whole frame with one
+// MsgError — the master treats a frame as one request.
 func (w *Worker) handleMulti(msg *wire.Message, arrivedAt int64) *wire.Message {
-	single, resType := wire.MsgForward, wire.MsgForwardMultiResult
+	backward, resType := false, wire.MsgForwardMultiResult
 	if msg.Type == wire.MsgBackwardMulti {
-		single, resType = wire.MsgBackward, wire.MsgBackwardMultiResult
+		backward, resType = true, wire.MsgBackwardMultiResult
 	}
 	k := len(msg.Tensors) - 1
-	if k < 0 || msg.Tensors[0].Rows != 1 || msg.Tensors[0].Cols != k {
+	if k < 1 || msg.Tensors[0].Rows != 1 || msg.Tensors[0].Cols != k {
 		return errMsg(msg, fmt.Errorf("broker: worker %d: malformed %v frame (%d tensors)",
 			w.ID, msg.Type, len(msg.Tensors)))
 	}
 	ids := msg.Tensors[0]
+	// Reject a garbage id before anything computes: a backward that ran
+	// for the frame's other experts would consume their activations.
+	for _, v := range ids.Data {
+		//lint:ignore floateq an expert id is an exact small integer; any fractional part is malformed input
+		if !(v >= 0 && v <= math.MaxInt32 && v == math.Trunc(v)) {
+			return errMsg(msg, fmt.Errorf("broker: worker %d: %v frame names expert id %v", w.ID, msg.Type, v))
+		}
+	}
 	outs := make([]wire.Matrix, 1+k)
 	outs[0] = ids // echo so the master can re-correlate results
 	errs := make([]error, k)
@@ -483,15 +411,8 @@ func (w *Worker) handleMulti(msg *wire.Message, arrivedAt int64) *wire.Message {
 		go func(i int) {
 			defer wg.Done()
 			defer func() { <-sem }()
-			sub := wire.Message{Type: single, Layer: msg.Layer,
-				Expert: int32(ids.Data[i]), Seq: msg.Seq,
-				Tensors: msg.Tensors[1+i : 2+i]}
-			out, err := w.computeReply(&sub, arrivedAt)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			outs[1+i] = *out
+			id := moe.ExpertID{Layer: int(msg.Layer), Expert: int(ids.Data[i])}
+			outs[1+i], errs[i] = w.runExpert(id, backward, &msg.Tensors[1+i], msg.Seq, arrivedAt)
 		}(i)
 	}
 	wg.Wait()
@@ -504,40 +425,41 @@ func (w *Worker) handleMulti(msg *wire.Message, arrivedAt int64) *wire.Message {
 		Seq: msg.Seq, Tensors: outs}
 }
 
-// runExpert looks up the target expert and applies fn while holding the
+// runExpert runs one expert's forward or backward over a batch and
+// returns the reply matrix with its wire encoding stamped. It holds the
 // worker's read barrier and the expert's own lock: compute on distinct
 // experts overlaps, compute on one expert serializes.
 //
 // A panic out of the expert compute (an nn shape/state precondition — a
-// chaos transport can deliver a duplicated Backward whose second
+// chaos transport can deliver a duplicated backward frame whose second
 // execution finds its activations already consumed) is converted into an
 // error reply: one poisoned request must cost one MsgError, not the
 // whole worker process.
-func (w *Worker) runExpert(msg *wire.Message, arrivedAt int64, fn func(*moe.Expert) (*wire.Matrix, error)) (out *wire.Matrix, err error) {
-	if len(msg.Tensors) != 1 {
-		return nil, fmt.Errorf("broker: %v message carries %d tensors, want 1", msg.Type, len(msg.Tensors))
+func (w *Worker) runExpert(id moe.ExpertID, backward bool, in *wire.Matrix, seq uint64, arrivedAt int64) (out wire.Matrix, err error) {
+	dir := "forward"
+	if backward {
+		dir = "backward"
 	}
-	id := moe.ExpertID{Layer: int(msg.Layer), Expert: int(msg.Expert)}
 	w.mu.RLock()
 	defer w.mu.RUnlock()
 	e, ok := w.experts[id]
 	if !ok {
-		return nil, fmt.Errorf("broker: worker %d does not host %v", w.ID, id)
+		return out, fmt.Errorf("broker: worker %d does not host %v", w.ID, id)
 	}
 	// Validate the batch geometry against the expert's architecture
 	// before any nn code sees it: the nn layers treat a feature-width
 	// mismatch as a shape-precondition panic, which on a served request
 	// would take the whole worker down instead of producing a MsgError.
-	if spec := w.specs[id]; spec.D > 0 && msg.Tensors[0].Cols != spec.D {
-		return nil, fmt.Errorf("broker: worker %d: %v batch has %d features, expert %v expects %d",
-			w.ID, msg.Type, msg.Tensors[0].Cols, id, spec.D)
+	if spec := w.specs[id]; spec.D > 0 && in.Cols != spec.D {
+		return out, fmt.Errorf("broker: worker %d: %s batch has %d features, expert %v expects %d",
+			w.ID, dir, in.Cols, id, spec.D)
 	}
 	lk := w.locks[id]
 	lk.Lock()
 	defer lk.Unlock()
 	defer func() {
 		if r := recover(); r != nil {
-			out, err = nil, fmt.Errorf("broker: worker %d: %v on %v panicked: %v", w.ID, msg.Type, id, r)
+			out, err = wire.Matrix{}, fmt.Errorf("broker: worker %d: %s on %v panicked: %v", w.ID, dir, id, r)
 		}
 	}()
 	var t0 int64
@@ -547,16 +469,24 @@ func (w *Worker) runExpert(msg *wire.Message, arrivedAt int64, fn func(*moe.Expe
 		// means the caller had no tracer at Recv time; skip rather than
 		// record a bogus epoch-relative wait.
 		if arrivedAt > 0 {
-			w.cfg.Obs.OnWorkerQueue(w.ID, int(msg.Layer), int(msg.Expert), msg.Seq,
-				time.Duration(t0-arrivedAt))
+			w.cfg.Obs.OnWorkerQueue(w.ID, id.Layer, id.Expert, seq, time.Duration(t0-arrivedAt))
 		}
 	}
-	out, err = fn(e)
-	if w.cfg.Obs != nil && err == nil {
-		w.cfg.Obs.OnCompute(w.ID, int(msg.Layer), int(msg.Expert), msg.Seq,
-			time.Duration(w.cfg.Obs.Trace.Clock()-t0))
+	var y *tensor.Tensor
+	if backward {
+		y = e.Backward(tensorOf(*in))
+	} else {
+		y = e.Forward(tensorOf(*in))
 	}
-	return out, err
+	// The copy is load-bearing: the expert's output is a reused buffer,
+	// and the master may still be reading this reply when the expert's
+	// next request overwrites it.
+	out = matrixCopyOf(y)
+	out.Enc = w.replyEnc(in.Enc)
+	if w.cfg.Obs != nil {
+		w.cfg.Obs.OnCompute(w.ID, id.Layer, id.Expert, seq, time.Duration(w.cfg.Obs.Trace.Clock()-t0))
+	}
+	return out, nil
 }
 
 // optStateOf collects the AdamW slice for one hosted expert: the

@@ -1,7 +1,6 @@
 package checkpoint
 
 import (
-	"bytes"
 	"os"
 	"path/filepath"
 	"strings"
@@ -451,21 +450,4 @@ func TestAsyncWriterLatchesErrors(t *testing.T) {
 	if snap := stats.Snapshot(); snap.Failures != 1 || snap.Writes != 0 {
 		t.Fatalf("stats = %+v, want 1 failure", snap)
 	}
-}
-
-// TestExpertSnapshotV1BackCompat: a VELAEXS1 file (identical container,
-// pre-moments magic) still loads.
-func TestExpertSnapshotV1BackCompat(t *testing.T) {
-	want := sampleSnapshot()
-	var buf bytes.Buffer
-	if err := SaveExpertSnapshot(&buf, want); err != nil {
-		t.Fatal(err)
-	}
-	raw := buf.Bytes()
-	copy(raw, stateMagicV1)
-	got, err := LoadExpertSnapshot(bytes.NewReader(raw))
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSnapshotEqual(t, want, got)
 }

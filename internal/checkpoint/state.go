@@ -19,29 +19,23 @@ import (
 // new host after a failover, with no architecture reconstruction logic
 // of its own.
 //
-// Since VELAEXS2, the entry tensor list also carries the worker-local
-// AdamW optimizer slice: the broker's metadata row grew from 4 to 6
-// columns ([D, Hidden, LoRARank, LoRAAlpha, numMomentPairs, optStep])
-// and one (m, v) moment-tensor pair per trainable parameter rides after
-// the parameters. Failover and run-level resume therefore restore the
-// optimizer trajectory exactly instead of restarting moments on the new
-// host (the documented VELAEXS1 lossy-recovery gap). The container
-// layout is unchanged — V1 files, whose entries simply carry a 4-column
-// metadata row and no moment tensors, still load; they restore with
-// fresh moments, the old semantics.
+// The entry tensor list also carries the worker-local AdamW optimizer
+// slice: the broker's metadata row is 6 columns ([D, Hidden, LoRARank,
+// LoRAAlpha, numMomentPairs, optStep]) and one (m, v) moment-tensor pair
+// per trainable parameter rides after the parameters. Failover and
+// run-level resume therefore restore the optimizer trajectory exactly
+// instead of restarting moments on the new host. The pre-moments V1
+// format is no longer read: nothing writes it.
 //
 // Format (little-endian):
 //
-//	magic "VELAEXS2" (loader also accepts "VELAEXS1")
+//	magic "VELAEXS2"
 //	int32 step (the fine-tuning step the snapshot was taken after)
 //	int32 numEntries, then per entry:
 //	  int32 layer, int32 expert, int32 numTensors, per tensor:
 //	    int32 rows, int32 cols, float64 × rows·cols
 
-const (
-	stateMagic   = "VELAEXS2"
-	stateMagicV1 = "VELAEXS1"
-)
+const stateMagic = "VELAEXS2"
 
 // maxSnapshotTensors bounds the per-entry tensor count a loader will
 // accept, guarding the allocation against a corrupted header.
@@ -124,7 +118,7 @@ func LoadExpertSnapshot(r io.Reader) (*ExpertSnapshot, error) {
 	if _, err := io.ReadFull(br, got); err != nil {
 		return nil, fmt.Errorf("checkpoint: reading snapshot magic: %w", err)
 	}
-	if string(got) != stateMagic && string(got) != stateMagicV1 {
+	if string(got) != stateMagic {
 		return nil, fmt.Errorf("checkpoint: bad snapshot magic %q", got)
 	}
 	readI32 := func() (int, error) {

@@ -94,9 +94,15 @@ func TestExpertSnapshotFind(t *testing.T) {
 	}
 }
 
+// TestExpertSnapshotRejectsBadMagic: a foreign magic and the retired
+// pre-moments VELAEXS1 magic (otherwise a well-formed empty snapshot) are
+// both refused.
 func TestExpertSnapshotRejectsBadMagic(t *testing.T) {
-	if _, err := LoadExpertSnapshot(strings.NewReader("NOTVELA1\x00\x00\x00\x00")); err == nil {
-		t.Fatal("bad magic must fail")
+	for _, magic := range []string{"NOTVELA1", "VELAEXS1"} {
+		_, err := LoadExpertSnapshot(strings.NewReader(magic + "\x00\x00\x00\x00\x00\x00\x00\x00"))
+		if err == nil || !strings.Contains(err.Error(), "bad snapshot magic") {
+			t.Fatalf("magic %q: err = %v, want bad-magic error", magic, err)
+		}
 	}
 }
 
@@ -106,7 +112,7 @@ func TestExpertSnapshotRejectsBadMagic(t *testing.T) {
 func TestExpertSnapshotRejectsCorruptCounts(t *testing.T) {
 	frame := func(build func(w *bytes.Buffer)) *bytes.Buffer {
 		var b bytes.Buffer
-		b.WriteString("VELAEXS1")
+		b.WriteString(stateMagic)
 		build(&b)
 		return &b
 	}

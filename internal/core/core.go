@@ -81,9 +81,6 @@ type Options struct {
 	// objective's BytesPerToken — the wire and the cost model can never
 	// disagree.
 	WireEncoding wire.Encoding
-	// Coalesce packs each worker's per-expert batches into one frame per
-	// direction per layer (the fused dispatch path).
-	Coalesce bool
 	// LoRA carried by the experts (needed to rebuild them worker-side).
 	LoRA trainer.LoRAConfig
 	// Worker selects the Expert Manager optimizer configuration;
@@ -200,7 +197,6 @@ func DeployWithAssignment(model *moe.Model, grid [][]*moe.Expert, assign *placem
 	// 16-bit default while the objective resolved independently).
 	exec.BytesPerValue = float64(bitDepth) / 8
 	exec.WireEncoding = opts.WireEncoding
-	exec.Coalesce = opts.Coalesce
 	spec := broker.ExpertSpec{
 		D: model.Cfg.D, Hidden: model.Cfg.Hidden,
 		LoRARank: opts.LoRA.Rank, LoRAAlpha: opts.LoRA.Alpha,

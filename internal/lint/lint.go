@@ -14,12 +14,11 @@
 //
 //	//lint:ignore <analyzer> <why>
 //
-// (the legacy spelling `//lint:ignore <analyzer> <reason>` is still
-// accepted). The reason is mandatory in both forms; a bare ignore is
-// itself reported. Suppressions are for invariants deliberately traded
-// away at one call site (e.g. a documented serialization lock), not for
-// convenience. goleak additionally recognizes `//lint:longlived <why>`
-// as a positive annotation for deliberately process-lifetime goroutines.
+// The reason is mandatory; a bare ignore is itself reported.
+// Suppressions are for invariants deliberately traded away at one call
+// site (e.g. a documented serialization lock), not for convenience.
+// goleak additionally recognizes `//lint:longlived <why>` as a positive
+// annotation for deliberately process-lifetime goroutines.
 package lint
 
 import (
@@ -173,47 +172,28 @@ func (s *allowSet) covers(d Diagnostic) bool {
 	return false
 }
 
-const (
-	// ignorePrefix is the canonical suppression directive:
-	// //lint:ignore <analyzer> <why>.
-	ignorePrefix = "lint:ignore"
-	// allowPrefix is the legacy spelling, still accepted:
-	// //lint:ignore <analyzer> <reason>.
-	allowPrefix = "velavet:allow"
-)
+// ignorePrefix is the suppression directive: //lint:ignore <analyzer> <why>.
+const ignorePrefix = "lint:ignore"
 
-// allowDirectives scans a package's comments for suppression directives
-// in both spellings. A directive without an analyzer name or a reason is
-// a bare ignore and is itself reported.
+// allowDirectives scans a package's comments for suppression directives.
+// A directive without an analyzer name or a reason is a bare ignore and
+// is itself reported.
 func allowDirectives(pkg *Package) *allowSet {
 	s := &allowSet{byLine: make(map[string]map[int]map[string]bool)}
 	for _, f := range pkg.Files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
-				var names []string
-				var ok bool
-				switch {
-				case strings.HasPrefix(c.Text, "//"+ignorePrefix):
-					names, ok = parseIgnore(strings.TrimPrefix(c.Text, "//"+ignorePrefix))
-					if !ok {
-						s.malformed = append(s.malformed, Diagnostic{
-							Pos:      pkg.Fset.Position(c.Pos()),
-							Analyzer: "velavet",
-							Message:  "bare //lint:ignore — a suppression needs a reason: //lint:ignore <analyzer> <why>",
-						})
-						continue
-					}
-				case strings.HasPrefix(c.Text, "//"+allowPrefix):
-					names, ok = parseAllow(strings.TrimPrefix(c.Text, "//"+allowPrefix))
-					if !ok {
-						s.malformed = append(s.malformed, Diagnostic{
-							Pos:      pkg.Fset.Position(c.Pos()),
-							Analyzer: "velavet",
-							Message:  "malformed allow directive: want //lint:ignore <analyzer> <reason>",
-						})
-						continue
-					}
-				default:
+				text, ok := strings.CutPrefix(c.Text, "//"+ignorePrefix)
+				if !ok {
+					continue
+				}
+				names, ok := parseIgnore(text)
+				if !ok {
+					s.malformed = append(s.malformed, Diagnostic{
+						Pos:      pkg.Fset.Position(c.Pos()),
+						Analyzer: "velavet",
+						Message:  "bare //lint:ignore — a suppression needs a reason: //lint:ignore <analyzer> <why>",
+					})
 					continue
 				}
 				pos := pkg.Fset.Position(c.Pos())
@@ -234,7 +214,7 @@ func allowDirectives(pkg *Package) *allowSet {
 	return s
 }
 
-// parseIgnore parses the canonical form: first field the analyzer name
+// parseIgnore parses a directive's text: first field the analyzer name
 // (comma-separated for several), the remainder the mandatory reason.
 func parseIgnore(text string) ([]string, bool) {
 	fields := strings.Fields(text)
@@ -246,16 +226,6 @@ func parseIgnore(text string) ([]string, bool) {
 		if n == "" {
 			return nil, false
 		}
-	}
-	return names, true
-}
-
-// parseAllow parses the legacy form: names before ` -- `, reason after.
-func parseAllow(text string) ([]string, bool) {
-	directive, reason, hasReason := strings.Cut(text, "--")
-	names := strings.Fields(directive)
-	if len(names) == 0 || !hasReason || strings.TrimSpace(reason) == "" {
-		return nil, false
 	}
 	return names, true
 }

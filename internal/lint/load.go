@@ -114,7 +114,9 @@ func findModule(dir string) (root, module string, err error) {
 }
 
 // packageDirs walks root collecting every directory that holds at least
-// one .go file, skipping hidden directories, testdata and vendor trees.
+// one .go file, skipping hidden directories, testdata and vendor trees,
+// and nested modules (a subdirectory with its own go.mod — bench/ — is
+// not part of this module; go's ./... stops there too).
 func packageDirs(root string) ([]string, error) {
 	var dirs []string
 	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
@@ -122,9 +124,15 @@ func packageDirs(root string) ([]string, error) {
 			return err
 		}
 		if d.IsDir() {
+			if path == root {
+				return nil
+			}
 			name := d.Name()
-			if path != root && (strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") ||
-				name == "testdata" || name == "vendor") {
+			if strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") ||
+				name == "testdata" || name == "vendor" {
+				return filepath.SkipDir
+			}
+			if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil {
 				return filepath.SkipDir
 			}
 			return nil

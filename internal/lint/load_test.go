@@ -54,6 +54,22 @@ func TestLoadSkipsBuildTagExcludedFiles(t *testing.T) {
 	}
 }
 
+// TestLoadSkipsNestedModules pins that a subdirectory with its own
+// go.mod (this repo's bench/) is another module and stays out of the
+// analysis, exactly as go's ./... pattern leaves it out of the build.
+func TestLoadSkipsNestedModules(t *testing.T) {
+	dir := writeModule(t, map[string]string{
+		"go.mod":           "module m\n\ngo 1.22\n",
+		"x/a.go":           "package x\n",
+		"nested/go.mod":    "module m/nested\n\ngo 1.22\n",
+		"nested/deep/c.go": "package deep\n",
+	})
+	pkgs, err := Load(Config{Dir: dir})
+	if err != nil || len(pkgs) != 1 || pkgs[0].Path != "m/x" {
+		t.Fatalf("loaded %v (err %v), want only m/x", pkgs, err)
+	}
+}
+
 // TestLoadPartialResultsOnTypeErrors pins that a package that fails to
 // typecheck still yields an analysis unit — syntax, partial types, and
 // the errors on the side — so one broken file cannot blind the whole

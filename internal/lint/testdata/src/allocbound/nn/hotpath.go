@@ -58,7 +58,7 @@ type escape struct {
 // Forward returns a result that outlives the step, so the allocation is
 // annotated rather than removed.
 func (e *escape) Forward(x *tensor.Tensor) *tensor.Tensor {
-	//velavet:allow allocbound -- result escapes to a caller that holds it across steps
+	//lint:ignore allocbound result escapes to a caller that holds it across steps
 	return x.MatMul(e.W)
 }
 

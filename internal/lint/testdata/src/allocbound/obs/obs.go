@@ -63,7 +63,7 @@ func (t *Tracer) Snapshot() []Event {
 
 // OnDecode demonstrates the escape hatch for a justified allocation.
 func (t *Tracer) OnDecode(n int, seq uint64) {
-	//velavet:allow allocbound -- fixture: documented one-off growth on first decode
+	//lint:ignore allocbound fixture: documented one-off growth on first decode
 	t.sink = append(t.sink, Event{Seq: seq})
 }
 

@@ -61,6 +61,6 @@ func probeChecked(c Conn) (bool, error) {
 // markDeadAndSever is the sanctioned discard: the supervisor is
 // abandoning the connection, and the annotation says so.
 func markDeadAndSever(c Conn) {
-	//velavet:allow errdispatch -- severing a dead worker's conn; the close error is moot
+	//lint:ignore errdispatch severing a dead worker's conn; the close error is moot
 	_ = c.Close()
 }

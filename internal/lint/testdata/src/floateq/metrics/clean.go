@@ -21,6 +21,6 @@ func intEqual(a, b int) bool {
 // annotatedSentinel demonstrates the escape hatch for a semantically
 // exact comparison.
 func annotatedSentinel(x float64) bool {
-	//velavet:allow floateq -- sentinel value stored and compared untouched
+	//lint:ignore floateq sentinel value stored and compared untouched
 	return x == -1
 }

@@ -7,7 +7,7 @@ import (
 )
 
 func benchMsg() *wire.Message {
-	return &wire.Message{Type: wire.MsgForward, Layer: 1, Expert: 2,
+	return &wire.Message{Type: wire.MsgForwardMulti, Layer: 1, Expert: 2,
 		Tensors: []wire.Matrix{{Rows: 32, Cols: 32, Data: make([]float64, 1024)}}}
 }
 

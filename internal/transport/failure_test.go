@@ -130,7 +130,7 @@ func TestTCPRecvResumesAfterTimeout(t *testing.T) {
 	// A payload large enough that the kernel cannot swallow it in one
 	// write, sent from a goroutine that stalls the client's reads by
 	// simply taking a while on the sending side's scheduling.
-	big := &wire.Message{Type: wire.MsgForward, Seq: 99,
+	big := &wire.Message{Type: wire.MsgForwardMulti, Seq: 99,
 		Tensors: []wire.Matrix{{Rows: 512, Cols: 256, Data: make([]float64, 512*256)}}}
 	for i := range big.Tensors[0].Data {
 		big.Tensors[0].Data[i] = float64(i % 251)

@@ -12,7 +12,7 @@ import (
 func TestPipeRoundTrip(t *testing.T) {
 	a, b := Pipe()
 	defer a.Close()
-	want := &wire.Message{Type: wire.MsgForward, Layer: 3, Seq: 1,
+	want := &wire.Message{Type: wire.MsgForwardMulti, Layer: 3, Seq: 1,
 		Tensors: []wire.Matrix{{Rows: 1, Cols: 2, Data: []float64{1, 2}}}}
 	if err := a.Send(want); err != nil {
 		t.Fatal(err)
@@ -108,7 +108,7 @@ func TestTCPRoundTrip(t *testing.T) {
 	}
 	defer serverConn.Close()
 
-	want := &wire.Message{Type: wire.MsgBackward, Layer: 9, Expert: 2, Seq: 77,
+	want := &wire.Message{Type: wire.MsgBackwardMulti, Layer: 9, Expert: 2, Seq: 77,
 		Tensors: []wire.Matrix{{Rows: 2, Cols: 2, Data: []float64{1, 2, 3, 4}}}}
 	if err := client.Send(want); err != nil {
 		t.Fatal(err)

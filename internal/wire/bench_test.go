@@ -11,7 +11,7 @@ func benchMessage(enc Encoding) *Message {
 	for i := range data {
 		data[i] = rng.NormFloat64()
 	}
-	return &Message{Type: MsgForward, Layer: 3, Expert: 1, Seq: 9,
+	return &Message{Type: MsgForwardMulti, Layer: 3, Expert: 1, Seq: 9,
 		Tensors: []Matrix{{Rows: 64, Cols: 32, Data: data, Enc: enc}}}
 }
 
@@ -81,10 +81,9 @@ func BenchmarkDecodeFrame(b *testing.B) {
 }
 
 // stepFrames builds the frames one forward dispatch of one MoE layer puts
-// on the wire under the paper's geometry (H = 4096 features), either
-// coalesced (one multi-tensor frame per worker) or per-expert (one frame
-// per routed expert).
-func stepFrames(enc Encoding, coalesce bool) []*Message {
+// on the wire under the paper's geometry (H = 4096 features): one
+// multi-tensor frame per worker.
+func stepFrames(enc Encoding) []*Message {
 	const (
 		workers   = 4
 		perWorker = 4
@@ -92,67 +91,50 @@ func stepFrames(enc Encoding, coalesce bool) []*Message {
 		features  = 4096
 	)
 	rng := rand.New(rand.NewSource(7))
-	batch := func() Matrix {
-		data := make([]float64, rows*features)
-		for i := range data {
-			data[i] = rng.NormFloat64()
-		}
-		return Matrix{Rows: rows, Cols: features, Data: data, Enc: enc}
-	}
 	var msgs []*Message
 	for w := 0; w < workers; w++ {
-		if coalesce {
-			ids := make([]float64, perWorker)
-			tensors := make([]Matrix, 0, 1+perWorker)
-			tensors = append(tensors, Matrix{Rows: 1, Cols: perWorker, Data: ids})
-			for e := 0; e < perWorker; e++ {
-				ids[e] = float64(w*perWorker + e)
-				tensors = append(tensors, batch())
-			}
-			msgs = append(msgs, &Message{Type: MsgForwardMulti, Layer: 0,
-				Expert: ExpertCoalesced, Seq: uint64(w), Tensors: tensors})
-			continue
-		}
+		ids := make([]float64, perWorker)
+		tensors := make([]Matrix, 0, 1+perWorker)
+		tensors = append(tensors, Matrix{Rows: 1, Cols: perWorker, Data: ids})
 		for e := 0; e < perWorker; e++ {
-			msgs = append(msgs, &Message{Type: MsgForward, Layer: 0,
-				Expert: int32(w*perWorker + e), Seq: uint64(w*perWorker + e),
-				Tensors: []Matrix{batch()}})
+			ids[e] = float64(w*perWorker + e)
+			data := make([]float64, rows*features)
+			for i := range data {
+				data[i] = rng.NormFloat64()
+			}
+			tensors = append(tensors, Matrix{Rows: rows, Cols: features, Data: data, Enc: enc})
 		}
+		msgs = append(msgs, &Message{Type: MsgForwardMulti, Layer: 0,
+			Expert: ExpertCoalesced, Seq: uint64(w), Tensors: tensors})
 	}
 	return msgs
 }
 
 // BenchmarkStepBytes reports the wire bytes and frame count of one layer's
-// forward dispatch per encoding and dispatch mode — the numbers behind the
-// fp16 ≤ 30% and int8 ≤ 18% of fp64 bytes/step targets, and the
-// one-frame-per-worker coalescing win. ns/op covers encoding every frame
-// of the step through the scatter-gather encoder.
+// forward dispatch per encoding — the numbers behind the fp16 ≤ 30% and
+// int8 ≤ 18% of fp64 bytes/step targets. ns/op covers encoding every
+// frame of the step through the scatter-gather encoder.
 func BenchmarkStepBytes(b *testing.B) {
 	for _, enc := range benchEncodings {
-		for _, mode := range []struct {
-			name     string
-			coalesce bool
-		}{{"per-expert", false}, {"coalesced", true}} {
-			b.Run(enc.String()+"/"+mode.name, func(b *testing.B) {
-				msgs := stepFrames(enc, mode.coalesce)
-				total := 0
+		b.Run(enc.String()+"/coalesced", func(b *testing.B) {
+			msgs := stepFrames(enc)
+			total := 0
+			for _, m := range msgs {
+				total += EncodedSize(m)
+			}
+			var fe FrameEncoder
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
 				for _, m := range msgs {
-					total += EncodedSize(m)
-				}
-				var fe FrameEncoder
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					for _, m := range msgs {
-						if _, _, err := fe.Encode(m); err != nil {
-							b.Fatal(err)
-						}
-						fe.Release()
+					if _, _, err := fe.Encode(m); err != nil {
+						b.Fatal(err)
 					}
+					fe.Release()
 				}
-				b.ReportMetric(float64(total), "bytes/step")
-				b.ReportMetric(float64(len(msgs)), "frames/step")
-			})
-		}
+			}
+			b.ReportMetric(float64(total), "bytes/step")
+			b.ReportMetric(float64(len(msgs)), "frames/step")
+		})
 	}
 }

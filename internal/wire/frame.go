@@ -4,8 +4,8 @@ package wire
 // a writev-capable writer (net.Buffers): one pooled head segment carrying
 // the length prefix, message header and tensor count, then one pooled
 // segment per tensor (tensor header + encoded payload). Compared to
-// Encode this never assembles the monolithic frame, so a multi-tensor
-// coalesced dispatch goes out without the single large copy.
+// AppendFrame this never assembles the monolithic frame, so a
+// multi-tensor dispatch goes out without the single large copy.
 //
 // Segments are valid until Release, which must be called after the write
 // completes and before the next Encode. Callers passing the returned

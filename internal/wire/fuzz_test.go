@@ -5,15 +5,37 @@ import (
 	"testing"
 )
 
-// mustEncode encodes m or fails the test — the fixtures are all
-// internally consistent, so an error here is a codec bug.
+// mustEncode encodes m into a fresh frame or fails the test — the
+// fixtures are all internally consistent, so an error here is a codec bug.
 func mustEncode(tb testing.TB, m *Message) []byte {
 	tb.Helper()
-	buf, err := Encode(m)
+	buf, err := AppendFrame(nil, m)
 	if err != nil {
-		tb.Fatalf("Encode(%v): %v", m.Type, err)
+		tb.Fatalf("AppendFrame(%v): %v", m.Type, err)
 	}
 	return buf
+}
+
+// mustDecode decodes a frame body with the pooled decoder — the one that
+// reads network bytes — and releases the message when the test ends.
+func mustDecode(tb testing.TB, body []byte) *Message {
+	tb.Helper()
+	m, err := DecodePooled(body)
+	if err != nil {
+		tb.Fatalf("DecodePooled: %v", err)
+	}
+	tb.Cleanup(func() { Release(m) })
+	return m
+}
+
+// rejectDecode asserts the pooled decoder refuses body; an accepted
+// message is released before the failure is reported.
+func rejectDecode(tb testing.TB, body []byte, what string) {
+	tb.Helper()
+	if m, err := DecodePooled(body); err == nil {
+		Release(m)
+		tb.Fatalf("%s not detected", what)
+	}
 }
 
 // adversarialTensorFrame hand-crafts a frame body whose single tensor
@@ -21,7 +43,7 @@ func mustEncode(tb testing.TB, m *Message) []byte {
 // payload.
 func adversarialTensorFrame(rows, cols uint32, enc byte, payload int) []byte {
 	body := make([]byte, 0, 32+payload)
-	body = append(body, byte(MsgForward))
+	body = append(body, byte(MsgForwardMulti))
 	body = binary.LittleEndian.AppendUint32(body, 0) // layer
 	body = binary.LittleEndian.AppendUint32(body, 0) // expert
 	body = binary.LittleEndian.AppendUint64(body, 1) // seq
@@ -66,11 +88,7 @@ func TestDecodeRejectsOverflowingTensorHeaders(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			body := adversarialTensorFrame(tc.rows, tc.cols, tc.enc, 16)
-			m, err := Decode(body)
-			if err == nil {
-				t.Fatalf("hostile header %dx%d decoded: %+v", tc.rows, tc.cols, m)
-			}
+			rejectDecode(t, adversarialTensorFrame(tc.rows, tc.cols, tc.enc, 16), "hostile header")
 		})
 	}
 }
@@ -80,30 +98,29 @@ func TestDecodeRejectsOverflowingTensorHeaders(t *testing.T) {
 // header hardening.
 func TestDecodeAcceptsDegenerateTensors(t *testing.T) {
 	for _, m := range []*Message{
-		{Type: MsgForward, Tensors: []Matrix{{Rows: 0, Cols: 5, Data: []float64{}}}},
-		{Type: MsgForward, Tensors: []Matrix{{Rows: 5, Cols: 0, Data: []float64{}}}},
-		{Type: MsgForward, Tensors: []Matrix{{Rows: 0, Cols: 0, Data: []float64{}}}},
+		{Type: MsgForwardMulti, Tensors: []Matrix{{Rows: 0, Cols: 5, Data: []float64{}}}},
+		{Type: MsgForwardMulti, Tensors: []Matrix{{Rows: 5, Cols: 0, Data: []float64{}}}},
+		{Type: MsgForwardMulti, Tensors: []Matrix{{Rows: 0, Cols: 0, Data: []float64{}}}},
 	} {
-		got, err := Decode(mustEncode(t, m)[4:])
-		if err != nil {
-			t.Fatalf("degenerate tensor %dx%d rejected: %v", m.Tensors[0].Rows, m.Tensors[0].Cols, err)
-		}
+		got := mustDecode(t, mustEncode(t, m)[4:])
 		if len(got.Tensors) != 1 || len(got.Tensors[0].Data) != 0 {
 			t.Fatalf("degenerate tensor mangled: %+v", got.Tensors)
 		}
 	}
 }
 
-// FuzzDecode throws arbitrary bodies at the decoder: it must never panic
-// or allocate unboundedly, and everything it accepts must re-encode.
+// FuzzDecode throws arbitrary bodies at the pooled decoder (the one TCP
+// Recv runs): it must never panic or allocate unboundedly, rejected
+// bodies must leave the pools usable, and everything it accepts must
+// re-encode.
 func FuzzDecode(f *testing.F) {
 	f.Add(mustEncode(f, &Message{Type: MsgStep})[4:])
 	f.Add(mustEncode(f, &Message{Type: MsgError, Text: "boom"})[4:])
-	f.Add(mustEncode(f, &Message{Type: MsgForward, Layer: 1, Expert: 2, Seq: 3,
+	f.Add(mustEncode(f, &Message{Type: MsgForwardMulti, Layer: 1, Expert: 2, Seq: 3,
 		Tensors: []Matrix{{Rows: 2, Cols: 2, Data: []float64{1, 2, 3, 4}}}})[4:])
-	f.Add(mustEncode(f, &Message{Type: MsgBackward,
+	f.Add(mustEncode(f, &Message{Type: MsgBackwardMulti,
 		Tensors: []Matrix{{Rows: 1, Cols: 3, Data: []float64{1, 2, 3}, Enc: EncFP16}}})[4:])
-	f.Add(mustEncode(f, &Message{Type: MsgForward,
+	f.Add(mustEncode(f, &Message{Type: MsgForwardMulti,
 		Tensors: []Matrix{{Rows: 2, Cols: 4, Data: []float64{1, -2, 3, -4, 5, -6, 7, -8}, Enc: EncInt8}}})[4:])
 	// Coalesced multi-tensor frame: id row + two batches in mixed encodings.
 	f.Add(mustEncode(f, &Message{Type: MsgForwardMulti, Layer: 1, Expert: ExpertCoalesced, Seq: 5,
@@ -119,18 +136,19 @@ func FuzzDecode(f *testing.F) {
 	f.Add(adversarialTensorFrame(1<<28, 1, 2, 64))
 	f.Add(adversarialTensorFrame(0xFFFFFFFF, 0xFFFFFFFF, 2, 64))
 	f.Fuzz(func(t *testing.T, body []byte) {
-		m, err := Decode(body)
+		m, err := DecodePooled(body)
 		if err != nil {
 			return
 		}
+		defer Release(m)
 		// Accepted frames must be internally consistent and re-encodable
-		// (Encode rejects rows×cols ≠ len(data)).
+		// (AppendFrame rejects rows×cols ≠ len(data)).
 		for i, tr := range m.Tensors {
 			if tr.Rows*tr.Cols != len(tr.Data) {
 				t.Fatalf("tensor %d inconsistent: %dx%d with %d values", i, tr.Rows, tr.Cols, len(tr.Data))
 			}
 		}
-		if _, err := Encode(m); err != nil {
+		if _, err := AppendFrame(nil, m); err != nil {
 			t.Fatalf("accepted frame does not re-encode: %v", err)
 		}
 	})

@@ -80,17 +80,6 @@ func HalfToFloat64(h uint16) float64 {
 	return float64(math.Float32frombits(bits))
 }
 
-// HalfEncode packs a float64 slice into binary16 little-endian bytes.
-func HalfEncode(src []float64) []byte {
-	out := make([]byte, 2*len(src))
-	for i, v := range src {
-		h := Float64ToHalf(v)
-		out[2*i] = byte(h)
-		out[2*i+1] = byte(h >> 8)
-	}
-	return out
-}
-
 // HalfDecode unpacks binary16 little-endian bytes into float64s.
 func HalfDecode(src []byte, dst []float64) {
 	for i := range dst {

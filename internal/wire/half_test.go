@@ -87,7 +87,7 @@ func TestHalfEncodeDecodeSlices(t *testing.T) {
 	for i := range src {
 		src[i] = rng.NormFloat64() * 10
 	}
-	buf := HalfEncode(src)
+	buf := appendFP16Payload(make([]byte, 0, 2*len(src)), src)
 	if len(buf) != 2*len(src) {
 		t.Fatalf("encoded %d bytes", len(buf))
 	}

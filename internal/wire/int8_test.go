@@ -19,13 +19,8 @@ func TestInt8RoundTripProperty(t *testing.T) {
 		for i := range data {
 			data[i] = rng.NormFloat64() * mag
 		}
-		m := &Message{Type: MsgForward, Tensors: []Matrix{{Rows: r, Cols: c, Data: data, Enc: EncInt8}}}
-		got, err := Decode(mustEncode(t, m)[4:])
-		if err != nil {
-			t.Logf("decode: %v", err)
-			return false
-		}
-		out := got.Tensors[0].Data
+		m := &Message{Type: MsgForwardMulti, Tensors: []Matrix{{Rows: r, Cols: c, Data: data, Enc: EncInt8}}}
+		out := mustDecode(t, mustEncode(t, m)[4:]).Tensors[0].Data
 		for i := 0; i < r; i++ {
 			row := data[i*c : (i+1)*c]
 			scale := int8RowScale(row)
@@ -50,16 +45,13 @@ func TestInt8RoundTripProperty(t *testing.T) {
 // quantizes to 0, ±Inf saturates to ±127·scale, a zero row (or a row with
 // no finite non-zero value) carries scale 0 and decodes to all zeros.
 func TestInt8Edges(t *testing.T) {
-	m := &Message{Type: MsgForward, Tensors: []Matrix{{Rows: 4, Cols: 3, Data: []float64{
+	m := &Message{Type: MsgForwardMulti, Tensors: []Matrix{{Rows: 4, Cols: 3, Data: []float64{
 		math.NaN(), 127, -254, // NaN → 0; scale = 254/127 = 2
 		math.Inf(1), math.Inf(-1), 254, // Inf saturates at ±127·scale = ±254
 		0, 0, 0, // zero row → scale 0 → zeros
 		math.NaN(), math.Inf(1), math.Inf(-1), // no finite non-zero → scale 0 → zeros
 	}, Enc: EncInt8}}}
-	got, err := Decode(mustEncode(t, m)[4:])
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := mustDecode(t, mustEncode(t, m)[4:])
 	want := []float64{
 		0, 128, -254, // 127/2 rounds to 64 → 64·2 = 128, within scale/2 of 127
 		254, -254, 254,
@@ -89,11 +81,8 @@ func TestQuantizeInt8InPlaceMatchesWire(t *testing.T) {
 	data[40] = math.Inf(-1)
 
 	wireIn := append([]float64(nil), data...)
-	m := &Message{Type: MsgForward, Tensors: []Matrix{{Rows: rows, Cols: cols, Data: wireIn, Enc: EncInt8}}}
-	got, err := Decode(mustEncode(t, m)[4:])
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := &Message{Type: MsgForwardMulti, Tensors: []Matrix{{Rows: rows, Cols: cols, Data: wireIn, Enc: EncInt8}}}
+	got := mustDecode(t, mustEncode(t, m)[4:])
 
 	inPlace := append([]float64(nil), data...)
 	QuantizeInt8InPlace(inPlace, rows, cols)

@@ -20,8 +20,6 @@ import (
 //     come from these pools; Release returns them. Release ONLY messages
 //     obtained from DecodePooled (or a transport documented to use it),
 //     and only once — the data must no longer be referenced anywhere.
-//   - Decode (non-pooled) keeps its original semantics: freshly allocated
-//     tensors the caller may retain forever.
 
 // maxPoolClass caps pooled capacity at 2^26 bytes (64 MiB) per byte
 // buffer and 2^26 floats per payload; larger one-off buffers go to the GC
@@ -131,14 +129,14 @@ func Release(m *Message) {
 	msgPool.Put(m)
 }
 
-// DecodePooled parses one frame body like Decode, but draws the Message
-// shell and every tensor payload from the codec pools: a steady-state
-// decode allocates nothing. The caller owns the result and must either
+// DecodePooled parses one frame body (without the 4-byte length prefix),
+// drawing the Message shell and every tensor payload from the codec
+// pools: a steady-state decode allocates nothing. The caller owns the result and must either
 // Release it (after copying out whatever it keeps) or retain it forever —
 // an unreleased message is ordinary garbage, never corrupt.
 func DecodePooled(body []byte) (*Message, error) {
 	m := msgPool.Get().(*Message)
-	if err := decodeBody(m, body, getFloats); err != nil {
+	if err := decodeBody(m, body); err != nil {
 		Release(m)
 		return nil, err
 	}

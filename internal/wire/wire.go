@@ -16,7 +16,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"slices"
 )
@@ -28,15 +27,13 @@ type MsgType uint8
 const (
 	// MsgAssign ships one expert's identity and weights to a worker.
 	MsgAssign MsgType = iota + 1
-	// MsgForward carries routed token features to the worker hosting an
-	// expert (the token dispatcher → token receiver path in Fig. 4).
+	// MsgForward, MsgForwardResult, MsgBackward and MsgBackwardResult are
+	// the retired single-expert dispatch frames. Nothing sends or serves
+	// them (a worker answers MsgError); the constants only hold their wire
+	// numbers so every later type keeps its value.
 	MsgForward
-	// MsgForwardResult returns the expert outputs to the master.
 	MsgForwardResult
-	// MsgBackward carries output gradients to an expert (the gradient
-	// dispatcher path).
 	MsgBackward
-	// MsgBackwardResult returns input gradients to the master.
 	MsgBackwardResult
 	// MsgZeroGrad instructs the worker to clear expert gradients.
 	MsgZeroGrad
@@ -60,7 +57,8 @@ const (
 	// MsgAssign layout.
 	MsgFetchResult
 	// MsgPing is the supervisor's heartbeat probe; a live worker answers
-	// immediately with MsgPong regardless of in-flight compute.
+	// with MsgPong (the master never sends it while a dispatch frame is
+	// in flight on the same connection).
 	MsgPing
 	// MsgPong answers a MsgPing.
 	MsgPong
@@ -71,16 +69,16 @@ const (
 	// MsgSnapshotResult carries the copied weights back in MsgAssign
 	// layout.
 	MsgSnapshotResult
-	// MsgForwardMulti is the coalesced dispatch frame: every per-expert
-	// token batch a worker owes for one layer, in one frame (the fused
-	// all-to-all idea in broker form). Tensors[0] is a 1×K row of expert
-	// ids; Tensors[1..K] are the corresponding batches.
+	// MsgForwardMulti is the token dispatch frame (the token dispatcher →
+	// token receiver path in Fig. 4): every per-expert token batch a
+	// worker owes for one layer, in one frame. Tensors[0] is a 1×K row of
+	// expert ids; Tensors[1..K] are the corresponding batches.
 	MsgForwardMulti
 	// MsgForwardMultiResult mirrors MsgForwardMulti's layout with the
 	// expert outputs.
 	MsgForwardMultiResult
-	// MsgBackwardMulti is the coalesced gradient dispatch frame, in
-	// MsgForwardMulti layout.
+	// MsgBackwardMulti is the gradient dispatch frame (output gradients
+	// in, input gradients back), in MsgForwardMulti layout.
 	MsgBackwardMulti
 	// MsgBackwardMultiResult mirrors MsgBackwardMulti with the input
 	// gradients.
@@ -138,13 +136,10 @@ func (t MsgType) String() string {
 // Message is one protocol frame. Fields are used per type:
 //
 //	Assign:          Layer, Expert, Tensors (expert weights in canonical order)
-//	Forward:         Layer, Expert, Seq, Tensors[0] = token batch [n, d]
-//	ForwardResult:   Layer, Expert, Seq, Tensors[0] = outputs [n, d]
-//	Backward:        Layer, Expert, Seq, Tensors[0] = dY [n, d]
-//	BackwardResult:  Layer, Expert, Seq, Tensors[0] = dX [n, d]
 //	ForwardMulti /   Layer, Seq, Expert = -1, Tensors[0] = [1, K] expert-id
-//	BackwardMulti:   row (fp64), Tensors[1..K] = per-expert batches; the
-//	                 *MultiResult reply mirrors the layout with outputs
+//	BackwardMulti:   row (fp64), Tensors[1..K] = per-expert batches [n, d]
+//	                 (tokens / dY); the *MultiResult reply mirrors the
+//	                 layout with outputs / dX
 //	ZeroGrad/Ack/Shutdown/Stats/Ping/Pong: no payload
 //	Step:            Layer = step ordinal (> 0), so a worker that already
 //	                 applied the ordinal acks a post-failover re-broadcast
@@ -176,17 +171,8 @@ type Matrix struct {
 	Enc        Encoding
 }
 
-// PayloadFloats returns the total number of float64 values carried.
-func (m *Message) PayloadFloats() int {
-	n := 0
-	for _, t := range m.Tensors {
-		n += len(t.Data)
-	}
-	return n
-}
-
 // sizeOf is the single source of truth for frame sizes: EncodedSize,
-// Encode/AppendFrame and the FrameEncoder all account bytes through it,
+// AppendFrame and the FrameEncoder all account bytes through it,
 // so the size computation and the writers can never silently drift. The
 // returned size includes the 4-byte length prefix.
 func sizeOf(m *Message) int {
@@ -201,9 +187,9 @@ func sizeOf(m *Message) int {
 }
 
 // EncodedSize returns the full frame size (length prefix included) that
-// Encode would produce for m, without allocating. Observability hooks use
-// it to account frame bytes on the hot path; an invalid tensor geometry
-// (which Encode rejects) still yields the nominal size.
+// AppendFrame would produce for m, without allocating. Observability
+// hooks use it to account frame bytes on the hot path; an invalid tensor
+// geometry (which the encoders reject) still yields the nominal size.
 func EncodedSize(m *Message) int { return sizeOf(m) }
 
 // validateTensors rejects the messages the encoders refuse to frame: a
@@ -343,35 +329,10 @@ func decodeFP64Payload(src []byte, dst []float64) {
 	}
 }
 
-// Encode serializes m into a self-contained frame (including the length
-// prefix). A matrix whose Rows×Cols disagrees with its data length is
-// reported as an error: silently encoding it would hand the peer an
-// undecodable frame, and panicking would take down whichever runtime
-// process tried to send it. Hot paths should prefer AppendFrame with a
-// reused destination buffer.
-func Encode(m *Message) ([]byte, error) {
-	return AppendFrame(nil, m)
-}
-
-// allocFloats is Decode's payload allocator: fresh slices the caller may
-// retain forever. DecodePooled substitutes the pool allocator.
-var allocFloats = func(n int) []float64 { return make([]float64, n) }
-
-// Decode parses one frame body (without the 4-byte length prefix) into a
-// freshly allocated message the caller owns outright.
-func Decode(body []byte) (*Message, error) {
-	m := &Message{}
-	if err := decodeBody(m, body, allocFloats); err != nil {
-		return nil, err
-	}
-	return m, nil
-}
-
 // decodeBody parses one frame body into m, drawing tensor payloads from
-// alloc. It is the single decoder behind Decode (fresh allocations) and
-// DecodePooled (codec pools); every header field is bounds-checked
-// against the remaining body before anything is allocated.
-func decodeBody(m *Message, body []byte, alloc func(int) []float64) error {
+// the codec pools (it is DecodePooled's body); every header field is
+// bounds-checked against the remaining body before anything is allocated.
+func decodeBody(m *Message, body []byte) error {
 	if len(body) < 25 {
 		return fmt.Errorf("wire: frame body too short (%d bytes)", len(body))
 	}
@@ -438,7 +399,7 @@ func decodeBody(m *Message, body []byte, alloc func(int) []float64) error {
 			return fmt.Errorf("wire: tensor %d (%dx%d) overruns frame", i, rows, cols)
 		}
 		n := rows * cols
-		data := alloc(n)
+		data := getFloats(n)
 		switch enc {
 		case EncFP16:
 			HalfDecode(body[off:off+2*n], data)
@@ -456,40 +417,4 @@ func decodeBody(m *Message, body []byte, alloc func(int) []float64) error {
 		return fmt.Errorf("wire: %d trailing bytes in frame", len(body)-off)
 	}
 	return nil
-}
-
-// WriteFrame writes a full frame for m to w.
-func WriteFrame(w io.Writer, m *Message) error {
-	buf, err := Encode(m)
-	if err != nil {
-		return err
-	}
-	if len(buf) > MaxFrameSize {
-		return ErrFrameTooLarge
-	}
-	_, err = w.Write(buf)
-	return err
-}
-
-// ReadFrame reads one frame from r and decodes it. The frame body is
-// staged in a pooled buffer and returned to the pool after decoding; the
-// resulting message is freshly allocated (Decode semantics) and owned by
-// the caller.
-func ReadFrame(r io.Reader) (*Message, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
-	}
-	n := binary.LittleEndian.Uint32(hdr[:])
-	if n > MaxFrameSize {
-		return nil, ErrFrameTooLarge
-	}
-	body := GetBuf(int(n))
-	if _, err := io.ReadFull(r, body); err != nil {
-		PutBuf(body)
-		return nil, fmt.Errorf("wire: reading %d-byte body: %w", n, err)
-	}
-	m, err := Decode(body)
-	PutBuf(body)
-	return m, err
 }

@@ -2,16 +2,25 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
-	"reflect"
 	"testing"
 	"testing/quick"
 )
 
+// sameMessage reports whether two fp64 messages carry the same fields:
+// the codec is injective, so equal frames mean equal messages (a pooled
+// decode hands back empty-but-non-nil slices where the fixture has nil,
+// which reflect.DeepEqual on the structs would reject).
+func sameMessage(t testing.TB, a, b *Message) bool {
+	return bytes.Equal(mustEncode(t, a), mustEncode(t, b))
+}
+
 func TestRoundTripAllFields(t *testing.T) {
 	m := &Message{
-		Type:   MsgForward,
+		Type:   MsgForwardMulti,
 		Layer:  7,
 		Expert: 3,
 		Seq:    42,
@@ -21,21 +30,15 @@ func TestRoundTripAllFields(t *testing.T) {
 			{Rows: 1, Cols: 1, Data: []float64{math.Pi}},
 		},
 	}
-	got, err := Decode(mustEncode(t, m)[4:])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(m, got) {
+	got := mustDecode(t, mustEncode(t, m)[4:])
+	if !sameMessage(t, m, got) {
 		t.Fatalf("round trip mismatch:\n%+v\n%+v", m, got)
 	}
 }
 
 func TestRoundTripEmpty(t *testing.T) {
 	m := &Message{Type: MsgStep}
-	got, err := Decode(mustEncode(t, m)[4:])
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := mustDecode(t, mustEncode(t, m)[4:])
 	if got.Type != MsgStep || len(got.Tensors) != 0 || got.Text != "" {
 		t.Fatalf("empty message mismatch: %+v", got)
 	}
@@ -43,70 +46,62 @@ func TestRoundTripEmpty(t *testing.T) {
 
 func TestRoundTripNegativeLayer(t *testing.T) {
 	m := &Message{Type: MsgAck, Layer: -1, Expert: -1}
-	got, err := Decode(mustEncode(t, m)[4:])
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := mustDecode(t, mustEncode(t, m)[4:])
 	if got.Layer != -1 || got.Expert != -1 {
 		t.Fatalf("negative ints mangled: %+v", got)
 	}
 }
 
-func TestWriteReadFrame(t *testing.T) {
-	var buf bytes.Buffer
+// TestAppendFrameStream: frames appended back to back into one buffer
+// (the destination-passing use) split on their length prefixes and decode
+// to the original messages.
+func TestAppendFrameStream(t *testing.T) {
 	msgs := []*Message{
 		{Type: MsgAssign, Layer: 1, Expert: 2, Tensors: []Matrix{{Rows: 1, Cols: 2, Data: []float64{9, 8}}}},
 		{Type: MsgError, Text: "boom"},
 		{Type: MsgShutdown},
 	}
+	var buf []byte
 	for _, m := range msgs {
-		if err := WriteFrame(&buf, m); err != nil {
+		var err error
+		if buf, err = AppendFrame(buf, m); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for _, want := range msgs {
-		got, err := ReadFrame(&buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(want, got) {
+		n := int(binary.LittleEndian.Uint32(buf))
+		got := mustDecode(t, buf[4:4+n])
+		if !sameMessage(t, want, got) {
 			t.Fatalf("frame mismatch: %+v vs %+v", want, got)
 		}
+		buf = buf[4+n:]
+	}
+	if len(buf) != 0 {
+		t.Fatalf("%d bytes left after the last frame", len(buf))
 	}
 }
 
 func TestDecodeRejectsTruncation(t *testing.T) {
-	m := &Message{Type: MsgForward, Tensors: []Matrix{{Rows: 2, Cols: 2, Data: []float64{1, 2, 3, 4}}}}
+	m := &Message{Type: MsgForwardMulti, Tensors: []Matrix{{Rows: 2, Cols: 2, Data: []float64{1, 2, 3, 4}}}}
 	full := mustEncode(t, m)[4:]
 	for _, cut := range []int{1, 10, len(full) - 1} {
 		if cut >= len(full) {
 			continue
 		}
-		if _, err := Decode(full[:cut]); err == nil {
-			t.Fatalf("truncation at %d not detected", cut)
-		}
+		rejectDecode(t, full[:cut], fmt.Sprintf("truncation at %d", cut))
 	}
 }
 
 func TestDecodeRejectsTrailingGarbage(t *testing.T) {
 	m := &Message{Type: MsgAck}
 	body := append(mustEncode(t, m)[4:], 0xFF)
-	if _, err := Decode(body); err == nil {
-		t.Fatal("trailing bytes not detected")
-	}
+	rejectDecode(t, body, "trailing bytes")
 }
 
 func TestEncodeRejectsBadMatrix(t *testing.T) {
-	_, err := Encode(&Message{Type: MsgForward, Tensors: []Matrix{{Rows: 2, Cols: 2, Data: []float64{1}}}})
+	_, err := AppendFrame(nil, &Message{Type: MsgForwardMulti, Tensors: []Matrix{{Rows: 2, Cols: 2, Data: []float64{1}}}})
 	if err == nil {
 		t.Fatal("expected error for inconsistent matrix")
-	}
-}
-
-func TestPayloadFloats(t *testing.T) {
-	m := &Message{Tensors: []Matrix{{Rows: 2, Cols: 3, Data: make([]float64, 6)}, {Rows: 1, Cols: 4, Data: make([]float64, 4)}}}
-	if m.PayloadFloats() != 10 {
-		t.Fatalf("PayloadFloats = %d, want 10", m.PayloadFloats())
 	}
 }
 
@@ -130,14 +125,15 @@ func TestRoundTripProperty(t *testing.T) {
 			data[i] = rng.NormFloat64()
 		}
 		m := &Message{
-			Type: MsgBackward, Layer: layer, Expert: expert, Seq: seq, Text: text,
+			Type: MsgBackwardMulti, Layer: layer, Expert: expert, Seq: seq, Text: text,
 			Tensors: []Matrix{{Rows: r, Cols: c, Data: data}},
 		}
-		got, err := Decode(mustEncode(t, m)[4:])
+		got, err := DecodePooled(mustEncode(t, m)[4:])
 		if err != nil {
 			return false
 		}
-		return reflect.DeepEqual(m, got)
+		defer Release(got)
+		return sameMessage(t, m, got)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -149,13 +145,9 @@ func TestRoundTripProperty(t *testing.T) {
 func TestRoundTripEncodings(t *testing.T) {
 	src := []float64{1.5, -2.25, 0.125, 3e-3, -7.5, 42}
 	for _, enc := range []Encoding{EncFP64, EncFP16, EncInt8} {
-		m := &Message{Type: MsgForward, Tensors: []Matrix{
+		m := &Message{Type: MsgForwardMulti, Tensors: []Matrix{
 			{Rows: 2, Cols: 3, Data: append([]float64(nil), src...), Enc: enc}}}
-		got, err := Decode(mustEncode(t, m)[4:])
-		if err != nil {
-			t.Fatalf("%v: %v", enc, err)
-		}
-		tr := got.Tensors[0]
+		tr := mustDecode(t, mustEncode(t, m)[4:]).Tensors[0]
 		if tr.Enc != enc || tr.Rows != 2 || tr.Cols != 3 {
 			t.Fatalf("%v: header mangled: %+v", enc, tr)
 		}
@@ -180,10 +172,7 @@ func TestRoundTripEncodings(t *testing.T) {
 // TestDecodeRejectsUnknownEncoding: an encoding byte outside the known
 // range must be rejected, not treated as fp64.
 func TestDecodeRejectsUnknownEncoding(t *testing.T) {
-	body := adversarialTensorFrame(1, 1, 3, 8)
-	if _, err := Decode(body); err == nil {
-		t.Fatal("unknown encoding byte accepted")
-	}
+	rejectDecode(t, adversarialTensorFrame(1, 1, 3, 8), "unknown encoding byte")
 }
 
 // TestDecodePooledRoundTrip: the pooled decoder must reproduce the frame
@@ -196,36 +185,24 @@ func TestDecodePooledRoundTrip(t *testing.T) {
 			{Rows: 2, Cols: 2, Data: []float64{5, 6, 7, 8}},
 		}}
 	body := mustEncode(t, m)[4:]
-	check := func(got *Message) {
-		t.Helper()
-		if got.Type != m.Type || got.Layer != m.Layer || got.Expert != m.Expert || got.Seq != m.Seq {
-			t.Fatalf("header mismatch: %+v", got)
-		}
-		if len(got.Tensors) != len(m.Tensors) {
-			t.Fatalf("tensor count %d, want %d", len(got.Tensors), len(m.Tensors))
-		}
-		for i, tr := range got.Tensors {
-			want := m.Tensors[i]
-			if tr.Rows != want.Rows || tr.Cols != want.Cols || !reflect.DeepEqual(tr.Data, want.Data) {
-				t.Fatalf("tensor %d mismatch: %+v vs %+v", i, tr, want)
-			}
-		}
-	}
 	for round := 0; round < 3; round++ {
 		got, err := DecodePooled(body)
 		if err != nil {
 			t.Fatal(err)
 		}
-		check(got)
+		if !sameMessage(t, m, got) {
+			t.Fatalf("round %d mismatch:\n%+v\n%+v", round, m, got)
+		}
 		Release(got)
 	}
 }
 
-// TestFrameEncoderMatchesEncode: the scatter-gather segments, concatenated,
-// must be byte-identical to the flat encoder's output for every encoding.
-func TestFrameEncoderMatchesEncode(t *testing.T) {
+// TestFrameEncoderMatchesAppendFrame: the scatter-gather segments,
+// concatenated, must be byte-identical to the flat encoder's output for
+// every encoding.
+func TestFrameEncoderMatchesAppendFrame(t *testing.T) {
 	for _, enc := range []Encoding{EncFP64, EncFP16, EncInt8} {
-		m := &Message{Type: MsgForward, Layer: 1, Expert: 2, Seq: 3, Text: "x",
+		m := &Message{Type: MsgForwardMulti, Layer: 1, Expert: 2, Seq: 3, Text: "x",
 			Tensors: []Matrix{
 				{Rows: 2, Cols: 3, Data: []float64{1, -2, 3, -4, 5, -6}, Enc: enc},
 				{Rows: 1, Cols: 1, Data: []float64{math.Pi}},
@@ -254,7 +231,7 @@ func TestFrameEncoderMatchesEncode(t *testing.T) {
 // encoder must not allocate, for any encoding.
 func TestAppendFrameZeroAlloc(t *testing.T) {
 	for _, enc := range []Encoding{EncFP64, EncFP16, EncInt8} {
-		m := &Message{Type: MsgForward, Tensors: []Matrix{
+		m := &Message{Type: MsgForwardMulti, Tensors: []Matrix{
 			{Rows: 16, Cols: 16, Data: make([]float64, 256), Enc: enc}}}
 		dst := make([]byte, 0, EncodedSize(m))
 		allocs := testing.AllocsPerRun(100, func() {
