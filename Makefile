@@ -7,7 +7,7 @@ GO ?= go
 # machines where cgo/race is unavailable or slow; CI always runs them.
 RACE ?= 1
 
-.PHONY: build test vet lint race race-core bench bench-check bench-wire bench-trace bench-all chaos shift restart check
+.PHONY: build test vet lint race race-core bench bench-check bench-wire bench-trace bench-all chaos harness shift restart check
 
 build:
 	$(GO) build ./...
@@ -101,6 +101,17 @@ chaos:
 		./internal/broker ./internal/transport ./internal/placement \
 		./internal/checkpoint ./internal/trainer ./internal/metrics
 
+# Self-checking end-to-end harnesses over the one assembly path
+# (core.Attach): chaos exits non-zero unless a mid-step connection kill
+# costs exactly one failover and one retried step with a bit-identical
+# loss series; distributed unless Sequential and LocalityLP over real TCP
+# train bit-identically and LocalityLP moves strictly fewer cross-node
+# bytes. Deterministic, no wall-clock schedule (~2 s + ~10 s), so — unlike
+# shift and restart — they gate.
+harness:
+	$(GO) run ./examples/chaos
+	$(GO) run ./examples/distributed
+
 # Re-placement acceptance run: the WikiText→Alpaca mid-run splice with
 # the drift-triggered controller live. Self-checking (fires exactly once
 # on the splice, placement within 10% of a fresh solve, baseline
@@ -122,5 +133,6 @@ restart:
 # race-enabled test suite (the race target covers internal/obs, so the
 # tracer's striped ring and the lock-free histograms are exercised under
 # the detector on every check), then the focused uncached race-core pass
-# over broker/replace/transport. RACE=0 skips both race jobs locally.
-check: vet lint bench-check race race-core
+# over broker/replace/transport and the self-checking harnesses. RACE=0
+# skips both race jobs locally.
+check: vet lint bench-check race race-core harness

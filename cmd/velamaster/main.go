@@ -30,7 +30,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/data"
-	"repro/internal/metrics"
 	"repro/internal/moe"
 	"repro/internal/nn"
 	"repro/internal/obs"
@@ -153,33 +152,10 @@ func run(addrs []string, devicesPerNode int, dataset, strategyName string, steps
 	topo := cluster.Uniform(len(addrs), devicesPerNode,
 		(cfg.Layers*cfg.Experts+len(addrs)-1)/len(addrs)+2,
 		18.3*cluster.GB, 1.17*cluster.GB)
-	prob := &placement.Problem{
-		Workers:         topo.NumWorkers(),
-		Layers:          cfg.Layers,
-		Experts:         cfg.Experts,
-		P:               stats.Prob(),
-		Bandwidth:       topo.Bandwidths(),
-		Capacity:        topo.Capacities(),
-		RoutingsPerStep: float64(2 * 32 * cfg.TopK),
-		// The objective prices a token at exactly what the selected wire
-		// encoding ships (the fp16 default reproduces the paper's 2·D).
-		BytesPerToken: placement.TokenBytes(opts.wireEncoding, cfg.D),
-		WorkerNode:    topo.WorkerNodes(),
-		MasterNode:    topo.MasterNode,
-	}
 	strat, err := strategyFor(strategyName)
 	if err != nil {
 		return err
 	}
-	assign, err := strat.Place(prob)
-	if err != nil {
-		return err
-	}
-	m, err := placement.Evaluate(prob, assign)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("placement (%s): expected %s\n", strat.Name(), m)
 
 	fmt.Printf("connecting to %d workers...\n", len(addrs))
 	conns := make([]transport.Conn, len(addrs))
@@ -191,33 +167,40 @@ func run(addrs []string, devicesPerNode int, dataset, strategyName string, steps
 		defer c.Close()
 		conns[i] = c
 	}
-	exec := broker.NewExecutor(conns, assign)
-	exec.WireEncoding = opts.wireEncoding
-	exec.BytesPerValue = float64(opts.wireEncoding.BitsPerValue()) / 8
-	exec.RequestTimeout = opts.requestTimeout
-	exec.Recovery = &metrics.Recovery{}
-	crossNode := make([]bool, topo.NumWorkers())
-	for n := range crossNode {
-		crossNode[n] = topo.CrossNode(n)
-	}
-	exec.Traffic = metrics.NewTraffic(topo.NumWorkers(), crossNode)
-
 	handle := obs.NewHandle(obs.Config{
 		Workers: len(addrs), Layers: cfg.Layers, Experts: cfg.Experts,
 		TraceCapacity: opts.traceCapacity,
 	})
-	handle.Drift.SetBaseline(stats.Prob())
-	handle.Drift.SetPredictedComm(m.CommTime)
-	exec.Obs = handle
-	model.SetObs(handle)
+	sys, err := core.Attach(model, conns, core.Options{
+		Topo:            topo,
+		Strategy:        strat,
+		Stats:           stats,
+		RoutingsPerStep: float64(2 * 32 * cfg.TopK),
+		// Price a value at exactly what the selected wire encoding ships (the
+		// fp16 default reproduces the paper's 2·D per token): explicit, so an
+		// fp64 wire costs 8 B/value, not core's 16-bit what-if default.
+		BitDepth:     opts.wireEncoding.BitsPerValue(),
+		WireEncoding: opts.wireEncoding,
+		LoRA:         lora,
+		Obs:          handle,
+	})
+	if err != nil {
+		return err
+	}
+	exec := sys.Exec
+	exec.RequestTimeout = opts.requestTimeout
+	m, err := placement.Evaluate(sys.Problem, sys.Assignment)
+	if err != nil {
+		return err
+	}
+	fmt.Printf("placement (%s): expected %s\n", strat.Name(), m)
 
 	// The supervisor heartbeats workers in the background, keeps a
 	// step-boundary expert snapshot, and fails dead workers over onto the
 	// survivors; the trainer just retries the interrupted step. (Created
 	// before the metrics endpoint so /healthz can report parked rejoins;
 	// the heartbeat only starts after expert distribution below.)
-	sup := broker.NewSupervisor(exec, prob, broker.SupervisorConfig{HeartbeatInterval: opts.heartbeat})
-	sup.Obs = handle
+	sup := sys.Supervisor(broker.SupervisorConfig{HeartbeatInterval: opts.heartbeat})
 	sup.OnFailover = func(dead []int, next *placement.Assignment) {
 		fmt.Printf("  failover: workers %v lost; experts re-placed over survivors\n", dead)
 	}
@@ -231,19 +214,7 @@ func run(addrs []string, devicesPerNode int, dataset, strategyName string, steps
 	}
 
 	if opts.metricsAddr != "" {
-		src := obs.Source{
-			Handle: handle, Traffic: exec.Traffic, Recovery: exec.Recovery,
-			Alive: func() []bool {
-				mask := exec.DeadMask()
-				alive := make([]bool, len(mask))
-				for n, dead := range mask {
-					alive[n] = !dead
-				}
-				return alive
-			},
-			Rejoining: sup.PendingRejoins,
-		}
-		srv, err := obs.Serve(opts.metricsAddr, src)
+		srv, err := obs.Serve(opts.metricsAddr, sys.MetricsSource())
 		if err != nil {
 			return err
 		}
@@ -251,16 +222,14 @@ func run(addrs []string, devicesPerNode int, dataset, strategyName string, steps
 		fmt.Printf("metrics on http://%s/metrics (healthz, debug/pprof alongside)\n", srv.Addr)
 	}
 
-	spec := broker.ExpertSpec{D: cfg.D, Hidden: cfg.Hidden, LoRARank: lora.Rank, LoRAAlpha: lora.Alpha}
 	if opts.resume {
 		fmt.Println("resuming: experts will be restored from the run checkpoint, not re-distributed")
 	} else {
 		fmt.Println("distributing experts to workers...")
-		if err := exec.Distribute(grid, spec); err != nil {
+		if err := sys.Distribute(grid); err != nil {
 			return err
 		}
 	}
-	model.SetExecutor(exec)
 
 	sup.Start()
 	defer sup.Stop()
@@ -284,10 +253,9 @@ func run(addrs []string, devicesPerNode int, dataset, strategyName string, steps
 	// experts between two steps.
 	var ctrl *replace.Controller
 	if opts.replaceDrift > 0 {
-		ctrl, err = replace.New(prob, handle, exec, replace.Config{
+		ctrl, err = sys.ReplaceController(replace.Config{
 			DriftThreshold: opts.replaceDrift,
 			CooldownSteps:  opts.replaceCooldown,
-			ExpertBytes:    spec.PayloadBytes(),
 		})
 		if err != nil {
 			return err
@@ -316,83 +284,38 @@ func run(addrs []string, devicesPerNode int, dataset, strategyName string, steps
 		fmt.Printf("\n%v — finishing current step, then flushing snapshot and shutting down\n", s)
 	}()
 
-	backbone := nn.CollectTrainable(model.Params())
-	opt := nn.NewAdamW(backbone, nn.PaperAdamWConfig())
 	batcher := data.NewBatcher(corpus, 2, 32, 43)
-	ft := &trainer.Finetuner{
-		Model:      model,
-		Backbone:   backbone,
-		Opt:        opt,
-		Batcher:    batcher,
-		ExpertZero: exec.ZeroGrads,
-		ExpertStep: exec.Step,
-		Obs:        handle,
-		Recover:    sup.Recover,
-	}
+	ft := sys.Finetuner(batcher)
 
 	// Run-level checkpointing: everything the resume needs to continue
 	// bit-identically rides in one RunCapture.
-	runCap := &core.RunCapture{
-		Backbone: backbone, Opt: opt, Exec: exec, Sup: sup,
-		Cursor: batcher.Cursor, Seek: batcher.SeekTo,
-		Drift: handle.Drift, Ctrl: ctrl, Losses: &ft.Losses, Seeds: runSeeds,
-	}
 	var writer *checkpoint.AsyncWriter
-	var runCk *core.RunCheckpointer
 	if opts.ckptDir != "" {
+		runCap := &core.RunCapture{
+			Backbone: ft.Backbone, Opt: ft.Opt.(*nn.AdamW), Exec: exec, Sup: sup,
+			Cursor: batcher.Cursor, Seek: batcher.SeekTo,
+			Drift: handle.Drift, Ctrl: ctrl, Losses: &ft.Losses, Seeds: runSeeds,
+		}
 		store := &checkpoint.RunStore{Dir: opts.ckptDir, Keep: opts.ckptKeep}
 		if opts.resume {
 			t0 := time.Now()
-			rs, err := store.LoadLatest()
+			rs, err := sys.Resume(store, ft, runCap)
 			if err != nil {
-				return fmt.Errorf("resume: %w", err)
+				return err
 			}
-			if len(rs.Seeds) > 0 && !equalSeeds(rs.Seeds, runSeeds) {
-				return fmt.Errorf("resume: checkpoint seeds %v do not match this build's prelude seeds %v", rs.Seeds, runSeeds)
-			}
-			if err := core.RestoreRun(rs, runCap); err != nil {
-				return fmt.Errorf("resume: %w", err)
-			}
-			ft.StartStep = rs.Step
-			// Seed the supervisor's failover restore point from the
-			// checkpointed expert state just re-shipped to the workers.
-			if err := sup.Checkpoint(rs.Step - 1); err != nil {
-				return fmt.Errorf("resume: seeding failover snapshot: %w", err)
-			}
-			handle.Ckpt.SetResume(rs.Generation, time.Since(t0).Seconds())
 			fmt.Printf("resumed from generation %d at step %d (%v)\n",
 				rs.Generation, rs.Step, time.Since(t0).Round(time.Millisecond))
 		}
 		writer = checkpoint.NewAsyncWriter(store, handle.Ckpt)
 		defer writer.Close()
-		runCk = &core.RunCheckpointer{Every: opts.ckptEvery, Cap: runCap, W: writer, Stats: handle.Ckpt}
+		sys.CheckpointEvery(opts.ckptEvery, runCap, writer)
 		fmt.Printf("run-level checkpointing to %s (every %d steps, keep %d)\n",
 			opts.ckptDir, opts.ckptEvery, opts.ckptKeep)
 	}
 
 	ft.OnStep = func(step int) error {
-		// Snapshot before the controller may migrate, so a failover right
-		// after a migration restores post-migration state.
-		if err := sup.Checkpoint(step); err != nil {
+		if err := sys.StepBoundary(step); err != nil {
 			return err
-		}
-		if admitted := sup.AdmitRejoins(); len(admitted) > 0 {
-			fmt.Printf("  step %d: re-admitted worker(s) %v\n", step+1, admitted)
-			if ctrl != nil {
-				// Nudge the controller: with the worker back, re-solving may
-				// migrate its experts home under the usual cost gate.
-				ctrl.RequestResolve(fmt.Sprintf("worker rejoin %v", admitted))
-			}
-		}
-		if ctrl != nil {
-			if err := ctrl.OnStep(step); err != nil {
-				return err
-			}
-		}
-		if runCk != nil {
-			if err := runCk.OnStep(step); err != nil {
-				return err
-			}
 		}
 		trace.OnStep()
 		if stopRequested.Load() {
@@ -454,7 +377,7 @@ func run(addrs []string, devicesPerNode int, dataset, strategyName string, steps
 			fmt.Printf("trace export: %v\n", err)
 		}
 	}
-	return exec.Shutdown()
+	return sys.Close()
 }
 
 // traceCollector drains the master and worker trace rings incrementally
@@ -557,18 +480,6 @@ func (t *traceCollector) Export(path string, rep io.Writer) error {
 	fmt.Fprintf(rep, "trace: %d requests across %d workers exported to %s (load in https://ui.perfetto.dev)\n",
 		len(tl.Requests), len(wes), path)
 	return tl.WriteCriticalPath(rep)
-}
-
-func equalSeeds(a, b []int64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 func plural(n int64, one, many string) string {

@@ -5,6 +5,8 @@
 // the dead worker's experts from the latest step-boundary snapshot, and
 // the trainer re-drives the interrupted step on the same batch — so the
 // run completes with the SAME loss trajectory as a failure-free run.
+// Self-checking: exits non-zero unless the difference is bit-zero and
+// exactly one failover and one retried step were counted.
 //
 // Run with: go run ./examples/chaos
 package main
@@ -18,12 +20,14 @@ import (
 	"time"
 
 	"repro/internal/broker"
+	"repro/internal/cluster"
+	"repro/internal/core"
 	"repro/internal/data"
-	"repro/internal/metrics"
 	"repro/internal/moe"
 	"repro/internal/nn"
 	"repro/internal/obs"
 	"repro/internal/placement"
+	"repro/internal/testutil"
 	"repro/internal/trainer"
 	"repro/internal/transport"
 )
@@ -48,16 +52,17 @@ func run() error {
 	pre.Steps = 60
 
 	fmt.Println("running failure-free reference...")
-	clean, _, _, err := finetune(cfg, pre, false)
+	clean, _, err := finetune(cfg, pre, false)
 	if err != nil {
 		return err
 	}
 
 	fmt.Printf("running chaos: worker 2's connection is severed mid-step after step %d...\n", killAt)
-	chaos, rc, handle, err := finetune(cfg, pre, true)
+	chaos, sys, err := finetune(cfg, pre, true)
 	if err != nil {
 		return err
 	}
+	rc := sys.Exec.Recovery.Snapshot()
 
 	fmt.Printf("\n%-6s %-14s %-14s\n", "step", "failure-free", "with failover")
 	maxDiff := 0.0
@@ -76,17 +81,27 @@ func run() error {
 	fmt.Println()
 	// The observability exit report for the chaos run: phase breakdown and
 	// how far measured routing drifted from the (uniform) placement-time P.
-	return handle.WriteBreakdown(os.Stdout)
+	if err := sys.Obs.WriteBreakdown(os.Stdout); err != nil {
+		return err
+	}
+
+	switch {
+	case !testutil.BitEqual(maxDiff, 0):
+		return fmt.Errorf("FAIL: failover perturbed the loss trajectory (max diff %.2e)", maxDiff)
+	case rc.WorkerFailovers != 1 || rc.StepRetries != 1:
+		return fmt.Errorf("FAIL: %d failover(s) and %d step retries, want exactly 1 and 1", rc.WorkerFailovers, rc.StepRetries)
+	}
+	fmt.Println("PASS: one failover, one retried step, loss trajectory bit-identical")
+	return nil
 }
 
-// finetune builds a fresh deterministic checkpoint, deploys it over
+// finetune builds a fresh deterministic checkpoint, attaches it to
 // in-process workers, and fine-tunes it — optionally killing worker 2's
 // connection abruptly after the killAt-th step's snapshot.
-func finetune(cfg moe.Config, pre trainer.PretrainConfig, kill bool) ([]float64, metrics.RecoveryCounts, *obs.Handle, error) {
-	var zero metrics.RecoveryCounts
+func finetune(cfg moe.Config, pre trainer.PretrainConfig, kill bool) ([]float64, *core.System, error) {
 	model, grid, err := trainer.BuildPretrained(cfg, 8000, pre)
 	if err != nil {
-		return nil, zero, nil, err
+		return nil, nil, err
 	}
 	lora := trainer.LoRAConfig{Rank: 2, Alpha: 4, Seed: 21}
 	trainer.PrepareForFinetune(model, grid, lora)
@@ -103,91 +118,60 @@ func finetune(cfg moe.Config, pre trainer.PretrainConfig, kill bool) ([]float64,
 		conns[2] = faulty
 	}
 
-	prob := uniformProblem(cfg)
-	assign, err := (placement.Sequential{}).Place(prob)
+	// Random-token batches leave no corpus to profile, so the placement
+	// instance is the uninformed one: every expert equally popular, equal
+	// links, each worker able to host the whole grid (absorbs any failover).
+	stats := moe.NewAccessStats(cfg.Layers, cfg.Experts)
+	for l := 0; l < cfg.Layers; l++ {
+		for e := 0; e < cfg.Experts; e++ {
+			stats.Counts[l][e] = 1
+		}
+	}
+	sys, err := core.Attach(model, conns, core.Options{
+		Topo:            cluster.Uniform(workers, 1, cfg.Layers*cfg.Experts, cluster.GB, cluster.GB),
+		Strategy:        placement.Sequential{},
+		Stats:           stats,
+		RoutingsPerStep: float64(batch * seqLen * cfg.TopK),
+		LoRA:            lora,
+		Obs:             handle,
+	})
 	if err != nil {
-		return nil, zero, nil, err
+		return nil, nil, err
 	}
-	exec := broker.NewExecutor(conns, assign)
-	exec.RequestTimeout = 2 * time.Second // generous for loopback, bounded for a dead peer
-	exec.Recovery = &metrics.Recovery{}
-	exec.Obs = handle
-	spec := broker.ExpertSpec{D: cfg.D, Hidden: cfg.Hidden, LoRARank: lora.Rank, LoRAAlpha: lora.Alpha}
-	if err := exec.Distribute(grid, spec); err != nil {
-		return nil, zero, nil, err
+	sys.Exec.RequestTimeout = 2 * time.Second // generous for loopback, bounded for a dead peer
+	if err := sys.Distribute(grid); err != nil {
+		return nil, nil, err
 	}
-	model.SetExecutor(exec)
-	model.SetObs(handle)
-	// Baseline only: uniformProblem's bandwidths are synthetic (1 B/s,
-	// the repair path only compares relative costs), so the placement
-	// objective's predicted comm time is not in real seconds here.
-	handle.Drift.SetBaseline(prob.P)
-
-	sup := broker.NewSupervisor(exec, prob, broker.SupervisorConfig{})
+	sup := sys.Supervisor(broker.SupervisorConfig{})
 	sup.OnFailover = func(dead []int, next *placement.Assignment) {
 		fmt.Printf("  supervisor: worker(s) %v declared dead, experts failed over to survivors\n", dead)
 	}
 
-	backbone := nn.CollectTrainable(model.Params())
-	ft := &trainer.Finetuner{
-		Model:      model,
-		Backbone:   backbone,
-		Opt:        nn.NewSGD(backbone, 0.05),
-		Batcher:    &randomBatcher{rng: rand.New(rand.NewSource(31)), vocab: cfg.Vocab},
-		ExpertZero: exec.ZeroGrads,
-		ExpertStep: exec.Step,
-		Obs:        handle,
-		Recover:    sup.Recover,
-		OnStep: func(step int) error {
-			if err := sup.Checkpoint(step); err != nil {
-				return err
-			}
-			if kill && step == killAt {
-				// Armed AFTER this step's snapshot: the next frame to
-				// worker 2 severs the connection mid-step.
-				faulty.ArmClose(0)
-			}
-			return nil
-		},
+	ft := sys.Finetuner(&randomBatcher{rng: rand.New(rand.NewSource(31)), vocab: cfg.Vocab})
+	ft.Opt = nn.NewSGD(ft.Backbone, 0.05)
+	ft.OnStep = func(step int) error {
+		if err := sys.StepBoundary(step); err != nil {
+			return err
+		}
+		if kill && step == killAt {
+			// Armed AFTER this step's snapshot: the next frame to
+			// worker 2 severs the connection mid-step.
+			faulty.ArmClose(0)
+		}
+		return nil
 	}
 	if err := ft.Run(steps, nil); err != nil {
-		return nil, zero, nil, err
+		return nil, nil, err
 	}
-	if err := exec.Shutdown(); err != nil {
-		return nil, zero, nil, err
+	if err := sys.Close(); err != nil {
+		return nil, nil, err
 	}
 	for n, werr := range dep.WaitAll() {
-		if werr != nil && exec.Alive(n) {
-			return nil, zero, nil, fmt.Errorf("live worker %d exited with %w", n, werr)
+		if werr != nil && sys.Exec.Alive(n) {
+			return nil, nil, fmt.Errorf("live worker %d exited with %w", n, werr)
 		}
 	}
-	return ft.Losses.Values, exec.Recovery.Snapshot(), handle, nil
-}
-
-// uniformProblem gives the supervisor's repair path a valid placement
-// instance: uniform popularity, equal bandwidth, full-grid capacity.
-func uniformProblem(cfg moe.Config) *placement.Problem {
-	p := &placement.Problem{
-		Workers: workers, Layers: cfg.Layers, Experts: cfg.Experts,
-		P:               make([][]float64, cfg.Layers),
-		Bandwidth:       make([]float64, workers),
-		Capacity:        make([]int, workers),
-		RoutingsPerStep: float64(batch * seqLen * cfg.TopK),
-		BytesPerToken:   float64(2 * cfg.D),
-		WorkerNode:      make([]int, workers),
-	}
-	for l := range p.P {
-		p.P[l] = make([]float64, cfg.Experts)
-		for e := range p.P[l] {
-			p.P[l][e] = 1.0 / float64(cfg.Experts)
-		}
-	}
-	for n := 0; n < workers; n++ {
-		p.Bandwidth[n] = 1
-		p.Capacity[n] = cfg.Layers * cfg.Experts
-		p.WorkerNode[n] = n
-	}
-	return p
+	return ft.Losses.Values, sys, nil
 }
 
 // randomBatcher yields a deterministic sequence of distinct batches, so

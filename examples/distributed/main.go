@@ -2,8 +2,9 @@
 // loopback sockets in a single process — the same code path as the
 // separate velamaster/velaworker binaries, self-contained for easy
 // experimentation. It fine-tunes twice, once with sequential placement
-// and once with the locality-aware LP, and compares the measured
-// cross-node traffic of the two runs.
+// and once with the locality-aware LP, and compares the two runs:
+// it exits non-zero unless the loss series are bit-identical and the LP
+// moved strictly fewer measured cross-node bytes.
 //
 // Run with: go run ./examples/distributed
 package main
@@ -14,11 +15,11 @@ import (
 
 	"repro/internal/broker"
 	"repro/internal/cluster"
+	"repro/internal/core"
 	"repro/internal/data"
-	"repro/internal/metrics"
 	"repro/internal/moe"
-	"repro/internal/nn"
 	"repro/internal/placement"
+	"repro/internal/testutil"
 	"repro/internal/trainer"
 	"repro/internal/transport"
 )
@@ -44,57 +45,47 @@ func run() error {
 	pre := trainer.DefaultPretrain()
 	pre.Steps = 80
 	// Profile locality once, on a throwaway copy of the checkpoint.
-	probeModel, probeGrid, err := trainer.BuildPretrained(cfg, 16000, pre)
+	probeModel, _, err := trainer.BuildPretrained(cfg, 16000, pre)
 	if err != nil {
 		return err
 	}
-	_ = probeGrid
 	stats, err := trainer.Profile(probeModel, corpus, 10, batch, seqLen, 31)
 	if err != nil {
 		return err
 	}
 
-	prob := &placement.Problem{
-		Workers:         topo.NumWorkers(),
-		Layers:          cfg.Layers,
-		Experts:         cfg.Experts,
-		P:               stats.Prob(),
-		Bandwidth:       topo.Bandwidths(),
-		Capacity:        topo.Capacities(),
-		RoutingsPerStep: float64(batch * seqLen * cfg.TopK),
-		BytesPerToken:   2 * float64(cfg.D),
-		WorkerNode:      topo.WorkerNodes(),
-		MasterNode:      topo.MasterNode,
-	}
-
-	for _, strat := range []placement.Strategy{placement.Sequential{}, placement.LocalityLP{}} {
-		cross, loss, err := runOnce(cfg, topo, corpus, prob, strat, pre)
+	var losses [2][]float64
+	var cross [2]int64
+	for i, strat := range []placement.Strategy{placement.Sequential{}, placement.LocalityLP{}} {
+		cross[i], losses[i], err = runOnce(cfg, topo, corpus, stats, strat, pre)
 		if err != nil {
 			return fmt.Errorf("%s: %w", strat.Name(), err)
 		}
 		fmt.Printf("%-10s final loss %.4f, measured cross-node traffic %.2f MB\n",
-			strat.Name(), loss, float64(cross)/1e6)
+			strat.Name(), losses[i][steps-1], float64(cross[i])/1e6)
 	}
+	switch {
+	case !testutil.BitEqualSlices(losses[0], losses[1]):
+		return fmt.Errorf("FAIL: placement changed the loss trajectory:\n  sequential %v\n  vela-lp    %v", losses[0], losses[1])
+	case cross[1] >= cross[0]:
+		return fmt.Errorf("FAIL: vela-lp moved %d cross-node bytes, sequential %d; want strictly fewer", cross[1], cross[0])
+	}
+	fmt.Println("PASS: loss trajectories bit-identical, locality-aware placement moved fewer cross-node bytes")
 	return nil
 }
 
-// runOnce deploys a fresh checkpoint over TCP workers with the given
-// placement and fine-tunes it, returning measured cross-node bytes and
-// the final loss.
+// runOnce attaches a fresh checkpoint to TCP workers under the given
+// placement strategy and fine-tunes it, returning the measured cross-node
+// bytes and the loss series.
 func runOnce(cfg moe.Config, topo cluster.Topology, corpus *data.Corpus,
-	prob *placement.Problem, strat placement.Strategy, pre trainer.PretrainConfig) (int64, float64, error) {
+	stats *moe.AccessStats, strat placement.Strategy, pre trainer.PretrainConfig) (int64, []float64, error) {
 
 	model, grid, err := trainer.BuildPretrained(cfg, 16000, pre)
 	if err != nil {
-		return 0, 0, err
+		return 0, nil, err
 	}
 	lora := trainer.LoRAConfig{Rank: 4, Alpha: 8, Seed: 21}
 	trainer.PrepareForFinetune(model, grid, lora)
-
-	assign, err := strat.Place(prob)
-	if err != nil {
-		return 0, 0, err
-	}
 
 	// Launch one real TCP worker per device.
 	conns := make([]transport.Conn, topo.NumWorkers())
@@ -102,7 +93,7 @@ func runOnce(cfg moe.Config, topo cluster.Topology, corpus *data.Corpus,
 	for i := 0; i < topo.NumWorkers(); i++ {
 		l, err := transport.Listen("127.0.0.1:0")
 		if err != nil {
-			return 0, 0, err
+			return 0, nil, err
 		}
 		w := broker.NewWorker(i, broker.DefaultWorkerConfig())
 		go func(l *transport.Listener, w *broker.Worker) {
@@ -116,50 +107,41 @@ func runOnce(cfg moe.Config, topo cluster.Topology, corpus *data.Corpus,
 		}(l, w)
 		c, err := transport.Dial(l.Addr())
 		if err != nil {
-			return 0, 0, err
+			return 0, nil, err
 		}
 		conns[i] = c
 	}
 
-	exec := broker.NewExecutor(conns, assign)
-	crossNode := make([]bool, topo.NumWorkers())
-	for n := range crossNode {
-		crossNode[n] = topo.CrossNode(n)
+	sys, err := core.Attach(model, conns, core.Options{
+		Topo:            topo,
+		Strategy:        strat,
+		Stats:           stats,
+		RoutingsPerStep: float64(batch * seqLen * cfg.TopK),
+		LoRA:            lora,
+	})
+	if err != nil {
+		return 0, nil, err
 	}
-	exec.Traffic = metrics.NewTraffic(topo.NumWorkers(), crossNode)
-	spec := broker.ExpertSpec{D: cfg.D, Hidden: cfg.Hidden, LoRARank: lora.Rank, LoRAAlpha: lora.Alpha}
-	if err := exec.Distribute(grid, spec); err != nil {
-		return 0, 0, err
+	if err := sys.Distribute(grid); err != nil {
+		return 0, nil, err
 	}
-	model.SetExecutor(exec)
-
-	backbone := nn.CollectTrainable(model.Params())
-	ft := &trainer.Finetuner{
-		Model:      model,
-		Backbone:   backbone,
-		Opt:        nn.NewAdamW(backbone, nn.PaperAdamWConfig()),
-		Batcher:    data.NewBatcher(corpus, batch, seqLen, 43),
-		ExpertZero: exec.ZeroGrads,
-		ExpertStep: exec.Step,
-	}
+	ft := sys.Finetuner(data.NewBatcher(corpus, batch, seqLen, 43))
 	if err := ft.Run(steps, nil); err != nil {
-		return 0, 0, err
+		return 0, nil, err
 	}
-	finalLoss := ft.Losses.Values[ft.Losses.Len()-1]
-	cross := exec.Traffic.CrossNodeBytes()
 
-	if err := exec.Shutdown(); err != nil {
-		return 0, 0, err
+	if err := sys.Close(); err != nil {
+		return 0, nil, err
 	}
 	for range conns {
 		if err := <-serveDone; err != nil {
-			return 0, 0, err
+			return 0, nil, err
 		}
 	}
 	for _, c := range conns {
 		if err := c.Close(); err != nil {
-			return 0, 0, err
+			return 0, nil, err
 		}
 	}
-	return cross, finalLoss, nil
+	return sys.CrossNodeBytes(), ft.Losses.Values, nil
 }

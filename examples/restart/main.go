@@ -33,9 +33,9 @@ import (
 
 	"repro/internal/broker"
 	"repro/internal/checkpoint"
+	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/data"
-	"repro/internal/metrics"
 	"repro/internal/moe"
 	"repro/internal/nn"
 	"repro/internal/obs"
@@ -53,12 +53,9 @@ const (
 	batch        = 2
 	seqLen       = 16
 	batchSeed    = 7
+	profileSeed  = 6
 	killAfterGen = 6 // SIGKILL the child once this generation is durable
 )
-
-// exampleSeeds ride in every checkpoint so a resume against a different
-// prelude fails loudly (mirrors velamaster's runSeeds).
-var exampleSeeds = []int64{batchSeed}
 
 func main() {
 	childDir := flag.String("child-ckpt-dir", "", "internal: run the checkpointing child phase against this directory")
@@ -94,17 +91,11 @@ func runParent() error {
 	if err != nil {
 		return err
 	}
-	refSys.ft.OnStep = func(step int) error {
-		if err := refSys.sup.Checkpoint(step); err != nil {
-			return err
-		}
-		return refSys.ctrl.OnStep(step)
-	}
 	if err := refSys.ft.Run(totalSteps, nil); err != nil {
 		return err
 	}
 	ref := refSys.ft.Losses.Values
-	if err := refSys.exec.Shutdown(); err != nil {
+	if err := refSys.Close(); err != nil {
 		return err
 	}
 
@@ -155,54 +146,41 @@ func runParent() error {
 	if err != nil {
 		return err
 	}
+	// Experts were NOT distributed: Resume ships the checkpointed state
+	// (AdamW moments included) — the path velamaster -resume takes.
 	t0 := time.Now()
-	rs, err := store.LoadLatest()
+	rs, err := sys.Resume(store, sys.ft, sys.cap)
 	if err != nil {
-		return fmt.Errorf("resume: %w", err)
+		return err
 	}
 	if rs.Generation != newest-1 {
 		return fmt.Errorf("resume loaded generation %d, want fallback to %d", rs.Generation, newest-1)
 	}
-	// Experts are NOT re-distributed: RestoreRun ships the checkpointed
-	// state (AdamW moments included) and installs the checkpointed
-	// assignment — the resume path velamaster -resume takes.
-	if err := core.RestoreRun(rs, sys.cap); err != nil {
-		return fmt.Errorf("resume: %w", err)
-	}
-	sys.ft.StartStep = rs.Step
-	if err := sys.sup.Checkpoint(rs.Step - 1); err != nil {
-		return err
-	}
-	sys.handle.Ckpt.SetResume(rs.Generation, time.Since(t0).Seconds())
 	fmt.Printf("  resumed at step %d from generation %d (%v)\n",
 		rs.Step, rs.Generation, time.Since(t0).Round(time.Millisecond))
 
-	writer := checkpoint.NewAsyncWriter(store, sys.handle.Ckpt)
-	runCk := &core.RunCheckpointer{Every: 1, Cap: sys.cap, W: writer, Stats: sys.handle.Ckpt}
+	writer := checkpoint.NewAsyncWriter(store, sys.Obs.Ckpt)
+	sys.CheckpointEvery(1, sys.cap, writer)
 	killStep := rs.Step + 1    // sever worker 2's connection after this completed step
 	rejoinStep := killStep + 1 // restart and re-admit it at the following boundary
 	sys.ft.OnStep = func(step int) error {
-		if err := sys.sup.Checkpoint(step); err != nil {
+		if step == rejoinStep {
+			// One heartbeat round by hand: it redials the "restarted" worker
+			// and parks the connection; the boundary below admits it and
+			// nudges the controller to re-solve.
+			sys.sup.Probe()
+			fmt.Printf("  step %d: worker %d restarted, rejoining\n", step+1, killWorker)
+		}
+		if err := sys.StepBoundary(step); err != nil {
 			return err
 		}
 		if step == killStep {
+			// Armed AFTER the boundary's snapshot: the next frame to the
+			// worker severs its connection mid-step.
 			fmt.Printf("  step %d: severing worker %d's connection mid-resume\n", step+1, killWorker)
 			sys.faulty.ArmClose(0)
 		}
-		if step == rejoinStep {
-			// "Restart" the worker: a fresh Expert Manager on a fresh
-			// connection, re-admitted through the supervisor's rejoin path.
-			repl := broker.StartLocalWorkers(1, sys.wcfg)
-			if err := sys.sup.Rejoin(killWorker, repl.Conns[0]); err != nil {
-				return err
-			}
-			fmt.Printf("  step %d: worker %d restarted and rejoined\n", step+1, killWorker)
-			sys.ctrl.RequestResolve(fmt.Sprintf("worker %d rejoined", killWorker))
-		}
-		if err := sys.ctrl.OnStep(step); err != nil {
-			return err
-		}
-		return runCk.OnStep(step)
+		return nil
 	}
 	if err := sys.ft.Run(totalSteps, nil); err != nil {
 		return err
@@ -210,22 +188,15 @@ func runParent() error {
 	if err := writer.Close(); err != nil {
 		return err
 	}
-	if err := sys.exec.Shutdown(); err != nil {
+	if err := sys.Close(); err != nil {
 		return err
 	}
 
 	// Verdicts.
 	bitIdentical := testutil.BitEqualSlices(ref, sys.ft.Losses.Values)
-	rc := sys.exec.Recovery.Snapshot()
-	back := 0
-	for _, row := range sys.exec.Assignment().Worker {
-		for _, w := range row {
-			if w == killWorker {
-				back++
-			}
-		}
-	}
-	ck := sys.handle.Ckpt.Snapshot()
+	rc := sys.Exec.Recovery.Snapshot()
+	back := sys.Exec.Assignment().Loads(workers)[killWorker]
+	ck := sys.Obs.Ckpt.Snapshot()
 
 	fmt.Printf("\n%-6s %-14s %-14s\n", "step", "failure-free", "kill+resume")
 	for s := range ref {
@@ -278,10 +249,7 @@ func runChild(dir string) error {
 	}
 	store := &checkpoint.RunStore{Dir: dir}
 	sys.ft.OnStep = func(step int) error {
-		if err := sys.sup.Checkpoint(step); err != nil {
-			return err
-		}
-		if err := sys.ctrl.OnStep(step); err != nil {
+		if err := sys.StepBoundary(step); err != nil {
 			return err
 		}
 		// Synchronous save: the generation is durable before the step
@@ -301,7 +269,7 @@ func runChild(dir string) error {
 	if err := sys.ft.Run(totalSteps, nil); err != nil {
 		return err
 	}
-	return sys.exec.Shutdown()
+	return sys.Close()
 }
 
 // waitForGeneration polls the store until generation want is durable.
@@ -319,19 +287,19 @@ func waitForGeneration(store *checkpoint.RunStore, want uint64, timeout time.Dur
 
 // system is one fully wired deterministic deployment. Every phase builds
 // an identical one — the resume contract is that the prelude is a pure
-// function of its seeds, with all mutable state poured in by RestoreRun.
+// function of its seeds, with all mutable state poured in by Resume.
 type system struct {
-	handle *obs.Handle
-	wcfg   broker.WorkerConfig
+	*core.System
 	faulty *transport.Faulty
-	exec   *broker.Executor
 	sup    *broker.Supervisor
-	ctrl   *replace.Controller
 	ft     *trainer.Finetuner
 	cap    *core.RunCapture
 }
 
-func buildSystem(withFault bool) (*system, error) {
+// buildSystem attaches the deterministic prelude to fresh in-process
+// workers and distributes the experts — except when resuming, which puts
+// worker killWorker behind a fault injector and leaves them to Resume.
+func buildSystem(resuming bool) (*system, error) {
 	cfg := moe.Config{Vocab: data.VocabSize, D: 16, Heads: 2, Hidden: 24, Layers: 3, Experts: 3, TopK: 2}
 	pre := trainer.DefaultPretrain()
 	pre.Steps = 60
@@ -342,6 +310,10 @@ func buildSystem(withFault bool) (*system, error) {
 	lora := trainer.LoRAConfig{Rank: 2, Alpha: 4, Seed: 21}
 	trainer.PrepareForFinetune(model, grid, lora)
 	corpus := data.Shakespeare(6000)
+	stats, err := trainer.Profile(model, corpus, 4, batch, seqLen, profileSeed)
+	if err != nil {
+		return nil, err
+	}
 
 	handle := obs.NewHandle(obs.Config{Workers: workers, Layers: cfg.Layers, Experts: cfg.Experts})
 	wcfg := broker.DefaultWorkerConfig()
@@ -349,94 +321,58 @@ func buildSystem(withFault bool) (*system, error) {
 	dep := broker.StartLocalWorkers(workers, wcfg)
 	conns := append([]transport.Conn(nil), dep.Conns...)
 	var faulty *transport.Faulty
-	if withFault {
+	if resuming {
 		faulty = transport.NewFaulty(conns[killWorker], 7, transport.FaultPlan{})
 		conns[killWorker] = faulty
 	}
 
-	prob := uniformProblem(cfg)
-	assign, err := (placement.Sequential{}).Place(prob)
+	// Equal links, each worker able to host the whole grid: survivors
+	// absorb a failover, and once the worker is back only load balance —
+	// not a faster link — argues for moving its experts home.
+	sys, err := core.Attach(model, conns, core.Options{
+		Topo:            cluster.Uniform(workers, 1, cfg.Layers*cfg.Experts, cluster.GB, cluster.GB),
+		Strategy:        placement.Sequential{},
+		Stats:           stats,
+		RoutingsPerStep: float64(batch * seqLen * cfg.TopK),
+		LoRA:            lora,
+		Obs:             handle,
+	})
 	if err != nil {
 		return nil, err
 	}
-	exec := broker.NewExecutor(conns, assign)
-	exec.RequestTimeout = 2 * time.Second
-	exec.Recovery = &metrics.Recovery{}
-	exec.Obs = handle
-	spec := broker.ExpertSpec{D: cfg.D, Hidden: cfg.Hidden, LoRARank: lora.Rank, LoRAAlpha: lora.Alpha}
-	// The fresh experts shipped here are the run's real state for the
-	// reference and child phases; the resumed phase overwrites them
-	// wholesale when RestoreRun re-provisions from the checkpoint.
-	if err := exec.Distribute(grid, spec); err != nil {
-		return nil, err
+	sys.Exec.RequestTimeout = 2 * time.Second
+	if !resuming {
+		if err := sys.Distribute(grid); err != nil {
+			return nil, err
+		}
 	}
-	model.SetExecutor(exec)
-	model.SetObs(handle)
-	handle.Drift.SetBaseline(prob.P)
 
-	sup := broker.NewSupervisor(exec, prob, broker.SupervisorConfig{})
-	sup.Obs = handle
+	sup := sys.Supervisor(broker.SupervisorConfig{})
 	sup.OnFailover = func(dead []int, next *placement.Assignment) {
 		fmt.Printf("  supervisor: worker(s) %v declared dead, experts failed over\n", dead)
+	}
+	// A "restarted" worker is a fresh Expert Manager on a fresh connection.
+	sup.Redial = func(int) (transport.Conn, error) {
+		return broker.StartLocalWorkers(1, wcfg).Conns[0], nil
 	}
 
 	// The controller is armed but its drift trigger is far out of reach
 	// (threshold 10 over an L1 signal bounded by 2): only the explicit
 	// rejoin nudge can start a re-solve. The generous amortization horizon
 	// lets the migrate-back pass the cost gate on this tiny deployment.
-	ctrl, err := replace.New(prob, handle, exec, replace.Config{
-		DriftThreshold: 10,
-		AmortizeSteps:  500,
-		ExpertBytes:    spec.PayloadBytes(),
-	})
+	ctrl, err := sys.ReplaceController(replace.Config{DriftThreshold: 10, AmortizeSteps: 500})
 	if err != nil {
 		return nil, err
 	}
 
-	backbone := nn.CollectTrainable(model.Params())
-	opt := nn.NewAdamW(backbone, nn.PaperAdamWConfig())
 	batcher := data.NewBatcher(corpus, batch, seqLen, batchSeed)
-	ft := &trainer.Finetuner{
-		Model:      model,
-		Backbone:   backbone,
-		Opt:        opt,
-		Batcher:    batcher,
-		ExpertZero: exec.ZeroGrads,
-		ExpertStep: exec.Step,
-		Obs:        handle,
-		Recover:    sup.Recover,
-	}
+	ft := sys.Finetuner(batcher)
 	cap := &core.RunCapture{
-		Backbone: backbone, Opt: opt, Exec: exec, Sup: sup,
+		Backbone: ft.Backbone, Opt: ft.Opt.(*nn.AdamW), Exec: sys.Exec, Sup: sup,
 		Cursor: batcher.Cursor, Seek: batcher.SeekTo,
-		Drift: handle.Drift, Ctrl: ctrl, Losses: &ft.Losses, Seeds: exampleSeeds,
+		Drift: handle.Drift, Ctrl: ctrl, Losses: &ft.Losses,
+		// A resume against a different prelude must fail loudly.
+		Seeds: []int64{profileSeed, batchSeed},
 	}
-	return &system{handle: handle, wcfg: wcfg, faulty: faulty, exec: exec,
-		sup: sup, ctrl: ctrl, ft: ft, cap: cap}, nil
-}
-
-// uniformProblem gives the placement machinery a valid instance: uniform
-// popularity, equal bandwidth, full-grid capacity.
-func uniformProblem(cfg moe.Config) *placement.Problem {
-	p := &placement.Problem{
-		Workers: workers, Layers: cfg.Layers, Experts: cfg.Experts,
-		P:               make([][]float64, cfg.Layers),
-		Bandwidth:       make([]float64, workers),
-		Capacity:        make([]int, workers),
-		RoutingsPerStep: float64(batch * seqLen * cfg.TopK),
-		BytesPerToken:   float64(2 * cfg.D),
-		WorkerNode:      make([]int, workers),
-	}
-	for l := range p.P {
-		p.P[l] = make([]float64, cfg.Experts)
-		for e := range p.P[l] {
-			p.P[l][e] = 1.0 / float64(cfg.Experts)
-		}
-	}
-	for n := 0; n < workers; n++ {
-		p.Bandwidth[n] = 1
-		p.Capacity[n] = cfg.Layers * cfg.Experts
-		p.WorkerNode[n] = n
-	}
-	return p
+	return &system{System: sys, faulty: faulty, sup: sup, ft: ft, cap: cap}, nil
 }

@@ -201,15 +201,11 @@ func finetune(controlled bool) (*result, error) {
 	}
 	defer sys.Close()
 
-	sup, err := sys.Supervisor(broker.SupervisorConfig{})
-	if err != nil {
-		return nil, err
-	}
+	sys.Supervisor(broker.SupervisorConfig{})
 
 	res := &result{handle: handle, migStep: -1}
-	var ctrl *replace.Controller
 	if controlled {
-		ctrl, err = sys.ReplaceController(replace.Config{
+		ctrl, err := sys.ReplaceController(replace.Config{
 			DriftThreshold:   0.09,
 			ConsecutiveSteps: 4,
 			CooldownSteps:    24,
@@ -235,35 +231,11 @@ func finetune(controlled bool) (*result, error) {
 	// actually moves (master↔worker totals are placement-invariant).
 	stepBytes := make([]int64, 0, steps)
 
-	backbone := nn.CollectTrainable(model.Params())
-	ft := &trainer.Finetuner{
-		Model:      model,
-		Backbone:   backbone,
-		Opt:        nn.NewSGD(backbone, 0.02),
-		Batcher:    data.NewSwitchBatcher(data.NewBatcher(wiki, batch, seqLen, 7), data.NewBatcher(alpaca, batch, seqLen, 8), spliceAt),
-		ExpertZero: sys.Exec.ZeroGrads,
-		ExpertStep: sys.Exec.Step,
-		Obs:        handle,
-		Recover:    sup.Recover,
-		OnStep: func(step int) error {
-			if os.Getenv("SHIFT_DEBUG") != "" {
-				reason := "-"
-				if ctrl != nil {
-					reason = ctrl.LastReason
-				}
-				fmt.Printf("  dbg step=%d drift=%.4f reason=%s\n", step, handle.Drift.MaxDrift(), reason)
-			}
-			stepBytes = append(stepBytes, sys.CrossNodeBytes())
-			// Snapshot BEFORE the controller may migrate, so a failover
-			// right after a migration restores post-migration state.
-			if err := sup.Checkpoint(step); err != nil {
-				return err
-			}
-			if ctrl != nil {
-				return ctrl.OnStep(step)
-			}
-			return nil
-		},
+	ft := sys.Finetuner(data.NewSwitchBatcher(data.NewBatcher(wiki, batch, seqLen, 7), data.NewBatcher(alpaca, batch, seqLen, 8), spliceAt))
+	ft.Opt = nn.NewSGD(ft.Backbone, 0.02)
+	ft.OnStep = func(step int) error {
+		stepBytes = append(stepBytes, sys.CrossNodeBytes())
+		return sys.StepBoundary(step)
 	}
 	if err := ft.Run(steps, nil); err != nil {
 		return nil, err

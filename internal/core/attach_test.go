@@ -1,0 +1,237 @@
+package core
+
+import (
+	"bytes"
+	"strings"
+	"sync"
+	"testing"
+
+	"repro/internal/broker"
+	"repro/internal/data"
+	"repro/internal/moe"
+	"repro/internal/obs"
+	"repro/internal/placement"
+	"repro/internal/replace"
+	"repro/internal/testutil"
+	"repro/internal/trainer"
+	"repro/internal/transport"
+)
+
+// prelude builds the deterministic pre-Attach state every test of the one
+// assembly path shares: prepared checkpoint, profiled statistics, and an
+// instrumented Options over the 3-device test topology.
+func prelude(t *testing.T) (*moe.Model, [][]*moe.Expert, Options, *data.Corpus) {
+	t.Helper()
+	m, grid, cfg := buildCheckpoint(t)
+	lora := trainer.LoRAConfig{Rank: 2, Alpha: 4, Seed: 5}
+	trainer.PrepareForFinetune(m, grid, lora)
+	corpus := data.Shakespeare(4000)
+	stats, err := trainer.Profile(m, corpus, 4, 2, 16, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	topo := testTopology()
+	h := obs.NewHandle(obs.Config{Workers: topo.NumWorkers(), Layers: cfg.Layers, Experts: cfg.Experts})
+	return m, grid, Options{Topo: topo, Stats: stats, LoRA: lora, Obs: h}, corpus
+}
+
+// supervised builds the supervisor and an armed controller whose drift
+// trigger is out of reach (only an explicit request starts a re-solve),
+// then returns the fine-tuner with the default step boundary.
+func supervised(t *testing.T, sys *System, corpus *data.Corpus) (*trainer.Finetuner, *replace.Controller) {
+	t.Helper()
+	sys.Supervisor(broker.SupervisorConfig{})
+	ctrl, err := sys.ReplaceController(replace.Config{DriftThreshold: 10, AmortizeSteps: 1 << 30})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sys.Finetuner(data.NewBatcher(corpus, 2, 16, 7)), ctrl
+}
+
+// tcpWorkers starts n Expert Managers behind real loopback listeners and
+// returns a dialer for one master's worth of connections. A worker keeps
+// its experts across connections: when a master's connection drops it
+// accepts the next one — what a restarted master re-attaches to.
+func tcpWorkers(t *testing.T, n int) func() []transport.Conn {
+	t.Helper()
+	var wg sync.WaitGroup
+	t.Cleanup(wg.Wait) // registered first, so it runs after the listeners close
+	addrs := make([]string, n)
+	for i := range addrs {
+		l, err := transport.Listen("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { l.Close() })
+		addrs[i] = l.Addr()
+		w := broker.NewWorker(i, broker.DefaultWorkerConfig())
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				c, err := l.Accept()
+				if err != nil {
+					return // listener closed
+				}
+				err = w.Serve(c)
+				//lint:ignore errdispatch the serve loop already returned; the close error carries no signal
+				_ = c.Close()
+				if err == nil {
+					return // MsgShutdown
+				}
+			}
+		}()
+	}
+	return func() []transport.Conn {
+		conns := make([]transport.Conn, n)
+		for i, addr := range addrs {
+			c, err := transport.Dial(addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			//lint:ignore errdispatch teardown: the test may already have closed it
+			t.Cleanup(func() { _ = c.Close() })
+			conns[i] = c
+		}
+		return conns
+	}
+}
+
+// TestAttachOverTCPMatchesDeploy: the assembly is the same whatever
+// carries the frames — Attach over real TCP workers, with supervisor,
+// controller and the default step boundary, trains bit-identically to
+// chan-pipe Deploy — and a second Attach to the same workers that does
+// not Distribute (the -resume shape) sends them nothing.
+func TestAttachOverTCPMatchesDeploy(t *testing.T) {
+	const steps = 8
+
+	m, grid, opts, corpus := prelude(t)
+	ref, err := Deploy(m, grid, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ref.Close()
+	refFT, _ := supervised(t, ref, corpus)
+	if err := refFT.Run(steps, nil); err != nil {
+		t.Fatal(err)
+	}
+
+	dial := tcpWorkers(t, opts.Topo.NumWorkers())
+	m, grid, opts, corpus = prelude(t)
+	conns := dial()
+	sys, err := Attach(m, conns, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Distribute(grid); err != nil {
+		t.Fatal(err)
+	}
+	ft, _ := supervised(t, sys, corpus)
+	if err := ft.Run(steps, nil); err != nil {
+		t.Fatal(err)
+	}
+	if !testutil.BitEqualSlices(refFT.Losses.Values, ft.Losses.Values) {
+		t.Fatalf("TCP Attach diverged from chan-pipe Deploy:\ndeploy = %v\nattach = %v",
+			refFT.Losses.Values, ft.Losses.Values)
+	}
+	if got := sys.Exec.Recovery.Snapshot().Snapshots; got != steps {
+		t.Fatalf("default step boundary took %d snapshots over %d steps", got, steps)
+	}
+
+	want, err := sys.Exec.Checksums()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range conns { // the master "dies"; the workers keep their experts
+		if err := c.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m, _, opts, _ = prelude(t)
+	again, err := Attach(m, dial(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := again.Exec.Checksums()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for n := range want {
+		// Tolerance, not bits: a worker sums its experts in map order.
+		if !testutil.SlicesAlmostEqual(want[n], got[n], testutil.DefaultTol) {
+			t.Fatalf("worker %d state changed across a re-Attach: %v -> %v", n, want[n], got[n])
+		}
+	}
+	if err := again.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestStepBoundarySnapshotsBeforeController pins the boundary order: with
+// a re-solve requested that would move experts and a connection armed to
+// close on its next frame, the boundary must fail in the snapshot round,
+// before the controller is consulted and with the assignment unmoved. It
+// fails if the snapshot is moved after the controller.
+func TestStepBoundarySnapshotsBeforeController(t *testing.T) {
+	m, grid, opts, corpus := prelude(t)
+	opts.Strategy = placement.Sequential{} // non-optimized, so the re-solve has moves to make
+	dep := broker.StartLocalWorkers(opts.Topo.NumWorkers(), broker.DefaultWorkerConfig())
+	t.Cleanup(dep.Close)
+	conns := append([]transport.Conn(nil), dep.Conns...)
+	faulty := transport.NewFaulty(conns[1], 7, transport.FaultPlan{})
+	conns[1] = faulty
+	sys, err := Attach(m, conns, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Distribute(grid); err != nil {
+		t.Fatal(err)
+	}
+	_, ctrl := supervised(t, sys, corpus)
+
+	before := sys.Exec.Assignment()
+	lp, err := placement.LocalityLP{}.Place(sys.Problem)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if moves, err := placement.Diff(before, lp); err != nil || len(moves) == 0 {
+		t.Fatalf("setup: a re-solve must have experts to move (moves %v, err %v)", moves, err)
+	}
+
+	ctrl.RequestResolve("test")
+	faulty.ArmClose(0)
+	if err := sys.StepBoundary(0); err == nil {
+		t.Fatal("boundary succeeded although the snapshot round lost a connection")
+	}
+	if checks := opts.Obs.Replace.Snapshot().Checks; checks != 0 {
+		t.Fatalf("controller consulted %d time(s) (%q) before the snapshot succeeded", checks, ctrl.LastReason)
+	}
+	if moves, err := placement.Diff(before, sys.Exec.Assignment()); err != nil || len(moves) != 0 {
+		t.Fatalf("assignment moved without a restore point (moves %v, err %v)", moves, err)
+	}
+}
+
+// TestDeployedSystemScrapesRecovery: every assembled system carries the
+// recovery meter and, once a supervisor exists, its rejoin queue — a
+// core-deployed system used to scrape neither.
+func TestDeployedSystemScrapesRecovery(t *testing.T) {
+	m, grid, opts, corpus := prelude(t)
+	sys, err := Deploy(m, grid, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	ft, _ := supervised(t, sys, corpus)
+	if err := ft.Run(1, nil); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := obs.WriteMetrics(&buf, sys.MetricsSource()); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"vela_recovery_snapshots_total 1\n", "vela_workers_rejoining 0\n"} {
+		if !strings.Contains(buf.String(), want) {
+			t.Fatalf("scrape lacks %q", want)
+		}
+	}
+}

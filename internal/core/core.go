@@ -10,16 +10,27 @@
 //  4. detach the experts onto Expert Manager workers per the placement;
 //  5. fine-tune with LoRA through the broker, counting every byte.
 //
-// Examples and cmd/ binaries build on this package; the underlying pieces
-// remain usable à la carte.
+// A master is assembled one way, whatever carries its frames. Attach
+// wires a model to any []transport.Conn (chan pipes, TCP, a
+// transport.Faulty wrapper): it solves the placement, builds the metered
+// executor, and sends nothing. System.Distribute ships the experts; a
+// restarted run calls System.Resume (runstate.go) instead. Supervisor,
+// ReplaceController and CheckpointEvery build the step-boundary handlers;
+// System.Finetuner's OnStep is System.StepBoundary, the one statement of
+// their order. Deploy is Attach + Distribute over in-process workers.
+//
+// cmd/velamaster and the chaos, restart, distributed and shift examples
+// assemble through these. The pieces remain usable à la carte: bench/
+// (which times each separately) and examples/epbaseline (a pre-computed
+// EP layout, no statistics) hand-wire broker.NewExecutor on purpose.
 package core
 
 import (
 	"fmt"
 
 	"repro/internal/broker"
+	"repro/internal/checkpoint"
 	"repro/internal/cluster"
-	"repro/internal/data"
 	"repro/internal/metrics"
 	"repro/internal/moe"
 	"repro/internal/nn"
@@ -58,10 +69,10 @@ func resolveCostModel(routingsPerStep float64, bitDepth, topK int, enc wire.Enco
 	return routingsPerStep, bitDepth
 }
 
-// Options configures Deploy.
+// Options configures Attach and Deploy.
 type Options struct {
-	// Topo describes the (simulated) cluster; one worker is launched per
-	// device. Required.
+	// Topo describes the (simulated) cluster, one device per worker
+	// connection. Required.
 	Topo cluster.Topology
 	// Strategy chooses the expert placement; defaults to the paper's
 	// locality-aware LP when nil.
@@ -83,20 +94,20 @@ type Options struct {
 	WireEncoding wire.Encoding
 	// LoRA carried by the experts (needed to rebuild them worker-side).
 	LoRA trainer.LoRAConfig
-	// Worker selects the Expert Manager optimizer configuration;
-	// defaults to the paper's AdamW.
+	// Worker selects the optimizer configuration of the in-process Expert
+	// Managers Deploy starts; defaults to the paper's AdamW. Attach
+	// ignores it (the workers behind its connections are the caller's).
 	Worker *broker.WorkerConfig
 	// Obs, when non-nil, instruments the whole deployment: the broker's
-	// exchange lifecycle, the in-process workers' compute timing, the
+	// exchange lifecycle, Deploy's in-process workers' compute timing, the
 	// model's gate routing (P-drift baseline comes from Stats), and the
 	// placement objective's predicted comm time. System.Finetuner wires
 	// the same handle into the training loop.
 	Obs *obs.Handle
 }
 
-// System is a deployed VELA instance: backbone on the "master" (this
-// process), experts on in-process Expert Manager workers connected
-// through the broker, with byte-level traffic accounting.
+// System is an assembled VELA master: backbone in this process, experts
+// on Expert Manager workers behind the broker, every byte counted.
 type System struct {
 	Model      *moe.Model
 	Topo       cluster.Topology
@@ -106,9 +117,8 @@ type System struct {
 	// Obs is the deployment's observability handle (nil when Options.Obs
 	// was not set).
 	Obs *obs.Handle
-	// Problem is the placement problem the deployment solved (nil when
-	// DeployWithAssignment ran without Stats). Rebalance refreshes it;
-	// Supervisor and ReplaceController re-solve against it.
+	// Problem is the placement problem the deployment solved. Rebalance
+	// refreshes it; Supervisor and ReplaceController re-solve against it.
 	Problem *placement.Problem
 	// Spec is the deployed experts' wire architecture; its PayloadBytes
 	// feeds the re-placement controller's migration-cost model.
@@ -119,8 +129,13 @@ type System struct {
 	BitDepth        int
 	WireEncoding    wire.Encoding
 
-	deployment *broker.LocalDeployment
-	closed     bool
+	// Step-boundary handlers built so far, and Deploy's in-process workers
+	// (an empty deployment when the connections are the caller's).
+	sup    *broker.Supervisor
+	ctrl   *replace.Controller
+	ckpt   *RunCheckpointer
+	local  *broker.LocalDeployment
+	closed bool
 }
 
 // PlacementProblem builds the §IV-B optimization problem from a topology
@@ -142,25 +157,28 @@ func PlacementProblem(topo cluster.Topology, stats *moe.AccessStats, routingsPer
 	}
 }
 
-// Deploy detaches the experts of (model, grid) onto freshly started
-// in-process workers according to the chosen placement strategy, and
-// rewires the model's MoE blocks through the Expert Broker.
-//
-// The model and grid are typically a pre-trained checkpoint already
-// prepared for fine-tuning (trainer.PrepareForFinetune). After Deploy,
-// the local grid objects are stale: the authoritative expert weights live
-// on the workers.
-func Deploy(model *moe.Model, grid [][]*moe.Expert, opts Options) (*System, error) {
+// Attach assembles a master over the caller's worker connections, one
+// per Topo device: it resolves the cost model once, solves the placement,
+// builds the executor with its traffic and recovery meters, and rewires
+// the model's MoE blocks through the Expert Broker. It starts nothing and
+// sends nothing: the connections stay the caller's to close, and the
+// experts reach the workers through Distribute or Resume. The model is
+// typically prepared (trainer.PrepareForFinetune) and profiled already.
+func Attach(model *moe.Model, conns []transport.Conn, opts Options) (*System, error) {
 	if err := opts.Topo.Validate(); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
+	}
+	workers := opts.Topo.NumWorkers()
+	if len(conns) != workers {
+		return nil, fmt.Errorf("core: %d worker connections for a %d-device topology", len(conns), workers)
+	}
+	if opts.Stats == nil {
+		return nil, fmt.Errorf("core: Options.Stats is required (run trainer.Profile first)")
 	}
 	cfg := model.Cfg
 	strategy := opts.Strategy
 	if strategy == nil {
 		strategy = placement.LocalityLP{}
-	}
-	if opts.Stats == nil {
-		return nil, fmt.Errorf("core: Options.Stats is required (run trainer.Profile first)")
 	}
 	routings, bitDepth := resolveCostModel(opts.RoutingsPerStep, opts.BitDepth, cfg.TopK, opts.WireEncoding)
 	prob := PlacementProblem(opts.Topo, opts.Stats, routings, cfg.D, bitDepth, opts.WireEncoding)
@@ -168,11 +186,67 @@ func Deploy(model *moe.Model, grid [][]*moe.Expert, opts Options) (*System, erro
 	if err != nil {
 		return nil, fmt.Errorf("core: placing experts with %s: %w", strategy.Name(), err)
 	}
-	return DeployWithAssignment(model, grid, assign, opts)
+
+	crossNode := make([]bool, workers)
+	for n := range crossNode {
+		crossNode[n] = opts.Topo.CrossNode(n)
+	}
+	exec := broker.NewExecutor(conns, assign)
+	exec.Obs = opts.Obs
+	exec.Traffic = metrics.NewTraffic(workers, crossNode)
+	exec.Recovery = &metrics.Recovery{}
+	exec.BytesPerValue = float64(bitDepth) / 8
+	exec.WireEncoding = opts.WireEncoding
+	model.SetExecutor(exec)
+
+	s := &System{
+		Model:      model,
+		Topo:       opts.Topo,
+		Assignment: assign,
+		Exec:       exec,
+		Traffic:    exec.Traffic,
+		Obs:        opts.Obs,
+		Problem:    prob,
+		Spec: broker.ExpertSpec{
+			D: cfg.D, Hidden: cfg.Hidden,
+			LoRARank: opts.LoRA.Rank, LoRAAlpha: opts.LoRA.Alpha,
+		},
+		RoutingsPerStep: routings,
+		BitDepth:        bitDepth,
+		WireEncoding:    opts.WireEncoding,
+		local:           &broker.LocalDeployment{},
+	}
+	model.SetObs(opts.Obs)
+	s.anchorDrift()
+	return s, nil
 }
 
-// DeployWithAssignment is Deploy with a pre-computed placement.
-func DeployWithAssignment(model *moe.Model, grid [][]*moe.Expert, assign *placement.Assignment, opts Options) (*System, error) {
+// anchorDrift makes the current problem and assignment the drift
+// monitor's reference: P becomes the baseline, the objective's value for
+// the assignment the predicted-comm gauge.
+func (s *System) anchorDrift() {
+	if s.Obs == nil {
+		return
+	}
+	s.Obs.Drift.SetBaseline(s.Problem.P)
+	if m, err := placement.Evaluate(s.Problem, s.Assignment); err == nil {
+		s.Obs.Drift.SetPredictedComm(m.CommTime)
+	}
+}
+
+// Distribute detaches the experts of grid onto the workers per the
+// solved placement. After it, the local grid objects are stale: the
+// authoritative expert weights live on the workers.
+func (s *System) Distribute(grid [][]*moe.Expert) error {
+	if err := s.Exec.Distribute(grid, s.Spec); err != nil {
+		return fmt.Errorf("core: distributing experts: %w", err)
+	}
+	return nil
+}
+
+// Deploy is Attach + Distribute over freshly started in-process workers
+// (chan pipes), one per Topo device; Close shuts them down.
+func Deploy(model *moe.Model, grid [][]*moe.Expert, opts Options) (*System, error) {
 	wcfg := broker.DefaultWorkerConfig()
 	if opts.Worker != nil {
 		wcfg = *opts.Worker
@@ -182,114 +256,138 @@ func DeployWithAssignment(model *moe.Model, grid [][]*moe.Expert, assign *placem
 		// carries real per-worker compute histograms.
 		wcfg.Obs = opts.Obs
 	}
-	routings, bitDepth := resolveCostModel(opts.RoutingsPerStep, opts.BitDepth, model.Cfg.TopK, opts.WireEncoding)
 	dep := broker.StartLocalWorkers(opts.Topo.NumWorkers(), wcfg)
-	exec := broker.NewExecutor(dep.Conns, assign)
-	exec.Obs = opts.Obs
-	crossNode := make([]bool, opts.Topo.NumWorkers())
-	for n := range crossNode {
-		crossNode[n] = opts.Topo.CrossNode(n)
+	s, err := Attach(model, dep.Conns, opts)
+	if err == nil {
+		s.local = dep
+		err = s.Distribute(grid)
 	}
-	traffic := metrics.NewTraffic(opts.Topo.NumWorkers(), crossNode)
-	exec.Traffic = traffic
-	// One resolved bit depth drives both the traffic accounting and the
-	// placement objective (previously the executor silently kept its own
-	// 16-bit default while the objective resolved independently).
-	exec.BytesPerValue = float64(bitDepth) / 8
-	exec.WireEncoding = opts.WireEncoding
-	spec := broker.ExpertSpec{
-		D: model.Cfg.D, Hidden: model.Cfg.Hidden,
-		LoRARank: opts.LoRA.Rank, LoRAAlpha: opts.LoRA.Alpha,
-	}
-	if err := exec.Distribute(grid, spec); err != nil {
+	if err != nil {
 		dep.Close()
-		return nil, fmt.Errorf("core: distributing experts: %w", err)
+		return nil, err
 	}
-	model.SetExecutor(exec)
-	var prob *placement.Problem
-	if opts.Stats != nil {
-		prob = PlacementProblem(opts.Topo, opts.Stats, routings, model.Cfg.D, bitDepth, opts.WireEncoding)
-	}
-	if opts.Obs != nil {
-		model.SetObs(opts.Obs)
-		if prob != nil {
-			// The placement-time P is the drift baseline; the objective's
-			// value for this assignment is the predicted comm gauge.
-			opts.Obs.Drift.SetBaseline(prob.P)
-			if m, err := placement.Evaluate(prob, assign); err == nil {
-				opts.Obs.Drift.SetPredictedComm(m.CommTime)
-			}
-		}
-	}
-	return &System{
-		Model:           model,
-		Topo:            opts.Topo,
-		Assignment:      assign,
-		Exec:            exec,
-		Traffic:         traffic,
-		Obs:             opts.Obs,
-		Problem:         prob,
-		Spec:            spec,
-		RoutingsPerStep: routings,
-		BitDepth:        bitDepth,
-		WireEncoding:    opts.WireEncoding,
-		deployment:      dep,
-	}, nil
+	return s, nil
 }
 
-// Finetuner returns a trainer.Finetuner whose expert optimizer control
-// flows through the broker to the workers.
-func (s *System) Finetuner(corpus *data.Corpus, batch, seqLen int, seed int64) *trainer.Finetuner {
+// Supervisor builds the system's failure handler, wired to re-solve
+// against the deployment's placement problem and to refresh the obs
+// predicted-comm gauge after a failover. StepBoundary, Finetuner and
+// MetricsSource use it; its hooks and Start stay the caller's.
+func (s *System) Supervisor(cfg broker.SupervisorConfig) *broker.Supervisor {
+	s.sup = broker.NewSupervisor(s.Exec, s.Problem, cfg)
+	s.sup.Obs = s.Obs
+	return s.sup
+}
+
+// ReplaceController builds the online re-placement controller over this
+// deployment: it watches the system's drift monitor and, via the
+// executor, migrates experts live when the placement goes stale. An
+// unset ExpertBytes defaults to the deployed expert spec's wire payload.
+// The system remembers it and StepBoundary runs it after the snapshot.
+func (s *System) ReplaceController(cfg replace.Config) (*replace.Controller, error) {
+	if cfg.ExpertBytes <= 0 {
+		cfg.ExpertBytes = s.Spec.PayloadBytes()
+	}
+	var err error
+	s.ctrl, err = replace.New(s.Problem, s.Obs, s.Exec, cfg)
+	return s.ctrl, err
+}
+
+// CheckpointEvery installs StepBoundary's last handler: a run-level
+// checkpoint of c through w after every every-th completed step.
+func (s *System) CheckpointEvery(every int, c *RunCapture, w *checkpoint.AsyncWriter) {
+	s.ckpt = &RunCheckpointer{Every: every, Cap: c, W: w}
+	if s.Obs != nil {
+		s.ckpt.Stats = s.Obs.Ckpt
+	}
+}
+
+// StepBoundary is the one statement of what happens between two steps;
+// handlers that were never built are skipped. The order is the safety
+// rule: the expert snapshot comes BEFORE the controller may migrate, so
+// every re-layout is preceded by a restore point and a failover right
+// after a migration restores post-migration state. Parked worker rejoins
+// are admitted next (nudging the controller: with the capacity back, a
+// re-solve may migrate experts home under the usual cost gate), then the
+// controller runs, and the run-level checkpoint goes last so it records
+// the boundary's final assignment. Callers that add a fault-arm, a trace
+// drain or a stop check wrap this; they do not re-state it.
+func (s *System) StepBoundary(step int) error {
+	if s.sup != nil {
+		if err := s.sup.Checkpoint(step); err != nil {
+			return err
+		}
+		if admitted := s.sup.AdmitRejoins(); len(admitted) > 0 && s.ctrl != nil {
+			s.ctrl.RequestResolve(fmt.Sprintf("worker rejoin %v", admitted))
+		}
+	}
+	if s.ctrl != nil {
+		if err := s.ctrl.OnStep(step); err != nil {
+			return err
+		}
+	}
+	return s.ckpt.OnStep(step)
+}
+
+// Finetuner returns a trainer.Finetuner over src whose expert optimizer
+// control flows through the broker, whose OnStep is StepBoundary and
+// whose Recover is the supervisor's (build the supervisor first). The
+// backbone optimizer is the paper's AdamW; callers wanting another
+// replace Opt over ft.Backbone.
+func (s *System) Finetuner(src trainer.BatchSource) *trainer.Finetuner {
 	backbone := nn.CollectTrainable(s.Model.Params())
-	return &trainer.Finetuner{
+	ft := &trainer.Finetuner{
 		Model:      s.Model,
 		Backbone:   backbone,
 		Opt:        nn.NewAdamW(backbone, nn.PaperAdamWConfig()),
-		Batcher:    data.NewBatcher(corpus, batch, seqLen, seed),
+		Batcher:    src,
 		ExpertZero: s.Exec.ZeroGrads,
 		ExpertStep: s.Exec.Step,
+		OnStep:     s.StepBoundary,
 		Obs:        s.Obs,
 	}
+	if s.sup != nil {
+		ft.Recover = s.sup.Recover
+	}
+	return ft
 }
 
 // MetricsSource bundles the system's meters for the obs scrape endpoints
 // (obs.Serve / obs.NewMux).
 func (s *System) MetricsSource() obs.Source {
-	return obs.Source{
+	src := obs.Source{
 		Handle:   s.Obs,
 		Traffic:  s.Traffic,
 		Recovery: s.Exec.Recovery,
 		Alive: func() []bool {
-			mask := s.Exec.DeadMask()
-			alive := make([]bool, len(mask))
-			for n, dead := range mask {
-				alive[n] = !dead
+			alive := make([]bool, s.Exec.NumWorkers())
+			for n := range alive {
+				alive[n] = s.Exec.Alive(n)
 			}
 			return alive
 		},
 	}
+	if s.sup != nil {
+		src.Rejoining = s.sup.PendingRejoins
+	}
+	return src
 }
-
-// Workers exposes the in-process Expert Managers (diagnostics only).
-func (s *System) Workers() []*broker.Worker { return s.deployment.Workers }
-
-// Conns exposes the master-side connections (diagnostics only).
-func (s *System) Conns() []transport.Conn { return s.deployment.Conns }
 
 // CrossNodeBytes reports the external traffic accumulated so far.
 func (s *System) CrossNodeBytes() int64 { return s.Traffic.CrossNodeBytes() }
 
-// Close shuts the workers down cleanly. Safe to call more than once.
+// Close shuts the workers down cleanly and waits for those Deploy
+// started. Safe to call more than once.
 func (s *System) Close() error {
 	if s.closed {
 		return nil
 	}
 	s.closed = true
 	if err := s.Exec.Shutdown(); err != nil {
-		s.deployment.Close()
+		s.local.Close()
 		return fmt.Errorf("core: shutdown: %w", err)
 	}
-	return s.deployment.Wait()
+	return s.local.Wait()
 }
 
 // Rebalance re-solves the placement from fresh access statistics and
@@ -313,7 +411,6 @@ func (s *System) Rebalance(stats *moe.AccessStats, strategy placement.Strategy, 
 	if bitDepth == 0 {
 		bitDepth = s.BitDepth
 	}
-	routingsPerStep, bitDepth = resolveCostModel(routingsPerStep, bitDepth, s.Model.Cfg.TopK, s.WireEncoding)
 	prob := PlacementProblem(s.Topo, stats, routingsPerStep, s.Model.Cfg.D, bitDepth, s.WireEncoding)
 	next, err := strategy.Place(prob)
 	if err != nil {
@@ -325,39 +422,6 @@ func (s *System) Rebalance(stats *moe.AccessStats, strategy placement.Strategy, 
 	}
 	s.Assignment = s.Exec.Assignment()
 	s.Problem = prob
-	if s.Obs != nil {
-		s.Obs.Drift.SetBaseline(prob.P)
-		if m, err := placement.Evaluate(prob, s.Assignment); err == nil {
-			s.Obs.Drift.SetPredictedComm(m.CommTime)
-		}
-	}
+	s.anchorDrift()
 	return moved, nil
-}
-
-// Supervisor builds the system's failure handler, wired to re-solve
-// against the deployment's placement problem and to refresh the obs
-// predicted-comm gauge after a failover.
-func (s *System) Supervisor(cfg broker.SupervisorConfig) (*broker.Supervisor, error) {
-	if s.Problem == nil {
-		return nil, fmt.Errorf("core: supervisor needs the deployment's placement problem (Deploy with Options.Stats)")
-	}
-	sup := broker.NewSupervisor(s.Exec, s.Problem, cfg)
-	sup.Obs = s.Obs
-	return sup, nil
-}
-
-// ReplaceController builds the online re-placement controller over this
-// deployment: it watches the system's drift monitor and, via the
-// executor, migrates experts live when the placement goes stale. An
-// unset ExpertBytes defaults to the deployed expert spec's wire payload.
-// Wire its OnStep after the supervisor's Checkpoint in the trainer's
-// step hook, so every migration is preceded by a fresh snapshot.
-func (s *System) ReplaceController(cfg replace.Config) (*replace.Controller, error) {
-	if s.Problem == nil {
-		return nil, fmt.Errorf("core: re-placement controller needs the deployment's placement problem (Deploy with Options.Stats)")
-	}
-	if cfg.ExpertBytes <= 0 {
-		cfg.ExpertBytes = s.Spec.PayloadBytes()
-	}
-	return replace.New(s.Problem, s.Obs, s.Exec, cfg)
 }

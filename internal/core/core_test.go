@@ -56,7 +56,7 @@ func TestDeployAndFinetuneEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ft := sys.Finetuner(corpus, 2, 16, 7)
+	ft := sys.Finetuner(data.NewBatcher(corpus, 2, 16, 7))
 	if err := ft.Run(3, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestDeployAndFinetuneEndToEnd(t *testing.T) {
 	}
 	// The deployed workers collectively host every expert.
 	total := 0
-	for _, w := range sys.Workers() {
+	for _, w := range sys.local.Workers {
 		total += w.NumExperts()
 	}
 	if total != 2*4 {
@@ -103,8 +103,8 @@ func TestDeployWithExplicitStrategy(t *testing.T) {
 	if sys.Assignment.Worker[0][0] != 0 {
 		t.Fatalf("unexpected sequential assignment: %v", sys.Assignment.Worker)
 	}
-	if len(sys.Conns()) != 3 {
-		t.Fatalf("conns = %d", len(sys.Conns()))
+	if sys.Exec.NumWorkers() != 3 {
+		t.Fatalf("conns = %d", sys.Exec.NumWorkers())
 	}
 }
 
@@ -165,7 +165,7 @@ func TestRebalanceEndToEnd(t *testing.T) {
 	}
 	defer sys.Close()
 
-	ft := sys.Finetuner(corpus, 2, 16, 7)
+	ft := sys.Finetuner(data.NewBatcher(corpus, 2, 16, 7))
 	if err := ft.Run(2, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +186,7 @@ func TestRebalanceEndToEnd(t *testing.T) {
 		t.Fatalf("losses = %d", ft.Losses.Len())
 	}
 	// Worker hosting matches the new assignment.
-	for n, w := range sys.Workers() {
+	for n, w := range sys.local.Workers {
 		want := 0
 		for l := range sys.Assignment.Worker {
 			for _, dst := range sys.Assignment.Worker[l] {

@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"slices"
+	"time"
 
 	"repro/internal/broker"
 	"repro/internal/checkpoint"
@@ -10,6 +12,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/placement"
 	"repro/internal/replace"
+	"repro/internal/trainer"
 )
 
 // This file is the run-level checkpoint glue: it knows how to walk a
@@ -18,8 +21,9 @@ import (
 // it into a checkpoint.RunState at a step boundary (CaptureRun), and how
 // to pour a loaded RunState back into a freshly reconstructed system so
 // the resumed run is bit-identical to an uninterrupted one (RestoreRun).
-// RunCheckpointer is the trainer OnStep adapter that does the former
-// periodically through a checkpoint.AsyncWriter.
+// RunCheckpointer is the step-boundary handler that does the former
+// periodically through a checkpoint.AsyncWriter; System.Resume is the
+// whole restart sequence around the latter.
 
 // RunCapture names every piece of live state that participates in a
 // run-level checkpoint. Optional pieces (Sup, Opt, Drift, Ctrl, Seeds)
@@ -208,6 +212,38 @@ func RestoreRun(rs *checkpoint.RunState, c *RunCapture) error {
 	return nil
 }
 
+// Resume continues a run from the newest valid generation in store — the
+// one sequence a restarted master follows. The system was attached but
+// not Distributed (RestoreRun re-ships the checkpointed experts, moments
+// included, onto the checkpointed assignment). In order: load, falling
+// back past torn generations; refuse a checkpoint written under other
+// prelude seeds instead of silently diverging; RestoreRun; point ft at
+// the first undriven step; seed the supervisor's failover restore point
+// from the state just shipped; record the resume on the checkpoint meter.
+func (s *System) Resume(store *checkpoint.RunStore, ft *trainer.Finetuner, c *RunCapture) (*checkpoint.RunState, error) {
+	t0 := time.Now()
+	rs, err := store.LoadLatest()
+	if err != nil {
+		return nil, fmt.Errorf("core: resume: %w", err)
+	}
+	if len(rs.Seeds) > 0 && !slices.Equal(rs.Seeds, c.Seeds) {
+		return nil, fmt.Errorf("core: resume: checkpoint seeds %v do not match this run's prelude seeds %v", rs.Seeds, c.Seeds)
+	}
+	if err := RestoreRun(rs, c); err != nil {
+		return nil, err
+	}
+	ft.StartStep = rs.Step
+	if c.Sup != nil {
+		if err := c.Sup.Checkpoint(rs.Step - 1); err != nil {
+			return nil, fmt.Errorf("core: resume: seeding failover snapshot: %w", err)
+		}
+	}
+	if s.Obs != nil {
+		s.Obs.Ckpt.SetResume(rs.Generation, time.Since(t0).Seconds())
+	}
+	return rs, nil
+}
+
 // RunCheckpointer adapts periodic run-level checkpointing to the
 // trainer's OnStep hook: every Every-th completed step it captures the
 // run and hands it to the async writer. Checkpointing is best-effort
@@ -226,8 +262,9 @@ type RunCheckpointer struct {
 	Stats *obs.CkptStats
 }
 
-// OnStep implements the trainer.Finetuner OnStep contract (chain it with
-// the supervisor's Checkpoint so the expert snapshot is fresh).
+// OnStep implements the trainer.Finetuner OnStep contract; a nil
+// checkpointer does nothing. System.StepBoundary runs it after the
+// supervisor's Checkpoint, so the expert snapshot is fresh.
 func (r *RunCheckpointer) OnStep(step int) error {
 	if r == nil || r.W == nil {
 		return nil

@@ -29,7 +29,7 @@ func resumeSystem(t *testing.T) (*System, *trainer.Finetuner, *RunCapture) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { sys.Close() })
-	ft := sys.Finetuner(corpus, 2, 16, 7)
+	ft := sys.Finetuner(data.NewBatcher(corpus, 2, 16, 7))
 	batcher := ft.Batcher.(*data.Batcher)
 	cap := &RunCapture{
 		Backbone: ft.Backbone,
