@@ -94,10 +94,12 @@ bench-check:
 
 # Fault-tolerance gate: the chaos/failover acceptance suite — fault
 # matrix, supervisor failover, transport fault injection, dead-worker
-# migrate/fetch — race-enabled and rerun from scratch every time.
+# migrate/fetch, and the checkpoint layer's own fault matrix (RunStore
+# corruption/IO-fault fallback, malformed-input rejection, the decoders'
+# fuzz seed corpora) — race-enabled and rerun from scratch every time.
 chaos:
 	$(GO) test -race -count=1 \
-		-run 'Chaos|Fault|Failover|Supervisor|Repair|Recover|Dead|StepOrdinal|ExpertSnapshot' \
+		-run 'Chaos|Fault|Failover|Supervisor|Repair|Recover|Dead|StepOrdinal|ExpertSnapshot|RunStore|DecodeRun' \
 		./internal/broker ./internal/transport ./internal/placement \
 		./internal/checkpoint ./internal/trainer ./internal/metrics
 

@@ -302,7 +302,7 @@ func (s *Supervisor) Latest() *checkpoint.ExpertSnapshot {
 	return s.latest
 }
 
-// SaveLatest writes the retained snapshot to path (atomic rename); a
+// SaveLatest writes the retained snapshot to path (atomic and fsynced); a
 // no-op returning nil when no snapshot has been taken yet.
 func (s *Supervisor) SaveLatest(path string) error {
 	snap := s.Latest()

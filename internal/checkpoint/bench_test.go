@@ -1,7 +1,6 @@
 package checkpoint
 
 import (
-	"bytes"
 	"math/rand"
 	"testing"
 
@@ -15,11 +14,74 @@ func BenchmarkSaveLoad(b *testing.B) {
 	grid := moe.NewExpertGrid(cfg, rng, true)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		var buf bytes.Buffer
-		if err := Save(&buf, m, grid); err != nil {
+		raw, err := Encode(m, grid)
+		if err != nil {
 			b.Fatal(err)
 		}
-		if _, _, err := Load(&buf); err != nil {
+		if _, _, err := Decode(raw); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// The run-store benchmarks use stepbench churn's shape (churnRunState):
+// a 22 MB generation, nearly all of it the embedded expert section.
+
+func BenchmarkEncodeRun(b *testing.B) {
+	rs := churnRunState(128)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		raw, err := encodeRun(rs)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.SetBytes(int64(len(raw)))
+	}
+}
+
+// BenchmarkRunStoreSave is the whole fsynced Save: encode, write, fsync,
+// rename, dir sync, manifest, retention.
+func BenchmarkRunStoreSave(b *testing.B) {
+	rs := churnRunState(128)
+	s := &RunStore{Dir: b.TempDir()}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_, size, err := s.Save(rs)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.SetBytes(size)
+	}
+}
+
+func BenchmarkRunStoreLoad(b *testing.B) {
+	s := &RunStore{Dir: b.TempDir()}
+	_, size, err := s.Save(churnRunState(128))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(size)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := s.LoadLatest(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkDecodeExpertSnapshot(b *testing.B) {
+	raw, err := EncodeExpertSnapshot(churnRunState(128).Experts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(raw)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := DecodeExpertSnapshot(raw); err != nil {
 			b.Fatal(err)
 		}
 	}

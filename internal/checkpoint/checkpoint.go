@@ -1,13 +1,24 @@
-// Package checkpoint serializes pre-trained model states (backbone +
-// expert grid) to a compact binary format, so a manufactured checkpoint
-// can be trained once and reused across experiment runs — the moral
-// equivalent of the paper downloading TinyMistral from HuggingFace.
+// Package checkpoint persists the three kinds of state a run leaves on
+// disk, each in its own little-endian format:
 //
-// Checkpoints capture the *pre-trained* state: save before attaching LoRA
+//   - VELACKP1 (this file): the pre-trained model — backbone + expert
+//     grid — so a manufactured checkpoint can be trained once and reused
+//     across experiment runs, the moral equivalent of the paper
+//     downloading TinyMistral from HuggingFace.
+//   - VELAEXS2 (state.go): the fine-tuning-time state of every expert,
+//     LoRA adapters and AdamW moments included — the broker's failover
+//     substrate.
+//   - VELARUN1 (run.go): everything a master needs to resume an
+//     interrupted run bit-identically, as CRC-trailed generation files.
+//
+// All three are written in one codec (codec.go): an append-style encoder
+// that validates and sizes before its first byte, a slice decoder that
+// bounds every count by the bytes that remain, wire's float64 block loop
+// for the payloads, and one fsynced writeAtomic for every file.
+//
+// VELACKP1 captures the *pre-trained* state: save before attaching LoRA
 // adapters (the adapter layout is a fine-tuning-time choice, recreated by
-// trainer.PrepareForFinetune after loading).
-//
-// Format (little-endian):
+// trainer.PrepareForFinetune after loading). Format (little-endian):
 //
 //	magic "VELACKP1"
 //	7 × int32: Vocab, D, Heads, Hidden, Layers, Experts, TopK
@@ -20,13 +31,10 @@
 package checkpoint
 
 import (
-	"bufio"
-	"encoding/binary"
 	"fmt"
-	"io"
-	"math"
 	"math/rand"
 	"os"
+	"strings"
 
 	"repro/internal/moe"
 	"repro/internal/nn"
@@ -45,74 +53,39 @@ func allParams(model *moe.Model, grid [][]*moe.Expert) []*nn.Param {
 	return ps
 }
 
-// Save writes the checkpoint to w.
-func Save(w io.Writer, model *moe.Model, grid [][]*moe.Expert) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(magic); err != nil {
-		return err
-	}
-	cfg := model.Cfg
-	for _, v := range []int{cfg.Vocab, cfg.D, cfg.Heads, cfg.Hidden, cfg.Layers, cfg.Experts, cfg.TopK} {
-		if err := binary.Write(bw, binary.LittleEndian, int32(v)); err != nil {
-			return err
+// Encode returns the VELACKP1 encoding of the model and its expert grid.
+func Encode(model *moe.Model, grid [][]*moe.Expert) ([]byte, error) {
+	cfg, params := model.Cfg, allParams(model, grid)
+	return encode(func(e *encoder) {
+		e.raw(magic)
+		for _, v := range []int{cfg.Vocab, cfg.D, cfg.Heads, cfg.Hidden, cfg.Layers, cfg.Experts, cfg.TopK} {
+			e.i32(v)
 		}
-	}
-	params := allParams(model, grid)
-	if err := binary.Write(bw, binary.LittleEndian, int32(len(params))); err != nil {
-		return err
-	}
-	for _, p := range params {
-		if hasLoRAName(p.Name) {
-			return fmt.Errorf("checkpoint: refusing to save LoRA state %q; save before PrepareForFinetune", p.Name)
-		}
-		if err := binary.Write(bw, binary.LittleEndian, int32(len(p.Name))); err != nil {
-			return err
-		}
-		if _, err := bw.WriteString(p.Name); err != nil {
-			return err
-		}
-		if err := binary.Write(bw, binary.LittleEndian, int32(p.Value.Len())); err != nil {
-			return err
-		}
-		for _, v := range p.Value.Data {
-			if err := binary.Write(bw, binary.LittleEndian, math.Float64bits(v)); err != nil {
-				return err
+		e.i32(len(params))
+		for _, p := range params {
+			if strings.Contains(p.Name, ".lora.") {
+				e.fail("refusing to save LoRA state %q; save before PrepareForFinetune", p.Name)
 			}
+			e.i32(len(p.Name))
+			e.raw(p.Name)
+			e.i32(p.Value.Len())
+			e.floats(p.Value.Data)
 		}
-	}
-	return bw.Flush()
+	})
 }
 
-func hasLoRAName(name string) bool {
-	for i := 0; i+6 <= len(name); i++ {
-		if name[i:i+6] == ".lora." {
-			return true
-		}
-	}
-	return false
-}
-
-// Load reads a checkpoint from r, reconstructing the model and expert
+// Decode parses a VELACKP1 encoding, reconstructing the model and expert
 // grid with all parameters trainable (callers freeze / attach LoRA as
 // needed).
-func Load(r io.Reader) (*moe.Model, [][]*moe.Expert, error) {
-	br := bufio.NewReader(r)
-	got := make([]byte, len(magic))
-	if _, err := io.ReadFull(br, got); err != nil {
-		return nil, nil, fmt.Errorf("checkpoint: reading magic: %w", err)
-	}
-	if string(got) != magic {
-		return nil, nil, fmt.Errorf("checkpoint: bad magic %q", got)
-	}
-	dims := make([]int32, 7)
-	for i := range dims {
-		if err := binary.Read(br, binary.LittleEndian, &dims[i]); err != nil {
-			return nil, nil, err
-		}
-	}
+func Decode(raw []byte) (*moe.Model, [][]*moe.Expert, error) {
+	d := decoder{raw: raw}
+	d.magic(magic)
 	cfg := moe.Config{
-		Vocab: int(dims[0]), D: int(dims[1]), Heads: int(dims[2]), Hidden: int(dims[3]),
-		Layers: int(dims[4]), Experts: int(dims[5]), TopK: int(dims[6]),
+		Vocab: d.i32(), D: d.i32(), Heads: d.i32(), Hidden: d.i32(),
+		Layers: d.i32(), Experts: d.i32(), TopK: d.i32(),
+	}
+	if d.err != nil {
+		return nil, nil, fmt.Errorf("checkpoint: %w", d.err)
 	}
 	if err := cfg.Validate(); err != nil {
 		return nil, nil, fmt.Errorf("checkpoint: %w", err)
@@ -124,71 +97,44 @@ func Load(r io.Reader) (*moe.Model, [][]*moe.Expert, error) {
 	grid := moe.NewExpertGrid(cfg, rng, true)
 	params := allParams(model, grid)
 
-	var count int32
-	if err := binary.Read(br, binary.LittleEndian, &count); err != nil {
-		return nil, nil, err
-	}
-	if int(count) != len(params) {
+	if count := d.i32(); d.err == nil && count != len(params) {
 		return nil, nil, fmt.Errorf("checkpoint: file has %d params, architecture has %d", count, len(params))
 	}
 	for i, p := range params {
-		var nameLen int32
-		if err := binary.Read(br, binary.LittleEndian, &nameLen); err != nil {
-			return nil, nil, err
+		name := string(d.take(d.i32()))
+		numel := d.i32()
+		if d.err != nil {
+			break
 		}
-		if nameLen < 0 || nameLen > 4096 {
-			return nil, nil, fmt.Errorf("checkpoint: implausible name length %d", nameLen)
-		}
-		name := make([]byte, nameLen)
-		if _, err := io.ReadFull(br, name); err != nil {
-			return nil, nil, err
-		}
-		if string(name) != p.Name {
+		if name != p.Name {
 			return nil, nil, fmt.Errorf("checkpoint: param %d is %q in file, %q in architecture", i, name, p.Name)
 		}
-		var numel int32
-		if err := binary.Read(br, binary.LittleEndian, &numel); err != nil {
-			return nil, nil, err
-		}
-		if int(numel) != p.Value.Len() {
+		if numel != p.Value.Len() {
 			return nil, nil, fmt.Errorf("checkpoint: param %q has %d values in file, want %d", p.Name, numel, p.Value.Len())
 		}
-		for j := range p.Value.Data {
-			var bits uint64
-			if err := binary.Read(br, binary.LittleEndian, &bits); err != nil {
-				return nil, nil, err
-			}
-			p.Value.Data[j] = math.Float64frombits(bits)
-		}
+		d.floatsInto(p.Value.Data)
+	}
+	if err := d.finish(); err != nil {
+		return nil, nil, fmt.Errorf("checkpoint: %w", err)
 	}
 	return model, grid, nil
 }
 
-// SaveFile writes the checkpoint to path (atomically via a temp file).
+// SaveFile writes the checkpoint to path through the package's one
+// atomic, fsynced writer.
 func SaveFile(path string, model *moe.Model, grid [][]*moe.Expert) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
+	data, err := Encode(model, grid)
 	if err != nil {
 		return err
 	}
-	if err := Save(f, model, grid); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return os.Rename(tmp, path)
+	return writeAtomic(path, data, nil)
 }
 
 // LoadFile reads a checkpoint from path.
 func LoadFile(path string) (*moe.Model, [][]*moe.Expert, error) {
-	f, err := os.Open(path)
+	raw, err := os.ReadFile(path)
 	if err != nil {
 		return nil, nil, err
 	}
-	defer f.Close()
-	return Load(f)
+	return Decode(raw)
 }

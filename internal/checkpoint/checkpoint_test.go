@@ -1,7 +1,6 @@
 package checkpoint
 
 import (
-	"bytes"
 	"math/rand"
 	"path/filepath"
 	"testing"
@@ -24,11 +23,11 @@ func buildModel(t *testing.T) (*moe.Model, [][]*moe.Expert, moe.Config) {
 
 func TestSaveLoadRoundTrip(t *testing.T) {
 	m, grid, cfg := buildModel(t)
-	var buf bytes.Buffer
-	if err := Save(&buf, m, grid); err != nil {
+	raw, err := Encode(m, grid)
+	if err != nil {
 		t.Fatal(err)
 	}
-	m2, grid2, err := Load(&buf)
+	m2, grid2, err := Decode(raw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,34 +71,32 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 func TestSaveRejectsLoRAState(t *testing.T) {
 	m, grid, _ := buildModel(t)
 	trainer.PrepareForFinetune(m, grid, trainer.LoRAConfig{Rank: 2, Alpha: 4, Seed: 1})
-	var buf bytes.Buffer
-	if err := Save(&buf, m, grid); err == nil {
+	if _, err := Encode(m, grid); err == nil {
 		t.Fatal("saving a LoRA-prepared model must fail")
 	}
 }
 
 func TestLoadRejectsCorruption(t *testing.T) {
 	m, grid, _ := buildModel(t)
-	var buf bytes.Buffer
-	if err := Save(&buf, m, grid); err != nil {
+	raw, err := Encode(m, grid)
+	if err != nil {
 		t.Fatal(err)
 	}
-	raw := buf.Bytes()
 
 	// Bad magic.
 	bad := append([]byte(nil), raw...)
 	bad[0] = 'X'
-	if _, _, err := Load(bytes.NewReader(bad)); err == nil {
+	if _, _, err := Decode(bad); err == nil {
 		t.Fatal("bad magic must fail")
 	}
 	// Truncation.
-	if _, _, err := Load(bytes.NewReader(raw[:len(raw)/2])); err == nil {
+	if _, _, err := Decode(raw[:len(raw)/2]); err == nil {
 		t.Fatal("truncated file must fail")
 	}
 	// Corrupted config (Heads=0).
 	bad2 := append([]byte(nil), raw...)
 	copy(bad2[8+8:], []byte{0, 0, 0, 0})
-	if _, _, err := Load(bytes.NewReader(bad2)); err == nil {
+	if _, _, err := Decode(bad2); err == nil {
 		t.Fatal("invalid config must fail")
 	}
 }
@@ -131,11 +128,11 @@ func TestCheckpointResumesTraining(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := Save(&buf, m, grid); err != nil {
+	raw, err := Encode(m, grid)
+	if err != nil {
 		t.Fatal(err)
 	}
-	m2, grid2, err := Load(&buf)
+	m2, grid2, err := Decode(raw)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,14 +1,12 @@
 package checkpoint
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"math"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -27,10 +25,10 @@ import (
 //     gen-%08d.vrun: magic, generation number, body length, body, and a
 //     CRC32C (Castagnoli) trailer over everything before it. A torn or
 //     bit-rotted file fails the trailer check and is skipped.
-//   - Writes are tmp → write → fsync → rename → fsync(dir), so a crash
-//     at any point leaves either the previous generation set or the
-//     previous set plus one complete new file — never a half-written
-//     file under a live name.
+//   - Writes go through writeAtomic (tmp → write → fsync → rename →
+//     fsync(dir)), so a crash at any point leaves either the previous
+//     generation set or the previous set plus one complete new file —
+//     never a half-written file under a live name.
 //   - A MANIFEST names the newest generation as a fast path; it is
 //     advisory. LoadLatest falls back to scanning generation files in
 //     descending order when the manifest is missing, truncated, or
@@ -43,7 +41,7 @@ import (
 //
 //	magic "VELARUN1"
 //	uint64 generation
-//	uint64 bodyLen, then body (see encodeRunBody), then
+//	uint64 bodyLen, then body (see encoder.runBody), then
 //	uint32 CRC32C over magic ‖ generation ‖ bodyLen ‖ body
 
 const (
@@ -53,17 +51,16 @@ const (
 	// RunManifestName is the advisory newest-generation pointer file.
 	RunManifestName  = "MANIFEST"
 	runManifestMagic = "VELARUN1-MANIFEST"
-	runGenPrefix     = "gen-"
-	runGenSuffix     = ".vrun"
+	// runManifestFormat is the manifest's text, written with a trailing
+	// newline and read back with Sscanf.
+	runManifestFormat = runManifestMagic + "\ngeneration %d\nfile %s"
+	runGenPrefix      = "gen-"
+	runGenSuffix      = ".vrun"
 )
 
 // castagnoli is the CRC32C table (iSCSI polynomial, hardware-accelerated
 // on amd64/arm64).
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
-
-// runMaxCount bounds every element count a run-state decoder will accept,
-// so a corrupted length field cannot trigger a huge allocation.
-const runMaxCount = 1 << 24
 
 // NamedTensor is one named dense matrix of the run state (a trainable
 // backbone parameter, matched by name on restore).
@@ -120,7 +117,7 @@ type RunState struct {
 // IOFaults injects checkpoint-I/O failures for fault-coverage tests, in
 // the spirit of transport.Faulty: each knob simulates one crash window
 // of the write discipline. A nil *IOFaults (the production value)
-// injects nothing.
+// injects nothing. writeAtomic is the one place that consults it.
 type IOFaults struct {
 	// TornWriteGen truncates that generation's file mid-body (no CRC
 	// trailer survives) while still publishing it under its final name —
@@ -139,8 +136,9 @@ type IOFaults struct {
 }
 
 // RunStore reads and writes run-level checkpoint generations in one
-// directory. The zero value is unusable; set Dir. Not safe for
-// concurrent use — the AsyncWriter serializes all access.
+// directory. The zero value is unusable; set Dir. It holds no state of
+// its own — the directory is the state — but is not safe for concurrent
+// use: the AsyncWriter serializes all access.
 type RunStore struct {
 	// Dir is the checkpoint directory (created on first Save).
 	Dir string
@@ -148,16 +146,6 @@ type RunStore struct {
 	Keep int
 	// Faults, when non-nil, injects write-path failures (tests only).
 	Faults *IOFaults
-
-	lastGen uint64
-	scanned bool
-}
-
-func (s *RunStore) keep() int {
-	if s.Keep > 0 {
-		return s.Keep
-	}
-	return DefaultRunKeep
 }
 
 func runGenName(gen uint64) string {
@@ -204,14 +192,16 @@ func (s *RunStore) Generations() ([]uint64, error) {
 			gens = append(gens, gen)
 		}
 	}
-	sort.Slice(gens, func(i, j int) bool { return gens[i] < gens[j] })
+	slices.Sort(gens)
 	return gens, nil
 }
 
-// Save assigns the next generation number, encodes the state, and writes
-// it with the full durability discipline (tmp → fsync → rename →
-// fsync(dir), manifest update, retention pruning). It returns the
-// generation written and its encoded size.
+// Save assigns the next generation number (one past the newest on disk),
+// encodes the state, and writes it with the full durability discipline
+// (writeAtomic, manifest update, retention pruning). It returns the
+// generation written and its encoded size. A state that does not encode
+// (a tensor whose shape disagrees with its payload) fails before any file
+// is written, so the generation number is not consumed.
 func (s *RunStore) Save(rs *RunState) (gen uint64, size int64, err error) {
 	if s.Dir == "" {
 		return 0, 0, fmt.Errorf("checkpoint: RunStore.Dir unset")
@@ -219,58 +209,26 @@ func (s *RunStore) Save(rs *RunState) (gen uint64, size int64, err error) {
 	if err := os.MkdirAll(s.Dir, 0o755); err != nil {
 		return 0, 0, err
 	}
-	if !s.scanned {
-		gens, err := s.Generations()
-		if err != nil {
-			return 0, 0, err
-		}
-		if len(gens) > 0 {
-			s.lastGen = gens[len(gens)-1]
-		}
-		s.scanned = true
-	}
-	gen = s.lastGen + 1
-	rs.Generation = gen
-
-	var buf bytes.Buffer
-	buf.WriteString(runMagic)
-	var hdr [16]byte
-	binary.LittleEndian.PutUint64(hdr[0:8], gen)
-	body := encodeRunBody(rs)
-	binary.LittleEndian.PutUint64(hdr[8:16], uint64(len(body)))
-	buf.Write(hdr[:])
-	buf.Write(body)
-	full := buf.Bytes()
-	var crc [4]byte
-	binary.LittleEndian.PutUint32(crc[:], crc32.Checksum(full, castagnoli))
-	full = append(full, crc[:]...)
-
-	if s.Faults != nil && s.Faults.TornWriteGen == gen {
-		// Torn write: publish a file that ends mid-body.
-		full = full[:len(full)*2/3]
-	}
-
-	name := runGenName(gen)
-	path := filepath.Join(s.Dir, name)
-	tmp := path + ".tmp"
-	if err := writeFileSync(tmp, full); err != nil {
+	gens, err := s.Generations()
+	if err != nil {
 		return 0, 0, err
 	}
-	if s.Faults != nil && s.Faults.SkipRenameGen == gen {
-		// Partial rename: the bytes exist only under the tmp name.
-	} else {
-		if err := os.Rename(tmp, path); err != nil {
-			//lint:ignore errdispatch the rename already failed; the cleanup error adds nothing
-			_ = os.Remove(tmp)
-			return 0, 0, err
-		}
-		if err := syncDir(s.Dir); err != nil {
-			return 0, 0, err
-		}
+	gen = 1
+	if len(gens) > 0 {
+		gen = gens[len(gens)-1] + 1
 	}
-	s.lastGen = gen
+	rs.Generation = gen
 
-	if err := s.writeManifest(gen, name); err != nil {
+	full, err := encodeRun(rs)
+	if err != nil {
+		return 0, 0, err
+	}
+	name := runGenName(gen)
+	if err := writeAtomic(filepath.Join(s.Dir, name), full, s.Faults); err != nil {
+		return 0, 0, err
+	}
+	manifest := fmt.Sprintf(runManifestFormat+"\n", gen, name)
+	if err := writeAtomic(filepath.Join(s.Dir, RunManifestName), []byte(manifest), s.Faults); err != nil {
 		// The generation file is durable; a manifest failure only costs
 		// the fast path. Report it anyway — callers count failures.
 		return gen, int64(len(full)), err
@@ -279,31 +237,14 @@ func (s *RunStore) Save(rs *RunState) (gen uint64, size int64, err error) {
 	return gen, int64(len(full)), nil
 }
 
-// writeManifest atomically replaces the advisory newest-generation
-// pointer.
-func (s *RunStore) writeManifest(gen uint64, name string) error {
-	content := fmt.Sprintf("%s\ngeneration %d\nfile %s\n", runManifestMagic, gen, name)
-	if s.Faults != nil && s.Faults.TruncateManifest {
-		content = content[:len(content)*1/2]
-	}
-	path := filepath.Join(s.Dir, RunManifestName)
-	tmp := path + ".tmp"
-	if err := writeFileSync(tmp, []byte(content)); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		//lint:ignore errdispatch the rename already failed; the cleanup error adds nothing
-		_ = os.Remove(tmp)
-		return err
-	}
-	return syncDir(s.Dir)
-}
-
 // prune removes generations older than the retention window (and any
 // stale tmp files from aborted writes of already-superseded
 // generations).
 func (s *RunStore) prune(newest uint64) {
-	keep := uint64(s.keep())
+	keep := uint64(DefaultRunKeep)
+	if s.Keep > 0 {
+		keep = uint64(s.Keep)
+	}
 	if newest <= keep {
 		return
 	}
@@ -348,17 +289,10 @@ func (s *RunStore) loadManifestCandidate() (*RunState, error) {
 	if err != nil {
 		return nil, err
 	}
-	lines := strings.Split(string(raw), "\n")
-	if len(lines) < 3 || lines[0] != runManifestMagic {
-		return nil, fmt.Errorf("checkpoint: bad manifest")
-	}
 	var gen uint64
-	if _, err := fmt.Sscanf(lines[1], "generation %d", &gen); err != nil {
-		return nil, fmt.Errorf("checkpoint: bad manifest generation: %w", err)
-	}
 	var name string
-	if _, err := fmt.Sscanf(lines[2], "file %s", &name); err != nil {
-		return nil, fmt.Errorf("checkpoint: bad manifest file line: %w", err)
+	if _, err := fmt.Sscanf(string(raw), runManifestFormat, &gen, &name); err != nil {
+		return nil, fmt.Errorf("checkpoint: bad manifest: %w", err)
 	}
 	if want, ok := parseGenName(name); !ok || want != gen {
 		return nil, fmt.Errorf("checkpoint: manifest names %q for generation %d", name, gen)
@@ -382,152 +316,117 @@ func (s *RunStore) LoadGeneration(gen uint64) (*RunState, error) {
 	return rs, nil
 }
 
-// decodeRun validates framing and CRC, then decodes the body.
+// encodeRun returns the complete generation file for rs: framing, body
+// and CRC trailer appended in place into one buffer.
+func encodeRun(rs *RunState) ([]byte, error) {
+	return encode(func(e *encoder) {
+		e.raw(runMagic)
+		e.u64(rs.Generation)
+		body := e.lenPrefix()
+		e.runBody(rs)
+		e.patchLen(body)
+		e.u32(crc32.Checksum(e.buf, castagnoli))
+	})
+}
+
+// decodeRun parses one generation file: framing, then the CRC over
+// everything before the trailer, then the body.
 func decodeRun(raw []byte) (*RunState, error) {
-	const hdrLen = len(runMagic) + 16
-	if len(raw) < hdrLen+4 {
-		return nil, fmt.Errorf("truncated (%d bytes)", len(raw))
+	d := &decoder{raw: raw}
+	d.magic(runMagic)
+	rs := &RunState{Generation: d.u64()}
+	if bodyLen := d.u64(); d.err == nil && (d.rem() < 4 || bodyLen != uint64(d.rem()-4)) {
+		d.fail("length mismatch (header says %d body bytes, file has %d)", bodyLen, d.rem()-4)
 	}
-	if string(raw[:len(runMagic)]) != runMagic {
-		return nil, fmt.Errorf("bad magic %q", raw[:len(runMagic)])
+	if d.err != nil {
+		return nil, d.err
 	}
-	gen := binary.LittleEndian.Uint64(raw[len(runMagic):])
-	bodyLen := binary.LittleEndian.Uint64(raw[len(runMagic)+8:])
-	if bodyLen > uint64(len(raw)) || len(raw) != hdrLen+int(bodyLen)+4 {
-		return nil, fmt.Errorf("length mismatch (header says %d body bytes, file has %d)", bodyLen, len(raw)-hdrLen-4)
-	}
-	payload := raw[:hdrLen+int(bodyLen)]
-	want := binary.LittleEndian.Uint32(raw[hdrLen+int(bodyLen):])
-	if got := crc32.Checksum(payload, castagnoli); got != want {
+	d.raw = raw[:len(raw)-4] // the body ends where the trailer begins
+	want := binary.LittleEndian.Uint32(raw[len(d.raw):])
+	if got := crc32.Checksum(d.raw, castagnoli); got != want {
 		return nil, fmt.Errorf("CRC32C mismatch (got %08x, want %08x)", got, want)
 	}
-	rs, err := decodeRunBody(raw[hdrLen : hdrLen+int(bodyLen)])
-	if err != nil {
+	d.runBody(rs)
+	if err := d.finish(); err != nil {
 		return nil, err
 	}
-	rs.Generation = gen
+	if len(rs.OptM) != len(rs.OptV) || (len(rs.OptM) != 0 && len(rs.OptM) != len(rs.Backbone)) {
+		return nil, fmt.Errorf("optimizer moments misaligned (%d m, %d v, %d params)",
+			len(rs.OptM), len(rs.OptV), len(rs.Backbone))
+	}
 	return rs, nil
-}
-
-// writeFileSync writes data and fsyncs before closing.
-func writeFileSync(path string, data []byte) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		//lint:ignore errdispatch the write already failed; the cleanup error adds nothing
-		_ = os.Remove(path)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// syncDir fsyncs a directory so a completed rename is durable.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	defer d.Close()
-	return d.Sync()
 }
 
 // --- body encoding ---
 
-type runEncoder struct{ buf bytes.Buffer }
-
-func (e *runEncoder) u64(v uint64) {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	e.buf.Write(b[:])
+func (e *encoder) str(s string) {
+	e.i64(len(s))
+	e.raw(s)
 }
-func (e *runEncoder) i64(v int64)   { e.u64(uint64(v)) }
-func (e *runEncoder) f64(v float64) { e.u64(math.Float64bits(v)) }
-func (e *runEncoder) str(s string) {
-	e.i64(int64(len(s)))
-	e.buf.WriteString(s)
+func (e *encoder) f64s(vs []float64) {
+	e.i64(len(vs))
+	e.floats(vs)
 }
-func (e *runEncoder) f64s(vs []float64) {
-	e.i64(int64(len(vs)))
+func (e *encoder) i64s(vs []int64) {
+	e.i64(len(vs))
 	for _, v := range vs {
-		e.f64(v)
+		e.u64(uint64(v))
 	}
 }
-func (e *runEncoder) i64s(vs []int64) {
-	e.i64(int64(len(vs)))
-	for _, v := range vs {
-		e.i64(v)
-	}
+func (e *encoder) tensor(t StateTensor) {
+	e.i64(t.Rows)
+	e.i64(t.Cols)
+	e.payload(t)
 }
-func (e *runEncoder) tensor(t StateTensor) {
-	e.i64(int64(t.Rows))
-	e.i64(int64(t.Cols))
-	for _, v := range t.Data {
-		e.f64(v)
-	}
-}
-func (e *runEncoder) tensors(ts []StateTensor) {
-	e.i64(int64(len(ts)))
+func (e *encoder) tensors(ts []StateTensor) {
+	e.i64(len(ts))
 	for _, t := range ts {
 		e.tensor(t)
 	}
 }
-func (e *runEncoder) matrix(m [][]float64) {
-	e.i64(int64(len(m)))
+func (e *encoder) matrix(m [][]float64) {
+	e.i64(len(m))
 	for _, row := range m {
 		e.f64s(row)
 	}
 }
-func (e *runEncoder) grid(g [][]int) {
-	e.i64(int64(len(g)))
+func (e *encoder) grid(g [][]int) {
+	e.i64(len(g))
 	for _, row := range g {
-		e.i64(int64(len(row)))
+		e.i64(len(row))
 		for _, v := range row {
-			e.i64(int64(v))
+			e.i64(v)
 		}
 	}
 }
-func (e *runEncoder) flag(b bool) {
+func (e *encoder) flag(b bool) {
 	if b {
-		e.buf.WriteByte(1)
+		e.buf = append(e.buf, 1)
 	} else {
-		e.buf.WriteByte(0)
+		e.buf = append(e.buf, 0)
 	}
 }
 
-func encodeRunBody(rs *RunState) []byte {
-	e := &runEncoder{}
-	e.i64(int64(rs.Step))
-	e.i64(int64(rs.StepOrd))
+// runBody appends the VELARUN1 body for rs.
+func (e *encoder) runBody(rs *RunState) {
+	e.i64(rs.Step)
+	e.i64(rs.StepOrd)
 	e.f64s(rs.Losses)
-	e.i64(int64(len(rs.Backbone)))
+	e.i64(len(rs.Backbone))
 	for _, nt := range rs.Backbone {
 		e.str(nt.Name)
 		e.tensor(nt.StateTensor)
 	}
-	e.i64(int64(rs.OptStep))
+	e.i64(rs.OptStep)
 	e.tensors(rs.OptM)
 	e.tensors(rs.OptV)
+	// The experts ride as a length-prefixed VELAEXS2 section; zero length
+	// means the run had none.
+	experts := e.lenPrefix()
 	if rs.Experts != nil {
-		var sb bytes.Buffer
-		// An in-memory snapshot encode cannot fail except through a
-		// malformed tensor, which Save would also reject; surface it as
-		// an empty experts section and let the restore path report it.
-		if err := SaveExpertSnapshot(&sb, rs.Experts); err == nil {
-			e.i64(int64(sb.Len()))
-			e.buf.Write(sb.Bytes())
-		} else {
-			e.i64(0)
-		}
-	} else {
-		e.i64(0)
+		e.snapshot(rs.Experts)
 	}
+	e.patchLen(experts)
 	e.i64s(rs.Cursor)
 	e.i64s(rs.Seeds)
 	e.grid(rs.Assignment)
@@ -535,102 +434,35 @@ func encodeRunBody(rs *RunState) []byte {
 	e.matrix(rs.Phat)
 	e.f64(rs.PredictedComm)
 	e.flag(rs.HasReplace)
-	e.i64(int64(rs.ReplaceOver))
-	e.i64(int64(rs.ReplaceCooldown))
-	return e.buf.Bytes()
+	e.i64(rs.ReplaceOver)
+	e.i64(rs.ReplaceCooldown)
 }
 
-type runDecoder struct {
-	raw []byte
-	off int
-	err error
+func (d *decoder) str() string {
+	return string(d.take(d.i64()))
 }
-
-func (d *runDecoder) fail(format string, args ...any) {
-	if d.err == nil {
-		d.err = fmt.Errorf(format, args...)
-	}
+func (d *decoder) f64s() []float64 {
+	out := make([]float64, d.count(d.i64(), 8, "float"))
+	d.floatsInto(out)
+	return out
 }
-func (d *runDecoder) u64() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	if d.off+8 > len(d.raw) {
-		d.fail("truncated body at offset %d", d.off)
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(d.raw[d.off:])
-	d.off += 8
-	return v
-}
-func (d *runDecoder) i64() int64   { return int64(d.u64()) }
-func (d *runDecoder) f64() float64 { return math.Float64frombits(d.u64()) }
-func (d *runDecoder) count(what string) int {
-	n := d.i64()
-	if n < 0 || n > runMaxCount {
-		d.fail("implausible %s count %d", what, n)
-		return 0
-	}
-	return int(n)
-}
-func (d *runDecoder) str() string {
-	n := d.count("string")
-	if d.err != nil || d.off+n > len(d.raw) {
-		d.fail("truncated string at offset %d", d.off)
-		return ""
-	}
-	s := string(d.raw[d.off : d.off+n])
-	d.off += n
-	return s
-}
-func (d *runDecoder) f64s() []float64 {
-	n := d.count("float slice")
-	if d.err != nil {
-		return nil
-	}
-	out := make([]float64, n)
+func (d *decoder) i64s() []int64 {
+	out := make([]int64, d.count(d.i64(), 8, "int"))
 	for i := range out {
-		out[i] = d.f64()
+		out[i] = int64(d.u64())
 	}
 	return out
 }
-func (d *runDecoder) i64s() []int64 {
-	n := d.count("int slice")
-	if d.err != nil {
-		return nil
-	}
-	out := make([]int64, n)
+func (d *decoder) tensors() []StateTensor {
+	out := make([]StateTensor, d.count(d.i64(), 16, "tensor"))
 	for i := range out {
-		out[i] = d.i64()
+		out[i] = d.tensor(d.i64(), d.i64())
 	}
 	return out
 }
-func (d *runDecoder) tensor() StateTensor {
-	rows, cols := d.count("tensor rows"), d.count("tensor cols")
-	if d.err != nil || rows*cols > runMaxCount {
-		d.fail("implausible tensor shape %dx%d", rows, cols)
-		return StateTensor{}
-	}
-	t := StateTensor{Rows: rows, Cols: cols, Data: make([]float64, rows*cols)}
-	for i := range t.Data {
-		t.Data[i] = d.f64()
-	}
-	return t
-}
-func (d *runDecoder) tensors() []StateTensor {
-	n := d.count("tensor list")
-	if d.err != nil {
-		return nil
-	}
-	out := make([]StateTensor, n)
-	for i := range out {
-		out[i] = d.tensor()
-	}
-	return out
-}
-func (d *runDecoder) matrix() [][]float64 {
-	n := d.count("matrix rows")
-	if d.err != nil || n == 0 {
+func (d *decoder) matrix() [][]float64 {
+	n := d.count(d.i64(), 8, "matrix row")
+	if n == 0 {
 		return nil
 	}
 	out := make([][]float64, n)
@@ -639,59 +471,45 @@ func (d *runDecoder) matrix() [][]float64 {
 	}
 	return out
 }
-func (d *runDecoder) grid() [][]int {
-	n := d.count("grid rows")
-	if d.err != nil || n == 0 {
+func (d *decoder) grid() [][]int {
+	n := d.count(d.i64(), 8, "grid row")
+	if n == 0 {
 		return nil
 	}
 	out := make([][]int, n)
 	for i := range out {
-		m := d.count("grid cols")
-		row := make([]int, m)
+		row := make([]int, d.count(d.i64(), 8, "grid column"))
 		for j := range row {
-			row[j] = int(d.i64())
+			row[j] = d.i64()
 		}
 		out[i] = row
 	}
 	return out
 }
-func (d *runDecoder) flag() bool {
-	if d.err != nil {
-		return false
-	}
-	if d.off >= len(d.raw) {
-		d.fail("truncated flag at offset %d", d.off)
-		return false
-	}
-	v := d.raw[d.off]
-	d.off++
-	return v != 0
+func (d *decoder) flag() bool {
+	b := d.take(1)
+	return b != nil && b[0] != 0
 }
 
-func decodeRunBody(raw []byte) (*RunState, error) {
-	d := &runDecoder{raw: raw}
-	rs := &RunState{}
-	rs.Step = int(d.i64())
-	rs.StepOrd = int(d.i64())
+// runBody reads the VELARUN1 body into rs, mirroring encoder.runBody.
+func (d *decoder) runBody(rs *RunState) {
+	rs.Step = d.i64()
+	rs.StepOrd = d.i64()
 	rs.Losses = d.f64s()
-	nb := d.count("backbone tensors")
+	nb := d.count(d.i64(), 24, "backbone tensor")
 	for i := 0; i < nb && d.err == nil; i++ {
 		name := d.str()
-		rs.Backbone = append(rs.Backbone, NamedTensor{Name: name, StateTensor: d.tensor()})
+		rs.Backbone = append(rs.Backbone, NamedTensor{Name: name, StateTensor: d.tensor(d.i64(), d.i64())})
 	}
-	rs.OptStep = int(d.i64())
+	rs.OptStep = d.i64()
 	rs.OptM = d.tensors()
 	rs.OptV = d.tensors()
-	if n := d.count("experts bytes"); d.err == nil && n > 0 {
-		if d.off+n > len(d.raw) {
-			return nil, fmt.Errorf("truncated experts section at offset %d", d.off)
-		}
-		snap, err := LoadExpertSnapshot(bytes.NewReader(d.raw[d.off : d.off+n]))
+	if sec := d.take(d.i64()); len(sec) > 0 {
+		snap, err := DecodeExpertSnapshot(sec)
 		if err != nil {
-			return nil, fmt.Errorf("experts section: %w", err)
+			d.fail("experts section: %w", err)
 		}
 		rs.Experts = snap
-		d.off += n
 	}
 	rs.Cursor = d.i64s()
 	rs.Seeds = d.i64s()
@@ -700,17 +518,6 @@ func decodeRunBody(raw []byte) (*RunState, error) {
 	rs.Phat = d.matrix()
 	rs.PredictedComm = d.f64()
 	rs.HasReplace = d.flag()
-	rs.ReplaceOver = int(d.i64())
-	rs.ReplaceCooldown = int(d.i64())
-	if d.err != nil {
-		return nil, d.err
-	}
-	if d.off != len(d.raw) {
-		return nil, fmt.Errorf("%d trailing bytes after run body", len(d.raw)-d.off)
-	}
-	if len(rs.OptM) != len(rs.OptV) || (len(rs.OptM) != 0 && len(rs.OptM) != len(rs.Backbone)) {
-		return nil, fmt.Errorf("optimizer moments misaligned (%d m, %d v, %d params)",
-			len(rs.OptM), len(rs.OptV), len(rs.Backbone))
-	}
-	return rs, nil
+	rs.ReplaceOver = d.i64()
+	rs.ReplaceCooldown = d.i64()
 }

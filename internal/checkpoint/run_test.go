@@ -3,6 +3,7 @@ package checkpoint
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -449,5 +450,106 @@ func TestAsyncWriterLatchesErrors(t *testing.T) {
 	}
 	if snap := stats.Snapshot(); snap.Failures != 1 || snap.Writes != 0 {
 		t.Fatalf("stats = %+v, want 1 failure", snap)
+	}
+}
+
+// churnRunState is a run state at stepbench churn's shape: 16 experts of
+// three 128×448 tensors each (a 22 020 688-byte VELAEXS2 section) beside
+// a small backbone with moments. rows scales the expert tensors for the tests
+// that want the same structure at a different size.
+func churnRunState(rows int) *RunState {
+	rs := sampleRunState(40)
+	rs.Experts = &ExpertSnapshot{Step: 40}
+	for x := 0; x < 16; x++ {
+		en := ExpertEntry{Layer: x / 8, Expert: x % 8}
+		for ti := 0; ti < 3; ti++ {
+			data := make([]float64, rows*448)
+			for i := range data {
+				data[i] = float64(x*3+ti) + float64(i)/float64(len(data))
+			}
+			en.Tensors = append(en.Tensors, StateTensor{Rows: rows, Cols: 448, Data: data})
+		}
+		rs.Experts.Entries = append(rs.Experts.Entries, en)
+	}
+	return rs
+}
+
+// TestRunStoreLoadsLargeExpertSection: a generation whose embedded expert
+// section is larger than 16 MiB — every generation churn writes — must
+// load: a section's byte length is bounded by the bytes that remain, not
+// by a fixed count limit.
+func TestRunStoreLoadsLargeExpertSection(t *testing.T) {
+	want := churnRunState(128)
+	if sec, err := EncodeExpertSnapshot(want.Experts); err != nil || len(sec) <= 1<<24 {
+		t.Fatalf("expert section is %d bytes (err %v), want > 16 MiB", len(sec), err)
+	}
+	s := &RunStore{Dir: t.TempDir()}
+	if _, _, err := s.Save(want); err != nil {
+		t.Fatal(err)
+	}
+	got, err := s.LoadLatest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("large generation did not round-trip")
+	}
+}
+
+// TestRunStoreSaveRejectsMalformedTensor: a tensor whose shape disagrees
+// with its payload, in any section, fails the Save — nothing is written
+// (in particular not a generation silently missing its experts), the
+// generation number is not consumed, and the async writer counts it.
+func TestRunStoreSaveRejectsMalformedTensor(t *testing.T) {
+	bad := StateTensor{Rows: 2, Cols: 2, Data: []float64{1}}
+	cases := map[string]func(rs *RunState){
+		"backbone": func(rs *RunState) { rs.Backbone[1].StateTensor = bad },
+		"moment m": func(rs *RunState) { rs.OptM[0] = bad },
+		"moment v": func(rs *RunState) { rs.OptV[1] = bad },
+		"experts":  func(rs *RunState) { rs.Experts.Entries[1].Tensors[0] = bad },
+	}
+	for name, corrupt := range cases {
+		t.Run(name, func(t *testing.T) {
+			s := &RunStore{Dir: t.TempDir()}
+			rs := sampleRunState(1)
+			corrupt(rs)
+			if _, _, err := s.Save(rs); err == nil {
+				t.Fatal("Save of a malformed tensor must fail")
+			}
+			if entries, err := os.ReadDir(s.Dir); err != nil || len(entries) != 0 {
+				t.Fatalf("failed Save left %d files behind (err %v)", len(entries), err)
+			}
+			if gen, _, err := s.Save(sampleRunState(1)); err != nil || gen != 1 {
+				t.Fatalf("Save after the failure = generation %d (err %v), want 1", gen, err)
+			}
+
+			stats := obs.NewCkptStats()
+			w := NewAsyncWriter(&RunStore{Dir: t.TempDir()}, stats)
+			for !w.Submit(rs) {
+			}
+			if err := w.Close(); err == nil {
+				t.Fatal("async writer must latch the encode error")
+			}
+			if snap := stats.Snapshot(); snap.Failures != 1 || snap.Writes != 0 {
+				t.Fatalf("stats = %+v, want 1 failure, 0 writes", snap)
+			}
+		})
+	}
+}
+
+// TestEncodeRunAllocsIndependentOfSize: encoding allocates its one
+// buffer (plus the dry run's header scratch) however many values the
+// state holds.
+func TestEncodeRunAllocsIndependentOfSize(t *testing.T) {
+	allocs := func(rs *RunState) float64 {
+		return testing.AllocsPerRun(5, func() {
+			if _, err := encodeRun(rs); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := allocs(churnRunState(1)), allocs(churnRunState(47)) // ~21 k and ~1 M values
+	if small > 16 || large > small+1 {
+		t.Fatalf("encodeRun allocs: %v for ~21k values, %v for ~1M — must not scale with size", small, large)
 	}
 }

@@ -1,13 +1,6 @@
 package checkpoint
 
-import (
-	"bufio"
-	"encoding/binary"
-	"fmt"
-	"io"
-	"math"
-	"os"
-)
+import "fmt"
 
 // This file holds the runtime expert-state snapshot format — the
 // recovery substrate of the fault-tolerant broker. Unlike the
@@ -36,10 +29,6 @@ import (
 //	    int32 rows, int32 cols, float64 × rows·cols
 
 const stateMagic = "VELAEXS2"
-
-// maxSnapshotTensors bounds the per-entry tensor count a loader will
-// accept, guarding the allocation against a corrupted header.
-const maxSnapshotTensors = 1 << 16
 
 // StateTensor is one dense matrix of an expert snapshot entry.
 type StateTensor struct {
@@ -72,148 +61,57 @@ func (s *ExpertSnapshot) Find(layer, e int) *ExpertEntry {
 	return nil
 }
 
-// SaveExpertSnapshot writes the snapshot to w.
-func SaveExpertSnapshot(w io.Writer, s *ExpertSnapshot) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(stateMagic); err != nil {
-		return err
-	}
-	for _, v := range []int32{int32(s.Step), int32(len(s.Entries))} {
-		if err := binary.Write(bw, binary.LittleEndian, v); err != nil {
-			return err
+// snapshot appends the VELAEXS2 encoding of s.
+func (e *encoder) snapshot(s *ExpertSnapshot) {
+	e.raw(stateMagic)
+	e.i32(s.Step)
+	e.i32(len(s.Entries))
+	for _, en := range s.Entries {
+		e.i32(en.Layer)
+		e.i32(en.Expert)
+		e.i32(len(en.Tensors))
+		for _, t := range en.Tensors {
+			e.i32(t.Rows)
+			e.i32(t.Cols)
+			e.payload(t)
 		}
 	}
-	for _, e := range s.Entries {
-		hdr := []int32{int32(e.Layer), int32(e.Expert), int32(len(e.Tensors))}
-		for _, v := range hdr {
-			if err := binary.Write(bw, binary.LittleEndian, v); err != nil {
-				return err
-			}
-		}
-		for ti, t := range e.Tensors {
-			if t.Rows*t.Cols != len(t.Data) {
-				return fmt.Errorf("checkpoint: snapshot L%d/E%d tensor %d is %dx%d with %d values",
-					e.Layer, e.Expert, ti, t.Rows, t.Cols, len(t.Data))
-			}
-			if err := binary.Write(bw, binary.LittleEndian, int32(t.Rows)); err != nil {
-				return err
-			}
-			if err := binary.Write(bw, binary.LittleEndian, int32(t.Cols)); err != nil {
-				return err
-			}
-			for _, v := range t.Data {
-				if err := binary.Write(bw, binary.LittleEndian, math.Float64bits(v)); err != nil {
-					return err
-				}
-			}
-		}
-	}
-	return bw.Flush()
 }
 
-// LoadExpertSnapshot reads a snapshot from r.
-func LoadExpertSnapshot(r io.Reader) (*ExpertSnapshot, error) {
-	br := bufio.NewReader(r)
-	got := make([]byte, len(stateMagic))
-	if _, err := io.ReadFull(br, got); err != nil {
-		return nil, fmt.Errorf("checkpoint: reading snapshot magic: %w", err)
-	}
-	if string(got) != stateMagic {
-		return nil, fmt.Errorf("checkpoint: bad snapshot magic %q", got)
-	}
-	readI32 := func() (int, error) {
-		var v int32
-		err := binary.Read(br, binary.LittleEndian, &v)
-		return int(v), err
-	}
-	step, err := readI32()
-	if err != nil {
-		return nil, err
-	}
-	count, err := readI32()
-	if err != nil {
-		return nil, err
-	}
-	if count < 0 || count > maxSnapshotTensors {
-		return nil, fmt.Errorf("checkpoint: implausible snapshot entry count %d", count)
-	}
-	s := &ExpertSnapshot{Step: step, Entries: make([]ExpertEntry, 0, count)}
-	for i := 0; i < count; i++ {
-		layer, err := readI32()
-		if err != nil {
-			return nil, err
+// EncodeExpertSnapshot returns the VELAEXS2 encoding of s.
+func EncodeExpertSnapshot(s *ExpertSnapshot) ([]byte, error) {
+	return encode(func(e *encoder) { e.snapshot(s) })
+}
+
+// DecodeExpertSnapshot parses a VELAEXS2 encoding. Malformed input of
+// any kind is an error, never a panic, and never an allocation larger
+// than the input justifies.
+func DecodeExpertSnapshot(raw []byte) (*ExpertSnapshot, error) {
+	d := decoder{raw: raw}
+	d.magic(stateMagic)
+	s := &ExpertSnapshot{Step: d.i32()}
+	s.Entries = make([]ExpertEntry, d.count(d.i32(), 12, "snapshot entry"))
+	for i := range s.Entries {
+		en := &s.Entries[i]
+		en.Layer, en.Expert = d.i32(), d.i32()
+		en.Tensors = make([]StateTensor, d.count(d.i32(), 8, "snapshot tensor"))
+		for ti := range en.Tensors {
+			en.Tensors[ti] = d.tensor(d.i32(), d.i32())
 		}
-		expert, err := readI32()
-		if err != nil {
-			return nil, err
-		}
-		nT, err := readI32()
-		if err != nil {
-			return nil, err
-		}
-		if nT < 0 || nT > maxSnapshotTensors {
-			return nil, fmt.Errorf("checkpoint: snapshot entry %d has implausible tensor count %d", i, nT)
-		}
-		e := ExpertEntry{Layer: layer, Expert: expert, Tensors: make([]StateTensor, 0, nT)}
-		for ti := 0; ti < nT; ti++ {
-			rows, err := readI32()
-			if err != nil {
-				return nil, err
-			}
-			cols, err := readI32()
-			if err != nil {
-				return nil, err
-			}
-			// Bound each dimension before multiplying so a corrupted
-			// header cannot overflow the product or trigger a huge
-			// allocation the stream can never satisfy.
-			const maxDim = 1 << 27
-			if rows < 0 || cols < 0 || rows > maxDim || cols > maxDim {
-				return nil, fmt.Errorf("checkpoint: snapshot tensor %d of entry %d has implausible shape %dx%d",
-					ti, i, rows, cols)
-			}
-			data := make([]float64, rows*cols)
-			for j := range data {
-				var bits uint64
-				if err := binary.Read(br, binary.LittleEndian, &bits); err != nil {
-					return nil, err
-				}
-				data[j] = math.Float64frombits(bits)
-			}
-			e.Tensors = append(e.Tensors, StateTensor{Rows: rows, Cols: cols, Data: data})
-		}
-		s.Entries = append(s.Entries, e)
+	}
+	if err := d.finish(); err != nil {
+		return nil, fmt.Errorf("checkpoint: snapshot: %w", err)
 	}
 	return s, nil
 }
 
-// SaveExpertSnapshotFile writes the snapshot to path atomically via a
-// temp file, the same discipline SaveFile uses: a crash mid-write never
-// leaves a torn snapshot where the recovery path would read it.
+// SaveExpertSnapshotFile writes the snapshot to path through the
+// package's one atomic, fsynced writer: a crash mid-write never leaves a
+// torn snapshot where the recovery path would read it.
 func SaveExpertSnapshotFile(path string, s *ExpertSnapshot) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
+	data, err := EncodeExpertSnapshot(s)
 	if err != nil {
 		return err
 	}
-	if err := SaveExpertSnapshot(f, s); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return os.Rename(tmp, path)
-}
-
-// LoadExpertSnapshotFile reads a snapshot from path.
-func LoadExpertSnapshotFile(path string) (*ExpertSnapshot, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return LoadExpertSnapshot(f)
+	return writeAtomic(path, data, nil)
 }

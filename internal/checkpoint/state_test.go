@@ -1,7 +1,6 @@
 package checkpoint
 
 import (
-	"bytes"
 	"encoding/binary"
 	"os"
 	"path/filepath"
@@ -56,11 +55,11 @@ func assertSnapshotEqual(t *testing.T, want, got *ExpertSnapshot) {
 
 func TestExpertSnapshotRoundTrip(t *testing.T) {
 	want := sampleSnapshot()
-	var buf bytes.Buffer
-	if err := SaveExpertSnapshot(&buf, want); err != nil {
+	raw, err := EncodeExpertSnapshot(want)
+	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := LoadExpertSnapshot(&buf)
+	got, err := DecodeExpertSnapshot(raw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +76,11 @@ func TestExpertSnapshotFileRoundTrip(t *testing.T) {
 	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
 		t.Fatalf("temp file left behind: %v", err)
 	}
-	got, err := LoadExpertSnapshotFile(path)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := DecodeExpertSnapshot(raw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,39 +102,41 @@ func TestExpertSnapshotFind(t *testing.T) {
 // both refused.
 func TestExpertSnapshotRejectsBadMagic(t *testing.T) {
 	for _, magic := range []string{"NOTVELA1", "VELAEXS1"} {
-		_, err := LoadExpertSnapshot(strings.NewReader(magic + "\x00\x00\x00\x00\x00\x00\x00\x00"))
-		if err == nil || !strings.Contains(err.Error(), "bad snapshot magic") {
+		_, err := DecodeExpertSnapshot([]byte(magic + "\x00\x00\x00\x00\x00\x00\x00\x00"))
+		if err == nil || !strings.Contains(err.Error(), "bad magic") {
 			t.Fatalf("magic %q: err = %v, want bad-magic error", magic, err)
 		}
 	}
 }
 
-// TestExpertSnapshotRejectsCorruptCounts: implausible entry/tensor
-// counts and shapes in the header must be rejected up front instead of
-// driving a huge allocation the stream can never satisfy.
+// snapshotHeader frames int32 fields behind the VELAEXS2 magic — the
+// hostile headers the corrupt-count table and the fuzz corpus share.
+func snapshotHeader(vs ...int32) []byte {
+	raw := []byte(stateMagic)
+	for _, v := range vs {
+		raw = binary.LittleEndian.AppendUint32(raw, uint32(v))
+	}
+	return raw
+}
+
+// TestExpertSnapshotRejectsCorruptCounts: entry/tensor counts and shapes
+// the remaining bytes cannot hold must be rejected up front instead of
+// driving a huge allocation the input can never satisfy — and the
+// 1<<27-squared shape, whose product overflows int, must be an error
+// rather than a makeslice panic.
 func TestExpertSnapshotRejectsCorruptCounts(t *testing.T) {
-	frame := func(build func(w *bytes.Buffer)) *bytes.Buffer {
-		var b bytes.Buffer
-		b.WriteString(stateMagic)
-		build(&b)
-		return &b
+	cases := map[string][]byte{
+		"negative entry count": snapshotHeader(1, -1),
+		"huge entry count":     snapshotHeader(1, 1<<30),
+		"huge tensor count":    snapshotHeader(1, 1, 0, 0, 1<<30),
+		"negative shape":       snapshotHeader(1, 1, 0, 0, 1, -4, 4),
+		"huge shape":           snapshotHeader(1, 1, 0, 0, 1, 1<<28, 1<<28),
+		"overflowing shape":    snapshotHeader(1, 1, 0, 0, 1, 1<<27, 1<<27),
+		"trailing bytes":       append(snapshotHeader(1, 0), 0xAB),
 	}
-	i32 := func(b *bytes.Buffer, vs ...int32) {
-		for _, v := range vs {
-			//lint:ignore errdispatch bytes.Buffer writes cannot fail
-			_ = binary.Write(b, binary.LittleEndian, v)
-		}
-	}
-	cases := map[string]*bytes.Buffer{
-		"negative entry count": frame(func(b *bytes.Buffer) { i32(b, 1, -1) }),
-		"huge entry count":     frame(func(b *bytes.Buffer) { i32(b, 1, 1<<30) }),
-		"huge tensor count":    frame(func(b *bytes.Buffer) { i32(b, 1, 1, 0, 0, 1<<30) }),
-		"negative shape":       frame(func(b *bytes.Buffer) { i32(b, 1, 1, 0, 0, 1, -4, 4) }),
-		"huge shape":           frame(func(b *bytes.Buffer) { i32(b, 1, 1, 0, 0, 1, 1<<28, 1<<28) }),
-	}
-	for name, buf := range cases {
-		if _, err := LoadExpertSnapshot(buf); err == nil {
-			t.Errorf("%s: load must fail", name)
+	for name, raw := range cases {
+		if _, err := DecodeExpertSnapshot(raw); err == nil {
+			t.Errorf("%s: decode must fail", name)
 		}
 	}
 }
@@ -143,7 +148,7 @@ func TestExpertSnapshotSaveRejectsShapeMismatch(t *testing.T) {
 	bad := &ExpertSnapshot{Entries: []ExpertEntry{{
 		Tensors: []StateTensor{{Rows: 2, Cols: 2, Data: []float64{1}}},
 	}}}
-	if err := SaveExpertSnapshot(&bytes.Buffer{}, bad); err == nil {
+	if _, err := EncodeExpertSnapshot(bad); err == nil {
 		t.Fatal("shape/payload mismatch must fail")
 	}
 	// And the file variant must clean up after the failure.

@@ -42,11 +42,11 @@ import (
 //
 // Fourth, the zero-copy codec invariant (DESIGN.md §16): inside a wire
 // package's hot-path encode/decode functions (AppendFrame, the
-// append*/decode* payload helpers, decodeBody, DecodePooled, Release,
-// Encode) a `make` or `new` is a finding. These functions run once or
-// more per exchanged frame and must draw their buffers from the frame
-// pools (GetBuf/getFloats), the caller's destination slice, or an
-// injected allocator — a direct allocation silently reintroduces the
+// append*/decode* payload helpers, AppendFloat64s/DecodeFloat64s,
+// decodeBody, DecodePooled, Release, Encode) a `make` or `new` is a
+// finding. These functions run once or more per exchanged frame and must
+// draw their buffers from the frame pools (GetBuf/getFloats), the
+// caller's destination slice, or an injected allocator — a direct allocation silently reintroduces the
 // per-frame garbage the pooled framing removed. `append` stays legal:
 // the destination-passing encoders are built on it, and with a pre-grown
 // destination it does not allocate.
@@ -101,10 +101,10 @@ var wireHotPathFuncs = map[string]bool{
 	"AppendFrame":       true,
 	"appendHeader":      true,
 	"appendTensor":      true,
-	"appendFP64Payload": true,
+	"AppendFloat64s":    true,
 	"appendFP16Payload": true,
 	"appendInt8Payload": true,
-	"decodeFP64Payload": true,
+	"DecodeFloat64s":    true,
 	"decodeInt8Payload": true,
 	"decodeBody":        true,
 	"DecodePooled":      true,

@@ -41,6 +41,20 @@ func Release(m *message) {
 	m.tensors = make([]Matrix, 0) // want "make in wire codec hot path Release"
 }
 
+// AppendFloat64s is the exported float64 block writer the checkpoint
+// codec shares with the frame encoder: growing the caller's destination
+// is legal, a private staging buffer is not.
+func AppendFloat64s(dst []byte, vals []float64) []byte {
+	staging := make([]byte, 8*len(vals)) // want "make in wire codec hot path AppendFloat64s"
+	return append(dst, staging...)
+}
+
+// DecodeFloat64s fills the caller's destination and allocates nothing.
+func DecodeFloat64s(src []byte, dst []float64) {
+	tmp := new([8]byte) // want "new in wire codec hot path DecodeFloat64s"
+	_ = tmp
+}
+
 // encodeColdPath is NOT in the hot-path list: allocation is fine here.
 func encodeColdPath(m *message) []byte {
 	return make([]byte, 128)

@@ -259,15 +259,17 @@ func appendTensor(dst []byte, t *Matrix) []byte {
 	case EncInt8:
 		return appendInt8Payload(dst, t.Data, t.Rows, t.Cols)
 	}
-	return appendFP64Payload(dst, t.Data)
+	return AppendFloat64s(dst, t.Data)
 }
 
-// appendFP64Payload writes the values little-endian, eight at a time (the
+// AppendFloat64s appends the values little-endian, eight at a time (the
 // bulk loop keeps the bounds check and the Float64bits conversion off the
-// per-value critical path). dst must have capacity.
-func appendFP64Payload(dst []byte, vals []float64) []byte {
+// per-value critical path), growing dst only when it lacks the capacity
+// (the frame encoders pre-size it). The repository's one float64 block
+// writer: fp64 tensor payloads here, every format in internal/checkpoint.
+func AppendFloat64s(dst []byte, vals []float64) []byte {
 	off := len(dst)
-	dst = dst[:off+8*len(vals)]
+	dst = slices.Grow(dst, 8*len(vals))[:off+8*len(vals)]
 	i := 0
 	for ; i+8 <= len(vals); i += 8 {
 		b := dst[off+8*i : off+8*i+64]
@@ -309,9 +311,10 @@ func appendFP16Payload(dst []byte, vals []float64) []byte {
 	return dst
 }
 
-// decodeFP64Payload expands 8·len(dst) little-endian bytes into dst,
-// eight values at a time.
-func decodeFP64Payload(src []byte, dst []float64) {
+// DecodeFloat64s expands 8·len(dst) little-endian bytes of src into dst,
+// eight values at a time — AppendFloat64s' inverse and the one block
+// reader. The caller bounds len(dst) by len(src)/8 before allocating dst.
+func DecodeFloat64s(src []byte, dst []float64) {
 	i := 0
 	for ; i+8 <= len(dst); i += 8 {
 		b := src[8*i : 8*i+64]
@@ -408,7 +411,7 @@ func decodeBody(m *Message, body []byte) error {
 			decodeInt8Payload(body[off:off+8*rows+n], data, rows, cols)
 			off += 8*rows + n
 		default:
-			decodeFP64Payload(body[off:off+8*n], data)
+			DecodeFloat64s(body[off:off+8*n], data)
 			off += 8 * n
 		}
 		m.Tensors = append(m.Tensors, Matrix{Rows: rows, Cols: cols, Data: data, Enc: enc})
