@@ -93,15 +93,17 @@ bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # Fault-tolerance gate: the chaos/failover acceptance suite — fault
-# matrix, supervisor failover, transport fault injection, dead-worker
-# migrate/fetch, and the checkpoint layer's own fault matrix (RunStore
-# corruption/IO-fault fallback, malformed-input rejection, the decoders'
-# fuzz seed corpora) — race-enabled and rerun from scratch every time.
+# matrix, supervisor failover (mid-step and probe-detected deaths),
+# transport fault injection, dead-worker migrate/fetch, the counter table
+# the recovery paths report through, and the checkpoint layer's own fault
+# matrix (RunStore corruption/IO-fault fallback, malformed-input
+# rejection, the decoders' fuzz seed corpora) — race-enabled and rerun
+# from scratch every time.
 chaos:
 	$(GO) test -race -count=1 \
-		-run 'Chaos|Fault|Failover|Supervisor|Repair|Recover|Dead|StepOrdinal|ExpertSnapshot|RunStore|DecodeRun' \
+		-run 'Chaos|Fault|Failover|Supervisor|Repair|Recover|Dead|Probe|Counters|StepOrdinal|ExpertSnapshot|RunStore|DecodeRun' \
 		./internal/broker ./internal/transport ./internal/placement \
-		./internal/checkpoint ./internal/trainer ./internal/metrics
+		./internal/checkpoint ./internal/trainer ./internal/obs
 
 # Self-checking end-to-end harnesses over the one assembly path
 # (core.Attach): chaos exits non-zero unless a mid-step connection kill

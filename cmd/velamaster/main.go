@@ -306,7 +306,7 @@ func run(addrs []string, devicesPerNode int, dataset, strategyName string, steps
 			fmt.Printf("resumed from generation %d at step %d (%v)\n",
 				rs.Generation, rs.Step, time.Since(t0).Round(time.Millisecond))
 		}
-		writer = checkpoint.NewAsyncWriter(store, handle.Ckpt)
+		writer = checkpoint.NewAsyncWriter(store, exec.Counters)
 		defer writer.Close()
 		sys.CheckpointEvery(opts.ckptEvery, runCap, writer)
 		fmt.Printf("run-level checkpointing to %s (every %d steps, keep %d)\n",
@@ -340,9 +340,6 @@ func run(addrs []string, devicesPerNode int, dataset, strategyName string, steps
 		if cerr := writer.Close(); cerr != nil {
 			fmt.Printf("checkpoint writer: %v\n", cerr)
 		}
-		c := handle.Ckpt.Snapshot()
-		fmt.Printf("checkpoints: %d written, %d skipped (writer busy), %d failed; newest generation %d (%d bytes, %.1f ms write)\n",
-			c.Writes, c.Skips, c.Failures, c.Generation, c.LastBytes, c.LastWrite*1e3)
 	}
 
 	if opts.snapshotPath != "" {
@@ -357,17 +354,7 @@ func run(addrs []string, devicesPerNode int, dataset, strategyName string, steps
 		ran = 1
 	}
 	fmt.Printf("\ndone in %v (%.3f s/step)\n", elapsed.Round(time.Millisecond), elapsed.Seconds()/float64(ran))
-	fmt.Printf("traffic: %.1f MB total, %.1f MB cross-node\n",
-		float64(exec.Traffic.TotalBytes())/1e6, float64(exec.Traffic.CrossNodeBytes())/1e6)
-	for n, w := range exec.Traffic.Snapshot() {
-		fmt.Printf("  worker %d: %8.1f MB out, %8.1f MB in, %d messages\n",
-			n, float64(w.BytesToWorker)/1e6, float64(w.BytesFromWorker)/1e6, w.Messages)
-	}
-	if rc := exec.Recovery.Snapshot(); rc.WorkerFailovers > 0 || rc.RecvTimeouts > 0 {
-		fmt.Printf("recovery: %d failover(s), %d expert(s) restored, %d step retr%s, %d recv timeout(s)\n",
-			rc.WorkerFailovers, rc.ExpertsRecovered, rc.StepRetries, plural(rc.StepRetries, "y", "ies"), rc.RecvTimeouts)
-	}
-	if err := handle.WriteBreakdown(os.Stdout); err != nil {
+	if err := obs.WriteReport(os.Stdout, sys.MetricsSource()); err != nil {
 		return err
 	}
 	if trace != nil {
@@ -480,13 +467,6 @@ func (t *traceCollector) Export(path string, rep io.Writer) error {
 	fmt.Fprintf(rep, "trace: %d requests across %d workers exported to %s (load in https://ui.perfetto.dev)\n",
 		len(tl.Requests), len(wes), path)
 	return tl.WriteCriticalPath(rep)
-}
-
-func plural(n int64, one, many string) string {
-	if n == 1 {
-		return one
-	}
-	return many
 }
 
 func corpusFor(name string) (*data.Corpus, error) {

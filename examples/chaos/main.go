@@ -62,7 +62,8 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	rc := sys.Exec.Recovery.Snapshot()
+	ctr := sys.Exec.Counters
+	failovers, retries := ctr.Get(obs.WorkerFailovers), ctr.Get(obs.StepRetries)
 
 	fmt.Printf("\n%-6s %-14s %-14s\n", "step", "failure-free", "with failover")
 	maxDiff := 0.0
@@ -73,23 +74,18 @@ func run() error {
 		}
 	}
 	fmt.Printf("\nmax per-step loss difference: %.2e\n", maxDiff)
-	fmt.Printf("recovery: %d failover(s), %d expert(s) restored from snapshot, "+
-		"%d step retr%s, %d recv timeout(s), %d snapshot(s) taken\n",
-		rc.WorkerFailovers, rc.ExpertsRecovered,
-		rc.StepRetries, map[bool]string{true: "y", false: "ies"}[rc.StepRetries == 1],
-		rc.RecvTimeouts, rc.Snapshots)
-	fmt.Println()
-	// The observability exit report for the chaos run: phase breakdown and
-	// how far measured routing drifted from the (uniform) placement-time P.
-	if err := sys.Obs.WriteBreakdown(os.Stdout); err != nil {
+	// The exit report for the chaos run: the counter table (its recovery
+	// line is the failover's audit trail), the phase breakdown and how far
+	// measured routing drifted from the (uniform) placement-time P.
+	if err := obs.WriteReport(os.Stdout, sys.MetricsSource()); err != nil {
 		return err
 	}
 
 	switch {
 	case !testutil.BitEqual(maxDiff, 0):
 		return fmt.Errorf("FAIL: failover perturbed the loss trajectory (max diff %.2e)", maxDiff)
-	case rc.WorkerFailovers != 1 || rc.StepRetries != 1:
-		return fmt.Errorf("FAIL: %d failover(s) and %d step retries, want exactly 1 and 1", rc.WorkerFailovers, rc.StepRetries)
+	case failovers != 1 || retries != 1:
+		return fmt.Errorf("FAIL: %d failover(s) and %d step retries, want exactly 1 and 1", failovers, retries)
 	}
 	fmt.Println("PASS: one failover, one retried step, loss trajectory bit-identical")
 	return nil

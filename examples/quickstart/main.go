@@ -89,13 +89,11 @@ func run() error {
 		return err
 	}
 
-	fmt.Printf("traffic: %.2f MB total, %.2f MB cross-node\n",
-		float64(sys.Traffic.TotalBytes())/1e6, float64(sys.CrossNodeBytes())/1e6)
-
-	// The observability exit report: where each step's time went, and how
-	// far the live routing distribution has drifted from the placement-time
-	// P (Theorem 1 predicts: not far).
-	if err := handle.WriteBreakdown(os.Stdout); err != nil {
+	// The exit report: every runtime counter (traffic with its cross-node
+	// share first among them), where each step's time went, and how far
+	// the live routing distribution has drifted from the placement-time P
+	// (Theorem 1 predicts: not far).
+	if err := obs.WriteReport(os.Stdout, sys.MetricsSource()); err != nil {
 		return err
 	}
 

@@ -76,8 +76,8 @@ type benchReport struct {
 	NewestGenAtKill   uint64  `json:"newest_generation_at_kill"`
 	ResumedGeneration uint64  `json:"resumed_generation_after_corruption"`
 	ResumeSeconds     float64 `json:"resume_seconds"`
-	CheckpointWrites  uint64  `json:"resumed_phase_checkpoint_writes"`
-	CheckpointSkips   uint64  `json:"resumed_phase_checkpoint_skips"`
+	CheckpointWrites  int64   `json:"resumed_phase_checkpoint_writes"`
+	CheckpointSkips   int64   `json:"resumed_phase_checkpoint_skips"`
 	CheckpointBytes   int64   `json:"checkpoint_bytes"`
 	WriteMillis       float64 `json:"checkpoint_write_ms"`
 	BitIdentical      bool    `json:"loss_bit_identical_to_failure_free"`
@@ -159,7 +159,7 @@ func runParent() error {
 	fmt.Printf("  resumed at step %d from generation %d (%v)\n",
 		rs.Step, rs.Generation, time.Since(t0).Round(time.Millisecond))
 
-	writer := checkpoint.NewAsyncWriter(store, sys.Obs.Ckpt)
+	writer := checkpoint.NewAsyncWriter(store, sys.Exec.Counters)
 	sys.CheckpointEvery(1, sys.cap, writer)
 	killStep := rs.Step + 1    // sever worker 2's connection after this completed step
 	rejoinStep := killStep + 1 // restart and re-admit it at the following boundary
@@ -194,28 +194,30 @@ func runParent() error {
 
 	// Verdicts.
 	bitIdentical := testutil.BitEqualSlices(ref, sys.ft.Losses.Values)
-	rc := sys.Exec.Recovery.Snapshot()
+	ctr := sys.Exec.Counters
+	rejoins := ctr.Get(obs.WorkerRejoins)
 	back := sys.Exec.Assignment().Loads(workers)[killWorker]
-	ck := sys.Obs.Ckpt.Snapshot()
 
 	fmt.Printf("\n%-6s %-14s %-14s\n", "step", "failure-free", "kill+resume")
 	for s := range ref {
 		fmt.Printf("%-6d %-14.6f %-14.6f\n", s, ref[s], sys.ft.Losses.Values[s])
 	}
-	fmt.Printf("\nrecovery: %d failover(s), %d rejoin(s), %d expert(s) restored, %d step retries\n",
-		rc.WorkerFailovers, rc.WorkerRejoins, rc.ExpertsRecovered, rc.StepRetries)
+	fmt.Println()
+	if err := obs.WriteReport(os.Stdout, sys.MetricsSource()); err != nil {
+		return err
+	}
 	fmt.Printf("worker %d hosts %d experts after migrate-back\n", killWorker, back)
 
 	report := benchReport{
 		NewestGenAtKill:   newest,
 		ResumedGeneration: rs.Generation,
-		ResumeSeconds:     ck.ResumeSec,
-		CheckpointWrites:  ck.Writes,
-		CheckpointSkips:   ck.Skips,
-		CheckpointBytes:   ck.LastBytes,
-		WriteMillis:       ck.LastWrite * 1e3,
+		ResumeSeconds:     time.Duration(ctr.Get(obs.CkptResumeNanos)).Seconds(),
+		CheckpointWrites:  ctr.Get(obs.CkptWrites),
+		CheckpointSkips:   ctr.Get(obs.CkptSkips),
+		CheckpointBytes:   ctr.Get(obs.CkptLastBytes),
+		WriteMillis:       float64(ctr.Get(obs.CkptLastWriteNanos)) / 1e6,
 		BitIdentical:      bitIdentical,
-		WorkerRejoins:     rc.WorkerRejoins,
+		WorkerRejoins:     rejoins,
 		ExpertsOnRejoined: back,
 	}
 	blob, err := json.MarshalIndent(report, "", "  ")
@@ -230,8 +232,8 @@ func runParent() error {
 	switch {
 	case !bitIdentical:
 		return fmt.Errorf("FAIL: resumed trajectory diverged from the failure-free run")
-	case rc.WorkerRejoins != 1:
-		return fmt.Errorf("FAIL: %d worker rejoins, want 1", rc.WorkerRejoins)
+	case rejoins != 1:
+		return fmt.Errorf("FAIL: %d worker rejoins, want 1", rejoins)
 	case back == 0:
 		return fmt.Errorf("FAIL: no experts migrated back to rejoined worker %d", killWorker)
 	}

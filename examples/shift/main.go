@@ -98,7 +98,7 @@ func run() error {
 	fmt.Printf("max drift after re-placement: %.4f\n", live.endDrift)
 	fmt.Printf("max per-step loss difference vs uncontrolled run: %.2e\n", maxDiff)
 	fmt.Println()
-	if err := live.handle.WriteBreakdown(os.Stdout); err != nil {
+	if err := obs.WriteReport(os.Stdout, live.report); err != nil {
 		return err
 	}
 
@@ -139,7 +139,7 @@ func run() error {
 
 type result struct {
 	losses []float64
-	handle *obs.Handle
+	report obs.Source
 
 	migrations  int
 	moved       int
@@ -203,7 +203,7 @@ func finetune(controlled bool) (*result, error) {
 
 	sys.Supervisor(broker.SupervisorConfig{})
 
-	res := &result{handle: handle, migStep: -1}
+	res := &result{report: sys.MetricsSource(), migStep: -1}
 	if controlled {
 		ctrl, err := sys.ReplaceController(replace.Config{
 			DriftThreshold:   0.09,

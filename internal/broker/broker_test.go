@@ -6,9 +6,9 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/metrics"
 	"repro/internal/moe"
 	"repro/internal/nn"
+	"repro/internal/obs"
 	"repro/internal/placement"
 	"repro/internal/tensor"
 	"repro/internal/testutil"
@@ -321,7 +321,7 @@ func TestTrafficAccounting(t *testing.T) {
 	dep := StartLocalWorkers(workers, DefaultWorkerConfig())
 	assign := roundRobinAssignment(cfg, workers)
 	exec := NewExecutor(dep.Conns, assign)
-	exec.Traffic = metrics.NewTraffic(workers, []bool{false, true})
+	exec.Counters = obs.NewCounters([]bool{false, true})
 	if err := exec.Distribute(grid, ExpertSpec{D: cfg.D, Hidden: cfg.Hidden, LoRARank: 2, LoRAAlpha: 4}); err != nil {
 		t.Fatal(err)
 	}
@@ -332,25 +332,38 @@ func TestTrafficAccounting(t *testing.T) {
 	if _, err := m.Forward(ids, batch, seq); err != nil {
 		t.Fatal(err)
 	}
-	snap := exec.Traffic.Snapshot()
-	var tokensOut int64
-	for _, w := range snap {
-		tokensOut += w.TokensToWorker
+	ctr := exec.Counters
+	for n := 0; n < workers; n++ {
+		out, in := ctr.Worker(obs.TrafficTokensTo, n), ctr.Worker(obs.TrafficTokensFrom, n)
 		// Returned tokens must equal dispatched tokens per worker.
-		if w.TokensToWorker != w.TokensFromWorker {
-			t.Fatalf("token conservation violated: %+v", w)
+		if out != in {
+			t.Fatalf("worker %d token conservation violated: %d out, %d in", n, out, in)
 		}
 		// Logical bytes = tokens × D × 2 (fp16).
-		if w.BytesToWorker != w.TokensToWorker*int64(cfg.D)*2 {
-			t.Fatalf("byte accounting wrong: %+v", w)
+		if got := ctr.Worker(obs.TrafficBytesTo, n); got != out*int64(cfg.D)*2 {
+			t.Fatalf("worker %d byte accounting wrong: %d bytes for %d tokens", n, got, out)
+		}
+		// One frame per direction per worker that was sent anything —
+		// however many experts the frame carried — so the count reconciles
+		// with vela_frame_bytes_count.
+		want := int64(0)
+		if out > 0 {
+			want = 2
+		}
+		if got := ctr.Worker(obs.TrafficFrames, n); got != want {
+			t.Fatalf("worker %d counted %d frames for one forward exchange, want %d", n, got, want)
 		}
 	}
 	// top-1 routing of 6 tokens in 1 block → exactly 6 token copies out.
-	if tokensOut != 6 {
-		t.Fatalf("dispatched %d token copies, want 6", tokensOut)
+	if got := ctr.Get(obs.TrafficTokensTo); got != 6 {
+		t.Fatalf("dispatched %d token copies, want 6", got)
 	}
-	if exec.Traffic.TotalBytes() != 2*6*int64(cfg.D)*2 {
-		t.Fatalf("total bytes = %d", exec.Traffic.TotalBytes())
+	if got := ctr.Get(obs.TrafficBytesTo) + ctr.Get(obs.TrafficBytesFrom); got != 2*6*int64(cfg.D)*2 {
+		t.Fatalf("total bytes = %d", got)
+	}
+	// Worker 1 is the cross-node one.
+	if got, want := ctr.CrossNodeBytes(), ctr.Worker(obs.TrafficBytesTo, 1)+ctr.Worker(obs.TrafficBytesFrom, 1); got != want {
+		t.Fatalf("cross-node bytes = %d, want worker 1's %d", got, want)
 	}
 	if err := exec.Shutdown(); err != nil {
 		t.Fatal(err)

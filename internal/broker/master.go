@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/checkpoint"
-	"repro/internal/metrics"
 	"repro/internal/moe"
 	"repro/internal/obs"
 	"repro/internal/placement"
@@ -56,9 +55,12 @@ type Executor struct {
 	// supervisor's goroutine and metrics scrapers can read Assignment()
 	// while a plan executes without ever observing a half-updated grid.
 	assign atomic.Pointer[placement.Assignment]
-	// Traffic, when non-nil, receives logical byte accounting
-	// (rows × features × BytesPerValue per transfer).
-	Traffic *metrics.Traffic
+	// Counters, when non-nil, is the runtime counter table: it receives
+	// the logical byte accounting (rows × features × BytesPerValue per
+	// transfer, one frame per worker per direction) and the
+	// fault-tolerance counts of this executor and its Supervisor. A nil
+	// table discards them.
+	Counters *obs.Counters
 	// BytesPerValue is the logical bit-depth of an exchanged feature in
 	// bytes. The paper exchanges 16-bit features, so the default is 2.
 	BytesPerValue float64
@@ -86,9 +88,6 @@ type Executor struct {
 	// expired reply wait. < 0 disables retries; 0 selects
 	// DefaultMaxRecvRetries.
 	MaxRecvRetries int
-	// Recovery, when non-nil, receives fault-tolerance counters (timeouts,
-	// retries, stale/duplicate replies). A nil meter discards them.
-	Recovery *metrics.Recovery
 	// Obs, when non-nil, receives the exchange-lifecycle trace (enqueue,
 	// send, reply, decode), the latency/queue-wait/straggler histograms
 	// and the exchange-phase spans. A nil handle costs one branch per
@@ -402,10 +401,10 @@ func (x *Executor) pipelined(n int, msgs []*wire.Message, onSent func(i int), on
 			reply, err = conn.Recv()
 			if err != nil {
 				if timeout > 0 && errors.Is(err, transport.ErrTimeout) {
-					x.Recovery.AddRecvTimeout()
+					x.Counters.Add(obs.RecvTimeouts, 1)
 					if attempt < x.recvRetries() {
 						attempt++
-						x.Recovery.AddRecvRetry()
+						x.Counters.Add(obs.RecvRetries, 1)
 						continue
 					}
 				}
@@ -426,13 +425,13 @@ func (x *Executor) pipelined(n int, msgs []*wire.Message, onSent func(i int), on
 				case reply.Seq < startSeq:
 					// A straggler from an abandoned round: absorb it
 					// without consuming this round's reply slot.
-					x.Recovery.AddStaleReply()
+					x.Counters.Add(obs.StaleReplies, 1)
 					if canRelease {
 						wire.Release(reply)
 					}
 					continue
 				case dup:
-					x.Recovery.AddDuplicateReply()
+					x.Counters.Add(obs.DuplicateReplies, 1)
 					if canRelease {
 						wire.Release(reply)
 					}
@@ -591,7 +590,8 @@ func (x *Executor) logicalBytes(rows, vals int) int64 {
 // exchangeWorker is worker n's share of an exchange round: one
 // multi-tensor frame (Tensors[0] = expert-id row, Tensors[1..K] =
 // batches) and one reply mirroring the layout. Traffic is accounted per
-// expert; any expert failure on the worker fails the whole frame.
+// frame, bytes as the sum over its experts; any expert failure on the
+// worker fails the whole frame.
 func (x *Executor) exchangeWorker(n, layer int, experts []int, batches map[int]*tensor.Tensor, backward bool, results map[int]*tensor.Tensor, mu *sync.Mutex) error {
 	reqType, respType := wire.MsgForwardMulti, wire.MsgForwardMultiResult
 	if backward {
@@ -608,12 +608,17 @@ func (x *Executor) exchangeWorker(n, layer int, experts []int, batches map[int]*
 	}
 	msg := &wire.Message{Type: reqType, Layer: int32(layer), Expert: wire.ExpertCoalesced, Tensors: tensors}
 	var onSent func(int)
-	if x.Traffic != nil {
+	if x.Counters != nil {
 		onSent = func(int) {
+			var tokens, bytes int64
 			for _, e := range experts {
 				b := batches[e]
-				x.Traffic.AddToWorker(n, int64(b.Rows()), x.logicalBytes(b.Rows(), b.Len()))
+				tokens += int64(b.Rows())
+				bytes += x.logicalBytes(b.Rows(), b.Len())
 			}
+			x.Counters.AddWorker(obs.TrafficTokensTo, n, tokens)
+			x.Counters.AddWorker(obs.TrafficBytesTo, n, bytes)
+			x.Counters.AddWorker(obs.TrafficFrames, n, 1)
 		}
 	}
 	canRelease := transport.Copies(x.conn(n))
@@ -635,6 +640,7 @@ func (x *Executor) exchangeWorker(n, layer int, experts []int, batches map[int]*
 		if x.Obs != nil {
 			decT0 = x.Obs.Trace.Clock()
 		}
+		var tokens, bytes int64
 		for i, e := range experts {
 			if int(idRow.Data[i]) != e {
 				return fmt.Errorf("broker: worker %d %v reply echoes expert %d at slot %d, want %d",
@@ -653,10 +659,14 @@ func (x *Executor) exchangeWorker(n, layer int, experts []int, batches map[int]*
 			mu.Lock()
 			results[e] = out
 			mu.Unlock()
-			if x.Traffic != nil {
-				x.Traffic.AddFromWorker(n, int64(out.Rows()), x.logicalBytes(out.Rows(), out.Len()))
+			if x.Counters != nil {
+				tokens += int64(out.Rows())
+				bytes += x.logicalBytes(out.Rows(), out.Len())
 			}
 		}
+		x.Counters.AddWorker(obs.TrafficTokensFrom, n, tokens)
+		x.Counters.AddWorker(obs.TrafficBytesFrom, n, bytes)
+		x.Counters.AddWorker(obs.TrafficFrames, n, 1)
 		if canRelease {
 			wire.Release(reply)
 		}
@@ -909,7 +919,7 @@ func (x *Executor) SnapshotExperts(step int) (*checkpoint.ExpertSnapshot, error)
 			snap.Entries = append(snap.Entries, entry)
 		}
 	}
-	x.Recovery.AddSnapshot()
+	x.Counters.Add(obs.Snapshots, 1)
 	return snap, nil
 }
 

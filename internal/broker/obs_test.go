@@ -147,7 +147,7 @@ func TestInstrumentedExchangeLifecycle(t *testing.T) {
 
 	// Breakdown renders and mentions the exchange phase and the drift.
 	var sb strings.Builder
-	if err := handle.WriteBreakdown(&sb); err != nil {
+	if err := obs.WriteReport(&sb, obs.Source{Handle: handle}); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()

@@ -6,7 +6,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/metrics"
+	"repro/internal/obs"
 	"repro/internal/placement"
 	"repro/internal/tensor"
 	"repro/internal/testutil"
@@ -155,7 +155,7 @@ func TestRecoverAfterRebalanceUsesRepairedAssignment(t *testing.T) {
 
 	exec := NewExecutor(conns, roundRobinAssignment(cfg, workers))
 	exec.RequestTimeout = 2 * time.Second
-	exec.Recovery = &metrics.Recovery{}
+	exec.Counters = obs.NewCounters(nil)
 	if err := exec.Distribute(grid, ExpertSpec{D: cfg.D, Hidden: cfg.Hidden, LoRARank: 2, LoRAAlpha: 4}); err != nil {
 		t.Fatal(err)
 	}

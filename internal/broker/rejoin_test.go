@@ -7,9 +7,9 @@ import (
 	"time"
 
 	"repro/internal/checkpoint"
-	"repro/internal/metrics"
 	"repro/internal/moe"
 	"repro/internal/nn"
+	"repro/internal/obs"
 	"repro/internal/tensor"
 	"repro/internal/testutil"
 	"repro/internal/trainer"
@@ -29,7 +29,7 @@ func TestWorkerRejoinServesTraffic(t *testing.T) {
 	dep := StartLocalWorkers(2, DefaultWorkerConfig())
 	exec := NewExecutor(dep.Conns, roundRobinAssignment(cfg, 2))
 	exec.RequestTimeout = 2 * time.Second
-	exec.Recovery = &metrics.Recovery{}
+	exec.Counters = obs.NewCounters(nil)
 	spec := ExpertSpec{D: cfg.D, Hidden: cfg.Hidden, LoRARank: 2, LoRAAlpha: 4}
 	if err := exec.Distribute(grid, spec); err != nil {
 		t.Fatal(err)
@@ -56,8 +56,8 @@ func TestWorkerRejoinServesTraffic(t *testing.T) {
 	if len(rejoined) != 1 || rejoined[0] != 1 {
 		t.Fatalf("OnRejoin saw %v, want [1]", rejoined)
 	}
-	if rc := exec.Recovery.Snapshot(); rc.WorkerRejoins != 1 {
-		t.Fatalf("WorkerRejoins = %d, want 1", rc.WorkerRejoins)
+	if n := exec.Counters.Get(obs.WorkerRejoins); n != 1 {
+		t.Fatalf("WorkerRejoins = %d, want 1", n)
 	}
 
 	// Heartbeat re-arm: the next probe must ping the new connection and
@@ -113,7 +113,7 @@ func TestSupervisorRedialAndAdmitRejoins(t *testing.T) {
 	dep := StartLocalWorkers(2, DefaultWorkerConfig())
 	exec := NewExecutor(dep.Conns, roundRobinAssignment(cfg, 2))
 	exec.RequestTimeout = 2 * time.Second
-	exec.Recovery = &metrics.Recovery{}
+	exec.Counters = obs.NewCounters(nil)
 	sup := NewSupervisor(exec, uniformProblem(cfg, 2), SupervisorConfig{})
 
 	exec.MarkDead(1)
@@ -178,7 +178,7 @@ func adamChaosRun(t *testing.T, kill bool) []float64 {
 	}
 	exec := NewExecutor(conns, roundRobinAssignment(cfg, workers))
 	exec.RequestTimeout = 2 * time.Second
-	exec.Recovery = &metrics.Recovery{}
+	exec.Counters = obs.NewCounters(nil)
 	if err := exec.Distribute(grid, ExpertSpec{D: cfg.D, Hidden: cfg.Hidden, LoRARank: 2, LoRAAlpha: 4}); err != nil {
 		t.Fatal(err)
 	}

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/checkpoint"
-	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/placement"
 	"repro/internal/transport"
@@ -47,16 +46,13 @@ type Supervisor struct {
 	exec *Executor
 	prob *placement.Problem
 	cfg  SupervisorConfig
-	// Recovery receives heartbeat/failover counters; defaults to the
-	// executor's meter so all fault-tolerance counts land in one place.
-	Recovery *metrics.Recovery
 	// Obs, when non-nil, has its predicted-comm gauge refreshed after a
 	// failover: Repair changes the placement, so the objective value the
 	// drift monitor compares measurements against must follow it (the
 	// drift baseline itself stays — Repair re-places over the same P).
 	Obs *obs.Handle
 	// OnFailover, when non-nil, is invoked after a completed failover
-	// with the workers declared dead in this round and the repaired
+	// with the workers failed over in this round and the repaired
 	// assignment (useful for logging and test assertions).
 	OnFailover func(dead []int, next *placement.Assignment)
 	// Redial, when non-nil, is attempted by the heartbeat loop for every
@@ -86,12 +82,11 @@ type Supervisor struct {
 // failure).
 func NewSupervisor(exec *Executor, prob *placement.Problem, cfg SupervisorConfig) *Supervisor {
 	return &Supervisor{
-		exec:     exec,
-		prob:     prob,
-		cfg:      cfg,
-		Recovery: exec.Recovery,
-		missed:   make([]int, exec.NumWorkers()),
-		pending:  make(map[int]transport.Conn),
+		exec:    exec,
+		prob:    prob,
+		cfg:     cfg,
+		missed:  make([]int, exec.NumWorkers()),
+		pending: make(map[int]transport.Conn),
 	}
 }
 
@@ -151,8 +146,7 @@ func (s *Supervisor) Probe() {
 			s.tryRedial(n)
 			continue
 		}
-		err := s.exec.Ping(n)
-		s.Recovery.AddHeartbeat(err == nil)
+		err := s.ping(n)
 		s.mu.Lock()
 		if err == nil {
 			s.missed[n] = 0
@@ -273,7 +267,7 @@ func (s *Supervisor) Rejoin(n int, conn transport.Conn) error {
 	s.mu.Lock()
 	s.missed[n] = 0
 	s.mu.Unlock()
-	s.Recovery.AddRejoin()
+	s.exec.Counters.Add(obs.WorkerRejoins, 1)
 	if s.OnRejoin != nil {
 		s.OnRejoin(n)
 	}
@@ -312,52 +306,59 @@ func (s *Supervisor) SaveLatest(path string) error {
 	return checkpoint.SaveExpertSnapshotFile(path, snap)
 }
 
+// ping heartbeats worker n once and counts the outcome.
+func (s *Supervisor) ping(n int) error {
+	err := s.exec.Ping(n)
+	outcome := obs.HeartbeatsAnswered
+	if err != nil {
+		outcome = obs.HeartbeatsMissed
+	}
+	s.exec.Counters.Add(outcome, 1)
+	return err
+}
+
 // Recover classifies a failed training step and, for fatal failures,
 // executes the failover. Wire it as the trainer's Recover hook.
 //
-// Classification: every live worker is pinged once. Workers that answer
-// were merely slow (or an already-handled failure tripped the step) —
-// the failure is transient and the step is simply retried. Workers that
-// do not answer are marked dead and their experts are restored from the
-// latest snapshot onto survivors chosen by placement.Repair.
+// Classification: every live worker is pinged once and marked dead if it
+// does not answer. Then every dead worker that still hosts experts in the
+// current assignment is failed over — whether this round's pings found
+// it or the heartbeat loop's Probe marked it dead first (Probe never
+// repairs, so its deaths reach here as a step failing fast on
+// ErrWorkerDead). With no such worker the failure was transient (a slow
+// worker, or an already-handled failure tripped the step) and the step
+// is simply retried.
 func (s *Supervisor) Recover(step int, cause error) error {
-	var newlyDead []int
 	for n := 0; n < s.exec.NumWorkers(); n++ {
-		if !s.exec.Alive(n) {
-			continue
-		}
-		if err := s.exec.Ping(n); err != nil {
-			s.Recovery.AddHeartbeat(false)
+		if s.exec.Alive(n) && s.ping(n) != nil {
 			s.exec.MarkDead(n)
-			newlyDead = append(newlyDead, n)
-		} else {
-			s.Recovery.AddHeartbeat(true)
 		}
 	}
-	if len(newlyDead) == 0 {
-		// Transient: nothing to repair — retry the step. Guard against a
-		// cause that implicates a worker the ping path somehow still
-		// reaches; retrying is correct there too (the round will fail
-		// again and re-enter Recover if the condition persists).
-		s.Recovery.AddStepRetry()
-		return nil
+	deadMask := s.exec.DeadMask()
+	loads := s.exec.Assignment().Loads(len(deadMask))
+	var failed []int
+	for n, dead := range deadMask {
+		if dead && loads[n] > 0 {
+			failed = append(failed, n)
+		}
 	}
-	if err := s.failover(newlyDead); err != nil {
-		return fmt.Errorf("broker: failover after %v: %w", cause, err)
+	if len(failed) > 0 {
+		if err := s.failover(failed, deadMask); err != nil {
+			return fmt.Errorf("broker: failover after %v: %w", cause, err)
+		}
 	}
-	s.Recovery.AddStepRetry()
+	s.exec.Counters.Add(obs.StepRetries, 1)
 	return nil
 }
 
-// failover re-places the dead workers' experts over the survivors and
+// failover re-places the failed workers' experts over the survivors and
 // restores their snapshot state onto the new hosts.
-func (s *Supervisor) failover(newlyDead []int) error {
+func (s *Supervisor) failover(failed []int, deadMask []bool) error {
 	snap := s.Latest()
 	if snap == nil {
 		return errors.New("broker: no expert snapshot to restore from (wire Supervisor.Checkpoint as the trainer's OnStep hook)")
 	}
 	current := s.exec.Assignment()
-	deadMask := s.exec.DeadMask()
 	next, err := placement.Repair(s.prob, current, deadMask)
 	if err != nil {
 		return err
@@ -386,9 +387,10 @@ func (s *Supervisor) failover(newlyDead []int) error {
 			s.Obs.Drift.SetPredictedComm(m.CommTime)
 		}
 	}
-	s.Recovery.AddFailover(len(orphans))
+	s.exec.Counters.Add(obs.WorkerFailovers, int64(len(failed)))
+	s.exec.Counters.Add(obs.ExpertsRecovered, int64(len(orphans)))
 	if s.OnFailover != nil {
-		s.OnFailover(newlyDead, next)
+		s.OnFailover(failed, next)
 	}
 	return nil
 }

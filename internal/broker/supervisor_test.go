@@ -6,9 +6,9 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/metrics"
 	"repro/internal/moe"
 	"repro/internal/nn"
+	"repro/internal/obs"
 	"repro/internal/placement"
 	"repro/internal/testutil"
 	"repro/internal/trainer"
@@ -64,13 +64,30 @@ func (b *chaosBatcher) Next() ([]int, []int) {
 
 func (b *chaosBatcher) Shape() (int, int) { return b.batch, b.seqLen }
 
+// chaosFault is how chaosRun kills workers after step 1's snapshot.
+type chaosFault int
+
+const (
+	// noFault is the failure-free reference run.
+	noFault chaosFault = iota
+	// severMidStep arms a Faulty close: the very next frame to the worker
+	// (step 2's first broadcast or dispatch) severs the connection, and
+	// Recover's own pings find the death.
+	severMidStep
+	// probeAtBoundary closes the connection at the step boundary and runs
+	// one heartbeat round, so Probe marks the worker dead before the
+	// training loop touches it: step 2 fails fast on ErrWorkerDead and
+	// Recover finds nothing newly dead.
+	probeAtBoundary
+)
+
 // chaosRun drives a short distributed fine-tune over three workers,
-// optionally killing worker 2 abruptly after step 1 via an armed Faulty
-// close, and returns the per-step losses plus the executor for state
-// assertions. Workers run SGD here; the AdamW configuration — where
-// equality additionally requires the VELAEXS2 snapshot to carry the
-// optimizer moments — is TestChaosFailoverAdamWMomentsExact.
-func chaosRun(t *testing.T, kill bool) ([]float64, *Executor, *Supervisor, []error) {
+// killing the given workers after step 1 the way fault says, and returns
+// the per-step losses plus the executor for state assertions. Workers run
+// SGD here; the AdamW configuration — where equality additionally
+// requires the VELAEXS2 snapshot to carry the optimizer moments — is
+// TestChaosFailoverAdamWMomentsExact.
+func chaosRun(t *testing.T, fault chaosFault, kill ...int) ([]float64, *Executor, *Supervisor, []error) {
 	t.Helper()
 	const steps, workers = 6, 3
 	cfg := testConfig()
@@ -78,20 +95,23 @@ func chaosRun(t *testing.T, kill bool) ([]float64, *Executor, *Supervisor, []err
 	dep := StartLocalWorkers(workers, WorkerConfig{Optimizer: OptSGD, LR: 0.05})
 
 	conns := append([]transport.Conn(nil), dep.Conns...)
-	var faulty *transport.Faulty
-	if kill {
-		faulty = transport.NewFaulty(conns[2], 7, transport.FaultPlan{})
-		conns[2] = faulty
+	var faulty []*transport.Faulty
+	if fault == severMidStep {
+		for _, n := range kill {
+			f := transport.NewFaulty(conns[n], 7, transport.FaultPlan{})
+			faulty = append(faulty, f)
+			conns[n] = f
+		}
 	}
 	exec := NewExecutor(conns, roundRobinAssignment(cfg, workers))
 	exec.RequestTimeout = 2 * time.Second
-	exec.Recovery = &metrics.Recovery{}
+	exec.Counters = obs.NewCounters(nil)
 	if err := exec.Distribute(grid, ExpertSpec{D: cfg.D, Hidden: cfg.Hidden, LoRARank: 2, LoRAAlpha: 4}); err != nil {
 		t.Fatal(err)
 	}
 	model.SetExecutor(exec)
 
-	sup := NewSupervisor(exec, uniformProblem(cfg, workers), SupervisorConfig{})
+	sup := NewSupervisor(exec, uniformProblem(cfg, workers), SupervisorConfig{FailureThreshold: 1})
 	backbone := nn.CollectTrainable(model.Params())
 	ft := &trainer.Finetuner{
 		Model:      model,
@@ -105,20 +125,28 @@ func chaosRun(t *testing.T, kill bool) ([]float64, *Executor, *Supervisor, []err
 			if err := sup.Checkpoint(step); err != nil {
 				return err
 			}
-			if kill && step == 1 {
-				// Arm AFTER the step-1 snapshot: the very next frame to
-				// worker 2 (step 2's first broadcast or dispatch) severs
-				// the connection mid-step.
-				faulty.ArmClose(0)
+			if step != 1 {
+				return nil
+			}
+			// Faults land AFTER the step-1 snapshot.
+			for _, f := range faulty {
+				f.ArmClose(0)
+			}
+			if fault == probeAtBoundary {
+				for _, n := range kill {
+					//lint:ignore errdispatch fault injection: severing the conn IS the failure under test
+					_ = conns[n].Close()
+				}
+				sup.Probe()
 			}
 			return nil
 		},
 	}
 	if err := ft.Run(steps, nil); err != nil {
-		t.Fatalf("run (kill=%v): %v", kill, err)
+		t.Fatalf("run (fault %d on %v): %v", fault, kill, err)
 	}
 	if err := exec.Shutdown(); err != nil {
-		t.Fatalf("shutdown (kill=%v): %v", kill, err)
+		t.Fatalf("shutdown (fault %d on %v): %v", fault, kill, err)
 	}
 	return ft.Losses.Values, exec, sup, dep.WaitAll()
 }
@@ -133,14 +161,14 @@ func chaosRun(t *testing.T, kill bool) ([]float64, *Executor, *Supervisor, []err
 func TestChaosFailoverMatchesFailureFree(t *testing.T) {
 	defer testutil.VerifyNoLeaks(t, "repro/internal/broker", "repro/internal/transport")
 
-	clean, _, _, cleanErrs := chaosRun(t, false)
+	clean, _, _, cleanErrs := chaosRun(t, noFault)
 	for n, err := range cleanErrs {
 		if err != nil {
 			t.Fatalf("failure-free worker %d exited with %v", n, err)
 		}
 	}
 
-	chaos, exec, sup, chaosErrs := chaosRun(t, true)
+	chaos, exec, sup, chaosErrs := chaosRun(t, severMidStep, 2)
 
 	if len(clean) != len(chaos) {
 		t.Fatalf("step counts differ: %d vs %d", len(clean), len(chaos))
@@ -169,18 +197,18 @@ func TestChaosFailoverMatchesFailureFree(t *testing.T) {
 		}
 	}
 
-	rc := exec.Recovery.Snapshot()
-	if rc.WorkerFailovers != 1 {
-		t.Fatalf("WorkerFailovers = %d, want 1", rc.WorkerFailovers)
+	rc := exec.Counters
+	if n := rc.Get(obs.WorkerFailovers); n != 1 {
+		t.Fatalf("WorkerFailovers = %d, want 1", n)
 	}
-	if rc.ExpertsRecovered != 3 { // round-robin puts expert 2 of each of 3 layers on worker 2
-		t.Fatalf("ExpertsRecovered = %d, want 3", rc.ExpertsRecovered)
+	if n := rc.Get(obs.ExpertsRecovered); n != 3 { // round-robin puts expert 2 of each of 3 layers on worker 2
+		t.Fatalf("ExpertsRecovered = %d, want 3", n)
 	}
-	if rc.StepRetries < 1 {
-		t.Fatalf("StepRetries = %d, want >= 1", rc.StepRetries)
+	if n := rc.Get(obs.StepRetries); n < 1 {
+		t.Fatalf("StepRetries = %d, want >= 1", n)
 	}
-	if rc.Snapshots < 6 {
-		t.Fatalf("Snapshots = %d, want one per step", rc.Snapshots)
+	if n := rc.Get(obs.Snapshots); n < 6 {
+		t.Fatalf("Snapshots = %d, want one per step", n)
 	}
 	if sup.Latest() == nil || sup.Latest().Step != 5 {
 		t.Fatalf("latest snapshot = %+v, want step 5", sup.Latest())
@@ -198,6 +226,66 @@ func TestChaosFailoverMatchesFailureFree(t *testing.T) {
 	}
 }
 
+// TestChaosFailoverVariants runs the chaos shape over the other ways
+// workers are lost in one step. Each must finish with the failure-free
+// loss series, count one failover per lost worker and restore every
+// expert it hosted (round-robin: three per worker).
+func TestChaosFailoverVariants(t *testing.T) {
+	defer testutil.VerifyNoLeaks(t, "repro/internal/broker", "repro/internal/transport")
+	clean, _, _, _ := chaosRun(t, noFault)
+	for _, tc := range []struct {
+		name  string
+		fault chaosFault
+		kill  []int
+	}{
+		{"two workers die in one step", severMidStep, []int{1, 2}},
+		{"two probe-detected deaths", probeAtBoundary, []int{1, 2}},
+	} {
+		chaos, exec, _, _ := chaosRun(t, tc.fault, tc.kill...)
+		if !testutil.BitEqualSlices(clean, chaos) {
+			t.Errorf("%s: loss series diverged from the failure-free run:\n%v\n%v", tc.name, clean, chaos)
+		}
+		lost := int64(len(tc.kill))
+		if n := exec.Counters.Get(obs.WorkerFailovers); n != lost {
+			t.Errorf("%s: WorkerFailovers = %d, want %d", tc.name, n, lost)
+		}
+		if n := exec.Counters.Get(obs.ExpertsRecovered); n != 3*lost {
+			t.Errorf("%s: ExpertsRecovered = %d, want %d", tc.name, n, 3*lost)
+		}
+		if n := exec.Counters.Get(obs.StepRetries); n != 1 {
+			t.Errorf("%s: StepRetries = %d, want 1", tc.name, n)
+		}
+	}
+}
+
+// TestProbeDetectedDeathIsFailedOver: a worker the heartbeat loop marks
+// dead between two steps is not "newly dead" to Recover, but its experts
+// are just as orphaned. The next step fails fast on ErrWorkerDead and
+// Recover must fail the worker over — not call the failure transient,
+// retry against the dead worker and abort the run.
+func TestProbeDetectedDeathIsFailedOver(t *testing.T) {
+	defer testutil.VerifyNoLeaks(t, "repro/internal/broker", "repro/internal/transport")
+	clean, _, _, _ := chaosRun(t, noFault)
+	chaos, exec, _, _ := chaosRun(t, probeAtBoundary, 2)
+	if !testutil.BitEqualSlices(clean, chaos) {
+		t.Fatalf("loss series diverged from the failure-free run:\n%v\n%v", clean, chaos)
+	}
+	if exec.Alive(2) {
+		t.Fatal("probed worker must stay dead")
+	}
+	for l, row := range exec.Assignment().Worker {
+		for e, n := range row {
+			if n == 2 {
+				t.Fatalf("expert L%d/E%d still assigned to dead worker", l, e)
+			}
+		}
+	}
+	rc := exec.Counters
+	if failovers, experts, retries := rc.Get(obs.WorkerFailovers), rc.Get(obs.ExpertsRecovered), rc.Get(obs.StepRetries); failovers != 1 || experts != 3 || retries != 1 {
+		t.Fatalf("%d failover(s), %d expert(s) recovered, %d step retries; want 1, 3, 1", failovers, experts, retries)
+	}
+}
+
 // TestSupervisorHeartbeatDetectsWedgedWorker: a worker that still
 // accepts frames but never answers (receive-side partition) is detected
 // by consecutive missed heartbeats and marked dead — heartbeats convert
@@ -210,7 +298,7 @@ func TestSupervisorHeartbeatDetectsWedgedWorker(t *testing.T) {
 	exec := NewExecutor([]transport.Conn{wedged}, roundRobinAssignment(cfg, 1))
 	exec.RequestTimeout = 20 * time.Millisecond
 	exec.MaxRecvRetries = -1 // no in-round retries: each probe fails after one deadline
-	exec.Recovery = &metrics.Recovery{}
+	exec.Counters = obs.NewCounters(nil)
 	sup := NewSupervisor(exec, uniformProblem(cfg, 1), SupervisorConfig{FailureThreshold: 2})
 
 	sup.Probe()
@@ -221,9 +309,8 @@ func TestSupervisorHeartbeatDetectsWedgedWorker(t *testing.T) {
 	if exec.Alive(0) {
 		t.Fatal("two consecutive missed heartbeats must mark the worker dead")
 	}
-	rc := exec.Recovery.Snapshot()
-	if rc.HeartbeatsSent != 2 || rc.HeartbeatsMissed != 2 {
-		t.Fatalf("heartbeat counts = %+v", rc)
+	if answered, missed := exec.Counters.Get(obs.HeartbeatsAnswered), exec.Counters.Get(obs.HeartbeatsMissed); answered != 0 || missed != 2 {
+		t.Fatalf("heartbeats: %d answered, %d missed, want 0 and 2", answered, missed)
 	}
 	dep.Close()
 	_ = dep.WaitAll()
@@ -237,7 +324,7 @@ func TestSupervisorHeartbeatLoopStopsCleanly(t *testing.T) {
 	cfg := testConfig()
 	exec := NewExecutor(dep.Conns, roundRobinAssignment(cfg, 1))
 	exec.RequestTimeout = time.Second
-	exec.Recovery = &metrics.Recovery{}
+	exec.Counters = obs.NewCounters(nil)
 	sup := NewSupervisor(exec, uniformProblem(cfg, 1), SupervisorConfig{HeartbeatInterval: 5 * time.Millisecond})
 	sup.Start()
 	time.Sleep(40 * time.Millisecond)
@@ -246,8 +333,8 @@ func TestSupervisorHeartbeatLoopStopsCleanly(t *testing.T) {
 	if !exec.Alive(0) {
 		t.Fatal("healthy worker was marked dead by heartbeats")
 	}
-	if rc := exec.Recovery.Snapshot(); rc.HeartbeatsSent == 0 || rc.HeartbeatsMissed != 0 {
-		t.Fatalf("heartbeat counts = %+v", rc)
+	if answered, missed := exec.Counters.Get(obs.HeartbeatsAnswered), exec.Counters.Get(obs.HeartbeatsMissed); answered == 0 || missed != 0 {
+		t.Fatalf("heartbeats: %d answered, %d missed, want some and 0", answered, missed)
 	}
 	if err := exec.Shutdown(); err != nil {
 		t.Fatal(err)
@@ -266,7 +353,7 @@ func TestRecoverWithoutSnapshotFails(t *testing.T) {
 	_, grid := buildFinetuneSetup(cfg, 13)
 	dep := StartLocalWorkers(2, WorkerConfig{Optimizer: OptSGD, LR: 0.1})
 	exec := NewExecutor(dep.Conns, roundRobinAssignment(cfg, 2))
-	exec.Recovery = &metrics.Recovery{}
+	exec.Counters = obs.NewCounters(nil)
 	if err := exec.Distribute(grid, ExpertSpec{D: cfg.D, Hidden: cfg.Hidden, LoRARank: 2, LoRAAlpha: 4}); err != nil {
 		t.Fatal(err)
 	}

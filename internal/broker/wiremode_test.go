@@ -5,8 +5,8 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/metrics"
 	"repro/internal/moe"
+	"repro/internal/obs"
 	"repro/internal/tensor"
 	"repro/internal/testutil"
 	"repro/internal/transport"
@@ -222,7 +222,8 @@ func TestCoalescedFrameCounts(t *testing.T) {
 	}
 }
 
-// TestByteAccountingInt8Coalesced: under int8 dispatch, Executor.Traffic's logical accounting must include the per-row scale
+// TestByteAccountingInt8Coalesced: under int8 dispatch, the executor's
+// logical traffic accounting must include the per-row scale
 // overhead (D + 8 bytes per token copy each way), and the transport
 // meter's EncodedSize-based accounting must agree between the send and
 // receive sides of every frame.
@@ -240,7 +241,7 @@ func TestByteAccountingInt8Coalesced(t *testing.T) {
 	exec := NewExecutor(conns, roundRobinAssignment(cfg, workers))
 	exec.WireEncoding = wire.EncInt8
 	exec.BytesPerValue = 1
-	exec.Traffic = metrics.NewTraffic(workers, []bool{false, true})
+	exec.Counters = obs.NewCounters([]bool{false, true})
 	if err := exec.Distribute(grid, ExpertSpec{D: cfg.D, Hidden: cfg.Hidden, LoRARank: 2, LoRAAlpha: 4}); err != nil {
 		t.Fatal(err)
 	}
@@ -251,23 +252,23 @@ func TestByteAccountingInt8Coalesced(t *testing.T) {
 		t.Fatal(err)
 	}
 	perToken := int64(cfg.D) + int64(wire.EncInt8.ScaleBytesPerRow())
-	var tokensOut int64
-	for n, w := range exec.Traffic.Snapshot() {
-		tokensOut += w.TokensToWorker
-		if w.TokensToWorker != w.TokensFromWorker {
-			t.Fatalf("worker %d token conservation violated: %+v", n, w)
+	ctr := exec.Counters
+	for n := 0; n < workers; n++ {
+		out, in := ctr.Worker(obs.TrafficTokensTo, n), ctr.Worker(obs.TrafficTokensFrom, n)
+		if out != in {
+			t.Fatalf("worker %d token conservation violated: %d out, %d in", n, out, in)
 		}
 		// Logical bytes = tokens × (D·1B + 8B row scale), both directions.
-		if w.BytesToWorker != w.TokensToWorker*perToken {
-			t.Fatalf("worker %d dispatch bytes = %d, want %d", n, w.BytesToWorker, w.TokensToWorker*perToken)
+		if got := ctr.Worker(obs.TrafficBytesTo, n); got != out*perToken {
+			t.Fatalf("worker %d dispatch bytes = %d, want %d", n, got, out*perToken)
 		}
-		if w.BytesFromWorker != w.TokensFromWorker*perToken {
-			t.Fatalf("worker %d return bytes = %d, want %d", n, w.BytesFromWorker, w.TokensFromWorker*perToken)
+		if got := ctr.Worker(obs.TrafficBytesFrom, n); got != in*perToken {
+			t.Fatalf("worker %d return bytes = %d, want %d", n, got, in*perToken)
 		}
 	}
 	// top-1 routing of 6 tokens in 1 block → exactly 6 token copies out.
-	if tokensOut != 6 {
-		t.Fatalf("dispatched %d token copies, want 6", tokensOut)
+	if got := ctr.Get(obs.TrafficTokensTo); got != 6 {
+		t.Fatalf("dispatched %d token copies, want 6", got)
 	}
 	if err := exec.Shutdown(); err != nil {
 		t.Fatal(err)

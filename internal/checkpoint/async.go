@@ -22,7 +22,7 @@ import (
 // wins over completeness of the generation sequence.
 type AsyncWriter struct {
 	store *RunStore
-	stats *obs.CkptStats
+	stats *obs.Counters
 
 	ch chan *RunState
 	wg sync.WaitGroup
@@ -33,7 +33,7 @@ type AsyncWriter struct {
 }
 
 // NewAsyncWriter starts the background write loop. stats may be nil.
-func NewAsyncWriter(store *RunStore, stats *obs.CkptStats) *AsyncWriter {
+func NewAsyncWriter(store *RunStore, stats *obs.Counters) *AsyncWriter {
 	w := &AsyncWriter{
 		store: store,
 		stats: stats,
@@ -50,7 +50,7 @@ func (w *AsyncWriter) loop() {
 		start := time.Now()
 		gen, size, err := w.store.Save(rs)
 		if err != nil {
-			w.stats.AddFailure()
+			w.stats.Add(obs.CkptFailures, 1)
 			w.mu.Lock()
 			if w.err == nil {
 				w.err = err
@@ -58,7 +58,12 @@ func (w *AsyncWriter) loop() {
 			w.mu.Unlock()
 			continue
 		}
-		w.stats.AddWrite(gen, size, time.Since(start).Seconds())
+		took := int64(time.Since(start))
+		w.stats.Add(obs.CkptWrites, 1)
+		w.stats.Set(obs.CkptGeneration, int64(gen))
+		w.stats.Set(obs.CkptLastBytes, size)
+		w.stats.Set(obs.CkptLastWriteNanos, took)
+		w.stats.Add(obs.CkptTotalWriteNanos, took)
 	}
 }
 
@@ -76,7 +81,7 @@ func (w *AsyncWriter) Submit(rs *RunState) bool {
 	case w.ch <- rs:
 		return true
 	default:
-		w.stats.AddSkip()
+		w.stats.Add(obs.CkptSkips, 1)
 		return false
 	}
 }

@@ -383,7 +383,7 @@ func TestDecodeRunRejectsTrailingBytes(t *testing.T) {
 }
 
 func TestAsyncWriterWritesAndCloses(t *testing.T) {
-	stats := obs.NewCkptStats()
+	stats := obs.NewCounters(nil)
 	s := &RunStore{Dir: t.TempDir()}
 	w := NewAsyncWriter(s, stats)
 	for step := 1; step <= 3; step++ {
@@ -402,12 +402,14 @@ func TestAsyncWriterWritesAndCloses(t *testing.T) {
 	if got.Step != 3 {
 		t.Fatalf("latest step = %d, want 3", got.Step)
 	}
-	snap := stats.Snapshot()
-	if snap.Writes != 3 || snap.Failures != 0 {
-		t.Fatalf("stats = %+v, want 3 writes", snap)
+	if writes, failures := stats.Get(obs.CkptWrites), stats.Get(obs.CkptFailures); writes != 3 || failures != 0 {
+		t.Fatalf("%d writes, %d failures, want 3 and 0", writes, failures)
 	}
-	if snap.Generation != 3 || snap.LastBytes <= 0 {
-		t.Fatalf("stats gauges = %+v", snap)
+	if gen, size := stats.Get(obs.CkptGeneration), stats.Get(obs.CkptLastBytes); gen != 3 || size <= 0 {
+		t.Fatalf("gauges: generation %d, %d bytes", gen, size)
+	}
+	if last, total := stats.Get(obs.CkptLastWriteNanos), stats.Get(obs.CkptTotalWriteNanos); last <= 0 || total < last {
+		t.Fatalf("gauges: last write %d ns, all writes %d ns", last, total)
 	}
 	// Submitting after Close must refuse, not panic on a closed channel.
 	if w.Submit(sampleRunState(4)) {
@@ -422,7 +424,7 @@ func TestAsyncWriterWritesAndCloses(t *testing.T) {
 // TestAsyncWriterSkipWhenBusy: with the drain loop not running, the
 // one-slot channel fills after one Submit and the next is a counted skip.
 func TestAsyncWriterSkipWhenBusy(t *testing.T) {
-	stats := obs.NewCkptStats()
+	stats := obs.NewCounters(nil)
 	w := &AsyncWriter{store: &RunStore{Dir: t.TempDir()}, stats: stats, ch: make(chan *RunState, 1)}
 	if !w.Submit(sampleRunState(1)) {
 		t.Fatal("first Submit must be accepted")
@@ -430,15 +432,15 @@ func TestAsyncWriterSkipWhenBusy(t *testing.T) {
 	if w.Submit(sampleRunState(2)) {
 		t.Fatal("second Submit must be skipped while the slot is full")
 	}
-	if snap := stats.Snapshot(); snap.Skips != 1 {
-		t.Fatalf("skips = %d, want 1", snap.Skips)
+	if skips := stats.Get(obs.CkptSkips); skips != 1 {
+		t.Fatalf("skips = %d, want 1", skips)
 	}
 }
 
 // TestAsyncWriterLatchesErrors: a failing store surfaces through Err and
 // the failure counter without killing the loop.
 func TestAsyncWriterLatchesErrors(t *testing.T) {
-	stats := obs.NewCkptStats()
+	stats := obs.NewCounters(nil)
 	w := NewAsyncWriter(&RunStore{}, stats) // Dir unset: every Save fails
 	for !w.Submit(sampleRunState(1)) {
 	}
@@ -448,8 +450,8 @@ func TestAsyncWriterLatchesErrors(t *testing.T) {
 	if w.Err() == nil {
 		t.Fatal("Err must latch the first failure")
 	}
-	if snap := stats.Snapshot(); snap.Failures != 1 || snap.Writes != 0 {
-		t.Fatalf("stats = %+v, want 1 failure", snap)
+	if failures, writes := stats.Get(obs.CkptFailures), stats.Get(obs.CkptWrites); failures != 1 || writes != 0 {
+		t.Fatalf("%d failures, %d writes, want 1 and 0", failures, writes)
 	}
 }
 
@@ -523,15 +525,15 @@ func TestRunStoreSaveRejectsMalformedTensor(t *testing.T) {
 				t.Fatalf("Save after the failure = generation %d (err %v), want 1", gen, err)
 			}
 
-			stats := obs.NewCkptStats()
+			stats := obs.NewCounters(nil)
 			w := NewAsyncWriter(&RunStore{Dir: t.TempDir()}, stats)
 			for !w.Submit(rs) {
 			}
 			if err := w.Close(); err == nil {
 				t.Fatal("async writer must latch the encode error")
 			}
-			if snap := stats.Snapshot(); snap.Failures != 1 || snap.Writes != 0 {
-				t.Fatalf("stats = %+v, want 1 failure, 0 writes", snap)
+			if failures, writes := stats.Get(obs.CkptFailures), stats.Get(obs.CkptWrites); failures != 1 || writes != 0 {
+				t.Fatalf("%d failures, %d writes, want 1 and 0", failures, writes)
 			}
 		})
 	}

@@ -134,7 +134,7 @@ func TestAttachOverTCPMatchesDeploy(t *testing.T) {
 		t.Fatalf("TCP Attach diverged from chan-pipe Deploy:\ndeploy = %v\nattach = %v",
 			refFT.Losses.Values, ft.Losses.Values)
 	}
-	if got := sys.Exec.Recovery.Snapshot().Snapshots; got != steps {
+	if got := sys.Exec.Counters.Get(obs.Snapshots); got != steps {
 		t.Fatalf("default step boundary took %d snapshots over %d steps", got, steps)
 	}
 
@@ -203,7 +203,7 @@ func TestStepBoundarySnapshotsBeforeController(t *testing.T) {
 	if err := sys.StepBoundary(0); err == nil {
 		t.Fatal("boundary succeeded although the snapshot round lost a connection")
 	}
-	if checks := opts.Obs.Replace.Snapshot().Checks; checks != 0 {
+	if checks := sys.Exec.Counters.Get(obs.ReplaceChecks); checks != 0 {
 		t.Fatalf("controller consulted %d time(s) (%q) before the snapshot succeeded", checks, ctrl.LastReason)
 	}
 	if moves, err := placement.Diff(before, sys.Exec.Assignment()); err != nil || len(moves) != 0 {

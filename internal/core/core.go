@@ -12,12 +12,13 @@
 //
 // A master is assembled one way, whatever carries its frames. Attach
 // wires a model to any []transport.Conn (chan pipes, TCP, a
-// transport.Faulty wrapper): it solves the placement, builds the metered
-// executor, and sends nothing. System.Distribute ships the experts; a
-// restarted run calls System.Resume (runstate.go) instead. Supervisor,
-// ReplaceController and CheckpointEvery build the step-boundary handlers;
-// System.Finetuner's OnStep is System.StepBoundary, the one statement of
-// their order. Deploy is Attach + Distribute over in-process workers.
+// transport.Faulty wrapper): it solves the placement, builds the executor
+// with its counter table, and sends nothing. System.Distribute ships the
+// experts; a restarted run calls System.Resume (runstate.go) instead.
+// Supervisor, ReplaceController and CheckpointEvery build the
+// step-boundary handlers; System.Finetuner's OnStep is
+// System.StepBoundary, the one statement of their order. Deploy is Attach
+// + Distribute over in-process workers.
 //
 // cmd/velamaster and the chaos, restart, distributed and shift examples
 // assemble through these. The pieces remain usable à la carte: bench/
@@ -31,7 +32,6 @@ import (
 	"repro/internal/broker"
 	"repro/internal/checkpoint"
 	"repro/internal/cluster"
-	"repro/internal/metrics"
 	"repro/internal/moe"
 	"repro/internal/nn"
 	"repro/internal/obs"
@@ -112,8 +112,9 @@ type System struct {
 	Model      *moe.Model
 	Topo       cluster.Topology
 	Assignment *placement.Assignment
-	Exec       *broker.Executor
-	Traffic    *metrics.Traffic
+	// Exec is the broker executor; Exec.Counters is the deployment's
+	// runtime counter table (always live, with or without Obs).
+	Exec *broker.Executor
 	// Obs is the deployment's observability handle (nil when Options.Obs
 	// was not set).
 	Obs *obs.Handle
@@ -159,8 +160,8 @@ func PlacementProblem(topo cluster.Topology, stats *moe.AccessStats, routingsPer
 
 // Attach assembles a master over the caller's worker connections, one
 // per Topo device: it resolves the cost model once, solves the placement,
-// builds the executor with its traffic and recovery meters, and rewires
-// the model's MoE blocks through the Expert Broker. It starts nothing and
+// builds the executor with its counter table, and rewires the model's
+// MoE blocks through the Expert Broker. It starts nothing and
 // sends nothing: the connections stay the caller's to close, and the
 // experts reach the workers through Distribute or Resume. The model is
 // typically prepared (trainer.PrepareForFinetune) and profiled already.
@@ -193,8 +194,7 @@ func Attach(model *moe.Model, conns []transport.Conn, opts Options) (*System, er
 	}
 	exec := broker.NewExecutor(conns, assign)
 	exec.Obs = opts.Obs
-	exec.Traffic = metrics.NewTraffic(workers, crossNode)
-	exec.Recovery = &metrics.Recovery{}
+	exec.Counters = obs.NewCounters(crossNode)
 	exec.BytesPerValue = float64(bitDepth) / 8
 	exec.WireEncoding = opts.WireEncoding
 	model.SetExecutor(exec)
@@ -204,7 +204,6 @@ func Attach(model *moe.Model, conns []transport.Conn, opts Options) (*System, er
 		Topo:       opts.Topo,
 		Assignment: assign,
 		Exec:       exec,
-		Traffic:    exec.Traffic,
 		Obs:        opts.Obs,
 		Problem:    prob,
 		Spec: broker.ExpertSpec{
@@ -289,7 +288,7 @@ func (s *System) ReplaceController(cfg replace.Config) (*replace.Controller, err
 		cfg.ExpertBytes = s.Spec.PayloadBytes()
 	}
 	var err error
-	s.ctrl, err = replace.New(s.Problem, s.Obs, s.Exec, cfg)
+	s.ctrl, err = replace.New(s.Problem, s.Obs, s.Exec.Counters, s.Exec, cfg)
 	return s.ctrl, err
 }
 
@@ -297,9 +296,6 @@ func (s *System) ReplaceController(cfg replace.Config) (*replace.Controller, err
 // checkpoint of c through w after every every-th completed step.
 func (s *System) CheckpointEvery(every int, c *RunCapture, w *checkpoint.AsyncWriter) {
 	s.ckpt = &RunCheckpointer{Every: every, Cap: c, W: w}
-	if s.Obs != nil {
-		s.ckpt.Stats = s.Obs.Ckpt
-	}
 }
 
 // StepBoundary is the one statement of what happens between two steps;
@@ -352,13 +348,12 @@ func (s *System) Finetuner(src trainer.BatchSource) *trainer.Finetuner {
 	return ft
 }
 
-// MetricsSource bundles the system's meters for the obs scrape endpoints
-// (obs.Serve / obs.NewMux).
+// MetricsSource bundles the system's handle and counter table for the obs
+// scrape endpoints (obs.Serve / obs.NewMux).
 func (s *System) MetricsSource() obs.Source {
 	src := obs.Source{
 		Handle:   s.Obs,
-		Traffic:  s.Traffic,
-		Recovery: s.Exec.Recovery,
+		Counters: s.Exec.Counters,
 		Alive: func() []bool {
 			alive := make([]bool, s.Exec.NumWorkers())
 			for n := range alive {
@@ -374,7 +369,7 @@ func (s *System) MetricsSource() obs.Source {
 }
 
 // CrossNodeBytes reports the external traffic accumulated so far.
-func (s *System) CrossNodeBytes() int64 { return s.Traffic.CrossNodeBytes() }
+func (s *System) CrossNodeBytes() int64 { return s.Exec.Counters.CrossNodeBytes() }
 
 // Close shuts the workers down cleanly and waits for those Deploy
 // started. Safe to call more than once.

@@ -6,6 +6,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/data"
 	"repro/internal/moe"
+	"repro/internal/obs"
 	"repro/internal/placement"
 	"repro/internal/trainer"
 	"repro/internal/wire"
@@ -63,7 +64,7 @@ func TestDeployAndFinetuneEndToEnd(t *testing.T) {
 	if ft.Losses.Len() != 3 {
 		t.Fatalf("losses recorded: %d", ft.Losses.Len())
 	}
-	if sys.Traffic.TotalBytes() == 0 {
+	if sys.Exec.Counters.Get(obs.TrafficBytesTo) == 0 {
 		t.Fatal("no traffic recorded — broker not in the path?")
 	}
 	// Workers 1..2 are cross-node in this topology; some routing should

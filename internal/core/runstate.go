@@ -238,9 +238,8 @@ func (s *System) Resume(store *checkpoint.RunStore, ft *trainer.Finetuner, c *Ru
 			return nil, fmt.Errorf("core: resume: seeding failover snapshot: %w", err)
 		}
 	}
-	if s.Obs != nil {
-		s.Obs.Ckpt.SetResume(rs.Generation, time.Since(t0).Seconds())
-	}
+	s.Exec.Counters.Set(obs.CkptResumeGeneration, int64(rs.Generation))
+	s.Exec.Counters.Set(obs.CkptResumeNanos, int64(time.Since(t0)))
 	return rs, nil
 }
 
@@ -248,8 +247,8 @@ func (s *System) Resume(store *checkpoint.RunStore, ft *trainer.Finetuner, c *Ru
 // trainer's OnStep hook: every Every-th completed step it captures the
 // run and hands it to the async writer. Checkpointing is best-effort
 // durability — a capture failure (e.g. a worker died mid-snapshot and
-// the recovery path has not run yet) is counted on Stats and skipped,
-// never fatal to training.
+// the recovery path has not run yet) is counted on the executor's counter
+// table and skipped, never fatal to training.
 type RunCheckpointer struct {
 	// Every checkpoints after every Every-th completed step; <= 1 means
 	// every step.
@@ -257,9 +256,6 @@ type RunCheckpointer struct {
 	// Cap names the state to flatten; W is the background writer.
 	Cap *RunCapture
 	W   *checkpoint.AsyncWriter
-	// Stats, when set, counts capture failures alongside the writer's
-	// own write/skip/failure counters.
-	Stats *obs.CkptStats
 }
 
 // OnStep implements the trainer.Finetuner OnStep contract; a nil
@@ -274,7 +270,7 @@ func (r *RunCheckpointer) OnStep(step int) error {
 	}
 	rs, err := CaptureRun(step, r.Cap)
 	if err != nil {
-		r.Stats.AddFailure()
+		r.Cap.Exec.Counters.Add(obs.CkptFailures, 1)
 		return nil
 	}
 	r.W.Submit(rs)

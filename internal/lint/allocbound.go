@@ -90,6 +90,8 @@ var obsHotPathFuncs = map[string]bool{
 	"End":             true, // Span.End
 	"ConnSend":        true,
 	"ConnRecv":        true,
+	"Add":             true, // Counters.Add (recv-timeout/retry/stale/duplicate)
+	"AddWorker":       true, // Counters.AddWorker (per-frame traffic rows)
 }
 
 // wireHotPathFuncs are the wire codec functions that run per exchanged

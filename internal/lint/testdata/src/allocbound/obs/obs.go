@@ -82,3 +82,22 @@ func (t *Tracer) OnWorkerQueue(n int, seq uint64, wait int64) {
 func (t *Tracer) OnWorkerReply(n int, seq uint64, bytes int) {
 	fmt.Sprintf("%d", bytes) // want "fmt call .interface boxing allocates. in obs per-request hook OnWorkerReply"
 }
+
+// Counters mirrors the real counter table: preallocated atomic slots.
+type Counters struct {
+	vals [][]atomic.Int64
+	log  []int64
+}
+
+// AddWorker is the per-frame traffic hook: an atomic add into a
+// preallocated slot is the approved shape.
+func (c *Counters) AddWorker(k, n int, v int64) {
+	c.vals[k][n].Add(v)
+}
+
+// Add is a hot hook too (recv-timeout, stale and duplicate replies):
+// growing a log per event is a finding.
+func (c *Counters) Add(k int, v int64) {
+	c.log = append(c.log, v) // want "append allocation in obs per-request hook Add"
+	c.AddWorker(k, 0, v)
+}

@@ -1,203 +1,13 @@
-// Package metrics provides the measurement plumbing of the reproduction:
-// thread-safe traffic counters for the broker runtime, per-step series for
-// the figures, summary statistics, and a CSV writer for harness output.
+// Package metrics holds the per-step series behind the figures: a named
+// sequence of measurements, its summary statistics, and a CSV writer for
+// harness output. Runtime counters live in internal/obs.
 package metrics
 
 import (
 	"fmt"
 	"io"
 	"math"
-	"sync"
 )
-
-// WorkerTraffic accumulates the bytes and token-copies exchanged between
-// the master and one worker.
-type WorkerTraffic struct {
-	BytesToWorker    int64
-	BytesFromWorker  int64
-	TokensToWorker   int64
-	TokensFromWorker int64
-	Messages         int64
-}
-
-// Traffic is a thread-safe per-worker traffic meter. Logical bytes are
-// computed by the caller (e.g. tokens × bH/8 at the paper's 16-bit depth)
-// so the meter is agnostic to on-wire encoding.
-type Traffic struct {
-	mu  sync.Mutex
-	per []WorkerTraffic
-	// CrossNode[n] marks workers whose traffic counts as external.
-	crossNode []bool
-}
-
-// NewTraffic allocates a meter for n workers; crossNode flags which
-// workers sit outside the master's node.
-func NewTraffic(n int, crossNode []bool) *Traffic {
-	if crossNode == nil {
-		crossNode = make([]bool, n)
-	}
-	if len(crossNode) != n {
-		//lint:ignore panicpolicy constructor precondition on caller-built topology slices
-		panic(fmt.Sprintf("metrics: crossNode length %d, want %d", len(crossNode), n))
-	}
-	return &Traffic{per: make([]WorkerTraffic, n), crossNode: append([]bool(nil), crossNode...)}
-}
-
-// AddToWorker records a master→worker transfer.
-func (t *Traffic) AddToWorker(worker int, tokens, bytes int64) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.per[worker].BytesToWorker += bytes
-	t.per[worker].TokensToWorker += tokens
-	t.per[worker].Messages++
-}
-
-// AddFromWorker records a worker→master transfer.
-func (t *Traffic) AddFromWorker(worker int, tokens, bytes int64) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.per[worker].BytesFromWorker += bytes
-	t.per[worker].TokensFromWorker += tokens
-	t.per[worker].Messages++
-}
-
-// Snapshot returns a copy of the per-worker counters.
-func (t *Traffic) Snapshot() []WorkerTraffic {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return append([]WorkerTraffic(nil), t.per...)
-}
-
-// Reset zeroes all counters.
-func (t *Traffic) Reset() {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for i := range t.per {
-		t.per[i] = WorkerTraffic{}
-	}
-}
-
-// TotalBytes returns all bytes exchanged in both directions.
-func (t *Traffic) TotalBytes() int64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	var s int64
-	for _, w := range t.per {
-		s += w.BytesToWorker + w.BytesFromWorker
-	}
-	return s
-}
-
-// CrossNodeBytes returns the bytes exchanged with cross-node workers —
-// the paper's "external traffic".
-func (t *Traffic) CrossNodeBytes() int64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	var s int64
-	for n, w := range t.per {
-		if t.crossNode[n] {
-			s += w.BytesToWorker + w.BytesFromWorker
-		}
-	}
-	return s
-}
-
-// RecoveryCounts is a point-in-time copy of the fault-tolerance
-// counters: how often the runtime timed out, retried, heartbeated, and
-// failed over. The chaos tests assert on these to prove a recovery path
-// actually executed rather than being silently skipped.
-type RecoveryCounts struct {
-	// HeartbeatsSent / HeartbeatsMissed count supervisor ping rounds
-	// per outcome.
-	HeartbeatsSent   int64
-	HeartbeatsMissed int64
-	// RecvTimeouts counts reply deadlines that expired; RecvRetries
-	// counts the bounded in-round waits that followed one.
-	RecvTimeouts int64
-	RecvRetries  int64
-	// StaleReplies / DuplicateReplies count correlation anomalies the
-	// pipelined reader absorbed instead of failing the round.
-	StaleReplies     int64
-	DuplicateReplies int64
-	// StepRetries counts training steps re-driven after a recovery.
-	StepRetries int64
-	// WorkerFailovers counts workers declared dead; ExpertsRecovered
-	// counts experts restored onto survivors from a snapshot.
-	WorkerFailovers  int64
-	ExpertsRecovered int64
-	// Snapshots counts completed expert-state checkpoint pulls.
-	Snapshots int64
-	// WorkerRejoins counts dead workers re-admitted over a fresh
-	// connection after a successful handshake.
-	WorkerRejoins int64
-}
-
-// Recovery is the thread-safe accumulator behind RecoveryCounts. All
-// methods are nil-receiver-safe so runtime code can record events
-// unconditionally; a nil Recovery simply discards them.
-type Recovery struct {
-	mu sync.Mutex
-	c  RecoveryCounts
-}
-
-func (r *Recovery) add(f func(*RecoveryCounts)) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	f(&r.c)
-	r.mu.Unlock()
-}
-
-// AddHeartbeat records one heartbeat probe and whether it was answered.
-func (r *Recovery) AddHeartbeat(answered bool) {
-	r.add(func(c *RecoveryCounts) {
-		c.HeartbeatsSent++
-		if !answered {
-			c.HeartbeatsMissed++
-		}
-	})
-}
-
-// AddRecvTimeout records one expired reply deadline.
-func (r *Recovery) AddRecvTimeout() { r.add(func(c *RecoveryCounts) { c.RecvTimeouts++ }) }
-
-// AddRecvRetry records one bounded in-round retry after a timeout.
-func (r *Recovery) AddRecvRetry() { r.add(func(c *RecoveryCounts) { c.RecvRetries++ }) }
-
-// AddStaleReply records a reply from an abandoned round being discarded.
-func (r *Recovery) AddStaleReply() { r.add(func(c *RecoveryCounts) { c.StaleReplies++ }) }
-
-// AddDuplicateReply records a duplicate-Seq reply being discarded.
-func (r *Recovery) AddDuplicateReply() { r.add(func(c *RecoveryCounts) { c.DuplicateReplies++ }) }
-
-// AddStepRetry records a training step re-driven after recovery.
-func (r *Recovery) AddStepRetry() { r.add(func(c *RecoveryCounts) { c.StepRetries++ }) }
-
-// AddFailover records one worker declared dead and the number of its
-// experts restored onto survivors.
-func (r *Recovery) AddFailover(expertsRecovered int) {
-	r.add(func(c *RecoveryCounts) {
-		c.WorkerFailovers++
-		c.ExpertsRecovered += int64(expertsRecovered)
-	})
-}
-
-// AddRejoin records one dead worker re-admitted to the pool.
-func (r *Recovery) AddRejoin() { r.add(func(c *RecoveryCounts) { c.WorkerRejoins++ }) }
-
-// AddSnapshot records one completed expert-state checkpoint pull.
-func (r *Recovery) AddSnapshot() { r.add(func(c *RecoveryCounts) { c.Snapshots++ }) }
-
-// Snapshot returns a copy of the counters. A nil Recovery yields zeros.
-func (r *Recovery) Snapshot() RecoveryCounts {
-	if r == nil {
-		return RecoveryCounts{}
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.c
-}
 
 // Series is a named sequence of per-step measurements.
 type Series struct {

@@ -3,60 +3,10 @@ package metrics
 import (
 	"math"
 	"strings"
-	"sync"
 	"testing"
 
 	"repro/internal/testutil"
 )
-
-func TestTrafficCounters(t *testing.T) {
-	tr := NewTraffic(2, []bool{false, true})
-	tr.AddToWorker(0, 10, 100)
-	tr.AddFromWorker(0, 10, 100)
-	tr.AddToWorker(1, 5, 50)
-	if tr.TotalBytes() != 250 {
-		t.Fatalf("TotalBytes = %d, want 250", tr.TotalBytes())
-	}
-	if tr.CrossNodeBytes() != 50 {
-		t.Fatalf("CrossNodeBytes = %d, want 50", tr.CrossNodeBytes())
-	}
-	snap := tr.Snapshot()
-	if snap[0].Messages != 2 || snap[1].TokensToWorker != 5 {
-		t.Fatalf("snapshot wrong: %+v", snap)
-	}
-	tr.Reset()
-	if tr.TotalBytes() != 0 {
-		t.Fatal("reset failed")
-	}
-}
-
-func TestTrafficConcurrentSafety(t *testing.T) {
-	tr := NewTraffic(4, nil)
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			for j := 0; j < 100; j++ {
-				tr.AddToWorker(i%4, 1, 1)
-				tr.AddFromWorker(i%4, 1, 1)
-			}
-		}(i)
-	}
-	wg.Wait()
-	if tr.TotalBytes() != 1600 {
-		t.Fatalf("TotalBytes = %d, want 1600", tr.TotalBytes())
-	}
-}
-
-func TestTrafficBadCrossNodePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewTraffic(2, []bool{true})
-}
 
 func TestSeriesSummarize(t *testing.T) {
 	s := &Series{Name: "x"}

@@ -14,6 +14,7 @@ import (
 func TestHotPathHooksDoNotAllocate(t *testing.T) {
 	h := NewHandle(Config{Workers: 2, Layers: 2, Experts: 3})
 	h.Drift.SetBaseline([][]float64{{0.5, 0.5, 0}, {0.5, 0.5, 0}})
+	ctr := NewCounters([]bool{false, true})
 	sel := [][]int{{0, 1, 2, 1}}
 	var seq uint64
 
@@ -52,6 +53,22 @@ func TestHotPathHooksDoNotAllocate(t *testing.T) {
 			h.RoundEnd()
 		}},
 		{"RecordRouting", func() { h.RecordRouting(0, sel) }},
+		{"Counters frame sent", func() {
+			ctr.AddWorker(TrafficBytesTo, 1, 4096)
+			ctr.AddWorker(TrafficTokensTo, 1, 16)
+			ctr.AddWorker(TrafficFrames, 1, 1)
+		}},
+		{"Counters frame received", func() {
+			ctr.AddWorker(TrafficBytesFrom, 1, 4096)
+			ctr.AddWorker(TrafficTokensFrom, 1, 16)
+			ctr.AddWorker(TrafficFrames, 1, 1)
+		}},
+		{"Counters reply anomalies", func() {
+			ctr.Add(RecvTimeouts, 1)
+			ctr.Add(RecvRetries, 1)
+			ctr.Add(StaleReplies, 1)
+			ctr.Add(DuplicateReplies, 1)
+		}},
 		{"ConnMeter", func() {
 			h.ConnSend(1024)
 			h.ConnRecv(512)
@@ -69,7 +86,11 @@ func TestHotPathHooksDoNotAllocate(t *testing.T) {
 // contract: a nil handle's hooks are branch-only.
 func TestNilHandleHooksDoNotAllocate(t *testing.T) {
 	var h *Handle
+	var ctr *Counters
 	fn := func() {
+		ctr.AddWorker(TrafficBytesTo, 0, 1)
+		ctr.Add(RecvTimeouts, 1)
+		ctr.Set(ReplaceCooldown, 1)
 		h.StartStep(1)
 		h.OnEnqueue(0, 0, 0, time.Microsecond)
 		h.OnSend(0, 0, 0, 1, 10)

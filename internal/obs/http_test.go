@@ -1,16 +1,16 @@
 package obs
 
 import (
+	"bytes"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"regexp"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
-
-	"repro/internal/metrics"
 )
 
 // populatedSource builds a Source with every field live and some traffic
@@ -38,27 +38,91 @@ func populatedSource() Source {
 	h.RecordRouting(1, [][]int{{2, 2}})
 	h.EndStep()
 
-	h.Replace.AddCheck()
-	h.Replace.AddTrigger()
-	h.Replace.AddMigration(7, 3)
-	h.Replace.AddCostSkip()
-	h.Replace.SetCooldown(5)
-	h.Replace.SetDecision(0.004, 0.12)
+	c := NewCounters([]bool{false, true})
+	c.Add(ReplaceChecks, 1)
+	c.Add(ReplaceTriggers, 1)
+	c.Add(ReplaceMigrations, 1)
+	c.Add(ReplaceMoves, 3)
+	c.Set(ReplaceLastStep, 7)
+	c.Add(ReplaceCostSkips, 1)
+	c.Set(ReplaceCooldown, 5)
+	c.Set(ReplaceSavingsNanos, 4_000_000)
+	c.Set(ReplaceMoveCostNanos, 120_000_000)
 
-	tr := metrics.NewTraffic(2, []bool{false, true})
-	tr.AddToWorker(0, 64, 2048)
-	tr.AddFromWorker(1, 64, 1024)
-	rec := &metrics.Recovery{}
-	rec.AddHeartbeat(true)
-	rec.AddHeartbeat(false)
-	rec.AddFailover(3)
-	rec.AddSnapshot()
+	c.AddWorker(TrafficTokensTo, 0, 64)
+	c.AddWorker(TrafficBytesTo, 0, 2048)
+	c.AddWorker(TrafficTokensFrom, 1, 64)
+	c.AddWorker(TrafficBytesFrom, 1, 1024)
+	c.Add(HeartbeatsAnswered, 1)
+	c.Add(HeartbeatsMissed, 1)
+	c.Add(WorkerFailovers, 1)
+	c.Add(ExpertsRecovered, 3)
+	c.Add(Snapshots, 1)
 
 	return Source{
 		Handle:   h,
-		Traffic:  tr,
-		Recovery: rec,
+		Counters: c,
 		Alive:    func() []bool { return []bool{true, true} },
+	}
+}
+
+// timedSample matches the samples whose value depends on the wall clock;
+// the golden body keeps their names and labels and masks the value.
+var timedSample = regexp.MustCompile(`(?m)^((?:vela_phase_seconds_total|vela_request_latency_seconds|vela_straggler_gap_seconds)[^ ]*|vela_step_comm_seconds\{kind="measured"\}) .*$`)
+
+// TestMetricsMatchGolden holds the whole /metrics body — family names,
+// order, # HELP, # TYPE, label sets and every clock-independent value —
+// to testdata/metrics.golden, captured from the hand-written writer the
+// counter table replaced. The one intended difference is in the fixture,
+// not the body: vela_traffic_messages_total now counts frames, so the
+// fixture records two per worker where the old meter counted one per
+// AddToWorker/AddFromWorker call.
+func TestMetricsMatchGolden(t *testing.T) {
+	src := populatedSource()
+	src.Handle.Clocks.Sample(1, 1_000_000, 1_300_000, 1_340_000, 1_600_000)
+	src.Rejoining = func() int { return 1 }
+	c := src.Counters
+	for gen, size := int64(3), int64(4096); gen <= 4; gen, size = gen+1, size*2 {
+		c.Add(CkptWrites, 1)
+		c.Set(CkptGeneration, gen)
+		c.Set(CkptLastBytes, size)
+		c.Set(CkptLastWriteNanos, (gen-2)*250_000_000)
+		c.Add(CkptTotalWriteNanos, (gen-2)*250_000_000)
+	}
+	c.Add(CkptSkips, 1)
+	c.Add(CkptFailures, 1)
+	c.Set(CkptResumeGeneration, 2)
+	c.Set(CkptResumeNanos, 1_500_000_000)
+	c.AddWorker(TrafficTokensTo, 1, 32)
+	c.AddWorker(TrafficBytesTo, 1, 1024)
+	c.AddWorker(TrafficTokensFrom, 0, 16)
+	c.AddWorker(TrafficBytesFrom, 0, 512)
+	c.AddWorker(TrafficFrames, 0, 2)
+	c.AddWorker(TrafficFrames, 1, 2)
+	c.Add(RecvTimeouts, 2)
+	c.Add(RecvRetries, 1)
+	c.Add(StaleReplies, 1)
+	c.Add(DuplicateReplies, 1)
+	c.Add(StepRetries, 1)
+	c.Add(WorkerRejoins, 1)
+
+	var buf bytes.Buffer
+	if err := WriteMetrics(&buf, src); err != nil {
+		t.Fatal(err)
+	}
+	got := timedSample.ReplaceAll(buf.Bytes(), []byte("$1 <timed>"))
+	want, err := os.ReadFile("testdata/metrics.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		gl, wl := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
+		for i := 0; i < len(gl) && i < len(wl); i++ {
+			if gl[i] != wl[i] {
+				t.Fatalf("/metrics differs from testdata/metrics.golden at line %d:\n got: %s\nwant: %s", i+1, gl[i], wl[i])
+			}
+		}
+		t.Fatalf("/metrics has %d lines, golden %d", len(gl), len(wl))
 	}
 }
 

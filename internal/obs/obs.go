@@ -2,16 +2,21 @@
 // zero-steady-state-allocation event tracer for the expert-exchange
 // lifecycle, fixed-bucket latency/size histograms, step-phase spans with a
 // per-step breakdown table, a placement-fidelity (P-matrix drift) monitor,
-// and Prometheus-text scrape endpoints.
+// the runtime counter table, and Prometheus-text scrape endpoints.
 //
-// Everything hangs off a *Handle whose methods are nil-receiver-safe: an
+// Timing hangs off a *Handle whose methods are nil-receiver-safe: an
 // uninstrumented runtime passes a nil handle and every hook costs one
 // predictable branch, no allocation, no lock.
+//
+// Counting hangs off a *Counters (counters.go), equally nil-safe and built
+// without a Handle: one declarative table is the single home of every
+// traffic, recovery, re-placement and checkpoint counter, and the only
+// source of their /metrics families and exit-report lines. Adding a
+// counter is one constant plus one table row.
 package obs
 
 import (
 	"fmt"
-	"io"
 	"sync/atomic"
 	"time"
 )
@@ -82,12 +87,6 @@ type Handle struct {
 	Trace *Tracer
 	// Drift is the placement-fidelity monitor.
 	Drift *DriftMonitor
-	// Replace is the re-placement controller's counters (zero-valued until
-	// a controller is wired; always scrapeable).
-	Replace *ReplaceStats
-	// Ckpt is the run-level checkpoint pipeline's counters (zero-valued
-	// until a checkpointer is wired; always scrapeable).
-	Ckpt *CkptStats
 	// Clocks holds the per-worker clock-offset/RTT estimates fed by the
 	// heartbeat ping's timestamp echoes (zero-valued until the first
 	// sampled ping; in-process deployments share the master clock and
@@ -141,8 +140,6 @@ func NewHandle(cfg Config) *Handle {
 	h := &Handle{
 		Trace:     NewTracer(cfg.TraceCapacity),
 		Drift:     NewDriftMonitor(cfg.Layers, cfg.Experts, cfg.DriftAlpha),
-		Replace:   NewReplaceStats(),
-		Ckpt:      NewCkptStats(),
 		Clocks:    NewClockSync(cfg.Workers),
 		QueueWait: NewHistogram(LatencyBounds()),
 		FrameTx:   NewHistogram(SizeBounds()),
@@ -441,63 +438,31 @@ func (h *Handle) Breakdown() []PhaseStat {
 	return out
 }
 
-// WriteBreakdown prints the per-step breakdown table plus the drift and
-// comm gauges — the exit report the examples emit.
-func (h *Handle) WriteBreakdown(w io.Writer) error {
+// writeBreakdown prints the per-step breakdown table plus the drift and
+// comm gauges — the timing half of WriteReport.
+func (h *Handle) writeBreakdown(pw *promWriter) {
 	if h == nil {
-		return nil
+		return
 	}
-	steps := h.Steps()
-	if _, err := fmt.Fprintf(w, "per-step breakdown (%d steps):\n", steps); err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintf(w, "  %-16s %8s %12s %12s\n", "phase", "spans", "total (s)", "ms/step"); err != nil {
-		return err
-	}
+	pw.printf("per-step breakdown (%d steps):\n", h.Steps())
+	pw.printf("  %-16s %8s %12s %12s\n", "phase", "spans", "total (s)", "ms/step")
 	for _, st := range h.Breakdown() {
-		if _, err := fmt.Fprintf(w, "  %-16s %8d %12.4f %12.3f\n",
-			st.Phase.String(), st.Count, st.TotalSec, st.PerStepMs); err != nil {
-			return err
-		}
+		pw.printf("  %-16s %8d %12.4f %12.3f\n", st.Phase.String(), st.Count, st.TotalSec, st.PerStepMs)
 	}
 	if drift := h.Drift.Drift(); drift != nil {
-		if _, err := fmt.Fprintf(w, "placement drift (L1 per layer, 0=faithful):\n"); err != nil {
-			return err
-		}
+		pw.printf("placement drift (L1 per layer, 0=faithful):\n")
 		for l, v := range drift {
-			if _, err := fmt.Fprintf(w, "  layer %2d: %.4f\n", l, v); err != nil {
-				return err
-			}
+			pw.printf("  layer %2d: %.4f\n", l, v)
 		}
-		if _, err := fmt.Fprintf(w, "  max: %.4f\n", h.Drift.MaxDrift()); err != nil {
-			return err
-		}
+		pw.printf("  max: %.4f\n", h.Drift.MaxDrift())
 	}
 	if pred, meas := h.Drift.CommGauges(); pred > 0 || meas > 0 {
 		predStr := "n/a"
 		if pred > 0 {
 			predStr = fmt.Sprintf("%.6fs", pred)
 		}
-		if _, err := fmt.Fprintf(w, "step comm time: predicted %s, measured %.6fs\n", predStr, meas); err != nil {
-			return err
-		}
+		pw.printf("step comm time: predicted %s, measured %.6fs\n", predStr, meas)
 	}
-	if r := h.Replace.Snapshot(); r.Checks > 0 {
-		if _, err := fmt.Fprintf(w, "re-placement controller: %d checks, %d triggers, %d migrations (%d experts moved), %d cost skips",
-			r.Checks, r.Triggers, r.Migrations, r.Moves, r.CostSkips); err != nil {
-			return err
-		}
-		if r.LastStep >= 0 {
-			if _, err := fmt.Fprintf(w, "; last at step %d (savings %.6fs/step vs move cost %.6fs)",
-				r.LastStep, r.Savings, r.MoveCost); err != nil {
-				return err
-			}
-		}
-		if _, err := fmt.Fprintln(w); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // ConnSend implements transport.Meter: one encoded frame of `bytes`

@@ -4,17 +4,16 @@ import (
 	"fmt"
 	"io"
 	"strconv"
-
-	"repro/internal/metrics"
 )
 
-// Source bundles everything a scrape exports. Any field may be nil (or,
-// for Alive, absent): the corresponding metric families are simply
-// omitted.
+// Source bundles everything a scrape or an exit report exports. Any field
+// may be nil (or, for Alive, absent): the corresponding metric families
+// are simply omitted.
 type Source struct {
-	Handle   *Handle
-	Traffic  *metrics.Traffic
-	Recovery *metrics.Recovery
+	Handle *Handle
+	// Counters is the runtime counter table: every vela_traffic_*,
+	// vela_recovery_*, vela_replace_* and vela_ckpt_* family.
+	Counters *Counters
 	// Alive reports per-worker liveness (the Supervisor's view via
 	// Executor.DeadMask, inverted). Feeds vela_worker_alive and /healthz.
 	Alive func() []bool
@@ -113,73 +112,9 @@ func WriteMetrics(w io.Writer, s Source) error {
 			pw.sample("vela_step_comm_seconds", `kind="predicted"`, pred)
 			pw.sample("vela_step_comm_seconds", `kind="measured"`, meas)
 		}
-		if r := h.Replace.Snapshot(); r.Checks > 0 {
-			pw.counter("vela_replace_checks_total", "Re-placement controller step-boundary signal evaluations.", float64(r.Checks))
-			pw.counter("vela_replace_triggers_total", "Hysteresis-confirmed triggers (placement re-solved).", float64(r.Triggers))
-			pw.counter("vela_replace_migrations_total", "Executed live migration plans.", float64(r.Migrations))
-			pw.counter("vela_replace_moves_total", "Experts moved across all executed plans.", float64(r.Moves))
-			pw.counter("vela_replace_cost_skips_total", "Re-solves discarded because predicted savings did not cover the migration cost.", float64(r.CostSkips))
-			pw.header("vela_replace_cooldown_steps", "gauge", "Steps of post-migration cooldown remaining.")
-			pw.sample("vela_replace_cooldown_steps", "", float64(r.Cooldown))
-			pw.header("vela_replace_last_migration_step", "gauge", "Step of the last executed migration (-1 before the first).")
-			pw.sample("vela_replace_last_migration_step", "", float64(r.LastStep))
-			pw.header("vela_replace_decision_seconds", "gauge", "Latest re-solve economics: predicted comm savings per step vs one-time migration cost.")
-			pw.sample("vela_replace_decision_seconds", `kind="savings_per_step"`, r.Savings)
-			pw.sample("vela_replace_decision_seconds", `kind="move_cost"`, r.MoveCost)
-		}
-		if c := h.Ckpt.Snapshot(); c.Writes > 0 || c.Skips > 0 || c.Failures > 0 || c.ResumeSec > 0 {
-			pw.counter("vela_ckpt_writes_total", "Run-level checkpoint generations durably written.", float64(c.Writes))
-			pw.counter("vela_ckpt_skips_total", "Step boundaries skipped because a checkpoint write was in flight.", float64(c.Skips))
-			pw.counter("vela_ckpt_failures_total", "Run-level checkpoint write attempts that errored.", float64(c.Failures))
-			pw.header("vela_ckpt_generation", "gauge", "Newest durably written run-checkpoint generation.")
-			pw.sample("vela_ckpt_generation", "", float64(c.Generation))
-			pw.header("vela_ckpt_last_bytes", "gauge", "Encoded size of the newest generation.")
-			pw.sample("vela_ckpt_last_bytes", "", float64(c.LastBytes))
-			pw.header("vela_ckpt_write_seconds", "gauge", "Wall seconds of checkpoint writes: newest generation vs cumulative.")
-			pw.sample("vela_ckpt_write_seconds", `kind="last"`, c.LastWrite)
-			pw.sample("vela_ckpt_write_seconds", `kind="total"`, c.TotalWrite)
-			pw.header("vela_ckpt_resume_seconds", "gauge", "Wall seconds the last run-level resume took (0 = fresh run).")
-			pw.sample("vela_ckpt_resume_seconds", "", c.ResumeSec)
-			pw.header("vela_ckpt_resume_generation", "gauge", "Generation the last resume reconstructed from.")
-			pw.sample("vela_ckpt_resume_generation", "", float64(c.ResumeGen))
-		}
 	}
 
-	if s.Traffic != nil {
-		per := s.Traffic.Snapshot()
-		pw.header("vela_traffic_bytes_total", "counter", "Logical bytes exchanged with each worker.")
-		for n, t := range per {
-			lbl := `worker="` + strconv.Itoa(n) + `",direction="`
-			pw.sample("vela_traffic_bytes_total", lbl+`to_worker"`, float64(t.BytesToWorker))
-			pw.sample("vela_traffic_bytes_total", lbl+`from_worker"`, float64(t.BytesFromWorker))
-		}
-		pw.header("vela_traffic_tokens_total", "counter", "Token-copies exchanged with each worker.")
-		for n, t := range per {
-			lbl := `worker="` + strconv.Itoa(n) + `",direction="`
-			pw.sample("vela_traffic_tokens_total", lbl+`to_worker"`, float64(t.TokensToWorker))
-			pw.sample("vela_traffic_tokens_total", lbl+`from_worker"`, float64(t.TokensFromWorker))
-		}
-		pw.header("vela_traffic_messages_total", "counter", "Messages exchanged with each worker.")
-		for n, t := range per {
-			pw.sample("vela_traffic_messages_total", `worker="`+strconv.Itoa(n)+`"`, float64(t.Messages))
-		}
-	}
-
-	if s.Recovery != nil {
-		c := s.Recovery.Snapshot()
-		pw.header("vela_recovery_heartbeats_total", "counter", "Supervisor heartbeat probes by outcome.")
-		pw.sample("vela_recovery_heartbeats_total", `outcome="answered"`, float64(c.HeartbeatsSent-c.HeartbeatsMissed))
-		pw.sample("vela_recovery_heartbeats_total", `outcome="missed"`, float64(c.HeartbeatsMissed))
-		pw.counter("vela_recovery_recv_timeouts_total", "Reply deadlines that expired.", float64(c.RecvTimeouts))
-		pw.counter("vela_recovery_recv_retries_total", "Bounded in-round reply-wait retries.", float64(c.RecvRetries))
-		pw.counter("vela_recovery_stale_replies_total", "Replies from abandoned rounds discarded.", float64(c.StaleReplies))
-		pw.counter("vela_recovery_duplicate_replies_total", "Duplicate-Seq replies discarded.", float64(c.DuplicateReplies))
-		pw.counter("vela_recovery_step_retries_total", "Training steps re-driven after recovery.", float64(c.StepRetries))
-		pw.counter("vela_recovery_worker_failovers_total", "Workers declared dead and failed over.", float64(c.WorkerFailovers))
-		pw.counter("vela_recovery_experts_recovered_total", "Experts restored onto survivors from snapshots.", float64(c.ExpertsRecovered))
-		pw.counter("vela_recovery_snapshots_total", "Completed expert-state checkpoint pulls.", float64(c.Snapshots))
-		pw.counter("vela_recovery_worker_rejoins_total", "Dead workers re-admitted after a successful rejoin handshake.", float64(c.WorkerRejoins))
-	}
+	s.Counters.writeProm(pw)
 
 	if s.Alive != nil {
 		alive := s.Alive()
@@ -207,8 +142,19 @@ func WriteMetrics(w io.Writer, s Source) error {
 	return pw.err
 }
 
+// WriteReport prints a run's exit report from the same source a scrape
+// reads: the counter table's active groups, then where each step's time
+// went and how far routing drifted from the placement-time P. Nil halves
+// print nothing.
+func WriteReport(w io.Writer, s Source) error {
+	pw := &promWriter{w: w}
+	s.Counters.writeReport(pw)
+	s.Handle.writeBreakdown(pw)
+	return pw.err
+}
+
 // promWriter emits exposition lines, latching the first write error so
-// callers check once.
+// callers check once. The exit reports print through its printf too.
 type promWriter struct {
 	w   io.Writer
 	err error
@@ -234,11 +180,6 @@ func (p *promWriter) sample(name, labels string, v float64) {
 		return
 	}
 	p.printf("%s{%s} %s\n", name, labels, formatValue(v))
-}
-
-func (p *promWriter) counter(name, help string, v float64) {
-	p.header(name, "counter", help)
-	p.sample(name, "", v)
 }
 
 // histogram writes one histogram series in Prometheus convention:

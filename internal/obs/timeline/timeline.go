@@ -359,7 +359,7 @@ func (tl *Timeline) CriticalPath() []StepCritical {
 
 // WriteCriticalPath prints the per-step attribution table plus a
 // per-worker straggler summary — the exit report companion to
-// obs.WriteBreakdown.
+// obs.WriteReport.
 func (tl *Timeline) WriteCriticalPath(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	steps := tl.CriticalPath()

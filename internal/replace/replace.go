@@ -103,7 +103,7 @@ type Controller struct {
 	cfg   Config
 	prob  *placement.Problem
 	drift *obs.DriftMonitor
-	stats *obs.ReplaceStats
+	stats *obs.Counters
 	mig   Migrator
 
 	over      int    // consecutive over-threshold step boundaries
@@ -122,9 +122,10 @@ type Controller struct {
 
 // New builds a controller over the placement problem template (its
 // topology fields are reused for every re-solve; P is replaced by the
-// live estimate), the observability handle feeding the signals, and the
+// live estimate), the observability handle feeding the signals, the
+// counter table recording decisions (nil discards them), and the
 // migrator executing plans.
-func New(prob *placement.Problem, h *obs.Handle, mig Migrator, cfg Config) (*Controller, error) {
+func New(prob *placement.Problem, h *obs.Handle, stats *obs.Counters, mig Migrator, cfg Config) (*Controller, error) {
 	cfg.SetDefaults()
 	if prob == nil || mig == nil {
 		return nil, fmt.Errorf("replace: nil problem or migrator")
@@ -139,7 +140,7 @@ func New(prob *placement.Problem, h *obs.Handle, mig Migrator, cfg Config) (*Con
 		cfg:        cfg,
 		prob:       prob,
 		drift:      h.Drift,
-		stats:      h.Replace,
+		stats:      stats,
 		mig:        mig,
 		LastReason: "idle",
 	}, nil
@@ -158,7 +159,7 @@ func (c *Controller) State() (over, cooldown int) { return c.over, c.cooldown }
 // controller decisions replay exactly as the uninterrupted run's would.
 func (c *Controller) RestoreState(over, cooldown int) {
 	c.over, c.cooldown = over, cooldown
-	c.stats.SetCooldown(c.cooldown)
+	c.stats.Set(obs.ReplaceCooldown, int64(c.cooldown))
 }
 
 // RequestResolve asks the controller to run a re-solve at its next step
@@ -176,18 +177,18 @@ func (c *Controller) RequestResolve(reason string) { c.requested = reason }
 // failures are absorbed: the controller records the reason, enters
 // cooldown, and training continues on the stale placement.
 func (c *Controller) OnStep(step int) error {
-	c.stats.AddCheck()
+	c.stats.Add(obs.ReplaceChecks, 1)
 	if c.requested != "" {
 		reason := c.requested
 		c.requested = ""
 		c.over = 0
-		c.stats.AddTrigger()
+		c.stats.Add(obs.ReplaceTriggers, 1)
 		c.LastReason = fmt.Sprintf("requested: %s", reason)
 		return c.resolve(step)
 	}
 	if c.cooldown > 0 {
 		c.cooldown--
-		c.stats.SetCooldown(c.cooldown)
+		c.stats.Set(obs.ReplaceCooldown, int64(c.cooldown))
 		c.LastReason = "cooldown"
 		return nil
 	}
@@ -202,7 +203,7 @@ func (c *Controller) OnStep(step int) error {
 		return nil
 	}
 	c.over = 0
-	c.stats.AddTrigger()
+	c.stats.Add(obs.ReplaceTriggers, 1)
 	return c.resolve(step)
 }
 
@@ -275,9 +276,10 @@ func (c *Controller) resolve(step int) error {
 		return nil
 	}
 	cost := placement.MoveCostSeconds(prob, moves, c.cfg.ExpertBytes)
-	c.stats.SetDecision(savings, cost)
+	c.stats.Set(obs.ReplaceSavingsNanos, obs.Nanos(savings))
+	c.stats.Set(obs.ReplaceMoveCostNanos, obs.Nanos(cost))
 	if savings*float64(c.cfg.AmortizeSteps) < c.cfg.MinSavingsFactor*cost {
-		c.stats.AddCostSkip()
+		c.stats.Add(obs.ReplaceCostSkips, 1)
 		c.LastReason = fmt.Sprintf("cost-skip: savings %.3gs/step over %d steps < %.3gs move cost",
 			savings, c.cfg.AmortizeSteps, cost)
 		c.enterCooldown()
@@ -291,7 +293,9 @@ func (c *Controller) resolve(step int) error {
 		c.enterCooldown()
 		return fmt.Errorf("replace: step %d: %w", step, err)
 	}
-	c.stats.AddMigration(step, moved)
+	c.stats.Add(obs.ReplaceMigrations, 1)
+	c.stats.Add(obs.ReplaceMoves, int64(moved))
+	c.stats.Set(obs.ReplaceLastStep, int64(step))
 	c.rebaseline(prob, c.mig.Assignment())
 	c.LastReason = fmt.Sprintf("migrated %d experts", moved)
 	c.enterCooldown()
@@ -341,5 +345,5 @@ func (c *Controller) rebaseline(prob *placement.Problem, a *placement.Assignment
 
 func (c *Controller) enterCooldown() {
 	c.cooldown = c.cfg.CooldownSteps
-	c.stats.SetCooldown(c.cooldown)
+	c.stats.Set(obs.ReplaceCooldown, int64(c.cooldown))
 }

@@ -89,7 +89,7 @@ func driftStep(h *obs.Handle, step int, hot bool) {
 
 func newController(t *testing.T, prob *placement.Problem, h *obs.Handle, mig Migrator, cfg Config) *Controller {
 	t.Helper()
-	c, err := New(prob, h, mig, cfg)
+	c, err := New(prob, h, obs.NewCounters(nil), mig, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,8 +122,8 @@ func TestTransientSpikeDoesNotTrigger(t *testing.T) {
 	if len(mig.plans) != 0 {
 		t.Fatalf("transient spikes executed %d plans, want 0", len(mig.plans))
 	}
-	if s := h.Replace.Snapshot(); s.Triggers != 0 {
-		t.Fatalf("triggers = %d, want 0", s.Triggers)
+	if n := c.stats.Get(obs.ReplaceTriggers); n != 0 {
+		t.Fatalf("triggers = %d, want 0", n)
 	}
 }
 
@@ -148,12 +148,15 @@ func TestSustainedDriftTriggersOnceAndRebaselines(t *testing.T) {
 	if len(mig.plans) != 1 {
 		t.Fatalf("executed %d plans, want exactly 1 (hysteresis + rebaseline + cooldown)", len(mig.plans))
 	}
-	s := h.Replace.Snapshot()
-	if s.Triggers != 1 || s.Migrations != 1 || s.Moves == 0 {
-		t.Fatalf("stats = %+v", s)
+	s := c.stats
+	if s.Get(obs.ReplaceTriggers) != 1 || s.Get(obs.ReplaceMigrations) != 1 || s.Get(obs.ReplaceMoves) == 0 {
+		t.Fatalf("%d triggers, %d migrations, %d moves", s.Get(obs.ReplaceTriggers), s.Get(obs.ReplaceMigrations), s.Get(obs.ReplaceMoves))
 	}
-	if s.LastStep != 2 {
-		t.Fatalf("migration fired at step %d, want 2 (K=3: steps 0,1 arm, 2 fires)", s.LastStep)
+	if last := s.Get(obs.ReplaceLastStep); last != 2 {
+		t.Fatalf("migration fired at step %d, want 2 (K=3: steps 0,1 arm, 2 fires)", last)
+	}
+	if s.Get(obs.ReplaceSavingsNanos) <= 0 || s.Get(obs.ReplaceMoveCostNanos) <= 0 {
+		t.Fatalf("decision gauges = %d / %d ns, want the executed plan's economics", s.Get(obs.ReplaceSavingsNanos), s.Get(obs.ReplaceMoveCostNanos))
 	}
 	// Post-migration the hot experts are split across workers.
 	after := mig.assign.Worker[0]
@@ -183,20 +186,19 @@ func TestCooldownRespected(t *testing.T) {
 	triggerSteps := []int{}
 	for step := 0; step < 20; step++ {
 		driftStep(h, step, true)
-		before := h.Replace.Snapshot().Triggers
+		before := c.stats.Get(obs.ReplaceTriggers)
 		if err := c.OnStep(step); err != nil {
 			t.Fatal(err)
 		}
-		if h.Replace.Snapshot().Triggers > before {
+		if c.stats.Get(obs.ReplaceTriggers) > before {
 			triggerSteps = append(triggerSteps, step)
 		}
 	}
 	if len(mig.plans) != 0 {
 		t.Fatalf("cost gate leaked %d plans", len(mig.plans))
 	}
-	s := h.Replace.Snapshot()
-	if s.CostSkips == 0 || s.CostSkips != s.Triggers {
-		t.Fatalf("stats = %+v, want every trigger cost-skipped", s)
+	if skips, triggers := c.stats.Get(obs.ReplaceCostSkips), c.stats.Get(obs.ReplaceTriggers); skips == 0 || skips != triggers {
+		t.Fatalf("%d cost skips for %d triggers, want every trigger cost-skipped", skips, triggers)
 	}
 	// K=2 arms at steps 0,1 → first trigger step 1; then 6 cooldown steps
 	// (2..7) + 2 arming (8,9) → next trigger step 9, then 17.
@@ -233,9 +235,8 @@ func TestNoMovesRebaselinesWithoutMigration(t *testing.T) {
 	if len(mig.plans) != 0 {
 		t.Fatalf("no-move re-solve executed %d plans", len(mig.plans))
 	}
-	s := h.Replace.Snapshot()
-	if s.Triggers != 1 || s.Migrations != 0 {
-		t.Fatalf("stats = %+v, want 1 trigger, 0 migrations", s)
+	if triggers, migrations := c.stats.Get(obs.ReplaceTriggers), c.stats.Get(obs.ReplaceMigrations); triggers != 1 || migrations != 0 {
+		t.Fatalf("%d triggers, %d migrations, want 1 and 0", triggers, migrations)
 	}
 	if d := h.Drift.MaxDrift(); d > 1e-9 {
 		t.Fatalf("MaxDrift = %v after confirming re-solve, want ~0 (baseline re-anchored)", d)
@@ -279,13 +280,13 @@ func TestConfigValidation(t *testing.T) {
 	prob := testProblem()
 	h := testHandle(prob)
 	mig := &fakeMigrator{assign: roundRobin(prob)}
-	if _, err := New(prob, h, mig, Config{}); err == nil {
+	if _, err := New(prob, h, nil, mig, Config{}); err == nil {
 		t.Fatal("both signals disabled must be rejected")
 	}
-	if _, err := New(nil, h, mig, Config{DriftThreshold: 0.1}); err == nil {
+	if _, err := New(nil, h, nil, mig, Config{DriftThreshold: 0.1}); err == nil {
 		t.Fatal("nil problem must be rejected")
 	}
-	if _, err := New(prob, nil, mig, Config{DriftThreshold: 0.1}); err == nil {
+	if _, err := New(prob, nil, nil, mig, Config{DriftThreshold: 0.1}); err == nil {
 		t.Fatal("nil handle must be rejected")
 	}
 }
