@@ -7,7 +7,7 @@ GO ?= go
 # machines where cgo/race is unavailable or slow; CI always runs them.
 RACE ?= 1
 
-.PHONY: build test vet lint race race-core bench bench-check bench-wire bench-trace bench-all chaos harness shift restart check
+.PHONY: build test vet lint purego race race-core bench bench-check bench-wire bench-trace bench-all chaos harness shift restart check
 
 build:
 	$(GO) build ./...
@@ -15,8 +15,18 @@ build:
 test:
 	$(GO) test ./...
 
+# vet's asmdecl pass checks internal/tensor/gemm_amd64.s against its Go
+# declarations (argument offsets, frame size), so the assembly needs no
+# gate of its own.
 vet:
 	$(GO) vet ./...
+
+# The portable GEMM tile body, forced by the purego build tag (a
+# build-time test seam: on amd64 the default build never runs it), over
+# the packages whose numerics it decides — the kernel oracle, the layer
+# and model tests, and the parent-captured golden loss series.
+purego:
+	$(GO) test -tags purego ./internal/tensor ./internal/nn ./internal/moe ./internal/trainer
 
 # velavet: the repo's own analyzer suite (internal/lint, driven by
 # cmd/velavet). Enforces the concurrency, wire, and numeric invariants
@@ -133,10 +143,10 @@ shift:
 restart:
 	$(GO) run ./examples/restart
 
-# Pre-merge gate: vet + velavet + the bench module's vet/test + full
-# race-enabled test suite (the race target covers internal/obs, so the
+# Pre-merge gate: vet + velavet + the bench module's vet/test + the
+# portable-kernel pass + full race-enabled test suite (the race target covers internal/obs, so the
 # tracer's striped ring and the lock-free histograms are exercised under
 # the detector on every check), then the focused uncached race-core pass
 # over broker/replace/transport and the self-checking harnesses. RACE=0
 # skips both race jobs locally.
-check: vet lint bench-check race race-core harness
+check: vet lint bench-check purego race race-core harness

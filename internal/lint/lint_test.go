@@ -173,6 +173,52 @@ func TestAnalyzerScoping(t *testing.T) {
 	}
 }
 
+// TestAnalyzersTolerateBodylessFuncs pins that a function declared
+// without a body — its implementation is in a .s file, as in
+// internal/tensor — passes through every analyzer: one package per scoped
+// path component, each holding a body-less function and method called
+// from a locked per-step hot path, must load and come out clean.
+func TestAnalyzersTolerateBodylessFuncs(t *testing.T) {
+	const src = `package %s
+
+import "sync"
+
+type T struct {
+	mu sync.Mutex
+	n  int
+}
+
+func kernel(k int, p *float64) float64
+
+func (t *T) asm() int
+
+func (t *T) Forward(x []float64) float64 {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.n = t.asm()
+	return kernel(len(x), &x[0])
+}
+`
+	files := map[string]string{"go.mod": "module m\n\ngo 1.22\n"}
+	for _, a := range Analyzers() {
+		for _, comp := range a.Components {
+			files[comp+"/a.go"] = fmt.Sprintf(src, comp)
+		}
+	}
+	pkgs, err := Load(Config{Dir: writeModule(t, files)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range pkgs {
+		for _, terr := range p.TypeErrors {
+			t.Errorf("%s does not typecheck: %v", p.Path, terr)
+		}
+	}
+	for _, d := range Run(pkgs, Analyzers()) {
+		t.Errorf("unexpected diagnostic: %s", d)
+	}
+}
+
 // TestMalformedAllowDirectiveIsReported pins that a reasonless allow
 // directive is itself a finding rather than a silent suppression.
 func TestMalformedAllowDirectiveIsReported(t *testing.T) {
@@ -220,6 +266,41 @@ func TestBuildConstraintSatisfied(t *testing.T) {
 	for _, c := range cases {
 		if got := buildConstraintSatisfied(parse(c.src)); got != c.want {
 			t.Errorf("buildConstraintSatisfied(%q) = %v, want %v", c.src, got, c.want)
+		}
+	}
+}
+
+// TestFileNameSatisfied pins the file-name half of the build
+// configuration: _GOOS, _GOARCH and _GOOS_GOARCH suffixes, with or
+// without _test, against the running platform.
+func TestFileNameSatisfied(t *testing.T) {
+	otherArch, otherOS := "arm64", "plan9"
+	if runtime.GOARCH == otherArch {
+		otherArch = "amd64"
+	}
+	if runtime.GOOS == otherOS {
+		otherOS = "linux"
+	}
+	cases := []struct {
+		name string
+		want bool
+	}{
+		{"x.go", true},
+		{"x_test.go", true},
+		{"x_" + runtime.GOARCH + ".go", true},
+		{"x_" + otherArch + ".go", false},
+		{"x_" + runtime.GOOS + "_test.go", true},
+		{"x_" + otherOS + "_test.go", false},
+		{"x_" + runtime.GOOS + "_" + runtime.GOARCH + ".go", true},
+		{"x_" + runtime.GOOS + "_" + otherArch + ".go", false},
+		{"x_" + otherOS + "_" + runtime.GOARCH + ".go", false},
+		{otherArch + ".go", true},          // no prefix: not a constraint
+		{"x_" + otherArch + "_y.go", true}, // not a suffix
+		{"gemm_noasm.go", true},
+	}
+	for _, c := range cases {
+		if got := fileNameSatisfied(c.name); got != c.want {
+			t.Errorf("fileNameSatisfied(%q) = %v, want %v", c.name, got, c.want)
 		}
 	}
 }

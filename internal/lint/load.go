@@ -233,6 +233,9 @@ func (l *loader) parseDir(dir string, withTests bool) ([]*ast.File, error) {
 		if !withTests && strings.HasSuffix(name, "_test.go") {
 			continue
 		}
+		if !fileNameSatisfied(name) {
+			continue
+		}
 		f, err := parser.ParseFile(l.fset, filepath.Join(dir, name), nil, parser.ParseComments|parser.SkipObjectResolution)
 		if err != nil {
 			return nil, err
@@ -264,10 +267,51 @@ func buildConstraintSatisfied(f *ast.File) bool {
 			if err != nil {
 				continue
 			}
-			return expr.Eval(func(tag string) bool {
-				return tag == runtime.GOOS || tag == runtime.GOARCH || tag == "unix" && runtime.GOOS == "linux"
-			})
+			return expr.Eval(hostTag)
 		}
+	}
+	return true
+}
+
+// hostTag reports whether a build tag holds in the default build
+// configuration: host GOOS/GOARCH, no optional tags.
+func hostTag(tag string) bool {
+	return tag == runtime.GOOS || tag == runtime.GOARCH || tag == "unix" && runtime.GOOS == "linux"
+}
+
+// The GOOS and GOARCH values a file name can imply (go/build's syslist).
+var (
+	knownOS   = tagSet("aix android darwin dragonfly freebsd hurd illumos ios js linux nacl netbsd openbsd plan9 solaris wasip1 windows zos")
+	knownArch = tagSet("386 amd64 amd64p32 arm armbe arm64 arm64be loong64 mips mipsle mips64 mips64le mips64p32 mips64p32le ppc ppc64 ppc64le riscv riscv64 s390 s390x sparc sparc64 wasm")
+)
+
+func tagSet(list string) map[string]bool {
+	set := make(map[string]bool)
+	for _, tag := range strings.Fields(list) {
+		set[tag] = true
+	}
+	return set
+}
+
+// fileNameSatisfied applies go/build's file-name rule: after an optional
+// _test, a name ending _GOOS, _GOARCH or _GOOS_GOARCH carries those tags
+// as if by a //go:build line (x_arm64.go, x_linux_test.go). Without it a
+// kernel_amd64.go / kernel_arm64.go pair that relies on its names alone
+// would both load and collide in the typechecker. As in go/build, the
+// rule needs a non-empty prefix: linux.go is an ordinary file.
+func fileNameSatisfied(name string) bool {
+	name = strings.TrimSuffix(strings.TrimSuffix(name, ".go"), "_test")
+	_, rest, ok := strings.Cut(name, "_")
+	if !ok {
+		return true
+	}
+	l := strings.Split(rest, "_")
+	n := len(l)
+	if n >= 2 && knownOS[l[n-2]] && knownArch[l[n-1]] {
+		return hostTag(l[n-2]) && hostTag(l[n-1])
+	}
+	if knownOS[l[n-1]] || knownArch[l[n-1]] {
+		return hostTag(l[n-1])
 	}
 	return true
 }

@@ -3,6 +3,7 @@ package lint
 import (
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -51,6 +52,46 @@ func TestLoadSkipsBuildTagExcludedFiles(t *testing.T) {
 	}
 	if p.Types.Scope().Lookup("NotRace") == nil {
 		t.Error("!race counterpart missing from the default-config unit")
+	}
+}
+
+// TestLoadAppliesFileNameConstraints pins go/build's file-name rule in
+// the loader: of a _GOARCH pair declaring the same symbol with no
+// //go:build line, only the host's file loads (both would collide in the
+// typechecker), and the rule reaches through a _test suffix.
+func TestLoadAppliesFileNameConstraints(t *testing.T) {
+	other := "arm64"
+	if runtime.GOARCH == other {
+		other = "amd64"
+	}
+	otherOS := "plan9"
+	if runtime.GOOS == otherOS {
+		otherOS = "linux"
+	}
+	dir := writeModule(t, map[string]string{
+		"go.mod":                           "module m\n\ngo 1.22\n",
+		"x/a.go":                           "package x\n",
+		"x/x_" + runtime.GOARCH + ".go":    "package x\n\nfunc Kernel() int { return 1 }\n",
+		"x/x_" + other + ".go":             "package x\n\nfunc Kernel() int { return 2 }\n",
+		"x/x_" + otherOS + "_test.go":      "package x\n\nfunc OnlyOnOtherOS() {}\n",
+		"x/x_" + runtime.GOOS + "_test.go": "package x\n\nfunc OnHostOS() {}\n",
+		"x/" + other + ".go":               "package x\n\nfunc BareNameIsNoConstraint() {}\n",
+	})
+	pkgs, err := Load(Config{Dir: dir, IncludeTests: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pkgs) != 1 {
+		t.Fatalf("loaded %d packages, want 1", len(pkgs))
+	}
+	p := pkgs[0]
+	if len(p.TypeErrors) != 0 {
+		t.Errorf("type errors (the _GOARCH pair collided?): %v", p.TypeErrors)
+	}
+	for name, want := range map[string]bool{"Kernel": true, "OnHostOS": true, "BareNameIsNoConstraint": true, "OnlyOnOtherOS": false} {
+		if got := p.Types.Scope().Lookup(name) != nil; got != want {
+			t.Errorf("%s loaded = %v, want %v", name, got, want)
+		}
 	}
 }
 

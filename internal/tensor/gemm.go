@@ -1,0 +1,141 @@
+// GEMM: one microkernel contract, two bodies, one driver.
+//
+// The contract (gemmTile): a 4×8 tile of C is
+//
+//	c[i][j] = Σ_{p=0..k-1} A(i,p) · B[p][j]
+//
+// with every accumulator starting at +0, p ascending, and the multiply
+// and the add rounded separately — exactly the operation sequence of the
+// scalar loop `c = 0; for p { c += a*b }`. A is addressed by two strides
+// (row, p) so the same kernel serves A and Aᵀ; B is a packed k×8 panel.
+// Because each c[i][j] is still one serial sum, the tile shape, the
+// partition and the parallel degree are invisible in the result bits:
+// what vectorises is (i, j), never p. A fused multiply-add would round
+// once instead of twice and change every bit, so neither body uses one.
+//
+// The bodies: AVX2 assembly (gemm_amd64.s) where the CPU has it, and
+// gemmTileGo below everywhere else and under the purego build tag.
+//
+// Unlike the scalar row kernels this replaces, a zero in A is multiplied
+// like any other value. For finite operands that is bit-neutral — an
+// accumulator that starts at +0 can never become −0, so adding ±0 leaves
+// it unchanged — but a zero in A no longer hides an Inf or NaN in B:
+// 0·Inf is NaN, as IEEE 754 says.
+package tensor
+
+const (
+	tileRows = 4
+	tileCols = 8
+)
+
+// gemm writes the [n,m] row-major product c = A·B, where A(i,p) is
+// a[i*sa0+p*sa1] and b is [k,m] row-major. c is fully overwritten.
+func gemm(c, a, b []float64, n, k, m, sa0, sa1 int) {
+	if n == 0 || m == 0 {
+		return
+	}
+	if k == 0 {
+		clear(c)
+		return
+	}
+	if n < tileRows {
+		// Fewer rows than one tile: run a zero-padded copy of A and keep
+		// the rows that exist.
+		ap, cp := Get(tileRows, k), GetDirty(tileRows, m)
+		for i := 0; i < n; i++ {
+			for p := 0; p < k; p++ {
+				ap.Data[i*k+p] = a[i*sa0+p*sa1]
+			}
+		}
+		gemmRows(cp.Data, ap.Data, b, 0, tileRows, k, m, k, 1)
+		copy(c, cp.Data[:n*m])
+		Put(ap)
+		Put(cp)
+		return
+	}
+	// Shards are whole row tiles; the ragged remainder rides with the
+	// last shard, so every shard holds a full tile to step back into.
+	tiles, work := n/tileRows, n*k*m/tileMAddsPerUnit()
+	if Serial(tiles, work) {
+		gemmRows(c, a, b, 0, n, k, m, sa0, sa1)
+		return
+	}
+	parallelFor(tiles, work, func(lo, hi int) {
+		lo, hi = lo*tileRows, hi*tileRows
+		if hi == tiles*tileRows {
+			hi = n
+		}
+		gemmRows(c, a, b, lo, hi, k, m, sa0, sa1)
+	})
+}
+
+// gemmRows computes rows [lo, hi) of c, hi-lo >= tileRows. Column panels
+// run outermost: each k×8 panel of b is packed contiguous once and reused
+// by every row tile, so a large b streams through the cache once per
+// shard instead of once per row tile. Edges never fall to a scalar loop:
+// a ragged last row tile steps back to hi-4 and recomputes the overlap
+// (same goroutine, same values), and a ragged last panel is zero-padded
+// and its tiles stored through a scratch tile.
+func gemmRows(c, a, b []float64, lo, hi, k, m, sa0, sa1 int) {
+	panel := GetDirty(k, tileCols)
+	bp := panel.Data
+	var edge [tileRows * tileCols]float64
+	for j := 0; j < m; j += tileCols {
+		w := min(tileCols, m-j)
+		packPanel(bp, b, k, m, j, w)
+		for i := lo; i < hi; i += tileRows {
+			if i > hi-tileRows {
+				i = hi - tileRows
+			}
+			if w == tileCols {
+				gemmTile(k, a[i*sa0:], sa0, sa1, bp, c[i*m+j:], m)
+				continue
+			}
+			gemmTile(k, a[i*sa0:], sa0, sa1, bp, edge[:], tileCols)
+			for r := 0; r < tileRows; r++ {
+				copy(c[(i+r)*m+j:(i+r)*m+j+w], edge[r*tileCols:])
+			}
+		}
+	}
+	Put(panel)
+}
+
+// packPanel copies columns [j, j+w) of the [k,m] matrix b into the k×8
+// panel bp, zero-filling columns w..7.
+func packPanel(bp, b []float64, k, m, j, w int) {
+	if w == tileCols {
+		for p := 0; p < k; p++ {
+			*(*[tileCols]float64)(bp[p*tileCols:]) = *(*[tileCols]float64)(b[p*m+j:])
+		}
+		return
+	}
+	for p := 0; p < k; p++ {
+		row := bp[p*tileCols : (p+1)*tileCols]
+		clear(row[copy(row, b[p*m+j:p*m+j+w]):])
+	}
+}
+
+// gemmTileGo is the portable body of the tile contract: the 4×8 tile one
+// row at a time, eight scalar accumulators in registers (wider and the
+// compiler spills them). The float64() conversions keep the product's
+// rounding where the contract puts it on architectures whose compilers
+// would otherwise fuse the multiply-add.
+func gemmTileGo(k int, a []float64, sa0, sa1 int, bp, c []float64, ldc int) {
+	for i := 0; i < tileRows; i++ {
+		ai := a[i*sa0:]
+		var c0, c1, c2, c3, c4, c5, c6, c7 float64
+		for p := 0; p < k; p++ {
+			b := (*[tileCols]float64)(bp[p*tileCols:])
+			x := ai[p*sa1]
+			c0 += float64(x * b[0])
+			c1 += float64(x * b[1])
+			c2 += float64(x * b[2])
+			c3 += float64(x * b[3])
+			c4 += float64(x * b[4])
+			c5 += float64(x * b[5])
+			c6 += float64(x * b[6])
+			c7 += float64(x * b[7])
+		}
+		*(*[tileCols]float64)(c[i*ldc:]) = [tileCols]float64{c0, c1, c2, c3, c4, c5, c6, c7}
+	}
+}

@@ -1,14 +1,13 @@
-// Parallel compute engine: goroutine-parallel GEMM kernels over a
-// persistent worker pool, with destination-passing ("Into") variants that
-// let hot paths reuse output buffers across steps.
+// Parallel compute engine: a persistent worker pool, the sharding
+// primitives over it, and the destination-passing ("Into") kernel entry
+// points that let hot paths reuse output buffers across steps. The GEMM
+// driver and its tile kernel are in gemm.go.
 //
 // Determinism contract: every parallel kernel partitions its OUTPUT into
-// contiguous row ranges, each owned by exactly one goroutine, and runs the
-// same inner-loop accumulation order as the serial kernel within that
-// range. Each output element is therefore computed by one goroutine with
-// an unchanged floating-point operation sequence, so parallel results are
-// bit-identical to serial results for any parallelism degree. Tests pin
-// this with testutil.BitEqual.
+// contiguous ranges, each owned by exactly one goroutine, and computes
+// each output element with the operation sequence the serial kernel uses.
+// Parallel results are therefore bit-identical to serial results for any
+// parallelism degree. Tests pin this with testutil.BitEqual.
 package tensor
 
 import (
@@ -18,11 +17,22 @@ import (
 	"sync/atomic"
 )
 
-// DefaultParallelThreshold is the default minimum kernel cost (in
-// work units: multiply-adds for GEMM, touched elements for elementwise
-// ops) below which kernels stay on the serial fast path. Below it the
-// goroutine hand-off costs more than the loop.
-const DefaultParallelThreshold = 1 << 15
+// DefaultParallelThreshold is the default minimum kernel cost below which
+// kernels stay on the serial fast path: waking a parked pool worker costs
+// more than the shard it would take over. The work unit is about 0.4 ns of
+// one core — a scalar multiply-add, or one touched element of an
+// elementwise op; the AVX2 tile counts four multiply-adds to the unit
+// (tileMAddsPerUnit).
+//
+// Re-derived when the tile kernel replaced the scalar row kernels, from
+// BenchmarkParallelCutOver on 2 hardware threads, serial → 2 shards:
+//
+//	AVX2 tile      128×128×128 (2.1M madds) 150 → 177 µs   128×128×352 (5.8M) 412 → 342 µs
+//	portable tile  32×128×352 (1.4M)        534 → 580 µs   128×128×128 (2.1M) 749 → 515 µs
+//	AddInto        2^19 elements            433 → 424 µs   2^20 elements      807 → 614 µs
+//
+// The old value, 1<<15, is one 32³ attention-head product: 3 µs of work.
+const DefaultParallelThreshold = 1 << 20
 
 var (
 	// parDegree is the configured shard count; <=0 selects GOMAXPROCS.
@@ -161,80 +171,6 @@ func mustNotAlias(dst, src *Tensor, op string) {
 	}
 }
 
-// ---- GEMM row kernels ----
-//
-// Each operates on the half-open output-row range [lo, hi) and fully
-// overwrites those rows, so destinations may be dirty.
-
-// matMulRows computes r[i,:] = a[i,:] @ b for i in [lo, hi);
-// a is [n,k], b is [k,m], r is [n,m]. Inner order i-p-j keeps the access
-// pattern over both operands sequential, as in the original serial kernel.
-func matMulRows(r, a, b []float64, lo, hi, k, m int) {
-	for i := lo; i < hi; i++ {
-		ri := r[i*m : (i+1)*m]
-		for j := range ri {
-			ri[j] = 0
-		}
-		ai := a[i*k : (i+1)*k]
-		for p := 0; p < k; p++ {
-			v := ai[p]
-			//lint:ignore floateq sparsity fast path: skipping exact zeros is an optimization, not a numeric comparison
-			if v == 0 {
-				continue
-			}
-			bp := b[p*m : (p+1)*m]
-			for j := range ri {
-				ri[j] += v * bp[j]
-			}
-		}
-	}
-}
-
-// matMulTRows computes r[i,:] = a[i,:] @ bᵀ for i in [lo, hi);
-// a is [n,k], b is [m,k], r is [n,m].
-func matMulTRows(r, a, b []float64, lo, hi, k, m int) {
-	for i := lo; i < hi; i++ {
-		ai := a[i*k : (i+1)*k]
-		ri := r[i*m : (i+1)*m]
-		for j := 0; j < m; j++ {
-			bj := b[j*k : (j+1)*k]
-			var s float64
-			for p := 0; p < k; p++ {
-				s += ai[p] * bj[p]
-			}
-			ri[j] = s
-		}
-	}
-}
-
-// tMatMulRows computes r[i,:] = (aᵀ @ b)[i,:] for i in [lo, hi);
-// a is [k,n], b is [k,m], r is [n,m]. The loop keeps the serial kernel's
-// p-outer order (sequential scans of a and b); restricting i to the range
-// preserves the exact per-element accumulation sequence.
-func tMatMulRows(r, a, b []float64, lo, hi, k, n, m int) {
-	for i := lo; i < hi; i++ {
-		ri := r[i*m : (i+1)*m]
-		for j := range ri {
-			ri[j] = 0
-		}
-	}
-	for p := 0; p < k; p++ {
-		ap := a[p*n : (p+1)*n]
-		bp := b[p*m : (p+1)*m]
-		for i := lo; i < hi; i++ {
-			v := ap[i]
-			//lint:ignore floateq sparsity fast path: skipping exact zeros is an optimization, not a numeric comparison
-			if v == 0 {
-				continue
-			}
-			ri := r[i*m : (i+1)*m]
-			for j := range ri {
-				ri[j] += v * bp[j]
-			}
-		}
-	}
-}
-
 // ---- destination-passing kernel entry points ----
 
 // MatMulInto writes t @ o into dst ([n,k] @ [k,m] -> [n,m]) and returns
@@ -254,13 +190,7 @@ func (t *Tensor) MatMulInto(o, dst *Tensor) *Tensor {
 	}
 	mustNotAlias(dst, t, "matmul")
 	mustNotAlias(dst, o, "matmul")
-	if Serial(n, n*k*m) {
-		matMulRows(dst.Data, t.Data, o.Data, 0, n, k, m)
-		return dst
-	}
-	parallelFor(n, n*k*m, func(lo, hi int) {
-		matMulRows(dst.Data, t.Data, o.Data, lo, hi, k, m)
-	})
+	gemm(dst.Data, t.Data, o.Data, n, k, m, k, 1)
 	return dst
 }
 
@@ -280,13 +210,20 @@ func (t *Tensor) MatMulTInto(o, dst *Tensor) *Tensor {
 	}
 	mustNotAlias(dst, t, "matmulT")
 	mustNotAlias(dst, o, "matmulT")
-	if Serial(n, n*k*m) {
-		matMulTRows(dst.Data, t.Data, o.Data, 0, n, k, m)
+	if n == 0 || m == 0 || k == 0 {
+		dst.Zero() // an empty sum is +0; the arena has no empty tensors
 		return dst
 	}
-	parallelFor(n, n*k*m, func(lo, hi int) {
-		matMulTRows(dst.Data, t.Data, o.Data, lo, hi, k, m)
-	})
+	// Each element is a dot product over p, and vectorising along p would
+	// reorder its sum. So compute Cᵀ = o·tᵀ through the tile kernel, where
+	// p stays the serial loop, and transpose in and out: O(nk + nm) moved
+	// in arena scratch, against O(nkm) multiplied.
+	tT := t.TransposeInto(GetDirty(k, n))
+	cT := GetDirty(m, n)
+	gemm(cT.Data, o.Data, tT.Data, m, k, n, k, 1)
+	cT.TransposeInto(dst)
+	Put(tT)
+	Put(cT)
 	return dst
 }
 
@@ -306,13 +243,7 @@ func (t *Tensor) TMatMulInto(o, dst *Tensor) *Tensor {
 	}
 	mustNotAlias(dst, t, "tmatmul")
 	mustNotAlias(dst, o, "tmatmul")
-	if Serial(n, n*k*m) {
-		tMatMulRows(dst.Data, t.Data, o.Data, 0, n, k, n, m)
-		return dst
-	}
-	parallelFor(n, n*k*m, func(lo, hi int) {
-		tMatMulRows(dst.Data, t.Data, o.Data, lo, hi, k, n, m)
-	})
+	gemm(dst.Data, t.Data, o.Data, n, k, m, 1, n)
 	return dst
 }
 
