@@ -86,9 +86,14 @@ bench-trace:
 # at the paper geometry. The EncodeFrame/FrameEncoder/DecodeFrame entries
 # in BENCH_wire.json must show 0 allocs/op (steady-state pooled codec),
 # and the StepBytes bytes/step metrics back the fp16 ≤ 30% / int8 ≤ 18%
-# of fp64 wire-volume claims.
+# of fp64 wire-volume claims. The two broker entries are the rounds that
+# move expert state, over loopback TCP at stepbench churn's geometry: one
+# snapshot of all 16 experts and one migration, with their wire_bytes/op
+# (delta entries: a snapshot carries no frozen weight, a migration
+# carries them once).
 bench-wire:
-	$(GO) test -run='^$$' -bench='EncodeFrame|FrameEncoder|DecodeFrame|StepBytes' -benchmem ./internal/wire \
+	{ $(GO) test -run='^$$' -bench='EncodeFrame|FrameEncoder|DecodeFrame|StepBytes' -benchmem ./internal/wire; \
+	  $(GO) test -run='^$$' -bench='SnapshotExperts|Migrate$$' -benchmem ./internal/broker; } \
 		| $(GO) run ./cmd/benchjson > BENCH_wire.json
 
 # The original whole-repo benchmark sweep, including the paper-figure

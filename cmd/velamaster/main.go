@@ -299,7 +299,7 @@ func run(addrs []string, devicesPerNode int, dataset, strategyName string, steps
 		store := &checkpoint.RunStore{Dir: opts.ckptDir, Keep: opts.ckptKeep}
 		if opts.resume {
 			t0 := time.Now()
-			rs, err := sys.Resume(store, ft, runCap)
+			rs, err := sys.Resume(store, grid, ft, runCap)
 			if err != nil {
 				return err
 			}

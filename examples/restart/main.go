@@ -146,10 +146,11 @@ func runParent() error {
 	if err != nil {
 		return err
 	}
-	// Experts were NOT distributed: Resume ships the checkpointed state
-	// (AdamW moments included) — the path velamaster -resume takes.
+	// Experts were NOT distributed: Resume ships the rebuilt grid's frozen
+	// weights with the checkpointed trainable state (AdamW moments
+	// included) — the path velamaster -resume takes.
 	t0 := time.Now()
-	rs, err := sys.Resume(store, sys.ft, sys.cap)
+	rs, err := sys.Resume(store, sys.grid, sys.ft, sys.cap)
 	if err != nil {
 		return err
 	}
@@ -292,6 +293,7 @@ func waitForGeneration(store *checkpoint.RunStore, want uint64, timeout time.Dur
 // function of its seeds, with all mutable state poured in by Resume.
 type system struct {
 	*core.System
+	grid   [][]*moe.Expert
 	faulty *transport.Faulty
 	sup    *broker.Supervisor
 	ft     *trainer.Finetuner
@@ -376,5 +378,5 @@ func buildSystem(resuming bool) (*system, error) {
 		// A resume against a different prelude must fail loudly.
 		Seeds: []int64{profileSeed, batchSeed},
 	}
-	return &system{System: sys, faulty: faulty, sup: sup, ft: ft, cap: cap}, nil
+	return &system{System: sys, grid: grid, faulty: faulty, sup: sup, ft: ft, cap: cap}, nil
 }

@@ -80,12 +80,12 @@ func TestExpertCodecRoundTrip(t *testing.T) {
 	}
 	spec := ExpertSpec{D: 6, Hidden: 10, LoRARank: 2, LoRAAlpha: 8}
 	msg := encodeExpert(e, spec)
-	got, gotSpec, _, err := decodeExpertState(msg)
+	got, en, err := decodeExpertState(msg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if gotSpec != spec {
-		t.Fatalf("spec mismatch: %+v vs %+v", gotSpec, spec)
+	if en.spec != spec {
+		t.Fatalf("spec mismatch: %+v vs %+v", en.spec, spec)
 	}
 	if got.ID != e.ID {
 		t.Fatalf("ID mismatch: %v vs %v", got.ID, e.ID)
@@ -107,7 +107,7 @@ func TestDecodeExpertRejectsGarbage(t *testing.T) {
 	good := func() *wire.Message {
 		return encodeExpert(moe.NewExpert(moe.ExpertID{}, rng, spec.D, spec.Hidden, true), spec)
 	}
-	if _, _, _, err := decodeExpertState(good()); err != nil {
+	if _, _, err := decodeExpertState(good()); err != nil {
 		t.Fatalf("well-formed assign rejected: %v", err)
 	}
 	// The retired pre-moments layout: a 4-column meta row over otherwise
@@ -124,7 +124,7 @@ func TestDecodeExpertRejectsGarbage(t *testing.T) {
 		"missing params": {Type: wire.MsgAssign,
 			Tensors: []wire.Matrix{{Rows: 1, Cols: 6, Data: []float64{4, 8, 0, 0, 0, 0}}}},
 	} {
-		if _, _, _, err := decodeExpertState(m); err == nil {
+		if _, _, err := decodeExpertState(m); err == nil {
 			t.Errorf("%s: must fail", name)
 		}
 	}

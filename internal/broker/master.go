@@ -115,6 +115,17 @@ type Executor struct {
 	// which is exactly this map's overwrite cadence.
 	resMu   sync.Mutex
 	resBufs map[resultKey]*tensor.Tensor
+	// base holds, per expert, the frozen parameters a delta entry leaves
+	// out (see SetBase and compose). Written before training starts and
+	// read by the training goroutine's rounds only.
+	base map[moe.ExpertID]expertBase
+}
+
+// expertBase is one expert's frozen parameters as the master keeps them:
+// views of the grid's tensors, never copies, and their digest.
+type expertBase struct {
+	tensors []wire.Matrix
+	sum     uint32
 }
 
 // connBox wraps a connection so a slot can be swapped atomically (an
@@ -465,11 +476,70 @@ func (x *Executor) pipelined(n int, msgs []*wire.Message, onSent func(i int), on
 	return errOut()
 }
 
-// Distribute ships every expert in the grid to its assigned worker. It is
-// the runtime realization of a placement: called once before fine-tuning
-// starts (and again if the placement changes). Transfers to distinct
-// workers run in parallel and transfers to the same worker are pipelined.
+// SetBase registers the frozen parameters of every expert in grid as the
+// base that delta entries are composed with. They are views, so the grid
+// must stay as it is — which it does: after Distribute nothing on the
+// master reads or trains it. Distribute registers the grid it ships; a
+// master that skips Distribute (System.Resume) registers the grid its
+// prelude rebuilt. An expert with nothing frozen registers nothing.
+func (x *Executor) SetBase(grid [][]*moe.Expert) {
+	x.base = make(map[moe.ExpertID]expertBase)
+	for l, row := range grid {
+		for e, ex := range row {
+			if ts := frozenOf(ex); len(ts) > 0 {
+				x.base[moe.ExpertID{Layer: l, Expert: e}] = expertBase{ts, baseSum(ts)}
+			}
+		}
+	}
+}
+
+// compose returns the full entry — MsgAssign's tensor list — for a stored
+// one. A full entry (an expert with nothing frozen, a generation written
+// before deltas existed) is returned as it is. A delta gets the base
+// views registered for id put back between its trainable parameters,
+// provided they are the bits it was trained over: composing it with any
+// other base would resume a run that silently diverges.
+func (x *Executor) compose(id moe.ExpertID, ts []wire.Matrix) ([]wire.Matrix, error) {
+	en, err := parseEntry(ts)
+	if err != nil {
+		return nil, fmt.Errorf("expert %v: %w", id, err)
+	}
+	if !en.delta {
+		return ts, nil
+	}
+	base, ok := x.base[id]
+	if !ok {
+		return nil, fmt.Errorf("broker: expert %v: delta entry but no base registered (Distribute or SetBase the grid first)", id)
+	}
+	if base.sum != en.baseSum {
+		return nil, fmt.Errorf("broker: expert %v: entry was trained over frozen weights with digest %08x, this grid's have %08x — refusing to put it on a different checkpoint",
+			id, en.baseSum, base.sum)
+	}
+	layout := en.spec.layout()
+	full := make([]wire.Matrix, 0, len(layout))
+	frozen, trained := base.tensors, en.params // parseEntry counted the trained ones
+	for _, p := range layout {
+		if !p.frozen {
+			full, trained = append(full, trained[0]), trained[1:]
+			continue
+		}
+		if len(frozen) == 0 {
+			return nil, fmt.Errorf("broker: expert %v: registered base has %d tensors, too few for spec %+v", id, len(base.tensors), en.spec)
+		}
+		full, frozen = append(full, frozen[0]), frozen[1:]
+	}
+	en.params, en.delta = full, false
+	return en.tensors(), nil
+}
+
+// Distribute ships every expert in the grid to its assigned worker, and
+// registers the grid's frozen parameters as the base (SetBase): this is
+// the one time they cross a link. It is the runtime realization of a
+// placement: called once before fine-tuning starts (and again if the
+// placement changes). Transfers to distinct workers run in parallel and
+// transfers to the same worker are pipelined.
 func (x *Executor) Distribute(grid [][]*moe.Expert, spec ExpertSpec) error {
+	x.SetBase(grid)
 	// Group experts per worker so each connection is used by one
 	// writer/reader pair.
 	perWorker := make([][]*moe.Expert, len(x.conns))
@@ -837,8 +907,8 @@ func (x *Executor) FetchWorkerTrace(n int, cursor uint64) ([]obs.Event, uint64, 
 	return evs, next, dropped, err
 }
 
-// snapshotExpert pulls a non-destructive copy of expert (layer, e) from
-// worker n in MsgAssign layout.
+// snapshotExpert pulls a non-destructive copy of expert (layer, e)'s
+// entry from worker n.
 func (x *Executor) snapshotExpert(n, layer, e int) (*wire.Message, error) {
 	var payload *wire.Message
 	err := x.pipelined(n, []*wire.Message{{Type: wire.MsgSnapshot, Layer: int32(layer), Expert: int32(e)}}, nil,
@@ -855,8 +925,9 @@ func (x *Executor) snapshotExpert(n, layer, e int) (*wire.Message, error) {
 	return payload, nil
 }
 
-// SnapshotExperts pulls a non-destructive copy of every hosted expert —
-// weights and, since VELAEXS2, the worker-local AdamW moment estimates —
+// SnapshotExperts pulls a non-destructive copy of every hosted expert's
+// entry — the trainable weights and the worker-local AdamW moment
+// estimates; the frozen weights stay where they are (delta entries) —
 // and packages it as a step-stamped checkpoint snapshot: the state the
 // supervisor restores from when a worker dies, and the expert slice of a
 // run-level checkpoint. Live workers are queried in parallel; the
@@ -912,34 +983,49 @@ func (x *Executor) SnapshotExperts(step int) (*checkpoint.ExpertSnapshot, error)
 			if !ok {
 				return nil, fmt.Errorf("broker: snapshot missing expert L%d/E%d", l, e)
 			}
-			entry := checkpoint.ExpertEntry{Layer: l, Expert: e, Tensors: make([]checkpoint.StateTensor, len(tensors))}
-			for ti, t := range tensors {
-				entry.Tensors[ti] = checkpoint.StateTensor{Rows: t.Rows, Cols: t.Cols, Data: t.Data}
-			}
-			snap.Entries = append(snap.Entries, entry)
+			snap.Entries = append(snap.Entries, checkpoint.ExpertEntry{Layer: l, Expert: e, Tensors: stateTensorsOf(tensors)})
 		}
 	}
 	x.Counters.Add(obs.Snapshots, 1)
 	return snap, nil
 }
 
+// composeEntry is compose over a checkpoint entry.
+func (x *Executor) composeEntry(entry checkpoint.ExpertEntry) ([]wire.Matrix, error) {
+	ts := make([]wire.Matrix, len(entry.Tensors))
+	for i, t := range entry.Tensors {
+		ts[i] = wire.Matrix{Rows: t.Rows, Cols: t.Cols, Data: t.Data}
+	}
+	return x.compose(moe.ExpertID{Layer: entry.Layer, Expert: entry.Expert}, ts)
+}
+
+// stateTensorsOf views an entry's tensor list as checkpoint tensors.
+func stateTensorsOf(ts []wire.Matrix) []checkpoint.StateTensor {
+	out := make([]checkpoint.StateTensor, len(ts))
+	for i, t := range ts {
+		out[i] = checkpoint.StateTensor{Rows: t.Rows, Cols: t.Cols, Data: t.Data}
+	}
+	return out
+}
+
 // RestoreExperts replays snapshot entries onto the workers the given
-// assignment names for them — the re-distribution half of a failover.
-// Entries are grouped per worker and shipped in parallel as ordinary
-// MsgAssign messages, so the receiving worker rebuilds the expert exactly
-// as initial Distribute would.
+// assignment names for them — the re-distribution half of a failover and
+// of a resume. Each entry is composed with its base, grouped per worker
+// and shipped in parallel as an ordinary MsgAssign message, so the
+// receiving worker rebuilds the expert exactly as initial Distribute
+// would. An entry that does not compose fails the restore before anything
+// is sent.
 func (x *Executor) RestoreExperts(entries []checkpoint.ExpertEntry, assign *placement.Assignment) error {
 	perWorker := make(map[int][]*wire.Message)
 	for _, entry := range entries {
+		full, err := x.composeEntry(entry)
+		if err != nil {
+			return err
+		}
 		n := assign.Worker[entry.Layer][entry.Expert]
-		msg := &wire.Message{
-			Type: wire.MsgAssign, Layer: int32(entry.Layer), Expert: int32(entry.Expert),
-			Tensors: make([]wire.Matrix, len(entry.Tensors)),
-		}
-		for ti, t := range entry.Tensors {
-			msg.Tensors[ti] = wire.Matrix{Rows: t.Rows, Cols: t.Cols, Data: t.Data}
-		}
-		perWorker[n] = append(perWorker[n], msg)
+		perWorker[n] = append(perWorker[n], &wire.Message{
+			Type: wire.MsgAssign, Layer: int32(entry.Layer), Expert: int32(entry.Expert), Tensors: full,
+		})
 	}
 	var wg sync.WaitGroup
 	var mu sync.Mutex

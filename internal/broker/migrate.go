@@ -3,45 +3,26 @@ package broker
 import (
 	"fmt"
 
+	"repro/internal/moe"
 	"repro/internal/placement"
 	"repro/internal/wire"
 )
 
-// Fetch retrieves expert (layer, e) from the worker currently hosting it,
-// removing it there, and returns the raw weight payload (MsgAssign
-// layout). It is the first half of a runtime migration. The request goes
-// through the same Seq-correlated pipeline as every other exchange.
-func (x *Executor) Fetch(layer, e int) (*wire.Message, error) {
-	n := x.workerOf(layer, e)
-	var payload *wire.Message
-	err := x.pipelined(n, []*wire.Message{
-		{Type: wire.MsgFetch, Layer: int32(layer), Expert: int32(e)},
-	}, nil, func(_ int, reply *wire.Message) error {
-		if reply.Type != wire.MsgFetchResult {
-			return fmt.Errorf("broker: worker %d replied %v to fetch", n, reply.Type)
-		}
-		payload = reply
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return payload, nil
-}
-
 // Migrate moves expert (layer, e) to worker dst, updating the active
 // assignment. The source worker's optimizer keeps the moments of the
 // experts that stay behind (see Worker's optimizer rebinding); the moved
-// expert's own moments restart on the destination, which matches how
-// production systems commonly handle expert migration.
+// expert's own moments and AdamW clock travel with it, so its trajectory
+// continues on the destination exactly.
 //
 // The move is ordered for failure atomicity: the source is snapshotted
-// (non-destructively), the copy is installed on dst, the assignment flips,
-// and only then is the source copy released. A failure at any point
-// before the flip — dst dead, dst rejecting the assign, src unreachable —
-// leaves the assignment unchanged and the expert still served by src; the
-// worst post-flip failure (release failing) leaves a stale, unreferenced
-// copy on src that the next Fetch or shutdown clears.
+// (non-destructively; a delta entry), the snapshot composed with the
+// master's base is installed on dst, the assignment flips, and only then
+// is the source copy released. A failure at any point before the flip —
+// dst dead, dst rejecting the assign, src unreachable — leaves the
+// assignment unchanged and the expert still served by src; the worst
+// post-flip failure (release failing) leaves a stale, unreferenced copy
+// on src that shutdown clears. The frozen weights cross one link, to dst;
+// the release reply carries nothing.
 func (x *Executor) Migrate(layer, e, dst int) error {
 	src := x.workerOf(layer, e)
 	if src == dst {
@@ -57,10 +38,11 @@ func (x *Executor) Migrate(layer, e, dst int) error {
 	if err != nil {
 		return err
 	}
-	assignMsg := &wire.Message{
-		Type: wire.MsgAssign, Layer: payload.Layer, Expert: payload.Expert,
-		Tensors: payload.Tensors,
+	full, err := x.compose(moe.ExpertID{Layer: layer, Expert: e}, payload.Tensors)
+	if err != nil {
+		return err
 	}
+	assignMsg := &wire.Message{Type: wire.MsgAssign, Layer: payload.Layer, Expert: payload.Expert, Tensors: full}
 	err = x.pipelined(dst, []*wire.Message{assignMsg}, nil, func(_ int, reply *wire.Message) error {
 		if reply.Type != wire.MsgAck {
 			return fmt.Errorf("broker: worker %d replied %v to migrated assign", dst, reply.Type)

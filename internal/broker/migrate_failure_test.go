@@ -2,6 +2,7 @@ package broker
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"repro/internal/tensor"
@@ -69,6 +70,7 @@ func TestMigrateSurvivesDestinationCrash(t *testing.T) {
 	faulty := transport.NewFaulty(dep.Conns[1], 5, transport.FaultPlan{})
 	faulty.ArmClose(0)
 	exec := NewExecutor([]transport.Conn{dep.Conns[0], faulty}, assign)
+	exec.SetBase(grid) // this executor did not Distribute
 
 	err := exec.Migrate(0, 0, 1)
 	if !errors.Is(err, transport.ErrClosed) {
@@ -107,21 +109,33 @@ func TestMigrateFromDeadWorkerFailsCleanly(t *testing.T) {
 	_ = dep.WaitAll()
 }
 
-// TestFetchFromDeadWorkerFailsCleanly: Fetch against a dead worker
-// reports ErrWorkerDead instead of hanging, and the healthy worker's
-// experts are untouched.
-func TestFetchFromDeadWorkerFailsCleanly(t *testing.T) {
+// TestMigrateReleaseFailureIsSurfaced: the source dies between the
+// install and the release. The move has taken effect — the assignment
+// names the destination, which serves the expert — and the error says
+// which leg failed instead of hanging or passing silently.
+func TestMigrateReleaseFailureIsSurfaced(t *testing.T) {
 	defer testutil.VerifyNoLeaks(t, "repro/internal/broker", "repro/internal/transport")
-	dep, exec := migrateSetup(t)
 	cfg := testConfig()
-	exec.MarkDead(1)
-
-	if _, err := exec.Fetch(0, 1); !errors.Is(err, ErrWorkerDead) {
-		t.Fatalf("fetch from dead worker = %v, want ErrWorkerDead", err)
+	_, grid := buildFinetuneSetup(cfg, 29)
+	dep := StartLocalWorkers(2, WorkerConfig{Optimizer: OptSGD, LR: 0.1})
+	src := transport.NewFaulty(dep.Conns[1], 7, transport.FaultPlan{})
+	exec := NewExecutor([]transport.Conn{dep.Conns[0], src}, roundRobinAssignment(cfg, 2))
+	if err := exec.Distribute(grid, ExpertSpec{D: cfg.D, Hidden: cfg.Hidden, LoRARank: 2, LoRAAlpha: 4}); err != nil {
+		t.Fatal(err)
 	}
-	out, err := exec.ForwardExperts(0, map[int]*tensor.Tensor{0: tensor.Zeros(1, cfg.D)})
-	if err != nil || out[0] == nil {
-		t.Fatalf("healthy worker disturbed by failed fetch: %v", err)
+	// Expert 1 of layer 0 lives on worker 1. Its snapshot request is the
+	// next send on that connection; the release after it severs the link.
+	src.ArmClose(1)
+	err := exec.Migrate(0, 1, 0)
+	if err == nil || !strings.Contains(err.Error(), "releasing the source copy") {
+		t.Fatalf("migrate with a dying source = %v, want the release failure", err)
+	}
+	if got := exec.Assignment().Worker[0][1]; got != 0 {
+		t.Fatalf("assignment names worker %d, want the destination 0", got)
+	}
+	out, err := exec.ForwardExperts(0, map[int]*tensor.Tensor{1: tensor.Zeros(1, cfg.D)})
+	if err != nil || out[1] == nil {
+		t.Fatalf("destination must serve the migrated expert: %v", err)
 	}
 	dep.Close()
 	_ = dep.WaitAll()

@@ -73,13 +73,19 @@ func TestMigrateToSameWorkerIsNoop(t *testing.T) {
 	_ = dep.Wait()
 }
 
-func TestFetchUnknownExpertErrors(t *testing.T) {
+// TestMigrateUnknownExpertErrors: nothing was distributed, so the source
+// the assignment names does not host the expert; the worker says so and
+// the assignment stays.
+func TestMigrateUnknownExpertErrors(t *testing.T) {
 	cfg := moe.Config{Vocab: 10, D: 4, Heads: 1, Hidden: 6, Layers: 1, Experts: 2, TopK: 1}
 	dep := StartLocalWorkers(2, DefaultWorkerConfig())
 	exec := NewExecutor(dep.Conns, roundRobinAssignment(cfg, 2))
-	_, err := exec.Fetch(0, 0)
+	err := exec.Migrate(0, 0, 1)
 	if err == nil || !strings.Contains(err.Error(), "does not host") {
 		t.Fatalf("err = %v", err)
+	}
+	if got := exec.Assignment().Worker[0][0]; got != 0 {
+		t.Fatalf("assignment moved to %d despite failed migrate", got)
 	}
 	_ = exec.Shutdown()
 	_ = dep.Wait()

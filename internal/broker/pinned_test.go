@@ -1,0 +1,278 @@
+package broker_test
+
+import (
+	"bytes"
+	"flag"
+	"fmt"
+	"math"
+	"math/rand"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+	"time"
+
+	"repro/internal/broker"
+	"repro/internal/checkpoint"
+	"repro/internal/cluster"
+	"repro/internal/core"
+	"repro/internal/data"
+	"repro/internal/moe"
+	"repro/internal/nn"
+	"repro/internal/placement"
+	"repro/internal/testutil"
+	"repro/internal/trainer"
+	"repro/internal/transport"
+)
+
+// updateGolden rewrites the three testdata/pinned.* files from the
+// current build. They were captured on the parent of the base/delta
+// split (commit 825404a, every snapshot entry a full MsgAssign payload);
+// rewriting them with a later build would defeat the test.
+var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/pinned.* from this build")
+
+const (
+	pinnedLosses = "testdata/pinned.losses" // 10 loss bit patterns
+	pinnedGen    = "testdata/pinned.vrun"   // the parent's generation at step 6 (full entries)
+	pinnedExport = "testdata/pinned.vexs"   // the parent's SaveLatest export after step 8
+
+	pinnedWorkers   = 3
+	pinnedCrashAt   = 8  // the first run is abandoned after this many steps
+	pinnedTotal     = 10 // the resumed run drives the rest
+	pinnedMigrateAt = 1  // 0-based step whose boundary rebalances two experts
+	pinnedKillAt    = 3  // ... arms the close of worker 2's connection
+	pinnedSaveAt    = 5  // ... writes the run generation
+)
+
+// pinnedRig is one deterministic deployment of the pinned scenario: the
+// whole prelude is a function of constants, which is what a resuming
+// master relies on.
+type pinnedRig struct {
+	sys    *core.System
+	grid   [][]*moe.Expert
+	sup    *broker.Supervisor
+	ft     *trainer.Finetuner
+	cap    *core.RunCapture
+	faulty *transport.Faulty
+}
+
+func newPinnedRig(t *testing.T) *pinnedRig {
+	t.Helper()
+	cfg := moe.Config{Vocab: data.VocabSize, D: 8, Heads: 2, Hidden: 12, Layers: 2, Experts: 4, TopK: 2}
+	rng := rand.New(rand.NewSource(1))
+	model := moe.NewModel(cfg, rng, true)
+	grid := moe.NewExpertGrid(cfg, rng, true)
+	lora := trainer.LoRAConfig{Rank: 2, Alpha: 4, Seed: 21}
+	trainer.PrepareForFinetune(model, grid, lora)
+
+	dep := broker.StartLocalWorkers(pinnedWorkers, broker.DefaultWorkerConfig())
+	t.Cleanup(func() {
+		dep.Close()
+		dep.WaitAll() // no serve goroutine outlives the test (other tests check for leaks)
+	})
+	conns := append([]transport.Conn(nil), dep.Conns...)
+	faulty := transport.NewFaulty(conns[2], 7, transport.FaultPlan{})
+	conns[2] = faulty
+
+	stats := moe.NewAccessStats(cfg.Layers, cfg.Experts)
+	for l := range stats.Counts {
+		for e := range stats.Counts[l] {
+			stats.Counts[l][e] = 1
+		}
+	}
+	sys, err := core.Attach(model, conns, core.Options{
+		Topo:     cluster.Uniform(pinnedWorkers, 1, cfg.Layers*cfg.Experts, cluster.GB, cluster.GB),
+		Strategy: placement.Sequential{},
+		Stats:    stats,
+		LoRA:     lora,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys.Exec.RequestTimeout = 2 * time.Second
+	sup := sys.Supervisor(broker.SupervisorConfig{FailureThreshold: 1})
+	batcher := data.NewBatcher(data.Shakespeare(4000), 2, 16, 7)
+	ft := sys.Finetuner(batcher)
+	return &pinnedRig{
+		sys: sys, grid: grid, sup: sup, ft: ft, faulty: faulty,
+		cap: &core.RunCapture{
+			Backbone: ft.Backbone, Opt: ft.Opt.(*nn.AdamW), Exec: sys.Exec, Sup: sup,
+			Cursor: batcher.Cursor, Seek: batcher.SeekTo,
+			Losses: &ft.Losses, Seeds: []int64{1, 21, 7},
+		},
+	}
+}
+
+// pinnedCrashedRun drives the first life of the scenario: a snapshot at
+// every boundary, a two-expert rebalance, a worker severed mid-step and
+// failed over, a run generation saved into store — then abandoned after
+// pinnedCrashAt steps. It returns the loss series and the bytes
+// Supervisor.SaveLatest exports at the end.
+func pinnedCrashedRun(t *testing.T, store *checkpoint.RunStore) ([]float64, []byte) {
+	t.Helper()
+	r := newPinnedRig(t)
+	if err := r.sys.Distribute(r.grid); err != nil {
+		t.Fatal(err)
+	}
+	r.ft.OnStep = func(step int) error {
+		if err := r.sys.StepBoundary(step); err != nil {
+			return err
+		}
+		switch step {
+		case pinnedMigrateAt:
+			// Swap the hosts of the first two experts of each layer.
+			alt := r.sys.Exec.Assignment().Clone()
+			for l := range alt.Worker {
+				alt.Worker[l][0], alt.Worker[l][1] = alt.Worker[l][1], alt.Worker[l][0]
+			}
+			moved, err := r.sys.Exec.Rebalance(alt)
+			if err != nil || moved != 2*len(alt.Worker) {
+				return fmt.Errorf("rebalance moved %d experts: %v", moved, err)
+			}
+		case pinnedKillAt:
+			r.faulty.ArmClose(0) // after this boundary's snapshot
+		case pinnedSaveAt:
+			rs, err := core.CaptureRun(step, r.cap)
+			if err != nil {
+				return err
+			}
+			if _, _, err := store.Save(rs); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	if err := r.ft.Run(pinnedCrashAt, nil); err != nil {
+		t.Fatal(err)
+	}
+	if r.sys.Exec.Alive(2) {
+		t.Fatal("worker 2 was never failed over")
+	}
+	path := filepath.Join(t.TempDir(), "export.vexs")
+	if err := r.sup.SaveLatest(path); err != nil {
+		t.Fatal(err)
+	}
+	export, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r.ft.Losses.Values, export
+}
+
+// pinnedResumedRun is the second life: a fresh prelude resumed from
+// store's newest generation and driven to pinnedTotal steps, again with a
+// snapshot at every boundary.
+func pinnedResumedRun(t *testing.T, store *checkpoint.RunStore) []float64 {
+	t.Helper()
+	r := newPinnedRig(t)
+	rs, err := r.sys.Resume(store, r.grid, r.ft, r.cap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rs.Step != pinnedSaveAt+1 {
+		t.Fatalf("resumed at step %d, want %d", rs.Step, pinnedSaveAt+1)
+	}
+	if err := r.ft.Run(pinnedTotal, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.sys.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return r.ft.Losses.Values
+}
+
+func lossLines(losses []float64) string {
+	var b strings.Builder
+	for s, v := range losses {
+		fmt.Fprintf(&b, "loss %02d %016x\n", s, math.Float64bits(v))
+	}
+	return b.String()
+}
+
+// TestPinnedRunMatchesParent replays, to the bit, a run the parent commit
+// recorded: snapshot every step, migrate, fail a worker over, save a
+// generation, resume from it. It also pins the two artefacts of that run
+// that leave the process — the export SaveLatest writes must stay the
+// parent's bytes (full entries, whatever the supervisor retains
+// internally), and the parent-written generation must still resume onto
+// this build with the same continuation.
+func TestPinnedRunMatchesParent(t *testing.T) {
+	store := &checkpoint.RunStore{Dir: t.TempDir()}
+	crashed, export := pinnedCrashedRun(t, store)
+	resumed := pinnedResumedRun(t, store)
+	if !testutil.BitEqualSlices(crashed, resumed[:pinnedCrashAt]) {
+		t.Fatalf("resumed run diverged from the run it continues:\n%s\nvs\n%s", lossLines(crashed), lossLines(resumed))
+	}
+
+	if *updateGolden {
+		gen, err := os.ReadFile(filepath.Join(store.Dir, checkpoint.RunGenFile(1)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for path, blob := range map[string][]byte{
+			pinnedLosses: []byte(lossLines(resumed)), pinnedGen: gen, pinnedExport: export,
+		} {
+			if err := os.WriteFile(path, blob, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		t.Logf("rewrote %s, %s, %s", pinnedLosses, pinnedGen, pinnedExport)
+		return
+	}
+
+	want, err := os.ReadFile(pinnedLosses)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := lossLines(resumed); got != string(want) {
+		t.Fatalf("loss series differs from the parent's:\n%s\nwant\n%s", got, want)
+	}
+	wantExport, err := os.ReadFile(pinnedExport)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(export, wantExport) {
+		t.Fatalf("SaveLatest export (%d bytes) differs from the parent's full-entry snapshot (%d bytes)",
+			len(export), len(wantExport))
+	}
+
+	// The parent-written generation carries full entries.
+	gen, err := os.ReadFile(pinnedGen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := &checkpoint.RunStore{Dir: t.TempDir()}
+	if err := os.WriteFile(filepath.Join(old.Dir, checkpoint.RunGenFile(1)), gen, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if got := lossLines(pinnedResumedRun(t, old)); got != string(want) {
+		t.Fatalf("resume from the parent-written generation differs:\n%s\nwant\n%s", got, want)
+	}
+}
+
+// TestResumeRefusesADifferentGrid: a generation names, per expert, the
+// frozen weights it was trained over. Resuming it onto a prelude whose
+// grid differs from them in one bit of one expert fails before anything is
+// shipped, and the error says which expert — the alternative is a run
+// that continues and silently diverges.
+func TestResumeRefusesADifferentGrid(t *testing.T) {
+	store := &checkpoint.RunStore{Dir: t.TempDir()}
+	pinnedCrashedRun(t, store)
+
+	r := newPinnedRig(t)
+	w3 := r.grid[1][2].FFN.W3.W.Value.Data
+	w3[5] = math.Float64frombits(math.Float64bits(w3[5]) ^ 1)
+	_, err := r.sys.Resume(store, r.grid, r.ft, r.cap)
+	if err == nil || !strings.Contains(err.Error(), "L1/E2") {
+		t.Fatalf("resume onto a grid one bit off = %v, want a refusal naming L1/E2", err)
+	}
+	checksums, cerr := r.sys.Exec.Checksums()
+	if cerr != nil {
+		t.Fatal(cerr)
+	}
+	for n, sum := range checksums {
+		if values := int(sum[2]); values != 0 {
+			t.Fatalf("worker %d was shipped %d parameter values by the refused resume", n, values)
+		}
+	}
+}

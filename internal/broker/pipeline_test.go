@@ -225,7 +225,7 @@ func TestMigrationPreservesOptimizerState(t *testing.T) {
 	applyTrainingRound(t, subject, &x, &dy)
 	applyTrainingRound(t, control, &x, &dy)
 
-	// Migrate e1 away from the subject (the first half of a migration).
+	// Migrate e1 away from the subject (the release leg of a migration).
 	fetch := &wire.Message{Type: wire.MsgFetch, Layer: 0, Expert: 1}
 	if reply, _ := subject.handle(fetch); reply.Type != wire.MsgFetchResult {
 		t.Fatalf("fetch e1: %v %s", reply.Type, reply.Text)
@@ -238,9 +238,9 @@ func TestMigrationPreservesOptimizerState(t *testing.T) {
 	applyTrainingRound(t, control, &x, &dy)
 
 	get := func(w *Worker) []wire.Matrix {
-		reply, _ := w.handle(&wire.Message{Type: wire.MsgFetch, Layer: 0, Expert: 0})
-		if reply.Type != wire.MsgFetchResult {
-			t.Fatalf("fetch e0: %v %s", reply.Type, reply.Text)
+		reply, _ := w.handle(&wire.Message{Type: wire.MsgSnapshot, Layer: 0, Expert: 0})
+		if reply.Type != wire.MsgSnapshotResult || len(reply.Tensors) < 2 {
+			t.Fatalf("snapshot e0: %v %s (%d tensors)", reply.Type, reply.Text, len(reply.Tensors))
 		}
 		return reply.Tensors
 	}
@@ -296,9 +296,9 @@ func TestMigrationAlsoPreservesStateOnAssign(t *testing.T) {
 	applyTrainingRound(t, control, &x, &dy)
 
 	get := func(w *Worker) []wire.Matrix {
-		reply, _ := w.handle(&wire.Message{Type: wire.MsgFetch, Layer: 0, Expert: 0})
-		if reply.Type != wire.MsgFetchResult {
-			t.Fatalf("fetch e0: %v %s", reply.Type, reply.Text)
+		reply, _ := w.handle(&wire.Message{Type: wire.MsgSnapshot, Layer: 0, Expert: 0})
+		if reply.Type != wire.MsgSnapshotResult || len(reply.Tensors) < 2 {
+			t.Fatalf("snapshot e0: %v %s (%d tensors)", reply.Type, reply.Text, len(reply.Tensors))
 		}
 		return reply.Tensors
 	}

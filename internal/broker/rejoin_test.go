@@ -264,12 +264,20 @@ func TestExpertStateCodecMomentsRoundTrip(t *testing.T) {
 	if snap.Type != wire.MsgSnapshotResult {
 		t.Fatalf("snapshot: %v", snap.Type)
 	}
-	// A snapshot becomes an assign frame on restore — same payload.
-	asAssign := &wire.Message{Type: wire.MsgAssign, Layer: snap.Layer, Expert: snap.Expert, Tensors: snap.Tensors}
-	_, _, st, err := decodeExpertState(asAssign)
+	// A snapshot becomes an assign frame on restore: the master puts the
+	// frozen weights back between the trainable ones it carries.
+	master := NewExecutor(nil, nil)
+	master.SetBase(grid)
+	full, err := master.compose(grid[0][0].ID, snap.Tensors)
 	if err != nil {
 		t.Fatal(err)
 	}
+	asAssign := &wire.Message{Type: wire.MsgAssign, Layer: snap.Layer, Expert: snap.Expert, Tensors: full}
+	_, en, err := decodeExpertState(asAssign)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := en.opt
 	if st == nil || st.Step != 1 || len(st.M) == 0 || len(st.M) != len(st.V) {
 		t.Fatalf("decoded opt state = %+v, want step 1 with moment pairs", st)
 	}
@@ -290,8 +298,7 @@ func TestExpertStateCodecMomentsRoundTrip(t *testing.T) {
 	// identical gradients: parameters must land bit-identically, which
 	// only happens if the moments AND the bias-correction clock survived.
 	w2 := NewWorker(1, DefaultWorkerConfig())
-	assign := &wire.Message{Type: wire.MsgAssign, Layer: snap.Layer, Expert: snap.Expert, Tensors: snap.Tensors}
-	if reply, _ := w2.handle(assign); reply.Type != wire.MsgAck {
+	if reply, _ := w2.handle(asAssign); reply.Type != wire.MsgAck {
 		t.Fatalf("re-assign: %v", reply.Type)
 	}
 	seedGrads(w1)

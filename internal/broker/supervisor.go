@@ -30,7 +30,8 @@ type SupervisorConfig struct {
 const DefaultFailureThreshold = 2
 
 // Supervisor is the broker's failure handler: it heartbeats workers in
-// the background, keeps the latest step-boundary expert snapshot, and on
+// the background, keeps the latest step-boundary expert snapshot (delta
+// entries: what training changes, not the frozen weights), and on
 // a fatal worker failure executes the failover — mark the worker dead,
 // re-solve the placement over the survivors (placement.Repair), restore
 // the orphaned experts from the snapshot onto their new hosts, and swap
@@ -297,13 +298,24 @@ func (s *Supervisor) Latest() *checkpoint.ExpertSnapshot {
 }
 
 // SaveLatest writes the retained snapshot to path (atomic and fsynced); a
-// no-op returning nil when no snapshot has been taken yet.
+// no-op returning nil when no snapshot has been taken yet. The file is an
+// export, read without this master's grid at hand, so every entry is
+// composed with its base first: it holds full entries whatever the
+// supervisor retains.
 func (s *Supervisor) SaveLatest(path string) error {
 	snap := s.Latest()
 	if snap == nil {
 		return nil
 	}
-	return checkpoint.SaveExpertSnapshotFile(path, snap)
+	full := &checkpoint.ExpertSnapshot{Step: snap.Step, Entries: make([]checkpoint.ExpertEntry, len(snap.Entries))}
+	for i, entry := range snap.Entries {
+		ts, err := s.exec.composeEntry(entry)
+		if err != nil {
+			return err
+		}
+		full.Entries[i] = checkpoint.ExpertEntry{Layer: entry.Layer, Expert: entry.Expert, Tensors: stateTensorsOf(ts)}
+	}
+	return checkpoint.SaveExpertSnapshotFile(path, full)
 }
 
 // ping heartbeats worker n once and counts the outcome.

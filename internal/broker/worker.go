@@ -82,6 +82,10 @@ type Worker struct {
 	// a post-failover re-broadcast of an ordinal this worker already
 	// stepped is acked without stepping twice.
 	lastStep int
+	// baseSums holds each expert's digest of its frozen parameters,
+	// computed once when it is assigned (they never change afterwards) and
+	// stamped on every delta snapshot of it.
+	baseSums map[moe.ExpertID]uint32
 }
 
 // NewWorker creates an Expert Manager with no experts assigned yet.
@@ -91,6 +95,7 @@ func NewWorker(id int, cfg WorkerConfig) *Worker {
 		experts:     make(map[moe.ExpertID]*moe.Expert),
 		specs:       make(map[moe.ExpertID]ExpertSpec),
 		locks:       make(map[moe.ExpertID]*sync.Mutex),
+		baseSums:    make(map[moe.ExpertID]uint32),
 		momentSeeds: make(map[moe.ExpertID]*expertOptState),
 	}
 }
@@ -209,20 +214,22 @@ func (w *Worker) handle(msg *wire.Message) (reply *wire.Message, done bool) {
 func (w *Worker) handleAt(msg *wire.Message, arrivedAt int64) (reply *wire.Message, done bool) {
 	switch msg.Type {
 	case wire.MsgAssign:
-		ex, spec, st, err := decodeExpertState(msg)
+		ex, en, err := decodeExpertState(msg)
 		if err != nil {
 			return errMsg(msg, err), false
 		}
+		sum := baseSum(frozenOf(ex))
 		w.mu.Lock()
 		w.experts[ex.ID] = ex
-		w.specs[ex.ID] = spec
+		w.specs[ex.ID] = en.spec
 		w.locks[ex.ID] = &sync.Mutex{}
+		w.baseSums[ex.ID] = sum
 		w.refreshOptimizer()
-		if st != nil {
+		if en.opt != nil {
 			// Shipped optimizer state (failover restore, migration, or
 			// run-level resume): seed it into the live optimizer now, or
 			// stash it for the lazy build at the first Step.
-			w.momentSeeds[ex.ID] = st
+			w.momentSeeds[ex.ID] = en.opt
 			w.applyMomentSeeds()
 		}
 		w.mu.Unlock()
@@ -230,17 +237,15 @@ func (w *Worker) handleAt(msg *wire.Message, arrivedAt int64) (reply *wire.Messa
 
 	case wire.MsgFetch:
 		id := moe.ExpertID{Layer: int(msg.Layer), Expert: int(msg.Expert)}
+		// Release: the expert's new host was installed from a snapshot
+		// before the master sent this, so the reply carries no state.
 		w.mu.Lock()
-		ex, ok := w.experts[id]
-		spec := w.specs[id]
-		var st *expertOptState
+		_, ok := w.experts[id]
 		if ok {
-			// Capture the optimizer slice before the rebind below drops it,
-			// so the fetched expert carries its moments to the next host.
-			st = w.optStateOf(ex)
 			delete(w.experts, id)
 			delete(w.specs, id)
 			delete(w.locks, id)
+			delete(w.baseSums, id)
 			delete(w.momentSeeds, id)
 			w.refreshOptimizer()
 		}
@@ -248,10 +253,7 @@ func (w *Worker) handleAt(msg *wire.Message, arrivedAt int64) (reply *wire.Messa
 		if !ok {
 			return errMsg(msg, fmt.Errorf("broker: worker %d does not host %v", w.ID, id)), false
 		}
-		out := encodeExpertState(ex, spec, st)
-		out.Type = wire.MsgFetchResult
-		out.Seq = msg.Seq
-		return out, false
+		return &wire.Message{Type: wire.MsgFetchResult, Layer: msg.Layer, Expert: msg.Expert, Seq: msg.Seq}, false
 
 	case wire.MsgForwardMulti, wire.MsgBackwardMulti:
 		return w.handleMulti(msg, arrivedAt), false
@@ -339,15 +341,14 @@ func (w *Worker) handleAt(msg *wire.Message, arrivedAt int64) (reply *wire.Messa
 		var out *wire.Message
 		if ok {
 			// Deep copy under the read barrier: Step takes mu for writing,
-			// so the copied tensors (weights AND optimizer moments) are a
-			// consistent step boundary.
-			out = encodeExpertCopy(ex, spec, w.optStateOf(ex))
+			// so the copied tensors (trainable weights AND optimizer moments)
+			// are a consistent step boundary.
+			out = encodeExpertSnapshot(ex, spec, w.optStateOf(ex), w.baseSums[id])
 		}
 		w.mu.RUnlock()
 		if !ok {
 			return errMsg(msg, fmt.Errorf("broker: worker %d does not host %v", w.ID, id)), false
 		}
-		out.Type = wire.MsgSnapshotResult
 		out.Seq = msg.Seq
 		return out, false
 
@@ -494,7 +495,7 @@ func (w *Worker) runExpert(id moe.ExpertID, backward bool, in *wire.Matrix, seq 
 // parameter, in nn.CollectTrainable order. It returns nil when there is
 // no AdamW state to ship (SGD, or the optimizer not built yet and no
 // stashed seed). The returned matrices alias live optimizer memory;
-// callers that cross a step boundary must copy (encodeExpertCopy does).
+// callers that cross a step boundary must copy (encodeExpertSnapshot does).
 // Called with w.mu held (read or write).
 func (w *Worker) optStateOf(ex *moe.Expert) *expertOptState {
 	adam, ok := w.opt.(*nn.AdamW)

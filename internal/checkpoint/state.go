@@ -5,20 +5,26 @@ import "fmt"
 // This file holds the runtime expert-state snapshot format — the
 // recovery substrate of the fault-tolerant broker. Unlike the
 // pre-training checkpoint (Save/Load), an ExpertSnapshot captures the
-// *fine-tuning-time* state of every expert, LoRA adapters included, in
-// exactly the broker's MsgAssign tensor layout: a metadata row followed
-// by each parameter in canonical order. That makes restore a pure
-// re-assign — the supervisor replays the snapshot entry to an expert's
-// new host after a failover, with no architecture reconstruction logic
-// of its own.
+// *fine-tuning-time* state of every expert, LoRA adapters included, as
+// one tensor list per expert. The list's meaning is the broker's
+// (broker/codec.go): a metadata row, parameter tensors in canonical
+// order, then one (m, v) AdamW moment pair per trainable parameter, so
+// failover and run-level resume restore the optimizer trajectory exactly.
+// This package neither reads the row nor counts the tensors — which is
+// why the two layouts the broker writes share one container and one
+// magic:
 //
-// The entry tensor list also carries the worker-local AdamW optimizer
-// slice: the broker's metadata row is 6 columns ([D, Hidden, LoRARank,
-// LoRAAlpha, numMomentPairs, optStep]) and one (m, v) moment-tensor pair
-// per trainable parameter rides after the parameters. Failover and
-// run-level resume therefore restore the optimizer trajectory exactly
-// instead of restarting moments on the new host. The pre-moments V1
-// format is no longer read: nothing writes it.
+//   - a full entry (6-column row [D, Hidden, LoRARank, LoRAAlpha,
+//     numMomentPairs, optStep], every parameter) is the MsgAssign
+//     payload. The supervisor's exit export holds these, and so does
+//     every generation written before the broker had deltas;
+//   - a delta entry (7-column row: the same plus the CRC32C of the
+//     frozen parameters; trainable parameters only) is what snapshots
+//     and run generations hold now. The frozen weights stay on the
+//     workers and in the master's grid; the broker composes the two
+//     back into a full entry when it restores one.
+//
+// The pre-moments V1 format is no longer read: nothing writes it.
 //
 // Format (little-endian):
 //
@@ -37,8 +43,8 @@ type StateTensor struct {
 }
 
 // ExpertEntry is the captured state of one expert: its grid coordinates
-// and its tensors in MsgAssign layout (metadata row first, then every
-// parameter in canonical order).
+// and its tensors in one of the broker's two entry layouts (metadata row
+// first; see the header comment).
 type ExpertEntry struct {
 	Layer, Expert int
 	Tensors       []StateTensor

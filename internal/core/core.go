@@ -234,8 +234,10 @@ func (s *System) anchorDrift() {
 }
 
 // Distribute detaches the experts of grid onto the workers per the
-// solved placement. After it, the local grid objects are stale: the
-// authoritative expert weights live on the workers.
+// solved placement. After it, the grid's trainable parameters are stale —
+// the authoritative ones live on the workers — while its frozen ones stay
+// in use, unmodified: the executor keeps views of them as the base that
+// snapshots, migrations and failovers are composed with.
 func (s *System) Distribute(grid [][]*moe.Expert) error {
 	if err := s.Exec.Distribute(grid, s.Spec); err != nil {
 		return fmt.Errorf("core: distributing experts: %w", err)
@@ -387,10 +389,9 @@ func (s *System) Close() error {
 
 // Rebalance re-solves the placement from fresh access statistics and
 // migrates every expert whose optimal worker changed — VELA's runtime
-// flexibility. It returns the number of experts moved. Expert optimizer
-// moments do not travel with the weights (Adam state restarts on the new
-// host). Zero routingsPerStep/bitDepth reuse the deployment's resolved
-// values.
+// flexibility. It returns the number of experts moved; each keeps its
+// optimizer moments. Zero routingsPerStep/bitDepth reuse the deployment's
+// resolved values.
 //
 // After a successful rebalance the drift monitor is re-anchored: the
 // fresh stats become the baseline (the placement now reflects them, so

@@ -8,6 +8,7 @@ import (
 	"repro/internal/broker"
 	"repro/internal/checkpoint"
 	"repro/internal/metrics"
+	"repro/internal/moe"
 	"repro/internal/nn"
 	"repro/internal/obs"
 	"repro/internal/placement"
@@ -74,7 +75,10 @@ func paramShape(p *nn.Param) (rows, cols int) {
 // after trainer step `step` (0-based). Everything mutable is deep-copied
 // so the AsyncWriter can serialize it while training continues; the
 // expert snapshot is shared, not copied, because the supervisor replaces
-// its latest snapshot wholesale and never mutates entries in place.
+// its latest snapshot wholesale and never mutates entries in place. Its
+// entries are the broker's delta entries — trainable weights and moments,
+// not the frozen weights — so a generation is a fraction of the model and
+// loads only onto the grid it names (broker/codec.go).
 func CaptureRun(step int, c *RunCapture) (*checkpoint.RunState, error) {
 	rs := &checkpoint.RunState{
 		Step:    step + 1,
@@ -140,8 +144,9 @@ func CaptureRun(step int, c *RunCapture) (*checkpoint.RunState, error) {
 // RestoreRun pours a loaded RunState back into a freshly reconstructed
 // system: backbone values and AdamW moments matched by parameter name,
 // executor step ordinal, experts re-distributed onto the checkpointed
-// assignment (moments included — VELAEXS2), data cursor, drift state,
-// and replace-controller counters. The caller is responsible for having
+// assignment (each entry composed with the base registered on the
+// executor; moments included), data cursor, drift state, and
+// replace-controller counters. The caller is responsible for having
 // rebuilt the deterministic prelude (model, LoRA attach, workers)
 // identically; after RestoreRun the trainer resumes at StartStep =
 // rs.Step and replays nothing.
@@ -214,14 +219,18 @@ func RestoreRun(rs *checkpoint.RunState, c *RunCapture) error {
 
 // Resume continues a run from the newest valid generation in store — the
 // one sequence a restarted master follows. The system was attached but
-// not Distributed (RestoreRun re-ships the checkpointed experts, moments
-// included, onto the checkpointed assignment). In order: load, falling
-// back past torn generations; refuse a checkpoint written under other
-// prelude seeds instead of silently diverging; RestoreRun; point ft at
-// the first undriven step; seed the supervisor's failover restore point
-// from the state just shipped; record the resume on the checkpoint meter.
-func (s *System) Resume(store *checkpoint.RunStore, ft *trainer.Finetuner, c *RunCapture) (*checkpoint.RunState, error) {
+// not Distributed: grid, the experts the prelude rebuilt, supplies the
+// frozen weights, and RestoreRun ships them with the checkpointed
+// trainable state and moments onto the checkpointed assignment. In order:
+// register grid as the base; load, falling back past torn generations;
+// refuse a checkpoint written under other prelude seeds instead of
+// silently diverging; RestoreRun, which refuses a generation trained over
+// other frozen weights than grid's; point ft at the first undriven step;
+// seed the supervisor's failover restore point from the state just
+// shipped; record the resume on the checkpoint meter.
+func (s *System) Resume(store *checkpoint.RunStore, grid [][]*moe.Expert, ft *trainer.Finetuner, c *RunCapture) (*checkpoint.RunState, error) {
 	t0 := time.Now()
+	s.Exec.SetBase(grid)
 	rs, err := store.LoadLatest()
 	if err != nil {
 		return nil, fmt.Errorf("core: resume: %w", err)

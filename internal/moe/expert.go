@@ -28,7 +28,8 @@ type Expert struct {
 }
 
 // NewExpert constructs an expert for the given block with model width d
-// and hidden width hidden.
+// and hidden width hidden. A nil rng (here and in AttachLoRA) leaves the
+// weights zero, for a caller that loads them.
 func NewExpert(id ExpertID, rng *rand.Rand, d, hidden int, trainable bool) *Expert {
 	return &Expert{
 		ID:  id,

@@ -41,12 +41,23 @@ type Linear struct {
 	y, dx *tensor.Tensor
 }
 
+// initWeight draws an [in, cols] matrix from N(0, 1/in), or — under a nil
+// rng, for a caller about to load the values — draws nothing and leaves
+// it zero.
+func initWeight(rng *rand.Rand, in, cols int) *tensor.Tensor {
+	if rng == nil {
+		return tensor.Zeros(in, cols)
+	}
+	return tensor.Randn(rng, 1/math.Sqrt(float64(in)), in, cols)
+}
+
 // NewLinear constructs a Linear layer with Kaiming-style N(0, 1/in)
-// initialization. bias controls whether an additive bias is allocated.
+// initialization (see initWeight for a nil rng). bias controls whether an
+// additive bias is allocated.
 func NewLinear(name string, rng *rand.Rand, in, out int, bias, trainable bool) *Linear {
 	l := &Linear{
 		Name: name,
-		W:    NewParam(name+".W", tensor.Randn(rng, 1/math.Sqrt(float64(in)), in, out), trainable),
+		W:    NewParam(name+".W", initWeight(rng, in, out), trainable),
 		in:   in,
 		out:  out,
 	}
@@ -63,14 +74,15 @@ func (l *Linear) In() int { return l.in }
 func (l *Linear) Out() int { return l.out }
 
 // AttachLoRA adds a rank-r adapter with scaling α/r. A is initialized from
-// N(0, 1/in) and B from zero, so the initial adapter output is zero. It
-// freezes the base weight (and bias), matching the fine-tuning setup.
+// N(0, 1/in) (see initWeight for a nil rng) and B from zero, so the
+// initial adapter output is zero. It freezes the base weight (and bias),
+// matching the fine-tuning setup.
 func (l *Linear) AttachLoRA(rng *rand.Rand, r int, alpha float64) {
 	if r <= 0 {
 		panic(fmt.Sprintf("nn: LoRA rank must be positive, got %d", r))
 	}
 	l.LoRA = &LoRA{
-		A:     NewParam(l.Name+".lora.A", tensor.Randn(rng, 1/math.Sqrt(float64(l.in)), l.in, r), true),
+		A:     NewParam(l.Name+".lora.A", initWeight(rng, l.in, r), true),
 		B:     NewParam(l.Name+".lora.B", tensor.Zeros(r, l.out), true),
 		Scale: alpha / float64(r),
 	}

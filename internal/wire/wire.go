@@ -50,11 +50,11 @@ const (
 	MsgStats
 	// MsgStatsResult returns the checksums.
 	MsgStatsResult
-	// MsgFetch asks the worker to return (and release) an expert's
-	// current weights — the first half of a runtime migration.
+	// MsgFetch asks the worker to release an expert — the last leg of a
+	// runtime migration, sent once the expert's new host is installed.
 	MsgFetch
-	// MsgFetchResult carries the expert weights back to the master in
-	// MsgAssign layout.
+	// MsgFetchResult confirms the release; it carries no tensors (the
+	// state travelled in the migration's snapshot).
 	MsgFetchResult
 	// MsgPing is the supervisor's heartbeat probe; a live worker answers
 	// with MsgPong (the master never sends it while a dispatch frame is
@@ -62,12 +62,13 @@ const (
 	MsgPing
 	// MsgPong answers a MsgPing.
 	MsgPong
-	// MsgSnapshot asks the worker for an expert's current weights
-	// WITHOUT releasing it — the non-destructive half of checkpointing
-	// and failover (MsgFetch removes the expert; MsgSnapshot copies it).
+	// MsgSnapshot asks the worker for an expert's current state WITHOUT
+	// releasing it — the non-destructive half of checkpointing, failover
+	// and migration (MsgFetch removes the expert; MsgSnapshot copies it).
 	MsgSnapshot
-	// MsgSnapshotResult carries the copied weights back in MsgAssign
-	// layout.
+	// MsgSnapshotResult carries the copy back: the trainable weights and
+	// optimizer moments, i.e. MsgAssign layout minus the frozen weights
+	// (the broker's delta entry; broker/codec.go).
 	MsgSnapshotResult
 	// MsgForwardMulti is the token dispatch frame (the token dispatcher →
 	// token receiver path in Fig. 4): every per-expert token batch a
