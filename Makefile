@@ -24,7 +24,9 @@ vet:
 # The portable GEMM tile body, forced by the purego build tag (a
 # build-time test seam: on amd64 the default build never runs it), over
 # the packages whose numerics it decides — the kernel oracle, the layer
-# and model tests, and the parent-captured golden loss series.
+# and model tests, and the parent-captured golden loss series. The panel
+# packers (packPanel, packPanelT) are plain Go under either tag, so the
+# oracle table covers MatMulT's row-packed path on both bodies.
 purego:
 	$(GO) test -tags purego ./internal/tensor ./internal/nn ./internal/moe ./internal/trainer
 
@@ -53,14 +55,17 @@ else
 endif
 
 # Focused race gate over the packages where the concurrency actually
-# lives: broker (pipelined master, pooled worker, supervisor), replace
-# (live re-placement controller) and transport. Uncached (-count=1) so a
-# racy interleaving cannot hide behind Go's test result cache.
+# lives: broker (pipelined master, worker, supervisor), replace (live
+# re-placement controller), transport, and the compute side — tensor (the
+# kernel pool and the expert fan-out), nn, and moe, whose local executor
+# runs a layer's experts side by side. Uncached (-count=1) so a racy
+# interleaving cannot hide behind Go's test result cache.
 race-core:
 ifeq ($(RACE),0)
 	@echo "race-core: skipped (RACE=0)"
 else
-	$(GO) test -race -count=1 ./internal/broker/... ./internal/replace/... ./internal/transport/...
+	$(GO) test -race -count=1 ./internal/broker/... ./internal/replace/... ./internal/transport/... \
+		./internal/moe/... ./internal/tensor/... ./internal/nn/...
 endif
 
 # Tensor-engine benchmark gate: runs the compute hot-path benches
@@ -152,6 +157,6 @@ restart:
 # portable-kernel pass + full race-enabled test suite (the race target covers internal/obs, so the
 # tracer's striped ring and the lock-free histograms are exercised under
 # the detector on every check), then the focused uncached race-core pass
-# over broker/replace/transport and the self-checking harnesses. RACE=0
-# skips both race jobs locally.
+# over broker/replace/transport/moe/tensor/nn and the self-checking
+# harnesses. RACE=0 skips both race jobs locally.
 check: vet lint bench-check purego race race-core harness

@@ -241,9 +241,10 @@ func mean(xs []float64) float64 {
 // BenchmarkBrokerManyExpertsPerWorker measures the master↔worker
 // scatter/gather with many experts stacked per worker — the pipelined
 // hot path VELA's one-to-all claim rests on. The serial variant pins the
-// worker executor pool to one goroutine; the pooled variant lets
-// distinct experts on a worker compute concurrently. The tokens/s ratio
-// between the two is the communication/compute overlap win.
+// worker's expert fan-out (tensor.SetParallelism) to one goroutine; the
+// pooled variant lets distinct experts on a worker compute concurrently.
+// The tokens/s ratio between the two is the communication/compute overlap
+// win.
 func BenchmarkBrokerManyExpertsPerWorker(b *testing.B) {
 	const (
 		workers = 2
@@ -257,6 +258,8 @@ func BenchmarkBrokerManyExpertsPerWorker(b *testing.B) {
 		parallelism int
 	}{{"serial", 1}, {"pooled", 0}} {
 		b.Run(bc.name, func(b *testing.B) {
+			tensor.SetParallelism(bc.parallelism)
+			b.Cleanup(func() { tensor.SetParallelism(0) })
 			rng := rand.New(rand.NewSource(9))
 			grid := [][]*moe.Expert{make([]*moe.Expert, experts)}
 			assign := placement.NewAssignment(1, experts)
@@ -266,9 +269,7 @@ func BenchmarkBrokerManyExpertsPerWorker(b *testing.B) {
 				grid[0][e] = ex
 				assign.Worker[0][e] = e % workers
 			}
-			cfg := broker.DefaultWorkerConfig()
-			cfg.Parallelism = bc.parallelism
-			dep := broker.StartLocalWorkers(workers, cfg)
+			dep := broker.StartLocalWorkers(workers, broker.DefaultWorkerConfig())
 			exec := broker.NewExecutor(dep.Conns, assign)
 			if err := exec.Distribute(grid, broker.ExpertSpec{D: d, Hidden: hidden, LoRARank: 2, LoRAAlpha: 4}); err != nil {
 				b.Fatal(err)

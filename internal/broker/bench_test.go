@@ -38,9 +38,11 @@ func BenchmarkBrokeredExchange(b *testing.B) {
 
 // benchManyExpertsPerWorker drives a scatter/gather round with many
 // experts stacked on few workers — the scenario where handleMulti's
-// fan-out across the worker executor pool matters. parallelism is the
-// worker-side pool width (1 = serial, 0 = GOMAXPROCS).
+// fan-out matters. parallelism is the tensor engine's degree, which is
+// the fan-out's width (1 = serial, 0 = GOMAXPROCS).
 func benchManyExpertsPerWorker(b *testing.B, parallelism int) {
+	tensor.SetParallelism(parallelism)
+	b.Cleanup(func() { tensor.SetParallelism(0) })
 	const (
 		workers = 2
 		experts = 32 // 16 experts per worker
@@ -57,9 +59,7 @@ func benchManyExpertsPerWorker(b *testing.B, parallelism int) {
 		grid[0][e] = ex
 		assign.Worker[0][e] = e % workers
 	}
-	cfg := DefaultWorkerConfig()
-	cfg.Parallelism = parallelism
-	dep := StartLocalWorkers(workers, cfg)
+	dep := StartLocalWorkers(workers, DefaultWorkerConfig())
 	exec := NewExecutor(dep.Conns, assign)
 	if err := exec.Distribute(grid, ExpertSpec{D: d, Hidden: hidden, LoRARank: 2, LoRAAlpha: 4}); err != nil {
 		b.Fatal(err)
@@ -80,8 +80,8 @@ func benchManyExpertsPerWorker(b *testing.B, parallelism int) {
 	_ = dep.Wait()
 }
 
-// BenchmarkManyExpertsPerWorkerSerial pins the worker pool to one
-// executor: each frame's experts compute one after another (the
+// BenchmarkManyExpertsPerWorkerSerial pins the fan-out to one
+// goroutine: each frame's experts compute one after another (the
 // throughput baseline for the fan-out win).
 func BenchmarkManyExpertsPerWorkerSerial(b *testing.B) { benchManyExpertsPerWorker(b, 1) }
 

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/moe"
 	"repro/internal/tensor"
+	"repro/internal/testutil"
 	"repro/internal/transport"
 	"repro/internal/wire"
 )
@@ -194,6 +195,33 @@ func TestDistributeToInvalidWorkerIndex(t *testing.T) {
 	err := exec.Distribute(grid, ExpertSpec{D: cfg.D, Hidden: cfg.Hidden, LoRARank: 2, LoRAAlpha: 4})
 	if err == nil || !strings.Contains(err.Error(), "invalid worker") {
 		t.Fatalf("err = %v", err)
+	}
+}
+
+// TestZeroGradClearsOnlyTrainable: MsgZeroGrad clears what the optimizer
+// steps — the LoRA gradients — and leaves the frozen weights' Grad
+// buffers (which nothing writes) alone, as the local fine-tuner does.
+func TestZeroGradClearsOnlyTrainable(t *testing.T) {
+	w := NewWorker(0, DefaultWorkerConfig())
+	grid, _, spec := singleWorkerGrid(1)
+	if reply, _ := w.handle(encodeExpert(grid[0][0], spec)); reply.Type != wire.MsgAck {
+		t.Fatalf("assign: %v %s", reply.Type, reply.Text)
+	}
+	params := w.experts[moe.ExpertID{}].Params()
+	for _, p := range params {
+		p.Grad.Fill(7)
+	}
+	if reply, _ := w.handle(&wire.Message{Type: wire.MsgZeroGrad}); reply.Type != wire.MsgAck {
+		t.Fatalf("zero-grad: %v", reply.Type)
+	}
+	for _, p := range params {
+		want := 7.0
+		if p.Trainable {
+			want = 0
+		}
+		if !testutil.BitEqual(p.Grad.Data[0], want) {
+			t.Errorf("%s (trainable %v): grad %v after zero-grad, want %v", p.Name, p.Trainable, p.Grad.Data[0], want)
+		}
 	}
 }
 

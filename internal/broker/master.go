@@ -18,7 +18,7 @@ import (
 
 // DefaultMaxInFlight is the per-worker in-flight request window used when
 // Executor.MaxInFlight is unset. It bounds master-side memory while
-// keeping every worker's executor pool saturated.
+// keeping every worker's expert fan-out saturated.
 const DefaultMaxInFlight = 64
 
 // ErrWorkerDead is wrapped by every operation that targets a worker the
@@ -597,7 +597,7 @@ func (x *Executor) BackwardExperts(layer int, grads map[int]*tensor.Tensor) (map
 // exchange performs one one-to-all scatter/gather round for a layer:
 // every batch a worker owes travels in ONE multi-tensor frame per
 // direction (see exchangeWorker), workers are driven in parallel, and
-// each worker fans its frame out across its own executor pool.
+// each worker fans its frame's experts out (tensor.Fanout).
 func (x *Executor) exchange(layer int, batches map[int]*tensor.Tensor, backward bool) (map[int]*tensor.Tensor, error) {
 	sp := x.Obs.Begin(obs.PhaseExchange)
 	defer sp.End()

@@ -386,16 +386,16 @@ func TestExchangeDrainsAfterWorkerError(t *testing.T) {
 }
 
 // TestConcurrentExpertsProduceSerialResults: a many-expert frame fanned
-// out across the worker's pool (Parallelism=N) must produce bit-identical
-// outputs to a serial (Parallelism=1) worker — concurrency must not
-// change math.
+// out across the worker (tensor.SetParallelism(8)) must produce
+// bit-identical outputs to a serial (SetParallelism(1)) worker —
+// concurrency must not change math.
 func TestConcurrentExpertsProduceSerialResults(t *testing.T) {
 	const experts = 24
+	t.Cleanup(func() { tensor.SetParallelism(0) })
 	run := func(parallelism int) map[int]*tensor.Tensor {
+		tensor.SetParallelism(parallelism)
 		grid, assign, spec := singleWorkerGrid(experts)
-		cfg := DefaultWorkerConfig()
-		cfg.Parallelism = parallelism
-		dep := StartLocalWorkers(1, cfg)
+		dep := StartLocalWorkers(1, DefaultWorkerConfig())
 		exec := NewExecutor(dep.Conns, assign)
 		if err := exec.Distribute(grid, spec); err != nil {
 			t.Fatal(err)
@@ -417,7 +417,7 @@ func TestConcurrentExpertsProduceSerialResults(t *testing.T) {
 		return out
 	}
 	serial := run(1)
-	pooled := run(0)
+	pooled := run(8)
 	for e := 0; e < experts; e++ {
 		for i := range serial[e].Data {
 			if !testutil.BitEqual(serial[e].Data[i], pooled[e].Data[i]) {

@@ -3,7 +3,6 @@ package broker
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"sync"
 	"time"
 
@@ -30,10 +29,6 @@ type WorkerConfig struct {
 	LR float64
 	// AdamW is used when Optimizer is OptAdamW.
 	AdamW nn.AdamWConfig
-	// Parallelism bounds how many of a dispatch frame's experts compute
-	// concurrently (the worker-side executor pool). 0 selects
-	// runtime.GOMAXPROCS(0); 1 is fully serial execution.
-	Parallelism int
 	// Obs, when non-nil, receives per-expert compute timing from
 	// runExpert. In a local deployment this is usually the master's
 	// handle; a distributed velaworker owns its own.
@@ -134,14 +129,6 @@ func (w *Worker) refreshOptimizer() {
 	// rebuild starts from fresh state either way, and deferring it lets
 	// a configuration error surface as a MsgError reply).
 	w.opt = nil
-}
-
-// poolSize returns the effective executor-pool width.
-func (w *Worker) poolSize() int {
-	if w.cfg.Parallelism > 0 {
-		return w.cfg.Parallelism
-	}
-	return runtime.GOMAXPROCS(0)
 }
 
 // Serve runs the worker's request loop on conn until a shutdown message
@@ -259,9 +246,11 @@ func (w *Worker) handleAt(msg *wire.Message, arrivedAt int64) (reply *wire.Messa
 		return w.handleMulti(msg, arrivedAt), false
 
 	case wire.MsgZeroGrad:
+		// Only what the optimizer steps: nothing writes a frozen
+		// parameter's Grad (nn.Linear.Backward skips dW for it).
 		w.mu.Lock()
 		for _, e := range w.experts {
-			nn.ZeroGrads(e.Params())
+			nn.ZeroGrads(nn.CollectTrainable(e.Params()))
 		}
 		w.mu.Unlock()
 		return &wire.Message{Type: wire.MsgAck, Seq: msg.Seq}, false
@@ -378,9 +367,9 @@ func (w *Worker) replyEnc(req wire.Encoding) wire.Encoding {
 
 // handleMulti serves one dispatch frame: Tensors[0] names K experts,
 // Tensors[1..K] carry their batches (a single-expert request is K=1). The
-// per-expert computes fan out onto bounded goroutines (the executor pool,
-// WorkerConfig.Parallelism wide) and the reply mirrors the frame layout,
-// echoing the id row. Any expert failure fails the whole frame with one
+// per-expert computes run side by side through tensor.Fanout — the one
+// fan-out, which moe.LocalExecutor uses too, tensor.Parallelism() wide —
+// and the reply mirrors the frame layout, echoing the id row. Any expert failure fails the whole frame with one
 // MsgError — the master treats a frame as one request.
 func (w *Worker) handleMulti(msg *wire.Message, arrivedAt int64) *wire.Message {
 	backward, resType := false, wire.MsgForwardMultiResult
@@ -404,19 +393,10 @@ func (w *Worker) handleMulti(msg *wire.Message, arrivedAt int64) *wire.Message {
 	outs := make([]wire.Matrix, 1+k)
 	outs[0] = ids // echo so the master can re-correlate results
 	errs := make([]error, k)
-	sem := make(chan struct{}, w.poolSize())
-	var wg sync.WaitGroup
-	for i := 0; i < k; i++ {
-		sem <- struct{}{}
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			id := moe.ExpertID{Layer: int(msg.Layer), Expert: int(ids.Data[i])}
-			outs[1+i], errs[i] = w.runExpert(id, backward, &msg.Tensors[1+i], msg.Seq, arrivedAt)
-		}(i)
-	}
-	wg.Wait()
+	tensor.Fanout(k, func(i int) {
+		id := moe.ExpertID{Layer: int(msg.Layer), Expert: int(ids.Data[i])}
+		outs[1+i], errs[i] = w.runExpert(id, backward, &msg.Tensors[1+i], msg.Seq, arrivedAt)
+	})
 	for _, err := range errs {
 		if err != nil {
 			return errMsg(msg, err)

@@ -3,6 +3,7 @@ package moe
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 
 	"repro/internal/nn"
 	"repro/internal/tensor"
@@ -86,20 +87,35 @@ func NewLocalExecutor(experts [][]*Expert) *LocalExecutor {
 
 // ForwardExperts implements Executor.
 func (x *LocalExecutor) ForwardExperts(layer int, batches map[int]*tensor.Tensor) (map[int]*tensor.Tensor, error) {
-	out := make(map[int]*tensor.Tensor, len(batches))
-	for e, b := range batches {
-		out[e] = x.Experts[layer][e].Forward(b)
-	}
-	return out, nil
+	return x.fanout(layer, batches, (*Expert).Forward), nil
 }
 
 // BackwardExperts implements Executor.
 func (x *LocalExecutor) BackwardExperts(layer int, grads map[int]*tensor.Tensor) (map[int]*tensor.Tensor, error) {
-	out := make(map[int]*tensor.Tensor, len(grads))
-	for e, g := range grads {
-		out[e] = x.Experts[layer][e].Backward(g)
+	return x.fanout(layer, grads, (*Expert).Backward), nil
+}
+
+// fanout applies run to each routed expert of the layer and its tensor,
+// the experts side by side (tensor.Fanout: they share no state, and Block
+// combines the results in expert-index order, so the degree is invisible
+// in the bits).
+func (x *LocalExecutor) fanout(layer int, in map[int]*tensor.Tensor, run func(*Expert, *tensor.Tensor) *tensor.Tensor) map[int]*tensor.Tensor {
+	ids := make([]int, 0, len(in))
+	for e := range in {
+		ids = append(ids, e)
 	}
-	return out, nil
+	// Largest batch first: the hand-out is dynamic, so the small ones fill
+	// in behind it instead of one large one finishing alone.
+	sort.Slice(ids, func(i, j int) bool { return in[ids[i]].Rows() > in[ids[j]].Rows() })
+	res := make([]*tensor.Tensor, len(ids))
+	tensor.Fanout(len(ids), func(i int) {
+		res[i] = run(x.Experts[layer][ids[i]], in[ids[i]])
+	})
+	out := make(map[int]*tensor.Tensor, len(ids))
+	for i, e := range ids {
+		out[e] = res[i]
+	}
+	return out
 }
 
 // Params returns the parameters of every expert in the grid.

@@ -56,6 +56,38 @@ func BenchmarkMatMulExpertDown(b *testing.B)     { benchGEMM(b, "MatMul", 32, 35
 func BenchmarkMatMulTExpertDown(b *testing.B)    { benchGEMM(b, "MatMulT", 32, 128, 352, 1) }
 func BenchmarkMatMulExpertUpRagged(b *testing.B) { benchGEMM(b, "MatMul", 30, 128, 352, 1) }
 
+// benchColdWeight times an expert product whose weight operand is never
+// cache-resident: it rotates through 24 distinct 128×352 weights (8.6 MB,
+// over twice this box's 4 MB of L2), the way one step walks 16 experts ×
+// 3 projections. The hot benchmarks above reuse one weight; the step
+// sees this one. mul multiplies a 32-row x of xCols features by a weight
+// into dstCols features.
+func benchColdWeight(b *testing.B, xCols, dstCols int, mul func(x, w, dst *Tensor) *Tensor) {
+	const n, d, h, weights = 32, 128, 352, 24
+	old := Parallelism()
+	SetParallelism(1)
+	b.Cleanup(func() { SetParallelism(old) })
+	rng := rand.New(rand.NewSource(1))
+	x, dst := Randn(rng, 1, n, xCols), Zeros(n, dstCols)
+	ws := make([]*Tensor, weights)
+	for i := range ws {
+		ws[i] = Randn(rng, 1, d, h)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		mul(x, ws[i%weights], dst)
+	}
+	reportGFLOPs(b, n, d, h)
+}
+
+// Up projection x·W, and the backward dX = dY·Wᵀ through the same weight.
+func BenchmarkMatMulExpertUpCold(b *testing.B) {
+	benchColdWeight(b, 128, 352, (*Tensor).MatMulInto)
+}
+func BenchmarkMatMulTExpertDownCold(b *testing.B) {
+	benchColdWeight(b, 352, 128, (*Tensor).MatMulTInto)
+}
+
 // BenchmarkParallelCutOver is the measurement DefaultParallelThreshold is
 // derived from: the same product serial and split in two, on a ladder of
 // sizes either side of the cut-over, with the threshold out of the way.

@@ -7,7 +7,10 @@
 // with every accumulator starting at +0, p ascending, and the multiply
 // and the add rounded separately — exactly the operation sequence of the
 // scalar loop `c = 0; for p { c += a*b }`. A is addressed by two strides
-// (row, p) so the same kernel serves A and Aᵀ; B is a packed k×8 panel.
+// (row, p) so the same kernel serves A and Aᵀ; B is a packed k×8 panel,
+// packed from eight columns of B (packPanel) or — for MatMulT, whose B is
+// the transpose of its operand — from eight rows of Bᵀ (packPanelT), so no
+// entry point transposes anything.
 // Because each c[i][j] is still one serial sum, the tile shape, the
 // partition and the parallel degree are invisible in the result bits:
 // what vectorises is (i, j), never p. A fused multiply-add would round
@@ -21,6 +24,13 @@
 // accumulator that starts at +0 can never become −0, so adding ±0 leaves
 // it unchanged — but a zero in A no longer hides an Inf or NaN in B:
 // 0·Inf is NaN, as IEEE 754 says.
+//
+// Every product is A(i,p)·B[p][j] in that operand order. MatMulT used to
+// compute Cᵀ = o·tᵀ and so multiplied o[j][p]·t[i][p]; it now multiplies
+// t[i][p]·o[j][p]. Multiplication commutes bit for bit except in which
+// NaN payload survives when both operands are NaN (the hardware picks by
+// operand position), so there the payload may differ from the transposing
+// MatMulT's; NaN-ness and every finite bit do not.
 package tensor
 
 const (
@@ -29,8 +39,9 @@ const (
 )
 
 // gemm writes the [n,m] row-major product c = A·B, where A(i,p) is
-// a[i*sa0+p*sa1] and b is [k,m] row-major. c is fully overwritten.
-func gemm(c, a, b []float64, n, k, m, sa0, sa1 int) {
+// a[i*sa0+p*sa1] and B is b, [k,m] row-major — or, with bT set, the
+// transpose of b, [m,k] row-major. c is fully overwritten.
+func gemm(c, a, b []float64, n, k, m, sa0, sa1 int, bT bool) {
 	if n == 0 || m == 0 {
 		return
 	}
@@ -47,7 +58,7 @@ func gemm(c, a, b []float64, n, k, m, sa0, sa1 int) {
 				ap.Data[i*k+p] = a[i*sa0+p*sa1]
 			}
 		}
-		gemmRows(cp.Data, ap.Data, b, 0, tileRows, k, m, k, 1)
+		gemmRows(cp.Data, ap.Data, b, 0, tileRows, k, m, k, 1, bT)
 		copy(c, cp.Data[:n*m])
 		Put(ap)
 		Put(cp)
@@ -57,7 +68,7 @@ func gemm(c, a, b []float64, n, k, m, sa0, sa1 int) {
 	// last shard, so every shard holds a full tile to step back into.
 	tiles, work := n/tileRows, n*k*m/tileMAddsPerUnit()
 	if Serial(tiles, work) {
-		gemmRows(c, a, b, 0, n, k, m, sa0, sa1)
+		gemmRows(c, a, b, 0, n, k, m, sa0, sa1, bT)
 		return
 	}
 	parallelFor(tiles, work, func(lo, hi int) {
@@ -65,7 +76,7 @@ func gemm(c, a, b []float64, n, k, m, sa0, sa1 int) {
 		if hi == tiles*tileRows {
 			hi = n
 		}
-		gemmRows(c, a, b, lo, hi, k, m, sa0, sa1)
+		gemmRows(c, a, b, lo, hi, k, m, sa0, sa1, bT)
 	})
 }
 
@@ -76,13 +87,17 @@ func gemm(c, a, b []float64, n, k, m, sa0, sa1 int) {
 // a ragged last row tile steps back to hi-4 and recomputes the overlap
 // (same goroutine, same values), and a ragged last panel is zero-padded
 // and its tiles stored through a scratch tile.
-func gemmRows(c, a, b []float64, lo, hi, k, m, sa0, sa1 int) {
+func gemmRows(c, a, b []float64, lo, hi, k, m, sa0, sa1 int, bT bool) {
 	panel := GetDirty(k, tileCols)
 	bp := panel.Data
 	var edge [tileRows * tileCols]float64
 	for j := 0; j < m; j += tileCols {
 		w := min(tileCols, m-j)
-		packPanel(bp, b, k, m, j, w)
+		if bT {
+			packPanelT(bp, b, k, j, w)
+		} else {
+			packPanel(bp, b, k, m, j, w)
+		}
 		for i := lo; i < hi; i += tileRows {
 			if i > hi-tileRows {
 				i = hi - tileRows
@@ -101,17 +116,44 @@ func gemmRows(c, a, b []float64, lo, hi, k, m, sa0, sa1 int) {
 }
 
 // packPanel copies columns [j, j+w) of the [k,m] matrix b into the k×8
-// panel bp, zero-filling columns w..7.
+// panel bp, zero-filling columns w..7. The full-width copy is eight
+// scalar moves: an [8]float64 assignment compiles to a runtime.memmove
+// call per 64-byte row.
 func packPanel(bp, b []float64, k, m, j, w int) {
 	if w == tileCols {
 		for p := 0; p < k; p++ {
-			*(*[tileCols]float64)(bp[p*tileCols:]) = *(*[tileCols]float64)(b[p*m+j:])
+			d, s := (*[tileCols]float64)(bp[p*tileCols:]), (*[tileCols]float64)(b[p*m+j:])
+			d[0], d[1], d[2], d[3], d[4], d[5], d[6], d[7] = s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7]
 		}
 		return
 	}
 	for p := 0; p < k; p++ {
 		row := bp[p*tileCols : (p+1)*tileCols]
 		clear(row[copy(row, b[p*m+j:p*m+j+w]):])
+	}
+}
+
+// packPanelT packs the same panel of B = oᵀ from the [m,k] matrix o: rows
+// [j, j+w) of o become the panel's columns, read as eight sequential
+// streams.
+func packPanelT(bp, o []float64, k, j, w int) {
+	if w == tileCols {
+		// [:k] on each row is what lets the compiler drop the loop's bounds checks.
+		o = o[j*k : (j+tileCols)*k]
+		r0, r1, r2, r3 := o[:k], o[k:][:k], o[2*k:][:k], o[3*k:][:k]
+		r4, r5, r6, r7 := o[4*k:][:k], o[5*k:][:k], o[6*k:][:k], o[7*k:][:k]
+		for p := 0; p < k; p++ {
+			d := (*[tileCols]float64)(bp[p*tileCols:])
+			d[0], d[1], d[2], d[3], d[4], d[5], d[6], d[7] = r0[p], r1[p], r2[p], r3[p], r4[p], r5[p], r6[p], r7[p]
+		}
+		return
+	}
+	clear(bp[:k*tileCols])
+	for c := 0; c < w; c++ {
+		row := o[(j+c)*k : (j+c+1)*k]
+		for p, v := range row {
+			bp[p*tileCols+c] = v
+		}
 	}
 }
 

@@ -178,6 +178,17 @@ func TestGEMMBitIdenticalToOracle(t *testing.T) {
 		for _, s := range benchShapes {
 			checkGEMM(t, s[0], s[1], s[2], f, 1, 2, 3, 8)
 		}
+		// MatMulT packs each B panel from eight rows of its operand
+		// (packPanelT): the padded n < 4 driver, one and several row
+		// tiles, single-column, ragged and full panels, and k from the
+		// empty sum up to the expert hidden width.
+		for _, n := range []int{1, 3, 4, 5, 32} {
+			for _, k := range []int{0, 1, 8, 352} {
+				for _, m := range []int{1, 7, 8, 9, 128} {
+					checkGEMM(t, n, k, m, f, 1, 2, 3)
+				}
+			}
+		}
 	}
 }
 

@@ -8,6 +8,14 @@
 // each output element with the operation sequence the serial kernel uses.
 // Parallel results are therefore bit-identical to serial results for any
 // parallelism degree. Tests pin this with testutil.BitEqual.
+//
+// Two grains, one degree (Parallelism): parallelFor splits ONE kernel's
+// output over the pool, and its shards are leaf loops that may not start
+// anything parallel (a pool task waiting on a pool slot can deadlock).
+// Fanout runs n INDEPENDENT jobs — a layer's experts — on goroutines of
+// its own, so a job may call kernels freely; what may not nest is Fanout
+// inside Fanout. A job owns its state outright, which is the same
+// one-owner rule, so the degree is as invisible there as here.
 package tensor
 
 import (
@@ -162,6 +170,51 @@ func ParallelRangeCost(n, work int, fn func(lo, hi int)) {
 	parallelFor(n, work, fn)
 }
 
+// Fanout runs fn(i) once for every i in [0, n) on up to Parallelism()
+// goroutines: the caller plus helpers started for this call and joined
+// before it returns (never the pool — see the package comment for what
+// may nest). Indices are handed out one at a time, because the jobs — a
+// layer's experts over their routed batches — are uneven. fn(i) must
+// touch only job i's state. A panic in any fn stops the hand-out and is
+// re-raised on the caller once every helper has returned.
+func Fanout(n int, fn func(i int)) {
+	p := min(Parallelism(), n)
+	if p <= 1 {
+		for i := 0; i < n; i++ {
+			fn(i)
+		}
+		return
+	}
+	var (
+		next     atomic.Int64
+		wg       sync.WaitGroup
+		panicked atomic.Pointer[any]
+	)
+	drain := func() {
+		defer func() {
+			if r := recover(); r != nil {
+				next.Store(int64(n))
+				panicked.CompareAndSwap(nil, &r)
+			}
+		}()
+		for i := next.Add(1) - 1; i < int64(n); i = next.Add(1) - 1 {
+			fn(int(i))
+		}
+	}
+	wg.Add(p - 1)
+	for g := 1; g < p; g++ {
+		go func() {
+			defer wg.Done()
+			drain()
+		}()
+	}
+	drain()
+	wg.Wait()
+	if r := panicked.Load(); r != nil {
+		panic(*r)
+	}
+}
+
 // mustNotAlias panics when dst shares backing storage with an operand.
 // Views made by Reshape share the same backing array, so comparing the
 // first element address catches every sharing mode New/Reshape can create.
@@ -190,7 +243,7 @@ func (t *Tensor) MatMulInto(o, dst *Tensor) *Tensor {
 	}
 	mustNotAlias(dst, t, "matmul")
 	mustNotAlias(dst, o, "matmul")
-	gemm(dst.Data, t.Data, o.Data, n, k, m, k, 1)
+	gemm(dst.Data, t.Data, o.Data, n, k, m, k, 1, false)
 	return dst
 }
 
@@ -210,20 +263,10 @@ func (t *Tensor) MatMulTInto(o, dst *Tensor) *Tensor {
 	}
 	mustNotAlias(dst, t, "matmulT")
 	mustNotAlias(dst, o, "matmulT")
-	if n == 0 || m == 0 || k == 0 {
-		dst.Zero() // an empty sum is +0; the arena has no empty tensors
-		return dst
-	}
-	// Each element is a dot product over p, and vectorising along p would
-	// reorder its sum. So compute Cᵀ = o·tᵀ through the tile kernel, where
-	// p stays the serial loop, and transpose in and out: O(nk + nm) moved
-	// in arena scratch, against O(nkm) multiplied.
-	tT := t.TransposeInto(GetDirty(k, n))
-	cT := GetDirty(m, n)
-	gemm(cT.Data, o.Data, tT.Data, m, k, n, k, 1)
-	cT.TransposeInto(dst)
-	Put(tT)
-	Put(cT)
+	// A is t as it lies; each k×8 panel of B = oᵀ is packed from eight rows
+	// of o (packPanelT), so p stays the tile's serial loop and nothing is
+	// transposed.
+	gemm(dst.Data, t.Data, o.Data, n, k, m, k, 1, true)
 	return dst
 }
 
@@ -243,7 +286,7 @@ func (t *Tensor) TMatMulInto(o, dst *Tensor) *Tensor {
 	}
 	mustNotAlias(dst, t, "tmatmul")
 	mustNotAlias(dst, o, "tmatmul")
-	gemm(dst.Data, t.Data, o.Data, n, k, m, 1, n)
+	gemm(dst.Data, t.Data, o.Data, n, k, m, 1, n, false)
 	return dst
 }
 

@@ -3,6 +3,7 @@ package tensor
 import (
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/testutil"
@@ -217,5 +218,81 @@ func TestSetParallelism(t *testing.T) {
 	SetParallelThreshold(0)
 	if got := ParallelThreshold(); got != DefaultParallelThreshold {
 		t.Fatalf("ParallelThreshold() = %d, want default %d", got, DefaultParallelThreshold)
+	}
+}
+
+// TestFanoutRunsEveryIndexOnce: at every degree (below, at and above the
+// job count) each index runs exactly once, at most `degree` at a time,
+// and every helper has returned by the time Fanout does.
+func TestFanoutRunsEveryIndexOnce(t *testing.T) {
+	t.Cleanup(func() { SetParallelism(0) })
+	for _, degree := range []int{1, 2, 3, 8} {
+		for _, n := range []int{0, 1, 5, 16} {
+			SetParallelism(degree)
+			ran := make([]atomic.Int32, n)
+			var running, peak atomic.Int32
+			Fanout(n, func(i int) {
+				if r := running.Add(1); r > peak.Load() {
+					peak.Store(r) // a lower bound on the true peak is all the check needs
+				}
+				ran[i].Add(1)
+				running.Add(-1)
+			})
+			if got := running.Load(); got != 0 {
+				t.Fatalf("degree %d, n %d: %d jobs still running after Fanout returned", degree, n, got)
+			}
+			if got := int(peak.Load()); got > degree {
+				t.Fatalf("degree %d, n %d: %d jobs ran at once", degree, n, got)
+			}
+			for i := range ran {
+				if got := ran[i].Load(); got != 1 {
+					t.Fatalf("degree %d, n %d: index %d ran %d times", degree, n, i, got)
+				}
+			}
+		}
+	}
+}
+
+// TestFanoutReraisesPanicOnCaller: a panic in any job — on a helper or on
+// the caller's own share — surfaces on the caller with its value intact,
+// after the helpers have been joined.
+func TestFanoutReraisesPanicOnCaller(t *testing.T) {
+	t.Cleanup(func() { SetParallelism(0) })
+	for _, degree := range []int{1, 2, 8} {
+		SetParallelism(degree)
+		var running atomic.Int32
+		got := func() (r any) {
+			defer func() { r = recover() }()
+			Fanout(64, func(i int) {
+				running.Add(1)
+				defer running.Add(-1)
+				if i == 3 {
+					panic("job 3")
+				}
+			})
+			return nil
+		}()
+		if got != "job 3" {
+			t.Fatalf("degree %d: recovered %v, want the job's own panic value", degree, got)
+		}
+		if n := running.Load(); n != 0 {
+			t.Fatalf("degree %d: %d jobs still running when the panic reached the caller", degree, n)
+		}
+	}
+}
+
+// TestFanoutJobsMayCallParallelKernels: the no-nesting rule covers Fanout
+// itself, not the kernels — a job that splits a product across the pool
+// gets the serial bits.
+func TestFanoutJobsMayCallParallelKernels(t *testing.T) {
+	forceParallel(t, 1)
+	rng := rand.New(rand.NewSource(3))
+	a, b := Randn(rng, 1, 64, 48), Randn(rng, 1, 40, 48)
+	want := a.MatMulT(b)
+	SetParallelism(3)
+	got := make([]*Tensor, 12)
+	Fanout(len(got), func(i int) { got[i] = a.MatMulT(b) })
+	for _, g := range got {
+		assertBits(t, "MatMulT inside Fanout", want.Data, g.Data)
 	}
 }
