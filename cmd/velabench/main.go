@@ -20,6 +20,7 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/metrics"
 	"repro/internal/placement"
+	"repro/internal/replace"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -300,8 +301,8 @@ func topoSweep(scale experiments.Scale) error {
 
 // driftStudy quantifies how much a placement solved from the step-0
 // probability matrix degrades as the router drifts — the operational form
-// of "expert locality persists", plus the advisor's verdict on whether
-// re-placement would pay.
+// of "expert locality persists", plus the re-placement controller's verdict
+// (replace.Decide) on whether re-solving at the end would pay.
 func driftStudy(scale experiments.Scale) error {
 	cfg := sim.PaperConfig()
 	if scale == experiments.Quick {
@@ -323,34 +324,27 @@ func driftStudy(scale experiments.Scale) error {
 	if window > n/2 {
 		window = n / 2
 	}
-	first := meanOf(res.TrafficMB.Values[:window])
-	last := meanOf(res.TrafficMB.Values[n-window:])
+	first := mean(res.TrafficMB.Values[:window])
+	last := mean(res.TrafficMB.Values[n-window:])
 	fmt.Println("Ablation — stale probability matrix under router drift")
 	fmt.Printf("placement solved at step 0, run for %d steps\n", cfg.Steps)
 	fmt.Printf("external traffic, first %d steps: %.1f MB/node/step\n", window, first)
 	fmt.Printf("external traffic, last %d steps:  %.1f MB/node/step (%+.2f%%)\n",
 		window, last, 100*(last-first)/first)
 
-	// Would re-solving at the end pay? Ask the advisor with the drifted
-	// matrix.
+	// Would re-solving at the end pay? Ask the controller's decision
+	// function with the drifted matrix.
 	drifted := workload.DriftedMatrix(profile.Matrix(), profile.Drift, cfg.Steps)
-	probNow := cfg.PlacementProblem(drifted)
-	adv, err := placement.Advise(probNow, assign, nil)
+	d, err := replace.Decide(cfg.PlacementProblem(drifted), assign, replace.Config{
+		ExpertBytes: 3 * 4096 * 14336 * 2, // a Mixtral expert: three 4096×14336 matrices in fp16
+	})
 	if err != nil {
 		return err
 	}
-	fmt.Printf("advisor: re-solving now would improve expected comm time by %.2f%% moving %d experts\n",
-		adv.Improvement*100, adv.Moves)
+	fmt.Printf("controller: %v (a fresh solve changes expected comm time by %+.2f%%, moving %d experts)\n",
+		d.Verdict, -100*d.Savings/d.Current, len(d.Moves))
 	fmt.Println("(locality persists: the stale placement loses almost nothing — Theorem 1 in action)")
 	return nil
-}
-
-func meanOf(xs []float64) float64 {
-	var s float64
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
 }
 
 func mean(xs []float64) float64 {

@@ -189,7 +189,7 @@ func run(addrs []string, devicesPerNode int, dataset, strategyName string, steps
 	}
 	exec := sys.Exec
 	exec.RequestTimeout = opts.requestTimeout
-	m, err := placement.Evaluate(sys.Problem, sys.Assignment)
+	m, err := placement.Evaluate(sys.Problem, exec.Assignment())
 	if err != nil {
 		return err
 	}

@@ -77,7 +77,7 @@ func run() error {
 		return err
 	}
 	defer sys.Close()
-	fmt.Println("experts per worker:", sys.Assignment.Loads(topo.NumWorkers()))
+	fmt.Println("experts per worker:", sys.Exec.Assignment().Loads(topo.NumWorkers()))
 
 	// 6. Fine-tune through the Expert Broker.
 	ft := sys.Finetuner(data.NewBatcher(corpus, 2, 32, 7))

@@ -36,7 +36,6 @@ import (
 	"repro/internal/moe"
 	"repro/internal/nn"
 	"repro/internal/obs"
-	"repro/internal/placement"
 	"repro/internal/replace"
 	"repro/internal/testutil"
 	"repro/internal/trainer"
@@ -48,6 +47,18 @@ const (
 	batch    = 4
 	seqLen   = 32
 )
+
+// controllerConfig tunes the re-placement controller for this run.
+var controllerConfig = replace.Config{
+	DriftThreshold:   0.09,
+	ConsecutiveSteps: 4,
+	CooldownSteps:    24,
+	AmortizeSteps:    30,
+	// The synthetic clusters' bandwidths make one expert's payload
+	// cheap next to per-step routing traffic; a small factor keeps
+	// the gate meaningful without blocking the demonstration.
+	MinSavingsFactor: 0.05,
+}
 
 // benchReport is the BENCH_replace.json schema.
 type benchReport struct {
@@ -205,16 +216,7 @@ func finetune(controlled bool) (*result, error) {
 
 	res := &result{report: sys.MetricsSource(), migStep: -1}
 	if controlled {
-		ctrl, err := sys.ReplaceController(replace.Config{
-			DriftThreshold:   0.09,
-			ConsecutiveSteps: 4,
-			CooldownSteps:    24,
-			AmortizeSteps:    30,
-			// The synthetic clusters' bandwidths make one expert's payload
-			// cheap next to per-step routing traffic; a small factor keeps
-			// the gate meaningful without blocking the demonstration.
-			MinSavingsFactor: 0.05,
-		})
+		ctrl, err := sys.ReplaceController(controllerConfig)
 		if err != nil {
 			return nil, err
 		}
@@ -245,11 +247,16 @@ func finetune(controlled bool) (*result, error) {
 
 	if controlled {
 		res.bytesBefore, res.bytesDuring, res.bytesAfter = phaseBytes(stepBytes, spliceAt, res.migStep)
-		ratio, err := freshSolveRatio(sys, handle)
+		// The live post-migration placement against a from-scratch solve
+		// over the shifted routing distribution: the controller's own
+		// decision function prices both.
+		prob := *sys.Problem
+		prob.P = handle.Drift.Phat()
+		d, err := replace.Decide(&prob, sys.Exec.Assignment(), controllerConfig)
 		if err != nil {
 			return nil, err
 		}
-		res.freshRatio = ratio
+		res.freshRatio = d.Current / d.Proposed
 	}
 	return res, nil
 }
@@ -272,29 +279,4 @@ func phaseBytes(cum []int64, splice, mig int) (before, during, after float64) {
 		return delta(0, splice), delta(splice, len(cum)), 0
 	}
 	return delta(0, splice), delta(splice, mig+1), delta(mig+1, len(cum))
-}
-
-// freshSolveRatio compares the live post-migration placement against a
-// from-scratch LP solve over the shifted routing distribution, under the
-// placement cost model.
-func freshSolveRatio(sys *core.System, handle *obs.Handle) (float64, error) {
-	prob := *sys.Problem
-	prob.P = handle.Drift.Phat()
-	fresh, err := (placement.LocalityLP{}).Place(&prob)
-	if err != nil {
-		return 0, err
-	}
-	freshM, err := placement.Evaluate(&prob, fresh)
-	if err != nil {
-		return 0, err
-	}
-	liveM, err := placement.Evaluate(&prob, sys.Exec.Assignment())
-	if err != nil {
-		return 0, err
-	}
-	//lint:ignore floateq division-by-zero guard; any nonzero objective, however small, yields a well-defined ratio
-	if freshM.CommTime == 0 {
-		return 1, nil
-	}
-	return liveM.CommTime / freshM.CommTime, nil
 }

@@ -109,17 +109,19 @@ type Options struct {
 // System is an assembled VELA master: backbone in this process, experts
 // on Expert Manager workers behind the broker, every byte counted.
 type System struct {
-	Model      *moe.Model
-	Topo       cluster.Topology
-	Assignment *placement.Assignment
-	// Exec is the broker executor; Exec.Counters is the deployment's
-	// runtime counter table (always live, with or without Obs).
+	Model *moe.Model
+	Topo  cluster.Topology
+	// Exec is the broker executor: Exec.Assignment() is the live
+	// placement (failovers, migrations and Resume all change it), and
+	// Exec.Counters the deployment's runtime counter table (always live,
+	// with or without Obs).
 	Exec *broker.Executor
 	// Obs is the deployment's observability handle (nil when Options.Obs
 	// was not set).
 	Obs *obs.Handle
 	// Problem is the placement problem the deployment solved. Rebalance
-	// refreshes it; Supervisor and ReplaceController re-solve against it.
+	// refreshes it in place; Supervisor and ReplaceController hold this
+	// pointer and re-solve against it.
 	Problem *placement.Problem
 	// Spec is the deployed experts' wire architecture; its PayloadBytes
 	// feeds the re-placement controller's migration-cost model.
@@ -152,7 +154,7 @@ func PlacementProblem(topo cluster.Topology, stats *moe.AccessStats, routingsPer
 		Bandwidth:       topo.Bandwidths(),
 		Capacity:        topo.Capacities(),
 		RoutingsPerStep: routingsPerStep,
-		BytesPerToken:   float64(bitDepth)*float64(featureSize)/8 + float64(enc.ScaleBytesPerRow()),
+		BytesPerToken:   placement.RowBytes(bitDepth, featureSize, enc),
 		WorkerNode:      topo.WorkerNodes(),
 		MasterNode:      topo.MasterNode,
 	}
@@ -200,12 +202,11 @@ func Attach(model *moe.Model, conns []transport.Conn, opts Options) (*System, er
 	model.SetExecutor(exec)
 
 	s := &System{
-		Model:      model,
-		Topo:       opts.Topo,
-		Assignment: assign,
-		Exec:       exec,
-		Obs:        opts.Obs,
-		Problem:    prob,
+		Model:   model,
+		Topo:    opts.Topo,
+		Exec:    exec,
+		Obs:     opts.Obs,
+		Problem: prob,
 		Spec: broker.ExpertSpec{
 			D: cfg.D, Hidden: cfg.Hidden,
 			LoRARank: opts.LoRA.Rank, LoRAAlpha: opts.LoRA.Alpha,
@@ -228,7 +229,7 @@ func (s *System) anchorDrift() {
 		return
 	}
 	s.Obs.Drift.SetBaseline(s.Problem.P)
-	if m, err := placement.Evaluate(s.Problem, s.Assignment); err == nil {
+	if m, err := placement.Evaluate(s.Problem, s.Exec.Assignment()); err == nil {
 		s.Obs.Drift.SetPredictedComm(m.CommTime)
 	}
 }
@@ -416,8 +417,9 @@ func (s *System) Rebalance(stats *moe.AccessStats, strategy placement.Strategy, 
 	if err != nil {
 		return moved, fmt.Errorf("core: rebalance migration: %w", err)
 	}
-	s.Assignment = s.Exec.Assignment()
-	s.Problem = prob
+	// In place: the supervisor and the controller hold this pointer, and
+	// all three run on the training goroutine.
+	*s.Problem = *prob
 	s.anchorDrift()
 	return moved, nil
 }

@@ -53,7 +53,7 @@ func TestDeployAndFinetuneEndToEnd(t *testing.T) {
 		}
 	}()
 
-	if err := sys.Assignment.Validate(PlacementProblem(sys.Topo, stats, 100, 16, 16, wire.EncFP64)); err != nil {
+	if err := sys.Exec.Assignment().Validate(PlacementProblem(sys.Topo, stats, 100, 16, 16, wire.EncFP64)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -101,8 +101,8 @@ func TestDeployWithExplicitStrategy(t *testing.T) {
 	}
 	defer sys.Close()
 	// Sequential round-robin: first expert of layer 0 on worker 0.
-	if sys.Assignment.Worker[0][0] != 0 {
-		t.Fatalf("unexpected sequential assignment: %v", sys.Assignment.Worker)
+	if sys.Exec.Assignment().Worker[0][0] != 0 {
+		t.Fatalf("unexpected sequential assignment: %v", sys.Exec.Assignment().Worker)
 	}
 	if sys.Exec.NumWorkers() != 3 {
 		t.Fatalf("conns = %d", sys.Exec.NumWorkers())
@@ -171,7 +171,7 @@ func TestRebalanceEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	before := append([]int(nil), sys.Assignment.Loads(sys.Topo.NumWorkers())...)
+	before := append([]int(nil), sys.Exec.Assignment().Loads(sys.Topo.NumWorkers())...)
 	moved, err := sys.Rebalance(stats, nil, 2*16*float64(cfg.TopK), 16)
 	if err != nil {
 		t.Fatal(err)
@@ -189,8 +189,8 @@ func TestRebalanceEndToEnd(t *testing.T) {
 	// Worker hosting matches the new assignment.
 	for n, w := range sys.local.Workers {
 		want := 0
-		for l := range sys.Assignment.Worker {
-			for _, dst := range sys.Assignment.Worker[l] {
+		for l := range sys.Exec.Assignment().Worker {
+			for _, dst := range sys.Exec.Assignment().Worker[l] {
 				if dst == n {
 					want++
 				}

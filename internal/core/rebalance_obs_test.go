@@ -1,9 +1,13 @@
 package core
 
 import (
+	"errors"
 	"testing"
 
+	"repro/internal/broker"
+	"repro/internal/cluster"
 	"repro/internal/data"
+	"repro/internal/moe"
 	"repro/internal/obs"
 	"repro/internal/placement"
 	"repro/internal/testutil"
@@ -73,7 +77,7 @@ func TestRebalanceRefreshesDriftBaseline(t *testing.T) {
 	// Predicted comm tracks the NEW assignment's objective, not the
 	// Sequential layout's.
 	predAfter, _ := h.Drift.CommGauges()
-	wantM, err := placement.Evaluate(sys.Problem, sys.Assignment)
+	wantM, err := placement.Evaluate(sys.Problem, sys.Exec.Assignment())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,5 +129,62 @@ func TestBitDepthResolvedOnce(t *testing.T) {
 				t.Fatalf("objective BytesPerToken = %v, want %v", sys.Problem.BytesPerToken, wantBPT)
 			}
 		})
+	}
+}
+
+// TestFailoverAfterRebalanceUsesRefreshedProblem: the supervisor (and the
+// controller) are handed System.Problem by pointer, and Rebalance used to
+// replace that pointer — so a failover after a rebalance ran
+// placement.Repair and re-anchored the predicted-comm gauge over the
+// pre-rebalance P and BytesPerToken. Rebalance now refreshes the problem
+// in place: after rebalancing onto shifted stats at another bit depth and
+// losing a worker, the gauge is the refreshed problem's objective for the
+// repaired assignment, to the bit.
+func TestFailoverAfterRebalanceUsesRefreshedProblem(t *testing.T) {
+	m, grid, cfg := buildCheckpoint(t)
+	lora := trainer.LoRAConfig{Rank: 2, Alpha: 4, Seed: 5}
+	trainer.PrepareForFinetune(m, grid, lora)
+	stats, err := trainer.Profile(m, data.Shakespeare(4000), 4, 2, 16, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Capacity 4 × 3 workers: two survivors can host all 8 experts.
+	topo := cluster.Uniform(3, 1, 4, 100*cluster.GB, 1*cluster.GB)
+	h := obs.NewHandle(obs.Config{Workers: topo.NumWorkers(), Layers: cfg.Layers, Experts: cfg.Experts})
+	sys, err := Deploy(m, grid, Options{Topo: topo, Strategy: placement.Sequential{}, Stats: stats, LoRA: lora, Obs: h})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	sup := sys.Supervisor(broker.SupervisorConfig{})
+
+	shifted := moe.NewAccessStats(cfg.Layers, cfg.Experts)
+	for l := range shifted.Counts {
+		for e := range shifted.Counts[l] {
+			shifted.Counts[l][e] = int64(1 + 20*e*e)
+		}
+	}
+	if _, err := sys.Rebalance(shifted, nil, 0, 8); err != nil {
+		t.Fatal(err)
+	}
+	if err := sup.Checkpoint(0); err != nil {
+		t.Fatal(err)
+	}
+
+	victim := sys.Exec.Assignment().Worker[0][cfg.Experts-1]
+	sys.Exec.MarkDead(victim)
+	if err := sup.Recover(1, errors.New("worker lost")); err != nil {
+		t.Fatal(err)
+	}
+	if loads := sys.Exec.Assignment().Loads(topo.NumWorkers()); loads[victim] != 0 {
+		t.Fatalf("setup: worker %d still hosts %d experts after the failover", victim, loads[victim])
+	}
+	want, err := placement.Evaluate(sys.Problem, sys.Exec.Assignment())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pred, _ := h.Drift.CommGauges(); !testutil.BitEqual(pred, want.CommTime) {
+		t.Fatalf("predicted comm = %v after the failover, want %v: the refreshed problem's objective for the repaired assignment",
+			pred, want.CommTime)
 	}
 }

@@ -6,9 +6,8 @@ import "fmt"
 // assignment under the paper's cost model (§IV-B).
 type Metrics struct {
 	// CommTime is Eq. (7)–(8): Σ_l max_n E[T_{n,l}] with
-	// E[T_{n,l}] = (bytes·K/B_n)·Σ_e X·P, counting the forward
-	// send+gather pair; the backward pair doubles it, which is included
-	// here (factor 2).
+	// E[T_{n,l}] = (bytes·K/B_n)·Σ_e X·P per transfer, times the four
+	// transfers of a step (cost.go).
 	CommTime float64
 	// WorkerBytes[n] is the expected total bytes exchanged between the
 	// master and worker n per step (4 transfers per routed token copy:
@@ -39,30 +38,19 @@ func Evaluate(p *Problem, a *Assignment) (*Metrics, error) {
 	for _, n := range p.WorkerNode {
 		nodes[n] = true
 	}
+	routed := make([]float64, p.Workers)
 	for l := 0; l < p.Layers; l++ {
 		// Expected routings per worker for this block.
-		routed := make([]float64, p.Workers)
+		clear(routed)
 		for e := 0; e < p.Experts; e++ {
 			routed[a.Worker[l][e]] += p.P[l][e] * p.RoutingsPerStep
 		}
-		var worst float64
-		worstN := 0
-		for n := 0; n < p.Workers; n++ {
-			bytes1 := routed[n] * p.BytesPerToken // one direction, forward
-			// Eq. (5): send + gather = 2·D; the backward pass repeats
-			// it, so per-step wall-clock contribution is 2·(2D/B).
-			t := 2 * 2 * bytes1 / p.Bandwidth[n]
-			if t > worst {
-				worst, worstN = t, n
-			}
-			total := 4 * bytes1
-			m.WorkerBytes[n] += total
-			if p.WorkerNode[n] != p.MasterNode {
-				m.CrossNodeBytes += total
-			}
+		sec, worst := p.BlockComm(routed, &m.CrossNodeBytes)
+		m.CommTime += sec
+		m.BottleneckWorker[l] = worst
+		for n, r := range routed {
+			m.WorkerBytes[n] += transfers * p.routedBytes(r)
 		}
-		m.CommTime += worst
-		m.BottleneckWorker[l] = worstN
 	}
 	m.CrossNodeBytesPerNode = m.CrossNodeBytes / float64(len(nodes))
 	return m, nil

@@ -61,10 +61,9 @@ func (LocalityLP) buildLP(p *Problem) *lp.Problem {
 		for n := 0; n < p.Workers; n++ {
 			vars := make([]int, 0, p.Experts+1)
 			coeffs := make([]float64, 0, p.Experts+1)
-			scale := p.BytesPerToken * p.RoutingsPerStep / p.Bandwidth[n]
 			for e := 0; e < p.Experts; e++ {
 				vars = append(vars, xIdx(n, l, e))
-				coeffs = append(coeffs, scale*p.P[l][e])
+				coeffs = append(coeffs, p.expertSec(n, l, e))
 			}
 			vars = append(vars, lIdx(l))
 			coeffs = append(coeffs, -1)

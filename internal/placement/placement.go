@@ -13,24 +13,16 @@
 // capacity. The LP strategy relaxes X to [0,1], solves the resulting
 // linear program with internal/lp, and rounds the solution back to a
 // feasible binary assignment with the paper's three-step procedure.
+//
+// The objective is written once, in cost.go; Evaluate, the LP, Greedy,
+// Repair and the simulator all price a placement through it.
 package placement
 
 import (
 	"fmt"
 	"math/rand"
 	"sort"
-
-	"repro/internal/wire"
 )
-
-// TokenBytes returns the one-way wire payload of one routed token copy
-// under the given encoding: bitsPerValue·H/8 value bytes plus the
-// encoding's per-row scale overhead (int8 carries one absmax scale per
-// token row). Deployments use it to keep Problem.BytesPerToken in
-// lockstep with the physical wire encoding.
-func TokenBytes(enc wire.Encoding, featureSize int) float64 {
-	return float64(enc.BitsPerValue())*float64(featureSize)/8 + float64(enc.ScaleBytesPerRow())
-}
 
 // Problem is one placement instance.
 type Problem struct {
@@ -41,7 +33,7 @@ type Problem struct {
 	// expert e (rows sum to 1); the matrix the paper measures with a
 	// profiling pass before fine-tuning.
 	P [][]float64
-	// Bandwidth[n] is B_n, the master↔worker-n bandwidth in bytes/s.
+	// Bandwidth holds B_n, the master↔worker-n bandwidth in bytes/s.
 	Bandwidth []float64
 	// Capacity[n] is C_n, the number of experts worker n can host.
 	Capacity []int
@@ -169,32 +161,37 @@ func (Sequential) Name() string { return "sequential" }
 
 // Place implements Strategy.
 func (Sequential) Place(p *Problem) (*Assignment, error) {
+	return dealRoundRobin(p, "sequential", func([]int) {})
+}
+
+// dealRoundRobin is the deal under Sequential and Random: block by block,
+// the experts — in index order, as permuted by shuffle — go to workers in
+// one continuing round-robin that skips workers already at capacity.
+func dealRoundRobin(p *Problem, name string, shuffle func(perm []int)) (*Assignment, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
 	a := NewAssignment(p.Layers, p.Experts)
 	remaining := append([]int(nil), p.Capacity...)
+	perm := make([]int, p.Experts)
 	n := 0
 	for l := 0; l < p.Layers; l++ {
-		for e := 0; e < p.Experts; e++ {
-			placed := false
-			for tries := 0; tries < p.Workers; tries++ {
-				cand := (n + tries) % p.Workers
-				if remaining[cand] > 0 {
-					a.Worker[l][e] = cand
-					remaining[cand]--
-					n = cand + 1
-					placed = true
-					break
+		for e := range perm {
+			perm[e] = e
+		}
+		shuffle(perm)
+		for _, e := range perm {
+			tries := 0
+			for remaining[(n+tries)%p.Workers] == 0 {
+				if tries++; tries == p.Workers {
+					return nil, fmt.Errorf("placement: %s ran out of capacity", name)
 				}
 			}
-			if !placed {
-				return nil, fmt.Errorf("placement: sequential ran out of capacity")
-			}
+			cand := (n + tries) % p.Workers
+			a.Worker[l][e] = cand
+			remaining[cand]--
+			n = cand + 1
 		}
-	}
-	if err := a.Validate(p); err != nil {
-		return nil, fmt.Errorf("placement: sequential layout infeasible: %w", err)
 	}
 	return a, nil
 }
@@ -231,37 +228,10 @@ func (Random) Name() string { return "random" }
 
 // Place implements Strategy.
 func (r Random) Place(p *Problem) (*Assignment, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
 	rng := rand.New(rand.NewSource(r.Seed))
-	a := NewAssignment(p.Layers, p.Experts)
-	remaining := append([]int(nil), p.Capacity...)
-	n := 0
-	perm := make([]int, p.Experts)
-	for l := 0; l < p.Layers; l++ {
-		for e := range perm {
-			perm[e] = e
-		}
+	return dealRoundRobin(p, "random", func(perm []int) {
 		rng.Shuffle(len(perm), func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
-		for _, e := range perm {
-			placed := false
-			for tries := 0; tries < p.Workers; tries++ {
-				cand := (n + tries) % p.Workers
-				if remaining[cand] > 0 {
-					a.Worker[l][e] = cand
-					remaining[cand]--
-					n = cand + 1
-					placed = true
-					break
-				}
-			}
-			if !placed {
-				return nil, fmt.Errorf("placement: random ran out of capacity")
-			}
-		}
-	}
-	return a, nil
+	})
 }
 
 // Greedy is an LPT-style ablation: within each block, experts are placed
@@ -280,8 +250,7 @@ func (g Greedy) Place(p *Problem) (*Assignment, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	a := NewAssignment(p.Layers, p.Experts)
-	remaining := append([]int(nil), p.Capacity...)
+	fill := newLPTFill(p, append([]int(nil), p.Capacity...))
 
 	// Process blocks in order of decreasing concentration so the most
 	// skewed blocks get first pick of fast-worker capacity.
@@ -306,26 +275,56 @@ func (g Greedy) Place(p *Problem) (*Assignment, error) {
 			exps[e] = e
 		}
 		sort.SliceStable(exps, func(i, j int) bool { return p.P[l][exps[i]] > p.P[l][exps[j]] })
-		// time[n] accumulates the block-l expected comm time on worker n.
-		time := make([]float64, p.Workers)
 		for _, e := range exps {
-			best, bestTime := -1, 0.0
-			for n := 0; n < p.Workers; n++ {
-				if remaining[n] == 0 {
-					continue
-				}
-				t := time[n] + p.P[l][e]/p.Bandwidth[n]
-				if best == -1 || t < bestTime {
-					best, bestTime = n, t
-				}
-			}
-			if best == -1 {
+			if !fill.place(l, e) {
 				return nil, fmt.Errorf("placement: greedy ran out of capacity")
 			}
-			a.Worker[l][e] = best
-			time[best] += p.P[l][e] / p.Bandwidth[best]
-			remaining[best]--
 		}
 	}
-	return a, nil
+	return fill.a, nil
+}
+
+// lptFill is the longest-processing-time fill under Greedy and Repair:
+// each expert goes to the worker with a free slot that minimizes its
+// block's resulting bottleneck transfer time. Callers supply only the
+// visiting order.
+type lptFill struct {
+	p    *Problem
+	a    *Assignment
+	free []int       // hosting slots left per worker
+	time [][]float64 // time[l][n]: block l's expected one-way seconds on worker n so far
+}
+
+// newLPTFill starts an empty fill; it owns free.
+func newLPTFill(p *Problem, free []int) *lptFill {
+	f := &lptFill{p: p, a: NewAssignment(p.Layers, p.Experts), free: free, time: make([][]float64, p.Layers)}
+	for l := range f.time {
+		f.time[l] = make([]float64, p.Workers)
+	}
+	return f
+}
+
+// keep accounts for an expert that already sits on worker n.
+func (f *lptFill) keep(l, e, n int) {
+	f.a.Worker[l][e] = n
+	f.time[l][n] += f.p.expertSec(n, l, e)
+	f.free[n]--
+}
+
+// place assigns expert (l, e); false means no worker has a slot left.
+func (f *lptFill) place(l, e int) bool {
+	best, bestTime := -1, 0.0
+	for n := 0; n < f.p.Workers; n++ {
+		if f.free[n] <= 0 {
+			continue
+		}
+		if t := f.time[l][n] + f.p.expertSec(n, l, e); best == -1 || t < bestTime {
+			best, bestTime = n, t
+		}
+	}
+	if best == -1 {
+		return false
+	}
+	f.keep(l, e, best)
+	return true
 }

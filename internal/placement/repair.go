@@ -30,9 +30,11 @@ func Repair(p *Problem, current *Assignment, dead []bool) (*Assignment, error) {
 	}
 
 	// Surviving capacity must cover the full grid.
+	free := make([]int, p.Workers)
 	surviving := 0
 	for n, c := range p.Capacity {
 		if !dead[n] {
+			free[n] = c
 			surviving += c
 		}
 	}
@@ -40,8 +42,7 @@ func Repair(p *Problem, current *Assignment, dead []bool) (*Assignment, error) {
 		return nil, fmt.Errorf("placement: repair: surviving capacity %d cannot host %d experts", surviving, need)
 	}
 
-	next := NewAssignment(p.Layers, p.Experts)
-	load := make([]int, p.Workers)
+	fill := newLPTFill(p, free)
 	type orphan struct{ l, e int }
 	var orphans []orphan
 	for l, row := range current.Worker {
@@ -54,30 +55,15 @@ func Repair(p *Problem, current *Assignment, dead []bool) (*Assignment, error) {
 			}
 			if dead[n] {
 				orphans = append(orphans, orphan{l, e})
-				next.Worker[l][e] = -1
 				continue
 			}
-			next.Worker[l][e] = n
-			load[n]++
+			fill.keep(l, e, n)
 		}
 	}
-	for n, ld := range load {
-		if ld > p.Capacity[n] {
+	for n, left := range fill.free {
+		if left < 0 {
 			return nil, fmt.Errorf("placement: repair: surviving worker %d already hosts %d experts, capacity %d",
-				n, ld, p.Capacity[n])
-		}
-	}
-
-	// Per-block bottleneck accumulators over the surviving layout.
-	blockTime := make([][]float64, p.Layers)
-	for l := range blockTime {
-		blockTime[l] = make([]float64, p.Workers)
-	}
-	for l, row := range next.Worker {
-		for e, n := range row {
-			if n >= 0 {
-				blockTime[l][n] += p.P[l][e] / p.Bandwidth[n]
-			}
+				n, p.Capacity[n]-left, p.Capacity[n])
 		}
 	}
 
@@ -87,26 +73,13 @@ func Repair(p *Problem, current *Assignment, dead []bool) (*Assignment, error) {
 		return p.P[orphans[i].l][orphans[i].e] > p.P[orphans[j].l][orphans[j].e]
 	})
 	for _, o := range orphans {
-		best, bestTime := -1, 0.0
-		for n := 0; n < p.Workers; n++ {
-			if dead[n] || load[n] >= p.Capacity[n] {
-				continue
-			}
-			t := blockTime[o.l][n] + p.P[o.l][o.e]/p.Bandwidth[n]
-			if best == -1 || t < bestTime {
-				best, bestTime = n, t
-			}
-		}
-		if best == -1 {
+		if !fill.place(o.l, o.e) {
 			return nil, fmt.Errorf("placement: repair ran out of surviving capacity for L%d/E%d", o.l, o.e)
 		}
-		next.Worker[o.l][o.e] = best
-		blockTime[o.l][best] += p.P[o.l][o.e] / p.Bandwidth[best]
-		load[best]++
 	}
 
-	if err := next.Validate(p); err != nil {
+	if err := fill.a.Validate(p); err != nil {
 		return nil, fmt.Errorf("placement: repair produced invalid assignment: %w", err)
 	}
-	return next, nil
+	return fill.a, nil
 }

@@ -190,54 +190,3 @@ func TestLPDominatesBaselinesProperty(t *testing.T) {
 		t.Fatalf("LP worse than greedy in aggregate: %.6f vs %.6f", lpSum, greedySum)
 	}
 }
-
-// TestAdviseRecommendsStayingPutUnderStableLocality: with the same matrix
-// the placement was solved on, switching buys ~nothing.
-func TestAdviseStablePlacement(t *testing.T) {
-	p := testProblem(t, 8, 8, 5, 31)
-	current, err := LocalityLP{}.Place(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	adv, err := Advise(p, current, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if adv.Improvement > 0.02 {
-		t.Fatalf("re-solving on the same matrix should gain ~0, got %.1f%%", adv.Improvement*100)
-	}
-}
-
-// TestAdviseDetectsWorkloadChange: after the access matrix flips to a
-// different dataset's preferences, the advisor reports a large gain.
-func TestAdviseDetectsWorkloadChange(t *testing.T) {
-	p1 := testProblem(t, 8, 8, 6, 32)
-	current, err := LocalityLP{}.Place(p1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A different workload: reverse each row so the popular experts are
-	// exactly the ones the old placement de-prioritized.
-	p2 := *p1
-	p2.P = make([][]float64, p1.Layers)
-	for l := range p2.P {
-		row := make([]float64, p1.Experts)
-		for e := range row {
-			row[e] = p1.P[l][p1.Experts-1-e]
-		}
-		p2.P[l] = row
-	}
-	adv, err := Advise(&p2, current, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if adv.Improvement < 0.05 {
-		t.Fatalf("workload flip should warrant re-placement, got %.1f%%", adv.Improvement*100)
-	}
-	if adv.Moves == 0 || adv.Next == nil {
-		t.Fatal("advice must include the proposed assignment and move count")
-	}
-	if err := adv.Next.Validate(&p2); err != nil {
-		t.Fatal(err)
-	}
-}

@@ -19,11 +19,12 @@
 //     exceed the one-time cost of moving the experts.
 //
 // The pipeline per decision is signal → decision → plan → execution:
-// read MaxDrift/CommGauges, re-solve over P̂ with dead workers' capacity
-// zeroed, diff the assignments and order the moves capacity-safely, and
-// execute the plan at the step boundary. After a migration the drift
-// baseline and the predicted-comm gauge are re-anchored to the new
-// placement, so the staleness signal measures the NEW layout's fidelity.
+// read MaxDrift/CommGauges, ask Decide — re-solve over P̂ with dead
+// workers' capacity zeroed, diff, price both layouts — order the moves
+// capacity-safely, and execute the plan at the step boundary. After a
+// migration the drift baseline and the predicted-comm gauge are
+// re-anchored to the new placement, so the staleness signal measures the
+// NEW layout's fidelity.
 package replace
 
 import (
@@ -221,76 +222,125 @@ func (c *Controller) signal() bool {
 	return false
 }
 
-// resolve re-solves the placement over P̂, gates on migration economics,
-// and executes the surviving plan.
+// Verdict is what Decide concluded about a re-solve that succeeded.
+type Verdict int
+
+const (
+	// Confirmed: the fresh solve is the current assignment.
+	Confirmed Verdict = iota
+	// NoBetter: the fresh solve differs but saves nothing per step, so
+	// moving would be sideways.
+	NoBetter
+	// CostSkip: the savings, amortized over AmortizeSteps, do not cover
+	// MinSavingsFactor × the one-time cost of the moves.
+	CostSkip
+	// Migrate: the plan is worth executing.
+	Migrate
+)
+
+// String names the verdict the way Controller.LastReason reports it.
+func (v Verdict) String() string {
+	return [...]string{
+		"re-solve confirmed current placement",
+		"re-solve no better than current placement",
+		"cost-skip",
+		"migrate",
+	}[v]
+}
+
+// Decision is the outcome of one re-placement analysis.
+type Decision struct {
+	Verdict Verdict
+	// Next is the freshly solved assignment, Moves its diff against the
+	// current one and Cost their one-time cost in seconds.
+	Next  *placement.Assignment
+	Moves []placement.Move
+	Cost  float64
+	// Current and Proposed are the expected per-step communication times
+	// of the current and the fresh assignment, Savings their difference.
+	// An infeasible current layout (experts parked on a worker the
+	// problem gives zero capacity) prices as +Inf: any feasible target is
+	// worth reaching, whatever the moves cost.
+	Current, Proposed, Savings float64
+}
+
+// Decide is the controller's decision without its side effects: re-solve
+// prob with cfg.Strategy, diff against cur, price both layouts with the
+// placement objective, stand down when the fresh solve saves nothing, and
+// gate what is left on the amortized migration cost. The controller, the
+// drift ablation (velabench -fig drift) and make shift all ask this one
+// function whether a re-placement would pay. The error is a solver or
+// diff failure, or a solved assignment that does not validate against its
+// own problem — never execute a plan toward that.
+func Decide(prob *placement.Problem, cur *placement.Assignment, cfg Config) (Decision, error) {
+	cfg.SetDefaults()
+	next, err := cfg.Strategy.Place(prob)
+	if err != nil {
+		return Decision{}, fmt.Errorf("solver failed: %w", err)
+	}
+	moves, err := placement.Diff(cur, next)
+	if err != nil {
+		return Decision{}, fmt.Errorf("diff failed: %w", err)
+	}
+	nextM, err := placement.Evaluate(prob, next)
+	if err != nil {
+		return Decision{}, fmt.Errorf("re-solved assignment invalid: %w", err)
+	}
+	d := Decision{
+		Next: next, Moves: moves, Cost: placement.MoveCostSeconds(prob, moves, cfg.ExpertBytes),
+		Current: math.Inf(1), Proposed: nextM.CommTime,
+	}
+	if curM, err := placement.Evaluate(prob, cur); err == nil {
+		d.Current = curM.CommTime
+	}
+	d.Savings = d.Current - d.Proposed
+	switch {
+	case len(moves) == 0:
+		d.Verdict = Confirmed
+	case d.Savings <= 0:
+		d.Verdict = NoBetter
+	case d.Savings*float64(cfg.AmortizeSteps) < cfg.MinSavingsFactor*d.Cost:
+		d.Verdict = CostSkip
+	default:
+		d.Verdict = Migrate
+	}
+	return d, nil
+}
+
+// resolve runs one decision over the live problem and acts on its
+// verdict. Whatever the outcome it consumed the re-solve, so the
+// controller enters cooldown.
 func (c *Controller) resolve(step int) error {
 	prob := c.liveProblem()
-	next, err := c.cfg.Strategy.Place(prob)
+	cur := c.mig.Assignment()
+	d, err := Decide(prob, cur, c.cfg)
+	c.enterCooldown()
 	if err != nil {
 		// Non-fatal: training continues on the stale placement; cooldown
 		// stops the controller from re-solving every K steps forever.
-		c.LastReason = fmt.Sprintf("solver failed: %v", err)
-		c.enterCooldown()
+		c.LastReason = err.Error()
 		return nil
 	}
-	cur := c.mig.Assignment()
-	moves, err := placement.Diff(cur, next)
-	if err != nil {
-		c.LastReason = fmt.Sprintf("diff failed: %v", err)
-		c.enterCooldown()
-		return nil
-	}
-	if len(moves) == 0 {
-		// The live P̂ still prefers the current layout: the drift was real
-		// but harmless. Re-anchor the baseline so the signal stops firing
-		// on it.
+	if d.Verdict == Confirmed || d.Verdict == NoBetter {
+		// The drift was real but harmless. Re-anchor the baseline so the
+		// signal stops firing on it instead of migrating sideways.
 		c.rebaseline(prob, cur)
-		c.LastReason = "re-solve confirmed current placement"
-		c.enterCooldown()
+		c.LastReason = d.Verdict.String()
 		return nil
 	}
-
-	nextM, errNext := placement.Evaluate(prob, next)
-	if errNext != nil {
-		// The solver returned an assignment that does not validate against
-		// its own problem — never execute a plan toward it.
-		c.LastReason = fmt.Sprintf("re-solved assignment invalid: %v", errNext)
-		c.enterCooldown()
-		return nil
-	}
-	// An infeasible current layout (e.g. experts still parked on a worker
-	// the live problem gives zero capacity) makes any feasible target
-	// worth reaching: bypass the cost gate with infinite savings.
-	savings := math.Inf(1)
-	if curM, err := placement.Evaluate(prob, cur); err == nil {
-		savings = curM.CommTime - nextM.CommTime
-	}
-	if savings <= 0 {
-		// The solver found a different but no-better layout: the current
-		// placement already serves P̂ as well as a fresh solve would, so
-		// the drift is harmless. Re-anchor the baseline to quiet the
-		// signal instead of migrating sideways.
-		c.rebaseline(prob, cur)
-		c.LastReason = "re-solve no better than current placement"
-		c.enterCooldown()
-		return nil
-	}
-	cost := placement.MoveCostSeconds(prob, moves, c.cfg.ExpertBytes)
-	c.stats.Set(obs.ReplaceSavingsNanos, obs.Nanos(savings))
-	c.stats.Set(obs.ReplaceMoveCostNanos, obs.Nanos(cost))
-	if savings*float64(c.cfg.AmortizeSteps) < c.cfg.MinSavingsFactor*cost {
+	c.stats.Set(obs.ReplaceSavingsNanos, obs.Nanos(d.Savings))
+	c.stats.Set(obs.ReplaceMoveCostNanos, obs.Nanos(d.Cost))
+	if d.Verdict == CostSkip {
 		c.stats.Add(obs.ReplaceCostSkips, 1)
 		c.LastReason = fmt.Sprintf("cost-skip: savings %.3gs/step over %d steps < %.3gs move cost",
-			savings, c.cfg.AmortizeSteps, cost)
-		c.enterCooldown()
+			d.Savings, c.cfg.AmortizeSteps, d.Cost)
 		return nil
 	}
 
-	plan := placement.OrderMoves(moves, cur.Loads(prob.Workers), prob.Capacity)
+	plan := placement.OrderMoves(d.Moves, cur.Loads(prob.Workers), prob.Capacity)
 	moved, err := c.mig.ExecutePlan(plan)
 	if err != nil {
 		c.LastReason = fmt.Sprintf("plan aborted after %d moves: %v", moved, err)
-		c.enterCooldown()
 		return fmt.Errorf("replace: step %d: %w", step, err)
 	}
 	c.stats.Add(obs.ReplaceMigrations, 1)
@@ -298,9 +348,8 @@ func (c *Controller) resolve(step int) error {
 	c.stats.Set(obs.ReplaceLastStep, int64(step))
 	c.rebaseline(prob, c.mig.Assignment())
 	c.LastReason = fmt.Sprintf("migrated %d experts", moved)
-	c.enterCooldown()
 	if c.OnReplace != nil {
-		c.OnReplace(step, moved, savings, cost)
+		c.OnReplace(step, moved, d.Savings, d.Cost)
 	}
 	return nil
 }
@@ -313,21 +362,11 @@ func (c *Controller) liveProblem() *placement.Problem {
 	if phat := c.drift.Phat(); phat != nil {
 		p.P = phat
 	}
-	anyDead := false
-	for _, d := range c.mig.DeadMask() {
-		if d {
-			anyDead = true
-			break
+	p.Capacity = append([]int(nil), p.Capacity...)
+	for n, d := range c.mig.DeadMask() {
+		if d && n < len(p.Capacity) {
+			p.Capacity[n] = 0
 		}
-	}
-	if anyDead {
-		cp := append([]int(nil), p.Capacity...)
-		for n, d := range c.mig.DeadMask() {
-			if d && n < len(cp) {
-				cp[n] = 0
-			}
-		}
-		p.Capacity = cp
 	}
 	return &p
 }

@@ -19,6 +19,7 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/cluster"
 	"repro/internal/metrics"
@@ -114,7 +115,7 @@ func (c *Config) Validate() error {
 // BytesPerToken returns b·H/8 plus the encoding's per-row scale
 // overhead — the one-way payload of one routed token copy.
 func (c *Config) BytesPerToken() float64 {
-	return float64(c.BitDepth)*float64(c.FeatureSize)/8 + float64(c.Encoding.ScaleBytesPerRow())
+	return placement.RowBytes(c.BitDepth, c.FeatureSize, c.Encoding)
 }
 
 // RoutingsPerStep returns tokens·topK, the routed token copies per block
@@ -168,39 +169,25 @@ func RunVela(cfg Config, gen *workload.Generator, assign *placement.Assignment, 
 		TrafficMB: &metrics.Series{Name: name},
 		StepSec:   &metrics.Series{Name: name},
 	}
-	nWorkers := cfg.Topo.NumWorkers()
+	// The cost model's topology terms; P plays no part in pricing sampled
+	// counts.
+	prob := cfg.PlacementProblem(nil)
 	nNodes := float64(cfg.Topo.NumNodes())
-	bpt := cfg.BytesPerToken()
-	bw := cfg.Topo.Bandwidths()
-	cross := make([]bool, nWorkers)
-	for n := range cross {
-		cross[n] = cfg.Topo.CrossNode(n)
-	}
+	toWorker := make([]float64, prob.Workers)
 
 	for s := 0; s < cfg.Steps; s++ {
 		counts := gen.Step()
 		var stepCross, stepTime float64
 		for l := 0; l < cfg.Layers; l++ {
-			toWorker := make([]float64, nWorkers)
+			clear(toWorker)
 			for e, c := range counts[l] {
 				toWorker[assign.Worker[l][e]] += float64(c)
 			}
-			var phase, compute float64
-			for n := 0; n < nWorkers; n++ {
-				oneWay := toWorker[n] * bpt
-				if t := oneWay / bw[n]; t > phase {
-					phase = t
-				}
-				if t := toWorker[n] * cfg.ExpertSecPerToken; t > compute {
-					compute = t
-				}
-				if cross[n] {
-					stepCross += 4 * oneWay
-				}
-			}
-			// 4 transfer phases per block (feature send/gather, gradient
-			// send/gather), no synchronization barrier (one-to-all).
-			stepTime += 4*phase + compute
+			// Four transfer phases per block, each as long as its slowest
+			// worker's, no synchronization barrier (one-to-all).
+			comm, _ := prob.BlockComm(toWorker, &stepCross)
+			// Expert compute overlaps across workers; the busiest one sets it.
+			stepTime += comm + slices.Max(toWorker)*cfg.ExpertSecPerToken
 		}
 		stepTime += cfg.BackboneSecPerStep
 		res.TrafficMB.Append(stepCross / nNodes / 1e6)
