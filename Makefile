@@ -7,7 +7,7 @@ GO ?= go
 # machines where cgo/race is unavailable or slow; CI always runs them.
 RACE ?= 1
 
-.PHONY: build test vet lint purego race race-core bench bench-check bench-wire bench-trace bench-all chaos harness shift restart check
+.PHONY: build test vet lint loc purego race race-core bench bench-check bench-wire bench-trace bench-all chaos harness shift restart check
 
 build:
 	$(GO) build ./...
@@ -32,10 +32,11 @@ purego:
 
 # velavet: the repo's own analyzer suite (internal/lint, driven by
 # cmd/velavet). Enforces the concurrency, wire, and numeric invariants
-# DESIGN.md §10 and §15 document; exits non-zero on any finding. The
-# driver binary is cached under bin/ and rebuilt only when the analyzer
-# sources change, so repeated `make lint` pays one whole-module analysis,
-# not a build.
+# DESIGN.md §10 documents; prints nothing when clean and exits non-zero
+# on any finding — a //lint:ignore that is reasonless or suppresses
+# nothing is one. The driver binary is cached under bin/ and rebuilt only
+# when the analyzer sources change, so repeated `make lint` pays one
+# whole-module analysis, not a build.
 VELAVET := bin/velavet
 VELAVET_SRC := $(shell find cmd/velavet internal/lint -name '*.go' -not -path '*/testdata/*') go.mod
 
@@ -44,6 +45,18 @@ $(VELAVET): $(VELAVET_SRC)
 
 lint: $(VELAVET)
 	$(VELAVET) ./...
+
+# The size ledger "net-negative" claims in CHANGES.md are made in:
+# non-test Go outside bench/ and testdata/, per package and in total, as
+# raw lines and code-only lines (blank and //-comment lines dropped).
+# Lines moved into fixtures, goldens or tests are not counted as removed.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path '*/testdata/*' ! -path './.*' \
+		| xargs awk '{ d = FILENAME; sub(/\/[^\/]*$$/, "", d); raw[d]++; traw++; \
+			if ($$0 !~ /^[ \t]*($$|\/\/)/) { code[d]++; tcode++ } } \
+			END { printf "%-28s %7s %7s\n", "package", "raw", "code"; fflush(); \
+			for (d in raw) printf "%-28s %7d %7d\n", d, raw[d], code[d] | "sort"; close("sort"); \
+			printf "%-28s %7d %7d\n", "total", traw, tcode }'
 
 # The concurrent runtime packages (pipelined master, pooled worker,
 # transport) plus everything else under the race detector.

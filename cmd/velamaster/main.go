@@ -274,7 +274,7 @@ func run(addrs []string, devicesPerNode int, dataset, strategyName string, steps
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	defer signal.Stop(sig)
-	//lint:longlived signal watcher: parked on the OS signal channel until SIGINT/SIGTERM or process exit
+	//lint:ignore goleak signal watcher: parked on the OS signal channel until SIGINT/SIGTERM or process exit
 	go func() {
 		s, ok := <-sig
 		if !ok {

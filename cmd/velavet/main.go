@@ -1,27 +1,12 @@
 // Command velavet is VELA's domain-specific static-analysis gate: a
 // standard-library-only driver (go/parser + go/types with a source
 // importer, so it runs offline) over the analyzer suite in
-// internal/lint. The v1 analyzers enforce the invariants PR 1
-// established by hand; the v2 analyzers reason over the call-graph/
-// summary layer:
-//
-//	locklint       no mutex held across a blocking transport/channel op
-//	errdispatch    message-type switches handle MsgError; Send/Recv/Close
-//	               errors are not dropped
-//	allocbound     decoded wire-header values are bounds-checked before
-//	               sizing an allocation
-//	panicpolicy    panics only in tensor/nn shape preconditions
-//	floateq        no exact floating-point == / !=
-//	atomicpub      a field published via sync/atomic or a mutex is never
-//	               accessed plainly elsewhere
-//	deadlineflow   every entry-point flow to a transport Send/Recv passes
-//	               a deadline/timeout-bounded frame
-//	goleak         every spawned goroutine has a visible shutdown path
-//	msgexhaustive  MsgType switches cover all declared kinds or fail loud
+// internal/lint — `velavet -list` prints each analyzer with its
+// invariant and scope; DESIGN.md §10 has the rule that scopes each.
 //
 // Usage:
 //
-//	velavet [-list] [-json] [-dir DIR] [packages]
+//	velavet [-list] [-dir DIR] [packages]
 //
 // Package arguments filter which analysis units report: each argument
 // matches import paths by suffix, go-tool style ("./internal/broker",
@@ -30,14 +15,13 @@
 // enclosing -dir (default ".") is still loaded and typechecked — the
 // call-graph layer needs every package — only reporting is filtered.
 //
-// Diagnostics print as file:line: analyzer: message, or with -json as
-// one JSON object per line ({"file":...,"line":...,"analyzer":...,
-// "message":...}); the exit status is 1 when anything is reported, 2 on
-// a driver failure.
+// Diagnostics print as file:line: analyzer: message. A directive that
+// is reasonless or suppresses nothing is a diagnostic too (analyzer
+// "velavet"). The exit status is 1 when anything is reported, 2 on a
+// driver failure; a clean run prints nothing.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -49,9 +33,8 @@ import (
 
 func main() {
 	var (
-		list    = flag.Bool("list", false, "list analyzers and exit")
-		jsonOut = flag.Bool("json", false, "emit diagnostics as one JSON object per line")
-		dir     = flag.String("dir", ".", "directory inside the module to analyze")
+		list = flag.Bool("list", false, "list analyzers and exit")
+		dir  = flag.String("dir", ".", "directory inside the module to analyze")
 	)
 	flag.Parse()
 
@@ -106,26 +89,12 @@ func main() {
 		}
 	}
 	for _, d := range diags {
-		if *jsonOut {
-			line, err := json.Marshal(struct {
-				File     string `json:"file"`
-				Line     int    `json:"line"`
-				Analyzer string `json:"analyzer"`
-				Message  string `json:"message"`
-			}{d.Pos.Filename, d.Pos.Line, d.Analyzer, d.Message})
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "velavet: %v\n", err)
-				os.Exit(2)
-			}
-			fmt.Println(string(line))
-		} else {
-			fmt.Println(d.String())
-		}
+		fmt.Println(d)
+	}
+	if len(diags) > 0 {
+		fmt.Fprintf(os.Stderr, "velavet: %d finding(s)\n", len(diags))
 	}
 	if len(diags) > 0 || broken {
-		if len(diags) > 0 && !*jsonOut {
-			fmt.Fprintf(os.Stderr, "velavet: %d finding(s)\n", len(diags))
-		}
 		os.Exit(1)
 	}
 }

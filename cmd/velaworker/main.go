@@ -75,16 +75,14 @@ func main() {
 	var conn transport.Conn
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	//lint:longlived signal watcher: parked on the OS signal channel until SIGINT/SIGTERM or process exit
+	//lint:ignore goleak signal watcher: parked on the OS signal channel until SIGINT/SIGTERM or process exit
 	go func() {
 		s := <-sig
 		interrupted.Store(true)
 		fmt.Printf("velaworker %d: %v — draining and shutting down\n", *id, s)
-		//lint:ignore errdispatch shutdown path: the close errors carry no signal beyond the exit itself
 		_ = l.Close()
 		connMu.Lock()
 		if conn != nil {
-			//lint:ignore errdispatch shutdown path: severing the conn is the point
 			_ = conn.Close()
 		}
 		connMu.Unlock()
@@ -120,7 +118,6 @@ func main() {
 		connMu.Lock()
 		conn = nil
 		connMu.Unlock()
-		//lint:ignore errdispatch the serve loop already returned; the close error carries no signal
 		_ = c.Close()
 		if err == nil {
 			// MsgShutdown: the master ended the run.

@@ -114,7 +114,6 @@ func runParent() error {
 	store := &checkpoint.RunStore{Dir: dir}
 	newest, err := waitForGeneration(store, killAfterGen, 60*time.Second)
 	if err != nil {
-		//lint:ignore errdispatch the wait already failed; the kill error adds nothing
 		_ = child.Process.Kill()
 		return err
 	}

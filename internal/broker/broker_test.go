@@ -490,7 +490,6 @@ func TestTCPDeployment(t *testing.T) {
 		}
 	}
 	for _, c := range conns {
-		//lint:ignore errdispatch end-of-test teardown of in-process pipes already drained by Shutdown
 		_ = c.Close()
 	}
 }

@@ -142,7 +142,6 @@ func (en *expertEntry) tensors() []wire.Matrix {
 // metaInt reads a metadata column that must hold an exact integer in
 // [0, max].
 func metaInt[T int | uint32](v float64, max T) (T, bool) {
-	//lint:ignore floateq a count, dimension or digest is an exact integer; any fractional part is malformed input
 	if !(v >= 0 && v <= float64(max) && v == math.Trunc(v)) {
 		return 0, false
 	}

@@ -23,7 +23,6 @@ func TestExecutorSurvivesDeadWorker(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Kill worker 1's pipe.
-	//lint:ignore errdispatch fault injection: closing the pipe IS the failure under test
 	_ = dep.Conns[1].Close()
 
 	_, err := exec.ForwardExperts(0, map[int]*tensor.Tensor{

@@ -194,7 +194,6 @@ func (x *Executor) MarkDead(n int) {
 	if x.dead[n].Swap(true) {
 		return
 	}
-	//lint:ignore errdispatch the worker is being abandoned; its close error carries no signal
 	_ = x.conn(n).Close()
 }
 

@@ -124,7 +124,6 @@ func reverseShim(t *testing.T, conn transport.Conn, n, rounds int) {
 		t.Errorf("shim expected shutdown, got %v, %v", m, err)
 		return
 	}
-	//lint:ignore errdispatch scripted-worker reply; a lost ack surfaces as the master timing out the exchange
 	_ = conn.Send(&wire.Message{Type: wire.MsgAck, Seq: m.Seq})
 }
 
@@ -322,7 +321,6 @@ func TestChecksumsSurfaceWorkerError(t *testing.T) {
 		if err != nil {
 			return
 		}
-		//lint:ignore errdispatch injecting the error reply under test; a failed send fails the awaiting assertion below
 		_ = workerEnd.Send(&wire.Message{Type: wire.MsgError, Seq: m.Seq, Text: "stats exploded"})
 	}()
 	exec := NewExecutor([]transport.Conn{master}, placement.NewAssignment(1, 1))
@@ -330,7 +328,6 @@ func TestChecksumsSurfaceWorkerError(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "stats exploded") {
 		t.Fatalf("err = %v, want worker error surfaced", err)
 	}
-	//lint:ignore errdispatch end-of-test teardown; the exchange under test already completed
 	_ = master.Close()
 }
 

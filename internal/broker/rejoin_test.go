@@ -284,7 +284,6 @@ func TestExpertStateCodecMomentsRoundTrip(t *testing.T) {
 	var nonzero bool
 	for _, m := range st.M {
 		for _, v := range m.Data {
-			//lint:ignore floateq any-bit-set probe: a first moment that survived the wire is exactly nonzero or exactly zero
 			if v != 0 {
 				nonzero = true
 			}

@@ -71,7 +71,6 @@ func churnDeployment(b *testing.B) (*Executor, *byteMeter) {
 			}
 		}
 		for _, c := range conns {
-			//lint:ignore errdispatch end-of-benchmark teardown of connections Shutdown already drained
 			_ = c.Close()
 		}
 	})

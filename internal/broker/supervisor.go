@@ -181,7 +181,6 @@ func (s *Supervisor) tryRedial(n int) {
 		return
 	}
 	if err := s.handshake(conn); err != nil {
-		//lint:ignore errdispatch the handshake already failed; the close error adds nothing
 		_ = conn.Close()
 		return
 	}
@@ -231,7 +230,6 @@ func (s *Supervisor) AdmitRejoins() []int {
 	var admitted []int
 	for n, conn := range pending {
 		if err := s.Rejoin(n, conn); err != nil {
-			//lint:ignore errdispatch admission failed; the worker stays dead and the next probe redials
 			_ = conn.Close()
 			continue
 		}

@@ -134,7 +134,6 @@ func chaosRun(t *testing.T, fault chaosFault, kill ...int) ([]float64, *Executor
 			}
 			if fault == probeAtBoundary {
 				for _, n := range kill {
-					//lint:ignore errdispatch fault injection: severing the conn IS the failure under test
 					_ = conns[n].Close()
 				}
 				sup.Probe()
@@ -358,7 +357,6 @@ func TestRecoverWithoutSnapshotFails(t *testing.T) {
 		t.Fatal(err)
 	}
 	sup := NewSupervisor(exec, uniformProblem(cfg, 2), SupervisorConfig{})
-	//lint:ignore errdispatch fault injection: severing the conn IS the failure under test
 	_ = dep.Conns[1].Close()
 	err := sup.Recover(0, errors.New("step failed"))
 	if err == nil || exec.Alive(1) {

@@ -46,7 +46,6 @@ func startTraceDeployment(t *testing.T, workers int, tcp bool) *traceDeployment 
 			if err != nil {
 				t.Fatal(err)
 			}
-			//lint:longlived test worker serve loop: returns when the master's Shutdown closes the conn
 			go func() {
 				defer l.Close()
 				conn, err := l.Accept()
@@ -63,7 +62,6 @@ func startTraceDeployment(t *testing.T, workers int, tcp bool) *traceDeployment 
 			conns[i] = c
 		} else {
 			masterEnd, workerEnd := transport.Pipe()
-			//lint:longlived test worker serve loop: returns when the master's Shutdown closes the pipe
 			go func() { done <- w.Serve(workerEnd) }()
 			conns[i] = masterEnd
 		}

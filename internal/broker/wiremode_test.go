@@ -102,7 +102,6 @@ func startTCPWorkers(t *testing.T, n int) ([]transport.Conn, func()) {
 			}
 		}
 		for _, c := range conns {
-			//lint:ignore errdispatch end-of-test teardown after clean shutdown
 			_ = c.Close()
 		}
 	}

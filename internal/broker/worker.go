@@ -385,7 +385,6 @@ func (w *Worker) handleMulti(msg *wire.Message, arrivedAt int64) *wire.Message {
 	// Reject a garbage id before anything computes: a backward that ran
 	// for the frame's other experts would consume their activations.
 	for _, v := range ids.Data {
-		//lint:ignore floateq an expert id is an exact small integer; any fractional part is malformed input
 		if !(v >= 0 && v <= math.MaxInt32 && v == math.Trunc(v)) {
 			return errMsg(msg, fmt.Errorf("broker: worker %d: %v frame names expert id %v", w.ID, msg.Type, v))
 		}

@@ -228,7 +228,6 @@ func writeAtomic(path string, data []byte, faults *IOFaults) error {
 		err = os.Rename(tmp, path)
 	}
 	if err != nil {
-		//lint:ignore errdispatch the write already failed; the cleanup error adds nothing
 		_ = os.Remove(tmp)
 		return err
 	}

@@ -256,7 +256,6 @@ func (s *RunStore) prune(newest uint64) {
 	for _, e := range entries {
 		name := strings.TrimSuffix(e.Name(), ".tmp")
 		if gen, ok := parseGenName(name); ok && gen <= cutoff {
-			//lint:ignore errdispatch retention is best-effort; a missed prune costs disk, not correctness
 			_ = os.Remove(filepath.Join(s.Dir, e.Name()))
 		}
 	}

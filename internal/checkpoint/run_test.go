@@ -104,8 +104,7 @@ func assertRunStateEqual(t *testing.T, want, got *RunState) {
 			t.Fatalf("phat row %d differs", l)
 		}
 	}
-	//lint:ignore floateq checkpoint round-trip is byte-preserving; even 1 ulp of drift is the bug this check exists to catch
-	if got.PredictedComm != want.PredictedComm {
+	if !testutil.BitEqual(got.PredictedComm, want.PredictedComm) {
 		t.Fatalf("predictedComm = %v, want %v", got.PredictedComm, want.PredictedComm)
 	}
 	if got.HasReplace != want.HasReplace || got.ReplaceOver != want.ReplaceOver || got.ReplaceCooldown != want.ReplaceCooldown {

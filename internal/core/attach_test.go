@@ -74,7 +74,6 @@ func tcpWorkers(t *testing.T, n int) func() []transport.Conn {
 					return // listener closed
 				}
 				err = w.Serve(c)
-				//lint:ignore errdispatch the serve loop already returned; the close error carries no signal
 				_ = c.Close()
 				if err == nil {
 					return // MsgShutdown
@@ -89,7 +88,6 @@ func tcpWorkers(t *testing.T, n int) func() []transport.Conn {
 			if err != nil {
 				t.Fatal(err)
 			}
-			//lint:ignore errdispatch teardown: the test may already have closed it
 			t.Cleanup(func() { _ = c.Close() })
 			conns[i] = c
 		}

@@ -168,7 +168,6 @@ type Batcher struct {
 // NewBatcher builds a batcher with its own deterministic sampling stream.
 func NewBatcher(c *Corpus, batch, seqLen int, seed int64) *Batcher {
 	if len(c.Tokens) < seqLen+2 {
-		//lint:ignore panicpolicy constructor precondition on caller-chosen geometry; every call site passes a compile-time-known corpus/seqLen pair
 		panic("data: corpus too small for sequence length")
 	}
 	return &Batcher{corpus: c, rng: rand.New(rand.NewSource(seed)), seed: seed, Batch: batch, SeqLen: seqLen}
@@ -246,7 +245,6 @@ func NewSwitchBatcher(before, after Source, switchAt int) *SwitchBatcher {
 	b1, s1 := before.Shape()
 	b2, s2 := after.Shape()
 	if b1 != b2 || s1 != s2 {
-		//lint:ignore panicpolicy constructor precondition on caller-chosen geometry, like NewBatcher's corpus/seqLen check
 		panic("data: switch batcher sources disagree on batch geometry")
 	}
 	return &SwitchBatcher{before: before, after: after, switchAt: switchAt}

@@ -2,6 +2,7 @@ package ep
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sync"
 
@@ -89,14 +90,12 @@ func (e *Engine) Step(ids, targets []int, batch, seqLen int) (float64, error) {
 				// a failed forward here is fatal to the whole step, and
 				// peers block inside AllToAll. Panic is the honest
 				// outcome for a torn collective.
-				//lint:ignore panicpolicy torn collective: peers are blocked in AllToAll and cannot observe a returned error
 				panic(fmt.Sprintf("ep: rank %d forward: %v", r, err))
 			}
 			loss, dl := nn.CrossEntropy(logits, targets[lo:hi])
 			losses[r] = loss
 			if err := m.Backward(dl); err != nil {
 				errs[r] = err
-				//lint:ignore panicpolicy torn collective: peers are blocked in AllToAll and cannot observe a returned error
 				panic(fmt.Sprintf("ep: rank %d backward: %v", r, err))
 			}
 
@@ -138,8 +137,7 @@ func (e *Engine) ReplicasInSync() error {
 		}
 		for i := range ps {
 			for j := range ps[i].Value.Data {
-				//lint:ignore floateq replicas apply identical deterministic updates, so divergence of even 1 ulp is the bug this check exists to catch
-				if ps[i].Value.Data[j] != ref[i].Value.Data[j] {
+				if math.Float64bits(ps[i].Value.Data[j]) != math.Float64bits(ref[i].Value.Data[j]) {
 					return fmt.Errorf("ep: rank %d param %s[%d] diverged", r, ps[i].Name, j)
 				}
 			}

@@ -108,7 +108,6 @@ func (b *barrier) wait() {
 // joined the round.
 func (g *Group) AllToAll(rank int, out [][]*tensor.Tensor) [][]*tensor.Tensor {
 	if len(out) != g.size {
-		//lint:ignore panicpolicy collective API precondition: a mis-sized send set would wedge every peer at the barrier, so fail loudly at the offending rank
 		panic(fmt.Sprintf("ep: rank %d sends to %d destinations, want %d", rank, len(out), g.size))
 	}
 	// Status synchronization barrier.
@@ -171,7 +170,6 @@ func (r *AllReducer) ReduceMean(rank int, params []*nn.Param) {
 	}
 	if len(r.acc) != len(params) {
 		r.mu.Unlock()
-		//lint:ignore panicpolicy collective API precondition: mismatched reduce sets mean replicas already diverged; an error return would be averaged away
 		panic("ep: all-reduce parameter count mismatch across ranks")
 	}
 	for i, p := range params {

@@ -4,7 +4,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
 )
 
 // AllocBound enforces two allocation invariants.
@@ -129,15 +128,7 @@ var allocatingTensorMethods = map[string]bool{
 }
 
 func runAllocBound(pass *Pass) {
-	obsPkg, wirePkg := false, false
-	for _, comp := range strings.Split(pass.Pkg.Path, "/") {
-		if comp == "obs" {
-			obsPkg = true
-		}
-		if comp == "wire" {
-			wirePkg = true
-		}
-	}
+	obsPkg, wirePkg := hasComponent(pass.Pkg.Path, "obs"), hasComponent(pass.Pkg.Path, "wire")
 	for _, f := range pass.Pkg.Files {
 		for _, d := range f.Decls {
 			fd, ok := d.(*ast.FuncDecl)
@@ -262,12 +253,7 @@ func isTensorValue(info *types.Info, e ast.Expr) bool {
 	if !ok || n.Obj().Pkg() == nil || n.Obj().Name() != "Tensor" {
 		return false
 	}
-	for _, comp := range strings.Split(n.Obj().Pkg().Path(), "/") {
-		if comp == "tensor" {
-			return true
-		}
-	}
-	return false
+	return hasComponent(n.Obj().Pkg().Path(), "tensor")
 }
 
 type taintScan struct {
@@ -536,13 +522,5 @@ func isWireHeaderField(info *types.Info, sel *ast.SelectorExpr) bool {
 	if !ok || n.Obj().Pkg() == nil {
 		return false
 	}
-	if n.Obj().Name() != "Matrix" {
-		return false
-	}
-	for _, comp := range strings.Split(n.Obj().Pkg().Path(), "/") {
-		if comp == "wire" {
-			return true
-		}
-	}
-	return false
+	return n.Obj().Name() == "Matrix" && hasComponent(n.Obj().Pkg().Path(), "wire")
 }

@@ -45,26 +45,21 @@ var AtomicPub = &Analyzer{
 	Run:        runAtomicPub,
 }
 
-// fieldAccess is one read or write of a struct field.
+// fieldAccess is one access the flow layer recorded, with the declared
+// function it happened in.
 type fieldAccess struct {
-	pos      token.Pos
-	fn       *FuncInfo // enclosing declared function (nil if none resolved)
-	write    bool
-	atomic   bool // the access is the &field argument of a sync/atomic call
-	lockHeld bool // a sync lock is lexically held at the access
+	fieldRef
+	fn *FuncInfo
 }
 
 func runAtomicPub(pass *Pass) {
-	if pass.Prog == nil {
-		return
-	}
 	accesses := make(map[*types.Var][]fieldAccess)
 	ownerLocked := make(map[*types.Var]bool)
 	for _, fi := range pass.Prog.Functions() {
 		if fi.Pkg != pass.Pkg || fi.Test {
 			continue
 		}
-		collectFieldAccesses(pass, fi, accesses, ownerLocked)
+		collectFieldAccesses(fi, accesses, ownerLocked)
 	}
 
 	// Deterministic field order for reporting.
@@ -79,24 +74,24 @@ func runAtomicPub(pass *Pass) {
 		var hasAtomic bool
 		guardedWriters := make(map[*FuncInfo]bool)
 		for _, a := range accs {
-			if a.atomic {
+			if a.Atomic {
 				hasAtomic = true
 			}
-			if a.write && guarded(pass.Prog, a) {
+			if a.Write && guarded(pass.Prog, a) {
 				guardedWriters[a.fn] = true
 			}
 		}
 		switch {
 		case hasAtomic:
 			for _, a := range accs {
-				if a.atomic {
+				if a.Atomic {
 					continue
 				}
 				kind := "read"
-				if a.write {
+				if a.Write {
 					kind = "write"
 				}
-				pass.Reportf(a.pos, "plain %s of field %s, which is published through sync/atomic elsewhere — use the matching atomic op (clone-and-swap for compound updates)",
+				pass.Reportf(a.Sel.Pos(), "plain %s of field %s, which is published through sync/atomic elsewhere — use the matching atomic op (clone-and-swap for compound updates)",
 					kind, field.Name())
 			}
 		case len(guardedWriters) > 0 && ownerLocked[field]:
@@ -111,10 +106,10 @@ func runAtomicPub(pass *Pass) {
 					continue
 				}
 				kind := "read"
-				if a.write {
+				if a.Write {
 					kind = "write"
 				}
-				pass.Reportf(a.pos, "lock-free %s of field %s, which is written under a mutex elsewhere — hold the lock here or publish the field atomically",
+				pass.Reportf(a.Sel.Pos(), "lock-free %s of field %s, which is written under a mutex elsewhere — hold the lock here or publish the field atomically",
 					kind, field.Name())
 			}
 		}
@@ -124,21 +119,7 @@ func runAtomicPub(pass *Pass) {
 // guarded reports whether the access happens under a lock: lexically, or
 // because the enclosing function is only ever called with a lock held.
 func guarded(prog *Program, a fieldAccess) bool {
-	if a.lockHeld {
-		return true
-	}
-	return a.fn != nil && prog.AlwaysCalledUnderLock(a.fn)
-}
-
-// atomicOpNames are the sync/atomic package functions that operate on an
-// address.
-func isAtomicOpName(name string) bool {
-	for _, prefix := range []string{"Load", "Store", "Add", "Swap", "CompareAndSwap"} {
-		if len(name) >= len(prefix) && name[:len(prefix)] == prefix {
-			return true
-		}
-	}
-	return false
+	return a.LockHeld || prog.AlwaysCalledUnderLock(a.fn)
 }
 
 // exemptFieldType reports field types that carry their own discipline:
@@ -162,80 +143,27 @@ func exemptFieldType(t types.Type) bool {
 	return pkg.Path() == "sync" || pkg.Path() == "sync/atomic"
 }
 
-// collectFieldAccesses walks one function recording every access to a
-// struct field declared in the analyzed package, with its lock and
-// atomic context. The walk threads the same lexical lock state the flow
-// walker computes, re-deriving it locally so each access knows whether a
-// lock is held at that point. ownerLocked records, per field, whether
-// its owner struct carries a sync lock field.
-func collectFieldAccesses(pass *Pass, fi *FuncInfo, out map[*types.Var][]fieldAccess, ownerLocked map[*types.Var]bool) {
-	info := pass.Info()
-	// handled marks selector nodes consumed as atomic-call arguments so
-	// the generic visitor does not double-report them as plain accesses.
-	handled := make(map[ast.Node]bool)
+// collectFieldAccesses files the field selectors the flow layer recorded
+// in one function under the package fields they access, dropping what the
+// discipline does not cover. ownerLocked records, per field, whether its
+// owner struct carries a sync lock field.
+func collectFieldAccesses(fi *FuncInfo, out map[*types.Var][]fieldAccess, ownerLocked map[*types.Var]bool) {
+	info := fi.Pkg.Info
 	fresh := freshLocals(info, fi.Decl.Body)
-
-	visit := func(n ast.Node, held heldSet, write bool) {
-		sel, ok := n.(*ast.SelectorExpr)
-		if !ok || handled[sel] {
-			return
-		}
-		selection := info.Selections[sel]
-		if selection == nil || selection.Kind() != types.FieldVal {
-			return
-		}
+	for _, r := range fi.fields {
+		selection := info.Selections[r.Sel]
 		field, ok := selection.Obj().(*types.Var)
-		if !ok || field.Pkg() != pass.Pkg.Types {
-			return
+		if !ok || field.Pkg() != fi.Pkg.Types || exemptFieldType(field.Type()) {
+			continue
 		}
-		if exemptFieldType(field.Type()) {
-			return
-		}
-		if base, ok := ast.Unparen(sel.X).(*ast.Ident); ok && fresh[info.Uses[base]] {
-			return // constructor-local value, not yet published
+		if base, ok := ast.Unparen(r.Sel.X).(*ast.Ident); ok && !r.Atomic && fresh[info.Uses[base]] {
+			continue // constructor-local value, not yet published
 		}
 		if _, seen := ownerLocked[field]; !seen {
 			ownerLocked[field] = structHasLock(selection.Recv())
 		}
-		out[field] = append(out[field], fieldAccess{
-			pos: sel.Pos(), fn: fi, write: write, lockHeld: len(held) > 0,
-		})
+		out[field] = append(out[field], fieldAccess{r, fi})
 	}
-
-	markAtomicArgs := func(call *ast.CallExpr, held heldSet) bool {
-		sel, ok := call.Fun.(*ast.SelectorExpr)
-		if !ok || !isAtomicOpName(sel.Sel.Name) {
-			return false
-		}
-		pkgIdent, ok := sel.X.(*ast.Ident)
-		if !ok {
-			return false
-		}
-		pn, ok := info.Uses[pkgIdent].(*types.PkgName)
-		if !ok || pn.Imported().Path() != "sync/atomic" {
-			return false
-		}
-		if len(call.Args) == 0 {
-			return false
-		}
-		if addr, ok := ast.Unparen(call.Args[0]).(*ast.UnaryExpr); ok && addr.Op == token.AND {
-			if fieldSel, ok := ast.Unparen(addr.X).(*ast.SelectorExpr); ok {
-				if selection := info.Selections[fieldSel]; selection != nil && selection.Kind() == types.FieldVal {
-					if field, ok := selection.Obj().(*types.Var); ok && field.Pkg() == pass.Pkg.Types && !exemptFieldType(field.Type()) {
-						handled[fieldSel] = true
-						out[field] = append(out[field], fieldAccess{
-							pos: fieldSel.Pos(), fn: fi, atomic: true,
-							write: sel.Sel.Name != "Load", lockHeld: len(held) > 0,
-						})
-					}
-				}
-			}
-		}
-		return true
-	}
-
-	aw := &accessWalker{info: info, visit: visit, markAtomic: markAtomicArgs}
-	aw.block(fi.Decl.Body, newHeldSet())
 }
 
 // freshLocals collects the function's local variables defined from a
@@ -293,202 +221,4 @@ func structHasLock(recv types.Type) bool {
 		}
 	}
 	return false
-}
-
-// accessWalker threads lexical lock state through a function body and
-// classifies every field selector as a read or write.
-type accessWalker struct {
-	info       *types.Info
-	visit      func(n ast.Node, held heldSet, write bool)
-	markAtomic func(call *ast.CallExpr, held heldSet) bool
-}
-
-func (w *accessWalker) block(b *ast.BlockStmt, held heldSet) {
-	for _, st := range b.List {
-		w.stmt(st, held)
-	}
-}
-
-func (w *accessWalker) stmt(st ast.Stmt, held heldSet) {
-	switch st := st.(type) {
-	case *ast.ExprStmt:
-		if w.lockTransition(st.X, held) {
-			return
-		}
-		w.expr(st.X, held)
-	case *ast.DeferStmt:
-		if isUnlockCall(w.info, st.Call) {
-			return
-		}
-		w.expr(st.Call, held)
-	case *ast.GoStmt:
-		// The goroutine body starts with no lock held (the spawner's lock
-		// does not protect it).
-		if lit, ok := st.Call.Fun.(*ast.FuncLit); ok {
-			w.block(lit.Body, newHeldSet())
-		}
-		for _, a := range st.Call.Args {
-			w.expr(a, held)
-		}
-	case *ast.SendStmt:
-		w.expr(st.Chan, held)
-		w.expr(st.Value, held)
-	case *ast.IncDecStmt:
-		w.writeExpr(st.X, held)
-	case *ast.AssignStmt:
-		for _, e := range st.Rhs {
-			w.expr(e, held)
-		}
-		for _, e := range st.Lhs {
-			w.writeExpr(e, held)
-		}
-	case *ast.ReturnStmt:
-		for _, e := range st.Results {
-			w.expr(e, held)
-		}
-	case *ast.IfStmt:
-		if st.Init != nil {
-			w.stmt(st.Init, held)
-		}
-		w.expr(st.Cond, held)
-		w.block(st.Body, held.clone())
-		if st.Else != nil {
-			w.stmt(st.Else, held.clone())
-		}
-	case *ast.ForStmt:
-		if st.Init != nil {
-			w.stmt(st.Init, held)
-		}
-		if st.Cond != nil {
-			w.expr(st.Cond, held)
-		}
-		if st.Post != nil {
-			w.stmt(st.Post, held)
-		}
-		w.block(st.Body, held.clone())
-	case *ast.RangeStmt:
-		w.expr(st.X, held)
-		w.block(st.Body, held.clone())
-	case *ast.SwitchStmt:
-		if st.Init != nil {
-			w.stmt(st.Init, held)
-		}
-		if st.Tag != nil {
-			w.expr(st.Tag, held)
-		}
-		for _, c := range st.Body.List {
-			cc := c.(*ast.CaseClause)
-			h := held.clone()
-			for _, b := range cc.Body {
-				w.stmt(b, h)
-			}
-		}
-	case *ast.TypeSwitchStmt:
-		for _, c := range st.Body.List {
-			cc := c.(*ast.CaseClause)
-			h := held.clone()
-			for _, b := range cc.Body {
-				w.stmt(b, h)
-			}
-		}
-	case *ast.SelectStmt:
-		for _, c := range st.Body.List {
-			cc := c.(*ast.CommClause)
-			h := held.clone()
-			if cc.Comm != nil {
-				w.stmt(cc.Comm, h)
-			}
-			for _, b := range cc.Body {
-				w.stmt(b, h)
-			}
-		}
-	case *ast.BlockStmt:
-		w.block(st, held.clone())
-	case *ast.LabeledStmt:
-		w.stmt(st.Stmt, held)
-	case *ast.DeclStmt:
-		if gd, ok := st.Decl.(*ast.GenDecl); ok {
-			for _, spec := range gd.Specs {
-				if vs, ok := spec.(*ast.ValueSpec); ok {
-					for _, v := range vs.Values {
-						w.expr(v, held)
-					}
-				}
-			}
-		}
-	}
-}
-
-// lockTransition mirrors the flow walker's lexical lock tracking.
-func (w *accessWalker) lockTransition(e ast.Expr, held heldSet) bool {
-	call, ok := e.(*ast.CallExpr)
-	if !ok {
-		return false
-	}
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok || !isSyncLock(typeOf(w.info, sel.X)) {
-		return false
-	}
-	key := types.ExprString(sel.X)
-	switch sel.Sel.Name {
-	case "Lock", "RLock", "TryLock", "TryRLock":
-		held[key] = call.Pos()
-		return true
-	case "Unlock", "RUnlock":
-		delete(held, key)
-		return true
-	}
-	return false
-}
-
-// writeExpr classifies the outermost field selector of an assignment
-// target as a write, then scans the rest as reads. `s.f = x` writes f;
-// `s.f[i] = x` and `s.f.g = x` read f (the slice/struct value) and write
-// into it — both count as writes to f for publication purposes.
-func (w *accessWalker) writeExpr(e ast.Expr, held heldSet) {
-	switch e := ast.Unparen(e).(type) {
-	case *ast.SelectorExpr:
-		w.visit(e, held, true)
-		w.expr(e.X, held)
-	case *ast.IndexExpr:
-		w.writeExpr(e.X, held)
-		w.expr(e.Index, held)
-	case *ast.StarExpr:
-		w.expr(e.X, held)
-	default:
-		w.expr(e, held)
-	}
-}
-
-// expr scans an expression, visiting every field selector as a read,
-// with atomic-call arguments specially classified.
-func (w *accessWalker) expr(e ast.Expr, held heldSet) {
-	if e == nil {
-		return
-	}
-	ast.Inspect(e, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.FuncLit:
-			// A non-go literal runs on some goroutine with unknowable lock
-			// state; scan with no lock held (conservative for the mutex
-			// half: lock-free accesses inside closures are reported).
-			w.block(n.Body, newHeldSet())
-			return false
-		case *ast.CallExpr:
-			if w.markAtomic(n, held) {
-				// Still scan remaining args (beyond the address) as reads.
-				for _, a := range n.Args[1:] {
-					w.expr(a, held)
-				}
-				return false
-			}
-		case *ast.SelectorExpr:
-			w.visit(n, held, false)
-			// Recurse into n.X manually (the receiver may itself be a
-			// field selector).
-			w.expr(n.X, held)
-			return false
-		}
-		return true
-	})
 }

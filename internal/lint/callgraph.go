@@ -5,15 +5,20 @@ import (
 	"go/token"
 	"go/types"
 	"sort"
+	"strings"
 )
 
-// This file is velavet v2's flow layer: an intra-module call graph built
-// from go/types call resolution, plus per-function summaries — blocking,
-// holds-lock, spawns-goroutine, bounds-deadline — propagated over it.
-// The v1 analyzers are purely syntactic; the flow layer is what lets
-// deadlineflow reason about "every path from an entry point to a
-// transport op" and atomicpub about "functions only ever called with the
-// lock held" without leaving the standard library.
+// This file is velavet's flow layer: one walk over every function body in
+// the load, and the intra-module call graph built from it. The walk is the
+// only code that threads lexical lock state through statements; what it
+// records per function — resolved call sites, transport ops, deadline
+// bounding, blocking ops reached with a lock held, field selectors with
+// their lock context — is everything locklint, atomicpub and deadlineflow
+// know about a body. The two summaries propagated over the graph
+// (AlwaysCalledUnderLock, UnboundedTransport) are what lets deadlineflow
+// reason about "every path from an entry point to a transport op" and
+// atomicpub about "functions only ever called with the lock held" without
+// leaving the standard library.
 //
 // Scope and limitations (deliberate):
 //
@@ -26,18 +31,21 @@ import (
 //   - Calls inside `go` function literals do not contribute to the
 //     spawning function's flow summaries: the spawner does not block on
 //     them. Goroutine hygiene is goleak's job.
-//   - Lock state is lexical, exactly like locklint: Lock/RLock marks the
-//     receiver held for the remaining statements (deferred unlocks keep
-//     it held through the function tail), branches fork a copy.
+//   - Lock state is lexical: Lock/RLock marks the receiver held for the
+//     remaining statements (a deferred unlock keeps it held through the
+//     function tail — blocking calls after `defer mu.Unlock()` still run
+//     under the lock), branches fork a copy, and every function literal
+//     starts from an empty set: lock state does not leak into a closure
+//     or across a goroutine boundary.
 
 // Program is the whole-load view the flow-aware analyzers consult: every
 // analyzed package plus the module call graph over their function
 // declarations.
 type Program struct {
-	Pkgs []*Package
-	// funcs indexes every function declaration with a body by its
-	// canonical key (types.Func.FullName).
-	funcs map[string]*FuncInfo
+	// funcs indexes the function declarations with a body by canonical
+	// key (types.Func.FullName); sorted holds them in key order.
+	funcs  map[string]*FuncInfo
+	sorted []*FuncInfo
 }
 
 // FuncInfo is one function declaration and its locally-derived facts.
@@ -59,14 +67,6 @@ type FuncInfo struct {
 	// Calls are the statically-resolved call sites in the body, in
 	// source order.
 	Calls []Callsite
-
-	// directBlocking: the body performs a channel operation or a
-	// conn-like Send/Recv outside any `go` literal.
-	directBlocking bool
-	// directSpawns: the body contains a `go` statement.
-	directSpawns bool
-	// acquiresLock: the body calls Lock/RLock on a sync lock.
-	acquiresLock bool
 	// boundsDeadline: the body syntactically establishes a time bound —
 	// a Set{,Recv,Send,Read,Write}Deadline call or a select with a
 	// timer-channel case. Everything at or below a bounding frame
@@ -75,14 +75,17 @@ type FuncInfo struct {
 	// transportOps are the direct conn-like Send/Recv sites (outside
 	// `go` literals).
 	transportOps []transportOp
+	// lockedOps are the blocking operations — channel ops, conn-like
+	// Send/Recv — reached while a sync lock is lexically held.
+	lockedOps []lockedOp
+	// fields are the struct-field selectors in the body, in walk order.
+	fields []fieldRef
 
 	// memo state for the propagated summaries.
-	blockingMemo, blockingDone bool
-	spawnsMemo, spawnsDone     bool
-	underLockMemo              int8 // 0 unknown, 1 yes, 2 no
-	unboundedMemo              map[token.Pos]unboundedSite
-	unboundedDone              bool
-	onStack                    bool
+	underLockMemo int8 // 0 unknown, 1 yes, 2 no
+	unboundedMemo map[token.Pos]unboundedSite
+	unboundedDone bool
+	onStack       bool
 }
 
 // Callsite is one statically-resolved call in a function body.
@@ -105,6 +108,25 @@ type transportOp struct {
 	Recv string // rendered receiver expression
 }
 
+// lockedOp is one blocking operation reached with a lock held.
+type lockedOp struct {
+	Pos      token.Pos
+	What     string    // "channel send", "transport Recv on c.conn", ...
+	Lock     string    // one held lock's receiver expression
+	LockedAt token.Pos // where it was acquired
+}
+
+// fieldRef is one struct-field selector and its context.
+type fieldRef struct {
+	Sel *ast.SelectorExpr
+	// Write: the selector is (the root of) an assignment or ++/-- target.
+	Write bool
+	// Atomic: the selector is the &field operand of a sync/atomic call.
+	Atomic bool
+	// LockHeld: a sync lock is lexically held at the access.
+	LockHeld bool
+}
+
 // unboundedSite is a transport op reachable without a deadline bound,
 // with the call path from the queried function.
 type unboundedSite struct {
@@ -112,10 +134,11 @@ type unboundedSite struct {
 	Path string
 }
 
-// BuildProgram constructs the call graph and local summaries over every
-// loaded package. It is deterministic for a deterministic Load.
+// BuildProgram walks every function body of every loaded package once,
+// recording its local facts and the call graph. It is deterministic for a
+// deterministic Load.
 func BuildProgram(pkgs []*Package) *Program {
-	p := &Program{Pkgs: pkgs, funcs: make(map[string]*FuncInfo)}
+	p := &Program{funcs: make(map[string]*FuncInfo)}
 	for _, pkg := range pkgs {
 		for _, f := range pkg.Files {
 			for _, d := range f.Decls {
@@ -131,36 +154,24 @@ func BuildProgram(pkgs []*Package) *Program {
 					Key: obj.FullName(), Name: fd.Name.Name, Decl: fd, Pkg: pkg,
 					Test: isTestFile(pkg.Fset, fd.Pos()),
 				}
-				p.scanBody(fi)
-				// In-package test units shadow the pure variant under the
-				// same key; first writer wins so the non-test declaration
-				// (loaded first in path order) is stable.
+				w := &flowWalker{fi: fi, info: pkg.Info}
+				w.block(fd.Body, heldSet{}, false)
+				// Several init functions, or an external test package
+				// redeclaring a name, share a key: the first (path order)
+				// is the call-graph node, all of them are analyzed.
 				if _, dup := p.funcs[fi.Key]; !dup {
 					p.funcs[fi.Key] = fi
 				}
+				p.sorted = append(p.sorted, fi)
 			}
 		}
 	}
+	sort.SliceStable(p.sorted, func(i, j int) bool { return p.sorted[i].Key < p.sorted[j].Key })
 	return p
 }
 
-// Func returns the module function declared under the canonical key, or
-// nil for functions outside the module (stdlib, interface methods).
-func (p *Program) Func(key string) *FuncInfo { return p.funcs[key] }
-
 // Functions returns every module function in deterministic key order.
-func (p *Program) Functions() []*FuncInfo {
-	keys := make([]string, 0, len(p.funcs))
-	for k := range p.funcs {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	out := make([]*FuncInfo, len(keys))
-	for i, k := range keys {
-		out[i] = p.funcs[k]
-	}
-	return out
-}
+func (p *Program) Functions() []*FuncInfo { return p.sorted }
 
 // calleeKey resolves the static callee of a call expression to its
 // canonical key, or "".
@@ -192,25 +203,35 @@ var deadlineSetterNames = map[string]bool{
 	"SetReadDeadline": true, "SetWriteDeadline": true,
 }
 
-// scanBody walks one function body computing the local facts: resolved
-// call sites (with go-literal and lock context), transport ops, channel
-// ops, go statements, lock acquisition and deadline bounding.
-func (p *Program) scanBody(fi *FuncInfo) {
-	info := fi.Pkg.Info
-	w := &flowWalker{prog: p, fi: fi, info: info}
-	w.block(fi.Decl.Body, newHeldSet(), false)
+// heldSet tracks currently-held locks as receiver-expression strings
+// mapped to the acquisition position.
+type heldSet map[string]token.Pos
+
+func (h heldSet) clone() heldSet {
+	c := make(heldSet, len(h))
+	for k, v := range h {
+		c[k] = v
+	}
+	return c
 }
 
-// flowWalker threads lexical lock state and go-literal depth through a
+// flowWalker threads lexical lock state and go-literal depth through one
 // function body, recording the FuncInfo facts as it goes.
 type flowWalker struct {
-	prog *Program
 	fi   *FuncInfo
 	info *types.Info
+	// inComm: walking a select case's communication. The select is the
+	// blocking op, recorded once per case; the send or receive that
+	// spells the case is not a second one.
+	inComm bool
 }
 
 func (w *flowWalker) block(b *ast.BlockStmt, held heldSet, inGo bool) {
-	for _, st := range b.List {
+	w.stmts(b.List, held, inGo)
+}
+
+func (w *flowWalker) stmts(list []ast.Stmt, held heldSet, inGo bool) {
+	for _, st := range list {
 		w.stmt(st, held, inGo)
 	}
 }
@@ -228,32 +249,30 @@ func (w *flowWalker) stmt(st ast.Stmt, held heldSet, inGo bool) {
 		}
 		w.call(st.Call, held, inGo)
 	case *ast.GoStmt:
-		if !inGo {
-			w.fi.directSpawns = true
-		}
-		// The spawned literal's body runs on another goroutine: scan it
-		// with fresh lock state and the inGo marker so nothing in it
-		// contributes to this function's flow summaries.
+		// The spawned call runs on another goroutine — with fresh lock
+		// state and the inGo marker, so nothing in it contributes to this
+		// function's flow summaries. Its operands are evaluated here.
 		if lit, ok := st.Call.Fun.(*ast.FuncLit); ok {
-			w.block(lit.Body, newHeldSet(), true)
+			w.block(lit.Body, heldSet{}, true)
 		} else {
-			w.call(st.Call, newHeldSet(), true)
+			w.edge(st.Call, nil, true)
+			w.expr(st.Call.Fun, held, inGo)
 		}
 		for _, a := range st.Call.Args {
 			w.expr(a, held, inGo)
 		}
 	case *ast.SendStmt:
-		if !inGo {
-			w.fi.directBlocking = true
-		}
+		w.blocking(st.Pos(), "channel send", held)
 		w.expr(st.Chan, held, inGo)
 		w.expr(st.Value, held, inGo)
+	case *ast.IncDecStmt:
+		w.writeExpr(st.X, held, inGo)
 	case *ast.AssignStmt:
 		for _, e := range st.Rhs {
 			w.expr(e, held, inGo)
 		}
 		for _, e := range st.Lhs {
-			w.expr(e, held, inGo)
+			w.writeExpr(e, held, inGo)
 		}
 	case *ast.ReturnStmt:
 		for _, e := range st.Results {
@@ -272,14 +291,15 @@ func (w *flowWalker) stmt(st ast.Stmt, held heldSet, inGo bool) {
 		if st.Init != nil {
 			w.stmt(st.Init, held, inGo)
 		}
-		if st.Cond != nil {
-			w.expr(st.Cond, held, inGo)
+		w.expr(st.Cond, held, inGo)
+		if st.Post != nil {
+			w.stmt(st.Post, held, inGo)
 		}
 		w.block(st.Body, held.clone(), inGo)
 	case *ast.RangeStmt:
-		if t := typeOf(w.info, st.X); t != nil && !inGo {
+		if t := typeOf(w.info, st.X); t != nil {
 			if _, isChan := t.Underlying().(*types.Chan); isChan {
-				w.fi.directBlocking = true
+				w.blocking(st.Pos(), "channel receive (range)", held)
 			}
 		}
 		w.expr(st.X, held, inGo)
@@ -288,40 +308,27 @@ func (w *flowWalker) stmt(st ast.Stmt, held heldSet, inGo bool) {
 		if st.Init != nil {
 			w.stmt(st.Init, held, inGo)
 		}
-		if st.Tag != nil {
-			w.expr(st.Tag, held, inGo)
-		}
+		w.expr(st.Tag, held, inGo)
 		for _, c := range st.Body.List {
-			cc := c.(*ast.CaseClause)
-			h := held.clone()
-			for _, b := range cc.Body {
-				w.stmt(b, h, inGo)
-			}
+			w.stmts(c.(*ast.CaseClause).Body, held.clone(), inGo)
 		}
 	case *ast.TypeSwitchStmt:
 		for _, c := range st.Body.List {
-			cc := c.(*ast.CaseClause)
-			h := held.clone()
-			for _, b := range cc.Body {
-				w.stmt(b, h, inGo)
-			}
+			w.stmts(c.(*ast.CaseClause).Body, held.clone(), inGo)
 		}
 	case *ast.SelectStmt:
-		if !inGo {
-			w.fi.directBlocking = true
-		}
 		if selectHasTimerCase(w.info, st) {
 			w.fi.boundsDeadline = true
 		}
 		for _, c := range st.Body.List {
 			cc := c.(*ast.CommClause)
 			if cc.Comm != nil {
+				w.blocking(cc.Comm.Pos(), "select communication", held)
+				w.inComm = true
 				w.stmt(cc.Comm, held, inGo)
+				w.inComm = false
 			}
-			h := held.clone()
-			for _, b := range cc.Body {
-				w.stmt(b, h, inGo)
-			}
+			w.stmts(cc.Body, held.clone(), inGo)
 		}
 	case *ast.BlockStmt:
 		w.block(st, held.clone(), inGo)
@@ -340,8 +347,9 @@ func (w *flowWalker) stmt(st ast.Stmt, held heldSet, inGo bool) {
 	}
 }
 
-// lockTransition mirrors locklint's lexical Lock/Unlock tracking and
-// additionally records lock acquisition on the FuncInfo.
+// lockTransition updates held for a statement-level mu.Lock/RLock/
+// Unlock/RUnlock call and reports whether e was one. TryLock counts as
+// an acquisition: the conservative reading, and the codebase has none.
 func (w *flowWalker) lockTransition(e ast.Expr, held heldSet) bool {
 	call, ok := e.(*ast.CallExpr)
 	if !ok {
@@ -355,7 +363,6 @@ func (w *flowWalker) lockTransition(e ast.Expr, held heldSet) bool {
 	switch sel.Sel.Name {
 	case "Lock", "RLock", "TryLock", "TryRLock":
 		held[key] = call.Pos()
-		w.fi.acquiresLock = true
 		return true
 	case "Unlock", "RUnlock":
 		delete(held, key)
@@ -372,10 +379,46 @@ func isUnlockCall(info *types.Info, call *ast.CallExpr) bool {
 	return isSyncLock(typeOf(info, sel.X))
 }
 
-// expr hunts call sites, transport ops and channel receives inside an
-// expression. Nested non-go function literals are scanned as part of the
+// blocking records a blocking operation if any lock is held.
+func (w *flowWalker) blocking(pos token.Pos, what string, held heldSet) {
+	if w.inComm {
+		return
+	}
+	for mu, at := range held {
+		w.fi.lockedOps = append(w.fi.lockedOps, lockedOp{Pos: pos, What: what, Lock: mu, LockedAt: at})
+		return
+	}
+}
+
+// field records a struct-field selector.
+func (w *flowWalker) field(sel *ast.SelectorExpr, held heldSet, write, atomic bool) {
+	if s := w.info.Selections[sel]; s != nil && s.Kind() == types.FieldVal {
+		w.fi.fields = append(w.fi.fields, fieldRef{Sel: sel, Write: write, Atomic: atomic, LockHeld: len(held) > 0})
+	}
+}
+
+// writeExpr walks an assignment target: its outermost field selector is
+// a write, the rest reads. `s.f = x` writes f; `s.f[i] = x` reads the
+// slice value and writes into it — a write to f for publication purposes.
+func (w *flowWalker) writeExpr(e ast.Expr, held heldSet, inGo bool) {
+	switch e := ast.Unparen(e).(type) {
+	case *ast.SelectorExpr:
+		w.field(e, held, true, false)
+		w.expr(e.X, held, inGo)
+	case *ast.IndexExpr:
+		w.writeExpr(e.X, held, inGo)
+		w.expr(e.Index, held, inGo)
+	default:
+		w.expr(e, held, inGo)
+	}
+}
+
+// expr hunts call sites, channel receives and field reads inside an
+// expression. A nested function literal is walked as part of the
 // enclosing flow (closures here are invoked synchronously or passed to
-// callees that invoke them; counting them is the conservative reading).
+// callees that invoke them; counting their calls is the conservative
+// reading) but with no lock held: it runs on some goroutine with
+// unknowable lock state.
 func (w *flowWalker) expr(e ast.Expr, held heldSet, inGo bool) {
 	if e == nil {
 		return
@@ -383,12 +426,14 @@ func (w *flowWalker) expr(e ast.Expr, held heldSet, inGo bool) {
 	ast.Inspect(e, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.FuncLit:
-			w.block(n.Body, newHeldSet(), inGo)
+			w.block(n.Body, heldSet{}, inGo)
 			return false
 		case *ast.UnaryExpr:
-			if n.Op == token.ARROW && !inGo {
-				w.fi.directBlocking = true
+			if n.Op == token.ARROW {
+				w.blocking(n.Pos(), "channel receive", held)
 			}
+		case *ast.SelectorExpr:
+			w.field(n, held, false, false)
 		case *ast.CallExpr:
 			w.call(n, held, inGo)
 			return false
@@ -397,17 +442,35 @@ func (w *flowWalker) expr(e ast.Expr, held heldSet, inGo bool) {
 	})
 }
 
-// call records one call expression: its resolved callee edge, transport
-// classification and deadline bounding, then recurses into arguments.
+// call records one call expression, then walks its operands.
 func (w *flowWalker) call(call *ast.CallExpr, held heldSet, inGo bool) {
+	w.edge(call, held, inGo)
+	w.expr(call.Fun, held, inGo)
+	args := call.Args
+	if isAtomicCall(w.info, call) {
+		// The address operand is the atomic access itself, not a read.
+		if addr, ok := ast.Unparen(args[0]).(*ast.UnaryExpr); ok && addr.Op == token.AND {
+			if sel, ok := ast.Unparen(addr.X).(*ast.SelectorExpr); ok {
+				w.field(sel, held, false, true)
+			}
+		}
+		args = args[1:]
+	}
+	for _, a := range args {
+		w.expr(a, held, inGo)
+	}
+}
+
+// edge records what a call is: its resolved callee, and whether it is a
+// transport op or bounds a deadline.
+func (w *flowWalker) edge(call *ast.CallExpr, held heldSet, inGo bool) {
 	if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
 		name := sel.Sel.Name
 		if (name == "Send" || name == "Recv") && isConnLike(typeOf(w.info, sel.X)) {
+			recv := types.ExprString(sel.X)
+			w.blocking(call.Pos(), "transport "+name+" on "+recv, held)
 			if !inGo {
-				w.fi.directBlocking = true
-				w.fi.transportOps = append(w.fi.transportOps, transportOp{
-					Pos: call.Pos(), Name: name, Recv: types.ExprString(sel.X),
-				})
+				w.fi.transportOps = append(w.fi.transportOps, transportOp{Pos: call.Pos(), Name: name, Recv: recv})
 			}
 		}
 		if deadlineSetterNames[name] && !inGo {
@@ -419,11 +482,29 @@ func (w *flowWalker) call(call *ast.CallExpr, held heldSet, inGo bool) {
 			Key: key, Pos: call.Pos(), InGo: inGo, LockHeld: len(held) > 0,
 		})
 	}
-	// Arguments and nested expressions (including the Fun's receiver).
-	w.expr(call.Fun, held, inGo)
-	for _, a := range call.Args {
-		w.expr(a, held, inGo)
+}
+
+// isAtomicCall matches sync/atomic's address-taking functions
+// (atomic.LoadInt64(&x), atomic.CompareAndSwapPointer(&p, ...)).
+func isAtomicCall(info *types.Info, call *ast.CallExpr) bool {
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok || len(call.Args) == 0 {
+		return false
 	}
+	pkg, ok := sel.X.(*ast.Ident)
+	if !ok {
+		return false
+	}
+	pn, ok := info.Uses[pkg].(*types.PkgName)
+	if !ok || pn.Imported().Path() != "sync/atomic" {
+		return false
+	}
+	for _, prefix := range []string{"Load", "Store", "Add", "Swap", "CompareAndSwap"} {
+		if strings.HasPrefix(sel.Sel.Name, prefix) {
+			return true
+		}
+	}
+	return false
 }
 
 // selectHasTimerCase reports whether a select statement carries a case
@@ -463,62 +544,6 @@ func selectHasTimerCase(info *types.Info, st *ast.SelectStmt) bool {
 }
 
 // ---- propagated summaries ----
-
-// Blocking reports whether the function can block: it performs a channel
-// or transport operation itself, or (transitively, through calls that run
-// on the calling goroutine) reaches one.
-func (p *Program) Blocking(fi *FuncInfo) bool {
-	if fi.blockingDone {
-		return fi.blockingMemo
-	}
-	if fi.onStack { // cycle: the back edge contributes nothing new
-		return false
-	}
-	fi.onStack = true
-	defer func() { fi.onStack = false }()
-	b := fi.directBlocking
-	for _, c := range fi.Calls {
-		if b {
-			break
-		}
-		if c.InGo {
-			continue
-		}
-		if callee := p.funcs[c.Key]; callee != nil && p.Blocking(callee) {
-			b = true
-		}
-	}
-	fi.blockingMemo, fi.blockingDone = b, true
-	return b
-}
-
-// SpawnsGoroutine reports whether the function starts a goroutine itself
-// or through any call it makes.
-func (p *Program) SpawnsGoroutine(fi *FuncInfo) bool {
-	if fi.spawnsDone {
-		return fi.spawnsMemo
-	}
-	if fi.onStack {
-		return false
-	}
-	fi.onStack = true
-	defer func() { fi.onStack = false }()
-	s := fi.directSpawns
-	for _, c := range fi.Calls {
-		if s {
-			break
-		}
-		if callee := p.funcs[c.Key]; callee != nil && p.SpawnsGoroutine(callee) {
-			s = true
-		}
-	}
-	fi.spawnsMemo, fi.spawnsDone = s, true
-	return s
-}
-
-// HoldsLock reports whether the function acquires a sync lock in its own
-// body.
-func (p *Program) HoldsLock(fi *FuncInfo) bool { return fi.acquiresLock }
 
 // callers returns every in-module call site targeting key, in
 // deterministic order.

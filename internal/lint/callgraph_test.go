@@ -4,9 +4,9 @@ import (
 	"testing"
 )
 
-// callgraphSrc exercises every propagated summary: blocking through a
-// call chain, goroutine spawning, lock discipline through the
-// fooLocked-helper pattern, and deadline-bounded transport subtrees.
+// callgraphSrc exercises both propagated summaries: lock discipline
+// through the fooLocked-helper pattern, and deadline-bounded transport
+// subtrees.
 const callgraphSrc = `package p
 
 import "sync"
@@ -26,18 +26,6 @@ func (s *S) Outer() {
 
 func (s *S) Naked() { s.locked() }
 
-func blockRecv(ch chan int) int  { return <-ch }
-func callsBlock(ch chan int) int { return blockRecv(ch) }
-func pure(a int) int             { return a + 1 }
-
-func spawner() {
-	//lint:longlived callgraph fixture: summary probe, never runs
-	go func() {
-		select {}
-	}()
-}
-func callsSpawner() { spawner() }
-
 type conn struct{}
 
 func (c *conn) Send(v int) error      { return nil }
@@ -55,7 +43,6 @@ func bounded(c *conn) int {
 	return v
 }
 func spawnsWait(c *conn) {
-	//lint:longlived callgraph fixture: summary probe, never runs
 	go func() {
 		wait(c)
 	}()
@@ -92,51 +79,8 @@ func buildTestProgram(t *testing.T) (*Program, func(string) *FuncInfo) {
 	return prog, byName
 }
 
-func TestCallGraphBlocking(t *testing.T) {
-	prog, fn := buildTestProgram(t)
-	cases := []struct {
-		name string
-		want bool
-	}{
-		{"blockRecv", true},   // direct channel receive
-		{"callsBlock", true},  // transitively through blockRecv
-		{"wait", true},        // conn-like Recv
-		{"top", true},         // transitively through wait
-		{"pure", false},       // arithmetic only
-		{"spawnsWait", false}, // the blocking call is inside a go literal
-	}
-	for _, c := range cases {
-		if got := prog.Blocking(fn(c.name)); got != c.want {
-			t.Errorf("Blocking(%s) = %v, want %v", c.name, got, c.want)
-		}
-	}
-}
-
-func TestCallGraphSpawns(t *testing.T) {
-	prog, fn := buildTestProgram(t)
-	cases := []struct {
-		name string
-		want bool
-	}{
-		{"spawner", true},
-		{"callsSpawner", true}, // transitively
-		{"pure", false},
-	}
-	for _, c := range cases {
-		if got := prog.SpawnsGoroutine(fn(c.name)); got != c.want {
-			t.Errorf("SpawnsGoroutine(%s) = %v, want %v", c.name, got, c.want)
-		}
-	}
-}
-
 func TestCallGraphLockDiscipline(t *testing.T) {
 	prog, fn := buildTestProgram(t)
-	if !prog.HoldsLock(fn("Outer")) {
-		t.Error("HoldsLock(Outer) = false, want true")
-	}
-	if prog.HoldsLock(fn("locked")) {
-		t.Error("HoldsLock(locked) = true, want false (caller holds it)")
-	}
 	// locked is called from Outer (under the lock) AND Naked (without):
 	// mixed call sites mean it is NOT always under lock.
 	if prog.AlwaysCalledUnderLock(fn("locked")) {

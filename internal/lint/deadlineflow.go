@@ -42,9 +42,6 @@ var DeadlineFlow = &Analyzer{
 }
 
 func runDeadlineFlow(pass *Pass) {
-	if pass.Prog == nil {
-		return
-	}
 	type finding struct {
 		site  unboundedSite
 		entry string
@@ -52,10 +49,7 @@ func runDeadlineFlow(pass *Pass) {
 	reported := make(map[token.Pos]finding)
 	var order []token.Pos
 	for _, fi := range pass.Prog.Functions() {
-		if fi.Pkg != pass.Pkg || !isDeadlineFlowEntry(fi) {
-			continue
-		}
-		if isTestFile(pass.Fset(), fi.Decl.Pos()) {
+		if fi.Pkg != pass.Pkg || fi.Test || !isDeadlineFlowEntry(fi) {
 			continue
 		}
 		sites := pass.Prog.UnboundedTransport(fi)
@@ -79,29 +73,16 @@ func runDeadlineFlow(pass *Pass) {
 	}
 }
 
-// isDeadlineFlowEntry decides whether a declared function is a checked
-// entry point.
+// isDeadlineFlowEntry decides whether a function declared in an analyzed
+// (broker or replace) package is a checked entry point.
 func isDeadlineFlowEntry(fi *FuncInfo) bool {
 	if !fi.Decl.Name.IsExported() {
-		return false
-	}
-	if !componentOf(fi.Pkg.Path, "broker") && !componentOf(fi.Pkg.Path, "replace") {
 		return false
 	}
 	if recv := receiverTypeName(fi.Decl); recv != "" && strings.Contains(recv, "Worker") {
 		return false
 	}
 	return true
-}
-
-// componentOf reports whether the import path contains the component.
-func componentOf(path, comp string) bool {
-	for _, c := range strings.Split(path, "/") {
-		if c == comp {
-			return true
-		}
-	}
-	return false
 }
 
 // receiverTypeName extracts the bare receiver type name of a method

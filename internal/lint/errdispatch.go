@@ -2,150 +2,66 @@ package lint
 
 import (
 	"go/ast"
-	"strings"
 )
 
 // ErrDispatch enforces the broker protocol's failure-visibility
-// invariants:
+// invariant: the error result of Send/Recv on a connection-like value
+// must not be discarded. A dropped Send error detaches the sender from
+// reality (the peer never saw the message); a dropped Recv error spins.
 //
-//  1. Every switch over the wire message type that dispatches on
-//     concrete message kinds must carry a MsgError arm or a default
-//     clause. A reply dispatcher that only matches success types
-//     silently swallows worker-side failures — the master then
-//     misattributes the next reply or hangs a correlation slot.
-//
-//  2. The error results of Send/Recv/Close on a connection-like value
-//     must not be discarded. A dropped Send error detaches the sender
-//     from reality (the peer never saw the message); a dropped Recv
-//     error spins. Discarding into `_` is tolerated only inside
-//     shutdown/teardown functions (Close, Shutdown, Stop, teardown
-//     helpers), where the connection is being abandoned anyway.
+// Scope, by rule: Send and Recv only — Close on a connection being
+// abandoned has no failure path to route its error into, and every
+// Close the analyzer ever flagged was one — and non-test files only: a
+// test that drops a Send error asserts on the reply it then fails to
+// get. (That a MsgType switch handles MsgError is msgexhaustive's.)
 var ErrDispatch = &Analyzer{
 	Name: "errdispatch",
-	Doc:  "message-type switch without a MsgError arm; ignored Send/Recv/Close errors",
+	Doc:  "ignored Send/Recv errors on a connection",
 	Run:  runErrDispatch,
-}
-
-// shutdownish matches function names whose job is tearing a connection
-// down — the one place a discarded Close/Send error is acceptable.
-func shutdownish(name string) bool {
-	for _, frag := range []string{"Close", "Shutdown", "Stop", "Teardown", "teardown", "cleanup", "Cleanup"} {
-		if strings.Contains(name, frag) {
-			return true
-		}
-	}
-	return false
 }
 
 func runErrDispatch(pass *Pass) {
 	for _, f := range pass.Pkg.Files {
+		if isTestFile(pass.Fset(), f.Pos()) {
+			continue
+		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
-			case *ast.SwitchStmt:
-				checkMsgTypeSwitch(pass, n)
-			case *ast.ExprStmt:
-				if call, ok := n.X.(*ast.CallExpr); ok {
-					checkDroppedConnErr(pass, call, "discarded")
+			case *ast.ExprStmt: // c.Send(m): every result discarded
+				if sel := connOp(pass, n.X); sel != nil {
+					pass.Reportf(n.Pos(), "error from %s.%s discarded — handle it or route it into the exchange's failure path",
+						exprText(sel.X), sel.Sel.Name)
 				}
-			case *ast.AssignStmt:
-				checkBlankConnErr(pass, f, n)
+			case *ast.AssignStmt: // _ = c.Send(m); m, _ := c.Recv()
+				if len(n.Rhs) != 1 {
+					break
+				}
+				sel := connOp(pass, n.Rhs[0])
+				// The error is the last result; it must not be blank.
+				last, ok := n.Lhs[len(n.Lhs)-1].(*ast.Ident)
+				if sel == nil || !ok || last.Name != "_" {
+					break
+				}
+				pass.Reportf(n.Pos(), "error from %s.%s assigned to _ — handle it or route it into the exchange's failure path",
+					exprText(sel.X), sel.Sel.Name)
 			}
 			return true
 		})
 	}
 }
 
-// checkMsgTypeSwitch flags a switch over a MsgType-typed tag that has
-// concrete message-kind cases but neither a MsgError arm nor a default
-// clause.
-func checkMsgTypeSwitch(pass *Pass, sw *ast.SwitchStmt) {
-	if sw.Tag == nil {
-		return
-	}
-	t := typeOf(pass.Info(), sw.Tag)
-	if t == nil || !strings.HasSuffix(t.String(), "MsgType") {
-		return
-	}
-	caseCount := 0
-	hasErrorArm := false
-	hasDefault := false
-	for _, c := range sw.Body.List {
-		cc := c.(*ast.CaseClause)
-		if cc.List == nil {
-			hasDefault = true
-			continue
-		}
-		for _, e := range cc.List {
-			caseCount++
-			name := ""
-			switch e := e.(type) {
-			case *ast.Ident:
-				name = e.Name
-			case *ast.SelectorExpr:
-				name = e.Sel.Name
-			}
-			if name == "MsgError" {
-				hasErrorArm = true
-			}
-		}
-	}
-	if caseCount > 0 && !hasErrorArm && !hasDefault {
-		pass.Reportf(sw.Pos(), "switch on %s dispatches %d message kinds with no MsgError arm and no default — worker-side failures would be silently dropped",
-			t.String(), caseCount)
-	}
-}
-
-// checkDroppedConnErr flags a statement-level call to Send/Recv/Close on
-// a connection-like value (all results discarded).
-func checkDroppedConnErr(pass *Pass, call *ast.CallExpr, how string) {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
+// connOp returns e's selector if e is a Send or Recv call on a
+// connection-like value, else nil.
+func connOp(pass *Pass, e ast.Expr) *ast.SelectorExpr {
+	call, ok := e.(*ast.CallExpr)
 	if !ok {
-		return
-	}
-	name := sel.Sel.Name
-	if name != "Send" && name != "Recv" && name != "Close" {
-		return
-	}
-	if !isConnLike(typeOf(pass.Info(), sel.X)) {
-		return
-	}
-	pass.Reportf(call.Pos(), "error from %s.%s %s — handle it or route it into the exchange's failure path",
-		exprText(sel.X), name, how)
-}
-
-// checkBlankConnErr flags `_ = conn.Send(...)`-style assignments where
-// the error result of a connection operation lands in a blank
-// identifier, unless the enclosing function is a shutdown path.
-func checkBlankConnErr(pass *Pass, f *ast.File, as *ast.AssignStmt) {
-	if len(as.Rhs) != 1 {
-		return
-	}
-	call, ok := as.Rhs[0].(*ast.CallExpr)
-	if !ok {
-		return
+		return nil
 	}
 	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return
+	if !ok || (sel.Sel.Name != "Send" && sel.Sel.Name != "Recv") || !isConnLike(typeOf(pass.Info(), sel.X)) {
+		return nil
 	}
-	name := sel.Sel.Name
-	if name != "Send" && name != "Recv" && name != "Close" {
-		return
-	}
-	if !isConnLike(typeOf(pass.Info(), sel.X)) {
-		return
-	}
-	// The error is the last result; it must not be blank outside
-	// shutdown paths.
-	last, ok := as.Lhs[len(as.Lhs)-1].(*ast.Ident)
-	if !ok || last.Name != "_" {
-		return
-	}
-	if shutdownish(enclosingFuncName([]*ast.File{f}, as.Pos())) {
-		return
-	}
-	pass.Reportf(as.Pos(), "error from %s.%s assigned to _ outside a shutdown path — handle it or route it into the exchange's failure path",
-		exprText(sel.X), name)
+	return sel
 }
 
 // exprText renders a short receiver expression for diagnostics.

@@ -5,7 +5,6 @@ import (
 	"go/token"
 	"go/types"
 	"regexp"
-	"strings"
 )
 
 // GoLeak is the static twin of testutil.VerifyNoLeaks: every `go func`
@@ -23,20 +22,18 @@ import (
 //     idiom: `serveDone <- w.Serve(conn)`).
 //  3. It is WaitGroup-registered: the body calls Done on a
 //     sync.WaitGroup (typically `defer wg.Done()`).
-//  4. The go statement carries a `//lint:longlived <why>` annotation on
-//     its line or the line above, declaring the goroutine
-//     process-lifetime on purpose (signal handlers, worker pools). The
-//     reason is mandatory; a bare annotation is itself reported.
+//
+// A goroutine that is process-lifetime on purpose (a signal handler, a
+// worker pool) says so with `//lint:ignore goleak <why>` on the go
+// statement's line or the line above.
 //
 // Test files are exempt: the dynamic testutil.VerifyNoLeaks gate already
 // covers them, and test helpers spawn freely.
 var GoLeak = &Analyzer{
 	Name: "goleak",
-	Doc:  "go func literal with no shutdown path (done-channel select, WaitGroup, or //lint:longlived)",
+	Doc:  "go func literal with no shutdown path (done-channel select, completion send, or WaitGroup)",
 	Run:  runGoLeak,
 }
-
-const longlivedPrefix = "lint:longlived"
 
 // shutdownChanRe matches channel expressions that name a shutdown or
 // completion signal.
@@ -47,7 +44,6 @@ func runGoLeak(pass *Pass) {
 		if isTestFile(pass.Fset(), f.Pos()) {
 			continue
 		}
-		longlived := longlivedLines(pass, f)
 		ast.Inspect(f, func(n ast.Node) bool {
 			g, ok := n.(*ast.GoStmt)
 			if !ok {
@@ -57,38 +53,13 @@ func runGoLeak(pass *Pass) {
 			if !ok {
 				return true // `go method()` spawns a named loop; its hygiene shows in its declaration
 			}
-			line := pass.Fset().Position(g.Pos()).Line
-			if longlived[line] || longlived[line-1] {
-				return true
-			}
 			if goroutineAccounted(pass.Info(), lit.Body) {
 				return true
 			}
-			pass.Reportf(g.Pos(), "goroutine has no shutdown path — select on a done/quit channel, register it with a WaitGroup, or annotate `//lint:longlived <why>`")
+			pass.Reportf(g.Pos(), "goroutine has no shutdown path — select on a done/quit channel, register it with a WaitGroup, or, for a process-lifetime goroutine, annotate `//lint:ignore goleak <why>`")
 			return true
 		})
 	}
-}
-
-// longlivedLines collects the file's `//lint:longlived <why>` annotation
-// lines, reporting reasonless annotations.
-func longlivedLines(pass *Pass, f *ast.File) map[int]bool {
-	lines := make(map[int]bool)
-	for _, cg := range f.Comments {
-		for _, c := range cg.List {
-			rest, ok := strings.CutPrefix(c.Text, "//"+longlivedPrefix)
-			if !ok {
-				continue
-			}
-			pos := pass.Fset().Position(c.Pos())
-			if strings.TrimSpace(rest) == "" {
-				pass.Reportf(c.Pos(), "bare //lint:longlived — a process-lifetime goroutine needs a stated reason: //lint:longlived <why>")
-				continue
-			}
-			lines[pos.Line] = true
-		}
-	}
-	return lines
 }
 
 // goroutineAccounted reports whether a spawned body carries one of the

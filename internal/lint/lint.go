@@ -10,15 +10,17 @@
 // review findings into mechanical checks.
 //
 // Suppression: a finding may be silenced by a comment on the same line
-// or the line directly above it, of the canonical form
+// or the line directly above it, of the one form
 //
 //	//lint:ignore <analyzer> <why>
 //
-// The reason is mandatory; a bare ignore is itself reported.
-// Suppressions are for invariants deliberately traded away at one call
-// site (e.g. a documented serialization lock), not for convenience.
-// goleak additionally recognizes `//lint:longlived <why>` as a positive
-// annotation for deliberately process-lifetime goroutines.
+// The reason is mandatory; a bare ignore is itself reported, and so is a
+// directive that suppresses nothing (the analyzer never fires there, or
+// the code it excused is gone). Suppressions are for invariants
+// deliberately traded away at one site — a goroutine that is
+// process-lifetime on purpose, a result that must escape a hot path —
+// not for convenience: an analyzer suppressed routinely is mis-scoped,
+// and TestSuppressionCensus caps the tree at five directives.
 package lint
 
 import (
@@ -46,14 +48,19 @@ type Analyzer struct {
 
 // applies reports whether the analyzer runs on the given import path.
 func (a *Analyzer) applies(path string) bool {
-	if len(a.Components) == 0 {
-		return true
+	for _, want := range a.Components {
+		if hasComponent(path, want) {
+			return true
+		}
 	}
-	for _, comp := range strings.Split(path, "/") {
-		for _, want := range a.Components {
-			if comp == want {
-				return true
-			}
+	return len(a.Components) == 0
+}
+
+// hasComponent reports whether the import path contains the component.
+func hasComponent(path, comp string) bool {
+	for _, c := range strings.Split(path, "/") {
+		if c == comp {
+			return true
 		}
 	}
 	return false
@@ -95,9 +102,7 @@ func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s:%d: %s: %s", d.Pos.Filename, d.Pos.Line, d.Analyzer, d.Message)
 }
 
-// Analyzers returns the full velavet suite in stable order: the five
-// syntactic v1 analyzers followed by the four flow/type-aware v2
-// analyzers built on the call-graph layer.
+// Analyzers returns the full velavet suite in stable order.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		LockLint,
@@ -113,26 +118,33 @@ func Analyzers() []*Analyzer {
 }
 
 // Run executes every applicable analyzer over every package, drops
-// suppressed findings, and returns the remainder sorted by position.
-// The flow layer (call graph + summaries) is built once over the whole
-// load and shared by every pass.
+// suppressed findings, reports the directives that are reasonless or
+// suppressed nothing, and returns the lot sorted by position. The flow
+// layer (one body walk, call graph, summaries) is built once over the
+// whole load and shared by every pass.
 func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 	prog := BuildProgram(pkgs)
 	var diags []Diagnostic
 	for _, pkg := range pkgs {
-		allow := allowDirectives(pkg)
+		dirs, bare := scanDirectives(pkg)
+		diags = append(diags, bare...)
 		for _, a := range analyzers {
 			if !a.applies(pkg.Path) {
 				continue
 			}
 			pass := &Pass{Analyzer: a, Pkg: pkg, Prog: prog, report: func(d Diagnostic) {
-				if !allow.covers(d) {
+				if !dirs.suppress(d) {
 					diags = append(diags, d)
 				}
 			}}
 			a.Run(pass)
 		}
-		diags = append(diags, allow.malformed...)
+		for _, dir := range dirs {
+			if !dir.used {
+				diags = append(diags, Diagnostic{Pos: dir.pos, Analyzer: "velavet",
+					Message: fmt.Sprintf("//lint:ignore %s suppresses nothing here — delete it", dir.analyzer)})
+			}
+		}
 	}
 	sort.Slice(diags, func(i, j int) bool {
 		a, b := diags[i], diags[j]
@@ -150,84 +162,58 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 	return diags
 }
 
-// allowSet indexes suppression directives (both spellings) by file, line
-// and analyzer.
-type allowSet struct {
-	byLine    map[string]map[int]map[string]bool
-	malformed []Diagnostic
+// directive is one //lint:ignore comment.
+type directive struct {
+	pos      token.Position
+	analyzer string
+	used     bool
 }
 
-// covers reports whether d is suppressed by a directive on its line or
-// the line directly above.
-func (s *allowSet) covers(d Diagnostic) bool {
-	lines := s.byLine[d.Pos.Filename]
-	if lines == nil {
-		return false
-	}
+// directiveSet indexes a package's directives by file and line.
+type directiveSet map[lineKey]*directive
+
+type lineKey struct {
+	file string
+	line int
+}
+
+// suppress reports whether d is covered by a directive on its line or
+// the line directly above, and marks that directive used.
+func (s directiveSet) suppress(d Diagnostic) bool {
 	for _, ln := range [2]int{d.Pos.Line, d.Pos.Line - 1} {
-		if names := lines[ln]; names[d.Analyzer] || names["*"] {
+		if dir := s[lineKey{d.Pos.Filename, ln}]; dir != nil && dir.analyzer == d.Analyzer {
+			dir.used = true
 			return true
 		}
 	}
 	return false
 }
 
-// ignorePrefix is the suppression directive: //lint:ignore <analyzer> <why>.
-const ignorePrefix = "lint:ignore"
-
-// allowDirectives scans a package's comments for suppression directives.
-// A directive without an analyzer name or a reason is a bare ignore and
-// is itself reported.
-func allowDirectives(pkg *Package) *allowSet {
-	s := &allowSet{byLine: make(map[string]map[int]map[string]bool)}
+// scanDirectives collects a package's //lint:ignore <analyzer> <why>
+// comments. One without an analyzer name or a reason is a bare ignore:
+// it suppresses nothing and is returned as a finding.
+func scanDirectives(pkg *Package) (directiveSet, []Diagnostic) {
+	set := make(directiveSet)
+	var bare []Diagnostic
 	for _, f := range pkg.Files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
-				text, ok := strings.CutPrefix(c.Text, "//"+ignorePrefix)
+				text, ok := strings.CutPrefix(c.Text, "//lint:ignore")
 				if !ok {
-					continue
-				}
-				names, ok := parseIgnore(text)
-				if !ok {
-					s.malformed = append(s.malformed, Diagnostic{
-						Pos:      pkg.Fset.Position(c.Pos()),
-						Analyzer: "velavet",
-						Message:  "bare //lint:ignore — a suppression needs a reason: //lint:ignore <analyzer> <why>",
-					})
 					continue
 				}
 				pos := pkg.Fset.Position(c.Pos())
-				lines := s.byLine[pos.Filename]
-				if lines == nil {
-					lines = make(map[int]map[string]bool)
-					s.byLine[pos.Filename] = lines
+				fields := strings.Fields(text)
+				if len(fields) < 2 { // name plus at least one reason word
+					bare = append(bare, Diagnostic{Pos: pos, Analyzer: "velavet",
+						Message: "bare //lint:ignore — a suppression needs a reason: //lint:ignore <analyzer> <why>"})
+					continue
 				}
-				if lines[pos.Line] == nil {
-					lines[pos.Line] = make(map[string]bool)
-				}
-				for _, n := range names {
-					lines[pos.Line][n] = true
-				}
+				set[lineKey{pos.Filename, pos.Line}] = &directive{pos: pos, analyzer: fields[0]}
 			}
 		}
 	}
-	return s
-}
-
-// parseIgnore parses a directive's text: first field the analyzer name
-// (comma-separated for several), the remainder the mandatory reason.
-func parseIgnore(text string) ([]string, bool) {
-	fields := strings.Fields(text)
-	if len(fields) < 2 { // name plus at least one reason word
-		return nil, false
-	}
-	names := strings.Split(fields[0], ",")
-	for _, n := range names {
-		if n == "" {
-			return nil, false
-		}
-	}
-	return names, true
+	return set, bare
 }
 
 // ---- shared type helpers used by several analyzers ----
@@ -289,26 +275,6 @@ func typeOf(info *types.Info, e ast.Expr) types.Type {
 		return tv.Type
 	}
 	return nil
-}
-
-// enclosingFuncName walks decls to find the named function containing
-// pos; function literals inherit the enclosing declaration's name.
-func enclosingFuncName(files []*ast.File, pos token.Pos) string {
-	for _, f := range files {
-		if pos < f.Pos() || pos > f.End() {
-			continue
-		}
-		for _, d := range f.Decls {
-			fd, ok := d.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			if pos >= fd.Pos() && pos <= fd.End() {
-				return fd.Name.Name
-			}
-		}
-	}
-	return ""
 }
 
 // isTestFile reports whether the file enclosing pos is a _test.go file.

@@ -119,6 +119,7 @@ func findModule(dir string) (root, module string, err error) {
 // not part of this module; go's ./... stops there too).
 func packageDirs(root string) ([]string, error) {
 	var dirs []string
+	seen := make(map[string]bool)
 	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -138,8 +139,10 @@ func packageDirs(root string) ([]string, error) {
 			return nil
 		}
 		if strings.HasSuffix(path, ".go") {
-			dir := filepath.Dir(path)
-			if len(dirs) == 0 || dirs[len(dirs)-1] != dir {
+			// A subdirectory sorting between two files (obs/timeline/
+			// between rows.go and tracer.go) splits the directory's run.
+			if dir := filepath.Dir(path); !seen[dir] {
+				seen[dir] = true
 				dirs = append(dirs, dir)
 			}
 		}

@@ -55,6 +55,30 @@ func TestLoadSkipsBuildTagExcludedFiles(t *testing.T) {
 	}
 }
 
+// TestLoadVisitsEachDirectoryOnce pins that a subdirectory sorting
+// between two of its parent's files (internal/obs/timeline between
+// rows.go and tracer.go) does not load the parent twice — which ran every
+// analyzer over it twice and doubled its findings.
+func TestLoadVisitsEachDirectoryOnce(t *testing.T) {
+	dir := writeModule(t, map[string]string{
+		"go.mod":      "module m\n\ngo 1.22\n",
+		"x/a.go":      "package x\n",
+		"x/m/m.go":    "package m\n",
+		"x/z.go":      "package x\n\nfunc Eq(a, b float64) bool { return a == b }\n",
+		"x/z_test.go": "package x\n",
+	})
+	pkgs, err := Load(Config{Dir: dir, IncludeTests: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pkgs) != 2 {
+		t.Fatalf("loaded %d units, want 2 (x, x/m)", len(pkgs))
+	}
+	if diags := Run(pkgs, []*Analyzer{FloatEq}); len(diags) != 1 {
+		t.Errorf("got %d diagnostics, want the one floateq finding once: %v", len(diags), diags)
+	}
+}
+
 // TestLoadAppliesFileNameConstraints pins go/build's file-name rule in
 // the loader: of a _GOARCH pair declaring the same symbol with no
 // //go:build line, only the host's file loads (both would collide in the
@@ -202,32 +226,5 @@ func TestBareIgnoreDirectiveIsReported(t *testing.T) {
 	}
 	if !floateq {
 		t.Errorf("bare directive suppressed the finding it failed to justify; got %v", diags)
-	}
-}
-
-// TestGoLeakBareLonglivedIsReported pins the same contract for the
-// goleak annotation: a reasonless //lint:longlived is reported and does
-// not excuse the goroutine.
-func TestGoLeakBareLonglivedIsReported(t *testing.T) {
-	dir := writeModule(t, map[string]string{
-		"go.mod": "module m\n\ngo 1.22\n",
-		"p/p.go": "package p\n\nfunc Spawn() {\n\t//lint:longlived\n\tgo func() {\n\t\tselect {}\n\t}()\n}\n",
-	})
-	pkgs, err := Load(Config{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	diags := Run(pkgs, []*Analyzer{GoLeak})
-	var bare, leak bool
-	for _, d := range diags {
-		if strings.Contains(d.Message, "bare //lint:longlived") {
-			bare = true
-		}
-		if strings.Contains(d.Message, "no shutdown path") {
-			leak = true
-		}
-	}
-	if !bare || !leak {
-		t.Errorf("want bare-annotation finding AND leak finding, got %v", diags)
 	}
 }

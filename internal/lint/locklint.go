@@ -1,11 +1,5 @@
 package lint
 
-import (
-	"go/ast"
-	"go/token"
-	"go/types"
-)
-
 // LockLint enforces the invariant behind PR 1's broker deadlock: no
 // sync.Mutex/RWMutex may be held across a blocking transport operation
 // (a Send/Recv on a connection-like value) or a channel operation. A
@@ -13,12 +7,9 @@ import (
 // moment the peer stops draining — exactly the send-everything-then-
 // receive failure the pipelined exchange was built to kill.
 //
-// The analysis is per-function and lexical: it tracks Lock/RLock
-// acquisitions along the statement list (deferred unlocks keep the lock
-// held for the rest of the function) and reports any blocking operation
-// reached while at least one lock is held. Function literals are
-// analyzed as their own functions — lock state does not leak across a
-// goroutine boundary.
+// The analysis is per-function and lexical, and it is the flow layer's:
+// locklint reports the blocking operations the one body walk
+// (callgraph.go) reached while at least one lock was held.
 var LockLint = &Analyzer{
 	Name:       "locklint",
 	Doc:        "mutex held across a blocking transport send/recv or channel operation",
@@ -27,242 +18,13 @@ var LockLint = &Analyzer{
 }
 
 func runLockLint(pass *Pass) {
-	for _, f := range pass.Pkg.Files {
-		for _, d := range f.Decls {
-			if fd, ok := d.(*ast.FuncDecl); ok && fd.Body != nil {
-				lockScan{pass: pass}.block(fd.Body, newHeldSet())
-			}
+	for _, fi := range pass.Prog.Functions() {
+		if fi.Pkg != pass.Pkg {
+			continue
+		}
+		for _, op := range fi.lockedOps {
+			pass.Reportf(op.Pos, "%s while holding %s (locked at %s); release the lock before blocking — a peer that stops draining wedges every goroutine contending for %s",
+				op.What, op.Lock, pass.Fset().Position(op.LockedAt), op.Lock)
 		}
 	}
-}
-
-// heldSet tracks currently-held locks as receiver-expression strings
-// mapped to the acquisition position.
-type heldSet map[string]token.Pos
-
-func newHeldSet() heldSet { return make(heldSet) }
-
-func (h heldSet) clone() heldSet {
-	c := make(heldSet, len(h))
-	for k, v := range h {
-		c[k] = v
-	}
-	return c
-}
-
-// any returns an arbitrary held lock (for the diagnostic message).
-func (h heldSet) any() (string, token.Pos) {
-	for k, v := range h {
-		return k, v
-	}
-	return "", token.NoPos
-}
-
-type lockScan struct {
-	pass *Pass
-}
-
-// block walks stmts sequentially, threading the held-lock state.
-func (s lockScan) block(b *ast.BlockStmt, held heldSet) {
-	for _, st := range b.List {
-		s.stmt(st, held)
-	}
-}
-
-func (s lockScan) stmt(st ast.Stmt, held heldSet) {
-	switch st := st.(type) {
-	case *ast.ExprStmt:
-		if s.lockTransition(st.X, held) {
-			return
-		}
-		s.expr(st.X, held)
-	case *ast.DeferStmt:
-		// A deferred Unlock releases at return: for the lexical scan the
-		// lock stays held through the remaining statements, which is the
-		// point — blocking calls after `defer mu.Unlock()` still run
-		// under the lock. Other deferred calls are scanned as their own
-		// scope.
-		if s.isUnlock(st.Call) {
-			return
-		}
-		s.deferredOrGoCall(st.Call)
-	case *ast.GoStmt:
-		s.deferredOrGoCall(st.Call)
-	case *ast.SendStmt:
-		s.blockingOp(st.Pos(), "channel send", held)
-		s.expr(st.Chan, held)
-		s.expr(st.Value, held)
-	case *ast.AssignStmt:
-		for _, e := range st.Rhs {
-			s.expr(e, held)
-		}
-		for _, e := range st.Lhs {
-			s.expr(e, held)
-		}
-	case *ast.ReturnStmt:
-		for _, e := range st.Results {
-			s.expr(e, held)
-		}
-	case *ast.IfStmt:
-		if st.Init != nil {
-			s.stmt(st.Init, held)
-		}
-		s.expr(st.Cond, held)
-		s.block(st.Body, held.clone())
-		if st.Else != nil {
-			s.stmt(st.Else, held.clone())
-		}
-	case *ast.ForStmt:
-		if st.Init != nil {
-			s.stmt(st.Init, held)
-		}
-		if st.Cond != nil {
-			s.expr(st.Cond, held)
-		}
-		s.block(st.Body, held.clone())
-	case *ast.RangeStmt:
-		if t := typeOf(s.pass.Info(), st.X); t != nil {
-			if _, isChan := t.Underlying().(*types.Chan); isChan {
-				s.blockingOp(st.Pos(), "channel receive (range)", held)
-			}
-		}
-		s.expr(st.X, held)
-		s.block(st.Body, held.clone())
-	case *ast.SwitchStmt:
-		if st.Init != nil {
-			s.stmt(st.Init, held)
-		}
-		if st.Tag != nil {
-			s.expr(st.Tag, held)
-		}
-		for _, c := range st.Body.List {
-			cc := c.(*ast.CaseClause)
-			h := held.clone()
-			for _, b := range cc.Body {
-				s.stmt(b, h)
-			}
-		}
-	case *ast.TypeSwitchStmt:
-		for _, c := range st.Body.List {
-			cc := c.(*ast.CaseClause)
-			h := held.clone()
-			for _, b := range cc.Body {
-				s.stmt(b, h)
-			}
-		}
-	case *ast.SelectStmt:
-		for _, c := range st.Body.List {
-			cc := c.(*ast.CommClause)
-			if cc.Comm != nil {
-				s.blockingOp(cc.Comm.Pos(), "select communication", held)
-			}
-			h := held.clone()
-			for _, b := range cc.Body {
-				s.stmt(b, h)
-			}
-		}
-	case *ast.BlockStmt:
-		s.block(st, held.clone())
-	case *ast.LabeledStmt:
-		s.stmt(st.Stmt, held)
-	case *ast.DeclStmt:
-		if gd, ok := st.Decl.(*ast.GenDecl); ok {
-			for _, spec := range gd.Specs {
-				if vs, ok := spec.(*ast.ValueSpec); ok {
-					for _, v := range vs.Values {
-						s.expr(v, held)
-					}
-				}
-			}
-		}
-	}
-}
-
-// lockTransition updates held for mu.Lock/RLock/Unlock/RUnlock calls and
-// reports whether e was such a call.
-func (s lockScan) lockTransition(e ast.Expr, held heldSet) bool {
-	call, ok := e.(*ast.CallExpr)
-	if !ok {
-		return false
-	}
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok || !isSyncLock(typeOf(s.pass.Info(), sel.X)) {
-		return false
-	}
-	key := types.ExprString(sel.X)
-	switch sel.Sel.Name {
-	case "Lock", "RLock":
-		held[key] = call.Pos()
-		return true
-	case "Unlock", "RUnlock":
-		delete(held, key)
-		return true
-	case "TryLock", "TryRLock":
-		// Acquisition is conditional; treat as held from here (the
-		// conservative reading keeps the scan simple and TryLock is not
-		// used in this codebase).
-		held[key] = call.Pos()
-		return true
-	}
-	return false
-}
-
-// isUnlock reports whether call is mu.Unlock()/mu.RUnlock() on a sync
-// lock.
-func (s lockScan) isUnlock(call *ast.CallExpr) bool {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return false
-	}
-	if sel.Sel.Name != "Unlock" && sel.Sel.Name != "RUnlock" {
-		return false
-	}
-	return isSyncLock(typeOf(s.pass.Info(), sel.X))
-}
-
-// deferredOrGoCall scans the body of a go/defer func literal as a fresh
-// function (no inherited lock state) and the call arguments under the
-// current state — argument evaluation happens at the go/defer statement.
-func (s lockScan) deferredOrGoCall(call *ast.CallExpr) {
-	if lit, ok := call.Fun.(*ast.FuncLit); ok {
-		s.block(lit.Body, newHeldSet())
-	}
-}
-
-// expr hunts blocking operations inside an expression: channel receives
-// and Send/Recv calls on connection-like values. Nested function
-// literals are scanned as fresh functions.
-func (s lockScan) expr(e ast.Expr, held heldSet) {
-	if e == nil {
-		return
-	}
-	ast.Inspect(e, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.FuncLit:
-			s.block(n.Body, newHeldSet())
-			return false
-		case *ast.UnaryExpr:
-			if n.Op == token.ARROW {
-				s.blockingOp(n.Pos(), "channel receive", held)
-			}
-		case *ast.CallExpr:
-			if sel, ok := n.Fun.(*ast.SelectorExpr); ok {
-				name := sel.Sel.Name
-				if (name == "Send" || name == "Recv") && isConnLike(typeOf(s.pass.Info(), sel.X)) {
-					s.blockingOp(n.Pos(), "transport "+name+" on "+types.ExprString(sel.X), held)
-				}
-			}
-		}
-		return true
-	})
-}
-
-// blockingOp reports pos if any lock is currently held.
-func (s lockScan) blockingOp(pos token.Pos, what string, held heldSet) {
-	if len(held) == 0 {
-		return
-	}
-	mu, at := held.any()
-	s.pass.Reportf(pos, "%s while holding %s (locked at %s); release the lock before blocking — a peer that stops draining wedges every goroutine contending for %s",
-		what, mu, s.pass.Fset().Position(at), mu)
 }

@@ -7,13 +7,15 @@ import (
 	"strings"
 )
 
-// MsgExhaustive generalizes errdispatch from "has an error arm" to full
-// protocol coverage: every switch over the wire message type must either
-// handle all declared message kinds or carry a default clause that
-// produces an error (a MsgError reply, an error return, or a panic). A
-// dispatcher that silently ignores an unlisted kind drops protocol
-// messages on the floor the day a new MsgType constant lands — the
-// regression becomes invisible exactly when the protocol grows.
+// MsgExhaustive demands full protocol coverage: every switch over the
+// wire message type must either handle all declared message kinds or
+// carry a default clause that produces an error (a MsgError reply, an
+// error return, or a panic). A dispatcher that silently ignores an
+// unlisted kind drops protocol messages on the floor the day a new
+// MsgType constant lands — the regression becomes invisible exactly when
+// the protocol grows — and a reply dispatcher that matches only success
+// kinds (no MsgError arm, no default) swallows worker-side failures: the
+// master then misattributes the next reply or hangs a correlation slot.
 //
 // The declared kinds are enumerated from the tag type's own package
 // scope, so the check tracks the wire package's constant block with no

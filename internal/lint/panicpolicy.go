@@ -3,39 +3,28 @@ package lint
 import (
 	"go/ast"
 	"go/types"
-	"strings"
 )
 
-// PanicPolicy enforces VELA's failure-domain rule: panics are reserved
-// for shape preconditions in the numeric substrate (internal/tensor,
-// internal/nn), where a mismatched dimension is a programming error
-// caught in development. Runtime packages — the broker, wire codec,
-// transport, training loop, everything that touches data arriving from
-// a peer or a file — must return errors instead: a panic there takes
-// down a worker process on malformed input, and the master sees a
-// vanished connection rather than a MsgError it can surface.
+// PanicPolicy enforces VELA's failure-domain rule: a package that parses
+// or acts on bytes arriving from a peer or a file returns errors. A
+// panic there takes down a worker process on malformed input, and the
+// master sees a vanished connection rather than a MsgError it can
+// surface.
 //
-// A deliberate precondition panic outside tensor/nn (e.g. a constructor
-// rejecting a statically-invalid configuration) must carry a
-// //lint:ignore panicpolicy <reason> directive.
+// Scope, by rule: the packages where such bytes are decoded or decided
+// on — broker, wire, transport, checkpoint, core, replace and the
+// commands. Everywhere else (the numeric substrate, the model, the data
+// and placement layers) a panic is a constructor, merge or collective
+// precondition on values the program itself built: a programming error
+// caught in development, which is what a panic is for.
 var PanicPolicy = &Analyzer{
-	Name: "panicpolicy",
-	Doc:  "panic outside internal/tensor and internal/nn shape preconditions",
-	Run:  runPanicPolicy,
+	Name:       "panicpolicy",
+	Doc:        "panic in a package that handles bytes from a peer or a file",
+	Components: []string{"broker", "wire", "transport", "checkpoint", "core", "replace", "cmd"},
+	Run:        runPanicPolicy,
 }
 
-// panicAllowedComponents are the packages whose shape preconditions may
-// panic freely.
-var panicAllowedComponents = []string{"tensor", "nn"}
-
 func runPanicPolicy(pass *Pass) {
-	for _, comp := range strings.Split(pass.Pkg.Path, "/") {
-		for _, ok := range panicAllowedComponents {
-			if comp == ok {
-				return
-			}
-		}
-	}
 	for _, f := range pass.Pkg.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
@@ -54,7 +43,7 @@ func runPanicPolicy(pass *Pass) {
 			if isTestFile(pass.Fset(), call.Pos()) {
 				return true
 			}
-			pass.Reportf(call.Pos(), "panic in runtime package %s — return an error instead (panics are reserved for tensor/nn shape preconditions); annotate deliberate preconditions with //lint:ignore panicpolicy <why>",
+			pass.Reportf(call.Pos(), "panic in runtime package %s, which handles bytes from a peer or a file — return an error instead",
 				pass.Pkg.Path)
 			return true
 		})

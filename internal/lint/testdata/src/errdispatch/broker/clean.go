@@ -1,27 +1,5 @@
 package broker
 
-// dispatchWithErrorArm handles worker-side failures explicitly.
-func dispatchWithErrorArm(m *Msg) (int, error) {
-	switch m.Type {
-	case MsgForwardResult:
-		return 1, nil
-	case MsgError:
-		return 0, errText(m.Text)
-	}
-	return 0, nil
-}
-
-// dispatchWithDefault routes everything unrecognized — including
-// MsgError — into one failure arm.
-func dispatchWithDefault(m *Msg) (int, error) {
-	switch m.Type {
-	case MsgForwardResult:
-		return 1, nil
-	default:
-		return 0, errText(m.Text)
-	}
-}
-
 // sendChecked propagates the transport error.
 func sendChecked(c Conn, m *Msg) error {
 	if err := c.Send(m); err != nil {
@@ -30,8 +8,8 @@ func sendChecked(c Conn, m *Msg) error {
 	return nil
 }
 
-// Close is a shutdown path: the connection is being abandoned, so the
-// discarded Close error is tolerated.
+// Close abandons the connections: there is no failure path to route a
+// Close error into, so Close is out of scope wherever it appears.
 func Close(conns []Conn) {
 	for _, c := range conns {
 		_ = c.Close()

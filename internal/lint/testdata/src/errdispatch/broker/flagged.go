@@ -1,6 +1,6 @@
 // Package broker reproduces the failure-swallowing shapes errdispatch
-// exists to catch: reply dispatch without a MsgError arm and dropped
-// connection errors.
+// exists to catch: dropped connection errors. (Reply dispatch without a
+// MsgError arm is msgexhaustive's fixture.)
 package broker
 
 // MsgType mirrors wire.MsgType.
@@ -25,20 +25,6 @@ type Conn interface {
 	Send(*Msg) error
 	Recv() (*Msg, error)
 	Close() error
-}
-
-// dispatchWithoutErrorArm only matches success replies: a worker-side
-// MsgError falls through silently and the exchange hangs or
-// misattributes the next reply.
-func dispatchWithoutErrorArm(m *Msg) int {
-	got := 0
-	switch m.Type { // want "no MsgError arm and no default"
-	case MsgForwardResult:
-		got = 1
-	case MsgBackwardResult, MsgAck:
-		got = 2
-	}
-	return got
 }
 
 // fireAndForget drops the Send error on the floor: the peer never saw

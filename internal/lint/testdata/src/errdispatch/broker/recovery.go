@@ -25,19 +25,6 @@ func probeDropsRecv(c Conn) bool {
 	return m != nil && m.Type == MsgPong
 }
 
-// classifyWithoutErrorArm dispatches recovery replies without a
-// MsgError arm: a worker that answers the snapshot request with a
-// failure is treated as silence and the failover stalls.
-func classifyWithoutErrorArm(m *Msg) int {
-	switch m.Type { // want "no MsgError arm and no default"
-	case MsgPong:
-		return 1
-	case MsgSnapshotResult:
-		return 2
-	}
-	return 0
-}
-
 // probeChecked is the clean shape: both legs propagate, and the
 // dispatch has a failure arm.
 func probeChecked(c Conn) (bool, error) {
@@ -58,9 +45,9 @@ func probeChecked(c Conn) (bool, error) {
 	}
 }
 
-// markDeadAndSever is the sanctioned discard: the supervisor is
-// abandoning the connection, and the annotation says so.
+// markDeadAndSever discards a Close error outside any shutdown-named
+// function: the supervisor is abandoning the connection, there is no
+// failure path to route the error into, and Close is out of scope.
 func markDeadAndSever(c Conn) {
-	//lint:ignore errdispatch severing a dead worker's conn; the close error is moot
 	_ = c.Close()
 }

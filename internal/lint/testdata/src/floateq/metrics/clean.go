@@ -18,9 +18,14 @@ func intEqual(a, b int) bool {
 	return a == b
 }
 
-// annotatedSentinel demonstrates the escape hatch for a semantically
-// exact comparison.
-func annotatedSentinel(x float64) bool {
-	//lint:ignore floateq sentinel value stored and compared untouched
-	return x == -1
+// Exact by construction: a constant operand (a sentinel stored and read
+// back untouched), IEEE class dispatch, integrality of a decoded count.
+func isUnset(x float64) bool    { return x == 0 }
+func isSentinel(x float64) bool { return x != -1 }
+func isPosInf(x float64) bool   { return x == math.Inf(1) }
+func isWhole(x float64) bool    { return x == math.Trunc(x) }
+
+// bitEqual says that bit-exactness is the property: an integer compare.
+func bitEqual(a, b float64) bool {
+	return math.Float64bits(a) == math.Float64bits(b)
 }

@@ -8,9 +8,9 @@ func driftEqual(a, b float64) bool {
 	return a == b // want "exact floating-point =="
 }
 
-// checkHeadline compares a computed metric against a literal.
-func checkHeadline(speedup float64) bool {
-	if speedup != 1.27 { // want "exact floating-point !="
+// checkHeadline compares two computed ratios.
+func checkHeadline(stepMs, baselineMs float64) bool {
+	if baselineMs/stepMs != stepMs/baselineMs { // want "exact floating-point !="
 		return false
 	}
 	return true

@@ -41,7 +41,7 @@ func spawnCtx(ctx interface{ Done() <-chan struct{} }) {
 
 // spawnAnnotated is deliberately process-lifetime and says why.
 func spawnAnnotated() {
-	//lint:longlived fixture stand-in for a signal-handler-style loop
+	//lint:ignore goleak fixture stand-in for a signal-handler-style loop
 	go func() {
 		for {
 		}

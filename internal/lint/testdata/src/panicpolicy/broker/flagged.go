@@ -16,16 +16,6 @@ func decode(m *Msg) int {
 	return int(m.Kind)
 }
 
-// allowedPrecondition demonstrates the escape hatch for deliberate
-// programmer-error preconditions: the directive names the analyzer and
-// must carry a reason.
-func allowedPrecondition(workers int) {
-	if workers <= 0 {
-		//lint:ignore panicpolicy static deployment config, not peer input
-		panic("broker: worker count must be positive")
-	}
-}
-
 // retiredSpelling pins that the pre-PR-7 directive form is no longer
 // parsed: the comment below suppresses nothing, so the finding lands.
 func retiredSpelling(workers int) {

@@ -70,7 +70,6 @@ type Problem struct {
 // indices and coefficients.
 func (p *Problem) AddConstraint(vars []int, coeffs []float64, sense Sense, rhs float64) {
 	if len(vars) != len(coeffs) {
-		//lint:ignore panicpolicy modeling-API precondition; mismatched parallel slices are a programming error at the call site, not a runtime condition
 		panic("lp: vars/coeffs length mismatch")
 	}
 	terms := make([]Term, len(vars))
@@ -145,7 +144,6 @@ func (t *tableau) pivot(row, col int) {
 			continue
 		}
 		f := t.a[i][col]
-		//lint:ignore floateq exact-zero skip: untouched tableau entries are exactly 0.0, and eliminating with f=0 is a no-op either way
 		if f == 0 {
 			continue
 		}
@@ -156,7 +154,6 @@ func (t *tableau) pivot(row, col int) {
 		t.b[i] -= f * t.b[row]
 	}
 	f := t.c[col]
-	//lint:ignore floateq exact-zero skip: a structurally zero reduced cost needs no elimination; tolerance thresholds belong in pivot selection, not here
 	if f != 0 {
 		for j := 0; j < t.n; j++ {
 			t.c[j] -= f * ar[j]
@@ -385,7 +382,6 @@ func Solve(p *Problem) (*Solution, error) {
 	// Price out basic columns.
 	for i, bj := range t.basis {
 		f := t.c[bj]
-		//lint:ignore floateq exact-zero skip: objective coefficients of basic columns not in the objective are exactly 0.0
 		if f == 0 {
 			continue
 		}

@@ -141,7 +141,6 @@ func weightFor(r *Routing, t, e int) float64 {
 			return r.Weights[t][j]
 		}
 	}
-	//lint:ignore panicpolicy internal invariant: callers iterate the routing's own selection lists, so a miss means corrupted routing state
 	panic(fmt.Sprintf("moe: expert %d not selected for token %d", e, t))
 }
 

@@ -46,7 +46,6 @@ type Gate struct {
 // experts, selecting topK per token.
 func NewGate(name string, rng *rand.Rand, d, numExperts, topK int, trainable bool) *Gate {
 	if topK <= 0 || topK > numExperts {
-		//lint:ignore panicpolicy constructor precondition; Config.Validate rejects these values before any gate is built
 		panic(fmt.Sprintf("moe: invalid topK %d for %d experts", topK, numExperts))
 	}
 	return &Gate{

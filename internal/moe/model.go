@@ -81,7 +81,6 @@ type Model struct {
 // single-process layout.
 func NewModel(cfg Config, rng *rand.Rand, trainable bool) *Model {
 	if err := cfg.Validate(); err != nil {
-		//lint:ignore panicpolicy constructor precondition; callers validate Config (or build it from defaults) before NewModel
 		panic(err)
 	}
 	m := &Model{

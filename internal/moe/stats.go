@@ -67,7 +67,6 @@ func (s *AccessStats) Reset() {
 // geometry.
 func (s *AccessStats) Merge(o *AccessStats) {
 	if s.Layers != o.Layers || s.Experts != o.Experts {
-		//lint:ignore panicpolicy merge precondition: stats geometry is fixed by the model config both operands came from
 		panic(fmt.Sprintf("moe: cannot merge stats %dx%d with %dx%d", s.Layers, s.Experts, o.Layers, o.Experts))
 	}
 	for l := range s.Counts {

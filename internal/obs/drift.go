@@ -113,7 +113,6 @@ func (d *DriftMonitor) EndStep() {
 		for _, c := range row {
 			total += c
 		}
-		//lint:ignore floateq total is a sum of integer-valued counts; zero is exact (no selections this step)
 		if total == 0 {
 			continue
 		}

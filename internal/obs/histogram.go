@@ -29,7 +29,6 @@ type Histogram struct {
 func NewHistogram(bounds []float64) *Histogram {
 	for i := 1; i < len(bounds); i++ {
 		if bounds[i] <= bounds[i-1] {
-			//lint:ignore panicpolicy constructor precondition on literal bucket tables
 			panic("obs: histogram bounds must be strictly ascending")
 		}
 	}
@@ -121,7 +120,6 @@ func (h *Histogram) Merge(o *Histogram) {
 		return
 	}
 	if len(h.counts) != len(o.counts) {
-		//lint:ignore panicpolicy merge precondition: both operands are built from the same literal bucket table
 		panic("obs: merging histograms with different bucket tables")
 	}
 	for i := range o.counts {

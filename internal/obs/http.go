@@ -18,7 +18,6 @@ func NewMux(src Source) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		//lint:ignore errdispatch a failed scrape write means the client went away; nothing to report to
 		_ = WriteMetrics(w, src)
 	})
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
@@ -50,7 +49,6 @@ func NewMux(src Source) *http.ServeMux {
 			code = http.StatusServiceUnavailable
 		}
 		w.WriteHeader(code)
-		//lint:ignore errdispatch a failed health write means the client went away; nothing to report to
 		_, _ = fmt.Fprintf(w, `{"status":%q,"workers":%d,"alive":%d,"rejoining":%d}`+"\n", status, total, up, rejoining)
 	})
 	mux.HandleFunc("/trace", func(w http.ResponseWriter, r *http.Request) {
@@ -58,7 +56,6 @@ func NewMux(src Source) *http.ServeMux {
 		if src.Handle == nil {
 			return
 		}
-		//lint:ignore errdispatch a failed trace write means the client went away; nothing to report to
 		_ = src.Handle.Trace.WriteJSONL(w)
 	})
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
@@ -87,12 +84,11 @@ func Serve(addr string, src Source) (*Server, error) {
 		return nil, fmt.Errorf("obs: listen %s: %w", addr, err)
 	}
 	srv := &http.Server{Handler: NewMux(src), ReadHeaderTimeout: 5 * time.Second}
-	//lint:longlived metrics serve loop: returns when Server.Close tears the listener down, not via a channel
+	//lint:ignore goleak metrics serve loop: returns when Server.Close tears the listener down, not via a channel
 	go func() {
 		// Serve returns ErrServerClosed on Close; any earlier error means
 		// the listener died, which the process tolerates (metrics are
 		// best-effort).
-		//lint:ignore errdispatch scrape serving is best-effort; a dead listener must not kill training
 		_ = srv.Serve(ln)
 	}()
 	return &Server{Addr: ln.Addr().String(), srv: srv, ln: ln}, nil

@@ -60,7 +60,6 @@ func Evaluate(p *Problem, a *Assignment) (*Metrics, error) {
 // `vela` against `baseline`, e.g. Improvement(t_ep, t_vela) = 0.25 means
 // 25% lower.
 func Improvement(baseline, vela float64) float64 {
-	//lint:ignore floateq division-by-zero guard; any nonzero baseline, however small, yields a well-defined ratio
 	if baseline == 0 {
 		return 0
 	}

@@ -64,7 +64,7 @@ func startEngine() {
 	n := runtime.GOMAXPROCS(0)
 	engine.ch = make(chan func(), n)
 	for i := 0; i < n; i++ {
-		//lint:longlived process-lifetime worker pool: one goroutine per CPU draining the shared task channel
+		//lint:ignore goleak process-lifetime worker pool: one goroutine per CPU draining the shared task channel
 		go func() {
 			for f := range engine.ch {
 				f()

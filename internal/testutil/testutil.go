@@ -1,8 +1,9 @@
 // Package testutil holds the shared numeric comparison helpers the test
 // suites use instead of raw float ==/!=. Centralizing the tolerance
 // compare keeps velavet's floateq analyzer enforceable in _test.go
-// files: any exact comparison outside this package is either converted
-// to a helper call or carries an explicit //lint:ignore justification.
+// files: a comparison between computed values outside this package goes
+// through a helper — AlmostEqual for a tolerance, BitEqual where
+// bit-exactness is the property under test.
 package testutil
 
 import "math"

@@ -149,7 +149,6 @@ type FixedBatcher struct {
 // NewFixedBatcher wraps a constant batch.
 func NewFixedBatcher(ids, targets []int, batch, seqLen int) *FixedBatcher {
 	if len(ids) != batch*seqLen || len(targets) != batch*seqLen {
-		//lint:ignore panicpolicy constructor precondition on literal test/benchmark batches
 		panic("trainer: fixed batch size mismatch")
 	}
 	return &FixedBatcher{ids: ids, targets: targets, batch: batch, seqLen: seqLen}

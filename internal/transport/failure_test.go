@@ -95,9 +95,7 @@ func tcpPair(t *testing.T) (Conn, Conn) {
 		t.Fatal(srv.err)
 	}
 	t.Cleanup(func() {
-		//lint:ignore errdispatch test teardown
 		_ = client.Close()
-		//lint:ignore errdispatch test teardown
 		_ = srv.c.Close()
 	})
 	return client, srv.c
@@ -136,7 +134,6 @@ func TestTCPRecvResumesAfterTimeout(t *testing.T) {
 		big.Tensors[0].Data[i] = float64(i % 251)
 	}
 	go func() {
-		//lint:ignore errdispatch test goroutine; the receive side asserts delivery
 		_ = server.Send(big)
 	}()
 
@@ -188,7 +185,6 @@ func TestFaultyDeterminism(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		//lint:ignore errdispatch test teardown
 		_ = f.Close()
 		for {
 			m, err := b.Recv()

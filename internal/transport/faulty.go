@@ -120,7 +120,6 @@ func (f *Faulty) judgeSend() sendVerdict {
 func (f *Faulty) Send(m *wire.Message) error {
 	v := f.judgeSend()
 	if v.abruptClose {
-		//lint:ignore errdispatch fault injection: the abrupt close IS the failure being modelled
 		_ = f.inner.Close()
 		return ErrClosed
 	}

@@ -52,7 +52,6 @@ func TestPipeCloseUnblocksRecv(t *testing.T) {
 		_, err := b.Recv()
 		done <- err
 	}()
-	//lint:ignore errdispatch fault injection: the close is the event under test; the pending Recv observes it
 	a.Close()
 	if err := <-done; !errors.Is(err, ErrClosed) {
 		t.Fatalf("err = %v, want ErrClosed", err)
@@ -157,7 +156,6 @@ func TestTCPConcurrentSenders(t *testing.T) {
 		wg.Add(1)
 		go func(seq uint64) {
 			defer wg.Done()
-			//lint:ignore errdispatch concurrent send storm; delivery is verified by the receive loop below
 			_ = client.Send(&wire.Message{Type: wire.MsgAck, Seq: seq,
 				Tensors: []wire.Matrix{{Rows: 1, Cols: 8, Data: make([]float64, 8)}}})
 		}(uint64(i))
@@ -193,7 +191,6 @@ func TestPipeCloseDeliversAllBufferedMessages(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	//lint:ignore errdispatch the close is the event under test; the drain loop below asserts its semantics
 	a.Close()
 	for i := uint64(0); i < n; i++ {
 		m, err := b.Recv()

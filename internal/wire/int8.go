@@ -24,7 +24,6 @@ func int8RowScale(row []float64) float64 {
 		a := math.Abs(v)
 		// NaN fails every comparison and +Inf is excluded explicitly, so
 		// only finite magnitudes reach absmax.
-		//lint:ignore floateq IEEE special-case dispatch: +Inf is an exact bit pattern, not a computed value near infinity
 		if a > absmax && a != math.Inf(1) {
 			absmax = a
 		}
@@ -37,13 +36,10 @@ func quantizeInt8(v, scale float64) int8 {
 	switch {
 	case math.IsNaN(v):
 		return 0
-	//lint:ignore floateq IEEE special-case dispatch: ±Inf is an exact bit pattern
 	case v == math.Inf(1):
 		return 127
-	//lint:ignore floateq IEEE special-case dispatch: ±Inf is an exact bit pattern
 	case v == math.Inf(-1):
 		return -127
-	//lint:ignore floateq scale 0 is the exact all-non-finite/all-zero-row sentinel from int8RowScale, not a computed near-zero
 	case scale == 0:
 		return 0
 	}

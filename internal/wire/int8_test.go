@@ -43,7 +43,8 @@ func TestInt8RoundTripProperty(t *testing.T) {
 
 // TestInt8Edges pins the non-finite and degenerate-row behaviour: NaN
 // quantizes to 0, ±Inf saturates to ±127·scale, a zero row (or a row with
-// no finite non-zero value) carries scale 0 and decodes to all zeros.
+// no finite non-zero value) carries scale 0 and decodes to all zeros —
+// of which -Inf's is -0: its code stays -127, and -127·0 is -0.
 func TestInt8Edges(t *testing.T) {
 	m := &Message{Type: MsgForwardMulti, Tensors: []Matrix{{Rows: 4, Cols: 3, Data: []float64{
 		math.NaN(), 127, -254, // NaN → 0; scale = 254/127 = 2
@@ -56,11 +57,12 @@ func TestInt8Edges(t *testing.T) {
 		0, 128, -254, // 127/2 rounds to 64 → 64·2 = 128, within scale/2 of 127
 		254, -254, 254,
 		0, 0, 0,
-		0, 0, 0,
+		0, 0, math.Copysign(0, -1),
 	}
 	for i, w := range want {
-		//lint:ignore floateq the quantizer's edge outputs are exact by construction; any ulp of drift is the bug
-		if g := got.Tensors[0].Data[i]; g != w {
+		// The quantizer's edge outputs are exact by construction; any ulp
+		// of drift is the bug.
+		if g := got.Tensors[0].Data[i]; math.Float64bits(g) != math.Float64bits(w) {
 			t.Errorf("value %d: got %g, want %g", i, g, w)
 		}
 	}

@@ -161,8 +161,9 @@ func TestRoundTripEncodings(t *testing.T) {
 			QuantizeInt8InPlace(want, 2, 3)
 		}
 		for i := range want {
-			//lint:ignore floateq decode must reproduce the reference quantization bit-for-bit; tolerance would mask codec drift
-			if tr.Data[i] != want[i] {
+			// Decode must reproduce the reference quantization bit for
+			// bit; a tolerance would mask codec drift.
+			if math.Float64bits(tr.Data[i]) != math.Float64bits(want[i]) {
 				t.Fatalf("%v value %d: got %g, want %g", enc, i, tr.Data[i], want[i])
 			}
 		}
@@ -241,7 +242,6 @@ func TestAppendFrameZeroAlloc(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
-		//lint:ignore floateq AllocsPerRun returns an integer-valued average; the contract is exactly zero
 		if allocs != 0 {
 			t.Errorf("%v: AppendFrame allocated %.1f times per run", enc, allocs)
 		}

@@ -94,7 +94,6 @@ func (p Profile) Matrix() [][]float64 {
 // DriftedMatrix returns the matrix after t steps of sharpening drift:
 // each row is renormalized from P^(1+Drift·t).
 func DriftedMatrix(base [][]float64, drift float64, t int) [][]float64 {
-	//lint:ignore floateq drift is a config constant; 0 is its exact disabled sentinel, not a computed value
 	if drift == 0 || t == 0 {
 		return base
 	}
@@ -216,7 +215,6 @@ type Generator struct {
 // volume per block per step.
 func NewGenerator(p Profile, routingsPerStep int) *Generator {
 	if routingsPerStep <= 0 {
-		//lint:ignore panicpolicy constructor precondition; generator volume comes from experiment tables, not runtime input
 		panic(fmt.Sprintf("workload: routingsPerStep must be positive, got %d", routingsPerStep))
 	}
 	return &Generator{
