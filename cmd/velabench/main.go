@@ -1,24 +1,28 @@
 // Command velabench regenerates the data behind every figure of the
-// paper's evaluation.
+// paper's evaluation, and the placement study behind them.
 //
 // Usage:
 //
-//	velabench -fig 3a|3b|3c|thm|5a|5b|5c|5d|6a|6b|6c|6d|7a|7b|text|sweep|all [-full] [-csv]
+//	velabench -fig 3a|3b|3c|thm|5a|5b|5c|5d|6a|6b|6c|6d|7a|7b|text|sweep|topo|drift|place|all [-full] [-csv]
 //
 // By default experiments run at Quick scale (reduced steps; same shapes).
 // -full uses the paper's parameters: the exact TinyMistral geometry with
 // 300 fine-tuning steps for Fig. 3, and 500 simulated steps for
 // Figs. 5–6. -csv emits raw series instead of summaries, for plotting.
+// -fig place solves the placement with every strategy for every paper
+// profile and prints the expected per-step communication (Eq. 5–8).
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"slices"
 	"strings"
 
 	"repro/internal/experiments"
-	"repro/internal/metrics"
+	"repro/internal/obs"
 	"repro/internal/placement"
 	"repro/internal/replace"
 	"repro/internal/sim"
@@ -26,7 +30,7 @@ import (
 )
 
 func main() {
-	fig := flag.String("fig", "all", "figure to regenerate (3a,3b,3c,thm,5a..5d,6a..6d,7a,7b,text,sweep,topo,drift,all)")
+	fig := flag.String("fig", "all", "figure to regenerate (3a,3b,3c,thm,5a..5d,6a..6d,7a,7b,text,sweep,topo,drift,place,all)")
 	full := flag.Bool("full", false, "run at the paper's full scale (slower)")
 	csv := flag.Bool("csv", false, "emit raw CSV series instead of summaries")
 	flag.Parse()
@@ -67,6 +71,8 @@ func run(fig string, scale experiments.Scale, csv bool) error {
 		return topoSweep(scale)
 	case "drift":
 		return driftStudy(scale)
+	case "place":
+		return placeStudy()
 	case "all":
 		for _, f := range []string{"3a", "3b", "3c", "thm", "5a", "5b", "5c", "5d", "6a", "6b", "6c", "6d", "7a", "7b", "text"} {
 			fmt.Printf("\n================ Figure %s ================\n", f)
@@ -120,9 +126,7 @@ func fig3c(scale experiments.Scale, csv bool) error {
 	}
 	fmt.Println("Fig 3(c) — per-expert access frequency during fine-tuning (first MoE block)")
 	if csv {
-		series := make([]*metrics.Series, len(res.Freq))
-		copy(series, res.Freq)
-		return metrics.WriteCSV(os.Stdout, series...)
+		return writeCSV(os.Stdout, res.Freq...)
 	}
 	for e, s := range res.Freq {
 		sum := s.Summarize()
@@ -158,7 +162,7 @@ func fig56(cell string, scale experiments.Scale, csv, traffic bool) error {
 	fmt.Printf("Fig %s — %s, %s\n", cellLabel(cell, traffic), kind, profile.Name)
 	names := []string{"ep", "sequential", "random", "vela"}
 	if csv {
-		var series []*metrics.Series
+		var series []*obs.Series
 		for _, n := range names {
 			if traffic {
 				series = append(series, res.Results[n].TrafficMB)
@@ -166,11 +170,11 @@ func fig56(cell string, scale experiments.Scale, csv, traffic bool) error {
 				series = append(series, res.Results[n].StepSec)
 			}
 		}
-		return metrics.WriteCSV(os.Stdout, series...)
+		return writeCSV(os.Stdout, series...)
 	}
 	for _, n := range names {
 		r := res.Results[n]
-		var sum metrics.Summary
+		var sum obs.Summary
 		if traffic {
 			sum = r.TrafficMB.Summarize()
 		} else {
@@ -299,6 +303,67 @@ func topoSweep(scale experiments.Scale) error {
 	return nil
 }
 
+// placeStudy is the placement explorer (§IV-B): for every paper profile
+// on the paper's 3×2-GPU testbed, every strategy's expected per-step
+// communication, and how much routing probability each node serves under
+// the LP's placement.
+func placeStudy() error {
+	cfg := sim.PaperConfig()
+	strategies := []placement.Strategy{
+		placement.Sequential{},
+		placement.Random{Seed: 7},
+		placement.Greedy{},
+		placement.LocalityLP{},
+	}
+	fmt.Println("Placement — expected communication per strategy, paper testbed")
+	for _, profile := range workload.PaperProfiles() {
+		P := profile.Matrix()
+		prob := cfg.PlacementProblem(P)
+		fmt.Printf("== %s (top-2 mass %.2f, entropy %.2f nats) ==\n",
+			profile.Name, mean(workload.TopMass(P, 2)), mean(workload.Entropy(P)))
+		var seqTime float64
+		var a *placement.Assignment
+		for i, s := range strategies {
+			var err error
+			if a, err = s.Place(prob); err != nil {
+				return fmt.Errorf("%s: %w", s.Name(), err)
+			}
+			m, err := placement.Evaluate(prob, a)
+			if err != nil {
+				return err
+			}
+			fmt.Printf("%-10s expected comm %.3f s/step, external %.0f MB/node/step",
+				s.Name(), m.CommTime, m.CrossNodeBytesPerNode/1e6)
+			if i == 0 {
+				seqTime = m.CommTime
+			} else {
+				fmt.Printf("  (%+.1f%% comm vs sequential)", 100*(m.CommTime-seqTime)/seqTime)
+			}
+			fmt.Println()
+		}
+		// a is the LP's placement, the last strategy's.
+		nodeMass := make([]float64, slices.Max(prob.WorkerNode)+1)
+		for l := range P {
+			for e, p := range P[l] {
+				nodeMass[prob.WorkerNode[a.Worker[l][e]]] += p / float64(len(P))
+			}
+		}
+		fmt.Print("routing mass per node under vela-lp:")
+		for node, m := range nodeMass {
+			sep, master := ",", ""
+			if node == 0 {
+				sep = ""
+			}
+			if node == prob.MasterNode {
+				master = " (master)"
+			}
+			fmt.Printf("%s node%d%s %.2f", sep, node, master, m)
+		}
+		fmt.Print("\n\n")
+	}
+	return nil
+}
+
 // driftStudy quantifies how much a placement solved from the step-0
 // probability matrix degrades as the router drifts — the operational form
 // of "expert locality persists", plus the re-placement controller's verdict
@@ -353,4 +418,47 @@ func mean(xs []float64) float64 {
 		s += x
 	}
 	return s / float64(len(xs))
+}
+
+// writeCSV emits the series as columns with a header row; series of
+// unequal length are padded with empty cells.
+func writeCSV(w io.Writer, series ...*obs.Series) error {
+	if len(series) == 0 {
+		return nil
+	}
+	maxLen := 0
+	for i, s := range series {
+		if i > 0 {
+			if _, err := io.WriteString(w, ","); err != nil {
+				return err
+			}
+		}
+		if _, err := io.WriteString(w, s.Name); err != nil {
+			return err
+		}
+		if len(s.Values) > maxLen {
+			maxLen = len(s.Values)
+		}
+	}
+	if _, err := io.WriteString(w, "\n"); err != nil {
+		return err
+	}
+	for row := 0; row < maxLen; row++ {
+		for i, s := range series {
+			if i > 0 {
+				if _, err := io.WriteString(w, ","); err != nil {
+					return err
+				}
+			}
+			if row < len(s.Values) {
+				if _, err := fmt.Fprintf(w, "%g", s.Values[row]); err != nil {
+					return err
+				}
+			}
+		}
+		if _, err := io.WriteString(w, "\n"); err != nil {
+			return err
+		}
+	}
+	return nil
 }

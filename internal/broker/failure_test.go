@@ -81,6 +81,7 @@ func malformedMultiFrames() map[string]*wire.Message {
 		"huge-id":           withIDs(wire.Matrix{Rows: 1, Cols: 1, Data: []float64{1e300}}, batch(4)),
 		"width-mismatch":    multiFrame(false, 0, []int{0, 1}, batch(4), batch(5)),
 		"backward-first":    multiFrame(true, 0, []int{0, 1}, batch(4), batch(4)),
+		"repeated-id":       multiFrame(false, 0, []int{0, 0}, batch(4), batch(4)),
 	}
 }
 

@@ -100,7 +100,6 @@ func TestFaultMatrix(t *testing.T) {
 				}
 				exec := NewExecutor([]transport.Conn{dep.Conns[0], faulty}, setup.Assignment())
 				exec.RequestTimeout = 15 * time.Millisecond
-				exec.MaxRecvRetries = 1
 
 				err := oc.run(t, exec)
 				if fc.wantErr == nil {

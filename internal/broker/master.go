@@ -16,10 +16,14 @@ import (
 	"repro/internal/wire"
 )
 
-// DefaultMaxInFlight is the per-worker in-flight request window used when
-// Executor.MaxInFlight is unset. It bounds master-side memory while
-// keeping every worker's expert fan-out saturated.
-const DefaultMaxInFlight = 64
+// maxInFlight is the per-worker in-flight request window of a round. It
+// bounds master-side memory while keeping every worker's expert fan-out
+// saturated.
+const maxInFlight = 64
+
+// maxRecvRetries bounds the deadline extensions after a first expired
+// reply wait (see Executor.RequestTimeout).
+const maxRecvRetries = 2
 
 // ErrWorkerDead is wrapped by every operation that targets a worker the
 // supervisor has declared dead; errors.Is(err, ErrWorkerDead) lets the
@@ -33,13 +37,16 @@ var ErrWorkerDead = errors.New("broker: worker marked dead")
 // results. It also broadcasts optimizer control messages at step
 // boundaries.
 //
-// An exchange round is one multi-tensor frame per worker per direction.
-// Multi-message rounds (Distribute, snapshots, restores) are pipelined: a
-// writer goroutine streams requests under a bounded in-flight window
-// while a reader goroutine concurrently collects replies, correlating
-// them by Seq. This keeps a round deadlock-free regardless of how many
-// requests target one worker (a send-everything-then-receive scheme
-// wedges once in-flight requests exceed the transport's buffering).
+// Everything the master asks of its workers is a round (see round): a row
+// of requests per worker, the rows driven side by side, every reply's
+// type checked in one place. An exchange round is one multi-tensor frame
+// per worker per direction. A row of several requests (Distribute,
+// snapshots, restores) is pipelined: a writer goroutine streams requests
+// under a bounded in-flight window while a reader goroutine concurrently
+// collects replies, correlating them by Seq. This keeps a round
+// deadlock-free regardless of how many requests target one worker (a
+// send-everything-then-receive scheme wedges once in-flight requests
+// exceed the transport's buffering).
 //
 // An Executor is not safe for concurrent use: callers drive one exchange
 // or control round at a time, exactly as the training loop does.
@@ -75,19 +82,12 @@ type Executor struct {
 	// Deprecated: ignored — dispatch is always coalesced; kept only so the
 	// frozen stepbench module compiles; remove with the next benchmark PR.
 	Coalesce bool
-	// MaxInFlight bounds how many requests may be outstanding per worker
-	// connection at once. <= 0 selects DefaultMaxInFlight.
-	MaxInFlight int
 	// RequestTimeout, when > 0, bounds how long the reader waits for each
 	// reply before declaring a timeout. Timeouts are retried in place (the
 	// request is never re-sent; the wait is extended with exponential
-	// backoff) up to MaxRecvRetries times, then surface as an error
+	// backoff) up to maxRecvRetries times, then surface as an error
 	// wrapping transport.ErrTimeout.
 	RequestTimeout time.Duration
-	// MaxRecvRetries bounds the extra deadline extensions after the first
-	// expired reply wait. < 0 disables retries; 0 selects
-	// DefaultMaxRecvRetries.
-	MaxRecvRetries int
 	// Obs, when non-nil, receives the exchange-lifecycle trace (enqueue,
 	// send, reply, decode), the latency/queue-wait/straggler histograms
 	// and the exchange-phase spans. A nil handle costs one branch per
@@ -159,10 +159,6 @@ func (x *Executor) stashResult(backward bool, layer, expert int, m *wire.Matrix)
 }
 
 var _ moe.Executor = (*Executor)(nil)
-
-// DefaultMaxRecvRetries is the reply-wait retry bound used when
-// Executor.MaxRecvRetries is zero.
-const DefaultMaxRecvRetries = 2
 
 // NewExecutor builds a master-side executor over per-worker connections
 // and an expert-to-worker assignment.
@@ -251,25 +247,6 @@ func (x *Executor) Assignment() *placement.Assignment { return x.assign.Load() }
 // workerOf returns the worker hosting expert e of the given layer.
 func (x *Executor) workerOf(layer, e int) int { return x.assign.Load().Worker[layer][e] }
 
-// window returns the effective per-worker in-flight request bound.
-func (x *Executor) window() int {
-	if x.MaxInFlight > 0 {
-		return x.MaxInFlight
-	}
-	return DefaultMaxInFlight
-}
-
-// recvRetries returns the effective reply-wait retry bound.
-func (x *Executor) recvRetries() int {
-	switch {
-	case x.MaxRecvRetries > 0:
-		return x.MaxRecvRetries
-	case x.MaxRecvRetries < 0:
-		return 0
-	}
-	return DefaultMaxRecvRetries
-}
-
 // acquire takes worker n's round semaphore, failing fast if the worker is
 // dead. The double check after the acquire closes the race where the
 // supervisor marks a worker dead while a round is queued on the
@@ -288,43 +265,89 @@ func (x *Executor) acquire(n int) error {
 
 func (x *Executor) release(n int) { <-x.connSem[n] }
 
-// pipelined issues msgs to worker n with a bounded in-flight window: a
-// writer goroutine streams the requests (stamping fresh Seq values) while
-// the calling goroutine collects exactly one reply per successful send,
-// matching replies to requests by Seq rather than arrival order. Rounds
-// on the same connection are serialized by a channel semaphore so the
-// supervisor's heartbeats and the trainer's exchanges never interleave
-// frames.
+// round is the one way the master talks to its workers. msgs[n] is worker
+// n's row of requests; an empty row skips worker n. Every non-empty row
+// runs through pipelined, side by side (the caller drives the last row
+// itself), and every reply is checked against want there: a MsgError or a
+// reply of any other type fails the worker's share. A reply of type want
+// is handed to onReply with its worker n and row index i, and is then the
+// callback's to keep or release; round releases every other pooled reply
+// — stale, duplicate, unknown, wrong-typed, or one a nil onReply does not
+// want. onSent, when non-nil, runs after each of worker n's requests is
+// on the wire. The error returned is that of the failing worker with the
+// lowest index, whichever failed first.
+func (x *Executor) round(msgs [][]*wire.Message, want wire.MsgType, onSent func(n int), onReply func(n, i int, reply *wire.Message) error) error {
+	errs := make([]error, len(msgs))
+	var wg sync.WaitGroup
+	last := -1
+	for n, row := range msgs {
+		if len(row) == 0 {
+			continue
+		}
+		if last >= 0 {
+			wg.Add(1)
+			go func(n int) {
+				defer wg.Done()
+				errs[n] = x.pipelined(n, msgs[n], want, onSent, onReply)
+			}(last)
+		}
+		last = n
+	}
+	if last >= 0 {
+		errs[last] = x.pipelined(last, msgs[last], want, onSent, onReply)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// one is a round with a single non-empty row: msg to worker n.
+func (x *Executor) one(n int, msg *wire.Message, want wire.MsgType, onReply func(n, i int, reply *wire.Message) error) error {
+	msgs := make([][]*wire.Message, len(x.conns))
+	msgs[n] = []*wire.Message{msg}
+	return x.round(msgs, want, nil, onReply)
+}
+
+// pipelined is worker n's share of a round: it issues msgs with a bounded
+// in-flight window — a writer goroutine streams the requests (stamping
+// fresh Seq values) while the calling goroutine collects exactly one
+// reply per successful send, matching replies to requests by Seq rather
+// than arrival order. Rounds on the same connection are serialized by a
+// channel semaphore so the supervisor's heartbeats and the trainer's
+// exchanges never interleave frames.
 //
-// Failure semantics: a worker-side MsgError or an unexpected reply is
-// recorded but the remaining replies are still drained, so the connection
-// stays usable for the next round. Only a transport-level Recv error
-// abandons the connection (nothing more can arrive); a Send error stops
-// the writer but the already-sent requests are still drained.
+// Failure semantics: a worker-side MsgError or a reply of a type other
+// than want is recorded but the remaining replies are still drained, so
+// the connection stays usable for the next round. Only a transport-level
+// Recv error abandons the connection (nothing more can arrive); a Send
+// error stops the writer but the already-sent requests are still drained.
 //
 // When RequestTimeout is set, each reply wait carries a deadline. An
 // expired wait is retried in place — the request is never re-sent (a
 // re-sent backward frame would double-accumulate gradients); the deadline
 // is extended with exponential backoff (timeout, 2·timeout, 4·timeout, …)
-// up to recvRetries extra waits, after which the round fails with an
+// up to maxRecvRetries extra waits, after which the round fails with an
 // error wrapping transport.ErrTimeout. Replies from an abandoned earlier
 // round (Seq below this round's range) and duplicate deliveries of an
 // already-consumed Seq are discarded without consuming a reply slot, so a
 // chaos transport that duplicates frames cannot poison correlation.
 //
-// onSent (optional) runs on the writer goroutine after request i is on
-// the wire; onReply runs on the reader for every successfully correlated
-// non-error reply.
-func (x *Executor) pipelined(n int, msgs []*wire.Message, onSent func(i int), onReply func(i int, reply *wire.Message) error) error {
+// onSent and onReply are round's: onSent runs on the writer goroutine,
+// onReply on the reader.
+func (x *Executor) pipelined(n int, msgs []*wire.Message, want wire.MsgType, onSent func(n int), onReply func(n, i int, reply *wire.Message) error) error {
 	if err := x.acquire(n); err != nil {
 		return err
 	}
 	defer x.release(n)
 	conn := x.conn(n)
 	// Over a serializing transport replies are pooled decodes the broker
-	// owns; discarded ones (stale, duplicate, unknown, error) can be
-	// recycled here. Replies handed to onReply are the callback's to
-	// retain or stash — pipelined cannot know which.
+	// owns; every one not handed to onReply is recycled here. Replies
+	// handed to onReply are the callback's to retain or stash — pipelined
+	// cannot know which.
 	canRelease := transport.Copies(conn)
 	timeout := x.RequestTimeout
 	if timeout > 0 {
@@ -351,12 +374,12 @@ func (x *Executor) pipelined(n int, msgs []*wire.Message, onSent func(i int), on
 	// slots bounds in-flight requests; sent carries one token per
 	// successful send so the reader knows exactly how many replies to
 	// await; abort unblocks the writer when the reader gives up.
-	slots := make(chan struct{}, x.window())
+	slots := make(chan struct{}, maxInFlight)
 	sent := make(chan struct{}, len(msgs))
 	abort := make(chan struct{})
 
 	var pendMu sync.Mutex
-	pending := make(map[uint64]int, x.window())
+	pending := make(map[uint64]int, maxInFlight)
 	completed := make(map[uint64]bool, len(msgs))
 	// Seqs below this round's first stamp belong to abandoned earlier
 	// rounds; their late replies are stale, not protocol errors.
@@ -395,7 +418,7 @@ func (x *Executor) pipelined(n int, msgs []*wire.Message, onSent func(i int), on
 				x.Obs.OnSend(n, int(msg.Layer), int(msg.Expert), seq, wire.EncodedSize(msg))
 			}
 			if onSent != nil {
-				onSent(i)
+				onSent(n)
 			}
 			sent <- struct{}{}
 		}
@@ -412,7 +435,7 @@ func (x *Executor) pipelined(n int, msgs []*wire.Message, onSent func(i int), on
 			if err != nil {
 				if timeout > 0 && errors.Is(err, transport.ErrTimeout) {
 					x.Counters.Add(obs.RecvTimeouts, 1)
-					if attempt < x.recvRetries() {
+					if attempt < maxRecvRetries {
 						attempt++
 						x.Counters.Add(obs.RecvRetries, 1)
 						continue
@@ -450,24 +473,23 @@ func (x *Executor) pipelined(n int, msgs []*wire.Message, onSent func(i int), on
 				fail(fmt.Errorf("broker: worker %d sent %v reply with unknown seq %d", n, reply.Type, reply.Seq))
 			}
 			<-slots
-			if !ok {
-				if canRelease {
-					wire.Release(reply)
-				}
-				break // consumed the slot for the garbage reply; move on
-			}
-			if x.Obs != nil {
+			if ok && x.Obs != nil {
 				x.Obs.OnReply(n, reply.Seq, wire.EncodedSize(reply))
 			}
-			if reply.Type == wire.MsgError {
+			switch {
+			case !ok: // consumed the slot for the garbage reply; move on
+			case reply.Type == wire.MsgError:
 				fail(fmt.Errorf("broker: worker %d: %s", n, reply.Text))
-				if canRelease {
-					wire.Release(reply)
+			case reply.Type != want:
+				fail(fmt.Errorf("broker: worker %d replied %v to %v", n, reply.Type, msgs[i].Type))
+			case onReply != nil:
+				if err := onReply(n, i, reply); err != nil {
+					fail(err)
 				}
-				break
+				reply = nil // onReply's now
 			}
-			if err := onReply(i, reply); err != nil {
-				fail(err)
+			if reply != nil && canRelease {
+				wire.Release(reply)
 			}
 			break
 		}
@@ -539,46 +561,17 @@ func (x *Executor) compose(id moe.ExpertID, ts []wire.Matrix) ([]wire.Matrix, er
 // transfers to the same worker are pipelined.
 func (x *Executor) Distribute(grid [][]*moe.Expert, spec ExpertSpec) error {
 	x.SetBase(grid)
-	// Group experts per worker so each connection is used by one
-	// writer/reader pair.
-	perWorker := make([][]*moe.Expert, len(x.conns))
+	msgs := make([][]*wire.Message, len(x.conns))
 	for l, row := range grid {
 		for e, ex := range row {
 			n := x.workerOf(l, e)
 			if n < 0 || n >= len(x.conns) {
 				return fmt.Errorf("broker: expert L%d/E%d assigned to invalid worker %d", l, e, n)
 			}
-			perWorker[n] = append(perWorker[n], ex)
+			msgs[n] = append(msgs[n], encodeExpert(ex, spec))
 		}
 	}
-	var wg sync.WaitGroup
-	errs := make([]error, len(x.conns))
-	for n := range x.conns {
-		if len(perWorker[n]) == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(n int) {
-			defer wg.Done()
-			msgs := make([]*wire.Message, len(perWorker[n]))
-			for i, ex := range perWorker[n] {
-				msgs[i] = encodeExpert(ex, spec)
-			}
-			errs[n] = x.pipelined(n, msgs, nil, func(i int, reply *wire.Message) error {
-				if reply.Type != wire.MsgAck {
-					return fmt.Errorf("broker: worker %d replied %v to assign", n, reply.Type)
-				}
-				return nil
-			})
-		}(n)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	return x.round(msgs, wire.MsgAck, nil, nil)
 }
 
 // ForwardExperts implements moe.Executor: dispatch token batches to the
@@ -595,14 +588,21 @@ func (x *Executor) BackwardExperts(layer int, grads map[int]*tensor.Tensor) (map
 
 // exchange performs one one-to-all scatter/gather round for a layer:
 // every batch a worker owes travels in ONE multi-tensor frame per
-// direction (see exchangeWorker), workers are driven in parallel, and
-// each worker fans its frame's experts out (tensor.Fanout).
+// direction (Tensors[0] = expert-id row, Tensors[1..K] = the batches in
+// expert order) and comes back in one reply mirroring that layout, and
+// each worker fans its frame's experts out (tensor.Fanout). Traffic is
+// accounted per frame, bytes as the sum over its experts; any expert
+// failure on a worker fails the whole frame.
 func (x *Executor) exchange(layer int, batches map[int]*tensor.Tensor, backward bool) (map[int]*tensor.Tensor, error) {
 	sp := x.Obs.Begin(obs.PhaseExchange)
 	defer sp.End()
 	roundStart := x.Obs.RoundStart()
+	reqType, respType := wire.MsgForwardMulti, wire.MsgForwardMultiResult
+	if backward {
+		reqType, respType = wire.MsgBackwardMulti, wire.MsgBackwardMultiResult
+	}
 	// Group expert batches per worker in deterministic expert order.
-	perWorker := make(map[int][]int)
+	experts := make([][]int, len(x.conns))
 	maxE := 0
 	for e := range batches {
 		if e > maxE {
@@ -610,77 +610,31 @@ func (x *Executor) exchange(layer int, batches map[int]*tensor.Tensor, backward 
 		}
 	}
 	for e := 0; e <= maxE; e++ {
-		if _, ok := batches[e]; !ok {
+		if _, ok := batches[e]; ok {
+			n := x.workerOf(layer, e)
+			experts[n] = append(experts[n], e)
+		}
+	}
+	msgs := make([][]*wire.Message, len(x.conns))
+	for n, es := range experts {
+		if len(es) == 0 {
 			continue
 		}
-		n := x.workerOf(layer, e)
-		perWorker[n] = append(perWorker[n], e)
-	}
-
-	var mu sync.Mutex
-	results := make(map[int]*tensor.Tensor, len(batches))
-	var firstErr error
-	setErr := func(err error) {
-		mu.Lock()
-		if firstErr == nil {
-			firstErr = err
+		ids := make([]float64, len(es))
+		tensors := make([]wire.Matrix, 1+len(es))
+		tensors[0] = wire.Matrix{Rows: 1, Cols: len(es), Data: ids}
+		for i, e := range es {
+			ids[i] = float64(e)
+			tensors[1+i] = matrixOf(batches[e])
+			tensors[1+i].Enc = x.WireEncoding
 		}
-		mu.Unlock()
+		msgs[n] = []*wire.Message{{Type: reqType, Layer: int32(layer), Expert: wire.ExpertCoalesced, Tensors: tensors}}
 	}
-
-	var wg sync.WaitGroup
-	for n, experts := range perWorker {
-		wg.Add(1)
-		go func(n int, experts []int) {
-			defer wg.Done()
-			err := x.exchangeWorker(n, layer, experts, batches, backward, results, &mu)
-			x.Obs.WorkerRoundDone(n, roundStart)
-			if err != nil {
-				setErr(err)
-			}
-		}(n, experts)
-	}
-	wg.Wait()
-	x.Obs.RoundEnd()
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	return results, nil
-}
-
-// logicalBytes is the logical traffic accounting of one transfer: values
-// × BytesPerValue, plus the per-row scale overhead the int8 encoding puts
-// on the wire (scales count toward frame bytes, so the logical meter and
-// the physical transport meter agree on what a transfer costs).
-func (x *Executor) logicalBytes(rows, vals int) int64 {
-	return int64(float64(vals)*x.BytesPerValue) + int64(rows*x.WireEncoding.ScaleBytesPerRow())
-}
-
-// exchangeWorker is worker n's share of an exchange round: one
-// multi-tensor frame (Tensors[0] = expert-id row, Tensors[1..K] =
-// batches) and one reply mirroring the layout. Traffic is accounted per
-// frame, bytes as the sum over its experts; any expert failure on the
-// worker fails the whole frame.
-func (x *Executor) exchangeWorker(n, layer int, experts []int, batches map[int]*tensor.Tensor, backward bool, results map[int]*tensor.Tensor, mu *sync.Mutex) error {
-	reqType, respType := wire.MsgForwardMulti, wire.MsgForwardMultiResult
-	if backward {
-		reqType, respType = wire.MsgBackwardMulti, wire.MsgBackwardMultiResult
-	}
-	ids := make([]float64, len(experts))
-	tensors := make([]wire.Matrix, 1+len(experts))
-	tensors[0] = wire.Matrix{Rows: 1, Cols: len(experts), Data: ids}
-	for i, e := range experts {
-		ids[i] = float64(e)
-		payload := matrixOf(batches[e])
-		payload.Enc = x.WireEncoding
-		tensors[1+i] = payload
-	}
-	msg := &wire.Message{Type: reqType, Layer: int32(layer), Expert: wire.ExpertCoalesced, Tensors: tensors}
-	var onSent func(int)
+	var onSent func(n int)
 	if x.Counters != nil {
-		onSent = func(int) {
+		onSent = func(n int) {
 			var tokens, bytes int64
-			for _, e := range experts {
+			for _, e := range experts[n] {
 				b := batches[e]
 				tokens += int64(b.Rows())
 				bytes += x.logicalBytes(b.Rows(), b.Len())
@@ -690,33 +644,37 @@ func (x *Executor) exchangeWorker(n, layer int, experts []int, batches map[int]*
 			x.Counters.AddWorker(obs.TrafficFrames, n, 1)
 		}
 	}
-	canRelease := transport.Copies(x.conn(n))
-	return x.pipelined(n, []*wire.Message{msg}, onSent, func(_ int, reply *wire.Message) error {
-		if reply.Type != respType {
-			return fmt.Errorf("broker: worker %d sent unexpected %v", n, reply.Type)
-		}
-		if len(reply.Tensors) != 1+len(experts) {
+
+	var mu sync.Mutex
+	results := make(map[int]*tensor.Tensor, len(batches))
+	err := x.round(msgs, respType, onSent, func(n, _ int, reply *wire.Message) error {
+		// A worker's share ends with its reply; one that fails before
+		// replying records no straggler duration.
+		defer x.Obs.WorkerRoundDone(n, roundStart)
+		es := experts[n]
+		if len(reply.Tensors) != 1+len(es) {
 			return fmt.Errorf("broker: worker %d %v reply carries %d tensors, want %d",
-				n, reply.Type, len(reply.Tensors), 1+len(experts))
+				n, reply.Type, len(reply.Tensors), 1+len(es))
 		}
 		idRow := reply.Tensors[0]
-		if idRow.Rows != 1 || idRow.Cols != len(experts) {
+		if idRow.Rows != 1 || idRow.Cols != len(es) {
 			return fmt.Errorf("broker: worker %d %v reply id row is %dx%d, want 1x%d",
-				n, reply.Type, idRow.Rows, idRow.Cols, len(experts))
+				n, reply.Type, idRow.Rows, idRow.Cols, len(es))
 		}
 		seq := reply.Seq
 		var decT0 int64
 		if x.Obs != nil {
 			decT0 = x.Obs.Trace.Clock()
 		}
+		pooled := transport.Copies(x.conn(n))
 		var tokens, bytes int64
-		for i, e := range experts {
+		for i, e := range es {
 			if int(idRow.Data[i]) != e {
 				return fmt.Errorf("broker: worker %d %v reply echoes expert %d at slot %d, want %d",
 					n, reply.Type, int(idRow.Data[i]), i, e)
 			}
 			var out *tensor.Tensor
-			if canRelease {
+			if pooled {
 				// The reply is a pooled decode: copy the result into the
 				// executor's persistent buffer; the frame is recycled below.
 				out = x.stashResult(backward, layer, e, &reply.Tensors[1+i])
@@ -736,7 +694,7 @@ func (x *Executor) exchangeWorker(n, layer int, experts []int, batches map[int]*
 		x.Counters.AddWorker(obs.TrafficTokensFrom, n, tokens)
 		x.Counters.AddWorker(obs.TrafficBytesFrom, n, bytes)
 		x.Counters.AddWorker(obs.TrafficFrames, n, 1)
-		if canRelease {
+		if pooled {
 			wire.Release(reply)
 		}
 		if x.Obs != nil {
@@ -745,6 +703,19 @@ func (x *Executor) exchangeWorker(n, layer int, experts []int, batches map[int]*
 		}
 		return nil
 	})
+	x.Obs.RoundEnd()
+	if err != nil {
+		return nil, err
+	}
+	return results, nil
+}
+
+// logicalBytes is the logical traffic accounting of one transfer: values
+// × BytesPerValue, plus the per-row scale overhead the int8 encoding puts
+// on the wire (scales count toward frame bytes, so the logical meter and
+// the physical transport meter agree on what a transfer costs).
+func (x *Executor) logicalBytes(rows, vals int) int64 {
+	return int64(float64(vals)*x.BytesPerValue) + int64(rows*x.WireEncoding.ScaleBytesPerRow())
 }
 
 // ZeroGrads broadcasts a gradient-clear to all live workers and awaits
@@ -772,69 +743,42 @@ func (x *Executor) Shutdown() error { return x.broadcast(wire.MsgShutdown, 0) }
 // surfaced; dead workers yield a nil entry.
 func (x *Executor) Checksums() ([][]float64, error) {
 	out := make([][]float64, len(x.conns))
-	var wg sync.WaitGroup
-	errs := make([]error, len(x.conns))
-	for n := range x.conns {
-		if !x.Alive(n) {
-			continue
+	err := x.round(x.live(wire.MsgStats, 0), wire.MsgStatsResult, nil, func(n, _ int, reply *wire.Message) error {
+		if len(reply.Tensors) != 1 {
+			return fmt.Errorf("broker: bad stats reply from worker %d: %d tensors", n, len(reply.Tensors))
 		}
-		wg.Add(1)
-		go func(n int) {
-			defer wg.Done()
-			msgs := []*wire.Message{{Type: wire.MsgStats}}
-			errs[n] = x.pipelined(n, msgs, nil, func(_ int, reply *wire.Message) error {
-				if reply.Type != wire.MsgStatsResult || len(reply.Tensors) != 1 {
-					return fmt.Errorf("broker: bad stats reply from worker %d: %v", n, reply.Type)
-				}
-				out[n] = reply.Tensors[0].Data
-				return nil
-			})
-		}(n)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+		out[n] = reply.Tensors[0].Data
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }
 
 // broadcast sends a control message (with the given Layer stamp) to every
-// live worker in parallel and awaits acks. Dead workers are skipped: they
-// hold no experts after a failover, so control traffic to them would only
-// re-surface the failure the supervisor already handled.
+// live worker in parallel and awaits acks.
 func (x *Executor) broadcast(t wire.MsgType, layer int32) error {
-	var wg sync.WaitGroup
-	errs := make([]error, len(x.conns))
-	for n := range x.conns {
-		if !x.Alive(n) {
-			continue
-		}
-		wg.Add(1)
-		go func(n int) {
-			defer wg.Done()
-			msgs := []*wire.Message{{Type: t, Layer: layer}}
-			errs[n] = x.pipelined(n, msgs, nil, func(_ int, reply *wire.Message) error {
-				if reply.Type != wire.MsgAck {
-					return fmt.Errorf("broker: worker %d replied %v to %v", n, reply.Type, t)
-				}
-				return nil
-			})
-		}(n)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
+	return x.round(x.live(t, layer), wire.MsgAck, nil, nil)
+}
+
+// live builds a round's rows for a control message to every live worker.
+// Dead workers get no row: they hold no experts after a failover, so
+// control traffic to them would only re-surface the failure the
+// supervisor already handled.
+func (x *Executor) live(t wire.MsgType, layer int32) [][]*wire.Message {
+	msgs := make([][]*wire.Message, len(x.conns))
+	for n := range msgs {
+		if x.Alive(n) {
+			msgs[n] = []*wire.Message{{Type: t, Layer: layer}}
 		}
 	}
-	return nil
+	return msgs
 }
 
 // Ping probes worker n with a heartbeat and reports whether it answered.
-// The probe rides the normal pipelined path, so it honours
-// RequestTimeout and serializes with in-flight rounds on the connection.
+// The probe is a round, so it honours RequestTimeout and serializes with
+// in-flight rounds on the connection.
 //
 // When instrumented, the ping doubles as a clock-sync exchange: the
 // request carries the master's send timestamp t0, an instrumented
@@ -844,61 +788,41 @@ func (x *Executor) broadcast(t wire.MsgType, layer int32) error {
 // ping/pong.
 func (x *Executor) Ping(n int) error {
 	msg := &wire.Message{Type: wire.MsgPing}
-	if x.Obs != nil {
-		msg.Tensors = []wire.Matrix{{Rows: 1, Cols: 1, Data: []float64{float64(x.Obs.Trace.Clock())}}}
+	if x.Obs == nil {
+		return x.one(n, msg, wire.MsgPong, nil)
 	}
-	canRelease := transport.Copies(x.conn(n))
-	return x.pipelined(n, []*wire.Message{msg}, nil,
-		func(_ int, reply *wire.Message) error {
-			if reply.Type != wire.MsgPong {
-				if canRelease {
-					wire.Release(reply)
-				}
-				return fmt.Errorf("broker: worker %d replied %v to ping", n, reply.Type)
+	msg.Tensors = []wire.Matrix{{Rows: 1, Cols: 1, Data: []float64{float64(x.Obs.Trace.Clock())}}}
+	return x.one(n, msg, wire.MsgPong, func(n, _ int, reply *wire.Message) error {
+		if len(reply.Tensors) == 1 && reply.Tensors[0].Rows == 1 && reply.Tensors[0].Cols == 3 {
+			t3 := x.Obs.Trace.Clock()
+			echo := reply.Tensors[0].Data
+			t0, t1, t2 := int64(echo[0]), int64(echo[1]), int64(echo[2])
+			if t1 != 0 || t2 != 0 { // zeros mean the worker has no tracer
+				x.Obs.Clocks.Sample(n, t0, t1, t2, t3)
 			}
-			if x.Obs != nil && len(reply.Tensors) == 1 && reply.Tensors[0].Rows == 1 && reply.Tensors[0].Cols == 3 {
-				t3 := x.Obs.Trace.Clock()
-				echo := reply.Tensors[0].Data
-				t0, t1, t2 := int64(echo[0]), int64(echo[1]), int64(echo[2])
-				if t1 != 0 || t2 != 0 { // zeros mean the worker has no tracer
-					x.Obs.Clocks.Sample(n, t0, t1, t2, t3)
-				}
-			}
-			if canRelease {
-				wire.Release(reply)
-			}
-			return nil
-		})
+		}
+		return nil
+	})
 }
 
 // FetchWorkerTrace pulls worker n's trace-ring events past `cursor`
 // (its own tracer's total-order index; 0 fetches everything retained)
 // and returns the events on the worker's clock, the cursor to resume
-// from, and the ring's lifetime overwrite count. It rides the pipelined
-// path at step boundaries, off the training path, so it honours
-// RequestTimeout and serializes with exchanges on the connection.
+// from, and the ring's lifetime overwrite count. It is a round at step
+// boundaries, off the training path, so it honours RequestTimeout and
+// serializes with exchanges on the connection.
 func (x *Executor) FetchWorkerTrace(n int, cursor uint64) ([]obs.Event, uint64, uint64, error) {
 	req := &wire.Message{Type: wire.MsgTraceFetch,
 		Tensors: []wire.Matrix{{Rows: 1, Cols: 1, Data: []float64{float64(cursor)}}}}
 	var evs []obs.Event
 	next, dropped := cursor, uint64(0)
-	canRelease := transport.Copies(x.conn(n))
-	err := x.pipelined(n, []*wire.Message{req}, nil, func(_ int, reply *wire.Message) error {
-		defer func() {
-			if canRelease {
-				wire.Release(reply)
-			}
-		}()
-		if reply.Type != wire.MsgTraceFetchResult {
-			return fmt.Errorf("broker: worker %d replied %v to trace fetch", n, reply.Type)
-		}
+	err := x.one(n, req, wire.MsgTraceFetchResult, func(n, _ int, reply *wire.Message) error {
 		if len(reply.Tensors) < 1 || reply.Tensors[0].Rows != 1 || reply.Tensors[0].Cols != 2 {
 			return fmt.Errorf("broker: worker %d trace-fetch reply lacks the cursor row", n)
 		}
 		next = uint64(reply.Tensors[0].Data[0])
 		dropped = uint64(reply.Tensors[0].Data[1])
 		if len(reply.Tensors) == 2 {
-			// EventsFromRows copies, so releasing the pooled reply is safe.
 			evs = obs.EventsFromRows(reply.Tensors[1].Rows, reply.Tensors[1].Cols, reply.Tensors[1].Data)
 		}
 		return nil
@@ -910,11 +834,8 @@ func (x *Executor) FetchWorkerTrace(n int, cursor uint64) ([]obs.Event, uint64, 
 // entry from worker n.
 func (x *Executor) snapshotExpert(n, layer, e int) (*wire.Message, error) {
 	var payload *wire.Message
-	err := x.pipelined(n, []*wire.Message{{Type: wire.MsgSnapshot, Layer: int32(layer), Expert: int32(e)}}, nil,
-		func(_ int, reply *wire.Message) error {
-			if reply.Type != wire.MsgSnapshotResult {
-				return fmt.Errorf("broker: worker %d replied %v to snapshot", n, reply.Type)
-			}
+	err := x.one(n, &wire.Message{Type: wire.MsgSnapshot, Layer: int32(layer), Expert: int32(e)}, wire.MsgSnapshotResult,
+		func(_, _ int, reply *wire.Message) error {
 			payload = reply
 			return nil
 		})
@@ -929,57 +850,32 @@ func (x *Executor) snapshotExpert(n, layer, e int) (*wire.Message, error) {
 // estimates; the frozen weights stay where they are (delta entries) —
 // and packages it as a step-stamped checkpoint snapshot: the state the
 // supervisor restores from when a worker dies, and the expert slice of a
-// run-level checkpoint. Live workers are queried in parallel; the
-// per-worker request streams are pipelined.
+// run-level checkpoint. Workers are queried in parallel; the per-worker
+// request streams are pipelined.
 func (x *Executor) SnapshotExperts(step int) (*checkpoint.ExpertSnapshot, error) {
 	assign := x.assign.Load()
-	type le struct{ l, e int }
-	perWorker := make(map[int][]le)
+	msgs := make([][]*wire.Message, len(x.conns))
+	got := make([][][]wire.Matrix, len(assign.Worker))
 	for l, row := range assign.Worker {
+		got[l] = make([][]wire.Matrix, len(row))
 		for e, n := range row {
-			perWorker[n] = append(perWorker[n], le{l, e})
+			msgs[n] = append(msgs[n], &wire.Message{Type: wire.MsgSnapshot, Layer: int32(l), Expert: int32(e)})
 		}
 	}
-	var mu sync.Mutex
-	got := make(map[le][]wire.Matrix)
-	var wg sync.WaitGroup
-	errs := make([]error, 0, len(perWorker))
-	errAt := func(err error) {
-		mu.Lock()
-		errs = append(errs, err)
-		mu.Unlock()
-	}
-	for n, experts := range perWorker {
-		wg.Add(1)
-		go func(n int, experts []le) {
-			defer wg.Done()
-			msgs := make([]*wire.Message, len(experts))
-			for i, id := range experts {
-				msgs[i] = &wire.Message{Type: wire.MsgSnapshot, Layer: int32(id.l), Expert: int32(id.e)}
-			}
-			err := x.pipelined(n, msgs, nil, func(i int, reply *wire.Message) error {
-				if reply.Type != wire.MsgSnapshotResult {
-					return fmt.Errorf("broker: worker %d replied %v to snapshot", n, reply.Type)
-				}
-				mu.Lock()
-				got[experts[i]] = reply.Tensors
-				mu.Unlock()
-				return nil
-			})
-			if err != nil {
-				errAt(err)
-			}
-		}(n, experts)
-	}
-	wg.Wait()
-	if len(errs) > 0 {
-		return nil, errs[0]
+	// Each (l, e) is one request of one worker, so the writes below never
+	// share an element.
+	err := x.round(msgs, wire.MsgSnapshotResult, nil, func(n, i int, reply *wire.Message) error {
+		req := msgs[n][i]
+		got[req.Layer][req.Expert] = reply.Tensors
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	snap := &checkpoint.ExpertSnapshot{Step: step}
-	for l, row := range assign.Worker {
-		for e := range row {
-			tensors, ok := got[le{l, e}]
-			if !ok {
+	for l, row := range got {
+		for e, tensors := range row {
+			if tensors == nil {
 				return nil, fmt.Errorf("broker: snapshot missing expert L%d/E%d", l, e)
 			}
 			snap.Entries = append(snap.Entries, checkpoint.ExpertEntry{Layer: l, Expert: e, Tensors: stateTensorsOf(tensors)})
@@ -1015,41 +911,18 @@ func stateTensorsOf(ts []wire.Matrix) []checkpoint.StateTensor {
 // would. An entry that does not compose fails the restore before anything
 // is sent.
 func (x *Executor) RestoreExperts(entries []checkpoint.ExpertEntry, assign *placement.Assignment) error {
-	perWorker := make(map[int][]*wire.Message)
+	msgs := make([][]*wire.Message, len(x.conns))
 	for _, entry := range entries {
 		full, err := x.composeEntry(entry)
 		if err != nil {
 			return err
 		}
 		n := assign.Worker[entry.Layer][entry.Expert]
-		perWorker[n] = append(perWorker[n], &wire.Message{
+		msgs[n] = append(msgs[n], &wire.Message{
 			Type: wire.MsgAssign, Layer: int32(entry.Layer), Expert: int32(entry.Expert), Tensors: full,
 		})
 	}
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var firstErr error
-	for n, msgs := range perWorker {
-		wg.Add(1)
-		go func(n int, msgs []*wire.Message) {
-			defer wg.Done()
-			err := x.pipelined(n, msgs, nil, func(_ int, reply *wire.Message) error {
-				if reply.Type != wire.MsgAck {
-					return fmt.Errorf("broker: worker %d replied %v to restore-assign", n, reply.Type)
-				}
-				return nil
-			})
-			if err != nil {
-				mu.Lock()
-				if firstErr == nil {
-					firstErr = err
-				}
-				mu.Unlock()
-			}
-		}(n, msgs)
-	}
-	wg.Wait()
-	return firstErr
+	return x.round(msgs, wire.MsgAck, nil, nil)
 }
 
 // LocalDeployment wires up n in-process workers over channel pipes — the

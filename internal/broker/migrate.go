@@ -43,13 +43,7 @@ func (x *Executor) Migrate(layer, e, dst int) error {
 		return err
 	}
 	assignMsg := &wire.Message{Type: wire.MsgAssign, Layer: payload.Layer, Expert: payload.Expert, Tensors: full}
-	err = x.pipelined(dst, []*wire.Message{assignMsg}, nil, func(_ int, reply *wire.Message) error {
-		if reply.Type != wire.MsgAck {
-			return fmt.Errorf("broker: worker %d replied %v to migrated assign", dst, reply.Type)
-		}
-		return nil
-	})
-	if err != nil {
+	if err := x.one(dst, assignMsg, wire.MsgAck, nil); err != nil {
 		return err
 	}
 	// Publish the flip via clone-and-swap: concurrent Assignment() readers
@@ -60,15 +54,8 @@ func (x *Executor) Migrate(layer, e, dst int) error {
 	x.assign.Store(next)
 	// Release the now-stale source copy. The migration has already taken
 	// effect; a release failure is surfaced but does not undo it.
-	err = x.pipelined(src, []*wire.Message{
-		{Type: wire.MsgFetch, Layer: int32(layer), Expert: int32(e)},
-	}, nil, func(_ int, reply *wire.Message) error {
-		if reply.Type != wire.MsgFetchResult {
-			return fmt.Errorf("broker: worker %d replied %v to release-fetch", src, reply.Type)
-		}
-		return nil
-	})
-	if err != nil {
+	release := &wire.Message{Type: wire.MsgFetch, Layer: int32(layer), Expert: int32(e)}
+	if err := x.one(src, release, wire.MsgFetchResult, nil); err != nil {
 		return fmt.Errorf("broker: migrated L%d/E%d to worker %d but releasing the source copy on worker %d failed: %w",
 			layer, e, dst, src, err)
 	}

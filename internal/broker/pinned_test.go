@@ -90,7 +90,7 @@ func newPinnedRig(t *testing.T) *pinnedRig {
 		t.Fatal(err)
 	}
 	sys.Exec.RequestTimeout = 2 * time.Second
-	sup := sys.Supervisor(broker.SupervisorConfig{FailureThreshold: 1})
+	sup := sys.Supervisor(broker.SupervisorConfig{})
 	batcher := data.NewBatcher(data.Shakespeare(4000), 2, 16, 7)
 	ft := sys.Finetuner(batcher)
 	return &pinnedRig{

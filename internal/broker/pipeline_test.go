@@ -1,6 +1,7 @@
 package broker
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
@@ -34,14 +35,14 @@ func singleWorkerGrid(nExperts int) ([][]*moe.Expert, *placement.Assignment, Exp
 // requests than the transport buffers (~128 messages on the in-process
 // pipe), a master that performs all Sends before any Recv wedges against
 // the worker's full reply queue. The pipelined 300-MsgAssign Distribute
-// is that round; the forward and backward exchanges that follow are one
-// 300-tensor frame each. All three must complete well within the timeout.
+// is that round, streamed through the fixed in-flight window of 64; the
+// forward and backward exchanges that follow are one 300-tensor frame
+// each. All three must complete well within the timeout.
 func TestManyInFlightSingleWorkerDoesNotDeadlock(t *testing.T) {
-	const experts = 300 // > 2×64 pipe buffering, and ≥ 256 in-flight
+	const experts = 300 // > 2×64 pipe buffering
 	grid, assign, spec := singleWorkerGrid(experts)
 	dep := StartLocalWorkers(1, DefaultWorkerConfig())
 	exec := NewExecutor(dep.Conns, assign)
-	exec.MaxInFlight = experts // the full burst is outstanding at once
 
 	done := make(chan error, 1)
 	go func() {
@@ -142,10 +143,9 @@ func TestOutOfOrderRepliesAreCorrelatedBySeq(t *testing.T) {
 	}()
 
 	grid, assign, spec := singleWorkerGrid(experts)
-	exec := NewExecutor([]transport.Conn{master}, assign)
 	// The shim replies only once the whole round is buffered, so every
-	// request must be allowed in flight at once.
-	exec.MaxInFlight = experts
+	// request must be allowed in flight at once: 8 is within the window.
+	exec := NewExecutor([]transport.Conn{master}, assign)
 
 	if err := exec.Distribute(grid, spec); err != nil {
 		t.Fatalf("distribute with reversed acks: %v", err)
@@ -329,6 +329,51 @@ func TestChecksumsSurfaceWorkerError(t *testing.T) {
 		t.Fatalf("err = %v, want worker error surfaced", err)
 	}
 	_ = master.Close()
+}
+
+// TestRoundErrorNamesLowestFailingWorker: when several workers fail one
+// round, its error is the lowest-indexed worker's, not whichever failed
+// first in time. Worker 1 answers, worker 2 refuses at once and worker 0
+// only after it; exchange (and restore) used to return worker 2's error.
+// The sleep only lets the master see worker 2's refusal first — the
+// assertion holds in either order.
+func TestRoundErrorNamesLowestFailingWorker(t *testing.T) {
+	const workers = 3
+	conns := make([]transport.Conn, workers)
+	assign := placement.NewAssignment(1, workers)
+	batches := make(map[int]*tensor.Tensor, workers)
+	refused := make(chan struct{})
+	for n := range conns {
+		master, workerEnd := transport.Pipe()
+		conns[n] = master
+		assign.Worker[0][n] = n
+		batches[n] = tensor.Full(0.5, 1, 4)
+		go func() {
+			m, err := workerEnd.Recv()
+			if err != nil {
+				return
+			}
+			reply := &wire.Message{Type: wire.MsgError, Seq: m.Seq, Text: fmt.Sprintf("refused by %d", n)}
+			switch n {
+			case 0:
+				<-refused
+				time.Sleep(10 * time.Millisecond)
+			case 1:
+				reply = &wire.Message{Type: wire.MsgForwardMultiResult, Seq: m.Seq, Tensors: m.Tensors}
+			case 2:
+				defer close(refused)
+			}
+			_ = workerEnd.Send(reply)
+		}()
+	}
+	exec := NewExecutor(conns, assign)
+	_, err := exec.ForwardExperts(0, batches)
+	if err == nil || !strings.Contains(err.Error(), "refused by 0") {
+		t.Fatalf("err = %v, want worker 0's refusal", err)
+	}
+	for _, c := range conns {
+		_ = c.Close()
+	}
 }
 
 // TestExchangeDrainsAfterWorkerError: one failing expert in a K-expert

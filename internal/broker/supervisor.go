@@ -14,20 +14,16 @@ import (
 )
 
 // SupervisorConfig tunes failure detection. The zero value disables the
-// background heartbeat (Probe can still be called manually) and uses the
-// default failure threshold.
+// background heartbeat (Probe can still be called manually).
 type SupervisorConfig struct {
 	// HeartbeatInterval is the period of the background ping loop started
 	// by Start. <= 0 disables the loop.
 	HeartbeatInterval time.Duration
-	// FailureThreshold is how many consecutive missed heartbeats declare
-	// a worker dead. <= 0 selects DefaultFailureThreshold.
-	FailureThreshold int
 }
 
-// DefaultFailureThreshold is the consecutive-missed-heartbeat bound used
-// when SupervisorConfig.FailureThreshold is unset.
-const DefaultFailureThreshold = 2
+// failureThreshold is how many consecutive missed heartbeats declare a
+// worker dead.
+const failureThreshold = 2
 
 // Supervisor is the broker's failure handler: it heartbeats workers in
 // the background, keeps the latest step-boundary expert snapshot (delta
@@ -91,13 +87,6 @@ func NewSupervisor(exec *Executor, prob *placement.Problem, cfg SupervisorConfig
 	}
 }
 
-func (s *Supervisor) failureThreshold() int {
-	if s.cfg.FailureThreshold > 0 {
-		return s.cfg.FailureThreshold
-	}
-	return DefaultFailureThreshold
-}
-
 // Start launches the background heartbeat loop. No-op when the interval
 // is unset or the loop already runs.
 func (s *Supervisor) Start() {
@@ -136,7 +125,7 @@ func (s *Supervisor) heartbeatLoop() {
 }
 
 // Probe heartbeats every live worker once. A worker that misses
-// FailureThreshold consecutive probes is marked dead — which closes its
+// failureThreshold consecutive probes is marked dead — which closes its
 // connection and converts any round blocked on it into a fast failure
 // the trainer's recovery path then handles. Probe never performs the
 // failover itself: restoring experts mid-step would race the training
@@ -155,7 +144,7 @@ func (s *Supervisor) Probe() {
 			continue
 		}
 		s.missed[n]++
-		dead := s.missed[n] >= s.failureThreshold()
+		dead := s.missed[n] >= failureThreshold
 		s.mu.Unlock()
 		if dead || errors.Is(err, transport.ErrClosed) {
 			s.exec.MarkDead(n)
@@ -191,8 +180,8 @@ func (s *Supervisor) tryRedial(n int) {
 
 // handshake verifies a fresh connection answers a ping within the
 // heartbeat interval (1s when the background loop is disabled). It runs
-// directly on the connection — the executor's pipelined path refuses
-// dead workers, and the slot swap has not happened yet.
+// directly on the connection — the executor's rounds refuse dead
+// workers, and the slot swap has not happened yet.
 func (s *Supervisor) handshake(conn transport.Conn) error {
 	timeout := s.cfg.HeartbeatInterval
 	if timeout <= 0 {
@@ -249,7 +238,7 @@ func (s *Supervisor) PendingRejoins() int {
 
 // Rejoin re-admits dead worker n over conn: the executor's connection
 // slot is swapped (MarkAlive), the heartbeat miss counter re-armed, and
-// a verification ping driven through the normal pipelined path. On ping
+// a verification ping driven as an ordinary round. On ping
 // failure the worker is marked dead again and the error returned — the
 // pool is never left with an unresponsive "live" worker. Call from the
 // training goroutine; in-process deployments (tests, examples) that

@@ -111,7 +111,7 @@ func chaosRun(t *testing.T, fault chaosFault, kill ...int) ([]float64, *Executor
 	}
 	model.SetExecutor(exec)
 
-	sup := NewSupervisor(exec, uniformProblem(cfg, workers), SupervisorConfig{FailureThreshold: 1})
+	sup := NewSupervisor(exec, uniformProblem(cfg, workers), SupervisorConfig{})
 	backbone := nn.CollectTrainable(model.Params())
 	ft := &trainer.Finetuner{
 		Model:      model,
@@ -295,10 +295,9 @@ func TestSupervisorHeartbeatDetectsWedgedWorker(t *testing.T) {
 	wedged := transport.NewFaulty(dep.Conns[0], 3, transport.FaultPlan{PartitionRecv: true})
 	cfg := testConfig()
 	exec := NewExecutor([]transport.Conn{wedged}, roundRobinAssignment(cfg, 1))
-	exec.RequestTimeout = 20 * time.Millisecond
-	exec.MaxRecvRetries = -1 // no in-round retries: each probe fails after one deadline
+	exec.RequestTimeout = 20 * time.Millisecond // each probe fails after its in-round retries
 	exec.Counters = obs.NewCounters(nil)
-	sup := NewSupervisor(exec, uniformProblem(cfg, 1), SupervisorConfig{FailureThreshold: 2})
+	sup := NewSupervisor(exec, uniformProblem(cfg, 1), SupervisorConfig{})
 
 	sup.Probe()
 	if !exec.Alive(0) {

@@ -3,6 +3,7 @@ package broker
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"time"
 
@@ -51,13 +52,12 @@ func DefaultWorkerConfig() WorkerConfig {
 // serves forward/backward dispatch frames from the master, and applies
 // local optimizer steps to the trainable (LoRA) parameters of its experts.
 //
-// Concurrency model: forward/backward compute holds mu for reading, so
-// the distinct experts of a frame overlap; a per-expert lock serializes
-// compute on one expert (its layers cache activations between Forward and
-// Backward). Structural operations — Assign, Fetch, ZeroGrad, Step,
-// Stats — take mu for writing and therefore act as a full barrier,
-// waiting for all in-flight compute to drain before mutating the expert
-// table or touching optimizer state.
+// Concurrency model: Serve handles one message at a time. A dispatch
+// frame's experts compute side by side holding mu for reading, and they
+// are distinct experts — handleMulti refuses a frame that names one
+// twice — so no two computes touch one expert's cached activations.
+// Whatever mutates the expert table or optimizer state holds mu for
+// writing.
 //
 // The zero value is not usable; call NewWorker.
 type Worker struct {
@@ -67,7 +67,6 @@ type Worker struct {
 	mu      sync.RWMutex
 	experts map[moe.ExpertID]*moe.Expert
 	specs   map[moe.ExpertID]ExpertSpec
-	locks   map[moe.ExpertID]*sync.Mutex
 	opt     nn.Optimizer
 	// momentSeeds holds AdamW moment state that arrived with a MsgAssign
 	// (a failover restore or run-level resume) before the optimizer
@@ -89,7 +88,6 @@ func NewWorker(id int, cfg WorkerConfig) *Worker {
 		ID: id, cfg: cfg,
 		experts:     make(map[moe.ExpertID]*moe.Expert),
 		specs:       make(map[moe.ExpertID]ExpertSpec),
-		locks:       make(map[moe.ExpertID]*sync.Mutex),
 		baseSums:    make(map[moe.ExpertID]uint32),
 		momentSeeds: make(map[moe.ExpertID]*expertOptState),
 	}
@@ -196,8 +194,7 @@ func (w *Worker) handle(msg *wire.Message) (reply *wire.Message, done bool) {
 // and whether the serve loop should terminate. arrivedAt is the frame's
 // arrival on the worker tracer's clock (0 when uninstrumented): the
 // queue-wait anchor for compute requests and the t1 echo for clock
-// pings. It is safe for concurrent use on dispatch frames; see the
-// Worker concurrency model.
+// pings.
 func (w *Worker) handleAt(msg *wire.Message, arrivedAt int64) (reply *wire.Message, done bool) {
 	switch msg.Type {
 	case wire.MsgAssign:
@@ -209,7 +206,6 @@ func (w *Worker) handleAt(msg *wire.Message, arrivedAt int64) (reply *wire.Messa
 		w.mu.Lock()
 		w.experts[ex.ID] = ex
 		w.specs[ex.ID] = en.spec
-		w.locks[ex.ID] = &sync.Mutex{}
 		w.baseSums[ex.ID] = sum
 		w.refreshOptimizer()
 		if en.opt != nil {
@@ -231,7 +227,6 @@ func (w *Worker) handleAt(msg *wire.Message, arrivedAt int64) (reply *wire.Messa
 		if ok {
 			delete(w.experts, id)
 			delete(w.specs, id)
-			delete(w.locks, id)
 			delete(w.baseSums, id)
 			delete(w.momentSeeds, id)
 			w.refreshOptimizer()
@@ -382,11 +377,16 @@ func (w *Worker) handleMulti(msg *wire.Message, arrivedAt int64) *wire.Message {
 			w.ID, msg.Type, len(msg.Tensors)))
 	}
 	ids := msg.Tensors[0]
-	// Reject a garbage id before anything computes: a backward that ran
-	// for the frame's other experts would consume their activations.
-	for _, v := range ids.Data {
+	// Reject a garbage or repeated id before anything computes: a backward
+	// that ran for the frame's other experts would consume their
+	// activations, and a second compute of one expert would overwrite the
+	// activations the first one's backward needs.
+	for i, v := range ids.Data {
 		if !(v >= 0 && v <= math.MaxInt32 && v == math.Trunc(v)) {
 			return errMsg(msg, fmt.Errorf("broker: worker %d: %v frame names expert id %v", w.ID, msg.Type, v))
+		}
+		if slices.Contains(ids.Data[:i], v) {
+			return errMsg(msg, fmt.Errorf("broker: worker %d: %v frame names expert %v twice", w.ID, msg.Type, v))
 		}
 	}
 	outs := make([]wire.Matrix, 1+k)
@@ -407,8 +407,7 @@ func (w *Worker) handleMulti(msg *wire.Message, arrivedAt int64) *wire.Message {
 
 // runExpert runs one expert's forward or backward over a batch and
 // returns the reply matrix with its wire encoding stamped. It holds the
-// worker's read barrier and the expert's own lock: compute on distinct
-// experts overlaps, compute on one expert serializes.
+// worker's read barrier; the frame's other computes run on other experts.
 //
 // A panic out of the expert compute (an nn shape/state precondition — a
 // chaos transport can deliver a duplicated backward frame whose second
@@ -434,9 +433,6 @@ func (w *Worker) runExpert(id moe.ExpertID, backward bool, in *wire.Matrix, seq 
 		return out, fmt.Errorf("broker: worker %d: %s batch has %d features, expert %v expects %d",
 			w.ID, dir, in.Cols, id, spec.D)
 	}
-	lk := w.locks[id]
-	lk.Lock()
-	defer lk.Unlock()
 	defer func() {
 		if r := recover(); r != nil {
 			out, err = wire.Matrix{}, fmt.Errorf("broker: worker %d: %s on %v panicked: %v", w.ID, dir, id, r)
@@ -445,7 +441,7 @@ func (w *Worker) runExpert(id moe.ExpertID, backward bool, in *wire.Matrix, seq 
 	var t0 int64
 	if w.cfg.Obs != nil {
 		t0 = w.cfg.Obs.Trace.Clock()
-		// Queue wait: frame arrival → expert lock acquired. arrivedAt of 0
+		// Queue wait: frame arrival → compute start. arrivedAt of 0
 		// means the caller had no tracer at Recv time; skip rather than
 		// record a bogus epoch-relative wait.
 		if arrivedAt > 0 {

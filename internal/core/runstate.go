@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/broker"
 	"repro/internal/checkpoint"
-	"repro/internal/metrics"
 	"repro/internal/moe"
 	"repro/internal/nn"
 	"repro/internal/obs"
@@ -53,7 +52,7 @@ type RunCapture struct {
 	Ctrl  *replace.Controller
 	// Losses is the fine-tuner's loss series (the completed-step count
 	// and the trajectory a resume must extend bit-identically).
-	Losses *metrics.Series
+	Losses *obs.Series
 	// Seeds records the run's RNG seeds for resume-time verification.
 	Seeds []int64
 }

@@ -12,8 +12,8 @@ import (
 	"sync"
 
 	"repro/internal/data"
-	"repro/internal/metrics"
 	"repro/internal/moe"
+	"repro/internal/obs"
 	"repro/internal/placement"
 	"repro/internal/sim"
 	"repro/internal/trainer"
@@ -213,7 +213,7 @@ func Fig3b(s Scale) (*Fig3bResult, error) {
 // block across fine-tuning steps.
 type Fig3cResult struct {
 	// Freq[e] is the per-step access frequency series of expert e.
-	Freq []*metrics.Series
+	Freq []*obs.Series
 	// MaxDrift is the largest |freq(step) − freq(0)| over experts and
 	// steps — the stability number behind "remains very stable".
 	MaxDrift float64
@@ -234,9 +234,9 @@ func Fig3c(s Scale) (*Fig3cResult, error) {
 	b := data.NewBatcher(data.Shakespeare(corpusSize(s)), batch, seqLen, 35)
 	ft := trainer.NewLocalFinetuner(m, exec, b)
 
-	res := &Fig3cResult{Freq: make([]*metrics.Series, cfg.Experts)}
+	res := &Fig3cResult{Freq: make([]*obs.Series, cfg.Experts)}
 	for e := range res.Freq {
-		res.Freq[e] = &metrics.Series{Name: fmt.Sprintf("expert%d", e)}
+		res.Freq[e] = &obs.Series{Name: fmt.Sprintf("expert%d", e)}
 	}
 	steps := fig3cSteps(s)
 	// Per-step (not cumulative) frequency of block 0.

@@ -3,11 +3,13 @@ package lint
 import (
 	"flag"
 	"fmt"
+	"go/ast"
 	"go/token"
 	"go/types"
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -21,11 +23,21 @@ import (
 //
 //	go test ./internal/lint -run 'Pinned|Census' -update-golden
 //
-// Both files describe the real module, so any PR that edits a function
-// body or a directive re-pins them; the diff must then name only what the
-// PR touched. A row that moves in a function nobody edited means the
-// flow layer's walk changed.
+// flowfacts.digest describes the fixture corpus, so it moves only when an
+// analyzer's contract (and with it a fixture) or the flow layer's walk
+// does. raw.golden describes the real module's directives, so it moves
+// when a directive is added or deleted.
 var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/flowfacts.digest and testdata/raw.golden from this build")
+
+// skipLoad skips a test that typechecks a module and the standard library
+// from source on one goroutine: nothing for -race to find, and 10× the
+// time.
+func skipLoad(t *testing.T) {
+	t.Helper()
+	if testing.Short() || testutil.RaceEnabled {
+		t.Skip("typechecks a module and the standard library from source")
+	}
+}
 
 // realModule loads the enclosing module once for the tests that pin facts
 // about the tree itself.
@@ -35,9 +47,7 @@ var realModule = sync.OnceValues(func() ([]*Package, error) {
 
 func loadRealModule(t *testing.T) []*Package {
 	t.Helper()
-	if testing.Short() || testutil.RaceEnabled {
-		t.Skip("typechecks the whole module on one goroutine: nothing for -race to find, and 10× the time")
-	}
+	skipLoad(t)
 	if runtime.GOOS != "linux" || runtime.GOARCH != "amd64" {
 		t.Skip("the load honours build constraints; the pins are of the linux/amd64 file set")
 	}
@@ -82,20 +92,38 @@ func checkGolden(t *testing.T, name, got string) {
 }
 
 // TestPinnedFlowFacts pins what the flow layer's one body walk records,
-// for every function of the real module: its key, the call edges into
-// the module as (callee, in-go, lock-held) — an edge out of the module
-// has no consumer, every summary skips it — the transport ops and
+// for every function of the analyzer fixture corpus (testdata/src/<name>,
+// one module each, under a "module <name>" row): its key, the call edges
+// into the module as (callee, in-go, lock-held) — an edge out of the
+// module has no consumer, every summary skips it — the transport ops and
 // deadline bounding deadlineflow reads, the lock-held blocking ops
 // locklint reports, and the field accesses atomicpub keeps with their
 // kind and lock context. Rows carry no line numbers (deleting a comment
 // must not move them); calls are in source order, field accesses in
-// position order. The file was captured on the commit before the three
-// statement walkers became one, through all three; the one walker
-// reproduces it plus the call edges inside `x[f()]++` statements, which
-// only one of the three used to walk (EXPERIMENTS.md "PR 30").
+// position order. The corpus changes only when an analyzer's contract
+// does, so an edit to the runtime's function bodies never re-pins this.
 func TestPinnedFlowFacts(t *testing.T) {
-	prog := BuildProgram(loadRealModule(t))
+	skipLoad(t)
+	root := filepath.Join("testdata", "src")
+	mods, err := os.ReadDir(root)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var b strings.Builder
+	for _, m := range mods {
+		pkgs, err := Load(Config{Dir: filepath.Join(root, m.Name()), IncludeTests: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(&b, "module %s\n", m.Name())
+		writeFlowFacts(&b, BuildProgram(pkgs))
+	}
+	checkGolden(t, "flowfacts.digest", b.String())
+}
+
+// writeFlowFacts writes TestPinnedFlowFacts's rows for every function of
+// prog.
+func writeFlowFacts(b *strings.Builder, prog *Program) {
 	mark := func(on bool, s string) string {
 		if on {
 			return s
@@ -103,27 +131,24 @@ func TestPinnedFlowFacts(t *testing.T) {
 		return "-"
 	}
 	for _, fi := range prog.Functions() {
-		if fi.Pkg.Path == "repro/internal/lint" || fi.Pkg.Path == "repro/cmd/velavet" {
-			continue // the walker's own source is not a fixed point of rewriting it
-		}
-		fmt.Fprintf(&b, "func %s", fi.Key)
+		fmt.Fprintf(b, "func %s", fi.Key)
 		if fi.Test {
 			b.WriteString(" test")
 		}
 		b.WriteString("\n")
 		for _, c := range fi.Calls {
 			if prog.funcs[c.Key] != nil {
-				fmt.Fprintf(&b, " call %s %s %s\n", c.Key, mark(c.InGo, "go"), mark(c.LockHeld, "lock"))
+				fmt.Fprintf(b, " call %s %s %s\n", c.Key, mark(c.InGo, "go"), mark(c.LockHeld, "lock"))
 			}
 		}
 		for _, op := range fi.transportOps {
-			fmt.Fprintf(&b, " %s %s\n", strings.ToLower(op.Name), op.Recv)
+			fmt.Fprintf(b, " %s %s\n", strings.ToLower(op.Name), op.Recv)
 		}
 		if fi.boundsDeadline {
 			b.WriteString(" bounds\n")
 		}
 		for _, op := range fi.lockedOps {
-			fmt.Fprintf(&b, " blocked %s holding %s\n", op.What, op.Lock)
+			fmt.Fprintf(b, " blocked %s holding %s\n", op.What, op.Lock)
 		}
 		byField := make(map[*types.Var][]fieldAccess)
 		collectFieldAccesses(fi, byField, make(map[*types.Var]bool))
@@ -155,7 +180,6 @@ func TestPinnedFlowFacts(t *testing.T) {
 			b.WriteString(r.text)
 		}
 	}
-	checkGolden(t, "flowfacts.digest", b.String())
 }
 
 // TestSuppressionCensus is ROADMAP's "an analyzer suppressed that often
@@ -209,4 +233,122 @@ func TestSuppressionCensus(t *testing.T) {
 		fmt.Fprintf(&raw, "%s: %s: %s\n", filepath.ToSlash(rel), d.Analyzer, d.Message)
 	}
 	checkGolden(t, "raw.golden", raw.String())
+}
+
+// knobStructs are the runtime configuration types TestKnobCensus holds to
+// account, as (package path, type name).
+var knobStructs = [][2]string{
+	{"repro/internal/core", "Options"},
+	{"repro/internal/broker", "Executor"},
+	{"repro/internal/broker", "WorkerConfig"},
+	{"repro/internal/broker", "SupervisorConfig"},
+	{"repro/internal/replace", "Config"},
+	{"repro/internal/obs", "Config"},
+	{"repro/internal/checkpoint", "RunStore"},
+}
+
+// knobExempt names the knobs whose only writer lives outside this module,
+// with why; each must stay a knob that nothing in the module sets.
+var knobExempt = map[string]string{
+	"broker.Executor.Coalesce": "only stepbench (bench/, a nested module the loader skips) sets it; ROADMAP 1(a) deletes the field with that write",
+}
+
+// TestKnobCensus is ROADMAP's knob census, checked by a machine like the
+// suppression census: every exported field of basic kind — a number,
+// bool, string, time.Duration or integer enum, or a pointer to one — of
+// the knobStructs must be assigned, by a selector write or a
+// composite-literal key, in some non-test file outside its declaring
+// package: a deployment, a harness or an example. A knob only tests set
+// is a constant with extra steps; delete it and its plumbing. Func-,
+// interface- and struct-typed fields are hooks and test seams, out of
+// scope.
+func TestKnobCensus(t *testing.T) {
+	pkgs := loadRealModule(t)
+	fset := pkgs[0].Fset
+	// Knobs by the position of their declaration: the declaring package's
+	// own unit and its importers' view of it are typechecked apart, so
+	// their *types.Var differ but their declarations do not.
+	knobs := make(map[string]string)
+	for _, ks := range knobStructs {
+		var st *types.Struct
+		for _, p := range pkgs {
+			if p.Path == ks[0] && p.Types != nil && p.Types.Name() == p.Name {
+				if obj := p.Types.Scope().Lookup(ks[1]); obj != nil {
+					st, _ = obj.Type().Underlying().(*types.Struct)
+				}
+			}
+		}
+		if st == nil {
+			t.Fatalf("%s.%s: no such struct in the module", ks[0], ks[1])
+		}
+		for i := 0; i < st.NumFields(); i++ {
+			f := st.Field(i)
+			ft := f.Type()
+			if p, ok := ft.(*types.Pointer); ok {
+				ft = p.Elem()
+			}
+			if _, basic := ft.Underlying().(*types.Basic); f.Exported() && basic {
+				knobs[fset.Position(f.Pos()).String()] = fmt.Sprintf("%s.%s.%s", f.Pkg().Name(), ks[1], f.Name())
+			}
+		}
+	}
+
+	set := make(map[string]bool)
+	mark := func(p *Package, id *ast.Ident) {
+		if f, ok := p.Info.Uses[id].(*types.Var); ok && f.IsField() && f.Pkg() != nil && f.Pkg().Path() != p.Path {
+			if name, ok := knobs[fset.Position(f.Pos()).String()]; ok {
+				set[name] = true
+			}
+		}
+	}
+	for _, p := range pkgs {
+		for _, file := range p.Files {
+			if strings.HasSuffix(fset.Position(file.Pos()).Filename, "_test.go") {
+				continue
+			}
+			ast.Inspect(file, func(n ast.Node) bool {
+				var lhs []ast.Expr
+				switch n := n.(type) {
+				case *ast.AssignStmt:
+					lhs = n.Lhs
+				case *ast.IncDecStmt:
+					lhs = []ast.Expr{n.X}
+				case *ast.CompositeLit:
+					for _, el := range n.Elts {
+						if kv, ok := el.(*ast.KeyValueExpr); ok {
+							if id, ok := kv.Key.(*ast.Ident); ok {
+								mark(p, id)
+							}
+						}
+					}
+				}
+				for _, e := range lhs {
+					if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
+						mark(p, sel.Sel)
+					}
+				}
+				return true
+			})
+		}
+	}
+
+	var names []string
+	for _, name := range knobs {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		_, exempt := knobExempt[name]
+		switch {
+		case exempt && set[name]:
+			t.Errorf("%s is exempt but the module sets it: drop the exemption", name)
+		case !exempt && !set[name]:
+			t.Errorf("%s is set by no non-test file outside its package: make it a constant or delete it", name)
+		}
+	}
+	for name := range knobExempt {
+		if !slices.Contains(names, name) {
+			t.Errorf("%s is exempt but no longer a knob: drop the exemption", name)
+		}
+	}
 }

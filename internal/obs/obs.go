@@ -64,12 +64,12 @@ type Config struct {
 	// DriftAlpha is the EWMA coefficient of the drift monitor and the
 	// measured-comm gauge (default 0.05).
 	DriftAlpha float64
-	// Window is the per-worker send-timestamp table size used to match
-	// replies to sends for the latency histogram. Must be at least the
-	// broker's in-flight window; rounded up to a power of two (default
-	// 1024).
-	Window int
 }
+
+// sendWindow is the per-worker send-timestamp table size used to match
+// replies to sends for the latency histogram: a power of two, and well
+// above the broker's in-flight window of 64.
+const sendWindow = 1024
 
 // phaseAgg accumulates one phase's span time.
 type phaseAgg struct {
@@ -109,11 +109,10 @@ type Handle struct {
 	curStep atomic.Int64
 	steps   atomic.Uint64
 
-	// sendTs[n][seq&winMask] is the send timestamp of the request with
-	// that Seq, matched by OnReply. The table is as wide as the in-flight
+	// sendTs[n][seq%sendWindow] is the send timestamp of the request with
+	// that Seq, matched by OnReply. The table is wider than the in-flight
 	// window, so live Seqs never collide.
-	sendTs  [][]atomic.Int64
-	winMask uint64
+	sendTs [][]atomic.Int64
 
 	// roundDur[n] is worker n's duration in the current exchange round;
 	// RoundEnd turns the per-worker deltas into straggler gaps.
@@ -130,13 +129,6 @@ func NewHandle(cfg Config) *Handle {
 	if cfg.TraceCapacity <= 0 {
 		cfg.TraceCapacity = 4096
 	}
-	if cfg.Window <= 0 {
-		cfg.Window = 1024
-	}
-	win := uint64(64)
-	for win < uint64(cfg.Window) {
-		win <<= 1
-	}
 	h := &Handle{
 		Trace:     NewTracer(cfg.TraceCapacity),
 		Drift:     NewDriftMonitor(cfg.Layers, cfg.Experts, cfg.DriftAlpha),
@@ -144,7 +136,6 @@ func NewHandle(cfg Config) *Handle {
 		QueueWait: NewHistogram(LatencyBounds()),
 		FrameTx:   NewHistogram(SizeBounds()),
 		FrameRx:   NewHistogram(SizeBounds()),
-		winMask:   win - 1,
 	}
 	h.ReqLatency = make([]*Histogram, cfg.Workers)
 	h.Compute = make([]*Histogram, cfg.Workers)
@@ -155,7 +146,7 @@ func NewHandle(cfg Config) *Handle {
 		h.ReqLatency[n] = NewHistogram(LatencyBounds())
 		h.Compute[n] = NewHistogram(LatencyBounds())
 		h.StragglerGap[n] = NewHistogram(LatencyBounds())
-		h.sendTs[n] = make([]atomic.Int64, win)
+		h.sendTs[n] = make([]atomic.Int64, sendWindow)
 	}
 	return h
 }
@@ -233,7 +224,7 @@ func (h *Handle) OnSend(n, layer, expert int, seq uint64, bytes int) {
 	}
 	now := h.Trace.Clock()
 	if n >= 0 && n < len(h.sendTs) {
-		h.sendTs[n][seq&h.winMask].Store(now)
+		h.sendTs[n][seq%sendWindow].Store(now)
 	}
 	h.FrameTx.Observe(float64(bytes))
 	h.Trace.Record(Event{
@@ -251,7 +242,7 @@ func (h *Handle) OnReply(n int, seq uint64, bytes int) {
 	now := h.Trace.Clock()
 	var lat int64
 	if n >= 0 && n < len(h.sendTs) {
-		if ts := h.sendTs[n][seq&h.winMask].Swap(0); ts > 0 && ts <= now {
+		if ts := h.sendTs[n][seq%sendWindow].Swap(0); ts > 0 && ts <= now {
 			lat = now - ts
 			h.ReqLatency[n].Observe(float64(lat) / 1e9)
 		}
@@ -304,7 +295,7 @@ func (h *Handle) OnWorkerRecv(n, layer, expert int, seq uint64, at int64, bytes 
 	})
 }
 
-// OnWorkerQueue records a worker request acquiring its expert lock after
+// OnWorkerQueue records a worker request's compute starting after
 // waiting `wait` since frame arrival.
 func (h *Handle) OnWorkerQueue(n, layer, expert int, seq uint64, wait time.Duration) {
 	if h == nil {

@@ -53,8 +53,8 @@ type Request struct {
 
 	// The telescoping spans: SendWire+Queue+Compute+ReplyWire == T5−T0.
 	SendWire  int64 // master send → worker frame arrival
-	Queue     int64 // frame arrival → first expert lock acquired
-	Compute   int64 // lock acquired → reply serialization starts
+	Queue     int64 // frame arrival → first expert compute starts
+	Compute   int64 // compute starts → reply serialization starts
 	ReplyWire int64 // reply serialization → master reply arrival
 	// Decode is the master-side post-arrival payload decode (outside the
 	// round trip, reported separately).
@@ -115,20 +115,20 @@ type acc struct {
 	seq                 uint64
 	worker              int32
 
-	t0, t5, replyDur int64
+	t0, t5, replyDur    int64
 	haveSend, haveReply bool
 	decode              int64
 
 	// Worker-side, on the worker clock.
-	t1w                int64
-	haveRecv           bool
-	qMin               int64
-	haveQueue          bool
-	t4At, t4Dur        int64
-	haveWkReply        bool
-	computes, queues   []ExpertSpan
-	offset, errBound   int64
-	haveWorkerEvents   bool
+	t1w              int64
+	haveRecv         bool
+	qMin             int64
+	haveQueue        bool
+	t4At, t4Dur      int64
+	haveWkReply      bool
+	computes, queues []ExpertSpan
+	offset, errBound int64
+	haveWorkerEvents bool
 }
 
 // Assemble merges the master's events (which, in a shared-handle

@@ -13,14 +13,14 @@ import (
 
 // synthReq builds the master+worker event pair of one exchange whose
 // ground truth is known: the worker runs at clock offset θ, the request
-// spends `wire` on each wire leg, `queue` waiting for the expert lock,
+// spends `wire` on each wire leg, `queue` waiting for its compute,
 // `comp` computing, and `tx` in reply encode+send.
 func synthReq(seq uint64, worker, layer, expert int32, t0, wire, queue, comp, tx, θ int64) (master, wk []obs.Event) {
-	t1w := t0 + wire + θ   // frame arrival, worker clock
-	t2w := t1w + queue     // expert lock acquired
-	t3w := t2w + comp      // compute done = reply serialization starts
-	t4w := t3w + tx        // reply handed to the transport
-	t5 := t4w - θ + wire   // reply back on the master
+	t1w := t0 + wire + θ // frame arrival, worker clock
+	t2w := t1w + queue   // compute starts
+	t3w := t2w + comp    // compute done = reply serialization starts
+	t4w := t3w + tx      // reply handed to the transport
+	t5 := t4w - θ + wire // reply back on the master
 	master = []obs.Event{
 		{At: t0, Kind: obs.EvSend, Worker: worker, Layer: layer, Expert: expert, Seq: seq, Bytes: 4096},
 		{At: t5, Kind: obs.EvReply, Worker: worker, Seq: seq, Dur: t5 - t0, Bytes: 2048},

@@ -20,7 +20,7 @@ const (
 	// for a window slot plus the Send call itself.
 	EvSend
 	// EvCompute marks one expert forward/backward on a worker; Dur is
-	// the compute time under the expert lock.
+	// its compute time.
 	EvCompute
 	// EvReply marks a correlated reply on the master; Dur is the
 	// send→reply latency.
@@ -36,8 +36,8 @@ const (
 	// size. Worker-side kinds carry the request Seq so the master can
 	// correlate them with its own EvSend/EvReply records.
 	EvWkRecv
-	// EvWkQueue marks a worker request acquiring its expert lock; At is
-	// the acquisition time and Dur the queue wait since frame arrival.
+	// EvWkQueue marks a worker request's compute starting; At is the
+	// start time and Dur the queue wait since frame arrival.
 	EvWkQueue
 	// EvWkReply marks a worker reply handed to the transport; Dur is the
 	// encode+send time (including the reply-serialization wait) and

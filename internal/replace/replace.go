@@ -1,7 +1,7 @@
 // Package replace closes VELA's placement loop at runtime: an online
 // re-placement controller that watches the observability layer's
-// staleness signals (P̂ drift and the predicted-vs-measured communication
-// gap) at every step boundary and, when the signal persists, re-solves
+// staleness signal (P̂ drift) at every step boundary and, when the signal
+// persists, re-solves
 // the placement over the live routing estimate and migrates experts to
 // the new layout through the broker's snapshot-first migration path —
 // without pausing training.
@@ -19,7 +19,7 @@
 //     exceed the one-time cost of moving the experts.
 //
 // The pipeline per decision is signal → decision → plan → execution:
-// read MaxDrift/CommGauges, ask Decide — re-solve over P̂ with dead
+// read MaxDrift, ask Decide — re-solve over P̂ with dead
 // workers' capacity zeroed, diff, price both layouts — order the moves
 // capacity-safely, and execute the plan at the step boundary. After a
 // migration the drift baseline and the predicted-comm gauge are
@@ -47,16 +47,13 @@ type Migrator interface {
 	DeadMask() []bool
 }
 
-// Config tunes the controller. The zero value disables both signals;
-// SetDefaults fills the structural knobs.
+// Config tunes the controller. DriftThreshold must be set; SetDefaults
+// fills the structural knobs.
 type Config struct {
 	// DriftThreshold triggers on DriftMonitor.MaxDrift() — the largest
 	// per-layer L1 distance between the EWMA routing estimate and the
-	// placement-time P. <= 0 disables the drift signal.
+	// placement-time P. It must be > 0.
 	DriftThreshold float64
-	// CommGapThreshold triggers on (measured-predicted)/predicted step
-	// communication time. <= 0 disables the gap signal.
-	CommGapThreshold float64
 	// ConsecutiveSteps (K) is how many consecutive over-threshold step
 	// boundaries arm a re-solve. Default 3.
 	ConsecutiveSteps int
@@ -132,10 +129,10 @@ func New(prob *placement.Problem, h *obs.Handle, stats *obs.Counters, mig Migrat
 		return nil, fmt.Errorf("replace: nil problem or migrator")
 	}
 	if h == nil || h.Drift == nil {
-		return nil, fmt.Errorf("replace: controller needs a live obs handle (drift monitor feeds the trigger signals)")
+		return nil, fmt.Errorf("replace: controller needs a live obs handle (drift monitor feeds the trigger signal)")
 	}
-	if cfg.DriftThreshold <= 0 && cfg.CommGapThreshold <= 0 {
-		return nil, fmt.Errorf("replace: both trigger signals disabled (set DriftThreshold or CommGapThreshold)")
+	if cfg.DriftThreshold <= 0 {
+		return nil, fmt.Errorf("replace: the trigger signal is disabled (set DriftThreshold)")
 	}
 	return &Controller{
 		cfg:        cfg,
@@ -208,19 +205,8 @@ func (c *Controller) OnStep(step int) error {
 	return c.resolve(step)
 }
 
-// signal evaluates the trigger predicates over the live gauges.
-func (c *Controller) signal() bool {
-	if c.cfg.DriftThreshold > 0 && c.drift.MaxDrift() >= c.cfg.DriftThreshold {
-		return true
-	}
-	if c.cfg.CommGapThreshold > 0 {
-		if pred, meas := c.drift.CommGauges(); pred > 0 && meas > 0 &&
-			(meas-pred)/pred >= c.cfg.CommGapThreshold {
-			return true
-		}
-	}
-	return false
-}
+// signal evaluates the trigger predicate over the live drift gauge.
+func (c *Controller) signal() bool { return c.drift.MaxDrift() >= c.cfg.DriftThreshold }
 
 // Verdict is what Decide concluded about a re-solve that succeeded.
 type Verdict int

@@ -281,7 +281,7 @@ func TestConfigValidation(t *testing.T) {
 	h := testHandle(prob)
 	mig := &fakeMigrator{assign: roundRobin(prob)}
 	if _, err := New(prob, h, nil, mig, Config{}); err == nil {
-		t.Fatal("both signals disabled must be rejected")
+		t.Fatal("a disabled trigger signal must be rejected")
 	}
 	if _, err := New(nil, h, nil, mig, Config{DriftThreshold: 0.1}); err == nil {
 		t.Fatal("nil problem must be rejected")

@@ -22,7 +22,7 @@ import (
 	"slices"
 
 	"repro/internal/cluster"
-	"repro/internal/metrics"
+	"repro/internal/obs"
 	"repro/internal/placement"
 	"repro/internal/wire"
 	"repro/internal/workload"
@@ -144,10 +144,10 @@ type Result struct {
 	Strategy string
 	// TrafficMB is the per-step external (cross-node) traffic per node
 	// in MB — Fig. 5's y-axis.
-	TrafficMB *metrics.Series
+	TrafficMB *obs.Series
 	// StepSec is the per-step wall-clock time in seconds — Fig. 6's
 	// y-axis.
-	StepSec *metrics.Series
+	StepSec *obs.Series
 	// TotalCrossBytes accumulates external traffic over the whole run.
 	TotalCrossBytes float64
 }
@@ -166,8 +166,8 @@ func RunVela(cfg Config, gen *workload.Generator, assign *placement.Assignment, 
 	}
 	res := &Result{
 		Strategy:  name,
-		TrafficMB: &metrics.Series{Name: name},
-		StepSec:   &metrics.Series{Name: name},
+		TrafficMB: &obs.Series{Name: name},
+		StepSec:   &obs.Series{Name: name},
 	}
 	// The cost model's topology terms; P plays no part in pricing sampled
 	// counts.
@@ -207,8 +207,8 @@ func RunEP(cfg Config, gen *workload.Generator) (*Result, error) {
 	}
 	res := &Result{
 		Strategy:  "ep",
-		TrafficMB: &metrics.Series{Name: "ep"},
-		StepSec:   &metrics.Series{Name: "ep"},
+		TrafficMB: &obs.Series{Name: "ep"},
+		StepSec:   &obs.Series{Name: "ep"},
 	}
 	nWorkers := cfg.Topo.NumWorkers()
 	nNodes := float64(cfg.Topo.NumNodes())

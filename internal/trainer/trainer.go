@@ -17,7 +17,6 @@ import (
 	"math/rand"
 
 	"repro/internal/data"
-	"repro/internal/metrics"
 	"repro/internal/moe"
 	"repro/internal/nn"
 	"repro/internal/obs"
@@ -41,13 +40,13 @@ func DefaultPretrain() PretrainConfig {
 
 // Pretrain trains model and experts jointly on the corpus (gate
 // trainable, aux loss active) and returns the per-step loss series.
-func Pretrain(m *moe.Model, exec *moe.LocalExecutor, corpus *data.Corpus, cfg PretrainConfig) (*metrics.Series, error) {
+func Pretrain(m *moe.Model, exec *moe.LocalExecutor, corpus *data.Corpus, cfg PretrainConfig) (*obs.Series, error) {
 	m.SetAuxLossCoef(cfg.AuxCoef)
 	defer m.SetAuxLossCoef(0)
 	params := append(m.Params(), exec.Params()...)
 	opt := nn.NewAdamW(params, nn.AdamWConfig{LR: cfg.LR, Beta1: 0.9, Beta2: 0.999, Eps: 1e-8})
 	b := data.NewBatcher(corpus, cfg.Batch, cfg.SeqLen, cfg.Seed)
-	losses := &metrics.Series{Name: "pretrain_loss"}
+	losses := &obs.Series{Name: "pretrain_loss"}
 	for step := 0; step < cfg.Steps; step++ {
 		ids, targets := b.Next()
 		nn.ZeroGrads(params)
@@ -203,7 +202,7 @@ type Finetuner struct {
 	Obs *obs.Handle
 
 	// Losses accumulates the per-step loss.
-	Losses metrics.Series
+	Losses obs.Series
 }
 
 // DefaultMaxStepRetries is the per-step recovery bound used when
