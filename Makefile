@@ -7,7 +7,7 @@ GO ?= go
 # machines where cgo/race is unavailable or slow; CI always runs them.
 RACE ?= 1
 
-.PHONY: build test vet lint loc purego race race-core bench bench-check bench-wire bench-trace bench-all chaos harness shift restart check
+.PHONY: build test vet lint loc purego race race-core bench bench-check bench-wire bench-trace bench-all chaos shift restart check
 
 build:
 	$(GO) build ./...
@@ -126,7 +126,8 @@ bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # Fault-tolerance gate: the chaos/failover acceptance suite — fault
-# matrix, supervisor failover (mid-step and probe-detected deaths),
+# matrix, supervisor failover (mid-step and probe-detected deaths, and
+# the whole system's bit-identical failover through core.Attach),
 # transport fault injection, dead-worker migrate/fetch, the counter table
 # the recovery paths report through, and the checkpoint layer's own fault
 # matrix (RunStore corruption/IO-fault fallback, malformed-input
@@ -136,18 +137,7 @@ chaos:
 	$(GO) test -race -count=1 \
 		-run 'Chaos|Fault|Failover|Supervisor|Repair|Recover|Dead|Probe|Counters|StepOrdinal|ExpertSnapshot|RunStore|DecodeRun' \
 		./internal/broker ./internal/transport ./internal/placement \
-		./internal/checkpoint ./internal/trainer ./internal/obs
-
-# Self-checking end-to-end harnesses over the one assembly path
-# (core.Attach): chaos exits non-zero unless a mid-step connection kill
-# costs exactly one failover and one retried step with a bit-identical
-# loss series; distributed unless Sequential and LocalityLP over real TCP
-# train bit-identically and LocalityLP moves strictly fewer cross-node
-# bytes. Deterministic, no wall-clock schedule (~2 s + ~10 s), so — unlike
-# shift and restart — they gate.
-harness:
-	$(GO) run ./examples/chaos
-	$(GO) run ./examples/distributed
+		./internal/checkpoint ./internal/trainer ./internal/obs ./internal/core
 
 # Re-placement acceptance run: the WikiText→Alpaca mid-run splice with
 # the drift-triggered controller live. Self-checking (fires exactly once
@@ -170,6 +160,6 @@ restart:
 # portable-kernel pass + full race-enabled test suite (the race target covers internal/obs, so the
 # tracer's striped ring and the lock-free histograms are exercised under
 # the detector on every check), then the focused uncached race-core pass
-# over broker/replace/transport/moe/tensor/nn and the self-checking
-# harnesses. RACE=0 skips both race jobs locally.
-check: vet lint bench-check purego race race-core harness
+# over broker/replace/transport/moe/tensor/nn. RACE=0 skips both race
+# jobs locally.
+check: vet lint bench-check purego race race-core

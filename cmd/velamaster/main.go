@@ -43,7 +43,6 @@ import (
 
 // runOptions carries the fault-tolerance and observability knobs into run.
 type runOptions struct {
-	snapshotPath    string
 	heartbeat       time.Duration
 	requestTimeout  time.Duration
 	metricsAddr     string
@@ -72,7 +71,6 @@ func main() {
 	strategy := flag.String("strategy", "vela", "expert placement: vela|sequential|random|greedy")
 	pretrainSteps := flag.Int("pretrain-steps", 120, "checkpoint pre-training steps")
 	ckptPath := flag.String("ckpt", "", "checkpoint file: loaded if present, written after pre-training otherwise")
-	snapshotPath := flag.String("snapshot", "", "expert snapshot file: the latest step-boundary expert state is flushed here on exit")
 	heartbeat := flag.Duration("heartbeat", 2*time.Second, "supervisor heartbeat interval (0 disables)")
 	requestTimeout := flag.Duration("request-timeout", 10*time.Second, "per-reply deadline on worker requests (0 disables)")
 	metricsAddr := flag.String("metrics-addr", "", "serve /metrics, /healthz and /debug/pprof on this address (e.g. :9090; empty disables)")
@@ -98,7 +96,7 @@ func main() {
 		log.Fatalf("velamaster: %v", err)
 	}
 	opts := runOptions{
-		snapshotPath: *snapshotPath, heartbeat: *heartbeat, requestTimeout: *requestTimeout,
+		heartbeat: *heartbeat, requestTimeout: *requestTimeout,
 		metricsAddr: *metricsAddr, replaceDrift: *replaceDrift, replaceCooldown: *replaceCooldown,
 		wireEncoding: enc, ckptDir: *checkpointDir, ckptEvery: *checkpointEvery, ckptKeep: *checkpointKeep, resume: *resume,
 		traceExport: *traceExport, traceCapacity: *traceCapacity,
@@ -267,8 +265,9 @@ func run(addrs []string, devicesPerNode int, dataset, strategyName string, steps
 		fmt.Printf("re-placement controller armed (drift threshold %.3g)\n", opts.replaceDrift)
 	}
 
-	// SIGINT/SIGTERM finishes the in-flight step, flushes the final
-	// snapshot, and shuts the workers down cleanly.
+	// SIGINT/SIGTERM finishes the in-flight step and shuts the workers down
+	// cleanly. The stopped run's durable state is its newest run generation
+	// (-checkpoint-dir), which -resume reads.
 	var stopRequested atomic.Bool
 	errStopped := errors.New("velamaster: stopped by signal")
 	sig := make(chan os.Signal, 1)
@@ -281,7 +280,7 @@ func run(addrs []string, devicesPerNode int, dataset, strategyName string, steps
 			return
 		}
 		stopRequested.Store(true)
-		fmt.Printf("\n%v — finishing current step, then flushing snapshot and shutting down\n", s)
+		fmt.Printf("\n%v — finishing current step, then shutting down\n", s)
 	}()
 
 	batcher := data.NewBatcher(corpus, 2, 32, 43)
@@ -340,13 +339,6 @@ func run(addrs []string, devicesPerNode int, dataset, strategyName string, steps
 		if cerr := writer.Close(); cerr != nil {
 			fmt.Printf("checkpoint writer: %v\n", cerr)
 		}
-	}
-
-	if opts.snapshotPath != "" {
-		if err := sup.SaveLatest(opts.snapshotPath); err != nil {
-			return fmt.Errorf("flushing expert snapshot: %w", err)
-		}
-		fmt.Printf("flushed expert snapshot to %s\n", opts.snapshotPath)
 	}
 
 	ran := steps - ft.StartStep // a resumed run only drives the remainder

@@ -26,25 +26,14 @@ import (
 	"repro/internal/broker"
 	"repro/internal/obs"
 	"repro/internal/transport"
-	"repro/internal/wire"
 )
 
 func main() {
 	listen := flag.String("listen", "127.0.0.1:0", "address to listen on")
 	id := flag.Int("id", 0, "worker id (diagnostics only)")
 	metricsAddr := flag.String("metrics-addr", "", "serve /metrics, /healthz and /debug/pprof on this address (empty disables)")
-	wireEncoding := flag.String("wire-encoding", "", "force reply encoding: fp64|fp16|int8 (empty mirrors each request's encoding)")
 	traceCapacity := flag.Int("trace-capacity", 0, "trace-ring capacity in events (0 = default 4096; size it to hold at least one step between the master's MsgTraceFetch pulls)")
 	flag.Parse()
-
-	var replyEnc *wire.Encoding
-	if *wireEncoding != "" {
-		enc, err := wire.ParseEncoding(*wireEncoding)
-		if err != nil {
-			log.Fatalf("velaworker: %v", err)
-		}
-		replyEnc = &enc
-	}
 
 	l, err := transport.Listen(*listen)
 	if err != nil {
@@ -90,7 +79,6 @@ func main() {
 
 	wcfg := broker.DefaultWorkerConfig()
 	wcfg.Obs = handle
-	wcfg.ReplyEncoding = replyEnc
 
 	// Serve masters in a re-accept loop: when the connection drops (a
 	// crashed master, a network fault), the worker goes back to the

@@ -885,15 +885,6 @@ func (x *Executor) SnapshotExperts(step int) (*checkpoint.ExpertSnapshot, error)
 	return snap, nil
 }
 
-// composeEntry is compose over a checkpoint entry.
-func (x *Executor) composeEntry(entry checkpoint.ExpertEntry) ([]wire.Matrix, error) {
-	ts := make([]wire.Matrix, len(entry.Tensors))
-	for i, t := range entry.Tensors {
-		ts[i] = wire.Matrix{Rows: t.Rows, Cols: t.Cols, Data: t.Data}
-	}
-	return x.compose(moe.ExpertID{Layer: entry.Layer, Expert: entry.Expert}, ts)
-}
-
 // stateTensorsOf views an entry's tensor list as checkpoint tensors.
 func stateTensorsOf(ts []wire.Matrix) []checkpoint.StateTensor {
 	out := make([]checkpoint.StateTensor, len(ts))
@@ -913,7 +904,11 @@ func stateTensorsOf(ts []wire.Matrix) []checkpoint.StateTensor {
 func (x *Executor) RestoreExperts(entries []checkpoint.ExpertEntry, assign *placement.Assignment) error {
 	msgs := make([][]*wire.Message, len(x.conns))
 	for _, entry := range entries {
-		full, err := x.composeEntry(entry)
+		ts := make([]wire.Matrix, len(entry.Tensors))
+		for i, t := range entry.Tensors {
+			ts[i] = wire.Matrix{Rows: t.Rows, Cols: t.Cols, Data: t.Data}
+		}
+		full, err := x.compose(moe.ExpertID{Layer: entry.Layer, Expert: entry.Expert}, ts)
 		if err != nil {
 			return err
 		}

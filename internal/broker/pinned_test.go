@@ -1,7 +1,6 @@
 package broker_test
 
 import (
-	"bytes"
 	"flag"
 	"fmt"
 	"math"
@@ -25,7 +24,7 @@ import (
 	"repro/internal/transport"
 )
 
-// updateGolden rewrites the three testdata/pinned.* files from the
+// updateGolden rewrites the two testdata/pinned.* files from the
 // current build. They were captured on the parent of the base/delta
 // split (commit 825404a, every snapshot entry a full MsgAssign payload);
 // rewriting them with a later build would defeat the test.
@@ -34,7 +33,6 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/pinned.* 
 const (
 	pinnedLosses = "testdata/pinned.losses" // 10 loss bit patterns
 	pinnedGen    = "testdata/pinned.vrun"   // the parent's generation at step 6 (full entries)
-	pinnedExport = "testdata/pinned.vexs"   // the parent's SaveLatest export after step 8
 
 	pinnedWorkers   = 3
 	pinnedCrashAt   = 8  // the first run is abandoned after this many steps
@@ -50,7 +48,6 @@ const (
 type pinnedRig struct {
 	sys    *core.System
 	grid   [][]*moe.Expert
-	sup    *broker.Supervisor
 	ft     *trainer.Finetuner
 	cap    *core.RunCapture
 	faulty *transport.Faulty
@@ -94,7 +91,7 @@ func newPinnedRig(t *testing.T) *pinnedRig {
 	batcher := data.NewBatcher(data.Shakespeare(4000), 2, 16, 7)
 	ft := sys.Finetuner(batcher)
 	return &pinnedRig{
-		sys: sys, grid: grid, sup: sup, ft: ft, faulty: faulty,
+		sys: sys, grid: grid, ft: ft, faulty: faulty,
 		cap: &core.RunCapture{
 			Backbone: ft.Backbone, Opt: ft.Opt.(*nn.AdamW), Exec: sys.Exec, Sup: sup,
 			Cursor: batcher.Cursor, Seek: batcher.SeekTo,
@@ -106,9 +103,8 @@ func newPinnedRig(t *testing.T) *pinnedRig {
 // pinnedCrashedRun drives the first life of the scenario: a snapshot at
 // every boundary, a two-expert rebalance, a worker severed mid-step and
 // failed over, a run generation saved into store — then abandoned after
-// pinnedCrashAt steps. It returns the loss series and the bytes
-// Supervisor.SaveLatest exports at the end.
-func pinnedCrashedRun(t *testing.T, store *checkpoint.RunStore) ([]float64, []byte) {
+// pinnedCrashAt steps. It returns the loss series.
+func pinnedCrashedRun(t *testing.T, store *checkpoint.RunStore) []float64 {
 	t.Helper()
 	r := newPinnedRig(t)
 	if err := r.sys.Distribute(r.grid); err != nil {
@@ -148,15 +144,7 @@ func pinnedCrashedRun(t *testing.T, store *checkpoint.RunStore) ([]float64, []by
 	if r.sys.Exec.Alive(2) {
 		t.Fatal("worker 2 was never failed over")
 	}
-	path := filepath.Join(t.TempDir(), "export.vexs")
-	if err := r.sup.SaveLatest(path); err != nil {
-		t.Fatal(err)
-	}
-	export, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return r.ft.Losses.Values, export
+	return r.ft.Losses.Values
 }
 
 // pinnedResumedRun is the second life: a fresh prelude resumed from
@@ -191,14 +179,12 @@ func lossLines(losses []float64) string {
 
 // TestPinnedRunMatchesParent replays, to the bit, a run the parent commit
 // recorded: snapshot every step, migrate, fail a worker over, save a
-// generation, resume from it. It also pins the two artefacts of that run
-// that leave the process — the export SaveLatest writes must stay the
-// parent's bytes (full entries, whatever the supervisor retains
-// internally), and the parent-written generation must still resume onto
-// this build with the same continuation.
+// generation, resume from it. It also pins the artefact of that run that
+// leaves the process: the parent-written generation (full entries) must
+// still resume onto this build with the same continuation.
 func TestPinnedRunMatchesParent(t *testing.T) {
 	store := &checkpoint.RunStore{Dir: t.TempDir()}
-	crashed, export := pinnedCrashedRun(t, store)
+	crashed := pinnedCrashedRun(t, store)
 	resumed := pinnedResumedRun(t, store)
 	if !testutil.BitEqualSlices(crashed, resumed[:pinnedCrashAt]) {
 		t.Fatalf("resumed run diverged from the run it continues:\n%s\nvs\n%s", lossLines(crashed), lossLines(resumed))
@@ -209,14 +195,12 @@ func TestPinnedRunMatchesParent(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for path, blob := range map[string][]byte{
-			pinnedLosses: []byte(lossLines(resumed)), pinnedGen: gen, pinnedExport: export,
-		} {
+		for path, blob := range map[string][]byte{pinnedLosses: []byte(lossLines(resumed)), pinnedGen: gen} {
 			if err := os.WriteFile(path, blob, 0o644); err != nil {
 				t.Fatal(err)
 			}
 		}
-		t.Logf("rewrote %s, %s, %s", pinnedLosses, pinnedGen, pinnedExport)
+		t.Logf("rewrote %s, %s", pinnedLosses, pinnedGen)
 		return
 	}
 
@@ -226,14 +210,6 @@ func TestPinnedRunMatchesParent(t *testing.T) {
 	}
 	if got := lossLines(resumed); got != string(want) {
 		t.Fatalf("loss series differs from the parent's:\n%s\nwant\n%s", got, want)
-	}
-	wantExport, err := os.ReadFile(pinnedExport)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(export, wantExport) {
-		t.Fatalf("SaveLatest export (%d bytes) differs from the parent's full-entry snapshot (%d bytes)",
-			len(export), len(wantExport))
 	}
 
 	// The parent-written generation carries full entries.

@@ -147,7 +147,7 @@ func TestRecoverAfterRebalanceUsesRepairedAssignment(t *testing.T) {
 	const workers = 3
 	cfg := testConfig()
 	_, grid := buildFinetuneSetup(cfg, 35)
-	dep := StartLocalWorkers(workers, WorkerConfig{Optimizer: OptSGD, LR: 0.05})
+	dep := StartLocalWorkers(workers, DefaultWorkerConfig())
 
 	conns := append([]transport.Conn(nil), dep.Conns...)
 	faulty := transport.NewFaulty(conns[2], 7, transport.FaultPlan{})

@@ -8,11 +8,9 @@ import (
 
 	"repro/internal/checkpoint"
 	"repro/internal/moe"
-	"repro/internal/nn"
 	"repro/internal/obs"
 	"repro/internal/tensor"
 	"repro/internal/testutil"
-	"repro/internal/trainer"
 	"repro/internal/transport"
 	"repro/internal/wire"
 )
@@ -159,73 +157,32 @@ func TestSupervisorRedialAndAdmitRejoins(t *testing.T) {
 	_ = dep2.WaitAll()
 }
 
-// adamChaosRun mirrors chaosRun with AdamW on both the backbone and the
-// workers — the configuration where failover equality additionally
-// requires the optimizer moments to survive the snapshot→restore trip
-// (VELAEXS2).
-func adamChaosRun(t *testing.T, kill bool) []float64 {
-	t.Helper()
-	const steps, workers = 6, 3
-	cfg := testConfig()
-	model, grid := buildFinetuneSetup(cfg, 11)
-	dep := StartLocalWorkers(workers, DefaultWorkerConfig())
-
-	conns := append([]transport.Conn(nil), dep.Conns...)
-	var faulty *transport.Faulty
-	if kill {
-		faulty = transport.NewFaulty(conns[2], 7, transport.FaultPlan{})
-		conns[2] = faulty
-	}
-	exec := NewExecutor(conns, roundRobinAssignment(cfg, workers))
-	exec.RequestTimeout = 2 * time.Second
-	exec.Counters = obs.NewCounters(nil)
-	if err := exec.Distribute(grid, ExpertSpec{D: cfg.D, Hidden: cfg.Hidden, LoRARank: 2, LoRAAlpha: 4}); err != nil {
-		t.Fatal(err)
-	}
-	model.SetExecutor(exec)
-
-	sup := NewSupervisor(exec, uniformProblem(cfg, workers), SupervisorConfig{})
-	backbone := nn.CollectTrainable(model.Params())
-	ft := &trainer.Finetuner{
-		Model:      model,
-		Backbone:   backbone,
-		Opt:        nn.NewAdamW(backbone, nn.PaperAdamWConfig()),
-		Batcher:    &chaosBatcher{rng: rand.New(rand.NewSource(31)), vocab: cfg.Vocab, batch: 2, seqLen: 8},
-		ExpertZero: exec.ZeroGrads,
-		ExpertStep: exec.Step,
-		Recover:    sup.Recover,
-		OnStep: func(step int) error {
-			if err := sup.Checkpoint(step); err != nil {
-				return err
-			}
-			if kill && step == 1 {
-				faulty.ArmClose(0)
-			}
-			return nil
-		},
-	}
-	if err := ft.Run(steps, nil); err != nil {
-		t.Fatalf("run (kill=%v): %v", kill, err)
-	}
-	if err := exec.Shutdown(); err != nil {
-		t.Fatalf("shutdown (kill=%v): %v", kill, err)
-	}
-	dep.Close()
-	_ = dep.WaitAll()
-	return ft.Losses.Values
-}
-
 // TestChaosFailoverAdamWMomentsExact: with VELAEXS2 snapshots carrying
-// the AdamW moments and step clock, a failover under AdamW workers is
-// bit-identical to a failure-free run — the restored experts step from
-// exactly the moments they had at the last boundary. (The SGD variant of
-// this equality is TestChaosFailoverMatchesFailureFree.)
+// the AdamW moments and step clock, the experts restored onto survivors
+// step from exactly the moments they had at the last boundary. Beyond
+// the loss series, every expert's final snapshot — parameters, moments
+// and clock — must equal the failure-free run's bit for bit.
 func TestChaosFailoverAdamWMomentsExact(t *testing.T) {
 	defer testutil.VerifyNoLeaks(t, "repro/internal/broker", "repro/internal/transport")
-	clean := adamChaosRun(t, false)
-	chaos := adamChaosRun(t, true)
+	clean, _, cleanSup, _ := chaosRun(t, noFault)
+	chaos, _, chaosSup, _ := chaosRun(t, severMidStep, 2)
 	if !testutil.BitEqualSlices(clean, chaos) {
 		t.Fatalf("AdamW failover diverged:\nclean = %v\nchaos = %v", clean, chaos)
+	}
+	want, got := cleanSup.Latest(), chaosSup.Latest()
+	if want == nil || got == nil || want.Step != got.Step || len(want.Entries) != len(got.Entries) {
+		t.Fatalf("final snapshots differ in shape: clean %+v, chaos %+v", want, got)
+	}
+	for _, w := range want.Entries {
+		g := got.Find(w.Layer, w.Expert)
+		if g == nil || len(g.Tensors) != len(w.Tensors) {
+			t.Fatalf("L%d/E%d: chaos snapshot entry %+v, want %d tensors", w.Layer, w.Expert, g, len(w.Tensors))
+		}
+		for i := range w.Tensors {
+			if !testutil.BitEqualSlices(w.Tensors[i].Data, g.Tensors[i].Data) {
+				t.Fatalf("L%d/E%d tensor %d diverged after failover", w.Layer, w.Expert, i)
+			}
+		}
 	}
 }
 

@@ -284,27 +284,6 @@ func (s *Supervisor) Latest() *checkpoint.ExpertSnapshot {
 	return s.latest
 }
 
-// SaveLatest writes the retained snapshot to path (atomic and fsynced); a
-// no-op returning nil when no snapshot has been taken yet. The file is an
-// export, read without this master's grid at hand, so every entry is
-// composed with its base first: it holds full entries whatever the
-// supervisor retains.
-func (s *Supervisor) SaveLatest(path string) error {
-	snap := s.Latest()
-	if snap == nil {
-		return nil
-	}
-	full := &checkpoint.ExpertSnapshot{Step: snap.Step, Entries: make([]checkpoint.ExpertEntry, len(snap.Entries))}
-	for i, entry := range snap.Entries {
-		ts, err := s.exec.composeEntry(entry)
-		if err != nil {
-			return err
-		}
-		full.Entries[i] = checkpoint.ExpertEntry{Layer: entry.Layer, Expert: entry.Expert, Tensors: stateTensorsOf(ts)}
-	}
-	return checkpoint.SaveExpertSnapshotFile(path, full)
-}
-
 // ping heartbeats worker n once and counts the outcome.
 func (s *Supervisor) ping(n int) error {
 	err := s.exec.Ping(n)

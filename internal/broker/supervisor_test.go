@@ -84,15 +84,15 @@ const (
 // chaosRun drives a short distributed fine-tune over three workers,
 // killing the given workers after step 1 the way fault says, and returns
 // the per-step losses plus the executor for state assertions. Workers run
-// SGD here; the AdamW configuration — where equality additionally
-// requires the VELAEXS2 snapshot to carry the optimizer moments — is
-// TestChaosFailoverAdamWMomentsExact.
+// the production AdamW, so loss equality also requires the VELAEXS2
+// snapshot to carry the optimizer moments and step clock
+// (TestChaosFailoverAdamWMomentsExact checks those directly).
 func chaosRun(t *testing.T, fault chaosFault, kill ...int) ([]float64, *Executor, *Supervisor, []error) {
 	t.Helper()
 	const steps, workers = 6, 3
 	cfg := testConfig()
 	model, grid := buildFinetuneSetup(cfg, 11)
-	dep := StartLocalWorkers(workers, WorkerConfig{Optimizer: OptSGD, LR: 0.05})
+	dep := StartLocalWorkers(workers, DefaultWorkerConfig())
 
 	conns := append([]transport.Conn(nil), dep.Conns...)
 	var faulty []*transport.Faulty

@@ -34,12 +34,6 @@ type WorkerConfig struct {
 	// runExpert. In a local deployment this is usually the master's
 	// handle; a distributed velaworker owns its own.
 	Obs *obs.Handle
-	// ReplyEncoding, when non-nil, forces the wire encoding of every
-	// forward/backward reply; nil mirrors each request's encoding. The
-	// quantization itself happens in the transport (TCP serializes per
-	// encoding; the in-process pipe quantizes on Send), so the worker
-	// only stamps the encoding.
-	ReplyEncoding *wire.Encoding
 }
 
 // DefaultWorkerConfig matches the paper's fine-tuning setup (AdamW with
@@ -351,15 +345,6 @@ func (w *Worker) handleAt(msg *wire.Message, arrivedAt int64) (reply *wire.Messa
 	}
 }
 
-// replyEnc selects the wire encoding of a forward/backward reply: the
-// configured override when set, otherwise a mirror of the request's.
-func (w *Worker) replyEnc(req wire.Encoding) wire.Encoding {
-	if w.cfg.ReplyEncoding != nil {
-		return *w.cfg.ReplyEncoding
-	}
-	return req
-}
-
 // handleMulti serves one dispatch frame: Tensors[0] names K experts,
 // Tensors[1..K] carry their batches (a single-expert request is K=1). The
 // per-expert computes run side by side through tensor.Fanout — the one
@@ -458,7 +443,10 @@ func (w *Worker) runExpert(id moe.ExpertID, backward bool, in *wire.Matrix, seq 
 	// and the master may still be reading this reply when the expert's
 	// next request overwrites it.
 	out = matrixCopyOf(y)
-	out.Enc = w.replyEnc(in.Enc)
+	// A reply mirrors its request's encoding. The quantization itself
+	// happens in the transport (TCP serializes per encoding; the
+	// in-process pipe quantizes on Send), so the worker only stamps it.
+	out.Enc = in.Enc
 	if w.cfg.Obs != nil {
 		w.cfg.Obs.OnCompute(w.ID, id.Layer, id.Expert, seq, time.Duration(w.cfg.Obs.Trace.Clock()-t0))
 	}

@@ -41,7 +41,7 @@ func BenchmarkEncodeRun(b *testing.B) {
 }
 
 // BenchmarkRunStoreSave is the whole fsynced Save: encode, write, fsync,
-// rename, dir sync, manifest, retention.
+// rename, dir sync, retention.
 func BenchmarkRunStoreSave(b *testing.B) {
 	rs := churnRunState(128)
 	s := &RunStore{Dir: b.TempDir()}

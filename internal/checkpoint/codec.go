@@ -193,20 +193,17 @@ func (d *decoder) finish() error {
 // fsync(dir). A crash at any point leaves the old file or the complete
 // new one under path, never a torn mix, and once it returns the new file
 // survives power loss. Every file the package writes goes through here —
-// run generations, the MANIFEST, the pre-trained model, the expert
-// snapshot. faults (nil in production) injects this sequence's crash
-// windows, keyed by the file being written.
+// run generations and the pre-trained model. faults (nil in production)
+// injects this sequence's crash windows, keyed by the generation being
+// written.
 func writeAtomic(path string, data []byte, faults *IOFaults) error {
 	skipRename := false
 	if faults != nil {
-		base := filepath.Base(path)
-		if gen, ok := parseGenName(base); ok {
+		if gen, ok := parseGenName(filepath.Base(path)); ok {
 			if faults.TornWriteGen == gen {
 				data = data[:len(data)*2/3]
 			}
 			skipRename = faults.SkipRenameGen == gen
-		} else if base == RunManifestName && faults.TruncateManifest {
-			data = data[:len(data)/2]
 		}
 	}
 	tmp := path + ".tmp"

@@ -29,11 +29,10 @@ import (
 //     fsync(dir)), so a crash at any point leaves either the previous
 //     generation set or the previous set plus one complete new file —
 //     never a half-written file under a live name.
-//   - A MANIFEST names the newest generation as a fast path; it is
-//     advisory. LoadLatest falls back to scanning generation files in
-//     descending order when the manifest is missing, truncated, or
-//     names a file that fails validation — the fallback-to-previous-
-//     generation guarantee does not depend on the manifest surviving.
+//   - The directory listing is the only index: LoadLatest scans the
+//     generation files in descending order and returns the first that
+//     validates. Any other file (a stale .tmp, a leftover MANIFEST) is
+//     ignored.
 //   - Retention keeps the newest Keep generations and prunes the rest
 //     after each successful write.
 //
@@ -48,14 +47,8 @@ const (
 	runMagic = "VELARUN1"
 	// DefaultRunKeep is the retention depth when RunStore.Keep is unset.
 	DefaultRunKeep = 3
-	// RunManifestName is the advisory newest-generation pointer file.
-	RunManifestName  = "MANIFEST"
-	runManifestMagic = "VELARUN1-MANIFEST"
-	// runManifestFormat is the manifest's text, written with a trailing
-	// newline and read back with Sscanf.
-	runManifestFormat = runManifestMagic + "\ngeneration %d\nfile %s"
-	runGenPrefix      = "gen-"
-	runGenSuffix      = ".vrun"
+	runGenPrefix   = "gen-"
+	runGenSuffix   = ".vrun"
 )
 
 // castagnoli is the CRC32C table (iSCSI polynomial, hardware-accelerated
@@ -125,14 +118,9 @@ type IOFaults struct {
 	// flush" case. LoadLatest must fall back to the previous generation.
 	TornWriteGen uint64
 	// SkipRenameGen leaves that generation's bytes at the temporary name
-	// and never renames — the "crash before rename" case. The manifest
-	// still advances, so it names a file that does not exist.
+	// and never renames — the "crash before rename" case. Save still
+	// reports success, so only the scan can notice the file is missing.
 	SkipRenameGen uint64
-	// TruncateManifest cuts the manifest off mid-line on the next Save —
-	// the "crash during manifest rewrite" case (the manifest is renamed
-	// atomically in reality, so this simulates a corrupted pointer, the
-	// worst case the advisory fast path must absorb).
-	TruncateManifest bool
 }
 
 // RunStore reads and writes run-level checkpoint generations in one
@@ -198,10 +186,10 @@ func (s *RunStore) Generations() ([]uint64, error) {
 
 // Save assigns the next generation number (one past the newest on disk),
 // encodes the state, and writes it with the full durability discipline
-// (writeAtomic, manifest update, retention pruning). It returns the
-// generation written and its encoded size. A state that does not encode
-// (a tensor whose shape disagrees with its payload) fails before any file
-// is written, so the generation number is not consumed.
+// (writeAtomic, then retention pruning). It returns the generation
+// written and its encoded size. A state that does not encode (a tensor
+// whose shape disagrees with its payload) fails before any file is
+// written, so the generation number is not consumed.
 func (s *RunStore) Save(rs *RunState) (gen uint64, size int64, err error) {
 	if s.Dir == "" {
 		return 0, 0, fmt.Errorf("checkpoint: RunStore.Dir unset")
@@ -223,15 +211,8 @@ func (s *RunStore) Save(rs *RunState) (gen uint64, size int64, err error) {
 	if err != nil {
 		return 0, 0, err
 	}
-	name := runGenName(gen)
-	if err := writeAtomic(filepath.Join(s.Dir, name), full, s.Faults); err != nil {
+	if err := writeAtomic(filepath.Join(s.Dir, runGenName(gen)), full, s.Faults); err != nil {
 		return 0, 0, err
-	}
-	manifest := fmt.Sprintf(runManifestFormat+"\n", gen, name)
-	if err := writeAtomic(filepath.Join(s.Dir, RunManifestName), []byte(manifest), s.Faults); err != nil {
-		// The generation file is durable; a manifest failure only costs
-		// the fast path. Report it anyway — callers count failures.
-		return gen, int64(len(full)), err
 	}
 	s.prune(gen)
 	return gen, int64(len(full)), nil
@@ -261,14 +242,10 @@ func (s *RunStore) prune(newest uint64) {
 	}
 }
 
-// LoadLatest returns the newest valid generation: the manifest's
-// candidate when it validates, otherwise the newest generation file
-// that decodes and passes its CRC trailer — so a torn or corrupt newest
-// generation falls back to the previous one.
+// LoadLatest returns the newest valid generation: the newest generation
+// file that decodes and passes its CRC trailer — so a torn or corrupt
+// newest generation falls back to the previous one.
 func (s *RunStore) LoadLatest() (*RunState, error) {
-	if rs, err := s.loadManifestCandidate(); err == nil {
-		return rs, nil
-	}
 	gens, err := s.Generations()
 	if err != nil {
 		return nil, err
@@ -280,23 +257,6 @@ func (s *RunStore) LoadLatest() (*RunState, error) {
 		}
 	}
 	return nil, fmt.Errorf("checkpoint: no valid run checkpoint in %s", s.Dir)
-}
-
-// loadManifestCandidate follows the advisory manifest pointer.
-func (s *RunStore) loadManifestCandidate() (*RunState, error) {
-	raw, err := os.ReadFile(filepath.Join(s.Dir, RunManifestName))
-	if err != nil {
-		return nil, err
-	}
-	var gen uint64
-	var name string
-	if _, err := fmt.Sscanf(string(raw), runManifestFormat, &gen, &name); err != nil {
-		return nil, fmt.Errorf("checkpoint: bad manifest: %w", err)
-	}
-	if want, ok := parseGenName(name); !ok || want != gen {
-		return nil, fmt.Errorf("checkpoint: manifest names %q for generation %d", name, gen)
-	}
-	return s.LoadGeneration(gen)
 }
 
 // LoadGeneration reads and validates one generation file.

@@ -16,8 +16,8 @@ import "fmt"
 //
 //   - a full entry (6-column row [D, Hidden, LoRARank, LoRAAlpha,
 //     numMomentPairs, optStep], every parameter) is the MsgAssign
-//     payload. The supervisor's exit export holds these, and so does
-//     every generation written before the broker had deltas;
+//     payload. Every generation written before the broker had deltas
+//     holds these;
 //   - a delta entry (7-column row: the same plus the CRC32C of the
 //     frozen parameters; trainable parameters only) is what snapshots
 //     and run generations hold now. The frozen weights stay on the
@@ -109,15 +109,4 @@ func DecodeExpertSnapshot(raw []byte) (*ExpertSnapshot, error) {
 		return nil, fmt.Errorf("checkpoint: snapshot: %w", err)
 	}
 	return s, nil
-}
-
-// SaveExpertSnapshotFile writes the snapshot to path through the
-// package's one atomic, fsynced writer: a crash mid-write never leaves a
-// torn snapshot where the recovery path would read it.
-func SaveExpertSnapshotFile(path string, s *ExpertSnapshot) error {
-	data, err := EncodeExpertSnapshot(s)
-	if err != nil {
-		return err
-	}
-	return writeAtomic(path, data, nil)
 }

@@ -2,7 +2,6 @@ package checkpoint
 
 import (
 	"encoding/binary"
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -66,25 +65,26 @@ func TestExpertSnapshotRoundTrip(t *testing.T) {
 	assertSnapshotEqual(t, want, got)
 }
 
+// TestExpertSnapshotFileRoundTrip: a snapshot reaches disk only inside a
+// run generation, so the file trip is RunStore.Save then LoadLatest —
+// the empty entry included, and no temp file left behind.
 func TestExpertSnapshotFileRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "experts.vexs")
+	s := &RunStore{Dir: t.TempDir()}
 	want := sampleSnapshot()
-	if err := SaveExpertSnapshotFile(path, want); err != nil {
+	if _, _, err := s.Save(&RunState{Step: 1, Losses: []float64{4.0}, Experts: want}); err != nil {
 		t.Fatal(err)
 	}
-	// The atomic-rename discipline must not leave the temp file behind.
-	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
-		t.Fatalf("temp file left behind: %v", err)
+	if tmps, _ := filepath.Glob(filepath.Join(s.Dir, "*.tmp")); len(tmps) != 0 {
+		t.Fatalf("temp file left behind: %v", tmps)
 	}
-	raw, err := os.ReadFile(path)
+	got, err := s.LoadLatest()
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := DecodeExpertSnapshot(raw)
-	if err != nil {
-		t.Fatal(err)
+	if got.Experts == nil {
+		t.Fatal("expert section lost on the file trip")
 	}
-	assertSnapshotEqual(t, want, got)
+	assertSnapshotEqual(t, want, got.Experts)
 }
 
 func TestExpertSnapshotFind(t *testing.T) {
@@ -142,24 +142,13 @@ func TestExpertSnapshotRejectsCorruptCounts(t *testing.T) {
 }
 
 // TestExpertSnapshotSaveRejectsShapeMismatch: a tensor whose declared
-// shape disagrees with its payload length must fail at save time, not
-// produce a torn file.
+// shape disagrees with its payload length must fail at encode time, not
+// produce a torn snapshot.
 func TestExpertSnapshotSaveRejectsShapeMismatch(t *testing.T) {
 	bad := &ExpertSnapshot{Entries: []ExpertEntry{{
 		Tensors: []StateTensor{{Rows: 2, Cols: 2, Data: []float64{1}}},
 	}}}
 	if _, err := EncodeExpertSnapshot(bad); err == nil {
 		t.Fatal("shape/payload mismatch must fail")
-	}
-	// And the file variant must clean up after the failure.
-	path := filepath.Join(t.TempDir(), "bad.vexs")
-	if err := SaveExpertSnapshotFile(path, bad); err == nil {
-		t.Fatal("shape/payload mismatch must fail")
-	}
-	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
-		t.Fatalf("temp file left behind after failed save: %v", err)
-	}
-	if _, err := os.Stat(path); !os.IsNotExist(err) {
-		t.Fatalf("target written despite failed save: %v", err)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/broker"
+	"repro/internal/cluster"
 	"repro/internal/data"
 	"repro/internal/moe"
 	"repro/internal/obs"
@@ -162,6 +163,59 @@ func TestAttachOverTCPMatchesDeploy(t *testing.T) {
 	}
 	if err := again.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSystemFailoverBitIdentical: worker 2's connection, armed to close
+// after step 2's snapshot, is severed mid-step; the supervisor fails its
+// experts over to the two survivors and the step is re-driven on the same
+// batch. Over the production AdamW workers that costs exactly one
+// failover and one retried step, and the loss series is bit-identical to
+// the same rig without the arm.
+func TestSystemFailoverBitIdentical(t *testing.T) {
+	const steps, killAt = 8, 2
+	run := func(kill bool) ([]float64, *System) {
+		m, grid, opts, corpus := prelude(t)
+		opts.Topo = cluster.Uniform(3, 1, 4, 100*cluster.GB, 1*cluster.GB) // two survivors host all 8 experts
+		dep := broker.StartLocalWorkers(3, broker.DefaultWorkerConfig())
+		conns := append([]transport.Conn(nil), dep.Conns...)
+		faulty := transport.NewFaulty(conns[2], 7, transport.FaultPlan{})
+		conns[2] = faulty
+		sys, err := Attach(m, conns, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sys.Distribute(grid); err != nil {
+			t.Fatal(err)
+		}
+		ft, _ := supervised(t, sys, corpus)
+		ft.OnStep = func(step int) error {
+			err := sys.StepBoundary(step)
+			if kill && step == killAt {
+				faulty.ArmClose(0)
+			}
+			return err
+		}
+		if err := ft.Run(steps, nil); err != nil {
+			t.Fatal(err)
+		}
+		if err := sys.Close(); err != nil {
+			t.Fatal(err)
+		}
+		for n, err := range dep.WaitAll() {
+			if err != nil && sys.Exec.Alive(n) {
+				t.Fatalf("live worker %d exited with %v", n, err)
+			}
+		}
+		return ft.Losses.Values, sys
+	}
+	clean, _ := run(false)
+	losses, sys := run(true)
+	if !testutil.BitEqualSlices(clean, losses) {
+		t.Fatalf("failover perturbed the loss series:\nclean    = %v\nfailover = %v", clean, losses)
+	}
+	if f, r := sys.Exec.Counters.Get(obs.WorkerFailovers), sys.Exec.Counters.Get(obs.StepRetries); f != 1 || r != 1 {
+		t.Fatalf("%d failover(s) and %d step retries, want 1 and 1", f, r)
 	}
 }
 

@@ -20,10 +20,11 @@
 // System.StepBoundary, the one statement of their order. Deploy is Attach
 // + Distribute over in-process workers.
 //
-// cmd/velamaster and the chaos, restart, distributed and shift examples
-// assemble through these. The pieces remain usable à la carte: bench/
-// (which times each separately) and examples/epbaseline (a pre-computed
-// EP layout, no statistics) hand-wire broker.NewExecutor on purpose.
+// cmd/velamaster, the restart and shift examples, and this package's
+// failover and Fig. 5 tests assemble through these. The pieces remain
+// usable à la carte: bench/ (which times each separately) and
+// examples/epbaseline (a pre-computed EP layout, no statistics) hand-wire
+// broker.NewExecutor on purpose.
 package core
 
 import (
