@@ -70,15 +70,18 @@ endif
 # Focused race gate over the packages where the concurrency actually
 # lives: broker (pipelined master, worker, supervisor), replace (live
 # re-placement controller), transport, and the compute side — tensor (the
-# kernel pool and the expert fan-out), nn, and moe, whose local executor
-# runs a layer's experts side by side. Uncached (-count=1) so a racy
-# interleaving cannot hide behind Go's test result cache.
+# fork-join team under every kernel and fan-out), nn, and moe, whose local
+# executor runs a layer's experts side by side. Uncached (-count=1) so a
+# racy interleaving cannot hide behind Go's test result cache; the team's
+# own tests run three times more, each bounded by a deadline, so a lost
+# wake-up fails here instead of showing up as benchmark noise.
 race-core:
 ifeq ($(RACE),0)
 	@echo "race-core: skipped (RACE=0)"
 else
 	$(GO) test -race -count=1 ./internal/broker/... ./internal/replace/... ./internal/transport/... \
 		./internal/moe/... ./internal/tensor/... ./internal/nn/...
+	$(GO) test -race -count=3 -run 'Fanout|Caller|Helper|Parallel' ./internal/tensor
 endif
 
 # Tensor-engine benchmark gate: runs the compute hot-path benches

@@ -347,9 +347,9 @@ func (w *Worker) handleAt(msg *wire.Message, arrivedAt int64) (reply *wire.Messa
 
 // handleMulti serves one dispatch frame: Tensors[0] names K experts,
 // Tensors[1..K] carry their batches (a single-expert request is K=1). The
-// per-expert computes run side by side through tensor.Fanout — the one
-// fan-out, which moe.LocalExecutor uses too, tensor.Parallelism() wide —
-// and the reply mirrors the frame layout, echoing the id row. Any expert failure fails the whole frame with one
+// per-expert computes run side by side through tensor.Fanout — the
+// fan-out moe.LocalExecutor uses too, at most tensor.Parallelism() at
+// once — and the reply mirrors the frame layout, echoing the id row. Any expert failure fails the whole frame with one
 // MsgError — the master treats a frame as one request.
 func (w *Worker) handleMulti(msg *wire.Message, arrivedAt int64) *wire.Message {
 	backward, resType := false, wire.MsgForwardMultiResult

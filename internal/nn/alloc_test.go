@@ -16,8 +16,8 @@ import (
 // steadyStateAllocs warms fn twice (first call installs the layer's
 // persistent scratch, second confirms the arena classes are populated)
 // and then measures allocations per run. Parallelism is pinned to one
-// shard so the measurement sees only the layer math, not the worker
-// pool's per-chunk closures.
+// shard so the measurement sees only the layer math, not the closures
+// nn's elementwise loops hand the team when they split.
 func steadyStateAllocs(t *testing.T, fn func()) float64 {
 	t.Helper()
 	old := tensor.Parallelism()

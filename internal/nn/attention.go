@@ -25,6 +25,7 @@ type Attention struct {
 	Heads int
 
 	d, dh   int
+	scale   float64 // 1/√dh
 	batch   int
 	seqLen  int
 	q, k, v *tensor.Tensor
@@ -33,8 +34,13 @@ type Attention struct {
 	// Step-persistent scratch (tensor.Ensure): the context accumulator and
 	// the per-projection gradient accumulators. The [T,T] attention
 	// weights come from the arena (Get in Forward, Put in Backward); the
-	// att index slices are reused across steps.
-	ctx, dq, dk, dv *tensor.Tensor
+	// att index slices are reused across steps. dctx is Wo's input
+	// gradient, held for the length of Backward.
+	ctx, dctx, dq, dk, dv *tensor.Tensor
+
+	// forwardJob and backwardJob are forwardHead and backwardHead as
+	// Fanout jobs, bound once so a step hands the team no fresh closure.
+	forwardJob, backwardJob func(j int)
 }
 
 // NewAttention builds an attention layer with the given model width and
@@ -43,7 +49,7 @@ func NewAttention(name string, rng *rand.Rand, d, heads int, trainable bool) *At
 	if d%heads != 0 {
 		panic(fmt.Sprintf("nn: attention width %d not divisible by %d heads", d, heads))
 	}
-	return &Attention{
+	a := &Attention{
 		Name:  name,
 		Wq:    NewLinear(name+".wq", rng, d, d, false, trainable),
 		Wk:    NewLinear(name+".wk", rng, d, d, false, trainable),
@@ -52,7 +58,10 @@ func NewAttention(name string, rng *rand.Rand, d, heads int, trainable bool) *At
 		Heads: heads,
 		d:     d,
 		dh:    d / heads,
+		scale: 1 / math.Sqrt(float64(d/heads)),
 	}
+	a.forwardJob, a.backwardJob = a.forwardHead, a.backwardHead
+	return a
 }
 
 // Params implements Module.
@@ -101,40 +110,58 @@ func (a *Attention) Forward(x *tensor.Tensor, batch, seqLen int) *tensor.Tensor 
 	a.k = a.Wk.Forward(x)
 	a.v = a.Wv.Forward(x)
 
-	ctx := tensor.Ensure(&a.ctx, batch*seqLen, a.d)
-	ctx.Zero()
-	scale := 1 / math.Sqrt(float64(a.dh))
+	tensor.Ensure(&a.ctx, batch*seqLen, a.d).Zero()
 	if len(a.att) != batch || (batch > 0 && len(a.att[0]) != a.Heads) {
 		a.att = make([][]*tensor.Tensor, batch)
 		for b := range a.att {
 			a.att[b] = make([]*tensor.Tensor, a.Heads)
 		}
 	}
-	for b := 0; b < batch; b++ {
-		for h := 0; h < a.Heads; h++ {
-			qh := a.headView(a.q, b, h)
-			kh := a.headView(a.k, b, h)
-			vh := a.headView(a.v, b, h)
-			scores := qh.MatMulTInto(kh, tensor.GetDirty(seqLen, seqLen)).ScaleInPlace(scale)
-			// Causal mask + per-row softmax over the visible prefix. The
-			// strict upper triangle must stay zero (the combine below
-			// reads full rows), so the buffer comes from Get, not
-			// GetDirty.
-			att := tensor.Get(seqLen, seqLen)
-			for t := 0; t < seqLen; t++ {
-				tensor.SoftmaxInto(att.Row(t)[:t+1], scores.Row(t)[:t+1])
-			}
-			a.att[b][h] = att
-			av := att.MatMulInto(vh, tensor.GetDirty(seqLen, a.dh))
-			a.headAccum(ctx, av, b, h)
-			tensor.Put(av)
-			tensor.Put(scores)
-			tensor.Put(qh)
-			tensor.Put(kh)
-			tensor.Put(vh)
+	a.grid(a.forwardJob)
+	return a.Wo.Forward(a.ctx)
+}
+
+// grid runs job once per (b, h) pair, j = b·Heads + h. Each job writes
+// only its own head's column block of the step's accumulators and its own
+// att slot, so the pairs run side by side through tensor.Fanout once the
+// grid's score products (batch·heads·T²·dh multiply-adds) reach the
+// parallel threshold; below it — d=32 at T=32..48 — the heads' data
+// crossing between cores costs more than the second core saves.
+func (a *Attention) grid(job func(j int)) {
+	n := a.batch * a.Heads
+	if tensor.Serial(n, n*a.seqLen*a.seqLen*a.dh) {
+		for j := 0; j < n; j++ {
+			job(j)
 		}
+		return
 	}
-	return a.Wo.Forward(ctx)
+	tensor.Fanout(n, job)
+}
+
+// forwardHead computes grid job j: the attention weights of head h of
+// sequence b into a.att[b][h] and its context into head h's columns of
+// a.ctx.
+func (a *Attention) forwardHead(j int) {
+	b, h, seqLen := j/a.Heads, j%a.Heads, a.seqLen
+	qh := a.headView(a.q, b, h)
+	kh := a.headView(a.k, b, h)
+	vh := a.headView(a.v, b, h)
+	scores := qh.MatMulTInto(kh, tensor.GetDirty(seqLen, seqLen)).ScaleInPlace(a.scale)
+	// Causal mask + per-row softmax over the visible prefix. The strict
+	// upper triangle must stay zero (the combine below reads full rows),
+	// so the buffer comes from Get, not GetDirty.
+	att := tensor.Get(seqLen, seqLen)
+	for t := 0; t < seqLen; t++ {
+		tensor.SoftmaxInto(att.Row(t)[:t+1], scores.Row(t)[:t+1])
+	}
+	a.att[b][h] = att
+	av := att.MatMulInto(vh, tensor.GetDirty(seqLen, a.dh))
+	a.headAccum(a.ctx, av, b, h)
+	tensor.Put(av)
+	tensor.Put(scores)
+	tensor.Put(qh)
+	tensor.Put(kh)
+	tensor.Put(vh)
 }
 
 // Backward propagates dy through the attention layer and returns dx.
@@ -142,65 +169,67 @@ func (a *Attention) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	if a.q == nil {
 		panic(fmt.Sprintf("nn: %s Backward called before Forward", a.Name))
 	}
-	dctx := a.Wo.Backward(dy)
+	a.dctx = a.Wo.Backward(dy)
 	dq := tensor.Ensure(&a.dq, a.batch*a.seqLen, a.d)
 	dk := tensor.Ensure(&a.dk, a.batch*a.seqLen, a.d)
 	dv := tensor.Ensure(&a.dv, a.batch*a.seqLen, a.d)
 	dq.Zero()
 	dk.Zero()
 	dv.Zero()
-	scale := 1 / math.Sqrt(float64(a.dh))
-
-	for b := 0; b < a.batch; b++ {
-		for h := 0; h < a.Heads; h++ {
-			att := a.att[b][h]
-			qh := a.headView(a.q, b, h)
-			kh := a.headView(a.k, b, h)
-			vh := a.headView(a.v, b, h)
-			dch := a.headView(dctx, b, h)
-
-			// ctx_h = att @ v_h
-			datt := dch.MatMulTInto(vh, tensor.GetDirty(a.seqLen, a.seqLen))
-			dvh := att.TMatMulInto(dch, tensor.GetDirty(a.seqLen, a.dh))
-
-			// Softmax backward per row: ds = att ⊙ (datt − ⟨datt, att⟩).
-			// Rows are written only up to the causal prefix, so the
-			// strict upper triangle must come zeroed (Get): the dqh/dkh
-			// products below read full rows.
-			dscores := tensor.Get(a.seqLen, a.seqLen)
-			for t := 0; t < a.seqLen; t++ {
-				ar, dar, dsr := att.Row(t), datt.Row(t), dscores.Row(t)
-				var dot float64
-				for s := 0; s <= t; s++ {
-					dot += dar[s] * ar[s]
-				}
-				for s := 0; s <= t; s++ {
-					dsr[s] = ar[s] * (dar[s] - dot)
-				}
-			}
-			dqh := dscores.MatMulInto(kh, tensor.GetDirty(a.seqLen, a.dh)).ScaleInPlace(scale)
-			dkh := dscores.TMatMulInto(qh, tensor.GetDirty(a.seqLen, a.dh)).ScaleInPlace(scale)
-
-			a.headAccum(dq, dqh, b, h)
-			a.headAccum(dk, dkh, b, h)
-			a.headAccum(dv, dvh, b, h)
-
-			tensor.Put(dqh)
-			tensor.Put(dkh)
-			tensor.Put(dscores)
-			tensor.Put(dvh)
-			tensor.Put(datt)
-			tensor.Put(dch)
-			tensor.Put(vh)
-			tensor.Put(kh)
-			tensor.Put(qh)
-			tensor.Put(att)
-			a.att[b][h] = nil
-		}
-	}
+	a.grid(a.backwardJob)
+	a.dctx = nil
 	dx := a.Wq.Backward(dq)
 	dx.AddInPlace(a.Wk.Backward(dk))
 	dx.AddInPlace(a.Wv.Backward(dv))
 	a.q, a.k, a.v = nil, nil, nil
 	return dx
+}
+
+// backwardHead propagates grid job j, head h of sequence b: it reads
+// a.dctx's head columns, adds the head's gradients into its columns of
+// a.dq, a.dk and a.dv, and returns a.att[b][h] to the arena.
+func (a *Attention) backwardHead(j int) {
+	b, h := j/a.Heads, j%a.Heads
+	att := a.att[b][h]
+	qh := a.headView(a.q, b, h)
+	kh := a.headView(a.k, b, h)
+	vh := a.headView(a.v, b, h)
+	dch := a.headView(a.dctx, b, h)
+
+	// ctx_h = att @ v_h
+	datt := dch.MatMulTInto(vh, tensor.GetDirty(a.seqLen, a.seqLen))
+	dvh := att.TMatMulInto(dch, tensor.GetDirty(a.seqLen, a.dh))
+
+	// Softmax backward per row: ds = att ⊙ (datt − ⟨datt, att⟩). Rows are
+	// written only up to the causal prefix, so the strict upper triangle
+	// must come zeroed (Get): the dqh/dkh products below read full rows.
+	dscores := tensor.Get(a.seqLen, a.seqLen)
+	for t := 0; t < a.seqLen; t++ {
+		ar, dar, dsr := att.Row(t), datt.Row(t), dscores.Row(t)
+		var dot float64
+		for s := 0; s <= t; s++ {
+			dot += dar[s] * ar[s]
+		}
+		for s := 0; s <= t; s++ {
+			dsr[s] = ar[s] * (dar[s] - dot)
+		}
+	}
+	dqh := dscores.MatMulInto(kh, tensor.GetDirty(a.seqLen, a.dh)).ScaleInPlace(a.scale)
+	dkh := dscores.TMatMulInto(qh, tensor.GetDirty(a.seqLen, a.dh)).ScaleInPlace(a.scale)
+
+	a.headAccum(a.dq, dqh, b, h)
+	a.headAccum(a.dk, dkh, b, h)
+	a.headAccum(a.dv, dvh, b, h)
+
+	tensor.Put(dqh)
+	tensor.Put(dkh)
+	tensor.Put(dscores)
+	tensor.Put(dvh)
+	tensor.Put(datt)
+	tensor.Put(dch)
+	tensor.Put(vh)
+	tensor.Put(kh)
+	tensor.Put(qh)
+	tensor.Put(att)
+	a.att[b][h] = nil
 }

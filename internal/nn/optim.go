@@ -63,16 +63,22 @@ func PaperAdamWConfig() AdamWConfig {
 
 // AdamW is the decoupled-weight-decay Adam optimizer.
 type AdamW struct {
-	cfg    AdamWConfig
-	params []*Param
-	m, v   []*tensor.Tensor
-	t      int
+	cfg      AdamWConfig
+	params   []*Param
+	m, v     []*tensor.Tensor
+	t        int
+	bc1, bc2 float64 // this step's bias-correction denominators
+
+	// stepJob is stepParam as a Fanout job, bound once so a step hands the
+	// team no fresh closure.
+	stepJob func(i int)
 }
 
 // NewAdamW builds an AdamW optimizer over the trainable subset of params.
 func NewAdamW(params []*Param, cfg AdamWConfig) *AdamW {
 	ps := CollectTrainable(params)
 	o := &AdamW{cfg: cfg, params: ps}
+	o.stepJob = o.stepParam
 	o.m = make([]*tensor.Tensor, len(ps))
 	o.v = make([]*tensor.Tensor, len(ps))
 	for i, p := range ps {
@@ -149,25 +155,41 @@ func (o *AdamW) SetMoments(p *Param, m, v []float64) bool {
 	return false
 }
 
-// Step implements Optimizer.
+// Step implements Optimizer. Parameters are updated side by side once
+// their elements together reach the parallel threshold — a layer's LoRA
+// adapters are many small tensors, none worth splitting on its own. Each
+// element is owned by exactly one goroutine, a parameter by one job and
+// its elements by one shard, so the update stays bit-deterministic under
+// parallelism.
 func (o *AdamW) Step() {
 	o.t++
-	c := o.cfg
-	bc1 := 1 - math.Pow(c.Beta1, float64(o.t))
-	bc2 := 1 - math.Pow(c.Beta2, float64(o.t))
-	for i, p := range o.params {
-		m, v := o.m[i].Data, o.v[i].Data
-		w, g := p.Value.Data, p.Grad.Data
-		// Each element is owned by exactly one shard, so the update stays
-		// bit-deterministic under parallelism.
-		if tensor.SerialRange(len(w)) {
-			adamwRange(w, g, m, v, c, bc1, bc2, 0, len(w))
-			continue
-		}
-		tensor.ParallelRange(len(w), func(lo, hi int) {
-			adamwRange(w, g, m, v, c, bc1, bc2, lo, hi)
-		})
+	o.bc1 = 1 - math.Pow(o.cfg.Beta1, float64(o.t))
+	o.bc2 = 1 - math.Pow(o.cfg.Beta2, float64(o.t))
+	n := 0
+	for _, p := range o.params {
+		n += p.Value.Len()
 	}
+	if tensor.SerialRange(n) {
+		for i := range o.params {
+			o.stepParam(i)
+		}
+		return
+	}
+	tensor.Fanout(len(o.params), o.stepJob)
+}
+
+// stepParam applies this step's update to parameter i.
+func (o *AdamW) stepParam(i int) {
+	c, bc1, bc2 := o.cfg, o.bc1, o.bc2
+	m, v := o.m[i].Data, o.v[i].Data
+	w, g := o.params[i].Value.Data, o.params[i].Grad.Data
+	if tensor.SerialRange(len(w)) {
+		adamwRange(w, g, m, v, c, bc1, bc2, 0, len(w))
+		return
+	}
+	tensor.ParallelRange(len(w), func(lo, hi int) {
+		adamwRange(w, g, m, v, c, bc1, bc2, lo, hi)
+	})
 }
 
 // adamwRange applies the AdamW update to elements [lo, hi) of one

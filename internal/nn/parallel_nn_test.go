@@ -10,18 +10,13 @@ import (
 
 // TestLayersBitIdenticalUnderParallelism is the nn-level integration
 // check of the engine's determinism guarantee (run under -race in CI):
-// forcing four shards through full layer forward+backward must reproduce
-// the serial results bit for bit.
+// with every kernel forced onto the team, and attention's (b, h) grid
+// fanned out, full layer forward+backward must reproduce the serial
+// results — outputs, input gradients and weight gradients — bit for bit
+// at every degree.
 func TestLayersBitIdenticalUnderParallelism(t *testing.T) {
-	build := func() (*Linear, *SwiGLU, *tensor.Tensor, *tensor.Tensor) {
-		rng := rand.New(rand.NewSource(11))
-		l := NewLinear("l", rng, 48, 48, true, true)
-		s := NewSwiGLU("s", rng, 48, 96, true)
-		x := tensor.Randn(rng, 1, 64, 48)
-		dy := tensor.Randn(rng, 1, 64, 48)
-		return l, s, x, dy
-	}
-	run := func(degree int) (ly, ldx, sy, sdx *tensor.Tensor) {
+	const batch, seqLen = 2, 32
+	run := func(degree int) map[string]*tensor.Tensor {
 		old := tensor.Parallelism()
 		oldThr := tensor.ParallelThreshold()
 		tensor.SetParallelism(degree)
@@ -30,27 +25,32 @@ func TestLayersBitIdenticalUnderParallelism(t *testing.T) {
 			tensor.SetParallelism(old)
 			tensor.SetParallelThreshold(oldThr)
 		}()
-		l, s, x, dy := build()
-		ly = l.Forward(x).Clone()
-		ldx = l.Backward(dy).Clone()
-		sy = s.Forward(x).Clone()
-		sdx = s.Backward(dy).Clone()
-		return
+		rng := rand.New(rand.NewSource(11))
+		l := NewLinear("l", rng, 48, 48, true, true)
+		s := NewSwiGLU("s", rng, 48, 96, true)
+		a := NewAttention("a", rng, 48, 4, true)
+		x := tensor.Randn(rng, 1, batch*seqLen, 48)
+		dy := tensor.Randn(rng, 1, batch*seqLen, 48)
+		out := map[string]*tensor.Tensor{
+			"Linear.Forward":     l.Forward(x).Clone(),
+			"Linear.Backward":    l.Backward(dy).Clone(),
+			"SwiGLU.Forward":     s.Forward(x).Clone(),
+			"SwiGLU.Backward":    s.Backward(dy).Clone(),
+			"Attention.Forward":  a.Forward(x, batch, seqLen).Clone(),
+			"Attention.Backward": a.Backward(dy).Clone(),
+		}
+		for _, p := range a.Params() {
+			out["Attention grad "+p.Name] = p.Grad.Clone()
+		}
+		return out
 	}
 
-	ly1, ldx1, sy1, sdx1 := run(1)
-	ly4, ldx4, sy4, sdx4 := run(4)
-	for _, c := range []struct {
-		name      string
-		want, got *tensor.Tensor
-	}{
-		{"Linear.Forward", ly1, ly4},
-		{"Linear.Backward", ldx1, ldx4},
-		{"SwiGLU.Forward", sy1, sy4},
-		{"SwiGLU.Backward", sdx1, sdx4},
-	} {
-		if !testutil.BitEqualSlices(c.want.Data, c.got.Data) {
-			t.Errorf("%s: 4-shard result is not bit-identical to serial", c.name)
+	want := run(1)
+	for _, degree := range []int{2, 3, 8} {
+		for name, got := range run(degree) {
+			if !testutil.BitEqualSlices(want[name].Data, got.Data) {
+				t.Errorf("%s: degree-%d result is not bit-identical to serial", name, degree)
+			}
 		}
 	}
 }

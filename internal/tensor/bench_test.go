@@ -3,6 +3,7 @@ package tensor
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 )
@@ -92,7 +93,7 @@ func BenchmarkMatMulTExpertDownCold(b *testing.B) {
 // derived from: the same product serial and split in two, on a ladder of
 // sizes either side of the cut-over, with the threshold out of the way.
 func BenchmarkParallelCutOver(b *testing.B) {
-	for _, s := range [][3]int{{32, 32, 32}, {64, 64, 64}, {32, 128, 352}, {128, 128, 128}, {128, 128, 352}, {128, 256, 256}} {
+	for _, s := range [][3]int{{32, 32, 32}, {64, 64, 64}, {32, 128, 128}, {64, 128, 128}, {32, 128, 352}, {128, 128, 128}, {128, 128, 352}, {128, 256, 256}} {
 		for _, degree := range []int{1, 2} {
 			b.Run(fmt.Sprintf("%dx%dx%d/shards=%d", s[0], s[1], s[2], degree), func(b *testing.B) {
 				SetParallelThreshold(1)
@@ -100,6 +101,57 @@ func BenchmarkParallelCutOver(b *testing.B) {
 				benchGEMM(b, "MatMul", s[0], s[1], s[2], degree)
 			})
 		}
+	}
+}
+
+// spinSink keeps spinWork's arithmetic from being optimised away.
+var spinSink float64
+
+// spinWork is n dependent multiply-adds: CPU time with no memory traffic.
+func spinWork(n int) {
+	x := spinSink
+	for i := 0; i < n; i++ {
+		x = x*0.999999 + 1
+	}
+	spinSink = x
+}
+
+// medianNano is the median of d.
+func medianNano(d []int64) float64 {
+	s := slices.Clone(d)
+	slices.Sort(s)
+	return float64(s[len(s)/2])
+}
+
+// BenchmarkFanoutTwoJobs is the fork-latency probe: two equal jobs of pure
+// arithmetic through Fanout at the default degree, timed one call at a
+// time, against the same two jobs run back to back on the caller first.
+// wall/serial is the median call over the median serial pair: 0.5 means
+// the second core joined at once, 1.0 that the caller ran both jobs before
+// any help arrived.
+func BenchmarkFanoutTwoJobs(b *testing.B) {
+	for _, us := range []int{100, 500} {
+		b.Run(fmt.Sprintf("%dus", us), func(b *testing.B) {
+			const probe = 1 << 16
+			t0 := nowNano()
+			spinWork(probe)
+			iters := int(int64(probe) * int64(us) * 1000 / max(nowNano()-t0, 1))
+			job := func(int) { spinWork(iters) }
+			serial, wall := make([]int64, 0, b.N), make([]int64, 0, b.N)
+			for i := 0; i < max(b.N, 16); i++ {
+				t0 := nowNano()
+				job(0)
+				job(1)
+				serial = append(serial, nowNano()-t0)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				t0 := nowNano()
+				Fanout(2, job)
+				wall = append(wall, nowNano()-t0)
+			}
+			b.ReportMetric(medianNano(wall)/medianNano(serial), "wall/serial")
+		})
 	}
 }
 

@@ -58,49 +58,50 @@ func gemm(c, a, b []float64, n, k, m, sa0, sa1 int, bT bool) {
 				ap.Data[i*k+p] = a[i*sa0+p*sa1]
 			}
 		}
-		gemmRows(cp.Data, ap.Data, b, 0, tileRows, k, m, k, 1, bT)
+		gemm(cp.Data, ap.Data, b, tileRows, k, m, k, 1, bT)
 		copy(c, cp.Data[:n*m])
 		Put(ap)
 		Put(cp)
 		return
 	}
-	// Shards are whole row tiles; the ragged remainder rides with the
-	// last shard, so every shard holds a full tile to step back into.
-	tiles, work := n/tileRows, n*k*m/tileMAddsPerUnit()
-	if Serial(tiles, work) {
-		gemmRows(c, a, b, 0, n, k, m, sa0, sa1, bT)
+	// Shards are whole column panels: the goroutine that owns eight columns
+	// of C packs their k×8 panel of B, so every panel is packed once per
+	// product however many shards there are.
+	panels, work := (m+tileCols-1)/tileCols, n*k*m/tileMAddsPerUnit()
+	if Serial(panels, work) {
+		gemmPanels(c, a, b, 0, panels, n, k, m, sa0, sa1, bT)
 		return
 	}
-	parallelFor(tiles, work, func(lo, hi int) {
-		lo, hi = lo*tileRows, hi*tileRows
-		if hi == tiles*tileRows {
-			hi = n
-		}
-		gemmRows(c, a, b, lo, hi, k, m, sa0, sa1, bT)
-	})
+	p := newTask(gemmBody)
+	p.c, p.a, p.b, p.bT = c, a, b, bT
+	p.rows, p.k, p.m, p.sa0, p.sa1 = n, k, m, sa0, sa1
+	p.split(panels)
 }
 
-// gemmRows computes rows [lo, hi) of c, hi-lo >= tileRows. Column panels
-// run outermost: each k×8 panel of b is packed contiguous once and reused
-// by every row tile, so a large b streams through the cache once per
-// shard instead of once per row tile. Edges never fall to a scalar loop:
-// a ragged last row tile steps back to hi-4 and recomputes the overlap
-// (same goroutine, same values), and a ragged last panel is zero-padded
-// and its tiles stored through a scratch tile.
-func gemmRows(c, a, b []float64, lo, hi, k, m, sa0, sa1 int, bT bool) {
+func gemmBody(p *task, lo, hi int) {
+	gemmPanels(p.c, p.a, p.b, lo, hi, p.rows, p.k, p.m, p.sa0, p.sa1, p.bT)
+}
+
+// gemmPanels computes column panels [plo, phi) of c — columns [8·plo,
+// min(8·phi, m)) — over all n >= tileRows rows. Each k×8 panel of b is
+// packed contiguous once and reused by every row tile. Edges never fall
+// to a scalar loop: a ragged last row tile steps back to n-4 and
+// recomputes the overlap (same goroutine, same values), and a ragged last
+// panel is zero-padded and its tiles stored through a scratch tile.
+func gemmPanels(c, a, b []float64, plo, phi, n, k, m, sa0, sa1 int, bT bool) {
 	panel := GetDirty(k, tileCols)
 	bp := panel.Data
 	var edge [tileRows * tileCols]float64
-	for j := 0; j < m; j += tileCols {
+	for j := plo * tileCols; j < min(phi*tileCols, m); j += tileCols {
 		w := min(tileCols, m-j)
 		if bT {
 			packPanelT(bp, b, k, j, w)
 		} else {
 			packPanel(bp, b, k, m, j, w)
 		}
-		for i := lo; i < hi; i += tileRows {
-			if i > hi-tileRows {
-				i = hi - tileRows
+		for i := 0; i < n; i += tileRows {
+			if i > n-tileRows {
+				i = n - tileRows
 			}
 			if w == tileCols {
 				gemmTile(k, a[i*sa0:], sa0, sa1, bp, c[i*m+j:], m)

@@ -1,7 +1,7 @@
-// Parallel compute engine: a persistent worker pool, the sharding
-// primitives over it, and the destination-passing ("Into") kernel entry
-// points that let hot paths reuse output buffers across steps. The GEMM
-// driver and its tile kernel are in gemm.go.
+// Parallel compute engine: one fork-join team, the two primitives over it,
+// and the destination-passing ("Into") kernel entry points that let hot
+// paths reuse output buffers across steps. The GEMM driver and its tile
+// kernel are in gemm.go.
 //
 // Determinism contract: every parallel kernel partitions its OUTPUT into
 // contiguous ranges, each owned by exactly one goroutine, and computes
@@ -9,79 +9,284 @@
 // Parallel results are therefore bit-identical to serial results for any
 // parallelism degree. Tests pin this with testutil.BitEqual.
 //
-// Two grains, one degree (Parallelism): parallelFor splits ONE kernel's
-// output over the pool, and its shards are leaf loops that may not start
-// anything parallel (a pool task waiting on a pool slot can deadlock).
-// Fanout runs n INDEPENDENT jobs — a layer's experts — on goroutines of
-// its own, so a job may call kernels freely; what may not nest is Fanout
-// inside Fanout. A job owns its state outright, which is the same
-// one-owner rule, so the degree is as invisible there as here.
+// Two grains, one degree (Parallelism), one team. A kernel cuts ONE
+// output into chunks (split); Fanout runs n INDEPENDENT jobs — a layer's
+// experts, an attention layer's heads — one index per chunk. Either way
+// the call publishes a task to the team and then runs that task itself:
+// the caller claims chunks until none are left and only then waits, and
+// only for chunks a helper has already claimed. A helper can therefore
+// only speed a task up; one that joins late, or never because it is busy
+// inside another job, costs nothing. The same rule makes nesting safe by
+// construction — a job may Fanout again or call any kernel — because every
+// wait is for a chunk some goroutine is already running to completion.
 package tensor
 
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
+	"time"
 )
 
 // DefaultParallelThreshold is the default minimum kernel cost below which
-// kernels stay on the serial fast path: waking a parked pool worker costs
-// more than the shard it would take over. The work unit is about 0.4 ns of
-// one core — a scalar multiply-add, or one touched element of an
-// elementwise op; the AVX2 tile counts four multiply-adds to the unit
-// (tileMAddsPerUnit).
+// kernels stay on the serial fast path: publishing a task and waiting for
+// the helper's share costs more than the share saves. The work unit is
+// about 0.4 ns of one core — a scalar multiply-add, or one touched element
+// of an elementwise op; the AVX2 tile counts four multiply-adds to the
+// unit (tileMAddsPerUnit).
 //
-// Re-derived when the tile kernel replaced the scalar row kernels, from
-// BenchmarkParallelCutOver on 2 hardware threads, serial → 2 shards:
+// Derived from BenchmarkParallelCutOver on the team, 2 vCPUs, serial → 2
+// shards, in two runs (the second is BENCH_tensor.json's):
 //
-//	AVX2 tile      128×128×128 (2.1M madds) 150 → 177 µs   128×128×352 (5.8M) 412 → 342 µs
-//	portable tile  32×128×352 (1.4M)        534 → 580 µs   128×128×128 (2.1M) 749 → 515 µs
-//	AddInto        2^19 elements            433 → 424 µs   2^20 elements      807 → 614 µs
+//	AVX2 tile      64×64×64    (65K units)   17 → 31 µs    22 → 14 µs
+//	               32×128×128  (131K units)  36 → 29–67    61 → 27
+//	               64×128×128  (262K units)  72 → 39–47    84 → 50
+//	               128×128×128 (524K units) 151 → 74–84   167 → 110
+//	portable tile  64×64×64    (262K units) 165–192 → 85–110
 //
-// The old value, 1<<15, is one 32³ attention-head product: 3 µs of work.
-const DefaultParallelThreshold = 1 << 20
+// The split won in every run from 1<<18 up. The pool the team replaced
+// woke a parked worker per call and lost any split below ≈250 µs (1<<20
+// units); that measured the wake, not the work.
+const DefaultParallelThreshold = 1 << 18
+
+// spinWindow is how long an idle helper, and a caller whose last chunks
+// are still on helpers, polls before it parks. A goroutine readied while
+// its waker keeps computing started 58 µs to 1.88 ms (p10/p50) later on a
+// 2-vCPU KVM guest — longer than most parallel calls of a training step —
+// so a helper that parked between two calls of one step would join
+// neither. The window spans the serial stretches between one step's calls
+// and no more, because polling holds a processor: other goroutines wait
+// for it, and while no processor idles the scheduler fires a busy
+// processor's expired timers late (DESIGN.md §11 has the 50 µs and 1 ms
+// runs). A constant, not a knob: it hides a scheduler cost no deployment
+// setting changes.
+const spinWindow = 200 * time.Microsecond
+
+// chunksPerSeat is how many chunks a kernel's output is cut into per
+// participant, so a helper that joins after the caller has started still
+// finds a share to take.
+const chunksPerSeat = 4
 
 var (
-	// parDegree is the configured shard count; <=0 selects GOMAXPROCS.
+	// parDegree is the configured degree; <=0 selects GOMAXPROCS.
 	parDegree atomic.Int64
 	// parThreshold is the serial-fast-path cutoff in work units.
 	parThreshold atomic.Int64
 
-	// engine is the persistent worker pool. Workers are started once,
-	// sized from GOMAXPROCS at first parallel kernel, and live for the
-	// process lifetime; SetParallelism changes only how many shards a
-	// kernel is split into, not the pool size.
-	engine struct {
-		once sync.Once
-		ch   chan func()
+	// team is the set of helpers every parallel call shares. It is started
+	// once, sized from GOMAXPROCS at the first parallel call, and lives for
+	// the process; SetParallelism changes how many of its members one call
+	// may use, not its size.
+	team struct {
+		once    sync.Once
+		helpers int
+		mu      sync.Mutex
+		open    []*task       // tasks with seats and chunks left, oldest first; guarded by mu
+		waiting atomic.Int32  // len(open), for helpers polling without mu
+		parked  atomic.Int32  // helpers blocked on wake
+		wake    chan struct{} // one token per parked helper a new task wants
 	}
+
+	// taskPool recycles task records, so a parallel call allocates nothing.
+	taskPool = sync.Pool{New: func() any { return &task{wake: make(chan struct{}, 1)} }}
 )
 
 func init() { parThreshold.Store(DefaultParallelThreshold) }
 
-func startEngine() {
-	n := runtime.GOMAXPROCS(0)
-	engine.ch = make(chan func(), n)
-	for i := 0; i < n; i++ {
-		//lint:ignore goleak process-lifetime worker pool: one goroutine per CPU draining the shared task channel
+// task is one parallel call: items [0, n) cut into chunks of grain items
+// that next hands out. body runs one chunk and reads its operands from the
+// task, so a kernel publishes a recycled record, not a closure.
+type task struct {
+	body     func(p *task, lo, hi int)
+	n, grain int
+	chunks   int64
+	next     atomic.Int64
+	seats    int           // helpers that may still join; guarded by team.mu
+	inside   atomic.Int32  // 2 per helper inside, +1 while the caller is parked
+	wake     chan struct{} // the last helper out wakes a parked caller
+	panicked atomic.Pointer[any]
+
+	// Operands: a kernel's buffers and sizes, or the caller's function for
+	// ParallelRange and Fanout.
+	c, a, b    []float64
+	alpha      float64
+	rows, k, m int
+	sa0, sa1   int
+	bT         bool
+	span       func(lo, hi int)
+	job        func(i int)
+}
+
+// newTask returns a recycled task record that runs body.
+func newTask(body func(p *task, lo, hi int)) *task {
+	p := taskPool.Get().(*task)
+	p.body = body
+	return p
+}
+
+// split runs p over n output items in up to chunksPerSeat contiguous
+// chunks per participant. See fork.
+func (p *task) split(n int) {
+	chunks := min(n, chunksPerSeat*Parallelism())
+	p.fork(n, (n+chunks-1)/chunks)
+}
+
+// fork runs p over items [0, n) in chunks of grain items, on the caller
+// and up to Parallelism()−1 helpers, returns once every chunk has run, and
+// recycles p. A panic in any chunk stops the hand-out and is re-raised
+// here once every helper has left the task.
+func (p *task) fork(n, grain int) {
+	team.once.Do(startTeam)
+	p.n, p.grain, p.chunks = n, grain, int64((n+grain-1)/grain)
+	seats := min(Parallelism(), int(p.chunks), team.helpers+1) - 1
+	if seats > 0 {
+		publish(p, seats)
+	}
+	p.drain()
+	if seats > 0 {
+		withdraw(p)
+		p.wait()
+	}
+	r := p.panicked.Load()
+	*p = task{wake: p.wake}
+	taskPool.Put(p)
+	if r != nil {
+		panic(*r)
+	}
+}
+
+// drain claims and runs chunks until none are left. A panic stops the
+// hand-out and is kept for fork to re-raise.
+func (p *task) drain() {
+	defer func() {
+		if r := recover(); r != nil {
+			p.next.Store(p.chunks)
+			v := r // declared here so only a panic moves it to the heap
+			p.panicked.CompareAndSwap(nil, &v)
+		}
+	}()
+	for c := p.next.Add(1) - 1; c < p.chunks; c = p.next.Add(1) - 1 {
+		lo := int(c) * p.grain
+		p.body(p, lo, min(lo+p.grain, p.n))
+	}
+}
+
+// wait returns once every helper that joined p has left it: polling for
+// spinWindow, then parked until the last one out wakes it.
+func (p *task) wait() {
+	for start := time.Now(); p.inside.Load() != 0; runtime.Gosched() {
+		if time.Since(start) > spinWindow {
+			if p.inside.Add(1) != 1 {
+				<-p.wake
+			}
+			return
+		}
+	}
+}
+
+// leave is a helper's exit from p; the last one out wakes a parked caller.
+func (p *task) leave() {
+	if p.inside.Add(-2) == 1 {
+		p.wake <- struct{}{}
+	}
+}
+
+// publish offers p to the team with seats helper places, and wakes up to
+// that many parked helpers.
+func publish(p *task, seats int) {
+	team.mu.Lock()
+	p.seats = seats
+	team.open = append(team.open, p)
+	team.waiting.Store(int32(len(team.open)))
+	team.mu.Unlock()
+	for n := min(seats, int(team.parked.Load())); n > 0; n-- {
+		select {
+		case team.wake <- struct{}{}:
+		default:
+		}
+	}
+}
+
+// withdraw stops helpers from joining p.
+func withdraw(p *task) {
+	team.mu.Lock()
+	if i := slices.Index(team.open, p); i >= 0 {
+		team.open = slices.Delete(team.open, i, i+1)
+		team.waiting.Store(int32(len(team.open)))
+	}
+	team.mu.Unlock()
+}
+
+// claim joins the oldest open task that still has a seat and a chunk to
+// hand out, dropping fully handed-out tasks on the way; nil if none.
+func claim() *task {
+	if team.waiting.Load() == 0 {
+		return nil
+	}
+	team.mu.Lock()
+	defer team.mu.Unlock()
+	var joined *task
+	for i := 0; i < len(team.open) && joined == nil; {
+		p := team.open[i]
+		if p.next.Load() >= p.chunks {
+			team.open = slices.Delete(team.open, i, i+1)
+			continue
+		}
+		p.inside.Add(2)
+		if p.seats--; p.seats == 0 {
+			team.open = slices.Delete(team.open, i, i+1)
+		}
+		joined = p
+	}
+	team.waiting.Store(int32(len(team.open)))
+	return joined
+}
+
+// idle polls for an open task for spinWindow, yielding the processor
+// between polls so other goroutines and this processor's timers still
+// run, then parks until a publisher wakes it.
+func idle() {
+	for start := time.Now(); time.Since(start) < spinWindow; runtime.Gosched() {
+		if team.waiting.Load() > 0 {
+			return
+		}
+	}
+	team.parked.Add(1)
+	if team.waiting.Load() == 0 {
+		<-team.wake
+	}
+	team.parked.Add(-1)
+}
+
+func startTeam() {
+	team.helpers = runtime.GOMAXPROCS(0) - 1
+	team.wake = make(chan struct{}, team.helpers)
+	for i := 0; i < team.helpers; i++ {
+		//lint:ignore goleak process-lifetime team: GOMAXPROCS−1 helpers that poll for tasks, then park on team.wake
 		go func() {
-			for f := range engine.ch {
-				f()
+			for {
+				if p := claim(); p != nil {
+					p.drain()
+					p.leave()
+				} else {
+					idle()
+				}
 			}
 		}()
 	}
 }
 
-// SetParallelism sets how many shards parallel kernels split their output
-// into. n <= 0 restores the default (GOMAXPROCS at call time); n == 1
-// forces fully serial execution. Results are bit-identical for every
-// setting. Safe for concurrent use.
+// SetParallelism sets how many goroutines — the caller and team helpers —
+// one parallel call may run on at once. n <= 0 restores the default
+// (GOMAXPROCS at call time); n == 1 forces fully serial execution. Results
+// are bit-identical for every setting. Safe for concurrent use.
 func SetParallelism(n int) {
 	parDegree.Store(int64(n))
 }
 
-// Parallelism returns the effective shard count parallel kernels use.
+// Parallelism returns how many goroutines one parallel call may use.
 func Parallelism() int {
 	if d := parDegree.Load(); d > 0 {
 		return int(d)
@@ -103,11 +308,11 @@ func SetParallelThreshold(w int) {
 func ParallelThreshold() int { return int(parThreshold.Load()) }
 
 // Serial reports whether a kernel split over n shards costing work units
-// would run entirely on the calling goroutine. Kernel entry points (and
-// hot per-step loops in nn) check it BEFORE constructing the parallel
-// closure: a func literal passed to parallelFor escapes to the worker
-// pool regardless of which branch runs, so branching first is what makes
-// the serial fast path zero-allocation.
+// would run entirely on the calling goroutine. Callers with a closure to
+// hand to ParallelRange (the hot per-step loops in nn) check it BEFORE
+// constructing the closure: a func literal passed to the team escapes
+// regardless of which branch runs, so branching first is what makes the
+// serial fast path zero-allocation.
 func Serial(n, work int) bool {
 	return Parallelism() <= 1 || n <= 1 || int64(work) < parThreshold.Load()
 }
@@ -117,101 +322,54 @@ func Serial(n, work int) bool {
 // ParallelRangeCost.
 func SerialRange(n int) bool { return Serial(n, 4*n) }
 
-// parallelFor runs fn over contiguous sub-ranges covering [0, n). work is
-// the total kernel cost in work units; below the threshold, or when the
-// effective parallelism is 1, fn runs serially as fn(0, n). fn must not
-// itself invoke a parallel kernel (leaf loops only) — a nested call could
-// wait on pool slots its own caller occupies.
-func parallelFor(n, work int, fn func(lo, hi int)) {
-	p := Parallelism()
-	if p > n {
-		p = n
-	}
-	if p <= 1 || int64(work) < parThreshold.Load() {
-		fn(0, n)
-		return
-	}
-	engine.once.Do(startEngine)
-	chunk := (n + p - 1) / p
-	var wg sync.WaitGroup
-	for lo := chunk; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		lo, hi := lo, hi
-		engine.ch <- func() {
-			defer wg.Done()
-			fn(lo, hi)
-		}
-	}
-	// The caller computes the first shard itself instead of idling.
-	fn(0, chunk)
-	wg.Wait()
-}
-
 // ParallelRange runs fn over contiguous sub-ranges covering [0, n) on the
-// worker pool, falling back to a single serial call below the threshold.
+// team, falling back to a single serial call below the threshold.
 // Deterministic as long as fn writes only indices inside its range (each
 // element then has exactly one owner). For elementwise per-step loops —
 // activation functions, optimizer updates — that cannot be phrased as a
-// single kernel call. fn must not invoke parallel kernels itself.
+// single kernel call.
 func ParallelRange(n int, fn func(lo, hi int)) {
 	// Elementwise bodies behind this entry point (silu, AdamW) cost a few
 	// flops per element; weight the work accordingly.
-	parallelFor(n, 4*n, fn)
+	ParallelRangeCost(n, 4*n, fn)
 }
 
 // ParallelRangeCost is ParallelRange with an explicit total work estimate,
 // for loops whose per-index cost is far from constant-small (e.g. a row
 // loop where each index touches a full feature vector).
 func ParallelRangeCost(n, work int, fn func(lo, hi int)) {
-	parallelFor(n, work, fn)
+	if Serial(n, work) {
+		fn(0, n)
+		return
+	}
+	p := newTask(spanBody)
+	p.span = fn
+	p.split(n)
 }
 
-// Fanout runs fn(i) once for every i in [0, n) on up to Parallelism()
-// goroutines: the caller plus helpers started for this call and joined
-// before it returns (never the pool — see the package comment for what
-// may nest). Indices are handed out one at a time, because the jobs — a
-// layer's experts over their routed batches — are uneven. fn(i) must
-// touch only job i's state. A panic in any fn stops the hand-out and is
-// re-raised on the caller once every helper has returned.
+func spanBody(p *task, lo, hi int) { p.span(lo, hi) }
+
+// Fanout runs fn(i) once for every i in [0, n), on the caller and up to
+// Parallelism()−1 helpers of the team. Indices are handed out one at a
+// time, because the jobs — a layer's experts over their routed batches —
+// are uneven. fn(i) must touch only job i's state; it may call kernels and
+// Fanout itself. A panic in any fn stops the hand-out and is re-raised on
+// the caller once every job that started has returned.
 func Fanout(n int, fn func(i int)) {
-	p := min(Parallelism(), n)
-	if p <= 1 {
+	if Parallelism() <= 1 || n <= 1 {
 		for i := 0; i < n; i++ {
 			fn(i)
 		}
 		return
 	}
-	var (
-		next     atomic.Int64
-		wg       sync.WaitGroup
-		panicked atomic.Pointer[any]
-	)
-	drain := func() {
-		defer func() {
-			if r := recover(); r != nil {
-				next.Store(int64(n))
-				panicked.CompareAndSwap(nil, &r)
-			}
-		}()
-		for i := next.Add(1) - 1; i < int64(n); i = next.Add(1) - 1 {
-			fn(int(i))
-		}
-	}
-	wg.Add(p - 1)
-	for g := 1; g < p; g++ {
-		go func() {
-			defer wg.Done()
-			drain()
-		}()
-	}
-	drain()
-	wg.Wait()
-	if r := panicked.Load(); r != nil {
-		panic(*r)
+	p := newTask(jobBody)
+	p.job = fn
+	p.fork(n, 1)
+}
+
+func jobBody(p *task, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		p.job(i)
 	}
 }
 
@@ -313,11 +471,13 @@ func (t *Tensor) TransposeInto(dst *Tensor) *Tensor {
 		transposeTiles(dst.Data, t.Data, 0, jBlocks, n, m)
 		return dst
 	}
-	parallelFor(jBlocks, n*m, func(blo, bhi int) {
-		transposeTiles(dst.Data, t.Data, blo, bhi, n, m)
-	})
+	p := newTask(transposeBody)
+	p.c, p.a, p.rows, p.m = dst.Data, t.Data, n, m
+	p.split(jBlocks)
 	return dst
 }
+
+func transposeBody(p *task, lo, hi int) { transposeTiles(p.c, p.a, lo, hi, p.rows, p.m) }
 
 // transposeTiles transposes the tile columns [blo, bhi) of the [n,m]
 // source a into r ([m,n]), walking transposeBlock×transposeBlock tiles.
@@ -352,11 +512,13 @@ func (t *Tensor) AddInto(o, dst *Tensor) *Tensor {
 		addRange(dd, td, od, 0, len(td))
 		return dst
 	}
-	parallelFor(len(td), len(td), func(lo, hi int) {
-		addRange(dd, td, od, lo, hi)
-	})
+	p := newTask(addBody)
+	p.c, p.a, p.b = dd, td, od
+	p.split(len(td))
 	return dst
 }
+
+func addBody(p *task, lo, hi int) { addRange(p.c, p.a, p.b, lo, hi) }
 
 // addRange writes r[i] = a[i] + b[i] for i in [lo, hi).
 func addRange(r, a, b []float64, lo, hi int) {
@@ -374,11 +536,13 @@ func (t *Tensor) ScaleInto(alpha float64, dst *Tensor) *Tensor {
 		scaleRange(dd, td, alpha, 0, len(td))
 		return dst
 	}
-	parallelFor(len(td), len(td), func(lo, hi int) {
-		scaleRange(dd, td, alpha, lo, hi)
-	})
+	p := newTask(scaleBody)
+	p.c, p.a, p.alpha = dd, td, alpha
+	p.split(len(td))
 	return dst
 }
+
+func scaleBody(p *task, lo, hi int) { scaleRange(p.c, p.a, p.alpha, lo, hi) }
 
 // scaleRange writes r[i] = alpha * a[i] for i in [lo, hi).
 func scaleRange(r, a []float64, alpha float64, lo, hi int) {
@@ -396,18 +560,21 @@ func (t *Tensor) SoftmaxRowsInto(dst *Tensor) *Tensor {
 	rows, cols := t.shape[0], t.shape[1]
 	// exp dominates: weight each element as several work units.
 	if Serial(rows, 8*rows*cols) {
-		softmaxRows(dst, t, 0, rows)
+		softmaxRows(dst.Data, t.Data, cols, 0, rows)
 		return dst
 	}
-	parallelFor(rows, 8*rows*cols, func(lo, hi int) {
-		softmaxRows(dst, t, lo, hi)
-	})
+	p := newTask(softmaxBody)
+	p.c, p.a, p.m = dst.Data, t.Data, cols
+	p.split(rows)
 	return dst
 }
 
-// softmaxRows softmaxes rows [lo, hi) of a into r.
-func softmaxRows(r, a *Tensor, lo, hi int) {
+func softmaxBody(p *task, lo, hi int) { softmaxRows(p.c, p.a, p.m, lo, hi) }
+
+// softmaxRows softmaxes rows [lo, hi) of the row-major [_, cols] buffer a
+// into r.
+func softmaxRows(r, a []float64, cols, lo, hi int) {
 	for i := lo; i < hi; i++ {
-		SoftmaxInto(r.Row(i), a.Row(i))
+		SoftmaxInto(r[i*cols:(i+1)*cols], a[i*cols:(i+1)*cols])
 	}
 }

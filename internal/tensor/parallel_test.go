@@ -2,9 +2,12 @@ package tensor
 
 import (
 	"math/rand"
+	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/testutil"
 )
@@ -171,7 +174,7 @@ func TestIntoAliasPanics(t *testing.T) {
 	}
 }
 
-// TestParallelKernelsConcurrent drives the worker pool from many
+// TestParallelKernelsConcurrent drives the team from many
 // goroutines at once (run under -race in CI): concurrent kernels on
 // shared read-only operands must neither race nor diverge.
 func TestParallelKernelsConcurrent(t *testing.T) {
@@ -222,31 +225,42 @@ func TestSetParallelism(t *testing.T) {
 }
 
 // TestFanoutRunsEveryIndexOnce: at every degree (below, at and above the
-// job count) each index runs exactly once, at most `degree` at a time,
-// and every helper has returned by the time Fanout does.
+// job count) each index runs exactly once — as a Fanout job and as a
+// ParallelRange item — at most `degree` chunks at a time, and every job
+// has returned by the time the call does.
 func TestFanoutRunsEveryIndexOnce(t *testing.T) {
-	t.Cleanup(func() { SetParallelism(0) })
+	forceParallel(t, 1)
 	for _, degree := range []int{1, 2, 3, 8} {
 		for _, n := range []int{0, 1, 5, 16} {
 			SetParallelism(degree)
 			ran := make([]atomic.Int32, n)
 			var running, peak atomic.Int32
-			Fanout(n, func(i int) {
+			enter := func() {
 				if r := running.Add(1); r > peak.Load() {
 					peak.Store(r) // a lower bound on the true peak is all the check needs
 				}
+			}
+			Fanout(n, func(i int) {
+				enter()
 				ran[i].Add(1)
 				running.Add(-1)
 			})
+			ParallelRangeCost(n, n, func(lo, hi int) {
+				enter()
+				for i := lo; i < hi; i++ {
+					ran[i].Add(1)
+				}
+				running.Add(-1)
+			})
 			if got := running.Load(); got != 0 {
-				t.Fatalf("degree %d, n %d: %d jobs still running after Fanout returned", degree, n, got)
+				t.Fatalf("degree %d, n %d: %d jobs still running after the call returned", degree, n, got)
 			}
 			if got := int(peak.Load()); got > degree {
-				t.Fatalf("degree %d, n %d: %d jobs ran at once", degree, n, got)
+				t.Fatalf("degree %d, n %d: %d chunks ran at once", degree, n, got)
 			}
 			for i := range ran {
-				if got := ran[i].Load(); got != 1 {
-					t.Fatalf("degree %d, n %d: index %d ran %d times", degree, n, i, got)
+				if got := ran[i].Load(); got != 2 {
+					t.Fatalf("degree %d, n %d: index %d ran %d times in two calls", degree, n, i, got)
 				}
 			}
 		}
@@ -255,7 +269,7 @@ func TestFanoutRunsEveryIndexOnce(t *testing.T) {
 
 // TestFanoutReraisesPanicOnCaller: a panic in any job — on a helper or on
 // the caller's own share — surfaces on the caller with its value intact,
-// after the helpers have been joined.
+// after every job that started has returned.
 func TestFanoutReraisesPanicOnCaller(t *testing.T) {
 	t.Cleanup(func() { SetParallelism(0) })
 	for _, degree := range []int{1, 2, 8} {
@@ -281,18 +295,155 @@ func TestFanoutReraisesPanicOnCaller(t *testing.T) {
 	}
 }
 
-// TestFanoutJobsMayCallParallelKernels: the no-nesting rule covers Fanout
-// itself, not the kernels — a job that splits a product across the pool
-// gets the serial bits.
+// TestFanoutJobsMayCallParallelKernels: nesting is safe by construction —
+// a Fanout inside a Fanout job, and a product split across the team inside
+// that, get the serial bits at every degree.
 func TestFanoutJobsMayCallParallelKernels(t *testing.T) {
 	forceParallel(t, 1)
 	rng := rand.New(rand.NewSource(3))
 	a, b := Randn(rng, 1, 64, 48), Randn(rng, 1, 40, 48)
 	want := a.MatMulT(b)
-	SetParallelism(3)
-	got := make([]*Tensor, 12)
-	Fanout(len(got), func(i int) { got[i] = a.MatMulT(b) })
-	for _, g := range got {
-		assertBits(t, "MatMulT inside Fanout", want.Data, g.Data)
+	for _, degree := range []int{1, 2, 3, 8} {
+		SetParallelism(degree)
+		got := make([]*Tensor, 12)
+		Fanout(4, func(i int) {
+			Fanout(3, func(j int) { got[3*i+j] = a.MatMulT(b) })
+		})
+		for _, g := range got {
+			assertBits(t, "MatMulT inside Fanout inside Fanout", want.Data, g.Data)
+		}
+	}
+}
+
+// within fails the test unless fn returns before the deadline, so a lost
+// wake-up fails instead of hanging the suite.
+func within(t *testing.T, what string, fn func()) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		fn()
+	}()
+	select {
+	case <-done:
+	case <-time.After(20 * time.Second):
+		t.Fatalf("%s did not finish within 20s", what)
+	}
+}
+
+// TestCallerCompletesAlone: a kernel issued while every helper is stuck in
+// a job blocked on a channel still finishes, on its caller alone, with the
+// serial bits — helpers only ever speed a task up. The blocking Fanout's
+// own caller has meanwhile parked waiting for those helpers, so it returns
+// only if the last helper out wakes it.
+func TestCallerCompletesAlone(t *testing.T) {
+	forceParallel(t, 1)
+	team.once.Do(startTeam)
+	rng := rand.New(rand.NewSource(9))
+	a, b := Randn(rng, 1, 64, 48), Randn(rng, 1, 48, 40)
+	want := a.MatMul(b)
+	for _, degree := range []int{1, 2, 3, 8} {
+		SetParallelism(degree)
+		helpers := min(degree, team.helpers+1) - 1 // the blocking Fanout's helpers
+		entered := make(chan struct{}, helpers)
+		full, release, blocked := make(chan struct{}), make(chan struct{}), make(chan struct{})
+		go func() {
+			defer close(blocked)
+			caller := goid()
+			// One job per participant: the caller's returns once every helper
+			// is inside one of the others, which block until released.
+			Fanout(helpers+1, func(int) {
+				if goid() != caller {
+					entered <- struct{}{}
+					<-release
+					return
+				}
+				for i := 0; i < helpers; i++ {
+					<-entered
+				}
+				close(full)
+			})
+		}()
+		var once sync.Once
+		unblock := func() { once.Do(func() { close(release) }) }
+		t.Cleanup(unblock) // a failure below must not leave the team stuck for later tests
+		within(t, "filling the team", func() { <-full })
+		time.Sleep(10 * spinWindow) // past the window: the Fanout's caller parks
+		var got *Tensor
+		within(t, "a kernel beside a stuck team", func() { got = a.MatMul(b) })
+		assertBits(t, "MatMul beside a stuck team", want.Data, got.Data)
+		unblock()
+		within(t, "waking the blocked Fanout's parked caller", func() { <-blocked })
+	}
+}
+
+// goid returns the calling goroutine's id, read from its stack header.
+func goid() string {
+	buf := make([]byte, 64)
+	buf = buf[:runtime.Stack(buf, false)]
+	return strings.Fields(string(buf))[1]
+}
+
+// TestHelperPanicReachesCaller: a panic in a chunk a helper runs is
+// re-raised on the caller, and the helper survives it: the next call gets
+// a helper again.
+func TestHelperPanicReachesCaller(t *testing.T) {
+	forceParallel(t, 1)
+	team.once.Do(startTeam)
+	if team.helpers == 0 {
+		t.Skip("GOMAXPROCS=1: the team has no helpers")
+	}
+	for _, degree := range []int{2, 3, 8} {
+		SetParallelism(degree)
+		onHelper := make(chan struct{})
+		var once sync.Once
+		var got any
+		within(t, "a Fanout whose helper panics", func() {
+			defer func() { got = recover() }()
+			caller := goid()
+			// The caller's job cannot return until a helper has entered one,
+			// so some job runs on a helper, and every helper-run job panics.
+			Fanout(2, func(int) {
+				if goid() == caller {
+					<-onHelper
+					return
+				}
+				once.Do(func() { close(onHelper) })
+				panic("helper chunk")
+			})
+		})
+		if got != "helper chunk" {
+			t.Fatalf("degree %d: recovered %v, want the helper's panic value", degree, got)
+		}
+		// Both jobs wait for each other, so this returns only if a helper
+		// runs one of them — one that has parked by now, so a publisher
+		// must wake it.
+		time.Sleep(10 * spinWindow)
+		var wg sync.WaitGroup
+		wg.Add(2)
+		within(t, "the next call after a helper panic", func() {
+			Fanout(2, func(int) {
+				wg.Done()
+				wg.Wait()
+			})
+		})
+	}
+}
+
+// TestParallelGEMMAllocFree: a warm product allocates nothing, split
+// across the team or on the serial fast path — the task record is
+// recycled and the operands ride in it, not in a closure.
+func TestParallelGEMMAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race mode drops sync.Pool items at random; counts are meaningless")
+	}
+	rng := rand.New(rand.NewSource(4))
+	a, b, dst := Randn(rng, 1, 64, 64), Randn(rng, 1, 64, 64), Zeros(64, 64)
+	for _, degree := range []int{1, 2} {
+		forceParallel(t, degree)
+		a.MatMulInto(b, dst)
+		if allocs := testing.AllocsPerRun(100, func() { a.MatMulInto(b, dst) }); allocs > 0 {
+			t.Errorf("degree %d: warm MatMulInto allocates %.1f times, want 0", degree, allocs)
+		}
 	}
 }

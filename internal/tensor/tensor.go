@@ -190,11 +190,13 @@ func (t *Tensor) AddInPlace(o *Tensor) *Tensor {
 		axpyRange(td, od, 1, 0, len(td))
 		return t
 	}
-	parallelFor(len(td), len(td), func(lo, hi int) {
-		axpyRange(td, od, 1, lo, hi)
-	})
+	p := newTask(axpyBody)
+	p.c, p.a, p.alpha = td, od, 1
+	p.split(len(td))
 	return t
 }
+
+func axpyBody(p *task, lo, hi int) { axpyRange(p.c, p.a, p.alpha, lo, hi) }
 
 // axpyRange accumulates r[i] += alpha * a[i] for i in [lo, hi).
 func axpyRange(r, a []float64, alpha float64, lo, hi int) {
@@ -211,9 +213,9 @@ func (t *Tensor) AxpyInPlace(alpha float64, o *Tensor) *Tensor {
 		axpyRange(td, od, alpha, 0, len(td))
 		return t
 	}
-	parallelFor(len(td), len(td), func(lo, hi int) {
-		axpyRange(td, od, alpha, lo, hi)
-	})
+	p := newTask(axpyBody)
+	p.c, p.a, p.alpha = td, od, alpha
+	p.split(len(td))
 	return t
 }
 
@@ -250,9 +252,9 @@ func (t *Tensor) ScaleInPlace(alpha float64) *Tensor {
 		scaleRange(td, td, alpha, 0, len(td))
 		return t
 	}
-	parallelFor(len(td), len(td), func(lo, hi int) {
-		scaleRange(td, td, alpha, lo, hi)
-	})
+	p := newTask(scaleBody)
+	p.c, p.a, p.alpha = td, td, alpha
+	p.split(len(td))
 	return t
 }
 
@@ -331,11 +333,13 @@ func (t *Tensor) AddRowInPlace(row *Tensor) *Tensor {
 		addRowRange(t.Data, rd, m, 0, n)
 		return t
 	}
-	parallelFor(n, n*m, func(lo, hi int) {
-		addRowRange(t.Data, rd, m, lo, hi)
-	})
+	p := newTask(addRowBody)
+	p.c, p.a, p.m = t.Data, rd, m
+	p.split(n)
 	return t
 }
+
+func addRowBody(p *task, lo, hi int) { addRowRange(p.c, p.a, p.m, lo, hi) }
 
 // addRowRange adds the length-m vector r to rows [lo, hi) of the
 // row-major [_, m] buffer a.
