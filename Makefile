@@ -58,8 +58,9 @@ loc:
 			for (d in raw) printf "%-28s %7d %7d\n", d, raw[d], code[d] | "sort"; close("sort"); \
 			printf "%-28s %7d %7d\n", "total", traw, tcode }'
 
-# The concurrent runtime packages (pipelined master, pooled worker,
-# transport) plus everything else under the race detector.
+# The concurrent runtime packages (the master's per-worker rounds, the
+# worker's expert fan-out, transport) plus everything else under the race
+# detector.
 race:
 ifeq ($(RACE),0)
 	@echo "race: skipped (RACE=0)"
@@ -68,20 +69,22 @@ else
 endif
 
 # Focused race gate over the packages where the concurrency actually
-# lives: broker (pipelined master, worker, supervisor), replace (live
+# lives: broker (master rounds, worker, supervisor), replace (live
 # re-placement controller), transport, and the compute side — tensor (the
 # fork-join team under every kernel and fan-out), nn, and moe, whose local
 # executor runs a layer's experts side by side. Uncached (-count=1) so a
 # racy interleaving cannot hide behind Go's test result cache; the team's
 # own tests run three times more, each bounded by a deadline, so a lost
-# wake-up fails here instead of showing up as benchmark noise.
+# wake-up fails here instead of showing up as benchmark noise. The
+# explicit -timeout does the same for a wedged round: the run fails in
+# minutes, not at go test's 10-minute default per package.
 race-core:
 ifeq ($(RACE),0)
 	@echo "race-core: skipped (RACE=0)"
 else
-	$(GO) test -race -count=1 ./internal/broker/... ./internal/replace/... ./internal/transport/... \
+	$(GO) test -race -count=1 -timeout 5m ./internal/broker/... ./internal/replace/... ./internal/transport/... \
 		./internal/moe/... ./internal/tensor/... ./internal/nn/...
-	$(GO) test -race -count=3 -run 'Fanout|Caller|Helper|Parallel' ./internal/tensor
+	$(GO) test -race -count=3 -timeout 5m -run 'Fanout|Caller|Helper|Parallel' ./internal/tensor
 endif
 
 # Tensor-engine benchmark gate: runs the compute hot-path benches

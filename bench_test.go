@@ -236,15 +236,15 @@ func mean(xs []float64) float64 {
 	return s / float64(len(xs))
 }
 
-// --- Broker runtime: pipelined one-to-all exchange ---------------------------
+// --- Broker runtime: one-to-all exchange -------------------------------------
 
 // BenchmarkBrokerManyExpertsPerWorker measures the master↔worker
-// scatter/gather with many experts stacked per worker — the pipelined
-// hot path VELA's one-to-all claim rests on. The serial variant pins the
-// worker's expert fan-out (tensor.SetParallelism) to one goroutine; the
-// pooled variant lets distinct experts on a worker compute concurrently.
-// The tokens/s ratio between the two is the communication/compute overlap
-// win.
+// scatter/gather with many experts stacked per worker — one frame per
+// worker per direction, the hot path VELA's one-to-all claim rests on.
+// The serial variant pins the worker's expert fan-out
+// (tensor.SetParallelism) to one goroutine; the pooled variant lets
+// distinct experts on a worker compute concurrently. The tokens/s ratio
+// between the two is the fan-out's CPU-parallel win.
 func BenchmarkBrokerManyExpertsPerWorker(b *testing.B) {
 	const (
 		workers = 2

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/moe"
+	"repro/internal/placement"
 	"repro/internal/tensor"
 	"repro/internal/testutil"
 	"repro/internal/transport"
@@ -183,18 +184,50 @@ func TestBrokenAssignDoesNotPoisonWorker(t *testing.T) {
 	}
 }
 
-// TestDistributeToInvalidWorkerIndex: an assignment pointing outside the
-// connection set must be rejected up front.
+// TestDistributeToInvalidWorkerIndex: an assignment that places an expert
+// outside the connection set — on a worker past the pool, or in a cell
+// the assignment does not have — is rejected up front with an error
+// naming the expert and the worker, by Distribute and by the
+// re-distribution RestoreExperts does for a failover or a resume alike.
 func TestDistributeToInvalidWorkerIndex(t *testing.T) {
 	cfg := moe.Config{Vocab: 10, D: 4, Heads: 1, Hidden: 6, Layers: 1, Experts: 2, TopK: 1}
+	spec := ExpertSpec{D: cfg.D, Hidden: cfg.Hidden, LoRARank: 2, LoRAAlpha: 4}
 	_, grid := buildFinetuneSetup(cfg, 5)
 	dep := StartLocalWorkers(1, DefaultWorkerConfig())
 	defer dep.Close()
-	assign := roundRobinAssignment(cfg, 2) // references worker 1, which doesn't exist
-	exec := NewExecutor(dep.Conns, assign)
-	err := exec.Distribute(grid, ExpertSpec{D: cfg.D, Hidden: cfg.Hidden, LoRARank: 2, LoRAAlpha: 4})
-	if err == nil || !strings.Contains(err.Error(), "invalid worker") {
-		t.Fatalf("err = %v", err)
+	conn := newCountingConn(dep.Conns[0])
+	exec := NewExecutor([]transport.Conn{conn}, roundRobinAssignment(cfg, 1))
+	// Real entries, so that a restore gets as far as placing them.
+	if err := exec.Distribute(grid, spec); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := exec.SnapshotExperts(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	onWorker3 := roundRobinAssignment(cfg, 1)
+	onWorker3.Worker[0][1] = 3
+	for _, tc := range []struct {
+		name, want string
+		run        func() error
+	}{
+		{"distribute/worker-past-pool", "expert L0/E1 assigned to invalid worker 1", func() error {
+			exec.SetAssignment(roundRobinAssignment(cfg, 2))
+			return exec.Distribute(grid, spec)
+		}},
+		{"restore/worker-past-pool", "expert L0/E1 assigned to invalid worker 3", func() error {
+			return exec.RestoreExperts(snap.Entries, onWorker3)
+		}},
+		{"restore/expert-outside-assignment", "expert L0/E1 is outside the assignment", func() error {
+			return exec.RestoreExperts(snap.Entries, placement.NewAssignment(1, 1))
+		}},
+	} {
+		if err := tc.run(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want %q", tc.name, err, tc.want)
+		}
+	}
+	if got := conn.sent[wire.MsgAssign]; got != cfg.Experts {
+		t.Fatalf("%d assigns sent, want only the first Distribute's %d", got, cfg.Experts)
 	}
 }
 

@@ -6,7 +6,9 @@ import (
 	"testing"
 
 	"repro/internal/moe"
+	"repro/internal/obs"
 	"repro/internal/testutil"
+	"repro/internal/transport"
 	"repro/internal/wire"
 )
 
@@ -76,6 +78,60 @@ func FuzzDecodeExpertState(f *testing.F) {
 			if !testutil.BitEqualSlices(again[i].Data, m.Tensors[i].Data) {
 				t.Fatalf("tensor %d did not survive decode and re-encode", i)
 			}
+		}
+	})
+}
+
+// FuzzTraceFetchResult: whatever frame comes back as a worker's
+// MsgTraceFetchResult, FetchWorkerTrace answers with an error or with
+// events, never a panic and never an allocation the frame's length does
+// not justify (an event row is 80 bytes on the wire and 56 in memory).
+// Seeded with the replies of an instrumented and an uninstrumented worker.
+func FuzzTraceFetchResult(f *testing.F) {
+	traced := obs.NewHandle(obs.Config{Workers: 1})
+	for i := 0; i < 3; i++ {
+		traced.OnWorkerRecv(0, 1, 2, uint64(i), int64(i), 128)
+	}
+	fetch := &wire.Message{Type: wire.MsgTraceFetch, Tensors: []wire.Matrix{{Rows: 1, Cols: 1, Data: []float64{0}}}}
+	for _, h := range []*obs.Handle{traced, nil} {
+		cfg := DefaultWorkerConfig()
+		cfg.Obs = h
+		reply, _ := NewWorker(0, cfg).handle(fetch)
+		frame, err := wire.AppendFrame(nil, reply)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(frame[4:])
+	}
+
+	f.Fuzz(func(t *testing.T, body []byte) {
+		m, err := wire.DecodePooled(body)
+		if err != nil {
+			return
+		}
+		m.Type = wire.MsgTraceFetchResult
+		master, workerEnd := transport.Pipe()
+		defer master.Close()
+		go func() {
+			if req, err := workerEnd.Recv(); err == nil {
+				m.Seq = req.Seq
+				_ = workerEnd.Send(m)
+			}
+		}()
+		exec := NewExecutor([]transport.Conn{master}, nil)
+		var evs []obs.Event
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		within(t, func() error {
+			evs, _, _, err = exec.FetchWorkerTrace(0, 0)
+			return nil
+		})
+		runtime.ReadMemStats(&after)
+		if alloc, limit := after.TotalAlloc-before.TotalAlloc, uint64(16*len(body)+1<<16); alloc > limit {
+			t.Fatalf("fetching a %d-byte reply allocated %d, limit %d", len(body), alloc, limit)
+		}
+		if err != nil && len(evs) > 0 {
+			t.Fatalf("fetch failed (%v) but returned %d events", err, len(evs))
 		}
 	})
 }

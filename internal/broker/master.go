@@ -16,11 +16,6 @@ import (
 	"repro/internal/wire"
 )
 
-// maxInFlight is the per-worker in-flight request window of a round. It
-// bounds master-side memory while keeping every worker's expert fan-out
-// saturated.
-const maxInFlight = 64
-
 // maxRecvRetries bounds the deadline extensions after a first expired
 // reply wait (see Executor.RequestTimeout).
 const maxRecvRetries = 2
@@ -41,12 +36,10 @@ var ErrWorkerDead = errors.New("broker: worker marked dead")
 // of requests per worker, the rows driven side by side, every reply's
 // type checked in one place. An exchange round is one multi-tensor frame
 // per worker per direction. A row of several requests (Distribute,
-// snapshots, restores) is pipelined: a writer goroutine streams requests
-// under a bounded in-flight window while a reader goroutine concurrently
-// collects replies, correlating them by Seq. This keeps a round
-// deadlock-free regardless of how many requests target one worker (a
-// send-everything-then-receive scheme wedges once in-flight requests
-// exceed the transport's buffering).
+// snapshots, restores) runs send-then-receive, one request at a time: at
+// most one request is ever outstanding on a connection, so a round is
+// deadlock-free however many requests target one worker, by construction
+// rather than by an argument about transport buffering.
 //
 // An Executor is not safe for concurrent use: callers drive one exchange
 // or control round at a time, exactly as the training loop does.
@@ -82,7 +75,7 @@ type Executor struct {
 	// Deprecated: ignored — dispatch is always coalesced; kept only so the
 	// frozen stepbench module compiles; remove with the next benchmark PR.
 	Coalesce bool
-	// RequestTimeout, when > 0, bounds how long the reader waits for each
+	// RequestTimeout, when > 0, bounds how long a round waits for each
 	// reply before declaring a timeout. Timeouts are retried in place (the
 	// request is never re-sent; the wait is extended with exponential
 	// backoff) up to maxRecvRetries times, then surface as an error
@@ -267,7 +260,7 @@ func (x *Executor) release(n int) { <-x.connSem[n] }
 
 // round is the one way the master talks to its workers. msgs[n] is worker
 // n's row of requests; an empty row skips worker n. Every non-empty row
-// runs through pipelined, side by side (the caller drives the last row
+// runs through sendRecv, side by side (the caller drives the last row
 // itself), and every reply is checked against want there: a MsgError or a
 // reply of any other type fails the worker's share. A reply of type want
 // is handed to onReply with its worker n and row index i, and is then the
@@ -288,13 +281,13 @@ func (x *Executor) round(msgs [][]*wire.Message, want wire.MsgType, onSent func(
 			wg.Add(1)
 			go func(n int) {
 				defer wg.Done()
-				errs[n] = x.pipelined(n, msgs[n], want, onSent, onReply)
+				errs[n] = x.sendRecv(n, msgs[n], want, onSent, onReply)
 			}(last)
 		}
 		last = n
 	}
 	if last >= 0 {
-		errs[last] = x.pipelined(last, msgs[last], want, onSent, onReply)
+		errs[last] = x.sendRecv(last, msgs[last], want, onSent, onReply)
 	}
 	wg.Wait()
 	for _, err := range errs {
@@ -312,33 +305,21 @@ func (x *Executor) one(n int, msg *wire.Message, want wire.MsgType, onReply func
 	return x.round(msgs, want, nil, onReply)
 }
 
-// pipelined is worker n's share of a round: it issues msgs with a bounded
-// in-flight window — a writer goroutine streams the requests (stamping
-// fresh Seq values) while the calling goroutine collects exactly one
-// reply per successful send, matching replies to requests by Seq rather
-// than arrival order. Rounds on the same connection are serialized by a
-// channel semaphore so the supervisor's heartbeats and the trainer's
-// exchanges never interleave frames.
+// sendRecv is worker n's share of a round: its requests go out one at a
+// time on the calling goroutine, each stamped with a fresh Seq and
+// followed by the wait for its reply, so at most one request is ever
+// outstanding on the connection. Rounds on the same connection are
+// serialized by a channel semaphore so the supervisor's heartbeats and
+// the trainer's exchanges never interleave frames.
 //
-// Failure semantics: a worker-side MsgError or a reply of a type other
-// than want is recorded but the remaining replies are still drained, so
-// the connection stays usable for the next round. Only a transport-level
-// Recv error abandons the connection (nothing more can arrive); a Send
-// error stops the writer but the already-sent requests are still drained.
+// Failure semantics: the row stops at its first failure — a Send or Recv
+// error, a worker-side MsgError, a reply of a type other than want, or an
+// onReply error. Nothing is outstanding then, so there is nothing to
+// drain; after anything but a transport failure the connection serves the
+// next round as it is.
 //
-// When RequestTimeout is set, each reply wait carries a deadline. An
-// expired wait is retried in place — the request is never re-sent (a
-// re-sent backward frame would double-accumulate gradients); the deadline
-// is extended with exponential backoff (timeout, 2·timeout, 4·timeout, …)
-// up to maxRecvRetries extra waits, after which the round fails with an
-// error wrapping transport.ErrTimeout. Replies from an abandoned earlier
-// round (Seq below this round's range) and duplicate deliveries of an
-// already-consumed Seq are discarded without consuming a reply slot, so a
-// chaos transport that duplicates frames cannot poison correlation.
-//
-// onSent and onReply are round's: onSent runs on the writer goroutine,
-// onReply on the reader.
-func (x *Executor) pipelined(n int, msgs []*wire.Message, want wire.MsgType, onSent func(n int), onReply func(n, i int, reply *wire.Message) error) error {
+// onSent and onReply are round's; both run on the calling goroutine.
+func (x *Executor) sendRecv(n int, msgs []*wire.Message, want wire.MsgType, onSent func(n int), onReply func(n, i int, reply *wire.Message) error) error {
 	if err := x.acquire(n); err != nil {
 		return err
 	}
@@ -346,155 +327,112 @@ func (x *Executor) pipelined(n int, msgs []*wire.Message, want wire.MsgType, onS
 	conn := x.conn(n)
 	// Over a serializing transport replies are pooled decodes the broker
 	// owns; every one not handed to onReply is recycled here. Replies
-	// handed to onReply are the callback's to retain or stash — pipelined
+	// handed to onReply are the callback's to retain or stash — sendRecv
 	// cannot know which.
 	canRelease := transport.Copies(conn)
-	timeout := x.RequestTimeout
-	if timeout > 0 {
+	if x.RequestTimeout > 0 {
 		// Clear the deadline on the way out so a later round without
 		// timeouts does not inherit a stale one.
 		defer transport.SetRecvDeadline(conn, time.Time{})
 	}
-
-	var errMu sync.Mutex
-	var firstErr error
-	fail := func(err error) {
-		errMu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		errMu.Unlock()
+	var rowT0 int64
+	if x.Obs != nil {
+		rowT0 = x.Obs.Trace.Clock()
 	}
-	errOut := func() error {
-		errMu.Lock()
-		defer errMu.Unlock()
-		return firstErr
-	}
-
-	// slots bounds in-flight requests; sent carries one token per
-	// successful send so the reader knows exactly how many replies to
-	// await; abort unblocks the writer when the reader gives up.
-	slots := make(chan struct{}, maxInFlight)
-	sent := make(chan struct{}, len(msgs))
-	abort := make(chan struct{})
-
-	var pendMu sync.Mutex
-	pending := make(map[uint64]int, maxInFlight)
-	completed := make(map[uint64]bool, len(msgs))
-	// Seqs below this round's first stamp belong to abandoned earlier
-	// rounds; their late replies are stale, not protocol errors.
-	startSeq := x.seq.Load() + 1
-
-	go func() {
-		defer close(sent)
-		for i, msg := range msgs {
-			var enqT0 int64
-			if x.Obs != nil {
-				enqT0 = x.Obs.Trace.Clock()
-			}
-			select {
-			case slots <- struct{}{}:
-			case <-abort:
-				return
-			}
-			if x.Obs != nil {
-				wait := time.Duration(x.Obs.Trace.Clock() - enqT0)
-				x.Obs.OnEnqueue(n, int(msg.Layer), int(msg.Expert), wait)
-			}
-			seq := x.seq.Add(1)
-			msg.Seq = seq
-			// Register before Send: the reply may arrive immediately.
-			pendMu.Lock()
-			pending[seq] = i
-			pendMu.Unlock()
-			if err := conn.Send(msg); err != nil {
-				pendMu.Lock()
-				delete(pending, seq)
-				pendMu.Unlock()
-				fail(fmt.Errorf("broker: send to worker %d: %w", n, err))
-				return
-			}
-			if x.Obs != nil {
-				x.Obs.OnSend(n, int(msg.Layer), int(msg.Expert), seq, wire.EncodedSize(msg))
-			}
-			if onSent != nil {
-				onSent(n)
-			}
-			sent <- struct{}{}
+	// Every Seq an earlier round on this connection stamped is below first.
+	first := x.seq.Load() + 1
+	for i, msg := range msgs {
+		if x.Obs != nil {
+			// A request waits only behind its row's earlier requests.
+			x.Obs.OnEnqueue(n, int(msg.Layer), int(msg.Expert), time.Duration(x.Obs.Trace.Clock()-rowT0))
 		}
-	}()
+		seq := x.seq.Add(1)
+		msg.Seq = seq
+		if err := conn.Send(msg); err != nil {
+			return fmt.Errorf("broker: send to worker %d: %w", n, err)
+		}
+		if x.Obs != nil {
+			x.Obs.OnSend(n, int(msg.Layer), int(msg.Expert), seq, wire.EncodedSize(msg))
+		}
+		if onSent != nil {
+			onSent(n)
+		}
+		reply, err := x.awaitReply(conn, n, first, seq, canRelease)
+		if err != nil {
+			return err
+		}
+		if x.Obs != nil {
+			x.Obs.OnReply(n, seq, wire.EncodedSize(reply))
+		}
+		switch {
+		case reply.Type == wire.MsgError:
+			err = fmt.Errorf("broker: worker %d: %s", n, reply.Text)
+		case reply.Type != want:
+			err = fmt.Errorf("broker: worker %d replied %v to %v", n, reply.Type, msg.Type)
+		case onReply != nil:
+			err = onReply(n, i, reply)
+			reply = nil // onReply's now
+		}
+		if reply != nil && canRelease {
+			wire.Release(reply)
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
 
-	for range sent {
-		var reply *wire.Message
-		for attempt := 0; ; {
-			if timeout > 0 {
-				transport.SetRecvDeadline(conn, time.Now().Add(timeout<<attempt))
-			}
-			var err error
-			reply, err = conn.Recv()
-			if err != nil {
-				if timeout > 0 && errors.Is(err, transport.ErrTimeout) {
-					x.Counters.Add(obs.RecvTimeouts, 1)
-					if attempt < maxRecvRetries {
-						attempt++
-						x.Counters.Add(obs.RecvRetries, 1)
-						continue
-					}
-				}
-				fail(fmt.Errorf("broker: recv from worker %d: %w", n, err))
-				close(abort)
-				return errOut()
-			}
-			pendMu.Lock()
-			i, ok := pending[reply.Seq]
-			if ok {
-				delete(pending, reply.Seq)
-				completed[reply.Seq] = true
-			}
-			dup := !ok && completed[reply.Seq]
-			pendMu.Unlock()
-			if !ok {
-				switch {
-				case reply.Seq < startSeq:
-					// A straggler from an abandoned round: absorb it
-					// without consuming this round's reply slot.
-					x.Counters.Add(obs.StaleReplies, 1)
-					if canRelease {
-						wire.Release(reply)
-					}
-					continue
-				case dup:
-					x.Counters.Add(obs.DuplicateReplies, 1)
-					if canRelease {
-						wire.Release(reply)
-					}
+// awaitReply receives from worker n until a reply carries seq, the one
+// request outstanding on conn. A reply below first, where its row's Seqs
+// start, is a straggler from an abandoned earlier round; one in [first,
+// seq) is a duplicate delivery of a reply already consumed. Both are
+// counted, released and waited past, so a transport that duplicates
+// frames cannot poison correlation. A reply above seq answers nothing the
+// master asked and fails the share.
+//
+// When RequestTimeout is set, each wait carries a deadline. An expired
+// wait is retried in place — the request is never re-sent (a re-sent
+// backward frame would double-accumulate gradients); the deadline is
+// extended with exponential backoff (timeout, 2·timeout, 4·timeout, …) up
+// to maxRecvRetries extra waits, after which the share fails with an error
+// wrapping transport.ErrTimeout.
+func (x *Executor) awaitReply(conn transport.Conn, n int, first, seq uint64, canRelease bool) (*wire.Message, error) {
+	timeout := x.RequestTimeout
+	for attempt := 0; ; {
+		if timeout > 0 {
+			transport.SetRecvDeadline(conn, time.Now().Add(timeout<<attempt))
+		}
+		reply, err := conn.Recv()
+		if err != nil {
+			if timeout > 0 && errors.Is(err, transport.ErrTimeout) {
+				x.Counters.Add(obs.RecvTimeouts, 1)
+				if attempt < maxRecvRetries {
+					attempt++
+					x.Counters.Add(obs.RecvRetries, 1)
 					continue
 				}
-				fail(fmt.Errorf("broker: worker %d sent %v reply with unknown seq %d", n, reply.Type, reply.Seq))
 			}
-			<-slots
-			if ok && x.Obs != nil {
-				x.Obs.OnReply(n, reply.Seq, wire.EncodedSize(reply))
-			}
-			switch {
-			case !ok: // consumed the slot for the garbage reply; move on
-			case reply.Type == wire.MsgError:
-				fail(fmt.Errorf("broker: worker %d: %s", n, reply.Text))
-			case reply.Type != want:
-				fail(fmt.Errorf("broker: worker %d replied %v to %v", n, reply.Type, msgs[i].Type))
-			case onReply != nil:
-				if err := onReply(n, i, reply); err != nil {
-					fail(err)
-				}
-				reply = nil // onReply's now
-			}
-			if reply != nil && canRelease {
-				wire.Release(reply)
-			}
-			break
+			return nil, fmt.Errorf("broker: recv from worker %d: %w", n, err)
+		}
+		if reply.Seq == seq {
+			return reply, nil
+		}
+		switch {
+		case reply.Seq > seq:
+			err = fmt.Errorf("broker: worker %d sent %v reply with unknown seq %d", n, reply.Type, reply.Seq)
+		case reply.Seq < first:
+			x.Counters.Add(obs.StaleReplies, 1)
+		default:
+			x.Counters.Add(obs.DuplicateReplies, 1)
+		}
+		if canRelease {
+			wire.Release(reply)
+		}
+		if err != nil {
+			return nil, err
 		}
 	}
-	return errOut()
 }
 
 // SetBase registers the frozen parameters of every expert in grid as the
@@ -558,20 +496,36 @@ func (x *Executor) compose(id moe.ExpertID, ts []wire.Matrix) ([]wire.Matrix, er
 // the one time they cross a link. It is the runtime realization of a
 // placement: called once before fine-tuning starts (and again if the
 // placement changes). Transfers to distinct workers run in parallel and
-// transfers to the same worker are pipelined.
+// transfers to the same worker one after another. An expert the
+// assignment places outside the pool fails it before anything is sent.
 func (x *Executor) Distribute(grid [][]*moe.Expert, spec ExpertSpec) error {
 	x.SetBase(grid)
+	assign := x.assign.Load()
 	msgs := make([][]*wire.Message, len(x.conns))
 	for l, row := range grid {
 		for e, ex := range row {
-			n := x.workerOf(l, e)
-			if n < 0 || n >= len(x.conns) {
-				return fmt.Errorf("broker: expert L%d/E%d assigned to invalid worker %d", l, e, n)
+			n, err := x.placed(assign, l, e)
+			if err != nil {
+				return err
 			}
 			msgs[n] = append(msgs[n], encodeExpert(ex, spec))
 		}
 	}
 	return x.round(msgs, wire.MsgAck, nil, nil)
+}
+
+// placed returns the worker assign names for expert (layer, e), or an
+// error naming the expert when the assignment has no such cell or names a
+// worker outside the pool.
+func (x *Executor) placed(assign *placement.Assignment, layer, e int) (int, error) {
+	if layer < 0 || layer >= len(assign.Worker) || e < 0 || e >= len(assign.Worker[layer]) {
+		return 0, fmt.Errorf("broker: expert L%d/E%d is outside the assignment", layer, e)
+	}
+	n := assign.Worker[layer][e]
+	if n < 0 || n >= len(x.conns) {
+		return 0, fmt.Errorf("broker: expert L%d/E%d assigned to invalid worker %d (pool of %d)", layer, e, n, len(x.conns))
+	}
+	return n, nil
 }
 
 // ForwardExperts implements moe.Executor: dispatch token batches to the
@@ -850,8 +804,8 @@ func (x *Executor) snapshotExpert(n, layer, e int) (*wire.Message, error) {
 // estimates; the frozen weights stay where they are (delta entries) —
 // and packages it as a step-stamped checkpoint snapshot: the state the
 // supervisor restores from when a worker dies, and the expert slice of a
-// run-level checkpoint. Workers are queried in parallel; the per-worker
-// request streams are pipelined.
+// run-level checkpoint. Workers are queried in parallel, each worker's
+// experts one after another.
 func (x *Executor) SnapshotExperts(step int) (*checkpoint.ExpertSnapshot, error) {
 	assign := x.assign.Load()
 	msgs := make([][]*wire.Message, len(x.conns))
@@ -899,11 +853,15 @@ func stateTensorsOf(ts []wire.Matrix) []checkpoint.StateTensor {
 // of a resume. Each entry is composed with its base, grouped per worker
 // and shipped in parallel as an ordinary MsgAssign message, so the
 // receiving worker rebuilds the expert exactly as initial Distribute
-// would. An entry that does not compose fails the restore before anything
-// is sent.
+// would. An entry the assignment places outside the pool, or one that
+// does not compose, fails the restore before anything is sent.
 func (x *Executor) RestoreExperts(entries []checkpoint.ExpertEntry, assign *placement.Assignment) error {
 	msgs := make([][]*wire.Message, len(x.conns))
 	for _, entry := range entries {
+		n, err := x.placed(assign, entry.Layer, entry.Expert)
+		if err != nil {
+			return err
+		}
 		ts := make([]wire.Matrix, len(entry.Tensors))
 		for i, t := range entry.Tensors {
 			ts[i] = wire.Matrix{Rows: t.Rows, Cols: t.Cols, Data: t.Data}
@@ -912,7 +870,6 @@ func (x *Executor) RestoreExperts(entries []checkpoint.ExpertEntry, assign *plac
 		if err != nil {
 			return err
 		}
-		n := assign.Worker[entry.Layer][entry.Expert]
 		msgs[n] = append(msgs[n], &wire.Message{
 			Type: wire.MsgAssign, Layer: int32(entry.Layer), Expert: int32(entry.Expert), Tensors: full,
 		})

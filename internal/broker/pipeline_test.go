@@ -5,10 +5,13 @@ import (
 	"math"
 	"math/rand"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/checkpoint"
 	"repro/internal/moe"
+	"repro/internal/obs"
 	"repro/internal/placement"
 	"repro/internal/tensor"
 	"repro/internal/testutil"
@@ -30,130 +33,164 @@ func singleWorkerGrid(nExperts int) ([][]*moe.Expert, *placement.Assignment, Exp
 	return grid, assign, ExpertSpec{D: 4, Hidden: 6, LoRARank: 2, LoRAAlpha: 4}
 }
 
-// TestManyInFlightSingleWorkerDoesNotDeadlock is the regression test for
-// the send-then-recv deadlock: once a worker receives more in-flight
-// requests than the transport buffers (~128 messages on the in-process
-// pipe), a master that performs all Sends before any Recv wedges against
-// the worker's full reply queue. The pipelined 300-MsgAssign Distribute
-// is that round, streamed through the fixed in-flight window of 64; the
-// forward and backward exchanges that follow are one 300-tensor frame
-// each. All three must complete well within the timeout.
-func TestManyInFlightSingleWorkerDoesNotDeadlock(t *testing.T) {
-	const experts = 300 // > 2×64 pipe buffering
-	grid, assign, spec := singleWorkerGrid(experts)
-	dep := StartLocalWorkers(1, DefaultWorkerConfig())
-	exec := NewExecutor(dep.Conns, assign)
+// shimDeadline bounds every broker test that drives a round against a
+// hand-written shim or conn wrapper: a wedged round fails the test within
+// a minute instead of at go test's 10-minute default.
+const shimDeadline = 60 * time.Second
 
+// within runs f on its own goroutine and fails the test with f's error,
+// or when f has not returned after shimDeadline.
+func within(t *testing.T, f func() error) {
+	t.Helper()
 	done := make(chan error, 1)
-	go func() {
-		if err := exec.Distribute(grid, spec); err != nil {
-			done <- err
-			return
-		}
-		batches := make(map[int]*tensor.Tensor, experts)
-		for e := 0; e < experts; e++ {
-			batches[e] = tensor.Full(0.1, 2, 4)
-		}
-		out, err := exec.ForwardExperts(0, batches)
-		if err != nil {
-			done <- err
-			return
-		}
-		if len(out) != experts {
-			t.Errorf("forward returned %d outputs, want %d", len(out), experts)
-		}
-		grads := make(map[int]*tensor.Tensor, experts)
-		for e := 0; e < experts; e++ {
-			grads[e] = tensor.Full(0.01, 2, 4)
-		}
-		back, err := exec.BackwardExperts(0, grads)
-		if err != nil {
-			done <- err
-			return
-		}
-		if len(back) != experts {
-			t.Errorf("backward returned %d gradients, want %d", len(back), experts)
-		}
-		done <- exec.Shutdown()
-	}()
-
+	go func() { done <- f() }()
 	select {
 	case err := <-done:
 		if err != nil {
 			t.Fatal(err)
 		}
-	case <-time.After(60 * time.Second):
-		t.Fatal("scatter/gather with 300 in-flight requests deadlocked")
+	case <-time.After(shimDeadline):
+		t.Fatalf("round still running after %v", shimDeadline)
+	}
+}
+
+// oneInFlightConn counts every Send made while a reply is still
+// outstanding on the connection it wraps: a Send raises the outstanding
+// count, a received reply lowers it.
+type oneInFlightConn struct {
+	transport.Conn
+	outstanding, overlaps atomic.Int64
+}
+
+func (c *oneInFlightConn) Send(m *wire.Message) error {
+	if c.outstanding.Add(1) > 1 {
+		c.overlaps.Add(1)
+	}
+	return c.Conn.Send(m)
+}
+
+func (c *oneInFlightConn) Recv() (*wire.Message, error) {
+	m, err := c.Conn.Recv()
+	if err == nil {
+		c.outstanding.Add(-1)
+	}
+	return m, err
+}
+
+// TestOneRequestInFlight pins the round's send-then-receive rule: however
+// long a worker's row — 300 installs, snapshots or restores — the master
+// never sends a request while the previous one's reply is outstanding,
+// and the forward and backward exchanges that follow are one 300-tensor
+// frame each. It is also the regression test for the send-then-recv
+// deadlock: a master that sends a row of more requests than the transport
+// buffers (~128 messages on the in-process pipe) before receiving any
+// wedges against the worker's full reply queue, and fails here at the
+// deadline.
+func TestOneRequestInFlight(t *testing.T) {
+	const experts = 300 // > 2×64 pipe buffering
+	grid, assign, spec := singleWorkerGrid(experts)
+	dep := StartLocalWorkers(1, DefaultWorkerConfig())
+	conn := &oneInFlightConn{Conn: dep.Conns[0]}
+	exec := NewExecutor([]transport.Conn{conn}, assign)
+	batches := make(map[int]*tensor.Tensor, experts)
+	for e := 0; e < experts; e++ {
+		batches[e] = tensor.Full(0.1, 2, 4)
+	}
+	allExperts := func(out map[int]*tensor.Tensor, err error) error {
+		if err == nil && len(out) != experts {
+			err = fmt.Errorf("exchange returned %d results, want %d", len(out), experts)
+		}
+		return err
+	}
+	var snap *checkpoint.ExpertSnapshot
+	for _, op := range []struct {
+		name string
+		run  func() error
+	}{
+		{"Distribute", func() error { return exec.Distribute(grid, spec) }},
+		{"SnapshotExperts", func() (err error) { snap, err = exec.SnapshotExperts(0); return err }},
+		{"RestoreExperts", func() error { return exec.RestoreExperts(snap.Entries, assign) }},
+		{"ForwardExperts", func() error { return allExperts(exec.ForwardExperts(0, batches)) }},
+		{"BackwardExperts", func() error { return allExperts(exec.BackwardExperts(0, batches)) }},
+		{"Shutdown", exec.Shutdown},
+	} {
+		within(t, op.run)
+		if n := conn.overlaps.Load(); n > 0 {
+			t.Fatalf("%s: %d requests sent while a reply was outstanding", op.name, n)
+		}
 	}
 	if err := dep.Wait(); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// reverseShim serves one pipe endpoint like a worker, but buffers every
-// request of an n-message round and answers in REVERSE Seq order: a
-// MsgAssign is acked, a MsgSnapshot is answered with a 1×1 tensor holding
-// (expert index + 1) so results are attributable. A shutdown is acked
-// last.
-func reverseShim(t *testing.T, conn transport.Conn, n, rounds int) {
-	t.Helper()
-	for r := 0; r < rounds; r++ {
-		reqs := make([]*wire.Message, 0, n)
-		for i := 0; i < n; i++ {
-			m, err := conn.Recv()
-			if err != nil {
-				t.Errorf("shim recv: %v", err)
-				return
-			}
-			reqs = append(reqs, m)
+// noisyShim serves one pipe endpoint like a worker that also replays old
+// traffic: before each answer it sends a stale reply (Seq 0, below every
+// Seq the master stamps) and a duplicate of its previous answer. A
+// MsgSnapshot is answered with a 1×1 tensor holding (expert index + 1),
+// so results are attributable, and the stale reply carries 0; every
+// other request is acked. It returns after acking a shutdown.
+func noisyShim(conn transport.Conn) error {
+	var prev *wire.Message
+	for {
+		req, err := conn.Recv()
+		if err != nil {
+			return err
 		}
-		for i := len(reqs) - 1; i >= 0; i-- {
-			req := reqs[i]
-			reply := &wire.Message{Type: wire.MsgAck, Layer: req.Layer, Expert: req.Expert, Seq: req.Seq}
-			if req.Type == wire.MsgSnapshot {
-				reply.Type = wire.MsgSnapshotResult
-				reply.Tensors = []wire.Matrix{{Rows: 1, Cols: 1, Data: []float64{float64(req.Expert + 1)}}}
-			}
-			if err := conn.Send(reply); err != nil {
-				t.Errorf("shim send: %v", err)
-				return
+		answer := &wire.Message{Type: wire.MsgAck, Layer: req.Layer, Expert: req.Expert, Seq: req.Seq}
+		stale := &wire.Message{Type: wire.MsgAck}
+		if req.Type == wire.MsgSnapshot {
+			answer.Type, stale.Type = wire.MsgSnapshotResult, wire.MsgSnapshotResult
+			answer.Tensors = []wire.Matrix{{Rows: 1, Cols: 1, Data: []float64{float64(req.Expert + 1)}}}
+			stale.Tensors = []wire.Matrix{{Rows: 1, Cols: 1, Data: []float64{0}}}
+		}
+		frames := []*wire.Message{stale}
+		if prev != nil {
+			dup := *prev
+			frames = append(frames, &dup)
+		}
+		for _, m := range append(frames, answer) {
+			if err := conn.Send(m); err != nil {
+				return err
 			}
 		}
+		if req.Type == wire.MsgShutdown {
+			return nil
+		}
+		prev = answer
 	}
-	m, err := conn.Recv()
-	if err != nil || m.Type != wire.MsgShutdown {
-		t.Errorf("shim expected shutdown, got %v, %v", m, err)
-		return
-	}
-	_ = conn.Send(&wire.Message{Type: wire.MsgAck, Seq: m.Seq})
 }
 
-// TestOutOfOrderRepliesAreCorrelatedBySeq: a worker that answers a
-// multi-message round in reverse Seq order must still complete it —
-// Distribute's MsgAssign acks arrive last-first — and per-request payloads
-// (SnapshotExperts) must land on the expert that asked: replies are
-// matched by Seq, not arrival order.
+// TestOutOfOrderRepliesAreCorrelatedBySeq: replies are matched to the
+// outstanding request by Seq, not by arrival order. Against a worker that
+// precedes every answer with a stale reply and a duplicate of its
+// previous answer, Distribute and SnapshotExperts complete, every
+// snapshot payload lands on the expert that asked, and the absorbed
+// frames are counted exactly: a row of k requests absorbs k Seq-0 replies
+// plus, for its first request, the previous row's last answer (stale),
+// and k−1 duplicates of its own answers. A reply whose Seq is above the
+// outstanding one answers nothing the master asked and fails the share.
 func TestOutOfOrderRepliesAreCorrelatedBySeq(t *testing.T) {
 	const experts = 8
 	master, workerEnd := transport.Pipe()
-	shimDone := make(chan struct{})
-	go func() {
-		defer close(shimDone)
-		reverseShim(t, workerEnd, experts, 2)
-	}()
+	shimDone := make(chan error, 1)
+	go func() { shimDone <- noisyShim(workerEnd) }()
 
 	grid, assign, spec := singleWorkerGrid(experts)
-	// The shim replies only once the whole round is buffered, so every
-	// request must be allowed in flight at once: 8 is within the window.
 	exec := NewExecutor([]transport.Conn{master}, assign)
+	exec.Counters = obs.NewCounters(make([]bool, 1))
+	counts := func(op string, stale, dup int64) {
+		t.Helper()
+		if s, d := exec.Counters.Get(obs.StaleReplies), exec.Counters.Get(obs.DuplicateReplies); s != stale || d != dup {
+			t.Fatalf("after %s: %d stale and %d duplicate replies absorbed, want %d and %d", op, s, d, stale, dup)
+		}
+	}
 
-	if err := exec.Distribute(grid, spec); err != nil {
-		t.Fatalf("distribute with reversed acks: %v", err)
-	}
-	snap, err := exec.SnapshotExperts(0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	within(t, func() error { return exec.Distribute(grid, spec) })
+	counts("Distribute", experts, experts-1)
+	var snap *checkpoint.ExpertSnapshot
+	within(t, func() (err error) { snap, err = exec.SnapshotExperts(0); return err })
+	counts("SnapshotExperts", 2*experts+1, 2*(experts-1))
 	if len(snap.Entries) != experts {
 		t.Fatalf("snapshot has %d entries, want %d", len(snap.Entries), experts)
 	}
@@ -163,10 +200,25 @@ func TestOutOfOrderRepliesAreCorrelatedBySeq(t *testing.T) {
 			t.Fatalf("expert %d got another request's reply: %+v, want %v", entry.Expert, entry.Tensors, want)
 		}
 	}
-	if err := exec.Shutdown(); err != nil {
-		t.Fatal(err)
-	}
-	<-shimDone
+	within(t, exec.Shutdown)
+	counts("Shutdown", 2*experts+3, 2*(experts-1))
+	within(t, func() error { return <-shimDone })
+
+	// A reply from the future: the share fails naming its Seq.
+	master, workerEnd = transport.Pipe()
+	go func() {
+		if m, err := workerEnd.Recv(); err == nil {
+			_ = workerEnd.Send(&wire.Message{Type: wire.MsgPong, Seq: m.Seq + 1})
+		}
+	}()
+	exec = NewExecutor([]transport.Conn{master}, assign)
+	within(t, func() error {
+		if err := exec.Ping(0); err == nil || !strings.Contains(err.Error(), "unknown seq") {
+			return fmt.Errorf("ping answered above its Seq: err = %v, want unknown seq", err)
+		}
+		return nil
+	})
+	_ = master.Close()
 }
 
 // applyTrainingRound drives one forward/backward/step round for expert
@@ -324,10 +376,12 @@ func TestChecksumsSurfaceWorkerError(t *testing.T) {
 		_ = workerEnd.Send(&wire.Message{Type: wire.MsgError, Seq: m.Seq, Text: "stats exploded"})
 	}()
 	exec := NewExecutor([]transport.Conn{master}, placement.NewAssignment(1, 1))
-	_, err := exec.Checksums()
-	if err == nil || !strings.Contains(err.Error(), "stats exploded") {
-		t.Fatalf("err = %v, want worker error surfaced", err)
-	}
+	within(t, func() error {
+		if _, err := exec.Checksums(); err == nil || !strings.Contains(err.Error(), "stats exploded") {
+			return fmt.Errorf("err = %v, want worker error surfaced", err)
+		}
+		return nil
+	})
 	_ = master.Close()
 }
 
@@ -367,26 +421,44 @@ func TestRoundErrorNamesLowestFailingWorker(t *testing.T) {
 		}()
 	}
 	exec := NewExecutor(conns, assign)
-	_, err := exec.ForwardExperts(0, batches)
-	if err == nil || !strings.Contains(err.Error(), "refused by 0") {
-		t.Fatalf("err = %v, want worker 0's refusal", err)
-	}
+	within(t, func() error {
+		if _, err := exec.ForwardExperts(0, batches); err == nil || !strings.Contains(err.Error(), "refused by 0") {
+			return fmt.Errorf("err = %v, want worker 0's refusal", err)
+		}
+		return nil
+	})
 	for _, c := range conns {
 		_ = c.Close()
 	}
 }
 
-// TestExchangeDrainsAfterWorkerError: one failing expert in a K-expert
-// frame fails the whole frame with exactly one MsgError, the round drains,
-// and the SAME connection serves the next round correctly.
+// TestExchangeDrainsAfterWorkerError: a failing request stops its row
+// there, and the SAME connection serves the next round correctly. A
+// Distribute whose fourth entry the worker rejects sends nothing after
+// it; one failing expert in a K-expert frame fails the whole frame with
+// exactly one MsgError.
 func TestExchangeDrainsAfterWorkerError(t *testing.T) {
-	const experts = 6
+	const experts, bad = 6, 3
 	grid, assign, spec := singleWorkerGrid(experts)
 	dep := StartLocalWorkers(1, DefaultWorkerConfig())
 	conn := newCountingConn(dep.Conns[0])
 	exec := NewExecutor([]transport.Conn{conn}, assign)
+
+	// An adapterless expert under a LoRA spec: its entry carries fewer
+	// tensors than its metadata row declares.
+	malformed := append([]*moe.Expert(nil), grid[0]...)
+	malformed[bad] = moe.NewExpert(moe.ExpertID{Layer: 0, Expert: bad}, rand.New(rand.NewSource(3)), spec.D, spec.Hidden, false)
+	within(t, func() error {
+		if err := exec.Distribute([][]*moe.Expert{malformed}, spec); err == nil {
+			return fmt.Errorf("distribute of a malformed entry succeeded")
+		}
+		return nil
+	})
+	if sent, hosted := conn.sent[wire.MsgAssign], dep.Workers[0].NumExperts(); sent != bad+1 || hosted != bad {
+		t.Fatalf("row went on past its failure: %d assigns sent, %d experts hosted, want %d and %d", sent, hosted, bad+1, bad)
+	}
 	if err := exec.Distribute(grid, spec); err != nil {
-		t.Fatal(err)
+		t.Fatalf("distribute after error reply: %v", err)
 	}
 
 	// Request the hosted experts plus one the worker does not host.
@@ -398,8 +470,8 @@ func TestExchangeDrainsAfterWorkerError(t *testing.T) {
 	if _, err := exec.ForwardExperts(0, batches); err == nil || !strings.Contains(err.Error(), "does not host") {
 		t.Fatalf("err = %v, want does-not-host", err)
 	}
-	if got := conn.recv[wire.MsgError]; got != 1 {
-		t.Fatalf("failed frame produced %d MsgError replies, want 1", got)
+	if got := conn.recv[wire.MsgError]; got != 2 {
+		t.Fatalf("failed frame produced %d MsgError replies, want 1", got-1)
 	}
 
 	// The connection must be clean: a follow-up round over only hosted

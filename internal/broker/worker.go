@@ -126,8 +126,8 @@ func (w *Worker) refreshOptimizer() {
 // Serve runs the worker's request loop on conn until a shutdown message
 // arrives or the connection fails, handling every message in arrival
 // order on the calling goroutine. The master serializes rounds per
-// connection (one dispatch frame or one control round in flight at a
-// time), so nothing legitimate ever waits behind a computing frame; the
+// connection and sends a request only once the previous one's reply has
+// arrived, so nothing legitimate ever waits behind a computing frame; the
 // one message that can is a duplicated delivery, which then runs — and,
 // for a backward frame, fails as a whole on its consumed activations —
 // strictly after the original has replied, where the master discards it

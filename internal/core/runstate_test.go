@@ -1,11 +1,16 @@
 package core
 
 import (
+	"math/rand"
+	"strings"
 	"testing"
 
+	"repro/internal/broker"
 	"repro/internal/checkpoint"
 	"repro/internal/data"
+	"repro/internal/moe"
 	"repro/internal/nn"
+	"repro/internal/placement"
 	"repro/internal/testutil"
 	"repro/internal/trainer"
 )
@@ -115,6 +120,42 @@ func TestRestoreRunRejectsMismatchedModel(t *testing.T) {
 	}
 	if err := RestoreRun(bad, cap); err == nil {
 		t.Fatal("restore with wrong parameter count/names must fail")
+	}
+}
+
+// TestRestoreRunRejectsWorkerOutsidePool: a generation written by a run
+// with more workers than this one places an expert on worker 3 of a
+// 2-worker pool — velamaster -resume with a shorter -workers list. The
+// restore fails naming the expert and the worker instead of panicking.
+func TestRestoreRunRejectsWorkerOutsidePool(t *testing.T) {
+	spec := broker.ExpertSpec{D: 4, Hidden: 6, LoRARank: 2, LoRAAlpha: 4}
+	rng := rand.New(rand.NewSource(9))
+	grid := [][]*moe.Expert{make([]*moe.Expert, 4)}
+	assign := placement.NewAssignment(1, len(grid[0]))
+	for e := range grid[0] {
+		grid[0][e] = moe.NewExpert(moe.ExpertID{Expert: e}, rng, spec.D, spec.Hidden, false)
+		grid[0][e].AttachLoRA(rng, spec.LoRARank, spec.LoRAAlpha)
+		assign.Worker[0][e] = e % 2
+	}
+	dep := broker.StartLocalWorkers(2, broker.DefaultWorkerConfig())
+	exec := broker.NewExecutor(dep.Conns, assign)
+	if err := exec.Distribute(grid, spec); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := exec.SnapshotExperts(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs := &checkpoint.RunState{Experts: snap, Assignment: [][]int{{0, 1, 0, 3}}}
+	err = RestoreRun(rs, &RunCapture{Exec: exec})
+	if err == nil || !strings.Contains(err.Error(), "expert L0/E3") || !strings.Contains(err.Error(), "worker 3") {
+		t.Fatalf("err = %v, want one naming expert L0/E3 and worker 3", err)
+	}
+	if err := exec.Shutdown(); err != nil {
+		t.Fatal(err)
+	}
+	if err := dep.Wait(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -51,7 +51,7 @@ type Program struct {
 // FuncInfo is one function declaration and its locally-derived facts.
 type FuncInfo struct {
 	// Key is the canonical identity: types.Func.FullName(), e.g.
-	// "(*repro/internal/broker.Executor).pipelined".
+	// "(*repro/internal/broker.Executor).sendRecv".
 	Key string
 	// Name is the bare declared name (for diagnostics).
 	Name string

@@ -121,9 +121,10 @@ func TestCountersCrossNodeBytes(t *testing.T) {
 	}
 }
 
-// TestCountersConcurrentAdds: the table is written from the pipelined
-// readers, the heartbeat loop, the checkpoint writer and the trainer at
-// once while scrapes read; no update may be lost (run under -race).
+// TestCountersConcurrentAdds: the table is written from a round's
+// per-worker goroutines, the heartbeat loop, the checkpoint writer and
+// the trainer at once while scrapes read; no update may be lost (run
+// under -race).
 func TestCountersConcurrentAdds(t *testing.T) {
 	c := NewCounters(make([]bool, 4))
 	const workers, per = 8, 250

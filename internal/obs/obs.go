@@ -66,10 +66,11 @@ type Config struct {
 	DriftAlpha float64
 }
 
-// sendWindow is the per-worker send-timestamp table size used to match
-// replies to sends for the latency histogram: a power of two, and well
-// above the broker's in-flight window of 64.
-const sendWindow = 1024
+// sendStamp is a worker's outstanding request: its Seq and send time.
+type sendStamp struct {
+	seq atomic.Uint64
+	at  atomic.Int64
+}
 
 // phaseAgg accumulates one phase's span time.
 type phaseAgg struct {
@@ -101,7 +102,7 @@ type Handle struct {
 	StragglerGap []*Histogram // slowest-minus-this-worker round seconds
 
 	// Aggregate histograms.
-	QueueWait *Histogram // seconds a request waited for a window slot
+	QueueWait *Histogram // seconds a request waited behind its row
 	FrameTx   *Histogram // encoded request bytes
 	FrameRx   *Histogram // encoded reply bytes
 
@@ -109,10 +110,9 @@ type Handle struct {
 	curStep atomic.Int64
 	steps   atomic.Uint64
 
-	// sendTs[n][seq%sendWindow] is the send timestamp of the request with
-	// that Seq, matched by OnReply. The table is wider than the in-flight
-	// window, so live Seqs never collide.
-	sendTs [][]atomic.Int64
+	// sent[n] stamps worker n's outstanding request for OnReply: the
+	// broker has at most one in flight per worker.
+	sent []sendStamp
 
 	// roundDur[n] is worker n's duration in the current exchange round;
 	// RoundEnd turns the per-worker deltas into straggler gaps.
@@ -140,13 +140,12 @@ func NewHandle(cfg Config) *Handle {
 	h.ReqLatency = make([]*Histogram, cfg.Workers)
 	h.Compute = make([]*Histogram, cfg.Workers)
 	h.StragglerGap = make([]*Histogram, cfg.Workers)
-	h.sendTs = make([][]atomic.Int64, cfg.Workers)
+	h.sent = make([]sendStamp, cfg.Workers)
 	h.roundDur = make([]atomic.Int64, cfg.Workers)
 	for n := 0; n < cfg.Workers; n++ {
 		h.ReqLatency[n] = NewHistogram(LatencyBounds())
 		h.Compute[n] = NewHistogram(LatencyBounds())
 		h.StragglerGap[n] = NewHistogram(LatencyBounds())
-		h.sendTs[n] = make([]atomic.Int64, sendWindow)
 	}
 	return h
 }
@@ -203,8 +202,8 @@ func (h *Handle) RecordRouting(layer int, selections [][]int) {
 	h.Drift.RecordRouting(layer, selections)
 }
 
-// OnEnqueue records a request entering worker n's send window after
-// waiting `wait` for an in-flight slot.
+// OnEnqueue records a request of worker n's row coming up for sending
+// after waiting `wait` behind the row's earlier requests.
 func (h *Handle) OnEnqueue(n, layer, expert int, wait time.Duration) {
 	if h == nil {
 		return
@@ -223,8 +222,9 @@ func (h *Handle) OnSend(n, layer, expert int, seq uint64, bytes int) {
 		return
 	}
 	now := h.Trace.Clock()
-	if n >= 0 && n < len(h.sendTs) {
-		h.sendTs[n][seq%sendWindow].Store(now)
+	if n >= 0 && n < len(h.sent) {
+		h.sent[n].seq.Store(seq)
+		h.sent[n].at.Store(now)
 	}
 	h.FrameTx.Observe(float64(bytes))
 	h.Trace.Record(Event{
@@ -234,15 +234,16 @@ func (h *Handle) OnSend(n, layer, expert int, seq uint64, bytes int) {
 }
 
 // OnReply records a correlated reply of `bytes` encoded bytes from
-// worker n; the send→reply latency is recovered from the timestamp table.
+// worker n; the send→reply latency is recovered from the worker's send
+// stamp when it names the same Seq.
 func (h *Handle) OnReply(n int, seq uint64, bytes int) {
 	if h == nil {
 		return
 	}
 	now := h.Trace.Clock()
 	var lat int64
-	if n >= 0 && n < len(h.sendTs) {
-		if ts := h.sendTs[n][seq%sendWindow].Swap(0); ts > 0 && ts <= now {
+	if n >= 0 && n < len(h.sent) && h.sent[n].seq.Load() == seq {
+		if ts := h.sent[n].at.Swap(0); ts > 0 && ts <= now {
 			lat = now - ts
 			h.ReqLatency[n].Observe(float64(lat) / 1e9)
 		}

@@ -14,10 +14,10 @@ type EventKind uint8
 
 // Trace event kinds: the expert-exchange lifecycle plus step-phase spans.
 const (
-	// EvEnqueue marks a request entering the per-worker send window.
+	// EvEnqueue marks a request of a worker's row coming up for sending;
+	// Dur is the time it waited behind the row's earlier requests.
 	EvEnqueue EventKind = iota + 1
-	// EvSend marks a request on the wire; Dur is the time spent waiting
-	// for a window slot plus the Send call itself.
+	// EvSend marks a request on the wire, stamped once Send returns.
 	EvSend
 	// EvCompute marks one expert forward/backward on a worker; Dur is
 	// its compute time.
