@@ -73,11 +73,6 @@ func TestExpertCodecRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	e := moe.NewExpert(moe.ExpertID{Layer: 2, Expert: 1}, rng, 6, 10, true)
 	e.AttachLoRA(rng, 2, 8)
-	for _, p := range e.Params() {
-		for i := range p.Grad.Data {
-			_ = i
-		}
-	}
 	spec := ExpertSpec{D: 6, Hidden: 10, LoRARank: 2, LoRAAlpha: 8}
 	msg := encodeExpert(e, spec)
 	got, en, err := decodeExpertState(msg)

@@ -354,7 +354,9 @@ func checksumParams(params []*nn.Param) []float64 {
 	n := 0
 	for _, p := range params {
 		v += p.Value.Sum()
-		g += p.Grad.Sum()
+		if p.Grad != nil { // a frozen parameter's gradient is zero
+			g += p.Grad.Sum()
+		}
 		n += p.Value.Len()
 	}
 	return []float64{v, g, float64(n)}

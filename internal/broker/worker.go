@@ -235,8 +235,7 @@ func (w *Worker) handleAt(msg *wire.Message, arrivedAt int64) (reply *wire.Messa
 		return w.handleMulti(msg, arrivedAt), false
 
 	case wire.MsgZeroGrad:
-		// Only what the optimizer steps: nothing writes a frozen
-		// parameter's Grad (nn.Linear.Backward skips dW for it).
+		// Only what the optimizer steps: a frozen parameter has no Grad.
 		w.mu.Lock()
 		for _, e := range w.experts {
 			nn.ZeroGrads(nn.CollectTrainable(e.Params()))

@@ -193,7 +193,7 @@ func (m *Model) AttachLoRA(rng *rand.Rand, r int, alpha float64) {
 // loaded pre-trained checkpoint before LoRA injection).
 func (m *Model) Freeze() {
 	for _, p := range m.Params() {
-		p.Trainable = false
+		p.Freeze()
 	}
 }
 

@@ -46,6 +46,22 @@ func TestLinearSteadyStateAllocFree(t *testing.T) {
 	}
 }
 
+// TestFrozenLinearSteadyStateAllocFree: a frozen-W Linear packs its
+// panels during warm-up and then reads them, allocating nothing.
+func TestFrozenLinearSteadyStateAllocFree(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	l := NewLinear("l", rng, 64, 64, true, false)
+	x := tensor.Randn(rng, 1, 128, 64)
+	dy := tensor.Randn(rng, 1, 128, 64)
+	allocs := steadyStateAllocs(t, func() {
+		_ = l.Forward(x)
+		_ = l.Backward(dy)
+	})
+	if allocs != 0 {
+		t.Errorf("frozen Linear forward+backward allocates %.1f/op at steady state, want 0", allocs)
+	}
+}
+
 // TestLoRALinearSteadyStateAllocFree extends the bound to the LoRA path
 // (pre-engine: 32 allocs/op).
 func TestLoRALinearSteadyStateAllocFree(t *testing.T) {
@@ -58,8 +74,8 @@ func TestLoRALinearSteadyStateAllocFree(t *testing.T) {
 		_ = l.Forward(x)
 		_ = l.Backward(dy)
 	})
-	if allocs > 3.2 {
-		t.Errorf("LoRA Linear forward+backward allocates %.1f/op at steady state, want <= 3.2", allocs)
+	if allocs != 0 {
+		t.Errorf("LoRA Linear forward+backward allocates %.1f/op at steady state, want 0", allocs)
 	}
 }
 
@@ -74,7 +90,7 @@ func TestSwiGLUSteadyStateAllocFree(t *testing.T) {
 		_ = s.Forward(x)
 		_ = s.Backward(dy)
 	})
-	if allocs > 4.3 {
-		t.Errorf("SwiGLU forward+backward allocates %.1f/op at steady state, want <= 4.3", allocs)
+	if allocs != 0 {
+		t.Errorf("SwiGLU forward+backward allocates %.1f/op at steady state, want 0", allocs)
 	}
 }

@@ -39,6 +39,13 @@ type Linear struct {
 	// Forward+Backward pass allocates nothing. Callers that need a result
 	// to survive this layer's next Forward/Backward must Clone it.
 	y, dx *tensor.Tensor
+
+	// The packed panels of a frozen W, one per orientation: x·W for
+	// Forward, dy·Wᵀ for Backward. Each is built by the first product that
+	// needs it and dropped by any Forward that finds W trainable, so they
+	// rely on Param.Trainable's contract that a frozen value does not
+	// change while frozen.
+	wPanels, wTPanels tensor.Panels
 }
 
 // initWeight draws an [in, cols] matrix from N(0, 1/in), or — under a nil
@@ -86,9 +93,9 @@ func (l *Linear) AttachLoRA(rng *rand.Rand, r int, alpha float64) {
 		B:     NewParam(l.Name+".lora.B", tensor.Zeros(r, l.out), true),
 		Scale: alpha / float64(r),
 	}
-	l.W.Trainable = false
+	l.W.Freeze()
 	if l.Bias != nil {
-		l.Bias.Trainable = false
+		l.Bias.Freeze()
 	}
 }
 
@@ -112,7 +119,13 @@ func (l *Linear) Forward(x *tensor.Tensor) *tensor.Tensor {
 	l.x = x
 	n := x.Rows()
 	y := tensor.Ensure(&l.y, n, l.out)
-	x.MatMulInto(l.W.Value, y)
+	if l.W.Trainable {
+		l.wPanels.Reset()
+		l.wTPanels.Reset()
+		x.MatMulInto(l.W.Value, y)
+	} else {
+		x.MatMulPackedInto(l.W.Value, &l.wPanels, y)
+	}
 	if l.Bias != nil {
 		y.AddRowInPlace(l.Bias.Value)
 	}
@@ -137,8 +150,10 @@ func (l *Linear) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	x := l.x
 	n := dy.Rows()
 	dx := tensor.Ensure(&l.dx, n, l.in)
-	dy.MatMulTInto(l.W.Value, dx)
-	if l.W.Trainable {
+	if !l.W.Trainable {
+		dy.MatMulTPackedInto(l.W.Value, &l.wTPanels, dx)
+	} else {
+		dy.MatMulTInto(l.W.Value, dx)
 		g := tensor.GetDirty(l.in, l.out)
 		x.TMatMulInto(dy, g)
 		l.W.Grad.AddInPlace(g)

@@ -10,7 +10,8 @@
 // (row, p) so the same kernel serves A and Aᵀ; B is a packed k×8 panel,
 // packed from eight columns of B (packPanel) or — for MatMulT, whose B is
 // the transpose of its operand — from eight rows of Bᵀ (packPanelT), so no
-// entry point transposes anything.
+// entry point transposes anything. A weight that does not change between
+// products can be packed once (Panels) and its panels read in place.
 // Because each c[i][j] is still one serial sum, the tile shape, the
 // partition and the parallel degree are invisible in the result bits:
 // what vectorises is (i, j), never p. A fused multiply-add would round
@@ -38,10 +39,48 @@ const (
 	tileCols = 8
 )
 
+// Panels is a right-hand operand B packed once: all of its k×8 column
+// panels, byte for byte what the driver would pack on every product, for a
+// B that does not change between products — a frozen weight. The zero
+// value is empty; the first product given it packs it. It remembers the
+// tensor, shape and orientation it was packed from and repacks when a
+// product names another, but it cannot see a write into that tensor's
+// values: its owner Resets it before they may change.
+type Panels struct {
+	data []float64
+	src  *float64 // first element of the operand packed
+	k, m int
+	bT   bool
+}
+
+// Reset drops the panels; the next product given p packs them again.
+func (p *Panels) Reset() { *p = Panels{} }
+
+// of returns the panels of B for a product over the operand o — B = o as
+// [k,m], or with bT B = oᵀ — packing them unless p already holds exactly
+// these. A nil p, and an empty B, have none.
+func (p *Panels) of(o *Tensor, k, m int, bT bool) []float64 {
+	if p == nil || k == 0 || m == 0 {
+		return nil
+	}
+	if p.src != &o.Data[0] || p.k != k || p.m != m || p.bT != bT {
+		size := (m + tileCols - 1) / tileCols * k * tileCols
+		if cap(p.data) < size {
+			p.data = make([]float64, size)
+		}
+		p.data = p.data[:size]
+		packPanels(p.data, o.Data, k, m, bT)
+		p.src, p.k, p.m, p.bT = &o.Data[0], k, m, bT
+	}
+	return p.data
+}
+
 // gemm writes the [n,m] row-major product c = A·B, where A(i,p) is
 // a[i*sa0+p*sa1] and B is b, [k,m] row-major — or, with bT set, the
-// transpose of b, [m,k] row-major. c is fully overwritten.
-func gemm(c, a, b []float64, n, k, m, sa0, sa1 int, bT bool) {
+// transpose of b, [m,k] row-major. c is fully overwritten. panels, when
+// not nil, is B already packed (packPanels), and the driver reads its
+// panels instead of packing b.
+func gemm(c, a, b, panels []float64, n, k, m, sa0, sa1 int, bT bool) {
 	if n == 0 || m == 0 {
 		return
 	}
@@ -58,46 +97,52 @@ func gemm(c, a, b []float64, n, k, m, sa0, sa1 int, bT bool) {
 				ap.Data[i*k+p] = a[i*sa0+p*sa1]
 			}
 		}
-		gemm(cp.Data, ap.Data, b, tileRows, k, m, k, 1, bT)
+		gemm(cp.Data, ap.Data, b, panels, tileRows, k, m, k, 1, bT)
 		copy(c, cp.Data[:n*m])
 		Put(ap)
 		Put(cp)
 		return
 	}
 	// Shards are whole column panels: the goroutine that owns eight columns
-	// of C packs their k×8 panel of B, so every panel is packed once per
-	// product however many shards there are.
-	panels, work := (m+tileCols-1)/tileCols, n*k*m/tileMAddsPerUnit()
-	if Serial(panels, work) {
-		gemmPanels(c, a, b, 0, panels, n, k, m, sa0, sa1, bT)
+	// of C packs their k×8 panel of B (or reads it from panels), so no
+	// panel is packed more than once per product however many shards
+	// there are.
+	np, work := (m+tileCols-1)/tileCols, n*k*m/tileMAddsPerUnit()
+	if Serial(np, work) {
+		gemmPanels(c, a, b, panels, 0, np, n, k, m, sa0, sa1, bT)
 		return
 	}
 	p := newTask(gemmBody)
-	p.c, p.a, p.b, p.bT = c, a, b, bT
+	p.c, p.a, p.b, p.panels, p.bT = c, a, b, panels, bT
 	p.rows, p.k, p.m, p.sa0, p.sa1 = n, k, m, sa0, sa1
-	p.split(panels)
+	p.split(np)
 }
 
 func gemmBody(p *task, lo, hi int) {
-	gemmPanels(p.c, p.a, p.b, lo, hi, p.rows, p.k, p.m, p.sa0, p.sa1, p.bT)
+	gemmPanels(p.c, p.a, p.b, p.panels, lo, hi, p.rows, p.k, p.m, p.sa0, p.sa1, p.bT)
 }
 
 // gemmPanels computes column panels [plo, phi) of c — columns [8·plo,
 // min(8·phi, m)) — over all n >= tileRows rows. Each k×8 panel of b is
-// packed contiguous once and reused by every row tile. Edges never fall
-// to a scalar loop: a ragged last row tile steps back to n-4 and
-// recomputes the overlap (same goroutine, same values), and a ragged last
-// panel is zero-padded and its tiles stored through a scratch tile.
-func gemmPanels(c, a, b []float64, plo, phi, n, k, m, sa0, sa1 int, bT bool) {
-	panel := GetDirty(k, tileCols)
-	bp := panel.Data
+// packed contiguous once, or sliced out of panels, and reused by every
+// row tile. Edges never fall to a scalar loop: a ragged last row tile
+// steps back to n-4 and recomputes the overlap (same goroutine, same
+// values), and a ragged last panel is zero-padded and its tiles stored
+// through a scratch tile.
+func gemmPanels(c, a, b, panels []float64, plo, phi, n, k, m, sa0, sa1 int, bT bool) {
+	var scratch *Tensor
+	if panels == nil {
+		scratch = GetDirty(k, tileCols)
+	}
 	var edge [tileRows * tileCols]float64
-	for j := plo * tileCols; j < min(phi*tileCols, m); j += tileCols {
-		w := min(tileCols, m-j)
-		if bT {
-			packPanelT(bp, b, k, j, w)
+	for q := plo; q < phi; q++ {
+		j, w := q*tileCols, min(tileCols, m-q*tileCols)
+		var bp []float64
+		if panels != nil {
+			bp = panels[q*k*tileCols : (q+1)*k*tileCols]
 		} else {
-			packPanel(bp, b, k, m, j, w)
+			bp = scratch.Data
+			packPanelOf(bp, b, k, m, j, w, bT)
 		}
 		for i := 0; i < n; i += tileRows {
 			if i > n-tileRows {
@@ -113,7 +158,26 @@ func gemmPanels(c, a, b []float64, plo, phi, n, k, m, sa0, sa1 int, bT bool) {
 			}
 		}
 	}
-	Put(panel)
+	Put(scratch)
+}
+
+// packPanels packs all of B — b as [k,m], or with bT the transpose of b as
+// [m,k] — into bp the way gemmPanels packs it one panel at a time: panel
+// q is the k×8 block at bp[8k·q:], the last one zero-padded when m is not
+// a multiple of 8.
+func packPanels(bp, b []float64, k, m int, bT bool) {
+	for q := 0; q*tileCols < m; q++ {
+		packPanelOf(bp[q*k*tileCols:(q+1)*k*tileCols], b, k, m, q*tileCols, min(tileCols, m-q*tileCols), bT)
+	}
+}
+
+// packPanelOf packs the panel of columns [j, j+w) of B (see packPanels).
+func packPanelOf(bp, b []float64, k, m, j, w int, bT bool) {
+	if bT {
+		packPanelT(bp, b, k, j, w)
+	} else {
+		packPanel(bp, b, k, m, j, w)
+	}
 }
 
 // packPanel copies columns [j, j+w) of the [k,m] matrix b into the k×8

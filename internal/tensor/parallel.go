@@ -111,6 +111,7 @@ type task struct {
 	// Operands: a kernel's buffers and sizes, or the caller's function for
 	// ParallelRange and Fanout.
 	c, a, b    []float64
+	panels     []float64
 	alpha      float64
 	rows, k, m int
 	sa0, sa1   int
@@ -387,7 +388,14 @@ func mustNotAlias(dst, src *Tensor, op string) {
 // MatMulInto writes t @ o into dst ([n,k] @ [k,m] -> [n,m]) and returns
 // dst. dst may be dirty (every element is overwritten) but must not share
 // storage with t or o.
-func (t *Tensor) MatMulInto(o, dst *Tensor) *Tensor {
+func (t *Tensor) MatMulInto(o, dst *Tensor) *Tensor { return t.MatMulPackedInto(o, nil, dst) }
+
+// MatMulPackedInto is MatMulInto reading o's k×8 panels from pk instead of
+// packing them on every call: the first call given pk packs them and later
+// ones read them in place, so o must not change while pk holds them (see
+// Panels). A nil pk packs per call, as MatMulInto does. Same shape,
+// dirty-destination and no-alias contract as MatMulInto.
+func (t *Tensor) MatMulPackedInto(o *Tensor, pk *Panels, dst *Tensor) *Tensor {
 	t.must2D()
 	o.must2D()
 	dst.must2D()
@@ -401,13 +409,17 @@ func (t *Tensor) MatMulInto(o, dst *Tensor) *Tensor {
 	}
 	mustNotAlias(dst, t, "matmul")
 	mustNotAlias(dst, o, "matmul")
-	gemm(dst.Data, t.Data, o.Data, n, k, m, k, 1, false)
+	gemm(dst.Data, t.Data, o.Data, pk.of(o, k, m, false), n, k, m, k, 1, false)
 	return dst
 }
 
 // MatMulTInto writes t @ oᵀ into dst ([n,k] @ [m,k]ᵀ -> [n,m]) and
 // returns dst. Same dirty-destination / no-alias contract as MatMulInto.
-func (t *Tensor) MatMulTInto(o, dst *Tensor) *Tensor {
+func (t *Tensor) MatMulTInto(o, dst *Tensor) *Tensor { return t.MatMulTPackedInto(o, nil, dst) }
+
+// MatMulTPackedInto is MatMulTInto reading the panels of B = oᵀ from pk,
+// as MatMulPackedInto does for B = o.
+func (t *Tensor) MatMulTPackedInto(o *Tensor, pk *Panels, dst *Tensor) *Tensor {
 	t.must2D()
 	o.must2D()
 	dst.must2D()
@@ -424,7 +436,7 @@ func (t *Tensor) MatMulTInto(o, dst *Tensor) *Tensor {
 	// A is t as it lies; each k×8 panel of B = oᵀ is packed from eight rows
 	// of o (packPanelT), so p stays the tile's serial loop and nothing is
 	// transposed.
-	gemm(dst.Data, t.Data, o.Data, n, k, m, k, 1, true)
+	gemm(dst.Data, t.Data, o.Data, pk.of(o, k, m, true), n, k, m, k, 1, true)
 	return dst
 }
 
@@ -444,7 +456,7 @@ func (t *Tensor) TMatMulInto(o, dst *Tensor) *Tensor {
 	}
 	mustNotAlias(dst, t, "tmatmul")
 	mustNotAlias(dst, o, "tmatmul")
-	gemm(dst.Data, t.Data, o.Data, n, k, m, 1, n, false)
+	gemm(dst.Data, t.Data, o.Data, nil, n, k, m, 1, n, false)
 	return dst
 }
 

@@ -113,7 +113,7 @@ func PrepareForFinetune(m *moe.Model, grid [][]*moe.Expert, lora LoRAConfig) {
 	for _, row := range grid {
 		for _, e := range row {
 			for _, p := range e.Params() {
-				p.Trainable = false
+				p.Freeze()
 			}
 		}
 	}
