@@ -62,8 +62,9 @@ func BenchmarkMatMulExpertUpRagged(b *testing.B) { benchGEMM(b, "MatMul", 30, 12
 // over twice this box's 4 MB of L2), the way one step walks 16 experts ×
 // 3 projections. The hot benchmarks above reuse one weight; the step
 // sees this one. mul multiplies a 32-row x of xCols features by a weight
-// into dstCols features.
-func benchColdWeight(b *testing.B, xCols, dstCols int, mul func(x, w, dst *Tensor) *Tensor) {
+// into dstCols features. With packed set each weight owns a Panels, built
+// before the timer starts, as a frozen Linear's are during warm-up.
+func benchColdWeight(b *testing.B, xCols, dstCols int, packed bool, mul func(x, w *Tensor, pk *Panels, dst *Tensor) *Tensor) {
 	const n, d, h, weights = 32, 128, 352, 24
 	old := Parallelism()
 	SetParallelism(1)
@@ -74,19 +75,33 @@ func benchColdWeight(b *testing.B, xCols, dstCols int, mul func(x, w, dst *Tenso
 	for i := range ws {
 		ws[i] = Randn(rng, 1, d, h)
 	}
+	pks := make([]*Panels, weights)
+	if packed {
+		for i := range pks {
+			pks[i] = new(Panels)
+			mul(x, ws[i], pks[i], dst)
+		}
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		mul(x, ws[i%weights], dst)
+		mul(x, ws[i%weights], pks[i%weights], dst)
 	}
 	reportGFLOPs(b, n, d, h)
 }
 
-// Up projection x·W, and the backward dX = dY·Wᵀ through the same weight.
+// Up projection x·W, and the backward dX = dY·Wᵀ through the same weight,
+// packed per product and read from pre-built panels.
 func BenchmarkMatMulExpertUpCold(b *testing.B) {
-	benchColdWeight(b, 128, 352, (*Tensor).MatMulInto)
+	benchColdWeight(b, 128, 352, false, (*Tensor).MatMulPackedInto)
 }
 func BenchmarkMatMulTExpertDownCold(b *testing.B) {
-	benchColdWeight(b, 352, 128, (*Tensor).MatMulTInto)
+	benchColdWeight(b, 352, 128, false, (*Tensor).MatMulTPackedInto)
+}
+func BenchmarkMatMulExpertUpColdPacked(b *testing.B) {
+	benchColdWeight(b, 128, 352, true, (*Tensor).MatMulPackedInto)
+}
+func BenchmarkMatMulTExpertDownColdPacked(b *testing.B) {
+	benchColdWeight(b, 352, 128, true, (*Tensor).MatMulTPackedInto)
 }
 
 // BenchmarkParallelCutOver is the measurement DefaultParallelThreshold is
