@@ -15,20 +15,25 @@ build:
 test:
 	$(GO) test ./...
 
-# vet's asmdecl pass checks internal/tensor/gemm_amd64.s against its Go
-# declarations (argument offsets, frame size), so the assembly needs no
+# vet's asmdecl pass checks every assembly file (internal/cpu's probe,
+# internal/tensor/gemm_amd64.s, internal/wire/half_amd64.s) against its
+# Go declarations (argument offsets, frame size), so the assembly needs no
 # gate of its own.
 vet:
 	$(GO) vet ./...
 
-# The portable GEMM tile body, forced by the purego build tag (a
-# build-time test seam: on amd64 the default build never runs it), over
+# The portable bodies, forced by the purego build tag (a build-time test
+# seam: on amd64 the default build never runs them): the GEMM tile over
 # the packages whose numerics it decides — the kernel oracle, the layer
-# and model tests, and the parent-captured golden loss series. The panel
-# packers (packPanel, packPanelT) are plain Go under either tag, so the
-# oracle table covers MatMulT's row-packed path on both bodies.
+# and model tests, and the parent-captured golden loss series — and the
+# binary16 codec over wire (its bit-pinning tests against the reference
+# converter) and broker (TestChanTCPParity, where the chan pipe's
+# Quantize and the TCP frame codec must agree). The panel packers
+# (packPanel, packPanelT) are plain Go under either tag, so the oracle
+# table covers MatMulT's row-packed path on both bodies.
 purego:
-	$(GO) test -tags purego ./internal/tensor ./internal/nn ./internal/moe ./internal/trainer
+	$(GO) test -tags purego ./internal/tensor ./internal/nn ./internal/moe ./internal/trainer \
+		./internal/wire ./internal/broker
 
 # velavet: the repo's own analyzer suite (internal/lint, driven by
 # cmd/velavet). Enforces the concurrency, wire, and numeric invariants

@@ -99,18 +99,22 @@ var obsHotPathFuncs = map[string]bool{
 // GetBuf/getFloats are deliberately absent — they are the designated
 // pool allocators and own the miss-path make.
 var wireHotPathFuncs = map[string]bool{
-	"AppendFrame":       true,
-	"appendHeader":      true,
-	"appendTensor":      true,
-	"AppendFloat64s":    true,
-	"appendFP16Payload": true,
-	"appendInt8Payload": true,
-	"DecodeFloat64s":    true,
-	"decodeInt8Payload": true,
-	"decodeBody":        true,
-	"DecodePooled":      true,
-	"Release":           true,
-	"Encode":            true,
+	"AppendFrame":         true,
+	"appendHeader":        true,
+	"appendTensor":        true,
+	"AppendFloat64s":      true,
+	"appendFP16Payload":   true,
+	"encodeHalfVec":       true,
+	"HalfDecode":          true,
+	"decodeHalfVec":       true,
+	"QuantizeHalfInPlace": true,
+	"appendInt8Payload":   true,
+	"DecodeFloat64s":      true,
+	"decodeInt8Payload":   true,
+	"decodeBody":          true,
+	"DecodePooled":        true,
+	"Release":             true,
+	"Encode":              true,
 }
 
 // allocatingTensorMethods are the tensor.Tensor methods that allocate

@@ -2,11 +2,10 @@
 
 package tensor
 
-// useAVX2 selects the assembly body, once, at init.
-var useAVX2 = cpuHasAVX2()
+import "repro/internal/cpu"
 
-// cpuHasAVX2 reports whether the CPU and the OS support AVX2 (gemm_amd64.s).
-func cpuHasAVX2() bool
+// useAVX2 selects the assembly body, once, at init.
+var useAVX2 = cpu.HasAVX2
 
 //go:noescape
 func gemmTileAVX2(k int, a *float64, sa0, sa1 int, bp, c *float64, ldc int)

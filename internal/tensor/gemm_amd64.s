@@ -2,38 +2,6 @@
 
 #include "textflag.h"
 
-// func cpuHasAVX2() bool
-//
-// AVX2 is usable when the CPU reports it (CPUID.7.0:EBX bit 5) and the OS
-// saves the YMM state (CPUID.1:ECX OSXSAVE+AVX, XCR0 bits 1 and 2).
-TEXT ·cpuHasAVX2(SB), NOSPLIT, $0-1
-	XORL AX, AX
-	XORL CX, CX
-	CPUID
-	CMPL AX, $7
-	JB   no
-	MOVL $1, AX
-	XORL CX, CX
-	CPUID
-	ANDL $0x18000000, CX
-	CMPL CX, $0x18000000
-	JNE  no
-	XORL CX, CX
-	XGETBV
-	ANDL $6, AX
-	CMPL AX, $6
-	JNE  no
-	MOVL $7, AX
-	XORL CX, CX
-	CPUID
-	ANDL $0x20, BX
-	JZ   no
-	MOVB $1, ret+0(FP)
-	RET
-no:
-	MOVB $0, ret+0(FP)
-	RET
-
 // ROW multiplies the broadcast A element in Y10 by the two halves of the
 // B row (Y8, Y9) and adds the products into the row's two accumulators.
 // VMULPD then VADDPD, never VFMADD: the product is rounded before the

@@ -289,29 +289,6 @@ func AppendFloat64s(dst []byte, vals []float64) []byte {
 	return dst
 }
 
-// appendFP16Payload writes binary16 values little-endian, eight at a
-// time. dst must have capacity.
-func appendFP16Payload(dst []byte, vals []float64) []byte {
-	off := len(dst)
-	dst = dst[:off+2*len(vals)]
-	i := 0
-	for ; i+8 <= len(vals); i += 8 {
-		b := dst[off+2*i : off+2*i+16]
-		binary.LittleEndian.PutUint16(b, Float64ToHalf(vals[i]))
-		binary.LittleEndian.PutUint16(b[2:], Float64ToHalf(vals[i+1]))
-		binary.LittleEndian.PutUint16(b[4:], Float64ToHalf(vals[i+2]))
-		binary.LittleEndian.PutUint16(b[6:], Float64ToHalf(vals[i+3]))
-		binary.LittleEndian.PutUint16(b[8:], Float64ToHalf(vals[i+4]))
-		binary.LittleEndian.PutUint16(b[10:], Float64ToHalf(vals[i+5]))
-		binary.LittleEndian.PutUint16(b[12:], Float64ToHalf(vals[i+6]))
-		binary.LittleEndian.PutUint16(b[14:], Float64ToHalf(vals[i+7]))
-	}
-	for ; i < len(vals); i++ {
-		binary.LittleEndian.PutUint16(dst[off+2*i:], Float64ToHalf(vals[i]))
-	}
-	return dst
-}
-
 // DecodeFloat64s expands 8·len(dst) little-endian bytes of src into dst,
 // eight values at a time — AppendFloat64s' inverse and the one block
 // reader. The caller bounds len(dst) by len(src)/8 before allocating dst.

@@ -229,7 +229,7 @@ func TestFrameEncoderMatchesAppendFrame(t *testing.T) {
 }
 
 // TestAppendFrameZeroAlloc: with a pre-sized destination the hot-path
-// encoder must not allocate, for any encoding.
+// encoder must not allocate, for any encoding, and neither may Quantize.
 func TestAppendFrameZeroAlloc(t *testing.T) {
 	for _, enc := range []Encoding{EncFP64, EncFP16, EncInt8} {
 		m := &Message{Type: MsgForwardMulti, Tensors: []Matrix{
@@ -244,6 +244,10 @@ func TestAppendFrameZeroAlloc(t *testing.T) {
 		})
 		if allocs != 0 {
 			t.Errorf("%v: AppendFrame allocated %.1f times per run", enc, allocs)
+		}
+		// The in-process pipe's stand-in for the codec round trip.
+		if allocs := testing.AllocsPerRun(100, m.Tensors[0].Quantize); allocs != 0 {
+			t.Errorf("%v: Quantize allocated %.1f times per run", enc, allocs)
 		}
 	}
 }
