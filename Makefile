@@ -112,8 +112,8 @@ bench-trace:
 
 # Wire codec gate: encode/decode throughput per encoding (fp64, fp16,
 # int8) plus the bytes and frames one layer's dispatch puts on the wire
-# at the paper geometry. The EncodeFrame/FrameEncoder/DecodeFrame entries
-# in BENCH_wire.json must show 0 allocs/op (steady-state pooled codec),
+# at the paper geometry. The EncodeFrame/DecodeFrame entries in
+# BENCH_wire.json must show 0 allocs/op (steady-state pooled codec),
 # and the StepBytes bytes/step metrics back the fp16 ≤ 30% / int8 ≤ 18%
 # of fp64 wire-volume claims. The two broker entries are the rounds that
 # move expert state, over loopback TCP at stepbench churn's geometry: one
@@ -121,12 +121,12 @@ bench-trace:
 # (delta entries: a snapshot carries no frozen weight, a migration
 # carries them once).
 bench-wire:
-	{ $(GO) test -run='^$$' -bench='EncodeFrame|FrameEncoder|DecodeFrame|StepBytes' -benchmem ./internal/wire; \
+	{ $(GO) test -run='^$$' -bench='EncodeFrame|DecodeFrame|StepBytes' -benchmem ./internal/wire; \
 	  $(GO) test -run='^$$' -bench='SnapshotExperts|Migrate$$' -benchmem ./internal/broker; } \
 		| $(GO) run ./cmd/benchjson > BENCH_wire.json
 
-# The original whole-repo benchmark sweep, including the paper-figure
-# reproductions in the root package.
+# Every benchmark of every package. The paper's figures are not
+# benchmarks: `go run ./cmd/velabench -fig all` prints them.
 bench-all:
 	$(GO) test -bench=. -benchmem ./...
 

@@ -45,6 +45,10 @@ func main() {
 	}
 }
 
+// paperFigs are the figures of the paper's evaluation, in the order
+// -fig all prints them.
+var paperFigs = []string{"3a", "3b", "3c", "thm", "5a", "5b", "5c", "5d", "6a", "6b", "6c", "6d", "7a", "7b", "text"}
+
 func run(fig string, scale experiments.Scale, csv bool) error {
 	switch fig {
 	case "3a":
@@ -74,7 +78,7 @@ func run(fig string, scale experiments.Scale, csv bool) error {
 	case "place":
 		return placeStudy()
 	case "all":
-		for _, f := range []string{"3a", "3b", "3c", "thm", "5a", "5b", "5c", "5d", "6a", "6b", "6c", "6d", "7a", "7b", "text"} {
+		for _, f := range paperFigs {
 			fmt.Printf("\n================ Figure %s ================\n", f)
 			if err := run(f, scale, csv); err != nil {
 				return err

@@ -64,6 +64,16 @@ func TestDriftMatchesGolden(t *testing.T) { checkFigGolden(t, "drift") }
 // cross-node megabytes, and the LP's routing mass per node.
 func TestPlaceMatchesGolden(t *testing.T) { checkFigGolden(t, "place") }
 
+// TestFiguresMatchGolden pins every quick-scale figure of the paper's
+// evaluation: Fig. 3 and Theorem 1 on the live model, Figs. 5–6 from the
+// simulator, Fig. 7's heat maps and the §V in-text quantities. Each golden
+// is the output of `velabench -fig F` on the commit before it was pinned.
+func TestFiguresMatchGolden(t *testing.T) {
+	for _, fig := range paperFigs {
+		t.Run(fig, func(t *testing.T) { checkFigGolden(t, fig) })
+	}
+}
+
 func TestWriteCSV(t *testing.T) {
 	a := &obs.Series{Name: "step", Values: []float64{1, 2, 3}}
 	b := &obs.Series{Name: "mb", Values: []float64{8.5, 9.25}}

@@ -1,6 +1,7 @@
 // Package experiments regenerates every figure of the paper's evaluation
 // plus its in-text quantities. Each figure has one entry point returning
-// structured data that cmd/velabench renders and bench_test.go measures.
+// structured data; cmd/velabench renders it, and its tests pin the
+// rendered quick-scale output of every figure byte for byte.
 //
 // Two scales are supported: Quick (reduced steps/sizes, used by tests and
 // the default CLI) and Full (the paper's parameters: 300 fine-tuning
@@ -466,8 +467,10 @@ func Text(s Scale) (*TextStats, error) {
 		SpeedupRange:      [2]float64{1, 0},
 	}
 	var totalBytes float64
-	for name, profile := range Cell {
-		res, err := sim.RunAll(cfg, profile)
+	// Fixed orders, not map order: the float sums below must not depend
+	// on how a map happens to iterate.
+	for _, name := range []string{"5a", "5b", "5c", "5d"} {
+		res, err := sim.RunAll(cfg, Cell[name])
 		if err != nil {
 			return nil, err
 		}
@@ -479,9 +482,9 @@ func Text(s Scale) (*TextStats, error) {
 			stats.ExternalTokensPerBlock = ep.TotalCrossBytes / float64(cfg.Steps) /
 				(4 * cfg.BytesPerToken() * float64(cfg.Layers))
 		}
-		for _, r := range res {
+		for _, strategy := range []string{"ep", "sequential", "random", "vela"} {
 			// Scale the observed volume to the paper's 500 steps.
-			totalBytes += r.TotalCrossBytes * 500 / float64(cfg.Steps)
+			totalBytes += res[strategy].TotalCrossBytes * 500 / float64(cfg.Steps)
 		}
 		red := placement.Improvement(ep.AvgTrafficMB(), vela.AvgTrafficMB())
 		sp := placement.Improvement(ep.AvgStepSec(), vela.AvgStepSec())

@@ -94,8 +94,7 @@ var obsHotPathFuncs = map[string]bool{
 }
 
 // wireHotPathFuncs are the wire codec functions that run per exchanged
-// frame (rule 4). Matching is exact and scoped to wire packages; "Encode"
-// covers both FrameEncoder.Encode and the thin package-level wrapper.
+// frame (rule 4). Matching is exact and scoped to wire packages.
 // GetBuf/getFloats are deliberately absent — they are the designated
 // pool allocators and own the miss-path make.
 var wireHotPathFuncs = map[string]bool{
@@ -114,7 +113,6 @@ var wireHotPathFuncs = map[string]bool{
 	"decodeBody":          true,
 	"DecodePooled":        true,
 	"Release":             true,
-	"Encode":              true,
 }
 
 // allocatingTensorMethods are the tensor.Tensor methods that allocate

@@ -280,3 +280,18 @@ func TestPlacementShapedLP(t *testing.T) {
 		t.Fatalf("capacity violated: %v > %v", onFast, cap[0])
 	}
 }
+
+// BenchmarkSimplexSmall times the solver's fixed overhead on TestSimpleLE's
+// two-variable problem.
+func BenchmarkSimplexSmall(b *testing.B) {
+	p := &Problem{NumVars: 2, Objective: []float64{-1, -2}}
+	p.AddConstraint([]int{0, 1}, []float64{1, 1}, LE, 4)
+	p.AddConstraint([]int{0}, []float64{1}, LE, 2)
+	p.AddConstraint([]int{1}, []float64{1}, LE, 3)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Solve(p); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

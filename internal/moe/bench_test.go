@@ -65,3 +65,23 @@ func BenchmarkGateRouting(b *testing.B) {
 		_ = g.Forward(x)
 	}
 }
+
+// BenchmarkMoEBlockForward measures one MoE block's forward pass — gate,
+// dispatch and eight local experts — over 128 tokens.
+func BenchmarkMoEBlockForward(b *testing.B) {
+	rng := rand.New(rand.NewSource(2))
+	const d, experts, tokens = 32, 8, 128
+	blk := NewBlock(0, rng, d, experts, 2, false)
+	grid := [][]*Expert{make([]*Expert, experts)}
+	for e := 0; e < experts; e++ {
+		grid[0][e] = NewExpert(ExpertID{Layer: 0, Expert: e}, rng, d, 2*d, false)
+	}
+	blk.Exec = NewLocalExecutor(grid)
+	x := tensor.Randn(rng, 1, tokens, d)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := blk.Forward(x); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -237,9 +237,7 @@ func (c *chanConn) Close() error {
 type tcpConn struct {
 	conn net.Conn
 
-	sendMu  sync.Mutex
-	enc     wire.FrameEncoder
-	scratch [][]byte // reusable net.Buffers backing (WriteTo consumes its copy)
+	sendMu sync.Mutex
 
 	recvMu sync.Mutex
 	hdr    [4]byte
@@ -317,29 +315,21 @@ func (t *tcpConn) SetSendDeadline(dl time.Time) error { return t.conn.SetWriteDe
 // returning, so the caller may recycle the message afterwards.
 func (t *tcpConn) SendCopies() bool { return true }
 
-// Send implements Conn. The frame goes out as scatter-gather segments
-// (header + one segment per tensor) via net.Buffers, so multi-tensor
-// coalesced frames are written without assembling one monolithic copy;
-// the pooled segments are recycled once the write completes.
+// Send implements Conn, the mirror of Recv: the whole frame is encoded
+// into one pooled buffer, written with one Write, and recycled.
 func (t *tcpConn) Send(m *wire.Message) error {
 	t.sendMu.Lock()
 	defer t.sendMu.Unlock()
-	segs, total, err := t.enc.Encode(m)
+	buf, err := wire.AppendFrame(wire.GetBuf(wire.EncodedSize(m))[:0], m)
+	defer wire.PutBuf(buf)
 	if err != nil {
 		return err
 	}
-	if total > wire.MaxFrameSize {
-		t.enc.Release()
+	if len(buf) > wire.MaxFrameSize {
 		return wire.ErrFrameTooLarge
 	}
-	// WriteTo consumes (and nils out) the entries of the slice it is
-	// handed, so give it a scratch copy and keep the encoder's segment
-	// slice intact for Release.
-	bufs := net.Buffers(append(t.scratch[:0], segs...))
-	t.scratch = bufs[:0]
-	_, werr := bufs.WriteTo(t.conn)
-	t.enc.Release()
-	return mapNetErr(werr)
+	_, err = t.conn.Write(buf)
+	return mapNetErr(err)
 }
 
 // Recv implements Conn. A deadline expiry mid-frame leaves the partial

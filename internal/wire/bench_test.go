@@ -38,27 +38,6 @@ func BenchmarkEncodeFrame(b *testing.B) {
 	}
 }
 
-// BenchmarkFrameEncoder measures the scatter-gather encoder used by the
-// TCP transport (pooled segments, no flat copy). Steady state draws every
-// segment from the codec pools: 0 allocs/op.
-func BenchmarkFrameEncoder(b *testing.B) {
-	for _, enc := range benchEncodings {
-		b.Run(enc.String(), func(b *testing.B) {
-			m := benchMessage(enc)
-			var fe FrameEncoder
-			b.SetBytes(int64(EncodedSize(m)))
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, _, err := fe.Encode(m); err != nil {
-					b.Fatal(err)
-				}
-				fe.Release()
-			}
-		})
-	}
-}
-
 // BenchmarkDecodeFrame measures the pooled decode path of the TCP
 // transport: DecodePooled draws the message shell and tensor payloads from
 // the codec pools, Release returns them. Steady state is 0 allocs/op.
@@ -113,7 +92,8 @@ func stepFrames(enc Encoding) []*Message {
 // BenchmarkStepBytes reports the wire bytes and frame count of one layer's
 // forward dispatch per encoding — the numbers behind the fp16 ≤ 30% and
 // int8 ≤ 18% of fp64 bytes/step targets. ns/op covers encoding every
-// frame of the step through the scatter-gather encoder.
+// frame of the step the way the TCP transport's Send does: AppendFrame
+// into a pooled buffer, recycled after the write.
 func BenchmarkStepBytes(b *testing.B) {
 	for _, enc := range benchEncodings {
 		b.Run(enc.String()+"/coalesced", func(b *testing.B) {
@@ -122,15 +102,15 @@ func BenchmarkStepBytes(b *testing.B) {
 			for _, m := range msgs {
 				total += EncodedSize(m)
 			}
-			var fe FrameEncoder
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				for _, m := range msgs {
-					if _, _, err := fe.Encode(m); err != nil {
+					buf, err := AppendFrame(GetBuf(EncodedSize(m))[:0], m)
+					if err != nil {
 						b.Fatal(err)
 					}
-					fe.Release()
+					PutBuf(buf)
 				}
 			}
 			b.ReportMetric(float64(total), "bytes/step")

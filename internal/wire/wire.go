@@ -8,7 +8,7 @@
 // message type, then a type-specific payload — so both the in-process
 // channel transport and the TCP transport can share one codec. The hot
 // encode/decode paths are destination-passing and pool-backed
-// (AppendFrame, FrameEncoder, DecodePooled/Release): a steady-state
+// (AppendFrame into a GetBuf buffer, DecodePooled/Release): a steady-state
 // exchange round allocates nothing.
 package wire
 
@@ -172,9 +172,9 @@ type Matrix struct {
 	Enc        Encoding
 }
 
-// sizeOf is the single source of truth for frame sizes: EncodedSize,
-// AppendFrame and the FrameEncoder all account bytes through it,
-// so the size computation and the writers can never silently drift. The
+// sizeOf is the single source of truth for frame sizes: EncodedSize and
+// AppendFrame both account bytes through it, so the size computation and
+// the writer can never silently drift. The
 // returned size includes the 4-byte length prefix.
 func sizeOf(m *Message) int {
 	// type(1) + layer(4) + expert(4) + seq(8) + textLen(4)+text +

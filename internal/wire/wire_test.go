@@ -198,36 +198,6 @@ func TestDecodePooledRoundTrip(t *testing.T) {
 	}
 }
 
-// TestFrameEncoderMatchesAppendFrame: the scatter-gather segments,
-// concatenated, must be byte-identical to the flat encoder's output for
-// every encoding.
-func TestFrameEncoderMatchesAppendFrame(t *testing.T) {
-	for _, enc := range []Encoding{EncFP64, EncFP16, EncInt8} {
-		m := &Message{Type: MsgForwardMulti, Layer: 1, Expert: 2, Seq: 3, Text: "x",
-			Tensors: []Matrix{
-				{Rows: 2, Cols: 3, Data: []float64{1, -2, 3, -4, 5, -6}, Enc: enc},
-				{Rows: 1, Cols: 1, Data: []float64{math.Pi}},
-			}}
-		flat := mustEncode(t, m)
-		var fe FrameEncoder
-		segs, total, err := fe.Encode(m)
-		if err != nil {
-			t.Fatalf("%v: %v", enc, err)
-		}
-		if total != len(flat) {
-			t.Fatalf("%v: total %d, want %d", enc, total, len(flat))
-		}
-		var joined []byte
-		for _, s := range segs {
-			joined = append(joined, s...)
-		}
-		if !bytes.Equal(joined, flat) {
-			t.Fatalf("%v: scatter-gather bytes differ from flat encoding", enc)
-		}
-		fe.Release()
-	}
-}
-
 // TestAppendFrameZeroAlloc: with a pre-sized destination the hot-path
 // encoder must not allocate, for any encoding, and neither may Quantize.
 func TestAppendFrameZeroAlloc(t *testing.T) {
