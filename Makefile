@@ -16,23 +16,27 @@ test:
 	$(GO) test ./...
 
 # vet's asmdecl pass checks every assembly file (internal/cpu's probe,
-# internal/tensor/gemm_amd64.s, internal/wire/half_amd64.s) against its
+# internal/tensor/gemm_amd64.s and sigmoid_amd64.s,
+# internal/wire/half_amd64.s) against its
 # Go declarations (argument offsets, frame size), so the assembly needs no
 # gate of its own.
 vet:
 	$(GO) vet ./...
 
 # The portable bodies, forced by the purego build tag (a build-time test
-# seam: on amd64 the default build never runs them): the GEMM tile over
-# the packages whose numerics it decides — the kernel oracle, the layer
-# and model tests, and the parent-captured golden loss series — and the
-# binary16 codec over wire (its bit-pinning tests against the reference
-# converter) and broker (TestChanTCPParity, where the chan pipe's
-# Quantize and the TCP frame codec must agree). The panel packers
+# seam: on amd64 the default build never runs them): the GEMM tile and
+# the scalar sigmoid over the packages whose numerics they decide — the
+# kernel oracle, the layer and model tests, and the parent-captured
+# golden loss series — and the binary16 codec over wire (its bit-pinning
+# tests against the reference converter) and broker (TestChanTCPParity,
+# where the chan pipe's Quantize and the TCP frame codec must agree);
+# internal/cpu checks every flag reads false. The panel packers
 # (packPanel, packPanelT) are plain Go under either tag, so the oracle
-# table covers MatMulT's row-packed path on both bodies.
+# table covers MatMulT's row-packed path on every body. The default
+# build's tensor tests run each GEMM body the CPU has (portable, AVX2,
+# AVX-512) themselves.
 purego:
-	$(GO) test -tags purego ./internal/tensor ./internal/nn ./internal/moe ./internal/trainer \
+	$(GO) test -tags purego ./internal/cpu ./internal/tensor ./internal/nn ./internal/moe ./internal/trainer \
 		./internal/wire ./internal/broker
 
 # velavet: the repo's own analyzer suite (internal/lint, driven by

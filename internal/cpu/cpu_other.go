@@ -2,4 +2,4 @@
 
 package cpu
 
-func probe() (avx2, f16c bool) { return false, false }
+func probe() (avx2, f16c, fma, avx512 bool) { return false, false, false, false }

@@ -221,6 +221,14 @@ func (m *Model) Forward(ids []int, batch, seqLen int) (*tensor.Tensor, error) {
 // Backward propagates dlogits through the whole model, accumulating
 // gradients in backbone parameters and (via the executors) expert
 // parameters.
+//
+// When neither the embedding table nor layer 0's attention-norm gain
+// trains — every fine-tuning run — nothing below layer 0's attention
+// reads the gradient of its input, so the walk ends at that attention's
+// parameters (Attention.BackwardParams): the input-gradient products,
+// the norm's backward, the residual add and the frozen embedding's
+// backward are skipped, and every gradient that is kept has the full
+// walk's bits.
 func (m *Model) Backward(dlogits *tensor.Tensor) error {
 	dh := m.FinalNorm.Backward(m.LMHead.Backward(dlogits))
 	for i := len(m.Layers) - 1; i >= 0; i-- {
@@ -233,6 +241,10 @@ func (m *Model) Backward(dlogits *tensor.Tensor) error {
 		// throughout the walk, and every norm/attention Backward returns
 		// its own distinct buffer.
 		dh = dh.AddInPlace(l.FFNNorm.Backward(dmoe))
+		if i == 0 && !m.Embed.Table.Trainable && !l.AttnNorm.Gain.Trainable {
+			l.Attn.BackwardParams(dh)
+			return nil
+		}
 		dattn := l.Attn.Backward(dh)
 		dh = dh.AddInPlace(l.AttnNorm.Backward(dattn))
 	}

@@ -571,3 +571,56 @@ func TestGenerateSampled(t *testing.T) {
 		t.Fatal("empty prompt must fail")
 	}
 }
+
+// TestModelBackwardStopsAtLayer0Params: with the embedding table and
+// layer 0's attention-norm gain frozen, Backward ends at layer 0's
+// attention parameters. Every trainable gradient must equal that of the
+// full walk, which a twin whose embedding table trains still takes.
+func TestModelBackwardStopsAtLayer0Params(t *testing.T) {
+	cfg := Config{Vocab: 16, D: 8, Heads: 2, Hidden: 12, Layers: 2, Experts: 3, TopK: 2}
+	build := func() *Model {
+		rng := rand.New(rand.NewSource(9))
+		m := NewModel(cfg, rng, true)
+		grid := NewExpertGrid(cfg, rng, true)
+		m.BindLocalExperts(grid)
+		m.Freeze()
+		m.AttachLoRA(rng, 2, 4)
+		for _, l := range m.BackboneLinears() {
+			for i := range l.LoRA.B.Value.Data {
+				l.LoRA.B.Value.Data[i] = 0.1 * rng.NormFloat64()
+			}
+		}
+		return m
+	}
+	full, short := build(), build()
+	full.Embed.Table.Trainable = true
+	full.Embed.Table.Grad = tensor.Zeros(cfg.Vocab, cfg.D)
+	const batch, seq = 2, 6
+	ids, targets := make([]int, batch*seq), make([]int, batch*seq)
+	for i := range ids {
+		ids[i], targets[i] = (i*5)%cfg.Vocab, (i*5+3)%cfg.Vocab
+	}
+	for _, m := range []*Model{full, short} {
+		logits, err := m.Forward(ids, batch, seq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, dl := nn.CrossEntropy(logits, targets)
+		if err := m.Backward(dl); err != nil {
+			t.Fatal(err)
+		}
+	}
+	checked := 0
+	for i, p := range short.Params() {
+		if !p.Trainable {
+			continue
+		}
+		checked++
+		if !testutil.BitEqualSlices(full.Params()[i].Grad.Data, p.Grad.Data) {
+			t.Fatalf("%s gradient differs from the full walk's", p.Name)
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no trainable parameter compared")
+	}
+}

@@ -166,23 +166,36 @@ func (a *Attention) forwardHead(j int) {
 
 // Backward propagates dy through the attention layer and returns dx.
 func (a *Attention) Backward(dy *tensor.Tensor) *tensor.Tensor {
+	a.backwardQKV(dy)
+	dx := a.Wq.Backward(a.dq)
+	dx.AddInPlace(a.Wk.Backward(a.dk))
+	dx.AddInPlace(a.Wv.Backward(a.dv))
+	return dx
+}
+
+// BackwardParams is Backward for a layer whose input gradient nothing
+// reads: the same parameter gradients, bit for bit, without the three
+// projections' input-gradient products (Linear.BackwardParams).
+func (a *Attention) BackwardParams(dy *tensor.Tensor) {
+	a.backwardQKV(dy)
+	a.Wq.BackwardParams(a.dq)
+	a.Wk.BackwardParams(a.dk)
+	a.Wv.BackwardParams(a.dv)
+}
+
+// backwardQKV propagates dy through the output projection and the heads,
+// leaving the gradients of q, k and v in a.dq, a.dk and a.dv.
+func (a *Attention) backwardQKV(dy *tensor.Tensor) {
 	if a.q == nil {
 		panic(fmt.Sprintf("nn: %s Backward called before Forward", a.Name))
 	}
 	a.dctx = a.Wo.Backward(dy)
-	dq := tensor.Ensure(&a.dq, a.batch*a.seqLen, a.d)
-	dk := tensor.Ensure(&a.dk, a.batch*a.seqLen, a.d)
-	dv := tensor.Ensure(&a.dv, a.batch*a.seqLen, a.d)
-	dq.Zero()
-	dk.Zero()
-	dv.Zero()
+	tensor.Ensure(&a.dq, a.batch*a.seqLen, a.d).Zero()
+	tensor.Ensure(&a.dk, a.batch*a.seqLen, a.d).Zero()
+	tensor.Ensure(&a.dv, a.batch*a.seqLen, a.d).Zero()
 	a.grid(a.backwardJob)
 	a.dctx = nil
-	dx := a.Wq.Backward(dq)
-	dx.AddInPlace(a.Wk.Backward(dk))
-	dx.AddInPlace(a.Wv.Backward(dv))
 	a.q, a.k, a.v = nil, nil, nil
-	return dx
 }
 
 // backwardHead propagates grid job j, head h of sequence b: it reads

@@ -115,6 +115,20 @@ func benchSwiGLUPaper(b *testing.B, degree int) {
 func BenchmarkSwiGLUPaperGeometrySerial(b *testing.B)   { benchSwiGLUPaper(b, 1) }
 func BenchmarkSwiGLUPaperGeometryParallel(b *testing.B) { benchSwiGLUPaper(b, 0) }
 
+// BenchmarkSiLUGate is SwiGLU's gate over one expert's activations (a
+// 32-token batch at h=352), serial: σ(h1) and silu(h1)·h3 per element.
+func BenchmarkSiLUGate(b *testing.B) {
+	rng := rand.New(rand.NewSource(9))
+	h1, h3 := tensor.Randn(rng, 3, 32, 352), tensor.Randn(rng, 1, 32, 352)
+	u, sg := tensor.Zeros(32, 352), tensor.Zeros(32, 352)
+	n := len(u.Data)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		siluGateRange(u.Data, sg.Data, h1.Data, h3.Data, 0, n)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/elem")
+}
+
 func BenchmarkCrossEntropy(b *testing.B) {
 	rng := rand.New(rand.NewSource(6))
 	logits := tensor.Randn(rng, 1, 256, 96)

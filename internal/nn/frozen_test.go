@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -83,6 +84,9 @@ func TestSwiGLUReusesForwardSigmoid(t *testing.T) {
 	}
 }
 
+// sigmoid is σ as SwiGLU defines it, one element at a time.
+func sigmoid(z float64) float64 { return 1 / (1 + math.Exp(-z)) }
+
 // swigluRecomputingSigmoid is SwiGLU's forward and backward through s's
 // projections with σ(h1) computed afresh in the backward.
 func swigluRecomputingSigmoid(s *SwiGLU, x, dy *tensor.Tensor) (y, dx *tensor.Tensor) {
@@ -103,4 +107,87 @@ func swigluRecomputingSigmoid(s *SwiGLU, x, dy *tensor.Tensor) (y, dx *tensor.Te
 	dx = s.W1.Backward(d1)
 	dx.AddInPlace(s.W3.Backward(d3))
 	return y, dx.Clone()
+}
+
+// TestBackwardParamsMatchesBackward: Linear.BackwardParams and
+// Attention.BackwardParams accumulate every parameter gradient that
+// Backward does, bit for bit — trainable and frozen base weights, with
+// and without a bias and an adapter, over two steps so the frozen panels
+// are both packed and reused.
+func TestBackwardParamsMatchesBackward(t *testing.T) {
+	withLoRA := func(rng *rand.Rand, ls ...*Linear) {
+		for _, l := range ls {
+			l.AttachLoRA(rng, 4, 8)
+			for i := range l.LoRA.B.Value.Data {
+				l.LoRA.B.Value.Data[i] = 0.3 * rng.NormFloat64()
+			}
+		}
+	}
+	linear := func(bias, lora, trainable bool) func() Module {
+		return func() Module {
+			rng := rand.New(rand.NewSource(15))
+			l := NewLinear("l", rng, 24, 40, bias, trainable)
+			if lora {
+				withLoRA(rng, l)
+			}
+			return l
+		}
+	}
+	attention := func(lora bool) func() Module {
+		return func() Module {
+			rng := rand.New(rand.NewSource(16))
+			a := NewAttention("a", rng, 24, 3, true)
+			if lora {
+				withLoRA(rng, a.Linears()...)
+			}
+			return a
+		}
+	}
+	// step runs a Forward on x (two sequences of four tokens) and then
+	// Backward, or BackwardParams, on dy.
+	step := func(m Module, x, dy *tensor.Tensor, paramsOnly bool) {
+		switch m := m.(type) {
+		case *Linear:
+			m.Forward(x)
+			if paramsOnly {
+				m.BackwardParams(dy)
+			} else {
+				m.Backward(dy)
+			}
+		case *Attention:
+			m.Forward(x, 2, 4)
+			if paramsOnly {
+				m.BackwardParams(dy)
+			} else {
+				m.Backward(dy)
+			}
+		}
+	}
+	for _, c := range []struct {
+		name  string
+		out   int
+		build func() Module
+	}{
+		{"linear", 40, linear(false, false, true)},
+		{"linear+bias", 40, linear(true, false, true)},
+		{"linear+lora", 40, linear(false, true, false)},
+		{"linear+bias+lora", 40, linear(true, true, false)},
+		{"attention", 24, attention(false)},
+		{"attention+lora", 24, attention(true)},
+	} {
+		full, params := c.build(), c.build()
+		rng := rand.New(rand.NewSource(17))
+		for s := 0; s < 2; s++ {
+			x, dy := tensor.Randn(rng, 1, 8, 24), tensor.Randn(rng, 1, 8, c.out)
+			ZeroGrads(full.Params())
+			ZeroGrads(params.Params())
+			step(full, x, dy, false)
+			step(params, x, dy, true)
+			for i, p := range params.Params() {
+				if p.Trainable && !testutil.BitEqualSlices(full.Params()[i].Grad.Data, p.Grad.Data) {
+					t.Fatalf("%s, step %d: %s gradient differs from Backward's", c.name, s, p.Name)
+				}
+			}
+		}
+	}
 }

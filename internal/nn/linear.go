@@ -144,16 +144,42 @@ func (l *Linear) Forward(x *tensor.Tensor) *tensor.Tensor {
 // Backward accumulates parameter gradients given dy = ∂loss/∂y and returns
 // dx = ∂loss/∂x. It must follow a Forward call.
 func (l *Linear) Backward(dy *tensor.Tensor) *tensor.Tensor {
-	if l.x == nil {
-		panic(fmt.Sprintf("nn: %s Backward called before Forward", l.Name))
-	}
-	x := l.x
-	n := dy.Rows()
-	dx := tensor.Ensure(&l.dx, n, l.in)
+	dxa := l.backwardParams(dy)
+	dx := tensor.Ensure(&l.dx, dy.Rows(), l.in)
 	if !l.W.Trainable {
 		dy.MatMulTPackedInto(l.W.Value, &l.wTPanels, dx)
 	} else {
 		dy.MatMulTInto(l.W.Value, dx)
+	}
+	if dxa != nil {
+		// dx += d(xa) @ Aᵀ.
+		t := tensor.GetDirty(dy.Rows(), l.in)
+		dxa.MatMulTInto(l.LoRA.A.Value, t)
+		dx.AddInPlace(t)
+		tensor.Put(t)
+		tensor.Put(dxa)
+	}
+	return dx
+}
+
+// BackwardParams is Backward for a layer whose input gradient nothing
+// reads: it accumulates the same parameter gradients, bit for bit, and
+// skips the products only dx needs — dy·Wᵀ and the adapter's d(xa)·Aᵀ.
+// It must follow a Forward call.
+func (l *Linear) BackwardParams(dy *tensor.Tensor) {
+	tensor.Put(l.backwardParams(dy))
+}
+
+// backwardParams accumulates the parameter gradients given dy. With an
+// adapter it returns d(xa) = scale · dy @ Bᵀ, arena scratch the caller
+// Puts; without one, nil.
+func (l *Linear) backwardParams(dy *tensor.Tensor) *tensor.Tensor {
+	if l.x == nil {
+		panic(fmt.Sprintf("nn: %s Backward called before Forward", l.Name))
+	}
+	x := l.x
+	l.x = nil
+	if l.W.Trainable {
 		g := tensor.GetDirty(l.in, l.out)
 		x.TMatMulInto(dy, g)
 		l.W.Grad.AddInPlace(g)
@@ -162,34 +188,28 @@ func (l *Linear) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	if l.Bias != nil && l.Bias.Trainable {
 		dy.SumRowsInto(l.Bias.Grad)
 	}
-	if l.LoRA != nil {
-		lr := l.LoRA
-		r := lr.A.Value.Cols()
-		// d(xa) = scale · dy @ Bᵀ ; dB = scale · xaᵀ @ dy ;
-		// dA = xᵀ @ d(xa) ; dx += d(xa) @ Aᵀ.
-		dxa := tensor.GetDirty(n, r)
-		dy.MatMulTInto(lr.B.Value, dxa)
-		dxa.ScaleInPlace(lr.Scale)
-		if lr.B.Trainable {
-			g := tensor.GetDirty(r, l.out)
-			lr.xa.TMatMulInto(dy, g)
-			lr.B.Grad.AxpyInPlace(lr.Scale, g)
-			tensor.Put(g)
-		}
-		if lr.A.Trainable {
-			g := tensor.GetDirty(l.in, r)
-			x.TMatMulInto(dxa, g)
-			lr.A.Grad.AddInPlace(g)
-			tensor.Put(g)
-		}
-		t := tensor.GetDirty(n, l.in)
-		dxa.MatMulTInto(lr.A.Value, t)
-		dx.AddInPlace(t)
-		tensor.Put(t)
-		tensor.Put(dxa)
+	if l.LoRA == nil {
+		return nil
 	}
-	l.x = nil
-	return dx
+	lr := l.LoRA
+	r := lr.A.Value.Cols()
+	// d(xa) = scale · dy @ Bᵀ ; dB = scale · xaᵀ @ dy ; dA = xᵀ @ d(xa).
+	dxa := tensor.GetDirty(dy.Rows(), r)
+	dy.MatMulTInto(lr.B.Value, dxa)
+	dxa.ScaleInPlace(lr.Scale)
+	if lr.B.Trainable {
+		g := tensor.GetDirty(r, l.out)
+		lr.xa.TMatMulInto(dy, g)
+		lr.B.Grad.AxpyInPlace(lr.Scale, g)
+		tensor.Put(g)
+	}
+	if lr.A.Trainable {
+		g := tensor.GetDirty(l.in, r)
+		x.TMatMulInto(dxa, g)
+		lr.A.Grad.AddInPlace(g)
+		tensor.Put(g)
+	}
+	return dxa
 }
 
 // EffectiveWeight returns W + scale·A·B as a fresh tensor, i.e. the weight

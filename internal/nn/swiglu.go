@@ -1,7 +1,6 @@
 package nn
 
 import (
-	"math"
 	"math/rand"
 
 	"repro/internal/tensor"
@@ -52,8 +51,6 @@ func (s *SwiGLU) Params() []*Param {
 // Linears returns the three projections, for LoRA attachment.
 func (s *SwiGLU) Linears() []*Linear { return []*Linear{s.W1, s.W3, s.W2} }
 
-func sigmoid(z float64) float64 { return 1 / (1 + math.Exp(-z)) }
-
 // Forward computes the SwiGLU transform for x of shape [n, d].
 func (s *SwiGLU) Forward(x *tensor.Tensor) *tensor.Tensor {
 	s.h1 = s.W1.Forward(x)
@@ -73,13 +70,13 @@ func (s *SwiGLU) Forward(x *tensor.Tensor) *tensor.Tensor {
 	return s.W2.Forward(u)
 }
 
-// siluGateRange writes sg[i] = σ(h1[i]) and u[i] = silu(h1[i]) · h3[i]
-// for i in [lo, hi).
+// siluGateRange writes sg[i] = σ(h1[i]) = 1/(1+math.Exp(−h1[i])) and
+// u[i] = silu(h1[i]) · h3[i] for i in [lo, hi). tensor.Sigmoid computes σ
+// eight lanes at a time where it can, bit for bit the scalar expression.
 func siluGateRange(u, sg, h1, h3 []float64, lo, hi int) {
+	tensor.Sigmoid(sg[lo:hi], h1[lo:hi])
 	for i := lo; i < hi; i++ {
-		z, s := h1[i], sigmoid(h1[i])
-		sg[i] = s
-		u[i] = z * s * h3[i]
+		u[i] = h1[i] * sg[i] * h3[i]
 	}
 }
 

@@ -104,6 +104,30 @@ func BenchmarkMatMulTExpertDownColdPacked(b *testing.B) {
 	benchColdWeight(b, 352, 128, true, (*Tensor).MatMulTPackedInto)
 }
 
+// BenchmarkExpertGEMMBodies times the expert products above, serial, with
+// each tile body the CPU can run: the rows that size one body against
+// another, and tileMAddsPerUnit.
+func BenchmarkExpertGEMMBodies(b *testing.B) {
+	for _, body := range tileBodies() {
+		for _, c := range []struct {
+			name string
+			run  func(b *testing.B)
+		}{
+			{"Up", func(b *testing.B) { benchGEMM(b, "MatMul", 32, 128, 352, 1) }},
+			{"Down", func(b *testing.B) { benchGEMM(b, "MatMul", 32, 352, 128, 1) }},
+			{"TDown", func(b *testing.B) { benchGEMM(b, "MatMulT", 32, 128, 352, 1) }},
+			{"UpColdPacked", func(b *testing.B) { benchColdWeight(b, 128, 352, true, (*Tensor).MatMulPackedInto) }},
+			{"TDownColdPacked", func(b *testing.B) { benchColdWeight(b, 352, 128, true, (*Tensor).MatMulTPackedInto) }},
+		} {
+			b.Run(body.String()+"/"+c.name, func(b *testing.B) {
+				defer func(old tileBody) { tile = old }(tile)
+				tile = body
+				c.run(b)
+			})
+		}
+	}
+}
+
 // BenchmarkParallelCutOver is the measurement DefaultParallelThreshold is
 // derived from: the same product serial and split in two, on a ladder of
 // sizes either side of the cut-over, with the threshold out of the way.

@@ -15,10 +15,12 @@
 // Because each c[i][j] is still one serial sum, the tile shape, the
 // partition and the parallel degree are invisible in the result bits:
 // what vectorises is (i, j), never p. A fused multiply-add would round
-// once instead of twice and change every bit, so neither body uses one.
+// once instead of twice and change every bit, so no body uses one.
 //
-// The bodies: AVX2 assembly (gemm_amd64.s) where the CPU has it, and
-// gemmTileGo below everywhere else and under the purego build tag.
+// The bodies (tileBody): AVX-512 or AVX2 assembly (gemm_amd64.s), the
+// widest the CPU has, and gemmTileGo below everywhere else and under the
+// purego build tag. All three run the same operation sequence per
+// element, so the body is invisible in the bits too.
 //
 // Unlike the scalar row kernels this replaces, a zero in A is multiplied
 // like any other value. For finite operands that is bit-neutral — an
@@ -38,6 +40,25 @@ const (
 	tileRows = 4
 	tileCols = 8
 )
+
+// tileBody names one body of the tile contract.
+type tileBody int
+
+const (
+	tileGo   tileBody = iota // gemmTileGo
+	tileAVX2                 // gemmTileAVX2: two YMM accumulators per row
+	// tileAVX512 is gemmTileAVX512: one ZMM accumulator per row. It keeps
+	// the AVX2 body's tileMAddsPerUnit of 4. On the expert shapes it
+	// retires a multiply-add in ≈0.085 ns against AVX2's ≈0.1 (the
+	// …ColdPacked rows of BenchmarkExpertGEMMBodies), so the unit would
+	// read 4.7 — inside the spread of repeated runs of either body on a
+	// shared 2-vCPU box, which cannot tell 4 from 5. At 4 every split
+	// decision stays the one the parallel threshold was measured with;
+	// the partition never shows in the bits either way.
+	tileAVX512
+)
+
+func (b tileBody) String() string { return [...]string{"go", "avx2", "avx512"}[b] }
 
 // Panels is a right-hand operand B packed once: all of its k×8 column
 // panels, byte for byte what the driver would pack on every product, for a

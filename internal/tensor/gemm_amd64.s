@@ -70,3 +70,61 @@ store:
 	VMOVUPD Y7, 32(DI)
 	VZEROUPPER
 	RET
+
+// ZROW multiplies the broadcast A element in Z10 by the B row in Z8 and
+// adds the product into the row's accumulator: VMULPD then VADDPD, as in
+// ROW.
+#define ZROW(acc) \
+	VMULPD Z8, Z10, Z11; \
+	VADDPD Z11, acc, acc
+
+// func gemmTileAVX512(k int, a *float64, sa0, sa1 int, bp, c *float64, ldc int)
+//
+// The AVX-512 body of the tile contract in gemm.go: the AVX2 body's
+// operation sequence with one ZMM accumulator per row (row i in Zi), so a
+// packed B row is one load and each broadcast A element one multiply and
+// one add. VPXORQ zeroes, since VXORPD on ZMM needs AVX-512DQ.
+TEXT ·gemmTileAVX512(SB), NOSPLIT, $0-56
+	MOVQ k+0(FP), CX
+	MOVQ a+8(FP), SI
+	MOVQ sa0+16(FP), R8
+	MOVQ sa1+24(FP), R9
+	MOVQ bp+32(FP), DX
+	MOVQ c+40(FP), DI
+	MOVQ ldc+48(FP), R10
+	SHLQ $3, R8
+	SHLQ $3, R9
+	SHLQ $3, R10
+	LEAQ (R8)(R8*2), R11
+	ADDQ SI, R11
+	VPXORQ Z0, Z0, Z0
+	VPXORQ Z1, Z1, Z1
+	VPXORQ Z2, Z2, Z2
+	VPXORQ Z3, Z3, Z3
+	TESTQ CX, CX
+	JZ    zstore
+zloop:
+	VMOVUPD (DX), Z8
+	VBROADCASTSD (SI), Z10
+	ZROW(Z0)
+	VBROADCASTSD (SI)(R8*1), Z10
+	ZROW(Z1)
+	VBROADCASTSD (SI)(R8*2), Z10
+	ZROW(Z2)
+	VBROADCASTSD (R11), Z10
+	ZROW(Z3)
+	ADDQ $64, DX
+	ADDQ R9, SI
+	ADDQ R9, R11
+	DECQ CX
+	JNZ  zloop
+zstore:
+	VMOVUPD Z0, (DI)
+	ADDQ    R10, DI
+	VMOVUPD Z1, (DI)
+	ADDQ    R10, DI
+	VMOVUPD Z2, (DI)
+	ADDQ    R10, DI
+	VMOVUPD Z3, (DI)
+	VZEROUPPER
+	RET

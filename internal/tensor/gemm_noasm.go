@@ -2,6 +2,12 @@
 
 package tensor
 
+// tile is the portable body, the only one this build has.
+var tile = tileGo
+
+// tileBodies lists the bodies this build can run.
+func tileBodies() []tileBody { return []tileBody{tileGo} }
+
 // tileMAddsPerUnit: the portable body's multiply-add is the work unit of
 // DefaultParallelThreshold.
 func tileMAddsPerUnit() int { return 1 }

@@ -111,10 +111,21 @@ var gemmFills = []gemmFill{
 	}},
 }
 
+// forEachTile runs f once with each tile body this CPU can run selected,
+// and selects the init-time body again afterwards.
+func forEachTile(f func(body tileBody)) {
+	defer func(old tileBody) { tile = old }(tile)
+	for _, body := range tileBodies() {
+		tile = body
+		f(body)
+	}
+}
+
 // checkGEMM compares the three entry points against the oracle on one
-// shape and fill, at each of the given parallel degrees. Callers
-// forceParallel first, so every kernel that can split does, and the
-// engine's defaults come back when the test ends.
+// shape and fill, with every tile body the CPU can run, at each of the
+// given parallel degrees. Callers forceParallel first, so every kernel
+// that can split does, and the engine's defaults come back when the test
+// ends.
 func checkGEMM(t *testing.T, n, k, m int, f gemmFill, degrees ...int) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(int64(n*1_000_003 + k*1_009 + m)))
@@ -129,24 +140,26 @@ func checkGEMM(t *testing.T, n, k, m int, f gemmFill, degrees ...int) {
 	tMatMulRows(wantTM, at.Data, b.Data, 0, n, k, n, m)
 
 	got := Zeros(n, m)
-	for _, degree := range degrees {
-		SetParallelism(degree)
-		for _, c := range []struct {
-			op   string
-			want []float64
-			run  func()
-		}{
-			{"MatMul", wantMM, func() { a.MatMulInto(b, got) }},
-			{"MatMulT", wantMT, func() { a.MatMulTInto(bt, got) }},
-			{"TMatMul", wantTM, func() { at.TMatMulInto(b, got) }},
-		} {
-			got.Fill(math.NaN()) // a dirty destination
-			c.run()
-			if !testutil.BitEqualSlices(c.want, got.Data) {
-				t.Errorf("%s %dx%dx%d %s at degree %d: not bit-identical to the oracle", c.op, n, k, m, f.name, degree)
+	forEachTile(func(body tileBody) {
+		for _, degree := range degrees {
+			SetParallelism(degree)
+			for _, c := range []struct {
+				op   string
+				want []float64
+				run  func()
+			}{
+				{"MatMul", wantMM, func() { a.MatMulInto(b, got) }},
+				{"MatMulT", wantMT, func() { a.MatMulTInto(bt, got) }},
+				{"TMatMul", wantTM, func() { at.TMatMulInto(b, got) }},
+			} {
+				got.Fill(math.NaN()) // a dirty destination
+				c.run()
+				if !testutil.BitEqualSlices(c.want, got.Data) {
+					t.Errorf("%s %dx%dx%d %s, %s body at degree %d: not bit-identical to the oracle", c.op, n, k, m, f.name, body, degree)
+				}
 			}
 		}
-	}
+	})
 }
 
 // benchShapes are the GEMMs one step of the step benchmark runs at its
@@ -159,8 +172,9 @@ var benchShapes = [][3]int{
 
 // TestGEMMBitIdenticalToOracle is the kernel contract's proof: every
 // entry point, on every tile-edge combination, on both sides of every
-// partition boundary, produces the oracle's bits. Run under -tags purego
-// it proves the same of the portable body.
+// partition boundary, with every tile body the CPU can run, produces the
+// oracle's bits. On an AVX-512 machine that is all three bodies; -tags
+// purego leaves the portable one.
 func TestGEMMBitIdenticalToOracle(t *testing.T) {
 	dims := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 65}
 	if testing.Short() || raceEnabled {
@@ -231,9 +245,11 @@ func TestGEMMEmptyDimensions(t *testing.T) {
 func TestGEMMZeroNoLongerHidesNonFinite(t *testing.T) {
 	a := New([]float64{0, 1, 0, 1, 0, 1, 0, 1}, 4, 2)
 	b := New([]float64{math.Inf(1), 2}, 2, 1)
-	if got := a.MatMul(b); !math.IsNaN(got.Data[0]) {
-		t.Fatalf("0·Inf + 1·2 = %v, want NaN", got.Data[0])
-	}
+	forEachTile(func(body tileBody) {
+		if got := a.MatMul(b); !math.IsNaN(got.Data[0]) {
+			t.Errorf("%s body: 0·Inf + 1·2 = %v, want NaN", body, got.Data[0])
+		}
+	})
 }
 
 // FuzzGEMMShapes searches shape space for a tile-edge or partition case

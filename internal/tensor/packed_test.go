@@ -12,10 +12,13 @@ import (
 // the panels MatMulInto and MatMulTInto pack per call, so they produce the
 // packing path's bits on the row-packed path's edges, at degrees 1/2/3,
 // into a dirty destination — whether this call packed the panels or an
-// earlier one did. Run under -tags purego it proves the same of the
-// portable body.
+// earlier one did — with every tile body the CPU can run.
 func TestGEMMPackedBitIdentical(t *testing.T) {
 	forceParallel(t, 1)
+	forEachTile(func(body tileBody) { checkPacked(t, body) })
+}
+
+func checkPacked(t *testing.T, body tileBody) {
 	for _, f := range gemmFills {
 		for _, n := range []int{1, 3, 4, 5, 32} {
 			for _, k := range []int{1, 8, 352} {
@@ -33,11 +36,11 @@ func TestGEMMPackedBitIdentical(t *testing.T) {
 						SetParallelism(degree)
 						got.Fill(math.NaN())
 						if a.MatMulPackedInto(b, &pk, got); !testutil.BitEqualSlices(wantMM.Data, got.Data) {
-							t.Errorf("MatMulPacked %dx%dx%d %s at degree %d: not the packing path's bits", n, k, m, f.name, degree)
+							t.Errorf("MatMulPacked %dx%dx%d %s, %s body at degree %d: not the packing path's bits", n, k, m, f.name, body, degree)
 						}
 						got.Fill(math.NaN())
 						if a.MatMulTPackedInto(bt, &pkT, got); !testutil.BitEqualSlices(wantMT.Data, got.Data) {
-							t.Errorf("MatMulTPacked %dx%dx%d %s at degree %d: not the packing path's bits", n, k, m, f.name, degree)
+							t.Errorf("MatMulTPacked %dx%dx%d %s, %s body at degree %d: not the packing path's bits", n, k, m, f.name, body, degree)
 						}
 					}
 				}

@@ -431,19 +431,22 @@ func TestHelperPanicReachesCaller(t *testing.T) {
 }
 
 // TestParallelGEMMAllocFree: a warm product allocates nothing, split
-// across the team or on the serial fast path — the task record is
-// recycled and the operands ride in it, not in a closure.
+// across the team or on the serial fast path, through every tile body the
+// CPU can run — the task record is recycled, the operands ride in it, not
+// in a closure, and the tile dispatch passes slices' first elements.
 func TestParallelGEMMAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race mode drops sync.Pool items at random; counts are meaningless")
 	}
 	rng := rand.New(rand.NewSource(4))
 	a, b, dst := Randn(rng, 1, 64, 64), Randn(rng, 1, 64, 64), Zeros(64, 64)
-	for _, degree := range []int{1, 2} {
-		forceParallel(t, degree)
-		a.MatMulInto(b, dst)
-		if allocs := testing.AllocsPerRun(100, func() { a.MatMulInto(b, dst) }); allocs > 0 {
-			t.Errorf("degree %d: warm MatMulInto allocates %.1f times, want 0", degree, allocs)
+	forEachTile(func(body tileBody) {
+		for _, degree := range []int{1, 2} {
+			forceParallel(t, degree)
+			a.MatMulInto(b, dst)
+			if allocs := testing.AllocsPerRun(100, func() { a.MatMulInto(b, dst) }); allocs > 0 {
+				t.Errorf("%s body, degree %d: warm MatMulInto allocates %.1f times, want 0", body, degree, allocs)
+			}
 		}
-	}
+	})
 }
