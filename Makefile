@@ -24,10 +24,10 @@ vet:
 	$(GO) vet ./...
 
 # The portable bodies, forced by the purego build tag (a build-time test
-# seam: on amd64 the default build never runs them): the GEMM tile and
-# the scalar sigmoid over the packages whose numerics they decide — the
-# kernel oracle, the layer and model tests, and the parent-captured
-# golden loss series — and the binary16 codec over wire (its bit-pinning
+# seam: on amd64 the default build never runs them): the GEMM tile (its
+# math.FMA chains) and the scalar sigmoid over the packages whose numerics
+# they decide — the kernel oracle, the layer and model tests, and the
+# pinned golden loss series — and the binary16 codec over wire (its bit-pinning
 # tests against the reference converter) and broker (TestChanTCPParity,
 # where the chan pipe's Quantize and the TCP frame codec must agree);
 # internal/cpu checks every flag reads false. The panel packers

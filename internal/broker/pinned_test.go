@@ -24,15 +24,18 @@ import (
 	"repro/internal/transport"
 )
 
-// updateGolden rewrites the two testdata/pinned.* files from the
-// current build. They were captured on the parent of the base/delta
-// split (commit 825404a, every snapshot entry a full MsgAssign payload);
-// rewriting them with a later build would defeat the test.
-var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/pinned.* from this build")
+// updateGolden rewrites the two loss series, testdata/pinned.losses and
+// testdata/pinned.vrun.losses, from the current build: a re-pin of the
+// numerics. It never rewrites testdata/pinned.vrun, the generation written
+// by the parent of the base/delta split (commit 825404a, every snapshot
+// entry a full MsgAssign payload): a later build would write delta entries
+// and the test would silently stop pinning that format.
+var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/pinned.losses and pinned.vrun.losses from this build")
 
 const (
-	pinnedLosses = "testdata/pinned.losses" // 10 loss bit patterns
-	pinnedGen    = "testdata/pinned.vrun"   // the parent's generation at step 6 (full entries)
+	pinnedLosses    = "testdata/pinned.losses"      // 10 loss bit patterns of the fresh run
+	pinnedGen       = "testdata/pinned.vrun"        // the parent's generation at step 6 (full entries)
+	pinnedGenLosses = "testdata/pinned.vrun.losses" // 10 loss bit patterns of the run resumed from it
 
 	pinnedWorkers   = 3
 	pinnedCrashAt   = 8  // the first run is abandoned after this many steps
@@ -177,11 +180,13 @@ func lossLines(losses []float64) string {
 	return b.String()
 }
 
-// TestPinnedRunMatchesParent replays, to the bit, a run the parent commit
-// recorded: snapshot every step, migrate, fail a worker over, save a
-// generation, resume from it. It also pins the artefact of that run that
-// leaves the process: the parent-written generation (full entries) must
-// still resume onto this build with the same continuation.
+// TestPinnedRunMatchesParent replays, to the bit, a pinned run: snapshot
+// every step, migrate, fail a worker over, save a generation, resume from
+// it. It also pins the artefact of such a run that leaves the process: the
+// parent-written generation (full entries) must still resume onto this
+// build, with its own continuation. That series is not the fresh run's:
+// its steps up to the save are the bits the parent computed, read from the
+// generation, and only the steps after it are computed by this build.
 func TestPinnedRunMatchesParent(t *testing.T) {
 	store := &checkpoint.RunStore{Dir: t.TempDir()}
 	crashed := pinnedCrashedRun(t, store)
@@ -190,29 +195,6 @@ func TestPinnedRunMatchesParent(t *testing.T) {
 		t.Fatalf("resumed run diverged from the run it continues:\n%s\nvs\n%s", lossLines(crashed), lossLines(resumed))
 	}
 
-	if *updateGolden {
-		gen, err := os.ReadFile(filepath.Join(store.Dir, checkpoint.RunGenFile(1)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for path, blob := range map[string][]byte{pinnedLosses: []byte(lossLines(resumed)), pinnedGen: gen} {
-			if err := os.WriteFile(path, blob, 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}
-		t.Logf("rewrote %s, %s", pinnedLosses, pinnedGen)
-		return
-	}
-
-	want, err := os.ReadFile(pinnedLosses)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := lossLines(resumed); got != string(want) {
-		t.Fatalf("loss series differs from the parent's:\n%s\nwant\n%s", got, want)
-	}
-
-	// The parent-written generation carries full entries.
 	gen, err := os.ReadFile(pinnedGen)
 	if err != nil {
 		t.Fatal(err)
@@ -221,8 +203,30 @@ func TestPinnedRunMatchesParent(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(old.Dir, checkpoint.RunGenFile(1)), gen, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if got := lossLines(pinnedResumedRun(t, old)); got != string(want) {
-		t.Fatalf("resume from the parent-written generation differs:\n%s\nwant\n%s", got, want)
+	continued := pinnedResumedRun(t, old)
+
+	for _, c := range []struct {
+		path, what string
+		losses     []float64
+	}{
+		{pinnedLosses, "loss series", resumed},
+		{pinnedGenLosses, "resume from the parent-written generation", continued},
+	} {
+		got := lossLines(c.losses)
+		if *updateGolden {
+			if err := os.WriteFile(c.path, []byte(got), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			t.Logf("rewrote %s", c.path)
+			continue
+		}
+		want, err := os.ReadFile(c.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != string(want) {
+			t.Fatalf("%s differs from %s:\n%s\nwant\n%s", c.what, c.path, got, want)
+		}
 	}
 }
 

@@ -8,16 +8,18 @@ package cpu
 // Each flag is true only when the CPU reports the extension and the OS
 // saves the registers it needs.
 //
-// HasAVX2 gates the AVX2 GEMM tile (gemm_amd64.s). HasF16C gates the
-// binary16 codec body (half_amd64.s): AVX plus the F16C conversions
-// VCVTPS2PH and VCVTPH2PS. Both need the YMM state (XCR0 bits 1 and 2).
+// HasAVX2 and HasFMA together gate the AVX2 GEMM tile (gemm_amd64.s),
+// whose every term is a VFMADD231PD: AVX2 alone does not select it.
+// HasF16C gates the binary16 codec body (half_amd64.s): AVX plus the F16C
+// conversions VCVTPS2PH and VCVTPH2PS. All three need the YMM state (XCR0
+// bits 1 and 2).
 //
 // HasFMA is AVX plus FMA3 with the YMM state: exactly the test Go's math
 // package makes (useFMA) before math.Exp takes its fused-multiply-add
 // branch on amd64, which the AVX-512 sigmoid replays.
 //
 // HasAVX512 is AVX-512F with the opmask and ZMM state (XCR0 bits 1, 2
-// and 5–7). It gates the AVX-512 GEMM tile and sigmoid; it is set only
+// and 5–7). It gates the AVX-512 GEMM tiles and sigmoid; it is set only
 // when HasAVX2 and HasFMA are, so a body that needs AVX-512 may assume
 // both.
 var HasAVX2, HasF16C, HasFMA, HasAVX512 = probe()

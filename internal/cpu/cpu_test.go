@@ -16,7 +16,11 @@ func TestFlagsOffUnderPuregoAndOffAMD64(t *testing.T) {
 	}
 }
 
-// TestAVX512ImpliesAVX2AndFMA: the AVX-512 bodies may assume both.
+// TestAVX512ImpliesAVX2AndFMA: the AVX-512 bodies may assume both, so
+// the AVX-512 GEMM tiles — fused multiply-add chains — never run where the
+// AVX2 tile's own gate, HasAVX2 && HasFMA, is shut. (That the tensor
+// package applies that gate is TestTileBodiesFollowCPUFlags; it cannot
+// be asserted here, below the package that imports this one.)
 func TestAVX512ImpliesAVX2AndFMA(t *testing.T) {
 	if HasAVX512 && !(HasAVX2 && HasFMA) {
 		t.Fatalf("HasAVX512 set with AVX2=%v FMA=%v", HasAVX2, HasFMA)

@@ -1,40 +1,48 @@
-// GEMM: one microkernel contract, two bodies, one driver.
+// GEMM: one microkernel contract, three bodies, one driver.
 //
 // The contract (gemmTile): a 4×8 tile of C is
 //
 //	c[i][j] = Σ_{p=0..k-1} A(i,p) · B[p][j]
 //
-// with every accumulator starting at +0, p ascending, and the multiply
-// and the add rounded separately — exactly the operation sequence of the
-// scalar loop `c = 0; for p { c += a*b }`. A is addressed by two strides
-// (row, p) so the same kernel serves A and Aᵀ; B is a packed k×8 panel,
-// packed from eight columns of B (packPanel) or — for MatMulT, whose B is
-// the transpose of its operand — from eight rows of Bᵀ (packPanelT), so no
-// entry point transposes anything. A weight that does not change between
-// products can be packed once (Panels) and its panels read in place.
-// Because each c[i][j] is still one serial sum, the tile shape, the
-// partition and the parallel degree are invisible in the result bits:
-// what vectorises is (i, j), never p. A fused multiply-add would round
-// once instead of twice and change every bit, so no body uses one.
+// computed as one serial chain of fused multiply-adds: every accumulator
+// starts at +0 and, with p ascending, becomes fma(A(i,p), B[p][j], c) —
+// the exact product plus the accumulator, rounded once. That is the scalar
+// loop `s = 0; for p { s = math.FMA(a, b, s) }`. A is addressed by two
+// strides (row, p) so the same kernel serves A and Aᵀ; B is a packed k×8
+// panel, packed from eight columns of B (packPanel) or — for MatMulT,
+// whose B is the transpose of its operand — from eight rows of Bᵀ
+// (packPanelT), so no entry point transposes anything. A weight that does
+// not change between products can be packed once (Panels) and its panels
+// read in place. Because each c[i][j] is still one serial chain, the tile
+// shape, the partition and the parallel degree are invisible in the
+// result bits: what vectorises is (i, j), never p.
 //
 // The bodies (tileBody): AVX-512 or AVX2 assembly (gemm_amd64.s), the
-// widest the CPU has, and gemmTileGo below everywhere else and under the
-// purego build tag. All three run the same operation sequence per
-// element, so the body is invisible in the bits too.
+// widest the CPU has, and gemmTileGo below (math.FMA) everywhere else and
+// under the purego build tag. All three run the same chain per element,
+// and a fused multiply-add is correctly rounded by definition, so the body
+// is invisible in the bits too. A body may also compute two adjacent full
+// panels in one call (gemmTile2): the AVX-512 body does, a 4×16 block
+// whose eight accumulators hide the multiply-add latency that four would
+// expose. gemmPanels pairs panels inside each shard; which panels pair
+// never shows in the bits either, since every element keeps its own chain.
 //
-// Unlike the scalar row kernels this replaces, a zero in A is multiplied
-// like any other value. For finite operands that is bit-neutral — an
-// accumulator that starts at +0 can never become −0, so adding ±0 leaves
-// it unchanged — but a zero in A no longer hides an Inf or NaN in B:
-// 0·Inf is NaN, as IEEE 754 says.
+// Unlike the scalar row kernels the tile replaced, a zero in A is
+// multiplied like any other value, so a zero in A does not hide an Inf or
+// NaN in B: 0·Inf is NaN, as IEEE 754 says. (Under the fused contract
+// skipping it would not even be bit-neutral for finite operands: an exact
+// product too small to represent rounds the chain to −0, which a later
+// +0 product turns back into +0.)
 //
 // Every product is A(i,p)·B[p][j] in that operand order. MatMulT used to
 // compute Cᵀ = o·tᵀ and so multiplied o[j][p]·t[i][p]; it now multiplies
 // t[i][p]·o[j][p]. Multiplication commutes bit for bit except in which
-// NaN payload survives when both operands are NaN (the hardware picks by
-// operand position), so there the payload may differ from the transposing
-// MatMulT's; NaN-ness and every finite bit do not.
+// NaN payload survives when more than one operand is NaN (the hardware
+// picks by operand position, math.FMA by its own rule), so there the
+// payload may differ between bodies; NaN-ness and every finite bit do not.
 package tensor
+
+import "math"
 
 const (
 	tileRows = 4
@@ -47,14 +55,14 @@ type tileBody int
 const (
 	tileGo   tileBody = iota // gemmTileGo
 	tileAVX2                 // gemmTileAVX2: two YMM accumulators per row
-	// tileAVX512 is gemmTileAVX512: one ZMM accumulator per row. It keeps
-	// the AVX2 body's tileMAddsPerUnit of 4. On the expert shapes it
-	// retires a multiply-add in ≈0.085 ns against AVX2's ≈0.1 (the
-	// …ColdPacked rows of BenchmarkExpertGEMMBodies), so the unit would
-	// read 4.7 — inside the spread of repeated runs of either body on a
-	// shared 2-vCPU box, which cannot tell 4 from 5. At 4 every split
-	// decision stays the one the parallel threshold was measured with;
-	// the partition never shows in the bits either way.
+	// tileAVX512 is gemmTileAVX512, one ZMM accumulator per row, and its
+	// pair gemmTile2AVX512. Both assembly bodies count tileMAddsPerUnit =
+	// 4. Timed alone, a fused multiply-add now retires in ≈0.06–0.08 ns on
+	// the expert shapes (BenchmarkExpertGEMMBodies), which would read 5–7.
+	// But BenchmarkParallelCutOver still has two shards win from 64×64×64
+	// (65K units at 4) up, below the threshold; a larger count would only
+	// keep more of those products serial. The partition never shows in the
+	// bits either way.
 	tileAVX512
 )
 
@@ -143,41 +151,57 @@ func gemmBody(p *task, lo, hi int) {
 	gemmPanels(p.c, p.a, p.b, p.panels, lo, hi, p.rows, p.k, p.m, p.sa0, p.sa1, p.bT)
 }
 
+// pairPanels lets gemmPanels hand two adjacent full panels to one
+// gemmTile2 call. Only tests clear it, to show that pairing never shows in
+// the bits.
+var pairPanels = true
+
 // gemmPanels computes column panels [plo, phi) of c — columns [8·plo,
 // min(8·phi, m)) — over all n >= tileRows rows. Each k×8 panel of b is
 // packed contiguous once, or sliced out of panels, and reused by every
-// row tile. Edges never fall to a scalar loop: a ragged last row tile
-// steps back to n-4 and recomputes the overlap (same goroutine, same
-// values), and a ragged last panel is zero-padded and its tiles stored
-// through a scratch tile.
+// row tile; two adjacent full panels go to the tile together, the second
+// packed right after the first as in panels. Edges never fall to a scalar
+// loop: a ragged last row tile steps back to n-4 and recomputes the
+// overlap (same goroutine, same values), and a ragged last panel is
+// zero-padded and its tiles stored through a scratch tile.
 func gemmPanels(c, a, b, panels []float64, plo, phi, n, k, m, sa0, sa1 int, bT bool) {
 	var scratch *Tensor
 	if panels == nil {
-		scratch = GetDirty(k, tileCols)
+		scratch = GetDirty(2*k, tileCols)
 	}
 	var edge [tileRows * tileCols]float64
 	for q := plo; q < phi; q++ {
 		j, w := q*tileCols, min(tileCols, m-q*tileCols)
+		np := 1
+		if pairPanels && q+1 < phi && m-j >= 2*tileCols {
+			np = 2
+		}
 		var bp []float64
 		if panels != nil {
-			bp = panels[q*k*tileCols : (q+1)*k*tileCols]
+			bp = panels[q*k*tileCols : (q+np)*k*tileCols]
 		} else {
-			bp = scratch.Data
-			packPanelOf(bp, b, k, m, j, w, bT)
+			bp = scratch.Data[:np*k*tileCols]
+			for h := 0; h < np; h++ {
+				packPanelOf(bp[h*k*tileCols:], b, k, m, j+h*tileCols, w, bT)
+			}
 		}
 		for i := 0; i < n; i += tileRows {
 			if i > n-tileRows {
 				i = n - tileRows
 			}
-			if w == tileCols {
+			switch {
+			case np == 2:
+				gemmTile2(k, a[i*sa0:], sa0, sa1, bp, c[i*m+j:], m)
+			case w == tileCols:
 				gemmTile(k, a[i*sa0:], sa0, sa1, bp, c[i*m+j:], m)
-				continue
-			}
-			gemmTile(k, a[i*sa0:], sa0, sa1, bp, edge[:], tileCols)
-			for r := 0; r < tileRows; r++ {
-				copy(c[(i+r)*m+j:(i+r)*m+j+w], edge[r*tileCols:])
+			default:
+				gemmTile(k, a[i*sa0:], sa0, sa1, bp, edge[:], tileCols)
+				for r := 0; r < tileRows; r++ {
+					copy(c[(i+r)*m+j:(i+r)*m+j+w], edge[r*tileCols:])
+				}
 			}
 		}
+		q += np - 1
 	}
 	Put(scratch)
 }
@@ -245,9 +269,7 @@ func packPanelT(bp, o []float64, k, j, w int) {
 
 // gemmTileGo is the portable body of the tile contract: the 4×8 tile one
 // row at a time, eight scalar accumulators in registers (wider and the
-// compiler spills them). The float64() conversions keep the product's
-// rounding where the contract puts it on architectures whose compilers
-// would otherwise fuse the multiply-add.
+// compiler spills them), each a math.FMA chain.
 func gemmTileGo(k int, a []float64, sa0, sa1 int, bp, c []float64, ldc int) {
 	for i := 0; i < tileRows; i++ {
 		ai := a[i*sa0:]
@@ -255,14 +277,14 @@ func gemmTileGo(k int, a []float64, sa0, sa1 int, bp, c []float64, ldc int) {
 		for p := 0; p < k; p++ {
 			b := (*[tileCols]float64)(bp[p*tileCols:])
 			x := ai[p*sa1]
-			c0 += float64(x * b[0])
-			c1 += float64(x * b[1])
-			c2 += float64(x * b[2])
-			c3 += float64(x * b[3])
-			c4 += float64(x * b[4])
-			c5 += float64(x * b[5])
-			c6 += float64(x * b[6])
-			c7 += float64(x * b[7])
+			c0 = math.FMA(x, b[0], c0)
+			c1 = math.FMA(x, b[1], c1)
+			c2 = math.FMA(x, b[2], c2)
+			c3 = math.FMA(x, b[3], c3)
+			c4 = math.FMA(x, b[4], c4)
+			c5 = math.FMA(x, b[5], c5)
+			c6 = math.FMA(x, b[6], c6)
+			c7 = math.FMA(x, b[7], c7)
 		}
 		*(*[tileCols]float64)(c[i*ldc:]) = [tileCols]float64{c0, c1, c2, c3, c4, c5, c6, c7}
 	}

@@ -16,3 +16,10 @@ func tileMAddsPerUnit() int { return 1 }
 func gemmTile(k int, a []float64, sa0, sa1 int, bp, c []float64, ldc int) {
 	gemmTileGo(k, a, sa0, sa1, bp, c, ldc)
 }
+
+// gemmTile2 computes the tiles of two adjacent full panels, the second
+// packed at bp[8k:], into columns [0, 16) of c.
+func gemmTile2(k int, a []float64, sa0, sa1 int, bp, c []float64, ldc int) {
+	gemmTileGo(k, a, sa0, sa1, bp, c, ldc)
+	gemmTileGo(k, a, sa0, sa1, bp[k*tileCols:], c[tileCols:], ldc)
+}

@@ -3,38 +3,32 @@ package tensor
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
+	"repro/internal/cpu"
 	"repro/internal/testutil"
 )
 
-// ---- the oracle: the scalar row kernels gemm replaced ----
+// ---- the oracle: the contract's chain written out ----
 //
-// Moved here from parallel.go as they stood, zero skip included (written
-// on the bit pattern), so the comparison also proves that multiplying the
-// zeros is bit-neutral for finite operands. The float64() keeps the
-// product's rounding on architectures that would fuse the multiply-add.
-
-// isZero reports v == ±0 without a floating-point comparison.
-func isZero(v float64) bool { return math.Float64bits(v)<<1 == 0 }
+// Each element is s = math.FMA(a, b, s) from s = +0 with p ascending — the
+// scalar loop of gemm.go's contract — in the loop order of the scalar row
+// kernels the tile replaced, which leaves every element's chain as it is.
+// No zero in A is skipped: under a fused chain that would not be
+// bit-neutral (see gemm.go).
 
 // matMulRows computes r[i,:] = a[i,:] @ b for i in [lo, hi);
 // a is [n,k], b is [k,m], r is [n,m]. Inner order i-p-j.
 func matMulRows(r, a, b []float64, lo, hi, k, m int) {
 	for i := lo; i < hi; i++ {
 		ri := r[i*m : (i+1)*m]
-		for j := range ri {
-			ri[j] = 0
-		}
+		clear(ri)
 		ai := a[i*k : (i+1)*k]
 		for p := 0; p < k; p++ {
-			v := ai[p]
-			if isZero(v) {
-				continue
-			}
-			bp := b[p*m : (p+1)*m]
+			v, bp := ai[p], b[p*m:(p+1)*m]
 			for j := range ri {
-				ri[j] += float64(v * bp[j])
+				ri[j] = math.FMA(v, bp[j], ri[j])
 			}
 		}
 	}
@@ -50,7 +44,7 @@ func matMulTRows(r, a, b []float64, lo, hi, k, m int) {
 			bj := b[j*k : (j+1)*k]
 			var s float64
 			for p := 0; p < k; p++ {
-				s += float64(ai[p] * bj[p])
+				s = math.FMA(ai[p], bj[p], s)
 			}
 			ri[j] = s
 		}
@@ -61,22 +55,15 @@ func matMulTRows(r, a, b []float64, lo, hi, k, m int) {
 // a is [k,n], b is [k,m], r is [n,m]. p-outer order.
 func tMatMulRows(r, a, b []float64, lo, hi, k, n, m int) {
 	for i := lo; i < hi; i++ {
-		ri := r[i*m : (i+1)*m]
-		for j := range ri {
-			ri[j] = 0
-		}
+		clear(r[i*m : (i+1)*m])
 	}
 	for p := 0; p < k; p++ {
 		ap := a[p*n : (p+1)*n]
 		bp := b[p*m : (p+1)*m]
 		for i := lo; i < hi; i++ {
-			v := ap[i]
-			if isZero(v) {
-				continue
-			}
-			ri := r[i*m : (i+1)*m]
+			v, ri := ap[i], r[i*m:(i+1)*m]
 			for j := range ri {
-				ri[j] += float64(v * bp[j])
+				ri[j] = math.FMA(v, bp[j], ri[j])
 			}
 		}
 	}
@@ -94,15 +81,16 @@ var gemmFills = []gemmFill{
 			t.Data[i] = rng.NormFloat64()
 		}
 	}},
-	// Half the elements exactly zero: the oracle skips them, the tile
-	// multiplies them.
+	// Half the elements exactly zero: the kernels the tile replaced
+	// skipped them; the tile and the oracle multiply them.
 	{"zero-sparse", func(rng *rand.Rand, t *Tensor) {
 		for i := range t.Data {
 			t.Data[i] = rng.NormFloat64()
 		}
 		sparsify(rng, t)
 	}},
-	// ±0, denormals and values whose products underflow into them.
+	// ±0, denormals and values whose products underflow into them — and
+	// below them, so a chain can round to −0.
 	{"signed-zero-denormal", func(rng *rand.Rand, t *Tensor) {
 		vals := []float64{0, math.Copysign(0, -1), 5e-324, -5e-324, 2.2e-308, -1e-310, 1e-160, -1e-160, 1, -1}
 		for i := range t.Data {
@@ -118,6 +106,24 @@ func forEachTile(f func(body tileBody)) {
 	for _, body := range tileBodies() {
 		tile = body
 		f(body)
+	}
+}
+
+// TestTileBodiesFollowCPUFlags: the assembly bodies are fused
+// multiply-add chains, so the AVX2 body is offered only when the CPU has
+// FMA3 as well, and the AVX-512 body only when cpu.HasAVX512 is set
+// (which implies both). The portable body is always there.
+func TestTileBodiesFollowCPUFlags(t *testing.T) {
+	bodies := tileBodies()
+	want := []bool{true, cpu.HasAVX2 && cpu.HasFMA, cpu.HasAVX512}
+	for body, ok := range want {
+		if slices.Contains(bodies, tileBody(body)) != ok {
+			t.Errorf("bodies %v: %s offered = %v, want %v (AVX2=%v FMA=%v AVX512=%v)",
+				bodies, tileBody(body), !ok, ok, cpu.HasAVX2, cpu.HasFMA, cpu.HasAVX512)
+		}
+	}
+	if tile != slices.Max(bodies) {
+		t.Errorf("selected body %s, want the widest offered, %s", tile, slices.Max(bodies))
 	}
 }
 
@@ -170,11 +176,24 @@ var benchShapes = [][3]int{
 	{32, 128, 352}, {32, 352, 128}, {30, 128, 352}, {128, 128, 128}, {32, 32, 32}, {128, 128, 8}, {32, 8, 352},
 }
 
+// pairingShapes exercise gemmPanels' panel pairing: even and odd counts of
+// full panels, each with and without a ragged last panel; fewer rows than
+// a tile and the empty sum; and m = 136 (17 panels), which at degree 2
+// splits into shards of three, so shards start at odd panels 3, 9 and 15
+// and pair from there.
+var pairingShapes = [][3]int{
+	{4, 16, 16}, {5, 33, 24}, {9, 7, 32}, {4, 64, 40}, {6, 5, 48},
+	{5, 33, 17}, {9, 7, 23}, {4, 64, 31}, {6, 5, 47}, {4, 9, 33},
+	{1, 16, 16}, {3, 5, 24}, {2, 64, 31},
+	{4, 0, 16}, {3, 0, 24},
+	{5, 19, 136},
+}
+
 // TestGEMMBitIdenticalToOracle is the kernel contract's proof: every
 // entry point, on every tile-edge combination, on both sides of every
 // partition boundary, with every tile body the CPU can run, produces the
-// oracle's bits. On an AVX-512 machine that is all three bodies; -tags
-// purego leaves the portable one.
+// bits of the oracle's math.FMA chains. On an AVX-512 machine that is all
+// three bodies; -tags purego leaves the portable one.
 func TestGEMMBitIdenticalToOracle(t *testing.T) {
 	dims := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 65}
 	if testing.Short() || raceEnabled {
@@ -191,6 +210,9 @@ func TestGEMMBitIdenticalToOracle(t *testing.T) {
 		}
 		for _, s := range benchShapes {
 			checkGEMM(t, s[0], s[1], s[2], f, 1, 2, 3, 8)
+		}
+		for _, s := range pairingShapes {
+			checkGEMM(t, s[0], s[1], s[2], f, 1, 2, 3)
 		}
 		// MatMulT packs each B panel from eight rows of its operand
 		// (packPanelT): the padded n < 4 driver, one and several row
@@ -241,13 +263,52 @@ func TestGEMMEmptyDimensions(t *testing.T) {
 
 // TestGEMMZeroNoLongerHidesNonFinite pins the one behavioural difference
 // from the kernels gemm replaced: they skipped a zero in A, so 0·Inf
-// never happened; the tile multiplies it and gets IEEE 754's NaN.
+// never happened; the tile multiplies it and gets IEEE 754's NaN — in a
+// single panel and in both panels of a pair.
 func TestGEMMZeroNoLongerHidesNonFinite(t *testing.T) {
 	a := New([]float64{0, 1, 0, 1, 0, 1, 0, 1}, 4, 2)
-	b := New([]float64{math.Inf(1), 2}, 2, 1)
 	forEachTile(func(body tileBody) {
-		if got := a.MatMul(b); !math.IsNaN(got.Data[0]) {
-			t.Errorf("%s body: 0·Inf + 1·2 = %v, want NaN", body, got.Data[0])
+		for _, m := range []int{1, 2 * tileCols} {
+			b := Zeros(2, m)
+			for j := 0; j < m; j++ {
+				b.Data[j], b.Data[m+j] = math.Inf(1), 2
+			}
+			for i, v := range a.MatMul(b).Data {
+				if !math.IsNaN(v) {
+					t.Errorf("%s body, m=%d: element %d is 0·Inf + 1·2 = %v, want NaN", body, m, i, v)
+				}
+			}
+		}
+	})
+}
+
+// TestGEMMPairingInvisible: the same products with pairing on and off,
+// packing per call and from Panels, agree bit for bit on every body.
+func TestGEMMPairingInvisible(t *testing.T) {
+	forceParallel(t, 1)
+	defer func() { pairPanels = true }()
+	forEachTile(func(body tileBody) {
+		for _, s := range pairingShapes {
+			n, k, m := s[0], s[1], s[2]
+			rng := rand.New(rand.NewSource(int64(n*1_000_003 + k*1_009 + m)))
+			a, b, bt := Randn(rng, 1, n, k), Randn(rng, 1, k, m), Randn(rng, 1, m, k)
+			for _, degree := range []int{1, 2} {
+				SetParallelism(degree)
+				var got [2][4][]float64
+				for i, pair := range []bool{false, true} {
+					pairPanels = pair
+					var pk, pkT Panels
+					got[i] = [4][]float64{
+						a.MatMul(b).Data, a.MatMulT(bt).Data,
+						a.MatMulPackedInto(b, &pk, Zeros(n, m)).Data, a.MatMulTPackedInto(bt, &pkT, Zeros(n, m)).Data,
+					}
+				}
+				for op, name := range []string{"MatMul", "MatMulT", "MatMulPacked", "MatMulTPacked"} {
+					if !testutil.BitEqualSlices(got[0][op], got[1][op]) {
+						t.Errorf("%s %dx%dx%d, %s body at degree %d: pairing changes the bits", name, n, k, m, body, degree)
+					}
+				}
+			}
 		}
 	})
 }

@@ -12,7 +12,8 @@ import (
 // the panels MatMulInto and MatMulTInto pack per call, so they produce the
 // packing path's bits on the row-packed path's edges, at degrees 1/2/3,
 // into a dirty destination — whether this call packed the panels or an
-// earlier one did — with every tile body the CPU can run.
+// earlier one did — with every tile body the CPU can run, on single,
+// paired and odd-count panels.
 func TestGEMMPackedBitIdentical(t *testing.T) {
 	forceParallel(t, 1)
 	forEachTile(func(body tileBody) { checkPacked(t, body) })
@@ -22,7 +23,7 @@ func checkPacked(t *testing.T, body tileBody) {
 	for _, f := range gemmFills {
 		for _, n := range []int{1, 3, 4, 5, 32} {
 			for _, k := range []int{1, 8, 352} {
-				for _, m := range []int{1, 7, 8, 9, 128} {
+				for _, m := range []int{1, 7, 8, 9, 16, 17, 24, 128} {
 					rng := rand.New(rand.NewSource(int64(n*1_000_003 + k*1_009 + m)))
 					a, b, bt := Zeros(n, k), Zeros(k, m), Zeros(m, k)
 					for _, x := range []*Tensor{a, b, bt} {

@@ -33,8 +33,8 @@ func forceParallel(t *testing.T, degree int) {
 	})
 }
 
-// sparsify zeroes roughly half of t's elements so the GEMM kernels' exact-
-// zero skip path runs.
+// sparsify zeroes roughly half of t's elements: exact zeros, which the
+// kernels the GEMM tile replaced skipped and the tile multiplies.
 func sparsify(rng *rand.Rand, t *Tensor) {
 	for i := range t.Data {
 		if rng.Intn(2) == 0 {

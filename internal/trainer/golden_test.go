@@ -20,9 +20,10 @@ import (
 )
 
 // updateGolden rewrites testdata/finetune_d128.golden from the current
-// build. The file was captured on the parent of the GEMM-microkernel
-// change (commit 6f7e835, scalar row kernels); rewriting it is a re-pin
-// of the reference series and needs the justification ROADMAP asks of one.
+// build. The file was captured when the GEMM contract became one fused
+// multiply-add per term (its first capture, on the scalar row kernels'
+// last commit, held until then); rewriting it is a re-pin of the
+// reference series and needs the justification ROADMAP asks of one.
 var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/finetune_d128.golden from this build")
 
 const (
@@ -76,8 +77,8 @@ func gradChecksum(params []*nn.Param) uint64 {
 }
 
 // TestFinetuneMatchesParentGolden pins the tensor engine's numerics
-// against bits captured before the GEMM kernels were replaced: the loss
-// series and one step's LoRA gradients must come out bit-for-bit at every
+// against bits captured under the fused GEMM contract: the loss series
+// and one step's LoRA gradients must come out bit-for-bit at every
 // parallel degree. stepbench's loss_check recomputes its reference in the
 // same binary, so a kernel that changed bits everywhere would pass it;
 // this file cannot be fooled that way. (Run it with -tags purego for the
@@ -85,8 +86,9 @@ func gradChecksum(params []*nn.Param) uint64 {
 func TestFinetuneMatchesParentGolden(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		// The spec lets a compiler fuse x*y+z; arm64, ppc64le, s390x and
-		// riscv64 do, in nn's elementwise loops as well as here.
-		t.Skip("golden bits were captured on amd64, where Go never fuses multiply-add")
+		// riscv64 do, in nn's elementwise loops. (The GEMM's fused
+		// multiply-adds are math.FMA calls, the same on every architecture.)
+		t.Skip("golden bits were captured on amd64, where Go fuses only the multiply-adds math.FMA asks for")
 	}
 	if *updateGolden {
 		out := "# 25-step local fine-tuning loss series and step-0 gradient checksums at the step\n" +
