@@ -150,7 +150,7 @@ bench-check:
 # from scratch every time.
 chaos:
 	$(GO) test -race -count=1 \
-		-run 'Chaos|Fault|Failover|Supervisor|Repair|Recover|Dead|Probe|Counters|StepOrdinal|ExpertSnapshot|RunStore|DecodeRun' \
+		-run 'Chaos|Fault|Failover|Supervisor|Repair|Recover|Dead|Probe|Counters|ExpertSnapshot|RunStore|DecodeRun' \
 		./internal/broker ./internal/transport ./internal/placement \
 		./internal/checkpoint ./internal/trainer ./internal/obs ./internal/core
 

@@ -198,7 +198,10 @@ func run(addrs []string, devicesPerNode int, dataset, strategyName string, steps
 	// survivors; the trainer just retries the interrupted step. (Created
 	// before the metrics endpoint so /healthz can report parked rejoins;
 	// the heartbeat only starts after expert distribution below.)
-	sup := sys.Supervisor(broker.SupervisorConfig{HeartbeatInterval: opts.heartbeat})
+	sup, err := sys.Supervisor(broker.SupervisorConfig{HeartbeatInterval: opts.heartbeat})
+	if err != nil {
+		return err
+	}
 	sup.OnFailover = func(dead []int, next *placement.Assignment) {
 		fmt.Printf("  failover: workers %v lost; experts re-placed over survivors\n", dead)
 	}

@@ -350,7 +350,10 @@ func buildSystem(resuming bool) (*system, error) {
 		}
 	}
 
-	sup := sys.Supervisor(broker.SupervisorConfig{})
+	sup, err := sys.Supervisor(broker.SupervisorConfig{})
+	if err != nil {
+		return nil, err
+	}
 	sup.OnFailover = func(dead []int, next *placement.Assignment) {
 		fmt.Printf("  supervisor: worker(s) %v declared dead, experts failed over\n", dead)
 	}

@@ -212,7 +212,9 @@ func finetune(controlled bool) (*result, error) {
 	}
 	defer sys.Close()
 
-	sys.Supervisor(broker.SupervisorConfig{})
+	if _, err := sys.Supervisor(broker.SupervisorConfig{}); err != nil {
+		return nil, err
+	}
 
 	res := &result{report: sys.MetricsSource(), migStep: -1}
 	if controlled {

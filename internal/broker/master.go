@@ -96,10 +96,6 @@ type Executor struct {
 	// dead[n] marks worker n as failed-over: its connection is closed and
 	// every subsequent round against it fails fast with ErrWorkerDead.
 	dead []atomic.Bool
-	// stepOrd is the ordinal stamped on MsgStep broadcasts; it advances
-	// only when the whole broadcast succeeds, so a retried step re-uses
-	// the same ordinal and already-stepped workers dedup it.
-	stepOrd int
 	// resBufs holds the persistent per-(direction, layer, expert) result
 	// buffers exchange copies pooled replies into before releasing them.
 	// A forward output is read by the gate backward AFTER the backward
@@ -206,15 +202,6 @@ func (x *Executor) Rejoin(n int, conn transport.Conn) error {
 	<-x.connSem[n]
 	return nil
 }
-
-// StepOrdinal returns the ordinal of the last successfully broadcast
-// optimizer step (the dedup stamp workers compare MsgStep against).
-func (x *Executor) StepOrdinal() int { return x.stepOrd }
-
-// SetStepOrdinal overrides the step-ordinal counter. Run-level resume
-// uses it so ordinals stay monotonic across a master restart and a
-// surviving worker's dedup state remains coherent.
-func (x *Executor) SetStepOrdinal(ord int) { x.stepOrd = ord }
 
 // DeadMask returns the per-worker liveness flags in placement.Repair's
 // convention (true = dead).
@@ -674,30 +661,23 @@ func (x *Executor) logicalBytes(rows, vals int) int64 {
 
 // ZeroGrads broadcasts a gradient-clear to all live workers and awaits
 // acks.
-func (x *Executor) ZeroGrads() error { return x.broadcast(wire.MsgZeroGrad, 0) }
+func (x *Executor) ZeroGrads() error { return x.broadcast(wire.MsgZeroGrad) }
 
 // Step broadcasts an optimizer step to all live workers and awaits acks.
-// Each broadcast is stamped with a step ordinal that advances only on
-// success: a step retried after a failover re-uses the same ordinal, and
-// workers that already applied it ack without stepping twice.
-func (x *Executor) Step() error {
-	ord := x.stepOrd + 1
-	if err := x.broadcast(wire.MsgStep, int32(ord)); err != nil {
-		return err
-	}
-	x.stepOrd = ord
-	return nil
-}
+// A broadcast that fails may have stepped some workers and not others;
+// the supervisor's Recover makes that harmless by restoring every expert
+// from the last boundary snapshot before the step is re-driven.
+func (x *Executor) Step() error { return x.broadcast(wire.MsgStep) }
 
 // Shutdown asks every live worker to terminate and awaits acks.
-func (x *Executor) Shutdown() error { return x.broadcast(wire.MsgShutdown, 0) }
+func (x *Executor) Shutdown() error { return x.broadcast(wire.MsgShutdown) }
 
 // Checksums collects per-worker (Σ value, Σ grad, #params) diagnostics.
 // All live workers are queried in parallel and worker-side errors are
 // surfaced; dead workers yield a nil entry.
 func (x *Executor) Checksums() ([][]float64, error) {
 	out := make([][]float64, len(x.conns))
-	err := x.round(x.live(wire.MsgStats, 0), wire.MsgStatsResult, nil, func(n, _ int, reply *wire.Message) error {
+	err := x.round(x.live(wire.MsgStats), wire.MsgStatsResult, nil, func(n, _ int, reply *wire.Message) error {
 		if len(reply.Tensors) != 1 {
 			return fmt.Errorf("broker: bad stats reply from worker %d: %d tensors", n, len(reply.Tensors))
 		}
@@ -710,21 +690,21 @@ func (x *Executor) Checksums() ([][]float64, error) {
 	return out, nil
 }
 
-// broadcast sends a control message (with the given Layer stamp) to every
-// live worker in parallel and awaits acks.
-func (x *Executor) broadcast(t wire.MsgType, layer int32) error {
-	return x.round(x.live(t, layer), wire.MsgAck, nil, nil)
+// broadcast sends a control message to every live worker in parallel and
+// awaits acks.
+func (x *Executor) broadcast(t wire.MsgType) error {
+	return x.round(x.live(t), wire.MsgAck, nil, nil)
 }
 
 // live builds a round's rows for a control message to every live worker.
 // Dead workers get no row: they hold no experts after a failover, so
 // control traffic to them would only re-surface the failure the
 // supervisor already handled.
-func (x *Executor) live(t wire.MsgType, layer int32) [][]*wire.Message {
+func (x *Executor) live(t wire.MsgType) [][]*wire.Message {
 	msgs := make([][]*wire.Message, len(x.conns))
 	for n := range msgs {
 		if x.Alive(n) {
-			msgs[n] = []*wire.Message{{Type: t, Layer: layer}}
+			msgs[n] = []*wire.Message{{Type: t}}
 		}
 	}
 	return msgs

@@ -90,7 +90,10 @@ func newPinnedRig(t *testing.T) *pinnedRig {
 		t.Fatal(err)
 	}
 	sys.Exec.RequestTimeout = 2 * time.Second
-	sup := sys.Supervisor(broker.SupervisorConfig{})
+	sup, err := sys.Supervisor(broker.SupervisorConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	batcher := data.NewBatcher(data.Shakespeare(4000), 2, 16, 7)
 	ft := sys.Finetuner(batcher)
 	return &pinnedRig{

@@ -208,14 +208,14 @@ func TestExpertStateCodecMomentsRoundTrip(t *testing.T) {
 			}
 		}
 	}
-	step := func(w *Worker, ord int32) {
+	step := func(w *Worker) {
 		t.Helper()
-		if reply, _ := w.handle(&wire.Message{Type: wire.MsgStep, Layer: ord}); reply.Type != wire.MsgAck {
-			t.Fatalf("step %d: %v", ord, reply.Type)
+		if reply, _ := w.handle(&wire.Message{Type: wire.MsgStep}); reply.Type != wire.MsgAck {
+			t.Fatalf("step: %v", reply.Type)
 		}
 	}
 	seedGrads(w1)
-	step(w1, 1)
+	step(w1)
 
 	snap, _ := w1.handle(&wire.Message{Type: wire.MsgSnapshot, Layer: 0, Expert: 0})
 	if snap.Type != wire.MsgSnapshotResult {
@@ -259,8 +259,8 @@ func TestExpertStateCodecMomentsRoundTrip(t *testing.T) {
 	}
 	seedGrads(w1)
 	seedGrads(w2)
-	step(w1, 2)
-	step(w2, 2)
+	step(w1)
+	step(w2)
 	s1, _ := w1.handle(&wire.Message{Type: wire.MsgSnapshot, Layer: 0, Expert: 0})
 	s2, _ := w2.handle(&wire.Message{Type: wire.MsgSnapshot, Layer: 0, Expert: 0})
 	if len(s1.Tensors) != len(s2.Tensors) {

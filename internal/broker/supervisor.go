@@ -27,13 +27,12 @@ const failureThreshold = 2
 
 // Supervisor is the broker's failure handler: it heartbeats workers in
 // the background, keeps the latest step-boundary expert snapshot (delta
-// entries: what training changes, not the frozen weights), and on
-// a fatal worker failure executes the failover — mark the worker dead,
-// re-solve the placement over the survivors (placement.Repair), restore
-// the orphaned experts from the snapshot onto their new hosts, and swap
-// the executor's assignment. The trainer wires Recover as its step
-// recovery hook and Checkpoint as its step-boundary hook, and then sees
-// a worker death as at most a retried step.
+// entries: what training changes, not the frozen weights), and before a
+// failed step is retried restores every expert from it — onto the
+// placement re-solved over the survivors (placement.Repair) when a worker
+// died. The trainer wires Recover as its step recovery hook and
+// Checkpoint as its step-boundary hook, and then sees a worker death as
+// at most a retried step.
 //
 // Concurrency: the heartbeat loop runs on its own goroutine and only
 // calls Ping (which serializes with training rounds on each connection's
@@ -262,9 +261,10 @@ func (s *Supervisor) Rejoin(n int, conn transport.Conn) error {
 	return nil
 }
 
-// Checkpoint pulls a step-stamped snapshot of every hosted expert and
-// retains it as the failover restore point. Wire it as the trainer's
-// OnStep hook.
+// Checkpoint pulls a snapshot of every hosted expert stamped with the
+// completed step and retains it as the restore point of the next step's
+// retry (see Recover). Wire it as the trainer's OnStep hook; the run's
+// first step needs one stamped StartStep−1 (core.System takes it).
 func (s *Supervisor) Checkpoint(step int) error {
 	snap, err := s.exec.SnapshotExperts(step)
 	if err != nil {
@@ -295,80 +295,97 @@ func (s *Supervisor) ping(n int) error {
 	return err
 }
 
-// Recover classifies a failed training step and, for fatal failures,
-// executes the failover. Wire it as the trainer's Recover hook.
+// Recover makes a failed step safe to re-drive; wire it as the trainer's
+// Recover hook. Its one rule: before step s is retried, every expert is
+// restored from the snapshot of boundary s−1. A failed step may have
+// been applied in part — the MsgStep broadcast reached some workers and
+// not others, or a lost ack hid a step that happened — and the restore
+// rolls every expert's weights, moments and optimizer clock back to the
+// boundary, so the retry replays the step from exactly the state the
+// failure-free run had.
 //
-// Classification: every live worker is pinged once and marked dead if it
-// does not answer. Then every dead worker that still hosts experts in the
-// current assignment is failed over — whether this round's pings found
-// it or the heartbeat loop's Probe marked it dead first (Probe never
-// repairs, so its deaths reach here as a step failing fast on
-// ErrWorkerDead). With no such worker the failure was transient (a slow
-// worker, or an already-handled failure tripped the step) and the step
-// is simply retried.
+// First every live worker is pinged once and marked dead if it does not
+// answer. Every dead worker that still hosts experts in the current
+// assignment is then failed over — whether this round's pings found it or
+// the heartbeat loop's Probe marked it dead first (Probe never repairs,
+// so its deaths reach here as a step failing fast on ErrWorkerDead):
+// placement.Repair re-places its experts over the survivors, and the
+// restore ships every expert to its host in the repaired assignment. With
+// no such worker the failure was transient and the restore uses the
+// current assignment.
+//
+// Recover refuses to retry, before any restore frame is sent, when the
+// retained snapshot is not of boundary s−1 or does not hold exactly one
+// entry per expert.
 func (s *Supervisor) Recover(step int, cause error) error {
 	for n := 0; n < s.exec.NumWorkers(); n++ {
 		if s.exec.Alive(n) && s.ping(n) != nil {
 			s.exec.MarkDead(n)
 		}
 	}
+	current := s.exec.Assignment()
+	entries, err := restorePoint(s.Latest(), step, current)
+	if err != nil {
+		return fmt.Errorf("broker: retrying step %d after %v: %w", step, cause, err)
+	}
 	deadMask := s.exec.DeadMask()
-	loads := s.exec.Assignment().Loads(len(deadMask))
+	loads := current.Loads(len(deadMask))
 	var failed []int
+	orphans := 0
 	for n, dead := range deadMask {
 		if dead && loads[n] > 0 {
 			failed = append(failed, n)
+			orphans += loads[n]
 		}
 	}
+	next := current
 	if len(failed) > 0 {
-		if err := s.failover(failed, deadMask); err != nil {
+		if next, err = placement.Repair(s.prob, current, deadMask); err != nil {
 			return fmt.Errorf("broker: failover after %v: %w", cause, err)
+		}
+	}
+	if err := s.exec.RestoreExperts(entries, next); err != nil {
+		return fmt.Errorf("broker: restoring boundary %d after %v: %w", step-1, cause, err)
+	}
+	if len(failed) > 0 {
+		s.exec.SetAssignment(next)
+		if s.Obs != nil {
+			if m, err := placement.Evaluate(s.prob, next); err == nil {
+				s.Obs.Drift.SetPredictedComm(m.CommTime)
+			}
+		}
+		s.exec.Counters.Add(obs.WorkerFailovers, int64(len(failed)))
+		s.exec.Counters.Add(obs.ExpertsRecovered, int64(orphans))
+		if s.OnFailover != nil {
+			s.OnFailover(failed, next)
 		}
 	}
 	s.exec.Counters.Add(obs.StepRetries, 1)
 	return nil
 }
 
-// failover re-places the failed workers' experts over the survivors and
-// restores their snapshot state onto the new hosts.
-func (s *Supervisor) failover(failed []int, deadMask []bool) error {
-	snap := s.Latest()
+// restorePoint checks that snap is the restore point of a retry of step —
+// the snapshot of boundary step−1, with exactly one entry per expert of
+// assign — and returns those entries.
+func restorePoint(snap *checkpoint.ExpertSnapshot, step int, assign *placement.Assignment) ([]checkpoint.ExpertEntry, error) {
 	if snap == nil {
-		return errors.New("broker: no expert snapshot to restore from (wire Supervisor.Checkpoint as the trainer's OnStep hook)")
+		return nil, errors.New("broker: no expert snapshot to restore from (wire Supervisor.Checkpoint as the trainer's OnStep hook)")
 	}
-	current := s.exec.Assignment()
-	next, err := placement.Repair(s.prob, current, deadMask)
-	if err != nil {
-		return err
+	if snap.Step != step-1 {
+		return nil, fmt.Errorf("broker: the snapshot is of boundary %d, a retry of step %d restores boundary %d", snap.Step, step, step-1)
 	}
-	// Orphans = experts whose current host is dead; their state comes
-	// from the snapshot, their new host from the repaired assignment.
-	var orphans []checkpoint.ExpertEntry
-	for l, row := range current.Worker {
-		for e, n := range row {
-			if !deadMask[n] {
-				continue
-			}
+	var entries []checkpoint.ExpertEntry
+	for l, row := range assign.Worker {
+		for e := range row {
 			entry := snap.Find(l, e)
 			if entry == nil {
-				return fmt.Errorf("broker: snapshot (step %d) has no entry for orphaned expert L%d/E%d", snap.Step, l, e)
+				return nil, fmt.Errorf("broker: snapshot (step %d) has no entry for expert L%d/E%d", snap.Step, l, e)
 			}
-			orphans = append(orphans, *entry)
+			entries = append(entries, *entry)
 		}
 	}
-	if err := s.exec.RestoreExperts(orphans, next); err != nil {
-		return err
+	if len(snap.Entries) != len(entries) {
+		return nil, fmt.Errorf("broker: snapshot (step %d) holds %d entries for %d experts", snap.Step, len(snap.Entries), len(entries))
 	}
-	s.exec.SetAssignment(next)
-	if s.Obs != nil {
-		if m, err := placement.Evaluate(s.prob, next); err == nil {
-			s.Obs.Drift.SetPredictedComm(m.CommTime)
-		}
-	}
-	s.exec.Counters.Add(obs.WorkerFailovers, int64(len(failed)))
-	s.exec.Counters.Add(obs.ExpertsRecovered, int64(len(orphans)))
-	if s.OnFailover != nil {
-		s.OnFailover(failed, next)
-	}
-	return nil
+	return entries, nil
 }

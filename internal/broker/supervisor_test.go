@@ -3,9 +3,13 @@ package broker
 import (
 	"errors"
 	"math/rand"
+	"slices"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/checkpoint"
 	"repro/internal/moe"
 	"repro/internal/nn"
 	"repro/internal/obs"
@@ -365,57 +369,98 @@ func TestRecoverWithoutSnapshotFails(t *testing.T) {
 	_ = dep.WaitAll()
 }
 
-// TestStepOrdinalDeduplication: a worker that already applied a step
-// ordinal acks its re-broadcast without stepping twice, while ordinal 0
-// (legacy "always apply") still steps every time.
-func TestStepOrdinalDeduplication(t *testing.T) {
-	cfg := moe.Config{Vocab: 10, D: 4, Heads: 1, Hidden: 6, Layers: 1, Experts: 1, TopK: 1}
-	_, grid := buildFinetuneSetup(cfg, 17)
-	w := NewWorker(0, WorkerConfig{Optimizer: OptSGD, LR: 0.1})
-	if reply, _ := w.handle(encodeExpert(grid[0][0], ExpertSpec{D: cfg.D, Hidden: cfg.Hidden, LoRARank: 2, LoRAAlpha: 4})); reply.Type != wire.MsgAck {
-		t.Fatalf("assign: %v", reply.Type)
-	}
-	// Plant a nonzero gradient so a step visibly moves the weights.
-	seedGrads := func() {
-		for _, p := range w.params() {
-			if p.Trainable {
-				for i := range p.Grad.Data {
-					p.Grad.Data[i] = 0.5
+// sendLog wraps a worker connection and counts the frames sent through
+// it, by type.
+type sendLog struct {
+	transport.Conn
+	mu   sync.Mutex
+	sent map[wire.MsgType]int
+}
+
+func (c *sendLog) Send(m *wire.Message) error {
+	c.mu.Lock()
+	c.sent[m.Type]++
+	c.mu.Unlock()
+	return c.Conn.Send(m)
+}
+
+func (c *sendLog) count(t wire.MsgType) int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.sent[t]
+}
+
+// TestRecoverRefusesAWrongRestorePoint: a retry of step s restores
+// boundary s−1, one entry per expert, or nothing. Recover must refuse a
+// snapshot of another boundary, one that misses an expert (here one the
+// dead worker hosted, which a failover would have to re-home) and one
+// with an expert twice — before any restore frame is sent, with no
+// failover counted and the assignment unmoved.
+func TestRecoverRefusesAWrongRestorePoint(t *testing.T) {
+	defer testutil.VerifyNoLeaks(t, "repro/internal/broker", "repro/internal/transport")
+	cfg := testConfig()
+	for _, tc := range []struct {
+		name  string
+		step  int
+		edit  func(snap *checkpoint.ExpertSnapshot, orphan checkpoint.ExpertEntry) *checkpoint.ExpertSnapshot
+		error string
+	}{
+		{"snapshot of another boundary", 2, func(snap *checkpoint.ExpertSnapshot, _ checkpoint.ExpertEntry) *checkpoint.ExpertSnapshot {
+			return snap
+		}, "restores boundary 1"},
+		{"an expert missing", 1, func(snap *checkpoint.ExpertSnapshot, orphan checkpoint.ExpertEntry) *checkpoint.ExpertSnapshot {
+			out := &checkpoint.ExpertSnapshot{Step: snap.Step}
+			for _, en := range snap.Entries {
+				if en.Layer != orphan.Layer || en.Expert != orphan.Expert {
+					out.Entries = append(out.Entries, en)
 				}
 			}
-		}
-	}
-	checksum := func() float64 { return checksumParams(w.params())[0] }
+			return out
+		}, "no entry for"},
+		{"an expert twice", 1, func(snap *checkpoint.ExpertSnapshot, orphan checkpoint.ExpertEntry) *checkpoint.ExpertSnapshot {
+			return &checkpoint.ExpertSnapshot{Step: snap.Step, Entries: append(slices.Clone(snap.Entries), orphan)}
+		}, "entries for"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, grid := buildFinetuneSetup(cfg, 13)
+			dep := StartLocalWorkers(2, DefaultWorkerConfig())
+			logs := make([]*sendLog, 2)
+			conns := make([]transport.Conn, 2)
+			for n := range conns {
+				logs[n] = &sendLog{Conn: dep.Conns[n], sent: make(map[wire.MsgType]int)}
+				conns[n] = logs[n]
+			}
+			exec := NewExecutor(conns, roundRobinAssignment(cfg, 2))
+			exec.Counters = obs.NewCounters(nil)
+			if err := exec.Distribute(grid, ExpertSpec{D: cfg.D, Hidden: cfg.Hidden, LoRARank: 2, LoRAAlpha: 4}); err != nil {
+				t.Fatal(err)
+			}
+			sup := NewSupervisor(exec, uniformProblem(cfg, 2), SupervisorConfig{})
+			if err := sup.Checkpoint(0); err != nil {
+				t.Fatal(err)
+			}
+			// Expert 1 of layer 0 lives on worker 1, which then dies.
+			sup.latest = tc.edit(sup.Latest(), *sup.Latest().Find(0, 1))
+			before := exec.Assignment()
+			assigns := func() int { return logs[0].count(wire.MsgAssign) + logs[1].count(wire.MsgAssign) }
+			distributed := assigns()
+			_ = dep.Conns[1].Close()
 
-	seedGrads()
-	before := checksum()
-	if reply, _ := w.handle(&wire.Message{Type: wire.MsgStep, Layer: 1}); reply.Type != wire.MsgAck {
-		t.Fatalf("step 1: %v", reply.Type)
-	}
-	after1 := checksum()
-	if testutil.Close(before, after1) {
-		t.Fatal("ordinal-1 step must move the weights")
-	}
-	seedGrads()
-	if reply, _ := w.handle(&wire.Message{Type: wire.MsgStep, Layer: 1}); reply.Type != wire.MsgAck {
-		t.Fatalf("replayed step 1: %v", reply.Type)
-	}
-	if got := checksum(); !testutil.Close(after1, got) {
-		t.Fatalf("replayed ordinal must not re-step: %.12f vs %.12f", after1, got)
-	}
-	seedGrads()
-	if reply, _ := w.handle(&wire.Message{Type: wire.MsgStep, Layer: 2}); reply.Type != wire.MsgAck {
-		t.Fatalf("step 2: %v", reply.Type)
-	}
-	if got := checksum(); testutil.Close(after1, got) {
-		t.Fatal("next ordinal must step")
-	}
-	seedGrads()
-	mid := checksum()
-	if reply, _ := w.handle(&wire.Message{Type: wire.MsgStep}); reply.Type != wire.MsgAck {
-		t.Fatalf("ordinal-0 step: %v", reply.Type)
-	}
-	if got := checksum(); testutil.Close(mid, got) {
-		t.Fatal("ordinal 0 must always apply")
+			err := sup.Recover(tc.step, errors.New("step failed"))
+			if err == nil || !strings.Contains(err.Error(), tc.error) {
+				t.Fatalf("recover = %v, want an error naming %q", err, tc.error)
+			}
+			if sent := assigns() - distributed; sent != 0 {
+				t.Fatalf("%d restore frame(s) sent before the refusal", sent)
+			}
+			if exec.Assignment() != before || exec.Counters.Get(obs.WorkerFailovers) != 0 || exec.Counters.Get(obs.StepRetries) != 0 {
+				t.Fatal("a refused retry moved the assignment or counted a failover or retry")
+			}
+			if err := exec.Shutdown(); err != nil {
+				t.Fatal(err)
+			}
+			dep.Close()
+			_ = dep.WaitAll()
+		})
 	}
 }

@@ -61,15 +61,10 @@ type Worker struct {
 	mu      sync.RWMutex
 	experts map[moe.ExpertID]*moe.Expert
 	specs   map[moe.ExpertID]ExpertSpec
-	opt     nn.Optimizer
-	// momentSeeds holds AdamW moment state that arrived with a MsgAssign
-	// (a failover restore or run-level resume) before the optimizer
-	// existed; it is folded in when the optimizer is built or rebound.
-	momentSeeds map[moe.ExpertID]*expertOptState
-	// lastStep is the highest step ordinal applied (MsgStep.Layer > 0):
-	// a post-failover re-broadcast of an ordinal this worker already
-	// stepped is acked without stepping twice.
-	lastStep int
+	// opt steps every hosted expert's trainable parameters; Assign and
+	// Fetch rebind it. It is nil when cfg names no known optimizer, and
+	// every MsgStep then answers MsgError.
+	opt optimizer
 	// baseSums holds each expert's digest of its frozen parameters,
 	// computed once when it is assigned (they never change afterwards) and
 	// stamped on every delta snapshot of it.
@@ -80,10 +75,10 @@ type Worker struct {
 func NewWorker(id int, cfg WorkerConfig) *Worker {
 	return &Worker{
 		ID: id, cfg: cfg,
-		experts:     make(map[moe.ExpertID]*moe.Expert),
-		specs:       make(map[moe.ExpertID]ExpertSpec),
-		baseSums:    make(map[moe.ExpertID]uint32),
-		momentSeeds: make(map[moe.ExpertID]*expertOptState),
+		experts:  make(map[moe.ExpertID]*moe.Expert),
+		specs:    make(map[moe.ExpertID]ExpertSpec),
+		baseSums: make(map[moe.ExpertID]uint32),
+		opt:      newOptimizer(cfg),
 	}
 }
 
@@ -105,22 +100,35 @@ func (w *Worker) params() []*nn.Param {
 	return ps
 }
 
+// optimizer is what a worker's optimizer must do: step, and follow the
+// hosted parameter set as experts arrive and leave.
+type optimizer interface {
+	nn.Optimizer
+	nn.Rebinder
+}
+
+// newOptimizer builds the configured optimizer over no parameters yet, or
+// nil for an unknown kind: a configuration error is reported at every
+// Step as a MsgError rather than panicking the worker process.
+func newOptimizer(cfg WorkerConfig) optimizer {
+	switch cfg.Optimizer {
+	case OptSGD:
+		return nn.NewSGD(nil, cfg.LR)
+	case OptAdamW:
+		return nn.NewAdamW(nil, cfg.AdamW)
+	}
+	return nil
+}
+
 // refreshOptimizer rebinds the optimizer to the current parameter set
 // after an Assign or Fetch changed the hosted experts, preserving
-// per-parameter state (AdamW moment estimates, step count) for the
-// parameters that survive the change. Called with w.mu held for writing.
+// per-parameter state (AdamW moment estimates) for the parameters that
+// survive the change; a new expert's moments start at zero. Called with
+// w.mu held for writing.
 func (w *Worker) refreshOptimizer() {
-	if w.opt == nil {
-		return // not built yet; it will be built lazily at the next Step
+	if w.opt != nil {
+		w.opt.Rebind(w.params())
 	}
-	if r, ok := w.opt.(nn.Rebinder); ok {
-		r.Rebind(w.params())
-		return
-	}
-	// Non-rebinding optimizers are rebuilt lazily at the next Step (the
-	// rebuild starts from fresh state either way, and deferring it lets
-	// a configuration error surface as a MsgError reply).
-	w.opt = nil
 }
 
 // Serve runs the worker's request loop on conn until a shutdown message
@@ -202,12 +210,17 @@ func (w *Worker) handleAt(msg *wire.Message, arrivedAt int64) (reply *wire.Messa
 		w.specs[ex.ID] = en.spec
 		w.baseSums[ex.ID] = sum
 		w.refreshOptimizer()
-		if en.opt != nil {
-			// Shipped optimizer state (failover restore, migration, or
-			// run-level resume): seed it into the live optimizer now, or
-			// stash it for the lazy build at the first Step.
-			w.momentSeeds[ex.ID] = en.opt
-			w.applyMomentSeeds()
+		if adam, ok := w.opt.(*nn.AdamW); ok && en.opt != nil {
+			// Shipped optimizer state (a restore, a migration or a
+			// resume) is the expert's state from now on: its moments, and
+			// the worker's clock set, not raised, to the shipped one —
+			// a retried step's restore rolls a clock that already stepped
+			// back to the boundary. parseEntry matched the moments to the
+			// trainable parameters.
+			for i, p := range nn.CollectTrainable(ex.Params()) {
+				adam.SetMoments(p, en.opt.M[i].Data, en.opt.V[i].Data)
+			}
+			adam.SetStepCount(en.opt.Step)
 		}
 		w.mu.Unlock()
 		return &wire.Message{Type: wire.MsgAck, Layer: msg.Layer, Expert: msg.Expert, Seq: msg.Seq}, false
@@ -222,7 +235,6 @@ func (w *Worker) handleAt(msg *wire.Message, arrivedAt int64) (reply *wire.Messa
 			delete(w.experts, id)
 			delete(w.specs, id)
 			delete(w.baseSums, id)
-			delete(w.momentSeeds, id)
 			w.refreshOptimizer()
 		}
 		w.mu.Unlock()
@@ -244,27 +256,11 @@ func (w *Worker) handleAt(msg *wire.Message, arrivedAt int64) (reply *wire.Messa
 		return &wire.Message{Type: wire.MsgAck, Seq: msg.Seq}, false
 
 	case wire.MsgStep:
-		ord := int(msg.Layer)
-		w.mu.Lock()
-		if ord > 0 && ord <= w.lastStep {
-			// Re-broadcast of an ordinal this worker already applied (the
-			// master is retrying a step after a failover): ack idempotently.
-			w.mu.Unlock()
-			return &wire.Message{Type: wire.MsgAck, Seq: msg.Seq}, false
-		}
 		if w.opt == nil {
-			opt, err := w.buildOptimizer()
-			if err != nil {
-				w.mu.Unlock()
-				return errMsg(msg, err), false
-			}
-			w.opt = opt
-			w.applyMomentSeeds()
+			return errMsg(msg, fmt.Errorf("broker: worker %d: unknown optimizer kind %d", w.ID, w.cfg.Optimizer)), false
 		}
+		w.mu.Lock()
 		w.opt.Step()
-		if ord > 0 {
-			w.lastStep = ord
-		}
 		w.mu.Unlock()
 		return &wire.Message{Type: wire.MsgAck, Seq: msg.Seq}, false
 
@@ -454,78 +450,24 @@ func (w *Worker) runExpert(id moe.ExpertID, backward bool, in *wire.Matrix, seq 
 
 // optStateOf collects the AdamW slice for one hosted expert: the
 // bias-correction clock plus the (m, v) pair of every trainable
-// parameter, in nn.CollectTrainable order. It returns nil when there is
-// no AdamW state to ship (SGD, or the optimizer not built yet and no
-// stashed seed). The returned matrices alias live optimizer memory;
-// callers that cross a step boundary must copy (encodeExpertSnapshot does).
-// Called with w.mu held (read or write).
+// parameter, in nn.CollectTrainable order. It returns nil for SGD, which
+// has no state to ship. Every hosted expert is bound (Assign rebinds), so
+// a snapshot taken before the first step carries its zero moments too.
+// The returned matrices alias live optimizer memory; callers that cross
+// a step boundary must copy (encodeExpertSnapshot does). Called with
+// w.mu held (read or write).
 func (w *Worker) optStateOf(ex *moe.Expert) *expertOptState {
 	adam, ok := w.opt.(*nn.AdamW)
 	if !ok {
-		// Optimizer not built yet: an expert restored-then-snapshotted
-		// before the first Step still carries the moments it arrived with.
-		return w.momentSeeds[ex.ID]
+		return nil
 	}
 	st := &expertOptState{Step: adam.StepCount()}
 	for _, p := range nn.CollectTrainable(ex.Params()) {
 		m, v := adam.Moments(p)
-		if m == nil {
-			// Not bound (a seed raced the rebind); ship without state
-			// rather than a partial slice.
-			return w.momentSeeds[ex.ID]
-		}
 		st.M = append(st.M, matrixOf(m))
 		st.V = append(st.V, matrixOf(v))
 	}
 	return st
-}
-
-// applyMomentSeeds folds stashed optimizer slices into the live AdamW:
-// each seeded expert's trainable parameters get their shipped (m, v)
-// estimates, and the bias-correction clock is raised to the highest
-// shipped value (never lowered — surviving experts on this worker are
-// already at the right step). No-op until the optimizer is built; seeds
-// then apply at the lazy build. Called with w.mu held for writing.
-func (w *Worker) applyMomentSeeds() {
-	adam, ok := w.opt.(*nn.AdamW)
-	if !ok {
-		return
-	}
-	for id, st := range w.momentSeeds {
-		ex, hosted := w.experts[id]
-		if !hosted {
-			delete(w.momentSeeds, id)
-			continue
-		}
-		trainable := nn.CollectTrainable(ex.Params())
-		if len(trainable) != len(st.M) {
-			delete(w.momentSeeds, id)
-			continue
-		}
-		for i, p := range trainable {
-			adam.SetMoments(p, st.M[i].Data, st.V[i].Data)
-		}
-		if st.Step > adam.StepCount() {
-			adam.SetStepCount(st.Step)
-		}
-		delete(w.momentSeeds, id)
-	}
-}
-
-// buildOptimizer constructs the configured optimizer over all trainable
-// expert parameters. Called with w.mu held. A misconfigured kind is
-// reported as an error (surfaced to the master as MsgError at the next
-// Step) rather than panicking the worker process.
-func (w *Worker) buildOptimizer() (nn.Optimizer, error) {
-	ps := w.params()
-	switch w.cfg.Optimizer {
-	case OptSGD:
-		return nn.NewSGD(ps, w.cfg.LR), nil
-	case OptAdamW:
-		return nn.NewAdamW(ps, w.cfg.AdamW), nil
-	default:
-		return nil, fmt.Errorf("broker: worker %d: unknown optimizer kind %d", w.ID, w.cfg.Optimizer)
-	}
 }
 
 func errMsg(req *wire.Message, err error) *wire.Message {

@@ -2,6 +2,8 @@ package checkpoint
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"math"
 	"math/rand"
 	"os"
@@ -63,7 +65,6 @@ func fixtureRunState() *RunState {
 	return &RunState{
 		Generation: 1,
 		Step:       12,
-		StepOrd:    19,
 		Losses:     []float64{3.5, 3.25, 3.75, 2.0625},
 		Backbone: []NamedTensor{
 			{Name: "blocks.0.attn.wq.lora.A", StateTensor: StateTensor{Rows: 2, Cols: 3, Data: []float64{1, 2, 3, 4, 5, 6}}},
@@ -160,8 +161,18 @@ func TestFormatsUnchanged(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(again, raw) {
-			t.Fatal("re-encoded VELARUN1 bytes differ from the parent-written file")
+		// The fixture's step-ordinal slot holds 19; the slot is retired,
+		// so this encoder writes 0 there, and the trailer follows. Every
+		// other byte is the parent's.
+		const slot = 24 + 8 // header (magic, generation, body length), then Step
+		if v := binary.LittleEndian.Uint64(raw[slot:]); v != 19 {
+			t.Fatalf("fixture's step-ordinal slot holds %d, want 19", v)
+		}
+		want := bytes.Clone(raw)
+		clear(want[slot : slot+8])
+		binary.LittleEndian.PutUint32(want[len(want)-4:], crc32.Checksum(want[:len(want)-4], castagnoli))
+		if !bytes.Equal(again, want) {
+			t.Fatal("re-encoded VELARUN1 bytes differ from the parent-written file outside the step-ordinal slot")
 		}
 	})
 }

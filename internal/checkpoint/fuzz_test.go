@@ -51,7 +51,7 @@ func hostileRunBodies() [][]byte {
 	prefix := func() *encoder {
 		e := &encoder{}
 		e.i64(1) // step
-		e.i64(1) // step ordinal
+		e.i64(0) // the retired step-ordinal slot
 		return e
 	}
 	shape := prefix()

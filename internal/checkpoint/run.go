@@ -14,7 +14,7 @@ import (
 // process needs to reconstruct an interrupted fine-tuning run
 // bit-identically — not just the experts (ExpertSnapshot covers those)
 // but the backbone LoRA weights and their AdamW moments, the loss
-// trajectory, the step and step-ordinal counters, the data-batcher
+// trajectory, the completed-step count, the data-batcher
 // cursor stack, the RNG seeds, the live placement assignment, the drift
 // monitor's baseline/estimate/predicted-comm, and the replace
 // controller's hysteresis and cooldown counters.
@@ -70,9 +70,6 @@ type RunState struct {
 	// Step is the number of completed fine-tuning steps (== len(Losses)):
 	// the resumed run drives steps [Step, total).
 	Step int
-	// StepOrd is the executor's step-broadcast ordinal, kept separate
-	// from Step so retry dedup stays monotonic across a master restart.
-	StepOrd int
 	// Losses is the per-step loss trajectory so far; a resumed run
 	// appends to it and the final series is bit-identical to an
 	// uninterrupted run's.
@@ -369,7 +366,7 @@ func (e *encoder) flag(b bool) {
 // runBody appends the VELARUN1 body for rs.
 func (e *encoder) runBody(rs *RunState) {
 	e.i64(rs.Step)
-	e.i64(rs.StepOrd)
+	e.i64(0) // the retired step-ordinal slot: written as 0, skipped on read
 	e.f64s(rs.Losses)
 	e.i64(len(rs.Backbone))
 	for _, nt := range rs.Backbone {
@@ -453,7 +450,7 @@ func (d *decoder) flag() bool {
 // runBody reads the VELARUN1 body into rs, mirroring encoder.runBody.
 func (d *decoder) runBody(rs *RunState) {
 	rs.Step = d.i64()
-	rs.StepOrd = d.i64()
+	d.i64() // the retired step-ordinal slot
 	rs.Losses = d.f64s()
 	nb := d.count(d.i64(), 24, "backbone tensor")
 	for i := 0; i < nb && d.err == nil; i++ {

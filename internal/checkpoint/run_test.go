@@ -13,9 +13,8 @@ import (
 
 func sampleRunState(step int) *RunState {
 	return &RunState{
-		Step:    step,
-		StepOrd: step + 7,
-		Losses:  []float64{3.5, 3.25, 3.0 + float64(step)/16},
+		Step:   step,
+		Losses: []float64{3.5, 3.25, 3.0 + float64(step)/16},
 		Backbone: []NamedTensor{
 			{Name: "blocks.0.attn.lora_a", StateTensor: StateTensor{Rows: 2, Cols: 3, Data: []float64{1, 2, 3, 4, 5, 6}}},
 			{Name: "blocks.0.attn.lora_b", StateTensor: StateTensor{Rows: 1, Cols: 2, Data: []float64{-0.5, 0.25}}},
@@ -44,8 +43,8 @@ func sampleRunState(step int) *RunState {
 
 func assertRunStateEqual(t *testing.T, want, got *RunState) {
 	t.Helper()
-	if got.Step != want.Step || got.StepOrd != want.StepOrd {
-		t.Fatalf("step/ord = %d/%d, want %d/%d", got.Step, got.StepOrd, want.Step, want.StepOrd)
+	if got.Step != want.Step {
+		t.Fatalf("step = %d, want %d", got.Step, want.Step)
 	}
 	if !testutil.BitEqualSlices(want.Losses, got.Losses) {
 		t.Fatalf("losses differ: %v vs %v", got.Losses, want.Losses)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -16,6 +17,7 @@ import (
 	"repro/internal/testutil"
 	"repro/internal/trainer"
 	"repro/internal/transport"
+	"repro/internal/wire"
 )
 
 // prelude builds the deterministic pre-Attach state every test of the one
@@ -41,7 +43,9 @@ func prelude(t *testing.T) (*moe.Model, [][]*moe.Expert, Options, *data.Corpus) 
 // then returns the fine-tuner with the default step boundary.
 func supervised(t *testing.T, sys *System, corpus *data.Corpus) (*trainer.Finetuner, *replace.Controller) {
 	t.Helper()
-	sys.Supervisor(broker.SupervisorConfig{})
+	if _, err := sys.Supervisor(broker.SupervisorConfig{}); err != nil {
+		t.Fatal(err)
+	}
 	ctrl, err := sys.ReplaceController(replace.Config{DriftThreshold: 10, AmortizeSteps: 1 << 30})
 	if err != nil {
 		t.Fatal(err)
@@ -133,8 +137,9 @@ func TestAttachOverTCPMatchesDeploy(t *testing.T) {
 		t.Fatalf("TCP Attach diverged from chan-pipe Deploy:\ndeploy = %v\nattach = %v",
 			refFT.Losses.Values, ft.Losses.Values)
 	}
-	if got := sys.Exec.Counters.Get(obs.Snapshots); got != steps {
-		t.Fatalf("default step boundary took %d snapshots over %d steps", got, steps)
+	// One restore point before the first step, then one per boundary.
+	if got := sys.Exec.Counters.Get(obs.Snapshots); got != steps+1 {
+		t.Fatalf("took %d snapshots over %d steps, want the first step's restore point and one per boundary", got, steps)
 	}
 
 	want, err := sys.Exec.Checksums()
@@ -166,56 +171,138 @@ func TestAttachOverTCPMatchesDeploy(t *testing.T) {
 	}
 }
 
-// TestSystemFailoverBitIdentical: worker 2's connection, armed to close
-// after step 2's snapshot, is severed mid-step; the supervisor fails its
-// experts over to the two survivors and the step is re-driven on the same
-// batch. Over the production AdamW workers that costs exactly one
-// failover and one retried step, and the loss series is bit-identical to
-// the same rig without the arm.
+// killSwitch wraps worker 2's connection in the kill table. Counting from
+// arm, it severs the connection at send number killAt — that frame is not
+// delivered and the worker's serve loop ends, as if the process died just
+// before it — and it reports the reply to the loseAck-th MsgStep as
+// transport.ErrTimeout once: a step the worker applied whose ack never
+// arrived. It logs the type of every frame it sends after arm.
+type killSwitch struct {
+	transport.Conn
+	armed   bool
+	killAt  int // -1: never
+	loseAck int // 0: never
+	sent    []wire.MsgType
+	steps   int
+	dropAck bool
+}
+
+func (k *killSwitch) Send(m *wire.Message) error {
+	if !k.armed {
+		return k.Conn.Send(m)
+	}
+	if len(k.sent) == k.killAt {
+		k.armed = false
+		_ = k.Conn.Close()
+		return transport.ErrClosed
+	}
+	k.sent = append(k.sent, m.Type)
+	if m.Type == wire.MsgStep {
+		k.steps++
+		k.dropAck = k.steps == k.loseAck
+	}
+	return k.Conn.Send(m)
+}
+
+func (k *killSwitch) Recv() (*wire.Message, error) {
+	m, err := k.Conn.Recv()
+	if err == nil && k.dropAck {
+		k.dropAck = false
+		return nil, fmt.Errorf("MsgStep ack lost: %w", transport.ErrTimeout)
+	}
+	return m, err
+}
+
+// killRun is one row of the kill table: three in-process AdamW workers
+// behind core.Attach with the supervisor, controller and default step
+// boundary, six steps, and worker 2's connection behind k, armed once the
+// first step's restore point is taken. It returns the losses, the system
+// and the run's error.
+func killRun(t *testing.T, k *killSwitch) ([]float64, *System, error) {
+	t.Helper()
+	const steps = 6
+	m, grid, opts, corpus := prelude(t)
+	opts.Topo = cluster.Uniform(3, 1, 4, 100*cluster.GB, 1*cluster.GB) // two survivors host all 8 experts
+	dep := broker.StartLocalWorkers(3, broker.DefaultWorkerConfig())
+	conns := append([]transport.Conn(nil), dep.Conns...)
+	k.Conn = conns[2]
+	conns[2] = k
+	sys, err := Attach(m, conns, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Distribute(grid); err != nil {
+		t.Fatal(err)
+	}
+	ft, _ := supervised(t, sys, corpus)
+	k.armed = true
+	runErr := ft.Run(steps, nil)
+	k.armed = false
+	if err := sys.Close(); err != nil && runErr == nil {
+		t.Fatal(err)
+	}
+	dep.Close()
+	for n, err := range dep.WaitAll() {
+		if err != nil && n != 2 && runErr == nil {
+			t.Fatalf("live worker %d exited with %v", n, err)
+		}
+	}
+	return ft.Losses.Values, sys, runErr
+}
+
+// TestSystemFailoverBitIdentical is the kill table of the one retry rule:
+// a failed step is re-driven only after every expert is restored from the
+// snapshot of the boundary before it. Worker 2 is killed at each of its
+// sends across steps 0–5 in turn, and in one more row it loses one
+// MsgStep ack without dying. Every row must train the failure-free loss
+// series to the bit with one step retry (and one failover when the
+// worker died) — except a kill in a boundary's snapshot round: the
+// backbone has already stepped there, so the run fail-stops with the
+// checkpoint hook's error, its losses so far a prefix of the clean ones.
 func TestSystemFailoverBitIdentical(t *testing.T) {
-	const steps, killAt = 8, 2
-	run := func(kill bool) ([]float64, *System) {
-		m, grid, opts, corpus := prelude(t)
-		opts.Topo = cluster.Uniform(3, 1, 4, 100*cluster.GB, 1*cluster.GB) // two survivors host all 8 experts
-		dep := broker.StartLocalWorkers(3, broker.DefaultWorkerConfig())
-		conns := append([]transport.Conn(nil), dep.Conns...)
-		faulty := transport.NewFaulty(conns[2], 7, transport.FaultPlan{})
-		conns[2] = faulty
-		sys, err := Attach(m, conns, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := sys.Distribute(grid); err != nil {
-			t.Fatal(err)
-		}
-		ft, _ := supervised(t, sys, corpus)
-		ft.OnStep = func(step int) error {
-			err := sys.StepBoundary(step)
-			if kill && step == killAt {
-				faulty.ArmClose(0)
-			}
-			return err
-		}
-		if err := ft.Run(steps, nil); err != nil {
-			t.Fatal(err)
-		}
-		if err := sys.Close(); err != nil {
-			t.Fatal(err)
-		}
-		for n, err := range dep.WaitAll() {
-			if err != nil && sys.Exec.Alive(n) {
-				t.Fatalf("live worker %d exited with %v", n, err)
-			}
-		}
-		return ft.Losses.Values, sys
+	probe := &killSwitch{killAt: -1}
+	clean, _, err := killRun(t, probe)
+	if err != nil {
+		t.Fatal(err)
 	}
-	clean, _ := run(false)
-	losses, sys := run(true)
-	if !testutil.BitEqualSlices(clean, losses) {
-		t.Fatalf("failover perturbed the loss series:\nclean    = %v\nfailover = %v", clean, losses)
+	t.Logf("worker 2's sends over steps 0-5: %v", probe.sent)
+	type row struct {
+		name     string
+		k        *killSwitch
+		boundary bool
 	}
-	if f, r := sys.Exec.Counters.Get(obs.WorkerFailovers), sys.Exec.Counters.Get(obs.StepRetries); f != 1 || r != 1 {
-		t.Fatalf("%d failover(s) and %d step retries, want 1 and 1", f, r)
+	var rows []row
+	for i, typ := range probe.sent {
+		rows = append(rows, row{fmt.Sprintf("kill%02d_%v", i, typ), &killSwitch{killAt: i}, typ == wire.MsgSnapshot})
+	}
+	rows = append(rows, row{"lost_step_ack", &killSwitch{killAt: -1, loseAck: 3}, false})
+	for _, r := range rows {
+		t.Run(r.name, func(t *testing.T) {
+			losses, sys, err := killRun(t, r.k)
+			failovers, retries := sys.Exec.Counters.Get(obs.WorkerFailovers), sys.Exec.Counters.Get(obs.StepRetries)
+			if r.boundary {
+				if err == nil || !strings.Contains(err.Error(), "checkpoint hook") {
+					t.Fatalf("a kill in the snapshot round must fail-stop with the checkpoint hook's error, got %v", err)
+				}
+				if len(losses) == 0 || !testutil.BitEqualSlices(clean[:len(losses)], losses) || retries != 0 {
+					t.Fatalf("fail-stop after %d retries with losses %v, want a prefix of %v and none", retries, losses, clean)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !testutil.BitEqualSlices(clean, losses) {
+				t.Fatalf("the retry perturbed the loss series:\nclean = %v\ngot   = %v", clean, losses)
+			}
+			wantFailovers := int64(1)
+			if r.k.loseAck > 0 {
+				wantFailovers = 0
+			}
+			if failovers != wantFailovers || retries != 1 {
+				t.Fatalf("%d failover(s) and %d step retries, want %d and 1", failovers, retries, wantFailovers)
+			}
+		})
 	}
 }
 
@@ -281,7 +368,8 @@ func TestDeployedSystemScrapesRecovery(t *testing.T) {
 	if err := obs.WriteMetrics(&buf, sys.MetricsSource()); err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"vela_recovery_snapshots_total 1\n", "vela_workers_rejoining 0\n"} {
+	// Two snapshots: the first step's restore point and its boundary's.
+	for _, want := range []string{"vela_recovery_snapshots_total 2\n", "vela_workers_rejoining 0\n"} {
 		if !strings.Contains(buf.String(), want) {
 			t.Fatalf("scrape lacks %q", want)
 		}

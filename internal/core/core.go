@@ -17,8 +17,11 @@
 // experts; a restarted run calls System.Resume (runstate.go) instead.
 // Supervisor, ReplaceController and CheckpointEvery build the
 // step-boundary handlers; System.Finetuner's OnStep is
-// System.StepBoundary, the one statement of their order. Deploy is Attach
-// + Distribute over in-process workers.
+// System.StepBoundary, the one statement of their order. Once both the
+// supervisor and the experts on the workers exist, the supervisor holds
+// the restore point of the run's first step, so every step — the first
+// too — can be retried. Deploy is Attach + Distribute over in-process
+// workers.
 //
 // cmd/velamaster, the restart and shift examples, and this package's
 // failover and Fig. 5 tests assemble through these. The pieces remain
@@ -140,6 +143,10 @@ type System struct {
 	ckpt   *RunCheckpointer
 	local  *broker.LocalDeployment
 	closed bool
+	// onWorkers says Distribute or Resume has put the experts on the
+	// workers; start is the first step the run then drives.
+	onWorkers bool
+	start     int
 }
 
 // PlacementProblem builds the §IV-B optimization problem from a topology
@@ -244,6 +251,27 @@ func (s *System) Distribute(grid [][]*moe.Expert) error {
 	if err := s.Exec.Distribute(grid, s.Spec); err != nil {
 		return fmt.Errorf("core: distributing experts: %w", err)
 	}
+	return s.placed(0)
+}
+
+// placed records that the experts are on the workers and the run's first
+// step is start, then takes that step's restore point.
+func (s *System) placed(start int) error {
+	s.onWorkers, s.start = true, start
+	return s.firstRestorePoint()
+}
+
+// firstRestorePoint gives the supervisor, once it and the placed experts
+// both exist, the restore point of the first step the run drives: a
+// snapshot stamped start−1. Without it a failure in that step could not
+// be retried (Supervisor.Recover restores boundary s−1 before step s).
+func (s *System) firstRestorePoint() error {
+	if s.sup == nil || !s.onWorkers {
+		return nil
+	}
+	if err := s.sup.Checkpoint(s.start - 1); err != nil {
+		return fmt.Errorf("core: first restore point: %w", err)
+	}
 	return nil
 }
 
@@ -275,11 +303,13 @@ func Deploy(model *moe.Model, grid [][]*moe.Expert, opts Options) (*System, erro
 // Supervisor builds the system's failure handler, wired to re-solve
 // against the deployment's placement problem and to refresh the obs
 // predicted-comm gauge after a failover. StepBoundary, Finetuner and
-// MetricsSource use it; its hooks and Start stay the caller's.
-func (s *System) Supervisor(cfg broker.SupervisorConfig) *broker.Supervisor {
+// MetricsSource use it; its hooks and Start stay the caller's. When the
+// experts are already on the workers (Deploy), it takes the first step's
+// restore point, whose snapshot round is the error it can return.
+func (s *System) Supervisor(cfg broker.SupervisorConfig) (*broker.Supervisor, error) {
 	s.sup = broker.NewSupervisor(s.Exec, s.Problem, cfg)
 	s.sup.Obs = s.Obs
-	return s.sup
+	return s.sup, s.firstRestorePoint()
 }
 
 // ReplaceController builds the online re-placement controller over this

@@ -156,7 +156,10 @@ func TestFailoverAfterRebalanceUsesRefreshedProblem(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sys.Close()
-	sup := sys.Supervisor(broker.SupervisorConfig{})
+	sup, err := sys.Supervisor(broker.SupervisorConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	shifted := moe.NewAccessStats(cfg.Layers, cfg.Experts)
 	for l := range shifted.Counts {

@@ -80,9 +80,8 @@ func paramShape(p *nn.Param) (rows, cols int) {
 // loads only onto the grid it names (broker/codec.go).
 func CaptureRun(step int, c *RunCapture) (*checkpoint.RunState, error) {
 	rs := &checkpoint.RunState{
-		Step:    step + 1,
-		StepOrd: c.Exec.StepOrdinal(),
-		Seeds:   append([]int64(nil), c.Seeds...),
+		Step:  step + 1,
+		Seeds: append([]int64(nil), c.Seeds...),
 	}
 	if c.Losses != nil {
 		rs.Step = c.Losses.Len()
@@ -142,7 +141,7 @@ func CaptureRun(step int, c *RunCapture) (*checkpoint.RunState, error) {
 
 // RestoreRun pours a loaded RunState back into a freshly reconstructed
 // system: backbone values and AdamW moments matched by parameter name,
-// executor step ordinal, experts re-distributed onto the checkpointed
+// experts re-distributed onto the checkpointed
 // assignment (each entry composed with the base registered on the
 // executor; moments included), data cursor, drift state, and
 // replace-controller counters. The caller is responsible for having
@@ -182,7 +181,6 @@ func RestoreRun(rs *checkpoint.RunState, c *RunCapture) error {
 	if c.Opt != nil {
 		c.Opt.SetStepCount(rs.OptStep)
 	}
-	c.Exec.SetStepOrdinal(rs.StepOrd)
 	if rs.Experts != nil && len(rs.Assignment) > 0 {
 		assign := &placement.Assignment{Worker: rs.Assignment}
 		if err := c.Exec.RestoreExperts(rs.Experts.Entries, assign); err != nil {
@@ -225,7 +223,7 @@ func RestoreRun(rs *checkpoint.RunState, c *RunCapture) error {
 // refuse a checkpoint written under other prelude seeds instead of
 // silently diverging; RestoreRun, which refuses a generation trained over
 // other frozen weights than grid's; point ft at the first undriven step;
-// seed the supervisor's failover restore point from the state just
+// give the supervisor the restore point of that step from the state just
 // shipped; record the resume on the checkpoint meter.
 func (s *System) Resume(store *checkpoint.RunStore, grid [][]*moe.Expert, ft *trainer.Finetuner, c *RunCapture) (*checkpoint.RunState, error) {
 	t0 := time.Now()
@@ -241,10 +239,8 @@ func (s *System) Resume(store *checkpoint.RunStore, grid [][]*moe.Expert, ft *tr
 		return nil, err
 	}
 	ft.StartStep = rs.Step
-	if c.Sup != nil {
-		if err := c.Sup.Checkpoint(rs.Step - 1); err != nil {
-			return nil, fmt.Errorf("core: resume: seeding failover snapshot: %w", err)
-		}
+	if err := s.placed(rs.Step); err != nil {
+		return nil, fmt.Errorf("core: resume: %w", err)
 	}
 	s.Exec.Counters.Set(obs.CkptResumeGeneration, int64(rs.Generation))
 	s.Exec.Counters.Set(obs.CkptResumeNanos, int64(time.Since(t0)))

@@ -252,11 +252,12 @@ func (f *Finetuner) Step() (float64, error) {
 }
 
 // step drives one full step on a fixed batch. It is the retryable unit
-// of the recovery loop: every phase before the optimizer applications is
-// idempotent (gradients are zeroed first), and the optimizer ordering —
-// experts before backbone — means a failure anywhere leaves the backbone
-// unstepped, so a retried step cannot apply the backbone update twice.
-// (Remote expert steps are deduplicated by the broker's step ordinal.)
+// of the recovery loop: gradients are zeroed first, and the optimizer
+// ordering — experts before backbone — means a failure anywhere leaves
+// the backbone unstepped, so a retried step cannot apply the backbone
+// update twice. Remote experts a failed attempt may have stepped are
+// rolled back by Recover (broker.Supervisor.Recover restores every expert
+// from the previous boundary's snapshot before the retry).
 func (f *Finetuner) step(ids, targets []int) (float64, error) {
 	nn.ZeroGrads(f.Backbone)
 	if err := f.ExpertZero(); err != nil {

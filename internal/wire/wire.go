@@ -141,10 +141,9 @@ func (t MsgType) String() string {
 //	BackwardMulti:   row (fp64), Tensors[1..K] = per-expert batches [n, d]
 //	                 (tokens / dY); the *MultiResult reply mirrors the
 //	                 layout with outputs / dX
-//	ZeroGrad/Ack/Shutdown/Stats/Ping/Pong: no payload
-//	Step:            Layer = step ordinal (> 0), so a worker that already
-//	                 applied the ordinal acks a post-failover re-broadcast
-//	                 without stepping twice; 0 means "always apply"
+//	ZeroGrad/Step/Ack/Shutdown/Stats/Ping/Pong: no payload (a Step the
+//	                 master retries is undone by a restore of the last
+//	                 boundary's snapshot, not deduplicated by the worker)
 //	Snapshot:        Layer, Expert (reply mirrors MsgAssign layout)
 //	StatsResult:     Tensors[0] = [1, k] checksum vector
 //	Error:           Text
