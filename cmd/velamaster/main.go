@@ -31,7 +31,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/data"
 	"repro/internal/moe"
-	"repro/internal/nn"
 	"repro/internal/obs"
 	"repro/internal/obs/timeline"
 	"repro/internal/placement"
@@ -198,10 +197,7 @@ func run(addrs []string, devicesPerNode int, dataset, strategyName string, steps
 	// survivors; the trainer just retries the interrupted step. (Created
 	// before the metrics endpoint so /healthz can report parked rejoins;
 	// the heartbeat only starts after expert distribution below.)
-	sup, err := sys.Supervisor(broker.SupervisorConfig{HeartbeatInterval: opts.heartbeat})
-	if err != nil {
-		return err
-	}
+	sup := sys.Supervisor(broker.SupervisorConfig{HeartbeatInterval: opts.heartbeat})
 	sup.OnFailover = func(dead []int, next *placement.Assignment) {
 		fmt.Printf("  failover: workers %v lost; experts re-placed over survivors\n", dead)
 	}
@@ -272,7 +268,7 @@ func run(addrs []string, devicesPerNode int, dataset, strategyName string, steps
 	// cleanly. The stopped run's durable state is its newest run generation
 	// (-checkpoint-dir), which -resume reads.
 	var stopRequested atomic.Bool
-	errStopped := errors.New("velamaster: stopped by signal")
+	errStopped := fmt.Errorf("velamaster: stopped by signal: %w", trainer.ErrStop)
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	defer signal.Stop(sig)
@@ -286,22 +282,19 @@ func run(addrs []string, devicesPerNode int, dataset, strategyName string, steps
 		fmt.Printf("\n%v — finishing current step, then shutting down\n", s)
 	}()
 
-	batcher := data.NewBatcher(corpus, 2, 32, 43)
-	ft := sys.Finetuner(batcher)
+	ft, err := sys.Finetuner(data.NewBatcher(corpus, 2, 32, 43))
+	if err != nil {
+		return err
+	}
 
-	// Run-level checkpointing: everything the resume needs to continue
-	// bit-identically rides in one RunCapture.
+	// Run-level checkpointing: every -checkpoint-every-th boundary the
+	// system holds is written out, stamped with the prelude seeds.
 	var writer *checkpoint.AsyncWriter
 	if opts.ckptDir != "" {
-		runCap := &core.RunCapture{
-			Backbone: ft.Backbone, Opt: ft.Opt.(*nn.AdamW), Exec: exec, Sup: sup,
-			Cursor: batcher.Cursor, Seek: batcher.SeekTo,
-			Drift: handle.Drift, Ctrl: ctrl, Losses: &ft.Losses, Seeds: runSeeds,
-		}
 		store := &checkpoint.RunStore{Dir: opts.ckptDir, Keep: opts.ckptKeep}
 		if opts.resume {
 			t0 := time.Now()
-			rs, err := sys.Resume(store, grid, ft, runCap)
+			rs, err := sys.Resume(store, grid, runSeeds)
 			if err != nil {
 				return err
 			}
@@ -310,7 +303,7 @@ func run(addrs []string, devicesPerNode int, dataset, strategyName string, steps
 		}
 		writer = checkpoint.NewAsyncWriter(store, exec.Counters)
 		defer writer.Close()
-		sys.CheckpointEvery(opts.ckptEvery, runCap, writer)
+		sys.CheckpointEvery(opts.ckptEvery, runSeeds, writer)
 		fmt.Printf("run-level checkpointing to %s (every %d steps, keep %d)\n",
 			opts.ckptDir, opts.ckptEvery, opts.ckptKeep)
 	}

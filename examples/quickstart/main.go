@@ -80,7 +80,10 @@ func run() error {
 	fmt.Println("experts per worker:", sys.Exec.Assignment().Loads(topo.NumWorkers()))
 
 	// 6. Fine-tune through the Expert Broker.
-	ft := sys.Finetuner(data.NewBatcher(corpus, 2, 32, 7))
+	ft, err := sys.Finetuner(data.NewBatcher(corpus, 2, 32, 7))
+	if err != nil {
+		return err
+	}
 	if err := ft.Run(20, func(step int, loss float64) {
 		if (step+1)%5 == 0 {
 			fmt.Printf("  step %2d  loss %.4f\n", step+1, loss)

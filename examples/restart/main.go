@@ -3,9 +3,9 @@
 //
 //  1. A failure-free in-process reference run records the ground-truth
 //     loss trajectory.
-//  2. A child process trains with run-level checkpointing (one durable
-//     generation per step) and is SIGKILLed mid-run, once enough
-//     generations are on disk. The parent then truncates the newest
+//  2. A child process trains with run-level checkpointing (a generation
+//     per step, written in the background as velamaster writes them) and
+//     is SIGKILLed mid-run, once enough generations are on disk. The parent then truncates the newest
 //     generation to simulate a torn write.
 //  3. The parent resumes from the checkpoint directory: the store must
 //     fall back past the damaged generation, the restored run must
@@ -37,7 +37,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/data"
 	"repro/internal/moe"
-	"repro/internal/nn"
 	"repro/internal/obs"
 	"repro/internal/placement"
 	"repro/internal/replace"
@@ -149,7 +148,7 @@ func runParent() error {
 	// weights with the checkpointed trainable state (AdamW moments
 	// included) — the path velamaster -resume takes.
 	t0 := time.Now()
-	rs, err := sys.Resume(store, sys.grid, sys.ft, sys.cap)
+	rs, err := sys.Resume(store, sys.grid, seeds)
 	if err != nil {
 		return err
 	}
@@ -160,7 +159,7 @@ func runParent() error {
 		rs.Step, rs.Generation, time.Since(t0).Round(time.Millisecond))
 
 	writer := checkpoint.NewAsyncWriter(store, sys.Exec.Counters)
-	sys.CheckpointEvery(1, sys.cap, writer)
+	sys.CheckpointEvery(1, seeds, writer)
 	killStep := rs.Step + 1    // sever worker 2's connection after this completed step
 	rejoinStep := killStep + 1 // restart and re-admit it at the following boundary
 	sys.ft.OnStep = func(step int) error {
@@ -241,34 +240,28 @@ func runParent() error {
 	return nil
 }
 
-// runChild is phase 2's victim: it trains with one durable generation
-// per completed step and sleeps between steps so the parent can SIGKILL
-// it mid-run with generations on disk.
+// runChild is phase 2's victim: it trains with one generation per
+// completed step and sleeps between steps so the parent can SIGKILL it
+// mid-run with generations on disk.
 func runChild(dir string) error {
 	sys, err := buildSystem(false)
 	if err != nil {
 		return err
 	}
-	store := &checkpoint.RunStore{Dir: dir}
+	writer := checkpoint.NewAsyncWriter(&checkpoint.RunStore{Dir: dir}, sys.Exec.Counters)
+	sys.CheckpointEvery(1, seeds, writer)
 	sys.ft.OnStep = func(step int) error {
 		if err := sys.StepBoundary(step); err != nil {
 			return err
 		}
-		// Synchronous save: the generation is durable before the step
-		// boundary returns, so the parent's SIGKILL can land anywhere.
-		rs, err := core.CaptureRun(step, sys.cap)
-		if err != nil {
-			return err
-		}
-		gen, _, err := store.Save(rs)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("  child: step %d durable as generation %d\n", step+1, gen)
+		fmt.Printf("  child: step %d checkpointed\n", step+1)
 		time.Sleep(150 * time.Millisecond)
 		return nil
 	}
 	if err := sys.ft.Run(totalSteps, nil); err != nil {
+		return err
+	}
+	if err := writer.Close(); err != nil {
 		return err
 	}
 	return sys.Close()
@@ -296,8 +289,11 @@ type system struct {
 	faulty *transport.Faulty
 	sup    *broker.Supervisor
 	ft     *trainer.Finetuner
-	cap    *core.RunCapture
 }
+
+// seeds are the prelude's seeds every generation is stamped with: a
+// resume against a different prelude must fail loudly.
+var seeds = []int64{profileSeed, batchSeed}
 
 // buildSystem attaches the deterministic prelude to fresh in-process
 // workers and distributes the experts — except when resuming, which puts
@@ -350,10 +346,7 @@ func buildSystem(resuming bool) (*system, error) {
 		}
 	}
 
-	sup, err := sys.Supervisor(broker.SupervisorConfig{})
-	if err != nil {
-		return nil, err
-	}
+	sup := sys.Supervisor(broker.SupervisorConfig{})
 	sup.OnFailover = func(dead []int, next *placement.Assignment) {
 		fmt.Printf("  supervisor: worker(s) %v declared dead, experts failed over\n", dead)
 	}
@@ -366,19 +359,13 @@ func buildSystem(resuming bool) (*system, error) {
 	// (threshold 10 over an L1 signal bounded by 2): only the explicit
 	// rejoin nudge can start a re-solve. The generous amortization horizon
 	// lets the migrate-back pass the cost gate on this tiny deployment.
-	ctrl, err := sys.ReplaceController(replace.Config{DriftThreshold: 10, AmortizeSteps: 500})
-	if err != nil {
+	if _, err := sys.ReplaceController(replace.Config{DriftThreshold: 10, AmortizeSteps: 500}); err != nil {
 		return nil, err
 	}
 
-	batcher := data.NewBatcher(corpus, batch, seqLen, batchSeed)
-	ft := sys.Finetuner(batcher)
-	cap := &core.RunCapture{
-		Backbone: ft.Backbone, Opt: ft.Opt.(*nn.AdamW), Exec: sys.Exec, Sup: sup,
-		Cursor: batcher.Cursor, Seek: batcher.SeekTo,
-		Drift: handle.Drift, Ctrl: ctrl, Losses: &ft.Losses,
-		// A resume against a different prelude must fail loudly.
-		Seeds: []int64{profileSeed, batchSeed},
+	ft, err := sys.Finetuner(data.NewBatcher(corpus, batch, seqLen, batchSeed))
+	if err != nil {
+		return nil, err
 	}
-	return &system{System: sys, grid: grid, faulty: faulty, sup: sup, ft: ft, cap: cap}, nil
+	return &system{System: sys, grid: grid, faulty: faulty, sup: sup, ft: ft}, nil
 }

@@ -212,9 +212,7 @@ func finetune(controlled bool) (*result, error) {
 	}
 	defer sys.Close()
 
-	if _, err := sys.Supervisor(broker.SupervisorConfig{}); err != nil {
-		return nil, err
-	}
+	sys.Supervisor(broker.SupervisorConfig{})
 
 	res := &result{report: sys.MetricsSource(), migStep: -1}
 	if controlled {
@@ -235,7 +233,10 @@ func finetune(controlled bool) (*result, error) {
 	// actually moves (master↔worker totals are placement-invariant).
 	stepBytes := make([]int64, 0, steps)
 
-	ft := sys.Finetuner(data.NewSwitchBatcher(data.NewBatcher(wiki, batch, seqLen, 7), data.NewBatcher(alpaca, batch, seqLen, 8), spliceAt))
+	ft, err := sys.Finetuner(data.NewSwitchBatcher(data.NewBatcher(wiki, batch, seqLen, 7), data.NewBatcher(alpaca, batch, seqLen, 8), spliceAt))
+	if err != nil {
+		return nil, err
+	}
 	ft.Opt = nn.NewSGD(ft.Backbone, 0.02)
 	ft.OnStep = func(step int) error {
 		stepBytes = append(stepBytes, sys.CrossNodeBytes())

@@ -665,8 +665,8 @@ func (x *Executor) ZeroGrads() error { return x.broadcast(wire.MsgZeroGrad) }
 
 // Step broadcasts an optimizer step to all live workers and awaits acks.
 // A broadcast that fails may have stepped some workers and not others;
-// the supervisor's Recover makes that harmless by restoring every expert
-// from the last boundary snapshot before the step is re-driven.
+// the retry makes that harmless by restoring every expert from the last
+// boundary's snapshot before the step is re-driven.
 func (x *Executor) Step() error { return x.broadcast(wire.MsgStep) }
 
 // Shutdown asks every live worker to terminate and awaits acks.

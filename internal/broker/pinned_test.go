@@ -17,7 +17,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/data"
 	"repro/internal/moe"
-	"repro/internal/nn"
 	"repro/internal/placement"
 	"repro/internal/testutil"
 	"repro/internal/trainer"
@@ -52,9 +51,11 @@ type pinnedRig struct {
 	sys    *core.System
 	grid   [][]*moe.Expert
 	ft     *trainer.Finetuner
-	cap    *core.RunCapture
 	faulty *transport.Faulty
 }
+
+// pinnedSeeds stamp the scenario's generation.
+var pinnedSeeds = []int64{1, 21, 7}
 
 func newPinnedRig(t *testing.T) *pinnedRig {
 	t.Helper()
@@ -90,20 +91,12 @@ func newPinnedRig(t *testing.T) *pinnedRig {
 		t.Fatal(err)
 	}
 	sys.Exec.RequestTimeout = 2 * time.Second
-	sup, err := sys.Supervisor(broker.SupervisorConfig{})
+	sys.Supervisor(broker.SupervisorConfig{})
+	ft, err := sys.Finetuner(data.NewBatcher(data.Shakespeare(4000), 2, 16, 7))
 	if err != nil {
 		t.Fatal(err)
 	}
-	batcher := data.NewBatcher(data.Shakespeare(4000), 2, 16, 7)
-	ft := sys.Finetuner(batcher)
-	return &pinnedRig{
-		sys: sys, grid: grid, ft: ft, faulty: faulty,
-		cap: &core.RunCapture{
-			Backbone: ft.Backbone, Opt: ft.Opt.(*nn.AdamW), Exec: sys.Exec, Sup: sup,
-			Cursor: batcher.Cursor, Seek: batcher.SeekTo,
-			Losses: &ft.Losses, Seeds: []int64{1, 21, 7},
-		},
-	}
+	return &pinnedRig{sys: sys, grid: grid, ft: ft, faulty: faulty}
 }
 
 // pinnedCrashedRun drives the first life of the scenario: a snapshot at
@@ -116,6 +109,8 @@ func pinnedCrashedRun(t *testing.T, store *checkpoint.RunStore) []float64 {
 	if err := r.sys.Distribute(r.grid); err != nil {
 		t.Fatal(err)
 	}
+	w := checkpoint.NewAsyncWriter(store, nil)
+	r.sys.CheckpointEvery(pinnedSaveAt+1, pinnedSeeds, w)
 	r.ft.OnStep = func(step int) error {
 		if err := r.sys.StepBoundary(step); err != nil {
 			return err
@@ -133,18 +128,13 @@ func pinnedCrashedRun(t *testing.T, store *checkpoint.RunStore) []float64 {
 			}
 		case pinnedKillAt:
 			r.faulty.ArmClose(0) // after this boundary's snapshot
-		case pinnedSaveAt:
-			rs, err := core.CaptureRun(step, r.cap)
-			if err != nil {
-				return err
-			}
-			if _, _, err := store.Save(rs); err != nil {
-				return err
-			}
 		}
 		return nil
 	}
 	if err := r.ft.Run(pinnedCrashAt, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if r.sys.Exec.Alive(2) {
@@ -159,7 +149,7 @@ func pinnedCrashedRun(t *testing.T, store *checkpoint.RunStore) []float64 {
 func pinnedResumedRun(t *testing.T, store *checkpoint.RunStore) []float64 {
 	t.Helper()
 	r := newPinnedRig(t)
-	rs, err := r.sys.Resume(store, r.grid, r.ft, r.cap)
+	rs, err := r.sys.Resume(store, r.grid, pinnedSeeds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +235,7 @@ func TestResumeRefusesADifferentGrid(t *testing.T) {
 	r := newPinnedRig(t)
 	w3 := r.grid[1][2].FFN.W3.W.Value.Data
 	w3[5] = math.Float64frombits(math.Float64bits(w3[5]) ^ 1)
-	_, err := r.sys.Resume(store, r.grid, r.ft, r.cap)
+	_, err := r.sys.Resume(store, r.grid, pinnedSeeds)
 	if err == nil || !strings.Contains(err.Error(), "L1/E2") {
 		t.Fatalf("resume onto a grid one bit off = %v, want a refusal naming L1/E2", err)
 	}

@@ -184,7 +184,8 @@ func TestRecoverAfterRebalanceUsesRepairedAssignment(t *testing.T) {
 	if err == nil {
 		t.Fatal("forward through dead worker should fail")
 	}
-	if rerr := sup.Recover(1, err); rerr != nil {
+	restore := func(next *placement.Assignment) error { return exec.RestoreExperts(sup.Latest().Entries, next) }
+	if rerr := sup.Recover(exec.Assignment(), restore); rerr != nil {
 		t.Fatalf("recover: %v", rerr)
 	}
 

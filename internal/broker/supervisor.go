@@ -27,12 +27,12 @@ const failureThreshold = 2
 
 // Supervisor is the broker's failure handler: it heartbeats workers in
 // the background, keeps the latest step-boundary expert snapshot (delta
-// entries: what training changes, not the frozen weights), and before a
-// failed step is retried restores every expert from it — onto the
-// placement re-solved over the survivors (placement.Repair) when a worker
-// died. The trainer wires Recover as its step recovery hook and
-// Checkpoint as its step-boundary hook, and then sees a worker death as
-// at most a retried step.
+// entries: what training changes, not the frozen weights), and fails the
+// dead workers over before a restore (Recover): their experts are
+// re-placed over the survivors (placement.Repair), and the restore — the
+// caller's — ships every expert to its host in the repaired assignment.
+// core.System wires Checkpoint as the first leg of its step boundary and
+// Recover into its one restore.
 //
 // Concurrency: the heartbeat loop runs on its own goroutine and only
 // calls Ping (which serializes with training rounds on each connection's
@@ -262,9 +262,8 @@ func (s *Supervisor) Rejoin(n int, conn transport.Conn) error {
 }
 
 // Checkpoint pulls a snapshot of every hosted expert stamped with the
-// completed step and retains it as the restore point of the next step's
-// retry (see Recover). Wire it as the trainer's OnStep hook; the run's
-// first step needs one stamped StartStep−1 (core.System takes it).
+// completed step and retains it: the expert slice of the boundary's
+// restore point.
 func (s *Supervisor) Checkpoint(step int) error {
 	snap, err := s.exec.SnapshotExperts(step)
 	if err != nil {
@@ -295,41 +294,24 @@ func (s *Supervisor) ping(n int) error {
 	return err
 }
 
-// Recover makes a failed step safe to re-drive; wire it as the trainer's
-// Recover hook. Its one rule: before step s is retried, every expert is
-// restored from the snapshot of boundary s−1. A failed step may have
-// been applied in part — the MsgStep broadcast reached some workers and
-// not others, or a lost ack hid a step that happened — and the restore
-// rolls every expert's weights, moments and optimizer clock back to the
-// boundary, so the retry replays the step from exactly the state the
-// failure-free run had.
-//
-// First every live worker is pinged once and marked dead if it does not
-// answer. Every dead worker that still hosts experts in the current
-// assignment is then failed over — whether this round's pings found it or
-// the heartbeat loop's Probe marked it dead first (Probe never repairs,
-// so its deaths reach here as a step failing fast on ErrWorkerDead):
-// placement.Repair re-places its experts over the survivors, and the
-// restore ships every expert to its host in the repaired assignment. With
-// no such worker the failure was transient and the restore uses the
-// current assignment.
-//
-// Recover refuses to retry, before any restore frame is sent, when the
-// retained snapshot is not of boundary s−1 or does not hold exactly one
-// entry per expert.
-func (s *Supervisor) Recover(step int, cause error) error {
+// Recover is the failover half of a restore. It pings every live worker
+// once and marks the silent ones dead; every dead worker that still hosts
+// experts in assign is then failed over — whether this round's pings
+// found it or the heartbeat loop's Probe marked it dead first (Probe never
+// repairs, so its deaths reach here as a step failing fast on
+// ErrWorkerDead): placement.Repair re-places its experts over the
+// survivors. restore then ships the experts to next, the repaired
+// assignment (assign itself when no dead worker hosts any). Only once
+// restore succeeds does the executor adopt next and the retry and the
+// failover count, so a refused restore moves nothing.
+func (s *Supervisor) Recover(assign *placement.Assignment, restore func(next *placement.Assignment) error) error {
 	for n := 0; n < s.exec.NumWorkers(); n++ {
 		if s.exec.Alive(n) && s.ping(n) != nil {
 			s.exec.MarkDead(n)
 		}
 	}
-	current := s.exec.Assignment()
-	entries, err := restorePoint(s.Latest(), step, current)
-	if err != nil {
-		return fmt.Errorf("broker: retrying step %d after %v: %w", step, cause, err)
-	}
 	deadMask := s.exec.DeadMask()
-	loads := current.Loads(len(deadMask))
+	loads := assign.Loads(len(deadMask))
 	var failed []int
 	orphans := 0
 	for n, dead := range deadMask {
@@ -338,17 +320,17 @@ func (s *Supervisor) Recover(step int, cause error) error {
 			orphans += loads[n]
 		}
 	}
-	next := current
+	next, err := assign, error(nil)
 	if len(failed) > 0 {
-		if next, err = placement.Repair(s.prob, current, deadMask); err != nil {
-			return fmt.Errorf("broker: failover after %v: %w", cause, err)
+		if next, err = placement.Repair(s.prob, assign, deadMask); err != nil {
+			return fmt.Errorf("broker: failover: %w", err)
 		}
 	}
-	if err := s.exec.RestoreExperts(entries, next); err != nil {
-		return fmt.Errorf("broker: restoring boundary %d after %v: %w", step-1, cause, err)
+	if err := restore(next); err != nil {
+		return err
 	}
+	s.exec.SetAssignment(next)
 	if len(failed) > 0 {
-		s.exec.SetAssignment(next)
 		if s.Obs != nil {
 			if m, err := placement.Evaluate(s.prob, next); err == nil {
 				s.Obs.Drift.SetPredictedComm(m.CommTime)
@@ -362,30 +344,4 @@ func (s *Supervisor) Recover(step int, cause error) error {
 	}
 	s.exec.Counters.Add(obs.StepRetries, 1)
 	return nil
-}
-
-// restorePoint checks that snap is the restore point of a retry of step —
-// the snapshot of boundary step−1, with exactly one entry per expert of
-// assign — and returns those entries.
-func restorePoint(snap *checkpoint.ExpertSnapshot, step int, assign *placement.Assignment) ([]checkpoint.ExpertEntry, error) {
-	if snap == nil {
-		return nil, errors.New("broker: no expert snapshot to restore from (wire Supervisor.Checkpoint as the trainer's OnStep hook)")
-	}
-	if snap.Step != step-1 {
-		return nil, fmt.Errorf("broker: the snapshot is of boundary %d, a retry of step %d restores boundary %d", snap.Step, step, step-1)
-	}
-	var entries []checkpoint.ExpertEntry
-	for l, row := range assign.Worker {
-		for e := range row {
-			entry := snap.Find(l, e)
-			if entry == nil {
-				return nil, fmt.Errorf("broker: snapshot (step %d) has no entry for expert L%d/E%d", snap.Step, l, e)
-			}
-			entries = append(entries, *entry)
-		}
-	}
-	if len(snap.Entries) != len(entries) {
-		return nil, fmt.Errorf("broker: snapshot (step %d) holds %d entries for %d experts", snap.Step, len(snap.Entries), len(entries))
-	}
-	return entries, nil
 }

@@ -3,13 +3,9 @@ package broker
 import (
 	"errors"
 	"math/rand"
-	"slices"
-	"strings"
-	"sync"
 	"testing"
 	"time"
 
-	"repro/internal/checkpoint"
 	"repro/internal/moe"
 	"repro/internal/nn"
 	"repro/internal/obs"
@@ -17,7 +13,6 @@ import (
 	"repro/internal/testutil"
 	"repro/internal/trainer"
 	"repro/internal/transport"
-	"repro/internal/wire"
 )
 
 // uniformProblem builds a valid placement problem over the test grid with
@@ -48,22 +43,29 @@ func uniformProblem(cfg moe.Config, workers int) *placement.Problem {
 
 // chaosBatcher yields a deterministic sequence of distinct batches, so a
 // recovery bug that re-drives a step on the WRONG batch changes the loss
-// trace (a FixedBatcher would hide it).
+// trace (a FixedBatcher would hide it). It keeps what it drew, and a
+// restore rewinds pos to the retried step: a retry re-draws its batch.
 type chaosBatcher struct {
 	rng           *rand.Rand
 	vocab         int
 	batch, seqLen int
+	drawn         [][2][]int
+	pos           int
 }
 
 func (b *chaosBatcher) Next() ([]int, []int) {
-	n := b.batch * b.seqLen
-	ids := make([]int, n)
-	targets := make([]int, n)
-	for i := range ids {
-		ids[i] = b.rng.Intn(b.vocab)
-		targets[i] = b.rng.Intn(b.vocab)
+	if b.pos == len(b.drawn) {
+		n := b.batch * b.seqLen
+		ids := make([]int, n)
+		targets := make([]int, n)
+		for i := range ids {
+			ids[i] = b.rng.Intn(b.vocab)
+			targets[i] = b.rng.Intn(b.vocab)
+		}
+		b.drawn = append(b.drawn, [2][]int{ids, targets})
 	}
-	return ids, targets
+	b.pos++
+	return b.drawn[b.pos-1][0], b.drawn[b.pos-1][1]
 }
 
 func (b *chaosBatcher) Shape() (int, int) { return b.batch, b.seqLen }
@@ -117,14 +119,22 @@ func chaosRun(t *testing.T, fault chaosFault, kill ...int) ([]float64, *Executor
 
 	sup := NewSupervisor(exec, uniformProblem(cfg, workers), SupervisorConfig{})
 	backbone := nn.CollectTrainable(model.Params())
+	batcher := &chaosBatcher{rng: rand.New(rand.NewSource(31)), vocab: cfg.Vocab, batch: 2, seqLen: 8}
 	ft := &trainer.Finetuner{
 		Model:      model,
 		Backbone:   backbone,
 		Opt:        nn.NewSGD(backbone, 0.05),
-		Batcher:    &chaosBatcher{rng: rand.New(rand.NewSource(31)), vocab: cfg.Vocab, batch: 2, seqLen: 8},
+		Batcher:    batcher,
 		ExpertZero: exec.ZeroGrads,
 		ExpertStep: exec.Step,
-		Recover:    sup.Recover,
+		// Every fault lands mid-step, before the backbone steps, so the
+		// restore is the experts' and the batch position's.
+		Recover: func(step int, _ error) error {
+			return sup.Recover(exec.Assignment(), func(next *placement.Assignment) error {
+				batcher.pos = step
+				return exec.RestoreExperts(sup.Latest().Entries, next)
+			})
+		},
 		OnStep: func(step int) error {
 			if err := sup.Checkpoint(step); err != nil {
 				return err
@@ -347,8 +357,10 @@ func TestSupervisorHeartbeatLoopStopsCleanly(t *testing.T) {
 }
 
 // TestRecoverWithoutSnapshotFails: a fatal failure before the first
-// checkpoint cannot be repaired; Recover must say so instead of
-// restoring garbage.
+// checkpoint cannot be repaired. Recover still finds the dead worker and
+// re-places its experts, but when the restore refuses (here: no snapshot
+// to restore from) it adopts nothing and counts neither a failover nor a
+// retry.
 func TestRecoverWithoutSnapshotFails(t *testing.T) {
 	defer testutil.VerifyNoLeaks(t, "repro/internal/broker", "repro/internal/transport")
 	cfg := testConfig()
@@ -361,106 +373,25 @@ func TestRecoverWithoutSnapshotFails(t *testing.T) {
 	}
 	sup := NewSupervisor(exec, uniformProblem(cfg, 2), SupervisorConfig{})
 	_ = dep.Conns[1].Close()
-	err := sup.Recover(0, errors.New("step failed"))
-	if err == nil || exec.Alive(1) {
-		t.Fatalf("recover = %v, alive(1) = %v; want snapshot error and dead worker", err, exec.Alive(1))
+	before := exec.Assignment()
+	errNoSnapshot := errors.New("no snapshot to restore")
+	var repaired *placement.Assignment
+	err := sup.Recover(before, func(next *placement.Assignment) error {
+		repaired = next
+		if sup.Latest() == nil {
+			return errNoSnapshot
+		}
+		return exec.RestoreExperts(sup.Latest().Entries, next)
+	})
+	if !errors.Is(err, errNoSnapshot) || exec.Alive(1) {
+		t.Fatalf("recover = %v, alive(1) = %v; want the snapshot error and a dead worker", err, exec.Alive(1))
+	}
+	if repaired == nil || repaired.Loads(2)[1] != 0 {
+		t.Fatalf("restore was offered %v, want the assignment repaired off worker 1", repaired)
+	}
+	if exec.Assignment() != before || exec.Counters.Get(obs.WorkerFailovers) != 0 || exec.Counters.Get(obs.StepRetries) != 0 {
+		t.Fatal("a refused restore moved the assignment or counted a failover or retry")
 	}
 	dep.Close()
 	_ = dep.WaitAll()
-}
-
-// sendLog wraps a worker connection and counts the frames sent through
-// it, by type.
-type sendLog struct {
-	transport.Conn
-	mu   sync.Mutex
-	sent map[wire.MsgType]int
-}
-
-func (c *sendLog) Send(m *wire.Message) error {
-	c.mu.Lock()
-	c.sent[m.Type]++
-	c.mu.Unlock()
-	return c.Conn.Send(m)
-}
-
-func (c *sendLog) count(t wire.MsgType) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.sent[t]
-}
-
-// TestRecoverRefusesAWrongRestorePoint: a retry of step s restores
-// boundary s−1, one entry per expert, or nothing. Recover must refuse a
-// snapshot of another boundary, one that misses an expert (here one the
-// dead worker hosted, which a failover would have to re-home) and one
-// with an expert twice — before any restore frame is sent, with no
-// failover counted and the assignment unmoved.
-func TestRecoverRefusesAWrongRestorePoint(t *testing.T) {
-	defer testutil.VerifyNoLeaks(t, "repro/internal/broker", "repro/internal/transport")
-	cfg := testConfig()
-	for _, tc := range []struct {
-		name  string
-		step  int
-		edit  func(snap *checkpoint.ExpertSnapshot, orphan checkpoint.ExpertEntry) *checkpoint.ExpertSnapshot
-		error string
-	}{
-		{"snapshot of another boundary", 2, func(snap *checkpoint.ExpertSnapshot, _ checkpoint.ExpertEntry) *checkpoint.ExpertSnapshot {
-			return snap
-		}, "restores boundary 1"},
-		{"an expert missing", 1, func(snap *checkpoint.ExpertSnapshot, orphan checkpoint.ExpertEntry) *checkpoint.ExpertSnapshot {
-			out := &checkpoint.ExpertSnapshot{Step: snap.Step}
-			for _, en := range snap.Entries {
-				if en.Layer != orphan.Layer || en.Expert != orphan.Expert {
-					out.Entries = append(out.Entries, en)
-				}
-			}
-			return out
-		}, "no entry for"},
-		{"an expert twice", 1, func(snap *checkpoint.ExpertSnapshot, orphan checkpoint.ExpertEntry) *checkpoint.ExpertSnapshot {
-			return &checkpoint.ExpertSnapshot{Step: snap.Step, Entries: append(slices.Clone(snap.Entries), orphan)}
-		}, "entries for"},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			_, grid := buildFinetuneSetup(cfg, 13)
-			dep := StartLocalWorkers(2, DefaultWorkerConfig())
-			logs := make([]*sendLog, 2)
-			conns := make([]transport.Conn, 2)
-			for n := range conns {
-				logs[n] = &sendLog{Conn: dep.Conns[n], sent: make(map[wire.MsgType]int)}
-				conns[n] = logs[n]
-			}
-			exec := NewExecutor(conns, roundRobinAssignment(cfg, 2))
-			exec.Counters = obs.NewCounters(nil)
-			if err := exec.Distribute(grid, ExpertSpec{D: cfg.D, Hidden: cfg.Hidden, LoRARank: 2, LoRAAlpha: 4}); err != nil {
-				t.Fatal(err)
-			}
-			sup := NewSupervisor(exec, uniformProblem(cfg, 2), SupervisorConfig{})
-			if err := sup.Checkpoint(0); err != nil {
-				t.Fatal(err)
-			}
-			// Expert 1 of layer 0 lives on worker 1, which then dies.
-			sup.latest = tc.edit(sup.Latest(), *sup.Latest().Find(0, 1))
-			before := exec.Assignment()
-			assigns := func() int { return logs[0].count(wire.MsgAssign) + logs[1].count(wire.MsgAssign) }
-			distributed := assigns()
-			_ = dep.Conns[1].Close()
-
-			err := sup.Recover(tc.step, errors.New("step failed"))
-			if err == nil || !strings.Contains(err.Error(), tc.error) {
-				t.Fatalf("recover = %v, want an error naming %q", err, tc.error)
-			}
-			if sent := assigns() - distributed; sent != 0 {
-				t.Fatalf("%d restore frame(s) sent before the refusal", sent)
-			}
-			if exec.Assignment() != before || exec.Counters.Get(obs.WorkerFailovers) != 0 || exec.Counters.Get(obs.StepRetries) != 0 {
-				t.Fatal("a refused retry moved the assignment or counted a failover or retry")
-			}
-			if err := exec.Shutdown(); err != nil {
-				t.Fatal(err)
-			}
-			dep.Close()
-			_ = dep.WaitAll()
-		})
-	}
 }

@@ -3,8 +3,10 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/broker"
@@ -43,14 +45,16 @@ func prelude(t *testing.T) (*moe.Model, [][]*moe.Expert, Options, *data.Corpus) 
 // then returns the fine-tuner with the default step boundary.
 func supervised(t *testing.T, sys *System, corpus *data.Corpus) (*trainer.Finetuner, *replace.Controller) {
 	t.Helper()
-	if _, err := sys.Supervisor(broker.SupervisorConfig{}); err != nil {
-		t.Fatal(err)
-	}
+	sys.Supervisor(broker.SupervisorConfig{})
 	ctrl, err := sys.ReplaceController(replace.Config{DriftThreshold: 10, AmortizeSteps: 1 << 30})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return sys.Finetuner(data.NewBatcher(corpus, 2, 16, 7)), ctrl
+	ft, err := sys.Finetuner(data.NewBatcher(corpus, 2, 16, 7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ft, ctrl
 }
 
 // tcpWorkers starts n Expert Managers behind real loopback listeners and
@@ -171,28 +175,35 @@ func TestAttachOverTCPMatchesDeploy(t *testing.T) {
 	}
 }
 
-// killSwitch wraps worker 2's connection in the kill table. Counting from
-// arm, it severs the connection at send number killAt — that frame is not
-// delivered and the worker's serve loop ends, as if the process died just
-// before it — and it reports the reply to the loseAck-th MsgStep as
-// transport.ErrTimeout once: a step the worker applied whose ack never
-// arrived. It logs the type of every frame it sends after arm.
+// killSwitch wraps a worker's connection in the kill table. Counting
+// from arm — or, with after set, from the send that killed after's
+// worker — it severs the connection at send number killAt or, when killOn
+// is set, at its first send of that type once it has sent killAt
+// MsgSteps: that frame is not delivered and the worker's serve loop
+// ends, as if the process died just before it. It reports the reply to
+// the loseAck-th MsgStep as transport.ErrTimeout once: a step the worker
+// applied whose ack never arrived. It logs the type of every frame it
+// counts.
 type killSwitch struct {
 	transport.Conn
 	armed   bool
-	killAt  int // -1: never
-	loseAck int // 0: never
+	killAt  int          // -1: never
+	killOn  wire.MsgType // 0: kill by send number
+	after   *killSwitch
+	fired   atomic.Bool // read by the switch that waits on it
+	loseAck int         // 0: never
 	sent    []wire.MsgType
 	steps   int
 	dropAck bool
 }
 
 func (k *killSwitch) Send(m *wire.Message) error {
-	if !k.armed {
+	if !k.armed || k.after != nil && !k.after.fired.Load() {
 		return k.Conn.Send(m)
 	}
-	if len(k.sent) == k.killAt {
+	if k.killOn == 0 && len(k.sent) == k.killAt || k.killOn == m.Type && k.steps >= k.killAt {
 		k.armed = false
+		k.fired.Store(true)
 		_ = k.Conn.Close()
 		return transport.ErrClosed
 	}
@@ -214,19 +225,20 @@ func (k *killSwitch) Recv() (*wire.Message, error) {
 }
 
 // killRun is one row of the kill table: three in-process AdamW workers
-// behind core.Attach with the supervisor, controller and default step
-// boundary, six steps, and worker 2's connection behind k, armed once the
-// first step's restore point is taken. It returns the losses, the system
-// and the run's error.
-func killRun(t *testing.T, k *killSwitch) ([]float64, *System, error) {
+// on topo behind core.Attach with the supervisor, controller and default
+// step boundary, six steps, and worker n's connection behind kills[n],
+// armed once the first step's restore point is taken. It returns the
+// losses, the steps the run's hook saw, the system and the run's error.
+func killRun(t *testing.T, topo cluster.Topology, kills map[int]*killSwitch) ([]float64, []int, *System, error) {
 	t.Helper()
 	const steps = 6
 	m, grid, opts, corpus := prelude(t)
-	opts.Topo = cluster.Uniform(3, 1, 4, 100*cluster.GB, 1*cluster.GB) // two survivors host all 8 experts
+	opts.Topo = topo
 	dep := broker.StartLocalWorkers(3, broker.DefaultWorkerConfig())
 	conns := append([]transport.Conn(nil), dep.Conns...)
-	k.Conn = conns[2]
-	conns[2] = k
+	for n, k := range kills {
+		k.Conn, conns[n] = conns[n], k
+	}
 	sys, err := Attach(m, conns, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -235,74 +247,154 @@ func killRun(t *testing.T, k *killSwitch) ([]float64, *System, error) {
 		t.Fatal(err)
 	}
 	ft, _ := supervised(t, sys, corpus)
-	k.armed = true
-	runErr := ft.Run(steps, nil)
-	k.armed = false
+	for _, k := range kills {
+		k.armed = true
+	}
+	var hooked []int
+	runErr := ft.Run(steps, func(step int, _ float64) { hooked = append(hooked, step) })
+	for _, k := range kills {
+		k.armed = false
+	}
 	if err := sys.Close(); err != nil && runErr == nil {
 		t.Fatal(err)
 	}
 	dep.Close()
 	for n, err := range dep.WaitAll() {
-		if err != nil && n != 2 && runErr == nil {
+		if err != nil && kills[n] == nil && runErr == nil {
 			t.Fatalf("live worker %d exited with %v", n, err)
 		}
 	}
-	return ft.Losses.Values, sys, runErr
+	return ft.Losses.Values, hooked, sys, runErr
 }
 
-// TestSystemFailoverBitIdentical is the kill table of the one retry rule:
-// a failed step is re-driven only after every expert is restored from the
-// snapshot of the boundary before it. Worker 2 is killed at each of its
-// sends across steps 0–5 in turn, and in one more row it loses one
+// TestSystemFailoverBitIdentical is the kill table of retry-is-resume: a
+// failure anywhere in step s — its boundary's snapshot round included —
+// restores the held state of boundary s−1 (backbone, AdamW, experts, data
+// cursor, drift, controller) and re-drives s. Worker 2 is killed at each
+// of its sends across steps 0–5 in turn, and in one more row it loses one
 // MsgStep ack without dying. Every row must train the failure-free loss
-// series to the bit with one step retry (and one failover when the
-// worker died) — except a kill in a boundary's snapshot round: the
-// backbone has already stepped there, so the run fail-stops with the
-// checkpoint hook's error, its losses so far a prefix of the clean ones.
+// series to the bit with one step retry (and one failover when the worker
+// died), its hook seeing each step once. Two more rows: worker 2 dies in
+// boundary 2's snapshot round and worker 0 during that step's retry, so
+// the held state must survive a failed attempt (two failovers, two
+// retries, onto worker 1, which can host all 8 experts); and worker 2
+// dies in the first step's restore point, which setup reports.
 func TestSystemFailoverBitIdentical(t *testing.T) {
+	table := cluster.Uniform(3, 1, 4, 100*cluster.GB, 1*cluster.GB) // two survivors host all 8 experts
 	probe := &killSwitch{killAt: -1}
-	clean, _, err := killRun(t, probe)
+	clean, _, ref, err := killRun(t, table, map[int]*killSwitch{2: probe})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Logf("worker 2's sends over steps 0-5: %v", probe.sent)
 	type row struct {
-		name     string
-		k        *killSwitch
-		boundary bool
+		name               string
+		topo               cluster.Topology
+		kills              map[int]*killSwitch
+		failovers, retries int64
 	}
 	var rows []row
 	for i, typ := range probe.sent {
-		rows = append(rows, row{fmt.Sprintf("kill%02d_%v", i, typ), &killSwitch{killAt: i}, typ == wire.MsgSnapshot})
+		rows = append(rows, row{fmt.Sprintf("kill%02d_%v", i, typ), table, map[int]*killSwitch{2: {killAt: i}}, 1, 1})
 	}
-	rows = append(rows, row{"lost_step_ack", &killSwitch{killAt: -1, loseAck: 3}, false})
+	rows = append(rows, row{"lost_step_ack", table, map[int]*killSwitch{2: {killAt: -1, loseAck: 3}}, 0, 1})
+	sole := cluster.Uniform(3, 1, 4, 100*cluster.GB, 1*cluster.GB)
+	sole.Devices[1].Capacity = 8
+	first := &killSwitch{killOn: wire.MsgSnapshot, killAt: 3}
+	rows = append(rows, row{"second_death_in_retry", sole, map[int]*killSwitch{
+		2: first, 0: {killOn: wire.MsgForwardMulti, after: first},
+	}, 2, 2})
+	steps := []int{0, 1, 2, 3, 4, 5}
 	for _, r := range rows {
 		t.Run(r.name, func(t *testing.T) {
-			losses, sys, err := killRun(t, r.k)
-			failovers, retries := sys.Exec.Counters.Get(obs.WorkerFailovers), sys.Exec.Counters.Get(obs.StepRetries)
-			if r.boundary {
-				if err == nil || !strings.Contains(err.Error(), "checkpoint hook") {
-					t.Fatalf("a kill in the snapshot round must fail-stop with the checkpoint hook's error, got %v", err)
-				}
-				if len(losses) == 0 || !testutil.BitEqualSlices(clean[:len(losses)], losses) || retries != 0 {
-					t.Fatalf("fail-stop after %d retries with losses %v, want a prefix of %v and none", retries, losses, clean)
-				}
-				return
-			}
+			losses, hooked, sys, err := killRun(t, r.topo, r.kills)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !testutil.BitEqualSlices(clean, losses) {
 				t.Fatalf("the retry perturbed the loss series:\nclean = %v\ngot   = %v", clean, losses)
 			}
-			wantFailovers := int64(1)
-			if r.k.loseAck > 0 {
-				wantFailovers = 0
+			for l, row := range ref.Obs.Drift.Phat() {
+				if got := sys.Obs.Drift.Phat()[l]; !testutil.BitEqualSlices(row, got) {
+					t.Fatalf("layer %d's routing estimate P̂ = %v after the retry, want the failure-free %v", l, got, row)
+				}
 			}
-			if failovers != wantFailovers || retries != 1 {
-				t.Fatalf("%d failover(s) and %d step retries, want %d and 1", failovers, retries, wantFailovers)
+			if !slices.Equal(hooked, steps) {
+				t.Fatalf("the hook saw steps %v, want each of %v once", hooked, steps)
+			}
+			failovers, retries := sys.Exec.Counters.Get(obs.WorkerFailovers), sys.Exec.Counters.Get(obs.StepRetries)
+			if failovers != r.failovers || retries != r.retries {
+				t.Fatalf("%d failover(s) and %d step retries, want %d and %d", failovers, retries, r.failovers, r.retries)
 			}
 		})
+	}
+	t.Run("kill_first_restore_point", func(t *testing.T) {
+		defer testutil.VerifyNoLeaks(t, "repro/internal/broker", "repro/internal/transport")
+		m, grid, opts, corpus := prelude(t)
+		dep := broker.StartLocalWorkers(opts.Topo.NumWorkers(), broker.DefaultWorkerConfig())
+		conns := append([]transport.Conn(nil), dep.Conns...)
+		conns[2] = &killSwitch{Conn: conns[2], armed: true, killOn: wire.MsgSnapshot}
+		sys, err := Attach(m, conns, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sys.Distribute(grid); err != nil {
+			t.Fatal(err)
+		}
+		sys.Supervisor(broker.SupervisorConfig{})
+		if _, err := sys.Finetuner(data.NewBatcher(corpus, 2, 16, 7)); err == nil || !strings.Contains(err.Error(), "first restore point") {
+			t.Fatalf("setup = %v, want the first restore point's failure", err)
+		}
+		_ = sys.Close()
+		dep.Close()
+		dep.WaitAll()
+	})
+}
+
+// TestSystemFailoverDuringMigration: a worker that dies while boundary
+// 2's controller migrates experts (here: releasing a moved expert's
+// source copy) fails that boundary like any other failure of step 2. The
+// held state of boundary 1 is restored over the survivors, step 2 is
+// re-driven and the run trains the failure-free loss series to the bit.
+func TestSystemFailoverDuringMigration(t *testing.T) {
+	run := func(k *killSwitch) ([]float64, *System) {
+		m, grid, opts, corpus := prelude(t)
+		opts.Topo = cluster.Uniform(3, 1, 4, 100*cluster.GB, 1*cluster.GB)
+		opts.Strategy = placement.Sequential{} // non-optimized, so the re-solve has moves to make
+		dep := broker.StartLocalWorkers(3, broker.DefaultWorkerConfig())
+		t.Cleanup(func() { dep.Close(); dep.WaitAll() })
+		conns := append([]transport.Conn(nil), dep.Conns...)
+		k.Conn, conns[2] = conns[2], k
+		sys, err := Attach(m, conns, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sys.Distribute(grid); err != nil {
+			t.Fatal(err)
+		}
+		ft, ctrl := supervised(t, sys, corpus)
+		ft.OnStep = func(step int) error {
+			if step == 2 {
+				ctrl.RequestResolve("test")
+				k.armed = true
+			}
+			return sys.StepBoundary(step)
+		}
+		if err := ft.Run(6, nil); err != nil {
+			t.Fatal(err)
+		}
+		return ft.Losses.Values, sys
+	}
+	clean, ref := run(&killSwitch{killAt: -1})
+	if n := ref.Exec.Counters.Get(obs.ReplaceMigrations); n == 0 {
+		t.Fatal("setup: the requested re-solve migrated nothing")
+	}
+	losses, sys := run(&killSwitch{killOn: wire.MsgFetch})
+	if !testutil.BitEqualSlices(clean, losses) {
+		t.Fatalf("the retry perturbed the loss series:\nclean = %v\ngot   = %v", clean, losses)
+	}
+	if failovers, retries := sys.Exec.Counters.Get(obs.WorkerFailovers), sys.Exec.Counters.Get(obs.StepRetries); failovers != 1 || retries != 1 {
+		t.Fatalf("%d failover(s) and %d step retries, want 1 and 1", failovers, retries)
 	}
 }
 

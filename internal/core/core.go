@@ -17,11 +17,11 @@
 // experts; a restarted run calls System.Resume (runstate.go) instead.
 // Supervisor, ReplaceController and CheckpointEvery build the
 // step-boundary handlers; System.Finetuner's OnStep is
-// System.StepBoundary, the one statement of their order. Once both the
-// supervisor and the experts on the workers exist, the supervisor holds
-// the restore point of the run's first step, so every step — the first
-// too — can be retried. Deploy is Attach + Distribute over in-process
-// workers.
+// System.StepBoundary, the one statement of their order, which ends by
+// holding the boundary as a checkpoint.RunState. Retry is resume: with a
+// supervisor, a failure anywhere in step s restores the held state of
+// boundary s−1 through the restore Resume pours a stored one through.
+// Deploy is Attach + Distribute over in-process workers.
 //
 // cmd/velamaster, the restart and shift examples, and this package's
 // failover and Fig. 5 tests assemble through these. The pieces remain
@@ -36,6 +36,7 @@ import (
 	"repro/internal/broker"
 	"repro/internal/checkpoint"
 	"repro/internal/cluster"
+	"repro/internal/data"
 	"repro/internal/moe"
 	"repro/internal/nn"
 	"repro/internal/obs"
@@ -140,13 +141,18 @@ type System struct {
 	// (an empty deployment when the connections are the caller's).
 	sup    *broker.Supervisor
 	ctrl   *replace.Controller
-	ckpt   *RunCheckpointer
 	local  *broker.LocalDeployment
 	closed bool
-	// onWorkers says Distribute or Resume has put the experts on the
-	// workers; start is the first step the run then drives.
+	// CheckpointEvery's writer, interval and seeds.
+	ckpt      *checkpoint.AsyncWriter
+	ckptEvery int
+	ckptSeeds []int64
+	// ft is the run System.Finetuner built; held is the restore point of
+	// its next step, the last boundary captured; onWorkers says
+	// Distribute or Resume has put the experts on the workers.
+	ft        *trainer.Finetuner
+	held      *checkpoint.RunState
 	onWorkers bool
-	start     int
 }
 
 // PlacementProblem builds the §IV-B optimization problem from a topology
@@ -251,28 +257,8 @@ func (s *System) Distribute(grid [][]*moe.Expert) error {
 	if err := s.Exec.Distribute(grid, s.Spec); err != nil {
 		return fmt.Errorf("core: distributing experts: %w", err)
 	}
-	return s.placed(0)
-}
-
-// placed records that the experts are on the workers and the run's first
-// step is start, then takes that step's restore point.
-func (s *System) placed(start int) error {
-	s.onWorkers, s.start = true, start
-	return s.firstRestorePoint()
-}
-
-// firstRestorePoint gives the supervisor, once it and the placed experts
-// both exist, the restore point of the first step the run drives: a
-// snapshot stamped start−1. Without it a failure in that step could not
-// be retried (Supervisor.Recover restores boundary s−1 before step s).
-func (s *System) firstRestorePoint() error {
-	if s.sup == nil || !s.onWorkers {
-		return nil
-	}
-	if err := s.sup.Checkpoint(s.start - 1); err != nil {
-		return fmt.Errorf("core: first restore point: %w", err)
-	}
-	return nil
+	s.onWorkers = true
+	return s.holdFirst()
 }
 
 // Deploy is Attach + Distribute over freshly started in-process workers
@@ -303,13 +289,11 @@ func Deploy(model *moe.Model, grid [][]*moe.Expert, opts Options) (*System, erro
 // Supervisor builds the system's failure handler, wired to re-solve
 // against the deployment's placement problem and to refresh the obs
 // predicted-comm gauge after a failover. StepBoundary, Finetuner and
-// MetricsSource use it; its hooks and Start stay the caller's. When the
-// experts are already on the workers (Deploy), it takes the first step's
-// restore point, whose snapshot round is the error it can return.
-func (s *System) Supervisor(cfg broker.SupervisorConfig) (*broker.Supervisor, error) {
+// MetricsSource use it; its hooks and Start stay the caller's.
+func (s *System) Supervisor(cfg broker.SupervisorConfig) *broker.Supervisor {
 	s.sup = broker.NewSupervisor(s.Exec, s.Problem, cfg)
 	s.sup.Obs = s.Obs
-	return s.sup, s.firstRestorePoint()
+	return s.sup
 }
 
 // ReplaceController builds the online re-placement controller over this
@@ -326,10 +310,11 @@ func (s *System) ReplaceController(cfg replace.Config) (*replace.Controller, err
 	return s.ctrl, err
 }
 
-// CheckpointEvery installs StepBoundary's last handler: a run-level
-// checkpoint of c through w after every every-th completed step.
-func (s *System) CheckpointEvery(every int, c *RunCapture, w *checkpoint.AsyncWriter) {
-	s.ckpt = &RunCheckpointer{Every: every, Cap: c, W: w}
+// CheckpointEvery hands every every-th held boundary (<= 1: every one),
+// stamped with the run's prelude seeds (Resume verifies them), to w: a
+// best-effort write, skipped while the previous one is in flight.
+func (s *System) CheckpointEvery(every int, seeds []int64, w *checkpoint.AsyncWriter) {
+	s.ckpt, s.ckptEvery, s.ckptSeeds = w, every, seeds
 }
 
 // StepBoundary is the one statement of what happens between two steps;
@@ -339,9 +324,11 @@ func (s *System) CheckpointEvery(every int, c *RunCapture, w *checkpoint.AsyncWr
 // after a migration restores post-migration state. Parked worker rejoins
 // are admitted next (nudging the controller: with the capacity back, a
 // re-solve may migrate experts home under the usual cost gate), then the
-// controller runs, and the run-level checkpoint goes last so it records
-// the boundary's final assignment. Callers that add a fault-arm, a trace
-// drain or a stop check wrap this; they do not re-state it.
+// controller runs, and the boundary is held last (hold), so the held
+// state — and the run checkpoint written from it — records its final
+// assignment, and a failure anywhere before leaves boundary step−1 held
+// for the retry. Callers that add a fault-arm, a trace drain or a stop
+// check wrap this; they do not re-state it.
 func (s *System) StepBoundary(step int) error {
 	if s.sup != nil {
 		if err := s.sup.Checkpoint(step); err != nil {
@@ -356,15 +343,18 @@ func (s *System) StepBoundary(step int) error {
 			return err
 		}
 	}
-	return s.ckpt.OnStep(step)
+	return s.hold(step)
 }
 
-// Finetuner returns a trainer.Finetuner over src whose expert optimizer
-// control flows through the broker, whose OnStep is StepBoundary and
-// whose Recover is the supervisor's (build the supervisor first). The
-// backbone optimizer is the paper's AdamW; callers wanting another
-// replace Opt over ft.Backbone.
-func (s *System) Finetuner(src trainer.BatchSource) *trainer.Finetuner {
+// Finetuner returns the system's run: a trainer.Finetuner over src whose
+// expert optimizer control flows through the broker and whose OnStep is
+// StepBoundary. With a supervisor (build it first) its Recover is the
+// system's retry, and src must be a data.CursorSource, or a retried step
+// would re-draw another batch. With the experts on the workers it takes
+// the first step's restore point, whose snapshot round is the error it
+// can return. The backbone optimizer is the paper's AdamW; callers
+// wanting another replace Opt over ft.Backbone.
+func (s *System) Finetuner(src trainer.BatchSource) (*trainer.Finetuner, error) {
 	backbone := nn.CollectTrainable(s.Model.Params())
 	ft := &trainer.Finetuner{
 		Model:      s.Model,
@@ -377,9 +367,13 @@ func (s *System) Finetuner(src trainer.BatchSource) *trainer.Finetuner {
 		Obs:        s.Obs,
 	}
 	if s.sup != nil {
-		ft.Recover = s.sup.Recover
+		if _, ok := src.(data.CursorSource); !ok {
+			return nil, fmt.Errorf("core: a supervised run re-draws a retried step's batch: %T is not a data.CursorSource", src)
+		}
+		ft.Recover = s.retry
 	}
-	return ft
+	s.ft = ft
+	return ft, s.holdFirst()
 }
 
 // MetricsSource bundles the system's handle and counter table for the obs

@@ -65,7 +65,10 @@ func TestFig5CrossNodeBytes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ft := sys.Finetuner(data.NewBatcher(corpus, 4, 32, 3))
+		ft, err := sys.Finetuner(data.NewBatcher(corpus, 4, 32, 3))
+		if err != nil {
+			t.Fatal(err)
+		}
 		if err := ft.Run(steps, nil); err != nil {
 			t.Fatal(err)
 		}
@@ -120,7 +123,10 @@ func TestDeployAndFinetuneEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ft := sys.Finetuner(data.NewBatcher(corpus, 2, 16, 7))
+	ft, err := sys.Finetuner(data.NewBatcher(corpus, 2, 16, 7))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := ft.Run(3, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +235,10 @@ func TestRebalanceEndToEnd(t *testing.T) {
 	}
 	defer sys.Close()
 
-	ft := sys.Finetuner(data.NewBatcher(corpus, 2, 16, 7))
+	ft, err := sys.Finetuner(data.NewBatcher(corpus, 2, 16, 7))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := ft.Run(2, nil); err != nil {
 		t.Fatal(err)
 	}

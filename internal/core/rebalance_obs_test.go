@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"testing"
 
 	"repro/internal/broker"
@@ -156,10 +155,7 @@ func TestFailoverAfterRebalanceUsesRefreshedProblem(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sys.Close()
-	sup, err := sys.Supervisor(broker.SupervisorConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	sup := sys.Supervisor(broker.SupervisorConfig{})
 
 	shifted := moe.NewAccessStats(cfg.Layers, cfg.Experts)
 	for l := range shifted.Counts {
@@ -176,7 +172,8 @@ func TestFailoverAfterRebalanceUsesRefreshedProblem(t *testing.T) {
 
 	victim := sys.Exec.Assignment().Worker[0][cfg.Experts-1]
 	sys.Exec.MarkDead(victim)
-	if err := sup.Recover(1, errors.New("worker lost")); err != nil {
+	restore := func(next *placement.Assignment) error { return sys.Exec.RestoreExperts(sup.Latest().Entries, next) }
+	if err := sup.Recover(sys.Exec.Assignment(), restore); err != nil {
 		t.Fatal(err)
 	}
 	if loads := sys.Exec.Assignment().Loads(topo.NumWorkers()); loads[victim] != 0 {

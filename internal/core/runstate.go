@@ -1,29 +1,28 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"time"
 
 	"repro/internal/broker"
 	"repro/internal/checkpoint"
+	"repro/internal/data"
 	"repro/internal/moe"
 	"repro/internal/nn"
 	"repro/internal/obs"
 	"repro/internal/placement"
 	"repro/internal/replace"
-	"repro/internal/trainer"
 )
 
-// This file is the run-level checkpoint glue: it knows how to walk a
-// deployed VELA system — backbone optimizer, executor, supervisor, data
-// cursor, drift monitor, replace controller, loss series — and flatten
-// it into a checkpoint.RunState at a step boundary (CaptureRun), and how
-// to pour a loaded RunState back into a freshly reconstructed system so
-// the resumed run is bit-identical to an uninterrupted one (RestoreRun).
-// RunCheckpointer is the step-boundary handler that does the former
-// periodically through a checkpoint.AsyncWriter; System.Resume is the
-// whole restart sequence around the latter.
+// This file is the run-level state glue: it knows how to walk a deployed
+// VELA system — backbone optimizer, executor, supervisor, data cursor,
+// drift monitor, replace controller, loss series — and flatten it into a
+// checkpoint.RunState at a step boundary (CaptureRun), and how to pour a
+// RunState back in (restore). The system holds every boundary so (hold),
+// and restores the held state for a retried step (retry) and a stored one
+// for a restarted run (Resume).
 
 // RunCapture names every piece of live state that participates in a
 // run-level checkpoint. Optional pieces (Sup, Opt, Drift, Ctrl, Seeds)
@@ -139,21 +138,36 @@ func CaptureRun(step int, c *RunCapture) (*checkpoint.RunState, error) {
 	return rs, nil
 }
 
-// RestoreRun pours a loaded RunState back into a freshly reconstructed
-// system: backbone values and AdamW moments matched by parameter name,
-// experts re-distributed onto the checkpointed
-// assignment (each entry composed with the base registered on the
-// executor; moments included), data cursor, drift state, and
-// replace-controller counters. The caller is responsible for having
-// rebuilt the deterministic prelude (model, LoRA attach, workers)
-// identically; after RestoreRun the trainer resumes at StartStep =
-// rs.Step and replays nothing.
+// restore is the one restore, of a retried step and of a resumed run: it
+// pours rs — boundary rs.Step−1 — into the live system c names, with
+// every expert shipped to its host in assign (each entry composed with
+// the base registered on the executor; moments included): backbone
+// values and AdamW moments matched by parameter name, data cursor, drift
+// state, controller counters and loss series. It refuses, before
+// anything is changed or sent, a state without exactly one entry per
+// expert of assign. Afterwards the trainer drives step rs.Step and
+// replays nothing.
 //
-// Resume invariants: the drift baseline is installed before the P̂
-// estimate (SetBaseline resets P̂); the measured-comm EWMA is
-// deliberately not restored — it tracks wall-clock behaviour of the
-// current process and re-warms within a few steps.
-func RestoreRun(rs *checkpoint.RunState, c *RunCapture) error {
+// The drift baseline is installed before the P̂ estimate (SetBaseline
+// resets P̂); the measured-comm EWMA is deliberately not restored — it
+// tracks wall-clock behaviour of the current process and re-warms within
+// a few steps.
+func restore(rs *checkpoint.RunState, c *RunCapture, assign *placement.Assignment) error {
+	if rs.Experts == nil {
+		return fmt.Errorf("core: restore: the state of boundary %d has no expert snapshot", rs.Step-1)
+	}
+	experts := 0
+	for l, row := range assign.Worker {
+		for e := range row {
+			if rs.Experts.Find(l, e) == nil {
+				return fmt.Errorf("core: restore: the state of boundary %d has no entry for expert L%d/E%d", rs.Step-1, l, e)
+			}
+		}
+		experts += len(row)
+	}
+	if len(rs.Experts.Entries) != experts {
+		return fmt.Errorf("core: restore: the state of boundary %d holds %d entries for %d experts", rs.Step-1, len(rs.Experts.Entries), experts)
+	}
 	byName := make(map[string]*nn.Param, len(c.Backbone))
 	for _, p := range c.Backbone {
 		byName[p.Name] = p
@@ -181,13 +195,10 @@ func RestoreRun(rs *checkpoint.RunState, c *RunCapture) error {
 	if c.Opt != nil {
 		c.Opt.SetStepCount(rs.OptStep)
 	}
-	if rs.Experts != nil && len(rs.Assignment) > 0 {
-		assign := &placement.Assignment{Worker: rs.Assignment}
-		if err := c.Exec.RestoreExperts(rs.Experts.Entries, assign); err != nil {
-			return fmt.Errorf("core: restore: redistributing experts: %w", err)
-		}
-		c.Exec.SetAssignment(assign)
+	if err := c.Exec.RestoreExperts(rs.Experts.Entries, assign); err != nil {
+		return fmt.Errorf("core: restore: redistributing experts: %w", err)
 	}
+	c.Exec.SetAssignment(assign)
 	if len(rs.Cursor) > 0 {
 		if c.Seek == nil {
 			return fmt.Errorf("core: restore: checkpoint has a data cursor but no Seek is wired")
@@ -214,69 +225,113 @@ func RestoreRun(rs *checkpoint.RunState, c *RunCapture) error {
 	return nil
 }
 
+// capture names the live state of the system's run: the finetuner's
+// backbone, AdamW, batch-source position and loss series, the executor
+// and the supervisor's snapshot, the drift monitor and the controller.
+func (s *System) capture() *RunCapture {
+	c := &RunCapture{Backbone: s.ft.Backbone, Exec: s.Exec, Sup: s.sup, Ctrl: s.ctrl, Losses: &s.ft.Losses}
+	c.Opt, _ = s.ft.Opt.(*nn.AdamW)
+	if src, ok := s.ft.Batcher.(data.CursorSource); ok {
+		c.Cursor, c.Seek = src.Cursor, src.SeekTo
+	}
+	if s.Obs != nil {
+		c.Drift = s.Obs.Drift
+	}
+	return c
+}
+
+// hold captures boundary step as the held state: the restore point of
+// step+1's retry, and what CheckpointEvery writes. With a supervisor it
+// reuses the snapshot the boundary's first leg pulled, so it sends
+// nothing; without one it is taken only for the writer and pulls its own.
+func (s *System) hold(step int) error {
+	write := s.ckpt != nil && (s.ckptEvery <= 1 || (step+1)%s.ckptEvery == 0)
+	if s.ft == nil || s.sup == nil && !write {
+		return nil
+	}
+	rs, err := CaptureRun(step, s.capture())
+	if err != nil {
+		return err
+	}
+	s.held = rs
+	if write {
+		stamped := *rs
+		stamped.Seeds = s.ckptSeeds
+		s.ckpt.Submit(&stamped)
+	}
+	return nil
+}
+
+// holdFirst takes the restore point of the first step the run drives, an
+// ordinary capture of boundary StartStep−1, once the supervisor, the
+// finetuner and the experts on the workers all exist.
+func (s *System) holdFirst() error {
+	if s.sup == nil || s.ft == nil || !s.onWorkers {
+		return nil
+	}
+	step := s.ft.StartStep - 1
+	err := s.sup.Checkpoint(step)
+	if err == nil {
+		s.held, err = CaptureRun(step, s.capture())
+	}
+	if err != nil {
+		return fmt.Errorf("core: first restore point: %w", err)
+	}
+	return nil
+}
+
+// retry is a supervised finetuner's Recover. A failure anywhere in step
+// s, its boundary included, restores the held state of boundary s−1 —
+// over the survivors when a worker died (Supervisor.Recover) — and the
+// trainer re-drives s from it, re-drawing its batch and taking boundary s
+// again. A failed attempt never replaces the held state: the boundary
+// holds last.
+func (s *System) retry(step int, cause error) error {
+	rs, err := s.held, errors.New("no held state to restore")
+	if rs != nil && rs.Step != step {
+		err = fmt.Errorf("the held state is of boundary %d, a retry of step %d restores boundary %d", rs.Step-1, step, step-1)
+	} else if rs != nil {
+		err = s.sup.Recover(s.Exec.Assignment(), func(next *placement.Assignment) error { return restore(rs, s.capture(), next) })
+	}
+	if err != nil {
+		return fmt.Errorf("core: retrying step %d after %v: %w", step, cause, err)
+	}
+	return nil
+}
+
 // Resume continues a run from the newest valid generation in store — the
-// one sequence a restarted master follows. The system was attached but
-// not Distributed: grid, the experts the prelude rebuilt, supplies the
-// frozen weights, and RestoreRun ships them with the checkpointed
-// trainable state and moments onto the checkpointed assignment. In order:
-// register grid as the base; load, falling back past torn generations;
-// refuse a checkpoint written under other prelude seeds instead of
-// silently diverging; RestoreRun, which refuses a generation trained over
-// other frozen weights than grid's; point ft at the first undriven step;
-// give the supervisor the restore point of that step from the state just
-// shipped; record the resume on the checkpoint meter.
-func (s *System) Resume(store *checkpoint.RunStore, grid [][]*moe.Expert, ft *trainer.Finetuner, c *RunCapture) (*checkpoint.RunState, error) {
+// one sequence a restarted master follows, and the same restore a retry
+// takes, fed from the store instead of memory. The system was attached
+// but not Distributed, and its Finetuner is built: grid, the experts the
+// prelude rebuilt, supplies the frozen weights, and the restore ships them
+// with the stored trainable state and moments onto the stored assignment.
+// In order: register grid as the base; load, falling back past torn
+// generations; refuse a checkpoint written under other prelude seeds
+// instead of silently diverging; restore, which refuses a generation
+// trained over other frozen weights than grid's; point the finetuner at
+// the first undriven step; take that step's restore point; record the
+// resume on the checkpoint meter.
+func (s *System) Resume(store *checkpoint.RunStore, grid [][]*moe.Expert, seeds []int64) (*checkpoint.RunState, error) {
 	t0 := time.Now()
+	if s.ft == nil {
+		return nil, errors.New("core: resume: build the Finetuner first")
+	}
 	s.Exec.SetBase(grid)
 	rs, err := store.LoadLatest()
 	if err != nil {
 		return nil, fmt.Errorf("core: resume: %w", err)
 	}
-	if len(rs.Seeds) > 0 && !slices.Equal(rs.Seeds, c.Seeds) {
-		return nil, fmt.Errorf("core: resume: checkpoint seeds %v do not match this run's prelude seeds %v", rs.Seeds, c.Seeds)
+	if len(rs.Seeds) > 0 && !slices.Equal(rs.Seeds, seeds) {
+		return nil, fmt.Errorf("core: resume: checkpoint seeds %v do not match this run's prelude seeds %v", rs.Seeds, seeds)
 	}
-	if err := RestoreRun(rs, c); err != nil {
+	if err := restore(rs, s.capture(), &placement.Assignment{Worker: rs.Assignment}); err != nil {
 		return nil, err
 	}
-	ft.StartStep = rs.Step
-	if err := s.placed(rs.Step); err != nil {
+	s.ft.StartStep, s.onWorkers = rs.Step, true
+	if err := s.holdFirst(); err != nil {
 		return nil, fmt.Errorf("core: resume: %w", err)
 	}
 	s.Exec.Counters.Set(obs.CkptResumeGeneration, int64(rs.Generation))
 	s.Exec.Counters.Set(obs.CkptResumeNanos, int64(time.Since(t0)))
 	return rs, nil
-}
-
-// RunCheckpointer adapts periodic run-level checkpointing to the
-// trainer's OnStep hook: every Every-th completed step it captures the
-// run and hands it to the async writer. Checkpointing is best-effort
-// durability — a capture failure (e.g. a worker died mid-snapshot and
-// the recovery path has not run yet) is counted on the executor's counter
-// table and skipped, never fatal to training.
-type RunCheckpointer struct {
-	// Every checkpoints after every Every-th completed step; <= 1 means
-	// every step.
-	Every int
-	// Cap names the state to flatten; W is the background writer.
-	Cap *RunCapture
-	W   *checkpoint.AsyncWriter
-}
-
-// OnStep implements the trainer.Finetuner OnStep contract; a nil
-// checkpointer does nothing. System.StepBoundary runs it after the
-// supervisor's Checkpoint, so the expert snapshot is fresh.
-func (r *RunCheckpointer) OnStep(step int) error {
-	if r == nil || r.W == nil {
-		return nil
-	}
-	if r.Every > 1 && (step+1)%r.Every != 0 {
-		return nil
-	}
-	rs, err := CaptureRun(step, r.Cap)
-	if err != nil {
-		r.Cap.Exec.Counters.Add(obs.CkptFailures, 1)
-		return nil
-	}
-	r.W.Submit(rs)
-	return nil
 }

@@ -1,18 +1,24 @@
 package core
 
 import (
+	"errors"
 	"math/rand"
+	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/broker"
 	"repro/internal/checkpoint"
+	"repro/internal/cluster"
 	"repro/internal/data"
 	"repro/internal/moe"
-	"repro/internal/nn"
+	"repro/internal/obs"
 	"repro/internal/placement"
 	"repro/internal/testutil"
 	"repro/internal/trainer"
+	"repro/internal/transport"
+	"repro/internal/wire"
 )
 
 // resumeSystem builds one deterministic deployment for the resume tests:
@@ -34,17 +40,12 @@ func resumeSystem(t *testing.T) (*System, *trainer.Finetuner, *RunCapture) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { sys.Close() })
-	ft := sys.Finetuner(data.NewBatcher(corpus, 2, 16, 7))
-	batcher := ft.Batcher.(*data.Batcher)
-	cap := &RunCapture{
-		Backbone: ft.Backbone,
-		Opt:      ft.Opt.(*nn.AdamW),
-		Exec:     sys.Exec,
-		Cursor:   batcher.Cursor,
-		Seek:     batcher.SeekTo,
-		Losses:   &ft.Losses,
-		Seeds:    []int64{7},
+	ft, err := sys.Finetuner(data.NewBatcher(corpus, 2, 16, 7))
+	if err != nil {
+		t.Fatal(err)
 	}
+	cap := sys.capture()
+	cap.Seeds = []int64{7}
 	return sys, ft, cap
 }
 
@@ -90,7 +91,7 @@ func TestRunCheckpointResumeBitIdentical(t *testing.T) {
 		t.Fatalf("checkpoint at step %d, want %d", rs.Step, crashAfter)
 	}
 	_, ft2, cap2 := resumeSystem(t)
-	if err := RestoreRun(rs, cap2); err != nil {
+	if err := restore(rs, cap2, &placement.Assignment{Worker: rs.Assignment}); err != nil {
 		t.Fatal(err)
 	}
 	ft2.StartStep = rs.Step
@@ -113,13 +114,15 @@ func TestRunCheckpointResumeBitIdentical(t *testing.T) {
 // TestRestoreRunRejectsMismatchedModel: a checkpoint from a different
 // architecture must fail loudly at restore, not corrupt parameters.
 func TestRestoreRunRejectsMismatchedModel(t *testing.T) {
-	_, _, cap := resumeSystem(t)
-	bad := &checkpoint.RunState{
-		Backbone: []checkpoint.NamedTensor{{Name: "no.such.param",
-			StateTensor: checkpoint.StateTensor{Rows: 1, Cols: 1, Data: []float64{1}}}},
+	sys, _, cap := resumeSystem(t)
+	bad, err := CaptureRun(-1, cap)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err := RestoreRun(bad, cap); err == nil {
-		t.Fatal("restore with wrong parameter count/names must fail")
+	bad.Backbone = []checkpoint.NamedTensor{{Name: "no.such.param",
+		StateTensor: checkpoint.StateTensor{Rows: 1, Cols: 1, Data: []float64{1}}}}
+	if err := restore(bad, cap, sys.Exec.Assignment()); err == nil || !strings.Contains(err.Error(), "backbone tensors") {
+		t.Fatalf("restore with wrong parameter count/names = %v, want a refusal", err)
 	}
 }
 
@@ -147,7 +150,7 @@ func TestRestoreRunRejectsWorkerOutsidePool(t *testing.T) {
 		t.Fatal(err)
 	}
 	rs := &checkpoint.RunState{Experts: snap, Assignment: [][]int{{0, 1, 0, 3}}}
-	err = RestoreRun(rs, &RunCapture{Exec: exec})
+	err = restore(rs, &RunCapture{Exec: exec}, &placement.Assignment{Worker: rs.Assignment})
 	if err == nil || !strings.Contains(err.Error(), "expert L0/E3") || !strings.Contains(err.Error(), "worker 3") {
 		t.Fatalf("err = %v, want one naming expert L0/E3 and worker 3", err)
 	}
@@ -159,14 +162,14 @@ func TestRestoreRunRejectsWorkerOutsidePool(t *testing.T) {
 	}
 }
 
-// TestRunCheckpointerSkipsOffBoundarySteps: Every=3 writes only at
-// completed-step multiples of 3.
+// TestRunCheckpointerSkipsOffBoundarySteps: CheckpointEvery(3) writes only
+// at completed-step multiples of 3 — here without a supervisor, so the
+// boundary holds a state only when it is to be written.
 func TestRunCheckpointerSkipsOffBoundarySteps(t *testing.T) {
-	_, ft, cap := resumeSystem(t)
+	sys, ft, _ := resumeSystem(t)
 	store := &checkpoint.RunStore{Dir: t.TempDir()}
 	w := checkpoint.NewAsyncWriter(store, nil)
-	ck := &RunCheckpointer{Every: 3, Cap: cap, W: w}
-	ft.OnStep = ck.OnStep
+	sys.CheckpointEvery(3, []int64{7}, w)
 	if err := ft.Run(7, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -189,5 +192,125 @@ func TestRunCheckpointerSkipsOffBoundarySteps(t *testing.T) {
 	}
 	if rs.Step%3 != 0 {
 		t.Fatalf("checkpointed step %d is not a boundary multiple", rs.Step)
+	}
+}
+
+// sendLog wraps a worker connection and counts the MsgAssign frames sent
+// through it: the restore's.
+type sendLog struct {
+	transport.Conn
+	assigns atomic.Int64
+}
+
+func (c *sendLog) Send(m *wire.Message) error {
+	if m.Type == wire.MsgAssign {
+		c.assigns.Add(1)
+	}
+	return c.Conn.Send(m)
+}
+
+// TestRecoverRefusesAWrongRestorePoint: a retry of step s restores the
+// held state of boundary s−1, one entry per expert, or nothing. With
+// worker 1 dead, so that a restore would also fail it over, the retry
+// must refuse no held state, a state of another boundary, one that misses
+// an expert the dead worker hosted and one with an expert twice — before
+// any restore frame is sent, with no failover or retry counted and the
+// assignment unmoved.
+func TestRecoverRefusesAWrongRestorePoint(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		step  int
+		edit  func(rs *checkpoint.RunState, orphan checkpoint.ExpertEntry) *checkpoint.RunState
+		error string
+	}{
+		{"no held state", 0, func(*checkpoint.RunState, checkpoint.ExpertEntry) *checkpoint.RunState { return nil }, "no held state"},
+		{"snapshot of another boundary", 1, func(rs *checkpoint.RunState, _ checkpoint.ExpertEntry) *checkpoint.RunState { return rs }, "restores boundary 0"},
+		{"an expert missing", 0, func(rs *checkpoint.RunState, orphan checkpoint.ExpertEntry) *checkpoint.RunState {
+			out := *rs
+			out.Experts = &checkpoint.ExpertSnapshot{Step: rs.Experts.Step}
+			for _, en := range rs.Experts.Entries {
+				if en.Layer != orphan.Layer || en.Expert != orphan.Expert {
+					out.Experts.Entries = append(out.Experts.Entries, en)
+				}
+			}
+			return &out
+		}, "no entry for"},
+		{"an expert twice", 0, func(rs *checkpoint.RunState, orphan checkpoint.ExpertEntry) *checkpoint.RunState {
+			out := *rs
+			out.Experts = &checkpoint.ExpertSnapshot{Step: rs.Experts.Step, Entries: append(slices.Clone(rs.Experts.Entries), orphan)}
+			return &out
+		}, "entries for"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m, grid, opts, corpus := prelude(t)
+			opts.Topo = cluster.Uniform(3, 1, 4, 100*cluster.GB, 1*cluster.GB) // two survivors host all 8 experts
+			dep := broker.StartLocalWorkers(opts.Topo.NumWorkers(), broker.DefaultWorkerConfig())
+			t.Cleanup(func() { dep.Close(); dep.WaitAll() })
+			logs := make([]*sendLog, len(dep.Conns))
+			conns := make([]transport.Conn, len(dep.Conns))
+			for n := range conns {
+				logs[n] = &sendLog{Conn: dep.Conns[n]}
+				conns[n] = logs[n]
+			}
+			sys, err := Attach(m, conns, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := sys.Distribute(grid); err != nil {
+				t.Fatal(err)
+			}
+			ft, _ := supervised(t, sys, corpus)
+			before := sys.Exec.Assignment()
+			var orphan checkpoint.ExpertEntry
+			for l, row := range before.Worker {
+				for e, n := range row {
+					if n == 1 {
+						orphan = *sys.held.Experts.Find(l, e)
+					}
+				}
+			}
+			sys.held = tc.edit(sys.held, orphan)
+			sent := func() (n int64) {
+				for _, l := range logs {
+					n += l.assigns.Load()
+				}
+				return n
+			}
+			distributed := sent()
+			_ = dep.Conns[1].Close()
+
+			err = ft.Recover(tc.step, errors.New("step failed"))
+			if err == nil || !strings.Contains(err.Error(), tc.error) {
+				t.Fatalf("recover = %v, want an error naming %q", err, tc.error)
+			}
+			if n := sent() - distributed; n != 0 {
+				t.Fatalf("%d restore frame(s) sent before the refusal", n)
+			}
+			if sys.Exec.Assignment() != before || sys.Exec.Counters.Get(obs.WorkerFailovers) != 0 || sys.Exec.Counters.Get(obs.StepRetries) != 0 {
+				t.Fatal("a refused retry moved the assignment or counted a failover or retry")
+			}
+		})
+	}
+}
+
+// TestRecoverRefusesASourceWithoutCursor: a retry re-draws its step's
+// batch from the restored position, so a supervised finetuner over a
+// batch source that cannot seek is refused when it is built, not when a
+// step first fails.
+func TestRecoverRefusesASourceWithoutCursor(t *testing.T) {
+	m, grid, opts, corpus := prelude(t)
+	sys, err := Deploy(m, grid, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	sys.Supervisor(broker.SupervisorConfig{})
+	ids, targets := data.NewBatcher(corpus, 2, 16, 7).Next()
+	ft, err := sys.Finetuner(trainer.NewFixedBatcher(ids, targets, 2, 16))
+	if err == nil || ft != nil || !strings.Contains(err.Error(), "data.CursorSource") {
+		t.Fatalf("finetuner over a fixed batch = %v, %v; want a refusal naming data.CursorSource", ft, err)
+	}
+	if got := sys.Exec.Counters.Get(obs.Snapshots); got != 0 {
+		t.Fatalf("the refused setup took %d snapshot(s)", got)
 	}
 }

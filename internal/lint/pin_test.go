@@ -245,6 +245,7 @@ var knobStructs = [][2]string{
 	{"repro/internal/replace", "Config"},
 	{"repro/internal/obs", "Config"},
 	{"repro/internal/checkpoint", "RunStore"},
+	{"repro/internal/trainer", "Finetuner"},
 }
 
 // knobExempt names the knobs whose only writer lives outside this module,

@@ -2,6 +2,8 @@ package trainer
 
 import (
 	"errors"
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -12,15 +14,18 @@ import (
 
 var errBoom = errors.New("synthetic expert failure")
 
-// countingBatcher counts Next calls so tests can prove a retried step
-// re-uses its batch instead of silently consuming the next one.
-type countingBatcher struct {
-	inner BatchSource
-	calls int
+// recordingBatcher records every batch it serves, so a test can compare
+// a retried step's batch with its first attempt's.
+type recordingBatcher struct {
+	*data.Batcher
+	served [][]int
 }
 
-func (c *countingBatcher) Next() ([]int, []int) { c.calls++; return c.inner.Next() }
-func (c *countingBatcher) Shape() (int, int)    { return c.inner.Shape() }
+func (r *recordingBatcher) Next() ([]int, []int) {
+	ids, targets := r.Batcher.Next()
+	r.served = append(r.served, ids)
+	return ids, targets
+}
 
 // recoverFinetuner builds a deterministic local finetuner for the
 // recovery tests.
@@ -36,9 +41,10 @@ func recoverFinetuner(t *testing.T) *Finetuner {
 }
 
 // TestRunRecoversOnSameBatch: a transient failure mid-run is handed to
-// Recover, the step is re-driven on the SAME batch, and the resulting
-// loss trajectory is identical to a failure-free run — the trainer-side
-// half of the failover guarantee.
+// Recover, which rewinds the batch source to the last boundary; the
+// re-driven step re-draws exactly the batch its first attempt drew, and
+// the loss trajectory is identical to a failure-free run — the
+// trainer-side half of the failover guarantee.
 func TestRunRecoversOnSameBatch(t *testing.T) {
 	clean := recoverFinetuner(t)
 	if err := clean.Run(5, nil); err != nil {
@@ -46,8 +52,10 @@ func TestRunRecoversOnSameBatch(t *testing.T) {
 	}
 
 	faulty := recoverFinetuner(t)
-	cb := &countingBatcher{inner: faulty.Batcher}
-	faulty.Batcher = cb
+	rb := &recordingBatcher{Batcher: faulty.Batcher.(*data.Batcher)}
+	faulty.Batcher = rb
+	var boundary []int64
+	faulty.OnStep = func(int) error { boundary = rb.Cursor(); return nil }
 	realStep := faulty.ExpertStep
 	fail := true
 	faulty.ExpertStep = func() error {
@@ -63,7 +71,7 @@ func TestRunRecoversOnSameBatch(t *testing.T) {
 			t.Fatalf("Recover(step=%d, err=%v)", step, err)
 		}
 		recovered++
-		return nil
+		return rb.SeekTo(boundary)
 	}
 	if err := faulty.Run(5, nil); err != nil {
 		t.Fatal(err)
@@ -71,8 +79,11 @@ func TestRunRecoversOnSameBatch(t *testing.T) {
 	if recovered != 1 {
 		t.Fatalf("Recover called %d times, want 1", recovered)
 	}
-	if cb.calls != 5 {
-		t.Fatalf("batcher consulted %d times for 5 logical steps — retry must reuse its batch", cb.calls)
+	if len(rb.served) != 6 {
+		t.Fatalf("batcher served %d batches for 5 steps and one retry, want 6", len(rb.served))
+	}
+	if !slices.Equal(rb.served[2], rb.served[3]) {
+		t.Fatal("the retried step trained another batch than its first attempt")
 	}
 	if clean.Losses.Len() != faulty.Losses.Len() {
 		t.Fatalf("loss counts differ: %d vs %d", clean.Losses.Len(), faulty.Losses.Len())
@@ -100,20 +111,19 @@ func TestRunWithoutRecoverFailsFast(t *testing.T) {
 }
 
 // TestRunExhaustsStepRetries: a fault that recovery cannot clear aborts
-// after MaxStepRetries re-drives, not an unbounded loop.
+// after DefaultMaxStepRetries re-drives, not an unbounded loop.
 func TestRunExhaustsStepRetries(t *testing.T) {
 	ft := recoverFinetuner(t)
 	attempts := 0
 	ft.ExpertStep = func() error { attempts++; return errBoom }
 	ft.Recover = func(step int, err error) error { return nil }
-	ft.MaxStepRetries = 3
 	err := ft.Run(2, nil)
 	if !errors.Is(err, errBoom) {
 		t.Fatalf("err = %v, want errBoom", err)
 	}
-	// Initial attempt + MaxStepRetries re-drives.
-	if attempts != 4 {
-		t.Fatalf("step driven %d times, want 4", attempts)
+	// Initial attempt + DefaultMaxStepRetries re-drives.
+	if attempts != 1+DefaultMaxStepRetries {
+		t.Fatalf("step driven %d times, want %d", attempts, 1+DefaultMaxStepRetries)
 	}
 }
 
@@ -133,8 +143,8 @@ func TestRunAbortsWhenRecoverFails(t *testing.T) {
 	}
 }
 
-// TestOnStepErrorAborts: the checkpoint hook's error stops the run after
-// the step that triggered it.
+// TestOnStepErrorAborts: without Recover, a boundary's error stops the
+// run after the step that triggered it.
 func TestOnStepErrorAborts(t *testing.T) {
 	ft := recoverFinetuner(t)
 	errHook := errors.New("snapshot failed")
@@ -150,5 +160,32 @@ func TestOnStepErrorAborts(t *testing.T) {
 	}
 	if ft.Losses.Len() != 2 {
 		t.Fatalf("recorded %d losses, want 2 (steps 0 and 1 succeeded)", ft.Losses.Len())
+	}
+}
+
+// TestRunStopNeverRecovers: a boundary that asks for a stop (an OnStep
+// error wrapping ErrStop, what velamaster returns after SIGINT) ends the
+// run after that completed step: the hook sees the step once, its loss
+// stays, and Recover is never consulted.
+func TestRunStopNeverRecovers(t *testing.T) {
+	ft := recoverFinetuner(t)
+	errSignal := fmt.Errorf("stopped by signal: %w", ErrStop)
+	ft.OnStep = func(step int) error {
+		if step == 1 {
+			return errSignal
+		}
+		return nil
+	}
+	ft.Recover = func(step int, err error) error {
+		t.Fatalf("a stop was recovered: Recover(%d, %v)", step, err)
+		return nil
+	}
+	var hooked []int
+	err := ft.Run(4, func(step int, _ float64) { hooked = append(hooked, step) })
+	if !errors.Is(err, errSignal) {
+		t.Fatalf("err = %v, want the stop", err)
+	}
+	if !slices.Equal(hooked, []int{0, 1}) || ft.Losses.Len() != 2 {
+		t.Fatalf("hook saw steps %v and %d losses were recorded, want [0 1] and 2", hooked, ft.Losses.Len())
 	}
 }

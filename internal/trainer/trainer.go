@@ -13,6 +13,7 @@
 package trainer
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 
@@ -173,18 +174,16 @@ type Finetuner struct {
 	// ExpertStep applies the expert optimizer wherever the experts live.
 	ExpertStep func() error
 
-	// Recover, when non-nil, is consulted after a step fails: returning
-	// nil means the failure was handled (e.g. the broker failed over the
-	// dead worker) and the same step should be re-driven on the same
-	// batch; returning an error aborts the run. Distributed deployments
-	// wire broker.Supervisor.Recover here.
+	// Recover, when non-nil, is consulted after an attempt at step s fails,
+	// in the step or in its boundary (OnStep): returning nil means the
+	// state of boundary s−1 is back — batch-source position included — and
+	// s is re-driven from it, re-drawing its batch; returning an error
+	// aborts the run. core.System wires its one restore here.
 	Recover func(step int, err error) error
-	// MaxStepRetries bounds how many times one step is re-driven through
-	// Recover before the run aborts. <= 0 selects DefaultMaxStepRetries.
-	MaxStepRetries int
-	// OnStep, when non-nil, runs after each successful step — the
-	// checkpoint hook a supervisor uses to snapshot expert state at step
-	// boundaries. Its error aborts the run.
+	// OnStep, when non-nil, is the step boundary: it runs after each
+	// successful step, and the step is complete once it returns nil. Any
+	// other error is a failure of the step, handled like one; an error
+	// wrapping ErrStop ends the run after the completed step instead.
 	OnStep func(step int) error
 
 	// StartStep is the first step Run drives — 0 for a fresh run, the
@@ -205,16 +204,14 @@ type Finetuner struct {
 	Losses obs.Series
 }
 
-// DefaultMaxStepRetries is the per-step recovery bound used when
-// Finetuner.MaxStepRetries is unset.
+// DefaultMaxStepRetries bounds how many times Run re-drives one step
+// through Recover before the run aborts.
 const DefaultMaxStepRetries = 2
 
-func (f *Finetuner) maxStepRetries() int {
-	if f.MaxStepRetries > 0 {
-		return f.MaxStepRetries
-	}
-	return DefaultMaxStepRetries
-}
+// ErrStop, wrapped in an OnStep error, is a deliberate stop, not a
+// failure: Run ends after the step whose boundary returned it, and
+// returns the error without consulting Recover.
+var ErrStop = errors.New("trainer: run stopped")
 
 // NewLocalFinetuner wires a fine-tuner whose experts run in-process.
 func NewLocalFinetuner(m *moe.Model, exec *moe.LocalExecutor, b *data.Batcher) *Finetuner {
@@ -238,7 +235,8 @@ func NewLocalFinetuner(m *moe.Model, exec *moe.LocalExecutor, b *data.Batcher) *
 	}
 }
 
-// Step runs one fine-tuning step and returns its loss.
+// Step runs one fine-tuning step, recording and returning its loss; Run
+// adds the step's boundary and its retries.
 func (f *Finetuner) Step() (float64, error) {
 	ids, targets := f.Batcher.Next()
 	f.Obs.StartStep(f.Losses.Len())
@@ -251,13 +249,8 @@ func (f *Finetuner) Step() (float64, error) {
 	return loss, nil
 }
 
-// step drives one full step on a fixed batch. It is the retryable unit
-// of the recovery loop: gradients are zeroed first, and the optimizer
-// ordering — experts before backbone — means a failure anywhere leaves
-// the backbone unstepped, so a retried step cannot apply the backbone
-// update twice. Remote experts a failed attempt may have stepped are
-// rolled back by Recover (broker.Supervisor.Recover restores every expert
-// from the previous boundary's snapshot before the retry).
+// step drives one full step on a fixed batch: gradients are zeroed
+// first, then forward, backward and both optimizers.
 func (f *Finetuner) step(ids, targets []int) (float64, error) {
 	nn.ZeroGrads(f.Backbone)
 	if err := f.ExpertZero(); err != nil {
@@ -286,39 +279,38 @@ func (f *Finetuner) step(ids, targets []int) (float64, error) {
 	return loss, nil
 }
 
-// Run executes until `steps` total steps have completed (starting from
-// StartStep — nonzero when resuming from a run-level checkpoint),
-// invoking hook (if non-nil) after each. When Recover is set, a failed
-// step is handed to it and — if recovery succeeds — re-driven on the
-// same batch, up to MaxStepRetries times; the trainer thus sees a
-// worker failover as at most a retried step.
+// Run executes until `steps` total steps have completed, starting from
+// StartStep (nonzero when resuming from a run-level checkpoint). A step
+// is complete once its boundary has run; hook (if non-nil) then sees it,
+// exactly once. A failed attempt is handed to Recover, up to
+// DefaultMaxStepRetries times per step, and a retried one leaves no loss
+// behind; without Recover the failure ends the run.
 func (f *Finetuner) Run(steps int, hook Hook) error {
-	for s := f.StartStep; s < steps; s++ {
-		ids, targets := f.Batcher.Next()
-		f.Obs.StartStep(s)
-		var loss float64
-		var err error
-		for attempt := 0; ; attempt++ {
-			loss, err = f.step(ids, targets)
-			if err == nil {
-				break
+	for s, retries := f.StartStep, 0; s < steps; {
+		done := f.Losses.Len()
+		loss, err := f.Step()
+		if err == nil && f.OnStep != nil {
+			if err = f.OnStep(s); err != nil {
+				err = fmt.Errorf("step boundary: %w", err)
 			}
-			if f.Recover == nil || attempt >= f.maxStepRetries() {
+		}
+		if err == nil || errors.Is(err, ErrStop) {
+			if hook != nil {
+				hook(s, loss)
+			}
+			if err != nil {
 				return fmt.Errorf("trainer: step %d: %w", s, err)
 			}
-			if rerr := f.Recover(s, err); rerr != nil {
-				return fmt.Errorf("trainer: step %d: recovering from (%v): %w", s, err, rerr)
-			}
+			s, retries = s+1, 0
+			continue
 		}
-		f.Obs.EndStep()
-		f.Losses.Append(loss)
-		if hook != nil {
-			hook(s, loss)
+		if f.Recover == nil || retries == DefaultMaxStepRetries {
+			return fmt.Errorf("trainer: step %d: %w", s, err)
 		}
-		if f.OnStep != nil {
-			if err := f.OnStep(s); err != nil {
-				return fmt.Errorf("trainer: step %d checkpoint hook: %w", s, err)
-			}
+		retries++
+		f.Losses.Values = f.Losses.Values[:done]
+		if rerr := f.Recover(s, err); rerr != nil {
+			return fmt.Errorf("trainer: step %d: recovering from (%v): %w", s, err, rerr)
 		}
 	}
 	return nil
