@@ -7,7 +7,7 @@ GO ?= go
 # machines where cgo/race is unavailable or slow; CI always runs them.
 RACE ?= 1
 
-.PHONY: build test vet lint loc purego race race-core bench bench-check bench-wire bench-trace bench-all chaos shift restart check
+.PHONY: build test vet lint loc purego race race-core bench bench-check bench-wire bench-all chaos check
 
 build:
 	$(GO) build ./...
@@ -104,16 +104,6 @@ bench:
 	$(GO) test -run='^$$' -bench=. -benchmem ./internal/tensor ./internal/nn \
 		| $(GO) run ./cmd/benchjson > BENCH_tensor.json
 
-# Distributed-tracing overhead gate: the instrumented-vs-uninstrumented
-# exchange pair (now including the worker-side recv/queue/reply hooks),
-# the isolated per-request hook costs on both sides, and one
-# MsgTraceFetch ring drain. The two ObsExchange entries in
-# BENCH_trace.json are the <2%-overhead acceptance check with worker
-# tracing live; the hook benches must stay at 0 allocs/op.
-bench-trace:
-	$(GO) test -run='^$$' -bench='ObsExchange|ObsHooks|WorkerHooks|TraceFetch' -benchmem ./internal/broker \
-		| $(GO) run ./cmd/benchjson > BENCH_trace.json
-
 # Wire codec gate: encode/decode throughput per encoding (fp64, fp16,
 # int8) plus the bytes and frames one layer's dispatch puts on the wire
 # at the paper geometry. The EncodeFrame/DecodeFrame entries in
@@ -142,34 +132,18 @@ bench-check:
 
 # Fault-tolerance gate: the chaos/failover acceptance suite — fault
 # matrix, supervisor failover (mid-step and probe-detected deaths, and
-# the whole system's bit-identical failover through core.Attach),
-# transport fault injection, dead-worker migrate/fetch, the counter table
-# the recovery paths report through, and the checkpoint layer's own fault
-# matrix (RunStore corruption/IO-fault fallback, malformed-input
-# rejection, the decoders' fuzz seed corpora) — race-enabled and rerun
-# from scratch every time.
+# the whole system's bit-identical failover through core.Attach), crash-
+# resume across a SIGKILLed child process (torn-generation fallback,
+# failover, rejoin), transport fault injection, dead-worker
+# migrate/fetch, the counter table the recovery paths report through, and
+# the checkpoint layer's own fault matrix (RunStore corruption/IO-fault
+# fallback, malformed-input rejection, the decoders' fuzz seed corpora) —
+# race-enabled and rerun from scratch every time.
 chaos:
 	$(GO) test -race -count=1 \
-		-run 'Chaos|Fault|Failover|Supervisor|Repair|Recover|Dead|Probe|Counters|ExpertSnapshot|RunStore|DecodeRun' \
+		-run 'Chaos|Fault|Failover|Supervisor|Repair|Recover|Dead|Probe|Counters|ExpertSnapshot|RunStore|DecodeRun|CrashResume' \
 		./internal/broker ./internal/transport ./internal/placement \
 		./internal/checkpoint ./internal/trainer ./internal/obs ./internal/core
-
-# Re-placement acceptance run: the WikiText→Alpaca mid-run splice with
-# the drift-triggered controller live. Self-checking (fires exactly once
-# on the splice, placement within 10% of a fresh solve, baseline
-# re-anchored, loss trajectory untouched) and writes the measured
-# comm-bytes-per-step phases to BENCH_replace.json.
-shift:
-	$(GO) run ./examples/shift
-
-# Crash-resume acceptance run: a checkpointing child process is
-# SIGKILLed mid-training, its newest generation is deliberately torn,
-# and the resume must fall back a generation, continue bit-identically,
-# and re-admit a killed-then-restarted worker (experts migrated back by
-# the re-placement controller). Self-checking; writes the measured
-# checkpoint/resume costs to BENCH_ckpt.json.
-restart:
-	$(GO) run ./examples/restart
 
 # Pre-merge gate: vet + velavet + the bench module's vet/test + the
 # portable-kernel pass + full race-enabled test suite (the race target covers internal/obs, so the

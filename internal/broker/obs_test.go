@@ -34,7 +34,7 @@ func TestInstrumentedExchangeLifecycle(t *testing.T) {
 	}
 	handle.Drift.SetBaseline(baseline)
 
-	dep := StartLocalWorkers(workers, WorkerConfig{Optimizer: OptAdamW, LR: 1e-3, Obs: handle})
+	dep := StartLocalWorkers(workers, WorkerConfig{Optimizer: OptAdamW, Obs: handle})
 	exec := NewExecutor(dep.Conns, roundRobinAssignment(cfg, workers))
 	exec.Obs = handle
 	spec := ExpertSpec{D: cfg.D, Hidden: cfg.Hidden, LoRARank: 2, LoRAAlpha: 4}
@@ -219,8 +219,8 @@ func BenchmarkObsExchangeUninstrumented(b *testing.B) {
 
 // BenchmarkObsExchangeInstrumented runs the full scatter/gather round
 // with tracing, histograms, and straggler accounting live. Comparing
-// ns/op against the uninstrumented twin (make bench-trace writes both to
-// BENCH_trace.json) is the <2%-overhead acceptance check.
+// ns/op against the uninstrumented twin (go test -run '^$' -bench
+// ObsExchange ./internal/broker) is the <2%-overhead acceptance check.
 func BenchmarkObsExchangeInstrumented(b *testing.B) {
 	handle := obs.NewHandle(obs.Config{Workers: 3, Layers: 3, Experts: 6})
 	benchExchange(b, handle)

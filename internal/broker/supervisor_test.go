@@ -365,7 +365,7 @@ func TestRecoverWithoutSnapshotFails(t *testing.T) {
 	defer testutil.VerifyNoLeaks(t, "repro/internal/broker", "repro/internal/transport")
 	cfg := testConfig()
 	_, grid := buildFinetuneSetup(cfg, 13)
-	dep := StartLocalWorkers(2, WorkerConfig{Optimizer: OptSGD, LR: 0.1})
+	dep := StartLocalWorkers(2, WorkerConfig{Optimizer: OptSGD})
 	exec := NewExecutor(dep.Conns, roundRobinAssignment(cfg, 2))
 	exec.Counters = obs.NewCounters(nil)
 	if err := exec.Distribute(grid, ExpertSpec{D: cfg.D, Hidden: cfg.Hidden, LoRARank: 2, LoRAAlpha: 4}); err != nil {

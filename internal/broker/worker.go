@@ -25,9 +25,9 @@ const (
 
 // WorkerConfig configures an Expert Manager.
 type WorkerConfig struct {
+	// Optimizer is AdamW in every deployment; OptSGD, plain SGD at
+	// sgdLR, gives tests simpler numerics.
 	Optimizer OptimizerKind
-	// LR is used when Optimizer is OptSGD.
-	LR float64
 	// AdamW is used when Optimizer is OptAdamW.
 	AdamW nn.AdamWConfig
 	// Obs, when non-nil, receives per-expert compute timing from
@@ -107,13 +107,16 @@ type optimizer interface {
 	nn.Rebinder
 }
 
+// sgdLR is the learning rate of OptSGD workers.
+const sgdLR = 0.02
+
 // newOptimizer builds the configured optimizer over no parameters yet, or
 // nil for an unknown kind: a configuration error is reported at every
 // Step as a MsgError rather than panicking the worker process.
 func newOptimizer(cfg WorkerConfig) optimizer {
 	switch cfg.Optimizer {
 	case OptSGD:
-		return nn.NewSGD(nil, cfg.LR)
+		return nn.NewSGD(nil, sgdLR)
 	case OptAdamW:
 		return nn.NewAdamW(nil, cfg.AdamW)
 	}

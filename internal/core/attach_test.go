@@ -46,7 +46,7 @@ func prelude(t *testing.T) (*moe.Model, [][]*moe.Expert, Options, *data.Corpus) 
 func supervised(t *testing.T, sys *System, corpus *data.Corpus) (*trainer.Finetuner, *replace.Controller) {
 	t.Helper()
 	sys.Supervisor(broker.SupervisorConfig{})
-	ctrl, err := sys.ReplaceController(replace.Config{DriftThreshold: 10, AmortizeSteps: 1 << 30})
+	ctrl, err := sys.ReplaceController(replace.Config{DriftThreshold: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,6 +321,10 @@ func TestSystemFailoverBitIdentical(t *testing.T) {
 			}
 			if !slices.Equal(hooked, steps) {
 				t.Fatalf("the hook saw steps %v, want each of %v once", hooked, steps)
+			}
+			if sys.Obs.Steps() != ref.Obs.Steps() || sys.Obs.Drift.Steps() != ref.Obs.Drift.Steps() {
+				t.Fatalf("counted %d steps (drift monitor %d), want the failure-free %d (%d)",
+					sys.Obs.Steps(), sys.Obs.Drift.Steps(), ref.Obs.Steps(), ref.Obs.Drift.Steps())
 			}
 			failovers, retries := sys.Exec.Counters.Get(obs.WorkerFailovers), sys.Exec.Counters.Get(obs.StepRetries)
 			if failovers != r.failovers || retries != r.retries {

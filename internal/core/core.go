@@ -23,8 +23,8 @@
 // boundary s−1 through the restore Resume pours a stored one through.
 // Deploy is Attach + Distribute over in-process workers.
 //
-// cmd/velamaster, the restart and shift examples, and this package's
-// failover and Fig. 5 tests assemble through these. The pieces remain
+// cmd/velamaster and this package's failover, crash-resume, shift and
+// Fig. 5 tests assemble through these. The pieces remain
 // usable à la carte: bench/ (which times each separately) and
 // examples/epbaseline (a pre-computed EP layout, no statistics) hand-wire
 // broker.NewExecutor on purpose.

@@ -29,11 +29,8 @@ func TestRebalanceRefreshesDriftBaseline(t *testing.T) {
 		t.Fatal(err)
 	}
 	topo := testTopology()
-	h := obs.NewHandle(obs.Config{
-		Workers: topo.NumWorkers(), Layers: cfg.Layers, Experts: cfg.Experts,
-		// React fast so a few skewed steps produce visible drift.
-		DriftAlpha: 0.5,
-	})
+	h := obs.NewHandle(obs.Config{Workers: topo.NumWorkers(), Layers: cfg.Layers, Experts: cfg.Experts})
+	h.Drift = obs.NewDriftMonitor(cfg.Layers, cfg.Experts, 0.5) // reacts fast: a few skewed steps show drift
 	sys, err := Deploy(m, grid, Options{
 		Topo:     topo,
 		Strategy: placement.Sequential{}, // non-optimized start so the re-solve moves experts

@@ -231,8 +231,8 @@ type Source interface {
 
 // SwitchBatcher serves batches from one source and splices to another
 // after a fixed number of batches — the mid-run distribution shift
-// (e.g. WikiText → Alpaca) that examples/shift uses to exercise the
-// drift-triggered re-placement controller.
+// (e.g. WikiText → Alpaca) that core's TestShiftReplacesOnce uses to
+// exercise the drift-triggered re-placement controller.
 type SwitchBatcher struct {
 	before, after Source
 	switchAt      int

@@ -124,7 +124,16 @@ func (d *DriftMonitor) EndStep() {
 	}
 }
 
-// Steps returns how many steps have been folded in.
+// countTo sets the step count: a Handle's monitor counts the Handle's
+// completed steps, not its folds.
+func (d *DriftMonitor) countTo(steps uint64) {
+	d.mu.Lock()
+	d.steps = steps
+	d.mu.Unlock()
+}
+
+// Steps returns how many steps have been folded in; for a Handle's
+// monitor, how many steps the Handle has counted (Handle.EndStep).
 func (d *DriftMonitor) Steps() uint64 {
 	if d == nil {
 		return 0

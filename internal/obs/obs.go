@@ -61,9 +61,6 @@ type Config struct {
 	Experts int
 	// TraceCapacity is the event ring size (default 4096).
 	TraceCapacity int
-	// DriftAlpha is the EWMA coefficient of the drift monitor and the
-	// measured-comm gauge (default 0.05).
-	DriftAlpha float64
 }
 
 // sendStamp is a worker's outstanding request: its Seq and send time.
@@ -86,7 +83,8 @@ type phaseAgg struct {
 type Handle struct {
 	// Trace is the lifecycle event ring.
 	Trace *Tracer
-	// Drift is the placement-fidelity monitor.
+	// Drift is the placement-fidelity monitor (EWMA coefficient 0.05; a
+	// test wanting another installs NewDriftMonitor's).
 	Drift *DriftMonitor
 	// Clocks holds the per-worker clock-offset/RTT estimates fed by the
 	// heartbeat ping's timestamp echoes (zero-valued until the first
@@ -131,7 +129,7 @@ func NewHandle(cfg Config) *Handle {
 	}
 	h := &Handle{
 		Trace:     NewTracer(cfg.TraceCapacity),
-		Drift:     NewDriftMonitor(cfg.Layers, cfg.Experts, cfg.DriftAlpha),
+		Drift:     NewDriftMonitor(cfg.Layers, cfg.Experts, 0),
 		Clocks:    NewClockSync(cfg.Workers),
 		QueueWait: NewHistogram(LatencyBounds()),
 		FrameTx:   NewHistogram(SizeBounds()),
@@ -162,24 +160,28 @@ func (h *Handle) stepNow() int32 {
 	return int32(h.curStep.Load())
 }
 
-// StartStep marks the beginning of training step `step`; subsequent
-// trace events carry it.
+// StartStep marks the beginning of an attempt at training step `step`;
+// subsequent trace events carry it. The exchange time of an earlier,
+// failed attempt is dropped.
 func (h *Handle) StartStep(step int) {
 	if h == nil {
 		return
 	}
 	h.curStep.Store(int64(step))
+	h.exchangeNs.Store(0)
 }
 
-// EndStep closes the step: the drift monitor folds the step's routing
-// counts into P̂ and the step's accumulated exchange time feeds the
-// measured-comm gauge.
+// EndStep counts a completed step, its boundary included, so a retried
+// step counts once: the drift monitor folds what routing the boundary has
+// not into P̂, the step counts in Steps and Drift.Steps, and its
+// accumulated exchange time feeds the measured-comm gauge.
 func (h *Handle) EndStep() {
 	if h == nil {
 		return
 	}
-	h.steps.Add(1)
+	n := h.steps.Add(1)
 	h.Drift.EndStep()
+	h.Drift.countTo(n)
 	if ns := h.exchangeNs.Swap(0); ns > 0 {
 		h.Drift.AddMeasuredComm(float64(ns) / 1e9)
 	}

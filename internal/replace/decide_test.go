@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -116,7 +117,7 @@ func layout(workers ...int) *placement.Assignment {
 	return &placement.Assignment{Worker: [][]int{workers}}
 }
 
-// TestVerdictTable drives one triggered re-solve through Controller.OnStep
+// TestVerdictTable drives one requested re-solve through Controller.OnStep
 // for every way Decide can end, and pins what the controller makes
 // of it: LastReason, the decision counters, whether a plan ran, whether
 // the drift baseline was re-anchored — and that every outcome, including
@@ -162,10 +163,11 @@ func TestVerdictTable(t *testing.T) {
 			h := testHandle(prob)
 			mig := &fakeMigrator{assign: roundRobin(prob), dead: tc.dead}
 			c := newController(t, prob, h, mig, Config{
-				DriftThreshold: 0.5, ConsecutiveSteps: 1, CooldownSteps: cooldown,
+				DriftThreshold: 0.5, CooldownSteps: cooldown,
 				ExpertBytes: tc.expertBytes, Strategy: tc.strategy,
 			})
 			driftStep(h, 0, true)
+			c.RequestResolve("verdict table")
 
 			d, err := Decide(c.liveProblem(), mig.Assignment(), c.cfg)
 			if (err != nil) != tc.failed || d.Verdict != tc.verdict {
@@ -207,5 +209,57 @@ func TestVerdictTable(t *testing.T) {
 				t.Errorf("MaxDrift %v: baseline re-anchored = %v, want %v", h.Drift.MaxDrift(), got, tc.rebaselined)
 			}
 		})
+	}
+}
+
+// TestShiftDecision replays one decision of the WikiText→Alpaca splice
+// core's TestShiftReplacesOnce runs: the deployment's problem and
+// WikiText-profiled P, the routing estimate P̂ of step 24 (twelve steps
+// into Alpaca), and the deployed placement, which a controller arming over
+// four boundaries still holds then. Decide must order an eight-expert
+// migration, and stand down once it is installed.
+func TestShiftDecision(t *testing.T) {
+	prob := &placement.Problem{
+		Workers: 4, Layers: 2, Experts: 6,
+		P: [][]float64{
+			{0.302734375, 0.076171875, 0.01806640625, 0.20263671875, 0.36865234375, 0.03173828125},
+			{0.12158203125, 0.22607421875, 0.34130859375, 0.07421875, 0.01123046875, 0.2255859375},
+		},
+		Bandwidth:       []float64{1.073741824e+10, 1.073741824e+10, 1.073741824e+09, 1.073741824e+09},
+		Capacity:        []int{4, 4, 4, 4},
+		RoutingsPerStep: 256,
+		BytesPerToken:   32,
+		WorkerNode:      []int{0, 0, 1, 1},
+	}
+	cur, err := placement.LocalityLP{}.Place(prob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := [][]int{{0, 0, 3, 1, 1, 2}, {3, 0, 1, 1, 2, 0}}; !reflect.DeepEqual(cur.Worker, want) {
+		t.Fatalf("pre-shift placement %v, the live run deploys %v", cur.Worker, want)
+	}
+
+	shifted := *prob
+	shifted.P = [][]float64{
+		{0.2924367988134823, 0.07519549794245162, 0.014473671017132704, 0.21243224107651176, 0.38173650330301045, 0.02372528784741146},
+		{0.13099659875880532, 0.18593342269273533, 0.3624712627254315, 0.0614369612401832, 0.010210014896471688, 0.24895173968637327},
+	}
+	cfg := Config{
+		DriftThreshold: 0.09,
+		CooldownSteps:  24,
+		ExpertBytes:    11136, // the deployed spec's PayloadBytes (d=16, h=24, r=2)
+	}
+	d, err := Decide(&shifted, cur, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.Verdict != Migrate {
+		t.Fatalf("verdict %v (savings %.3gs/step, cost %.3gs), want migrate", d.Verdict, d.Savings, d.Cost)
+	}
+	if want := [][]int{{1, 1, 2, 0, 0, 3}, {1, 0, 1, 2, 2, 0}}; len(d.Moves) != 8 || !reflect.DeepEqual(d.Next.Worker, want) {
+		t.Fatalf("%d moves toward %v, the live run moves 8 toward %v", len(d.Moves), d.Next.Worker, want)
+	}
+	if again, err := Decide(&shifted, d.Next, cfg); err != nil || again.Verdict != Confirmed {
+		t.Fatalf("after the migration the verdict is %v (error %v), want the placement confirmed", again.Verdict, err)
 	}
 }

@@ -15,7 +15,7 @@
 //     migration, an empty diff, or a cost-gated skip — the controller
 //     sleeps for M steps. Re-placements cannot thrash back and forth.
 //   - Migration-cost gate: a re-solve's plan only executes when the
-//     predicted communication savings, amortized over AmortizeSteps,
+//     predicted communication savings, amortized over amortizeSteps,
 //     exceed the one-time cost of moving the experts.
 //
 // The pipeline per decision is signal → decision → plan → execution:
@@ -54,19 +54,9 @@ type Config struct {
 	// per-layer L1 distance between the EWMA routing estimate and the
 	// placement-time P. It must be > 0.
 	DriftThreshold float64
-	// ConsecutiveSteps (K) is how many consecutive over-threshold step
-	// boundaries arm a re-solve. Default 3.
-	ConsecutiveSteps int
 	// CooldownSteps (M) is how many step boundaries the controller stays
 	// silent after consuming a re-solve. Default 20.
 	CooldownSteps int
-	// AmortizeSteps is the horizon the migration cost is amortized over
-	// in the cost gate. Default 50.
-	AmortizeSteps int
-	// MinSavingsFactor scales the gate: the plan executes only when
-	// savings/step × AmortizeSteps ≥ MinSavingsFactor × move cost.
-	// Default 1.
-	MinSavingsFactor float64
 	// ExpertBytes is the wire payload of migrating one expert
 	// (broker.ExpertSpec.PayloadBytes()); feeds the move-cost model.
 	ExpertBytes float64
@@ -74,19 +64,18 @@ type Config struct {
 	Strategy placement.Strategy
 }
 
+// The structural constants: consecutiveSteps (K) over-threshold step
+// boundaries arm a re-solve, and a plan executes only when its savings
+// per step over amortizeSteps cover its one-time move cost.
+const (
+	consecutiveSteps = 3
+	amortizeSteps    = 50
+)
+
 // SetDefaults fills unset structural knobs in place.
 func (c *Config) SetDefaults() {
-	if c.ConsecutiveSteps <= 0 {
-		c.ConsecutiveSteps = 3
-	}
 	if c.CooldownSteps <= 0 {
 		c.CooldownSteps = 20
-	}
-	if c.AmortizeSteps <= 0 {
-		c.AmortizeSteps = 50
-	}
-	if c.MinSavingsFactor <= 0 {
-		c.MinSavingsFactor = 1
 	}
 	if c.Strategy == nil {
 		c.Strategy = placement.LocalityLP{}
@@ -196,8 +185,8 @@ func (c *Controller) OnStep(step int) error {
 		return nil
 	}
 	c.over++
-	if c.over < c.cfg.ConsecutiveSteps {
-		c.LastReason = fmt.Sprintf("arming %d/%d", c.over, c.cfg.ConsecutiveSteps)
+	if c.over < consecutiveSteps {
+		c.LastReason = fmt.Sprintf("arming %d/%d", c.over, consecutiveSteps)
 		return nil
 	}
 	c.over = 0
@@ -217,8 +206,8 @@ const (
 	// NoBetter: the fresh solve differs but saves nothing per step, so
 	// moving would be sideways.
 	NoBetter
-	// CostSkip: the savings, amortized over AmortizeSteps, do not cover
-	// MinSavingsFactor × the one-time cost of the moves.
+	// CostSkip: the savings, amortized over amortizeSteps, do not cover
+	// the one-time cost of the moves.
 	CostSkip
 	// Migrate: the plan is worth executing.
 	Migrate
@@ -254,10 +243,10 @@ type Decision struct {
 // prob with cfg.Strategy, diff against cur, price both layouts with the
 // placement objective, stand down when the fresh solve saves nothing, and
 // gate what is left on the amortized migration cost. The controller, the
-// drift ablation (velabench -fig drift) and make shift all ask this one
-// function whether a re-placement would pay. The error is a solver or
-// diff failure, or a solved assignment that does not validate against its
-// own problem — never execute a plan toward that.
+// drift ablation (velabench -fig drift) and core's TestShiftReplacesOnce
+// all ask this one function whether a re-placement would pay. The error
+// is a solver or diff failure, or a solved assignment that does not
+// validate against its own problem — never execute a plan toward that.
 func Decide(prob *placement.Problem, cur *placement.Assignment, cfg Config) (Decision, error) {
 	cfg.SetDefaults()
 	next, err := cfg.Strategy.Place(prob)
@@ -285,7 +274,7 @@ func Decide(prob *placement.Problem, cur *placement.Assignment, cfg Config) (Dec
 		d.Verdict = Confirmed
 	case d.Savings <= 0:
 		d.Verdict = NoBetter
-	case d.Savings*float64(cfg.AmortizeSteps) < cfg.MinSavingsFactor*d.Cost:
+	case d.Savings*amortizeSteps < d.Cost:
 		d.Verdict = CostSkip
 	default:
 		d.Verdict = Migrate
@@ -319,7 +308,7 @@ func (c *Controller) resolve(step int) error {
 	if d.Verdict == CostSkip {
 		c.stats.Add(obs.ReplaceCostSkips, 1)
 		c.LastReason = fmt.Sprintf("cost-skip: savings %.3gs/step over %d steps < %.3gs move cost",
-			d.Savings, c.cfg.AmortizeSteps, d.Cost)
+			d.Savings, amortizeSteps, d.Cost)
 		return nil
 	}
 

@@ -58,7 +58,8 @@ func testProblem() *placement.Problem {
 // (alpha=1: P̂ is exactly the last step's empirical routing) with the
 // uniform baseline installed.
 func testHandle(prob *placement.Problem) *obs.Handle {
-	h := obs.NewHandle(obs.Config{Workers: prob.Workers, Layers: prob.Layers, Experts: prob.Experts, DriftAlpha: 1})
+	h := obs.NewHandle(obs.Config{Workers: prob.Workers, Layers: prob.Layers, Experts: prob.Experts})
+	h.Drift = obs.NewDriftMonitor(prob.Layers, prob.Experts, 1)
 	h.Drift.SetBaseline(prob.P)
 	return h
 }
@@ -102,7 +103,7 @@ func TestTransientSpikeDoesNotTrigger(t *testing.T) {
 	prob := testProblem()
 	h := testHandle(prob)
 	mig := &fakeMigrator{assign: roundRobin(prob)}
-	c := newController(t, prob, h, mig, Config{DriftThreshold: 0.5, ConsecutiveSteps: 3, ExpertBytes: 1e3})
+	c := newController(t, prob, h, mig, Config{DriftThreshold: 0.5, ExpertBytes: 1e3})
 
 	step := 0
 	for round := 0; round < 4; round++ {
@@ -136,7 +137,7 @@ func TestSustainedDriftTriggersOnceAndRebaselines(t *testing.T) {
 	h := testHandle(prob)
 	mig := &fakeMigrator{assign: roundRobin(prob)}
 	c := newController(t, prob, h, mig, Config{
-		DriftThreshold: 0.5, ConsecutiveSteps: 3, CooldownSteps: 10, ExpertBytes: 1e3,
+		DriftThreshold: 0.5, CooldownSteps: 10, ExpertBytes: 1e3,
 	})
 
 	for step := 0; step < 20; step++ {
@@ -178,13 +179,13 @@ func TestCooldownRespected(t *testing.T) {
 	h := testHandle(prob)
 	mig := &fakeMigrator{assign: roundRobin(prob)}
 	c := newController(t, prob, h, mig, Config{
-		DriftThreshold: 0.5, ConsecutiveSteps: 2, CooldownSteps: 6,
+		DriftThreshold: 0.5, CooldownSteps: 6,
 		// An absurd payload makes every plan fail the cost gate.
 		ExpertBytes: 1e18,
 	})
 
 	triggerSteps := []int{}
-	for step := 0; step < 20; step++ {
+	for step := 0; step < 21; step++ {
 		driftStep(h, step, true)
 		before := c.stats.Get(obs.ReplaceTriggers)
 		if err := c.OnStep(step); err != nil {
@@ -200,9 +201,9 @@ func TestCooldownRespected(t *testing.T) {
 	if skips, triggers := c.stats.Get(obs.ReplaceCostSkips), c.stats.Get(obs.ReplaceTriggers); skips == 0 || skips != triggers {
 		t.Fatalf("%d cost skips for %d triggers, want every trigger cost-skipped", skips, triggers)
 	}
-	// K=2 arms at steps 0,1 → first trigger step 1; then 6 cooldown steps
-	// (2..7) + 2 arming (8,9) → next trigger step 9, then 17.
-	want := []int{1, 9, 17}
+	// K=3 arms at steps 0,1,2 → first trigger step 2; then 6 cooldown
+	// steps (3..8) + 3 arming (9..11) → next trigger step 11, then 20.
+	want := []int{2, 11, 20}
 	if len(triggerSteps) != len(want) {
 		t.Fatalf("trigger steps = %v, want %v", triggerSteps, want)
 	}
@@ -220,7 +221,7 @@ func TestNoMovesRebaselinesWithoutMigration(t *testing.T) {
 	prob := testProblem()
 	h := testHandle(prob)
 	mig := &fakeMigrator{assign: roundRobin(prob)}
-	c := newController(t, prob, h, mig, Config{DriftThreshold: 0.5, ConsecutiveSteps: 2, ExpertBytes: 1e3})
+	c := newController(t, prob, h, mig, Config{DriftThreshold: 0.5, ExpertBytes: 1e3})
 
 	// Hot traffic on experts 0 and 1 — ALREADY split across the two
 	// workers under round-robin, so the re-solve keeps the layout.
@@ -250,11 +251,13 @@ func TestDeadWorkerExcludedFromResolve(t *testing.T) {
 	prob := testProblem()
 	h := testHandle(prob)
 	mig := &fakeMigrator{assign: roundRobin(prob), dead: []bool{false, true}}
-	c := newController(t, prob, h, mig, Config{DriftThreshold: 0.5, ConsecutiveSteps: 1, ExpertBytes: 1e3})
+	c := newController(t, prob, h, mig, Config{DriftThreshold: 0.5, ExpertBytes: 1e3})
 
-	driftStep(h, 0, true)
-	if err := c.OnStep(0); err != nil {
-		t.Fatal(err)
+	for step := 0; step < 3; step++ { // K=3: steps 0 and 1 arm, 2 re-solves
+		driftStep(h, step, true)
+		if err := c.OnStep(step); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if len(mig.plans) != 1 {
 		t.Fatalf("executed %d plans, want 1 (evacuating the dead worker)", len(mig.plans))

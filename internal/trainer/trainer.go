@@ -196,8 +196,9 @@ type Finetuner struct {
 
 	// Obs, when non-nil, receives step boundaries and per-phase spans
 	// (forward, backward, optimizer; the broker records its own exchange
-	// spans); EndStep also folds the step's routing into the P-drift
-	// monitor.
+	// spans). Each attempt folds its routing into the P-drift monitor
+	// before the boundary reads it; a step is counted (EndStep) once
+	// complete.
 	Obs *obs.Handle
 
 	// Losses accumulates the per-step loss.
@@ -235,16 +236,29 @@ func NewLocalFinetuner(m *moe.Model, exec *moe.LocalExecutor, b *data.Batcher) *
 	}
 }
 
-// Step runs one fine-tuning step, recording and returning its loss; Run
-// adds the step's boundary and its retries.
+// Step runs one fine-tuning step, recording and returning its loss, and
+// counts it on Obs; Run adds the step's boundary and its retries.
 func (f *Finetuner) Step() (float64, error) {
+	loss, err := f.attempt()
+	if err == nil {
+		f.Obs.EndStep()
+	}
+	return loss, err
+}
+
+// attempt draws a batch and drives one step on it, recording its loss and
+// folding its routing into the drift estimate the boundary reads. It
+// counts nothing: a step counts once it is complete.
+func (f *Finetuner) attempt() (float64, error) {
 	ids, targets := f.Batcher.Next()
 	f.Obs.StartStep(f.Losses.Len())
 	loss, err := f.step(ids, targets)
 	if err != nil {
 		return 0, err
 	}
-	f.Obs.EndStep()
+	if f.Obs != nil {
+		f.Obs.Drift.EndStep()
+	}
 	f.Losses.Append(loss)
 	return loss, nil
 }
@@ -281,20 +295,21 @@ func (f *Finetuner) step(ids, targets []int) (float64, error) {
 
 // Run executes until `steps` total steps have completed, starting from
 // StartStep (nonzero when resuming from a run-level checkpoint). A step
-// is complete once its boundary has run; hook (if non-nil) then sees it,
-// exactly once. A failed attempt is handed to Recover, up to
-// DefaultMaxStepRetries times per step, and a retried one leaves no loss
-// behind; without Recover the failure ends the run.
+// is complete once its boundary has run; Obs then counts it and hook (if
+// non-nil) sees it, exactly once. A failed attempt is handed to Recover,
+// up to DefaultMaxStepRetries times per step, and a retried one leaves no
+// loss behind; without Recover the failure ends the run.
 func (f *Finetuner) Run(steps int, hook Hook) error {
 	for s, retries := f.StartStep, 0; s < steps; {
 		done := f.Losses.Len()
-		loss, err := f.Step()
+		loss, err := f.attempt()
 		if err == nil && f.OnStep != nil {
 			if err = f.OnStep(s); err != nil {
 				err = fmt.Errorf("step boundary: %w", err)
 			}
 		}
 		if err == nil || errors.Is(err, ErrStop) {
+			f.Obs.EndStep()
 			if hook != nil {
 				hook(s, loss)
 			}
