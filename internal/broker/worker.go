@@ -1,6 +1,7 @@
 package broker
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -11,6 +12,7 @@ import (
 	"repro/internal/nn"
 	"repro/internal/obs"
 	"repro/internal/tensor"
+	"repro/internal/transport"
 	"repro/internal/wire"
 )
 
@@ -43,15 +45,15 @@ func DefaultWorkerConfig() WorkerConfig {
 }
 
 // Worker is one Expert Manager process: it hosts a shard of experts,
-// serves forward/backward dispatch frames from the master, and applies
+// serves forward/backward dispatch frames from its masters, and applies
 // local optimizer steps to the trainable (LoRA) parameters of its experts.
 //
-// Concurrency model: Serve handles one message at a time. A dispatch
-// frame's experts compute side by side holding mu for reading, and they
-// are distinct experts — handleMulti refuses a frame that names one
-// twice — so no two computes touch one expert's cached activations.
-// Whatever mutates the expert table or optimizer state holds mu for
-// writing.
+// Concurrency model: Serve handles one message, or with K masters one
+// turn of K messages, at a time. A dispatch frame's experts compute side
+// by side holding mu for reading, and they are distinct experts —
+// checkFrame refuses a frame that names one twice — so no two computes
+// touch one expert's cached activations. Whatever mutates the expert
+// table or optimizer state holds mu for writing.
 //
 // The zero value is not usable; call NewWorker.
 type Worker struct {
@@ -69,6 +71,9 @@ type Worker struct {
 	// computed once when it is assigned (they never change afterwards) and
 	// stamped on every delta snapshot of it.
 	baseSums map[moe.ExpertID]uint32
+	// cats holds each expert's last forward turn input, an arena buffer
+	// it reads until its backward turn; only turnMulti touches it.
+	cats map[moe.ExpertID]*tensor.Tensor
 }
 
 // NewWorker creates an Expert Manager with no experts assigned yet.
@@ -78,6 +83,7 @@ func NewWorker(id int, cfg WorkerConfig) *Worker {
 		experts:  make(map[moe.ExpertID]*moe.Expert),
 		specs:    make(map[moe.ExpertID]ExpertSpec),
 		baseSums: make(map[moe.ExpertID]uint32),
+		cats:     make(map[moe.ExpertID]*tensor.Tensor),
 		opt:      newOptimizer(cfg),
 	}
 }
@@ -134,25 +140,29 @@ func (w *Worker) refreshOptimizer() {
 	}
 }
 
-// Serve runs the worker's request loop on conn until a shutdown message
-// arrives or the connection fails, handling every message in arrival
-// order on the calling goroutine. The master serializes rounds per
-// connection and sends a request only once the previous one's reply has
-// arrived, so nothing legitimate ever waits behind a computing frame; the
-// one message that can is a duplicated delivery, which then runs — and,
-// for a backward frame, fails as a whole on its consumed activations —
-// strictly after the original has replied, where the master discards it
-// by Seq. A frame's parallelism is inside it (see handleMulti). It
-// returns nil on clean shutdown.
-func (w *Worker) Serve(conn interface {
-	Send(*wire.Message) error
-	Recv() (*wire.Message, error)
-}) error {
+// Serve runs the worker's request loop until a shutdown arrives or a
+// connection fails, and returns nil on clean shutdown. Each conn is one
+// master; a turn takes one message from each, in master order, and
+// answers each (see turn). A master sends a request only once the previous
+// one's reply has arrived, so nothing legitimate ever waits behind a
+// computing frame; the one message that can is a duplicated delivery,
+// which then runs — and, for a backward frame, fails as a whole on its
+// consumed activations — strictly after the original has replied, where
+// the master discards it by Seq. Only a one-master worker traces.
+func (w *Worker) Serve(conns ...transport.Conn) error {
+	if len(conns) == 0 {
+		return fmt.Errorf("broker: worker %d: no master connection to serve", w.ID)
+	}
+	msgs, replies := make([]*wire.Message, len(conns)), make([]*wire.Message, len(conns))
 	for {
-		msg, err := conn.Recv()
-		if err != nil {
-			return fmt.Errorf("broker: worker %d recv: %w", w.ID, err)
+		for i, c := range conns {
+			msg, err := c.Recv()
+			if err != nil {
+				return fmt.Errorf("broker: worker %d recv: %w", w.ID, err)
+			}
+			msgs[i] = msg
 		}
+		msg := msgs[0]
 		// Arrival on the worker tracer's clock: the queue-wait anchor for
 		// dispatch frames and the t1 echo for clock pings.
 		var arrivedAt int64
@@ -160,13 +170,16 @@ func (w *Worker) Serve(conn interface {
 			arrivedAt = w.cfg.Obs.Trace.Clock()
 		}
 		// Only dispatch frames are traced as requests.
-		traced := w.cfg.Obs != nil && (msg.Type == wire.MsgForwardMulti || msg.Type == wire.MsgBackwardMulti)
+		traced := w.cfg.Obs != nil && len(conns) == 1 && (msg.Type == wire.MsgForwardMulti || msg.Type == wire.MsgBackwardMulti)
 		if traced {
 			w.cfg.Obs.OnWorkerRecv(w.ID, int(msg.Layer), int(msg.Expert), msg.Seq,
 				arrivedAt, wire.EncodedSize(msg))
 		}
-		reply, done := w.handleAt(msg, arrivedAt)
-		if reply != nil {
+		done := w.turn(msgs, replies, arrivedAt)
+		for i, reply := range replies {
+			if reply == nil {
+				continue
+			}
 			// Size before Send: over the in-process pipe the receiver owns
 			// the reply as soon as Send returns.
 			var bytes int
@@ -175,7 +188,7 @@ func (w *Worker) Serve(conn interface {
 				bytes = wire.EncodedSize(reply)
 				sendT0 = w.cfg.Obs.Trace.Clock()
 			}
-			if err := conn.Send(reply); err != nil {
+			if err := conns[i].Send(reply); err != nil {
 				return fmt.Errorf("broker: worker %d send: %w", w.ID, err)
 			}
 			if traced {
@@ -187,6 +200,125 @@ func (w *Worker) Serve(conn interface {
 			return nil
 		}
 	}
+}
+
+// turn answers one message per master in replies and reports whether
+// serving ends. K masters, each training on its own share of the rows,
+// must agree on Type, Layer and Expert (dispatch frames on the id row
+// too), or all get MsgError. A dispatch turn runs each expert once over
+// all masters' rows (turnMulti); anything else runs once, a MsgStep after
+// scaling the expert gradients by 1/K, as each share's rows carry its mean.
+func (w *Worker) turn(msgs, replies []*wire.Message, arrivedAt int64) (done bool) {
+	first := msgs[0]
+	if len(msgs) == 1 {
+		replies[0], done = w.handleAt(first, arrivedAt)
+		return done
+	}
+	var err error
+	for i, msg := range msgs[1:] {
+		if msg.Type != first.Type || msg.Layer != first.Layer || msg.Expert != first.Expert {
+			err = fmt.Errorf("broker: worker %d: turn disagrees: master %d sent %v L%d/E%d, master 0 %v L%d/E%d",
+				w.ID, i+1, msg.Type, msg.Layer, msg.Expert, first.Type, first.Layer, first.Expert)
+		}
+	}
+	switch {
+	case err != nil:
+	case first.Type == wire.MsgForwardMulti || first.Type == wire.MsgBackwardMulti:
+		err = w.turnMulti(msgs, replies)
+	default:
+		if first.Type == wire.MsgStep {
+			w.mu.Lock()
+			for _, e := range w.experts {
+				for _, p := range nn.CollectTrainable(e.Params()) {
+					p.Grad.ScaleInPlace(1 / float64(len(msgs)))
+				}
+			}
+			w.mu.Unlock()
+		}
+		var reply *wire.Message
+		reply, done = w.handleAt(first, 0)
+		for i, msg := range msgs {
+			r := *reply
+			r.Seq, r.Tensors = msg.Seq, slices.Clone(reply.Tensors)
+			replies[i] = &r
+		}
+	}
+	if err != nil {
+		for i, msg := range msgs {
+			replies[i] = errMsg(msg, err)
+		}
+	}
+	return done
+}
+
+// turnMulti runs each expert of a dispatch turn once, over its rows from
+// every master concatenated in master order — exactly as for one master
+// sending them all — and answers each master its own rows. An expert with
+// no rows in the turn is not computed and answers 0 rows. The arena
+// buffers of a failed turn are left to the GC (see cats).
+func (w *Worker) turnMulti(msgs, replies []*wire.Message) error {
+	first := msgs[0]
+	backward, resType := first.Type == wire.MsgBackwardMulti, wire.MsgForwardMultiResult
+	if backward {
+		resType = wire.MsgBackwardMultiResult
+	}
+	if err := w.checkFrame(first); err != nil {
+		return err
+	}
+	k := len(first.Tensors) - 1
+	ids, ins, bufs := make([]moe.ExpertID, k), make([]wire.Matrix, k), make([]*tensor.Tensor, k)
+	for i := range ins {
+		ids[i] = moe.ExpertID{Layer: int(first.Layer), Expert: int(first.Tensors[0].Data[i])}
+		in := &ins[i]
+		in.Cols, in.Enc = first.Tensors[1+i].Cols, first.Tensors[1+i].Enc
+		for j, msg := range msgs {
+			if len(msg.Tensors) != 1+k || msg.Tensors[1+i].Cols != in.Cols || !slices.Equal(msg.Tensors[0].Data, first.Tensors[0].Data) {
+				return fmt.Errorf("broker: worker %d: turn disagrees: master %d's %v frame differs from master 0's", w.ID, j, msg.Type)
+			}
+			in.Rows += msg.Tensors[1+i].Rows
+		}
+		if in.Rows > 0 {
+			if in.Cols <= 0 {
+				return fmt.Errorf("broker: worker %d: %v batch for %v has no features", w.ID, first.Type, ids[i])
+			}
+			bufs[i] = tensor.GetDirty(in.Rows, in.Cols)
+			off := 0
+			for _, msg := range msgs {
+				off += copy(bufs[i].Data[off:], msg.Tensors[1+i].Data)
+			}
+			in.Data = bufs[i].Data
+		}
+	}
+	res, errs := make([]wire.Matrix, k), make([]error, k)
+	tensor.Fanout(k, func(i int) {
+		res[i] = wire.Matrix{Cols: ins[i].Cols}
+		if ins[i].Rows > 0 {
+			res[i], errs[i] = w.runExpert(ids[i], backward, &ins[i], first.Seq, 0)
+		}
+	})
+	if err := errors.Join(errs...); err != nil {
+		return err
+	}
+	for i, buf := range bufs {
+		if buf != nil {
+			tensor.Put(w.cats[ids[i]]) // the last forward's input: replaced, or consumed by this backward
+			if backward {
+				tensor.Put(buf)
+				buf = nil
+			}
+			w.cats[ids[i]] = buf
+		}
+	}
+	for j, msg := range msgs {
+		outs := append(make([]wire.Matrix, 0, 1+k), msg.Tensors[0])
+		for i := range res {
+			r, n := &res[i], msg.Tensors[1+i].Rows*res[i].Cols // this master's share, taken off the front
+			outs = append(outs, wire.Matrix{Rows: msg.Tensors[1+i].Rows, Cols: r.Cols, Data: r.Data[:n:n], Enc: msg.Tensors[1+i].Enc})
+			r.Data = r.Data[n:]
+		}
+		replies[j] = &wire.Message{Type: resType, Layer: msg.Layer, Expert: wire.ExpertCoalesced, Seq: msg.Seq, Tensors: outs}
+	}
+	return nil
 }
 
 // handle processes one message with no arrival timestamp (tests and
@@ -343,35 +475,20 @@ func (w *Worker) handleAt(msg *wire.Message, arrivedAt int64) (reply *wire.Messa
 	}
 }
 
-// handleMulti serves one dispatch frame: Tensors[0] names K experts,
-// Tensors[1..K] carry their batches (a single-expert request is K=1). The
-// per-expert computes run side by side through tensor.Fanout — the
-// fan-out moe.LocalExecutor uses too, at most tensor.Parallelism() at
-// once — and the reply mirrors the frame layout, echoing the id row. Any expert failure fails the whole frame with one
-// MsgError — the master treats a frame as one request.
+// handleMulti serves one dispatch frame (see checkFrame). Its experts
+// compute side by side through tensor.Fanout, at most
+// tensor.Parallelism() at once, and the reply mirrors the frame, echoing
+// the id row. Any expert failure fails the frame with one MsgError.
 func (w *Worker) handleMulti(msg *wire.Message, arrivedAt int64) *wire.Message {
 	backward, resType := false, wire.MsgForwardMultiResult
 	if msg.Type == wire.MsgBackwardMulti {
 		backward, resType = true, wire.MsgBackwardMultiResult
 	}
+	if err := w.checkFrame(msg); err != nil {
+		return errMsg(msg, err)
+	}
 	k := len(msg.Tensors) - 1
-	if k < 1 || msg.Tensors[0].Rows != 1 || msg.Tensors[0].Cols != k {
-		return errMsg(msg, fmt.Errorf("broker: worker %d: malformed %v frame (%d tensors)",
-			w.ID, msg.Type, len(msg.Tensors)))
-	}
 	ids := msg.Tensors[0]
-	// Reject a garbage or repeated id before anything computes: a backward
-	// that ran for the frame's other experts would consume their
-	// activations, and a second compute of one expert would overwrite the
-	// activations the first one's backward needs.
-	for i, v := range ids.Data {
-		if !(v >= 0 && v <= math.MaxInt32 && v == math.Trunc(v)) {
-			return errMsg(msg, fmt.Errorf("broker: worker %d: %v frame names expert id %v", w.ID, msg.Type, v))
-		}
-		if slices.Contains(ids.Data[:i], v) {
-			return errMsg(msg, fmt.Errorf("broker: worker %d: %v frame names expert %v twice", w.ID, msg.Type, v))
-		}
-	}
 	outs := make([]wire.Matrix, 1+k)
 	outs[0] = ids // echo so the master can re-correlate results
 	errs := make([]error, k)
@@ -386,6 +503,27 @@ func (w *Worker) handleMulti(msg *wire.Message, arrivedAt int64) *wire.Message {
 	}
 	return &wire.Message{Type: resType, Layer: msg.Layer, Expert: wire.ExpertCoalesced,
 		Seq: msg.Seq, Tensors: outs}
+}
+
+// checkFrame validates a dispatch frame: a 1×K row of K distinct expert
+// ids, then their K batches. A garbage or repeated id is refused before
+// anything computes: a second compute of one expert would overwrite the
+// activations its first one's backward needs.
+func (w *Worker) checkFrame(msg *wire.Message) error {
+	k := len(msg.Tensors) - 1
+	if k < 1 || msg.Tensors[0].Rows != 1 || msg.Tensors[0].Cols != k {
+		return fmt.Errorf("broker: worker %d: malformed %v frame (%d tensors)", w.ID, msg.Type, len(msg.Tensors))
+	}
+	ids := msg.Tensors[0].Data
+	for i, v := range ids {
+		if !(v >= 0 && v <= math.MaxInt32 && v == math.Trunc(v)) {
+			return fmt.Errorf("broker: worker %d: %v frame names expert id %v", w.ID, msg.Type, v)
+		}
+		if slices.Contains(ids[:i], v) {
+			return fmt.Errorf("broker: worker %d: %v frame names expert %v twice", w.ID, msg.Type, v)
+		}
+	}
+	return nil
 }
 
 // runExpert runs one expert's forward or backward over a batch and

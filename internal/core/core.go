@@ -24,10 +24,10 @@
 // Deploy is Attach + Distribute over in-process workers.
 //
 // cmd/velamaster and this package's failover, crash-resume, shift and
-// Fig. 5 tests assemble through these. The pieces remain
-// usable à la carte: bench/ (which times each separately) and
-// examples/epbaseline (a pre-computed EP layout, no statistics) hand-wire
-// broker.NewExecutor on purpose.
+// Fig. 5 tests assemble through these. DeployEP (ep.go) assembles the
+// paper's baseline, expert parallelism, from the same runtime. bench/,
+// which times each piece separately, hand-wires broker.NewExecutor on
+// purpose.
 package core
 
 import (

@@ -173,7 +173,7 @@ func TestAnalyzerScoping(t *testing.T) {
 		{PanicPolicy, "repro/cmd/velaworker", true},
 		{PanicPolicy, "repro/internal/tensor", false},
 		{PanicPolicy, "repro/internal/moe", false},
-		{PanicPolicy, "repro/internal/ep", false},
+		{PanicPolicy, "repro/internal/sim", false},
 	}
 	for _, c := range cases {
 		if got := c.a.applies(c.path); got != c.want {
