@@ -81,7 +81,9 @@ endif
 # lives: broker (master rounds, worker, supervisor), replace (live
 # re-placement controller), transport, and the compute side — tensor (the
 # fork-join team under every kernel and fan-out), nn, and moe, whose local
-# executor runs a layer's experts side by side. Uncached (-count=1) so a
+# executor runs a layer's experts side by side — plus core's EP tests,
+# whose rank goroutines share workers, an all-reduce rendezvous and an
+# abort. Uncached (-count=1) so a
 # racy interleaving cannot hide behind Go's test result cache; the team's
 # own tests run three times more, each bounded by a deadline, so a lost
 # wake-up fails here instead of showing up as benchmark noise. The
@@ -94,6 +96,7 @@ else
 	$(GO) test -race -count=1 -timeout 5m ./internal/broker/... ./internal/replace/... ./internal/transport/... \
 		./internal/moe/... ./internal/tensor/... ./internal/nn/...
 	$(GO) test -race -count=3 -timeout 5m -run 'Fanout|Caller|Helper|Parallel' ./internal/tensor
+	$(GO) test -race -count=1 -timeout 5m -run 'EP' ./internal/core
 endif
 
 # Tensor-engine benchmark gate: runs the compute hot-path benches
@@ -149,6 +152,6 @@ chaos:
 # portable-kernel pass + full race-enabled test suite (the race target covers internal/obs, so the
 # tracer's striped ring and the lock-free histograms are exercised under
 # the detector on every check), then the focused uncached race-core pass
-# over broker/replace/transport/moe/tensor/nn. RACE=0 skips both race
-# jobs locally.
+# over broker/replace/transport/moe/tensor/nn and core's EP ranks. RACE=0
+# skips both race jobs locally.
 check: vet lint bench-check purego race race-core

@@ -105,10 +105,9 @@ func runTraceRoundTrip(t *testing.T, tcp bool) {
 	defer d.close(t)
 
 	// Heartbeat pings carry the 4-timestamp echo that feeds ClockSync.
-	// The first (cold-connection) sample is taken as exact and later ones
-	// fold in at α=0.125, so enough pings follow to wash a slow first
-	// round trip out of the offset; a few would leave it off by more than
-	// a compute span and the clamp below would zero that span.
+	// One preempted ping can still move its EWMA offset by more than a
+	// request's round trip; Assemble keeps the worker-clock spans whole
+	// through that, which the compute-span check below depends on.
 	for i := 0; i < 48; i++ {
 		for n := 0; n < workers; n++ {
 			if err := d.exec.Ping(n); err != nil {
@@ -216,7 +215,7 @@ func runTraceRoundTrip(t *testing.T, tcp bool) {
 	}
 	// The master stamps EvSend after Send returns, so on a busy box a
 	// short frame can be computed and answered before its T0 exists and
-	// its compute span clamps to zero; that is the exception, not the rule.
+	// its compute span is cut short; that is the exception, not the rule.
 	if 2*timed < want {
 		t.Fatalf("only %d of %d correlated requests have a compute span", timed, want)
 	}

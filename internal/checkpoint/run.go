@@ -248,7 +248,7 @@ func (s *RunStore) LoadLatest() (*RunState, error) {
 		return nil, err
 	}
 	for i := len(gens) - 1; i >= 0; i-- {
-		rs, err := s.LoadGeneration(gens[i])
+		rs, err := s.loadGeneration(gens[i])
 		if err == nil {
 			return rs, nil
 		}
@@ -256,8 +256,8 @@ func (s *RunStore) LoadLatest() (*RunState, error) {
 	return nil, fmt.Errorf("checkpoint: no valid run checkpoint in %s", s.Dir)
 }
 
-// LoadGeneration reads and validates one generation file.
-func (s *RunStore) LoadGeneration(gen uint64) (*RunState, error) {
+// loadGeneration reads and validates one generation file.
+func (s *RunStore) loadGeneration(gen uint64) (*RunState, error) {
 	raw, err := os.ReadFile(filepath.Join(s.Dir, runGenName(gen)))
 	if err != nil {
 		return nil, err

@@ -352,7 +352,7 @@ func TestDecodeRunRejectsTrailingBytes(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(s.Dir, runGenName(1)), append(raw, 0xAB), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.LoadGeneration(1); err == nil {
+	if _, err := s.loadGeneration(1); err == nil {
 		t.Fatal("trailing bytes must fail")
 	}
 }

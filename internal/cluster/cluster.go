@@ -110,15 +110,6 @@ func (t *Topology) WorkerNodes() []int {
 	return nodes
 }
 
-// TotalCapacity returns Σ C_n.
-func (t *Topology) TotalCapacity() int {
-	total := 0
-	for _, d := range t.Devices {
-		total += d.Capacity
-	}
-	return total
-}
-
 // PaperTestbed reproduces the evaluation environment of §V-A: three nodes
 // of two V100-class devices, master on node 0, 18.3 GB/s intra-node and
 // 1.17 GB/s inter-node. capacityPerDevice is C_n, derived in the paper

@@ -17,8 +17,12 @@ func TestPaperTestbed(t *testing.T) {
 	if topo.NumNodes() != 3 {
 		t.Fatalf("nodes = %d, want 3", topo.NumNodes())
 	}
-	if topo.TotalCapacity() != 288 {
-		t.Fatalf("capacity = %d, want 288", topo.TotalCapacity())
+	total := 0
+	for _, c := range topo.Capacities() {
+		total += c
+	}
+	if total != 288 {
+		t.Fatalf("capacity = %d, want 288", total)
 	}
 	// Devices 0,1 share the master's node: fast link, not cross-node.
 	if topo.CrossNode(0) || topo.CrossNode(1) {

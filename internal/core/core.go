@@ -24,10 +24,10 @@
 // Deploy is Attach + Distribute over in-process workers.
 //
 // cmd/velamaster and this package's failover, crash-resume, shift and
-// Fig. 5 tests assemble through these. DeployEP (ep.go) assembles the
-// paper's baseline, expert parallelism, from the same runtime. bench/,
-// which times each piece separately, hand-wires broker.NewExecutor on
-// purpose.
+// Fig. 5 tests assemble through these, and so does every rank of the
+// paper's baseline: DeployEP (ep.go) is R Attach'ed masters sharing
+// workers. bench/, which times each piece separately, hand-wires
+// broker.NewExecutor on purpose.
 package core
 
 import (

@@ -7,9 +7,9 @@ import (
 
 	"repro/internal/broker"
 	"repro/internal/checkpoint"
+	"repro/internal/cluster"
 	"repro/internal/moe"
 	"repro/internal/nn"
-	"repro/internal/obs"
 	"repro/internal/placement"
 	"repro/internal/tensor"
 	"repro/internal/trainer"
@@ -17,15 +17,17 @@ import (
 )
 
 // EP is conventional expert parallelism, the paper's baseline (§II,
-// Fig. 2), on the one broker runtime. Process r pairs rank r, a backbone
-// replica training as an ordinary trainer.Finetuner master on the r-th
-// contiguous shard of each global batch, with worker r, which holds
-// placement.EPLayout's experts and serves every rank in turns
-// (broker.Worker.Serve), rows concatenated in rank order. Size sync: a
-// rank pads every exchange with 0-row batches to all the layer's experts,
-// so it sends every worker a frame per turn (EP's all-to-all). All-reduce:
-// a rank's ExpertStep averages the backbone LoRA gradients over the ranks,
-// in rank order. Rank r counts every worker but its own as cross-node.
+// Fig. 2): R ordinary masters sharing workers. Rank r is a System that
+// Attach builds on worker r's node with placement.EP's layout; it runs
+// System.Finetuner's run on the r-th contiguous shard of each global
+// batch, and each worker serves every rank in turns (broker.Worker.Serve),
+// rows concatenated in rank order. What R > 1 adds is written here. Size
+// sync: a rank pads every exchange with 0-row batches to all the layer's
+// experts, so every worker gets a frame per turn (EP's all-to-all).
+// All-reduce: a rank's ExpertStep averages the backbone LoRA gradients
+// over the ranks, in rank order. A failure anywhere aborts every rank.
+// The Systems stay private: one rank's supervisor ping or snapshot would
+// stall every worker's turn.
 type EP struct {
 	Ranks []*trainer.Finetuner
 	Execs []*broker.Executor
@@ -43,9 +45,11 @@ type EP struct {
 }
 
 // DeployEP assembles EP over in-process pipes from a checkpoint as saved
-// (before trainer.PrepareForFinetune), one replica with lora per rank. src
-// yields the global batches, which the ranks must divide.
-func DeployEP(model *moe.Model, grid [][]*moe.Expert, lora trainer.LoRAConfig, ranks int, src trainer.BatchSource) (*EP, error) {
+// (before trainer.PrepareForFinetune), one replica with lora per rank and
+// one rank per topo device, whose node is the rank's for cross-node
+// traffic. src yields the global batches, which the ranks must divide.
+func DeployEP(model *moe.Model, grid [][]*moe.Expert, topo cluster.Topology, lora trainer.LoRAConfig, src trainer.BatchSource) (*EP, error) {
+	ranks := topo.NumWorkers()
 	if batch, _ := src.Shape(); ranks < 2 || batch%ranks != 0 {
 		return nil, fmt.Errorf("core: EP needs at least 2 ranks, dividing the batch of %d; got %d", batch, ranks)
 	}
@@ -54,38 +58,44 @@ func DeployEP(model *moe.Model, grid [][]*moe.Expert, lora trainer.LoRAConfig, r
 		return nil, fmt.Errorf("core: EP replicas: %w", err)
 	}
 	cfg := model.Cfg
-	assign := placement.EPLayout(cfg.Layers, cfg.Experts, ranks)
 	var grid0 [][]*moe.Expert // the replicas' grids are one grid; one is distributed
+	systems := make([]*System, ranks)
 	p := &EP{src: src, done: make(chan struct{}), pending: make([][]*nn.Param, ranks), release: make(chan struct{})}
 	ends := make([][]transport.Conn, ranks) // ends[w][r]: worker w's end of rank r's pipe
-	for r := 0; r < ranks; r++ {
+	for r := range systems {
 		m, g, err := checkpoint.Decode(raw)
 		if err != nil {
 			return nil, fmt.Errorf("core: EP replicas: %w", err)
 		}
 		trainer.PrepareForFinetune(m, g, lora)
 		grid0 = g
-		conns, crossNode := make([]transport.Conn, ranks), make([]bool, ranks)
+		conns := make([]transport.Conn, ranks)
 		for w := range conns {
 			var end transport.Conn
 			conns[w], end = transport.Pipe()
-			ends[w], crossNode[w] = append(ends[w], end), w != r
+			ends[w] = append(ends[w], end)
 		}
-		x := broker.NewExecutor(conns, assign)
-		x.Counters = obs.NewCounters(crossNode)
+		p.pipes = append(p.pipes, conns...)
+		at := topo
+		at.MasterNode = topo.Devices[r].Node
+		sys, err := Attach(m, conns, Options{Topo: at, Strategy: placement.EP{}, Stats: moe.NewAccessStats(cfg.Layers, cfg.Experts), LoRA: lora})
+		var ft *trainer.Finetuner
+		if err == nil {
+			ft, err = sys.Finetuner(src)
+		}
+		if err != nil {
+			p.abort()
+			return nil, fmt.Errorf("core: EP rank %d: %w", r, err)
+		}
+		x := sys.Exec
 		m.SetExecutor(epExec{x, cfg.Experts, tensor.Zeros(0, cfg.D)})
-		backbone := nn.CollectTrainable(m.Params())
-		p.Ranks = append(p.Ranks, &trainer.Finetuner{
-			Model: m, Backbone: backbone, Opt: nn.NewAdamW(backbone, nn.PaperAdamWConfig()),
-			ExpertZero: x.ZeroGrads,
-			ExpertStep: func() error {
-				if err := x.Step(); err != nil {
-					return err
-				}
-				return p.allReduce(r, backbone)
-			},
-		})
-		p.Execs, p.pipes = append(p.Execs, x), append(p.pipes, conns...)
+		ft.ExpertStep = func() error {
+			if err := x.Step(); err != nil {
+				return err
+			}
+			return p.allReduce(r, ft.Backbone)
+		}
+		systems[r], p.Ranks, p.Execs = sys, append(p.Ranks, ft), append(p.Execs, x)
 	}
 	for w := range ends {
 		wk := broker.NewWorker(w, broker.WorkerConfig{Optimizer: broker.OptAdamW, AdamW: nn.PaperAdamWConfig()})
@@ -97,8 +107,7 @@ func DeployEP(model *moe.Model, grid [][]*moe.Expert, lora trainer.LoRAConfig, r
 			}
 		}()
 	}
-	spec := broker.ExpertSpec{D: cfg.D, Hidden: cfg.Hidden, LoRARank: lora.Rank, LoRAAlpha: lora.Alpha}
-	if err := p.all(func(r int) error { return p.Execs[r].Distribute(grid0, spec) }); err != nil {
+	if err := p.all(func(r int) error { return systems[r].Distribute(grid0) }); err != nil {
 		p.workers.Wait()
 		return nil, err
 	}

@@ -1,15 +1,13 @@
 package core
 
 import (
-	"errors"
 	"math"
 	"math/rand"
 	"testing"
 	"time"
 
-	"repro/internal/broker"
+	"repro/internal/cluster"
 	"repro/internal/moe"
-	"repro/internal/nn"
 	"repro/internal/obs"
 	"repro/internal/placement"
 	"repro/internal/testutil"
@@ -19,16 +17,22 @@ import (
 // EP's functional geometry: d=16, three ranks, six experts per layer.
 const epRanks, epBatch, epSeqLen, epSteps = 3, 3, 16, 8
 
-func epCheckpoint() (*moe.Model, [][]*moe.Expert, *trainer.FixedBatcher) {
+func epCheckpoint(batch int) (*moe.Model, [][]*moe.Expert, *trainer.FixedBatcher) {
 	cfg := moe.Config{Vocab: 24, D: 16, Heads: 2, Hidden: 24, Layers: 4, Experts: 6, TopK: 2}
 	rng := rand.New(rand.NewSource(1))
-	ids, targets := make([]int, epBatch*epSeqLen), make([]int, epBatch*epSeqLen)
+	ids, targets := make([]int, batch*epSeqLen), make([]int, batch*epSeqLen)
 	for i := range ids {
 		ids[i], targets[i] = rng.Intn(cfg.Vocab), rng.Intn(cfg.Vocab)
 	}
 	return moe.NewModel(cfg, rand.New(rand.NewSource(7)), true),
 		moe.NewExpertGrid(cfg, rand.New(rand.NewSource(8)), true),
-		trainer.NewFixedBatcher(ids, targets, epBatch, epSeqLen)
+		trainer.NewFixedBatcher(ids, targets, batch, epSeqLen)
+}
+
+// epTopo places ranks devices on nodes of perNode each; every device can
+// hold the whole 4×6 grid.
+func epTopo(ranks, perNode int) cluster.Topology {
+	return cluster.Uniform(ranks, perNode, 24, 18.3*cluster.GB, 1.17*cluster.GB)
 }
 
 // epRun trains EP and returns its losses and rank 0's final backbone LoRA.
@@ -37,8 +41,8 @@ func epCheckpoint() (*moe.Model, [][]*moe.Expert, *trainer.FixedBatcher) {
 // with every worker, those it routed no rows to included (the size sync).
 func epRun(t *testing.T) (losses, backbone []float64) {
 	t.Helper()
-	model, grid, src := epCheckpoint()
-	ep, err := DeployEP(model, grid, trainer.PaperLoRA(), epRanks, src)
+	model, grid, src := epCheckpoint(epBatch)
+	ep, err := DeployEP(model, grid, epTopo(epRanks, 1), trainer.PaperLoRA(), src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,17 +86,17 @@ func TestEPMatchesOneMaster(t *testing.T) {
 	defer testutil.VerifyNoLeaks(t, "repro/internal/core", "repro/internal/broker")
 	losses, backbone := epRun(t)
 
-	model, grid, src := epCheckpoint()
+	model, grid, src := epCheckpoint(epBatch)
 	trainer.PrepareForFinetune(model, grid, trainer.PaperLoRA())
-	dep := broker.StartLocalWorkers(epRanks, broker.DefaultWorkerConfig())
-	x := broker.NewExecutor(dep.Conns, placement.EPLayout(model.Cfg.Layers, model.Cfg.Experts, epRanks))
-	if err := x.Distribute(grid, broker.ExpertSpec{D: 16, Hidden: 24, LoRARank: 8, LoRAAlpha: 16}); err != nil {
+	sys, err := Deploy(model, grid, Options{Topo: epTopo(epRanks, 1), Strategy: placement.EP{},
+		Stats: moe.NewAccessStats(model.Cfg.Layers, model.Cfg.Experts), LoRA: trainer.PaperLoRA()})
+	if err != nil {
 		t.Fatal(err)
 	}
-	model.SetExecutor(x)
-	bb := nn.CollectTrainable(model.Params())
-	ft := &trainer.Finetuner{Model: model, Backbone: bb, Opt: nn.NewAdamW(bb, nn.PaperAdamWConfig()),
-		Batcher: src, ExpertZero: x.ZeroGrads, ExpertStep: x.Step}
+	ft, err := sys.Finetuner(src)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for s, epLoss := range losses {
 		loss, err := ft.Step()
 		if err != nil {
@@ -102,7 +106,7 @@ func TestEPMatchesOneMaster(t *testing.T) {
 			t.Errorf("step %d: EP loss %.15f, one master %.15f (|Δ| %.3g > 1e-9)", s, epLoss, loss, d)
 		}
 	}
-	if err := errors.Join(x.Shutdown(), dep.Wait()); err != nil {
+	if err := sys.Close(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -117,13 +121,13 @@ func TestEPMatchesOneMaster(t *testing.T) {
 // and Close leaves no goroutine.
 func TestEPRankFailureEndsEveryRank(t *testing.T) {
 	defer testutil.VerifyNoLeaks(t, "repro/internal/core", "repro/internal/broker", "repro/internal/transport")
-	model, grid, src := epCheckpoint()
+	model, grid, src := epCheckpoint(epBatch)
 	for _, ranks := range []int{1, 2} { // too few ranks; ranks that do not divide the batch of 3
-		if _, err := DeployEP(model, grid, trainer.PaperLoRA(), ranks, src); err == nil {
+		if _, err := DeployEP(model, grid, epTopo(ranks, 1), trainer.PaperLoRA(), src); err == nil {
 			t.Fatalf("DeployEP over %d ranks must fail", ranks)
 		}
 	}
-	ep, err := DeployEP(model, grid, trainer.PaperLoRA(), epRanks, src)
+	ep, err := DeployEP(model, grid, epTopo(epRanks, 1), trainer.PaperLoRA(), src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,5 +144,43 @@ func TestEPRankFailureEndsEveryRank(t *testing.T) {
 	}
 	if joined, ok := err.(interface{ Unwrap() []error }); !ok || len(joined.Unwrap()) != epRanks {
 		t.Fatalf("want every one of %d ranks to fail, got %v", epRanks, err)
+	}
+}
+
+// TestEPCrossNodeFollowsTopology: six ranks on the paper's 3 nodes × 2
+// devices. Rank r counts exactly the bytes it exchanged with the workers
+// off its own node as cross-node; its node-mate's traffic is real and not
+// counted.
+func TestEPCrossNodeFollowsTopology(t *testing.T) {
+	defer testutil.VerifyNoLeaks(t, "repro/internal/core", "repro/internal/broker")
+	const ranks = 6
+	topo := epTopo(ranks, 2)
+	model, grid, src := epCheckpoint(ranks)
+	ep, err := DeployEP(model, grid, topo, trainer.PaperLoRA(), src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for s := 0; s < 2; s++ {
+		if _, err := ep.Step(); err != nil {
+			t.Fatalf("step %d: %v", s, err)
+		}
+	}
+	if err := ep.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for r, x := range ep.Execs {
+		var want int64
+		for w := range topo.Devices {
+			bytes := x.Counters.Worker(obs.TrafficBytesTo, w) + x.Counters.Worker(obs.TrafficBytesFrom, w)
+			switch node := topo.Devices[w].Node; {
+			case node != topo.Devices[r].Node:
+				want += bytes
+			case w != r && bytes == 0:
+				t.Errorf("rank %d exchanged no bytes with its node-mate %d", r, w)
+			}
+		}
+		if got := x.Counters.CrossNodeBytes(); got != want {
+			t.Errorf("rank %d: %d cross-node bytes, want %d, the traffic with the other nodes' workers", r, got, want)
+		}
 	}
 }

@@ -19,9 +19,9 @@ func StabilityBound(mu, lipschitz float64, numExperts int, p float64) float64 {
 	return mu * float64(numExperts) * lipschitz * lipschitz * p * (1 - p)
 }
 
-// SoftmaxDelta returns per-component |softmax(y1)[e] − softmax(y0)[e]|,
+// softmaxDelta returns per-component |softmax(y1)[e] − softmax(y0)[e]|,
 // the ΔP_t(e) of Theorem 1.
-func SoftmaxDelta(y0, y1 []float64) []float64 {
+func softmaxDelta(y0, y1 []float64) []float64 {
 	p0 := make([]float64, len(y0))
 	p1 := make([]float64, len(y1))
 	tensor.SoftmaxInto(p0, y0)

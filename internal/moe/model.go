@@ -168,10 +168,10 @@ func (m *Model) Params() []*nn.Param {
 	return ps
 }
 
-// BackboneLinears returns every backbone linear layer except the gate
+// backboneLinears returns every backbone linear layer except the gate
 // projections — exactly the set the paper attaches LoRA to ("all the
 // linear layers except for the gating mechanism").
-func (m *Model) BackboneLinears() []*nn.Linear {
+func (m *Model) backboneLinears() []*nn.Linear {
 	var ls []*nn.Linear
 	for _, l := range m.Layers {
 		ls = append(ls, l.Attn.Linears()...)
@@ -184,7 +184,7 @@ func (m *Model) BackboneLinears() []*nn.Linear {
 // linear except the gates, freezing the base weights. Expert LoRA is
 // attached separately wherever the experts live.
 func (m *Model) AttachLoRA(rng *rand.Rand, r int, alpha float64) {
-	for _, l := range m.BackboneLinears() {
+	for _, l := range m.backboneLinears() {
 		l.AttachLoRA(rng, r, alpha)
 	}
 }

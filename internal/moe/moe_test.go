@@ -505,7 +505,7 @@ func TestTheorem1Bound(t *testing.T) {
 
 		p0 := make([]float64, E)
 		tensor.SoftmaxInto(p0, y0)
-		deltas := SoftmaxDelta(y0, y1)
+		deltas := softmaxDelta(y0, y1)
 		for e := 0; e < E; e++ {
 			bound := StabilityBound(mu, lip, E, p0[e])
 			if deltas[e] > bound*1.1+1e-12 {
@@ -585,7 +585,7 @@ func TestModelBackwardStopsAtLayer0Params(t *testing.T) {
 		m.BindLocalExperts(grid)
 		m.Freeze()
 		m.AttachLoRA(rng, 2, 4)
-		for _, l := range m.BackboneLinears() {
+		for _, l := range m.backboneLinears() {
 			for i := range l.LoRA.B.Value.Data {
 				l.LoRA.B.Value.Data[i] = 0.1 * rng.NormFloat64()
 			}

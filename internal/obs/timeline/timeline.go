@@ -6,12 +6,12 @@
 //
 // Worker events arrive on each worker's own clock; Assemble rebases
 // them onto the master timebase using the ClockSync offsets sampled on
-// the heartbeat pings, then clamps the rebased boundaries into the
+// the heartbeat pings, keeping the queue and compute spans the worker's
+// clock measured, and clamps the rebased interval into the
 // master-observed [send, reply] window. The clamping makes the span
 // decomposition telescoping: send-wire + queue + compute + reply-wire
 // equals the master-observed round-trip EXACTLY, with any residual
-// clock error only shifting the split between the two wire spans — the
-// shift is bounded by ClockSync.ErrorBound.
+// clock error only shifting the split between the two wire spans.
 //
 // Everything here is cold-path (step boundaries and exit reports);
 // allocation is unconstrained.
@@ -22,6 +22,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 
 	"repro/internal/obs"
@@ -119,13 +120,11 @@ type acc struct {
 	haveSend, haveReply bool
 	decode              int64
 
-	// Worker-side, on the worker clock.
-	t1w              int64
-	haveRecv         bool
-	qMin             int64
-	haveQueue        bool
-	t4At, t4Dur      int64
-	haveWkReply      bool
+	// Worker-side, on the worker clock: frame arrival, first compute
+	// start, reply tx start (and its duration), each when seen.
+	at               [3]int64
+	have             [3]bool
+	txDur            int64
 	computes, queues []ExpertSpan
 	offset, errBound int64
 	haveWorkerEvents bool
@@ -160,23 +159,23 @@ func Assemble(master []obs.Event, workers ...WorkerEvents) *Timeline {
 			get(ev).decode += ev.Dur
 		case obs.EvWkRecv:
 			a := get(ev)
-			a.t1w, a.haveRecv = ev.At, true
+			a.at[0], a.have[0] = ev.At, true
 			a.offset, a.errBound, a.haveWorkerEvents = offset, errBound, true
 		case obs.EvWkQueue:
 			a := get(ev)
-			if !a.haveQueue || ev.At < a.qMin {
-				a.qMin = ev.At
+			if !a.have[1] || ev.At < a.at[1] {
+				a.at[1] = ev.At
 			}
-			a.haveQueue = true
-			a.queues = append(a.queues, ExpertSpan{Expert: int(ev.Expert), Start: ev.At - ev.Dur - offset, Dur: ev.Dur})
+			a.have[1] = true
+			a.queues = append(a.queues, ExpertSpan{Expert: int(ev.Expert), Start: ev.At - ev.Dur, Dur: ev.Dur})
 			a.offset, a.errBound, a.haveWorkerEvents = offset, errBound, true
 		case obs.EvCompute:
 			a := get(ev)
-			a.computes = append(a.computes, ExpertSpan{Expert: int(ev.Expert), Start: ev.At - ev.Dur - offset, Dur: ev.Dur})
+			a.computes = append(a.computes, ExpertSpan{Expert: int(ev.Expert), Start: ev.At - ev.Dur, Dur: ev.Dur})
 			a.offset, a.errBound, a.haveWorkerEvents = offset, errBound, true
 		case obs.EvWkReply:
 			a := get(ev)
-			a.t4At, a.t4Dur, a.haveWkReply = ev.At, ev.Dur, true
+			a.at[2], a.txDur, a.have[2] = ev.At-ev.Dur, ev.Dur, true
 			a.offset, a.errBound, a.haveWorkerEvents = offset, errBound, true
 		case obs.EvSpan:
 			if ev.Phase != obs.PhaseNone {
@@ -206,25 +205,37 @@ func Assemble(master []obs.Event, workers ...WorkerEvents) *Timeline {
 			HasWorker: a.haveWorkerEvents, ErrBound: a.errBound,
 			Computes: a.computes, Queues: a.queues,
 		}
-		// Boundary chain on the master timebase, clamped monotone into
-		// [T0, T5] so the spans telescope exactly.
-		t1, t2, t3 := r.T0, r.T0, r.T0
-		if a.haveRecv {
-			t1 = clamp(a.t1w-a.offset, r.T0, r.T5)
+		// Boundary chain on the master timebase: T0, arrival, compute
+		// start, reply tx. The worker's spans are read on its own clock and
+		// need no θ, which only places them: off shifts them as little as
+		// keeps them whole inside [T0, T5], so one preempted ping, which
+		// moves the EWMA θ by α times its delay, cannot clamp every
+		// boundary to one end. The chain is clamped monotone into [T0, T5]
+		// so the spans telescope exactly.
+		off, lo, hi := a.offset, int64(math.MaxInt64), int64(math.MinInt64)
+		for i, ok := range a.have {
+			if ok {
+				lo, hi = min(lo, a.at[i]), max(hi, a.at[i])
+			}
 		}
-		t2 = t1
-		if a.haveQueue {
-			t2 = clamp(a.qMin-a.offset, t1, r.T5)
+		if lo <= hi {
+			off = lo - clamp(lo-a.offset, r.T0, r.T5-min(hi-lo, r.T5-r.T0))
 		}
-		t3 = t2
-		if a.haveWkReply {
-			t3 = clamp(a.t4At-a.t4Dur-a.offset, t2, r.T5)
-			r.ReplyTx = ExpertSpan{Expert: int(a.expert), Start: t3, Dur: a.t4Dur}
+		t := [4]int64{r.T0}
+		for i, ok := range a.have {
+			if t[i+1] = t[i]; ok {
+				t[i+1] = clamp(a.at[i]-off, t[i], r.T5)
+			}
 		}
-		r.SendWire = t1 - r.T0
-		r.Queue = t2 - t1
-		r.Compute = t3 - t2
-		r.ReplyWire = r.T5 - t3
+		if a.have[2] {
+			r.ReplyTx = ExpertSpan{Expert: int(a.expert), Start: t[3], Dur: a.txDur}
+		}
+		for _, spans := range [][]ExpertSpan{r.Computes, r.Queues} {
+			for i := range spans {
+				spans[i].Start -= off
+			}
+		}
+		r.SendWire, r.Queue, r.Compute, r.ReplyWire = t[1]-t[0], t[2]-t[1], t[3]-t[2], r.T5-t[3]
 		tl.Requests = append(tl.Requests, r)
 	}
 	sort.Slice(tl.Requests, func(i, j int) bool {

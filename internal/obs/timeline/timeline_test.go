@@ -113,13 +113,14 @@ func TestAssembleMasterOnly(t *testing.T) {
 }
 
 // TestAssembleClampsBadOffset pins the robustness clause: even a wildly
-// wrong clock offset cannot break the telescoping identity — it only
-// shifts the wire-span split, because rebased boundaries are clamped
-// into [T0, T5].
+// wrong clock offset cannot break the telescoping identity, nor the
+// queue and compute spans the worker's own clock measured — it only
+// shifts the wire-span split, because the rebased worker interval is
+// clamped whole into [T0, T5].
 func TestAssembleClampsBadOffset(t *testing.T) {
 	const realθ = 2_000_000
 	master, wk := synthReq(9, 2, 0, 1, 1_000_000, 100_000, 20_000, 500_000, 15_000, realθ)
-	for _, estθ := range []int64{0, -50_000_000, 50_000_000, realθ + 150_000} {
+	for _, estθ := range []int64{0, -50_000_000, 50_000_000, realθ + 150_000, realθ - 800_000} {
 		tl := Assemble(master, WorkerEvents{Events: wk, OffsetNs: estθ})
 		r := tl.Requests[0]
 		if got, want := r.SpanSum(), r.T5-r.T0; got != want {
@@ -127,6 +128,12 @@ func TestAssembleClampsBadOffset(t *testing.T) {
 		}
 		if r.SendWire < 0 || r.Queue < 0 || r.Compute < 0 || r.ReplyWire < 0 {
 			t.Fatalf("offset %d: negative span: %+v", estθ, r)
+		}
+		if r.Queue != 20_000 || r.Compute != 500_000 {
+			t.Fatalf("offset %d: queue %d compute %d, want the worker clock's 20000/500000", estθ, r.Queue, r.Compute)
+		}
+		if c := r.Computes[0]; c.Start < r.T0 || c.Start+c.Dur > r.T5 {
+			t.Fatalf("offset %d: per-expert compute [%d, %d] outside the round trip [%d, %d]", estθ, c.Start, c.Start+c.Dur, r.T0, r.T5)
 		}
 	}
 }

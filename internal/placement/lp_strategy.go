@@ -196,46 +196,3 @@ func Round(p *Problem, relaxed func(n, l, e int) float64) (*Assignment, error) {
 	}
 	return a, nil
 }
-
-// NaiveRound applies only step 1 of the rounding (thresholding), assigning
-// leftovers to the first worker with free capacity regardless of affinity.
-// It exists solely as the ablation counterpart of Round.
-func NaiveRound(p *Problem, relaxed func(n, l, e int) float64) (*Assignment, error) {
-	a := NewAssignment(p.Layers, p.Experts)
-	load := make([]int, p.Workers)
-	var leftovers [][2]int
-	for l := 0; l < p.Layers; l++ {
-		for e := 0; e < p.Experts; e++ {
-			placed := false
-			for n := 0; n < p.Workers; n++ {
-				if relaxed(n, l, e) > 0.5 && load[n] < p.Capacity[n] {
-					a.Worker[l][e] = n
-					load[n]++
-					placed = true
-					break
-				}
-			}
-			if !placed {
-				leftovers = append(leftovers, [2]int{l, e})
-			}
-		}
-	}
-	for _, le := range leftovers {
-		placed := false
-		for n := 0; n < p.Workers; n++ {
-			if load[n] < p.Capacity[n] {
-				a.Worker[le[0]][le[1]] = n
-				load[n]++
-				placed = true
-				break
-			}
-		}
-		if !placed {
-			return nil, fmt.Errorf("placement: naive rounding ran out of capacity")
-		}
-	}
-	if err := a.Validate(p); err != nil {
-		return nil, err
-	}
-	return a, nil
-}

@@ -196,18 +196,28 @@ func dealRoundRobin(p *Problem, name string, shuffle func(perm []int)) (*Assignm
 	return a, nil
 }
 
-// EPLayout returns conventional expert parallelism's per-block layout
-// (expert e of every block on worker e mod N, §V-A). It is not a Strategy
-// because EP is a different framework, not a placement choice inside
-// VELA; the EP simulator uses it directly.
-func EPLayout(layers, experts, workers int) *Assignment {
-	a := NewAssignment(layers, experts)
-	for l := 0; l < layers; l++ {
-		for e := 0; e < experts; e++ {
-			a.Worker[l][e] = e % workers
+// EP is conventional expert parallelism's layout (§V-A): expert e of
+// every block on worker e mod N, whatever P says. It refuses a capacity
+// that cannot hold that layout.
+type EP struct{}
+
+var _ Strategy = EP{}
+
+// Name implements Strategy.
+func (EP) Name() string { return "ep" }
+
+// Place implements Strategy.
+func (EP) Place(p *Problem) (*Assignment, error) {
+	a := NewAssignment(p.Layers, p.Experts)
+	for _, row := range a.Worker {
+		for e := range row {
+			row[e] = e % p.Workers
 		}
 	}
-	return a
+	if err := a.Validate(p); err != nil {
+		return nil, err
+	}
+	return a, nil
 }
 
 // Random shuffles the experts of every block and deals them to workers in

@@ -1,6 +1,7 @@
 package placement
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -78,9 +79,22 @@ func TestSequentialLayout(t *testing.T) {
 }
 
 func TestEPLayout(t *testing.T) {
-	a := EPLayout(2, 8, 6)
+	p := testProblem(t, 2, 8, 1, 1)
+	a, err := EP{}.Place(p)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if a.Worker[0][0] != 0 || a.Worker[0][6] != 0 || a.Worker[1][7] != 1 || a.Worker[0][5] != 5 {
 		t.Fatalf("EP layout wrong: %v", a.Worker)
+	}
+	// Worker 0 holds experts 0 and 6 of both blocks: a capacity of 3
+	// cannot hold the layout, though the total can host every expert.
+	p.Capacity[0] = 3
+	if err := p.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := (EP{}).Place(p); err == nil {
+		t.Fatal("EP must refuse a capacity that cannot hold e mod N")
 	}
 }
 
@@ -353,6 +367,49 @@ func TestRoundCapacityRepair(t *testing.T) {
 	}
 }
 
+// naiveRound applies only step 1 of the rounding (thresholding), assigning
+// leftovers to the first worker with free capacity regardless of affinity:
+// the ablation counterpart of Round.
+func naiveRound(p *Problem, relaxed func(n, l, e int) float64) (*Assignment, error) {
+	a := NewAssignment(p.Layers, p.Experts)
+	load := make([]int, p.Workers)
+	var leftovers [][2]int
+	for l := 0; l < p.Layers; l++ {
+		for e := 0; e < p.Experts; e++ {
+			placed := false
+			for n := 0; n < p.Workers; n++ {
+				if relaxed(n, l, e) > 0.5 && load[n] < p.Capacity[n] {
+					a.Worker[l][e] = n
+					load[n]++
+					placed = true
+					break
+				}
+			}
+			if !placed {
+				leftovers = append(leftovers, [2]int{l, e})
+			}
+		}
+	}
+	for _, le := range leftovers {
+		placed := false
+		for n := 0; n < p.Workers; n++ {
+			if load[n] < p.Capacity[n] {
+				a.Worker[le[0]][le[1]] = n
+				load[n]++
+				placed = true
+				break
+			}
+		}
+		if !placed {
+			return nil, errors.New("placement: naive rounding ran out of capacity")
+		}
+	}
+	if err := a.Validate(p); err != nil {
+		return nil, err
+	}
+	return a, nil
+}
+
 // TestRoundBeatsNaiveRoundOnAverage compares the paper's three-step
 // rounding with the thresholding-only ablation. On any single instance
 // either can win (rounding maximizes affinity agreement with the relaxed
@@ -375,7 +432,7 @@ func TestRoundBeatsNaiveRoundOnAverage(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		naive, err := NaiveRound(p, rel)
+		naive, err := naiveRound(p, rel)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -213,7 +213,6 @@ func RunEP(cfg Config, gen *workload.Generator) (*Result, error) {
 	nWorkers := cfg.Topo.NumWorkers()
 	nNodes := float64(cfg.Topo.NumNodes())
 	bpt := cfg.BytesPerToken()
-	layout := placement.EPLayout(cfg.Layers, cfg.Experts, nWorkers)
 	nodes := cfg.Topo.WorkerNodes()
 
 	// Device d holds 1/N of the token shard; a routed copy to expert on
@@ -239,7 +238,7 @@ func RunEP(cfg Config, gen *workload.Generator) (*Result, error) {
 			// Tokens received by each device (its experts' routings).
 			recv := make([]float64, nWorkers)
 			for e, c := range counts[l] {
-				recv[layout.Worker[l][e]] += float64(c)
+				recv[e%nWorkers] += float64(c) // placement.EP's layout, no capacity check
 			}
 			var phase, compute float64
 			for d := 0; d < nWorkers; d++ {
