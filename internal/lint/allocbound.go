@@ -25,7 +25,7 @@ import (
 //
 // Second, the per-step hot-path invariant from the parallel tensor
 // engine (DESIGN.md §11): inside a function named Forward, Backward,
-// Step or runExpert, calling an allocating tensor-op variant (MatMul,
+// backwardParams, Step or runExpert, calling an allocating tensor-op variant (MatMul,
 // Add, Scale, …) is a finding — those paths run every training step and
 // must use the destination-passing (*Into), in-place, or arena APIs. A
 // deliberate allocation (e.g. a result that escapes the step) is
@@ -60,10 +60,11 @@ var AllocBound = &Analyzer{
 // tensor ops are banned. Matching is exact: ForwardExperts, gateBackward
 // etc. are dispatch/cold paths, not the per-token compute loop.
 var hotPathFuncs = map[string]bool{
-	"Forward":   true,
-	"Backward":  true,
-	"Step":      true,
-	"runExpert": true,
+	"Forward":        true,
+	"Backward":       true,
+	"backwardParams": true, // nn.Linear's gradient products, Backward's and BackwardParams' shared half
+	"Step":           true,
+	"runExpert":      true,
 }
 
 // obsHotPathFuncs are the observability hooks that run once per request

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -139,5 +140,49 @@ func BenchmarkCrossEntropy(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_, _ = CrossEntropy(logits, targets)
+	}
+}
+
+// linearShapes are the Linear geometries of the benchmark workloads,
+// rows×in→out: the expert projection at the mean routed batch, the shaped
+// workloads' thin experts (up and down), and the backbone's projections
+// at 128 tokens.
+var linearShapes = []struct{ rows, in, out int }{
+	{32, 128, 352},
+	{32, 256, 64},
+	{32, 64, 256},
+	{128, 128, 128},
+	{128, 256, 256},
+}
+
+// BenchmarkLinearAdapter times one Linear forward+backward on one core at
+// each workload geometry, frozen-only and with the rank-8 (α=16) adapter
+// the fine-tuning attaches; their difference is the adapter's cost.
+func BenchmarkLinearAdapter(b *testing.B) {
+	for _, s := range linearShapes {
+		for _, lora := range []bool{false, true} {
+			name := fmt.Sprintf("%dx%dx%d/frozen", s.rows, s.in, s.out)
+			if lora {
+				name = fmt.Sprintf("%dx%dx%d/lora", s.rows, s.in, s.out)
+			}
+			b.Run(name, func(b *testing.B) {
+				old := tensor.Parallelism()
+				tensor.SetParallelism(1)
+				b.Cleanup(func() { tensor.SetParallelism(old) })
+				rng := rand.New(rand.NewSource(10))
+				l := NewLinear("l", rng, s.in, s.out, false, false)
+				if lora {
+					l.AttachLoRA(rng, 8, 16)
+					l.LoRA.B.Value = tensor.Randn(rng, 0.1, 8, s.out)
+				}
+				x := tensor.Randn(rng, 1, s.rows, s.in)
+				dy := tensor.Randn(rng, 1, s.rows, s.out)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					_ = l.Forward(x)
+					_ = l.Backward(dy)
+				}
+			})
+		}
 	}
 }

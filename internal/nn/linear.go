@@ -133,10 +133,8 @@ func (l *Linear) Forward(x *tensor.Tensor) *tensor.Tensor {
 		lr := l.LoRA
 		xa := tensor.Ensure(&lr.xa, n, lr.A.Value.Cols())
 		x.MatMulInto(lr.A.Value, xa)
-		t := tensor.GetDirty(n, l.out)
-		xa.MatMulInto(lr.B.Value, t)
-		y.AxpyInPlace(lr.Scale, t)
-		tensor.Put(t)
+		// y += scale · xa @ B, landed in place.
+		xa.MatMulAddInto(lr.B.Value, lr.Scale, y)
 	}
 	return y
 }
@@ -152,11 +150,8 @@ func (l *Linear) Backward(dy *tensor.Tensor) *tensor.Tensor {
 		dy.MatMulTInto(l.W.Value, dx)
 	}
 	if dxa != nil {
-		// dx += d(xa) @ Aᵀ.
-		t := tensor.GetDirty(dy.Rows(), l.in)
-		dxa.MatMulTInto(l.LoRA.A.Value, t)
-		dx.AddInPlace(t)
-		tensor.Put(t)
+		// dx += d(xa) @ Aᵀ, after dy @ Wᵀ.
+		dxa.MatMulTAddInto(l.LoRA.A.Value, 1, dx)
 		tensor.Put(dxa)
 	}
 	return dx
@@ -180,10 +175,7 @@ func (l *Linear) backwardParams(dy *tensor.Tensor) *tensor.Tensor {
 	x := l.x
 	l.x = nil
 	if l.W.Trainable {
-		g := tensor.GetDirty(l.in, l.out)
-		x.TMatMulInto(dy, g)
-		l.W.Grad.AddInPlace(g)
-		tensor.Put(g)
+		x.TMatMulAddInto(dy, 1, l.W.Grad)
 	}
 	if l.Bias != nil && l.Bias.Trainable {
 		dy.SumRowsInto(l.Bias.Grad)
@@ -193,21 +185,14 @@ func (l *Linear) backwardParams(dy *tensor.Tensor) *tensor.Tensor {
 	}
 	lr := l.LoRA
 	r := lr.A.Value.Cols()
-	// d(xa) = scale · dy @ Bᵀ ; dB = scale · xaᵀ @ dy ; dA = xᵀ @ d(xa).
-	dxa := tensor.GetDirty(dy.Rows(), r)
-	dy.MatMulTInto(lr.B.Value, dxa)
-	dxa.ScaleInPlace(lr.Scale)
+	// d(xa) = scale · dy @ Bᵀ ; dB += scale · xaᵀ @ dy ; dA += xᵀ @ d(xa),
+	// each landed by the product itself.
+	dxa := dy.MatMulTScaleInto(lr.B.Value, lr.Scale, tensor.GetDirty(dy.Rows(), r))
 	if lr.B.Trainable {
-		g := tensor.GetDirty(r, l.out)
-		lr.xa.TMatMulInto(dy, g)
-		lr.B.Grad.AxpyInPlace(lr.Scale, g)
-		tensor.Put(g)
+		lr.xa.TMatMulAddInto(dy, lr.Scale, lr.B.Grad)
 	}
 	if lr.A.Trainable {
-		g := tensor.GetDirty(l.in, r)
-		x.TMatMulInto(dxa, g)
-		lr.A.Grad.AddInPlace(g)
-		tensor.Put(g)
+		x.TMatMulAddInto(dxa, 1, lr.A.Grad)
 	}
 	return dxa
 }

@@ -7,9 +7,23 @@ import "sync"
 // track real drift across a heartbeat cadence of seconds.
 const clockAlpha = 0.125
 
+// clockGate and clockReopen gate samples on their round trip. A ping
+// whose RTT exceeds clockGate times the smallest seen for its worker was
+// held up on one leg — a preempted goroutine, a queued frame — and its θ
+// is off by up to half the delay, so it is skipped. The first sample is
+// always taken. After clockReopen skips in a row the next sample is taken
+// and its RTT becomes the smallest seen, so a lasting change of path is
+// followed instead of locked out.
+const (
+	clockGate   = 4
+	clockReopen = 8
+)
+
 // clockState is one worker's smoothed clock relation to the master.
 type clockState struct {
 	samples  uint64
+	skipped  int     // samples skipped by the RTT gate since the last taken
+	minRTTNs float64 // smallest RTT seen since the gate last reopened
 	offsetNs float64 // EWMA of θ: worker_clock = master_clock + θ
 	rttNs    float64 // EWMA of the ping round trip
 	jitterNs float64 // EWMA of |θ_sample − θ_estimate|
@@ -45,7 +59,8 @@ func NewClockSync(workers int) *ClockSync {
 // Sample folds one 4-timestamp exchange for worker n into the EWMA
 // estimates. Timestamps are nanoseconds: t0/t3 on the master clock,
 // t1/t2 on the worker clock. Out-of-range workers and non-causal
-// samples (t3 < t0 or t2 < t1) are dropped.
+// samples (t3 < t0 or t2 < t1) are dropped, and so is a sample the RTT
+// gate skips (clockGate).
 func (c *ClockSync) Sample(n int, t0, t1, t2, t3 int64) {
 	if c == nil || n < 0 || n >= len(c.workers) || t3 < t0 || t2 < t1 {
 		return
@@ -55,6 +70,16 @@ func (c *ClockSync) Sample(n int, t0, t1, t2, t3 int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	st := &c.workers[n]
+	switch {
+	case st.samples > 0 && rtt > clockGate*st.minRTTNs && st.skipped < clockReopen:
+		st.skipped++
+		return
+	case st.samples == 0 || st.skipped == clockReopen:
+		st.minRTTNs = rtt
+	default:
+		st.minRTTNs = min(st.minRTTNs, rtt)
+	}
+	st.skipped = 0
 	if st.samples == 0 {
 		st.offsetNs, st.rttNs, st.jitterNs = theta, rtt, 0
 	} else {

@@ -141,3 +141,65 @@ func TestClockSyncConcurrent(t *testing.T) {
 		}
 	}
 }
+
+// TestClockSyncSkipsHeldUpPing: one ping held up ≈2 ms on its return leg,
+// among 48 ordinary ones (RTT ≈ 40 µs, a few µs of jitter), leaves θ and
+// the smoothed RTT within a few µs of the run without it. Folded in, it
+// would move θ by ≈125 µs and the RTT by ≈250 µs, and seven samples later
+// still leave them ≈50 and ≈100 µs off.
+func TestClockSyncSkipsHeldUpPing(t *testing.T) {
+	const offset = 1_500_000
+	run := func(heldUp bool) *ClockSync {
+		cs := NewClockSync(1)
+		for i := 0; i < 48; i++ {
+			at := int64(i) * 10_000_000
+			t0, t1, t2, t3 := pingSample(at, offset, 20_000+int64(i%5)*500, 5_000)
+			cs.Sample(0, t0, t1, t2, t3)
+			if heldUp && i == 40 {
+				t0, t1, t2, t3 := pingSample(at+5_000_000, offset, 20_000, 5_000)
+				cs.Sample(0, t0, t1, t2, t3+2_000_000)
+			}
+		}
+		return cs
+	}
+	clean, gated := run(false), run(true)
+	if gated.Samples(0) != clean.Samples(0) {
+		t.Errorf("took %d samples, want the clean run's %d: the held-up ping was folded in", gated.Samples(0), clean.Samples(0))
+	}
+	for _, c := range []struct {
+		what      string
+		got, want int64
+	}{
+		{"offset", gated.Offset(0), clean.Offset(0)},
+		{"RTT", gated.RTT(0), clean.RTT(0)},
+		{"error bound", gated.ErrorBound(0), clean.ErrorBound(0)},
+	} {
+		if d := c.got - c.want; d < -5_000 || d > 5_000 {
+			t.Errorf("%s = %d ns, the clean run's %d: off by more than 5 µs", c.what, c.got, c.want)
+		}
+	}
+}
+
+// TestClockSyncGateReopens: a path whose RTT grows for good (40 µs →
+// 400 µs) is skipped clockReopen times and then followed, so the
+// estimator tracks the new path instead of locking it out.
+func TestClockSyncGateReopens(t *testing.T) {
+	cs := NewClockSync(1)
+	for i := 0; i < 10; i++ {
+		t0, t1, t2, t3 := pingSample(int64(i)*10_000_000, 1_000_000, 20_000, 0)
+		cs.Sample(0, t0, t1, t2, t3)
+	}
+	for i := 10; i < 60; i++ {
+		t0, t1, t2, t3 := pingSample(int64(i)*10_000_000, 1_000_000, 200_000, 0)
+		cs.Sample(0, t0, t1, t2, t3)
+		if i == 10+clockReopen-1 && cs.Samples(0) != 10 {
+			t.Fatalf("the first %d slow pings: %d samples taken, want 10", clockReopen, cs.Samples(0))
+		}
+	}
+	if cs.Samples(0) != 60-clockReopen {
+		t.Fatalf("took %d samples, want %d: the gate did not reopen for the new path", cs.Samples(0), 60-clockReopen)
+	}
+	if got := cs.RTT(0); got < 360_000 {
+		t.Fatalf("RTT = %d ns after 42 samples of the 400 µs path, want it followed", got)
+	}
+}

@@ -25,14 +25,19 @@ func tileBodies() []tileBody {
 	return bodies
 }
 
-//go:noescape
-func gemmTileAVX2(k int, a *float64, sa0, sa1 int, bp, c *float64, ldc int)
+// The assembly bodies: the tiles of tiles row tiles of one panel, or of
+// two adjacent panels (the second at bstep elements after the first),
+// under the contract in gemm.go, each landed under the epilogue (α, acc).
+// Strides are in elements.
 
 //go:noescape
-func gemmTileAVX512(k int, a *float64, sa0, sa1 int, bp, c *float64, ldc int)
+func gemmStripAVX2(k, tiles int, a *float64, sa0, sa1 int, b *float64, ldb int, c *float64, ldc int, alpha float64, acc bool)
 
 //go:noescape
-func gemmTile2AVX512(k int, a *float64, sa0, sa1 int, bp, c *float64, ldc int)
+func gemmStripAVX512(k, tiles int, a *float64, sa0, sa1 int, b *float64, ldb int, c *float64, ldc int, alpha float64, acc bool)
+
+//go:noescape
+func gemmStrip2AVX512(k, tiles int, a *float64, sa0, sa1 int, b *float64, ldb, bstep int, c *float64, ldc int, alpha float64, acc bool)
 
 // tileMAddsPerUnit is how many multiply-adds the selected body retires in
 // one of DefaultParallelThreshold's work units (≈0.4 ns: one scalar
@@ -45,35 +50,34 @@ func tileMAddsPerUnit() int {
 	return 4
 }
 
-// gemmTile computes one 4×8 tile under the contract in gemm.go.
-func gemmTile(k int, a []float64, sa0, sa1 int, bp, c []float64, ldc int) {
+// gemmStrip lands the tiles of rows [0, 4·tiles) of np (1 or 2)
+// adjacent panels in c under the contract and epilogue in gemm.go: row p
+// of panel h of B is b[h·bstep+p·ldb:][:8]. The AVX-512 body computes a
+// pair as one 4×16 block, whose eight accumulators hide the multiply-add
+// latency that four would expose, and a single panel eight rows at a
+// time for the same reason; the AVX2 body's 4×8 tile already has eight.
+// The AVX2 body runs a pair as two strips.
+func gemmStrip(np, tiles, k int, a []float64, sa0, sa1 int, b []float64, ldb, bstep int, c []float64, ldc int, ep epilogue) {
 	if tile == tileGo {
-		gemmTileGo(k, a, sa0, sa1, bp, c, ldc)
+		gemmStripGo(np, tiles, k, a, sa0, sa1, b, ldb, bstep, c, ldc, ep)
+		return
+	}
+	if tiles == 0 {
 		return
 	}
 	// The assembly indexes unchecked; touch the last element of each
 	// operand here so a driver bug panics instead of corrupting memory.
-	_ = a[(tileRows-1)*sa0+(k-1)*sa1]
-	_ = bp[k*tileCols-1]
-	_ = c[(tileRows-1)*ldc+tileCols-1]
-	if tile == tileAVX512 {
-		gemmTileAVX512(k, &a[0], sa0, sa1, &bp[0], &c[0], ldc)
-		return
+	_ = a[(tiles*tileRows-1)*sa0+(k-1)*sa1]
+	_ = b[(np-1)*bstep+(k-1)*ldb+tileCols-1]
+	_ = c[(tiles*tileRows-1)*ldc+np*tileCols-1]
+	switch {
+	case tile == tileAVX512 && np == 2:
+		gemmStrip2AVX512(k, tiles, &a[0], sa0, sa1, &b[0], ldb, bstep, &c[0], ldc, ep.alpha, ep.acc)
+	case tile == tileAVX512:
+		gemmStripAVX512(k, tiles, &a[0], sa0, sa1, &b[0], ldb, &c[0], ldc, ep.alpha, ep.acc)
+	default:
+		for h := 0; h < np; h++ {
+			gemmStripAVX2(k, tiles, &a[0], sa0, sa1, &b[h*bstep], ldb, &c[h*tileCols], ldc, ep.alpha, ep.acc)
+		}
 	}
-	gemmTileAVX2(k, &a[0], sa0, sa1, &bp[0], &c[0], ldc)
-}
-
-// gemmTile2 computes the tiles of two adjacent full panels, the second
-// packed at bp[8k:], into columns [0, 16) of c: one 4×16 call on the
-// AVX-512 body, two tiles on the others.
-func gemmTile2(k int, a []float64, sa0, sa1 int, bp, c []float64, ldc int) {
-	if tile != tileAVX512 {
-		gemmTile(k, a, sa0, sa1, bp, c, ldc)
-		gemmTile(k, a, sa0, sa1, bp[k*tileCols:], c[tileCols:], ldc)
-		return
-	}
-	_ = a[(tileRows-1)*sa0+(k-1)*sa1]
-	_ = bp[2*k*tileCols-1]
-	_ = c[(tileRows-1)*ldc+2*tileCols-1]
-	gemmTile2AVX512(k, &a[0], sa0, sa1, &bp[0], &c[0], ldc)
 }

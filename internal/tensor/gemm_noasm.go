@@ -12,14 +12,8 @@ func tileBodies() []tileBody { return []tileBody{tileGo} }
 // DefaultParallelThreshold.
 func tileMAddsPerUnit() int { return 1 }
 
-// gemmTile computes one 4×8 tile under the contract in gemm.go.
-func gemmTile(k int, a []float64, sa0, sa1 int, bp, c []float64, ldc int) {
-	gemmTileGo(k, a, sa0, sa1, bp, c, ldc)
-}
-
-// gemmTile2 computes the tiles of two adjacent full panels, the second
-// packed at bp[8k:], into columns [0, 16) of c.
-func gemmTile2(k int, a []float64, sa0, sa1 int, bp, c []float64, ldc int) {
-	gemmTileGo(k, a, sa0, sa1, bp, c, ldc)
-	gemmTileGo(k, a, sa0, sa1, bp[k*tileCols:], c[tileCols:], ldc)
+// gemmStrip lands the tiles of rows [0, 4·tiles) of np adjacent panels
+// in c under the contract and epilogue in gemm.go.
+func gemmStrip(np, tiles, k int, a []float64, sa0, sa1 int, b []float64, ldb, bstep int, c []float64, ldc int, ep epilogue) {
+	gemmStripGo(np, tiles, k, a, sa0, sa1, b, ldb, bstep, c, ldc, ep)
 }

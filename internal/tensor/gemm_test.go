@@ -102,11 +102,7 @@ var gemmFills = []gemmFill{
 // forEachTile runs f once with each tile body this CPU can run selected,
 // and selects the init-time body again afterwards.
 func forEachTile(f func(body tileBody)) {
-	defer func(old tileBody) { tile = old }(tile)
-	for _, body := range tileBodies() {
-		tile = body
-		f(body)
-	}
+	ForEachTileBody(func(string) { f(tile) })
 }
 
 // TestTileBodiesFollowCPUFlags: the assembly bodies are fused
@@ -226,6 +222,80 @@ func TestGEMMBitIdenticalToOracle(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestGEMMEpilogueBitIdentical: the accumulating and scaled entry points
+// land every element exactly once, bit for bit as the product into
+// scratch followed by AxpyInPlace (AddInPlace at α = 1) or ScaleInPlace —
+// through the padded n < 4 driver, ragged last row tiles and panels,
+// pairs, panels read in place and packed, and the empty sum, with every
+// tile body at several parallel degrees. α = 16/3 rounds its multiply, so
+// a fused epilogue shows; the destinations start as the fill's values,
+// signed zeros and denormals included.
+func TestGEMMEpilogueBitIdentical(t *testing.T) {
+	dims := []int{1, 3, 4, 5, 9, 17}
+	if testing.Short() || raceEnabled {
+		dims = []int{1, 5, 9}
+	}
+	forceParallel(t, 1)
+	shapes := slices.Clone(pairingShapes)
+	for _, n := range dims {
+		for _, k := range dims {
+			for _, m := range dims {
+				shapes = append(shapes, [3]int{n, k, m})
+			}
+		}
+	}
+	// The adapter's products at rank 8 and 3: B read in place for k = r
+	// and for r rows, and the r-column panel, full and ragged.
+	shapes = append(shapes, [3]int{32, 8, 352}, [3]int{30, 8, 40}, [3]int{8, 32, 352}, [3]int{3, 30, 40},
+		[3]int{32, 128, 8}, [3]int{128, 32, 8}, [3]int{32, 40, 3}, [3]int{40, 30, 3}, [3]int{3, 0, 9})
+	for _, f := range gemmFills {
+		for _, s := range shapes {
+			checkEpilogue(t, s[0], s[1], s[2], f)
+		}
+	}
+}
+
+func checkEpilogue(t *testing.T, n, k, m int, f gemmFill) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(int64(n*1_000_003 + k*1_009 + m)))
+	a, b, bt, at, c0 := Zeros(n, k), Zeros(k, m), Zeros(m, k), Zeros(k, n), Zeros(n, m)
+	for _, x := range []*Tensor{a, b, bt, at, c0} {
+		f.fill(rng, x)
+	}
+	got := Zeros(n, m)
+	forEachTile(func(body tileBody) {
+		for _, degree := range []int{1, 3} {
+			SetParallelism(degree)
+			for _, alpha := range []float64{1, 16.0 / 3} {
+				for _, c := range []struct {
+					op      string
+					product func() *Tensor
+					land    func()
+					scale   bool
+				}{
+					{"MatMulAdd", func() *Tensor { return a.MatMul(b) }, func() { a.MatMulAddInto(b, alpha, got) }, false},
+					{"MatMulTAdd", func() *Tensor { return a.MatMulT(bt) }, func() { a.MatMulTAddInto(bt, alpha, got) }, false},
+					{"TMatMulAdd", func() *Tensor { return at.TMatMul(b) }, func() { at.TMatMulAddInto(b, alpha, got) }, false},
+					{"MatMulTScale", func() *Tensor { return a.MatMulT(bt) }, func() { a.MatMulTScaleInto(bt, alpha, got) }, true},
+				} {
+					want := c0.Clone()
+					if c.scale {
+						want = c.product().ScaleInPlace(alpha)
+						got.Fill(math.NaN())
+					} else {
+						want.AxpyInPlace(alpha, c.product())
+						copy(got.Data, c0.Data)
+					}
+					c.land()
+					if !testutil.BitEqualSlices(want.Data, got.Data) {
+						t.Errorf("%s α=%v %dx%dx%d %s, %s body at degree %d: not the bits of the product and a second pass", c.op, alpha, n, k, m, f.name, body, degree)
+					}
+				}
+			}
+		}
+	})
 }
 
 // TestGEMMPaperGeometryBitIdentical covers the shapes where the B panel

@@ -115,7 +115,7 @@ type task struct {
 	alpha      float64
 	rows, k, m int
 	sa0, sa1   int
-	bT         bool
+	bT, acc    bool
 	span       func(lo, hi int)
 	job        func(i int)
 }
@@ -388,7 +388,7 @@ func mustNotAlias(dst, src *Tensor, op string) {
 // MatMulInto writes t @ o into dst ([n,k] @ [k,m] -> [n,m]) and returns
 // dst. dst may be dirty (every element is overwritten) but must not share
 // storage with t or o.
-func (t *Tensor) MatMulInto(o, dst *Tensor) *Tensor { return t.MatMulPackedInto(o, nil, dst) }
+func (t *Tensor) MatMulInto(o, dst *Tensor) *Tensor { return t.matMul(o, nil, dst, store) }
 
 // MatMulPackedInto is MatMulInto reading o's k×8 panels from pk instead of
 // packing them on every call: the first call given pk packs them and later
@@ -396,6 +396,19 @@ func (t *Tensor) MatMulInto(o, dst *Tensor) *Tensor { return t.MatMulPackedInto(
 // Panels). A nil pk packs per call, as MatMulInto does. Same shape,
 // dirty-destination and no-alias contract as MatMulInto.
 func (t *Tensor) MatMulPackedInto(o *Tensor, pk *Panels, dst *Tensor) *Tensor {
+	return t.matMul(o, pk, dst, store)
+}
+
+// MatMulAddInto accumulates alpha·(t @ o) into dst in place, dst + α·s
+// per element: bit for bit MatMulInto into scratch followed by
+// dst.AxpyInPlace(alpha, scratch) — or AddInPlace, for alpha = 1 — without
+// the scratch or the second pass. Same shape and no-alias contract as
+// MatMulInto.
+func (t *Tensor) MatMulAddInto(o *Tensor, alpha float64, dst *Tensor) *Tensor {
+	return t.matMul(o, nil, dst, epilogue{alpha, true})
+}
+
+func (t *Tensor) matMul(o *Tensor, pk *Panels, dst *Tensor, ep epilogue) *Tensor {
 	t.must2D()
 	o.must2D()
 	dst.must2D()
@@ -409,17 +422,34 @@ func (t *Tensor) MatMulPackedInto(o *Tensor, pk *Panels, dst *Tensor) *Tensor {
 	}
 	mustNotAlias(dst, t, "matmul")
 	mustNotAlias(dst, o, "matmul")
-	gemm(dst.Data, t.Data, o.Data, pk.of(o, k, m, false), n, k, m, k, 1, false)
+	gemm(dst.Data, t.Data, o.Data, pk.of(o, k, m, false), n, k, m, k, 1, false, ep)
 	return dst
 }
 
 // MatMulTInto writes t @ oᵀ into dst ([n,k] @ [m,k]ᵀ -> [n,m]) and
 // returns dst. Same dirty-destination / no-alias contract as MatMulInto.
-func (t *Tensor) MatMulTInto(o, dst *Tensor) *Tensor { return t.MatMulTPackedInto(o, nil, dst) }
+func (t *Tensor) MatMulTInto(o, dst *Tensor) *Tensor { return t.matMulT(o, nil, dst, store) }
 
 // MatMulTPackedInto is MatMulTInto reading the panels of B = oᵀ from pk,
 // as MatMulPackedInto does for B = o.
 func (t *Tensor) MatMulTPackedInto(o *Tensor, pk *Panels, dst *Tensor) *Tensor {
+	return t.matMulT(o, pk, dst, store)
+}
+
+// MatMulTAddInto accumulates alpha·(t @ oᵀ) into dst in place, as
+// MatMulAddInto does for t @ o.
+func (t *Tensor) MatMulTAddInto(o *Tensor, alpha float64, dst *Tensor) *Tensor {
+	return t.matMulT(o, nil, dst, epilogue{alpha, true})
+}
+
+// MatMulTScaleInto writes alpha·(t @ oᵀ) into dst, α·s per element: bit
+// for bit MatMulTInto followed by dst.ScaleInPlace(alpha), in one pass.
+// Same dirty-destination / no-alias contract as MatMulInto.
+func (t *Tensor) MatMulTScaleInto(o *Tensor, alpha float64, dst *Tensor) *Tensor {
+	return t.matMulT(o, nil, dst, epilogue{alpha: alpha})
+}
+
+func (t *Tensor) matMulT(o *Tensor, pk *Panels, dst *Tensor, ep epilogue) *Tensor {
 	t.must2D()
 	o.must2D()
 	dst.must2D()
@@ -436,13 +466,22 @@ func (t *Tensor) MatMulTPackedInto(o *Tensor, pk *Panels, dst *Tensor) *Tensor {
 	// A is t as it lies; each k×8 panel of B = oᵀ is packed from eight rows
 	// of o (packPanelT), so p stays the tile's serial loop and nothing is
 	// transposed.
-	gemm(dst.Data, t.Data, o.Data, pk.of(o, k, m, true), n, k, m, k, 1, true)
+	gemm(dst.Data, t.Data, o.Data, pk.of(o, k, m, true), n, k, m, k, 1, true, ep)
 	return dst
 }
 
 // TMatMulInto writes tᵀ @ o into dst ([k,n]ᵀ @ [k,m] -> [n,m]) and
 // returns dst. Same dirty-destination / no-alias contract as MatMulInto.
-func (t *Tensor) TMatMulInto(o, dst *Tensor) *Tensor {
+func (t *Tensor) TMatMulInto(o, dst *Tensor) *Tensor { return t.tMatMul(o, dst, store) }
+
+// TMatMulAddInto accumulates alpha·(tᵀ @ o) into dst in place, as
+// MatMulAddInto does for t @ o: a gradient accumulating onto its
+// existing value.
+func (t *Tensor) TMatMulAddInto(o *Tensor, alpha float64, dst *Tensor) *Tensor {
+	return t.tMatMul(o, dst, epilogue{alpha, true})
+}
+
+func (t *Tensor) tMatMul(o, dst *Tensor, ep epilogue) *Tensor {
 	t.must2D()
 	o.must2D()
 	dst.must2D()
@@ -456,7 +495,7 @@ func (t *Tensor) TMatMulInto(o, dst *Tensor) *Tensor {
 	}
 	mustNotAlias(dst, t, "tmatmul")
 	mustNotAlias(dst, o, "tmatmul")
-	gemm(dst.Data, t.Data, o.Data, nil, n, k, m, 1, n, false)
+	gemm(dst.Data, t.Data, o.Data, nil, n, k, m, 1, n, false, ep)
 	return dst
 }
 
