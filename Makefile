@@ -17,7 +17,7 @@ test:
 
 # vet's asmdecl pass checks every assembly file (internal/cpu's probe,
 # internal/tensor/gemm_amd64.s and sigmoid_amd64.s,
-# internal/wire/half_amd64.s) against its
+# internal/nn/adamw_amd64.s, internal/wire/half_amd64.s) against its
 # Go declarations (argument offsets, frame size), so the assembly needs no
 # gate of its own.
 vet:
@@ -25,7 +25,8 @@ vet:
 
 # The portable bodies, forced by the purego build tag (a build-time test
 # seam: on amd64 the default build never runs them): the GEMM tile (its
-# math.FMA chains) and the scalar sigmoid over the packages whose numerics
+# math.FMA chains), the scalar sigmoid and the scalar AdamW update
+# (TestAdamWBodiesBitIdentical runs it alone) over the packages whose numerics
 # they decide — the kernel oracle, the layer and model tests, and the
 # pinned golden loss series — and the binary16 codec over wire (its bit-pinning
 # tests against the reference converter) and broker (TestChanTCPParity,
@@ -100,11 +101,13 @@ else
 endif
 
 # Tensor-engine benchmark gate: runs the compute hot-path benches
-# (kernels, layers) with allocation counts and writes the machine-readable
+# (kernels, layers, and moe's model, block and cold-expert benches —
+# BenchmarkExpertsCold is one layer's 16 experts on one core at stepbench's
+# compute geometry) with allocation counts and writes the machine-readable
 # summary to BENCH_tensor.json. -run='^$$' skips tests so the artifact is
 # pure bench data; benchjson mirrors the human-readable stream to stderr.
 bench:
-	$(GO) test -run='^$$' -bench=. -benchmem ./internal/tensor ./internal/nn \
+	$(GO) test -run='^$$' -bench=. -benchmem ./internal/tensor ./internal/nn ./internal/moe \
 		| $(GO) run ./cmd/benchjson > BENCH_tensor.json
 
 # Wire codec gate: encode/decode throughput per encoding (fp64, fp16,

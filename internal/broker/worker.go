@@ -74,6 +74,10 @@ type Worker struct {
 	// cats holds each expert's last forward turn input, an arena buffer
 	// it reads until its backward turn; only turnMulti touches it.
 	cats map[moe.ExpertID]*tensor.Tensor
+	// fwd holds each layer's last one-master forward frame, whose batches
+	// its experts' layers cache as their inputs until that layer's
+	// backward; only retire touches it.
+	fwd map[int32]*wire.Message
 }
 
 // NewWorker creates an Expert Manager with no experts assigned yet.
@@ -84,6 +88,7 @@ func NewWorker(id int, cfg WorkerConfig) *Worker {
 		specs:    make(map[moe.ExpertID]ExpertSpec),
 		baseSums: make(map[moe.ExpertID]uint32),
 		cats:     make(map[moe.ExpertID]*tensor.Tensor),
+		fwd:      make(map[int32]*wire.Message),
 		opt:      newOptimizer(cfg),
 	}
 }
@@ -149,9 +154,19 @@ func (w *Worker) refreshOptimizer() {
 // which then runs — and, for a backward frame, fails as a whole on its
 // consumed activations — strictly after the original has replied, where
 // the master discards it by Seq. Only a one-master worker traces.
+//
+// When every conn's Send serializes (transport.Copies), a reply may alias
+// the experts' output buffers, which nothing rewrites before it is sent,
+// and the dispatch frames Recv decoded from the codec pools go back to
+// them (see retire); over any other conn the replies are copies and the
+// frames are left to the GC.
 func (w *Worker) Serve(conns ...transport.Conn) error {
 	if len(conns) == 0 {
 		return fmt.Errorf("broker: worker %d: no master connection to serve", w.ID)
+	}
+	serialized := true
+	for _, c := range conns {
+		serialized = serialized && transport.Copies(c)
 	}
 	msgs, replies := make([]*wire.Message, len(conns)), make([]*wire.Message, len(conns))
 	for {
@@ -175,7 +190,7 @@ func (w *Worker) Serve(conns ...transport.Conn) error {
 			w.cfg.Obs.OnWorkerRecv(w.ID, int(msg.Layer), int(msg.Expert), msg.Seq,
 				arrivedAt, wire.EncodedSize(msg))
 		}
-		done := w.turn(msgs, replies, arrivedAt)
+		done := w.turn(msgs, replies, arrivedAt, serialized)
 		for i, reply := range replies {
 			if reply == nil {
 				continue
@@ -196,9 +211,39 @@ func (w *Worker) Serve(conns ...transport.Conn) error {
 					time.Duration(w.cfg.Obs.Trace.Clock()-sendT0), bytes)
 			}
 		}
+		if serialized {
+			w.retire(msgs, replies)
+		}
 		if done {
 			return nil
 		}
+	}
+}
+
+// retire returns a turn's dispatch frames to the codec pools once their
+// replies are sent. A one-master forward frame that computed stays until
+// its layer's next backward or forward frame retires: its batches are the
+// experts' cached inputs until then, and releasing them earlier would let
+// the next decode rewrite those activations. Any other dispatch frame — a
+// backward, one that failed, or one of a K>1 turn, whose batches
+// turnMulti copied into cats — goes at once.
+func (w *Worker) retire(msgs, replies []*wire.Message) {
+	for i, msg := range msgs {
+		fwd, bwd := msg.Type == wire.MsgForwardMulti, msg.Type == wire.MsgBackwardMulti
+		if !fwd && !bwd {
+			continue
+		}
+		computed := replies[i].Type != wire.MsgError
+		if len(msgs) == 1 && (bwd || computed) {
+			// The layer's held frame is consumed, or replaced.
+			wire.Release(w.fwd[msg.Layer])
+			delete(w.fwd, msg.Layer)
+		}
+		if len(msgs) == 1 && fwd && computed {
+			w.fwd[msg.Layer] = msg
+			continue
+		}
+		wire.Release(msg)
 	}
 }
 
@@ -208,10 +253,10 @@ func (w *Worker) Serve(conns ...transport.Conn) error {
 // too), or all get MsgError. A dispatch turn runs each expert once over
 // all masters' rows (turnMulti); anything else runs once, a MsgStep after
 // scaling the expert gradients by 1/K, as each share's rows carry its mean.
-func (w *Worker) turn(msgs, replies []*wire.Message, arrivedAt int64) (done bool) {
+func (w *Worker) turn(msgs, replies []*wire.Message, arrivedAt int64, serialized bool) (done bool) {
 	first := msgs[0]
 	if len(msgs) == 1 {
-		replies[0], done = w.handleAt(first, arrivedAt)
+		replies[0], done = w.handleAt(first, arrivedAt, serialized)
 		return done
 	}
 	var err error
@@ -224,7 +269,7 @@ func (w *Worker) turn(msgs, replies []*wire.Message, arrivedAt int64) (done bool
 	switch {
 	case err != nil:
 	case first.Type == wire.MsgForwardMulti || first.Type == wire.MsgBackwardMulti:
-		err = w.turnMulti(msgs, replies)
+		err = w.turnMulti(msgs, replies, serialized)
 	default:
 		if first.Type == wire.MsgStep {
 			w.mu.Lock()
@@ -236,7 +281,7 @@ func (w *Worker) turn(msgs, replies []*wire.Message, arrivedAt int64) (done bool
 			w.mu.Unlock()
 		}
 		var reply *wire.Message
-		reply, done = w.handleAt(first, 0)
+		reply, done = w.handleAt(first, 0, serialized)
 		for i, msg := range msgs {
 			r := *reply
 			r.Seq, r.Tensors = msg.Seq, slices.Clone(reply.Tensors)
@@ -256,7 +301,7 @@ func (w *Worker) turn(msgs, replies []*wire.Message, arrivedAt int64) (done bool
 // sending them all — and answers each master its own rows. An expert with
 // no rows in the turn is not computed and answers 0 rows. The arena
 // buffers of a failed turn are left to the GC (see cats).
-func (w *Worker) turnMulti(msgs, replies []*wire.Message) error {
+func (w *Worker) turnMulti(msgs, replies []*wire.Message, serialized bool) error {
 	first := msgs[0]
 	backward, resType := first.Type == wire.MsgBackwardMulti, wire.MsgForwardMultiResult
 	if backward {
@@ -293,7 +338,7 @@ func (w *Worker) turnMulti(msgs, replies []*wire.Message) error {
 	tensor.Fanout(k, func(i int) {
 		res[i] = wire.Matrix{Cols: ins[i].Cols}
 		if ins[i].Rows > 0 {
-			res[i], errs[i] = w.runExpert(ids[i], backward, &ins[i], first.Seq, 0)
+			res[i], errs[i] = w.runExpert(ids[i], backward, &ins[i], first.Seq, 0, serialized)
 		}
 	})
 	if err := errors.Join(errs...); err != nil {
@@ -324,15 +369,16 @@ func (w *Worker) turnMulti(msgs, replies []*wire.Message) error {
 // handle processes one message with no arrival timestamp (tests and
 // direct drivers); the serve loop calls handleAt with the real one.
 func (w *Worker) handle(msg *wire.Message) (reply *wire.Message, done bool) {
-	return w.handleAt(msg, 0)
+	return w.handleAt(msg, 0, false)
 }
 
 // handleAt processes one message and returns the reply (nil for none)
 // and whether the serve loop should terminate. arrivedAt is the frame's
 // arrival on the worker tracer's clock (0 when uninstrumented): the
 // queue-wait anchor for compute requests and the t1 echo for clock
-// pings.
-func (w *Worker) handleAt(msg *wire.Message, arrivedAt int64) (reply *wire.Message, done bool) {
+// pings. serialized says the reply is serialized before anything else
+// runs on the worker, so it may alias the experts' buffers (see Serve).
+func (w *Worker) handleAt(msg *wire.Message, arrivedAt int64, serialized bool) (reply *wire.Message, done bool) {
 	switch msg.Type {
 	case wire.MsgAssign:
 		ex, en, err := decodeExpertState(msg)
@@ -379,7 +425,7 @@ func (w *Worker) handleAt(msg *wire.Message, arrivedAt int64) (reply *wire.Messa
 		return &wire.Message{Type: wire.MsgFetchResult, Layer: msg.Layer, Expert: msg.Expert, Seq: msg.Seq}, false
 
 	case wire.MsgForwardMulti, wire.MsgBackwardMulti:
-		return w.handleMulti(msg, arrivedAt), false
+		return w.handleMulti(msg, arrivedAt, serialized), false
 
 	case wire.MsgZeroGrad:
 		// Only what the optimizer steps: a frozen parameter has no Grad.
@@ -479,7 +525,7 @@ func (w *Worker) handleAt(msg *wire.Message, arrivedAt int64) (reply *wire.Messa
 // compute side by side through tensor.Fanout, at most
 // tensor.Parallelism() at once, and the reply mirrors the frame, echoing
 // the id row. Any expert failure fails the frame with one MsgError.
-func (w *Worker) handleMulti(msg *wire.Message, arrivedAt int64) *wire.Message {
+func (w *Worker) handleMulti(msg *wire.Message, arrivedAt int64, serialized bool) *wire.Message {
 	backward, resType := false, wire.MsgForwardMultiResult
 	if msg.Type == wire.MsgBackwardMulti {
 		backward, resType = true, wire.MsgBackwardMultiResult
@@ -494,7 +540,7 @@ func (w *Worker) handleMulti(msg *wire.Message, arrivedAt int64) *wire.Message {
 	errs := make([]error, k)
 	tensor.Fanout(k, func(i int) {
 		id := moe.ExpertID{Layer: int(msg.Layer), Expert: int(ids.Data[i])}
-		outs[1+i], errs[i] = w.runExpert(id, backward, &msg.Tensors[1+i], msg.Seq, arrivedAt)
+		outs[1+i], errs[i] = w.runExpert(id, backward, &msg.Tensors[1+i], msg.Seq, arrivedAt, serialized)
 	})
 	for _, err := range errs {
 		if err != nil {
@@ -527,7 +573,8 @@ func (w *Worker) checkFrame(msg *wire.Message) error {
 }
 
 // runExpert runs one expert's forward or backward over a batch and
-// returns the reply matrix with its wire encoding stamped. It holds the
+// returns the reply matrix with its wire encoding stamped: the expert's
+// output buffer itself when serialized, else a copy of it. It holds the
 // worker's read barrier; the frame's other computes run on other experts.
 //
 // A panic out of the expert compute (an nn shape/state precondition — a
@@ -535,7 +582,7 @@ func (w *Worker) checkFrame(msg *wire.Message) error {
 // execution finds its activations already consumed) is converted into an
 // error reply: one poisoned request must cost one MsgError, not the
 // whole worker process.
-func (w *Worker) runExpert(id moe.ExpertID, backward bool, in *wire.Matrix, seq uint64, arrivedAt int64) (out wire.Matrix, err error) {
+func (w *Worker) runExpert(id moe.ExpertID, backward bool, in *wire.Matrix, seq uint64, arrivedAt int64, serialized bool) (out wire.Matrix, err error) {
 	dir := "forward"
 	if backward {
 		dir = "backward"
@@ -575,10 +622,13 @@ func (w *Worker) runExpert(id moe.ExpertID, backward bool, in *wire.Matrix, seq 
 	} else {
 		y = e.Forward(tensorOf(*in))
 	}
-	// The copy is load-bearing: the expert's output is a reused buffer,
-	// and the master may still be reading this reply when the expert's
-	// next request overwrites it.
-	out = matrixCopyOf(y)
+	// The expert's output is a reused buffer. Over a conn that does not
+	// serialize, the master may still be reading this reply when the
+	// expert's next request overwrites it, so the reply is a copy.
+	out = matrixOf(y)
+	if !serialized {
+		out = matrixCopyOf(y)
+	}
 	// A reply mirrors its request's encoding. The quantization itself
 	// happens in the transport (TCP serializes per encoding; the
 	// in-process pipe quantizes on Send), so the worker only stamps it.

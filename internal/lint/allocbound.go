@@ -25,7 +25,8 @@ import (
 //
 // Second, the per-step hot-path invariant from the parallel tensor
 // engine (DESIGN.md §11): inside a function named Forward, Backward,
-// backwardParams, Step or runExpert, calling an allocating tensor-op variant (MatMul,
+// backwardParams, Step, stepParam, runExpert, handleMulti, turnMulti or
+// retire, calling an allocating tensor-op variant (MatMul,
 // Add, Scale, …) is a finding — those paths run every training step and
 // must use the destination-passing (*Into), in-place, or arena APIs. A
 // deliberate allocation (e.g. a result that escapes the step) is
@@ -64,7 +65,11 @@ var hotPathFuncs = map[string]bool{
 	"Backward":       true,
 	"backwardParams": true, // nn.Linear's gradient products, Backward's and BackwardParams' shared half
 	"Step":           true,
+	"stepParam":      true, // nn.AdamW's per-parameter update, a Fanout job
 	"runExpert":      true,
+	"handleMulti":    true, // broker.Worker's one-master dispatch frame
+	"turnMulti":      true, // and its K-master turn
+	"retire":         true, // and the frames' return to the codec pools
 }
 
 // obsHotPathFuncs are the observability hooks that run once per request

@@ -1,6 +1,7 @@
 package moe
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -83,5 +84,47 @@ func BenchmarkMoEBlockForward(b *testing.B) {
 		if _, err := blk.Forward(x); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkExpertsCold times one layer's experts the way a step meets
+// them, on one core: 16 LoRA experts at stepbench's compute geometry
+// (d=128, h=352, r=8, frozen weights packed during warm-up), each
+// forward over a routed batch of the sub-benchmark's rows, then each
+// backward, so every expert's weights and activations come back cold from
+// the other fifteen's traffic. One op is the layer's 16 forward and 16
+// backward passes; GFLOP/s counts their dense base-weight products (three
+// projections, forward and input gradient), not the rank-8 adapters.
+func BenchmarkExpertsCold(b *testing.B) {
+	const d, h, experts = 128, 352, 16
+	for _, rows := range []int{1, 11, 35, 59, 87} {
+		b.Run(fmt.Sprintf("rows=%d", rows), func(b *testing.B) {
+			old := tensor.Parallelism()
+			tensor.SetParallelism(1)
+			b.Cleanup(func() { tensor.SetParallelism(old) })
+			rng := rand.New(rand.NewSource(1))
+			es := make([]*Expert, experts)
+			xs, dys := make([]*tensor.Tensor, experts), make([]*tensor.Tensor, experts)
+			for i := range es {
+				es[i] = NewExpert(ExpertID{Expert: i}, rng, d, h, false)
+				es[i].AttachLoRA(rng, 8, 16)
+				xs[i], dys[i] = tensor.Randn(rng, 1, rows, d), tensor.Randn(rng, 1, rows, d)
+			}
+			layer := func() {
+				for i, e := range es {
+					e.Forward(xs[i])
+				}
+				for i, e := range es {
+					e.Backward(dys[i])
+				}
+			}
+			layer()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				layer()
+			}
+			flops := experts * 6 * 2 * float64(rows) * d * h
+			b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+		})
 	}
 }

@@ -69,9 +69,11 @@ type AdamW struct {
 	t        int
 	bc1, bc2 float64 // this step's bias-correction denominators
 
-	// stepJob is stepParam as a Fanout job, bound once so a step hands the
-	// team no fresh closure.
-	stepJob func(i int)
+	// stepJob is stepParam as a Fanout job, and rangeJobs[i] parameter i's
+	// update as a ParallelRange job, bound with the parameter set so a step
+	// hands the team no fresh closure.
+	stepJob   func(i int)
+	rangeJobs []func(lo, hi int)
 }
 
 // NewAdamW builds an AdamW optimizer over the trainable subset of params.
@@ -85,7 +87,18 @@ func NewAdamW(params []*Param, cfg AdamWConfig) *AdamW {
 		o.m[i] = tensor.Zeros(p.Value.Shape()...)
 		o.v[i] = tensor.Zeros(p.Value.Shape()...)
 	}
+	o.bindJobs()
 	return o
+}
+
+// bindJobs binds one ParallelRange job per parameter of the current set.
+func (o *AdamW) bindJobs() {
+	o.rangeJobs = make([]func(lo, hi int), len(o.params))
+	for i := range o.rangeJobs {
+		o.rangeJobs[i] = func(lo, hi int) {
+			adamwUpdate(o.params[i].Value.Data, o.params[i].Grad.Data, o.m[i].Data, o.v[i].Data, o.cfg, o.bc1, o.bc2, lo, hi)
+		}
+	}
 }
 
 // Rebind implements Rebinder: it replaces the optimizer's parameter set,
@@ -113,6 +126,7 @@ func (o *AdamW) Rebind(params []*Param) {
 			o.v[i] = tensor.Zeros(p.Value.Shape()...)
 		}
 	}
+	o.bindJobs()
 }
 
 // StepCount returns the number of optimization steps applied so far —
@@ -180,20 +194,24 @@ func (o *AdamW) Step() {
 
 // stepParam applies this step's update to parameter i.
 func (o *AdamW) stepParam(i int) {
-	c, bc1, bc2 := o.cfg, o.bc1, o.bc2
-	m, v := o.m[i].Data, o.v[i].Data
-	w, g := o.params[i].Value.Data, o.params[i].Grad.Data
-	if tensor.SerialRange(len(w)) {
-		adamwRange(w, g, m, v, c, bc1, bc2, 0, len(w))
-		return
-	}
-	tensor.ParallelRange(len(w), func(lo, hi int) {
-		adamwRange(w, g, m, v, c, bc1, bc2, lo, hi)
-	})
+	tensor.ParallelRange(o.params[i].Value.Len(), o.rangeJobs[i])
+}
+
+// adamwUpdate applies the AdamW update to elements [lo, hi) of one
+// parameter: the vector body, where the CPU has one, over the longest
+// prefix of whole groups of eight, and adamwRange over the rest. Both are
+// bit for bit adamwRange.
+func adamwUpdate(w, g, m, v []float64, c AdamWConfig, bc1, bc2 float64, lo, hi int) {
+	lo += adamwVec(w[lo:hi], g[lo:hi], m[lo:hi], v[lo:hi], c, bc1, bc2)
+	adamwRange(w, g, m, v, c, bc1, bc2, lo, hi)
 }
 
 // adamwRange applies the AdamW update to elements [lo, hi) of one
-// parameter, with bc1/bc2 the bias-correction denominators for this step.
+// parameter, with bc1/bc2 the bias-correction denominators for this step:
+// the scalar loop, the definition the vector body reproduces. Each
+// operation rounds on its own; under GOAMD64=v3 the compiler could fuse a
+// multiply and add into one FMA here, which TestAdamWBodiesBitIdentical
+// would report.
 func adamwRange(w, g, m, v []float64, c AdamWConfig, bc1, bc2 float64, lo, hi int) {
 	for j := lo; j < hi; j++ {
 		m[j] = c.Beta1*m[j] + (1-c.Beta1)*g[j]

@@ -85,31 +85,35 @@ func Put(t *Tensor) {
 	arenaPools[c].Put(t)
 }
 
-// Ensure returns *p if it already has exactly the given shape, otherwise
-// replaces *p with a fresh zeroed tensor of that shape. Layers use it for
-// step-persistent scratch: the first step allocates, every later step
-// with the same geometry reuses the buffer. When reused the contents are
-// the previous step's values — treat the result as dirty unless the first
-// step's zeroing is still wanted, i.e. overwrite or Zero() before
-// accumulating.
+// Ensure returns *p reshaped to the given shape, its contents dirty:
+// stale values of any earlier shape. Layers use it for step-persistent
+// scratch whose size follows the routed batch: when the slot's backing
+// array holds the new shape it is reshaped in place, so only growth
+// allocates — a fresh zeroed tensor, which replaces *p. Every caller
+// overwrites the result or calls Zero() before accumulating, and must
+// not keep an earlier result across the call: that tensor is the same
+// one, reshaped.
 func Ensure(p **Tensor, shape ...int) *Tensor {
-	t := *p
-	if t != nil && len(t.shape) == len(shape) {
-		same := true
-		for i := range shape {
-			if t.shape[i] != shape[i] {
-				same = false
-				break
-			}
+	// Sized here, not by numel: its panic message would move shape to the
+	// heap on every call. A negative dimension fails the test below and
+	// panics in Zeros.
+	n := 1
+	for _, d := range shape {
+		n *= d
+		if d < 0 {
+			n = -1
+			break
 		}
-		if same {
-			return t
-		}
+	}
+	if t := *p; t != nil && len(t.shape) == len(shape) && 0 <= n && n <= cap(t.Data) {
+		t.Data = t.Data[:n]
+		copy(t.shape, shape)
+		return t
 	}
 	// Copy the shape instead of forwarding the variadic: Zeros retains its
 	// argument, and forwarding would force shape to the heap on EVERY call
-	// — turning the hit path (the 99% case) into one allocation per step.
-	t = Zeros(append([]int(nil), shape...)...)
+	// — turning the reuse path (the 99% case) into one allocation per step.
+	t := Zeros(append([]int(nil), shape...)...)
 	*p = t
 	return t
 }

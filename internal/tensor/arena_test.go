@@ -94,35 +94,59 @@ func TestArenaPutEdgeCases(t *testing.T) {
 	GetDirty(3, 0)
 }
 
-// TestEnsureSemantics pins the step-persistent scratch helper: exact
-// shape match returns the existing buffer (contents untouched), any
-// mismatch replaces it with a fresh zeroed tensor.
+// TestEnsureSemantics pins the step-persistent scratch helper: a shape
+// the slot's backing array holds — the same one, or any smaller or equal
+// element count — comes back as the same tensor, reshaped in place with
+// its contents left dirty and without allocating; only growth replaces
+// the slot, with a fresh zeroed tensor.
 func TestEnsureSemantics(t *testing.T) {
 	var p *Tensor
 	a := Ensure(&p, 4, 6)
 	if a != p || a.Rows() != 4 || a.Cols() != 6 {
 		t.Fatal("Ensure on nil slot did not install a fresh tensor")
 	}
-	a.Data[0] = 42
+	for i := range a.Data {
+		a.Data[i] = float64(i + 1)
+	}
+	p0 := &a.Data[0]
 
 	b := Ensure(&p, 4, 6)
-	if b != a {
-		t.Error("Ensure with matching shape replaced the buffer")
-	}
-	if !testutil.BitEqual(b.Data[0], 42) {
-		t.Error("Ensure with matching shape zeroed the buffer; reuse must keep contents")
+	if b != a || !testutil.BitEqual(b.Data[0], 1) {
+		t.Error("Ensure with matching shape replaced or cleared the buffer; reuse must keep contents")
 	}
 
 	c := Ensure(&p, 6, 4)
-	if c == a {
-		t.Error("Ensure with a new shape returned the old buffer")
+	if c != a || c != p || &c.Data[0] != p0 {
+		t.Error("Ensure with a new shape of equal size did not reuse the buffer in place")
 	}
-	if c != p {
-		t.Error("Ensure did not update the slot to the replacement")
+	if c.Rows() != 6 || c.Cols() != 4 || len(c.Data) != 24 {
+		t.Fatalf("reshaped tensor is %v with %d elements, want [6 4] and 24", c.Shape(), len(c.Data))
 	}
-	for i, v := range c.Data {
+	if !testutil.BitEqual(c.Data[23], 24) {
+		t.Error("Ensure zeroed a reused buffer; its contents are dirty by contract")
+	}
+
+	d := Ensure(&p, 3, 5)
+	if d != a || &d.Data[0] != p0 || d.Rows() != 3 || d.Cols() != 5 || len(d.Data) != 15 {
+		t.Fatalf("shrinking Ensure gave %v (%d elements, same=%v), want the slot's tensor as [3 5]", d.Shape(), len(d.Data), d == a)
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		Ensure(&p, 2, 7)
+		Ensure(&p, 4, 6)
+	}); allocs != 0 {
+		t.Errorf("Ensure within capacity allocates %.1f times, want 0", allocs)
+	}
+	if e := Ensure(&p, 4, 6); len(e.Data) != 24 || &e.Data[0] != p0 {
+		t.Error("Ensure did not grow back into the capacity it kept")
+	}
+
+	g := Ensure(&p, 5, 6)
+	if g == a || g != p {
+		t.Error("Ensure past the slot's capacity did not install a replacement")
+	}
+	for i, v := range g.Data {
 		if !testutil.BitEqual(v, 0) {
-			t.Fatalf("Ensure replacement not zeroed at %d: %v", i, v)
+			t.Fatalf("Ensure growth not zeroed at %d: %v", i, v)
 		}
 	}
 }
