@@ -1,6 +1,7 @@
 // Package cpu reports the x86 vector extensions that the assembly bodies
 // in internal/tensor (the AVX2 and AVX-512 GEMM tiles, the AVX-512
-// sigmoid) and internal/wire (the F16C binary16 codec) may use. The probe
+// sigmoid), internal/nn (the AVX-512 AdamW update) and internal/wire (the
+// F16C binary16 codec) may use. The probe
 // runs once, at package initialisation; every flag is false off amd64 and
 // under the purego build tag, so those builds select the portable bodies.
 package cpu
@@ -19,7 +20,7 @@ package cpu
 // branch on amd64, which the AVX-512 sigmoid replays.
 //
 // HasAVX512 is AVX-512F with the opmask and ZMM state (XCR0 bits 1, 2
-// and 5–7). It gates the AVX-512 GEMM tiles and sigmoid; it is set only
-// when HasAVX2 and HasFMA are, so a body that needs AVX-512 may assume
-// both.
+// and 5–7). It gates the AVX-512 GEMM tiles, sigmoid and AdamW update;
+// it is set only when HasAVX2 and HasFMA are, so a body that needs
+// AVX-512 may assume both.
 var HasAVX2, HasF16C, HasFMA, HasAVX512 = probe()
