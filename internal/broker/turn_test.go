@@ -2,8 +2,10 @@ package broker
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
+	"repro/internal/moe"
 	"repro/internal/nn"
 	"repro/internal/testutil"
 	"repro/internal/transport"
@@ -128,6 +130,82 @@ func testKMasters(t *testing.T, pair func(*testing.T) (transport.Conn, transport
 			rp := nn.CollectTrainable(ref.experts[id].Params())[i]
 			if !testutil.BitEqualSlices(p.Value.Data, rp.Value.Data) || !testutil.BitEqualSlices(p.Grad.Data, rp.Grad.Data) {
 				t.Fatalf("%v %s: K-master worker differs from the reference after the step", id, p.Name)
+			}
+		}
+	}
+}
+
+// TestWorkerHoldsForwardFrameOverTCP: over a conn that serializes, the
+// worker returns its decoded frames to the codec pools, but a forward
+// frame's batch is the expert's cached input until its layer's backward.
+// Between a layer-0 forward and its backward, a layer-1 forward and
+// backward of the same size decode (and release) frames of that size
+// class, and the master decodes four replies of it; the worker's
+// gradients and replies must still equal a worker fed the same frames
+// directly. It runs on one P: a payload released there is what the next
+// decode of its size class gets back (sync.Pool's per-P slot), so a frame
+// released too early is certain to be rewritten.
+func TestWorkerHoldsForwardFrameOverTCP(t *testing.T) {
+	defer testutil.VerifyNoLeaks(t, "repro/internal/broker")
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	rng := rand.New(rand.NewSource(9))
+	spec := ExpertSpec{D: 4, Hidden: 6, LoRARank: 2, LoRAAlpha: 4}
+	master, end := tcpPair(t)
+	w, ref := NewWorker(0, DefaultWorkerConfig()), NewWorker(1, DefaultWorkerConfig())
+	served := make(chan error, 1)
+	go func() { served <- w.Serve(end) }()
+	send := func(msg *wire.Message) *wire.Message {
+		t.Helper()
+		if err := master.Send(msg); err != nil {
+			t.Fatal(err)
+		}
+		r, err := master.Recv()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	for layer := 0; layer < 2; layer++ {
+		ex := moe.NewExpert(moe.ExpertID{Layer: layer}, rng, spec.D, spec.Hidden, false)
+		ex.AttachLoRA(rng, spec.LoRARank, spec.LoRAAlpha)
+		for _, l := range ex.FFN.Linears() {
+			// A fresh adapter's B is zero, and with it every gradient that
+			// reads the cached input.
+			for i := range l.LoRA.B.Value.Data {
+				l.LoRA.B.Value.Data[i] = rng.NormFloat64()
+			}
+		}
+		send(encodeExpert(ex, spec))
+		ref.handle(encodeExpert(ex, spec))
+	}
+	batch := func() wire.Matrix {
+		m := wire.Matrix{Rows: 5, Cols: spec.D, Data: make([]float64, 5*spec.D)}
+		for i := range m.Data {
+			m.Data[i] = rng.NormFloat64()
+		}
+		return m
+	}
+	for _, f := range []*wire.Message{
+		multiFrame(false, 0, []int{0}, batch()),
+		multiFrame(false, 1, []int{0}, batch()),
+		multiFrame(true, 1, []int{0}, batch()),
+		multiFrame(true, 0, []int{0}, batch()),
+	} {
+		want, _ := ref.handle(f)
+		got := send(f)
+		if got.Type != want.Type || !testutil.BitEqualSlices(got.Tensors[1].Data, want.Tensors[1].Data) {
+			t.Fatalf("%v L%d: reply differs from the directly fed worker's", f.Type, f.Layer)
+		}
+		wire.Release(got)
+	}
+	send(&wire.Message{Type: wire.MsgShutdown})
+	if err := <-served; err != nil {
+		t.Fatal(err)
+	}
+	for id, ex := range w.experts {
+		for i, p := range nn.CollectTrainable(ex.Params()) {
+			if rp := nn.CollectTrainable(ref.experts[id].Params())[i]; !testutil.BitEqualSlices(p.Grad.Data, rp.Grad.Data) {
+				t.Fatalf("%v %s: gradient differs from the directly fed worker's", id, p.Name)
 			}
 		}
 	}
