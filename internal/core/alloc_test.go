@@ -20,11 +20,15 @@ import (
 
 // TestStepAllocBound: a steady-state fine-tuning step at stepbench's
 // compute geometry (d=128, h=352, 2 layers × 8 experts, top-2, batch
-// 4×32, LoRA r=8) allocates at most 400 KB on the local executor and at
-// most 1 MB brokered to two workers over loopback TCP, fp64 — master and
-// workers both, since they share the process. Layer scratch keeps its
-// capacity as routed batches change size, AdamW binds its jobs once, and
-// a worker returns the frames it decodes to the codec pools.
+// 4×32, LoRA r=8) allocates at most 256 KB and 43 objects on the local
+// executor, and at most 320 KB and 561 objects brokered to two workers
+// over loopback TCP, fp64 — master and workers both, since they share the
+// process. Layer scratch keeps its capacity as routed batches change
+// size, AdamW binds its jobs once, a worker returns the frames it decodes
+// to the codec pools, the gate allocates a fixed handful of objects per
+// forward, the block dispatches through step-persistent slices and the
+// loss reuses its gradient. The bytes move by a few tens of KB from run
+// to run with the arena pools' per-processor hits; the objects do not.
 func TestStepAllocBound(t *testing.T) {
 	if testing.Short() {
 		t.Skip("drives 140 fine-tuning steps")
@@ -41,7 +45,7 @@ func TestStepAllocBound(t *testing.T) {
 	t.Run("local", func(t *testing.T) {
 		model, grid, corpus := setup()
 		ft := trainer.NewLocalFinetuner(model, model.BindLocalExperts(grid), data.NewBatcher(corpus, batch, seqLen, 3))
-		stepAllocs(t, ft, 400<<10)
+		stepAllocs(t, ft, 256<<10, 43)
 	})
 	t.Run("tcp", func(t *testing.T) {
 		model, grid, corpus := setup()
@@ -67,15 +71,16 @@ func TestStepAllocBound(t *testing.T) {
 			Model: model, Backbone: backbone, Opt: nn.NewAdamW(backbone, nn.PaperAdamWConfig()),
 			Batcher:    data.NewBatcher(corpus, batch, seqLen, 3),
 			ExpertZero: sys.Exec.ZeroGrads, ExpertStep: sys.Exec.Step,
-		}, 1<<20)
+		}, 320<<10, 561)
 	})
 }
 
-// stepAllocs drives ft through 40 warm-up steps, then bounds the bytes
-// the whole process allocates per step over the 30 steps after them.
+// stepAllocs drives ft through 40 warm-up steps, then bounds the bytes and
+// objects the whole process allocates per step over the 30 steps after
+// them.
 // Layer scratch grows to each new largest routed batch, so the first
 // steps allocate more, and fewer the longer a run goes.
-func stepAllocs(t *testing.T, ft *trainer.Finetuner, bound uint64) {
+func stepAllocs(t *testing.T, ft *trainer.Finetuner, bound, objects uint64) {
 	t.Helper()
 	const warm, steps = 40, 30
 	var before, after runtime.MemStats
@@ -89,10 +94,13 @@ func stepAllocs(t *testing.T, ft *trainer.Finetuner, bound uint64) {
 		}
 	}
 	runtime.ReadMemStats(&after)
-	bytes := (after.TotalAlloc - before.TotalAlloc) / steps
-	t.Logf("%d B and %.0f objects per step; %d GC cycles in %d steps",
-		bytes, float64(after.Mallocs-before.Mallocs)/steps, after.NumGC-before.NumGC, steps)
+	bytes, mallocs := (after.TotalAlloc-before.TotalAlloc)/steps, (after.Mallocs-before.Mallocs)/steps
+	t.Logf("%d B and %d objects per step; %d GC cycles in %d steps",
+		bytes, mallocs, after.NumGC-before.NumGC, steps)
 	if bytes > bound {
 		t.Errorf("a steady-state step allocates %d KB, want at most %d KB", bytes>>10, bound>>10)
+	}
+	if mallocs > objects {
+		t.Errorf("a steady-state step allocates %d objects, want at most %d", mallocs, objects)
 	}
 }

@@ -25,8 +25,11 @@ import (
 //
 // Second, the per-step hot-path invariant from the parallel tensor
 // engine (DESIGN.md §11): inside a function named Forward, Backward,
-// backwardParams, Step, stepParam, runExpert, handleMulti, turnMulti or
-// retire, calling an allocating tensor-op variant (MatMul,
+// backwardParams, Step, stepParam, runExpert, handleMulti, turnMulti,
+// retire, CrossEntropy, AddForward, BackwardAdd or one of the MoE block's
+// row passes
+// (dispatchRows, combineRows, scatterRows, gatherRows), calling an
+// allocating tensor-op variant (MatMul,
 // Add, Scale, …) is a finding — those paths run every training step and
 // must use the destination-passing (*Into), in-place, or arena APIs. A
 // deliberate allocation (e.g. a result that escapes the step) is
@@ -70,6 +73,13 @@ var hotPathFuncs = map[string]bool{
 	"handleMulti":    true, // broker.Worker's one-master dispatch frame
 	"turnMulti":      true, // and its K-master turn
 	"retire":         true, // and the frames' return to the codec pools
+	"CrossEntropy":   true, // nn.Loss's per-step loss and gradient
+	"AddForward":     true, // nn.RMSNorm's residual add fused into the norm
+	"BackwardAdd":    true, // and into its backward
+	"dispatchRows":   true, // moe.Block's routed-row copy into the expert batches
+	"combineRows":    true, // its weighted combine back into token order
+	"scatterRows":    true, // its output-gradient scatter
+	"gatherRows":     true, // and its input-gradient gather
 }
 
 // obsHotPathFuncs are the observability hooks that run once per request

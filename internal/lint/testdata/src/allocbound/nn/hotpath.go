@@ -1,5 +1,6 @@
 // Package nn exercises allocbound's hot-path rule: allocating tensor ops
-// inside functions named Forward/Backward/Step/runExpert are findings;
+// inside functions named Forward/Backward/Step/runExpert, the loss, the
+// fused add-norm and the MoE block's row passes are findings;
 // Into/in-place variants, non-hot function names, non-tensor receivers,
 // and annotated escapes are not.
 package nn
@@ -34,6 +35,41 @@ func Step(g *tensor.Tensor) {
 // runExpert is the fourth hot-path name.
 func runExpert(x *tensor.Tensor) *tensor.Tensor {
 	return x.MatMul(x) // want "allocating tensor op MatMul in per-step hot path runExpert"
+}
+
+// CrossEntropy is the per-step loss: flagged.
+func CrossEntropy(logits *tensor.Tensor) *tensor.Tensor {
+	return logits.SoftmaxRows() // want "allocating tensor op SoftmaxRows in per-step hot path CrossEntropy"
+}
+
+// AddForward is the residual add fused into a norm: flagged.
+func (l *Layer) AddForward(a, b *tensor.Tensor) *tensor.Tensor {
+	return a.Add(b) // want "allocating tensor op Add in per-step hot path AddForward"
+}
+
+// BackwardAdd is the residual add fused into a norm's backward: flagged.
+func (l *Layer) BackwardAdd(dy *tensor.Tensor) *tensor.Tensor {
+	return dy.Add(l.dx) // want "allocating tensor op Add in per-step hot path BackwardAdd"
+}
+
+// dispatchRows is a block's routed-row copy: flagged.
+func (l *Layer) dispatchRows(x *tensor.Tensor) *tensor.Tensor {
+	return x.Scale(1) // want "allocating tensor op Scale in per-step hot path dispatchRows"
+}
+
+// combineRows is a block's weighted combine: flagged.
+func (l *Layer) combineRows(out *tensor.Tensor) *tensor.Tensor {
+	return out.Scale(0.5) // want "allocating tensor op Scale in per-step hot path combineRows"
+}
+
+// scatterRows is a block's output-gradient scatter: flagged.
+func (l *Layer) scatterRows(dy *tensor.Tensor) *tensor.Tensor {
+	return dy.Scale(0.5) // want "allocating tensor op Scale in per-step hot path scatterRows"
+}
+
+// gatherRows is a block's input-gradient gather: flagged.
+func (l *Layer) gatherRows(dx *tensor.Tensor) *tensor.Tensor {
+	return dx.Add(l.dx) // want "allocating tensor op Add in per-step hot path gatherRows"
 }
 
 // cleanForward shows the approved shapes: destination passing and

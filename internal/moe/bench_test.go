@@ -128,3 +128,69 @@ func BenchmarkExpertsCold(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkBlockRouting times the block's own passes around its expert
+// calls at stepbench's compute geometry (d=128, 128 tokens, 8 experts,
+// top-2), on one core and on two: the gate, the dispatch plan and copy,
+// the combine, the backward's scatter and gather, and "block", one whole
+// Forward and Backward. The experts are identities (an output is its
+// batch; an input gradient its output gradient), so no expert time is in
+// any pass.
+func BenchmarkBlockRouting(b *testing.B) {
+	const d, experts, tokens, k = 128, 8, 128, 2
+	rng := rand.New(rand.NewSource(1))
+	blk := NewBlock(0, rng, d, experts, k, false)
+	blk.Exec = identityExec{}
+	x, dy := tensor.Randn(rng, 1, tokens, d), tensor.Randn(rng, 1, tokens, d)
+	for _, cores := range []int{1, 2} {
+		passes := []struct {
+			name string
+			run  func()
+		}{
+			{"gate", func() { blk.Gate.Forward(x) }},
+			{"dispatch", func() { blk.planDispatch(blk.routing); blk.dispatch(x) }},
+			{"combine", func() { copy(blk.res, blk.batch); blk.combine() }},
+			{"scatter", func() { blk.scatter(dy) }},
+			{"gather", func() { copy(blk.res, blk.batch); blk.gather() }},
+			{"block", func() {
+				if _, err := blk.Forward(x); err != nil {
+					b.Fatal(err)
+				}
+				if _, err := blk.Backward(dy); err != nil {
+					b.Fatal(err)
+				}
+			}},
+		}
+		for _, p := range passes {
+			b.Run(fmt.Sprintf("%s/cores=%d", p.name, cores), func(b *testing.B) {
+				old := tensor.Parallelism()
+				tensor.SetParallelism(cores)
+				b.Cleanup(func() { tensor.SetParallelism(old) })
+				// One forward sizes every buffer and leaves the routing,
+				// the batches and the output gradients in place.
+				if _, err := blk.Forward(x); err != nil {
+					b.Fatal(err)
+				}
+				tensor.Ensure(&blk.dx, tokens, d)
+				for e := range blk.grad {
+					blk.grad[e] = blk.batch[e]
+				}
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					p.run()
+				}
+			})
+		}
+	}
+}
+
+// identityExec returns every batch as its own result.
+type identityExec struct{}
+
+func (identityExec) ForwardExperts(_ int, batches map[int]*tensor.Tensor) (map[int]*tensor.Tensor, error) {
+	return batches, nil
+}
+
+func (identityExec) BackwardExperts(_ int, grads map[int]*tensor.Tensor) (map[int]*tensor.Tensor, error) {
+	return grads, nil
+}

@@ -33,24 +33,64 @@ type Block struct {
 
 	numExperts int
 	routing    *Routing
-	positions  map[int][]int          // expert -> token indices routed to it (in batch row order)
-	outs       map[int]*tensor.Tensor // cached expert outputs (needed for gate backward)
+	outs       map[int]*tensor.Tensor // expert outputs, kept for the gate's backward while it trains
 
-	// batches holds the per-expert input copies for the current step. The
-	// tensors come from the arena, but experts cache their inputs until
-	// Backward, so they are returned (Put) only after BackwardExperts.
-	batches map[int]*tensor.Tensor
+	// The dispatch plan of the current forward: the routing's tokens·k
+	// (token, expert) pairs counting-sorted by expert into plan rows,
+	// token order kept within each expert. Expert e's batch is plan rows
+	// off[e] ≤ i < off[e+1]; order[i] is the token of plan row i and
+	// weight[i] its combination weight. Token t's k plan rows, ascending
+	// by expert, are slot[t·k : t·k+k], their experts slotExpert[…]. next
+	// is the sort's fill cursor. All step-persistent.
+	off, next, order, slot, slotExpert []int
+	weight                             []float64
+
+	// Per-expert tensors by expert index, nil where no token is routed:
+	// the dispatch batches (arena buffers that experts cache until their
+	// Backward, so they are returned only after BackwardExperts), the
+	// output gradients sent back, and the executor's results being
+	// combined or gathered.
+	batch, grad, res []*tensor.Tensor
+	// The same batches and gradients keyed for the Executor, reused with
+	// clear.
+	batches, grads map[int]*tensor.Tensor
+	// x and dy are the dispatch and scatter jobs' input while they run.
+	x, dy *tensor.Tensor
 	// Step-persistent combine output and input-gradient buffers.
 	y, dx *tensor.Tensor
+
+	// dispatchJob, combineJob, scatterJob and gatherJob are dispatchRows,
+	// combineRows, scatterRows and gatherRows bound once, so a step hands
+	// the team no fresh closure.
+	dispatchJob, combineJob, scatterJob, gatherJob func(lo, hi int)
 }
+
+// Work estimates (units of tensor.DefaultParallelThreshold) per element
+// of the block's row passes, from BenchmarkBlockRouting's one-core times:
+// the dispatch, scatter and gather move an element between the token
+// matrix and an expert's batch (0.4–0.9 ns), the combine adds a weighted
+// one (1.1 ns). At stepbench's geometry every pass is under the threshold
+// but over a quarter of it, so it splits while a helper polls
+// (tensor.Serial).
+const (
+	copyRowCost    = 2
+	combineRowCost = 3
+)
 
 // NewBlock builds a MoE block for the given layer index.
 func NewBlock(layer int, rng *rand.Rand, d, numExperts, topK int, gateTrainable bool) *Block {
-	return &Block{
+	b := &Block{
 		Layer:      layer,
 		Gate:       NewGate(fmt.Sprintf("block%d", layer), rng, d, numExperts, topK, gateTrainable),
 		numExperts: numExperts,
+		batch:      make([]*tensor.Tensor, numExperts),
+		grad:       make([]*tensor.Tensor, numExperts),
+		res:        make([]*tensor.Tensor, numExperts),
+		batches:    make(map[int]*tensor.Tensor, numExperts),
+		grads:      make(map[int]*tensor.Tensor, numExperts),
 	}
+	b.dispatchJob, b.combineJob, b.scatterJob, b.gatherJob = b.dispatchRows, b.combineRows, b.scatterRows, b.gatherRows
+	return b
 }
 
 // NumExperts returns the number of experts in the block.
@@ -81,67 +121,176 @@ func (b *Block) Forward(x *tensor.Tensor) (*tensor.Tensor, error) {
 		b.Obs.RecordRouting(b.Layer, r.Experts)
 	}
 
-	// Group token rows per selected expert, preserving token order.
-	b.positions = make(map[int][]int)
-	for t := 0; t < n; t++ {
-		for _, e := range r.Experts[t] {
-			b.positions[e] = append(b.positions[e], t)
+	b.planDispatch(r)
+	clear(b.batches)
+	for e := range b.batch {
+		b.batch[e] = nil
+		if rows := b.off[e+1] - b.off[e]; rows > 0 {
+			b.batch[e] = tensor.GetDirty(rows, d)
+			b.batches[e] = b.batch[e]
 		}
 	}
-	batches := make(map[int]*tensor.Tensor, len(b.positions))
-	for e, toks := range b.positions {
-		m := tensor.GetDirty(len(toks), d)
-		for i, t := range toks {
-			copy(m.Row(i), x.Row(t))
-		}
-		batches[e] = m
-	}
-	b.batches = batches
+	b.dispatch(x)
 
-	outs, err := b.Exec.ForwardExperts(b.Layer, batches)
+	outs, err := b.Exec.ForwardExperts(b.Layer, b.batches)
 	if err != nil {
 		return nil, fmt.Errorf("moe: block %d expert forward: %w", b.Layer, err)
 	}
 	if b.gateTrainable() {
 		b.outs = outs
 	}
-
-	// Weighted combine back into token order, iterating experts in index
-	// order so summation order (and thus floating-point results) is
-	// deterministic and identical between local and brokered execution.
-	y := tensor.Ensure(&b.y, n, d)
-	y.Zero()
-	for e := 0; e < b.numExperts; e++ {
-		toks, routed := b.positions[e]
-		if !routed {
+	for e := range b.res {
+		rows := b.off[e+1] - b.off[e]
+		if rows == 0 {
 			continue
 		}
 		out, ok := outs[e]
 		if !ok {
 			return nil, fmt.Errorf("moe: block %d missing output for expert %d", b.Layer, e)
 		}
-		if out.Rows() != len(toks) || out.Cols() != d {
-			return nil, fmt.Errorf("moe: block %d expert %d returned %v, want [%d,%d]", b.Layer, e, out.Shape(), len(toks), d)
+		if out.Rows() != rows || out.Cols() != d {
+			return nil, fmt.Errorf("moe: block %d expert %d returned %v, want [%d,%d]", b.Layer, e, out.Shape(), rows, d)
 		}
-		for i, t := range toks {
-			w := weightFor(r, t, e)
-			yr, or := y.Row(t), out.Row(i)
-			for j := 0; j < d; j++ {
+		b.res[e] = out
+	}
+
+	tensor.Ensure(&b.y, n, d)
+	b.combine()
+	return b.y, nil
+}
+
+// planDispatch counting-sorts the routing's (token, expert) pairs by
+// expert into the dispatch plan (see Block), keeping token order within
+// each expert.
+func (b *Block) planDispatch(r *Routing) {
+	E, k := b.numExperts, b.Gate.TopK
+	b.off = resize(b.off, E+1)
+	clear(b.off)
+	for _, sel := range r.Experts {
+		for _, e := range sel {
+			b.off[e+1]++
+		}
+	}
+	for e := 0; e < E; e++ {
+		b.off[e+1] += b.off[e]
+	}
+	b.next = append(b.next[:0], b.off[:E]...)
+	rows := len(r.Experts) * k
+	b.order, b.weight = resize(b.order, rows), resize(b.weight, rows)
+	b.slot, b.slotExpert = resize(b.slot, rows), resize(b.slotExpert, rows)
+	for t, sel := range r.Experts {
+		base := t * k
+		for j, e := range sel {
+			i := b.next[e]
+			b.next[e]++
+			b.order[i], b.weight[i] = t, r.Weights[t][j]
+			// Insert (e, i) into the token's slots, ascending by expert.
+			c := base + j
+			for ; c > base && b.slotExpert[c-1] > e; c-- {
+				b.slotExpert[c], b.slot[c] = b.slotExpert[c-1], b.slot[c-1]
+			}
+			b.slotExpert[c], b.slot[c] = e, i
+		}
+	}
+}
+
+// resize returns s with length n, reusing its array when it is large
+// enough; the contents are stale.
+func resize[T any](s []T, n int) []T {
+	if cap(s) >= n {
+		return s[:n]
+	}
+	return make([]T, n)
+}
+
+// dispatch copies x's routed rows into the experts' batches, the experts
+// side by side.
+func (b *Block) dispatch(x *tensor.Tensor) {
+	b.x = x
+	tensor.ParallelRangeCost(b.numExperts, copyRowCost*len(b.order)*x.Cols(), b.dispatchJob)
+	b.x = nil
+}
+
+// combine writes y from the experts' outputs in b.res, tokens side by
+// side, and drops them.
+func (b *Block) combine() {
+	tensor.ParallelRangeCost(b.y.Rows(), combineRowCost*len(b.order)*b.y.Cols(), b.combineJob)
+	clear(b.res)
+}
+
+// scatter writes the experts' output gradients from dy, the experts side
+// by side.
+func (b *Block) scatter(dy *tensor.Tensor) {
+	b.dy = dy
+	tensor.ParallelRangeCost(b.numExperts, copyRowCost*len(b.order)*dy.Cols(), b.scatterJob)
+	b.dy = nil
+}
+
+// gather writes dx from the experts' input gradients in b.res, tokens
+// side by side, and drops them.
+func (b *Block) gather() {
+	tensor.ParallelRangeCost(b.dx.Rows(), copyRowCost*len(b.order)*b.dx.Cols(), b.gatherJob)
+	clear(b.res)
+}
+
+// dispatchRows copies the routed rows of experts [lo, hi) out of b.x into
+// their batches.
+func (b *Block) dispatchRows(lo, hi int) {
+	for e := lo; e < hi; e++ {
+		m, base := b.batch[e], b.off[e]
+		for i := base; i < b.off[e+1]; i++ {
+			copy(m.Row(i-base), b.x.Row(b.order[i]))
+		}
+	}
+}
+
+// combineRows writes tokens [lo, hi) of y: each token's weighted expert
+// outputs summed from +0 in ascending expert index, so the sum is the
+// same for every split and for local and brokered execution.
+func (b *Block) combineRows(lo, hi int) {
+	k := b.Gate.TopK
+	for t := lo; t < hi; t++ {
+		yr := b.y.Row(t)
+		clear(yr)
+		for c := t * k; c < (t+1)*k; c++ {
+			e, i := b.slotExpert[c], b.slot[c]
+			w, or := b.weight[i], b.res[e].Row(i-b.off[e])
+			for j := range yr {
 				yr[j] += w * or[j]
 			}
 		}
 	}
-	return y, nil
 }
 
-// weightFor returns the combination weight of expert e for token t.
-func weightFor(r *Routing, t, e int) float64 {
-	for j, se := range r.Experts[t] {
-		if se == e {
-			return r.Weights[t][j]
+// scatterRows writes the output gradients of experts [lo, hi): each
+// routed row is its token's dy times the token's weight for the expert.
+func (b *Block) scatterRows(lo, hi int) {
+	for e := lo; e < hi; e++ {
+		g, base := b.grad[e], b.off[e]
+		for i := base; i < b.off[e+1]; i++ {
+			w, gr, dr := b.weight[i], g.Row(i-base), b.dy.Row(b.order[i])
+			for j := range gr {
+				gr[j] = w * dr[j]
+			}
 		}
 	}
-	panic(fmt.Sprintf("moe: expert %d not selected for token %d", e, t))
+}
+
+// gatherRows writes tokens [lo, hi) of dx: each token's expert input
+// gradients summed from +0 in ascending expert index.
+func (b *Block) gatherRows(lo, hi int) {
+	k := b.Gate.TopK
+	for t := lo; t < hi; t++ {
+		dr := b.dx.Row(t)
+		clear(dr)
+		for c := t * k; c < (t+1)*k; c++ {
+			e, i := b.slotExpert[c], b.slot[c]
+			sr := b.res[e].Row(i - b.off[e])
+			for j := range dr {
+				dr[j] += sr[j]
+			}
+		}
+	}
 }
 
 func (b *Block) gateTrainable() bool { return b.Gate.Proj.W.Trainable }
@@ -161,66 +310,57 @@ func (b *Block) Backward(dy *tensor.Tensor) (*tensor.Tensor, error) {
 		return nil, fmt.Errorf("moe: block %d Backward called before Forward", b.Layer)
 	}
 	n, d := dy.Rows(), dy.Cols()
-	r := b.routing
 
-	grads := make(map[int]*tensor.Tensor, len(b.positions))
-	for e := 0; e < b.numExperts; e++ {
-		toks, routed := b.positions[e]
-		if !routed {
-			continue
+	clear(b.grads)
+	for e := range b.grad {
+		b.grad[e] = nil
+		if rows := b.off[e+1] - b.off[e]; rows > 0 {
+			b.grad[e] = tensor.GetDirty(rows, d)
+			b.grads[e] = b.grad[e]
 		}
-		g := tensor.GetDirty(len(toks), d)
-		for i, t := range toks {
-			w := weightFor(r, t, e)
-			gr, dr := g.Row(i), dy.Row(t)
-			for j := 0; j < d; j++ {
-				gr[j] = w * dr[j]
-			}
-		}
-		grads[e] = g
 	}
+	b.scatter(dy)
 
-	dxs, err := b.Exec.BackwardExperts(b.Layer, grads)
+	dxs, err := b.Exec.BackwardExperts(b.Layer, b.grads)
 	if err != nil {
 		// On failure some experts may still cache their inputs, so the
 		// arena buffers are abandoned to the GC rather than recycled.
-		b.batches = nil
+		clear(b.batch)
+		clear(b.grad)
+		clear(b.batches)
+		clear(b.grads)
 		return nil, fmt.Errorf("moe: block %d expert backward: %w", b.Layer, err)
 	}
 	// Every expert has consumed its dispatch batch and gradient input by
 	// now (experts release cached inputs in their own Backward), so the
 	// arena buffers can be recycled.
-	for _, g := range grads {
-		tensor.Put(g)
-	}
-	for _, m := range b.batches {
-		tensor.Put(m)
-	}
-	b.batches = nil
-
-	dx := tensor.Ensure(&b.dx, n, d)
-	dx.Zero()
-	for e := 0; e < b.numExperts; e++ {
-		toks, routed := b.positions[e]
-		if !routed {
+	for e := range b.batch {
+		rows := b.off[e+1] - b.off[e]
+		if rows == 0 {
 			continue
 		}
+		tensor.Put(b.grad[e])
+		tensor.Put(b.batch[e])
+		b.grad[e], b.batch[e] = nil, nil
 		dxe, ok := dxs[e]
 		if !ok {
 			return nil, fmt.Errorf("moe: block %d missing input grad for expert %d", b.Layer, e)
 		}
-		for i, t := range toks {
-			dr, sr := dx.Row(t), dxe.Row(i)
-			for j := 0; j < d; j++ {
-				dr[j] += sr[j]
-			}
+		if dxe.Rows() != rows || dxe.Cols() != d {
+			return nil, fmt.Errorf("moe: block %d expert %d input grad is %v, want [%d,%d]", b.Layer, e, dxe.Shape(), rows, d)
 		}
+		b.res[e] = dxe
 	}
+	clear(b.batches)
+	clear(b.grads)
+
+	dx := tensor.Ensure(&b.dx, n, d)
+	b.gather()
 
 	if b.gateTrainable() {
 		dx.AddInPlace(b.gateBackward(dy))
 	}
-	b.routing, b.positions, b.outs = nil, nil, nil
+	b.routing, b.outs = nil, nil
 	return dx, nil
 }
 
@@ -233,16 +373,6 @@ func (b *Block) gateBackward(dy *tensor.Tensor) *tensor.Tensor {
 	n := dy.Rows()
 	e := b.numExperts
 
-	// Position of token t within expert e's batch.
-	rowOf := make(map[int]map[int]int, len(b.positions))
-	for ex, toks := range b.positions {
-		m := make(map[int]int, len(toks))
-		for i, t := range toks {
-			m[t] = i
-		}
-		rowOf[ex] = m
-	}
-
 	// dL/dp (softmax probabilities), nonzero only for selected experts;
 	// the top-k selection itself is non-differentiable, as usual.
 	dp := tensor.Zeros(n, e)
@@ -252,7 +382,7 @@ func (b *Block) gateBackward(dy *tensor.Tensor) *tensor.Tensor {
 		// a_j = dy_t · f_j(x_t) for each selected expert j.
 		a := make([]float64, len(sel))
 		for j, ex := range sel {
-			out := b.outs[ex].Row(rowOf[ex][t])
+			out := b.outs[ex].Row(b.rowOf(t, ex))
 			dr := dy.Row(t)
 			var dot float64
 			for k := range dr {
@@ -280,9 +410,9 @@ func (b *Block) gateBackward(dy *tensor.Tensor) *tensor.Tensor {
 	if b.AuxLossCoef > 0 {
 		frac := make([]float64, e)
 		var routings float64
-		for ex, toks := range b.positions {
-			frac[ex] = float64(len(toks))
-			routings += float64(len(toks))
+		for ex := range frac {
+			frac[ex] = float64(b.off[ex+1] - b.off[ex])
+			routings += frac[ex]
 		}
 		for ex := range frac {
 			frac[ex] /= routings
@@ -311,4 +441,15 @@ func (b *Block) gateBackward(dy *tensor.Tensor) *tensor.Tensor {
 		}
 	}
 	return b.Gate.BackwardLogits(dlogits)
+}
+
+// rowOf returns the row of token t within expert e's batch.
+func (b *Block) rowOf(t, e int) int {
+	k := b.Gate.TopK
+	for c := t * k; c < (t+1)*k; c++ {
+		if b.slotExpert[c] == e {
+			return b.slot[c] - b.off[e]
+		}
+	}
+	panic(fmt.Sprintf("moe: expert %d not selected for token %d", e, t))
 }

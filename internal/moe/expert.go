@@ -3,7 +3,6 @@ package moe
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"repro/internal/nn"
 	"repro/internal/tensor"
@@ -72,11 +71,30 @@ type Executor interface {
 
 // LocalExecutor runs experts in the calling process — the non-distributed
 // reference configuration, used for correctness baselines and the
-// convergence-equivalence tests.
+// convergence-equivalence tests. A result map it returns is valid until
+// its next call for the same layer and direction.
 type LocalExecutor struct {
 	// Experts[layer][e] is the expert for index e of that block.
 	Experts [][]*Expert
+
+	// runs[2·layer+dir] is the fan-out state of a layer's forward (dir 0)
+	// or backward (dir 1), reused from step to step.
+	runs []*fanoutRun
 }
+
+// fanoutRun is one layer-direction's fan-out: the routed experts, largest
+// batch first, their inputs and results, and the result map.
+type fanoutRun struct {
+	experts []*Expert
+	ids     []int
+	in, res []*tensor.Tensor
+	out     map[int]*tensor.Tensor
+	run     func(*Expert, *tensor.Tensor) *tensor.Tensor
+	// job is runJob bound once, so a step hands the team no fresh closure.
+	job func(i int)
+}
+
+func (r *fanoutRun) runJob(i int) { r.res[i] = r.run(r.experts[r.ids[i]], r.in[i]) }
 
 var _ Executor = (*LocalExecutor)(nil)
 
@@ -87,35 +105,50 @@ func NewLocalExecutor(experts [][]*Expert) *LocalExecutor {
 
 // ForwardExperts implements Executor.
 func (x *LocalExecutor) ForwardExperts(layer int, batches map[int]*tensor.Tensor) (map[int]*tensor.Tensor, error) {
-	return x.fanout(layer, batches, (*Expert).Forward), nil
+	return x.fanout(layer, 0, batches, (*Expert).Forward), nil
 }
 
 // BackwardExperts implements Executor.
 func (x *LocalExecutor) BackwardExperts(layer int, grads map[int]*tensor.Tensor) (map[int]*tensor.Tensor, error) {
-	return x.fanout(layer, grads, (*Expert).Backward), nil
+	return x.fanout(layer, 1, grads, (*Expert).Backward), nil
 }
 
 // fanout applies run to each routed expert of the layer and its tensor,
 // the experts side by side (tensor.Fanout: they share no state, and Block
 // combines the results in expert-index order, so the degree is invisible
 // in the bits).
-func (x *LocalExecutor) fanout(layer int, in map[int]*tensor.Tensor, run func(*Expert, *tensor.Tensor) *tensor.Tensor) map[int]*tensor.Tensor {
-	ids := make([]int, 0, len(in))
-	for e := range in {
-		ids = append(ids, e)
+func (x *LocalExecutor) fanout(layer, dir int, in map[int]*tensor.Tensor, run func(*Expert, *tensor.Tensor) *tensor.Tensor) map[int]*tensor.Tensor {
+	if len(x.runs) < 2*len(x.Experts) {
+		x.runs = make([]*fanoutRun, 2*len(x.Experts))
 	}
-	// Largest batch first: the hand-out is dynamic, so the small ones fill
-	// in behind it instead of one large one finishing alone.
-	sort.Slice(ids, func(i, j int) bool { return in[ids[i]].Rows() > in[ids[j]].Rows() })
-	res := make([]*tensor.Tensor, len(ids))
-	tensor.Fanout(len(ids), func(i int) {
-		res[i] = run(x.Experts[layer][ids[i]], in[ids[i]])
-	})
-	out := make(map[int]*tensor.Tensor, len(ids))
-	for i, e := range ids {
-		out[e] = res[i]
+	r := x.runs[2*layer+dir]
+	if r == nil {
+		r = &fanoutRun{out: make(map[int]*tensor.Tensor)}
+		r.job = r.runJob
+		x.runs[2*layer+dir] = r
 	}
-	return out
+	r.experts, r.run = x.Experts[layer], run
+	// Largest batch first, ties by expert index: the hand-out is dynamic,
+	// so the small ones fill in behind it instead of one large one
+	// finishing alone.
+	r.ids, r.in = r.ids[:0], r.in[:0]
+	for e, t := range in {
+		r.ids, r.in = append(r.ids, e), append(r.in, t)
+		i := len(r.ids) - 1
+		for ; i > 0 && (r.in[i-1].Rows() < t.Rows() || r.in[i-1].Rows() == t.Rows() && r.ids[i-1] > e); i-- {
+			r.ids[i], r.in[i] = r.ids[i-1], r.in[i-1]
+		}
+		r.ids[i], r.in[i] = e, t
+	}
+	r.res = resize(r.res, len(r.ids))
+	tensor.Fanout(len(r.ids), r.job)
+	clear(r.out)
+	for i, e := range r.ids {
+		r.out[e] = r.res[i]
+	}
+	clear(r.in)
+	clear(r.res)
+	return r.out
 }
 
 // Params returns the parameters of every expert in the grid.

@@ -18,6 +18,11 @@ import (
 // every token, the selected experts, their combination weights
 // (p_i / Σ p_i over the selected set, Eq. (1) of the paper), and the full
 // softmax score matrix.
+//
+// The per-token rows of Experts and Weights are sub-slices of two flat
+// [tokens·TopK] arrays, one pair per forward: a routing stays valid after
+// later forwards, which Theorem-1 probes rely on, and the gate allocates
+// a fixed handful of objects per forward rather than two per token.
 type Routing struct {
 	// Experts[t] lists the TopK expert indices chosen for token t, in
 	// descending score order.
@@ -65,7 +70,8 @@ func (g *Gate) Forward(x *tensor.Tensor) *Routing {
 	logits := g.Proj.Forward(x)
 	//lint:ignore allocbound Scores escapes inside the returned Routing: Theorem-1 probes hold routings across later forwards, so the buffer cannot be reused
 	scores := logits.SoftmaxRows()
-	n := x.Rows()
+	n, k := x.Rows(), g.TopK
+	experts, weights := make([]int, n*k), make([]float64, n*k)
 	r := &Routing{
 		Experts:      make([][]int, n),
 		Weights:      make([][]float64, n),
@@ -74,12 +80,14 @@ func (g *Gate) Forward(x *tensor.Tensor) *Routing {
 	}
 	for t := 0; t < n; t++ {
 		row := scores.Row(t)
-		sel := tensor.ArgTopK(row, g.TopK)
+		// Capped at the row's end, so an append by a consumer cannot run
+		// into the next token's row.
+		sel, w := experts[t*k:(t+1)*k:(t+1)*k], weights[t*k:(t+1)*k:(t+1)*k]
+		tensor.ArgTopKInto(sel, row)
 		var mass float64
 		for _, e := range sel {
 			mass += row[e]
 		}
-		w := make([]float64, len(sel))
 		for j, e := range sel {
 			w[j] = row[e] / mass
 		}

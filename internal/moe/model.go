@@ -206,16 +206,26 @@ func (m *Model) Forward(ids []int, batch, seqLen int) (*tensor.Tensor, error) {
 	m.batch, m.seq = batch, seqLen
 	h := m.Embed.Forward(ids)
 	rows := batch * seqLen
+	// Each residual add is fused into the norm that reads its sum
+	// (RMSNorm.AddForward): x is the normalized input of the next
+	// sublayer, h the residual stream.
+	x := m.Layers[0].AttnNorm.Forward(h)
 	for i, l := range m.Layers {
-		attnOut := l.Attn.Forward(l.AttnNorm.Forward(h), batch, seqLen)
-		h = h.AddInto(attnOut, tensor.Ensure(&l.resA, rows, m.Cfg.D))
-		moeOut, err := l.MoE.Forward(l.FFNNorm.Forward(h))
+		attnOut := l.Attn.Forward(x, batch, seqLen)
+		x = l.FFNNorm.AddForward(h, attnOut, tensor.Ensure(&l.resA, rows, m.Cfg.D))
+		h = l.resA
+		moeOut, err := l.MoE.Forward(x)
 		if err != nil {
 			return nil, fmt.Errorf("moe: layer %d: %w", i, err)
 		}
-		h = h.AddInto(moeOut, tensor.Ensure(&l.resB, rows, m.Cfg.D))
+		next := m.FinalNorm
+		if i+1 < len(m.Layers) {
+			next = m.Layers[i+1].AttnNorm
+		}
+		x = next.AddForward(h, moeOut, tensor.Ensure(&l.resB, rows, m.Cfg.D))
+		h = l.resB
 	}
-	return m.LMHead.Forward(m.FinalNorm.Forward(h)), nil
+	return m.LMHead.Forward(x), nil
 }
 
 // Backward propagates dlogits through the whole model, accumulating
@@ -237,16 +247,17 @@ func (m *Model) Backward(dlogits *tensor.Tensor) error {
 		if err != nil {
 			return fmt.Errorf("moe: layer %d backward: %w", i, err)
 		}
-		// In-place is safe here: dh is FinalNorm's input-gradient buffer
-		// throughout the walk, and every norm/attention Backward returns
-		// its own distinct buffer.
-		dh = dh.AddInPlace(l.FFNNorm.Backward(dmoe))
+		// The residual adds land in place, fused into the norms'
+		// backward: dh is FinalNorm's input-gradient buffer throughout the
+		// walk, distinct from every norm's input and every gradient it
+		// reads.
+		dh = l.FFNNorm.BackwardAdd(dmoe, dh)
 		if i == 0 && !m.Embed.Table.Trainable && !l.AttnNorm.Gain.Trainable {
 			l.Attn.BackwardParams(dh)
 			return nil
 		}
 		dattn := l.Attn.Backward(dh)
-		dh = dh.AddInPlace(l.AttnNorm.Backward(dattn))
+		dh = l.AttnNorm.BackwardAdd(dattn, dh)
 	}
 	m.Embed.Backward(dh)
 	return nil

@@ -31,16 +31,23 @@ type Attention struct {
 	q, k, v *tensor.Tensor
 	att     [][]*tensor.Tensor // [batch][head] -> [T,T] attention weights
 
-	// Step-persistent scratch (tensor.Ensure): the context accumulator and
-	// the per-projection gradient accumulators. The [T,T] attention
-	// weights come from the arena (Get in Forward, Put in Backward); the
-	// att index slices are reused across steps. dctx is Wo's input
-	// gradient, held for the length of Backward.
+	// Step-persistent scratch (tensor.Ensure): the context and the
+	// per-projection gradients, each written block by block by the grid.
+	// The [T,T] attention weights come from the arena (Get in Forward, Put
+	// in Backward); the att index slices are reused across steps. dctx is
+	// Wo's input gradient, held for the length of Backward.
 	ctx, dctx, dq, dk, dv *tensor.Tensor
 
+	// x is the projections' input while projectJob runs; dxq, dxk and dxv
+	// are the three projections' input gradients, summed into dxq.
+	x, dxq, dxk, dxv *tensor.Tensor
+
 	// forwardJob and backwardJob are forwardHead and backwardHead as
-	// Fanout jobs, bound once so a step hands the team no fresh closure.
-	forwardJob, backwardJob func(j int)
+	// Fanout jobs, and projectJob, projectBackJob and projectParamsJob
+	// the projections' forward, Backward and BackwardParams, bound once so
+	// a step hands the team no fresh closure.
+	forwardJob, backwardJob                      func(j int)
+	projectJob, projectBackJob, projectParamsJob func(i int)
 }
 
 // NewAttention builds an attention layer with the given model width and
@@ -61,6 +68,7 @@ func NewAttention(name string, rng *rand.Rand, d, heads int, trainable bool) *At
 		scale: 1 / math.Sqrt(float64(d/heads)),
 	}
 	a.forwardJob, a.backwardJob = a.forwardHead, a.backwardHead
+	a.projectJob, a.projectBackJob, a.projectParamsJob = a.project, a.projectBack, a.projectParams
 	return a
 }
 
@@ -88,14 +96,16 @@ func (a *Attention) headView(m *tensor.Tensor, b, h int) *tensor.Tensor {
 	return out
 }
 
-// headAccum adds the [T, dh] matrix hm into head h of sequence b of the
-// flattened tensor m.
-func (a *Attention) headAccum(m, hm *tensor.Tensor, b, h int) {
+// headSet writes the [T, dh] matrix hm into head h of sequence b of the
+// flattened tensor m as +0 + hm: what a zeroed m accumulating hm holds (a
+// −0 lands as +0), so m needs no zeroing. Every (b, h) grid job writes its
+// own block of ctx, dq, dk and dv once, and together they cover it.
+func (a *Attention) headSet(m, hm *tensor.Tensor, b, h int) {
 	for t := 0; t < a.seqLen; t++ {
 		dst := m.Row(b*a.seqLen + t)[h*a.dh : (h+1)*a.dh]
 		src := hm.Row(t)
 		for j := range dst {
-			dst[j] += src[j]
+			dst[j] = 0 + src[j]
 		}
 	}
 }
@@ -106,11 +116,17 @@ func (a *Attention) Forward(x *tensor.Tensor, batch, seqLen int) *tensor.Tensor 
 		panic(fmt.Sprintf("nn: %s got %v, want [%d, %d]", a.Name, x.Shape(), batch*seqLen, a.d))
 	}
 	a.batch, a.seqLen = batch, seqLen
-	a.q = a.Wq.Forward(x)
-	a.k = a.Wk.Forward(x)
-	a.v = a.Wv.Forward(x)
+	a.x = x
+	a.projections(a.projectJob)
+	a.x = nil
+	return a.attend()
+}
 
-	tensor.Ensure(&a.ctx, batch*seqLen, a.d).Zero()
+// attend runs the head grid over a.q, a.k and a.v and the output
+// projection.
+func (a *Attention) attend() *tensor.Tensor {
+	batch, seqLen := a.batch, a.seqLen
+	tensor.Ensure(&a.ctx, batch*seqLen, a.d)
 	if len(a.att) != batch || (batch > 0 && len(a.att[0]) != a.Heads) {
 		a.att = make([][]*tensor.Tensor, batch)
 		for b := range a.att {
@@ -119,6 +135,59 @@ func (a *Attention) Forward(x *tensor.Tensor, batch, seqLen int) *tensor.Tensor 
 	}
 	a.grid(a.forwardJob)
 	return a.Wo.Forward(a.ctx)
+}
+
+// projections runs job for Wq, Wk and Wv (i = 0, 1, 2). Each job touches
+// only its own Linear and its own result, and reads a shared input, so
+// the three run side by side through tensor.Fanout once their products
+// (3·rows·d² multiply-adds) reach the parallel threshold: a rank-8
+// adapter's products are too small to split, so the three projections
+// are what gives the second core a share of them.
+func (a *Attention) projections(job func(i int)) {
+	if tensor.Serial(3, 3*a.batch*a.seqLen*a.d*a.d) {
+		for i := 0; i < 3; i++ {
+			job(i)
+		}
+		return
+	}
+	tensor.Fanout(3, job)
+}
+
+// project is projection i's forward over a.x.
+func (a *Attention) project(i int) {
+	switch i {
+	case 0:
+		a.q = a.Wq.Forward(a.x)
+	case 1:
+		a.k = a.Wk.Forward(a.x)
+	default:
+		a.v = a.Wv.Forward(a.x)
+	}
+}
+
+// projectBack is projection i's Backward from its gradient in a.dq,
+// a.dk or a.dv.
+func (a *Attention) projectBack(i int) {
+	switch i {
+	case 0:
+		a.dxq = a.Wq.Backward(a.dq)
+	case 1:
+		a.dxk = a.Wk.Backward(a.dk)
+	default:
+		a.dxv = a.Wv.Backward(a.dv)
+	}
+}
+
+// projectParams is projection i's BackwardParams.
+func (a *Attention) projectParams(i int) {
+	switch i {
+	case 0:
+		a.Wq.BackwardParams(a.dq)
+	case 1:
+		a.Wk.BackwardParams(a.dk)
+	default:
+		a.Wv.BackwardParams(a.dv)
+	}
 }
 
 // grid runs job once per (b, h) pair, j = b·Heads + h. Each job writes
@@ -156,7 +225,7 @@ func (a *Attention) forwardHead(j int) {
 	}
 	a.att[b][h] = att
 	av := att.MatMulInto(vh, tensor.GetDirty(seqLen, a.dh))
-	a.headAccum(a.ctx, av, b, h)
+	a.headSet(a.ctx, av, b, h)
 	tensor.Put(av)
 	tensor.Put(scores)
 	tensor.Put(qh)
@@ -164,12 +233,14 @@ func (a *Attention) forwardHead(j int) {
 	tensor.Put(vh)
 }
 
-// Backward propagates dy through the attention layer and returns dx.
+// Backward propagates dy through the attention layer and returns dx: the
+// three projections' input gradients summed q, then k, then v into Wq's
+// buffer.
 func (a *Attention) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	a.backwardQKV(dy)
-	dx := a.Wq.Backward(a.dq)
-	dx.AddInPlace(a.Wk.Backward(a.dk))
-	dx.AddInPlace(a.Wv.Backward(a.dv))
+	a.projections(a.projectBackJob)
+	dx := a.dxq.AddInPlace(a.dxk).AddInPlace(a.dxv)
+	a.dxq, a.dxk, a.dxv = nil, nil, nil
 	return dx
 }
 
@@ -178,9 +249,7 @@ func (a *Attention) Backward(dy *tensor.Tensor) *tensor.Tensor {
 // projections' input-gradient products (Linear.BackwardParams).
 func (a *Attention) BackwardParams(dy *tensor.Tensor) {
 	a.backwardQKV(dy)
-	a.Wq.BackwardParams(a.dq)
-	a.Wk.BackwardParams(a.dk)
-	a.Wv.BackwardParams(a.dv)
+	a.projections(a.projectParamsJob)
 }
 
 // backwardQKV propagates dy through the output projection and the heads,
@@ -190,9 +259,9 @@ func (a *Attention) backwardQKV(dy *tensor.Tensor) {
 		panic(fmt.Sprintf("nn: %s Backward called before Forward", a.Name))
 	}
 	a.dctx = a.Wo.Backward(dy)
-	tensor.Ensure(&a.dq, a.batch*a.seqLen, a.d).Zero()
-	tensor.Ensure(&a.dk, a.batch*a.seqLen, a.d).Zero()
-	tensor.Ensure(&a.dv, a.batch*a.seqLen, a.d).Zero()
+	tensor.Ensure(&a.dq, a.batch*a.seqLen, a.d)
+	tensor.Ensure(&a.dk, a.batch*a.seqLen, a.d)
+	tensor.Ensure(&a.dv, a.batch*a.seqLen, a.d)
 	a.grid(a.backwardJob)
 	a.dctx = nil
 	a.q, a.k, a.v = nil, nil, nil
@@ -230,9 +299,9 @@ func (a *Attention) backwardHead(j int) {
 	dqh := dscores.MatMulInto(kh, tensor.GetDirty(a.seqLen, a.dh)).ScaleInPlace(a.scale)
 	dkh := dscores.TMatMulInto(qh, tensor.GetDirty(a.seqLen, a.dh)).ScaleInPlace(a.scale)
 
-	a.headAccum(a.dq, dqh, b, h)
-	a.headAccum(a.dk, dkh, b, h)
-	a.headAccum(a.dv, dvh, b, h)
+	a.headSet(a.dq, dqh, b, h)
+	a.headSet(a.dk, dkh, b, h)
+	a.headSet(a.dv, dvh, b, h)
 
 	tensor.Put(dqh)
 	tensor.Put(dkh)

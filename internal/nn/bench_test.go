@@ -45,6 +45,46 @@ func BenchmarkAttentionForwardBackward(b *testing.B) {
 	}
 }
 
+// BenchmarkAttentionLoRA times one backbone attention layer of a
+// fine-tuning step at stepbench's compute geometry — d=128, 4 heads, batch
+// 4×32, frozen projections with rank-8 adapters — forward and backward
+// apart, on one core and on two.
+func BenchmarkAttentionLoRA(b *testing.B) {
+	const d, heads, batch, seqLen = 128, 4, 4, 32
+	rng := rand.New(rand.NewSource(3))
+	a := NewAttention("a", rng, d, heads, false)
+	for _, l := range a.Linears() {
+		l.AttachLoRA(rng, 8, 16)
+		l.LoRA.B.Value = tensor.Randn(rng, 0.1, 8, d)
+	}
+	x, dy := tensor.Randn(rng, 1, batch*seqLen, d), tensor.Randn(rng, 1, batch*seqLen, d)
+	for _, cores := range []int{1, 2} {
+		for _, pass := range []string{"forward", "backward"} {
+			b.Run(fmt.Sprintf("%s/cores=%d", pass, cores), func(b *testing.B) {
+				old := tensor.Parallelism()
+				tensor.SetParallelism(cores)
+				b.Cleanup(func() { tensor.SetParallelism(old) })
+				a.Forward(x, batch, seqLen)
+				a.Backward(dy)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if pass == "backward" {
+						b.StopTimer()
+						a.Forward(x, batch, seqLen)
+						b.StartTimer()
+						a.Backward(dy)
+						continue
+					}
+					a.Forward(x, batch, seqLen)
+					b.StopTimer()
+					a.Backward(dy)
+					b.StartTimer()
+				}
+			})
+		}
+	}
+}
+
 func BenchmarkSwiGLUForwardBackward(b *testing.B) {
 	rng := rand.New(rand.NewSource(4))
 	s := NewSwiGLU("s", rng, 32, 64, true)
@@ -130,16 +170,28 @@ func BenchmarkSiLUGate(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/elem")
 }
 
+// BenchmarkCrossEntropy times the step's loss, Loss.CrossEntropy into its
+// kept buffers, over stepbench's 128 tokens × 96-token vocabulary, on one
+// core and on two.
 func BenchmarkCrossEntropy(b *testing.B) {
 	rng := rand.New(rand.NewSource(6))
-	logits := tensor.Randn(rng, 1, 256, 96)
-	targets := make([]int, 256)
+	logits := tensor.Randn(rng, 1, 128, 96)
+	targets := make([]int, 128)
 	for i := range targets {
 		targets[i] = rng.Intn(96)
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_, _ = CrossEntropy(logits, targets)
+	for _, cores := range []int{1, 2} {
+		b.Run(fmt.Sprintf("cores=%d", cores), func(b *testing.B) {
+			old := tensor.Parallelism()
+			tensor.SetParallelism(cores)
+			b.Cleanup(func() { tensor.SetParallelism(old) })
+			l := NewLoss()
+			l.CrossEntropy(logits, targets)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				_, _ = l.CrossEntropy(logits, targets)
+			}
+		})
 	}
 }
 

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 
 	"repro/internal/tensor"
@@ -20,16 +21,37 @@ type RMSNorm struct {
 
 	// Step-persistent output and input-gradient buffers (tensor.Ensure).
 	y, dx *tensor.Tensor
+	// a and b are AddForward's summands while its row pass runs; dy, out
+	// and add are the backward pass's gradient, destination and mode.
+	a, b, dy, out *tensor.Tensor
+	add           bool
+
+	// forwardJob, backwardJob are forwardRows and backwardRows bound once,
+	// so a step hands the team no fresh closure.
+	forwardJob, backwardJob func(lo, hi int)
 }
+
+// normRowCost and normBackRowCost are the work (units of
+// tensor.DefaultParallelThreshold) per element of the forward and
+// backward row passes. Each row's sum of squares (and the backward's dot
+// product) is one dependent chain of adds, each waiting out the last one's
+// latency, so an element costs several units, not one: 2.0 and 3.2 ns at
+// 128×128 on one core, the add fused in.
+const (
+	normRowCost     = 5
+	normBackRowCost = 8
+)
 
 // NewRMSNorm constructs an RMSNorm over feature size d with gain
 // initialized to 1.
 func NewRMSNorm(name string, d int, trainable bool) *RMSNorm {
-	return &RMSNorm{
+	n := &RMSNorm{
 		Name: name,
 		Gain: NewParam(name+".gain", tensor.Full(1, d), trainable),
 		Eps:  1e-6,
 	}
+	n.forwardJob, n.backwardJob = n.forwardRows, n.backwardRows
+	return n
 }
 
 // Params implements Module.
@@ -37,6 +59,26 @@ func (n *RMSNorm) Params() []*Param { return []*Param{n.Gain} }
 
 // Forward normalizes each row of x ([rows, d]).
 func (n *RMSNorm) Forward(x *tensor.Tensor) *tensor.Tensor {
+	return n.forward(x)
+}
+
+// AddForward is the residual add fused into the norm: it writes a + b into
+// sum, as a.AddInto(b, sum) does, and returns Forward(sum), in one pass
+// over each row. sum becomes the norm's cached input, so it must stay
+// intact until Backward.
+func (n *RMSNorm) AddForward(a, b, sum *tensor.Tensor) *tensor.Tensor {
+	if !a.SameShape(b) || !a.SameShape(sum) {
+		panic(fmt.Sprintf("nn: %s AddForward got %v + %v into %v", n.Name, a.Shape(), b.Shape(), sum.Shape()))
+	}
+	n.a, n.b = a, b
+	y := n.forward(sum)
+	n.a, n.b = nil, nil
+	return y
+}
+
+// forward normalizes x's rows, summing n.a and n.b into them first when
+// AddForward set them.
+func (n *RMSNorm) forward(x *tensor.Tensor) *tensor.Tensor {
 	rows, d := x.Rows(), x.Cols()
 	mustShape(n.Gain.Value, d)
 	n.x = x
@@ -45,26 +87,31 @@ func (n *RMSNorm) Forward(x *tensor.Tensor) *tensor.Tensor {
 	} else {
 		n.rinv = make([]float64, rows)
 	}
-	y := tensor.Ensure(&n.y, rows, d)
-	if tensor.Serial(rows, 3*rows*d) {
-		n.forwardRows(x, y, 0, rows)
-	} else {
-		tensor.ParallelRangeCost(rows, 3*rows*d, func(lo, hi int) {
-			n.forwardRows(x, y, lo, hi)
-		})
-	}
-	return y
+	tensor.Ensure(&n.y, rows, d)
+	tensor.ParallelRangeCost(rows, normRowCost*rows*d, n.forwardJob)
+	return n.y
 }
 
-// forwardRows normalizes rows [lo, hi) of x into y, caching 1/rms per row.
-func (n *RMSNorm) forwardRows(x, y *tensor.Tensor, lo, hi int) {
+// forwardRows normalizes rows [lo, hi) of n.x into n.y, caching 1/rms per
+// row; under AddForward each row is first the sum of n.a's and n.b's.
+func (n *RMSNorm) forwardRows(lo, hi int) {
+	x, y := n.x, n.y
 	d := x.Cols()
 	g := n.Gain.Value.Data
 	for i := lo; i < hi; i++ {
 		xr := x.Row(i)
 		var ss float64
-		for _, v := range xr {
-			ss += v * v
+		if n.a != nil {
+			ar, br := n.a.Row(i), n.b.Row(i)
+			for j := range xr {
+				v := ar[j] + br[j]
+				xr[j] = v
+				ss += v * v
+			}
+		} else {
+			for _, v := range xr {
+				ss += v * v
+			}
 		}
 		rinv := 1 / math.Sqrt(ss/float64(d)+n.Eps)
 		n.rinv[i] = rinv
@@ -85,16 +132,31 @@ func (n *RMSNorm) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	if n.x == nil {
 		panic("nn: RMSNorm Backward called before Forward")
 	}
+	return n.backward(dy, tensor.Ensure(&n.dx, n.x.Rows(), n.x.Cols()), false)
+}
+
+// BackwardAdd is Backward with the residual add fused in: it adds the
+// input gradient into acc, as acc.AddInPlace(Backward(dy)) does, in the
+// same row pass, and returns acc. acc must be neither dy nor the cached
+// input.
+func (n *RMSNorm) BackwardAdd(dy, acc *tensor.Tensor) *tensor.Tensor {
+	if n.x == nil {
+		panic("nn: RMSNorm Backward called before Forward")
+	}
+	if !acc.SameShape(n.x) {
+		panic(fmt.Sprintf("nn: %s BackwardAdd into %v, want %v", n.Name, acc.Shape(), n.x.Shape()))
+	}
+	return n.backward(dy, acc, true)
+}
+
+// backward writes the input gradient into dx, or adds it there under add,
+// accumulates the gain gradient, and returns dx.
+func (n *RMSNorm) backward(dy, dx *tensor.Tensor, add bool) *tensor.Tensor {
 	x := n.x
 	rows, d := x.Rows(), x.Cols()
-	dx := tensor.Ensure(&n.dx, rows, d)
-	if tensor.Serial(rows, 4*rows*d) {
-		n.backwardRows(x, dy, dx, 0, rows)
-	} else {
-		tensor.ParallelRangeCost(rows, 4*rows*d, func(lo, hi int) {
-			n.backwardRows(x, dy, dx, lo, hi)
-		})
-	}
+	n.dy, n.out, n.add = dy, dx, add
+	tensor.ParallelRangeCost(rows, normBackRowCost*rows*d, n.backwardJob)
+	n.dy, n.out = nil, nil
 	// The gain gradient reduces across rows into one shared vector, so it
 	// stays serial: partitioning by row would give the accumulator
 	// multiple owners and break bit-determinism.
@@ -112,8 +174,10 @@ func (n *RMSNorm) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	return dx
 }
 
-// backwardRows computes the input gradient for rows [lo, hi).
-func (n *RMSNorm) backwardRows(x, dy, dx *tensor.Tensor, lo, hi int) {
+// backwardRows computes the input gradient for rows [lo, hi) from n.dy
+// into n.out, or adds it there under n.add.
+func (n *RMSNorm) backwardRows(lo, hi int) {
+	x, dy, dx := n.x, n.dy, n.out
 	d := x.Cols()
 	g := n.Gain.Value.Data
 	for i := lo; i < hi; i++ {
@@ -124,6 +188,13 @@ func (n *RMSNorm) backwardRows(x, dy, dx *tensor.Tensor, lo, hi int) {
 			dot += dyr[j] * g[j] * xr[j]
 		}
 		k := dot * rinv * rinv * rinv / float64(d)
+		if n.add {
+			for j := 0; j < d; j++ {
+				v := dyr[j]*g[j]*rinv - xr[j]*k
+				dxr[j] += v
+			}
+			continue
+		}
 		for j := 0; j < d; j++ {
 			dxr[j] = dyr[j]*g[j]*rinv - xr[j]*k
 		}

@@ -26,17 +26,28 @@ type SwiGLU struct {
 	// place with the gradient of h1, so it costs no buffer the backward
 	// did not already take.
 	sg *tensor.Tensor
+	// du and dh3 are the gradients of u and h3 while Backward's gate pass
+	// runs.
+	du, dh3 *tensor.Tensor
+
+	// gateJob and gateBackJob are the gate's forward and backward passes
+	// over s's buffers, bound once so a step hands the team no fresh
+	// closure.
+	gateJob, gateBackJob func(lo, hi int)
 }
 
 // NewSwiGLU builds a SwiGLU FFN with the given model width and hidden
 // width.
 func NewSwiGLU(name string, rng *rand.Rand, d, hidden int, trainable bool) *SwiGLU {
-	return &SwiGLU{
+	s := &SwiGLU{
 		Name: name,
 		W1:   NewLinear(name+".w1", rng, d, hidden, false, trainable),
 		W3:   NewLinear(name+".w3", rng, d, hidden, false, trainable),
 		W2:   NewLinear(name+".w2", rng, hidden, d, false, trainable),
 	}
+	s.gateJob = func(lo, hi int) { siluGateRange(s.u.Data, s.sg.Data, s.h1.Data, s.h3.Data, lo, hi) }
+	s.gateBackJob = func(lo, hi int) { siluGateBackRange(s.sg.Data, s.dh3.Data, s.du.Data, s.h1.Data, s.h3.Data, lo, hi) }
+	return s
 }
 
 // Params implements Module.
@@ -57,16 +68,8 @@ func (s *SwiGLU) Forward(x *tensor.Tensor) *tensor.Tensor {
 	s.h3 = s.W3.Forward(x)
 	u := tensor.Ensure(&s.u, s.h1.Rows(), s.h1.Cols())
 	tensor.Put(s.sg) // left by a Forward that no Backward followed
-	sg := tensor.GetDirty(s.h1.Rows(), s.h1.Cols())
-	s.sg = sg
-	h1, h3, ud, sgd := s.h1.Data, s.h3.Data, u.Data, sg.Data
-	if tensor.SerialRange(len(ud)) {
-		siluGateRange(ud, sgd, h1, h3, 0, len(ud))
-	} else {
-		tensor.ParallelRange(len(ud), func(lo, hi int) {
-			siluGateRange(ud, sgd, h1, h3, lo, hi)
-		})
-	}
+	s.sg = tensor.GetDirty(s.h1.Rows(), s.h1.Cols())
+	tensor.ParallelRange(len(u.Data), s.gateJob)
 	return s.W2.Forward(u)
 }
 
@@ -86,19 +89,12 @@ func (s *SwiGLU) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	if s.h1 == nil {
 		panic("nn: SwiGLU Backward called before Forward")
 	}
-	du := s.W2.Backward(dy)
-	dh1 := s.sg // σ(h1), overwritten with the gradient of h1
-	s.sg = nil
-	dh3 := tensor.GetDirty(s.h3.Rows(), s.h3.Cols())
-	h1, h3 := s.h1.Data, s.h3.Data
-	dud, d1, d3 := du.Data, dh1.Data, dh3.Data
-	if tensor.SerialRange(len(dud)) {
-		siluGateBackRange(d1, d3, dud, h1, h3, 0, len(dud))
-	} else {
-		tensor.ParallelRange(len(dud), func(lo, hi int) {
-			siluGateBackRange(d1, d3, dud, h1, h3, lo, hi)
-		})
-	}
+	s.du = s.W2.Backward(dy)
+	// σ(h1) in s.sg is overwritten with the gradient of h1.
+	dh1, dh3 := s.sg, tensor.GetDirty(s.h3.Rows(), s.h3.Cols())
+	s.dh3 = dh3
+	tensor.ParallelRange(len(s.du.Data), s.gateBackJob)
+	s.sg, s.du, s.dh3 = nil, nil, nil
 	dx := s.W1.Backward(dh1)
 	dx.AddInPlace(s.W3.Backward(dh3))
 	tensor.Put(dh1)

@@ -48,7 +48,8 @@ import (
 //
 // The split won in every run from 1<<18 up. The pool the team replaced
 // woke a parked worker per call and lost any split below ≈250 µs (1<<20
-// units); that measured the wake, not the work.
+// units); that measured the wake, not the work. While no helper is parked
+// Serial uses a pollingShare of it.
 const DefaultParallelThreshold = 1 << 18
 
 // spinWindow is how long an idle helper, and a caller whose last chunks
@@ -296,7 +297,8 @@ func Parallelism() int {
 }
 
 // SetParallelThreshold sets the minimum kernel cost (work units — see
-// DefaultParallelThreshold) that takes the parallel path. w <= 0 restores
+// DefaultParallelThreshold) that takes the parallel path while a helper
+// is parked; a pollingShare of it applies while none is. w <= 0 restores
 // the default.
 func SetParallelThreshold(w int) {
 	if w <= 0 {
@@ -308,14 +310,30 @@ func SetParallelThreshold(w int) {
 // ParallelThreshold returns the current serial-fast-path cutoff.
 func ParallelThreshold() int { return int(parThreshold.Load()) }
 
+// pollingShare divides the threshold while no helper is parked. The
+// threshold prices a split that has to wake a parked helper; one that is
+// still polling (within spinWindow of its last chunk) joins in a few
+// microseconds, and a split then wins from a quarter of the work: on the
+// team with its helper polling, 64×64×64 (65K units) runs 13.4 → 9.7 µs
+// split in two (BenchmarkParallelCutOver), 32×32×32 (8K) loses.
+const pollingShare = 4
+
 // Serial reports whether a kernel split over n shards costing work units
-// would run entirely on the calling goroutine. Callers with a closure to
-// hand to ParallelRange (the hot per-step loops in nn) check it BEFORE
-// constructing the closure: a func literal passed to the team escapes
-// regardless of which branch runs, so branching first is what makes the
-// serial fast path zero-allocation.
+// would run entirely on the calling goroutine: below the threshold, or
+// below a pollingShare of it while every helper is polling or busy rather
+// than parked. Callers with a closure to hand to ParallelRange (the hot
+// per-step loops in nn) check it BEFORE constructing the closure: a func
+// literal passed to the team escapes regardless of which branch runs, so
+// branching first is what makes the serial fast path zero-allocation.
 func Serial(n, work int) bool {
-	return Parallelism() <= 1 || n <= 1 || int64(work) < parThreshold.Load()
+	if Parallelism() <= 1 || n <= 1 {
+		return true
+	}
+	threshold := parThreshold.Load()
+	if team.parked.Load() == 0 {
+		threshold /= pollingShare
+	}
+	return int64(work) < threshold
 }
 
 // SerialRange is Serial with ParallelRange's default elementwise work

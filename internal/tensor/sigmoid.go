@@ -21,3 +21,17 @@ func Sigmoid(dst, z []float64) {
 }
 
 func sigmoid(z float64) float64 { return 1 / (1 + math.Exp(-z)) }
+
+// expInto writes dst[i] = math.Exp(x[i]) for every i of x, bit for bit,
+// eight lanes at a time where the AVX-512 body runs (the body of Sigmoid,
+// without its negation and its 1/(1+e)), the scalar call elsewhere and for
+// the groups and tail Sigmoid finishes in Go too. dst may be x.
+func expInto(dst, x []float64) {
+	dst = dst[:len(x)]
+	for i := 0; i < len(x); {
+		i += expVec(dst[i:], x[i:])
+		for end := min(i+8, len(x)); i < end; i++ {
+			dst[i] = math.Exp(x[i])
+		}
+	}
+}

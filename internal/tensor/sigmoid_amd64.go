@@ -27,3 +27,19 @@ func sigmoidVec(dst, z []float64) int {
 	_ = dst[n-1]
 	return sigmoidAVX512(&dst[0], &z[0], n)
 }
+
+//go:noescape
+func expAVX512(dst, x *float64, n int) int
+
+// expVec computes math.Exp over the longest prefix of x made of whole
+// groups of eight on math.Exp's main path, like sigmoidVec, and returns
+// its length: 0 without the AVX-512 body.
+func expVec(dst, x []float64) int {
+	n := len(x) &^ 7
+	if !useSigmoidAVX512 || n == 0 {
+		return 0
+	}
+	_ = x[n-1]
+	_ = dst[n-1]
+	return expAVX512(&dst[0], &x[0], n)
+}

@@ -112,3 +112,76 @@ done:
 	MOVQ AX, ret+24(FP)
 	VZEROUPPER
 	RET
+
+// func expAVX512(dst, x *float64, n int) int
+//
+// math.Exp eight lanes per iteration: sigmoidAVX512's body on x itself,
+// with no negation before it and no 1/(1+e) after. The same lanes leave
+// it: on the first group with one it stops and returns the number of
+// elements it wrote, a multiple of 8; otherwise it returns n.
+TEXT ·expAVX512(SB), NOSPLIT, $0-32
+	MOVQ dst+0(FP), DI
+	MOVQ x+8(FP), SI
+	MOVQ n+16(FP), CX
+	XORQ AX, AX
+	VBROADCASTSD sigmoiddata<>+8(SB), Z17   // Overflow
+	VBROADCASTSD sigmoiddata<>+16(SB), Z18  // LOG2E
+	VBROADCASTSD sigmoiddata<>+24(SB), Z19  // LN2U
+	VBROADCASTSD sigmoiddata<>+32(SB), Z20  // LN2L
+	VBROADCASTSD sigmoiddata<>+40(SB), Z21  // 0.0625
+	VBROADCASTSD sigmoiddata<>+48(SB), Z22  // Taylor coefficients 1/8! …
+	VBROADCASTSD sigmoiddata<>+56(SB), Z23
+	VBROADCASTSD sigmoiddata<>+64(SB), Z24
+	VBROADCASTSD sigmoiddata<>+72(SB), Z25
+	VBROADCASTSD sigmoiddata<>+80(SB), Z26
+	VBROADCASTSD sigmoiddata<>+88(SB), Z27  // … 1/3!
+	VBROADCASTSD sigmoiddata<>+96(SB), Z28  // 0.5
+	VBROADCASTSD sigmoiddata<>+104(SB), Z29 // 1.0
+	VBROADCASTSD sigmoiddata<>+112(SB), Z30 // 2.0
+	VBROADCASTSD sigmoiddata<>+120(SB), Z31 // int64 1023
+	VBROADCASTSD sigmoiddata<>+128(SB), Z14 // int64 2047
+	VPXORQ       Z15, Z15, Z15              // int64 0
+exploop:
+	VMOVUPD (SI)(AX*8), Z0
+	VCMPPD  $0x16, Z17, Z0, K1       // !(x <= Overflow): not finite or overflow (COMISD; JA)
+	VMULPD  Z18, Z0, Z1              // LOG2E·x                  MULSD X0, X1
+	VCVTPD2DQ Z1, Y2                 // bx                       CVTSD2SL X1, BX
+	VCVTDQ2PD Y2, Z1                 //                          CVTSL2SD BX, X1
+	VFNMADD231PD Z19, Z1, Z0         // x −= bx·LN2U, fused      VFNMADD231SD
+	VFNMADD231PD Z20, Z1, Z0         // x −= bx·LN2L, fused      VFNMADD231SD
+	VMULPD  Z21, Z0, Z0              // x·0.0625                 MULSD $0.0625, X0
+	VMOVAPD Z22, Z1                  // p = 1/8!, then p = p·x + c, fused, through 0.5 and 1
+	VFMADD213PD Z23, Z0, Z1
+	VFMADD213PD Z24, Z0, Z1
+	VFMADD213PD Z25, Z0, Z1
+	VFMADD213PD Z26, Z0, Z1
+	VFMADD213PD Z27, Z0, Z1
+	VFMADD213PD Z28, Z0, Z1
+	VFMADD213PD Z29, Z0, Z1
+	VMULPD  Z1, Z0, Z0               // x = x·p                  MULSD X1, X0
+	VADDPD  Z30, Z0, Z1              // three rounds of x = (x+2)·x
+	VMULPD  Z1, Z0, Z0
+	VADDPD  Z30, Z0, Z1
+	VMULPD  Z1, Z0, Z0
+	VADDPD  Z30, Z0, Z1
+	VMULPD  Z1, Z0, Z0
+	VADDPD  Z30, Z0, Z1              // x = (x+2)·x + 1, fused   VFMADD213SD
+	VFMADD213PD Z29, Z1, Z0
+	VPMOVSXDQ Y2, Z3
+	VPADDQ  Z31, Z3, Z3              // bx + 1023                ADDL $0x3FF, BX
+	VPCMPQ  $2, Z15, Z3, K2          // <= 0: denormal, underflow (JLE denormal)
+	VPCMPQ  $5, Z14, Z3, K3          // >= 2047: overflow        (JGE overflow)
+	KORW    K1, K2, K1
+	KORW    K1, K3, K1
+	KORTESTW K1, K1
+	JNZ     expdone
+	VPSLLQ  $52, Z3, Z3              // 2^bx                     SHLQ $52, BX
+	VMULPD  Z3, Z0, Z0               // e = x·2^bx               MULSD X1, X0
+	VMOVUPD Z0, (DI)(AX*8)
+	ADDQ    $8, AX
+	CMPQ    AX, CX
+	JLT     exploop
+expdone:
+	MOVQ AX, ret+24(FP)
+	VZEROUPPER
+	RET

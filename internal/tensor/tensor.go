@@ -308,10 +308,14 @@ func SoftmaxInto(dst, src []float64) {
 			maxv = v
 		}
 	}
-	var sum float64
+	// The exponentials go eight lanes at a time (expInto); the sum stays
+	// one chain in index order.
 	for i, v := range src {
-		e := math.Exp(v - maxv)
-		dst[i] = e
+		dst[i] = v - maxv
+	}
+	expInto(dst, dst)
+	var sum float64
+	for _, e := range dst {
 		sum += e
 	}
 	inv := 1 / sum
@@ -415,40 +419,49 @@ func (t *Tensor) MaxAbs() float64 {
 
 // ArgTopK returns the indices of the k largest values of v in descending
 // value order. It is used by the gate to select experts. Ties are broken by
-// lower index to keep routing deterministic.
+// lower index to keep routing deterministic. One allocation, the result;
+// ArgTopKInto is the same selection into a caller's slice.
+func ArgTopK(v []float64, k int) []int {
+	idx := make([]int, k)
+	ArgTopKInto(idx, v)
+	return idx
+}
+
+// ArgTopKInto writes the indices of the len(idx) largest values of v into
+// idx, in ArgTopK's order.
 //
 // Single pass with a bounded insertion list: each element is compared
 // against the current k-th value and, if it belongs, shift-inserted into
-// the sorted prefix. One allocation (the result), no rescans.
-func ArgTopK(v []float64, k int) []int {
+// the sorted prefix. No allocation, no rescans.
+func ArgTopKInto(idx []int, v []float64) {
+	k := len(idx)
 	if k > len(v) {
 		panic(fmt.Sprintf("tensor: topk k=%d exceeds length %d", k, len(v)))
 	}
-	idx := make([]int, 0, k)
 	if k == 0 {
-		return idx
+		return
 	}
+	n := 0 // length of the sorted prefix idx[:n]
 	for i, x := range v {
-		if len(idx) == k {
+		if n == k {
 			// List is full: only a strictly larger value displaces the
 			// current minimum — an equal one keeps the earlier index,
 			// which is already in the list.
 			if x <= v[idx[k-1]] {
 				continue
 			}
-			idx = idx[:k-1]
+			n = k - 1
 		}
 		// Insertion point: stop at >=, so an equal earlier index stays
 		// ahead of the new one.
-		p := len(idx)
+		p := n
 		for p > 0 && v[idx[p-1]] < x {
 			p--
 		}
-		idx = append(idx, 0)
-		copy(idx[p+1:], idx[p:])
+		copy(idx[p+1:n+1], idx[p:n])
 		idx[p] = i
+		n++
 	}
-	return idx
 }
 
 // String renders a compact description of the tensor, suitable for

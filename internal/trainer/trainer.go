@@ -48,6 +48,7 @@ func Pretrain(m *moe.Model, exec *moe.LocalExecutor, corpus *data.Corpus, cfg Pr
 	opt := nn.NewAdamW(params, nn.AdamWConfig{LR: cfg.LR, Beta1: 0.9, Beta2: 0.999, Eps: 1e-8})
 	b := data.NewBatcher(corpus, cfg.Batch, cfg.SeqLen, cfg.Seed)
 	losses := &obs.Series{Name: "pretrain_loss"}
+	ce := nn.NewLoss()
 	for step := 0; step < cfg.Steps; step++ {
 		ids, targets := b.Next()
 		nn.ZeroGrads(params)
@@ -55,7 +56,7 @@ func Pretrain(m *moe.Model, exec *moe.LocalExecutor, corpus *data.Corpus, cfg Pr
 		if err != nil {
 			return nil, fmt.Errorf("trainer: pretrain step %d: %w", step, err)
 		}
-		loss, dl := nn.CrossEntropy(logits, targets)
+		loss, dl := ce.CrossEntropy(logits, targets)
 		losses.Append(loss)
 		if err := m.Backward(dl); err != nil {
 			return nil, fmt.Errorf("trainer: pretrain step %d backward: %w", step, err)
@@ -203,6 +204,10 @@ type Finetuner struct {
 
 	// Losses accumulates the per-step loss.
 	Losses obs.Series
+
+	// loss holds the loss gradient's step-persistent buffer, made by the
+	// first step.
+	loss *nn.Loss
 }
 
 // DefaultMaxStepRetries bounds how many times Run re-drives one step
@@ -226,7 +231,7 @@ func NewLocalFinetuner(m *moe.Model, exec *moe.LocalExecutor, b *data.Batcher) *
 		Opt:      backOpt,
 		Batcher:  b,
 		ExpertZero: func() error {
-			nn.ZeroGrads(expertParams)
+			expOpt.ZeroGrads()
 			return nil
 		},
 		ExpertStep: func() error {
@@ -277,7 +282,10 @@ func (f *Finetuner) step(ids, targets []int) (float64, error) {
 	if err != nil {
 		return 0, fmt.Errorf("trainer: forward: %w", err)
 	}
-	loss, dl := nn.CrossEntropy(logits, targets)
+	if f.loss == nil {
+		f.loss = nn.NewLoss()
+	}
+	loss, dl := f.loss.CrossEntropy(logits, targets)
 	bsp := f.Obs.Begin(obs.PhaseBackward)
 	err = f.Model.Backward(dl)
 	bsp.End()
