@@ -33,7 +33,7 @@ vet:
 # where the chan pipe's Quantize and the TCP frame codec must agree);
 # internal/cpu checks every flag reads false. The panel packers
 # (packPanel, packPanelT) are plain Go under either tag, so the oracle
-# table covers MatMulT's row-packed path on every body. The default
+# table covers a transposed B's row-packed path on every body. The default
 # build's tensor tests run each GEMM body the CPU has (portable, AVX2,
 # AVX-512) themselves.
 purego:
@@ -58,7 +58,8 @@ lint: $(VELAVET)
 
 # The size ledger "net-negative" claims in CHANGES.md are made in:
 # non-test Go outside bench/ and testdata/, per package and in total, as
-# raw lines and code-only lines (blank and //-comment lines dropped).
+# raw lines and code-only lines (blank and //-comment lines dropped), and
+# the assembly (.s) beside it on a line of its own, counted the same way.
 # Lines moved into fixtures, goldens or tests are not counted as removed.
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path '*/testdata/*' ! -path './.*' \
@@ -67,6 +68,9 @@ loc:
 			END { printf "%-28s %7s %7s\n", "package", "raw", "code"; fflush(); \
 			for (d in raw) printf "%-28s %7d %7d\n", d, raw[d], code[d] | "sort"; close("sort"); \
 			printf "%-28s %7d %7d\n", "total", traw, tcode }'
+	@find . -name '*.s' ! -path './bench/*' ! -path '*/testdata/*' ! -path './.*' \
+		| xargs awk '{ raw++; if ($$0 !~ /^[ \t]*($$|\/\/)/) code++ } \
+			END { printf "%-28s %7d %7d\n", "assembly (.s)", raw, code }'
 
 # The concurrent runtime packages (the master's per-worker rounds, the
 # worker's expert fan-out, transport) plus everything else under the race

@@ -119,7 +119,7 @@ func BenchmarkBrokeredFinetuneStep(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		_, dl := nn.CrossEntropy(logits, targets)
+		_, dl := nn.NewLoss().CrossEntropy(logits, targets)
 		if err := m.Backward(dl); err != nil {
 			b.Fatal(err)
 		}

@@ -246,7 +246,7 @@ func TestBrokeredFineTuningMatchesLocal(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			loss, dl := nn.CrossEntropy(logits, targets)
+			loss, dl := nn.NewLoss().CrossEntropy(logits, targets)
 			losses = append(losses, loss)
 			if err := m.Backward(dl); err != nil {
 				t.Fatal(err)
@@ -277,7 +277,7 @@ func TestBrokeredFineTuningMatchesLocal(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			loss, dl := nn.CrossEntropy(logits, targets)
+			loss, dl := nn.NewLoss().CrossEntropy(logits, targets)
 			losses = append(losses, loss)
 			if err := m.Backward(dl); err != nil {
 				t.Fatal(err)
@@ -466,7 +466,7 @@ func TestTCPDeployment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	loss, dl := nn.CrossEntropy(logits, []int{2, 3, 4, 5})
+	loss, dl := nn.NewLoss().CrossEntropy(logits, []int{2, 3, 4, 5})
 	if loss <= 0 {
 		t.Fatal("loss must be positive")
 	}

@@ -248,7 +248,9 @@ func TestZeroGradClearsOnlyTrainable(t *testing.T) {
 			}
 			continue
 		}
-		p.Grad.Fill(7)
+		for i := range p.Grad.Data {
+			p.Grad.Data[i] = 7
+		}
 	}
 	if reply, _ := w.handle(&wire.Message{Type: wire.MsgZeroGrad}); reply.Type != wire.MsgAck {
 		t.Fatalf("zero-grad: %v", reply.Type)

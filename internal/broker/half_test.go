@@ -48,7 +48,7 @@ func TestHalfPrecisionFineTuning(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			loss, dl := nn.CrossEntropy(logits, targets)
+			loss, dl := nn.NewLoss().CrossEntropy(logits, targets)
 			losses = append(losses, loss)
 			if err := m.Backward(dl); err != nil {
 				t.Fatal(err)

@@ -182,14 +182,14 @@ func (x *Executor) MarkDead(n int) {
 	_ = x.conn(n).Close()
 }
 
-// Rejoin re-admits a dead worker over a fresh connection: the slot is
+// rejoin re-admits a dead worker over a fresh connection: the slot is
 // swapped and the dead flag cleared, so subsequent rounds target the new
 // connection. The caller is responsible for re-provisioning the worker
 // (a restarted Expert Manager is empty — the replace controller migrates
 // experts back under its cost gate, or a run-level resume re-assigns
 // them outright). The swap holds the round semaphore, so a round already
 // draining on the old connection finishes before the slot changes.
-func (x *Executor) Rejoin(n int, conn transport.Conn) error {
+func (x *Executor) rejoin(n int, conn transport.Conn) error {
 	if n < 0 || n >= len(x.conns) {
 		return fmt.Errorf("broker: rejoin of unknown worker %d", n)
 	}

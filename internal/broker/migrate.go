@@ -8,7 +8,7 @@ import (
 	"repro/internal/wire"
 )
 
-// Migrate moves expert (layer, e) to worker dst, updating the active
+// migrate moves expert (layer, e) to worker dst, updating the active
 // assignment. The source worker's optimizer keeps the moments of the
 // experts that stay behind (see Worker's optimizer rebinding); the moved
 // expert's own moments and AdamW clock travel with it, so its trajectory
@@ -23,7 +23,7 @@ import (
 // post-flip failure (release failing) leaves a stale, unreferenced copy
 // on src that shutdown clears. The frozen weights cross one link, to dst;
 // the release reply carries nothing.
-func (x *Executor) Migrate(layer, e, dst int) error {
+func (x *Executor) migrate(layer, e, dst int) error {
 	src := x.workerOf(layer, e)
 	if src == dst {
 		return nil
@@ -100,7 +100,7 @@ func (x *Executor) ExecutePlan(plan []placement.Move) (int, error) {
 			return moved, fmt.Errorf("broker: stale migration plan: L%d/E%d is on worker %d, plan expected %d",
 				m.Layer, m.Expert, cur, m.From)
 		}
-		if err := x.Migrate(m.Layer, m.Expert, m.To); err != nil {
+		if err := x.migrate(m.Layer, m.Expert, m.To); err != nil {
 			return moved, fmt.Errorf("broker: migrating L%d/E%d: %w", m.Layer, m.Expert, err)
 		}
 		moved++

@@ -34,7 +34,7 @@ func TestMigrateToDeadWorkerLeavesStateIntact(t *testing.T) {
 	exec.MarkDead(1)
 
 	// Expert 0 of layer 0 lives on worker 0; try to push it to dead 1.
-	if err := exec.Migrate(0, 0, 1); !errors.Is(err, ErrWorkerDead) {
+	if err := exec.migrate(0, 0, 1); !errors.Is(err, ErrWorkerDead) {
 		t.Fatalf("migrate to dead worker = %v, want ErrWorkerDead", err)
 	}
 	if got := exec.Assignment().Worker[0][0]; got != 0 {
@@ -72,7 +72,7 @@ func TestMigrateSurvivesDestinationCrash(t *testing.T) {
 	exec := NewExecutor([]transport.Conn{dep.Conns[0], faulty}, assign)
 	exec.SetBase(grid) // this executor did not Distribute
 
-	err := exec.Migrate(0, 0, 1)
+	err := exec.migrate(0, 0, 1)
 	if !errors.Is(err, transport.ErrClosed) {
 		t.Fatalf("migrate into crash = %v, want ErrClosed", err)
 	}
@@ -99,7 +99,7 @@ func TestMigrateFromDeadWorkerFailsCleanly(t *testing.T) {
 	exec.MarkDead(1)
 
 	// Expert 1 of layer 0 lives on dead worker 1.
-	if err := exec.Migrate(0, 1, 0); !errors.Is(err, ErrWorkerDead) {
+	if err := exec.migrate(0, 1, 0); !errors.Is(err, ErrWorkerDead) {
 		t.Fatalf("migrate from dead worker = %v, want ErrWorkerDead", err)
 	}
 	if got := exec.Assignment().Worker[0][1]; got != 1 {
@@ -126,7 +126,7 @@ func TestMigrateReleaseFailureIsSurfaced(t *testing.T) {
 	// Expert 1 of layer 0 lives on worker 1. Its snapshot request is the
 	// next send on that connection; the release after it severs the link.
 	src.ArmClose(1)
-	err := exec.Migrate(0, 1, 0)
+	err := exec.migrate(0, 1, 0)
 	if err == nil || !strings.Contains(err.Error(), "releasing the source copy") {
 		t.Fatalf("migrate with a dying source = %v, want the release failure", err)
 	}

@@ -29,7 +29,7 @@ func TestMigratePreservesExpertWeights(t *testing.T) {
 	}
 
 	// Move expert (0,0) from worker 0 to worker 1.
-	if err := exec.Migrate(0, 0, 1); err != nil {
+	if err := exec.migrate(0, 0, 1); err != nil {
 		t.Fatal(err)
 	}
 	if exec.Assignment().Worker[0][0] != 1 {
@@ -63,7 +63,7 @@ func TestMigrateToSameWorkerIsNoop(t *testing.T) {
 	if err := exec.Distribute(grid, ExpertSpec{D: cfg.D, Hidden: cfg.Hidden, LoRARank: 2, LoRAAlpha: 4}); err != nil {
 		t.Fatal(err)
 	}
-	if err := exec.Migrate(0, 0, 0); err != nil {
+	if err := exec.migrate(0, 0, 0); err != nil {
 		t.Fatal(err)
 	}
 	if dep.Workers[0].NumExperts() != 1 {
@@ -80,7 +80,7 @@ func TestMigrateUnknownExpertErrors(t *testing.T) {
 	cfg := moe.Config{Vocab: 10, D: 4, Heads: 1, Hidden: 6, Layers: 1, Experts: 2, TopK: 1}
 	dep := StartLocalWorkers(2, DefaultWorkerConfig())
 	exec := NewExecutor(dep.Conns, roundRobinAssignment(cfg, 2))
-	err := exec.Migrate(0, 0, 1)
+	err := exec.migrate(0, 0, 1)
 	if err == nil || !strings.Contains(err.Error(), "does not host") {
 		t.Fatalf("err = %v", err)
 	}

@@ -60,7 +60,7 @@ func TestInstrumentedExchangeLifecycle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, dl := nn.CrossEntropy(logits, targets)
+		_, dl := nn.NewLoss().CrossEntropy(logits, targets)
 		if err := m.Backward(dl); err != nil {
 			t.Fatal(err)
 		}
@@ -138,7 +138,7 @@ func TestInstrumentedExchangeLifecycle(t *testing.T) {
 
 	// The gate fed the drift monitor every layer and the EWMA moved off
 	// exact-zero steps.
-	if got := handle.Drift.Steps(); got != steps {
+	if got := handle.Steps(); got != steps {
 		t.Errorf("drift steps = %d, want %d", got, steps)
 	}
 	if drift := handle.Drift.Drift(); len(drift) != cfg.Layers {

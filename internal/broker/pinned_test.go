@@ -193,7 +193,7 @@ func TestPinnedRunMatchesParent(t *testing.T) {
 		t.Fatal(err)
 	}
 	old := &checkpoint.RunStore{Dir: t.TempDir()}
-	if err := os.WriteFile(filepath.Join(old.Dir, checkpoint.RunGenFile(1)), gen, 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(old.Dir, "gen-00000001.vrun"), gen, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	continued := pinnedResumedRun(t, old)

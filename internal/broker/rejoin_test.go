@@ -45,7 +45,7 @@ func TestWorkerRejoinServesTraffic(t *testing.T) {
 	dep2 := StartLocalWorkers(1, DefaultWorkerConfig())
 	var rejoined []int
 	sup.OnRejoin = func(n int) { rejoined = append(rejoined, n) }
-	if err := sup.Rejoin(1, dep2.Conns[0]); err != nil {
+	if err := sup.rejoin(1, dep2.Conns[0]); err != nil {
 		t.Fatal(err)
 	}
 	if !exec.Alive(1) {

@@ -104,7 +104,7 @@ func BenchmarkMigrate(b *testing.B) {
 	start := meter.n.Load()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := exec.Migrate(0, 0, 1-exec.Assignment().Worker[0][0]); err != nil {
+		if err := exec.migrate(0, 0, 1-exec.Assignment().Worker[0][0]); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -217,7 +217,7 @@ func (s *Supervisor) AdmitRejoins() []int {
 	s.mu.Unlock()
 	var admitted []int
 	for n, conn := range pending {
-		if err := s.Rejoin(n, conn); err != nil {
+		if err := s.rejoin(n, conn); err != nil {
 			_ = conn.Close()
 			continue
 		}
@@ -235,7 +235,7 @@ func (s *Supervisor) PendingRejoins() int {
 	return len(s.pending)
 }
 
-// Rejoin re-admits dead worker n over conn: the executor's connection
+// rejoin re-admits dead worker n over conn: the executor's connection
 // slot is swapped (MarkAlive), the heartbeat miss counter re-armed, and
 // a verification ping driven as an ordinary round. On ping
 // failure the worker is marked dead again and the error returned — the
@@ -243,8 +243,8 @@ func (s *Supervisor) PendingRejoins() int {
 // training goroutine; in-process deployments (tests, examples) that
 // restart a worker themselves call this directly instead of wiring
 // Redial.
-func (s *Supervisor) Rejoin(n int, conn transport.Conn) error {
-	if err := s.exec.Rejoin(n, conn); err != nil {
+func (s *Supervisor) rejoin(n int, conn transport.Conn) error {
+	if err := s.exec.rejoin(n, conn); err != nil {
 		return err
 	}
 	if err := s.exec.Ping(n); err != nil {

@@ -193,11 +193,11 @@ func runTraceRoundTrip(t *testing.T, tcp bool) {
 	correlated, timed := 0, 0
 	for i := range tl.Requests {
 		r := &tl.Requests[i]
-		if got, want := r.SpanSum(), r.T5-r.T0; got != want {
+		if got, want := (r.SendWire + r.Queue + r.Compute + r.ReplyWire), r.T5-r.T0; got != want {
 			t.Fatalf("request seq %d: SpanSum %d != T5-T0 %d", r.Seq, got, want)
 		}
-		if r.ReplyDur > 0 && r.ReplyDur != r.SpanSum() {
-			t.Fatalf("request seq %d: EvReply.Dur %d != span sum %d", r.Seq, r.ReplyDur, r.SpanSum())
+		if r.ReplyDur > 0 && r.ReplyDur != (r.SendWire+r.Queue+r.Compute+r.ReplyWire) {
+			t.Fatalf("request seq %d: EvReply.Dur %d != span sum %d", r.Seq, r.ReplyDur, (r.SendWire + r.Queue + r.Compute + r.ReplyWire))
 		}
 		if r.HasWorker {
 			correlated++

@@ -86,8 +86,8 @@ func (w *AsyncWriter) Submit(rs *RunState) bool {
 	}
 }
 
-// Err returns the first write error seen by the background loop, if any.
-func (w *AsyncWriter) Err() error {
+// firstErr returns the first write error seen by the background loop, if any.
+func (w *AsyncWriter) firstErr() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return w.err
@@ -103,5 +103,5 @@ func (w *AsyncWriter) Close() error {
 	}
 	w.mu.Unlock()
 	w.wg.Wait()
-	return w.Err()
+	return w.firstErr()
 }

@@ -73,7 +73,7 @@ func BenchmarkRunStoreLoad(b *testing.B) {
 }
 
 func BenchmarkDecodeExpertSnapshot(b *testing.B) {
-	raw, err := EncodeExpertSnapshot(churnRunState(128).Experts)
+	raw, err := encodeExpertSnapshot(churnRunState(128).Experts)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func BenchmarkDecodeExpertSnapshot(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := DecodeExpertSnapshot(raw); err != nil {
+		if _, err := decodeExpertSnapshot(raw); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -133,14 +133,14 @@ func TestFormatsUnchanged(t *testing.T) {
 	})
 	t.Run("VELAEXS2", func(t *testing.T) {
 		raw := readFixture(t, "experts.vexs")
-		got, err := DecodeExpertSnapshot(raw)
+		got, err := decodeExpertSnapshot(raw)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(got, fixtureSnapshot()) {
 			t.Fatalf("decoded snapshot = %+v", got)
 		}
-		again, err := EncodeExpertSnapshot(got)
+		again, err := encodeExpertSnapshot(got)
 		if err != nil {
 			t.Fatal(err)
 		}

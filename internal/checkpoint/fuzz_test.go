@@ -114,7 +114,7 @@ func FuzzDecodeRun(f *testing.F) {
 }
 
 func FuzzDecodeExpertSnapshot(f *testing.F) {
-	valid, err := EncodeExpertSnapshot(fixtureSnapshot())
+	valid, err := encodeExpertSnapshot(fixtureSnapshot())
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -129,11 +129,11 @@ func FuzzDecodeExpertSnapshot(f *testing.F) {
 	f.Add(snapshotHeader(1, 1, 0, 0, 1, 1<<27, 1))
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		var s *ExpertSnapshot
-		decodeBounded(t, raw, func() { s, _ = DecodeExpertSnapshot(raw) })
+		decodeBounded(t, raw, func() { s, _ = decodeExpertSnapshot(raw) })
 		if s == nil {
 			return
 		}
-		once, err := EncodeExpertSnapshot(s)
+		once, err := encodeExpertSnapshot(s)
 		if err != nil {
 			t.Fatalf("decoded snapshot does not re-encode: %v", err)
 		}

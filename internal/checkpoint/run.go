@@ -137,11 +137,6 @@ func runGenName(gen uint64) string {
 	return fmt.Sprintf("%s%08d%s", runGenPrefix, gen, runGenSuffix)
 }
 
-// RunGenFile returns the file name generation gen occupies inside a run
-// checkpoint directory — for tooling and chaos harnesses that inspect or
-// deliberately damage specific generations.
-func RunGenFile(gen uint64) string { return runGenName(gen) }
-
 // parseGenName extracts the generation number from a gen-%08d.vrun name.
 func parseGenName(name string) (uint64, bool) {
 	if !strings.HasPrefix(name, runGenPrefix) || !strings.HasSuffix(name, runGenSuffix) {
@@ -461,7 +456,7 @@ func (d *decoder) runBody(rs *RunState) {
 	rs.OptM = d.tensors()
 	rs.OptV = d.tensors()
 	if sec := d.take(d.i64()); len(sec) > 0 {
-		snap, err := DecodeExpertSnapshot(sec)
+		snap, err := decodeExpertSnapshot(sec)
 		if err != nil {
 			d.fail("experts section: %w", err)
 		}

@@ -422,7 +422,7 @@ func TestAsyncWriterLatchesErrors(t *testing.T) {
 	if err := w.Close(); err == nil {
 		t.Fatal("Close must return the latched write error")
 	}
-	if w.Err() == nil {
+	if w.firstErr() == nil {
 		t.Fatal("Err must latch the first failure")
 	}
 	if failures, writes := stats.Get(obs.CkptFailures), stats.Get(obs.CkptWrites); failures != 1 || writes != 0 {
@@ -457,7 +457,7 @@ func churnRunState(rows int) *RunState {
 // by a fixed count limit.
 func TestRunStoreLoadsLargeExpertSection(t *testing.T) {
 	want := churnRunState(128)
-	if sec, err := EncodeExpertSnapshot(want.Experts); err != nil || len(sec) <= 1<<24 {
+	if sec, err := encodeExpertSnapshot(want.Experts); err != nil || len(sec) <= 1<<24 {
 		t.Fatalf("expert section is %d bytes (err %v), want > 16 MiB", len(sec), err)
 	}
 	s := &RunStore{Dir: t.TempDir()}

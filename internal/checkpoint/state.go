@@ -84,15 +84,10 @@ func (e *encoder) snapshot(s *ExpertSnapshot) {
 	}
 }
 
-// EncodeExpertSnapshot returns the VELAEXS2 encoding of s.
-func EncodeExpertSnapshot(s *ExpertSnapshot) ([]byte, error) {
-	return encode(func(e *encoder) { e.snapshot(s) })
-}
-
-// DecodeExpertSnapshot parses a VELAEXS2 encoding. Malformed input of
+// decodeExpertSnapshot parses a VELAEXS2 encoding. Malformed input of
 // any kind is an error, never a panic, and never an allocation larger
 // than the input justifies.
-func DecodeExpertSnapshot(raw []byte) (*ExpertSnapshot, error) {
+func decodeExpertSnapshot(raw []byte) (*ExpertSnapshot, error) {
 	d := decoder{raw: raw}
 	d.magic(stateMagic)
 	s := &ExpertSnapshot{Step: d.i32()}

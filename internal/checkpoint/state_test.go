@@ -9,6 +9,12 @@ import (
 	"repro/internal/testutil"
 )
 
+// encodeExpertSnapshot returns the VELAEXS2 encoding of s: the snapshot
+// section a run generation carries, on its own.
+func encodeExpertSnapshot(s *ExpertSnapshot) ([]byte, error) {
+	return encode(func(e *encoder) { e.snapshot(s) })
+}
+
 func sampleSnapshot() *ExpertSnapshot {
 	return &ExpertSnapshot{
 		Step: 41,
@@ -54,11 +60,11 @@ func assertSnapshotEqual(t *testing.T, want, got *ExpertSnapshot) {
 
 func TestExpertSnapshotRoundTrip(t *testing.T) {
 	want := sampleSnapshot()
-	raw, err := EncodeExpertSnapshot(want)
+	raw, err := encodeExpertSnapshot(want)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := DecodeExpertSnapshot(raw)
+	got, err := decodeExpertSnapshot(raw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +108,7 @@ func TestExpertSnapshotFind(t *testing.T) {
 // both refused.
 func TestExpertSnapshotRejectsBadMagic(t *testing.T) {
 	for _, magic := range []string{"NOTVELA1", "VELAEXS1"} {
-		_, err := DecodeExpertSnapshot([]byte(magic + "\x00\x00\x00\x00\x00\x00\x00\x00"))
+		_, err := decodeExpertSnapshot([]byte(magic + "\x00\x00\x00\x00\x00\x00\x00\x00"))
 		if err == nil || !strings.Contains(err.Error(), "bad magic") {
 			t.Fatalf("magic %q: err = %v, want bad-magic error", magic, err)
 		}
@@ -135,7 +141,7 @@ func TestExpertSnapshotRejectsCorruptCounts(t *testing.T) {
 		"trailing bytes":       append(snapshotHeader(1, 0), 0xAB),
 	}
 	for name, raw := range cases {
-		if _, err := DecodeExpertSnapshot(raw); err == nil {
+		if _, err := decodeExpertSnapshot(raw); err == nil {
 			t.Errorf("%s: decode must fail", name)
 		}
 	}
@@ -148,7 +154,7 @@ func TestExpertSnapshotSaveRejectsShapeMismatch(t *testing.T) {
 	bad := &ExpertSnapshot{Entries: []ExpertEntry{{
 		Tensors: []StateTensor{{Rows: 2, Cols: 2, Data: []float64{1}}},
 	}}}
-	if _, err := EncodeExpertSnapshot(bad); err == nil {
+	if _, err := encodeExpertSnapshot(bad); err == nil {
 		t.Fatal("shape/payload mismatch must fail")
 	}
 }

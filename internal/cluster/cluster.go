@@ -67,9 +67,9 @@ func (t *Topology) NumNodes() int {
 	return len(seen)
 }
 
-// Bandwidth returns B_n, the master↔worker bandwidth for device n in
+// bandwidth returns B_n, the master↔worker bandwidth for device n in
 // bytes/second.
-func (t *Topology) Bandwidth(n int) float64 {
+func (t *Topology) bandwidth(n int) float64 {
 	if t.Devices[n].Node == t.MasterNode {
 		return t.IntraBW
 	}
@@ -80,7 +80,7 @@ func (t *Topology) Bandwidth(n int) float64 {
 func (t *Topology) Bandwidths() []float64 {
 	b := make([]float64, len(t.Devices))
 	for n := range t.Devices {
-		b[n] = t.Bandwidth(n)
+		b[n] = t.bandwidth(n)
 	}
 	return b
 }

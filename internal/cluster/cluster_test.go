@@ -33,11 +33,11 @@ func TestPaperTestbed(t *testing.T) {
 			t.Fatalf("device %d must be cross-node", n)
 		}
 	}
-	if !testutil.Close(topo.Bandwidth(0), 18.3*GB) || !testutil.Close(topo.Bandwidth(5), 1.17*GB) {
-		t.Fatalf("bandwidths drifted from the paper: %v / %v", topo.Bandwidth(0), topo.Bandwidth(5))
+	if !testutil.Close(topo.bandwidth(0), 18.3*GB) || !testutil.Close(topo.bandwidth(5), 1.17*GB) {
+		t.Fatalf("bandwidths drifted from the paper: %v / %v", topo.bandwidth(0), topo.bandwidth(5))
 	}
 	bs := topo.Bandwidths()
-	if len(bs) != 6 || !testutil.BitEqual(bs[0], topo.Bandwidth(0)) {
+	if len(bs) != 6 || !testutil.BitEqual(bs[0], topo.bandwidth(0)) {
 		t.Fatal("Bandwidths inconsistent")
 	}
 	nodes := topo.WorkerNodes()
@@ -60,7 +60,7 @@ func TestUniformTopology(t *testing.T) {
 	if topo.NumNodes() != 2 {
 		t.Fatalf("nodes = %d, want 2", topo.NumNodes())
 	}
-	if !testutil.Close(topo.Bandwidth(1), 100) || !testutil.Close(topo.Bandwidth(2), 10) {
+	if !testutil.Close(topo.bandwidth(1), 100) || !testutil.Close(topo.bandwidth(2), 10) {
 		t.Fatal("intra/inter classification wrong")
 	}
 }

@@ -322,9 +322,8 @@ func TestSystemFailoverBitIdentical(t *testing.T) {
 			if !slices.Equal(hooked, steps) {
 				t.Fatalf("the hook saw steps %v, want each of %v once", hooked, steps)
 			}
-			if sys.Obs.Steps() != ref.Obs.Steps() || sys.Obs.Drift.Steps() != ref.Obs.Drift.Steps() {
-				t.Fatalf("counted %d steps (drift monitor %d), want the failure-free %d (%d)",
-					sys.Obs.Steps(), sys.Obs.Drift.Steps(), ref.Obs.Steps(), ref.Obs.Drift.Steps())
+			if sys.Obs.Steps() != ref.Obs.Steps() {
+				t.Fatalf("counted %d steps, want the failure-free %d", sys.Obs.Steps(), ref.Obs.Steps())
 			}
 			failovers, retries := sys.Exec.Counters.Get(obs.WorkerFailovers), sys.Exec.Counters.Get(obs.StepRetries)
 			if failovers != r.failovers || retries != r.retries {

@@ -155,11 +155,11 @@ type System struct {
 	onWorkers bool
 }
 
-// PlacementProblem builds the §IV-B optimization problem from a topology
+// placementProblem builds the §IV-B optimization problem from a topology
 // and measured statistics. BytesPerToken follows the resolved bit depth
 // plus the encoding's per-row metadata (int8 ships one absmax scale per
 // token row, which the objective must count like the wire does).
-func PlacementProblem(topo cluster.Topology, stats *moe.AccessStats, routingsPerStep float64, featureSize, bitDepth int, enc wire.Encoding) *placement.Problem {
+func placementProblem(topo cluster.Topology, stats *moe.AccessStats, routingsPerStep float64, featureSize, bitDepth int, enc wire.Encoding) *placement.Problem {
 	return &placement.Problem{
 		Workers:         topo.NumWorkers(),
 		Layers:          stats.Layers,
@@ -198,7 +198,7 @@ func Attach(model *moe.Model, conns []transport.Conn, opts Options) (*System, er
 		strategy = placement.LocalityLP{}
 	}
 	routings, bitDepth := resolveCostModel(opts.RoutingsPerStep, opts.BitDepth, cfg.TopK, opts.WireEncoding)
-	prob := PlacementProblem(opts.Topo, opts.Stats, routings, cfg.D, bitDepth, opts.WireEncoding)
+	prob := placementProblem(opts.Topo, opts.Stats, routings, cfg.D, bitDepth, opts.WireEncoding)
 	assign, err := strategy.Place(prob)
 	if err != nil {
 		return nil, fmt.Errorf("core: placing experts with %s: %w", strategy.Name(), err)
@@ -396,9 +396,6 @@ func (s *System) MetricsSource() obs.Source {
 	return src
 }
 
-// CrossNodeBytes reports the external traffic accumulated so far.
-func (s *System) CrossNodeBytes() int64 { return s.Exec.Counters.CrossNodeBytes() }
-
 // Close shuts the workers down cleanly and waits for those Deploy
 // started. Safe to call more than once.
 func (s *System) Close() error {
@@ -433,7 +430,7 @@ func (s *System) Rebalance(stats *moe.AccessStats, strategy placement.Strategy, 
 	if bitDepth == 0 {
 		bitDepth = s.BitDepth
 	}
-	prob := PlacementProblem(s.Topo, stats, routingsPerStep, s.Model.Cfg.D, bitDepth, s.WireEncoding)
+	prob := placementProblem(s.Topo, stats, routingsPerStep, s.Model.Cfg.D, bitDepth, s.WireEncoding)
 	next, err := strategy.Place(prob)
 	if err != nil {
 		return 0, fmt.Errorf("core: rebalance placement: %w", err)

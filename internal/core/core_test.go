@@ -75,7 +75,7 @@ func TestFig5CrossNodeBytes(t *testing.T) {
 		if err := sys.Close(); err != nil {
 			t.Fatal(err)
 		}
-		losses[i], cross[i] = ft.Losses.Values, sys.CrossNodeBytes()
+		losses[i], cross[i] = ft.Losses.Values, sys.Exec.Counters.CrossNodeBytes()
 		pred, err := placement.Evaluate(sys.Problem, sys.Exec.Assignment())
 		if err != nil {
 			t.Fatal(err)
@@ -119,7 +119,7 @@ func TestDeployAndFinetuneEndToEnd(t *testing.T) {
 		}
 	}()
 
-	if err := sys.Exec.Assignment().Validate(PlacementProblem(sys.Topo, stats, 100, 16, 16, wire.EncFP64)); err != nil {
+	if err := sys.Exec.Assignment().Validate(placementProblem(sys.Topo, stats, 100, 16, 16, wire.EncFP64)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -138,7 +138,7 @@ func TestDeployAndFinetuneEndToEnd(t *testing.T) {
 	}
 	// Workers 1..2 are cross-node in this topology; some routing should
 	// have reached them.
-	if sys.CrossNodeBytes() == 0 {
+	if sys.Exec.Counters.CrossNodeBytes() == 0 {
 		t.Fatal("no cross-node traffic recorded")
 	}
 	// The deployed workers collectively host every expert.

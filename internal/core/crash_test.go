@@ -99,7 +99,7 @@ func TestCrashResume(t *testing.T) {
 	if gens, err := store.Generations(); err != nil || len(gens) == 0 || gens[len(gens)-1] != crashGen {
 		t.Fatalf("generations %v (%v) after the kill, want the newest %d", gens, err, crashGen)
 	}
-	torn := filepath.Join(dir, checkpoint.RunGenFile(crashGen))
+	torn := filepath.Join(dir, fmt.Sprintf("gen-%08d.vrun", crashGen))
 	info, err := os.Stat(torn)
 	if err != nil {
 		t.Fatal(err)

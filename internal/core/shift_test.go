@@ -100,7 +100,7 @@ func shiftRun(t *testing.T, controlled bool) (*System, *trainer.Finetuner, []shi
 	ft.Opt = nn.NewSGD(ft.Backbone, 0.02)
 	var cum []int64
 	ft.OnStep = func(step int) error {
-		cum = append(cum, sys.CrossNodeBytes())
+		cum = append(cum, sys.Exec.Counters.CrossNodeBytes())
 		return sys.StepBoundary(step)
 	}
 	if err := ft.Run(shiftSteps, nil); err != nil {

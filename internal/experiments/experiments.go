@@ -70,10 +70,10 @@ func pretrainConfig(s Scale) trainer.PretrainConfig {
 	return cfg
 }
 
-// Checkpoint returns the shared pre-trained model for the scale,
+// sharedCheckpoint returns the shared pre-trained model for the scale,
 // building it on first use. The returned model/grid must be treated as
 // read-only; experiments that fine-tune must Clone first.
-func Checkpoint(s Scale) (*moe.Model, [][]*moe.Expert, moe.Config, error) {
+func sharedCheckpoint(s Scale) (*moe.Model, [][]*moe.Expert, moe.Config, error) {
 	build := func() *checkpoint {
 		cfg := tinyConfig(s)
 		m, grid, err := trainer.BuildPretrained(cfg, corpusSize(s), pretrainConfig(s))
@@ -97,9 +97,9 @@ func corpusSize(s Scale) int {
 	return 8000
 }
 
-// FreshCheckpoint rebuilds the checkpoint from scratch (identical to the
+// freshCheckpoint rebuilds the checkpoint from scratch (identical to the
 // shared one, deterministic seeds) for experiments that mutate weights.
-func FreshCheckpoint(s Scale) (*moe.Model, [][]*moe.Expert, moe.Config, error) {
+func freshCheckpoint(s Scale) (*moe.Model, [][]*moe.Expert, moe.Config, error) {
 	cfg := tinyConfig(s)
 	m, grid, err := trainer.BuildPretrained(cfg, corpusSize(s), pretrainConfig(s))
 	return m, grid, cfg, err
@@ -121,7 +121,7 @@ type Fig3aResult struct {
 // Fig3a measures expert locality of the pre-trained checkpoint on the
 // Shakespeare stand-in corpus.
 func Fig3a(s Scale) (*Fig3aResult, error) {
-	m, _, cfg, err := Checkpoint(s)
+	m, _, cfg, err := sharedCheckpoint(s)
 	if err != nil {
 		return nil, err
 	}
@@ -172,7 +172,7 @@ type Fig3bResult struct {
 
 // Fig3b measures routing confidence of the pre-trained checkpoint.
 func Fig3b(s Scale) (*Fig3bResult, error) {
-	m, _, _, err := Checkpoint(s)
+	m, _, _, err := sharedCheckpoint(s)
 	if err != nil {
 		return nil, err
 	}
@@ -225,7 +225,7 @@ type Fig3cResult struct {
 // Fig3c fine-tunes the checkpoint on Shakespeare and tracks routing of
 // the first block step by step.
 func Fig3c(s Scale) (*Fig3cResult, error) {
-	m, grid, cfg, err := FreshCheckpoint(s)
+	m, grid, cfg, err := freshCheckpoint(s)
 	if err != nil {
 		return nil, err
 	}
@@ -306,7 +306,7 @@ type TheoremResult struct {
 // Theorem1 runs one fine-tuning step and measures routing movement on a
 // fixed probe batch.
 func Theorem1(s Scale) (*TheoremResult, error) {
-	m, grid, _, err := FreshCheckpoint(s)
+	m, grid, _, err := freshCheckpoint(s)
 	if err != nil {
 		return nil, err
 	}

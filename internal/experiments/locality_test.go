@@ -12,7 +12,7 @@ import (
 // expert selection"): profiling the same pre-trained checkpoint on two
 // corpora must yield visibly different expert preferences.
 func TestDatasetDependentPreferences(t *testing.T) {
-	m, _, cfg, err := Checkpoint(Quick)
+	m, _, cfg, err := sharedCheckpoint(Quick)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func TestDatasetDependentPreferences(t *testing.T) {
 // nearly the same probability matrix — P is a property of the
 // model+dataset, not the sampling.
 func TestProfilingIsStable(t *testing.T) {
-	m, _, cfg, err := Checkpoint(Quick)
+	m, _, cfg, err := sharedCheckpoint(Quick)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,9 +29,9 @@ import (
 // retire, CrossEntropy, AddForward, BackwardAdd or one of the MoE block's
 // row passes
 // (dispatchRows, combineRows, scatterRows, gatherRows), calling an
-// allocating tensor-op variant (MatMul,
-// Add, Scale, …) is a finding — those paths run every training step and
-// must use the destination-passing (*Into), in-place, or arena APIs. A
+// allocating tensor-op variant (SoftmaxRows) is a finding — those paths
+// run every training step and must use the destination-passing (GEMM,
+// *Into), in-place, or arena APIs. A
 // deliberate allocation (e.g. a result that escapes the step) is
 // annotated //lint:ignore allocbound <why>.
 //
@@ -132,21 +132,25 @@ var wireHotPathFuncs = map[string]bool{
 }
 
 // allocatingTensorMethods are the tensor.Tensor methods that allocate
-// their result; each has a non-allocating *Into or in-place counterpart.
+// their result; each has a non-allocating counterpart (SoftmaxInto).
 var allocatingTensorMethods = map[string]bool{
-	"MatMul":      true,
-	"MatMulT":     true,
-	"TMatMul":     true,
-	"Transpose":   true,
-	"Add":         true,
-	"Sub":         true,
-	"Mul":         true,
-	"Scale":       true,
 	"SoftmaxRows": true,
 }
 
+// nameRules are allocbound's name-matched rules (the second to fourth):
+// the functions each checks by name, in the packages carrying its path
+// component ("" for every package the analyzer runs on).
+var nameRules = []struct {
+	rule, component string
+	funcs           map[string]bool
+	check           func(*Pass, *ast.FuncDecl)
+}{
+	{"hotpath", "", hotPathFuncs, checkHotPathAllocs},
+	{"obs", "obs", obsHotPathFuncs, checkObsHookAllocs},
+	{"wire", "wire", wireHotPathFuncs, checkWireHotPathAllocs},
+}
+
 func runAllocBound(pass *Pass) {
-	obsPkg, wirePkg := hasComponent(pass.Pkg.Path, "obs"), hasComponent(pass.Pkg.Path, "wire")
 	for _, f := range pass.Pkg.Files {
 		for _, d := range f.Decls {
 			fd, ok := d.(*ast.FuncDecl)
@@ -155,14 +159,13 @@ func runAllocBound(pass *Pass) {
 			}
 			ts := taintScan{pass: pass, tainted: map[types.Object]token.Pos{}}
 			ts.block(fd.Body)
-			if hotPathFuncs[fd.Name.Name] && !isTestFile(pass.Fset(), fd.Pos()) {
-				checkHotPathAllocs(pass, fd)
+			if isTestFile(pass.fset(), fd.Pos()) {
+				continue
 			}
-			if obsPkg && obsHotPathFuncs[fd.Name.Name] && !isTestFile(pass.Fset(), fd.Pos()) {
-				checkObsHookAllocs(pass, fd)
-			}
-			if wirePkg && wireHotPathFuncs[fd.Name.Name] && !isTestFile(pass.Fset(), fd.Pos()) {
-				checkWireHotPathAllocs(pass, fd)
+			for _, r := range nameRules {
+				if (r.component == "" || hasComponent(pass.Pkg.Path, r.component)) && r.funcs[fd.Name.Name] {
+					r.check(pass, fd)
+				}
 			}
 		}
 	}
@@ -175,7 +178,7 @@ func runAllocBound(pass *Pass) {
 // pass.
 func checkObsHookAllocs(pass *Pass, fd *ast.FuncDecl) {
 	report := func(pos token.Pos, what string) {
-		pass.Reportf(pos,
+		pass.reportf(pos,
 			"%s in obs per-request hook %s — these run for every exchange message and must not allocate; restructure onto preallocated state, or annotate //lint:ignore allocbound with why",
 			what, fd.Name.Name)
 	}
@@ -192,7 +195,7 @@ func checkObsHookAllocs(pass *Pass, fd *ast.FuncDecl) {
 			}
 		case *ast.CallExpr:
 			if id, ok := n.Fun.(*ast.Ident); ok {
-				if b, isB := pass.Info().Uses[id].(*types.Builtin); isB {
+				if b, isB := pass.info().Uses[id].(*types.Builtin); isB {
 					switch b.Name() {
 					case "make", "new", "append":
 						report(n.Pos(), b.Name()+" allocation")
@@ -201,7 +204,7 @@ func checkObsHookAllocs(pass *Pass, fd *ast.FuncDecl) {
 			}
 			if sel, ok := n.Fun.(*ast.SelectorExpr); ok {
 				if x, ok := sel.X.(*ast.Ident); ok {
-					if pn, ok := pass.Info().Uses[x].(*types.PkgName); ok && pn.Imported().Path() == "fmt" {
+					if pn, ok := pass.info().Uses[x].(*types.PkgName); ok && pn.Imported().Path() == "fmt" {
 						report(n.Pos(), "fmt call (interface boxing allocates)")
 					}
 				}
@@ -225,10 +228,10 @@ func checkWireHotPathAllocs(pass *Pass, fd *ast.FuncDecl) {
 		if !ok {
 			return true
 		}
-		if b, isB := pass.Info().Uses[id].(*types.Builtin); isB {
+		if b, isB := pass.info().Uses[id].(*types.Builtin); isB {
 			switch b.Name() {
 			case "make", "new":
-				pass.Reportf(call.Pos(),
+				pass.reportf(call.Pos(),
 					"%s in wire codec hot path %s — per-frame buffers must come from the frame pools (GetBuf/getFloats), the caller's destination, or an injected allocator; annotate //lint:ignore allocbound with why this allocation is deliberate",
 					b.Name(), fd.Name.Name)
 			}
@@ -249,10 +252,10 @@ func checkHotPathAllocs(pass *Pass, fd *ast.FuncDecl) {
 		if !ok || !allocatingTensorMethods[sel.Sel.Name] {
 			return true
 		}
-		if !isTensorValue(pass.Info(), sel.X) {
+		if !isTensorValue(pass.info(), sel.X) {
 			return true
 		}
-		pass.Reportf(call.Pos(),
+		pass.reportf(call.Pos(),
 			"allocating tensor op %s in per-step hot path %s — use the Into/in-place/arena variant, or annotate //lint:ignore allocbound with why the allocation must escape",
 			sel.Sel.Name, fd.Name.Name)
 		return true
@@ -388,9 +391,9 @@ func (s *taintScan) assign(lhs, rhs ast.Expr) {
 	if !ok || id.Name == "_" {
 		return
 	}
-	obj := s.pass.Info().Defs[id]
+	obj := s.pass.info().Defs[id]
 	if obj == nil {
-		obj = s.pass.Info().Uses[id]
+		obj = s.pass.info().Uses[id]
 	}
 	if obj == nil {
 		return
@@ -415,17 +418,17 @@ func (s *taintScan) exprTaint(e ast.Expr) (token.Pos, bool) {
 		case *ast.FuncLit:
 			return false
 		case *ast.Ident:
-			if obj := s.pass.Info().Uses[n]; obj != nil {
+			if obj := s.pass.info().Uses[n]; obj != nil {
 				if _, ok := s.tainted[obj]; ok {
 					pos, found = n.Pos(), true
 				}
 			}
 		case *ast.CallExpr:
-			if isBinaryRead(s.pass.Info(), n) {
+			if isBinaryRead(s.pass.info(), n) {
 				pos, found = n.Pos(), true
 			}
 		case *ast.SelectorExpr:
-			if isWireHeaderField(s.pass.Info(), n) {
+			if isWireHeaderField(s.pass.info(), n) {
 				pos, found = n.Pos(), true
 			}
 		}
@@ -447,7 +450,7 @@ func (s *taintScan) clearChecked(cond ast.Expr) {
 			for _, side := range [2]ast.Expr{be.X, be.Y} {
 				ast.Inspect(side, func(m ast.Node) bool {
 					if id, ok := m.(*ast.Ident); ok {
-						if obj := s.pass.Info().Uses[id]; obj != nil {
+						if obj := s.pass.info().Uses[id]; obj != nil {
 							delete(s.tainted, obj)
 						}
 					}
@@ -474,13 +477,13 @@ func (s *taintScan) checkMakes(e ast.Expr) {
 		if !ok || id.Name != "make" {
 			return true
 		}
-		if b, ok := s.pass.Info().Uses[id].(*types.Builtin); !ok || b.Name() != "make" {
+		if b, ok := s.pass.info().Uses[id].(*types.Builtin); !ok || b.Name() != "make" {
 			return true
 		}
 		for _, arg := range call.Args[1:] {
 			if pos, tainted := s.exprTaint(arg); tainted {
-				src := s.pass.Fset().Position(pos)
-				s.pass.Reportf(call.Pos(), "make sized by wire-decoded value (from %s) with no preceding bounds check — a hostile frame can force a huge or overflowing allocation", src)
+				src := s.pass.fset().Position(pos)
+				s.pass.reportf(call.Pos(), "make sized by wire-decoded value (from %s) with no preceding bounds check — a hostile frame can force a huge or overflowing allocation", src)
 				break
 			}
 		}

@@ -55,7 +55,7 @@ type fieldAccess struct {
 func runAtomicPub(pass *Pass) {
 	accesses := make(map[*types.Var][]fieldAccess)
 	ownerLocked := make(map[*types.Var]bool)
-	for _, fi := range pass.Prog.Functions() {
+	for _, fi := range pass.Prog.functions() {
 		if fi.Pkg != pass.Pkg || fi.Test {
 			continue
 		}
@@ -91,7 +91,7 @@ func runAtomicPub(pass *Pass) {
 				if a.Write {
 					kind = "write"
 				}
-				pass.Reportf(a.Sel.Pos(), "plain %s of field %s, which is published through sync/atomic elsewhere — use the matching atomic op (clone-and-swap for compound updates)",
+				pass.reportf(a.Sel.Pos(), "plain %s of field %s, which is published through sync/atomic elsewhere — use the matching atomic op (clone-and-swap for compound updates)",
 					kind, field.Name())
 			}
 		case len(guardedWriters) > 0 && ownerLocked[field]:
@@ -109,7 +109,7 @@ func runAtomicPub(pass *Pass) {
 				if a.Write {
 					kind = "write"
 				}
-				pass.Reportf(a.Sel.Pos(), "lock-free %s of field %s, which is written under a mutex elsewhere — hold the lock here or publish the field atomically",
+				pass.reportf(a.Sel.Pos(), "lock-free %s of field %s, which is written under a mutex elsewhere — hold the lock here or publish the field atomically",
 					kind, field.Name())
 			}
 		}
@@ -119,7 +119,7 @@ func runAtomicPub(pass *Pass) {
 // guarded reports whether the access happens under a lock: lexically, or
 // because the enclosing function is only ever called with a lock held.
 func guarded(prog *Program, a fieldAccess) bool {
-	return a.LockHeld || prog.AlwaysCalledUnderLock(a.fn)
+	return a.LockHeld || prog.alwaysCalledUnderLock(a.fn)
 }
 
 // exemptFieldType reports field types that carry their own discipline:

@@ -134,10 +134,10 @@ type unboundedSite struct {
 	Path string
 }
 
-// BuildProgram walks every function body of every loaded package once,
+// buildProgram walks every function body of every loaded package once,
 // recording its local facts and the call graph. It is deterministic for a
 // deterministic Load.
-func BuildProgram(pkgs []*Package) *Program {
+func buildProgram(pkgs []*Package) *Program {
 	p := &Program{funcs: make(map[string]*FuncInfo)}
 	for _, pkg := range pkgs {
 		for _, f := range pkg.Files {
@@ -170,8 +170,8 @@ func BuildProgram(pkgs []*Package) *Program {
 	return p
 }
 
-// Functions returns every module function in deterministic key order.
-func (p *Program) Functions() []*FuncInfo { return p.sorted }
+// functions returns every module function in deterministic key order.
+func (p *Program) functions() []*FuncInfo { return p.sorted }
 
 // calleeKey resolves the static callee of a call expression to its
 // canonical key, or "".
@@ -555,7 +555,7 @@ func (p *Program) callers(key string) []struct {
 		From *FuncInfo
 		Site Callsite
 	}
-	for _, fi := range p.Functions() {
+	for _, fi := range p.functions() {
 		for _, c := range fi.Calls {
 			if c.Key == key {
 				out = append(out, struct {
@@ -568,14 +568,14 @@ func (p *Program) callers(key string) []struct {
 	return out
 }
 
-// AlwaysCalledUnderLock reports whether every in-module non-test call
+// alwaysCalledUnderLock reports whether every in-module non-test call
 // site of the function holds a lock — lexically, or because the calling
 // function is itself only ever called under a lock. A function with no
 // such callers is not "under lock". atomicpub uses this to treat the
 // body of a fooLocked-style helper as guarded. Test callers are ignored:
 // the race detector owns test hygiene, and a lock-free test call must
 // not poison the runtime discipline.
-func (p *Program) AlwaysCalledUnderLock(fi *FuncInfo) bool {
+func (p *Program) alwaysCalledUnderLock(fi *FuncInfo) bool {
 	switch fi.underLockMemo {
 	case 1:
 		return true
@@ -599,7 +599,7 @@ func (p *Program) AlwaysCalledUnderLock(fi *FuncInfo) bool {
 		if c.Site.LockHeld {
 			continue
 		}
-		if !p.AlwaysCalledUnderLock(c.From) {
+		if !p.alwaysCalledUnderLock(c.From) {
 			ok = false
 			break
 		}
@@ -612,12 +612,12 @@ func (p *Program) AlwaysCalledUnderLock(fi *FuncInfo) bool {
 	return ok
 }
 
-// UnboundedTransport returns the conn-like Send/Recv sites reachable
+// unboundedTransport returns the conn-like Send/Recv sites reachable
 // from fi on the calling goroutine without passing through a
 // deadline-bounding frame, keyed by position, each carrying the call
 // path from fi. A function that bounds a deadline in its own body covers
 // its whole subtree.
-func (p *Program) UnboundedTransport(fi *FuncInfo) map[token.Pos]unboundedSite {
+func (p *Program) unboundedTransport(fi *FuncInfo) map[token.Pos]unboundedSite {
 	if fi.unboundedDone {
 		return fi.unboundedMemo
 	}
@@ -639,7 +639,7 @@ func (p *Program) UnboundedTransport(fi *FuncInfo) map[token.Pos]unboundedSite {
 			if callee == nil {
 				continue
 			}
-			for pos, s := range p.UnboundedTransport(callee) {
+			for pos, s := range p.unboundedTransport(callee) {
 				if _, seen := sites[pos]; !seen {
 					sites[pos] = unboundedSite{Op: s.Op, Path: fi.Name + " → " + s.Path}
 				}

@@ -66,9 +66,9 @@ func buildTestProgram(t *testing.T) (*Program, func(string) *FuncInfo) {
 			t.Fatalf("callgraph source does not typecheck: %v", terr)
 		}
 	}
-	prog := BuildProgram(pkgs)
+	prog := buildProgram(pkgs)
 	byName := func(name string) *FuncInfo {
-		for _, fi := range prog.Functions() {
+		for _, fi := range prog.functions() {
 			if fi.Name == name {
 				return fi
 			}
@@ -83,11 +83,11 @@ func TestCallGraphLockDiscipline(t *testing.T) {
 	prog, fn := buildTestProgram(t)
 	// locked is called from Outer (under the lock) AND Naked (without):
 	// mixed call sites mean it is NOT always under lock.
-	if prog.AlwaysCalledUnderLock(fn("locked")) {
+	if prog.alwaysCalledUnderLock(fn("locked")) {
 		t.Error("AlwaysCalledUnderLock(locked) = true despite the lock-free Naked call site")
 	}
 	// Outer has no in-module callers at all.
-	if prog.AlwaysCalledUnderLock(fn("Outer")) {
+	if prog.alwaysCalledUnderLock(fn("Outer")) {
 		t.Error("AlwaysCalledUnderLock(Outer) = true with zero callers")
 	}
 }
@@ -95,7 +95,7 @@ func TestCallGraphLockDiscipline(t *testing.T) {
 func TestCallGraphUnboundedTransport(t *testing.T) {
 	prog, fn := buildTestProgram(t)
 
-	sites := prog.UnboundedTransport(fn("top"))
+	sites := prog.unboundedTransport(fn("top"))
 	if len(sites) != 1 {
 		t.Fatalf("UnboundedTransport(top) has %d sites, want 1", len(sites))
 	}
@@ -108,10 +108,10 @@ func TestCallGraphUnboundedTransport(t *testing.T) {
 		}
 	}
 
-	if sites := prog.UnboundedTransport(fn("bounded")); len(sites) != 0 {
+	if sites := prog.unboundedTransport(fn("bounded")); len(sites) != 0 {
 		t.Errorf("UnboundedTransport(bounded) = %d sites, want 0 (SetRecvDeadline bounds the frame)", len(sites))
 	}
-	if sites := prog.UnboundedTransport(fn("spawnsWait")); len(sites) != 0 {
+	if sites := prog.unboundedTransport(fn("spawnsWait")); len(sites) != 0 {
 		t.Errorf("UnboundedTransport(spawnsWait) = %d sites, want 0 (the wait runs on another goroutine)", len(sites))
 	}
 }

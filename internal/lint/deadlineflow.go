@@ -48,11 +48,11 @@ func runDeadlineFlow(pass *Pass) {
 	}
 	reported := make(map[token.Pos]finding)
 	var order []token.Pos
-	for _, fi := range pass.Prog.Functions() {
+	for _, fi := range pass.Prog.functions() {
 		if fi.Pkg != pass.Pkg || fi.Test || !isDeadlineFlowEntry(fi) {
 			continue
 		}
-		sites := pass.Prog.UnboundedTransport(fi)
+		sites := pass.Prog.unboundedTransport(fi)
 		keys := make([]token.Pos, 0, len(sites))
 		for pos := range sites {
 			keys = append(keys, pos)
@@ -68,7 +68,7 @@ func runDeadlineFlow(pass *Pass) {
 	}
 	for _, pos := range order {
 		f := reported[pos]
-		pass.Reportf(pos, "transport %s on %s is reachable from entry point %s with no deadline/timeout bound (path: %s) — set a Send/Recv deadline or guard the wait with a timer select",
+		pass.reportf(pos, "transport %s on %s is reachable from entry point %s with no deadline/timeout bound (path: %s) — set a Send/Recv deadline or guard the wait with a timer select",
 			f.site.Op.Name, f.site.Op.Recv, f.entry, f.site.Path)
 	}
 }

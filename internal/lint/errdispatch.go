@@ -22,14 +22,14 @@ var ErrDispatch = &Analyzer{
 
 func runErrDispatch(pass *Pass) {
 	for _, f := range pass.Pkg.Files {
-		if isTestFile(pass.Fset(), f.Pos()) {
+		if isTestFile(pass.fset(), f.Pos()) {
 			continue
 		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.ExprStmt: // c.Send(m): every result discarded
 				if sel := connOp(pass, n.X); sel != nil {
-					pass.Reportf(n.Pos(), "error from %s.%s discarded — handle it or route it into the exchange's failure path",
+					pass.reportf(n.Pos(), "error from %s.%s discarded — handle it or route it into the exchange's failure path",
 						exprText(sel.X), sel.Sel.Name)
 				}
 			case *ast.AssignStmt: // _ = c.Send(m); m, _ := c.Recv()
@@ -42,7 +42,7 @@ func runErrDispatch(pass *Pass) {
 				if sel == nil || !ok || last.Name != "_" {
 					break
 				}
-				pass.Reportf(n.Pos(), "error from %s.%s assigned to _ — handle it or route it into the exchange's failure path",
+				pass.reportf(n.Pos(), "error from %s.%s assigned to _ — handle it or route it into the exchange's failure path",
 					exprText(sel.X), sel.Sel.Name)
 			}
 			return true
@@ -58,7 +58,7 @@ func connOp(pass *Pass, e ast.Expr) *ast.SelectorExpr {
 		return nil
 	}
 	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok || (sel.Sel.Name != "Send" && sel.Sel.Name != "Recv") || !isConnLike(typeOf(pass.Info(), sel.X)) {
+	if !ok || (sel.Sel.Name != "Send" && sel.Sel.Name != "Recv") || !isConnLike(typeOf(pass.info(), sel.X)) {
 		return nil
 	}
 	return sel

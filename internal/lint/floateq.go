@@ -37,17 +37,17 @@ func runFloatEq(pass *Pass) {
 			if !ok || (be.Op != token.EQL && be.Op != token.NEQ) {
 				return true
 			}
-			if !isFloat(typeOf(pass.Info(), be.X)) && !isFloat(typeOf(pass.Info(), be.Y)) {
+			if !isFloat(typeOf(pass.info(), be.X)) && !isFloat(typeOf(pass.info(), be.Y)) {
 				return true
 			}
 			// x != x / x == x is the NaN check; leave it alone.
 			if types.ExprString(be.X) == types.ExprString(be.Y) {
 				return true
 			}
-			if exactOperand(pass.Info(), be.X) || exactOperand(pass.Info(), be.Y) {
+			if exactOperand(pass.info(), be.X) || exactOperand(pass.info(), be.Y) {
 				return true
 			}
-			pass.Reportf(be.Pos(), "exact floating-point %s — use a tolerance compare (testutil.AlmostEqual), or testutil.BitEqual / math.Float64bits where bit-exactness is the property; float equality does not survive wire quantization or reduction reordering",
+			pass.reportf(be.Pos(), "exact floating-point %s — use a tolerance compare (testutil.AlmostEqual), or testutil.BitEqual / math.Float64bits where bit-exactness is the property; float equality does not survive wire quantization or reduction reordering",
 				be.Op)
 			return true
 		})

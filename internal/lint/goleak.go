@@ -41,7 +41,7 @@ var shutdownChanRe = regexp.MustCompile(`(?i)(done|quit|stop|abort|exit|clos|can
 
 func runGoLeak(pass *Pass) {
 	for _, f := range pass.Pkg.Files {
-		if isTestFile(pass.Fset(), f.Pos()) {
+		if isTestFile(pass.fset(), f.Pos()) {
 			continue
 		}
 		ast.Inspect(f, func(n ast.Node) bool {
@@ -53,10 +53,10 @@ func runGoLeak(pass *Pass) {
 			if !ok {
 				return true // `go method()` spawns a named loop; its hygiene shows in its declaration
 			}
-			if goroutineAccounted(pass.Info(), lit.Body) {
+			if goroutineAccounted(pass.info(), lit.Body) {
 				return true
 			}
-			pass.Reportf(g.Pos(), "goroutine has no shutdown path — select on a done/quit channel, register it with a WaitGroup, or, for a process-lifetime goroutine, annotate `//lint:ignore goleak <why>`")
+			pass.reportf(g.Pos(), "goroutine has no shutdown path — select on a done/quit channel, register it with a WaitGroup, or, for a process-lifetime goroutine, annotate `//lint:ignore goleak <why>`")
 			return true
 		})
 	}

@@ -76,14 +76,14 @@ type Pass struct {
 	report func(Diagnostic)
 }
 
-// Fset returns the position set of the analyzed files.
-func (p *Pass) Fset() *token.FileSet { return p.Pkg.Fset }
+// fset returns the position set of the analyzed files.
+func (p *Pass) fset() *token.FileSet { return p.Pkg.Fset }
 
-// Info returns the package's type facts.
-func (p *Pass) Info() *types.Info { return p.Pkg.Info }
+// info returns the package's type facts.
+func (p *Pass) info() *types.Info { return p.Pkg.Info }
 
-// Reportf records a finding at pos.
-func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
+// reportf records a finding at pos.
+func (p *Pass) reportf(pos token.Pos, format string, args ...any) {
 	p.report(Diagnostic{
 		Pos:      p.Pkg.Fset.Position(pos),
 		Analyzer: p.Analyzer.Name,
@@ -123,7 +123,7 @@ func Analyzers() []*Analyzer {
 // layer (one body walk, call graph, summaries) is built once over the
 // whole load and shared by every pass.
 func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
-	prog := BuildProgram(pkgs)
+	prog := buildProgram(pkgs)
 	var diags []Diagnostic
 	for _, pkg := range pkgs {
 		dirs, bare := scanDirectives(pkg)

@@ -18,13 +18,13 @@ var LockLint = &Analyzer{
 }
 
 func runLockLint(pass *Pass) {
-	for _, fi := range pass.Prog.Functions() {
+	for _, fi := range pass.Prog.functions() {
 		if fi.Pkg != pass.Pkg {
 			continue
 		}
 		for _, op := range fi.lockedOps {
-			pass.Reportf(op.Pos, "%s while holding %s (locked at %s); release the lock before blocking — a peer that stops draining wedges every goroutine contending for %s",
-				op.What, op.Lock, pass.Fset().Position(op.LockedAt), op.Lock)
+			pass.reportf(op.Pos, "%s while holding %s (locked at %s); release the lock before blocking — a peer that stops draining wedges every goroutine contending for %s",
+				op.What, op.Lock, pass.fset().Position(op.LockedAt), op.Lock)
 		}
 	}
 }

@@ -45,7 +45,7 @@ func runMsgExhaustive(pass *Pass) {
 }
 
 func checkExhaustiveMsgSwitch(pass *Pass, sw *ast.SwitchStmt) {
-	tagType := typeOf(pass.Info(), sw.Tag)
+	tagType := typeOf(pass.info(), sw.Tag)
 	if tagType == nil {
 		return
 	}
@@ -67,7 +67,7 @@ func checkExhaustiveMsgSwitch(pass *Pass, sw *ast.SwitchStmt) {
 			continue
 		}
 		for _, e := range cc.List {
-			if tv, ok := pass.Info().Types[e]; ok && tv.Value != nil {
+			if tv, ok := pass.info().Types[e]; ok && tv.Value != nil {
 				covered[tv.Value.ExactString()] = true
 			}
 		}
@@ -86,11 +86,11 @@ func checkExhaustiveMsgSwitch(pass *Pass, sw *ast.SwitchStmt) {
 		if defaultProducesError(defaultClause) {
 			return
 		}
-		pass.Reportf(defaultClause.Pos(), "default clause of %s switch silently discards %d unhandled message kind(s) (%s) — reply MsgError, return an error, or handle them",
+		pass.reportf(defaultClause.Pos(), "default clause of %s switch silently discards %d unhandled message kind(s) (%s) — reply MsgError, return an error, or handle them",
 			named.Obj().Name(), len(missing), strings.Join(missing, ", "))
 		return
 	}
-	pass.Reportf(sw.Pos(), "switch on %s misses %d declared message kind(s) (%s) and has no default — unknown messages would be silently dropped; add the arms or an error-producing default",
+	pass.reportf(sw.Pos(), "switch on %s misses %d declared message kind(s) (%s) and has no default — unknown messages would be silently dropped; add the arms or an error-producing default",
 		named.Obj().Name(), len(missing), strings.Join(missing, ", "))
 }
 

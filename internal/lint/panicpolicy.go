@@ -35,15 +35,15 @@ func runPanicPolicy(pass *Pass) {
 			if !ok || id.Name != "panic" {
 				return true
 			}
-			if b, ok := pass.Info().Uses[id].(*types.Builtin); !ok || b.Name() != "panic" {
+			if b, ok := pass.info().Uses[id].(*types.Builtin); !ok || b.Name() != "panic" {
 				return true
 			}
 			// Test files may panic (the testing runtime converts it into
 			// a failure with a stack).
-			if isTestFile(pass.Fset(), call.Pos()) {
+			if isTestFile(pass.fset(), call.Pos()) {
 				return true
 			}
-			pass.Reportf(call.Pos(), "panic in runtime package %s, which handles bytes from a peer or a file — return an error instead",
+			pass.reportf(call.Pos(), "panic in runtime package %s, which handles bytes from a peer or a file — return an error instead",
 				pass.Pkg.Path)
 			return true
 		})

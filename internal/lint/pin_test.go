@@ -18,16 +18,17 @@ import (
 	"repro/internal/testutil"
 )
 
-// updateGolden rewrites testdata/flowfacts.digest and testdata/raw.golden
-// from the current build and tree:
+// updateGolden rewrites testdata/flowfacts.digest, testdata/raw.golden
+// and testdata/allocbound.golden from the current build and tree:
 //
-//	go test ./internal/lint -run 'Pinned|Census' -update-golden
+//	go test ./internal/lint -run 'Pinned|Census|Coverage' -update-golden
 //
 // flowfacts.digest describes the fixture corpus, so it moves only when an
 // analyzer's contract (and with it a fixture) or the flow layer's walk
 // does. raw.golden describes the real module's directives, so it moves
-// when a directive is added or deleted.
-var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/flowfacts.digest and testdata/raw.golden from this build")
+// when a directive is added or deleted; allocbound.golden, when a function
+// allocbound checks by name is.
+var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/flowfacts.digest, raw.golden and allocbound.golden from this build")
 
 // skipLoad skips a test that typechecks a module and the standard library
 // from source on one goroutine: nothing for -race to find, and 10× the
@@ -116,7 +117,7 @@ func TestPinnedFlowFacts(t *testing.T) {
 			t.Fatal(err)
 		}
 		fmt.Fprintf(&b, "module %s\n", m.Name())
-		writeFlowFacts(&b, BuildProgram(pkgs))
+		writeFlowFacts(&b, buildProgram(pkgs))
 	}
 	checkGolden(t, "flowfacts.digest", b.String())
 }
@@ -130,7 +131,7 @@ func writeFlowFacts(b *strings.Builder, prog *Program) {
 		}
 		return "-"
 	}
-	for _, fi := range prog.Functions() {
+	for _, fi := range prog.functions() {
 		fmt.Fprintf(b, "func %s", fi.Key)
 		if fi.Test {
 			b.WriteString(" test")
@@ -350,6 +351,283 @@ func TestKnobCensus(t *testing.T) {
 	for name := range knobExempt {
 		if !slices.Contains(names, name) {
 			t.Errorf("%s is exempt but no longer a knob: drop the exemption", name)
+		}
+	}
+}
+
+// TestAllocBoundCoverage pins which real-module functions allocbound's
+// name-matched rules check, one "rule function" row each in
+// testdata/allocbound.golden: its hot-path, obs-hook and wire lists match
+// by bare name, so renaming or deleting a hot-path function would
+// otherwise drop it from the lint without a word. It also holds every
+// allocatingTensorMethods entry to a method the real tensor.Tensor has.
+func TestAllocBoundCoverage(t *testing.T) {
+	pkgs := loadRealModule(t)
+	var rows []string
+	for _, p := range pkgs {
+		if !AllocBound.applies(p.Path) {
+			continue
+		}
+		for _, f := range p.Files {
+			if isTestFile(p.Fset, f.Pos()) {
+				continue
+			}
+			for _, d := range f.Decls {
+				fd, ok := d.(*ast.FuncDecl)
+				if !ok || fd.Body == nil {
+					continue
+				}
+				for _, r := range nameRules {
+					if (r.component == "" || hasComponent(p.Path, r.component)) && r.funcs[fd.Name.Name] {
+						rows = append(rows, r.rule+" "+p.Info.Defs[fd.Name].(*types.Func).FullName())
+					}
+				}
+			}
+		}
+	}
+	sort.Strings(rows)
+	checkGolden(t, "allocbound.golden", strings.Join(rows, "\n")+"\n")
+
+	tensorType := lookupType(t, pkgs, "repro/internal/tensor", "Tensor")
+	for name := range allocatingTensorMethods {
+		if obj, _, _ := types.LookupFieldOrMethod(types.NewPointer(tensorType), true, tensorType.Obj().Pkg(), name); obj == nil {
+			t.Errorf("allocatingTensorMethods names %s, which tensor.Tensor does not have: drop the entry", name)
+		}
+	}
+}
+
+// lookupType returns the named type declared as name in the module
+// package at path.
+func lookupType(t *testing.T, pkgs []*Package, path, name string) *types.Named {
+	t.Helper()
+	for _, p := range pkgs {
+		if p.Path == path && p.Types != nil && p.Types.Name() == p.Name {
+			if obj, ok := p.Types.Scope().Lookup(name).(*types.TypeName); ok {
+				return obj.Type().(*types.Named)
+			}
+		}
+	}
+	t.Fatalf("%s.%s: no such type in the module", path, name)
+	return nil
+}
+
+// apiExempt names the exported API TestAPICensus lets stand without a
+// caller outside its package, with why. A key is one or more
+// space-separated names, each a package ("testutil"), a function
+// ("tensor.Fanout"), a type, covering its methods ("transport.Faulty"),
+// or a method ("broker.Executor.Rebalance"). Every name must cover a
+// declaration that needs it.
+var apiExempt = map[string]string{
+	"testutil":                             "the tests' shared assertions and leak check: test code kept beside the packages it serves",
+	"transport.NewFaulty transport.Faulty": "the fault-injecting Conn the chaos and fault-matrix tests wrap a link in",
+	"tensor.ForEachTileBody":               "the seam through which the packages whose numerics rest on the products test every tile body",
+	"tensor.SetParallelism tensor.SetParallelThreshold tensor.ParallelThreshold tensor.Parallelism": "the team's degree and cut-over, which the bit-identity and allocation tests pin and restore",
+	"core.DeployEP core.EP":                    "the EP baseline's entry point, which TestEPMatchesOneMaster drives; no CLI runs EP yet",
+	"moe.StabilityBound":                       "Theorem 1's bound, which the stability tests check; its runtime caller is ROADMAP item 30",
+	"transport.SetSendDeadline":                "bench/'s deadline test calls it, and bench/ does not change with the runtime",
+	"broker.LocalDeployment.WaitAll":           "the fault matrix's and kill table's view of which in-process workers ended in error",
+	"broker.Executor.Checksums":                "the parity and fault harnesses' read of remote worker state (the MsgStats round)",
+	"data.NewSwitchBatcher data.SwitchBatcher": "the distribution shift TestShiftReplacesOnce trains through",
+	"core.System.Rebalance":                    "the one-shot re-placement the rebalance and failover-after-rebalance rows drive; a deployment re-places through replace.Controller",
+}
+
+// TestAPICensus is ROADMAP's API census, checked by a machine: every
+// exported function, and every exported method of an exported type,
+// declared in a non-test file under internal/ must be referenced by a
+// non-test file outside its package (cmd/, examples/ and bench/ count),
+// implement a method of an interface the module declares or imports, or
+// be exempt by apiExempt. An export only tests call is dead code with a
+// test attached: delete it and port the test to the behaviour's real
+// entry point. One only its own package calls is unexported, unless
+// another package's tests call it too, or it is one of the names
+// allocbound's rules match on (renaming those would drop them from the
+// lint).
+func TestAPICensus(t *testing.T) {
+	pkgs := loadRealModule(t)
+	fset := pkgs[0].Fset
+	type decl struct {
+		pkg  *Package
+		fn   *types.Func
+		name string // pkg.Func or pkg.Type.Method
+		typ  string // pkg.Type for a method
+	}
+	decls := make(map[string]*decl) // by declaration position
+	var order []string
+	for _, p := range pkgs {
+		if !strings.HasPrefix(p.Path, "repro/internal/") || p.Types == nil || p.Types.Name() != p.Name {
+			continue
+		}
+		for _, f := range p.Files {
+			if isTestFile(fset, f.Pos()) {
+				continue
+			}
+			for _, d := range f.Decls {
+				fd, ok := d.(*ast.FuncDecl)
+				if !ok || !fd.Name.IsExported() {
+					continue
+				}
+				fn := p.Info.Defs[fd.Name].(*types.Func)
+				dl := &decl{pkg: p, fn: fn, name: p.Name + "." + fd.Name.Name}
+				if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
+					named, ok := deref(recv.Type()).(*types.Named)
+					if !ok || !named.Obj().Exported() {
+						continue
+					}
+					dl.typ = p.Name + "." + named.Obj().Name()
+					dl.name = dl.typ + "." + fd.Name.Name
+				}
+				pos := fset.Position(fn.Pos()).String()
+				decls[pos] = dl
+				order = append(order, pos)
+			}
+		}
+	}
+
+	// References, by where they come from. bench/ is a nested module the
+	// load skips; its non-test packages are typechecked against this one
+	// here, since stepbench is a caller like cmd/.
+	root, module, err := findModule(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	callers := slices.Clone(pkgs)
+	l := newLoader(root, module)
+	for _, dir := range []string{"bench", "bench/stepbench"} {
+		units, err := l.analyze(module+"/"+dir, filepath.Join(root, dir), false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		callers = append(callers, units...)
+	}
+	outside, inside, tests, testsOutside := make(map[string]bool), make(map[string]bool), make(map[string]bool), make(map[string]bool)
+	for _, p := range callers {
+		for _, f := range p.Files {
+			test := isTestFile(p.Fset, f.Pos())
+			for id, obj := range p.Info.Uses {
+				fn, ok := obj.(*types.Func)
+				if !ok || id.Pos() < f.Pos() || id.Pos() > f.End() {
+					continue
+				}
+				pos := p.Fset.Position(fn.Origin().Pos()).String()
+				dl := decls[pos]
+				switch {
+				case dl == nil:
+				case test:
+					tests[pos] = true
+					testsOutside[pos] = testsOutside[pos] || p.Path != dl.pkg.Path
+				case p.Path != dl.pkg.Path:
+					outside[pos] = true
+				default:
+					inside[pos] = true
+				}
+			}
+		}
+	}
+
+	// The interfaces a method may implement: every non-test named
+	// interface of the module and of the packages it imports, and error.
+	var ifaces []*types.Interface
+	seen := make(map[*types.Package]bool)
+	var visit func(*types.Package)
+	visit = func(tp *types.Package) {
+		if tp == nil || seen[tp] {
+			return
+		}
+		seen[tp] = true
+		for _, name := range tp.Scope().Names() {
+			obj, ok := tp.Scope().Lookup(name).(*types.TypeName)
+			if !ok || isTestFile(fset, obj.Pos()) {
+				continue
+			}
+			if named, ok := obj.Type().(*types.Named); ok && named.TypeParams() == nil {
+				if it, ok := named.Underlying().(*types.Interface); ok && it.IsMethodSet() && it.NumMethods() > 0 {
+					ifaces = append(ifaces, it)
+				}
+			}
+		}
+		for _, imp := range tp.Imports() {
+			visit(imp)
+		}
+	}
+	for _, p := range pkgs {
+		visit(p.Types)
+	}
+	ifaces = append(ifaces, types.Universe.Lookup("error").Type().Underlying().(*types.Interface))
+	// A package's own unit and its importers' view of it are typechecked
+	// apart; an interface declared by an importer names the latter's
+	// types, so a method is tried under both.
+	views := make(map[string][]*types.Package)
+	for tp := range seen {
+		views[tp.Path()] = append(views[tp.Path()], tp)
+	}
+	implements := func(dl *decl) bool {
+		typeName := strings.TrimPrefix(dl.typ, dl.pkg.Name+".")
+		for _, tp := range views[dl.pkg.Path] {
+			obj, ok := tp.Scope().Lookup(typeName).(*types.TypeName)
+			if !ok {
+				continue
+			}
+			for _, it := range ifaces {
+				if m, _, _ := types.LookupFieldOrMethod(it, false, nil, dl.fn.Name()); m != nil &&
+					(types.Implements(obj.Type(), it) || types.Implements(types.NewPointer(obj.Type()), it)) {
+					return true
+				}
+			}
+		}
+		return false
+	}
+	analyzerName := func(dl *decl) bool {
+		for _, r := range nameRules {
+			if (r.component == "" || hasComponent(dl.pkg.Path, r.component)) && r.funcs[dl.fn.Name()] {
+				return true
+			}
+		}
+		return false
+	}
+	exemptBy := func(dl *decl) string {
+		for key := range apiExempt {
+			for _, name := range strings.Fields(key) {
+				if name == dl.pkg.Name || name == dl.name || name == dl.typ {
+					return name
+				}
+			}
+		}
+		return ""
+	}
+
+	used := make(map[string]bool)
+	for _, pos := range order {
+		dl := decls[pos]
+		if outside[pos] || dl.typ != "" && implements(dl) || inside[pos] && analyzerName(dl) {
+			continue
+		}
+		if name := exemptBy(dl); name != "" {
+			used[name] = true
+			continue
+		}
+		switch {
+		case inside[pos] && testsOutside[pos]:
+			// Live code another package's tests reach: unexporting it
+			// would only copy it into those tests.
+		case inside[pos]:
+			t.Errorf("%s (%s) is called only inside its package: unexport it", dl.name, pos)
+		case tests[pos]:
+			t.Errorf("%s (%s) is called only by tests: delete it and port them to its real entry point", dl.name, pos)
+		default:
+			t.Errorf("%s (%s) is referenced nowhere: delete it", dl.name, pos)
+		}
+	}
+	if len(apiExempt) > 12 {
+		t.Errorf("%d exemption entries, want at most 12", len(apiExempt))
+	}
+	for key, reason := range apiExempt {
+		if reason == "" {
+			t.Errorf("exemption %q has no reason", key)
+		}
+		for _, name := range strings.Fields(key) {
+			if !used[name] {
+				t.Errorf("exemption %s covers nothing that needs it: drop it", name)
+			}
 		}
 	}
 }

@@ -14,27 +14,27 @@ type Layer struct {
 
 // Forward uses allocating variants and is flagged on each.
 func (l *Layer) Forward(x *tensor.Tensor) *tensor.Tensor {
-	y := x.MatMul(l.W)     // want "allocating tensor op MatMul in per-step hot path Forward"
-	y = y.Add(l.W)         // want "allocating tensor op Add in per-step hot path Forward"
+	y := x.SoftmaxRows()   // want "allocating tensor op SoftmaxRows in per-step hot path Forward"
+	y = y.SoftmaxRows()    // want "allocating tensor op SoftmaxRows in per-step hot path Forward"
 	return y.SoftmaxRows() // want "allocating tensor op SoftmaxRows in per-step hot path Forward"
 }
 
 // Backward is flagged even when the call sits inside a closure.
 func (l *Layer) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	f := func() *tensor.Tensor {
-		return dy.Scale(2) // want "allocating tensor op Scale in per-step hot path Backward"
+		return dy.SoftmaxRows() // want "allocating tensor op SoftmaxRows in per-step hot path Backward"
 	}
 	return f()
 }
 
 // Step on a free function is flagged too.
 func Step(g *tensor.Tensor) {
-	_ = g.Scale(0.5) // want "allocating tensor op Scale in per-step hot path Step"
+	_ = g.SoftmaxRows() // want "allocating tensor op SoftmaxRows in per-step hot path Step"
 }
 
 // runExpert is the fourth hot-path name.
 func runExpert(x *tensor.Tensor) *tensor.Tensor {
-	return x.MatMul(x) // want "allocating tensor op MatMul in per-step hot path runExpert"
+	return x.SoftmaxRows() // want "allocating tensor op SoftmaxRows in per-step hot path runExpert"
 }
 
 // CrossEntropy is the per-step loss: flagged.
@@ -44,32 +44,32 @@ func CrossEntropy(logits *tensor.Tensor) *tensor.Tensor {
 
 // AddForward is the residual add fused into a norm: flagged.
 func (l *Layer) AddForward(a, b *tensor.Tensor) *tensor.Tensor {
-	return a.Add(b) // want "allocating tensor op Add in per-step hot path AddForward"
+	return a.SoftmaxRows() // want "allocating tensor op SoftmaxRows in per-step hot path AddForward"
 }
 
 // BackwardAdd is the residual add fused into a norm's backward: flagged.
 func (l *Layer) BackwardAdd(dy *tensor.Tensor) *tensor.Tensor {
-	return dy.Add(l.dx) // want "allocating tensor op Add in per-step hot path BackwardAdd"
+	return dy.SoftmaxRows() // want "allocating tensor op SoftmaxRows in per-step hot path BackwardAdd"
 }
 
 // dispatchRows is a block's routed-row copy: flagged.
 func (l *Layer) dispatchRows(x *tensor.Tensor) *tensor.Tensor {
-	return x.Scale(1) // want "allocating tensor op Scale in per-step hot path dispatchRows"
+	return x.SoftmaxRows() // want "allocating tensor op SoftmaxRows in per-step hot path dispatchRows"
 }
 
 // combineRows is a block's weighted combine: flagged.
 func (l *Layer) combineRows(out *tensor.Tensor) *tensor.Tensor {
-	return out.Scale(0.5) // want "allocating tensor op Scale in per-step hot path combineRows"
+	return out.SoftmaxRows() // want "allocating tensor op SoftmaxRows in per-step hot path combineRows"
 }
 
 // scatterRows is a block's output-gradient scatter: flagged.
 func (l *Layer) scatterRows(dy *tensor.Tensor) *tensor.Tensor {
-	return dy.Scale(0.5) // want "allocating tensor op Scale in per-step hot path scatterRows"
+	return dy.SoftmaxRows() // want "allocating tensor op SoftmaxRows in per-step hot path scatterRows"
 }
 
 // gatherRows is a block's input-gradient gather: flagged.
 func (l *Layer) gatherRows(dx *tensor.Tensor) *tensor.Tensor {
-	return dx.Add(l.dx) // want "allocating tensor op Add in per-step hot path gatherRows"
+	return dx.SoftmaxRows() // want "allocating tensor op SoftmaxRows in per-step hot path gatherRows"
 }
 
 // cleanForward shows the approved shapes: destination passing and
@@ -80,7 +80,7 @@ type cleanLayer struct {
 
 // Forward stays clean on the Into/in-place API.
 func (l *cleanLayer) Forward(x *tensor.Tensor) *tensor.Tensor {
-	x.MatMulInto(l.W, l.y)
+	tensor.GEMM(l.y, x, l.W)
 	l.y.AddInPlace(l.W)
 	l.y.ScaleInPlace(2)
 	return l.y
@@ -95,19 +95,19 @@ type escape struct {
 // annotated rather than removed.
 func (e *escape) Forward(x *tensor.Tensor) *tensor.Tensor {
 	//lint:ignore allocbound result escapes to a caller that holds it across steps
-	return x.MatMul(e.W)
+	return x.SoftmaxRows()
 }
 
 // notHot is not a hot-path name: allocating ops are fine here.
 func notHot(x *tensor.Tensor) *tensor.Tensor {
-	return x.MatMul(x).Add(x)
+	return x.SoftmaxRows().SoftmaxRows()
 }
 
 // otherReceiver proves the check is type-directed: a same-named method on
 // a non-tensor type is ignored.
 type otherReceiver struct{}
 
-func (otherReceiver) MatMul(x int) int { return x }
+func (otherReceiver) SoftmaxRows(x int) int { return x }
 
-// Forward calls MatMul on a non-tensor receiver — clean.
-func Forward(o otherReceiver) int { return o.MatMul(3) }
+// Forward calls SoftmaxRows on a non-tensor receiver — clean.
+func Forward(o otherReceiver) int { return o.SoftmaxRows(3) }

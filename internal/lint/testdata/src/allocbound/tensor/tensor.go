@@ -9,20 +9,11 @@ type Tensor struct {
 	Data []float64
 }
 
-// MatMul is an allocating op (flagged in hot paths).
-func (t *Tensor) MatMul(o *Tensor) *Tensor { return &Tensor{} }
-
-// Add is an allocating op (flagged in hot paths).
-func (t *Tensor) Add(o *Tensor) *Tensor { return &Tensor{} }
-
-// Scale is an allocating op (flagged in hot paths).
-func (t *Tensor) Scale(a float64) *Tensor { return &Tensor{} }
-
 // SoftmaxRows is an allocating op (flagged in hot paths).
 func (t *Tensor) SoftmaxRows() *Tensor { return &Tensor{} }
 
-// MatMulInto is the destination-passing variant (allowed).
-func (t *Tensor) MatMulInto(o, dst *Tensor) *Tensor { return dst }
+// GEMM is the destination-passing product (allowed).
+func GEMM(c, a, b *Tensor) *Tensor { return c }
 
 // AddInPlace is the in-place variant (allowed).
 func (t *Tensor) AddInPlace(o *Tensor) *Tensor { return t }

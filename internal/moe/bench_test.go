@@ -48,7 +48,7 @@ func BenchmarkModelTrainStep(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		_, dl := nn.CrossEntropy(logits, targets)
+		_, dl := nn.NewLoss().CrossEntropy(logits, targets)
 		if err := m.Backward(dl); err != nil {
 			b.Fatal(err)
 		}
@@ -59,7 +59,7 @@ func BenchmarkModelTrainStep(b *testing.B) {
 // BenchmarkGateRouting isolates the router.
 func BenchmarkGateRouting(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
-	g := NewGate("g", rng, 32, 8, 2, false)
+	g := newGate("g", rng, 32, 8, 2, false)
 	x := tensor.Randn(rng, 1, 256, 32)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -72,12 +72,12 @@ func BenchmarkGateRouting(b *testing.B) {
 func BenchmarkMoEBlockForward(b *testing.B) {
 	rng := rand.New(rand.NewSource(2))
 	const d, experts, tokens = 32, 8, 128
-	blk := NewBlock(0, rng, d, experts, 2, false)
+	blk := newBlock(0, rng, d, experts, 2, false)
 	grid := [][]*Expert{make([]*Expert, experts)}
 	for e := 0; e < experts; e++ {
 		grid[0][e] = NewExpert(ExpertID{Layer: 0, Expert: e}, rng, d, 2*d, false)
 	}
-	blk.Exec = NewLocalExecutor(grid)
+	blk.Exec = newLocalExecutor(grid)
 	x := tensor.Randn(rng, 1, tokens, d)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -139,7 +139,7 @@ func BenchmarkExpertsCold(b *testing.B) {
 func BenchmarkBlockRouting(b *testing.B) {
 	const d, experts, tokens, k = 128, 8, 128, 2
 	rng := rand.New(rand.NewSource(1))
-	blk := NewBlock(0, rng, d, experts, k, false)
+	blk := newBlock(0, rng, d, experts, k, false)
 	blk.Exec = identityExec{}
 	x, dy := tensor.Randn(rng, 1, tokens, d), tensor.Randn(rng, 1, tokens, d)
 	for _, cores := range []int{1, 2} {

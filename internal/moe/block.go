@@ -77,11 +77,11 @@ const (
 	combineRowCost = 3
 )
 
-// NewBlock builds a MoE block for the given layer index.
-func NewBlock(layer int, rng *rand.Rand, d, numExperts, topK int, gateTrainable bool) *Block {
+// newBlock builds a MoE block for the given layer index.
+func newBlock(layer int, rng *rand.Rand, d, numExperts, topK int, gateTrainable bool) *Block {
 	b := &Block{
 		Layer:      layer,
-		Gate:       NewGate(fmt.Sprintf("block%d", layer), rng, d, numExperts, topK, gateTrainable),
+		Gate:       newGate(fmt.Sprintf("block%d", layer), rng, d, numExperts, topK, gateTrainable),
 		numExperts: numExperts,
 		batch:      make([]*tensor.Tensor, numExperts),
 		grad:       make([]*tensor.Tensor, numExperts),
@@ -92,9 +92,6 @@ func NewBlock(layer int, rng *rand.Rand, d, numExperts, topK int, gateTrainable 
 	b.dispatchJob, b.combineJob, b.scatterJob, b.gatherJob = b.dispatchRows, b.combineRows, b.scatterRows, b.gatherRows
 	return b
 }
-
-// NumExperts returns the number of experts in the block.
-func (b *Block) NumExperts() int { return b.numExperts }
 
 // Params implements nn.Module. Only the gate lives in the block; expert
 // parameters belong to whatever hosts the executor.
@@ -115,7 +112,7 @@ func (b *Block) Forward(x *tensor.Tensor) (*tensor.Tensor, error) {
 	r := b.Gate.Forward(x)
 	b.routing = r
 	if b.Stats != nil {
-		b.Stats.Record(b.Layer, r)
+		b.Stats.record(b.Layer, r)
 	}
 	if b.Obs != nil {
 		b.Obs.RecordRouting(b.Layer, r.Experts)
@@ -440,7 +437,7 @@ func (b *Block) gateBackward(dy *tensor.Tensor) *tensor.Tensor {
 			dl[k] = p[k] * (dpr[k] - dot)
 		}
 	}
-	return b.Gate.BackwardLogits(dlogits)
+	return b.Gate.backwardLogits(dlogits)
 }
 
 // rowOf returns the row of token t within expert e's batch.

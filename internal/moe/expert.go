@@ -98,8 +98,8 @@ func (r *fanoutRun) runJob(i int) { r.res[i] = r.run(r.experts[r.ids[i]], r.in[i
 
 var _ Executor = (*LocalExecutor)(nil)
 
-// NewLocalExecutor builds a local executor over a full expert grid.
-func NewLocalExecutor(experts [][]*Expert) *LocalExecutor {
+// newLocalExecutor builds a local executor over a full expert grid.
+func newLocalExecutor(experts [][]*Expert) *LocalExecutor {
 	return &LocalExecutor{Experts: experts}
 }
 

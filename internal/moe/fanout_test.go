@@ -65,7 +65,7 @@ func TestLocalExecutorExpertPanicReachesCaller(t *testing.T) {
 	t.Cleanup(func() { tensor.SetParallelism(0) })
 	const d, experts = 8, 8
 	cfg := moe.Config{Vocab: data.VocabSize, D: d, Heads: 2, Hidden: 16, Layers: 1, Experts: experts, TopK: 2}
-	exec := moe.NewLocalExecutor(moe.NewExpertGrid(cfg, rand.New(rand.NewSource(4)), false))
+	exec := moe.NewModel(cfg, rand.New(rand.NewSource(4)), false).BindLocalExperts(moe.NewExpertGrid(cfg, rand.New(rand.NewSource(4)), false))
 	for _, degree := range []int{1, 2, 8} {
 		tensor.SetParallelism(degree)
 		batches := make(map[int]*tensor.Tensor, experts)

@@ -47,9 +47,9 @@ type Gate struct {
 	TopK int
 }
 
-// NewGate builds a gate routing d-dimensional tokens to numExperts
+// newGate builds a gate routing d-dimensional tokens to numExperts
 // experts, selecting topK per token.
-func NewGate(name string, rng *rand.Rand, d, numExperts, topK int, trainable bool) *Gate {
+func newGate(name string, rng *rand.Rand, d, numExperts, topK int, trainable bool) *Gate {
 	if topK <= 0 || topK > numExperts {
 		panic(fmt.Sprintf("moe: invalid topK %d for %d experts", topK, numExperts))
 	}
@@ -58,9 +58,6 @@ func NewGate(name string, rng *rand.Rand, d, numExperts, topK int, trainable boo
 		TopK: topK,
 	}
 }
-
-// NumExperts returns the number of experts the gate routes over.
-func (g *Gate) NumExperts() int { return g.Proj.Out() }
 
 // Params implements nn.Module.
 func (g *Gate) Params() []*nn.Param { return g.Proj.Params() }
@@ -98,11 +95,11 @@ func (g *Gate) Forward(x *tensor.Tensor) *Routing {
 	return r
 }
 
-// BackwardLogits propagates a gradient on the gate logits back to the
+// backwardLogits propagates a gradient on the gate logits back to the
 // gate input and accumulates the projection gradient. Used only during
 // pre-training (with the load-balancing auxiliary loss); during
 // fine-tuning the gate is frozen and routing weights are treated as
 // constants, matching the paper.
-func (g *Gate) BackwardLogits(dlogits *tensor.Tensor) *tensor.Tensor {
+func (g *Gate) backwardLogits(dlogits *tensor.Tensor) *tensor.Tensor {
 	return g.Proj.Backward(dlogits)
 }

@@ -94,7 +94,7 @@ func NewModel(cfg Config, rng *rand.Rand, trainable bool) *Model {
 			AttnNorm: nn.NewRMSNorm(fmt.Sprintf("layer%d.attn_norm", l), cfg.D, trainable),
 			Attn:     nn.NewAttention(fmt.Sprintf("layer%d.attn", l), rng, cfg.D, cfg.Heads, trainable),
 			FFNNorm:  nn.NewRMSNorm(fmt.Sprintf("layer%d.ffn_norm", l), cfg.D, trainable),
-			MoE:      NewBlock(l, rng, cfg.D, cfg.Experts, cfg.TopK, trainable),
+			MoE:      newBlock(l, rng, cfg.D, cfg.Experts, cfg.TopK, trainable),
 		})
 	}
 	return m
@@ -115,7 +115,7 @@ func NewExpertGrid(cfg Config, rng *rand.Rand, trainable bool) [][]*Expert {
 // BindLocalExperts attaches a LocalExecutor over the grid to every block —
 // the conventional, non-distributed layout.
 func (m *Model) BindLocalExperts(grid [][]*Expert) *LocalExecutor {
-	exec := NewLocalExecutor(grid)
+	exec := newLocalExecutor(grid)
 	m.SetExecutor(exec)
 	return exec
 }

@@ -276,5 +276,5 @@ func (b *refBlock) gateBackward(dy *tensor.Tensor) *tensor.Tensor {
 			dl[k] = p[k] * (dpr[k] - dot)
 		}
 	}
-	return b.Gate.BackwardLogits(dlogits)
+	return b.Gate.backwardLogits(dlogits)
 }

@@ -75,7 +75,7 @@ func checkRouting(t *testing.T, experts, k, n int, tied, train bool) {
 	seed := int64(experts*1009 + k*101 + n)
 	build := func() (*Gate, [][]*Expert) {
 		rng := rand.New(rand.NewSource(seed))
-		g := NewGate("g", rng, d, experts, k, train)
+		g := newGate("g", rng, d, experts, k, train)
 		if tied {
 			// Expert 1's logit column is expert 0's, so their scores tie
 			// exactly on every token.
@@ -87,13 +87,13 @@ func checkRouting(t *testing.T, experts, k, n int, tied, train bool) {
 		return g, [][]*Expert{makeExperts(rng, 0, experts, d, 2*d)}
 	}
 	g, grid := build()
-	blk := NewBlock(0, rand.New(rand.NewSource(0)), d, experts, k, train)
+	blk := newBlock(0, rand.New(rand.NewSource(0)), d, experts, k, train)
 	blk.Gate = g
-	exec := &recordingExec{inner: NewLocalExecutor(grid)}
+	exec := &recordingExec{inner: newLocalExecutor(grid)}
 	blk.Exec = exec
 	rg, rgrid := build()
 	ref := &refBlock{Gate: rg, numExperts: experts}
-	rexec := &recordingExec{inner: NewLocalExecutor(rgrid)}
+	rexec := &recordingExec{inner: newLocalExecutor(rgrid)}
 	ref.Exec = rexec
 	if train {
 		blk.AuxLossCoef, ref.AuxLossCoef = 0.01, 0.01

@@ -1,10 +1,5 @@
 package moe
 
-import (
-	"fmt"
-	"math"
-)
-
 // AccessStats accumulates per-expert access counts per MoE block. Its
 // normalized form is the probability matrix P ∈ R^{L×E} of the paper
 // (§IV-B): P[l][e] is the probability that a token routed through block l
@@ -34,8 +29,8 @@ func NewAccessStats(layers, experts int) *AccessStats {
 	return s
 }
 
-// Record adds the routing decisions of one block forward to the stats.
-func (s *AccessStats) Record(layer int, r *Routing) {
+// record adds the routing decisions of one block forward to the stats.
+func (s *AccessStats) record(layer int, r *Routing) {
 	for _, sel := range r.Experts {
 		for _, e := range sel {
 			s.Counts[layer][e]++
@@ -60,20 +55,6 @@ func (s *AccessStats) Reset() {
 			s.Counts[l][e] = 0
 		}
 		s.Tokens[l] = 0
-	}
-}
-
-// Merge adds the counts of o into s. The two stats must have identical
-// geometry.
-func (s *AccessStats) Merge(o *AccessStats) {
-	if s.Layers != o.Layers || s.Experts != o.Experts {
-		panic(fmt.Sprintf("moe: cannot merge stats %dx%d with %dx%d", s.Layers, s.Experts, o.Layers, o.Experts))
-	}
-	for l := range s.Counts {
-		for e := range s.Counts[l] {
-			s.Counts[l][e] += o.Counts[l][e]
-		}
-		s.Tokens[l] += o.Tokens[l]
 	}
 }
 
@@ -113,33 +94,4 @@ func (s *AccessStats) Prob() [][]float64 {
 		}
 	}
 	return p
-}
-
-// Entropy returns the Shannon entropy (nats) of the routing distribution
-// of each block — low entropy means concentrated access (WikiText-like),
-// high entropy means diffuse access (Alpaca-like).
-func (s *AccessStats) Entropy() []float64 {
-	h := make([]float64, s.Layers)
-	for l, row := range s.Prob() {
-		var e float64
-		for _, p := range row {
-			if p > 0 {
-				e -= p * math.Log(p)
-			}
-		}
-		h[l] = e
-	}
-	return h
-}
-
-// TotalRoutings returns the total number of (token, expert) routings
-// recorded across all blocks.
-func (s *AccessStats) TotalRoutings() int64 {
-	var t int64
-	for _, row := range s.Counts {
-		for _, c := range row {
-			t += c
-		}
-	}
-	return t
 }

@@ -72,7 +72,7 @@ func TestAdamWBodiesBitIdentical(t *testing.T) {
 	forEachAdamWBody(func(body string) {
 		for _, n := range []int{1, 7, 8, 9, 63, 64, 4099, 184320} {
 			w, m, v, gs := adamwCase(n, steps, int64(n))
-			p := NewParam("w", tensor.New(append([]float64(nil), w...), n), true)
+			p := newParam("w", tensor.New(append([]float64(nil), w...), n), true)
 			opt := NewAdamW([]*Param{p}, cfg)
 			if !opt.SetMoments(p, m, v) {
 				t.Fatal("SetMoments refused the test moments")
@@ -111,7 +111,7 @@ func TestAdamWStepAllocFree(t *testing.T) {
 		t.Skip("allocation counts need a quiet run")
 	}
 	rng := rand.New(rand.NewSource(5))
-	p := NewParam("w", tensor.Randn(rng, 1, 256, 256), true)
+	p := newParam("w", tensor.Randn(rng, 1, 256, 256), true)
 	for i := range p.Grad.Data {
 		p.Grad.Data[i] = rng.NormFloat64()
 	}

@@ -9,18 +9,31 @@ import (
 	"repro/internal/testutil"
 )
 
+// product is op(a)·op(b) into a fresh tensor, op transposing an operand
+// whose flag is set.
+func product(a, b *tensor.Tensor, aT, bT bool) *tensor.Tensor {
+	n, m := a.Rows(), b.Cols()
+	if aT {
+		n = a.Cols()
+	}
+	if bT {
+		m = b.Rows()
+	}
+	return tensor.GEMM(tensor.Zeros(n, m), a, b, aT, bT, 1, false, nil)
+}
+
 // twoPassForward is Linear.Forward as it was before its adapter products
 // landed in place: every adapter term is a product into scratch and then
 // a second pass over it (AxpyInPlace). It is the reference the in-place
 // products must match bit for bit. It returns y and the cached x·A.
 func twoPassForward(l *Linear, x *tensor.Tensor) (y, xa *tensor.Tensor) {
-	y = x.MatMul(l.W.Value)
+	y = product(x, l.W.Value, false, false)
 	if l.Bias != nil {
 		y.AddRowInPlace(l.Bias.Value)
 	}
 	lr := l.LoRA
-	xa = x.MatMul(lr.A.Value)
-	y.AxpyInPlace(lr.Scale, xa.MatMul(lr.B.Value))
+	xa = product(x, lr.A.Value, false, false)
+	y.AxpyInPlace(lr.Scale, product(xa, lr.B.Value, false, false))
 	return y, xa
 }
 
@@ -29,17 +42,17 @@ func twoPassForward(l *Linear, x *tensor.Tensor) (y, xa *tensor.Tensor) {
 // scaled by ScaleInPlace, and dx is dy·Wᵀ plus d(xa)·Aᵀ in that order.
 func twoPassBackward(l *Linear, x, xa, dy *tensor.Tensor) (dx *tensor.Tensor) {
 	if l.W.Trainable {
-		l.W.Grad.AddInPlace(x.TMatMul(dy))
+		l.W.Grad.AddInPlace(product(x, dy, true, false))
 	}
 	if l.Bias != nil && l.Bias.Trainable {
 		dy.SumRowsInto(l.Bias.Grad)
 	}
 	lr := l.LoRA
-	dxa := dy.MatMulT(lr.B.Value).ScaleInPlace(lr.Scale)
-	lr.B.Grad.AxpyInPlace(lr.Scale, xa.TMatMul(dy))
-	lr.A.Grad.AddInPlace(x.TMatMul(dxa))
-	dx = dy.MatMulT(l.W.Value)
-	return dx.AddInPlace(dxa.MatMulT(lr.A.Value))
+	dxa := product(dy, lr.B.Value, false, true).ScaleInPlace(lr.Scale)
+	lr.B.Grad.AxpyInPlace(lr.Scale, product(xa, dy, true, false))
+	lr.A.Grad.AddInPlace(product(x, dxa, true, false))
+	dx = product(dy, l.W.Value, false, true)
+	return dx.AddInPlace(product(dxa, lr.A.Value, false, true))
 }
 
 // mismatches counts the elements of got whose bits differ from want's.

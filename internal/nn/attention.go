@@ -182,11 +182,11 @@ func (a *Attention) projectBack(i int) {
 func (a *Attention) projectParams(i int) {
 	switch i {
 	case 0:
-		a.Wq.BackwardParams(a.dq)
+		a.Wq.backwardGrads(a.dq)
 	case 1:
-		a.Wk.BackwardParams(a.dk)
+		a.Wk.backwardGrads(a.dk)
 	default:
-		a.Wv.BackwardParams(a.dv)
+		a.Wv.backwardGrads(a.dv)
 	}
 }
 
@@ -215,7 +215,7 @@ func (a *Attention) forwardHead(j int) {
 	qh := a.headView(a.q, b, h)
 	kh := a.headView(a.k, b, h)
 	vh := a.headView(a.v, b, h)
-	scores := qh.MatMulTInto(kh, tensor.GetDirty(seqLen, seqLen)).ScaleInPlace(a.scale)
+	scores := tensor.GEMM(tensor.GetDirty(seqLen, seqLen), qh, kh, false, true, a.scale, false, nil)
 	// Causal mask + per-row softmax over the visible prefix. The strict
 	// upper triangle must stay zero (the combine below reads full rows),
 	// so the buffer comes from Get, not GetDirty.
@@ -224,7 +224,7 @@ func (a *Attention) forwardHead(j int) {
 		tensor.SoftmaxInto(att.Row(t)[:t+1], scores.Row(t)[:t+1])
 	}
 	a.att[b][h] = att
-	av := att.MatMulInto(vh, tensor.GetDirty(seqLen, a.dh))
+	av := tensor.GEMM(tensor.GetDirty(seqLen, a.dh), att, vh, false, false, 1, false, nil)
 	a.headSet(a.ctx, av, b, h)
 	tensor.Put(av)
 	tensor.Put(scores)
@@ -279,8 +279,8 @@ func (a *Attention) backwardHead(j int) {
 	dch := a.headView(a.dctx, b, h)
 
 	// ctx_h = att @ v_h
-	datt := dch.MatMulTInto(vh, tensor.GetDirty(a.seqLen, a.seqLen))
-	dvh := att.TMatMulInto(dch, tensor.GetDirty(a.seqLen, a.dh))
+	datt := tensor.GEMM(tensor.GetDirty(a.seqLen, a.seqLen), dch, vh, false, true, 1, false, nil)
+	dvh := tensor.GEMM(tensor.GetDirty(a.seqLen, a.dh), att, dch, true, false, 1, false, nil)
 
 	// Softmax backward per row: ds = att ⊙ (datt − ⟨datt, att⟩). Rows are
 	// written only up to the causal prefix, so the strict upper triangle
@@ -296,8 +296,8 @@ func (a *Attention) backwardHead(j int) {
 			dsr[s] = ar[s] * (dar[s] - dot)
 		}
 	}
-	dqh := dscores.MatMulInto(kh, tensor.GetDirty(a.seqLen, a.dh)).ScaleInPlace(a.scale)
-	dkh := dscores.TMatMulInto(qh, tensor.GetDirty(a.seqLen, a.dh)).ScaleInPlace(a.scale)
+	dqh := tensor.GEMM(tensor.GetDirty(a.seqLen, a.dh), dscores, kh, false, false, a.scale, false, nil)
+	dkh := tensor.GEMM(tensor.GetDirty(a.seqLen, a.dh), dscores, qh, true, false, a.scale, false, nil)
 
 	a.headSet(a.dq, dqh, b, h)
 	a.headSet(a.dk, dkh, b, h)

@@ -35,9 +35,9 @@ func sequentialBackward(a *Attention, dy *tensor.Tensor) *tensor.Tensor {
 // projections one after another.
 func sequentialBackwardParams(a *Attention, dy *tensor.Tensor) {
 	a.backwardQKV(dy)
-	a.Wq.BackwardParams(a.dq)
-	a.Wk.BackwardParams(a.dk)
-	a.Wv.BackwardParams(a.dv)
+	a.Wq.backwardGrads(a.dq)
+	a.Wk.backwardGrads(a.dk)
+	a.Wv.backwardGrads(a.dv)
 }
 
 // TestAttentionProjectionsMatchSequential: Wq, Wk and Wv run side by side

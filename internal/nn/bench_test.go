@@ -99,7 +99,7 @@ func BenchmarkSwiGLUForwardBackward(b *testing.B) {
 
 func BenchmarkAdamWStep(b *testing.B) {
 	rng := rand.New(rand.NewSource(5))
-	p := NewParam("w", tensor.Randn(rng, 1, 256, 256), true)
+	p := newParam("w", tensor.Randn(rng, 1, 256, 256), true)
 	for i := range p.Grad.Data {
 		p.Grad.Data[i] = rng.NormFloat64()
 	}

@@ -150,7 +150,7 @@ func TestBackwardParamsMatchesBackward(t *testing.T) {
 		case *Linear:
 			m.Forward(x)
 			if paramsOnly {
-				m.BackwardParams(dy)
+				m.backwardGrads(dy)
 			} else {
 				m.Backward(dy)
 			}

@@ -95,9 +95,9 @@ func TestAddForwardMatchesAddThenNorm(t *testing.T) {
 			fused, ref := build(), build()
 			for pass := 0; pass < 2; pass++ {
 				a, b, dy := tensor.Randn(rng, 1, rows, d), tensor.Randn(rng, 1, rows, d), tensor.Randn(rng, 1, rows, d)
-				sum, wsum := tensor.Zeros(rows, d), tensor.Zeros(rows, d)
+				sum, wsum := tensor.Zeros(rows, d), a.Clone().AddInPlace(b)
 				y := fused.AddForward(a, b, sum).Clone()
-				wy := ref.Forward(a.AddInto(b, wsum))
+				wy := ref.Forward(wsum)
 				var dx, wdx *tensor.Tensor
 				if pass == 0 {
 					dx, wdx = fused.Backward(dy).Clone(), ref.Backward(dy)

@@ -123,10 +123,12 @@ func TestEffectiveWeightMatchesForward(t *testing.T) {
 	}
 	x := tensor.Randn(rng, 1, 2, 4)
 	want := l.Forward(x)
-	got := x.MatMul(l.EffectiveWeight())
+	// The merged weight W + scale·A·B a LoRA-folded layer would use.
+	w := l.W.Value.Clone().AxpyInPlace(l.LoRA.Scale, product(l.LoRA.A.Value, l.LoRA.B.Value, false, false))
+	got := product(x, w, false, false)
 	for i := range want.Data {
 		if math.Abs(want.Data[i]-got.Data[i]) > 1e-12 {
-			t.Fatal("EffectiveWeight must reproduce the layer output")
+			t.Fatal("the merged weight must reproduce the layer output")
 		}
 	}
 }
@@ -256,9 +258,9 @@ func TestCrossEntropyGradcheck(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	logits := tensor.Randn(rng, 1, 3, 5)
 	targets := []int{1, 4, 0}
-	_, dl := CrossEntropy(logits, targets)
+	_, dl := NewLoss().CrossEntropy(logits, targets)
 	num := numGrad(logits, func() float64 {
-		l, _ := CrossEntropy(logits, targets)
+		l, _ := NewLoss().CrossEntropy(logits, targets)
 		return l
 	})
 	assertClose(t, "xent", dl, num, 1e-5)
@@ -267,16 +269,16 @@ func TestCrossEntropyGradcheck(t *testing.T) {
 func TestCrossEntropyPerfectPrediction(t *testing.T) {
 	logits := tensor.Zeros(1, 3)
 	logits.Set(100, 0, 2)
-	loss, _ := CrossEntropy(logits, []int{2})
+	loss, _ := NewLoss().CrossEntropy(logits, []int{2})
 	if loss > 1e-6 {
 		t.Fatalf("near-certain correct prediction should have ~0 loss, got %v", loss)
 	}
 }
 
 func TestSGDStep(t *testing.T) {
-	p := NewParam("w", tensor.New([]float64{1, 2}, 2), true)
+	p := newParam("w", tensor.New([]float64{1, 2}, 2), true)
 	p.Grad.Data[0], p.Grad.Data[1] = 0.5, -0.5
-	frozen := NewParam("f", tensor.New([]float64{7}, 1), false)
+	frozen := newParam("f", tensor.New([]float64{7}, 1), false)
 	o := NewSGD([]*Param{p, frozen}, 0.1)
 	o.Step()
 	if math.Abs(p.Value.Data[0]-0.95) > 1e-12 || math.Abs(p.Value.Data[1]-2.05) > 1e-12 {
@@ -289,11 +291,11 @@ func TestSGDStep(t *testing.T) {
 
 func TestAdamWConvergesOnQuadratic(t *testing.T) {
 	// Minimize (w-3)² with AdamW; must approach 3.
-	p := NewParam("w", tensor.New([]float64{0}, 1), true)
+	p := newParam("w", tensor.New([]float64{0}, 1), true)
 	cfg := AdamWConfig{LR: 0.1, Beta1: 0.9, Beta2: 0.999, Eps: 1e-8}
 	o := NewAdamW([]*Param{p}, cfg)
 	for i := 0; i < 500; i++ {
-		p.ZeroGrad()
+		p.zeroGrad()
 		p.Grad.Data[0] = 2 * (p.Value.Data[0] - 3)
 		o.Step()
 	}
@@ -310,31 +312,21 @@ func TestPaperAdamWConfig(t *testing.T) {
 }
 
 func TestGradNormAndHelpers(t *testing.T) {
-	a := NewParam("a", tensor.New([]float64{0, 0}, 2), true)
-	b := NewParam("b", tensor.New([]float64{0}, 1), false)
+	a := newParam("a", tensor.New([]float64{0, 0}, 2), true)
+	b := newParam("b", tensor.New([]float64{0}, 1), false)
 	if b.Grad != nil {
 		t.Fatal("a frozen parameter must carry no gradient buffer")
 	}
-	c := NewParam("c", tensor.New([]float64{0}, 1), true)
+	c := newParam("c", tensor.New([]float64{0}, 1), true)
 	if c.Freeze(); c.Trainable || c.Grad != nil {
 		t.Fatal("Freeze must clear Trainable and drop the gradient buffer")
 	}
-	// A parameter frozen by assigning the field keeps its buffer; GradNorm
-	// must still skip it.
-	d := NewParam("d", tensor.New([]float64{0}, 1), true)
-	d.Grad.Data[0], d.Trainable = 100, false
 	a.Grad.Data[0], a.Grad.Data[1] = 3, 4
-	if g := GradNorm([]*Param{a, b, d}); math.Abs(g-5) > 1e-12 {
-		t.Fatalf("GradNorm = %v, want 5 (frozen params excluded)", g)
-	}
-	if n := NumParams([]*Param{a, b}); n != 3 {
-		t.Fatalf("NumParams = %d, want 3", n)
-	}
 	if tr := CollectTrainable([]*Param{a, b}); len(tr) != 1 || tr[0] != a {
 		t.Fatal("CollectTrainable wrong")
 	}
 	ZeroGrads([]*Param{a, b})
-	if !testutil.Close(a.Grad.Norm(), 0) || b.Grad != nil {
+	if !testutil.Close(a.Grad.Data[0], 0) || !testutil.Close(a.Grad.Data[1], 0) || b.Grad != nil {
 		t.Fatal("ZeroGrads failed")
 	}
 }

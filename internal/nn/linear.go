@@ -64,21 +64,15 @@ func initWeight(rng *rand.Rand, in, cols int) *tensor.Tensor {
 func NewLinear(name string, rng *rand.Rand, in, out int, bias, trainable bool) *Linear {
 	l := &Linear{
 		Name: name,
-		W:    NewParam(name+".W", initWeight(rng, in, out), trainable),
+		W:    newParam(name+".W", initWeight(rng, in, out), trainable),
 		in:   in,
 		out:  out,
 	}
 	if bias {
-		l.Bias = NewParam(name+".bias", tensor.Zeros(out), trainable)
+		l.Bias = newParam(name+".bias", tensor.Zeros(out), trainable)
 	}
 	return l
 }
-
-// In returns the input feature size.
-func (l *Linear) In() int { return l.in }
-
-// Out returns the output feature size.
-func (l *Linear) Out() int { return l.out }
 
 // AttachLoRA adds a rank-r adapter with scaling α/r. A is initialized from
 // N(0, 1/in) (see initWeight for a nil rng) and B from zero, so the
@@ -89,8 +83,8 @@ func (l *Linear) AttachLoRA(rng *rand.Rand, r int, alpha float64) {
 		panic(fmt.Sprintf("nn: LoRA rank must be positive, got %d", r))
 	}
 	l.LoRA = &LoRA{
-		A:     NewParam(l.Name+".lora.A", initWeight(rng, l.in, r), true),
-		B:     NewParam(l.Name+".lora.B", tensor.Zeros(r, l.out), true),
+		A:     newParam(l.Name+".lora.A", initWeight(rng, l.in, r), true),
+		B:     newParam(l.Name+".lora.B", tensor.Zeros(r, l.out), true),
 		Scale: alpha / float64(r),
 	}
 	l.W.Freeze()
@@ -122,9 +116,9 @@ func (l *Linear) Forward(x *tensor.Tensor) *tensor.Tensor {
 	if l.W.Trainable {
 		l.wPanels.Reset()
 		l.wTPanels.Reset()
-		x.MatMulInto(l.W.Value, y)
+		tensor.GEMM(y, x, l.W.Value, false, false, 1, false, nil)
 	} else {
-		x.MatMulPackedInto(l.W.Value, &l.wPanels, y)
+		tensor.GEMM(y, x, l.W.Value, false, false, 1, false, &l.wPanels)
 	}
 	if l.Bias != nil {
 		y.AddRowInPlace(l.Bias.Value)
@@ -132,9 +126,9 @@ func (l *Linear) Forward(x *tensor.Tensor) *tensor.Tensor {
 	if l.LoRA != nil {
 		lr := l.LoRA
 		xa := tensor.Ensure(&lr.xa, n, lr.A.Value.Cols())
-		x.MatMulInto(lr.A.Value, xa)
+		tensor.GEMM(xa, x, lr.A.Value, false, false, 1, false, nil)
 		// y += scale · xa @ B, landed in place.
-		xa.MatMulAddInto(lr.B.Value, lr.Scale, y)
+		tensor.GEMM(y, xa, lr.B.Value, false, false, lr.Scale, true, nil)
 	}
 	return y
 }
@@ -145,23 +139,23 @@ func (l *Linear) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	dxa := l.backwardParams(dy)
 	dx := tensor.Ensure(&l.dx, dy.Rows(), l.in)
 	if !l.W.Trainable {
-		dy.MatMulTPackedInto(l.W.Value, &l.wTPanels, dx)
+		tensor.GEMM(dx, dy, l.W.Value, false, true, 1, false, &l.wTPanels)
 	} else {
-		dy.MatMulTInto(l.W.Value, dx)
+		tensor.GEMM(dx, dy, l.W.Value, false, true, 1, false, nil)
 	}
 	if dxa != nil {
 		// dx += d(xa) @ Aᵀ, after dy @ Wᵀ.
-		dxa.MatMulTAddInto(l.LoRA.A.Value, 1, dx)
+		tensor.GEMM(dx, dxa, l.LoRA.A.Value, false, true, 1, true, nil)
 		tensor.Put(dxa)
 	}
 	return dx
 }
 
-// BackwardParams is Backward for a layer whose input gradient nothing
+// backwardGrads is Backward for a layer whose input gradient nothing
 // reads: it accumulates the same parameter gradients, bit for bit, and
 // skips the products only dx needs — dy·Wᵀ and the adapter's d(xa)·Aᵀ.
 // It must follow a Forward call.
-func (l *Linear) BackwardParams(dy *tensor.Tensor) {
+func (l *Linear) backwardGrads(dy *tensor.Tensor) {
 	tensor.Put(l.backwardParams(dy))
 }
 
@@ -175,7 +169,7 @@ func (l *Linear) backwardParams(dy *tensor.Tensor) *tensor.Tensor {
 	x := l.x
 	l.x = nil
 	if l.W.Trainable {
-		x.TMatMulAddInto(dy, 1, l.W.Grad)
+		tensor.GEMM(l.W.Grad, x, dy, true, false, 1, true, nil)
 	}
 	if l.Bias != nil && l.Bias.Trainable {
 		dy.SumRowsInto(l.Bias.Grad)
@@ -187,22 +181,12 @@ func (l *Linear) backwardParams(dy *tensor.Tensor) *tensor.Tensor {
 	r := lr.A.Value.Cols()
 	// d(xa) = scale · dy @ Bᵀ ; dB += scale · xaᵀ @ dy ; dA += xᵀ @ d(xa),
 	// each landed by the product itself.
-	dxa := dy.MatMulTScaleInto(lr.B.Value, lr.Scale, tensor.GetDirty(dy.Rows(), r))
+	dxa := tensor.GEMM(tensor.GetDirty(dy.Rows(), r), dy, lr.B.Value, false, true, lr.Scale, false, nil)
 	if lr.B.Trainable {
-		lr.xa.TMatMulAddInto(dy, lr.Scale, lr.B.Grad)
+		tensor.GEMM(lr.B.Grad, lr.xa, dy, true, false, lr.Scale, true, nil)
 	}
 	if lr.A.Trainable {
-		x.TMatMulAddInto(dxa, 1, lr.A.Grad)
+		tensor.GEMM(lr.A.Grad, x, dxa, true, false, 1, true, nil)
 	}
 	return dxa
-}
-
-// EffectiveWeight returns W + scale·A·B as a fresh tensor, i.e. the weight
-// a merged (LoRA-folded) layer would use. Used by equivalence tests.
-func (l *Linear) EffectiveWeight() *tensor.Tensor {
-	w := l.W.Value.Clone()
-	if l.LoRA != nil {
-		w.AxpyInPlace(l.LoRA.Scale, l.LoRA.A.Value.MatMul(l.LoRA.B.Value))
-	}
-	return w
 }

@@ -47,7 +47,7 @@ const (
 func NewRMSNorm(name string, d int, trainable bool) *RMSNorm {
 	n := &RMSNorm{
 		Name: name,
-		Gain: NewParam(name+".gain", tensor.Full(1, d), trainable),
+		Gain: newParam(name+".gain", tensor.Full(1, d), trainable),
 		Eps:  1e-6,
 	}
 	n.forwardJob, n.backwardJob = n.forwardRows, n.backwardRows
@@ -63,9 +63,8 @@ func (n *RMSNorm) Forward(x *tensor.Tensor) *tensor.Tensor {
 }
 
 // AddForward is the residual add fused into the norm: it writes a + b into
-// sum, as a.AddInto(b, sum) does, and returns Forward(sum), in one pass
-// over each row. sum becomes the norm's cached input, so it must stay
-// intact until Backward.
+// sum and returns Forward(sum), in one pass over each row. sum becomes
+// the norm's cached input, so it must stay intact until Backward.
 func (n *RMSNorm) AddForward(a, b, sum *tensor.Tensor) *tensor.Tensor {
 	if !a.SameShape(b) || !a.SameShape(sum) {
 		panic(fmt.Sprintf("nn: %s AddForward got %v + %v into %v", n.Name, a.Shape(), b.Shape(), sum.Shape()))
@@ -218,7 +217,7 @@ func NewEmbedding(name string, rng interface {
 	for i := range t.Data {
 		t.Data[i] = rng.NormFloat64() * 0.02
 	}
-	return &Embedding{Name: name, Table: NewParam(name+".table", t, trainable)}
+	return &Embedding{Name: name, Table: newParam(name+".table", t, trainable)}
 }
 
 // Params implements Module.

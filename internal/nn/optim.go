@@ -82,7 +82,7 @@ func NewAdamW(params []*Param, cfg AdamWConfig) *AdamW {
 	ps := CollectTrainable(params)
 	o := &AdamW{cfg: cfg, params: ps}
 	o.stepJob = o.stepParam
-	o.zeroJob = func(i int) { o.params[i].ZeroGrad() }
+	o.zeroJob = func(i int) { o.params[i].zeroGrad() }
 	o.m = make([]*tensor.Tensor, len(ps))
 	o.v = make([]*tensor.Tensor, len(ps))
 	for i, p := range ps {
@@ -233,13 +233,6 @@ func adamwRange(w, g, m, v []float64, c AdamWConfig, bc1, bc2 float64, lo, hi in
 		vh := v[j] / bc2
 		w[j] -= c.LR * (mh/(math.Sqrt(vh)+c.Eps) + c.WeightDecay*w[j])
 	}
-}
-
-// CrossEntropy computes the mean cross-entropy loss of logits [n, vocab]
-// against integer targets, and the gradient ∂loss/∂logits, into fresh
-// buffers: Loss.CrossEntropy for a caller that keeps the gradient.
-func CrossEntropy(logits *tensor.Tensor, targets []int) (loss float64, dlogits *tensor.Tensor) {
-	return NewLoss().CrossEntropy(logits, targets)
 }
 
 // Loss holds CrossEntropy's step-persistent buffers: the gradient it

@@ -13,7 +13,7 @@ import (
 func mkParam(t *testing.T, name string, seed int64, n int) *Param {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
-	p := NewParam(name, tensor.Randn(rng, 1, n), true)
+	p := newParam(name, tensor.Randn(rng, 1, n), true)
 	for i := range p.Grad.Data {
 		p.Grad.Data[i] = rng.NormFloat64()
 	}

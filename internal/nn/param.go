@@ -13,7 +13,6 @@ package nn
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/tensor"
 )
@@ -33,9 +32,9 @@ type Param struct {
 	Trainable bool
 }
 
-// NewParam allocates a parameter wrapping v; a trainable one gets a
+// newParam allocates a parameter wrapping v; a trainable one gets a
 // zeroed gradient.
-func NewParam(name string, v *tensor.Tensor, trainable bool) *Param {
+func newParam(name string, v *tensor.Tensor, trainable bool) *Param {
 	p := &Param{Name: name, Value: v, Trainable: trainable}
 	if trainable {
 		p.Grad = tensor.Zeros(v.Shape()...)
@@ -46,8 +45,8 @@ func NewParam(name string, v *tensor.Tensor, trainable bool) *Param {
 // Freeze makes p non-trainable and drops its gradient buffer.
 func (p *Param) Freeze() { p.Trainable, p.Grad = false, nil }
 
-// ZeroGrad clears the accumulated gradient, if p has one.
-func (p *Param) ZeroGrad() {
+// zeroGrad clears the accumulated gradient, if p has one.
+func (p *Param) zeroGrad() {
 	if p.Grad != nil {
 		p.Grad.Zero()
 	}
@@ -73,32 +72,8 @@ func CollectTrainable(params []*Param) []*Param {
 // ZeroGrads clears the gradients of every parameter in the slice.
 func ZeroGrads(params []*Param) {
 	for _, p := range params {
-		p.ZeroGrad()
+		p.zeroGrad()
 	}
-}
-
-// NumParams returns the total number of scalar parameters in the slice.
-func NumParams(params []*Param) int {
-	n := 0
-	for _, p := range params {
-		n += p.Value.Len()
-	}
-	return n
-}
-
-// GradNorm returns the global L2 norm over the gradients of the trainable
-// parameters, used for diagnostics and gradient-flow tests.
-func GradNorm(params []*Param) float64 {
-	var s float64
-	for _, p := range params {
-		if !p.Trainable {
-			continue
-		}
-		for _, g := range p.Grad.Data {
-			s += g * g
-		}
-	}
-	return math.Sqrt(s)
 }
 
 func mustShape(t *tensor.Tensor, want ...int) {

@@ -48,8 +48,8 @@ type ClockSync struct {
 	workers []clockState
 }
 
-// NewClockSync builds an estimator for `workers` workers.
-func NewClockSync(workers int) *ClockSync {
+// newClockSync builds an estimator for `workers` workers.
+func newClockSync(workers int) *ClockSync {
 	if workers < 0 {
 		workers = 0
 	}
@@ -109,8 +109,8 @@ func (c *ClockSync) Offset(n int) int64 {
 	return int64(c.workers[n].offsetNs)
 }
 
-// RTT returns worker n's smoothed ping round trip in nanoseconds.
-func (c *ClockSync) RTT(n int) int64 {
+// rTT returns worker n's smoothed ping round trip in nanoseconds.
+func (c *ClockSync) rTT(n int) int64 {
 	if c == nil || n < 0 {
 		return 0
 	}

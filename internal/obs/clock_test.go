@@ -22,7 +22,7 @@ func pingSample(sendAt, offset, wire, proc int64) (t0, t1, t2, t3 int64) {
 // with symmetric delays the 4-timestamp formula recovers the planted
 // offset exactly, and RTT excludes the worker's processing time.
 func TestClockSyncRecoversOffset(t *testing.T) {
-	cs := NewClockSync(2)
+	cs := newClockSync(2)
 	const offset = 3_000_000 // worker runs 3ms ahead
 	t0, t1, t2, t3 := pingSample(1_000_000, offset, 250_000, 40_000)
 	cs.Sample(1, t0, t1, t2, t3)
@@ -30,14 +30,14 @@ func TestClockSyncRecoversOffset(t *testing.T) {
 	if got := cs.Offset(1); got != offset {
 		t.Fatalf("Offset = %d, want %d", got, offset)
 	}
-	if got := cs.RTT(1); got != 500_000 {
+	if got := cs.rTT(1); got != 500_000 {
 		t.Fatalf("RTT = %d, want 500000 (processing time must be excluded)", got)
 	}
 	if cs.Samples(1) != 1 {
 		t.Fatalf("Samples = %d, want 1", cs.Samples(1))
 	}
 	// Worker 0 never sampled: identity offset, zero everything.
-	if cs.Offset(0) != 0 || cs.RTT(0) != 0 || cs.Samples(0) != 0 {
+	if cs.Offset(0) != 0 || cs.rTT(0) != 0 || cs.Samples(0) != 0 {
 		t.Fatal("unsampled worker is not at the identity estimate")
 	}
 }
@@ -45,7 +45,7 @@ func TestClockSyncRecoversOffset(t *testing.T) {
 // TestClockSyncNegativeOffset covers a worker whose clock runs behind the
 // master.
 func TestClockSyncNegativeOffset(t *testing.T) {
-	cs := NewClockSync(1)
+	cs := newClockSync(1)
 	t0, t1, t2, t3 := pingSample(5_000_000, -2_000_000, 100_000, 10_000)
 	cs.Sample(0, t0, t1, t2, t3)
 	if got := cs.Offset(0); got != -2_000_000 {
@@ -56,7 +56,7 @@ func TestClockSyncNegativeOffset(t *testing.T) {
 // TestClockSyncEWMAConverges feeds a drifting sequence of samples and
 // checks the EWMA tracks toward the new offset without jumping to it.
 func TestClockSyncEWMAConverges(t *testing.T) {
-	cs := NewClockSync(1)
+	cs := newClockSync(1)
 	t0, t1, t2, t3 := pingSample(0, 1_000_000, 200_000, 10_000)
 	cs.Sample(0, t0, t1, t2, t3)
 	first := cs.Offset(0)
@@ -83,7 +83,7 @@ func TestClockSyncEWMAConverges(t *testing.T) {
 // TestClockSyncErrorBound pins the bound's two ingredients: half the RTT
 // (the asymmetry ambiguity) plus the observed offset jitter.
 func TestClockSyncErrorBound(t *testing.T) {
-	cs := NewClockSync(1)
+	cs := newClockSync(1)
 	t0, t1, t2, t3 := pingSample(0, 1_000_000, 300_000, 0)
 	cs.Sample(0, t0, t1, t2, t3)
 	if got := cs.ErrorBound(0); got != 300_000 {
@@ -102,7 +102,7 @@ func TestClockSyncErrorBound(t *testing.T) {
 // causality-violating timestamps are dropped without panicking or
 // polluting the estimate.
 func TestClockSyncRejectsGarbage(t *testing.T) {
-	cs := NewClockSync(1)
+	cs := newClockSync(1)
 	cs.Sample(-1, 0, 1, 2, 3)
 	cs.Sample(5, 0, 1, 2, 3)
 	cs.Sample(0, 100, 50, 40, 90) // t2 < t1: worker time ran backwards
@@ -112,7 +112,7 @@ func TestClockSyncRejectsGarbage(t *testing.T) {
 	}
 	var nilCS *ClockSync
 	nilCS.Sample(0, 0, 1, 2, 3)
-	if nilCS.Offset(0) != 0 || nilCS.RTT(0) != 0 || nilCS.ErrorBound(0) != 0 || nilCS.Samples(0) != 0 {
+	if nilCS.Offset(0) != 0 || nilCS.rTT(0) != 0 || nilCS.ErrorBound(0) != 0 || nilCS.Samples(0) != 0 {
 		t.Fatal("nil ClockSync is not inert")
 	}
 }
@@ -120,7 +120,7 @@ func TestClockSyncRejectsGarbage(t *testing.T) {
 // TestClockSyncConcurrent hammers Sample and the getters from multiple
 // goroutines — meaningful under -race.
 func TestClockSyncConcurrent(t *testing.T) {
-	cs := NewClockSync(4)
+	cs := newClockSync(4)
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
@@ -150,7 +150,7 @@ func TestClockSyncConcurrent(t *testing.T) {
 func TestClockSyncSkipsHeldUpPing(t *testing.T) {
 	const offset = 1_500_000
 	run := func(heldUp bool) *ClockSync {
-		cs := NewClockSync(1)
+		cs := newClockSync(1)
 		for i := 0; i < 48; i++ {
 			at := int64(i) * 10_000_000
 			t0, t1, t2, t3 := pingSample(at, offset, 20_000+int64(i%5)*500, 5_000)
@@ -171,7 +171,7 @@ func TestClockSyncSkipsHeldUpPing(t *testing.T) {
 		got, want int64
 	}{
 		{"offset", gated.Offset(0), clean.Offset(0)},
-		{"RTT", gated.RTT(0), clean.RTT(0)},
+		{"RTT", gated.rTT(0), clean.rTT(0)},
 		{"error bound", gated.ErrorBound(0), clean.ErrorBound(0)},
 	} {
 		if d := c.got - c.want; d < -5_000 || d > 5_000 {
@@ -184,7 +184,7 @@ func TestClockSyncSkipsHeldUpPing(t *testing.T) {
 // 400 µs) is skipped clockReopen times and then followed, so the
 // estimator tracks the new path instead of locking it out.
 func TestClockSyncGateReopens(t *testing.T) {
-	cs := NewClockSync(1)
+	cs := newClockSync(1)
 	for i := 0; i < 10; i++ {
 		t0, t1, t2, t3 := pingSample(int64(i)*10_000_000, 1_000_000, 20_000, 0)
 		cs.Sample(0, t0, t1, t2, t3)
@@ -199,7 +199,7 @@ func TestClockSyncGateReopens(t *testing.T) {
 	if cs.Samples(0) != 60-clockReopen {
 		t.Fatalf("took %d samples, want %d: the gate did not reopen for the new path", cs.Samples(0), 60-clockReopen)
 	}
-	if got := cs.RTT(0); got < 360_000 {
+	if got := cs.rTT(0); got < 360_000 {
 		t.Fatalf("RTT = %d ns after 42 samples of the 400 µs path, want it followed", got)
 	}
 }

@@ -25,7 +25,6 @@ type DriftMonitor struct {
 	baseline [][]float64 // placement-time P[l][e]; nil until SetBaseline
 	phat     [][]float64 // EWMA estimate P̂[l][e]
 	acc      [][]float64 // per-step selection counts, reset in EndStep
-	steps    uint64
 
 	predictedComm float64 // placement.Evaluate's per-step comm seconds
 	measuredComm  float64 // EWMA of measured exchange-span seconds
@@ -76,10 +75,10 @@ func (d *DriftMonitor) SetBaseline(p [][]float64) {
 	}
 }
 
-// RecordRouting folds one forward pass's expert selections for a layer
+// recordRouting folds one forward pass's expert selections for a layer
 // into the current step's accumulator. selections is Routing.Experts:
 // per-token chosen expert indices.
-func (d *DriftMonitor) RecordRouting(layer int, selections [][]int) {
+func (d *DriftMonitor) recordRouting(layer int, selections [][]int) {
 	if d == nil || layer < 0 {
 		return
 	}
@@ -107,7 +106,6 @@ func (d *DriftMonitor) EndStep() {
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.steps++
 	for l, row := range d.acc {
 		var total float64
 		for _, c := range row {
@@ -122,25 +120,6 @@ func (d *DriftMonitor) EndStep() {
 			row[e] = 0
 		}
 	}
-}
-
-// countTo sets the step count: a Handle's monitor counts the Handle's
-// completed steps, not its folds.
-func (d *DriftMonitor) countTo(steps uint64) {
-	d.mu.Lock()
-	d.steps = steps
-	d.mu.Unlock()
-}
-
-// Steps returns how many steps have been folded in; for a Handle's
-// monitor, how many steps the Handle has counted (Handle.EndStep).
-func (d *DriftMonitor) Steps() uint64 {
-	if d == nil {
-		return 0
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.steps
 }
 
 // Drift returns the per-layer L1 distance Σ_e |P̂[l][e] − P[l][e]|. The
@@ -248,9 +227,9 @@ func (d *DriftMonitor) SetPredictedComm(sec float64) {
 	d.mu.Unlock()
 }
 
-// AddMeasuredComm folds one step's measured expert-exchange seconds into
+// addMeasuredComm folds one step's measured expert-exchange seconds into
 // the EWMA measured-comm gauge.
-func (d *DriftMonitor) AddMeasuredComm(sec float64) {
+func (d *DriftMonitor) addMeasuredComm(sec float64) {
 	if d == nil {
 		return
 	}

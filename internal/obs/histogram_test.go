@@ -1,122 +1,15 @@
 package obs
 
 import (
-	"math"
-	"math/rand"
-	"sort"
 	"testing"
 
 	"repro/internal/testutil"
 )
 
-// observeAll feeds vs into a fresh histogram over bounds.
-func observeAll(bounds []float64, vs []float64) *Histogram {
-	h := NewHistogram(bounds)
-	for _, v := range vs {
-		h.Observe(v)
-	}
-	return h
-}
-
-// latencySamples draws n log-uniform latencies spanning the bucket table.
-func latencySamples(rng *rand.Rand, n int) []float64 {
-	vs := make([]float64, n)
-	for i := range vs {
-		// 10^-7 .. 10^2 seconds: covers below the first bound and above
-		// the last, so the underflow and +Inf buckets are exercised too.
-		vs[i] = math.Pow(10, -7+9*rng.Float64())
-	}
-	return vs
-}
-
-// TestHistogramQuantileWithinBucketOfExactOracle pins the estimator's
-// guarantee: for every q, the interpolated quantile lies inside the
-// bucket that contains the exact (sorted-order) quantile.
-func TestHistogramQuantileWithinBucketOfExactOracle(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	bounds := LatencyBounds()
-	for trial := 0; trial < 20; trial++ {
-		vs := latencySamples(rng, 1+rng.Intn(500))
-		h := observeAll(bounds, vs)
-		sorted := append([]float64(nil), vs...)
-		sort.Float64s(sorted)
-		for _, q := range []float64{0.01, 0.25, 0.5, 0.9, 0.95, 0.99, 1} {
-			// Exact oracle: the ceil(q*n)-th smallest observation.
-			rank := int(q*float64(len(sorted)) + 0.999999)
-			if rank < 1 {
-				rank = 1
-			}
-			if rank > len(sorted) {
-				rank = len(sorted)
-			}
-			exact := sorted[rank-1]
-			got := h.Quantile(q)
-
-			// The bucket holding the exact quantile, as [lo, hi].
-			bi := h.bucketOf(exact)
-			lo := 0.0
-			if bi > 0 {
-				lo = bounds[bi-1]
-			}
-			if bi == len(bounds) {
-				// Exact value in the +Inf bucket: the estimate must be at
-				// least the largest finite bound.
-				if got < lo {
-					t.Fatalf("trial %d q=%v: estimate %v below +Inf bucket floor %v (exact %v)", trial, q, got, lo, exact)
-				}
-				continue
-			}
-			hi := bounds[bi]
-			if got < lo || got > hi {
-				t.Fatalf("trial %d q=%v: estimate %v outside bucket [%v,%v] of exact quantile %v", trial, q, got, lo, hi, exact)
-			}
-		}
-	}
-}
-
-// TestHistogramMergeAssociativeAndExact pins that merging is exact and
-// associative: (a+b)+c and a+(b+c) equal each other bucket-for-bucket,
-// and both equal the histogram of the concatenated samples.
-func TestHistogramMergeAssociativeAndExact(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	bounds := LatencyBounds()
-	a := latencySamples(rng, 200)
-	b := latencySamples(rng, 133)
-	c := latencySamples(rng, 77)
-
-	left := observeAll(bounds, a) // (a+b)+c
-	left.Merge(observeAll(bounds, b))
-	left.Merge(observeAll(bounds, c))
-
-	bc := observeAll(bounds, b) // a+(b+c)
-	bc.Merge(observeAll(bounds, c))
-	right := observeAll(bounds, a)
-	right.Merge(bc)
-
-	all := append(append(append([]float64(nil), a...), b...), c...)
-	union := observeAll(bounds, all)
-
-	ls, rs, us := left.Snapshot(), right.Snapshot(), union.Snapshot()
-	for i := range us.Counts {
-		if ls.Counts[i] != us.Counts[i] || rs.Counts[i] != us.Counts[i] {
-			t.Fatalf("bucket %d: left=%d right=%d union=%d", i, ls.Counts[i], rs.Counts[i], us.Counts[i])
-		}
-	}
-	if ls.Count != us.Count || rs.Count != us.Count {
-		t.Fatalf("counts: left=%d right=%d union=%d", ls.Count, rs.Count, us.Count)
-	}
-	// Sums are float additions in (possibly) different orders; integer
-	// bucket counts are exact, sums are compared with tolerance.
-	if !testutil.AlmostEqual(ls.Sum, us.Sum, 1e-9*us.Sum) || !testutil.AlmostEqual(rs.Sum, us.Sum, 1e-9*us.Sum) {
-		t.Fatalf("sums: left=%v right=%v union=%v", ls.Sum, rs.Sum, us.Sum)
-	}
-}
-
-// TestHistogramBasics covers count/sum/mean and the empty-histogram
-// zeros.
+// TestHistogramBasics covers count/sum and the empty-histogram zeros.
 func TestHistogramBasics(t *testing.T) {
-	h := NewHistogram([]float64{1, 2, 4})
-	if h.Count() != 0 || !testutil.Close(h.Sum(), 0) || !testutil.Close(h.Mean(), 0) || !testutil.Close(h.Quantile(0.5), 0) {
+	h := newHistogram([]float64{1, 2, 4})
+	if h.Count() != 0 || !testutil.Close(h.total(), 0) {
 		t.Fatal("fresh histogram not zeroed")
 	}
 	for _, v := range []float64{0.5, 1.5, 3, 100} {
@@ -125,13 +18,10 @@ func TestHistogramBasics(t *testing.T) {
 	if h.Count() != 4 {
 		t.Fatalf("Count = %d, want 4", h.Count())
 	}
-	if !testutil.Close(h.Sum(), 105) {
-		t.Fatalf("Sum = %v, want 105", h.Sum())
+	if !testutil.Close(h.total(), 105) {
+		t.Fatalf("Sum = %v, want 105", h.total())
 	}
-	if !testutil.Close(h.Mean(), 105.0/4) {
-		t.Fatalf("Mean = %v", h.Mean())
-	}
-	s := h.Snapshot()
+	s := h.snapshot()
 	want := []uint64{1, 1, 1, 1} // one per bucket incl. +Inf
 	for i, c := range want {
 		if s.Counts[i] != c {
@@ -145,12 +35,10 @@ func TestHistogramBasics(t *testing.T) {
 func TestHistogramNilSafe(t *testing.T) {
 	var h *Histogram
 	h.Observe(3)
-	h.Merge(NewHistogram([]float64{1}))
-	NewHistogram([]float64{1}).Merge(nil)
-	if h.Count() != 0 || !testutil.Close(h.Sum(), 0) || !testutil.Close(h.Mean(), 0) || !testutil.Close(h.Quantile(0.9), 0) {
+	if h.Count() != 0 || !testutil.Close(h.total(), 0) {
 		t.Fatal("nil histogram reported non-zero")
 	}
-	if s := h.Snapshot(); s.Count != 0 || len(s.Counts) != 0 {
+	if s := h.snapshot(); s.Count != 0 || len(s.Counts) != 0 {
 		t.Fatal("nil snapshot not empty")
 	}
 }
@@ -163,24 +51,13 @@ func TestHistogramConstructorRejectsUnsortedBounds(t *testing.T) {
 			t.Fatal("NewHistogram accepted non-ascending bounds")
 		}
 	}()
-	NewHistogram([]float64{1, 1})
-}
-
-// TestHistogramMergeRejectsMismatchedTables pins the merge precondition
-// panic.
-func TestHistogramMergeRejectsMismatchedTables(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Merge accepted a different bucket table")
-		}
-	}()
-	NewHistogram([]float64{1, 2}).Merge(NewHistogram([]float64{1, 2, 3}))
+	newHistogram([]float64{1, 1})
 }
 
 // TestDefaultBoundsAreAscending guards the literal tables feeding every
 // handle histogram.
 func TestDefaultBoundsAreAscending(t *testing.T) {
-	for name, b := range map[string][]float64{"latency": LatencyBounds(), "size": SizeBounds()} {
+	for name, b := range map[string][]float64{"latency": latencyBounds(), "size": sizeBounds()} {
 		for i := 1; i < len(b); i++ {
 			if b[i] <= b[i-1] {
 				t.Fatalf("%s bounds not ascending at %d: %v <= %v", name, i, b[i], b[i-1])

@@ -8,13 +8,13 @@ import (
 	"time"
 )
 
-// NewMux builds the scrape endpoint catalogue:
+// newMux builds the scrape endpoint catalogue:
 //
 //	/metrics      Prometheus text exposition (WriteMetrics over src)
 //	/healthz      JSON liveness summary; 503 once any worker is dead
 //	/trace        the trace ring as JSONL, oldest retained event first
 //	/debug/pprof  the standard Go profiling handlers
-func NewMux(src Source) *http.ServeMux {
+func newMux(src Source) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
@@ -56,7 +56,7 @@ func NewMux(src Source) *http.ServeMux {
 		if src.Handle == nil {
 			return
 		}
-		_ = src.Handle.Trace.WriteJSONL(w)
+		_ = src.Handle.Trace.writeJSONL(w)
 	})
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -83,7 +83,7 @@ func Serve(addr string, src Source) (*Server, error) {
 	if err != nil {
 		return nil, fmt.Errorf("obs: listen %s: %w", addr, err)
 	}
-	srv := &http.Server{Handler: NewMux(src), ReadHeaderTimeout: 5 * time.Second}
+	srv := &http.Server{Handler: newMux(src), ReadHeaderTimeout: 5 * time.Second}
 	//lint:ignore goleak metrics serve loop: returns when Server.Close tears the listener down, not via a channel
 	go func() {
 		// Serve returns ErrServerClosed on Close; any earlier error means

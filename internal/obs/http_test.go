@@ -136,7 +136,7 @@ var promSampleRe = regexp.MustCompile(`^([a-zA-Z_:][a-zA-Z0-9_:]*)(\{[^}]*\})? (
 // preceding # TYPE, histogram buckets are cumulative and end at +Inf
 // with _count equal to the +Inf bucket.
 func TestMetricsEndpointIsValidPrometheusText(t *testing.T) {
-	srv := httptest.NewServer(NewMux(populatedSource()))
+	srv := httptest.NewServer(newMux(populatedSource()))
 	defer srv.Close()
 
 	resp, err := http.Get(srv.URL + "/metrics")
@@ -307,7 +307,7 @@ func almostEq(a, b float64) bool { return a-b < 1e-9 && b-a < 1e-9 }
 func TestHealthzReflectsLiveness(t *testing.T) {
 	alive := []bool{true, true}
 	src := Source{Alive: func() []bool { return alive }}
-	srv := httptest.NewServer(NewMux(src))
+	srv := httptest.NewServer(newMux(src))
 	defer srv.Close()
 
 	get := func() (int, string) {
@@ -344,7 +344,7 @@ func TestHealthzReportsRejoining(t *testing.T) {
 		Alive:     func() []bool { return alive },
 		Rejoining: func() int { return rejoining },
 	}
-	srv := httptest.NewServer(NewMux(src))
+	srv := httptest.NewServer(newMux(src))
 	defer srv.Close()
 
 	resp, err := http.Get(srv.URL + "/healthz")
@@ -388,7 +388,7 @@ func TestTraceEndpointServesJSONL(t *testing.T) {
 	h.OnWorkerQueue(0, 2, 3, 7, 5*time.Microsecond)
 	h.OnCompute(0, 2, 3, 7, 40*time.Microsecond)
 	h.OnWorkerReply(0, 2, 3, 7, 9*time.Microsecond, 2048)
-	srv := httptest.NewServer(NewMux(Source{Handle: h}))
+	srv := httptest.NewServer(newMux(Source{Handle: h}))
 	defer srv.Close()
 
 	resp, err := http.Get(srv.URL + "/trace")
@@ -414,7 +414,7 @@ func TestTraceEndpointServesJSONL(t *testing.T) {
 	}
 
 	// No handle: the endpoint answers empty instead of panicking.
-	srv2 := httptest.NewServer(NewMux(Source{}))
+	srv2 := httptest.NewServer(newMux(Source{}))
 	defer srv2.Close()
 	resp2, err := http.Get(srv2.URL + "/trace")
 	if err != nil {
@@ -431,7 +431,7 @@ func TestTraceEndpointServesJSONL(t *testing.T) {
 func TestMetricsExposeClockGauges(t *testing.T) {
 	src := populatedSource()
 	src.Handle.Clocks.Sample(1, 1_000_000, 1_300_000, 1_340_000, 1_600_000)
-	srv := httptest.NewServer(NewMux(src))
+	srv := httptest.NewServer(newMux(src))
 	defer srv.Close()
 
 	resp, err := http.Get(srv.URL + "/metrics")
@@ -462,7 +462,7 @@ func TestMetricsExposeClockGauges(t *testing.T) {
 
 // TestPprofEndpointPresent pins that the profiling handlers are mounted.
 func TestPprofEndpointPresent(t *testing.T) {
-	srv := httptest.NewServer(NewMux(Source{}))
+	srv := httptest.NewServer(newMux(Source{}))
 	defer srv.Close()
 	resp, err := http.Get(srv.URL + "/debug/pprof/")
 	if err != nil {

@@ -128,12 +128,12 @@ func NewHandle(cfg Config) *Handle {
 		cfg.TraceCapacity = 4096
 	}
 	h := &Handle{
-		Trace:     NewTracer(cfg.TraceCapacity),
+		Trace:     newTracer(cfg.TraceCapacity),
 		Drift:     NewDriftMonitor(cfg.Layers, cfg.Experts, 0),
-		Clocks:    NewClockSync(cfg.Workers),
-		QueueWait: NewHistogram(LatencyBounds()),
-		FrameTx:   NewHistogram(SizeBounds()),
-		FrameRx:   NewHistogram(SizeBounds()),
+		Clocks:    newClockSync(cfg.Workers),
+		QueueWait: newHistogram(latencyBounds()),
+		FrameTx:   newHistogram(sizeBounds()),
+		FrameRx:   newHistogram(sizeBounds()),
 	}
 	h.ReqLatency = make([]*Histogram, cfg.Workers)
 	h.Compute = make([]*Histogram, cfg.Workers)
@@ -141,15 +141,15 @@ func NewHandle(cfg Config) *Handle {
 	h.sent = make([]sendStamp, cfg.Workers)
 	h.roundDur = make([]atomic.Int64, cfg.Workers)
 	for n := 0; n < cfg.Workers; n++ {
-		h.ReqLatency[n] = NewHistogram(LatencyBounds())
-		h.Compute[n] = NewHistogram(LatencyBounds())
-		h.StragglerGap[n] = NewHistogram(LatencyBounds())
+		h.ReqLatency[n] = newHistogram(latencyBounds())
+		h.Compute[n] = newHistogram(latencyBounds())
+		h.StragglerGap[n] = newHistogram(latencyBounds())
 	}
 	return h
 }
 
-// Workers returns how many per-worker histogram slots the handle holds.
-func (h *Handle) Workers() int {
+// workers returns how many per-worker histogram slots the handle holds.
+func (h *Handle) workers() int {
 	if h == nil {
 		return 0
 	}
@@ -173,17 +173,16 @@ func (h *Handle) StartStep(step int) {
 
 // EndStep counts a completed step, its boundary included, so a retried
 // step counts once: the drift monitor folds what routing the boundary has
-// not into P̂, the step counts in Steps and Drift.Steps, and its
+// not into P̂, the step counts in Steps, and its
 // accumulated exchange time feeds the measured-comm gauge.
 func (h *Handle) EndStep() {
 	if h == nil {
 		return
 	}
-	n := h.steps.Add(1)
+	h.steps.Add(1)
 	h.Drift.EndStep()
-	h.Drift.countTo(n)
 	if ns := h.exchangeNs.Swap(0); ns > 0 {
-		h.Drift.AddMeasuredComm(float64(ns) / 1e9)
+		h.Drift.addMeasuredComm(float64(ns) / 1e9)
 	}
 }
 
@@ -201,7 +200,7 @@ func (h *Handle) RecordRouting(layer int, selections [][]int) {
 	if h == nil {
 		return
 	}
-	h.Drift.RecordRouting(layer, selections)
+	h.Drift.recordRouting(layer, selections)
 }
 
 // OnEnqueue records a request of worker n's row coming up for sending

@@ -34,7 +34,7 @@ func WriteMetrics(w io.Writer, s Source) error {
 		pw.header("vela_steps_total", "counter", "Completed training steps.")
 		pw.sample("vela_steps_total", "", float64(h.Steps()))
 		pw.header("vela_trace_events_total", "counter", "Trace events recorded since start.")
-		pw.sample("vela_trace_events_total", "", float64(h.Trace.Total()))
+		pw.sample("vela_trace_events_total", "", float64(h.Trace.total()))
 		pw.header("vela_trace_events_dropped_total", "counter", "Trace events overwritten by ring wraparound.")
 		pw.sample("vela_trace_events_dropped_total", "", float64(h.Trace.Dropped()))
 
@@ -47,28 +47,28 @@ func WriteMetrics(w io.Writer, s Source) error {
 			pw.sample("vela_phase_spans_total", `phase="`+st.Phase.String()+`"`, float64(st.Count))
 		}
 
-		pw.histogram("vela_queue_wait_seconds", "Time requests waited for an in-flight window slot.", "", h.QueueWait.Snapshot())
+		pw.histogram("vela_queue_wait_seconds", "Time requests waited for an in-flight window slot.", "", h.QueueWait.snapshot())
 		for n := range h.ReqLatency {
 			lbl := `worker="` + strconv.Itoa(n) + `"`
-			pw.histogram("vela_request_latency_seconds", "Send-to-reply latency per worker.", lbl, h.ReqLatency[n].Snapshot())
+			pw.histogram("vela_request_latency_seconds", "Send-to-reply latency per worker.", lbl, h.ReqLatency[n].snapshot())
 		}
 		for n := range h.Compute {
 			if h.Compute[n].Count() == 0 {
 				continue
 			}
 			lbl := `worker="` + strconv.Itoa(n) + `"`
-			pw.histogram("vela_worker_compute_seconds", "Expert compute time per worker.", lbl, h.Compute[n].Snapshot())
+			pw.histogram("vela_worker_compute_seconds", "Expert compute time per worker.", lbl, h.Compute[n].snapshot())
 		}
 		for n := range h.StragglerGap {
 			lbl := `worker="` + strconv.Itoa(n) + `"`
-			pw.histogram("vela_straggler_gap_seconds", "Slowest-worker-minus-this-worker gap per exchange round.", lbl, h.StragglerGap[n].Snapshot())
+			pw.histogram("vela_straggler_gap_seconds", "Slowest-worker-minus-this-worker gap per exchange round.", lbl, h.StragglerGap[n].snapshot())
 		}
-		pw.histogram("vela_frame_bytes", "Encoded frame sizes.", `dir="tx"`, h.FrameTx.Snapshot())
-		pw.histogram("vela_frame_bytes", "", `dir="rx"`, h.FrameRx.Snapshot())
+		pw.histogram("vela_frame_bytes", "Encoded frame sizes.", `dir="tx"`, h.FrameTx.snapshot())
+		pw.histogram("vela_frame_bytes", "", `dir="rx"`, h.FrameRx.snapshot())
 
 		if c := h.Clocks; c != nil {
 			sampled := false
-			for n := 0; n < h.Workers(); n++ {
+			for n := 0; n < h.workers(); n++ {
 				if c.Samples(n) > 0 {
 					sampled = true
 					break
@@ -79,19 +79,19 @@ func WriteMetrics(w io.Writer, s Source) error {
 			// measured zero offset.
 			if sampled {
 				pw.header("vela_trace_clock_offset_ns", "gauge", "EWMA clock offset of each worker vs the master (worker = master + offset).")
-				for n := 0; n < h.Workers(); n++ {
+				for n := 0; n < h.workers(); n++ {
 					if c.Samples(n) > 0 {
 						pw.sample("vela_trace_clock_offset_ns", `worker="`+strconv.Itoa(n)+`"`, float64(c.Offset(n)))
 					}
 				}
 				pw.header("vela_trace_clock_rtt_ns", "gauge", "EWMA ping round-trip time per worker (clock-sync exchange).")
-				for n := 0; n < h.Workers(); n++ {
+				for n := 0; n < h.workers(); n++ {
 					if c.Samples(n) > 0 {
-						pw.sample("vela_trace_clock_rtt_ns", `worker="`+strconv.Itoa(n)+`"`, float64(c.RTT(n)))
+						pw.sample("vela_trace_clock_rtt_ns", `worker="`+strconv.Itoa(n)+`"`, float64(c.rTT(n)))
 					}
 				}
 				pw.header("vela_trace_clock_error_bound_ns", "gauge", "Worst-case rebasing error of worker trace events (rtt/2 + offset jitter).")
-				for n := 0; n < h.Workers(); n++ {
+				for n := 0; n < h.workers(); n++ {
 					if c.Samples(n) > 0 {
 						pw.sample("vela_trace_clock_error_bound_ns", `worker="`+strconv.Itoa(n)+`"`, float64(c.ErrorBound(n)))
 					}

@@ -63,7 +63,7 @@ func TestEventsFromRowsCopies(t *testing.T) {
 // relies on: each call returns only the events recorded since the cursor
 // it handed out last time.
 func TestSnapshotFromIncremental(t *testing.T) {
-	tr := NewTracer(64)
+	tr := newTracer(64)
 	for i := 0; i < 10; i++ {
 		tr.Record(Event{Kind: EvSend, Seq: uint64(i)})
 	}
@@ -92,7 +92,7 @@ func TestSnapshotFromIncremental(t *testing.T) {
 // pointing at events the ring already recycled comes back with only the
 // retained window, and Dropped tells the caller how much was lost.
 func TestSnapshotFromClampsAfterWrap(t *testing.T) {
-	tr := NewTracer(64)
+	tr := newTracer(64)
 	for i := 0; i < 200; i++ {
 		tr.Record(Event{Kind: EvReply, Seq: uint64(i)})
 	}

@@ -76,10 +76,6 @@ type Request struct {
 	ReplyTx ExpertSpan
 }
 
-// SpanSum returns SendWire+Queue+Compute+ReplyWire — by construction
-// equal to T5−T0.
-func (r *Request) SpanSum() int64 { return r.SendWire + r.Queue + r.Compute + r.ReplyWire }
-
 // WorkerEvents is one worker ring's contribution to Assemble: events on
 // the worker's own clock plus the ClockSync rebasing parameters. A
 // shared-handle deployment (in-process workers recording into the
@@ -279,9 +275,9 @@ type WorkerStepStats struct {
 	ComputeNs, QueueNs, NetworkNs, DecodeNs int64
 }
 
-// Dominant classifies the worker's time: the largest of the three
+// dominant classifies the worker's time: the largest of the three
 // buckets (compute, queue, network = send-wire + reply-wire).
-func (w *WorkerStepStats) Dominant() Bound {
+func (w *WorkerStepStats) dominant() Bound {
 	switch {
 	case w.ComputeNs >= w.QueueNs && w.ComputeNs >= w.NetworkNs:
 		return BoundCompute
@@ -302,14 +298,14 @@ type StepCritical struct {
 	Workers []WorkerStepStats
 }
 
-// Critical returns the bounding worker's aggregate.
-func (s *StepCritical) Critical() *WorkerStepStats { return &s.Workers[0] }
+// critical returns the bounding worker's aggregate.
+func (s *StepCritical) critical() *WorkerStepStats { return &s.Workers[0] }
 
-// CriticalPath groups the assembled requests by step and attributes
+// criticalPath groups the assembled requests by step and attributes
 // each step to the worker chain that bounded it: the worker whose
 // first-send→last-reply wall time is longest, classified as compute-,
 // queue-, or network-bound by its largest span bucket.
-func (tl *Timeline) CriticalPath() []StepCritical {
+func (tl *Timeline) criticalPath() []StepCritical {
 	type wkey struct{ step, worker int }
 	perWorker := make(map[wkey]*WorkerStepStats)
 	type bounds struct{ min, max int64 }
@@ -373,7 +369,7 @@ func (tl *Timeline) CriticalPath() []StepCritical {
 // obs.WriteReport.
 func (tl *Timeline) WriteCriticalPath(w io.Writer) error {
 	bw := bufio.NewWriter(w)
-	steps := tl.CriticalPath()
+	steps := tl.criticalPath()
 	if len(steps) == 0 {
 		fmt.Fprintf(bw, "critical path: no correlated requests traced\n")
 		return bw.Flush()
@@ -385,9 +381,9 @@ func (tl *Timeline) WriteCriticalPath(w io.Writer) error {
 	bounded := make(map[int]int)
 	for i := range steps {
 		s := &steps[i]
-		c := s.Critical()
+		c := s.critical()
 		fmt.Fprintf(bw, "  %4d %10.3f  worker %-2d %-8s %10.3f %10.3f %10.3f\n",
-			s.Step, ms(s.WallNs), c.Worker, c.Dominant(),
+			s.Step, ms(s.WallNs), c.Worker, c.dominant(),
 			ms(c.ComputeNs), ms(c.QueueNs), ms(c.NetworkNs))
 		bounded[c.Worker]++
 		for _, ws := range s.Workers {
@@ -415,7 +411,7 @@ func (tl *Timeline) WriteCriticalPath(w io.Writer) error {
 		a := agg[n]
 		fmt.Fprintf(bw, "  worker %-2d %6d %10.3f %10.3f %10.3f %10.3f  %-8s %d/%d\n",
 			n, a.Requests, ms(a.ComputeNs), ms(a.QueueNs), ms(a.NetworkNs), ms(a.DecodeNs),
-			a.Dominant(), bounded[n], len(steps))
+			a.dominant(), bounded[n], len(steps))
 	}
 	return bw.Flush()
 }

@@ -59,7 +59,7 @@ func TestAssembleRecoversSpans(t *testing.T) {
 	if r.Decode != 700 {
 		t.Fatalf("Decode = %d, want 700", r.Decode)
 	}
-	if got, want := r.SpanSum(), r.T5-r.T0; got != want {
+	if got, want := (r.SendWire + r.Queue + r.Compute + r.ReplyWire), r.T5-r.T0; got != want {
 		t.Fatalf("telescoping violated: SpanSum %d != T5-T0 %d", got, want)
 	}
 	if r.ReplyDur != r.T5-r.T0 {
@@ -91,8 +91,8 @@ func TestAssembleSharedClock(t *testing.T) {
 		t.Fatalf("spans = %d/%d/%d/%d, want 80000/10000/400000/100000",
 			r.SendWire, r.Queue, r.Compute, r.ReplyWire)
 	}
-	if r.SpanSum() != r.ReplyDur {
-		t.Fatalf("EvReply.Dur %d != span sum %d", r.ReplyDur, r.SpanSum())
+	if (r.SendWire + r.Queue + r.Compute + r.ReplyWire) != r.ReplyDur {
+		t.Fatalf("EvReply.Dur %d != span sum %d", r.ReplyDur, (r.SendWire + r.Queue + r.Compute + r.ReplyWire))
 	}
 }
 
@@ -123,7 +123,7 @@ func TestAssembleClampsBadOffset(t *testing.T) {
 	for _, estθ := range []int64{0, -50_000_000, 50_000_000, realθ + 150_000, realθ - 800_000} {
 		tl := Assemble(master, WorkerEvents{Events: wk, OffsetNs: estθ})
 		r := tl.Requests[0]
-		if got, want := r.SpanSum(), r.T5-r.T0; got != want {
+		if got, want := (r.SendWire + r.Queue + r.Compute + r.ReplyWire), r.T5-r.T0; got != want {
 			t.Fatalf("offset %d: SpanSum %d != T5-T0 %d", estθ, got, want)
 		}
 		if r.SendWire < 0 || r.Queue < 0 || r.Compute < 0 || r.ReplyWire < 0 {
@@ -176,7 +176,7 @@ func TestCriticalPath(t *testing.T) {
 		}
 	}
 	tl := Assemble(master, WorkerEvents{Events: wk})
-	steps := tl.CriticalPath()
+	steps := tl.criticalPath()
 	if len(steps) != 3 {
 		t.Fatalf("critical path covers %d steps, want 3", len(steps))
 	}
@@ -184,12 +184,12 @@ func TestCriticalPath(t *testing.T) {
 		if s.Step != i {
 			t.Fatalf("steps out of order: %v", s.Step)
 		}
-		c := s.Critical()
+		c := s.critical()
 		if c.Worker != 1 {
 			t.Fatalf("step %d bounded by worker %d, want 1", s.Step, c.Worker)
 		}
-		if c.Dominant() != BoundCompute {
-			t.Fatalf("step %d dominant = %s, want compute", s.Step, c.Dominant())
+		if c.dominant() != BoundCompute {
+			t.Fatalf("step %d dominant = %s, want compute", s.Step, c.dominant())
 		}
 		if len(s.Workers) != 2 || s.Workers[0].WallNs < s.Workers[1].WallNs {
 			t.Fatalf("step %d workers not sorted by wall: %+v", s.Step, s.Workers)
@@ -283,7 +283,7 @@ func TestChromeTraceProperty(t *testing.T) {
 
 		for i := range tl.Requests {
 			r := &tl.Requests[i]
-			if got, want := r.SpanSum(), r.T5-r.T0; got != want {
+			if got, want := (r.SendWire + r.Queue + r.Compute + r.ReplyWire), r.T5-r.T0; got != want {
 				t.Fatalf("trial %d: request seq %d: SpanSum %d != T5-T0 %d", trial, r.Seq, got, want)
 			}
 		}

@@ -105,9 +105,9 @@ type Tracer struct {
 	mu     [traceStripes]sync.Mutex
 }
 
-// NewTracer builds a tracer retaining the last `capacity` events
+// newTracer builds a tracer retaining the last `capacity` events
 // (rounded up to a power of two; minimum 64).
-func NewTracer(capacity int) *Tracer {
+func newTracer(capacity int) *Tracer {
 	size := uint64(64)
 	for size < uint64(capacity) {
 		size <<= 1
@@ -142,8 +142,8 @@ func (t *Tracer) Record(ev Event) {
 	mu.Unlock()
 }
 
-// Total returns how many events were ever recorded.
-func (t *Tracer) Total() uint64 {
+// total returns how many events were ever recorded.
+func (t *Tracer) total() uint64 {
 	if t == nil {
 		return 0
 	}
@@ -153,7 +153,7 @@ func (t *Tracer) Total() uint64 {
 // Dropped returns how many events have been overwritten by ring
 // wraparound.
 func (t *Tracer) Dropped() uint64 {
-	total := t.Total()
+	total := t.total()
 	if t == nil || total <= uint64(len(t.buf)) {
 		return 0
 	}
@@ -225,13 +225,13 @@ func (t *Tracer) SnapshotFrom(from uint64) ([]Event, uint64) {
 	return out, total
 }
 
-// WriteJSONL writes the retained events as one JSON object per line,
+// writeJSONL writes the retained events as one JSON object per line,
 // oldest first. The encoding is hand-rolled (fixed field set, no
 // reflection) so the export format is stable and dependency-free. The
 // writer is buffered internally and flushed once, so an unbuffered
 // destination (a socket, an os.File) pays one write per chunk, not one
 // per event.
-func (t *Tracer) WriteJSONL(w io.Writer) error {
+func (t *Tracer) writeJSONL(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	for _, ev := range t.Snapshot() {
 		_, err := fmt.Fprintf(bw,

@@ -10,12 +10,12 @@ import (
 // TestTracerRetainsAllBeforeWrap pins the pre-wrap behavior: everything
 // recorded comes back, oldest first, with zero drops.
 func TestTracerRetainsAllBeforeWrap(t *testing.T) {
-	tr := NewTracer(64)
+	tr := newTracer(64)
 	for i := 0; i < 40; i++ {
 		tr.Record(Event{Kind: EvSend, Seq: uint64(i)})
 	}
-	if tr.Total() != 40 || tr.Dropped() != 0 {
-		t.Fatalf("Total=%d Dropped=%d, want 40/0", tr.Total(), tr.Dropped())
+	if tr.total() != 40 || tr.Dropped() != 0 {
+		t.Fatalf("Total=%d Dropped=%d, want 40/0", tr.total(), tr.Dropped())
 	}
 	evs := tr.Snapshot()
 	if len(evs) != 40 {
@@ -32,13 +32,13 @@ func TestTracerRetainsAllBeforeWrap(t *testing.T) {
 // 64-slot ring with 100 events, the snapshot is exactly the newest 64 in
 // order, and Dropped counts the 36 overwritten.
 func TestTracerWraparound(t *testing.T) {
-	tr := NewTracer(64)
+	tr := newTracer(64)
 	const total = 100
 	for i := 0; i < total; i++ {
 		tr.Record(Event{Kind: EvReply, Seq: uint64(i)})
 	}
-	if tr.Total() != total {
-		t.Fatalf("Total = %d, want %d", tr.Total(), total)
+	if tr.total() != total {
+		t.Fatalf("Total = %d, want %d", tr.total(), total)
 	}
 	if tr.Dropped() != total-64 {
 		t.Fatalf("Dropped = %d, want %d", tr.Dropped(), total-64)
@@ -59,7 +59,7 @@ func TestTracerWraparound(t *testing.T) {
 // 64-slot floor.
 func TestTracerCapacityRounding(t *testing.T) {
 	for _, c := range []struct{ in, want int }{{0, 64}, {1, 64}, {64, 64}, {65, 128}, {1000, 1024}} {
-		tr := NewTracer(c.in)
+		tr := newTracer(c.in)
 		if len(tr.buf) != c.want {
 			t.Fatalf("NewTracer(%d) ring size %d, want %d", c.in, len(tr.buf), c.want)
 		}
@@ -70,7 +70,7 @@ func TestTracerCapacityRounding(t *testing.T) {
 // while snapshotting — meaningful under -race (make race / make check),
 // where a non-striped ring write would be reported.
 func TestTracerConcurrentRecordSnapshot(t *testing.T) {
-	tr := NewTracer(256)
+	tr := newTracer(256)
 	const writers = 8
 	const perWriter = 2000
 	stop := make(chan struct{})
@@ -100,8 +100,8 @@ func TestTracerConcurrentRecordSnapshot(t *testing.T) {
 	wg.Wait()
 	close(stop)
 	snapper.Wait()
-	if tr.Total() != writers*perWriter {
-		t.Fatalf("Total = %d, want %d", tr.Total(), writers*perWriter)
+	if tr.total() != writers*perWriter {
+		t.Fatalf("Total = %d, want %d", tr.total(), writers*perWriter)
 	}
 	if got := len(tr.Snapshot()); got != 256 {
 		t.Fatalf("post-wrap snapshot has %d events, want 256", got)
@@ -112,11 +112,11 @@ func TestTracerConcurrentRecordSnapshot(t *testing.T) {
 func TestTracerNilSafe(t *testing.T) {
 	var tr *Tracer
 	tr.Record(Event{Kind: EvSend})
-	if tr.Total() != 0 || tr.Dropped() != 0 || tr.Snapshot() != nil || tr.Clock() != 0 {
+	if tr.total() != 0 || tr.Dropped() != 0 || tr.Snapshot() != nil || tr.Clock() != 0 {
 		t.Fatal("nil tracer is not inert")
 	}
 	var buf bytes.Buffer
-	if err := tr.WriteJSONL(&buf); err != nil || buf.Len() != 0 {
+	if err := tr.writeJSONL(&buf); err != nil || buf.Len() != 0 {
 		t.Fatalf("nil WriteJSONL: err=%v len=%d", err, buf.Len())
 	}
 }
@@ -124,11 +124,11 @@ func TestTracerNilSafe(t *testing.T) {
 // TestWriteJSONL pins the export format: one valid JSON object per line
 // with the fixed field set, oldest first.
 func TestWriteJSONL(t *testing.T) {
-	tr := NewTracer(64)
+	tr := newTracer(64)
 	tr.Record(Event{At: 10, Kind: EvSend, Step: 3, Layer: 1, Expert: 2, Worker: 0, Seq: 7, Bytes: 1024})
 	tr.Record(Event{At: 20, Kind: EvSpan, Step: 3, Phase: PhaseExchange, Dur: 5})
 	var buf bytes.Buffer
-	if err := tr.WriteJSONL(&buf); err != nil {
+	if err := tr.writeJSONL(&buf); err != nil {
 		t.Fatal(err)
 	}
 	lines := bytes.Split(bytes.TrimSpace(buf.Bytes()), []byte("\n"))

@@ -87,10 +87,10 @@ func (s LocalityLP) Place(p *Problem) (*Assignment, error) {
 	}
 	xIdx := func(n, l, e int) int { return (n*p.Layers+l)*p.Experts + e }
 	relaxed := func(n, l, e int) float64 { return sol.X[xIdx(n, l, e)] }
-	return Round(p, relaxed)
+	return round(p, relaxed)
 }
 
-// Round converts a relaxed solution (values in [0,1] per (worker, layer,
+// round converts a relaxed solution (values in [0,1] per (worker, layer,
 // expert)) into a feasible binary assignment with the paper's three-step
 // procedure:
 //
@@ -99,7 +99,7 @@ func (s LocalityLP) Place(p *Problem) (*Assignment, error) {
 //     values until within capacity.
 //  3. Assign every still-unassigned expert to the worker with remaining
 //     capacity showing the strongest affinity (highest relaxed value).
-func Round(p *Problem, relaxed func(n, l, e int) float64) (*Assignment, error) {
+func round(p *Problem, relaxed func(n, l, e int) float64) (*Assignment, error) {
 	type slot struct {
 		l, e int
 		val  float64 // relaxed value on the currently assigned worker

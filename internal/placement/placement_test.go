@@ -327,7 +327,7 @@ func TestRoundFeasibilityProperty(t *testing.T) {
 				}
 			}
 		}
-		a, err := Round(p, func(n, l, e int) float64 { return vals[n][l][e] })
+		a, err := round(p, func(n, l, e int) float64 { return vals[n][l][e] })
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -349,7 +349,7 @@ func TestRoundCapacityRepair(t *testing.T) {
 		WorkerNode: []int{0, 1},
 	}
 	affinity := [][]float64{{0.9, 0.8}, {0.7, 0.6}} // [l][e] on worker 0
-	a, err := Round(p, func(n, l, e int) float64 {
+	a, err := round(p, func(n, l, e int) float64 {
 		if n == 0 {
 			return affinity[l][e]
 		}
@@ -428,7 +428,7 @@ func TestRoundBeatsNaiveRoundOnAverage(t *testing.T) {
 		}
 		xIdx := func(n, l, e int) int { return (n*p.Layers+l)*p.Experts + e }
 		rel := func(n, l, e int) float64 { return sol.X[xIdx(n, l, e)] }
-		full, err := Round(p, rel)
+		full, err := round(p, rel)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -183,8 +183,8 @@ func TestVerdictTable(t *testing.T) {
 			if !strings.HasPrefix(c.LastReason, tc.reason) {
 				t.Errorf("LastReason %q, want prefix %q", c.LastReason, tc.reason)
 			}
-			if c.Cooldown() != cooldown || c.stats.Get(obs.ReplaceCooldown) != cooldown {
-				t.Errorf("cooldown %d (gauge %d), want %d", c.Cooldown(), c.stats.Get(obs.ReplaceCooldown), cooldown)
+			if c.cooldown != cooldown || c.stats.Get(obs.ReplaceCooldown) != cooldown {
+				t.Errorf("cooldown %d (gauge %d), want %d", c.cooldown, c.stats.Get(obs.ReplaceCooldown), cooldown)
 			}
 			s := c.stats
 			var migrations int64

@@ -72,8 +72,8 @@ const (
 	amortizeSteps    = 50
 )
 
-// SetDefaults fills unset structural knobs in place.
-func (c *Config) SetDefaults() {
+// setDefaults fills unset structural knobs in place.
+func (c *Config) setDefaults() {
 	if c.CooldownSteps <= 0 {
 		c.CooldownSteps = 20
 	}
@@ -113,7 +113,7 @@ type Controller struct {
 // counter table recording decisions (nil discards them), and the
 // migrator executing plans.
 func New(prob *placement.Problem, h *obs.Handle, stats *obs.Counters, mig Migrator, cfg Config) (*Controller, error) {
-	cfg.SetDefaults()
+	cfg.setDefaults()
 	if prob == nil || mig == nil {
 		return nil, fmt.Errorf("replace: nil problem or migrator")
 	}
@@ -132,10 +132,6 @@ func New(prob *placement.Problem, h *obs.Handle, stats *obs.Counters, mig Migrat
 		LastReason: "idle",
 	}, nil
 }
-
-// Cooldown reports how many step boundaries remain before the controller
-// may act again.
-func (c *Controller) Cooldown() int { return c.cooldown }
 
 // State returns the hysteresis counter and remaining cooldown — the
 // controller slice of a run-level checkpoint. Call from the training
@@ -248,7 +244,7 @@ type Decision struct {
 // is a solver or diff failure, or a solved assignment that does not
 // validate against its own problem — never execute a plan toward that.
 func Decide(prob *placement.Problem, cur *placement.Assignment, cfg Config) (Decision, error) {
-	cfg.SetDefaults()
+	cfg.setDefaults()
 	next, err := cfg.Strategy.Place(prob)
 	if err != nil {
 		return Decision{}, fmt.Errorf("solver failed: %w", err)

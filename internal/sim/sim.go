@@ -98,8 +98,8 @@ func PaperConfig() Config {
 	}
 }
 
-// Validate checks the configuration.
-func (c *Config) Validate() error {
+// validate checks the configuration.
+func (c *Config) validate() error {
 	if err := c.Topo.Validate(); err != nil {
 		return err
 	}
@@ -161,7 +161,7 @@ func (r *Result) AvgStepSec() float64 { return r.StepSec.Summarize().Mean }
 // RunVela simulates cfg.Steps fine-tuning steps of the VELA framework
 // with the given expert assignment, driven by the workload generator.
 func RunVela(cfg Config, gen *workload.Generator, assign *placement.Assignment, name string) (*Result, error) {
-	if err := cfg.Validate(); err != nil {
+	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	res := &Result{
@@ -197,12 +197,12 @@ func RunVela(cfg Config, gen *workload.Generator, assign *placement.Assignment, 
 	return res, nil
 }
 
-// RunEP simulates conventional expert parallelism: per-block e%N expert
+// runEP simulates conventional expert parallelism: per-block e%N expert
 // layout, input tokens sharded evenly across all devices, four
 // synchronized all-to-all exchanges per block, and a terminal gradient
 // all-reduce for the replicated trainable parameters.
-func RunEP(cfg Config, gen *workload.Generator) (*Result, error) {
-	if err := cfg.Validate(); err != nil {
+func runEP(cfg Config, gen *workload.Generator) (*Result, error) {
+	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	res := &Result{
@@ -276,7 +276,7 @@ func RunEP(cfg Config, gen *workload.Generator) (*Result, error) {
 // on the generator's base matrix, exactly like the paper's pre-run
 // profiling pass).
 func RunAll(cfg Config, profile workload.Profile) (map[string]*Result, error) {
-	if err := cfg.Validate(); err != nil {
+	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	prob := cfg.PlacementProblem(profile.Matrix())
@@ -291,7 +291,7 @@ func RunAll(cfg Config, profile workload.Profile) (map[string]*Result, error) {
 	out := make(map[string]*Result, len(strategies)+1)
 
 	epGen := workload.NewGenerator(profile, cfg.RoutingsPerStep())
-	ep, err := RunEP(cfg, epGen)
+	ep, err := runEP(cfg, epGen)
 	if err != nil {
 		return nil, err
 	}

@@ -17,7 +17,7 @@ func shortConfig() Config {
 
 func TestPaperConfigValid(t *testing.T) {
 	cfg := PaperConfig()
-	if err := cfg.Validate(); err != nil {
+	if err := cfg.validate(); err != nil {
 		t.Fatal(err)
 	}
 	if cfg.Layers != 32 || cfg.Experts != 8 || cfg.TopK != 2 {
@@ -34,12 +34,12 @@ func TestPaperConfigValid(t *testing.T) {
 func TestConfigValidateRejectsBadInputs(t *testing.T) {
 	cfg := PaperConfig()
 	cfg.TopK = 9
-	if cfg.Validate() == nil {
+	if cfg.validate() == nil {
 		t.Fatal("TopK > Experts must fail")
 	}
 	cfg = PaperConfig()
 	cfg.Steps = 0
-	if cfg.Validate() == nil {
+	if cfg.validate() == nil {
 		t.Fatal("zero steps must fail")
 	}
 }
@@ -153,7 +153,7 @@ func TestFig6Shape(t *testing.T) {
 func TestBaselineTrafficMagnitude(t *testing.T) {
 	cfg := shortConfig()
 	gen := workload.NewGenerator(workload.MixtralWikiText, cfg.RoutingsPerStep())
-	ep, err := RunEP(cfg, gen)
+	ep, err := runEP(cfg, gen)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,11 +202,11 @@ func TestEPLayoutUsedByEPSim(t *testing.T) {
 	cfg.Steps = 10
 	a := workload.Profile{Name: "a", Layers: 32, Experts: 8, SigmaBase: 2.0, Seed: 1}
 	b := workload.Profile{Name: "b", Layers: 32, Experts: 8, SigmaBase: 2.0, Seed: 99}
-	ra, err := RunEP(cfg, workload.NewGenerator(a, cfg.RoutingsPerStep()))
+	ra, err := runEP(cfg, workload.NewGenerator(a, cfg.RoutingsPerStep()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	rb, err := RunEP(cfg, workload.NewGenerator(b, cfg.RoutingsPerStep()))
+	rb, err := runEP(cfg, workload.NewGenerator(b, cfg.RoutingsPerStep()))
 	if err != nil {
 		t.Fatal(err)
 	}

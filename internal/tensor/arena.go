@@ -9,8 +9,8 @@
 //   - Put recycles a tensor. The caller must not retain any reference to
 //     it or its Data afterwards — the next Get may hand it to another
 //     goroutine.
-//   - Never Put a tensor that shares storage with a live view (Row,
-//     Reshape); the view would alias a recycled buffer.
+//   - Never Put a tensor that shares storage with a live view (Row, or
+//     New over its Data); the view would alias a recycled buffer.
 //
 // Pooling whole *Tensor objects (not raw slices) makes a pool hit truly
 // allocation-free: header, shape slice, and data array are all reused.

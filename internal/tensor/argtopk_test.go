@@ -5,6 +5,13 @@ import (
 	"testing"
 )
 
+// argTopK returns ArgTopKInto's selection of the k largest values of v.
+func argTopK(v []float64, k int) []int {
+	idx := make([]int, k)
+	ArgTopKInto(idx, v)
+	return idx
+}
+
 // argTopKRescan is the pre-engine O(k·n) reference implementation,
 // preserved verbatim as the oracle for the single-pass version: for every
 // input the two must agree exactly, including the lower-index tie-break.
@@ -44,13 +51,13 @@ func TestArgTopKMatchesRescanReference(t *testing.T) {
 		}
 		for k := 0; k <= n; k++ {
 			want := argTopKRescan(v, k)
-			got := ArgTopK(v, k)
+			got := argTopK(v, k)
 			if len(got) != len(want) {
-				t.Fatalf("ArgTopK(%v, %d) = %v, want %v", v, k, got, want)
+				t.Fatalf("argTopK(%v, %d) = %v, want %v", v, k, got, want)
 			}
 			for i := range want {
 				if got[i] != want[i] {
-					t.Fatalf("ArgTopK(%v, %d) = %v, want %v (diverges at %d)", v, k, got, want, i)
+					t.Fatalf("argTopK(%v, %d) = %v, want %v (diverges at %d)", v, k, got, want, i)
 				}
 			}
 		}
@@ -60,10 +67,10 @@ func TestArgTopKMatchesRescanReference(t *testing.T) {
 // TestArgTopKEdgeCases pins k=0 (empty, non-nil semantics not required —
 // just zero length), full-length selection, and the out-of-range panic.
 func TestArgTopKEdgeCases(t *testing.T) {
-	if got := ArgTopK([]float64{3, 1, 2}, 0); len(got) != 0 {
-		t.Fatalf("ArgTopK(k=0) = %v, want empty", got)
+	if got := argTopK([]float64{3, 1, 2}, 0); len(got) != 0 {
+		t.Fatalf("argTopK(k=0) = %v, want empty", got)
 	}
-	got := ArgTopK([]float64{3, 1, 2}, 3)
+	got := argTopK([]float64{3, 1, 2}, 3)
 	want := []int{0, 2, 1}
 	for i := range want {
 		if got[i] != want[i] {
@@ -71,7 +78,7 @@ func TestArgTopKEdgeCases(t *testing.T) {
 		}
 	}
 	// All-ties: lower indices must win in order.
-	got = ArgTopK([]float64{5, 5, 5, 5}, 2)
+	got = argTopK([]float64{5, 5, 5, 5}, 2)
 	if got[0] != 0 || got[1] != 1 {
 		t.Fatalf("ArgTopK ties = %v, want [0 1]", got)
 	}
@@ -80,5 +87,5 @@ func TestArgTopKEdgeCases(t *testing.T) {
 			t.Fatal("ArgTopK with k > len(v) did not panic")
 		}
 	}()
-	ArgTopK([]float64{1}, 2)
+	argTopK([]float64{1}, 2)
 }

@@ -18,29 +18,26 @@ func reportGFLOPs(b *testing.B, n, k, m int) {
 	b.ReportMetric(2*float64(n)*float64(k)*float64(m)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
 }
 
-// benchGEMM times one entry point on an [n,k]·[k,m] product at the given
-// parallel degree (0 = default) into a reused destination.
+// benchGEMM times GEMM on an [n,k]·[k,m] product, "MatMul" (a·b),
+// "MatMulT" (a·bᵀ) or "TMatMul" (aᵀ·b), at the given parallel degree
+// (0 = default) into a reused destination.
 func benchGEMM(b *testing.B, op string, n, k, m, degree int) {
 	old := Parallelism()
 	SetParallelism(degree)
 	b.Cleanup(func() { SetParallelism(old) })
 	rng := rand.New(rand.NewSource(1))
 	dst := Zeros(n, m)
-	var run func()
-	switch op {
-	case "MatMul":
-		x, y := Randn(rng, 1, n, k), Randn(rng, 1, k, m)
-		run = func() { x.MatMulInto(y, dst) }
-	case "MatMulT":
-		x, y := Randn(rng, 1, n, k), Randn(rng, 1, m, k)
-		run = func() { x.MatMulTInto(y, dst) }
-	case "TMatMul":
-		x, y := Randn(rng, 1, k, n), Randn(rng, 1, k, m)
-		run = func() { x.TMatMulInto(y, dst) }
+	aT, bT := op == "TMatMul", op == "MatMulT"
+	x, y := Randn(rng, 1, n, k), Randn(rng, 1, k, m)
+	if aT {
+		x = Randn(rng, 1, k, n)
+	}
+	if bT {
+		y = Randn(rng, 1, m, k)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		run()
+		GEMM(dst, x, y, aT, bT, 1, false, nil)
 	}
 	reportGFLOPs(b, n, k, m)
 }
@@ -61,10 +58,11 @@ func BenchmarkMatMulExpertUpRagged(b *testing.B) { benchGEMM(b, "MatMul", 30, 12
 // cache-resident: it rotates through 24 distinct 128×352 weights (8.6 MB,
 // over twice this box's 4 MB of L2), the way one step walks 16 experts ×
 // 3 projections. The hot benchmarks above reuse one weight; the step
-// sees this one. mul multiplies a 32-row x of xCols features by a weight
-// into dstCols features. With packed set each weight owns a Panels, built
-// before the timer starts, as a frozen Linear's are during warm-up.
-func benchColdWeight(b *testing.B, xCols, dstCols int, packed bool, mul func(x, w *Tensor, pk *Panels, dst *Tensor) *Tensor) {
+// sees this one. It multiplies a 32-row x of xCols features by a weight,
+// transposed with bT, into dstCols features. With packed set each weight
+// owns a Panels, built before the timer starts, as a frozen Linear's are
+// during warm-up.
+func benchColdWeight(b *testing.B, xCols, dstCols int, packed, bT bool) {
 	const n, d, h, weights = 32, 128, 352, 24
 	old := Parallelism()
 	SetParallelism(1)
@@ -79,12 +77,12 @@ func benchColdWeight(b *testing.B, xCols, dstCols int, packed bool, mul func(x, 
 	if packed {
 		for i := range pks {
 			pks[i] = new(Panels)
-			mul(x, ws[i], pks[i], dst)
+			GEMM(dst, x, ws[i], false, bT, 1, false, pks[i])
 		}
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		mul(x, ws[i%weights], pks[i%weights], dst)
+		GEMM(dst, x, ws[i%weights], false, bT, 1, false, pks[i%weights])
 	}
 	reportGFLOPs(b, n, d, h)
 }
@@ -92,16 +90,16 @@ func benchColdWeight(b *testing.B, xCols, dstCols int, packed bool, mul func(x, 
 // Up projection x·W, and the backward dX = dY·Wᵀ through the same weight,
 // packed per product and read from pre-built panels.
 func BenchmarkMatMulExpertUpCold(b *testing.B) {
-	benchColdWeight(b, 128, 352, false, (*Tensor).MatMulPackedInto)
+	benchColdWeight(b, 128, 352, false, false)
 }
 func BenchmarkMatMulTExpertDownCold(b *testing.B) {
-	benchColdWeight(b, 352, 128, false, (*Tensor).MatMulTPackedInto)
+	benchColdWeight(b, 352, 128, false, true)
 }
 func BenchmarkMatMulExpertUpColdPacked(b *testing.B) {
-	benchColdWeight(b, 128, 352, true, (*Tensor).MatMulPackedInto)
+	benchColdWeight(b, 128, 352, true, false)
 }
 func BenchmarkMatMulTExpertDownColdPacked(b *testing.B) {
-	benchColdWeight(b, 352, 128, true, (*Tensor).MatMulTPackedInto)
+	benchColdWeight(b, 352, 128, true, true)
 }
 
 // BenchmarkExpertGEMMBodies times the expert products above, serial, with
@@ -116,8 +114,8 @@ func BenchmarkExpertGEMMBodies(b *testing.B) {
 			{"Up", func(b *testing.B) { benchGEMM(b, "MatMul", 32, 128, 352, 1) }},
 			{"Down", func(b *testing.B) { benchGEMM(b, "MatMul", 32, 352, 128, 1) }},
 			{"TDown", func(b *testing.B) { benchGEMM(b, "MatMulT", 32, 128, 352, 1) }},
-			{"UpColdPacked", func(b *testing.B) { benchColdWeight(b, 128, 352, true, (*Tensor).MatMulPackedInto) }},
-			{"TDownColdPacked", func(b *testing.B) { benchColdWeight(b, 352, 128, true, (*Tensor).MatMulTPackedInto) }},
+			{"UpColdPacked", func(b *testing.B) { benchColdWeight(b, 128, 352, true, false) }},
+			{"TDownColdPacked", func(b *testing.B) { benchColdWeight(b, 352, 128, true, true) }},
 		} {
 			b.Run(body.String()+"/"+c.name, func(b *testing.B) {
 				defer func(old tileBody) { tile = old }(tile)
@@ -209,9 +207,10 @@ func BenchmarkArgTopK(b *testing.B) {
 	for i := range v {
 		v[i] = rng.Float64()
 	}
+	idx := make([]int, 2)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = ArgTopK(v, 2)
+		ArgTopKInto(idx, v)
 	}
 }
 
@@ -257,14 +256,14 @@ func BenchmarkMatMulPaperGeometrySpeedup(b *testing.B) {
 	serialStart := nowNano()
 	const probes = 3
 	for i := 0; i < probes; i++ {
-		x.MatMulInto(w, dst)
+		GEMM(dst, x, w, false, false, 1, false, nil)
 	}
 	serialPer := (nowNano() - serialStart) / probes
 
 	SetParallelism(0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		x.MatMulInto(w, dst)
+		GEMM(dst, x, w, false, false, 1, false, nil)
 	}
 	parallelPer := b.Elapsed().Nanoseconds() / int64(b.N)
 	if parallelPer > 0 {

@@ -11,9 +11,9 @@
 // s in C under an epilogue (below): stored, scaled, or accumulated onto
 // C's value. A is addressed by two strides (row, p) so the same kernel
 // serves A and Aᵀ; B is read as a k×8 panel whose rows are ldb elements
-// apart: packed from eight columns of B (packPanel) or — for MatMulT,
-// whose B is the transpose of its operand — from eight rows of Bᵀ
-// (packPanelT), so no entry point transposes anything, or read in place
+// apart: packed from eight columns of B (packPanel) or — for GEMM with
+// bT, whose B is the transpose of its operand — from eight rows of Bᵀ
+// (packPanelT), so no product transposes anything, or read in place
 // from a row-major B when packing would cost as much as the product
 // (gemmPanels). A weight that does not change between products can be
 // packed once (Panels) and its panels read in place. Because each c[i][j]
@@ -40,12 +40,13 @@
 // product too small to represent rounds the chain to −0, which a later
 // +0 product turns back into +0.)
 //
-// Every product is A(i,p)·B[p][j] in that operand order. MatMulT used to
-// compute Cᵀ = o·tᵀ and so multiplied o[j][p]·t[i][p]; it now multiplies
-// t[i][p]·o[j][p]. Multiplication commutes bit for bit except in which
-// NaN payload survives when more than one operand is NaN (the hardware
-// picks by operand position, math.FMA by its own rule), so there the
-// payload may differ between bodies; NaN-ness and every finite bit do not.
+// Every product is A(i,p)·B[p][j] in that operand order: a product t·oᵀ
+// once computed Cᵀ = o·tᵀ and so multiplied o[j][p]·t[i][p]; it now
+// multiplies t[i][p]·o[j][p]. Multiplication commutes bit for bit except
+// in which NaN payload survives when more than one operand is NaN (the
+// hardware picks by operand position, math.FMA by its own rule), so there
+// the payload may differ between bodies; NaN-ness and every finite bit do
+// not.
 package tensor
 
 import "math"
@@ -138,9 +139,6 @@ type epilogue struct {
 	alpha float64
 	acc   bool
 }
-
-// store is the plain product's epilogue, c = s.
-var store = epilogue{alpha: 1}
 
 // land lands one row's chains s in c[:len(s)] under ep.
 func (ep epilogue) land(c, s []float64) {

@@ -12,61 +12,70 @@ import (
 
 // ---- the oracle: the contract's chain written out ----
 //
-// Each element is s = math.FMA(a, b, s) from s = +0 with p ascending — the
-// scalar loop of gemm.go's contract — in the loop order of the scalar row
-// kernels the tile replaced, which leaves every element's chain as it is.
-// No zero in A is skipped: under a fused chain that would not be
-// bit-neutral (see gemm.go).
+// Each element is s = math.FMA(A(i,p), B(p,j), s) from s = +0 with p
+// ascending — the scalar loop of gemm.go's contract. No zero in A is skipped: under a fused chain
+// that would not be bit-neutral (see gemm.go).
 
-// matMulRows computes r[i,:] = a[i,:] @ b for i in [lo, hi);
-// a is [n,k], b is [k,m], r is [n,m]. Inner order i-p-j.
-func matMulRows(r, a, b []float64, lo, hi, k, m int) {
-	for i := lo; i < hi; i++ {
+// oracle returns op(a)·op(b), [n,m], where op transposes an operand whose
+// flag is set: each operand is laid out as the product reads it, then
+// every row of the result runs its chains with p outermost.
+func oracle(a, b *Tensor, aT, bT bool) []float64 {
+	ad, bd := a.Data, b.Data
+	n, k, m := a.shape[0], a.shape[1], b.shape[1]
+	if aT {
+		ad, n, k = transpose(a), k, n
+	}
+	if bT {
+		bd, m = transpose(b), b.shape[0]
+	}
+	r := make([]float64, n*m)
+	for i := 0; i < n; i++ {
 		ri := r[i*m : (i+1)*m]
-		clear(ri)
-		ai := a[i*k : (i+1)*k]
 		for p := 0; p < k; p++ {
-			v, bp := ai[p], b[p*m:(p+1)*m]
+			v, bp := ad[i*k+p], bd[p*m:(p+1)*m]
 			for j := range ri {
 				ri[j] = math.FMA(v, bp[j], ri[j])
 			}
 		}
 	}
+	return r
 }
 
-// matMulTRows computes r[i,:] = a[i,:] @ bᵀ for i in [lo, hi);
-// a is [n,k], b is [m,k], r is [n,m].
-func matMulTRows(r, a, b []float64, lo, hi, k, m int) {
-	for i := lo; i < hi; i++ {
-		ai := a[i*k : (i+1)*k]
-		ri := r[i*m : (i+1)*m]
-		for j := 0; j < m; j++ {
-			bj := b[j*k : (j+1)*k]
-			var s float64
-			for p := 0; p < k; p++ {
-				s = math.FMA(ai[p], bj[p], s)
-			}
-			ri[j] = s
-		}
+// mm is the plain product op(a)·op(b) into a fresh tensor.
+func mm(a, b *Tensor, aT, bT bool) *Tensor {
+	n, m := a.shape[0], b.shape[1]
+	if aT {
+		n = a.shape[1]
+	}
+	if bT {
+		m = b.shape[0]
+	}
+	return GEMM(Zeros(n, m), a, b, aT, bT, 1, false, nil)
+}
+
+// fillNaN makes x a dirty destination.
+func fillNaN(x *Tensor) {
+	for i := range x.Data {
+		x.Data[i] = math.NaN()
 	}
 }
 
-// tMatMulRows computes r[i,:] = (aᵀ @ b)[i,:] for i in [lo, hi);
-// a is [k,n], b is [k,m], r is [n,m]. p-outer order.
-func tMatMulRows(r, a, b []float64, lo, hi, k, n, m int) {
-	for i := lo; i < hi; i++ {
-		clear(r[i*m : (i+1)*m])
+// transposes are the four operand orientations of op(a)·op(b).
+var transposes = [][2]bool{{false, false}, {false, true}, {true, false}, {true, true}}
+
+// gemmOperands returns a and b for an [n,k]·[k,m] product under the
+// orientation (aT, bT), filled by f.
+func gemmOperands(rng *rand.Rand, f gemmFill, n, k, m int, aT, bT bool) (a, b *Tensor) {
+	a, b = Zeros(n, k), Zeros(k, m)
+	if aT {
+		a = Zeros(k, n)
 	}
-	for p := 0; p < k; p++ {
-		ap := a[p*n : (p+1)*n]
-		bp := b[p*m : (p+1)*m]
-		for i := lo; i < hi; i++ {
-			v, ri := ap[i], r[i*m:(i+1)*m]
-			for j := range ri {
-				ri[j] = math.FMA(v, bp[j], ri[j])
-			}
-		}
+	if bT {
+		b = Zeros(m, k)
 	}
+	f.fill(rng, a)
+	f.fill(rng, b)
+	return a, b
 }
 
 // gemmFill is one way to fill the operands of a case.
@@ -123,45 +132,33 @@ func TestTileBodiesFollowCPUFlags(t *testing.T) {
 	}
 }
 
-// checkGEMM compares the three entry points against the oracle on one
-// shape and fill, with every tile body the CPU can run, at each of the
-// given parallel degrees. Callers forceParallel first, so every kernel
+// checkGEMM compares GEMM against the oracle on one shape and fill, in
+// all four operand orientations, packing per call and reading panels a
+// held Panels packed, with every tile body the CPU can run, at each of
+// the given parallel degrees. Callers forceParallel first, so every kernel
 // that can split does, and the engine's defaults come back when the test
 // ends.
 func checkGEMM(t *testing.T, n, k, m int, f gemmFill, degrees ...int) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(int64(n*1_000_003 + k*1_009 + m)))
-	a, b := Zeros(n, k), Zeros(k, m)   // MatMul:  [n,k] @ [k,m]
-	bt, at := Zeros(m, k), Zeros(k, n) // MatMulT: [n,k] @ [m,k]ᵀ; TMatMul: [k,n]ᵀ @ [k,m]
-	for _, x := range []*Tensor{a, b, bt, at} {
-		f.fill(rng, x)
-	}
-	wantMM, wantMT, wantTM := make([]float64, n*m), make([]float64, n*m), make([]float64, n*m)
-	matMulRows(wantMM, a.Data, b.Data, 0, n, k, m)
-	matMulTRows(wantMT, a.Data, bt.Data, 0, n, k, m)
-	tMatMulRows(wantTM, at.Data, b.Data, 0, n, k, n, m)
-
 	got := Zeros(n, m)
-	forEachTile(func(body tileBody) {
-		for _, degree := range degrees {
-			SetParallelism(degree)
-			for _, c := range []struct {
-				op   string
-				want []float64
-				run  func()
-			}{
-				{"MatMul", wantMM, func() { a.MatMulInto(b, got) }},
-				{"MatMulT", wantMT, func() { a.MatMulTInto(bt, got) }},
-				{"TMatMul", wantTM, func() { at.TMatMulInto(b, got) }},
-			} {
-				got.Fill(math.NaN()) // a dirty destination
-				c.run()
-				if !testutil.BitEqualSlices(c.want, got.Data) {
-					t.Errorf("%s %dx%dx%d %s, %s body at degree %d: not bit-identical to the oracle", c.op, n, k, m, f.name, body, degree)
+	for _, tr := range transposes {
+		a, b := gemmOperands(rng, f, n, k, m, tr[0], tr[1])
+		want := oracle(a, b, tr[0], tr[1])
+		var held Panels
+		forEachTile(func(body tileBody) {
+			for _, degree := range degrees {
+				SetParallelism(degree)
+				for _, pk := range []*Panels{nil, &held} {
+					fillNaN(got)
+					GEMM(got, a, b, tr[0], tr[1], 1, false, pk)
+					if !testutil.BitEqualSlices(want, got.Data) {
+						t.Errorf("aT=%t bT=%t panels=%t %dx%dx%d %s, %s body at degree %d: not bit-identical to the oracle", tr[0], tr[1], pk != nil, n, k, m, f.name, body, degree)
+					}
 				}
 			}
-		}
-	})
+		})
+	}
 }
 
 // benchShapes are the GEMMs one step of the step benchmark runs at its
@@ -186,7 +183,8 @@ var pairingShapes = [][3]int{
 }
 
 // TestGEMMBitIdenticalToOracle is the kernel contract's proof: every
-// entry point, on every tile-edge combination, on both sides of every
+// operand orientation, packing per call or from held panels, on every
+// tile-edge combination, on both sides of every
 // partition boundary, with every tile body the CPU can run, produces the
 // bits of the oracle's math.FMA chains. On an AVX-512 machine that is all
 // three bodies; -tags purego leaves the portable one.
@@ -210,7 +208,7 @@ func TestGEMMBitIdenticalToOracle(t *testing.T) {
 		for _, s := range pairingShapes {
 			checkGEMM(t, s[0], s[1], s[2], f, 1, 2, 3)
 		}
-		// MatMulT packs each B panel from eight rows of its operand
+		// A transposed b packs each B panel from eight rows of b
 		// (packPanelT): the padded n < 4 driver, one and several row
 		// tiles, single-column, ragged and full panels, and k from the
 		// empty sum up to the expert hidden width.
@@ -224,9 +222,10 @@ func TestGEMMBitIdenticalToOracle(t *testing.T) {
 	}
 }
 
-// TestGEMMEpilogueBitIdentical: the accumulating and scaled entry points
+// TestGEMMEpilogueBitIdentical: stored, accumulating and scaled products
 // land every element exactly once, bit for bit as the product into
 // scratch followed by AxpyInPlace (AddInPlace at α = 1) or ScaleInPlace —
+// in every operand orientation, packing per call or from held panels,
 // through the padded n < 4 driver, ragged last row tiles and panels,
 // pairs, panels read in place and packed, and the empty sum, with every
 // tile body at several parallel degrees. α = 16/3 rounds its multiply, so
@@ -260,42 +259,43 @@ func TestGEMMEpilogueBitIdentical(t *testing.T) {
 func checkEpilogue(t *testing.T, n, k, m int, f gemmFill) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(int64(n*1_000_003 + k*1_009 + m)))
-	a, b, bt, at, c0 := Zeros(n, k), Zeros(k, m), Zeros(m, k), Zeros(k, n), Zeros(n, m)
-	for _, x := range []*Tensor{a, b, bt, at, c0} {
-		f.fill(rng, x)
-	}
-	got := Zeros(n, m)
-	forEachTile(func(body tileBody) {
-		for _, degree := range []int{1, 3} {
-			SetParallelism(degree)
-			for _, alpha := range []float64{1, 16.0 / 3} {
-				for _, c := range []struct {
-					op      string
-					product func() *Tensor
-					land    func()
-					scale   bool
-				}{
-					{"MatMulAdd", func() *Tensor { return a.MatMul(b) }, func() { a.MatMulAddInto(b, alpha, got) }, false},
-					{"MatMulTAdd", func() *Tensor { return a.MatMulT(bt) }, func() { a.MatMulTAddInto(bt, alpha, got) }, false},
-					{"TMatMulAdd", func() *Tensor { return at.TMatMul(b) }, func() { at.TMatMulAddInto(b, alpha, got) }, false},
-					{"MatMulTScale", func() *Tensor { return a.MatMulT(bt) }, func() { a.MatMulTScaleInto(bt, alpha, got) }, true},
-				} {
-					want := c0.Clone()
-					if c.scale {
-						want = c.product().ScaleInPlace(alpha)
-						got.Fill(math.NaN())
-					} else {
-						want.AxpyInPlace(alpha, c.product())
-						copy(got.Data, c0.Data)
-					}
-					c.land()
-					if !testutil.BitEqualSlices(want.Data, got.Data) {
-						t.Errorf("%s α=%v %dx%dx%d %s, %s body at degree %d: not the bits of the product and a second pass", c.op, alpha, n, k, m, f.name, body, degree)
+	c0, got := Zeros(n, m), Zeros(n, m)
+	f.fill(rng, c0)
+	for _, tr := range transposes {
+		a, b := gemmOperands(rng, f, n, k, m, tr[0], tr[1])
+		product := New(oracle(a, b, tr[0], tr[1]), n, m)
+		var held Panels
+		forEachTile(func(body tileBody) {
+			for _, degree := range []int{1, 3} {
+				SetParallelism(degree)
+				for _, alpha := range []float64{1, 16.0 / 3} {
+					for _, mode := range []string{"store", "accumulate", "scale"} {
+						if mode == "store" && alpha != 1 {
+							continue
+						}
+						for _, pk := range []*Panels{nil, &held} {
+							want := product.Clone()
+							switch mode {
+							case "store":
+								fillNaN(got)
+							case "accumulate":
+								want = c0.Clone().AxpyInPlace(alpha, product)
+								copy(got.Data, c0.Data)
+							case "scale":
+								want.ScaleInPlace(alpha)
+								fillNaN(got)
+							}
+							GEMM(got, a, b, tr[0], tr[1], alpha, mode == "accumulate", pk)
+							if !testutil.BitEqualSlices(want.Data, got.Data) {
+								t.Errorf("%s α=%v aT=%t bT=%t panels=%t %dx%dx%d %s, %s body at degree %d: not the bits of the product and a second pass",
+									mode, alpha, tr[0], tr[1], pk != nil, n, k, m, f.name, body, degree)
+							}
+						}
 					}
 				}
 			}
-		}
-	})
+		})
+	}
 }
 
 // TestGEMMPaperGeometryBitIdentical covers the shapes where the B panel
@@ -314,21 +314,21 @@ func TestGEMMPaperGeometryBitIdentical(t *testing.T) {
 // TestGEMMEmptyDimensions pins the degenerate shapes: no rows or columns
 // writes nothing, and an empty sum is +0.
 func TestGEMMEmptyDimensions(t *testing.T) {
-	got := Zeros(3, 0).MatMulInto(Zeros(0, 5), Full(7, 3, 5))
+	got := GEMM(Full(7, 3, 5), Zeros(3, 0), Zeros(0, 5), false, false, 1, false, nil)
 	for _, v := range got.Data {
 		if !testutil.BitEqual(v, 0) {
 			t.Fatalf("k=0 product has element %v, want +0", v)
 		}
 	}
-	got = Zeros(3, 0).MatMulTInto(Zeros(5, 0), Full(7, 3, 5))
+	got = GEMM(Full(7, 3, 5), Zeros(3, 0), Zeros(5, 0), false, true, 1, false, nil)
 	for _, v := range got.Data {
 		if !testutil.BitEqual(v, 0) {
-			t.Fatalf("k=0 MatMulT has element %v, want +0", v)
+			t.Fatalf("k=0 product with b transposed has element %v, want +0", v)
 		}
 	}
-	Zeros(0, 4).MatMulInto(Zeros(4, 5), Zeros(0, 5))
-	Zeros(4, 0).TMatMulInto(Zeros(4, 5), Zeros(0, 5))
-	Zeros(3, 4).MatMulTInto(Zeros(0, 4), Zeros(3, 0))
+	GEMM(Zeros(0, 5), Zeros(0, 4), Zeros(4, 5), false, false, 1, false, nil)
+	GEMM(Zeros(0, 5), Zeros(4, 0), Zeros(4, 5), true, false, 1, false, nil)
+	GEMM(Zeros(3, 0), Zeros(3, 4), Zeros(0, 4), false, true, 1, false, nil)
 }
 
 // TestGEMMZeroNoLongerHidesNonFinite pins the one behavioural difference
@@ -343,7 +343,7 @@ func TestGEMMZeroNoLongerHidesNonFinite(t *testing.T) {
 			for j := 0; j < m; j++ {
 				b.Data[j], b.Data[m+j] = math.Inf(1), 2
 			}
-			for i, v := range a.MatMul(b).Data {
+			for i, v := range mm(a, b, false, false).Data {
 				if !math.IsNaN(v) {
 					t.Errorf("%s body, m=%d: element %d is 0·Inf + 1·2 = %v, want NaN", body, m, i, v)
 				}
@@ -369,11 +369,11 @@ func TestGEMMPairingInvisible(t *testing.T) {
 					pairPanels = pair
 					var pk, pkT Panels
 					got[i] = [4][]float64{
-						a.MatMul(b).Data, a.MatMulT(bt).Data,
-						a.MatMulPackedInto(b, &pk, Zeros(n, m)).Data, a.MatMulTPackedInto(bt, &pkT, Zeros(n, m)).Data,
+						mm(a, b, false, false).Data, mm(a, bt, false, true).Data,
+						GEMM(Zeros(n, m), a, b, false, false, 1, false, &pk).Data, GEMM(Zeros(n, m), a, bt, false, true, 1, false, &pkT).Data,
 					}
 				}
-				for op, name := range []string{"MatMul", "MatMulT", "MatMulPacked", "MatMulTPacked"} {
+				for op, name := range []string{"a·b", "a·btᵀ", "a·b packed", "a·btᵀ packed"} {
 					if !testutil.BitEqualSlices(got[0][op], got[1][op]) {
 						t.Errorf("%s %dx%dx%d, %s body at degree %d: pairing changes the bits", name, n, k, m, body, degree)
 					}

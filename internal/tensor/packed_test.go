@@ -1,16 +1,15 @@
 package tensor
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 
 	"repro/internal/testutil"
 )
 
-// TestGEMMPackedBitIdentical: MatMulPackedInto and MatMulTPackedInto read
-// the panels MatMulInto and MatMulTInto pack per call, so they produce the
-// packing path's bits on the row-packed path's edges, at degrees 1/2/3,
+// TestGEMMPackedBitIdentical: GEMM given a Panels reads the panels it
+// packs per call without one, for B as it lies and transposed, so it
+// produces the packing path's bits on the row-packed path's edges, at degrees 1/2/3,
 // into a dirty destination — whether this call packed the panels or an
 // earlier one did — with every tile body the CPU can run, on single,
 // paired and odd-count panels.
@@ -30,18 +29,18 @@ func checkPacked(t *testing.T, body tileBody) {
 						f.fill(rng, x)
 					}
 					SetParallelism(1)
-					wantMM, wantMT := a.MatMul(b), a.MatMulT(bt)
+					wantMM, wantMT := mm(a, b, false, false), mm(a, bt, false, true)
 					var pk, pkT Panels
 					got := Zeros(n, m)
 					for _, degree := range []int{1, 2, 3} {
 						SetParallelism(degree)
-						got.Fill(math.NaN())
-						if a.MatMulPackedInto(b, &pk, got); !testutil.BitEqualSlices(wantMM.Data, got.Data) {
-							t.Errorf("MatMulPacked %dx%dx%d %s, %s body at degree %d: not the packing path's bits", n, k, m, f.name, body, degree)
+						fillNaN(got)
+						if GEMM(got, a, b, false, false, 1, false, &pk); !testutil.BitEqualSlices(wantMM.Data, got.Data) {
+							t.Errorf("packed b %dx%dx%d %s, %s body at degree %d: not the packing path's bits", n, k, m, f.name, body, degree)
 						}
-						got.Fill(math.NaN())
-						if a.MatMulTPackedInto(bt, &pkT, got); !testutil.BitEqualSlices(wantMT.Data, got.Data) {
-							t.Errorf("MatMulTPacked %dx%dx%d %s, %s body at degree %d: not the packing path's bits", n, k, m, f.name, body, degree)
+						fillNaN(got)
+						if GEMM(got, a, bt, false, true, 1, false, &pkT); !testutil.BitEqualSlices(wantMT.Data, got.Data) {
+							t.Errorf("packed btᵀ %dx%dx%d %s, %s body at degree %d: not the packing path's bits", n, k, m, f.name, body, degree)
 						}
 					}
 				}
@@ -63,10 +62,10 @@ func TestPanelsRepackForAnotherOperand(t *testing.T) {
 		want *Tensor
 		run  func()
 	}{
-		{"w1", a.MatMul(w1), func() { a.MatMulPackedInto(w1, &pk, got) }},
-		{"w2", a.MatMul(w2), func() { a.MatMulPackedInto(w2, &pk, got) }},
-		{"w2ᵀ", a.MatMulT(w2), func() { a.MatMulTPackedInto(w2, &pk, got) }},
-		{"w2 again", a.MatMul(w2), func() { a.MatMulPackedInto(w2, &pk, got) }},
+		{"w1", mm(a, w1, false, false), func() { GEMM(got, a, w1, false, false, 1, false, &pk) }},
+		{"w2", mm(a, w2, false, false), func() { GEMM(got, a, w2, false, false, 1, false, &pk) }},
+		{"w2ᵀ", mm(a, w2, false, true), func() { GEMM(got, a, w2, false, true, 1, false, &pk) }},
+		{"w2 again", mm(a, w2, false, false), func() { GEMM(got, a, w2, false, false, 1, false, &pk) }},
 	} {
 		c.run()
 		assertBits(t, c.name, c.want.Data, got.Data)

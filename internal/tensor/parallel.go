@@ -392,223 +392,51 @@ func jobBody(p *task, lo, hi int) {
 	}
 }
 
-// mustNotAlias panics when dst shares backing storage with an operand.
-// Views made by Reshape share the same backing array, so comparing the
-// first element address catches every sharing mode New/Reshape can create.
-func mustNotAlias(dst, src *Tensor, op string) {
+// mustNotAlias panics when a product's destination shares backing storage
+// with an operand. A view made by New over an operand's Data shares its
+// backing array, so comparing the first element address catches every
+// sharing mode New can create.
+func mustNotAlias(dst, src *Tensor) {
 	if len(dst.Data) > 0 && len(src.Data) > 0 && &dst.Data[0] == &src.Data[0] {
-		panic(fmt.Sprintf("tensor: %s destination aliases an operand", op))
+		panic("tensor: gemm destination aliases an operand")
 	}
 }
 
 // ---- destination-passing kernel entry points ----
 
-// MatMulInto writes t @ o into dst ([n,k] @ [k,m] -> [n,m]) and returns
-// dst. dst may be dirty (every element is overwritten) but must not share
-// storage with t or o.
-func (t *Tensor) MatMulInto(o, dst *Tensor) *Tensor { return t.matMul(o, nil, dst, store) }
-
-// MatMulPackedInto is MatMulInto reading o's k×8 panels from pk instead of
-// packing them on every call: the first call given pk packs them and later
-// ones read them in place, so o must not change while pk holds them (see
-// Panels). A nil pk packs per call, as MatMulInto does. Same shape,
-// dirty-destination and no-alias contract as MatMulInto.
-func (t *Tensor) MatMulPackedInto(o *Tensor, pk *Panels, dst *Tensor) *Tensor {
-	return t.matMul(o, pk, dst, store)
-}
-
-// MatMulAddInto accumulates alpha·(t @ o) into dst in place, dst + α·s
-// per element: bit for bit MatMulInto into scratch followed by
-// dst.AxpyInPlace(alpha, scratch) — or AddInPlace, for alpha = 1 — without
-// the scratch or the second pass. Same shape and no-alias contract as
-// MatMulInto.
-func (t *Tensor) MatMulAddInto(o *Tensor, alpha float64, dst *Tensor) *Tensor {
-	return t.matMul(o, nil, dst, epilogue{alpha, true})
-}
-
-func (t *Tensor) matMul(o *Tensor, pk *Panels, dst *Tensor, ep epilogue) *Tensor {
-	t.must2D()
-	o.must2D()
-	dst.must2D()
-	n, k := t.shape[0], t.shape[1]
-	k2, m := o.shape[0], o.shape[1]
+// GEMM lands α·op(a)·op(b) in c and returns c, where op(a) is a, or aᵀ
+// with aT, and op(b) is b, or bᵀ with bT: [n,k]·[k,m] -> [n,m]. With acc
+// each element becomes c + α·s, bit for bit the product into scratch
+// followed by c.AxpyInPlace(α, scratch) (AddInPlace for α = 1); without,
+// c = α·s, bit for bit the product followed by c.ScaleInPlace(α), and a
+// plain product for α = 1, when c may be dirty: every element is
+// overwritten. A non-nil pk holds op(b)'s packed panels: the first
+// product given it packs them and later ones read them in place, so b
+// must not change while pk holds them (see Panels). c must not share
+// storage with a or b.
+func GEMM(c, a, b *Tensor, aT, bT bool, alpha float64, acc bool, pk *Panels) *Tensor {
+	a.must2D()
+	b.must2D()
+	c.must2D()
+	// A(i,p) is a[i*sa0+p*sa1]: a as it lies, or read down its columns.
+	n, k, sa0, sa1 := a.shape[0], a.shape[1], a.shape[1], 1
+	if aT {
+		n, k, sa0, sa1 = k, n, 1, k
+	}
+	k2, m := b.shape[0], b.shape[1]
+	if bT {
+		k2, m = m, k2
+	}
 	if k != k2 {
-		panic(fmt.Sprintf("tensor: matmul shape mismatch %v @ %v", t.shape, o.shape))
+		panic(fmt.Sprintf("tensor: gemm shape mismatch %v (aT %t) @ %v (bT %t)", a.shape, aT, b.shape, bT))
 	}
-	if dst.shape[0] != n || dst.shape[1] != m {
-		panic(fmt.Sprintf("tensor: matmul dst shape %v, want [%d %d]", dst.shape, n, m))
+	if c.shape[0] != n || c.shape[1] != m {
+		panic(fmt.Sprintf("tensor: gemm dst shape %v, want [%d %d]", c.shape, n, m))
 	}
-	mustNotAlias(dst, t, "matmul")
-	mustNotAlias(dst, o, "matmul")
-	gemm(dst.Data, t.Data, o.Data, pk.of(o, k, m, false), n, k, m, k, 1, false, ep)
-	return dst
-}
-
-// MatMulTInto writes t @ oᵀ into dst ([n,k] @ [m,k]ᵀ -> [n,m]) and
-// returns dst. Same dirty-destination / no-alias contract as MatMulInto.
-func (t *Tensor) MatMulTInto(o, dst *Tensor) *Tensor { return t.matMulT(o, nil, dst, store) }
-
-// MatMulTPackedInto is MatMulTInto reading the panels of B = oᵀ from pk,
-// as MatMulPackedInto does for B = o.
-func (t *Tensor) MatMulTPackedInto(o *Tensor, pk *Panels, dst *Tensor) *Tensor {
-	return t.matMulT(o, pk, dst, store)
-}
-
-// MatMulTAddInto accumulates alpha·(t @ oᵀ) into dst in place, as
-// MatMulAddInto does for t @ o.
-func (t *Tensor) MatMulTAddInto(o *Tensor, alpha float64, dst *Tensor) *Tensor {
-	return t.matMulT(o, nil, dst, epilogue{alpha, true})
-}
-
-// MatMulTScaleInto writes alpha·(t @ oᵀ) into dst, α·s per element: bit
-// for bit MatMulTInto followed by dst.ScaleInPlace(alpha), in one pass.
-// Same dirty-destination / no-alias contract as MatMulInto.
-func (t *Tensor) MatMulTScaleInto(o *Tensor, alpha float64, dst *Tensor) *Tensor {
-	return t.matMulT(o, nil, dst, epilogue{alpha: alpha})
-}
-
-func (t *Tensor) matMulT(o *Tensor, pk *Panels, dst *Tensor, ep epilogue) *Tensor {
-	t.must2D()
-	o.must2D()
-	dst.must2D()
-	n, k := t.shape[0], t.shape[1]
-	m, k2 := o.shape[0], o.shape[1]
-	if k != k2 {
-		panic(fmt.Sprintf("tensor: matmulT shape mismatch %v @ %vᵀ", t.shape, o.shape))
-	}
-	if dst.shape[0] != n || dst.shape[1] != m {
-		panic(fmt.Sprintf("tensor: matmulT dst shape %v, want [%d %d]", dst.shape, n, m))
-	}
-	mustNotAlias(dst, t, "matmulT")
-	mustNotAlias(dst, o, "matmulT")
-	// A is t as it lies; each k×8 panel of B = oᵀ is packed from eight rows
-	// of o (packPanelT), so p stays the tile's serial loop and nothing is
-	// transposed.
-	gemm(dst.Data, t.Data, o.Data, pk.of(o, k, m, true), n, k, m, k, 1, true, ep)
-	return dst
-}
-
-// TMatMulInto writes tᵀ @ o into dst ([k,n]ᵀ @ [k,m] -> [n,m]) and
-// returns dst. Same dirty-destination / no-alias contract as MatMulInto.
-func (t *Tensor) TMatMulInto(o, dst *Tensor) *Tensor { return t.tMatMul(o, dst, store) }
-
-// TMatMulAddInto accumulates alpha·(tᵀ @ o) into dst in place, as
-// MatMulAddInto does for t @ o: a gradient accumulating onto its
-// existing value.
-func (t *Tensor) TMatMulAddInto(o *Tensor, alpha float64, dst *Tensor) *Tensor {
-	return t.tMatMul(o, dst, epilogue{alpha, true})
-}
-
-func (t *Tensor) tMatMul(o, dst *Tensor, ep epilogue) *Tensor {
-	t.must2D()
-	o.must2D()
-	dst.must2D()
-	k, n := t.shape[0], t.shape[1]
-	k2, m := o.shape[0], o.shape[1]
-	if k != k2 {
-		panic(fmt.Sprintf("tensor: tmatmul shape mismatch %vᵀ @ %v", t.shape, o.shape))
-	}
-	if dst.shape[0] != n || dst.shape[1] != m {
-		panic(fmt.Sprintf("tensor: tmatmul dst shape %v, want [%d %d]", dst.shape, n, m))
-	}
-	mustNotAlias(dst, t, "tmatmul")
-	mustNotAlias(dst, o, "tmatmul")
-	gemm(dst.Data, t.Data, o.Data, nil, n, k, m, 1, n, false, ep)
-	return dst
-}
-
-// transposeBlock is the tile edge for the cache-blocked transpose: 32×32
-// float64 tiles (two 8 KiB operand footprints) keep both the row-major
-// reads and the column-major writes inside L1.
-const transposeBlock = 32
-
-// TransposeInto writes tᵀ into dst ([n,m] -> [m,n]) using cache-blocked
-// tiles, and returns dst. dst may be dirty but must not share storage
-// with t.
-func (t *Tensor) TransposeInto(dst *Tensor) *Tensor {
-	t.must2D()
-	dst.must2D()
-	n, m := t.shape[0], t.shape[1]
-	if dst.shape[0] != m || dst.shape[1] != n {
-		panic(fmt.Sprintf("tensor: transpose dst shape %v, want [%d %d]", dst.shape, m, n))
-	}
-	mustNotAlias(dst, t, "transpose")
-	jBlocks := (m + transposeBlock - 1) / transposeBlock
-	// Partition over tile columns of t (= row blocks of dst), so each dst
-	// row has exactly one owner.
-	if Serial(jBlocks, n*m) {
-		transposeTiles(dst.Data, t.Data, 0, jBlocks, n, m)
-		return dst
-	}
-	p := newTask(transposeBody)
-	p.c, p.a, p.rows, p.m = dst.Data, t.Data, n, m
-	p.split(jBlocks)
-	return dst
-}
-
-func transposeBody(p *task, lo, hi int) { transposeTiles(p.c, p.a, lo, hi, p.rows, p.m) }
-
-// transposeTiles transposes the tile columns [blo, bhi) of the [n,m]
-// source a into r ([m,n]), walking transposeBlock×transposeBlock tiles.
-func transposeTiles(r, a []float64, blo, bhi, n, m int) {
-	for jb := blo; jb < bhi; jb++ {
-		j0, j1 := jb*transposeBlock, (jb+1)*transposeBlock
-		if j1 > m {
-			j1 = m
-		}
-		for i0 := 0; i0 < n; i0 += transposeBlock {
-			i1 := i0 + transposeBlock
-			if i1 > n {
-				i1 = n
-			}
-			for i := i0; i < i1; i++ {
-				row := a[i*m : (i+1)*m]
-				for j := j0; j < j1; j++ {
-					r[j*n+i] = row[j]
-				}
-			}
-		}
-	}
-}
-
-// AddInto writes t + o elementwise into dst and returns dst. dst may
-// alias t or o (pure elementwise).
-func (t *Tensor) AddInto(o, dst *Tensor) *Tensor {
-	t.mustSameShape(o)
-	t.mustSameShape(dst)
-	td, od, dd := t.Data, o.Data, dst.Data
-	if Serial(len(td), len(td)) {
-		addRange(dd, td, od, 0, len(td))
-		return dst
-	}
-	p := newTask(addBody)
-	p.c, p.a, p.b = dd, td, od
-	p.split(len(td))
-	return dst
-}
-
-func addBody(p *task, lo, hi int) { addRange(p.c, p.a, p.b, lo, hi) }
-
-// addRange writes r[i] = a[i] + b[i] for i in [lo, hi).
-func addRange(r, a, b []float64, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		r[i] = a[i] + b[i]
-	}
-}
-
-// ScaleInto writes alpha*t elementwise into dst and returns dst. dst may
-// alias t.
-func (t *Tensor) ScaleInto(alpha float64, dst *Tensor) *Tensor {
-	t.mustSameShape(dst)
-	td, dd := t.Data, dst.Data
-	if Serial(len(td), len(td)) {
-		scaleRange(dd, td, alpha, 0, len(td))
-		return dst
-	}
-	p := newTask(scaleBody)
-	p.c, p.a, p.alpha = dd, td, alpha
-	p.split(len(td))
-	return dst
+	mustNotAlias(c, a)
+	mustNotAlias(c, b)
+	gemm(c.Data, a.Data, b.Data, pk.of(b, k, m, bT), n, k, m, sa0, sa1, bT, epilogue{alpha, acc})
+	return c
 }
 
 func scaleBody(p *task, lo, hi int) { scaleRange(p.c, p.a, p.alpha, lo, hi) }
@@ -620,10 +448,10 @@ func scaleRange(r, a []float64, alpha float64, lo, hi int) {
 	}
 }
 
-// SoftmaxRowsInto writes the numerically stable row-wise softmax of the
+// softmaxRowsInto writes the numerically stable row-wise softmax of the
 // 2-D tensor t into dst and returns dst. dst may alias t (rows are
 // independent and processed in place).
-func (t *Tensor) SoftmaxRowsInto(dst *Tensor) *Tensor {
+func (t *Tensor) softmaxRowsInto(dst *Tensor) *Tensor {
 	t.must2D()
 	t.mustSameShape(dst)
 	rows, cols := t.shape[0], t.shape[1]

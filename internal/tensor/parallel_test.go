@@ -62,10 +62,10 @@ func TestParallelKernelsBitIdentical(t *testing.T) {
 	for _, sh := range shapes {
 		t.Run(sh.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(7))
-			a := Randn(rng, 1, sh.n, sh.k) // for MatMul: [n,k]@[k,m]
+			a := Randn(rng, 1, sh.n, sh.k) // [n,k]@[k,m]
 			bm := Randn(rng, 1, sh.k, sh.m)
-			at := Randn(rng, 1, sh.m, sh.k) // for MatMulT: [n,k]@[m,k]ᵀ
-			ta := Randn(rng, 1, sh.k, sh.n) // for TMatMul: [k,n]ᵀ@[k,m]
+			at := Randn(rng, 1, sh.m, sh.k) // [n,k]@[m,k]ᵀ
+			ta := Randn(rng, 1, sh.k, sh.n) // [k,n]ᵀ@[k,m] and [k,n]ᵀ@[m,k]ᵀ
 			if sh.sparse {
 				sparsify(rng, a)
 				sparsify(rng, ta)
@@ -77,18 +77,18 @@ func TestParallelKernelsBitIdentical(t *testing.T) {
 				SetParallelism(0)
 				SetParallelThreshold(0)
 			})
-			wantMM := a.MatMul(bm)
-			wantMT := a.MatMulT(at)
-			wantTM := ta.TMatMul(bm)
-			wantTr := a.Transpose()
+			wantMM := mm(a, bm, false, false)
+			wantMT := mm(a, at, false, true)
+			wantTM := mm(ta, bm, true, false)
+			wantTT := mm(ta, at, true, true)
 			wantSM := a.SoftmaxRows()
 
 			for _, degree := range []int{2, 3, 8} {
 				SetParallelism(degree)
-				assertBits(t, "MatMul", wantMM.Data, a.MatMul(bm).Data)
-				assertBits(t, "MatMulT", wantMT.Data, a.MatMulT(at).Data)
-				assertBits(t, "TMatMul", wantTM.Data, ta.TMatMul(bm).Data)
-				assertBits(t, "Transpose", wantTr.Data, a.Transpose().Data)
+				assertBits(t, "a·b", wantMM.Data, mm(a, bm, false, false).Data)
+				assertBits(t, "a·bᵀ", wantMT.Data, mm(a, at, false, true).Data)
+				assertBits(t, "aᵀ·b", wantTM.Data, mm(ta, bm, true, false).Data)
+				assertBits(t, "aᵀ·bᵀ", wantTT.Data, mm(ta, at, true, true).Data)
 				assertBits(t, "SoftmaxRows", wantSM.Data, a.SoftmaxRows().Data)
 			}
 		})
@@ -109,14 +109,14 @@ func TestParallelElementwiseBitIdentical(t *testing.T) {
 		SetParallelism(0)
 		SetParallelThreshold(0)
 	})
-	wantAdd := x.Add(y)
-	wantScale := x.Scale(1.7)
+	wantAdd := x.Clone().AddInPlace(y)
+	wantScale := x.Clone().ScaleInPlace(1.7)
 	wantAxpy := x.Clone().AxpyInPlace(0.3, y)
 	wantRow := x.Clone().AddRowInPlace(row)
 
 	SetParallelism(5)
-	assertBits(t, "Add", wantAdd.Data, x.Add(y).Data)
-	assertBits(t, "Scale", wantScale.Data, x.Scale(1.7).Data)
+	assertBits(t, "AddInPlace", wantAdd.Data, x.Clone().AddInPlace(y).Data)
+	assertBits(t, "ScaleInPlace", wantScale.Data, x.Clone().ScaleInPlace(1.7).Data)
 	assertBits(t, "AxpyInPlace", wantAxpy.Data, x.Clone().AxpyInPlace(0.3, y).Data)
 	assertBits(t, "AddRowInPlace", wantRow.Data, x.Clone().AddRowInPlace(row).Data)
 }
@@ -133,21 +133,19 @@ func TestIntoVariantsMatchAllocating(t *testing.T) {
 
 	dirty := func(shape ...int) *Tensor { return Full(999, shape...) }
 
-	assertBits(t, "MatMulInto", a.MatMul(o).Data, a.MatMulInto(o, dirty(13, 9)).Data)
-	assertBits(t, "MatMulTInto", a.MatMulT(ot).Data, a.MatMulTInto(ot, dirty(13, 9)).Data)
-	assertBits(t, "TMatMulInto", ta.TMatMul(o).Data, ta.TMatMulInto(o, dirty(13, 9)).Data)
-	assertBits(t, "TransposeInto", a.Transpose().Data, a.TransposeInto(dirty(21, 13)).Data)
-	assertBits(t, "AddInto", a.Add(a).Data, a.AddInto(a, dirty(13, 21)).Data)
-	assertBits(t, "ScaleInto", a.Scale(0.25).Data, a.ScaleInto(0.25, dirty(13, 21)).Data)
-	assertBits(t, "SoftmaxRowsInto", a.SoftmaxRows().Data, a.SoftmaxRowsInto(dirty(13, 21)).Data)
+	assertBits(t, "a·b", mm(a, o, false, false).Data, GEMM(dirty(13, 9), a, o, false, false, 1, false, nil).Data)
+	assertBits(t, "a·bᵀ", mm(a, ot, false, true).Data, GEMM(dirty(13, 9), a, ot, false, true, 1, false, nil).Data)
+	assertBits(t, "aᵀ·b", mm(ta, o, true, false).Data, GEMM(dirty(13, 9), ta, o, true, false, 1, false, nil).Data)
+	assertBits(t, "aᵀ·bᵀ", mm(ta, ot, true, true).Data, GEMM(dirty(13, 9), ta, ot, true, true, 1, false, nil).Data)
+	assertBits(t, "softmaxRowsInto", a.SoftmaxRows().Data, a.softmaxRowsInto(dirty(13, 21)).Data)
 
-	// SoftmaxRowsInto and the elementwise Intos allow aliasing.
+	// softmaxRowsInto allows aliasing.
 	alias := a.Clone()
-	assertBits(t, "SoftmaxRowsInto-alias", a.SoftmaxRows().Data, alias.SoftmaxRowsInto(alias).Data)
+	assertBits(t, "softmaxRowsInto-alias", a.SoftmaxRows().Data, alias.softmaxRowsInto(alias).Data)
 }
 
-// TestIntoAliasPanics pins the no-alias precondition of the GEMM and
-// transpose destinations.
+// TestIntoAliasPanics pins the no-alias precondition of GEMM's
+// destination, in every operand orientation and through a view.
 func TestIntoAliasPanics(t *testing.T) {
 	a := Full(1, 8, 8)
 	o := Full(2, 8, 8)
@@ -155,12 +153,12 @@ func TestIntoAliasPanics(t *testing.T) {
 		name string
 		fn   func()
 	}{
-		{"matmul-dst-is-lhs", func() { a.MatMulInto(o, a) }},
-		{"matmul-dst-is-rhs", func() { a.MatMulInto(o, o) }},
-		{"matmulT-dst", func() { a.MatMulTInto(o, a) }},
-		{"tmatmul-dst", func() { a.TMatMulInto(o, a) }},
-		{"transpose-dst", func() { a.TransposeInto(a) }},
-		{"reshape-view-dst", func() { a.MatMulInto(o, a.Reshape(8, 8)) }},
+		{"matmul-dst-is-lhs", func() { GEMM(a, a, o, false, false, 1, false, nil) }},
+		{"matmul-dst-is-rhs", func() { GEMM(o, a, o, false, false, 1, false, nil) }},
+		{"matmulT-dst", func() { GEMM(a, a, o, false, true, 1, false, nil) }},
+		{"tmatmul-dst", func() { GEMM(a, a, o, true, false, 1, false, nil) }},
+		{"transpose-dst", func() { GEMM(a, a, o, true, true, 1, true, nil) }},
+		{"reshape-view-dst", func() { GEMM(New(a.Data, 8, 8), a, o, false, false, 1, false, nil) }},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -182,7 +180,7 @@ func TestParallelKernelsConcurrent(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	a := Randn(rng, 1, 48, 32)
 	o := Randn(rng, 1, 32, 24)
-	want := a.MatMul(o)
+	want := mm(a, o, false, false)
 
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -190,7 +188,7 @@ func TestParallelKernelsConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 20; i++ {
-				got := a.MatMulInto(o, GetDirty(48, 24))
+				got := GEMM(GetDirty(48, 24), a, o, false, false, 1, false, nil)
 				if !testutil.BitEqualSlices(want.Data, got.Data) {
 					t.Errorf("concurrent MatMul diverged from serial result")
 					return
@@ -302,15 +300,15 @@ func TestFanoutJobsMayCallParallelKernels(t *testing.T) {
 	forceParallel(t, 1)
 	rng := rand.New(rand.NewSource(3))
 	a, b := Randn(rng, 1, 64, 48), Randn(rng, 1, 40, 48)
-	want := a.MatMulT(b)
+	want := mm(a, b, false, true)
 	for _, degree := range []int{1, 2, 3, 8} {
 		SetParallelism(degree)
 		got := make([]*Tensor, 12)
 		Fanout(4, func(i int) {
-			Fanout(3, func(j int) { got[3*i+j] = a.MatMulT(b) })
+			Fanout(3, func(j int) { got[3*i+j] = mm(a, b, false, true) })
 		})
 		for _, g := range got {
-			assertBits(t, "MatMulT inside Fanout inside Fanout", want.Data, g.Data)
+			assertBits(t, "a·bᵀ inside Fanout inside Fanout", want.Data, g.Data)
 		}
 	}
 }
@@ -341,7 +339,7 @@ func TestCallerCompletesAlone(t *testing.T) {
 	team.once.Do(startTeam)
 	rng := rand.New(rand.NewSource(9))
 	a, b := Randn(rng, 1, 64, 48), Randn(rng, 1, 48, 40)
-	want := a.MatMul(b)
+	want := mm(a, b, false, false)
 	for _, degree := range []int{1, 2, 3, 8} {
 		SetParallelism(degree)
 		helpers := min(degree, team.helpers+1) - 1 // the blocking Fanout's helpers
@@ -370,8 +368,8 @@ func TestCallerCompletesAlone(t *testing.T) {
 		within(t, "filling the team", func() { <-full })
 		time.Sleep(10 * spinWindow) // past the window: the Fanout's caller parks
 		var got *Tensor
-		within(t, "a kernel beside a stuck team", func() { got = a.MatMul(b) })
-		assertBits(t, "MatMul beside a stuck team", want.Data, got.Data)
+		within(t, "a kernel beside a stuck team", func() { got = mm(a, b, false, false) })
+		assertBits(t, "a·b beside a stuck team", want.Data, got.Data)
 		unblock()
 		within(t, "waking the blocked Fanout's parked caller", func() { <-blocked })
 	}
@@ -443,9 +441,9 @@ func TestParallelGEMMAllocFree(t *testing.T) {
 	forEachTile(func(body tileBody) {
 		for _, degree := range []int{1, 2} {
 			forceParallel(t, degree)
-			a.MatMulInto(b, dst)
-			if allocs := testing.AllocsPerRun(100, func() { a.MatMulInto(b, dst) }); allocs > 0 {
-				t.Errorf("%s body, degree %d: warm MatMulInto allocates %.1f times, want 0", body, degree, allocs)
+			GEMM(dst, a, b, false, false, 1, false, nil)
+			if allocs := testing.AllocsPerRun(100, func() { GEMM(dst, a, b, false, false, 1, false, nil) }); allocs > 0 {
+				t.Errorf("%s body, degree %d: warm GEMM allocates %.1f times, want 0", body, degree, allocs)
 			}
 		}
 	})

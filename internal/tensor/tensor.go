@@ -134,26 +134,10 @@ func (t *Tensor) Clone() *Tensor {
 	return c
 }
 
-// Reshape returns a view of t with a new shape of equal element count.
-// The underlying data is shared.
-func (t *Tensor) Reshape(shape ...int) *Tensor {
-	if numel(shape) != len(t.Data) {
-		panic(fmt.Sprintf("tensor: cannot reshape %v to %v", t.shape, shape))
-	}
-	return &Tensor{Data: t.Data, shape: append([]int(nil), shape...)}
-}
-
 // Zero sets every element of t to zero in place.
 func (t *Tensor) Zero() {
 	for i := range t.Data {
 		t.Data[i] = 0
-	}
-}
-
-// Fill sets every element of t to v in place.
-func (t *Tensor) Fill(v float64) {
-	for i := range t.Data {
-		t.Data[i] = v
 	}
 }
 
@@ -174,12 +158,6 @@ func (t *Tensor) mustSameShape(o *Tensor) {
 	if !t.SameShape(o) {
 		panic(fmt.Sprintf("tensor: shape mismatch %v vs %v", t.shape, o.shape))
 	}
-}
-
-// Add returns t + o elementwise as a new tensor. Hot paths should prefer
-// AddInto or AddInPlace.
-func (t *Tensor) Add(o *Tensor) *Tensor {
-	return t.AddInto(o, Zeros(t.shape...))
 }
 
 // AddInPlace adds o to t elementwise, returning t.
@@ -219,32 +197,6 @@ func (t *Tensor) AxpyInPlace(alpha float64, o *Tensor) *Tensor {
 	return t
 }
 
-// Sub returns t - o elementwise as a new tensor.
-func (t *Tensor) Sub(o *Tensor) *Tensor {
-	t.mustSameShape(o)
-	r := Zeros(t.shape...)
-	for i := range t.Data {
-		r.Data[i] = t.Data[i] - o.Data[i]
-	}
-	return r
-}
-
-// Mul returns the elementwise (Hadamard) product t ⊙ o as a new tensor.
-func (t *Tensor) Mul(o *Tensor) *Tensor {
-	t.mustSameShape(o)
-	r := Zeros(t.shape...)
-	for i := range t.Data {
-		r.Data[i] = t.Data[i] * o.Data[i]
-	}
-	return r
-}
-
-// Scale returns alpha*t as a new tensor. Hot paths should prefer
-// ScaleInto or ScaleInPlace.
-func (t *Tensor) Scale(alpha float64) *Tensor {
-	return t.ScaleInto(alpha, Zeros(t.shape...))
-}
-
 // ScaleInPlace multiplies every element of t by alpha, returning t.
 func (t *Tensor) ScaleInPlace(alpha float64) *Tensor {
 	td := t.Data
@@ -258,43 +210,11 @@ func (t *Tensor) ScaleInPlace(alpha float64) *Tensor {
 	return t
 }
 
-// MatMul returns the matrix product t @ o for 2-D tensors
-// ([n,k] @ [k,m] -> [n,m]) as a new tensor. Hot paths should prefer
-// MatMulInto with a reused destination; see parallel.go for the kernels.
-func (t *Tensor) MatMul(o *Tensor) *Tensor {
-	t.must2D()
-	o.must2D()
-	return t.MatMulInto(o, Zeros(t.shape[0], o.shape[1]))
-}
-
-// MatMulT returns t @ oᵀ for 2-D tensors ([n,k] @ [m,k]ᵀ -> [n,m]) as a
-// new tensor. Hot paths should prefer MatMulTInto.
-func (t *Tensor) MatMulT(o *Tensor) *Tensor {
-	t.must2D()
-	o.must2D()
-	return t.MatMulTInto(o, Zeros(t.shape[0], o.shape[0]))
-}
-
-// TMatMul returns tᵀ @ o for 2-D tensors ([k,n]ᵀ @ [k,m] -> [n,m]) as a
-// new tensor. Hot paths should prefer TMatMulInto.
-func (t *Tensor) TMatMul(o *Tensor) *Tensor {
-	t.must2D()
-	o.must2D()
-	return t.TMatMulInto(o, Zeros(t.shape[1], o.shape[1]))
-}
-
-// Transpose returns a new tensor holding tᵀ for a 2-D tensor.
-func (t *Tensor) Transpose() *Tensor {
-	t.must2D()
-	return t.TransposeInto(Zeros(t.shape[1], t.shape[0]))
-}
-
 // SoftmaxRows applies a numerically stable softmax to each row of a 2-D
-// tensor and returns the result as a new tensor. Hot paths should prefer
-// SoftmaxRowsInto.
+// tensor and returns the result as a new tensor.
 func (t *Tensor) SoftmaxRows() *Tensor {
 	t.must2D()
-	return t.SoftmaxRowsInto(Zeros(t.shape...))
+	return t.softmaxRowsInto(Zeros(t.shape...))
 }
 
 // SoftmaxInto writes softmax(src) into dst. dst and src may alias.
@@ -386,49 +306,9 @@ func (t *Tensor) Sum() float64 {
 	return s
 }
 
-// Dot returns the inner product of two equal-shaped tensors.
-func (t *Tensor) Dot(o *Tensor) float64 {
-	t.mustSameShape(o)
-	var s float64
-	for i := range t.Data {
-		s += t.Data[i] * o.Data[i]
-	}
-	return s
-}
-
-// Norm returns the L2 norm of all elements.
-func (t *Tensor) Norm() float64 {
-	var s float64
-	for _, v := range t.Data {
-		s += v * v
-	}
-	return math.Sqrt(s)
-}
-
-// MaxAbs returns the largest absolute element value, or 0 for an empty
-// tensor.
-func (t *Tensor) MaxAbs() float64 {
-	var m float64
-	for _, v := range t.Data {
-		if a := math.Abs(v); a > m {
-			m = a
-		}
-	}
-	return m
-}
-
-// ArgTopK returns the indices of the k largest values of v in descending
-// value order. It is used by the gate to select experts. Ties are broken by
-// lower index to keep routing deterministic. One allocation, the result;
-// ArgTopKInto is the same selection into a caller's slice.
-func ArgTopK(v []float64, k int) []int {
-	idx := make([]int, k)
-	ArgTopKInto(idx, v)
-	return idx
-}
-
 // ArgTopKInto writes the indices of the len(idx) largest values of v into
-// idx, in ArgTopK's order.
+// idx in descending value order: the gate's expert selection. Ties are
+// broken by lower index to keep routing deterministic.
 //
 // Single pass with a bounded insertion list: each element is compared
 // against the current k-th value and, if it belongs, shift-inserted into

@@ -64,39 +64,30 @@ func TestCloneIsDeep(t *testing.T) {
 	}
 }
 
+// TestReshapeSharesData: a tensor made by New over another's Data is a
+// view of it in the new shape — the sharing the GEMM no-alias check
+// catches — and New rejects a shape of another element count.
 func TestReshapeSharesData(t *testing.T) {
 	x := New([]float64{1, 2, 3, 4}, 2, 2)
-	y := x.Reshape(4)
+	y := New(x.Data, 4)
 	y.Data[3] = 9
 	if !testutil.Close(x.At(1, 1), 9) {
-		t.Fatal("Reshape must share data")
+		t.Fatal("a view must share data")
 	}
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic for invalid reshape")
 		}
 	}()
-	x.Reshape(3)
+	New(x.Data, 3)
 }
 
 func TestElementwiseOps(t *testing.T) {
 	a := New([]float64{1, 2, 3, 4}, 2, 2)
 	b := New([]float64{5, 6, 7, 8}, 2, 2)
-	if got := a.Add(b).Data; !testutil.Close(got[0], 6) || !testutil.Close(got[3], 12) {
-		t.Fatalf("Add wrong: %v", got)
-	}
-	if got := b.Sub(a).Data; !testutil.Close(got[0], 4) || !testutil.Close(got[3], 4) {
-		t.Fatalf("Sub wrong: %v", got)
-	}
-	if got := a.Mul(b).Data; !testutil.Close(got[0], 5) || !testutil.Close(got[3], 32) {
-		t.Fatalf("Mul wrong: %v", got)
-	}
-	if got := a.Scale(2).Data; !testutil.Close(got[0], 2) || !testutil.Close(got[3], 8) {
-		t.Fatalf("Scale wrong: %v", got)
-	}
 	c := a.Clone()
 	c.AddInPlace(b)
-	if !testutil.Close(c.Data[0], 6) {
+	if !testutil.Close(c.Data[0], 6) || !testutil.Close(c.Data[3], 12) {
 		t.Fatalf("AddInPlace wrong: %v", c.Data)
 	}
 	d := a.Clone()
@@ -119,13 +110,13 @@ func TestShapeMismatchPanics(t *testing.T) {
 			t.Fatal("expected panic for shape mismatch")
 		}
 	}()
-	a.Add(b)
+	a.AddInPlace(b)
 }
 
 func TestMatMul(t *testing.T) {
 	a := New([]float64{1, 2, 3, 4, 5, 6}, 2, 3)
 	b := New([]float64{7, 8, 9, 10, 11, 12}, 3, 2)
-	c := a.MatMul(b)
+	c := GEMM(Full(-1, 2, 2), a, b, false, false, 1, false, nil)
 	want := []float64{58, 64, 139, 154}
 	for i, w := range want {
 		if !testutil.Close(c.Data[i], w) {
@@ -138,15 +129,20 @@ func TestMatMulVariantsAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	a := Randn(rng, 1, 4, 6)
 	b := Randn(rng, 1, 6, 5)
-	ref := a.MatMul(b)
-	viaT := a.MatMulT(b.Transpose())
-	viaTM := a.Transpose().TMatMul(b)
-	for i := range ref.Data {
-		if !almostEqual(ref.Data[i], viaT.Data[i], 1e-12) {
-			t.Fatalf("MatMulT disagrees at %d: %v vs %v", i, viaT.Data[i], ref.Data[i])
-		}
-		if !almostEqual(ref.Data[i], viaTM.Data[i], 1e-12) {
-			t.Fatalf("TMatMul disagrees at %d: %v vs %v", i, viaTM.Data[i], ref.Data[i])
+	ref := mm(a, b, false, false)
+	at, bt := New(transpose(a), 6, 4), New(transpose(b), 5, 6)
+	for _, c := range []struct {
+		name string
+		got  *Tensor
+	}{
+		{"a·(bᵀ)ᵀ", mm(a, bt, false, true)},
+		{"(aᵀ)ᵀ·b", mm(at, b, true, false)},
+		{"(aᵀ)ᵀ·(bᵀ)ᵀ", mm(at, bt, true, true)},
+	} {
+		for i := range ref.Data {
+			if !almostEqual(ref.Data[i], c.got.Data[i], 1e-12) {
+				t.Fatalf("%s disagrees at %d: %v vs %v", c.name, i, c.got.Data[i], ref.Data[i])
+			}
 		}
 	}
 }
@@ -159,13 +155,40 @@ func TestMatMulShapePanics(t *testing.T) {
 			t.Fatal("expected panic for inner dimension mismatch")
 		}
 	}()
-	a.MatMul(b)
+	mm(a, b, false, false)
 }
 
+// transpose returns the elements of the 2-D x transposed, row-major.
+func transpose(x *Tensor) []float64 {
+	n, m := x.shape[0], x.shape[1]
+	r := make([]float64, n*m)
+	for i := 0; i < n; i++ {
+		for j := 0; j < m; j++ {
+			r[j*n+i] = x.Data[i*m+j]
+		}
+	}
+	return r
+}
+
+// TestTransposeInvolution: a product reading its operand transposed,
+// against the identity, is that operand's transpose exactly — every chain
+// sums one nonzero product and exact zeros — and doing it twice gives the
+// operand back.
 func TestTransposeInvolution(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	a := Randn(rng, 1, 3, 5)
-	b := a.Transpose().Transpose()
+	eye := func(n int) *Tensor {
+		e := Zeros(n, n)
+		for i := 0; i < n; i++ {
+			e.Data[i*n+i] = 1
+		}
+		return e
+	}
+	at := mm(a, eye(3), true, false)
+	if !testutil.BitEqualSlices(transpose(a), at.Data) {
+		t.Fatal("aᵀ·I must be aᵀ")
+	}
+	b := mm(eye(3), at, false, true)
 	for i := range a.Data {
 		if !testutil.BitEqual(a.Data[i], b.Data[i]) {
 			t.Fatal("transpose twice must be identity")
@@ -224,21 +247,11 @@ func TestReductions(t *testing.T) {
 	if !testutil.Close(x.Sum(), 0) {
 		t.Fatalf("Sum = %v, want 0", x.Sum())
 	}
-	if !almostEqual(x.Norm(), math.Sqrt(26), 1e-12) {
-		t.Fatalf("Norm = %v", x.Norm())
-	}
-	if !testutil.Close(x.MaxAbs(), 4) {
-		t.Fatalf("MaxAbs = %v, want 4", x.MaxAbs())
-	}
-	y := New([]float64{1, 1, 1, 1}, 4)
-	if !testutil.Close(x.Dot(y), 0) {
-		t.Fatalf("Dot = %v, want 0", x.Dot(y))
-	}
 }
 
 func TestArgTopK(t *testing.T) {
 	v := []float64{0.1, 0.5, 0.3, 0.5, 0.0}
-	got := ArgTopK(v, 3)
+	got := argTopK(v, 3)
 	// Ties broken by lower index: 1 before 3.
 	want := []int{1, 3, 2}
 	for i := range want {
@@ -250,7 +263,7 @@ func TestArgTopK(t *testing.T) {
 
 func TestArgTopKFull(t *testing.T) {
 	v := []float64{2, 1, 3}
-	got := ArgTopK(v, 3)
+	got := argTopK(v, 3)
 	want := []int{2, 0, 1}
 	for i := range want {
 		if got[i] != want[i] {
@@ -265,7 +278,7 @@ func TestArgTopKPanics(t *testing.T) {
 			t.Fatal("expected panic for k > len")
 		}
 	}()
-	ArgTopK([]float64{1}, 2)
+	argTopK([]float64{1}, 2)
 }
 
 func TestRandnDeterministic(t *testing.T) {
@@ -284,9 +297,9 @@ func TestZeroAndFill(t *testing.T) {
 	if !testutil.Close(x.Sum(), 0) {
 		t.Fatal("Zero failed")
 	}
-	x.Fill(1.5)
+	x = Full(1.5, 2, 2)
 	if !testutil.Close(x.Sum(), 6) {
-		t.Fatal("Fill failed")
+		t.Fatal("Full failed")
 	}
 }
 
@@ -297,8 +310,8 @@ func TestMatMulLinearityProperty(t *testing.T) {
 		a := Randn(rng, 1, 3, 4)
 		b := Randn(rng, 1, 3, 4)
 		c := Randn(rng, 1, 4, 2)
-		lhs := a.Add(b).MatMul(c)
-		rhs := a.MatMul(c).Add(b.MatMul(c))
+		lhs := mm(a.Clone().AddInPlace(b), c, false, false)
+		rhs := mm(a, c, false, false).AddInPlace(mm(b, c, false, false))
 		for i := range lhs.Data {
 			if !almostEqual(lhs.Data[i], rhs.Data[i], 1e-10) {
 				t.Fatalf("linearity violated at %d", i)

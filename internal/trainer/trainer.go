@@ -39,9 +39,9 @@ func DefaultPretrain() PretrainConfig {
 	return PretrainConfig{Steps: 300, Batch: 4, SeqLen: 48, LR: 3e-3, AuxCoef: 2e-2, Seed: 20}
 }
 
-// Pretrain trains model and experts jointly on the corpus (gate
+// pretrain trains model and experts jointly on the corpus (gate
 // trainable, aux loss active) and returns the per-step loss series.
-func Pretrain(m *moe.Model, exec *moe.LocalExecutor, corpus *data.Corpus, cfg PretrainConfig) (*obs.Series, error) {
+func pretrain(m *moe.Model, exec *moe.LocalExecutor, corpus *data.Corpus, cfg PretrainConfig) (*obs.Series, error) {
 	m.SetAuxLossCoef(cfg.AuxCoef)
 	defer m.SetAuxLossCoef(0)
 	params := append(m.Params(), exec.Params()...)
@@ -74,7 +74,7 @@ func BuildPretrained(cfg moe.Config, corpusSize int, pcfg PretrainConfig) (*moe.
 	m := moe.NewModel(cfg, rng, true)
 	grid := moe.NewExpertGrid(cfg, rng, true)
 	exec := m.BindLocalExperts(grid)
-	if _, err := Pretrain(m, exec, data.Pretrain(corpusSize), pcfg); err != nil {
+	if _, err := pretrain(m, exec, data.Pretrain(corpusSize), pcfg); err != nil {
 		return nil, nil, err
 	}
 	return m, grid, nil

@@ -246,8 +246,8 @@ type tcpConn struct {
 	bodyN  int
 }
 
-// NewTCPConn wraps an established net.Conn with the wire framing.
-func NewTCPConn(c net.Conn) Conn {
+// newTCPConn wraps an established net.Conn with the wire framing.
+func newTCPConn(c net.Conn) Conn {
 	return &tcpConn{conn: c}
 }
 
@@ -257,7 +257,7 @@ func Dial(addr string) (Conn, error) {
 	if err != nil {
 		return nil, fmt.Errorf("transport: dial %s: %w", addr, err)
 	}
-	return NewTCPConn(c), nil
+	return newTCPConn(c), nil
 }
 
 // Listener accepts wire-framed connections.
@@ -283,7 +283,7 @@ func (l *Listener) Accept() (Conn, error) {
 	if err != nil {
 		return nil, err
 	}
-	return NewTCPConn(c), nil
+	return newTCPConn(c), nil
 }
 
 // Close stops the listener.

@@ -24,8 +24,8 @@ const (
 	numEncodings = 3
 )
 
-// Valid reports whether e is a known wire encoding.
-func (e Encoding) Valid() bool { return e < numEncodings }
+// valid reports whether e is a known wire encoding.
+func (e Encoding) valid() bool { return e < numEncodings }
 
 // String implements fmt.Stringer with the names ParseEncoding accepts.
 func (e Encoding) String() string {
@@ -98,6 +98,6 @@ func (m *Matrix) Quantize() {
 	case EncFP16:
 		QuantizeHalfInPlace(m.Data)
 	case EncInt8:
-		QuantizeInt8InPlace(m.Data, m.Rows, m.Cols)
+		quantizeInt8InPlace(m.Data, m.Rows, m.Cols)
 	}
 }

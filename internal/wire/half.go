@@ -22,8 +22,8 @@ import (
 // same bits for every input (half_test.go holds the reference converter
 // they are checked against).
 
-// Float64ToHalf converts v to its binary16 representation.
-func Float64ToHalf(v float64) uint16 {
+// float64ToHalf converts v to its binary16 representation.
+func float64ToHalf(v float64) uint16 {
 	f := math.Float32bits(float32(v))
 	a := f & 0x7FFFFFFF
 	// A normal half: rebias the exponent and round the 13 dropped bits
@@ -45,8 +45,8 @@ func Float64ToHalf(v float64) uint16 {
 	return uint16(f>>16)&0x8000 | uint16(h)
 }
 
-// HalfToFloat64 converts a binary16 value back to float64.
-func HalfToFloat64(h uint16) float64 {
+// halfToFloat64 converts a binary16 value back to float64.
+func halfToFloat64(h uint16) float64 {
 	sign := uint64(h&0x8000) << 48
 	em := uint64(h & 0x7FFF)
 	bits := em<<42 + (1023-15)<<52 // normal: rebias the exponent
@@ -70,7 +70,7 @@ func appendFP16Payload(dst []byte, vals []float64) []byte {
 	dst = dst[:off+2*len(vals)]
 	b := dst[off:]
 	for i := encodeHalfVec(b, vals); i < len(vals); i++ {
-		binary.LittleEndian.PutUint16(b[2*i:], Float64ToHalf(vals[i]))
+		binary.LittleEndian.PutUint16(b[2*i:], float64ToHalf(vals[i]))
 	}
 	return dst
 }
@@ -79,7 +79,7 @@ func appendFP16Payload(dst []byte, vals []float64) []byte {
 func HalfDecode(src []byte, dst []float64) {
 	src = src[:2*len(dst)]
 	for i := decodeHalfVec(dst, src); i < len(dst); i++ {
-		dst[i] = HalfToFloat64(binary.LittleEndian.Uint16(src[2*i:]))
+		dst[i] = halfToFloat64(binary.LittleEndian.Uint16(src[2*i:]))
 	}
 }
 

@@ -109,11 +109,11 @@ func TestHalfExactValues(t *testing.T) {
 		{6.103515625e-05, 0x0400}, // smallest normal
 	}
 	for _, c := range cases {
-		if got := Float64ToHalf(c.in); got != c.want {
+		if got := float64ToHalf(c.in); got != c.want {
 			t.Fatalf("Float64ToHalf(%v) = %#04x, want %#04x", c.in, got, c.want)
 		}
 	}
-	if !math.IsNaN(HalfToFloat64(Float64ToHalf(math.NaN()))) {
+	if !math.IsNaN(halfToFloat64(float64ToHalf(math.NaN()))) {
 		t.Fatal("NaN must survive the round trip")
 	}
 }
@@ -122,7 +122,7 @@ func TestHalfRoundTripExactForRepresentable(t *testing.T) {
 	// Every value with ≤10 mantissa bits in [2^-14, 2^15] round-trips
 	// exactly.
 	for _, v := range []float64{1, 1.5, 0.25, 3.140625, -100, 2048, 0.0009765625} {
-		got := HalfToFloat64(Float64ToHalf(v))
+		got := halfToFloat64(float64ToHalf(v))
 		if !testutil.BitEqual(got, v) {
 			t.Fatalf("round trip %v -> %v", v, got)
 		}
@@ -135,7 +135,7 @@ func TestHalfRoundTripAccuracyProperty(t *testing.T) {
 		if math.IsNaN(v) {
 			return true
 		}
-		got := HalfToFloat64(Float64ToHalf(v))
+		got := halfToFloat64(float64ToHalf(v))
 		// binary16 has ~3 decimal digits: relative error ≤ 2^-10 for
 		// normal values, absolute tiny for subnormals.
 		if math.Abs(v) < 6.1e-5 {
@@ -151,15 +151,15 @@ func TestHalfRoundTripAccuracyProperty(t *testing.T) {
 func TestHalfSubnormals(t *testing.T) {
 	// Smallest positive subnormal half = 2^-24.
 	tiny := math.Pow(2, -24)
-	h := Float64ToHalf(tiny)
+	h := float64ToHalf(tiny)
 	if h != 0x0001 {
 		t.Fatalf("2^-24 encodes as %#04x, want 0x0001", h)
 	}
-	if got := HalfToFloat64(h); !testutil.BitEqual(got, tiny) {
+	if got := halfToFloat64(h); !testutil.BitEqual(got, tiny) {
 		t.Fatalf("subnormal round trip: %v vs %v", got, tiny)
 	}
 	// Below half the smallest subnormal flushes to zero.
-	if Float64ToHalf(tiny/4) != 0 {
+	if float64ToHalf(tiny/4) != 0 {
 		t.Fatal("deep underflow must flush to zero")
 	}
 }
@@ -268,7 +268,7 @@ func checkHalfEncode(t *testing.T, vals []float64) {
 	buf := appendFP16Payload(make([]byte, 0, 2*len(vals)), vals)
 	for i, v := range vals {
 		want := float64ToHalfRef(v)
-		if got := Float64ToHalf(v); got != want {
+		if got := float64ToHalf(v); got != want {
 			t.Fatalf("Float64ToHalf(%v = %#016x) = %#04x, want %#04x", v, math.Float64bits(v), got, want)
 		}
 		if got := binary.LittleEndian.Uint16(buf[2*i:]); got != want {
@@ -296,7 +296,7 @@ func TestHalfDecodeAllHalves(t *testing.T) {
 	HalfDecode(src, dst)
 	for h := range 1 << 16 {
 		want := math.Float64bits(halfToFloat64Ref(uint16(h)))
-		if got := math.Float64bits(HalfToFloat64(uint16(h))); got != want {
+		if got := math.Float64bits(halfToFloat64(uint16(h))); got != want {
 			t.Fatalf("HalfToFloat64(%#04x) = %#016x, want %#016x", h, got, want)
 		}
 		if got := math.Float64bits(dst[h]); got != want {
@@ -378,7 +378,7 @@ func TestHalfEncodeAllFloat32(t *testing.T) {
 				buf = appendFP16Payload(buf[:0], vals)
 				for i, v := range vals {
 					want := float64ToHalfRef(v)
-					if Float64ToHalf(v) != want || binary.LittleEndian.Uint16(buf[2*i:]) != want {
+					if float64ToHalf(v) != want || binary.LittleEndian.Uint16(buf[2*i:]) != want {
 						mu.Lock()
 						bad = append(bad, fmt.Sprintf("%#08x", hi<<16|uint32(i)))
 						mu.Unlock()

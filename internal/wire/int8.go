@@ -96,12 +96,12 @@ func decodeInt8Payload(src []byte, dst []float64, rows, cols int) {
 	}
 }
 
-// QuantizeInt8InPlace rounds every value of a rows×cols matrix to exactly
+// quantizeInt8InPlace rounds every value of a rows×cols matrix to exactly
 // what the int8 wire encoding reproduces: per row, scale = absmax/127 and
 // v' = scale·clamp(round(v/scale), ±127). Transports that skip
 // serialization use it so int8 behaviour is bit-identical to a TCP
 // encode/decode of the same data.
-func QuantizeInt8InPlace(data []float64, rows, cols int) {
+func quantizeInt8InPlace(data []float64, rows, cols int) {
 	for r := 0; r < rows; r++ {
 		row := data[r*cols : (r+1)*cols]
 		scale := int8RowScale(row)

@@ -87,7 +87,7 @@ func TestQuantizeInt8InPlaceMatchesWire(t *testing.T) {
 	got := mustDecode(t, mustEncode(t, m)[4:])
 
 	inPlace := append([]float64(nil), data...)
-	QuantizeInt8InPlace(inPlace, rows, cols)
+	quantizeInt8InPlace(inPlace, rows, cols)
 
 	for i := range inPlace {
 		a, b := math.Float64bits(inPlace[i]), math.Float64bits(got.Tensors[0].Data[i])

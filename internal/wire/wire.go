@@ -202,7 +202,7 @@ func validateTensors(m *Message) error {
 		if t.Rows*t.Cols != len(t.Data) {
 			return fmt.Errorf("wire: tensor %d is %dx%d with %d values", i, t.Rows, t.Cols, len(t.Data))
 		}
-		if !t.Enc.Valid() {
+		if !t.Enc.valid() {
 			return fmt.Errorf("wire: tensor %d has unknown encoding %d", i, t.Enc)
 		}
 	}

@@ -155,10 +155,10 @@ func TestRoundTripEncodings(t *testing.T) {
 		switch enc {
 		case EncFP16:
 			for i, v := range want {
-				want[i] = HalfToFloat64(Float64ToHalf(v))
+				want[i] = halfToFloat64(float64ToHalf(v))
 			}
 		case EncInt8:
-			QuantizeInt8InPlace(want, 2, 3)
+			quantizeInt8InPlace(want, 2, 3)
 		}
 		for i := range want {
 			// Decode must reproduce the reference quantization bit for

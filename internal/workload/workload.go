@@ -225,10 +225,6 @@ func NewGenerator(p Profile, routingsPerStep int) *Generator {
 	}
 }
 
-// BaseMatrix returns the step-0 probability matrix (what a profiling pass
-// before fine-tuning would measure).
-func (g *Generator) BaseMatrix() [][]float64 { return g.base }
-
 // Step draws the routing counts [L][E] for the next fine-tuning step and
 // advances the drift clock.
 func (g *Generator) Step() [][]int64 {
@@ -244,13 +240,4 @@ func (g *Generator) Step() [][]int64 {
 		counts[l] = c
 	}
 	return counts
-}
-
-// StepIndex returns how many steps have been drawn.
-func (g *Generator) StepIndex() int { return g.step }
-
-// Reset rewinds the generator to step 0 with a fresh deterministic RNG.
-func (g *Generator) Reset() {
-	g.rng = rand.New(rand.NewSource(g.Profile.Seed ^ 0x5eed))
-	g.step = 0
 }
