@@ -157,12 +157,12 @@ func TestWorkerForwardMatchesLocalExpert(t *testing.T) {
 	}
 }
 
-// TestWorkerErrorsOnUnexpectedMessage: reply types and the retired
-// single-expert request types are not served — each gets one MsgError.
+// TestWorkerErrorsOnUnexpectedMessage: reply types and numbers no type
+// holds are not served — each gets one MsgError.
 func TestWorkerErrorsOnUnexpectedMessage(t *testing.T) {
 	w := NewWorker(0, DefaultWorkerConfig())
-	for _, typ := range []wire.MsgType{wire.MsgForwardMultiResult, wire.MsgForwardResult,
-		wire.MsgForward, wire.MsgBackward} {
+	for _, typ := range []wire.MsgType{wire.MsgForwardMultiResult, wire.MsgSnapshotResult,
+		wire.MsgPong, 0, wire.MsgTraceFetchResult + 1} {
 		reply, done := w.handle(&wire.Message{Type: typ,
 			Tensors: []wire.Matrix{{Rows: 1, Cols: 1, Data: []float64{0}}}})
 		if done || reply.Type != wire.MsgError || !strings.Contains(reply.Text, "unexpected message") {
@@ -366,7 +366,10 @@ func TestTrafficAccounting(t *testing.T) {
 	_ = dep.Wait()
 }
 
-func TestChecksumsAndDistributionPlacement(t *testing.T) {
+// TestDistributionPlacement: each worker hosts exactly the experts the
+// assignment gives it, and the snapshot round reads every one back with
+// the trainable weights Distribute shipped, bit for bit.
+func TestDistributionPlacement(t *testing.T) {
 	cfg := testConfig()
 	_, grid := buildFinetuneSetup(cfg, 5)
 	const workers = 4
@@ -391,16 +394,22 @@ func TestChecksumsAndDistributionPlacement(t *testing.T) {
 			t.Fatalf("worker %d hosts %d experts, want %d", n, w.NumExperts(), want)
 		}
 	}
-	sums, err := exec.Checksums()
+	snap, err := exec.SnapshotExperts(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(sums) != workers {
-		t.Fatalf("got %d checksums", len(sums))
-	}
-	for n, s := range sums {
-		if len(s) != 3 || testutil.Close(s[2], 0) {
-			t.Fatalf("worker %d checksum malformed: %v", n, s)
+	for l, row := range grid {
+		for e, ex := range row {
+			en := snap.Find(l, e)
+			trainable := nn.CollectTrainable(ex.Params())
+			if en == nil || len(en.Tensors) < 1+len(trainable) {
+				t.Fatalf("L%d/E%d: snapshot entry %v, want one with %d trainable tensors", l, e, en, len(trainable))
+			}
+			for i, p := range trainable { // after the entry's header row
+				if !testutil.BitEqualSlices(en.Tensors[1+i].Data, p.Value.Data) {
+					t.Fatalf("L%d/E%d: %s read back from worker %d differs from the distributed one", l, e, p.Name, assign.Worker[l][e])
+				}
+			}
 		}
 	}
 	if err := exec.Shutdown(); err != nil {

@@ -346,18 +346,3 @@ func matrixCopyOf(t *tensor.Tensor) wire.Matrix {
 func tensorOf(m wire.Matrix) *tensor.Tensor {
 	return tensor.New(m.Data, m.Rows, m.Cols)
 }
-
-// checksumParams produces a stable diagnostic vector (Σ value, Σ grad,
-// count) over a parameter list.
-func checksumParams(params []*nn.Param) []float64 {
-	var v, g float64
-	n := 0
-	for _, p := range params {
-		v += p.Value.Sum()
-		if p.Grad != nil { // a frozen parameter's gradient is zero
-			g += p.Grad.Sum()
-		}
-		n += p.Value.Len()
-	}
-	return []float64{v, g, float64(n)}
-}

@@ -1,11 +1,13 @@
 package broker
 
 import (
+	"cmp"
 	"errors"
-	"math"
+	"slices"
 	"testing"
 	"time"
 
+	"repro/internal/moe"
 	"repro/internal/tensor"
 	"repro/internal/testutil"
 	"repro/internal/transport"
@@ -19,8 +21,8 @@ import (
 // the healthy worker. Deterministic: every fault fires with
 // probability 1 or at an armed send count. Forward and backward are
 // K-expert dispatch frames, so a duplicated delivery is a duplicated
-// frame: the duplicate/backward cell additionally checks the workers'
-// parameter/gradient checksums against a duplicate-free run — no
+// frame: the duplicate/backward cell additionally checks every expert's
+// snapshot and gradients against a duplicate-free run, bit for bit — no
 // gradient may be accumulated twice.
 func TestFaultMatrix(t *testing.T) {
 	defer testutil.VerifyNoLeaks(t, "repro/internal/broker", "repro/internal/transport")
@@ -111,31 +113,34 @@ func TestFaultMatrix(t *testing.T) {
 				}
 
 				if fc.name == "duplicate" && oc.name == "backward" {
-					_, ref := deploy(t)
+					refDep, ref := deploy(t)
 					if err := oc.run(t, ref); err != nil {
 						t.Fatal(err)
 					}
-					want, err := ref.Checksums()
+					// A worker serves a connection's frames in order, so the
+					// snapshot round's reply comes after the duplicate was
+					// served.
+					want, err := ref.SnapshotExperts(0)
 					if err != nil {
 						t.Fatal(err)
 					}
-					got, err := exec.Checksums()
+					got, err := exec.SnapshotExperts(0)
 					if err != nil {
 						t.Fatal(err)
 					}
-					for n := range want {
-						if testutil.Close(want[n][1], 0) {
-							t.Fatalf("worker %d: reference gradient checksum is zero — the check would be vacuous", n)
-						}
-						// Summation order follows map iteration on the worker,
-						// so compare within rounding; a double accumulation
-						// would double the gradient sum.
-						for i := range want[n] {
-							if !testutil.AlmostEqual(got[n][i], want[n][i], 1e-9*(1+math.Abs(want[n][i]))) {
-								t.Fatalf("worker %d checksum[%d] = %v after a duplicated backward frame, want %v (gradient accumulated twice?)",
-									n, i, got[n][i], want[n][i])
+					for i, en := range want.Entries {
+						for j, ts := range en.Tensors {
+							if !testutil.BitEqualSlices(got.Entries[i].Tensors[j].Data, ts.Data) {
+								t.Fatalf("L%d/E%d tensor %d differs from the duplicate-free run's", en.Layer, en.Expert, j)
 							}
 						}
+					}
+					wantG, gotG := hostedGrads(refDep), hostedGrads(dep)
+					if !slices.ContainsFunc(wantG, func(g float64) bool { return g != 0 }) {
+						t.Fatal("the reference gradients are all zero — the check would be vacuous")
+					}
+					if !testutil.BitEqualSlices(gotG, wantG) {
+						t.Fatal("the gradients differ from the duplicate-free run's after a duplicated backward frame (accumulated twice?)")
 					}
 				}
 
@@ -146,4 +151,32 @@ func TestFaultMatrix(t *testing.T) {
 			})
 		}
 	}
+}
+
+// hostedGrads reads the gradients of every expert dep's workers host, in
+// (layer, expert) order and each expert's parameter order, back to back:
+// the state no wire round returns. Each worker is read under its lock.
+func hostedGrads(dep *LocalDeployment) []float64 {
+	grads := make(map[moe.ExpertID][]float64)
+	var ids []moe.ExpertID
+	for _, w := range dep.Workers {
+		w.mu.RLock()
+		for id, ex := range w.experts {
+			ids = append(ids, id)
+			for _, p := range ex.Params() {
+				if p.Grad != nil { // a frozen parameter has none
+					grads[id] = append(grads[id], p.Grad.Data...)
+				}
+			}
+		}
+		w.mu.RUnlock()
+	}
+	slices.SortFunc(ids, func(a, b moe.ExpertID) int {
+		return cmp.Or(cmp.Compare(a.Layer, b.Layer), cmp.Compare(a.Expert, b.Expert))
+	})
+	var out []float64
+	for _, id := range ids {
+		out = append(out, grads[id]...)
+	}
+	return out
 }

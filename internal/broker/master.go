@@ -672,24 +672,6 @@ func (x *Executor) Step() error { return x.broadcast(wire.MsgStep) }
 // Shutdown asks every live worker to terminate and awaits acks.
 func (x *Executor) Shutdown() error { return x.broadcast(wire.MsgShutdown) }
 
-// Checksums collects per-worker (Σ value, Σ grad, #params) diagnostics.
-// All live workers are queried in parallel and worker-side errors are
-// surfaced; dead workers yield a nil entry.
-func (x *Executor) Checksums() ([][]float64, error) {
-	out := make([][]float64, len(x.conns))
-	err := x.round(x.live(wire.MsgStats), wire.MsgStatsResult, nil, func(n, _ int, reply *wire.Message) error {
-		if len(reply.Tensors) != 1 {
-			return fmt.Errorf("broker: bad stats reply from worker %d: %d tensors", n, len(reply.Tensors))
-		}
-		out[n] = reply.Tensors[0].Data
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // broadcast sends a control message to every live worker in parallel and
 // awaits acks.
 func (x *Executor) broadcast(t wire.MsgType) error {

@@ -232,7 +232,7 @@ func BenchmarkObsExchangeInstrumented(b *testing.B) {
 // the exchange benchmark is dominated by expert compute.
 func BenchmarkObsHooksPerRequest(b *testing.B) {
 	handle := obs.NewHandle(obs.Config{Workers: 3, Layers: 3, Experts: 6})
-	msg := &wire.Message{Type: wire.MsgForward, Tensors: []wire.Matrix{{Rows: 224, Cols: 32, Data: make([]float64, 224*32)}}}
+	msg := &wire.Message{Type: wire.MsgForwardMulti, Tensors: []wire.Matrix{{Rows: 224, Cols: 32, Data: make([]float64, 224*32)}}}
 	size := wire.EncodedSize(msg)
 	b.ReportAllocs()
 	b.ResetTimer()

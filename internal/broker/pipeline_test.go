@@ -363,21 +363,22 @@ func TestMigrationAlsoPreservesStateOnAssign(t *testing.T) {
 	}
 }
 
-// TestChecksumsSurfaceWorkerError: a worker replying MsgError to a stats
-// request must fail Checksums (the serial implementation silently treated
-// the error frame as a malformed stats reply).
-func TestChecksumsSurfaceWorkerError(t *testing.T) {
+// TestSnapshotSurfacesWorkerError: a worker replying MsgError to a
+// control round's request fails the round with the worker's text, here
+// the snapshot round, whose reply type is not an ack (a serial
+// implementation once treated the error frame as a malformed reply).
+func TestSnapshotSurfacesWorkerError(t *testing.T) {
 	master, workerEnd := transport.Pipe()
 	go func() {
 		m, err := workerEnd.Recv()
 		if err != nil {
 			return
 		}
-		_ = workerEnd.Send(&wire.Message{Type: wire.MsgError, Seq: m.Seq, Text: "stats exploded"})
+		_ = workerEnd.Send(&wire.Message{Type: wire.MsgError, Seq: m.Seq, Text: "snapshot exploded"})
 	}()
 	exec := NewExecutor([]transport.Conn{master}, placement.NewAssignment(1, 1))
 	within(t, func() error {
-		if _, err := exec.Checksums(); err == nil || !strings.Contains(err.Error(), "stats exploded") {
+		if _, err := exec.SnapshotExperts(0); err == nil || !strings.Contains(err.Error(), "snapshot exploded") {
 			return fmt.Errorf("err = %v, want worker error surfaced", err)
 		}
 		return nil

@@ -79,7 +79,7 @@ func testKMasters(t *testing.T, pair func(*testing.T) (transport.Conn, transport
 	}
 
 	// Disagreeing turns: every master gets MsgError, and serving goes on.
-	turn(wire.MsgError, 0, &wire.Message{Type: wire.MsgStats}, &wire.Message{Type: wire.MsgStats}, &wire.Message{Type: wire.MsgZeroGrad})
+	turn(wire.MsgError, 0, &wire.Message{Type: wire.MsgPing}, &wire.Message{Type: wire.MsgPing}, &wire.Message{Type: wire.MsgZeroGrad})
 	x := wire.Matrix{Rows: 1, Cols: spec.D, Data: make([]float64, spec.D)}
 	turn(wire.MsgError, 0, multiFrame(false, 0, []int{0}, x), multiFrame(false, 0, []int{0}, x), multiFrame(false, 0, []int{1}, x))
 

@@ -101,8 +101,8 @@ func (w *Worker) NumExperts() int {
 }
 
 // params returns the parameters of all hosted experts. The order follows
-// map iteration and is NOT deterministic; callers (checksums, optimizer
-// rebinding) must not depend on it.
+// map iteration and is NOT deterministic; its caller, optimizer
+// rebinding, keys state by parameter and does not depend on it.
 func (w *Worker) params() []*nn.Param {
 	var ps []*nn.Param
 	for _, e := range w.experts {
@@ -505,13 +505,6 @@ func (w *Worker) handleAt(msg *wire.Message, arrivedAt int64, serialized bool) (
 		}
 		out.Seq = msg.Seq
 		return out, false
-
-	case wire.MsgStats:
-		w.mu.Lock()
-		sum := checksumParams(w.params())
-		w.mu.Unlock()
-		return &wire.Message{Type: wire.MsgStatsResult, Seq: msg.Seq,
-			Tensors: []wire.Matrix{{Rows: 1, Cols: len(sum), Data: sum}}}, false
 
 	case wire.MsgShutdown:
 		return &wire.Message{Type: wire.MsgAck, Seq: msg.Seq}, true

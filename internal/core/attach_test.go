@@ -146,7 +146,7 @@ func TestAttachOverTCPMatchesDeploy(t *testing.T) {
 		t.Fatalf("took %d snapshots over %d steps, want the first step's restore point and one per boundary", got, steps)
 	}
 
-	want, err := sys.Exec.Checksums()
+	want, err := sys.Exec.SnapshotExperts(steps - 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,14 +160,15 @@ func TestAttachOverTCPMatchesDeploy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := again.Exec.Checksums()
+	got, err := again.Exec.SnapshotExperts(steps - 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for n := range want {
-		// Tolerance, not bits: a worker sums its experts in map order.
-		if !testutil.SlicesAlmostEqual(want[n], got[n], testutil.DefaultTol) {
-			t.Fatalf("worker %d state changed across a re-Attach: %v -> %v", n, want[n], got[n])
+	for i, en := range want.Entries {
+		for j, ts := range en.Tensors {
+			if !testutil.BitEqualSlices(got.Entries[i].Tensors[j].Data, ts.Data) {
+				t.Fatalf("L%d/E%d tensor %d changed across a re-Attach", en.Layer, en.Expert, j)
+			}
 		}
 	}
 	if err := again.Close(); err != nil {

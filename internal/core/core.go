@@ -124,18 +124,16 @@ type System struct {
 	// Obs is the deployment's observability handle (nil when Options.Obs
 	// was not set).
 	Obs *obs.Handle
-	// Problem is the placement problem the deployment solved. Rebalance
-	// refreshes it in place; Supervisor and ReplaceController hold this
-	// pointer and re-solve against it.
+	// Problem is the placement problem the deployment solved, with the
+	// resolved cost model. Supervisor and ReplaceController share this
+	// pointer: a controller re-solve that migrates or re-anchors writes
+	// the P it solved over into it, and a restore writes the restored
+	// drift baseline's, so a failover repairs over the P the live layout
+	// was solved for.
 	Problem *placement.Problem
 	// Spec is the deployed experts' wire architecture; its PayloadBytes
 	// feeds the re-placement controller's migration-cost model.
 	Spec broker.ExpertSpec
-	// RoutingsPerStep, BitDepth and WireEncoding are the resolved
-	// cost-model parameters every later re-solve reuses.
-	RoutingsPerStep float64
-	BitDepth        int
-	WireEncoding    wire.Encoding
 
 	// Step-boundary handlers built so far, and Deploy's in-process workers
 	// (an empty deployment when the connections are the caller's).
@@ -225,27 +223,18 @@ func Attach(model *moe.Model, conns []transport.Conn, opts Options) (*System, er
 			D: cfg.D, Hidden: cfg.Hidden,
 			LoRARank: opts.LoRA.Rank, LoRAAlpha: opts.LoRA.Alpha,
 		},
-		RoutingsPerStep: routings,
-		BitDepth:        bitDepth,
-		WireEncoding:    opts.WireEncoding,
-		local:           &broker.LocalDeployment{},
+		local: &broker.LocalDeployment{},
 	}
 	model.SetObs(opts.Obs)
-	s.anchorDrift()
+	if opts.Obs != nil {
+		// The drift monitor's reference: P is the baseline, the
+		// objective's value for the assignment the predicted-comm gauge.
+		opts.Obs.Drift.SetBaseline(prob.P)
+		if m, err := placement.Evaluate(prob, assign); err == nil {
+			opts.Obs.Drift.SetPredictedComm(m.CommTime)
+		}
+	}
 	return s, nil
-}
-
-// anchorDrift makes the current problem and assignment the drift
-// monitor's reference: P becomes the baseline, the objective's value for
-// the assignment the predicted-comm gauge.
-func (s *System) anchorDrift() {
-	if s.Obs == nil {
-		return
-	}
-	s.Obs.Drift.SetBaseline(s.Problem.P)
-	if m, err := placement.Evaluate(s.Problem, s.Exec.Assignment()); err == nil {
-		s.Obs.Drift.SetPredictedComm(m.CommTime)
-	}
 }
 
 // Distribute detaches the experts of grid onto the workers per the
@@ -408,40 +397,4 @@ func (s *System) Close() error {
 		return fmt.Errorf("core: shutdown: %w", err)
 	}
 	return s.local.Wait()
-}
-
-// Rebalance re-solves the placement from fresh access statistics and
-// migrates every expert whose optimal worker changed — VELA's runtime
-// flexibility. It returns the number of experts moved; each keeps its
-// optimizer moments. Zero routingsPerStep/bitDepth reuse the deployment's
-// resolved values.
-//
-// After a successful rebalance the drift monitor is re-anchored: the
-// fresh stats become the baseline (the placement now reflects them, so
-// accumulated drift is stale) and the predicted-comm gauge becomes the
-// new assignment's objective value.
-func (s *System) Rebalance(stats *moe.AccessStats, strategy placement.Strategy, routingsPerStep float64, bitDepth int) (int, error) {
-	if strategy == nil {
-		strategy = placement.LocalityLP{}
-	}
-	if routingsPerStep <= 0 {
-		routingsPerStep = s.RoutingsPerStep
-	}
-	if bitDepth == 0 {
-		bitDepth = s.BitDepth
-	}
-	prob := placementProblem(s.Topo, stats, routingsPerStep, s.Model.Cfg.D, bitDepth, s.WireEncoding)
-	next, err := strategy.Place(prob)
-	if err != nil {
-		return 0, fmt.Errorf("core: rebalance placement: %w", err)
-	}
-	moved, err := s.Exec.Rebalance(next)
-	if err != nil {
-		return moved, fmt.Errorf("core: rebalance migration: %w", err)
-	}
-	// In place: the supervisor and the controller hold this pointer, and
-	// all three run on the training goroutine.
-	*s.Problem = *prob
-	s.anchorDrift()
-	return moved, nil
 }

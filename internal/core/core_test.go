@@ -213,63 +213,43 @@ func TestCloseIsIdempotent(t *testing.T) {
 }
 
 // TestRebalanceEndToEnd: deploy with a deliberately poor placement,
-// fine-tune a little, re-profile, rebalance to the LP, and verify the
-// system keeps training with the improved layout.
+// fine-tune a little, request a re-solve, and verify the controller
+// migrates experts at that step's boundary and the system keeps training
+// with the improved layout, each worker hosting what the assignment says.
 func TestRebalanceEndToEnd(t *testing.T) {
-	m, grid, cfg := buildCheckpoint(t)
-	lora := trainer.LoRAConfig{Rank: 2, Alpha: 4, Seed: 5}
-	trainer.PrepareForFinetune(m, grid, lora)
-	corpus := data.Shakespeare(4000)
-	stats, err := trainer.Profile(m, corpus, 4, 2, 16, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sys, err := Deploy(m, grid, Options{
-		Topo:     testTopology(),
-		Strategy: placement.Sequential{}, // start from the non-optimized layout
-		Stats:    stats,
-		LoRA:     lora,
-	})
+	m, grid, opts, corpus := prelude(t)
+	opts.Strategy = placement.Sequential{} // start from the non-optimized layout
+	sys, err := Deploy(m, grid, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sys.Close()
 
-	ft, err := sys.Finetuner(data.NewBatcher(corpus, 2, 16, 7))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ft.Run(2, nil); err != nil {
-		t.Fatal(err)
-	}
-
-	before := append([]int(nil), sys.Exec.Assignment().Loads(sys.Topo.NumWorkers())...)
-	moved, err := sys.Rebalance(stats, nil, 2*16*float64(cfg.TopK), 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if moved == 0 {
-		t.Fatalf("rebalance moved nothing (loads before: %v)", before)
+	ft, ctrl := supervised(t, sys, corpus)
+	before := sys.Exec.Assignment()
+	ft.OnStep = func(step int) error {
+		if step == 1 {
+			ctrl.RequestResolve("test")
+		}
+		return sys.StepBoundary(step)
 	}
 	// Training continues through the new placement.
-	if err := ft.Run(2, nil); err != nil {
-		t.Fatalf("fine-tuning after rebalance: %v", err)
+	if err := ft.Run(4, nil); err != nil {
+		t.Fatal(err)
 	}
 	if ft.Losses.Len() != 4 {
 		t.Fatalf("losses = %d", ft.Losses.Len())
 	}
+	migrations, moved := sys.Exec.Counters.Get(obs.ReplaceMigrations), sys.Exec.Counters.Get(obs.ReplaceMoves)
+	if moves, err := placement.Diff(before, sys.Exec.Assignment()); err != nil || migrations != 1 || moved == 0 || int64(len(moves)) != moved {
+		t.Fatalf("%d migration(s) moved %d experts (%q), the assignment %d (%v): want one that moved them all",
+			migrations, moved, ctrl.LastReason, len(moves), err)
+	}
 	// Worker hosting matches the new assignment.
+	loads := sys.Exec.Assignment().Loads(sys.Topo.NumWorkers())
 	for n, w := range sys.local.Workers {
-		want := 0
-		for l := range sys.Exec.Assignment().Worker {
-			for _, dst := range sys.Exec.Assignment().Worker[l] {
-				if dst == n {
-					want++
-				}
-			}
-		}
-		if w.NumExperts() != want {
-			t.Fatalf("worker %d hosts %d, assignment says %d", n, w.NumExperts(), want)
+		if w.NumExperts() != loads[n] {
+			t.Fatalf("worker %d hosts %d, assignment says %d", n, w.NumExperts(), loads[n])
 		}
 	}
 }

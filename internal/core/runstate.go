@@ -49,6 +49,10 @@ type RunCapture struct {
 	// controller.
 	Drift *obs.DriftMonitor
 	Ctrl  *replace.Controller
+	// Problem, when set, is the placement problem the supervisor and the
+	// controller share; a restore sets its P to the restored drift
+	// baseline, the P the restored layout was solved for.
+	Problem *placement.Problem
 	// Losses is the fine-tuner's loss series (the completed-step count
 	// and the trajectory a resume must extend bit-identically).
 	Losses *obs.Series
@@ -149,9 +153,10 @@ func CaptureRun(step int, c *RunCapture) (*checkpoint.RunState, error) {
 // replays nothing.
 //
 // The drift baseline is installed before the P̂ estimate (SetBaseline
-// resets P̂); the measured-comm EWMA is deliberately not restored — it
-// tracks wall-clock behaviour of the current process and re-warms within
-// a few steps.
+// resets P̂), and becomes the shared problem's P as well, so a later
+// failover repairs over the P the uninterrupted run's would; the
+// measured-comm EWMA is deliberately not restored — it tracks wall-clock
+// behaviour of the current process and re-warms within a few steps.
 func restore(rs *checkpoint.RunState, c *RunCapture, assign *placement.Assignment) error {
 	if rs.Experts == nil {
 		return fmt.Errorf("core: restore: the state of boundary %d has no expert snapshot", rs.Step-1)
@@ -207,6 +212,9 @@ func restore(rs *checkpoint.RunState, c *RunCapture, assign *placement.Assignmen
 			return fmt.Errorf("core: restore: data cursor: %w", err)
 		}
 	}
+	if c.Problem != nil && len(rs.Baseline) > 0 {
+		c.Problem.P = rs.Baseline // read-only on both sides, like every P
+	}
 	if c.Drift != nil {
 		if len(rs.Baseline) > 0 {
 			c.Drift.SetBaseline(rs.Baseline)
@@ -227,9 +235,10 @@ func restore(rs *checkpoint.RunState, c *RunCapture, assign *placement.Assignmen
 
 // capture names the live state of the system's run: the finetuner's
 // backbone, AdamW, batch-source position and loss series, the executor
-// and the supervisor's snapshot, the drift monitor and the controller.
+// and the supervisor's snapshot, the drift monitor, the controller and
+// the problem they share.
 func (s *System) capture() *RunCapture {
-	c := &RunCapture{Backbone: s.ft.Backbone, Exec: s.Exec, Sup: s.sup, Ctrl: s.ctrl, Losses: &s.ft.Losses}
+	c := &RunCapture{Backbone: s.ft.Backbone, Exec: s.Exec, Sup: s.sup, Ctrl: s.ctrl, Problem: s.Problem, Losses: &s.ft.Losses}
 	c.Opt, _ = s.ft.Opt.(*nn.AdamW)
 	if src, ok := s.ft.Batcher.(data.CursorSource); ok {
 		c.Cursor, c.Seek = src.Cursor, src.SeekTo

@@ -411,6 +411,37 @@ func lookupType(t *testing.T, pkgs []*Package, path, name string) *types.Named {
 	return nil
 }
 
+// benchUnits typechecks bench/'s and bench/stepbench's non-test packages
+// against the module once: bench/ is a nested module the load skips, and
+// stepbench is a caller like cmd/.
+var benchUnits = sync.OnceValues(func() ([]*Package, error) {
+	root, module, err := findModule(".")
+	if err != nil {
+		return nil, err
+	}
+	var units []*Package
+	l := newLoader(root, module)
+	for _, dir := range []string{"bench", "bench/stepbench"} {
+		u, err := l.analyze(module+"/"+dir, filepath.Join(root, dir), false)
+		if err != nil {
+			return nil, err
+		}
+		units = append(units, u...)
+	}
+	return units, nil
+})
+
+// callerPackages is every package whose references the censuses count:
+// the real module's, tests included, and bench/'s non-test ones.
+func callerPackages(t *testing.T, pkgs []*Package) []*Package {
+	t.Helper()
+	units, err := benchUnits()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append(slices.Clone(pkgs), units...)
+}
+
 // apiExempt names the exported API TestAPICensus lets stand without a
 // caller outside its package, with why. A key is one or more
 // space-separated names, each a package ("testutil"), a function
@@ -426,9 +457,7 @@ var apiExempt = map[string]string{
 	"moe.StabilityBound":                       "Theorem 1's bound, which the stability tests check; its runtime caller is ROADMAP item 30",
 	"transport.SetSendDeadline":                "bench/'s deadline test calls it, and bench/ does not change with the runtime",
 	"broker.LocalDeployment.WaitAll":           "the fault matrix's and kill table's view of which in-process workers ended in error",
-	"broker.Executor.Checksums":                "the parity and fault harnesses' read of remote worker state (the MsgStats round)",
 	"data.NewSwitchBatcher data.SwitchBatcher": "the distribution shift TestShiftReplacesOnce trains through",
-	"core.System.Rebalance":                    "the one-shot re-placement the rebalance and failover-after-rebalance rows drive; a deployment re-places through replace.Controller",
 }
 
 // TestAPICensus is ROADMAP's API census, checked by a machine: every
@@ -483,24 +512,9 @@ func TestAPICensus(t *testing.T) {
 		}
 	}
 
-	// References, by where they come from. bench/ is a nested module the
-	// load skips; its non-test packages are typechecked against this one
-	// here, since stepbench is a caller like cmd/.
-	root, module, err := findModule(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	callers := slices.Clone(pkgs)
-	l := newLoader(root, module)
-	for _, dir := range []string{"bench", "bench/stepbench"} {
-		units, err := l.analyze(module+"/"+dir, filepath.Join(root, dir), false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		callers = append(callers, units...)
-	}
+	// References, by where they come from.
 	outside, inside, tests, testsOutside := make(map[string]bool), make(map[string]bool), make(map[string]bool), make(map[string]bool)
-	for _, p := range callers {
+	for _, p := range callerPackages(t, pkgs) {
 		for _, f := range p.Files {
 			test := isTestFile(p.Fset, f.Pos())
 			for id, obj := range p.Info.Uses {
@@ -628,6 +642,62 @@ func TestAPICensus(t *testing.T) {
 			if !used[name] {
 				t.Errorf("exemption %s covers nothing that needs it: drop it", name)
 			}
+		}
+	}
+}
+
+// msgExempt names the wire.MsgType constants TestMessageCensus lets stand
+// without a reference outside internal/wire, with why.
+var msgExempt = map[string]string{
+	"MsgForward": "an alias of MsgForwardMulti that only bench/'s shaped-link test names; it goes with that test's next edit",
+}
+
+// TestMessageCensus: every wire.MsgType constant is referenced by a
+// non-test file outside internal/wire (cmd/, examples/ and bench/ count)
+// or exempt by msgExempt. A message type only tests send is a protocol
+// round with a test attached: delete it with its handler and port the
+// tests to the rounds the runtime drives.
+func TestMessageCensus(t *testing.T) {
+	pkgs := loadRealModule(t)
+	const wirePath = "repro/internal/wire"
+	consts := make(map[string]string) // declaration position by name
+	for _, p := range pkgs {
+		if p.Path != wirePath || p.Types == nil || p.Types.Name() != p.Name {
+			continue
+		}
+		msgType := p.Types.Scope().Lookup("MsgType")
+		for _, name := range p.Types.Scope().Names() {
+			if c, ok := p.Types.Scope().Lookup(name).(*types.Const); ok && types.Identical(c.Type(), msgType.Type()) {
+				consts[name] = p.Fset.Position(c.Pos()).String()
+			}
+		}
+	}
+	if len(consts) == 0 {
+		t.Fatal("found no wire.MsgType constant")
+	}
+	referenced := make(map[string]bool)
+	for _, p := range callerPackages(t, pkgs) {
+		if p.Path == wirePath {
+			continue
+		}
+		for id, obj := range p.Info.Uses {
+			if c, ok := obj.(*types.Const); ok && !isTestFile(p.Fset, id.Pos()) {
+				referenced[p.Fset.Position(c.Pos()).String()] = true
+			}
+		}
+	}
+	for name, pos := range consts {
+		_, exempt := msgExempt[name]
+		switch {
+		case referenced[pos] && exempt:
+			t.Errorf("wire.%s is referenced outside internal/wire: drop its exemption", name)
+		case !referenced[pos] && !exempt:
+			t.Errorf("wire.%s (%s) is referenced by no non-test file outside internal/wire: delete it and the round it names", name, pos)
+		}
+	}
+	for name := range msgExempt {
+		if _, ok := consts[name]; !ok {
+			t.Errorf("exemption %s names no wire.MsgType constant: drop it", name)
 		}
 	}
 }

@@ -22,9 +22,10 @@
 // read MaxDrift, ask Decide — re-solve over P̂ with dead
 // workers' capacity zeroed, diff, price both layouts — order the moves
 // capacity-safely, and execute the plan at the step boundary. After a
-// migration the drift baseline and the predicted-comm gauge are
-// re-anchored to the new placement, so the staleness signal measures the
-// NEW layout's fidelity.
+// migration the drift baseline, the predicted-comm gauge and the shared
+// problem's P are re-anchored to the new placement, so the staleness
+// signal measures the NEW layout's fidelity and a failover repairs over
+// the P it was solved for.
 package replace
 
 import (
@@ -107,9 +108,10 @@ type Controller struct {
 	OnReplace func(step, moved int, savings, cost float64)
 }
 
-// New builds a controller over the placement problem template (its
-// topology fields are reused for every re-solve; P is replaced by the
-// live estimate), the observability handle feeding the signals, the
+// New builds a controller over the placement problem it shares with the
+// supervisor (its topology fields are reused for every re-solve; P is
+// replaced by the live estimate, and a re-anchor writes that P back —
+// see rebaseline), the observability handle feeding the signals, the
 // counter table recording decisions (nil discards them), and the
 // migrator executing plans.
 func New(prob *placement.Problem, h *obs.Handle, stats *obs.Counters, mig Migrator, cfg Config) (*Controller, error) {
@@ -345,8 +347,12 @@ func (c *Controller) liveProblem() *placement.Problem {
 // rebaseline re-anchors the staleness signals to the placement just
 // confirmed or installed: the drift baseline becomes the P the solver
 // saw (so MaxDrift restarts near zero) and the predicted-comm gauge
-// becomes the new layout's objective value.
+// becomes the new layout's objective value. The shared problem takes
+// that P too, and only P (the live problem's zeroed dead-worker
+// capacities stay out of it): the supervisor repairs a failover over it,
+// and the layout is now solved for this P, not the profiled one.
 func (c *Controller) rebaseline(prob *placement.Problem, a *placement.Assignment) {
+	c.prob.P = prob.P
 	c.drift.SetBaseline(prob.P)
 	if m, err := placement.Evaluate(prob, a); err == nil {
 		c.drift.SetPredictedComm(m.CommTime)

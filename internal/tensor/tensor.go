@@ -297,15 +297,6 @@ func (t *Tensor) SumRowsInto(dst *Tensor) *Tensor {
 	return dst
 }
 
-// Sum returns the sum of all elements.
-func (t *Tensor) Sum() float64 {
-	var s float64
-	for _, v := range t.Data {
-		s += v
-	}
-	return s
-}
-
 // ArgTopKInto writes the indices of the len(idx) largest values of v into
 // idx in descending value order: the gate's expert selection. Ties are
 // broken by lower index to keep routing deterministic.

@@ -242,10 +242,14 @@ func TestSoftmaxPropertySumsToOne(t *testing.T) {
 	}
 }
 
+// TestReductions: SumRowsInto, the bias-gradient reduction, adds each
+// column's sum into its destination.
 func TestReductions(t *testing.T) {
-	x := New([]float64{3, -4, 0, 1}, 4)
-	if !testutil.Close(x.Sum(), 0) {
-		t.Fatalf("Sum = %v, want 0", x.Sum())
+	x := New([]float64{3, -4, 0, 1, 2.5, -1}, 2, 3)
+	dst := New([]float64{1, 0, -1}, 3)
+	x.SumRowsInto(dst)
+	if want := []float64{5, -1.5, -2}; !testutil.BitEqualSlices(dst.Data, want) {
+		t.Fatalf("SumRowsInto = %v, want %v", dst.Data, want)
 	}
 }
 
@@ -294,11 +298,11 @@ func TestRandnDeterministic(t *testing.T) {
 func TestZeroAndFill(t *testing.T) {
 	x := Full(3, 2, 2)
 	x.Zero()
-	if !testutil.Close(x.Sum(), 0) {
+	if !testutil.BitEqualSlices(x.Data, []float64{0, 0, 0, 0}) {
 		t.Fatal("Zero failed")
 	}
 	x = Full(1.5, 2, 2)
-	if !testutil.Close(x.Sum(), 6) {
+	if !testutil.BitEqualSlices(x.Data, []float64{1.5, 1.5, 1.5, 1.5}) {
 		t.Fatal("Full failed")
 	}
 }

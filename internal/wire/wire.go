@@ -27,14 +27,6 @@ type MsgType uint8
 const (
 	// MsgAssign ships one expert's identity and weights to a worker.
 	MsgAssign MsgType = iota + 1
-	// MsgForward, MsgForwardResult, MsgBackward and MsgBackwardResult are
-	// the retired single-expert dispatch frames. Nothing sends or serves
-	// them (a worker answers MsgError); the constants only hold their wire
-	// numbers so every later type keeps its value.
-	MsgForward
-	MsgForwardResult
-	MsgBackward
-	MsgBackwardResult
 	// MsgZeroGrad instructs the worker to clear expert gradients.
 	MsgZeroGrad
 	// MsgStep instructs the worker to run its local optimizer step.
@@ -45,11 +37,6 @@ const (
 	MsgError
 	// MsgShutdown asks the worker to terminate its serve loop.
 	MsgShutdown
-	// MsgStats asks the worker for its parameter/gradient checksums
-	// (used by integration tests and diagnostics).
-	MsgStats
-	// MsgStatsResult returns the checksums.
-	MsgStatsResult
 	// MsgFetch asks the worker to release an expert — the last leg of a
 	// runtime migration, sent once the expert's new host is installed.
 	MsgFetch
@@ -96,22 +83,22 @@ const (
 	MsgTraceFetchResult
 )
 
+// MsgForward is MsgForwardMulti under the name of the retired
+// single-expert dispatch frame, which declares no wire number of its own:
+// bench/'s shaped-link test frames a message with it, and bench/ changes
+// only with the benchmark. It goes with that test's next edit.
+const MsgForward = MsgForwardMulti
+
 // msgTypeNames is the package-level name table. String runs inside trace
 // and error paths; building a map per call would put an allocation (and a
 // hash walk) on the hot path.
 var msgTypeNames = [...]string{
 	MsgAssign:              "assign",
-	MsgForward:             "forward",
-	MsgForwardResult:       "forward_result",
-	MsgBackward:            "backward",
-	MsgBackwardResult:      "backward_result",
 	MsgZeroGrad:            "zero_grad",
 	MsgStep:                "step",
 	MsgAck:                 "ack",
 	MsgError:               "error",
 	MsgShutdown:            "shutdown",
-	MsgStats:               "stats",
-	MsgStatsResult:         "stats_result",
 	MsgFetch:               "fetch",
 	MsgFetchResult:         "fetch_result",
 	MsgPing:                "ping",
@@ -141,11 +128,10 @@ func (t MsgType) String() string {
 //	BackwardMulti:   row (fp64), Tensors[1..K] = per-expert batches [n, d]
 //	                 (tokens / dY); the *MultiResult reply mirrors the
 //	                 layout with outputs / dX
-//	ZeroGrad/Step/Ack/Shutdown/Stats/Ping/Pong: no payload (a Step the
+//	ZeroGrad/Step/Ack/Shutdown/Ping/Pong: no payload (a Step the
 //	                 master retries is undone by a restore of the last
 //	                 boundary's snapshot, not deduplicated by the worker)
 //	Snapshot:        Layer, Expert (reply mirrors MsgAssign layout)
-//	StatsResult:     Tensors[0] = [1, k] checksum vector
 //	Error:           Text
 type Message struct {
 	Type   MsgType
