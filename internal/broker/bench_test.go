@@ -37,7 +37,7 @@ func BenchmarkBrokeredExchange(b *testing.B) {
 }
 
 // benchManyExpertsPerWorker drives a scatter/gather round with many
-// experts stacked on few workers — the scenario where handleMulti's
+// experts stacked on few workers — the scenario where turnMulti's
 // fan-out matters. parallelism is the tensor engine's degree, which is
 // the fan-out's width (1 = serial, 0 = GOMAXPROCS).
 func benchManyExpertsPerWorker(b *testing.B, parallelism int) {

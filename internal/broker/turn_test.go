@@ -24,6 +24,15 @@ func TestWorkerServesKMasters(t *testing.T) {
 	t.Run("tcp", func(t *testing.T) { testKMasters(t, tcpPair) })
 }
 
+// handle serves msg as a one-master turn with no arrival timestamp, over
+// a conn that does not serialize: the worker fed directly, with no
+// transport between.
+func (w *Worker) handle(msg *wire.Message) (reply *wire.Message, done bool) {
+	replies := []*wire.Message{nil}
+	done = w.turn([]*wire.Message{msg}, replies, 0, false)
+	return replies[0], done
+}
+
 // tcpPair returns the two ends of one loopback TCP connection.
 func tcpPair(t *testing.T) (transport.Conn, transport.Conn) {
 	l, err := transport.Listen("127.0.0.1:0")
@@ -135,17 +144,17 @@ func testKMasters(t *testing.T, pair func(*testing.T) (transport.Conn, transport
 	}
 }
 
-// TestWorkerHoldsForwardFrameOverTCP: over a conn that serializes, the
-// worker returns its decoded frames to the codec pools, but a forward
-// frame's batch is the expert's cached input until its layer's backward.
-// Between a layer-0 forward and its backward, a layer-1 forward and
-// backward of the same size decode (and release) frames of that size
-// class, and the master decodes four replies of it; the worker's
-// gradients and replies must still equal a worker fed the same frames
-// directly. It runs on one P: a payload released there is what the next
-// decode of its size class gets back (sync.Pool's per-P slot), so a frame
-// released too early is certain to be rewritten.
-func TestWorkerHoldsForwardFrameOverTCP(t *testing.T) {
+// TestWorkerKeepsForwardInputOverTCP: over a conn that serializes, the
+// worker returns every decoded frame to the codec pools once its turn's
+// replies are sent, so a forward's input must be the expert's own copy
+// until its backward. Between a layer-0 forward and its backward, a
+// layer-1 forward and backward of the same size decode (and release)
+// frames of that size class, and the master decodes four replies of it;
+// the worker's gradients and replies must still equal a worker fed the
+// same frames directly. It runs on one P: a buffer released there is what
+// the next request of its size class gets back (sync.Pool's per-P slot),
+// so an input released too early is certain to be rewritten.
+func TestWorkerKeepsForwardInputOverTCP(t *testing.T) {
 	defer testutil.VerifyNoLeaks(t, "repro/internal/broker")
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	rng := rand.New(rand.NewSource(9))

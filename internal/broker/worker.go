@@ -48,12 +48,12 @@ func DefaultWorkerConfig() WorkerConfig {
 // serves forward/backward dispatch frames from its masters, and applies
 // local optimizer steps to the trainable (LoRA) parameters of its experts.
 //
-// Concurrency model: Serve handles one message, or with K masters one
-// turn of K messages, at a time. A dispatch frame's experts compute side
-// by side holding mu for reading, and they are distinct experts —
-// checkFrame refuses a frame that names one twice — so no two computes
-// touch one expert's cached activations. Whatever mutates the expert
-// table or optimizer state holds mu for writing.
+// Concurrency model: Serve handles one turn, a message from each master,
+// at a time. A dispatch turn's experts compute side by side holding mu
+// for reading, and they are distinct experts — checkFrame refuses a
+// frame that names one twice — so no two computes touch one expert's
+// cached activations. Whatever mutates the expert table or optimizer
+// state holds mu for writing.
 //
 // The zero value is not usable; call NewWorker.
 type Worker struct {
@@ -74,10 +74,13 @@ type Worker struct {
 	// cats holds each expert's last forward turn input, an arena buffer
 	// it reads until its backward turn; only turnMulti touches it.
 	cats map[moe.ExpertID]*tensor.Tensor
-	// fwd holds each layer's last one-master forward frame, whose batches
-	// its experts' layers cache as their inputs until that layer's
-	// backward; only retire touches it.
-	fwd map[int32]*wire.Message
+	// turnMulti's per-expert scratch, reused from turn to turn: only
+	// Serve's goroutine runs a turn.
+	ids  []moe.ExpertID
+	ins  []wire.Matrix
+	bufs []*tensor.Tensor
+	res  []wire.Matrix
+	errs []error
 }
 
 // NewWorker creates an Expert Manager with no experts assigned yet.
@@ -88,7 +91,6 @@ func NewWorker(id int, cfg WorkerConfig) *Worker {
 		specs:    make(map[moe.ExpertID]ExpertSpec),
 		baseSums: make(map[moe.ExpertID]uint32),
 		cats:     make(map[moe.ExpertID]*tensor.Tensor),
-		fwd:      make(map[int32]*wire.Message),
 		opt:      newOptimizer(cfg),
 	}
 }
@@ -158,8 +160,8 @@ func (w *Worker) refreshOptimizer() {
 // When every conn's Send serializes (transport.Copies), a reply may alias
 // the experts' output buffers, which nothing rewrites before it is sent,
 // and the dispatch frames Recv decoded from the codec pools go back to
-// them (see retire); over any other conn the replies are copies and the
-// frames are left to the GC.
+// them once the turn's replies are sent (see retire); over any other conn
+// the replies are copies and the frames are left to the GC.
 func (w *Worker) Serve(conns ...transport.Conn) error {
 	if len(conns) == 0 {
 		return fmt.Errorf("broker: worker %d: no master connection to serve", w.ID)
@@ -181,7 +183,7 @@ func (w *Worker) Serve(conns ...transport.Conn) error {
 		// Arrival on the worker tracer's clock: the queue-wait anchor for
 		// dispatch frames and the t1 echo for clock pings.
 		var arrivedAt int64
-		if w.cfg.Obs != nil {
+		if w.cfg.Obs != nil && len(conns) == 1 {
 			arrivedAt = w.cfg.Obs.Trace.Clock()
 		}
 		// Only dispatch frames are traced as requests.
@@ -212,7 +214,7 @@ func (w *Worker) Serve(conns ...transport.Conn) error {
 			}
 		}
 		if serialized {
-			w.retire(msgs, replies)
+			w.retire(msgs)
 		}
 		if done {
 			return nil
@@ -221,42 +223,28 @@ func (w *Worker) Serve(conns ...transport.Conn) error {
 }
 
 // retire returns a turn's dispatch frames to the codec pools once their
-// replies are sent. A one-master forward frame that computed stays until
-// its layer's next backward or forward frame retires: its batches are the
-// experts' cached inputs until then, and releasing them earlier would let
-// the next decode rewrite those activations. Any other dispatch frame — a
-// backward, one that failed, or one of a K>1 turn, whose batches
-// turnMulti copied into cats — goes at once.
-func (w *Worker) retire(msgs, replies []*wire.Message) {
-	for i, msg := range msgs {
-		fwd, bwd := msg.Type == wire.MsgForwardMulti, msg.Type == wire.MsgBackwardMulti
-		if !fwd && !bwd {
-			continue
+// replies are sent. No decoded frame outlives its turn: turnMulti copied
+// every batch it computed on into the tensor arena.
+func (w *Worker) retire(msgs []*wire.Message) {
+	for _, msg := range msgs {
+		if msg.Type == wire.MsgForwardMulti || msg.Type == wire.MsgBackwardMulti {
+			wire.Release(msg)
 		}
-		computed := replies[i].Type != wire.MsgError
-		if len(msgs) == 1 && (bwd || computed) {
-			// The layer's held frame is consumed, or replaced.
-			wire.Release(w.fwd[msg.Layer])
-			delete(w.fwd, msg.Layer)
-		}
-		if len(msgs) == 1 && fwd && computed {
-			w.fwd[msg.Layer] = msg
-			continue
-		}
-		wire.Release(msg)
 	}
 }
 
 // turn answers one message per master in replies and reports whether
-// serving ends. K masters, each training on its own share of the rows,
-// must agree on Type, Layer and Expert (dispatch frames on the id row
-// too), or all get MsgError. A dispatch turn runs each expert once over
-// all masters' rows (turnMulti); anything else runs once, a MsgStep after
-// scaling the expert gradients by 1/K, as each share's rows carry its mean.
+// serving ends; arrivedAt is 0 unless a traced worker serves one master.
+// K masters, each training on its own share of the rows, must agree on
+// Type, Layer and Expert (dispatch frames on the id row too), or all get
+// MsgError. Every dispatch turn goes to turnMulti; anything else runs
+// once, a MsgStep of K>1 masters after scaling the expert gradients by
+// 1/K, as each share's rows carry its mean.
 func (w *Worker) turn(msgs, replies []*wire.Message, arrivedAt int64, serialized bool) (done bool) {
 	first := msgs[0]
-	if len(msgs) == 1 {
-		replies[0], done = w.handleAt(first, arrivedAt, serialized)
+	dispatch := first.Type == wire.MsgForwardMulti || first.Type == wire.MsgBackwardMulti
+	if len(msgs) == 1 && !dispatch {
+		replies[0], done = w.handleAt(first, arrivedAt)
 		return done
 	}
 	var err error
@@ -268,8 +256,8 @@ func (w *Worker) turn(msgs, replies []*wire.Message, arrivedAt int64, serialized
 	}
 	switch {
 	case err != nil:
-	case first.Type == wire.MsgForwardMulti || first.Type == wire.MsgBackwardMulti:
-		err = w.turnMulti(msgs, replies, serialized)
+	case dispatch:
+		err = w.turnMulti(msgs, replies, arrivedAt, serialized)
 	default:
 		if first.Type == wire.MsgStep {
 			w.mu.Lock()
@@ -281,7 +269,7 @@ func (w *Worker) turn(msgs, replies []*wire.Message, arrivedAt int64, serialized
 			w.mu.Unlock()
 		}
 		var reply *wire.Message
-		reply, done = w.handleAt(first, 0, serialized)
+		reply, done = w.handleAt(first, arrivedAt)
 		for i, msg := range msgs {
 			r := *reply
 			r.Seq, r.Tensors = msg.Seq, slices.Clone(reply.Tensors)
@@ -296,12 +284,16 @@ func (w *Worker) turn(msgs, replies []*wire.Message, arrivedAt int64, serialized
 	return done
 }
 
-// turnMulti runs each expert of a dispatch turn once, over its rows from
-// every master concatenated in master order — exactly as for one master
-// sending them all — and answers each master its own rows. An expert with
-// no rows in the turn is not computed and answers 0 rows. The arena
-// buffers of a failed turn are left to the GC (see cats).
-func (w *Worker) turnMulti(msgs, replies []*wire.Message, serialized bool) error {
+// turnMulti runs each expert of a dispatch turn, one master's frame or
+// K's, once over its rows from every master concatenated in master order,
+// and answers each master its own rows, echoing the id row. The experts
+// compute side by side through tensor.Fanout; any failure fails the turn
+// with one MsgError per master. An expert with no rows is not computed
+// and answers 0 rows. Each batch computed on is a copy in the tensor
+// arena, so no decoded frame outlives the turn: a forward's copy stays in
+// cats until that expert's backward, and a failed turn's are left to the
+// GC.
+func (w *Worker) turnMulti(msgs, replies []*wire.Message, arrivedAt int64, serialized bool) error {
 	first := msgs[0]
 	backward, resType := first.Type == wire.MsgBackwardMulti, wire.MsgForwardMultiResult
 	if backward {
@@ -311,7 +303,7 @@ func (w *Worker) turnMulti(msgs, replies []*wire.Message, serialized bool) error
 		return err
 	}
 	k := len(first.Tensors) - 1
-	ids, ins, bufs := make([]moe.ExpertID, k), make([]wire.Matrix, k), make([]*tensor.Tensor, k)
+	ids, ins, bufs := reuse(&w.ids, k), reuse(&w.ins, k), reuse(&w.bufs, k)
 	for i := range ins {
 		ids[i] = moe.ExpertID{Layer: int(first.Layer), Expert: int(first.Tensors[0].Data[i])}
 		in := &ins[i]
@@ -334,11 +326,11 @@ func (w *Worker) turnMulti(msgs, replies []*wire.Message, serialized bool) error
 			in.Data = bufs[i].Data
 		}
 	}
-	res, errs := make([]wire.Matrix, k), make([]error, k)
+	res, errs := reuse(&w.res, k), reuse(&w.errs, k)
 	tensor.Fanout(k, func(i int) {
 		res[i] = wire.Matrix{Cols: ins[i].Cols}
 		if ins[i].Rows > 0 {
-			res[i], errs[i] = w.runExpert(ids[i], backward, &ins[i], first.Seq, 0, serialized)
+			res[i], errs[i] = w.runExpert(ids[i], backward, &ins[i], first.Seq, arrivedAt, serialized)
 		}
 	})
 	if err := errors.Join(errs...); err != nil {
@@ -366,19 +358,23 @@ func (w *Worker) turnMulti(msgs, replies []*wire.Message, serialized bool) error
 	return nil
 }
 
-// handle processes one message with no arrival timestamp (tests and
-// direct drivers); the serve loop calls handleAt with the real one.
-func (w *Worker) handle(msg *wire.Message) (reply *wire.Message, done bool) {
-	return w.handleAt(msg, 0, false)
+// reuse returns *s resized to n zero values, growing it only past its
+// capacity.
+func reuse[T any](s *[]T, n int) []T {
+	if cap(*s) < n {
+		*s = make([]T, n)
+	}
+	*s = (*s)[:n]
+	clear(*s)
+	return *s
 }
 
-// handleAt processes one message and returns the reply (nil for none)
-// and whether the serve loop should terminate. arrivedAt is the frame's
-// arrival on the worker tracer's clock (0 when uninstrumented): the
-// queue-wait anchor for compute requests and the t1 echo for clock
-// pings. serialized says the reply is serialized before anything else
-// runs on the worker, so it may alias the experts' buffers (see Serve).
-func (w *Worker) handleAt(msg *wire.Message, arrivedAt int64, serialized bool) (reply *wire.Message, done bool) {
+// handleAt processes one message other than a dispatch frame (turn gives
+// those to turnMulti) and returns the reply (nil for none) and whether
+// the serve loop should terminate. arrivedAt is the message's arrival on
+// the worker tracer's clock (0 when uninstrumented): the t1 echo for
+// clock pings.
+func (w *Worker) handleAt(msg *wire.Message, arrivedAt int64) (reply *wire.Message, done bool) {
 	switch msg.Type {
 	case wire.MsgAssign:
 		ex, en, err := decodeExpertState(msg)
@@ -423,9 +419,6 @@ func (w *Worker) handleAt(msg *wire.Message, arrivedAt int64, serialized bool) (
 			return errMsg(msg, fmt.Errorf("broker: worker %d does not host %v", w.ID, id)), false
 		}
 		return &wire.Message{Type: wire.MsgFetchResult, Layer: msg.Layer, Expert: msg.Expert, Seq: msg.Seq}, false
-
-	case wire.MsgForwardMulti, wire.MsgBackwardMulti:
-		return w.handleMulti(msg, arrivedAt, serialized), false
 
 	case wire.MsgZeroGrad:
 		// Only what the optimizer steps: a frozen parameter has no Grad.
@@ -514,36 +507,6 @@ func (w *Worker) handleAt(msg *wire.Message, arrivedAt int64, serialized bool) (
 	}
 }
 
-// handleMulti serves one dispatch frame (see checkFrame). Its experts
-// compute side by side through tensor.Fanout, at most
-// tensor.Parallelism() at once, and the reply mirrors the frame, echoing
-// the id row. Any expert failure fails the frame with one MsgError.
-func (w *Worker) handleMulti(msg *wire.Message, arrivedAt int64, serialized bool) *wire.Message {
-	backward, resType := false, wire.MsgForwardMultiResult
-	if msg.Type == wire.MsgBackwardMulti {
-		backward, resType = true, wire.MsgBackwardMultiResult
-	}
-	if err := w.checkFrame(msg); err != nil {
-		return errMsg(msg, err)
-	}
-	k := len(msg.Tensors) - 1
-	ids := msg.Tensors[0]
-	outs := make([]wire.Matrix, 1+k)
-	outs[0] = ids // echo so the master can re-correlate results
-	errs := make([]error, k)
-	tensor.Fanout(k, func(i int) {
-		id := moe.ExpertID{Layer: int(msg.Layer), Expert: int(ids.Data[i])}
-		outs[1+i], errs[i] = w.runExpert(id, backward, &msg.Tensors[1+i], msg.Seq, arrivedAt, serialized)
-	})
-	for _, err := range errs {
-		if err != nil {
-			return errMsg(msg, err)
-		}
-	}
-	return &wire.Message{Type: resType, Layer: msg.Layer, Expert: wire.ExpertCoalesced,
-		Seq: msg.Seq, Tensors: outs}
-}
-
 // checkFrame validates a dispatch frame: a 1×K row of K distinct expert
 // ids, then their K batches. A garbage or repeated id is refused before
 // anything computes: a second compute of one expert would overwrite the
@@ -568,7 +531,7 @@ func (w *Worker) checkFrame(msg *wire.Message) error {
 // runExpert runs one expert's forward or backward over a batch and
 // returns the reply matrix with its wire encoding stamped: the expert's
 // output buffer itself when serialized, else a copy of it. It holds the
-// worker's read barrier; the frame's other computes run on other experts.
+// worker's read barrier; the turn's other computes run on other experts.
 //
 // A panic out of the expert compute (an nn shape/state precondition — a
 // chaos transport can deliver a duplicated backward frame whose second

@@ -25,10 +25,9 @@ import (
 //
 // Second, the per-step hot-path invariant from the parallel tensor
 // engine (DESIGN.md §11): inside a function named Forward, Backward,
-// backwardParams, Step, stepParam, runExpert, handleMulti, turnMulti,
-// retire, CrossEntropy, AddForward, BackwardAdd or one of the MoE block's
-// row passes
-// (dispatchRows, combineRows, scatterRows, gatherRows), calling an
+// backwardParams, Step, stepParam, runExpert, turnMulti, retire,
+// CrossEntropy, AddForward, BackwardAdd or one of the MoE block's row
+// passes (dispatchRows, combineRows, scatterRows, gatherRows), calling an
 // allocating tensor-op variant (SoftmaxRows) is a finding — those paths
 // run every training step and must use the destination-passing (GEMM,
 // *Into), in-place, or arena APIs. A
@@ -70,8 +69,7 @@ var hotPathFuncs = map[string]bool{
 	"Step":           true,
 	"stepParam":      true, // nn.AdamW's per-parameter update, a Fanout job
 	"runExpert":      true,
-	"handleMulti":    true, // broker.Worker's one-master dispatch frame
-	"turnMulti":      true, // and its K-master turn
+	"turnMulti":      true, // broker.Worker's dispatch turn, of one master or K
 	"retire":         true, // and the frames' return to the codec pools
 	"CrossEntropy":   true, // nn.Loss's per-step loss and gradient
 	"AddForward":     true, // nn.RMSNorm's residual add fused into the norm

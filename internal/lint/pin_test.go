@@ -538,8 +538,137 @@ func TestAPICensus(t *testing.T) {
 		}
 	}
 
-	// The interfaces a method may implement: every non-test named
-	// interface of the module and of the packages it imports, and error.
+	implements := interfaceMethods(pkgs)
+	analyzerName := func(dl *decl) bool {
+		for _, r := range nameRules {
+			if (r.component == "" || hasComponent(dl.pkg.Path, r.component)) && r.funcs[dl.fn.Name()] {
+				return true
+			}
+		}
+		return false
+	}
+	exemptBy := func(dl *decl) string {
+		for key := range apiExempt {
+			for _, name := range strings.Fields(key) {
+				if name == dl.pkg.Name || name == dl.name || name == dl.typ {
+					return name
+				}
+			}
+		}
+		return ""
+	}
+
+	used := make(map[string]bool)
+	for _, pos := range order {
+		dl := decls[pos]
+		if outside[pos] || dl.typ != "" && implements(dl.pkg.Path, strings.TrimPrefix(dl.typ, dl.pkg.Name+"."), dl.fn.Name()) || inside[pos] && analyzerName(dl) {
+			continue
+		}
+		if name := exemptBy(dl); name != "" {
+			used[name] = true
+			continue
+		}
+		switch {
+		case inside[pos] && testsOutside[pos]:
+			// Live code another package's tests reach: unexporting it
+			// would only copy it into those tests.
+		case inside[pos]:
+			t.Errorf("%s (%s) is called only inside its package: unexport it", dl.name, pos)
+		case tests[pos]:
+			t.Errorf("%s (%s) is called only by tests: delete it and port them to its real entry point", dl.name, pos)
+		default:
+			t.Errorf("%s (%s) is referenced nowhere: delete it", dl.name, pos)
+		}
+	}
+	if len(apiExempt) > 12 {
+		t.Errorf("%d exemption entries, want at most 12", len(apiExempt))
+	}
+	for key, reason := range apiExempt {
+		if reason == "" {
+			t.Errorf("exemption %q has no reason", key)
+		}
+		for _, name := range strings.Fields(key) {
+			if !used[name] {
+				t.Errorf("exemption %s covers nothing that needs it: drop it", name)
+			}
+		}
+	}
+}
+
+// TestUnexportedCensus is the API census's other half: every unexported
+// function and method declared in a non-test file of the module must be
+// referenced by a non-test file of its package, from outside its own
+// body, or implement a method of an interface (see interfaceMethods).
+// One only tests call is test code: it moves into the tests that call it.
+// main and init are called by the runtime.
+func TestUnexportedCensus(t *testing.T) {
+	pkgs := loadRealModule(t)
+	fset := pkgs[0].Fset
+	implements := interfaceMethods(pkgs)
+	type decl struct {
+		pkg  *Package
+		fn   *types.Func
+		name string // pkg.func or pkg.Type.method
+		typ  string // the receiver's type name for a method
+	}
+	decls := make(map[string]*decl) // by declaration position
+	var order []string
+	referenced := make(map[string]bool)
+	for _, p := range pkgs {
+		if p.Types == nil {
+			continue
+		}
+		for _, f := range p.Files {
+			if isTestFile(fset, f.Pos()) {
+				continue
+			}
+			for _, d := range f.Decls {
+				self := ""
+				if fd, ok := d.(*ast.FuncDecl); ok {
+					fn := p.Info.Defs[fd.Name].(*types.Func)
+					self = fset.Position(fn.Pos()).String()
+					if name := fd.Name.Name; !fd.Name.IsExported() && decls[self] == nil &&
+						!(fd.Recv == nil && (name == "init" || name == "main" && p.Name == "main")) {
+						dl := &decl{pkg: p, fn: fn, name: p.Name + "." + name}
+						if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
+							if named, ok := deref(recv.Type()).(*types.Named); ok {
+								dl.typ = named.Obj().Name()
+								dl.name = p.Name + "." + dl.typ + "." + name
+							}
+						}
+						decls[self] = dl
+						order = append(order, self)
+					}
+				}
+				ast.Inspect(d, func(n ast.Node) bool {
+					if id, ok := n.(*ast.Ident); ok {
+						if fn, ok := p.Info.Uses[id].(*types.Func); ok {
+							if pos := fset.Position(fn.Origin().Pos()).String(); pos != self {
+								referenced[pos] = true
+							}
+						}
+					}
+					return true
+				})
+			}
+		}
+	}
+	if len(order) == 0 {
+		t.Fatal("found no unexported function")
+	}
+	for _, pos := range order {
+		dl := decls[pos]
+		if !referenced[pos] && (dl.typ == "" || !implements(dl.pkg.Path, dl.typ, dl.fn.Name())) {
+			t.Errorf("%s (%s) has no non-test reference in its package: delete it, or move it into the tests that call it", dl.name, pos)
+		}
+	}
+}
+
+// interfaceMethods returns whether a method of the named type of a
+// package implements a method of an interface: one of every non-test
+// named interface of the module and of the packages it imports, or error.
+func interfaceMethods(pkgs []*Package) func(pkgPath, typeName, method string) bool {
+	fset := pkgs[0].Fset
 	var ifaces []*types.Interface
 	seen := make(map[*types.Package]bool)
 	var visit func(*types.Package)
@@ -574,75 +703,20 @@ func TestAPICensus(t *testing.T) {
 	for tp := range seen {
 		views[tp.Path()] = append(views[tp.Path()], tp)
 	}
-	implements := func(dl *decl) bool {
-		typeName := strings.TrimPrefix(dl.typ, dl.pkg.Name+".")
-		for _, tp := range views[dl.pkg.Path] {
+	return func(pkgPath, typeName, method string) bool {
+		for _, tp := range views[pkgPath] {
 			obj, ok := tp.Scope().Lookup(typeName).(*types.TypeName)
 			if !ok {
 				continue
 			}
 			for _, it := range ifaces {
-				if m, _, _ := types.LookupFieldOrMethod(it, false, nil, dl.fn.Name()); m != nil &&
+				if m, _, _ := types.LookupFieldOrMethod(it, false, tp, method); m != nil &&
 					(types.Implements(obj.Type(), it) || types.Implements(types.NewPointer(obj.Type()), it)) {
 					return true
 				}
 			}
 		}
 		return false
-	}
-	analyzerName := func(dl *decl) bool {
-		for _, r := range nameRules {
-			if (r.component == "" || hasComponent(dl.pkg.Path, r.component)) && r.funcs[dl.fn.Name()] {
-				return true
-			}
-		}
-		return false
-	}
-	exemptBy := func(dl *decl) string {
-		for key := range apiExempt {
-			for _, name := range strings.Fields(key) {
-				if name == dl.pkg.Name || name == dl.name || name == dl.typ {
-					return name
-				}
-			}
-		}
-		return ""
-	}
-
-	used := make(map[string]bool)
-	for _, pos := range order {
-		dl := decls[pos]
-		if outside[pos] || dl.typ != "" && implements(dl) || inside[pos] && analyzerName(dl) {
-			continue
-		}
-		if name := exemptBy(dl); name != "" {
-			used[name] = true
-			continue
-		}
-		switch {
-		case inside[pos] && testsOutside[pos]:
-			// Live code another package's tests reach: unexporting it
-			// would only copy it into those tests.
-		case inside[pos]:
-			t.Errorf("%s (%s) is called only inside its package: unexport it", dl.name, pos)
-		case tests[pos]:
-			t.Errorf("%s (%s) is called only by tests: delete it and port them to its real entry point", dl.name, pos)
-		default:
-			t.Errorf("%s (%s) is referenced nowhere: delete it", dl.name, pos)
-		}
-	}
-	if len(apiExempt) > 12 {
-		t.Errorf("%d exemption entries, want at most 12", len(apiExempt))
-	}
-	for key, reason := range apiExempt {
-		if reason == "" {
-			t.Errorf("exemption %q has no reason", key)
-		}
-		for _, name := range strings.Fields(key) {
-			if !used[name] {
-				t.Errorf("exemption %s covers nothing that needs it: drop it", name)
-			}
-		}
 	}
 }
 

@@ -1,11 +1,5 @@
 package moe
 
-import (
-	"math"
-
-	"repro/internal/tensor"
-)
-
 // StabilityBound is the right-hand side of Theorem 1:
 //
 //	ΔP_t(e) ≤ μ·E·L²·P_{t−1}(x)[e]·(1 − P_{t−1}(x)[e])
@@ -17,20 +11,6 @@ import (
 // with it the expert locality VELA exploits.
 func StabilityBound(mu, lipschitz float64, numExperts int, p float64) float64 {
 	return mu * float64(numExperts) * lipschitz * lipschitz * p * (1 - p)
-}
-
-// softmaxDelta returns per-component |softmax(y1)[e] − softmax(y0)[e]|,
-// the ΔP_t(e) of Theorem 1.
-func softmaxDelta(y0, y1 []float64) []float64 {
-	p0 := make([]float64, len(y0))
-	p1 := make([]float64, len(y1))
-	tensor.SoftmaxInto(p0, y0)
-	tensor.SoftmaxInto(p1, y1)
-	d := make([]float64, len(y0))
-	for i := range d {
-		d[i] = math.Abs(p1[i] - p0[i])
-	}
-	return d
 }
 
 // SelectionOverlap returns the fraction of tokens whose top-k expert *set*

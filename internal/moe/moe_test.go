@@ -516,6 +516,20 @@ func TestTheorem1Bound(t *testing.T) {
 	}
 }
 
+// softmaxDelta returns per-component |softmax(y1)[e] − softmax(y0)[e]|,
+// the ΔP_t(e) of Theorem 1.
+func softmaxDelta(y0, y1 []float64) []float64 {
+	p0 := make([]float64, len(y0))
+	p1 := make([]float64, len(y1))
+	tensor.SoftmaxInto(p0, y0)
+	tensor.SoftmaxInto(p1, y1)
+	d := make([]float64, len(y0))
+	for i := range d {
+		d[i] = math.Abs(p1[i] - p0[i])
+	}
+	return d
+}
+
 // TestTheorem1UncertaintyShape checks the qualitative claim: confident
 // scores (p near 0 or 1) admit a much smaller bound than uncertain ones
 // (p near 1/2).
