@@ -151,7 +151,7 @@ bench-check:
 # race-enabled and rerun from scratch every time.
 chaos:
 	$(GO) test -race -count=1 \
-		-run 'Chaos|Fault|Failover|Supervisor|Repair|Recover|Dead|Probe|Counters|ExpertSnapshot|RunStore|DecodeRun|CrashResume' \
+		-run 'Chaos|Fault|Failover|Supervisor|Repair|Recover|Dead|Probe|Counters|ExpertSnapshot|RunStore|DecodeRun|CrashResume|Contract' \
 		./internal/broker ./internal/transport ./internal/placement \
 		./internal/checkpoint ./internal/trainer ./internal/obs ./internal/core
 

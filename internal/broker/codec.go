@@ -238,14 +238,10 @@ func encodeExpert(e *moe.Expert, spec ExpertSpec) *wire.Message {
 }
 
 // encodeExpertSnapshot serializes what a step changes about an expert —
-// its trainable parameters and opt — with every tensor deep-copied, as a
-// delta entry naming baseSum; for an expert with nothing frozen that is
-// everything, and the entry is a full one. Snapshot replies must not
-// alias live parameter or moment memory: over the in-process transport
-// the message travels by pointer, and an aliased snapshot would keep
-// mutating as training continues — the restored state after a failover
-// would then be whatever the weights drifted to, not the step boundary
-// the snapshot named.
+// its trainable parameters and opt — as a delta entry naming baseSum; for
+// an expert with nothing frozen that is everything, and the entry is a
+// full one. The tensors alias e's and opt's live memory: the frame Send
+// encodes from them is the copy, taken before the worker can step again.
 func encodeExpertSnapshot(e *moe.Expert, spec ExpertSpec, opt *expertOptState, baseSum uint32) *wire.Message {
 	params := e.Params()
 	trainable := nn.CollectTrainable(params)
@@ -253,25 +249,20 @@ func encodeExpertSnapshot(e *moe.Expert, spec ExpertSpec, opt *expertOptState, b
 	for _, p := range trainable {
 		en.params = append(en.params, matrixOf(p.Value))
 	}
-	m := &wire.Message{
+	return &wire.Message{
 		Type:    wire.MsgSnapshotResult,
 		Layer:   int32(e.ID.Layer),
 		Expert:  int32(e.ID.Expert),
 		Tensors: en.tensors(),
 	}
-	for i := 1; i < len(m.Tensors); i++ {
-		m.Tensors[i].Data = append([]float64(nil), m.Tensors[i].Data...)
-	}
-	return m
 }
 
 // decodeExpertState rebuilds an expert from a MsgAssign message and
 // returns it with the parsed entry (spec, and the optimizer slice when
 // the message carries one). The entry is validated against the shipped
 // payload before anything is built; the build draws no random numbers,
-// since every weight is the shipped one, and copies them: over the
-// in-process transport the message's tensors are the sender's memory —
-// for a composed assign, the master's base views.
+// since every weight is the shipped one, and copies them, so the expert
+// owns its weights whatever becomes of the message.
 func decodeExpertState(m *wire.Message) (*moe.Expert, *expertEntry, error) {
 	if m.Type != wire.MsgAssign {
 		return nil, nil, fmt.Errorf("broker: decodeExpert on %v message", m.Type)
@@ -330,16 +321,6 @@ func matrixOf(t *tensor.Tensor) wire.Matrix {
 		return wire.Matrix{Rows: t.Dim(0), Cols: t.Dim(1), Data: t.Data}
 	}
 	return wire.Matrix{Rows: 1, Cols: t.Len(), Data: t.Data}
-}
-
-// matrixCopyOf is matrixOf with the data copied out. Required for reply
-// payloads built from a layer's step-persistent output buffer: the buffer
-// is overwritten by the expert's next request, which over the in-process
-// transport may happen while the master is still reading this reply.
-func matrixCopyOf(t *tensor.Tensor) wire.Matrix {
-	m := matrixOf(t)
-	m.Data = append([]float64(nil), m.Data...)
-	return m
 }
 
 // tensorOf converts a wire matrix into a tensor.

@@ -193,11 +193,12 @@ func TestNoLoRAMeansNoDelta(t *testing.T) {
 	}
 }
 
-// TestBaseViewsSurviveTrainingOverChanTransport: over chan pipes a
-// composed assign reaches the worker by pointer, base views included. The
-// worker must copy them: after training steps, a migration of every
-// expert and a restore of every expert from the snapshot, the master's
-// base is still the grid's memory and still the bits it started with.
+// TestBaseViewsSurviveTrainingOverChanTransport: a composed assign is
+// built from the master's base views, and no transport may write through
+// them — the chan pipe once delivered messages by pointer, so this stays
+// as a regression. After training steps, a migration of every expert and
+// a restore of every expert from the snapshot, the master's base is
+// still the grid's memory and still the bits it started with.
 func TestBaseViewsSurviveTrainingOverChanTransport(t *testing.T) {
 	defer testutil.VerifyNoLeaks(t, "repro/internal/broker", "repro/internal/transport")
 	const steps, workers = 5, 2

@@ -312,15 +312,10 @@ func (x *Executor) sendRecv(n int, msgs []*wire.Message, want wire.MsgType, onSe
 	}
 	defer x.release(n)
 	conn := x.conn(n)
-	// Over a serializing transport replies are pooled decodes the broker
-	// owns; every one not handed to onReply is recycled here. Replies
-	// handed to onReply are the callback's to retain or stash — sendRecv
-	// cannot know which.
-	canRelease := transport.Copies(conn)
 	if x.RequestTimeout > 0 {
 		// Clear the deadline on the way out so a later round without
 		// timeouts does not inherit a stale one.
-		defer transport.SetRecvDeadline(conn, time.Time{})
+		defer conn.SetRecvDeadline(time.Time{})
 	}
 	var rowT0 int64
 	if x.Obs != nil {
@@ -344,7 +339,7 @@ func (x *Executor) sendRecv(n int, msgs []*wire.Message, want wire.MsgType, onSe
 		if onSent != nil {
 			onSent(n)
 		}
-		reply, err := x.awaitReply(conn, n, first, seq, canRelease)
+		reply, err := x.awaitReply(conn, n, first, seq)
 		if err != nil {
 			return err
 		}
@@ -357,12 +352,12 @@ func (x *Executor) sendRecv(n int, msgs []*wire.Message, want wire.MsgType, onSe
 		case reply.Type != want:
 			err = fmt.Errorf("broker: worker %d replied %v to %v", n, reply.Type, msg.Type)
 		case onReply != nil:
+			// Replies handed to onReply are the callback's to keep or
+			// release; sendRecv recycles every other one.
 			err = onReply(n, i, reply)
-			reply = nil // onReply's now
+			reply = nil
 		}
-		if reply != nil && canRelease {
-			wire.Release(reply)
-		}
+		wire.Release(reply)
 		if err != nil {
 			return err
 		}
@@ -384,11 +379,12 @@ func (x *Executor) sendRecv(n int, msgs []*wire.Message, want wire.MsgType, onSe
 // extended with exponential backoff (timeout, 2·timeout, 4·timeout, …) up
 // to maxRecvRetries extra waits, after which the share fails with an error
 // wrapping transport.ErrTimeout.
-func (x *Executor) awaitReply(conn transport.Conn, n int, first, seq uint64, canRelease bool) (*wire.Message, error) {
+func (x *Executor) awaitReply(conn transport.Conn, n int, first, seq uint64) (*wire.Message, error) {
 	timeout := x.RequestTimeout
 	for attempt := 0; ; {
 		if timeout > 0 {
-			transport.SetRecvDeadline(conn, time.Now().Add(timeout<<attempt))
+			// Only a closed conn refuses a deadline, and Recv reports that.
+			_ = conn.SetRecvDeadline(time.Now().Add(timeout << attempt))
 		}
 		reply, err := conn.Recv()
 		if err != nil {
@@ -413,9 +409,7 @@ func (x *Executor) awaitReply(conn transport.Conn, n int, first, seq uint64, can
 		default:
 			x.Counters.Add(obs.DuplicateReplies, 1)
 		}
-		if canRelease {
-			wire.Release(reply)
-		}
+		wire.Release(reply)
 		if err != nil {
 			return nil, err
 		}
@@ -607,23 +601,15 @@ func (x *Executor) exchange(layer int, batches map[int]*tensor.Tensor, backward 
 		if x.Obs != nil {
 			decT0 = x.Obs.Trace.Clock()
 		}
-		pooled := transport.Copies(x.conn(n))
 		var tokens, bytes int64
 		for i, e := range es {
 			if int(idRow.Data[i]) != e {
 				return fmt.Errorf("broker: worker %d %v reply echoes expert %d at slot %d, want %d",
 					n, reply.Type, int(idRow.Data[i]), i, e)
 			}
-			var out *tensor.Tensor
-			if pooled {
-				// The reply is a pooled decode: copy the result into the
-				// executor's persistent buffer; the frame is recycled below.
-				out = x.stashResult(backward, layer, e, &reply.Tensors[1+i])
-			} else {
-				// In-process pipe: the reply tensor is the worker's copy, owned
-				// by the master outright.
-				out = tensorOf(reply.Tensors[1+i])
-			}
+			// Copy the result into the executor's persistent buffer; the
+			// frame is recycled below.
+			out := x.stashResult(backward, layer, e, &reply.Tensors[1+i])
 			mu.Lock()
 			results[e] = out
 			mu.Unlock()
@@ -635,9 +621,7 @@ func (x *Executor) exchange(layer int, batches map[int]*tensor.Tensor, backward 
 		x.Counters.AddWorker(obs.TrafficTokensFrom, n, tokens)
 		x.Counters.AddWorker(obs.TrafficBytesFrom, n, bytes)
 		x.Counters.AddWorker(obs.TrafficFrames, n, 1)
-		if pooled {
-			wire.Release(reply)
-		}
+		wire.Release(reply)
 		if x.Obs != nil {
 			x.Obs.OnDecode(n, layer, int(wire.ExpertCoalesced), seq,
 				time.Duration(x.Obs.Trace.Clock()-decT0))
@@ -709,6 +693,7 @@ func (x *Executor) Ping(n int) error {
 	}
 	msg.Tensors = []wire.Matrix{{Rows: 1, Cols: 1, Data: []float64{float64(x.Obs.Trace.Clock())}}}
 	return x.one(n, msg, wire.MsgPong, func(n, _ int, reply *wire.Message) error {
+		defer wire.Release(reply)
 		if len(reply.Tensors) == 1 && reply.Tensors[0].Rows == 1 && reply.Tensors[0].Cols == 3 {
 			t3 := x.Obs.Trace.Clock()
 			echo := reply.Tensors[0].Data
@@ -733,6 +718,7 @@ func (x *Executor) FetchWorkerTrace(n int, cursor uint64) ([]obs.Event, uint64, 
 	var evs []obs.Event
 	next, dropped := cursor, uint64(0)
 	err := x.one(n, req, wire.MsgTraceFetchResult, func(n, _ int, reply *wire.Message) error {
+		defer wire.Release(reply) // EventsFromRows copies
 		if len(reply.Tensors) < 1 || reply.Tensors[0].Rows != 1 || reply.Tensors[0].Cols != 2 {
 			return fmt.Errorf("broker: worker %d trace-fetch reply lacks the cursor row", n)
 		}

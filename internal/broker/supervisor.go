@@ -186,8 +186,8 @@ func (s *Supervisor) handshake(conn transport.Conn) error {
 	if timeout <= 0 {
 		timeout = time.Second
 	}
-	transport.SetRecvDeadline(conn, time.Now().Add(timeout))
-	defer transport.SetRecvDeadline(conn, time.Time{})
+	_ = conn.SetRecvDeadline(time.Now().Add(timeout)) // only a closed conn refuses; Send reports it
+	defer conn.SetRecvDeadline(time.Time{})
 	if err := conn.Send(&wire.Message{Type: wire.MsgPing}); err != nil {
 		return err
 	}
@@ -195,6 +195,7 @@ func (s *Supervisor) handshake(conn transport.Conn) error {
 	if err != nil {
 		return err
 	}
+	defer wire.Release(reply)
 	if reply.Type != wire.MsgPong {
 		return fmt.Errorf("broker: rejoin handshake answered %v, want %v", reply.Type, wire.MsgPong)
 	}

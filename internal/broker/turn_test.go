@@ -24,13 +24,24 @@ func TestWorkerServesKMasters(t *testing.T) {
 	t.Run("tcp", func(t *testing.T) { testKMasters(t, tcpPair) })
 }
 
-// handle serves msg as a one-master turn with no arrival timestamp, over
-// a conn that does not serialize: the worker fed directly, with no
-// transport between.
+// handle serves msg as a one-master turn with no arrival timestamp: the
+// worker fed directly, with no transport between. The reply comes back
+// as any Conn delivers it, decoded from its frame, since the worker's
+// reply views buffers its next turn rewrites.
 func (w *Worker) handle(msg *wire.Message) (reply *wire.Message, done bool) {
 	replies := []*wire.Message{nil}
-	done = w.turn([]*wire.Message{msg}, replies, 0, false)
-	return replies[0], done
+	done = w.turn([]*wire.Message{msg}, replies, 0)
+	if replies[0] == nil {
+		return nil, done
+	}
+	frame, err := wire.AppendFrame(nil, replies[0])
+	if err == nil {
+		reply, err = wire.DecodePooled(frame[4:])
+	}
+	if err != nil {
+		panic(err)
+	}
+	return reply, done
 }
 
 // tcpPair returns the two ends of one loopback TCP connection.

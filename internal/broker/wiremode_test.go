@@ -14,9 +14,7 @@ import (
 )
 
 // countingConn wraps a Conn and tallies frames and encoded bytes by
-// message type in each direction. It deliberately does not implement
-// transport.Serializer: wrapped chan conns stay non-copying, so the
-// master never releases tensors the counting test still shares.
+// message type in each direction.
 type countingConn struct {
 	transport.Conn
 	mu        sync.Mutex
@@ -109,10 +107,10 @@ func startTCPWorkers(t *testing.T, n int) ([]transport.Conn, func()) {
 }
 
 // TestChanTCPParity: for every wire encoding, the in-process chan
-// transport and the TCP transport must deliver
-// bit-identical expert outputs from the same inputs — the chan transport
-// quantizes in place exactly as the wire codec does, so tests on chan
-// conns exercise the same numerics as real deployments.
+// transport and the TCP transport must deliver bit-identical expert
+// outputs from the same inputs. Both send encoded frames through one
+// codec, so this stays as a regression: tests on chan conns exercise the
+// same numerics as real deployments.
 func TestChanTCPParity(t *testing.T) {
 	cfg := wireModeConfig()
 	const workers, rows = 2, 3
@@ -129,7 +127,8 @@ func TestChanTCPParity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Copy out: chan-backed results alias transport-owned tensors.
+		// Copy out: results are the executor's reused buffers, which the
+		// next exchange rewrites.
 		copied := make(map[int]*tensor.Tensor, len(outs))
 		for e, o := range outs {
 			c := tensor.Zeros(o.Shape()...)

@@ -157,18 +157,13 @@ func (w *Worker) refreshOptimizer() {
 // consumed activations — strictly after the original has replied, where
 // the master discards it by Seq. Only a one-master worker traces.
 //
-// When every conn's Send serializes (transport.Copies), a reply may alias
-// the experts' output buffers, which nothing rewrites before it is sent,
-// and the dispatch frames Recv decoded from the codec pools go back to
-// them once the turn's replies are sent (see retire); over any other conn
-// the replies are copies and the frames are left to the GC.
+// Every conn's Send serializes (transport.Conn), so a reply may alias the
+// experts' output buffers, which nothing rewrites before it is sent, and
+// the dispatch frames Recv decoded from the codec pools go back to them
+// once the turn's replies are sent (see retire).
 func (w *Worker) Serve(conns ...transport.Conn) error {
 	if len(conns) == 0 {
 		return fmt.Errorf("broker: worker %d: no master connection to serve", w.ID)
-	}
-	serialized := true
-	for _, c := range conns {
-		serialized = serialized && transport.Copies(c)
 	}
 	msgs, replies := make([]*wire.Message, len(conns)), make([]*wire.Message, len(conns))
 	for {
@@ -192,13 +187,11 @@ func (w *Worker) Serve(conns ...transport.Conn) error {
 			w.cfg.Obs.OnWorkerRecv(w.ID, int(msg.Layer), int(msg.Expert), msg.Seq,
 				arrivedAt, wire.EncodedSize(msg))
 		}
-		done := w.turn(msgs, replies, arrivedAt, serialized)
+		done := w.turn(msgs, replies, arrivedAt)
 		for i, reply := range replies {
 			if reply == nil {
 				continue
 			}
-			// Size before Send: over the in-process pipe the receiver owns
-			// the reply as soon as Send returns.
 			var bytes int
 			var sendT0 int64
 			if traced {
@@ -213,9 +206,7 @@ func (w *Worker) Serve(conns ...transport.Conn) error {
 					time.Duration(w.cfg.Obs.Trace.Clock()-sendT0), bytes)
 			}
 		}
-		if serialized {
-			w.retire(msgs)
-		}
+		w.retire(msgs)
 		if done {
 			return nil
 		}
@@ -240,7 +231,7 @@ func (w *Worker) retire(msgs []*wire.Message) {
 // MsgError. Every dispatch turn goes to turnMulti; anything else runs
 // once, a MsgStep of K>1 masters after scaling the expert gradients by
 // 1/K, as each share's rows carry its mean.
-func (w *Worker) turn(msgs, replies []*wire.Message, arrivedAt int64, serialized bool) (done bool) {
+func (w *Worker) turn(msgs, replies []*wire.Message, arrivedAt int64) (done bool) {
 	first := msgs[0]
 	dispatch := first.Type == wire.MsgForwardMulti || first.Type == wire.MsgBackwardMulti
 	if len(msgs) == 1 && !dispatch {
@@ -257,7 +248,7 @@ func (w *Worker) turn(msgs, replies []*wire.Message, arrivedAt int64, serialized
 	switch {
 	case err != nil:
 	case dispatch:
-		err = w.turnMulti(msgs, replies, arrivedAt, serialized)
+		err = w.turnMulti(msgs, replies, arrivedAt)
 	default:
 		if first.Type == wire.MsgStep {
 			w.mu.Lock()
@@ -293,7 +284,7 @@ func (w *Worker) turn(msgs, replies []*wire.Message, arrivedAt int64, serialized
 // arena, so no decoded frame outlives the turn: a forward's copy stays in
 // cats until that expert's backward, and a failed turn's are left to the
 // GC.
-func (w *Worker) turnMulti(msgs, replies []*wire.Message, arrivedAt int64, serialized bool) error {
+func (w *Worker) turnMulti(msgs, replies []*wire.Message, arrivedAt int64) error {
 	first := msgs[0]
 	backward, resType := first.Type == wire.MsgBackwardMulti, wire.MsgForwardMultiResult
 	if backward {
@@ -330,7 +321,7 @@ func (w *Worker) turnMulti(msgs, replies []*wire.Message, arrivedAt int64, seria
 	tensor.Fanout(k, func(i int) {
 		res[i] = wire.Matrix{Cols: ins[i].Cols}
 		if ins[i].Rows > 0 {
-			res[i], errs[i] = w.runExpert(ids[i], backward, &ins[i], first.Seq, arrivedAt, serialized)
+			res[i], errs[i] = w.runExpert(ids[i], backward, &ins[i], first.Seq, arrivedAt)
 		}
 	})
 	if err := errors.Join(errs...); err != nil {
@@ -487,9 +478,9 @@ func (w *Worker) handleAt(msg *wire.Message, arrivedAt int64) (reply *wire.Messa
 		spec := w.specs[id]
 		var out *wire.Message
 		if ok {
-			// Deep copy under the read barrier: Step takes mu for writing,
-			// so the copied tensors (trainable weights AND optimizer moments)
-			// are a consistent step boundary.
+			// The reply views the live weights and moments. Serve's Send
+			// encodes them before the next turn can step, so the frame is
+			// a consistent step boundary.
 			out = encodeExpertSnapshot(ex, spec, w.optStateOf(ex), w.baseSums[id])
 		}
 		w.mu.RUnlock()
@@ -529,16 +520,17 @@ func (w *Worker) checkFrame(msg *wire.Message) error {
 }
 
 // runExpert runs one expert's forward or backward over a batch and
-// returns the reply matrix with its wire encoding stamped: the expert's
-// output buffer itself when serialized, else a copy of it. It holds the
-// worker's read barrier; the turn's other computes run on other experts.
+// returns the reply matrix with its wire encoding stamped: a view of the
+// expert's output buffer, which Serve's Send encodes before the expert
+// runs again. It holds the worker's read barrier; the turn's other
+// computes run on other experts.
 //
 // A panic out of the expert compute (an nn shape/state precondition — a
 // chaos transport can deliver a duplicated backward frame whose second
 // execution finds its activations already consumed) is converted into an
 // error reply: one poisoned request must cost one MsgError, not the
 // whole worker process.
-func (w *Worker) runExpert(id moe.ExpertID, backward bool, in *wire.Matrix, seq uint64, arrivedAt int64, serialized bool) (out wire.Matrix, err error) {
+func (w *Worker) runExpert(id moe.ExpertID, backward bool, in *wire.Matrix, seq uint64, arrivedAt int64) (out wire.Matrix, err error) {
 	dir := "forward"
 	if backward {
 		dir = "backward"
@@ -578,16 +570,9 @@ func (w *Worker) runExpert(id moe.ExpertID, backward bool, in *wire.Matrix, seq 
 	} else {
 		y = e.Forward(tensorOf(*in))
 	}
-	// The expert's output is a reused buffer. Over a conn that does not
-	// serialize, the master may still be reading this reply when the
-	// expert's next request overwrites it, so the reply is a copy.
+	// A reply mirrors its request's encoding; Send quantizes as it
+	// encodes, so the worker only stamps it.
 	out = matrixOf(y)
-	if !serialized {
-		out = matrixCopyOf(y)
-	}
-	// A reply mirrors its request's encoding. The quantization itself
-	// happens in the transport (TCP serializes per encoding; the
-	// in-process pipe quantizes on Send), so the worker only stamps it.
 	out.Enc = in.Enc
 	if w.cfg.Obs != nil {
 		w.cfg.Obs.OnCompute(w.ID, id.Layer, id.Expert, seq, time.Duration(w.cfg.Obs.Trace.Clock()-t0))
@@ -600,9 +585,9 @@ func (w *Worker) runExpert(id moe.ExpertID, backward bool, in *wire.Matrix, seq 
 // parameter, in nn.CollectTrainable order. It returns nil for SGD, which
 // has no state to ship. Every hosted expert is bound (Assign rebinds), so
 // a snapshot taken before the first step carries its zero moments too.
-// The returned matrices alias live optimizer memory; callers that cross
-// a step boundary must copy (encodeExpertSnapshot does). Called with
-// w.mu held (read or write).
+// The returned matrices alias live optimizer memory, which Serve's Send
+// encodes before it runs the next turn. Called with w.mu held (read or
+// write).
 func (w *Worker) optStateOf(ex *moe.Expert) *expertOptState {
 	adam, ok := w.opt.(*nn.AdamW)
 	if !ok {

@@ -195,9 +195,8 @@ func calleeKey(info *types.Info, call *ast.CallExpr) string {
 }
 
 // deadlineSetterNames are method/function names whose call marks a frame
-// as deadline-bounding. Name-based on purpose: the transport package
-// helpers (transport.SetRecvDeadline), the Deadliner methods and
-// net.Conn's deadline setters all match.
+// as deadline-bounding. Name-based on purpose: transport.Conn's deadline
+// methods and net.Conn's deadline setters all match.
 var deadlineSetterNames = map[string]bool{
 	"SetDeadline": true, "SetRecvDeadline": true, "SetSendDeadline": true,
 	"SetReadDeadline": true, "SetWriteDeadline": true,

@@ -453,11 +453,11 @@ var apiExempt = map[string]string{
 	"transport.NewFaulty transport.Faulty": "the fault-injecting Conn the chaos and fault-matrix tests wrap a link in",
 	"tensor.ForEachTileBody":               "the seam through which the packages whose numerics rest on the products test every tile body",
 	"tensor.SetParallelism tensor.SetParallelThreshold tensor.ParallelThreshold tensor.Parallelism": "the team's degree and cut-over, which the bit-identity and allocation tests pin and restore",
-	"core.DeployEP core.EP":                    "the EP baseline's entry point, which TestEPMatchesOneMaster drives; no CLI runs EP yet",
-	"moe.StabilityBound":                       "Theorem 1's bound, which the stability tests check; its runtime caller is ROADMAP item 30",
-	"transport.SetSendDeadline":                "bench/'s deadline test calls it, and bench/ does not change with the runtime",
-	"broker.LocalDeployment.WaitAll":           "the fault matrix's and kill table's view of which in-process workers ended in error",
-	"data.NewSwitchBatcher data.SwitchBatcher": "the distribution shift TestShiftReplacesOnce trains through",
+	"core.DeployEP core.EP": "the EP baseline's entry point, which TestEPMatchesOneMaster drives; no CLI runs EP yet",
+	"moe.StabilityBound":    "Theorem 1's bound, which the stability tests check; its runtime caller is ROADMAP item 30",
+	"transport.Copies transport.SetRecvDeadline transport.SetSendDeadline": "bench/'s wrapper test calls them, and bench/ does not change with the runtime; ROADMAP 1(a) deletes them with it",
+	"broker.LocalDeployment.WaitAll":                                       "the fault matrix's and kill table's view of which in-process workers ended in error",
+	"data.NewSwitchBatcher data.SwitchBatcher":                             "the distribution shift TestShiftReplacesOnce trains through",
 }
 
 // TestAPICensus is ROADMAP's API census, checked by a machine: every

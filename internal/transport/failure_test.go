@@ -16,14 +16,14 @@ func ping(seq uint64) *wire.Message { return &wire.Message{Type: wire.MsgPing, S
 func TestChanConnRecvDeadline(t *testing.T) {
 	a, b := Pipe()
 	defer a.Close()
-	if !SetRecvDeadline(a, time.Now().Add(20*time.Millisecond)) {
-		t.Fatal("chan transport must support deadlines")
+	if err := a.SetRecvDeadline(time.Now().Add(20 * time.Millisecond)); err != nil {
+		t.Fatal(err)
 	}
 	if _, err := a.Recv(); !errors.Is(err, ErrTimeout) {
 		t.Fatalf("err = %v, want ErrTimeout", err)
 	}
 	// The connection survives the timeout: clear the deadline, deliver.
-	SetRecvDeadline(a, time.Time{})
+	_ = a.SetRecvDeadline(time.Time{})
 	if err := b.Send(ping(7)); err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func TestChanConnExpiredDeadlineBuffered(t *testing.T) {
 	if err := b.Send(ping(1)); err != nil {
 		t.Fatal(err)
 	}
-	SetRecvDeadline(a, time.Now().Add(-time.Second))
+	_ = a.SetRecvDeadline(time.Now().Add(-time.Second))
 	if m, err := a.Recv(); err != nil || m.Seq != 1 {
 		t.Fatalf("buffered recv = %v, %v", m, err)
 	}
@@ -105,14 +105,14 @@ func tcpPair(t *testing.T) (Conn, Conn) {
 // onto the same sentinels as the chan transport.
 func TestTCPConnSentinels(t *testing.T) {
 	client, server := tcpPair(t)
-	SetRecvDeadline(client, time.Now().Add(20*time.Millisecond))
+	_ = client.SetRecvDeadline(time.Now().Add(20 * time.Millisecond))
 	if _, err := client.Recv(); !errors.Is(err, ErrTimeout) {
 		t.Fatalf("recv deadline = %v, want ErrTimeout", err)
 	}
 	if err := server.Close(); err != nil {
 		t.Fatal(err)
 	}
-	SetRecvDeadline(client, time.Time{})
+	_ = client.SetRecvDeadline(time.Time{})
 	if _, err := client.Recv(); !errors.Is(err, ErrClosed) {
 		t.Fatalf("recv after peer close = %v, want ErrClosed", err)
 	}
@@ -142,7 +142,7 @@ func TestTCPRecvResumesAfterTimeout(t *testing.T) {
 	timeouts := 0
 	var got *wire.Message
 	for {
-		SetRecvDeadline(client, time.Now().Add(200*time.Microsecond))
+		_ = client.SetRecvDeadline(time.Now().Add(200 * time.Microsecond))
 		m, err := client.Recv()
 		if err == nil {
 			got = m
@@ -164,7 +164,7 @@ func TestTCPRecvResumesAfterTimeout(t *testing.T) {
 	}
 
 	// And the stream is still correctly framed for the next message.
-	SetRecvDeadline(client, time.Time{})
+	_ = client.SetRecvDeadline(time.Time{})
 	if err := server.Send(ping(100)); err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +259,7 @@ func TestFaultyPartitionRecv(t *testing.T) {
 	if err := b.Send(ping(1)); err != nil {
 		t.Fatal(err)
 	}
-	SetRecvDeadline(f, time.Now().Add(30*time.Millisecond))
+	_ = f.SetRecvDeadline(time.Now().Add(30 * time.Millisecond))
 	if _, err := f.Recv(); !errors.Is(err, ErrTimeout) {
 		t.Fatalf("partitioned recv = %v, want ErrTimeout", err)
 	}
@@ -274,7 +274,7 @@ func TestFaultyPartitionSend(t *testing.T) {
 	if err := f.Send(ping(1)); err != nil {
 		t.Fatalf("partitioned send must look successful, got %v", err)
 	}
-	SetRecvDeadline(b, time.Now().Add(30*time.Millisecond))
+	_ = b.SetRecvDeadline(time.Now().Add(30 * time.Millisecond))
 	if _, err := b.Recv(); !errors.Is(err, ErrTimeout) {
 		t.Fatalf("peer recv = %v, want ErrTimeout (nothing delivered)", err)
 	}

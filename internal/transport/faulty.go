@@ -44,10 +44,11 @@ type FaultPlan struct {
 //
 // Faulty is safe for the same concurrency pattern as the wrapped Conn
 // (one sender, one receiver); the RNG and counters carry their own lock
-// so a sender and receiver may overlap.
+// so a sender and receiver may overlap. Close and the deadlines are the
+// wrapped Conn's.
 type Faulty struct {
-	inner Conn
-	plan  FaultPlan
+	Conn
+	plan FaultPlan
 
 	mu    sync.Mutex
 	rng   *rand.Rand
@@ -57,12 +58,9 @@ type Faulty struct {
 	armedAfter int
 }
 
-var _ Conn = (*Faulty)(nil)
-var _ Deadliner = (*Faulty)(nil)
-
 // NewFaulty wraps inner with the given fault plan and RNG seed.
 func NewFaulty(inner Conn, seed int64, plan FaultPlan) *Faulty {
-	return &Faulty{inner: inner, plan: plan, rng: rand.New(rand.NewSource(seed)), armedAfter: -1}
+	return &Faulty{Conn: inner, plan: plan, rng: rand.New(rand.NewSource(seed)), armedAfter: -1}
 }
 
 // ArmClose schedules an abrupt close of the underlying connection after
@@ -120,7 +118,7 @@ func (f *Faulty) judgeSend() sendVerdict {
 func (f *Faulty) Send(m *wire.Message) error {
 	v := f.judgeSend()
 	if v.abruptClose {
-		_ = f.inner.Close()
+		_ = f.Conn.Close()
 		return ErrClosed
 	}
 	if v.drop {
@@ -129,11 +127,11 @@ func (f *Faulty) Send(m *wire.Message) error {
 	if v.delay > 0 {
 		time.Sleep(v.delay)
 	}
-	if err := f.inner.Send(m); err != nil {
+	if err := f.Conn.Send(m); err != nil {
 		return err
 	}
 	if v.dup {
-		return f.inner.Send(m)
+		return f.Conn.Send(m)
 	}
 	return nil
 }
@@ -142,7 +140,7 @@ func (f *Faulty) Send(m *wire.Message) error {
 // discarded, so the call blocks until a deadline or close surfaces.
 func (f *Faulty) Recv() (*wire.Message, error) {
 	for {
-		m, err := f.inner.Recv()
+		m, err := f.Conn.Recv()
 		if err != nil {
 			return nil, err
 		}
@@ -151,29 +149,4 @@ func (f *Faulty) Recv() (*wire.Message, error) {
 		}
 		return m, nil
 	}
-}
-
-// Close implements Conn.
-func (f *Faulty) Close() error { return f.inner.Close() }
-
-// SendCopies implements Serializer by delegation. Faulty never retains m
-// past Send (delay sleeps inline, dup re-sends before returning), so the
-// inner conn's copy semantics carry through.
-func (f *Faulty) SendCopies() bool { return Copies(f.inner) }
-
-// SetRecvDeadline implements Deadliner by delegation; a deadline-less
-// inner conn reports unsupported via the helper path.
-func (f *Faulty) SetRecvDeadline(t time.Time) error {
-	if d, ok := f.inner.(Deadliner); ok {
-		return d.SetRecvDeadline(t)
-	}
-	return nil
-}
-
-// SetSendDeadline implements Deadliner by delegation.
-func (f *Faulty) SetSendDeadline(t time.Time) error {
-	if d, ok := f.inner.(Deadliner); ok {
-		return d.SetSendDeadline(t)
-	}
-	return nil
 }

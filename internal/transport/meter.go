@@ -1,10 +1,6 @@
 package transport
 
-import (
-	"time"
-
-	"repro/internal/wire"
-)
+import "repro/internal/wire"
 
 // Meter receives per-frame byte accounting from a Metered connection.
 // obs.Handle satisfies it structurally; transport stays free of an obs
@@ -47,23 +43,5 @@ func (c *Metered) Recv() (*wire.Message, error) {
 	return msg, err
 }
 
-// SendCopies implements Serializer by delegation, so metering does not
-// strip the wrapped conn's release-after-send capability.
+// SendCopies implements Serializer by delegation.
 func (c *Metered) SendCopies() bool { return Copies(c.Conn) }
-
-// SetRecvDeadline implements Deadliner by delegation, so wrapping a conn
-// in a meter does not strip the broker's timeout support.
-func (c *Metered) SetRecvDeadline(t time.Time) error {
-	if d, ok := c.Conn.(Deadliner); ok {
-		return d.SetRecvDeadline(t)
-	}
-	return nil
-}
-
-// SetSendDeadline implements Deadliner by delegation.
-func (c *Metered) SetSendDeadline(t time.Time) error {
-	if d, ok := c.Conn.(Deadliner); ok {
-		return d.SetSendDeadline(t)
-	}
-	return nil
-}

@@ -1,8 +1,9 @@
 // Package transport provides the reliable, ordered message pipes VELA's
 // master and workers communicate over. Two implementations share the
-// wire codec: an in-process channel transport (tests, single-process
-// deployments, the simulator's functional mode) and a TCP transport for
-// genuinely distributed runs.
+// wire codec: an in-process channel transport (tests and single-process
+// deployments) and a TCP transport for genuinely distributed runs. Both
+// move encoded frames, so a message crosses either one exactly as it
+// crosses a socket.
 //
 // Failure model: every operation on a severed connection reports an
 // error satisfying errors.Is(err, ErrClosed); an operation that exceeds
@@ -26,7 +27,15 @@ import (
 	"repro/internal/wire"
 )
 
-// Conn is one end of a bidirectional, ordered message pipe.
+// Conn is one end of a bidirectional, ordered message pipe. Every Conn
+// serializes: Send encodes m into a frame (wire.AppendFrame) before it
+// returns, and never writes to m, so the caller may reuse or release m's
+// tensors at once; a message the codec refuses to frame, or one past
+// wire.MaxFrameSize, fails Send and reaches nobody. Recv returns a
+// message decoded from the codec pools (wire.DecodePooled) that shares
+// no memory with the sender's: it is the caller's, to keep or to
+// wire.Release. A wrapper that embeds a Conn gets the deadline methods
+// by promotion.
 type Conn interface {
 	// Send transmits one message. Safe for use by one goroutine at a
 	// time.
@@ -35,19 +44,6 @@ type Conn interface {
 	Recv() (*wire.Message, error)
 	// Close releases the connection; pending and future Recv calls fail.
 	Close() error
-}
-
-// ErrClosed is returned for operations on a closed connection.
-var ErrClosed = errors.New("transport: connection closed")
-
-// ErrTimeout is returned when a Send or Recv exceeds its deadline.
-var ErrTimeout = errors.New("transport: operation timed out")
-
-// Deadliner is the optional deadline surface of a Conn. Both built-in
-// transports (and the Faulty wrapper) implement it; callers reach it
-// through SetRecvDeadline/SetSendDeadline so a deadline-less Conn
-// degrades to blocking behaviour instead of failing.
-type Deadliner interface {
 	// SetRecvDeadline bounds subsequent Recv calls; the zero time
 	// clears the deadline.
 	SetRecvDeadline(t time.Time) error
@@ -56,43 +52,49 @@ type Deadliner interface {
 	SetSendDeadline(t time.Time) error
 }
 
-// Serializer is the optional capability surface of a Conn whose Send
-// serializes the message before it returns: the peer observes an
-// independent copy, so the caller may immediately reuse or recycle the
-// message and its tensors (wire.Release). The chan transport delivers
-// messages by pointer and is NOT a Serializer; wrappers delegate to the
-// conn they wrap.
+// ErrClosed is returned for operations on a closed connection.
+var ErrClosed = errors.New("transport: connection closed")
+
+// ErrTimeout is returned when a Send or Recv exceeds its deadline.
+var ErrTimeout = errors.New("transport: operation timed out")
+
+// Serializer, Copies, SetRecvDeadline and SetSendDeadline are what was
+// left of the optional capabilities Conn now states outright: nothing in
+// the runtime calls them, and they go once the bench harness's wrapper
+// test stops asking for them. tcpConn and Metered answer SendCopies; the
+// chan transport does not.
 type Serializer interface {
 	// SendCopies reports whether Send hands the peer a copy.
 	SendCopies() bool
 }
 
-// Copies reports whether c's Send serializes (copies) messages, i.e.
-// whether a sender may release pooled buffers once Send returns. False
-// for conns without the capability — the safe default.
+// Copies reports whether c implements Serializer and answers true.
 func Copies(c Conn) bool {
 	s, ok := c.(Serializer)
 	return ok && s.SendCopies()
 }
 
-// SetRecvDeadline applies a receive deadline if c supports deadlines,
-// reporting whether it did.
-func SetRecvDeadline(c Conn, t time.Time) bool {
-	d, ok := c.(Deadliner)
-	if !ok {
-		return false
-	}
-	return d.SetRecvDeadline(t) == nil
-}
+// SetRecvDeadline is c.SetRecvDeadline, reporting whether it succeeded.
+func SetRecvDeadline(c Conn, t time.Time) bool { return c.SetRecvDeadline(t) == nil }
 
-// SetSendDeadline applies a send deadline if c supports deadlines,
-// reporting whether it did.
-func SetSendDeadline(c Conn, t time.Time) bool {
-	d, ok := c.(Deadliner)
-	if !ok {
-		return false
+// SetSendDeadline is c.SetSendDeadline, reporting whether it succeeded.
+func SetSendDeadline(c Conn, t time.Time) bool { return c.SetSendDeadline(t) == nil }
+
+// encodeFrame encodes m, length prefix included, into a buffer from the
+// codec pool that the caller returns with wire.PutBuf. Both transports
+// send through it, so both refuse the same messages.
+func encodeFrame(m *wire.Message) ([]byte, error) {
+	size := wire.EncodedSize(m)
+	if size > wire.MaxFrameSize {
+		return nil, wire.ErrFrameTooLarge
 	}
-	return d.SetSendDeadline(t) == nil
+	buf := wire.GetBuf(size)
+	frame, err := wire.AppendFrame(buf[:0], m)
+	if err != nil {
+		wire.PutBuf(buf)
+		return nil, err
+	}
+	return frame, nil
 }
 
 // pipeState is the shared close signal of an in-process pipe: closing
@@ -104,10 +106,11 @@ type pipeState struct {
 
 func (s *pipeState) close() { s.once.Do(func() { close(s.closed) }) }
 
-// chanConn is one end of an in-process pipe.
+// chanConn is one end of an in-process pipe. It carries encoded frames,
+// so a message crosses it exactly as it crosses a socket.
 type chanConn struct {
-	out   chan<- *wire.Message
-	in    <-chan *wire.Message
+	out   chan<- []byte
+	in    <-chan []byte
 	state *pipeState
 
 	mu           sync.Mutex
@@ -119,15 +122,15 @@ type chanConn struct {
 // are received on the other, in order. The buffer keeps senders from
 // blocking on small bursts.
 func Pipe() (Conn, Conn) {
-	ab := make(chan *wire.Message, 64)
-	ba := make(chan *wire.Message, 64)
+	ab := make(chan []byte, 64)
+	ba := make(chan []byte, 64)
 	state := &pipeState{closed: make(chan struct{})}
 	a := &chanConn{out: ab, in: ba, state: state}
 	b := &chanConn{out: ba, in: ab, state: state}
 	return a, b
 }
 
-// SetRecvDeadline implements Deadliner.
+// SetRecvDeadline implements Conn.
 func (c *chanConn) SetRecvDeadline(t time.Time) error {
 	c.mu.Lock()
 	c.recvDeadline = t
@@ -135,7 +138,7 @@ func (c *chanConn) SetRecvDeadline(t time.Time) error {
 	return nil
 }
 
-// SetSendDeadline implements Deadliner.
+// SetSendDeadline implements Conn.
 func (c *chanConn) SetSendDeadline(t time.Time) error {
 	c.mu.Lock()
 	c.sendDeadline = t
@@ -158,19 +161,13 @@ func timeoutChan(deadline time.Time) (<-chan time.Time, func(), error) {
 	return t.C, func() { t.Stop() }, nil
 }
 
-// Send implements Conn. Tensors with a lossy wire encoding are quantized
-// in place before delivery: the pipe skips serialization, so without this
-// a receiver would observe exact values over chan but quantized values
-// over TCP. Quantizing at Send keeps the two transports bit-identical
-// from the same input.
+// Send implements Conn: the frame is encoded into a pooled buffer, which
+// the peer's Recv decodes and recycles.
 func (c *chanConn) Send(m *wire.Message) error {
 	select {
 	case <-c.state.closed:
 		return ErrClosed
 	default:
-	}
-	for i := range m.Tensors {
-		m.Tensors[i].Quantize()
 	}
 	c.mu.Lock()
 	deadline := c.sendDeadline
@@ -180,14 +177,20 @@ func (c *chanConn) Send(m *wire.Message) error {
 		return err
 	}
 	defer stop()
+	frame, err := encodeFrame(m)
+	if err != nil {
+		return err
+	}
 	select {
-	case c.out <- m:
+	case c.out <- frame:
 		return nil
 	case <-timeout:
-		return ErrTimeout
+		err = ErrTimeout
 	case <-c.state.closed:
-		return ErrClosed
+		err = ErrClosed
 	}
+	wire.PutBuf(frame)
+	return err
 }
 
 // Recv implements Conn. Messages already buffered when the pipe closes
@@ -197,8 +200,8 @@ func (c *chanConn) Recv() (*wire.Message, error) {
 	// Deterministically prefer buffered messages over the close signal
 	// (a bare two-case select picks randomly when both are ready).
 	select {
-	case m := <-c.in:
-		return m, nil
+	case frame := <-c.in:
+		return decodeFrame(frame)
 	default:
 	}
 	c.mu.Lock()
@@ -210,19 +213,27 @@ func (c *chanConn) Recv() (*wire.Message, error) {
 	}
 	defer stop()
 	select {
-	case m := <-c.in:
-		return m, nil
+	case frame := <-c.in:
+		return decodeFrame(frame)
 	case <-timeout:
 		return nil, ErrTimeout
 	case <-c.state.closed:
 		// Drain anything that raced with close until the buffer is empty.
 		select {
-		case m := <-c.in:
-			return m, nil
+		case frame := <-c.in:
+			return decodeFrame(frame)
 		default:
 			return nil, ErrClosed
 		}
 	}
+}
+
+// decodeFrame decodes a frame chanConn.Send encoded and recycles its
+// buffer.
+func decodeFrame(frame []byte) (*wire.Message, error) {
+	m, err := wire.DecodePooled(frame[4:])
+	wire.PutBuf(frame)
+	return m, err
 }
 
 // Close implements Conn.
@@ -305,14 +316,13 @@ func mapNetErr(err error) error {
 	return err
 }
 
-// SetRecvDeadline implements Deadliner.
+// SetRecvDeadline implements Conn.
 func (t *tcpConn) SetRecvDeadline(dl time.Time) error { return t.conn.SetReadDeadline(dl) }
 
-// SetSendDeadline implements Deadliner.
+// SetSendDeadline implements Conn.
 func (t *tcpConn) SetSendDeadline(dl time.Time) error { return t.conn.SetWriteDeadline(dl) }
 
-// SendCopies implements Serializer: Send serializes the frame before
-// returning, so the caller may recycle the message afterwards.
+// SendCopies implements Serializer.
 func (t *tcpConn) SendCopies() bool { return true }
 
 // Send implements Conn, the mirror of Recv: the whole frame is encoded
@@ -320,15 +330,12 @@ func (t *tcpConn) SendCopies() bool { return true }
 func (t *tcpConn) Send(m *wire.Message) error {
 	t.sendMu.Lock()
 	defer t.sendMu.Unlock()
-	buf, err := wire.AppendFrame(wire.GetBuf(wire.EncodedSize(m))[:0], m)
-	defer wire.PutBuf(buf)
+	frame, err := encodeFrame(m)
 	if err != nil {
 		return err
 	}
-	if len(buf) > wire.MaxFrameSize {
-		return wire.ErrFrameTooLarge
-	}
-	_, err = t.conn.Write(buf)
+	_, err = t.conn.Write(frame)
+	wire.PutBuf(frame)
 	return mapNetErr(err)
 }
 

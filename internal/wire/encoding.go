@@ -89,10 +89,10 @@ func (e Encoding) payloadBytes(rows, n int) int {
 }
 
 // Quantize rounds the matrix data in place to exactly the values the
-// encoding reproduces after a serialize/deserialize round trip. Transports
-// that skip serialization (the in-process pipe) call it on Send so a
-// receiver observes bit-identical tensors regardless of transport. EncFP64
-// is a no-op.
+// encoding reproduces after a serialize/deserialize round trip: what the
+// peer of any transport.Conn receives. Every transport serializes, so its
+// one caller outside wire is the bench harness's reference executor,
+// which rounds batches without a wire in between. EncFP64 is a no-op.
 func (m *Matrix) Quantize() {
 	switch m.Enc {
 	case EncFP16:

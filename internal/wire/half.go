@@ -84,12 +84,11 @@ func HalfDecode(src []byte, dst []float64) {
 }
 
 // QuantizeHalfInPlace rounds every value to its nearest binary16 —
-// exactly the loss the half wire encoding introduces. Transports that
-// skip serialization (the in-process pipe) use it so half-precision
-// behaviour is identical regardless of transport; it is idempotent, so a
-// subsequent encode/decode over TCP adds no further loss. It converts
-// through a stack buffer, a chunk at a time, with the frame codec's own
-// block functions.
+// exactly the loss the half wire encoding introduces. Matrix.Quantize
+// calls it, for the bench harness's reference executor; it is idempotent,
+// so a subsequent encode/decode adds no further loss. It converts through
+// a stack buffer, a chunk at a time, with the frame codec's own block
+// functions.
 func QuantizeHalfInPlace(v []float64) {
 	var buf [1024]byte
 	for len(v) > 0 {

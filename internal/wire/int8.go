@@ -7,9 +7,9 @@ import (
 
 // Symmetric int8 quantization with one float64 absmax scale per matrix
 // row (enc byte 2): q = clamp(round(v/scale), ±127), v' = scale·q. The
-// scale travels on the wire, so decode is a single multiply and the chan
-// transport's QuantizeInt8InPlace reproduces the TCP round trip
-// bit-identically from the same input.
+// scale travels on the wire, so decode is a single multiply and
+// quantizeInt8InPlace reproduces the wire round trip bit-identically from
+// the same input.
 //
 // Edge cases: NaN quantizes to 0, ±Inf saturates to ±127 (decoding to
 // ±127·scale — large but finite, like fp16's overflow-to-Inf is not an
@@ -98,8 +98,8 @@ func decodeInt8Payload(src []byte, dst []float64, rows, cols int) {
 
 // quantizeInt8InPlace rounds every value of a rows×cols matrix to exactly
 // what the int8 wire encoding reproduces: per row, scale = absmax/127 and
-// v' = scale·clamp(round(v/scale), ±127). Transports that skip
-// serialization use it so int8 behaviour is bit-identical to a TCP
+// v' = scale·clamp(round(v/scale), ±127). Matrix.Quantize calls it, for
+// the bench harness's reference executor; it is bit-identical to an
 // encode/decode of the same data.
 func quantizeInt8InPlace(data []float64, rows, cols int) {
 	for r := 0; r < rows; r++ {

@@ -68,9 +68,10 @@ func TestInt8Edges(t *testing.T) {
 	}
 }
 
-// TestQuantizeInt8InPlaceMatchesWire: the chan transport's in-place
-// quantization must be bit-identical to a full wire round trip of the same
-// input — that is what makes chan and TCP runs produce identical losses.
+// TestQuantizeInt8InPlaceMatchesWire: the in-place quantization must be
+// bit-identical to a full wire round trip of the same input — that is
+// what makes the bench harness's reference run reproduce the brokered
+// losses.
 func TestQuantizeInt8InPlaceMatchesWire(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	const rows, cols = 5, 11
