@@ -75,7 +75,7 @@ func TestExpertCodecRoundTrip(t *testing.T) {
 	e.AttachLoRA(rng, 2, 8)
 	spec := ExpertSpec{D: 6, Hidden: 10, LoRARank: 2, LoRAAlpha: 8}
 	msg := encodeExpert(e, spec)
-	got, en, err := decodeExpertState(msg)
+	got, en, err := decodeExpertState(msg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestDecodeExpertRejectsGarbage(t *testing.T) {
 	good := func() *wire.Message {
 		return encodeExpert(moe.NewExpert(moe.ExpertID{}, rng, spec.D, spec.Hidden, true), spec)
 	}
-	if _, _, err := decodeExpertState(good()); err != nil {
+	if _, _, err := decodeExpertState(good(), nil); err != nil {
 		t.Fatalf("well-formed assign rejected: %v", err)
 	}
 	// The retired pre-moments layout: a 4-column meta row over otherwise
@@ -119,7 +119,7 @@ func TestDecodeExpertRejectsGarbage(t *testing.T) {
 		"missing params": {Type: wire.MsgAssign,
 			Tensors: []wire.Matrix{{Rows: 1, Cols: 6, Data: []float64{4, 8, 0, 0, 0, 0}}}},
 	} {
-		if _, _, err := decodeExpertState(m); err == nil {
+		if _, _, err := decodeExpertState(m, nil); err == nil {
 			t.Errorf("%s: must fail", name)
 		}
 	}

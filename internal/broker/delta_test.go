@@ -285,7 +285,7 @@ func TestDecodeExpertStateValidatesBeforeBuilding(t *testing.T) {
 		m.Tensors[0].Data = append([]float64(nil), m.Tensors[0].Data...)
 		return m
 	}
-	if _, _, err := decodeExpertState(good()); err != nil {
+	if _, _, err := decodeExpertState(good(), nil); err != nil {
 		t.Fatalf("well-formed assign rejected: %v", err)
 	}
 	meta := func(col int, v float64) *wire.Message {
@@ -313,7 +313,7 @@ func TestDecodeExpertStateValidatesBeforeBuilding(t *testing.T) {
 		"delta entry":         delta,
 	} {
 		allocs := testing.AllocsPerRun(1, func() {
-			if _, _, err := decodeExpertState(m); err == nil {
+			if _, _, err := decodeExpertState(m, nil); err == nil {
 				t.Errorf("%s: must fail", name)
 			}
 		})
@@ -321,4 +321,25 @@ func TestDecodeExpertStateValidatesBeforeBuilding(t *testing.T) {
 			t.Errorf("%s: refusal cost %v allocations; it must not build the expert first", name, allocs)
 		}
 	}
+}
+
+// encodeExpertState serializes an expert into a MsgAssign message
+// carrying its full entry: every parameter, then the moment pairs when
+// opt is non-nil. The tensors alias e's.
+func encodeExpertState(e *moe.Expert, spec ExpertSpec, opt *expertOptState) *wire.Message {
+	en := &expertEntry{spec: spec, opt: opt}
+	for _, p := range e.Params() {
+		en.params = append(en.params, matrixOf(p.Value))
+	}
+	return &wire.Message{Type: wire.MsgAssign, Layer: int32(e.ID.Layer), Expert: int32(e.ID.Expert), Tensors: en.tensors()}
+}
+
+// encodeExpert is encodeExpertState without optimizer state.
+func encodeExpert(e *moe.Expert, spec ExpertSpec) *wire.Message {
+	return encodeExpertState(e, spec, nil)
+}
+
+// encodeExpertSnapshot is the worker's MsgSnapshotResult for e.
+func encodeExpertSnapshot(e *moe.Expert, spec ExpertSpec, opt *expertOptState, baseSum uint32) *wire.Message {
+	return encodeEntry(wire.MsgSnapshotResult, e, spec, opt, baseSum)
 }

@@ -55,7 +55,7 @@ func FuzzDecodeExpertState(f *testing.F) {
 		m.Type = wire.MsgAssign
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		got, en, err := decodeExpertState(m)
+		got, en, err := decodeExpertState(m, nil)
 		full, cerr := master.compose(ex.ID, m.Tensors)
 		runtime.ReadMemStats(&after)
 		if alloc, limit := after.TotalAlloc-before.TotalAlloc, uint64(16*len(body)+1<<16); alloc > limit {
@@ -63,7 +63,7 @@ func FuzzDecodeExpertState(f *testing.F) {
 		}
 		if cerr == nil {
 			// Whatever composes is a full entry the decoder accepts.
-			if _, _, err := decodeExpertState(&wire.Message{Type: wire.MsgAssign, Tensors: full}); err != nil {
+			if _, _, err := decodeExpertState(&wire.Message{Type: wire.MsgAssign, Tensors: full}, nil); err != nil {
 				t.Fatalf("composed entry does not decode: %v", err)
 			}
 		}

@@ -230,7 +230,7 @@ func TestExpertStateCodecMomentsRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	asAssign := &wire.Message{Type: wire.MsgAssign, Layer: snap.Layer, Expert: snap.Expert, Tensors: full}
-	_, en, err := decodeExpertState(asAssign)
+	_, en, err := decodeExpertState(asAssign, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

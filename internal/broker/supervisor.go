@@ -295,6 +295,19 @@ func (s *Supervisor) ping(n int) error {
 	return err
 }
 
+// pingLive pings every live worker once, marks the silent ones dead and
+// reports whether it marked any.
+func (s *Supervisor) pingLive() bool {
+	died := false
+	for n := 0; n < s.exec.NumWorkers(); n++ {
+		if s.exec.Alive(n) && s.ping(n) != nil {
+			s.exec.MarkDead(n)
+			died = true
+		}
+	}
+	return died
+}
+
 // Recover is the failover half of a restore. It pings every live worker
 // once and marks the silent ones dead; every dead worker that still hosts
 // experts in assign is then failed over — whether this round's pings
@@ -302,33 +315,41 @@ func (s *Supervisor) ping(n int) error {
 // repairs, so its deaths reach here as a step failing fast on
 // ErrWorkerDead): placement.Repair re-places its experts over the
 // survivors. restore then ships the experts to next, the repaired
-// assignment (assign itself when no dead worker hosts any). Only once
-// restore succeeds does the executor adopt next and the retry and the
-// failover count, so a refused restore moves nothing.
+// assignment (assign itself when no dead worker hosts any). A restore
+// that fails because a worker died during it — in a base-miss round, say
+// — is repaired and restored again over the survivors, as long as each
+// attempt's pings find a new death. Only once restore succeeds does the
+// executor adopt next and the retry and the failover count, so a refused
+// restore moves nothing.
 func (s *Supervisor) Recover(assign *placement.Assignment, restore func(next *placement.Assignment) error) error {
-	for n := 0; n < s.exec.NumWorkers(); n++ {
-		if s.exec.Alive(n) && s.ping(n) != nil {
-			s.exec.MarkDead(n)
-		}
-	}
-	deadMask := s.exec.DeadMask()
-	loads := assign.Loads(len(deadMask))
+	s.pingLive()
 	var failed []int
+	var next *placement.Assignment
 	orphans := 0
-	for n, dead := range deadMask {
-		if dead && loads[n] > 0 {
-			failed = append(failed, n)
-			orphans += loads[n]
+	for {
+		deadMask := s.exec.DeadMask()
+		loads := assign.Loads(len(deadMask))
+		failed, orphans = failed[:0], 0
+		for n, dead := range deadMask {
+			if dead && loads[n] > 0 {
+				failed = append(failed, n)
+				orphans += loads[n]
+			}
 		}
-	}
-	next, err := assign, error(nil)
-	if len(failed) > 0 {
-		if next, err = placement.Repair(s.prob, assign, deadMask); err != nil {
-			return fmt.Errorf("broker: failover: %w", err)
+		next = assign
+		if len(failed) > 0 {
+			var err error
+			if next, err = placement.Repair(s.prob, assign, deadMask); err != nil {
+				return fmt.Errorf("broker: failover: %w", err)
+			}
 		}
-	}
-	if err := restore(next); err != nil {
-		return err
+		err := restore(next)
+		if err == nil {
+			break
+		}
+		if !s.pingLive() {
+			return err
+		}
 	}
 	s.exec.SetAssignment(next)
 	if len(failed) > 0 {

@@ -50,6 +50,10 @@ const (
 	Snapshots
 	WorkerRejoins
 
+	BaseKeyed
+	BaseFull
+	BaseMisses
+
 	numCounters
 )
 
@@ -62,10 +66,11 @@ const (
 	groupCkpt
 	groupTraffic
 	groupRecovery
+	groupBases
 	numGroups
 )
 
-var groupNames = [numGroups]string{"re-placement", "checkpoints", "traffic", "recovery"}
+var groupNames = [numGroups]string{"re-placement", "checkpoints", "traffic", "recovery", "bases"}
 
 // desc is one row's description; everything the two writers print comes
 // from here.
@@ -134,6 +139,10 @@ var table = [numCounters]desc{
 	ExpertsRecovered:   {group: groupRecovery, family: "vela_recovery_experts_recovered_total", help: "Experts restored onto survivors from snapshots.", noun: "experts restored"},
 	Snapshots:          {group: groupRecovery, family: "vela_recovery_snapshots_total", help: "Completed expert-state checkpoint pulls.", noun: "snapshots"},
 	WorkerRejoins:      {group: groupRecovery, family: "vela_recovery_worker_rejoins_total", help: "Dead workers re-admitted after a successful rejoin handshake.", noun: "worker rejoins"},
+
+	BaseKeyed:  {group: groupBases, family: "vela_base_installs_total", help: "Expert installs (MsgAssign) by how the frozen base travelled.", labels: `shipped="key"`, noun: "installs by key"},
+	BaseFull:   {group: groupBases, labels: `shipped="full"`, noun: "full entries"},
+	BaseMisses: {group: groupBases, family: "vela_base_misses_total", help: "Keyed installs a worker answered with a base miss.", noun: "misses"},
 }
 
 // Counters is the atomic store behind the table: one int64 per row, one

@@ -105,6 +105,9 @@ func TestMetricsMatchGolden(t *testing.T) {
 	c.Add(DuplicateReplies, 1)
 	c.Add(StepRetries, 1)
 	c.Add(WorkerRejoins, 1)
+	c.Add(BaseKeyed, 14)
+	c.Add(BaseFull, 3)
+	c.Add(BaseMisses, 2)
 
 	var buf bytes.Buffer
 	if err := WriteMetrics(&buf, src); err != nil {
