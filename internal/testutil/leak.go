@@ -16,7 +16,8 @@ const leakGrace = 2 * time.Second
 // stacksIn returns the stacks of goroutines currently executing code in
 // any of the given packages (matched as substrings of the stack text).
 // The calling goroutine is excluded — its stack necessarily contains the
-// test function of the package under test.
+// test function of the package under test — and so is the main goroutine
+// that runs the tests, whose stack holds the package's TestMain.
 func stacksIn(pkgs []string) []string {
 	buf := make([]byte, 1<<22)
 	n := runtime.Stack(buf, true)
@@ -24,6 +25,9 @@ func stacksIn(pkgs []string) []string {
 	for _, stack := range strings.Split(string(buf[:n]), "\n\n") {
 		if strings.Contains(stack, "repro/internal/testutil.stacksIn") {
 			continue // the caller itself
+		}
+		if strings.Contains(stack, "testing.(*M).Run(") {
+			continue // the test binary's main goroutine, in a package's TestMain
 		}
 		for _, pkg := range pkgs {
 			if strings.Contains(stack, pkg) {
