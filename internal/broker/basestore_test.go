@@ -366,7 +366,7 @@ func TestBaseStoreRetryInstallsFromHostedExpert(t *testing.T) {
 func TestBaseStoreMissKeepsTheDelta(t *testing.T) {
 	grid, _ := churnGrid()
 	ex, other := grid[0][0], grid[0][1]
-	w := NewWorker(0, WorkerConfig{Optimizer: OptAdamW, AdamW: DefaultWorkerConfig().AdamW})
+	w := NewWorker(0, WorkerConfig{})
 	assign := encodeEntry(wire.MsgAssign, ex, churnSpec, nil, baseSum(frozenOf(ex)))
 	assign.Text, assign.Seq = strings.Repeat("0", 64), 1
 	base := func(of *moe.Expert, seq uint64) *wire.Message {

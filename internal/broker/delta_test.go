@@ -222,7 +222,7 @@ func TestBaseViewsSurviveTrainingOverChanTransport(t *testing.T) {
 	sup := NewSupervisor(exec, uniformProblem(cfg, workers), SupervisorConfig{})
 	backbone := nn.CollectTrainable(model.Params())
 	ft := &trainer.Finetuner{
-		Model: model, Backbone: backbone, Opt: nn.NewSGD(backbone, 0.05),
+		Model: model, Backbone: backbone, Opt: nn.NewAdamW(backbone, nn.PaperAdamWConfig()),
 		Batcher:    &chaosBatcher{rng: rand.New(rand.NewSource(31)), vocab: cfg.Vocab, batch: 2, seqLen: 8},
 		ExpertZero: exec.ZeroGrads, ExpertStep: exec.Step,
 		OnStep: func(step int) error {

@@ -273,47 +273,3 @@ func TestStepBeforeAssignIsHarmless(t *testing.T) {
 		t.Fatalf("step on empty worker: %v", reply.Type)
 	}
 }
-
-// TestUnknownOptimizerAnswersEveryStepWithError: a worker configured with
-// an optimizer kind it does not know still serves — it hosts experts and
-// answers dispatch and snapshots — but answers every MsgStep with exactly
-// one MsgError naming the kind, and never panics.
-func TestUnknownOptimizerAnswersEveryStepWithError(t *testing.T) {
-	defer testutil.VerifyNoLeaks(t, "repro/internal/broker", "repro/internal/transport")
-	cfg := moe.Config{Vocab: 10, D: 4, Heads: 1, Hidden: 6, Layers: 1, Experts: 1, TopK: 1}
-	_, grid := buildFinetuneSetup(cfg, 29)
-	master, end := transport.Pipe()
-	w := NewWorker(0, WorkerConfig{Optimizer: 99})
-	served := make(chan error, 1)
-	go func() { served <- w.Serve(end) }()
-	ask := func(m *wire.Message) *wire.Message {
-		t.Helper()
-		if err := master.Send(m); err != nil {
-			t.Fatal(err)
-		}
-		reply, err := master.Recv()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return reply
-	}
-	if reply := ask(encodeExpert(grid[0][0], ExpertSpec{D: cfg.D, Hidden: cfg.Hidden, LoRARank: 2, LoRAAlpha: 4})); reply.Type != wire.MsgAck {
-		t.Fatalf("assign: %v %s", reply.Type, reply.Text)
-	}
-	for i := 0; i < 3; i++ {
-		reply := ask(&wire.Message{Type: wire.MsgStep, Seq: uint64(i + 1)})
-		if reply.Type != wire.MsgError || reply.Seq != uint64(i+1) || !strings.Contains(reply.Text, "unknown optimizer kind 99") {
-			t.Fatalf("step %d answered %v (seq %d) %q, want one MsgError naming kind 99", i, reply.Type, reply.Seq, reply.Text)
-		}
-	}
-	// The next reply is the snapshot's: no step left a second answer behind.
-	if reply := ask(&wire.Message{Type: wire.MsgSnapshot, Seq: 9}); reply.Type != wire.MsgSnapshotResult || reply.Seq != 9 {
-		t.Fatalf("snapshot after the refused steps: %v (seq %d) %s", reply.Type, reply.Seq, reply.Text)
-	}
-	if reply := ask(&wire.Message{Type: wire.MsgShutdown}); reply.Type != wire.MsgAck {
-		t.Fatalf("shutdown: %v", reply.Type)
-	}
-	if err := <-served; err != nil {
-		t.Fatalf("serve loop ended with %v", err)
-	}
-}

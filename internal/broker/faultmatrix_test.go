@@ -75,7 +75,7 @@ func TestFaultMatrix(t *testing.T) {
 	// needs them); the workers are torn down when the subtest ends.
 	deploy := func(t *testing.T) (*LocalDeployment, *Executor) {
 		_, grid := buildFinetuneSetup(cfg, 23)
-		dep := StartLocalWorkers(2, WorkerConfig{Optimizer: OptSGD})
+		dep := StartLocalWorkers(2, WorkerConfig{})
 		t.Cleanup(func() {
 			dep.Close()
 			_ = dep.WaitAll()

@@ -16,7 +16,7 @@ func migrateSetup(t *testing.T) (*LocalDeployment, *Executor) {
 	t.Helper()
 	cfg := testConfig()
 	_, grid := buildFinetuneSetup(cfg, 29)
-	dep := StartLocalWorkers(2, WorkerConfig{Optimizer: OptSGD})
+	dep := StartLocalWorkers(2, WorkerConfig{})
 	exec := NewExecutor(dep.Conns, roundRobinAssignment(cfg, 2))
 	if err := exec.Distribute(grid, ExpertSpec{D: cfg.D, Hidden: cfg.Hidden, LoRARank: 2, LoRAAlpha: 4}); err != nil {
 		t.Fatal(err)
@@ -57,7 +57,7 @@ func TestMigrateSurvivesDestinationCrash(t *testing.T) {
 	defer testutil.VerifyNoLeaks(t, "repro/internal/broker", "repro/internal/transport")
 	cfg := testConfig()
 	_, grid := buildFinetuneSetup(cfg, 29)
-	dep := StartLocalWorkers(2, WorkerConfig{Optimizer: OptSGD})
+	dep := StartLocalWorkers(2, WorkerConfig{})
 	assign := roundRobinAssignment(cfg, 2)
 	setup := NewExecutor(dep.Conns, assign)
 	if err := setup.Distribute(grid, ExpertSpec{D: cfg.D, Hidden: cfg.Hidden, LoRARank: 2, LoRAAlpha: 4}); err != nil {
@@ -117,7 +117,7 @@ func TestMigrateReleaseFailureIsSurfaced(t *testing.T) {
 	defer testutil.VerifyNoLeaks(t, "repro/internal/broker", "repro/internal/transport")
 	cfg := testConfig()
 	_, grid := buildFinetuneSetup(cfg, 29)
-	dep := StartLocalWorkers(2, WorkerConfig{Optimizer: OptSGD})
+	dep := StartLocalWorkers(2, WorkerConfig{})
 	src := transport.NewFaulty(dep.Conns[1], 7, transport.FaultPlan{})
 	exec := NewExecutor([]transport.Conn{dep.Conns[0], src}, roundRobinAssignment(cfg, 2))
 	if err := exec.Distribute(grid, ExpertSpec{D: cfg.D, Hidden: cfg.Hidden, LoRARank: 2, LoRAAlpha: 4}); err != nil {

@@ -34,7 +34,7 @@ func TestInstrumentedExchangeLifecycle(t *testing.T) {
 	}
 	handle.Drift.SetBaseline(baseline)
 
-	dep := StartLocalWorkers(workers, WorkerConfig{Optimizer: OptAdamW, Obs: handle})
+	dep := StartLocalWorkers(workers, WorkerConfig{Obs: handle})
 	exec := NewExecutor(dep.Conns, roundRobinAssignment(cfg, workers))
 	exec.Obs = handle
 	spec := ExpertSpec{D: cfg.D, Hidden: cfg.Hidden, LoRARank: 2, LoRAAlpha: 4}

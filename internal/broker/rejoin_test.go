@@ -189,7 +189,9 @@ func TestChaosFailoverAdamWMomentsExact(t *testing.T) {
 // TestExpertStateCodecMomentsRoundTrip drives the VELAEXS2 wire format
 // end to end at the worker level: step an expert under AdamW, snapshot
 // it, re-assign the snapshot into a fresh worker, and verify the next
-// identical step produces bit-identical parameters on both.
+// identical step produces bit-identical parameters on both. The fresh
+// worker is built from the zero WorkerConfig: the optimizer is not part
+// of a worker's configuration, so it steps exactly as the default's.
 func TestExpertStateCodecMomentsRoundTrip(t *testing.T) {
 	cfg := moe.Config{Vocab: 10, D: 4, Heads: 1, Hidden: 6, Layers: 1, Experts: 1, TopK: 1}
 	_, grid := buildFinetuneSetup(cfg, 23)
@@ -253,7 +255,7 @@ func TestExpertStateCodecMomentsRoundTrip(t *testing.T) {
 	// Re-assign the snapshot into a fresh worker and step both again on
 	// identical gradients: parameters must land bit-identically, which
 	// only happens if the moments AND the bias-correction clock survived.
-	w2 := NewWorker(1, DefaultWorkerConfig())
+	w2 := NewWorker(1, WorkerConfig{})
 	if reply, _ := w2.handle(asAssign); reply.Type != wire.MsgAck {
 		t.Fatalf("re-assign: %v", reply.Type)
 	}

@@ -123,7 +123,7 @@ func chaosRun(t *testing.T, fault chaosFault, kill ...int) ([]float64, *Executor
 	ft := &trainer.Finetuner{
 		Model:      model,
 		Backbone:   backbone,
-		Opt:        nn.NewSGD(backbone, 0.05),
+		Opt:        nn.NewAdamW(backbone, nn.PaperAdamWConfig()),
 		Batcher:    batcher,
 		ExpertZero: exec.ZeroGrads,
 		ExpertStep: exec.Step,
@@ -365,7 +365,7 @@ func TestRecoverWithoutSnapshotFails(t *testing.T) {
 	defer testutil.VerifyNoLeaks(t, "repro/internal/broker", "repro/internal/transport")
 	cfg := testConfig()
 	_, grid := buildFinetuneSetup(cfg, 13)
-	dep := StartLocalWorkers(2, WorkerConfig{Optimizer: OptSGD})
+	dep := StartLocalWorkers(2, WorkerConfig{})
 	exec := NewExecutor(dep.Conns, roundRobinAssignment(cfg, 2))
 	exec.Counters = obs.NewCounters(nil)
 	if err := exec.Distribute(grid, ExpertSpec{D: cfg.D, Hidden: cfg.Hidden, LoRARank: 2, LoRAAlpha: 4}); err != nil {

@@ -18,22 +18,10 @@ import (
 	"repro/internal/wire"
 )
 
-// OptimizerKind selects the worker-local optimizer.
-type OptimizerKind int
-
-// Worker optimizer choices.
-const (
-	OptSGD OptimizerKind = iota + 1
-	OptAdamW
-)
-
-// WorkerConfig configures an Expert Manager.
+// WorkerConfig configures an Expert Manager. Its optimizer is not
+// configurable: every worker steps its experts with AdamW at the paper's
+// §V-A hyperparameters (nn.PaperAdamWConfig).
 type WorkerConfig struct {
-	// Optimizer is AdamW in every deployment; OptSGD, plain SGD at
-	// sgdLR, gives tests simpler numerics.
-	Optimizer OptimizerKind
-	// AdamW is used when Optimizer is OptAdamW.
-	AdamW nn.AdamWConfig
 	// Obs, when non-nil, receives per-expert compute timing from
 	// runExpert. In a local deployment this is usually the master's
 	// handle; a distributed velaworker owns its own.
@@ -45,10 +33,9 @@ type WorkerConfig struct {
 	BaseDir string
 }
 
-// DefaultWorkerConfig matches the paper's fine-tuning setup (AdamW with
-// the §V-A hyperparameters), with the host's default base store.
+// DefaultWorkerConfig is a worker with the host's default base store.
 func DefaultWorkerConfig() WorkerConfig {
-	return WorkerConfig{Optimizer: OptAdamW, AdamW: nn.PaperAdamWConfig(), BaseDir: checkpoint.DefaultBaseDir()}
+	return WorkerConfig{BaseDir: checkpoint.DefaultBaseDir()}
 }
 
 // Worker is one Expert Manager process: it hosts a shard of experts,
@@ -71,9 +58,8 @@ type Worker struct {
 	experts map[moe.ExpertID]*moe.Expert
 	specs   map[moe.ExpertID]ExpertSpec
 	// opt steps every hosted expert's trainable parameters; Assign and
-	// Fetch rebind it. It is nil when cfg names no known optimizer, and
-	// every MsgStep then answers MsgError.
-	opt optimizer
+	// Fetch rebind it.
+	opt *nn.AdamW
 	// baseSums holds each expert's digest of its frozen parameters,
 	// computed once when it is assigned (they never change afterwards) and
 	// stamped on every delta snapshot of it.
@@ -102,7 +88,7 @@ func NewWorker(id int, cfg WorkerConfig) *Worker {
 		baseSums: make(map[moe.ExpertID]uint32),
 		missed:   make(map[moe.ExpertID]*wire.Message),
 		cats:     make(map[moe.ExpertID]*tensor.Tensor),
-		opt:      newOptimizer(cfg),
+		opt:      nn.NewAdamW(nil, nn.PaperAdamWConfig()),
 	}
 }
 
@@ -124,38 +110,13 @@ func (w *Worker) params() []*nn.Param {
 	return ps
 }
 
-// optimizer is what a worker's optimizer must do: step, and follow the
-// hosted parameter set as experts arrive and leave.
-type optimizer interface {
-	nn.Optimizer
-	nn.Rebinder
-}
-
-// sgdLR is the learning rate of OptSGD workers.
-const sgdLR = 0.02
-
-// newOptimizer builds the configured optimizer over no parameters yet, or
-// nil for an unknown kind: a configuration error is reported at every
-// Step as a MsgError rather than panicking the worker process.
-func newOptimizer(cfg WorkerConfig) optimizer {
-	switch cfg.Optimizer {
-	case OptSGD:
-		return nn.NewSGD(nil, sgdLR)
-	case OptAdamW:
-		return nn.NewAdamW(nil, cfg.AdamW)
-	}
-	return nil
-}
-
 // refreshOptimizer rebinds the optimizer to the current parameter set
 // after an Assign or Fetch changed the hosted experts, preserving
 // per-parameter state (AdamW moment estimates) for the parameters that
 // survive the change; a new expert's moments start at zero. Called with
 // w.mu held for writing.
 func (w *Worker) refreshOptimizer() {
-	if w.opt != nil {
-		w.opt.Rebind(w.params())
-	}
+	w.opt.Rebind(w.params())
 }
 
 // Serve runs the worker's request loop until a shutdown arrives or a
@@ -431,9 +392,6 @@ func (w *Worker) handleAt(msg *wire.Message, arrivedAt int64) (reply *wire.Messa
 		return &wire.Message{Type: wire.MsgAck, Seq: msg.Seq}, false
 
 	case wire.MsgStep:
-		if w.opt == nil {
-			return errMsg(msg, fmt.Errorf("broker: worker %d: unknown optimizer kind %d", w.ID, w.cfg.Optimizer)), false
-		}
 		w.mu.Lock()
 		w.opt.Step()
 		w.mu.Unlock()
@@ -538,7 +496,7 @@ func (w *Worker) assign(msg *wire.Message, base func(en *expertEntry) ([]wire.Ma
 	w.specs[ex.ID] = en.spec
 	w.baseSums[ex.ID] = sum
 	w.refreshOptimizer()
-	if adam, ok := w.opt.(*nn.AdamW); ok && en.opt != nil {
+	if en.opt != nil {
 		// Shipped optimizer state (a restore, a migration or a resume) is
 		// the expert's state from now on: its moments, and the worker's
 		// clock set, not raised, to the shipped one — a retried step's
@@ -546,9 +504,9 @@ func (w *Worker) assign(msg *wire.Message, base func(en *expertEntry) ([]wire.Ma
 		// boundary. parseEntry matched the moments to the trainable
 		// parameters.
 		for i, p := range nn.CollectTrainable(ex.Params()) {
-			adam.SetMoments(p, en.opt.M[i].Data, en.opt.V[i].Data)
+			w.opt.SetMoments(p, en.opt.M[i].Data, en.opt.V[i].Data)
 		}
-		adam.SetStepCount(en.opt.Step)
+		w.opt.SetStepCount(en.opt.Step)
 	}
 	w.mu.Unlock()
 	return &wire.Message{Type: wire.MsgAck, Layer: msg.Layer, Expert: msg.Expert, Seq: msg.Seq}
@@ -674,20 +632,16 @@ func (w *Worker) runExpert(id moe.ExpertID, backward bool, in *wire.Matrix, seq 
 
 // optStateOf collects the AdamW slice for one hosted expert: the
 // bias-correction clock plus the (m, v) pair of every trainable
-// parameter, in nn.CollectTrainable order. It returns nil for SGD, which
-// has no state to ship. Every hosted expert is bound (Assign rebinds), so
-// a snapshot taken before the first step carries its zero moments too.
+// parameter, in nn.CollectTrainable order. Every hosted expert is bound
+// (Assign rebinds), so a snapshot taken before the first step carries its
+// zero moments too.
 // The returned matrices alias live optimizer memory, which Serve's Send
 // encodes before it runs the next turn. Called with w.mu held (read or
 // write).
 func (w *Worker) optStateOf(ex *moe.Expert) *expertOptState {
-	adam, ok := w.opt.(*nn.AdamW)
-	if !ok {
-		return nil
-	}
-	st := &expertOptState{Step: adam.StepCount()}
+	st := &expertOptState{Step: w.opt.StepCount()}
 	for _, p := range nn.CollectTrainable(ex.Params()) {
-		m, v := adam.Moments(p)
+		m, v := w.opt.Moments(p)
 		st.M = append(st.M, matrixOf(m))
 		st.V = append(st.V, matrixOf(v))
 	}

@@ -77,8 +77,8 @@ type RunState struct {
 	// Backbone holds the master-side trainable parameters (the LoRA
 	// adapters; the frozen backbone is rebuilt deterministically), and
 	// OptM/OptV/OptStep their AdamW moments and bias-correction clock.
-	// OptM/OptV are aligned with Backbone; empty means no moments
-	// (an SGD or pre-first-step checkpoint).
+	// OptM/OptV are aligned with Backbone; empty means no moments were
+	// captured (the run's optimizer is not a bare AdamW).
 	Backbone   []NamedTensor
 	OptStep    int
 	OptM, OptV []StateTensor

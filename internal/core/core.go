@@ -99,10 +99,6 @@ type Options struct {
 	WireEncoding wire.Encoding
 	// LoRA carried by the experts (needed to rebuild them worker-side).
 	LoRA trainer.LoRAConfig
-	// Worker selects the optimizer configuration of the in-process Expert
-	// Managers Deploy starts; defaults to the paper's AdamW. Attach
-	// ignores it (the workers behind its connections are the caller's).
-	Worker *broker.WorkerConfig
 	// Obs, when non-nil, instruments the whole deployment: the broker's
 	// exchange lifecycle, Deploy's in-process workers' compute timing, the
 	// model's gate routing (P-drift baseline comes from Stats), and the
@@ -254,14 +250,9 @@ func (s *System) Distribute(grid [][]*moe.Expert) error {
 // (chan pipes), one per Topo device; Close shuts them down.
 func Deploy(model *moe.Model, grid [][]*moe.Expert, opts Options) (*System, error) {
 	wcfg := broker.DefaultWorkerConfig()
-	if opts.Worker != nil {
-		wcfg = *opts.Worker
-	}
-	if wcfg.Obs == nil {
-		// In-process workers share the master's handle, so its /metrics
-		// carries real per-worker compute histograms.
-		wcfg.Obs = opts.Obs
-	}
+	// In-process workers share the master's handle, so its /metrics
+	// carries real per-worker compute histograms.
+	wcfg.Obs = opts.Obs
 	dep := broker.StartLocalWorkers(opts.Topo.NumWorkers(), wcfg)
 	s, err := Attach(model, dep.Conns, opts)
 	if err == nil {

@@ -98,7 +98,7 @@ func DeployEP(model *moe.Model, grid [][]*moe.Expert, topo cluster.Topology, lor
 		systems[r], p.Ranks, p.Execs = sys, append(p.Ranks, ft), append(p.Execs, x)
 	}
 	for w := range ends {
-		wk := broker.NewWorker(w, epWorkerConfig())
+		wk := broker.NewWorker(w, broker.DefaultWorkerConfig())
 		p.workers.Add(1)
 		go func() {
 			defer p.workers.Done()
@@ -226,12 +226,4 @@ func (e epExec) pad(batches map[int]*tensor.Tensor) map[int]*tensor.Tensor {
 		}
 	}
 	return all
-}
-
-// epWorkerConfig is broker.DefaultWorkerConfig() written out field by
-// field: calling the function here would make its Optimizer write
-// test-only (TestKnobCensus). TestEPWorkerConfigIsDefault holds the two
-// equal.
-func epWorkerConfig() broker.WorkerConfig {
-	return broker.WorkerConfig{Optimizer: broker.OptAdamW, AdamW: nn.PaperAdamWConfig(), BaseDir: checkpoint.DefaultBaseDir()}
 }

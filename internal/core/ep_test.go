@@ -3,11 +3,9 @@ package core
 import (
 	"math"
 	"math/rand"
-	"reflect"
 	"testing"
 	"time"
 
-	"repro/internal/broker"
 	"repro/internal/cluster"
 	"repro/internal/moe"
 	"repro/internal/obs"
@@ -183,20 +181,6 @@ func TestEPCrossNodeFollowsTopology(t *testing.T) {
 		}
 		if got := x.Counters.CrossNodeBytes(); got != want {
 			t.Errorf("rank %d: %d cross-node bytes, want %d, the traffic with the other nodes' workers", r, got, want)
-		}
-	}
-}
-
-// TestEPWorkerConfigIsDefault holds DeployEP's hand-written worker
-// configuration equal to broker.DefaultWorkerConfig() field by field, so
-// a field added to the default (the base store's directory, say) cannot
-// be silently dropped from EP's workers.
-func TestEPWorkerConfigIsDefault(t *testing.T) {
-	got, want := reflect.ValueOf(epWorkerConfig()), reflect.ValueOf(broker.DefaultWorkerConfig())
-	for i := 0; i < want.NumField(); i++ {
-		if !reflect.DeepEqual(got.Field(i).Interface(), want.Field(i).Interface()) {
-			t.Errorf("WorkerConfig.%s: EP workers get %v, DefaultWorkerConfig() %v",
-				want.Type().Field(i).Name, got.Field(i).Interface(), want.Field(i).Interface())
 		}
 	}
 }

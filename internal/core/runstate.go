@@ -32,7 +32,8 @@ type RunCapture struct {
 	// deterministic nn.CollectTrainable order. Required.
 	Backbone []*nn.Param
 	// Opt is the backbone AdamW; nil means no moments are captured
-	// (e.g. an SGD run).
+	// (the run's optimizer is not a bare *nn.AdamW, e.g. a timing
+	// wrapper).
 	Opt *nn.AdamW
 	// Exec is the broker executor. Required.
 	Exec *broker.Executor

@@ -258,12 +258,13 @@ var knobExempt = map[string]string{
 // TestKnobCensus is ROADMAP's knob census, checked by a machine like the
 // suppression census: every exported field of basic kind — a number,
 // bool, string, time.Duration or integer enum, or a pointer to one — of
-// the knobStructs must be assigned, by a selector write or a
-// composite-literal key, in some non-test file outside its declaring
-// package: a deployment, a harness or an example. A knob only tests set
-// is a constant with extra steps; delete it and its plumbing. Func-,
-// interface- and struct-typed fields are hooks and test seams, out of
-// scope.
+// the knobStructs, and every exported field typed as one of the
+// knobStructs itself (by value or pointer: a nested configuration), must
+// be assigned, by a selector write or a composite-literal key, in some
+// non-test file outside its declaring package: a deployment, a harness
+// or an example. A knob only tests set is a constant with extra steps;
+// delete it and its plumbing. Func-, interface- and other struct-typed
+// fields are hooks and test seams, out of scope.
 func TestKnobCensus(t *testing.T) {
 	pkgs := loadRealModule(t)
 	fset := pkgs[0].Fset
@@ -271,6 +272,10 @@ func TestKnobCensus(t *testing.T) {
 	// own unit and its importers' view of it are typechecked apart, so
 	// their *types.Var differ but their declarations do not.
 	knobs := make(map[string]string)
+	isKnobStruct := func(t types.Type) bool {
+		n, ok := t.(*types.Named)
+		return ok && n.Obj().Pkg() != nil && slices.Contains(knobStructs, [2]string{n.Obj().Pkg().Path(), n.Obj().Name()})
+	}
 	for _, ks := range knobStructs {
 		var st *types.Struct
 		for _, p := range pkgs {
@@ -289,7 +294,7 @@ func TestKnobCensus(t *testing.T) {
 			if p, ok := ft.(*types.Pointer); ok {
 				ft = p.Elem()
 			}
-			if _, basic := ft.Underlying().(*types.Basic); f.Exported() && basic {
+			if _, basic := ft.Underlying().(*types.Basic); f.Exported() && (basic || isKnobStruct(ft)) {
 				knobs[fset.Position(f.Pos()).String()] = fmt.Sprintf("%s.%s.%s", f.Pkg().Name(), ks[1], f.Name())
 			}
 		}

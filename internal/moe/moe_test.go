@@ -72,7 +72,9 @@ func TestBlockForwardMatchesManualCombine(t *testing.T) {
 		xt := tensor.New(append([]float64(nil), x.Row(tk)...), 1, d)
 		for j, e := range r.Experts[tk] {
 			fe := grid[0][e].Forward(xt)
-			want.AxpyInPlace(r.Weights[tk][j], fe)
+			for c := range want.Data {
+				want.Data[c] += r.Weights[tk][j] * fe.Data[c]
+			}
 		}
 		for c := 0; c < d; c++ {
 			if math.Abs(y.At(tk, c)-want.At(0, c)) > 1e-9 {

@@ -24,7 +24,7 @@ func product(a, b *tensor.Tensor, aT, bT bool) *tensor.Tensor {
 
 // twoPassForward is Linear.Forward as it was before its adapter products
 // landed in place: every adapter term is a product into scratch and then
-// a second pass over it (AxpyInPlace). It is the reference the in-place
+// a second pass over it (axpy). It is the reference the in-place
 // products must match bit for bit. It returns y and the cached x·A.
 func twoPassForward(l *Linear, x *tensor.Tensor) (y, xa *tensor.Tensor) {
 	y = product(x, l.W.Value, false, false)
@@ -33,12 +33,21 @@ func twoPassForward(l *Linear, x *tensor.Tensor) (y, xa *tensor.Tensor) {
 	}
 	lr := l.LoRA
 	xa = product(x, lr.A.Value, false, false)
-	y.AxpyInPlace(lr.Scale, product(xa, lr.B.Value, false, false))
+	axpy(y, lr.Scale, product(xa, lr.B.Value, false, false))
 	return y, xa
 }
 
+// axpy is the second pass, c[i] += alpha*s[i]: the GEMM epilogue's
+// accumulate expression token for token. It returns c.
+func axpy(c *tensor.Tensor, alpha float64, s *tensor.Tensor) *tensor.Tensor {
+	for i := range c.Data {
+		c.Data[i] += alpha * s.Data[i]
+	}
+	return c
+}
+
 // twoPassBackward is Linear.Backward in the same two-pass form: the
-// gradients accumulate through AddInPlace and AxpyInPlace, d(xa) is
+// gradients accumulate through AddInPlace and axpy, d(xa) is
 // scaled by ScaleInPlace, and dx is dy·Wᵀ plus d(xa)·Aᵀ in that order.
 func twoPassBackward(l *Linear, x, xa, dy *tensor.Tensor) (dx *tensor.Tensor) {
 	if l.W.Trainable {
@@ -49,7 +58,7 @@ func twoPassBackward(l *Linear, x, xa, dy *tensor.Tensor) (dx *tensor.Tensor) {
 	}
 	lr := l.LoRA
 	dxa := product(dy, lr.B.Value, false, true).ScaleInPlace(lr.Scale)
-	lr.B.Grad.AxpyInPlace(lr.Scale, product(xa, dy, true, false))
+	axpy(lr.B.Grad, lr.Scale, product(xa, dy, true, false))
 	lr.A.Grad.AddInPlace(product(x, dxa, true, false))
 	dx = product(dy, l.W.Value, false, true)
 	return dx.AddInPlace(product(dxa, lr.A.Value, false, true))

@@ -45,7 +45,7 @@ func TestFrozenLinearPanelsFollowTrainability(t *testing.T) {
 	l.W.Trainable, l.W.Grad = true, tensor.Zeros(24, 40)
 	l.Forward(x)
 	l.Backward(dy)
-	NewSGD([]*Param{l.W}, 0.1).Step()
+	NewAdamW([]*Param{l.W}, PaperAdamWConfig()).Step()
 	l.W.Freeze()
 	check("refrozen after a step")
 }

@@ -124,7 +124,7 @@ func TestEffectiveWeightMatchesForward(t *testing.T) {
 	x := tensor.Randn(rng, 1, 2, 4)
 	want := l.Forward(x)
 	// The merged weight W + scale·A·B a LoRA-folded layer would use.
-	w := l.W.Value.Clone().AxpyInPlace(l.LoRA.Scale, product(l.LoRA.A.Value, l.LoRA.B.Value, false, false))
+	w := axpy(l.W.Value.Clone(), l.LoRA.Scale, product(l.LoRA.A.Value, l.LoRA.B.Value, false, false))
 	got := product(x, w, false, false)
 	for i := range want.Data {
 		if math.Abs(want.Data[i]-got.Data[i]) > 1e-12 {
@@ -272,20 +272,6 @@ func TestCrossEntropyPerfectPrediction(t *testing.T) {
 	loss, _ := NewLoss().CrossEntropy(logits, []int{2})
 	if loss > 1e-6 {
 		t.Fatalf("near-certain correct prediction should have ~0 loss, got %v", loss)
-	}
-}
-
-func TestSGDStep(t *testing.T) {
-	p := newParam("w", tensor.New([]float64{1, 2}, 2), true)
-	p.Grad.Data[0], p.Grad.Data[1] = 0.5, -0.5
-	frozen := newParam("f", tensor.New([]float64{7}, 1), false)
-	o := NewSGD([]*Param{p, frozen}, 0.1)
-	o.Step()
-	if math.Abs(p.Value.Data[0]-0.95) > 1e-12 || math.Abs(p.Value.Data[1]-2.05) > 1e-12 {
-		t.Fatalf("SGD step wrong: %v", p.Value.Data)
-	}
-	if !testutil.Close(frozen.Value.Data[0], 7) {
-		t.Fatal("SGD must not touch frozen params")
 	}
 }
 

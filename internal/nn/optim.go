@@ -13,38 +13,6 @@ type Optimizer interface {
 	Step()
 }
 
-// Rebinder is implemented by optimizers that can replace their parameter
-// set in place while preserving per-parameter state (moment estimates,
-// step counts) for parameters present both before and after the change.
-// The broker's Expert Manager uses this when experts migrate on or off a
-// worker, so the surviving experts' optimizer trajectories are unchanged.
-type Rebinder interface {
-	Rebind(params []*Param)
-}
-
-// SGD is plain stochastic gradient descent, w ← w − lr·∇w, the optimizer
-// assumed by Theorem 1 of the paper.
-type SGD struct {
-	LR     float64
-	params []*Param
-}
-
-// NewSGD builds an SGD optimizer over the trainable subset of params.
-func NewSGD(params []*Param, lr float64) *SGD {
-	return &SGD{LR: lr, params: CollectTrainable(params)}
-}
-
-// Step implements Optimizer.
-func (o *SGD) Step() {
-	for _, p := range o.params {
-		p.Value.AxpyInPlace(-o.LR, p.Grad)
-	}
-}
-
-// Rebind implements Rebinder. SGD is stateless, so rebinding just swaps
-// the parameter list.
-func (o *SGD) Rebind(params []*Param) { o.params = CollectTrainable(params) }
-
 // AdamWConfig mirrors the paper's fine-tuning hyperparameters: learning
 // rate 3e-5, betas [0.8, 0.999], epsilon 1e-8, weight decay 3e-7.
 type AdamWConfig struct {
@@ -103,13 +71,15 @@ func (o *AdamW) bindJobs() {
 	}
 }
 
-// Rebind implements Rebinder: it replaces the optimizer's parameter set,
-// carrying the first/second moment estimates of every parameter that is
-// in both the old and the new set (matched by identity) and zero-
-// initializing moments for new parameters. The global step count t is
-// retained so surviving parameters continue their bias-correction
-// schedule; freshly added parameters inherit it, which slightly weakens
-// their initial bias correction but keeps the optimizer state coherent.
+// Rebind replaces the optimizer's parameter set in place, carrying the
+// first/second moment estimates of every parameter that is in both the
+// old and the new set (matched by identity) and zero-initializing
+// moments for new parameters. The broker's Expert Manager rebinds as
+// experts migrate on or off a worker, so the surviving experts'
+// trajectories are unchanged. The global step count t is retained so
+// surviving parameters continue their bias-correction schedule; freshly
+// added parameters inherit it, which slightly weakens their initial bias
+// correction but keeps the optimizer state coherent.
 func (o *AdamW) Rebind(params []*Param) {
 	type moments struct{ m, v *tensor.Tensor }
 	old := make(map[*Param]moments, len(o.params))

@@ -1,8 +1,8 @@
 // Package nn implements the neural-network substrate of the VELA
 // reproduction: layers with explicit, hand-written forward and backward
 // passes (Linear with optional LoRA adapters, RMSNorm, Embedding, causal
-// multi-head Attention, SwiGLU feed-forward), the SGD and AdamW optimizers,
-// and a cross-entropy loss.
+// multi-head Attention, SwiGLU feed-forward), the AdamW optimizer, and a
+// cross-entropy loss.
 //
 // Every layer follows the same contract: Forward caches whatever
 // activations its Backward needs, and Backward must be called exactly once

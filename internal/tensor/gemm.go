@@ -133,8 +133,8 @@ func (p *Panels) of(o *Tensor, k, m int, bT bool) []float64 {
 // makes of those expressions on amd64; on arm64 it fuses the accumulate
 // into one FMADDD, in axpyRange and in the portable body alike. So an
 // accumulating product is bit for bit the product into scratch followed
-// by AxpyInPlace (or AddInPlace, α = 1), and a scaled one the product
-// followed by ScaleInPlace.
+// by a second pass c[i] += α·scratch[i] (AddInPlace for α = 1), and a
+// scaled one the product followed by ScaleInPlace.
 type epilogue struct {
 	alpha float64
 	acc   bool

@@ -224,7 +224,7 @@ func TestGEMMBitIdenticalToOracle(t *testing.T) {
 
 // TestGEMMEpilogueBitIdentical: stored, accumulating and scaled products
 // land every element exactly once, bit for bit as the product into
-// scratch followed by AxpyInPlace (AddInPlace at α = 1) or ScaleInPlace —
+// scratch then c[i] += α·s[i] (AddInPlace at α = 1) or ScaleInPlace —
 // in every operand orientation, packing per call or from held panels,
 // through the padded n < 4 driver, ragged last row tiles and panels,
 // pairs, panels read in place and packed, and the empty sum, with every
@@ -279,7 +279,10 @@ func checkEpilogue(t *testing.T, n, k, m int, f gemmFill) {
 							case "store":
 								fillNaN(got)
 							case "accumulate":
-								want = c0.Clone().AxpyInPlace(alpha, product)
+								want = c0.Clone()
+								for i := range want.Data {
+									want.Data[i] += alpha * product.Data[i]
+								}
 								copy(got.Data, c0.Data)
 							case "scale":
 								want.ScaleInPlace(alpha)

@@ -407,7 +407,7 @@ func mustNotAlias(dst, src *Tensor) {
 // GEMM lands α·op(a)·op(b) in c and returns c, where op(a) is a, or aᵀ
 // with aT, and op(b) is b, or bᵀ with bT: [n,k]·[k,m] -> [n,m]. With acc
 // each element becomes c + α·s, bit for bit the product into scratch
-// followed by c.AxpyInPlace(α, scratch) (AddInPlace for α = 1); without,
+// followed by c[i] += α·scratch[i] (AddInPlace for α = 1); without,
 // c = α·s, bit for bit the product followed by c.ScaleInPlace(α), and a
 // plain product for α = 1, when c may be dirty: every element is
 // overwritten. A non-nil pk holds op(b)'s packed panels: the first

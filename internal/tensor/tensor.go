@@ -183,20 +183,6 @@ func axpyRange(r, a []float64, alpha float64, lo, hi int) {
 	}
 }
 
-// AxpyInPlace adds alpha*o to t elementwise, returning t.
-func (t *Tensor) AxpyInPlace(alpha float64, o *Tensor) *Tensor {
-	t.mustSameShape(o)
-	td, od := t.Data, o.Data
-	if Serial(len(td), len(td)) {
-		axpyRange(td, od, alpha, 0, len(td))
-		return t
-	}
-	p := newTask(axpyBody)
-	p.c, p.a, p.alpha = td, od, alpha
-	p.split(len(td))
-	return t
-}
-
 // ScaleInPlace multiplies every element of t by alpha, returning t.
 func (t *Tensor) ScaleInPlace(alpha float64) *Tensor {
 	td := t.Data

@@ -90,11 +90,6 @@ func TestElementwiseOps(t *testing.T) {
 	if !testutil.Close(c.Data[0], 6) || !testutil.Close(c.Data[3], 12) {
 		t.Fatalf("AddInPlace wrong: %v", c.Data)
 	}
-	d := a.Clone()
-	d.AxpyInPlace(2, b)
-	if !testutil.Close(d.Data[0], 11) {
-		t.Fatalf("AxpyInPlace wrong: %v", d.Data)
-	}
 	e := a.Clone()
 	e.ScaleInPlace(3)
 	if !testutil.Close(e.Data[3], 12) {
