@@ -149,7 +149,8 @@ bench-check:
 # the checkpoint layer's own fault matrix (RunStore corruption/IO-fault
 # fallback, malformed-input rejection, the decoders' fuzz seed corpora) and
 # the base store's faults (a worker missing a base, a corrupt or forged
-# file, a shared or unwritable store, concurrent puts) —
+# file, a shared or unwritable store, a master with no store, concurrent
+# puts) —
 # race-enabled and rerun from scratch every time.
 chaos:
 	$(GO) test -race -count=1 \

@@ -83,7 +83,7 @@ func main() {
 	resume := flag.Bool("resume", false, "resume from the newest valid generation in -checkpoint-dir")
 	traceExport := flag.String("trace-export", "", "write the assembled cross-process timeline as Chrome trace-event JSON (Perfetto-loadable) to this file on exit; also pulls worker trace rings at step boundaries and prints the per-step critical path")
 	traceCapacity := flag.Int("trace-capacity", 0, "master trace-ring capacity in events (0 = default 4096; rounded up to a power of two)")
-	baseDir := flag.String("base-dir", checkpoint.DefaultBaseDir(), "host-local store of frozen expert bases; installs ship a base's key and the delta when the worker's store holds it; used only if private to this user (mode 0700); empty ships full entries")
+	baseDir := flag.String("base-dir", checkpoint.DefaultBaseDir(), "host-local store of frozen expert bases; every install ships a base's key and the delta, and a worker whose store lacks the base gets it alone; used only if private to this user (mode 0700); empty disables it")
 	flag.Parse()
 
 	if *workers == "" {

@@ -34,7 +34,7 @@ func main() {
 	id := flag.Int("id", 0, "worker id (diagnostics only)")
 	metricsAddr := flag.String("metrics-addr", "", "serve /metrics, /healthz and /debug/pprof on this address (empty disables)")
 	traceCapacity := flag.Int("trace-capacity", 0, "trace-ring capacity in events (0 = default 4096; size it to hold at least one step between the master's MsgTraceFetch pulls)")
-	baseDir := flag.String("base-dir", checkpoint.DefaultBaseDir(), "host-local store of frozen expert bases, read by keyed installs and filled by full ones; used only if private to this user (mode 0700); empty disables")
+	baseDir := flag.String("base-dir", checkpoint.DefaultBaseDir(), "host-local store of frozen expert bases, read by keyed installs and filled by every base the master ships; used only if private to this user (mode 0700); empty disables it, and installs of experts not hosted here miss")
 	flag.Parse()
 
 	l, err := transport.Listen(*listen)

@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/checkpoint"
 	"repro/internal/moe"
 	"repro/internal/obs"
 	"repro/internal/placement"
@@ -111,9 +112,9 @@ func keyedSize(ex *moe.Expert, opt *expertOptState) int64 {
 var ackSize = int64(wire.EncodedSize(&wire.Message{Type: wire.MsgAck}))
 
 // expertOutputs runs one forward and one backward of every expert over
-// a fixed batch and returns the outputs, for a bit-for-bit comparison of
-// two deployments' weights.
-func expertOutputs(t *testing.T, x *Executor, grid [][]*moe.Expert) [][]float64 {
+// a fixed batch through x and returns the outputs, for a bit-for-bit
+// comparison of a deployment's weights with the grid's own.
+func expertOutputs(t *testing.T, x moe.Executor, grid [][]*moe.Expert) [][]float64 {
 	t.Helper()
 	rng := rand.New(rand.NewSource(5))
 	var outs [][]float64
@@ -126,8 +127,8 @@ func expertOutputs(t *testing.T, x *Executor, grid [][]*moe.Expert) [][]float64 
 			}
 			batches[e] = b
 		}
-		for _, backward := range []bool{false, true} {
-			res, err := x.exchange(l, batches, backward)
+		for _, run := range []func(int, map[int]*tensor.Tensor) (map[int]*tensor.Tensor, error){x.ForwardExperts, x.BackwardExperts} {
+			res, err := run(l, batches)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -139,15 +140,58 @@ func expertOutputs(t *testing.T, x *Executor, grid [][]*moe.Expert) [][]float64 
 	return outs
 }
 
+// inProcess is the bit-for-bit reference of every install test: the
+// grid's own experts run in the test's process, on copies so that the
+// backward accumulates no gradient into the grid.
+func inProcess(t *testing.T, grid [][]*moe.Expert) [][]float64 {
+	t.Helper()
+	own := make([][]*moe.Expert, len(grid))
+	for l, row := range grid {
+		for _, ex := range row {
+			c, _, err := decodeExpertState(encodeExpert(ex, churnSpec), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			own[l] = append(own[l], c)
+		}
+	}
+	return expertOutputs(t, &moe.LocalExecutor{Experts: own}, grid)
+}
+
+// unusableDir is a store directory that can never be made: it lies under
+// a regular file.
+func unusableDir(t *testing.T) string {
+	blocker := filepath.Join(t.TempDir(), "file")
+	if err := os.WriteFile(blocker, nil, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	return filepath.Join(blocker, "bases")
+}
+
+// warmDir is a store directory that already holds every base of grid, as
+// a host's store does after any earlier run over the grid.
+func warmDir(t *testing.T, grid [][]*moe.Expert) string {
+	dir := storeDir(t)
+	for _, row := range grid {
+		for _, ex := range row {
+			if _, err := (checkpoint.BaseStore{Dir: dir}).Put(baseBytes(frozenOf(ex))); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	return dir
+}
+
 // TestBaseStoreDistributeBytes pins what Distribute and a retry's restore
-// put on the wire. With the worker reading the master's store, every
+// put on the wire. With the workers' stores holding the bases, every
 // install is the delta and the key — exactly those frames' bytes, one ack
-// each. With a worker whose store lacks the bases, every install misses
-// and the base alone follows (MsgBase): delta plus base, one miss reply
-// and one ack each, and the miss counted; the worker then holds the
-// bases, so the next deployment on its store hits. A retry's restore
-// round, which shipped 21 729 584 B of full entries (with moments) before
-// the store, ships the deltas only.
+// each — whether the master's own store is theirs, absent or unusable:
+// the key names the base either way. A retry's restore round, which
+// shipped 21 729 584 B of full entries (with moments) before the store,
+// ships the deltas only. With workers whose stores lack the bases, every
+// install misses and the base alone follows (MsgBase): delta plus base,
+// one miss reply and one ack each, and the miss counted; the workers then
+// hold the bases, so the next deployment on their stores hits.
 func TestBaseStoreDistributeBytes(t *testing.T) {
 	grid, assign := churnGrid()
 	var deltas, bases int64
@@ -159,65 +203,68 @@ func TestBaseStoreDistributeBytes(t *testing.T) {
 	}
 	const experts = 16
 
-	t.Run("hit", func(t *testing.T) {
-		dir := storeDir(t)
-		x, meter := storeDeployment(t, assign, dir, dir, dir)
-		if err := x.Distribute(grid, churnSpec); err != nil {
-			t.Fatal(err)
-		}
-		if sent, recv := meter.sent.Load(), meter.recv.Load(); sent != deltas || recv != experts*ackSize {
-			t.Fatalf("Distribute sent %d B and received %d B, want the deltas' %d B and %d acks' %d B", sent, recv, deltas, experts, experts*ackSize)
-		}
-		if sent := meter.sent.Load(); sent != 1_477_952 {
-			t.Fatalf("Distribute sent %d B, pinned 1 477 952", sent)
-		}
-		if got := installCounts(x); got != [3]int64{experts, 0, 0} {
-			t.Fatalf("keyed/full/misses = %v, want %d keyed", got, experts)
-		}
-
-		// A retry: step once so every expert has moments, then restore the
-		// boundary's snapshot onto the same hosts.
-		if err := x.Step(); err != nil {
-			t.Fatal(err)
-		}
-		snap, err := x.SnapshotExperts(0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var full int64
-		for _, e := range snap.Entries {
-			ts := make([]wire.Matrix, len(e.Tensors))
-			for i, st := range e.Tensors {
-				ts[i] = wire.Matrix{Rows: st.Rows, Cols: st.Cols, Data: st.Data}
+	for _, c := range []struct {
+		name   string
+		stores func(t *testing.T) (master, workers string)
+	}{
+		{"hit", func(t *testing.T) (string, string) { dir := storeDir(t); return dir, dir }},
+		{"nostore", func(t *testing.T) (string, string) { return "", warmDir(t, grid) }},
+		{"unusable", func(t *testing.T) (string, string) { return unusableDir(t), warmDir(t, grid) }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			master, workers := c.stores(t)
+			x, meter := storeDeployment(t, assign, master, workers, workers)
+			if err := x.Distribute(grid, churnSpec); err != nil {
+				t.Fatal(err)
 			}
-			composed, err := x.compose(moe.ExpertID{Layer: e.Layer, Expert: e.Expert}, ts)
+			if sent, recv := meter.sent.Load(), meter.recv.Load(); sent != deltas || recv != experts*ackSize {
+				t.Fatalf("Distribute sent %d B and received %d B, want the deltas' %d B and %d acks' %d B", sent, recv, deltas, experts, experts*ackSize)
+			}
+			if sent := meter.sent.Load(); sent != 1_477_952 {
+				t.Fatalf("Distribute sent %d B, pinned 1 477 952", sent)
+			}
+			if got := installCounts(x); got != [3]int64{experts, 0, 0} {
+				t.Fatalf("keyed/full/misses = %v, want %d keyed", got, experts)
+			}
+
+			// A retry: step once so every expert has moments, then restore
+			// the boundary's snapshot onto the same hosts.
+			if err := x.Step(); err != nil {
+				t.Fatal(err)
+			}
+			snap, err := x.SnapshotExperts(0)
 			if err != nil {
 				t.Fatal(err)
 			}
-			full += int64(wire.EncodedSize(&wire.Message{Type: wire.MsgAssign, Tensors: composed}))
-		}
-		if full != 21_729_584 {
-			t.Fatalf("the restore's full entries would be %d B, DESIGN §12 says 21 729 584", full)
-		}
-		before := meter.sent.Load()
-		if err := x.RestoreExperts(snap.Entries, assign); err != nil {
-			t.Fatal(err)
-		}
-		if sent := meter.sent.Load() - before; sent != 4_428_800 {
-			t.Fatalf("the retry's restore sent %d B, pinned 4 428 800 (deltas with moments)", sent)
-		}
-	})
+			var full int64
+			for _, e := range snap.Entries {
+				ts := make([]wire.Matrix, len(e.Tensors))
+				for i, st := range e.Tensors {
+					ts[i] = wire.Matrix{Rows: st.Rows, Cols: st.Cols, Data: st.Data}
+				}
+				base := frozenOf(grid[e.Layer][e.Expert])
+				ex, en, err := decodeExpertState(&wire.Message{Type: wire.MsgAssign, Tensors: ts}, func(*expertEntry) ([]wire.Matrix, error) { return base, nil })
+				if err != nil {
+					t.Fatal(err)
+				}
+				full += int64(wire.EncodedSize(encodeExpertState(ex, en.spec, en.opt)))
+			}
+			if full != 21_729_584 {
+				t.Fatalf("the restore's full entries would be %d B, DESIGN §12 says 21 729 584", full)
+			}
+			before := meter.sent.Load()
+			if err := x.RestoreExperts(snap.Entries, assign); err != nil {
+				t.Fatal(err)
+			}
+			if sent := meter.sent.Load() - before; sent != 4_428_800 {
+				t.Fatalf("the retry's restore sent %d B, pinned 4 428 800 (deltas with moments)", sent)
+			}
+		})
+	}
 
 	t.Run("miss", func(t *testing.T) {
 		master, w0, w1 := storeDir(t), storeDir(t), storeDir(t)
 		x, meter := storeDeployment(t, assign, master, w0, w1)
-		ref := expertOutputs(t, func() *Executor {
-			y, _ := storeDeployment(t, assign, "", "", "")
-			if err := y.Distribute(grid, churnSpec); err != nil {
-				t.Fatal(err)
-			}
-			return y
-		}(), grid)
 		if err := x.Distribute(grid, churnSpec); err != nil {
 			t.Fatal(err)
 		}
@@ -227,8 +274,8 @@ func TestBaseStoreDistributeBytes(t *testing.T) {
 		if got := installCounts(x); got != [3]int64{experts, 0, experts} {
 			t.Fatalf("keyed/full/misses = %v, want %d keyed installs that all missed", got, experts)
 		}
-		if got := expertOutputs(t, x, grid); !equalRows(got, ref) {
-			t.Fatal("experts installed after a miss compute other bits than full-entry installs")
+		if !equalRows(expertOutputs(t, x, grid), inProcess(t, grid)) {
+			t.Fatal("experts installed after a miss compute other bits than the grid's own")
 		}
 		for _, dir := range []string{w0, w1} {
 			if files, _ := filepath.Glob(filepath.Join(dir, "*.base")); len(files) != experts/2 {
@@ -260,7 +307,7 @@ func equalRows(a, b [][]float64) bool {
 // TestBaseStoreCorruptFileIsRefused: one flipped byte in one base file.
 // The worker refuses the file (its bytes fail the entry's CRC32C), answers
 // a miss, gets that expert's base and rewrites the file; every expert
-// computes the bits a full-entry install does.
+// computes the bits the grid's own does.
 func TestBaseStoreCorruptFileIsRefused(t *testing.T) {
 	grid, assign := churnGrid()
 	dir := storeDir(t)
@@ -290,37 +337,33 @@ func TestBaseStoreCorruptFileIsRefused(t *testing.T) {
 	if repaired, err := os.ReadFile(file); err != nil || crc32.Checksum(repaired, castagnoli) != crc32.Checksum(good, castagnoli) {
 		t.Fatalf("the corrupt file was not repaired (err %v)", err)
 	}
-	ref, _ := storeDeployment(t, assign, "", "", "")
-	if err := ref.Distribute(grid, churnSpec); err != nil {
-		t.Fatal(err)
-	}
-	if !equalRows(expertOutputs(t, y, grid), expertOutputs(t, ref, grid)) {
-		t.Fatal("an expert installed over a corrupt store computes other bits than a full-entry install")
+	if !equalRows(expertOutputs(t, y, grid), inProcess(t, grid)) {
+		t.Fatal("an expert installed over a corrupt store computes other bits than the grid's own")
 	}
 }
 
-// TestBaseStoreUnwritableFallsBackToFullEntries: a master whose store
-// cannot be written ships every install as a full entry, in one round,
-// with no error.
-func TestBaseStoreUnwritableFallsBackToFullEntries(t *testing.T) {
+// TestBaseStoreUnwritableEverywhereShipsBases: where no side's store can
+// be written, every install is still keyed, misses, and gets its base
+// alone — delta plus base on the wire, with no error — and every expert
+// computes the bits the grid's own does.
+func TestBaseStoreUnwritableEverywhereShipsBases(t *testing.T) {
 	grid, assign := churnGrid()
-	blocker := filepath.Join(t.TempDir(), "file")
-	if err := os.WriteFile(blocker, nil, 0o600); err != nil {
-		t.Fatal(err)
-	}
-	dir := filepath.Join(blocker, "bases") // under a regular file: never a directory
+	dir := unusableDir(t)
 	x, meter := storeDeployment(t, assign, dir, dir, dir)
 	if err := x.Distribute(grid, churnSpec); err != nil {
 		t.Fatalf("Distribute over an unwritable store: %v", err)
 	}
-	var fulls int64
+	var want int64
 	for _, row := range grid {
 		for _, ex := range row {
-			fulls += int64(wire.EncodedSize(encodeExpert(ex, churnSpec)))
+			want += keyedSize(ex, nil) + int64(wire.EncodedSize(&wire.Message{Type: wire.MsgBase, Tensors: frozenOf(ex)}))
 		}
 	}
-	if got := installCounts(x); got != [3]int64{0, 16, 0} || meter.sent.Load() != fulls {
-		t.Fatalf("keyed/full/misses = %v and %d B sent, want 16 full entries' %d B", got, meter.sent.Load(), fulls)
+	if got := installCounts(x); got != [3]int64{16, 0, 16} || meter.sent.Load() != want {
+		t.Fatalf("keyed/full/misses = %v and %d B sent, want 16 keyed installs that all missed and delta+base %d B", got, meter.sent.Load(), want)
+	}
+	if !equalRows(expertOutputs(t, x, grid), inProcess(t, grid)) {
+		t.Fatal("experts installed with no usable store compute other bits than the grid's own")
 	}
 }
 

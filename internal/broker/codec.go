@@ -24,28 +24,28 @@ import (
 // told apart by the width of the metadata row:
 //
 //	full   [D, Hidden, LoRARank, LoRAAlpha, numMomentPairs, optStep]
-//	       followed by every parameter. A MsgAssign carries this when
-//	       the receiving worker reported a base miss, when the master
-//	       has no base store, and for an expert with nothing frozen.
+//	       followed by every parameter. A MsgAssign carries this only
+//	       where the entry holds its own base: an expert with nothing
+//	       frozen, and a run generation written before deltas existed.
 //	delta  the same six columns plus baseSum, followed by the trainable
 //	       parameters only. MsgSnapshotResult carries this for an expert
 //	       with frozen parameters, and so does everything built from
 //	       snapshots: Supervisor.latest and a run generation's expert
-//	       section. A MsgAssign carries it too, with the base's
-//	       checkpoint.BaseStore key in Text.
+//	       section. Every MsgAssign of such an entry carries it too,
+//	       with the base's checkpoint.BaseStore key in Text.
 //
 // The frozen parameters a delta leaves out — the *base*: under LoRA the
 // three projection matrices, 80% of a full entry at d=128/h=352/r=8 and
 // 97% at the paper's d=1024/h=2816 — never change after Distribute, so
 // they stay on the host: a worker takes them from the expert it already
 // hosts (a retry's restore) or from its host's base store, and they
-// cross a link only when it has neither (Executor.install). The master
-// keeps views of them (Executor.SetBase), puts them in its store, sends
-// them alone (MsgBase) to a worker that missed, and Executor.compose puts
-// them back into a full entry when there is no store. baseSum, the CRC32C
-// of the base the delta was trained over, is what makes that safe: a
-// delta is only ever composed with the bits it names, and a worker
-// refuses a stored or shipped base whose bytes do not match it.
+// cross a link only when it has neither (Executor.install): then the
+// worker answers MsgBaseMiss and the master sends them alone (MsgBase).
+// The master keeps views of them (Executor.SetBase) and puts them in its
+// store. baseSum, the CRC32C of the base the delta was trained over, is
+// what makes that safe: a delta is only ever installed over the bits it
+// names, and a worker refuses a stored or shipped base whose bytes do not
+// match it.
 // An expert with nothing frozen has no delta layout; its snapshot is a
 // full entry.
 

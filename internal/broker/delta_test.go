@@ -3,7 +3,6 @@ package broker
 import (
 	"math"
 	"math/rand"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -113,57 +112,54 @@ func TestSnapshotOfLoRAExpertCarriesNoFrozenTensor(t *testing.T) {
 	}
 }
 
-// TestComposeRebuildsTheFullEntry: compose(base, delta) is, tensor for
-// tensor and bit for bit, the full entry the parent's snapshot would have
-// carried — and it views the base, it does not copy it.
-func TestComposeRebuildsTheFullEntry(t *testing.T) {
+// TestDeltaOverItsBaseIsTheFullEntry: a delta entry decoded over its
+// base — what a worker does with a keyed install — is, tensor for tensor
+// and bit for bit, the full entry the parent's snapshot would have
+// carried, moments and clock included.
+func TestDeltaOverItsBaseIsTheFullEntry(t *testing.T) {
 	spec := ExpertSpec{D: 6, Hidden: 10, LoRARank: 2, LoRAAlpha: 8}
 	w, ex := trainedWorker(t, spec)
 	hosted := w.experts[ex.ID]
 	full := encodeExpertState(hosted, spec, w.optStateOf(hosted)).Tensors // the parent's snapshot payload
 
-	master := NewExecutor(nil, nil)
-	master.SetBase([][]*moe.Expert{{ex}})
-	got, err := master.compose(ex.ID, snapshotOf(t, w).Tensors)
+	delta := snapshotOf(t, w)
+	delta.Type = wire.MsgAssign
+	got, en, err := decodeExpertState(delta, func(*expertEntry) ([]wire.Matrix, error) { return frozenOf(ex), nil })
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != len(full) {
-		t.Fatalf("composed entry has %d tensors, the full one %d", len(got), len(full))
+	again := encodeExpertState(got, en.spec, en.opt).Tensors
+	if len(again) != len(full) {
+		t.Fatalf("the installed expert's entry has %d tensors, the full one %d", len(again), len(full))
 	}
 	for i := range full {
-		if got[i].Rows != full[i].Rows || got[i].Cols != full[i].Cols || !testutil.BitEqualSlices(got[i].Data, full[i].Data) {
-			t.Fatalf("tensor %d of the composed entry differs from the full entry", i)
+		if again[i].Rows != full[i].Rows || again[i].Cols != full[i].Cols || !testutil.BitEqualSlices(again[i].Data, full[i].Data) {
+			t.Fatalf("tensor %d of the installed expert's entry differs from the full entry", i)
 		}
-	}
-	if &got[1].Data[0] != &ex.Params()[0].Value.Data[0] {
-		t.Fatal("composed entry copied the base; it must view the grid's tensor")
-	}
-
-	// A full entry composes to itself.
-	same, err := master.compose(ex.ID, full)
-	if err != nil || !reflect.DeepEqual(same, full) {
-		t.Fatalf("full entry did not pass through compose unchanged (err %v)", err)
 	}
 }
 
-// TestComposeRefusesAForeignBase: one flipped bit in one frozen weight and
-// the delta no longer composes; the error names the expert.
-func TestComposeRefusesAForeignBase(t *testing.T) {
+// TestInstallRefusesAForeignBase: a delta is installed over no base but
+// the one registered for its expert, and not over that one when a single
+// frozen bit differs; each refusal names the expert and comes before
+// anything is sent.
+func TestInstallRefusesAForeignBase(t *testing.T) {
 	spec := ExpertSpec{D: 6, Hidden: 10, LoRARank: 2, LoRAAlpha: 8}
 	w, ex := trainedWorker(t, spec)
-	delta := snapshotOf(t, w).Tensors
+	delta := snapshotOf(t, w)
+	delta.Type = wire.MsgAssign
+	msgs := [][]*wire.Message{{delta}} // the executor has no workers: a refusal must come before any send
 
 	master := NewExecutor(nil, nil)
-	if _, err := master.compose(ex.ID, delta); err == nil || !strings.Contains(err.Error(), "no base registered") {
-		t.Fatalf("compose without a base = %v", err)
+	if err := master.install(msgs); err == nil || !strings.Contains(err.Error(), "no base registered") {
+		t.Fatalf("install without a base = %v", err)
 	}
 	w2 := ex.Params()[6].Value.Data // w2's weight
 	w2[17] = math.Float64frombits(math.Float64bits(w2[17]) ^ 1)
 	master.SetBase([][]*moe.Expert{{ex}})
-	_, err := master.compose(ex.ID, delta)
+	err := master.install(msgs)
 	if err == nil || !strings.Contains(err.Error(), "L0/E0") || !strings.Contains(err.Error(), "digest") {
-		t.Fatalf("compose over a base one bit off = %v, want a refusal naming L0/E0", err)
+		t.Fatalf("install over a base one bit off = %v, want a refusal naming L0/E0", err)
 	}
 }
 
@@ -188,15 +184,15 @@ func TestNoLoRAMeansNoDelta(t *testing.T) {
 	if len(master.base) != 0 {
 		t.Fatalf("%d experts registered a base, want none", len(master.base))
 	}
-	if got, err := master.compose(ex.ID, snap); err != nil || !reflect.DeepEqual(got, snap) {
-		t.Fatalf("full entry did not pass through compose unchanged (err %v)", err)
+	if en, err := parseEntry(snap); err != nil || en.delta {
+		t.Fatalf("snapshot parses as a delta (err %v); install must ship it as it is", err)
 	}
 }
 
-// TestBaseViewsSurviveTrainingOverChanTransport: a composed assign is
-// built from the master's base views, and no transport may write through
-// them — the chan pipe once delivered messages by pointer, so this stays
-// as a regression. After training steps, a migration of every expert and
+// TestBaseViewsSurviveTrainingOverChanTransport: a MsgBase is built from
+// the master's base views, and no transport may write through them — the
+// chan pipe once delivered messages by pointer, so this stays as a
+// regression. After training steps, a migration of every expert and
 // a restore of every expert from the snapshot, the master's base is
 // still the grid's memory and still the bits it started with.
 func TestBaseViewsSurviveTrainingOverChanTransport(t *testing.T) {

@@ -13,11 +13,11 @@ import (
 )
 
 // FuzzDecodeExpertState: whatever frame reaches a worker as MsgAssign —
-// or the master as a snapshot entry to compose — the entry decoder answers
-// with an error or a faithful expert, never a panic and never an
-// allocation the frame's own length does not justify (an expert costs its
-// payload about three times over: values, gradients, scratch). Seeded
-// with one full and one delta entry of the same trained expert.
+// a full entry, or a delta the worker holds the base of — the entry
+// decoder answers with an error or a faithful expert, never a panic and
+// never an allocation the frame's own length does not justify (an expert
+// costs its payload about three times over: values, gradients, scratch).
+// Seeded with one full and one delta entry of the same trained expert.
 func FuzzDecodeExpertState(f *testing.F) {
 	spec := ExpertSpec{D: 4, Hidden: 6, LoRARank: 2, LoRAAlpha: 4}
 	rng := rand.New(rand.NewSource(71))
@@ -45,8 +45,7 @@ func FuzzDecodeExpertState(f *testing.F) {
 		f.Add(frame[4:])
 	}
 
-	master := NewExecutor(nil, nil)
-	master.SetBase([][]*moe.Expert{{ex}})
+	base, sum := frozenOf(ex), baseSum(frozenOf(ex))
 	f.Fuzz(func(t *testing.T, body []byte) {
 		m, err := wire.DecodePooled(body)
 		if err != nil {
@@ -54,23 +53,25 @@ func FuzzDecodeExpertState(f *testing.F) {
 		}
 		m.Type = wire.MsgAssign
 		var before, after runtime.MemStats
+		keyed := false
 		runtime.ReadMemStats(&before)
-		got, en, err := decodeExpertState(m, nil)
-		full, cerr := master.compose(ex.ID, m.Tensors)
+		got, en, err := decodeExpertState(m, func(en *expertEntry) ([]wire.Matrix, error) {
+			if keyed = true; en.baseSum != sum {
+				return nil, errBaseMiss
+			}
+			return base, nil
+		})
 		runtime.ReadMemStats(&after)
 		if alloc, limit := after.TotalAlloc-before.TotalAlloc, uint64(16*len(body)+1<<16); alloc > limit {
 			t.Fatalf("decoding a %d-byte frame allocated %d, limit %d", len(body), alloc, limit)
-		}
-		if cerr == nil {
-			// Whatever composes is a full entry the decoder accepts.
-			if _, _, err := decodeExpertState(&wire.Message{Type: wire.MsgAssign, Tensors: full}, nil); err != nil {
-				t.Fatalf("composed entry does not decode: %v", err)
-			}
 		}
 		if err != nil {
 			return
 		}
 		again := encodeExpertState(got, en.spec, en.opt).Tensors
+		if keyed { // a delta re-encodes as one
+			again = encodeEntry(wire.MsgAssign, got, en.spec, en.opt, sum).Tensors
+		}
 		if len(again) != len(m.Tensors) {
 			t.Fatalf("re-encoded entry has %d tensors, the frame %d", len(again), len(m.Tensors))
 		}

@@ -51,13 +51,13 @@ func (s *slowLink) Recv() (*wire.Message, error) {
 // the four others at 1.17 GB/s. The base stores are per node: the master
 // and node 0's workers share one. Each op starts a fresh pool, untimed:
 //
-//   - full: no store, one round of full entries — every install before
-//     the base store;
 //   - hit: every node's store holds the bases — stepbench, whose "nodes"
 //     share one host;
 //   - cold: nodes 1 and 2 start with empty stores, a first install on
 //     hosts that never held these bases: their experts miss, and a
-//     second round ships their bases.
+//     second round ships their bases;
+//   - nostore: no side has a store, so every install misses and every
+//     base follows in the second round.
 func BenchmarkDistributeShaped(b *testing.B) {
 	const layers, experts, workers, perNode = 2, 8, 6, 2
 	spec := ExpertSpec{D: 256, Hidden: 64, LoRARank: 8, LoRAAlpha: 16}
@@ -73,7 +73,7 @@ func BenchmarkDistributeShaped(b *testing.B) {
 			assign.Worker[l][e] = (l*experts + e) % workers
 		}
 	}
-	for _, mode := range []string{"full", "hit", "cold"} {
+	for _, mode := range []string{"hit", "cold", "nostore"} {
 		b.Run(mode, func(b *testing.B) {
 			warm := filepath.Join(b.TempDir(), "bases")
 			meter := &byteMeter{}
@@ -86,7 +86,7 @@ func BenchmarkDistributeShaped(b *testing.B) {
 				for n := range conns {
 					cfg := DefaultWorkerConfig()
 					switch node := topo.Devices[n].Node; {
-					case mode == "full":
+					case mode == "nostore":
 						cfg.BaseDir = ""
 					case mode == "cold" && node != topo.MasterNode:
 						cfg.BaseDir = cold[node-1]
@@ -107,11 +107,11 @@ func BenchmarkDistributeShaped(b *testing.B) {
 				}
 				x := NewExecutor(conns, assign)
 				x.BaseDir = warm
-				if mode == "full" {
+				if mode == "nostore" {
 					x.BaseDir = ""
 				}
 				x.Counters = obs.NewCounters(make([]bool, workers))
-				if mode != "full" {
+				if mode != "nostore" {
 					x.SetBase(grid)
 					for _, row := range grid { // the master's host holds the bases
 						for _, ex := range row {

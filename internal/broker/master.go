@@ -82,11 +82,12 @@ type Executor struct {
 	// wrapping transport.ErrTimeout.
 	RequestTimeout time.Duration
 	// BaseDir is the checkpoint.BaseStore the master puts every frozen
-	// base it installs into, so that a MsgAssign carries the base's key
-	// and the delta entry, and a worker reading the same store never
-	// receives the base's bytes (see install). NewExecutor sets it to
-	// checkpoint.DefaultBaseDir(); empty ships every install as a full
-	// entry.
+	// base it installs into, so that a worker reading the same store never
+	// receives the base's bytes. Every delta install carries its base's
+	// key whether or not the store takes the base (see install); an
+	// unusable store — empty, shared, unwritable — only leaves the
+	// workers' own stores and hosted experts to hit. NewExecutor sets it
+	// to checkpoint.DefaultBaseDir().
 	BaseDir string
 	// Obs, when non-nil, receives the exchange-lifecycle trace (enqueue,
 	// send, reply, decode), the latency/queue-wait/straggler histograms
@@ -112,14 +113,14 @@ type Executor struct {
 	resMu   sync.Mutex
 	resBufs map[resultKey]*tensor.Tensor
 	// base holds, per expert, the frozen parameters a delta entry leaves
-	// out (see SetBase and compose). Written before training starts and
+	// out (see SetBase and install). Written before training starts and
 	// read by the training goroutine's rounds only.
 	base map[moe.ExpertID]expertBase
 }
 
 // expertBase is one expert's frozen parameters as the master keeps them:
 // views of the grid's tensors, never copies, their digest, and their
-// BaseStore key once install has stored them.
+// BaseStore key once install has taken it.
 type expertBase struct {
 	tensors []wire.Matrix
 	sum     uint32
@@ -426,7 +427,7 @@ func (x *Executor) awaitReply(conn transport.Conn, n int, first, seq uint64) (*w
 }
 
 // SetBase registers the frozen parameters of every expert in grid as the
-// base that delta entries are composed with. They are views, so the grid
+// base that delta entries are installed over. They are views, so the grid
 // must stay as it is — which it does: after Distribute nothing on the
 // master reads or trains it. Distribute registers the grid it ships; a
 // master that skips Distribute (System.Resume) registers the grid its
@@ -442,32 +443,9 @@ func (x *Executor) SetBase(grid [][]*moe.Expert) {
 	}
 }
 
-// compose returns the full entry — MsgAssign's tensor list — for a stored
-// one. A full entry (an expert with nothing frozen, a generation written
-// before deltas existed) is returned as it is. A delta gets the base
-// views registered for id put back between its trainable parameters,
-// provided they are the bits it was trained over (see baseFor).
-func (x *Executor) compose(id moe.ExpertID, ts []wire.Matrix) ([]wire.Matrix, error) {
-	en, err := parseEntry(ts)
-	if err != nil {
-		return nil, fmt.Errorf("expert %v: %w", id, err)
-	}
-	if !en.delta {
-		return ts, nil
-	}
-	base, err := x.baseFor(id, en)
-	if err != nil {
-		return nil, err
-	}
-	if err := en.interleave(base.tensors); err != nil {
-		return nil, fmt.Errorf("expert %v: %w", id, err)
-	}
-	return en.tensors(), nil
-}
-
 // baseFor returns the base registered for id if a delta entry en may be
-// composed with it: composing a delta with any other base than the one
-// its baseSum names would resume a run that silently diverges.
+// installed over it: a delta over any other base than the one its
+// baseSum names would resume a run that silently diverges.
 func (x *Executor) baseFor(id moe.ExpertID, en *expertEntry) (expertBase, error) {
 	base, ok := x.base[id]
 	if !ok {
@@ -483,15 +461,15 @@ func (x *Executor) baseFor(id moe.ExpertID, en *expertEntry) (expertBase, error)
 // install puts every expert of msgs on its worker: msgs[n] is worker n's
 // row of MsgAssign messages, each carrying a delta or a full entry — the
 // one send path of Distribute, migrate and RestoreExperts. A full entry
-// travels as it is. A delta's base is put into the master's BaseStore
-// (once per expert) and the delta travels with the base's key in Text; a
-// worker that holds no copy of the base — neither the expert itself nor
-// a store file that verifies — keeps the delta and answers MsgBaseMiss,
-// and only those experts' bases follow (MsgBase), in a second round: a
-// miss costs the base's bytes and one small round trip, not the delta
-// twice. Without a store, or when the put fails, the full entry (compose)
-// goes in the first round. Every delta is checked against its base
-// before anything is sent.
+// (an expert with nothing frozen, a generation written before deltas)
+// travels as it is. A delta travels with its base's key in Text: the
+// base's SHA-256, taken once per expert as the base is put into the
+// master's BaseStore, whether or not the store takes it. A worker that
+// holds no copy of the base — neither the expert itself nor a store file
+// that verifies — keeps the delta and answers MsgBaseMiss, and only those
+// experts' bases follow (MsgBase), in a second round: a miss costs the
+// base's bytes and one small round trip, not the delta twice. Every
+// delta is checked against its base before anything is sent.
 func (x *Executor) install(msgs [][]*wire.Message) error {
 	type delta struct {
 		m    *wire.Message
@@ -516,21 +494,14 @@ func (x *Executor) install(msgs [][]*wire.Message) error {
 			deltas = append(deltas, delta{m, id, base})
 		}
 	}
-	// The SHA-256 digests of the bases not stored yet are most of a
+	// The SHA-256 digests of the bases not keyed yet are most of a
 	// Distribute's own work: take them side by side.
 	tensor.Fanout(len(deltas), func(i int) { deltas[i].base.key = x.storeBase(deltas[i].base) })
 	for _, d := range deltas {
 		x.base[d.id] = d.base
-		if d.m.Text = d.base.key; d.m.Text != "" {
-			x.Counters.Add(obs.BaseKeyed, 1)
-			continue
-		}
-		var err error
-		if d.m.Tensors, err = x.compose(d.id, d.m.Tensors); err != nil {
-			return err
-		}
-		x.Counters.Add(obs.BaseFull, 1)
+		d.m.Text = d.base.key
 	}
+	x.Counters.Add(obs.BaseKeyed, int64(len(deltas)))
 	missed := make([][]*wire.Message, len(msgs))
 	err := x.round(msgs, wire.MsgAck, nil, func(n, i int, reply *wire.Message) error {
 		defer wire.Release(reply)
@@ -556,17 +527,14 @@ func (x *Executor) install(msgs [][]*wire.Message) error {
 	return x.round(missed, wire.MsgAck, nil, nil) // no rows when nothing missed
 }
 
-// storeBase returns base's BaseStore key, putting it into the store the
-// first time; "" means no store or a failed put, and the caller ships the
-// full entry.
+// storeBase returns base's BaseStore key, taking it and putting the base
+// into the master's store the first time. A failed put costs only that:
+// the key still names the base to the workers' stores and hosted experts.
 func (x *Executor) storeBase(base expertBase) string {
-	if base.key != "" || x.BaseDir == "" {
+	if base.key != "" {
 		return base.key
 	}
-	key, err := checkpoint.BaseStore{Dir: x.BaseDir}.Put(baseBytes(base.tensors))
-	if err != nil {
-		return ""
-	}
+	key, _ := checkpoint.BaseStore{Dir: x.BaseDir}.Put(baseBytes(base.tensors))
 	return key
 }
 

@@ -52,7 +52,7 @@ func (x *Executor) migrate(layer, e, dst int) error {
 	// Release the now-stale source copy. The migration has already taken
 	// effect; a release failure is surfaced but does not undo it.
 	release := &wire.Message{Type: wire.MsgFetch, Layer: int32(layer), Expert: int32(e)}
-	if err := x.one(src, release, wire.MsgFetchResult, nil); err != nil {
+	if err := x.one(src, release, wire.MsgAck, nil); err != nil {
 		return fmt.Errorf("broker: migrated L%d/E%d to worker %d but releasing the source copy on worker %d failed: %w",
 			layer, e, dst, src, err)
 	}

@@ -278,7 +278,7 @@ func TestMigrationPreservesOptimizerState(t *testing.T) {
 
 	// Migrate e1 away from the subject (the release leg of a migration).
 	fetch := &wire.Message{Type: wire.MsgFetch, Layer: 0, Expert: 1}
-	if reply, _ := subject.handle(fetch); reply.Type != wire.MsgFetchResult {
+	if reply, _ := subject.handle(fetch); reply.Type != wire.MsgAck {
 		t.Fatalf("fetch e1: %v %s", reply.Type, reply.Text)
 	}
 

@@ -3,6 +3,7 @@ package broker
 import (
 	"errors"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
@@ -223,16 +224,11 @@ func TestExpertStateCodecMomentsRoundTrip(t *testing.T) {
 	if snap.Type != wire.MsgSnapshotResult {
 		t.Fatalf("snapshot: %v", snap.Type)
 	}
-	// A snapshot becomes an assign frame on restore: the master puts the
-	// frozen weights back between the trainable ones it carries.
-	master := NewExecutor(nil, nil)
-	master.SetBase(grid)
-	full, err := master.compose(grid[0][0].ID, snap.Tensors)
-	if err != nil {
-		t.Fatal(err)
-	}
-	asAssign := &wire.Message{Type: wire.MsgAssign, Layer: snap.Layer, Expert: snap.Expert, Tensors: full}
-	_, en, err := decodeExpertState(asAssign, nil)
+	// A snapshot becomes a keyed assign on restore: the delta, installed
+	// over the frozen weights of its base.
+	base := frozenOf(grid[0][0])
+	asAssign := &wire.Message{Type: wire.MsgAssign, Layer: snap.Layer, Expert: snap.Expert, Text: strings.Repeat("0", 64), Tensors: snap.Tensors}
+	_, en, err := decodeExpertState(asAssign, func(*expertEntry) ([]wire.Matrix, error) { return base, nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,12 +248,16 @@ func TestExpertStateCodecMomentsRoundTrip(t *testing.T) {
 		t.Fatal("first-moment payload is all zeros after a step")
 	}
 
-	// Re-assign the snapshot into a fresh worker and step both again on
+	// Re-assign the snapshot into a fresh worker — storeless, so its
+	// install misses and the base follows alone — and step both again on
 	// identical gradients: parameters must land bit-identically, which
 	// only happens if the moments AND the bias-correction clock survived.
 	w2 := NewWorker(1, WorkerConfig{})
-	if reply, _ := w2.handle(asAssign); reply.Type != wire.MsgAck {
-		t.Fatalf("re-assign: %v", reply.Type)
+	if reply, _ := w2.handle(asAssign); reply.Type != wire.MsgBaseMiss {
+		t.Fatalf("re-assign: %v, want a base miss", reply.Type)
+	}
+	if reply, _ := w2.handle(&wire.Message{Type: wire.MsgBase, Layer: snap.Layer, Expert: snap.Expert, Tensors: base}); reply.Type != wire.MsgAck {
+		t.Fatalf("base: %v %s", reply.Type, reply.Text)
 	}
 	seedGrads(w1)
 	seedGrads(w2)

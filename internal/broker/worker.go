@@ -28,8 +28,9 @@ type WorkerConfig struct {
 	Obs *obs.Handle
 	// BaseDir is the checkpoint.BaseStore a MsgAssign that names its
 	// frozen base by key reads the base from, and every base that crosses
-	// the wire (a full entry's, a MsgBase) is put into; empty disables it,
-	// and every keyed install the worker does not already host is a miss.
+	// the wire (a full entry's, a MsgBase) is put into. While the store
+	// is unusable — empty, shared, unwritable — every keyed install of an
+	// expert the worker does not already host is a miss.
 	BaseDir string
 }
 
@@ -380,7 +381,7 @@ func (w *Worker) handleAt(msg *wire.Message, arrivedAt int64) (reply *wire.Messa
 		if !ok {
 			return errMsg(msg, fmt.Errorf("broker: worker %d does not host %v", w.ID, id)), false
 		}
-		return &wire.Message{Type: wire.MsgFetchResult, Layer: msg.Layer, Expert: msg.Expert, Seq: msg.Seq}, false
+		return &wire.Message{Type: wire.MsgAck, Layer: msg.Layer, Expert: msg.Expert, Seq: msg.Seq}, false
 
 	case wire.MsgZeroGrad:
 		// Only what the optimizer steps: a frozen parameter has no Grad.
@@ -525,9 +526,6 @@ func (w *Worker) baseOf(id moe.ExpertID, key string, en *expertEntry) ([]wire.Ma
 	if ok && sum == en.baseSum {
 		return frozenOf(host), nil // decodeExpertState copies them
 	}
-	if w.cfg.BaseDir == "" {
-		return nil, errBaseMiss
-	}
 	b, err := checkpoint.BaseStore{Dir: w.cfg.BaseDir}.Get(key, 8*en.spec.baseValues(), en.baseSum)
 	if err != nil {
 		return nil, errBaseMiss
@@ -540,11 +538,10 @@ func (w *Worker) baseOf(id moe.ExpertID, key string, en *expertEntry) ([]wire.Ma
 // later keyed install of it on this host is a hit. A failed put costs
 // only that.
 func (w *Worker) keepBase(base []wire.Matrix) uint32 {
-	if len(base) == 0 || w.cfg.BaseDir == "" {
-		return baseSum(base)
-	}
 	b := baseBytes(base)
-	_, _ = checkpoint.BaseStore{Dir: w.cfg.BaseDir}.Put(b)
+	if len(b) > 0 { // an expert with nothing frozen has no base to keep
+		_, _ = checkpoint.BaseStore{Dir: w.cfg.BaseDir}.Put(b)
+	}
 	return crc32.Checksum(b, castagnoli)
 }
 

@@ -26,7 +26,7 @@ import (
 // The directory must be private to the user (see private): one that
 // another user owns or may enter disables the store. Deleting the
 // directory is always safe. A zero Dir disables the store: Put and Get
-// fail.
+// fail (Put still returns the key).
 type BaseStore struct {
 	Dir string
 }
@@ -61,26 +61,27 @@ func (s BaseStore) path(key string) (string, error) {
 }
 
 // Put stores b under its key, unless a file of that name is already
-// there, and returns the key. Concurrent Puts of one key, from any
-// process, each rename a complete file into place.
+// there, and returns the key — beside the error too, so a caller whose
+// store is unusable still names the bytes. Concurrent Puts of one key,
+// from any process, each rename a complete file into place.
 func (s BaseStore) Put(b []byte) (string, error) {
 	key := baseKey(b)
 	name, err := s.path(key)
 	if err != nil {
-		return "", err
+		return key, err
 	}
 	if err := os.MkdirAll(s.Dir, 0o700); err != nil {
-		return "", err
+		return key, err
 	}
 	if err := private(s.Dir); err != nil {
-		return "", err
+		return key, err
 	}
 	if _, err := os.Stat(name); err == nil {
 		return key, nil
 	}
 	f, err := os.CreateTemp(s.Dir, key+".tmp-*")
 	if err != nil {
-		return "", err
+		return key, err
 	}
 	_, err = f.Write(b)
 	if cerr := f.Close(); err == nil {
@@ -91,9 +92,8 @@ func (s BaseStore) Put(b []byte) (string, error) {
 	}
 	if err != nil {
 		_ = os.Remove(f.Name())
-		return "", err
 	}
-	return key, nil
+	return key, err
 }
 
 // Get returns key's bytes if the file holds exactly n bytes whose

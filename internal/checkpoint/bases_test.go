@@ -23,7 +23,7 @@ func baseFixture() []byte {
 // bytes and read back only when its length and CRC32C are the ones asked
 // for; a file that does not match is refused and removed, a key that is
 // not a SHA-256 is refused before it names a path, and a zero store
-// refuses everything.
+// refuses everything, its Put still naming the key.
 func TestBaseStorePutGet(t *testing.T) {
 	s := BaseStore{Dir: filepath.Join(t.TempDir(), "bases")}
 	b := baseFixture()
@@ -62,8 +62,8 @@ func TestBaseStorePutGet(t *testing.T) {
 			t.Fatalf("Get(%q) = %v, want a refusal", bad, err)
 		}
 	}
-	if _, err := (BaseStore{}).Put(b); err == nil {
-		t.Fatal("a zero store accepted a Put")
+	if got, err := (BaseStore{}).Put(b); err == nil || got != key {
+		t.Fatalf("a zero store's Put = %q, %v; want the key beside a refusal", got, err)
 	}
 	if _, err := (BaseStore{}).Get(key, len(b), sum); err == nil {
 		t.Fatalf("a zero store's Get = %v", err)

@@ -241,10 +241,11 @@ func killRun(t *testing.T, topo cluster.Topology, kills map[int]*killSwitch) ([]
 // run left on the host; spoil, if set, runs on each of its base files
 // once the experts are distributed. With noStore the workers have no
 // store, so every keyed install of an expert a worker does not host
-// misses and is followed by its base.
+// misses and is followed by its base; with storelessMaster neither does
+// the master, which keys every install all the same.
 type baseSetup struct {
-	noStore bool
-	spoil   func(t *testing.T, file string)
+	noStore, storelessMaster bool
+	spoil                    func(t *testing.T, file string)
 }
 
 // killRunWith is killRun over the base stores st.
@@ -269,6 +270,9 @@ func killRunWith(t *testing.T, topo cluster.Topology, kills map[int]*killSwitch,
 		t.Fatal(err)
 	}
 	sys.Exec.BaseDir = dir
+	if st.storelessMaster {
+		sys.Exec.BaseDir = ""
+	}
 	if err := sys.Distribute(grid); err != nil {
 		t.Fatal(err)
 	}
@@ -318,9 +322,9 @@ func killRunWith(t *testing.T, topo cluster.Topology, kills map[int]*killSwitch,
 // with every base file missing or corrupt (one flipped byte), worker 2's
 // experts reach the survivors as a delta, a miss and then their bases,
 // and train on to the bit; and with storeless workers, worker 2 dies in
-// the miss round
-// of the restore after worker 0's death, which one more failover and
-// retry absorb.
+// the base round (MsgBase) that follows the misses of the restore after
+// worker 0's death, which one more failover and retry absorb — once with
+// the master's store and once with none.
 func TestSystemFailoverBitIdentical(t *testing.T) {
 	table := cluster.Uniform(3, 1, 4, 100*cluster.GB, 1*cluster.GB) // two survivors host all 8 experts
 	probe := &killSwitch{killAt: -1}
@@ -369,6 +373,10 @@ func TestSystemFailoverBitIdentical(t *testing.T) {
 	rows = append(rows, row{"death_in_miss_round", sole, map[int]*killSwitch{
 		0: dies, 2: {killOn: wire.MsgBase, after: dies},
 	}, 2, 1, baseSetup{noStore: true}})
+	diesToo := &killSwitch{killOn: wire.MsgForwardMulti, killAt: 2}
+	rows = append(rows, row{"storeless_master_death_in_base_round", sole, map[int]*killSwitch{
+		0: diesToo, 2: {killOn: wire.MsgBase, after: diesToo},
+	}, 2, 1, baseSetup{noStore: true, storelessMaster: true}})
 	steps := []int{0, 1, 2, 3, 4, 5}
 	for _, r := range rows {
 		t.Run(r.name, func(t *testing.T) {

@@ -237,7 +237,7 @@ func Attach(model *moe.Model, conns []transport.Conn, opts Options) (*System, er
 // solved placement. After it, the grid's trainable parameters are stale —
 // the authoritative ones live on the workers — while its frozen ones stay
 // in use, unmodified: the executor keeps views of them as the base that
-// snapshots, migrations and failovers are composed with.
+// snapshots, migrations and failovers are installed over.
 func (s *System) Distribute(grid [][]*moe.Expert) error {
 	if err := s.Exec.Distribute(grid, s.Spec); err != nil {
 		return fmt.Errorf("core: distributing experts: %w", err)

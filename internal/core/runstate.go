@@ -145,8 +145,8 @@ func CaptureRun(step int, c *RunCapture) (*checkpoint.RunState, error) {
 
 // restore is the one restore, of a retried step and of a resumed run: it
 // pours rs — boundary rs.Step−1 — into the live system c names, with
-// every expert shipped to its host in assign (each entry composed with
-// the base registered on the executor; moments included): backbone
+// every expert shipped to its host in assign (each delta entry checked
+// against the base registered on the executor; moments included): backbone
 // values and AdamW moments matched by parameter name, data cursor, drift
 // state, controller counters and loss series. It refuses, before
 // anything is changed or sent, a state without exactly one entry per

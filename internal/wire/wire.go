@@ -39,10 +39,9 @@ const (
 	MsgShutdown
 	// MsgFetch asks the worker to release an expert — the last leg of a
 	// runtime migration, sent once the expert's new host is installed.
+	// The worker answers MsgAck: the state travelled in the migration's
+	// snapshot.
 	MsgFetch
-	// MsgFetchResult confirms the release; it carries no tensors (the
-	// state travelled in the migration's snapshot).
-	MsgFetchResult
 	// MsgPing is the supervisor's heartbeat probe; a live worker answers
 	// with MsgPong (the master never sends it while a dispatch frame is
 	// in flight on the same connection).
@@ -110,7 +109,6 @@ var msgTypeNames = [...]string{
 	MsgError:               "error",
 	MsgShutdown:            "shutdown",
 	MsgFetch:               "fetch",
-	MsgFetchResult:         "fetch_result",
 	MsgPing:                "ping",
 	MsgPong:                "pong",
 	MsgSnapshot:            "snapshot",
@@ -148,6 +146,7 @@ func (t MsgType) String() string {
 //	                 master retries is undone by a restore of the last
 //	                 boundary's snapshot, not deduplicated by the worker)
 //	Snapshot:        Layer, Expert (reply mirrors MsgAssign layout)
+//	Fetch:           Layer, Expert (the release; answered by Ack)
 //	Error:           Text
 type Message struct {
 	Type   MsgType
